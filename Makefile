@@ -67,9 +67,11 @@ bench-smoke:
 e2e:
 	./scripts/e2e_flowtop.sh
 
-# End-to-end flowrankd check: the real daemon binary replays a trace,
-# its /metrics scrape must match the flowtop batch report, and SIGTERM
-# must drain cleanly.
+# End-to-end flowrankd check: flowrankd and flowtop are two front-ends of
+# one pipeline (internal/pipeline), so this guards the front-ends, not a
+# second implementation — the real daemon binary replays a trace, its
+# /metrics scrape must match what flowtop prints, and SIGTERM must drain
+# cleanly.
 e2e-daemon:
 	./scripts/e2e_daemon.sh
 

@@ -27,13 +27,10 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 
 	"flowrank/internal/daemon"
-	"flowrank/internal/flow"
-	"flowrank/internal/flowtable"
-	"flowrank/internal/invert"
+	"flowrank/internal/pipeline"
 	"flowrank/internal/source"
 )
 
@@ -62,27 +59,25 @@ type options struct {
 	pprof   bool
 }
 
+// shared binds the options flowrankd has in common with flowtop to the
+// helper that registers and validates them.
+func (o *options) shared() pipeline.Flags {
+	return pipeline.Flags{
+		In: &o.in, Pcap: &o.isPcap, Rate: &o.rate, TopT: &o.topT, Bin: &o.binSec,
+		Agg: &o.aggName, Seed: &o.seed, Workers: &o.workers, Invert: &o.invert,
+		Adapt: &o.adapt, Table: &o.table, Memory: &o.memory, Journal: &o.journal,
+	}
+}
+
 func main() {
 	var opts options
-	flag.StringVar(&opts.in, "in", "", "input trace to replay (native or, with -pcap, pcap)")
-	flag.BoolVar(&opts.isPcap, "pcap", false, "input trace is a pcap file")
+	opts.shared().Register(flag.CommandLine)
 	flag.StringVar(&opts.live, "live", "", "capture from this interface instead of a trace (needs a -tags live build)")
 	flag.BoolVar(&opts.loop, "loop", false, "replay the trace forever, shifting timestamps monotonically")
 	flag.Float64Var(&opts.loopGap, "loop-gap", 0, "idle seconds spliced between -loop replays (0 = one bin width)")
 	flag.Float64Var(&opts.speed, "speed", 0, "pace replay at this multiple of line rate (1 = real time, 0 = as fast as possible)")
-	flag.Float64Var(&opts.rate, "p", 0.01, "packet sampling probability")
-	flag.IntVar(&opts.topT, "t", 10, "top flows to track per bin")
-	flag.Float64Var(&opts.binSec, "bin", 60, "measurement bin seconds")
-	flag.StringVar(&opts.aggName, "agg", "5tuple", "flow definition: 5tuple or prefix24")
-	flag.Uint64Var(&opts.seed, "seed", 1, "sampler seed")
-	flag.IntVar(&opts.workers, "workers", runtime.GOMAXPROCS(0), "shard workers for the streaming engine")
-	flag.StringVar(&opts.invert, "invert", "", "per-bin flow-size inversion: naive, tail, em, or parametric")
-	flag.Float64Var(&opts.adapt, "adapt", 0, "closed-loop target for the ranking metric (0 disables; requires -invert)")
-	flag.StringVar(&opts.table, "table", "exact", "per-shard flow table: exact, spacesaving, or countmin")
-	flag.IntVar(&opts.memory, "memory", 0, "slot budget per bounded table (0 = kind default)")
 	flag.StringVar(&opts.listen, "listen", ":9465", "HTTP address serving /metrics and /healthz")
 	flag.StringVar(&opts.nfAddr, "netflow-udp", "", "export each bin's sampled top list as NetFlow v5 to this UDP host:port")
-	flag.StringVar(&opts.journal, "journal", "", "append one JSON record per bin to this file (- = stdout)")
 	flag.BoolVar(&opts.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ on -listen")
 	flag.Parse()
 
@@ -95,8 +90,9 @@ func main() {
 	}
 }
 
-// validate rejects flag combinations with errors that say what to change
-// instead of silently picking a behavior.
+// validate rejects combinations of flowrankd's own flags with errors that
+// say what to change; the flags shared with flowtop are checked by
+// pipeline.Flags.
 func validate(opts options) error {
 	switch {
 	case opts.in == "" && opts.live == "":
@@ -116,28 +112,7 @@ func validate(opts options) error {
 	if opts.loopGap != 0 && !opts.loop {
 		return errors.New("-loop-gap only applies with -loop")
 	}
-	if opts.adapt > 0 && opts.invert == "" {
-		return errors.New("-adapt needs a per-bin inversion to refit against: add -invert parametric (cheapest) or -invert em")
-	}
 	return nil
-}
-
-// inverterByName maps the -invert flag to an estimator; "" disables the
-// inversion stage.
-func inverterByName(name string) (invert.Estimator, error) {
-	switch name {
-	case "":
-		return nil, nil
-	case "naive":
-		return invert.Naive{}, nil
-	case "tail":
-		return invert.TailScaling{}, nil
-	case "em":
-		return invert.EM{}, nil
-	case "parametric":
-		return invert.Parametric{}, nil
-	}
-	return nil, fmt.Errorf("unknown -invert %q (want naive, tail, em, or parametric)", name)
 }
 
 // buildSource assembles the ingestion chain the flags describe: the base
@@ -172,43 +147,11 @@ func buildSource(opts options) (source.PacketSource, error) {
 	return src, nil
 }
 
-// openJournal resolves the -journal flag to a slog JSON logger plus the
-// close that flushes it; a nil logger means journaling is off.
-func openJournal(path string) (*slog.Logger, func() error, error) {
-	switch path {
-	case "":
-		return nil, func() error { return nil }, nil
-	case "-":
-		return daemon.NewJournal(os.Stdout), func() error { return nil }, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("opening -journal: %w", err)
-	}
-	return daemon.NewJournal(f), f.Close, nil
-}
-
 func run(ctx context.Context, opts options, log *slog.Logger) error {
 	if err := validate(opts); err != nil {
 		return err
 	}
-	var agg flow.Aggregator = flow.FiveTuple{}
-	switch opts.aggName {
-	case "5tuple":
-	case "prefix24":
-		agg = flow.DstPrefix{Bits: 24}
-	default:
-		return fmt.Errorf("unknown -agg %q", opts.aggName)
-	}
-	inverter, err := inverterByName(opts.invert)
-	if err != nil {
-		return err
-	}
-	spec, err := flowtable.ParseSpec(opts.table, opts.memory)
-	if err != nil {
-		return err
-	}
-	journal, closeJournal, err := openJournal(opts.journal)
+	cfg, closeJournal, err := opts.shared().Config()
 	if err != nil {
 		return err
 	}
@@ -217,25 +160,25 @@ func run(ctx context.Context, opts options, log *slog.Logger) error {
 	if err != nil {
 		return err
 	}
+	defer src.Close()
 	d, err := daemon.New(daemon.Config{
 		Source:      src,
-		Agg:         agg,
-		Rate:        opts.rate,
-		Seed:        opts.seed,
-		TopT:        opts.topT,
-		BinSeconds:  opts.binSec,
-		Workers:     opts.workers,
-		Tables:      spec,
-		Inverter:    inverter,
-		AdaptTarget: opts.adapt,
+		Agg:         cfg.Agg,
+		Rate:        cfg.Rate,
+		Seed:        cfg.Seed,
+		TopT:        cfg.TopT,
+		BinSeconds:  cfg.BinSeconds,
+		Workers:     cfg.Workers,
+		Tables:      cfg.Tables,
+		Inverter:    cfg.Inverter,
+		AdaptTarget: cfg.AdaptTarget,
 		ListenAddr:  opts.listen,
 		NetFlowAddr: opts.nfAddr,
 		Log:         log,
-		Journal:     journal,
+		Journal:     cfg.Journal,
 		EnablePprof: opts.pprof,
 	})
 	if err != nil {
-		src.Close()
 		return err
 	}
 	log.Info("serving /metrics and /healthz", "addr", d.Addr(), "pprof", opts.pprof)

@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
-	"flowrank/internal/daemon"
 	"flowrank/internal/flow"
 	"flowrank/internal/packet"
+	"flowrank/internal/pipeline"
 )
 
 // writeTrace materializes a small deterministic native trace.
@@ -89,7 +89,9 @@ func (h addrCapture) Handle(ctx context.Context, r slog.Record) error {
 	return h.Handler.Handle(ctx, r)
 }
 
-// TestFlagValidation is the table of flag-combination rejections; every
+// TestFlagValidation is the table of rejections for flowrankd's own
+// flags, plus a check that run applies the shared validator (tabled in
+// full by pipeline.TestFlagValidation) before it reads the source; every
 // error must name the flag to change.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
@@ -108,6 +110,10 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown agg", func(o *options) { o.aggName = "7tuple" }, "-agg"},
 		{"unknown invert", func(o *options) { o.invert = "magic" }, "-invert"},
 		{"unknown table", func(o *options) { o.table = "btree" }, "btree"},
+		// Both were accepted here while flowtop rejected them: -memory was
+		// silently ignored, -t 0 failed only once the first bin closed.
+		{"memory with exact table", func(o *options) { o.memory = 4096 }, "-table"},
+		{"adapt with an empty top list", func(o *options) { o.adapt = 1; o.invert = "em"; o.topT = 0 }, "(-t)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -209,7 +215,7 @@ func TestRunReplayToDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jf.Close()
-	bins, err := daemon.ValidateJournal(jf)
+	bins, err := pipeline.ValidateJournal(jf)
 	if err != nil {
 		t.Fatalf("journal invalid: %v", err)
 	}

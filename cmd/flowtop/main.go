@@ -36,6 +36,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -43,18 +44,9 @@ import (
 	"log"
 	"log/slog"
 	"os"
-	"runtime"
 
-	"flowrank/internal/adaptive"
-	"flowrank/internal/daemon"
-	"flowrank/internal/flow"
-	"flowrank/internal/flowtable"
-	"flowrank/internal/invert"
-	"flowrank/internal/netflow"
-	"flowrank/internal/obs"
-	"flowrank/internal/packet"
+	"flowrank/internal/pipeline"
 	"flowrank/internal/report"
-	"flowrank/internal/sampler"
 	"flowrank/internal/source"
 	"flowrank/internal/stream"
 )
@@ -78,99 +70,62 @@ type options struct {
 	journal string
 }
 
+// shared binds the options flowtop has in common with flowrankd to the
+// helper that registers and validates them.
+func (o *options) shared() pipeline.Flags {
+	return pipeline.Flags{
+		In: &o.in, Pcap: &o.isPcap, Rate: &o.rate, TopT: &o.topT, Bin: &o.binSec,
+		Agg: &o.aggName, Seed: &o.seed, Workers: &o.workers, Invert: &o.invert,
+		Adapt: &o.adapt, Table: &o.table, Memory: &o.memory, Journal: &o.journal,
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("flowtop: ")
 	var opts options
-	flag.StringVar(&opts.in, "in", "", "input trace (required)")
-	flag.BoolVar(&opts.isPcap, "pcap", false, "input is a pcap file")
-	flag.Float64Var(&opts.rate, "p", 0.01, "packet sampling probability")
-	flag.IntVar(&opts.topT, "t", 10, "top flows to report")
-	flag.Float64Var(&opts.binSec, "bin", 60, "measurement bin seconds")
-	flag.StringVar(&opts.aggName, "agg", "5tuple", "flow definition: 5tuple or prefix24")
-	flag.Uint64Var(&opts.seed, "seed", 1, "sampler seed")
-	flag.StringVar(&opts.nfOut, "netflow", "", "write sampled ranking as NetFlow v5 datagrams")
-	flag.IntVar(&opts.workers, "workers", runtime.GOMAXPROCS(0), "shard workers for the streaming engine")
-	flag.StringVar(&opts.invert, "invert", "", "estimate the original flow-size distribution per bin: naive, tail, em, or parametric")
-	flag.Float64Var(&opts.adapt, "adapt", 0, "closed-loop target for the §5 ranking metric: after every bin, refit the model to the bin's inversion and set the next bin's sampling rate to the cheapest one meeting the target (0 disables; requires -invert)")
-	flag.StringVar(&opts.table, "table", "exact", "per-shard flow table: exact, spacesaving, or countmin (bounded kinds keep at most -memory flows per shard)")
-	flag.IntVar(&opts.memory, "memory", 0, "slot budget per bounded table (0 = kind default; ignored for -table exact)")
-	flag.StringVar(&opts.journal, "journal", "", "append one JSON record per bin (the flowrankd journal schema) to this file")
+	opts.shared().Register(flag.CommandLine)
+	flag.StringVar(&opts.nfOut, "netflow", "", "write each bin's sampled ranking to this file as NetFlow v5 datagrams when the bin closes (after a failed run the file holds the complete bins reported before the error)")
 	flag.Parse()
 	if err := run(opts, os.Stdout, os.Stderr); err != nil {
 		log.Fatal(err)
 	}
 }
 
+// run is flowtop: the shared monitor pipeline, run to EOF, with a per-bin
+// callback that prints the text report.
 func run(opts options, stdout, stderr io.Writer) error {
-	if err := validate(opts); err != nil {
-		return err
+	if opts.in == "" {
+		return errors.New("missing -in trace file")
 	}
-	var agg flow.Aggregator = flow.FiveTuple{}
-	switch opts.aggName {
-	case "5tuple":
-	case "prefix24":
-		agg = flow.DstPrefix{Bits: 24}
-	default:
-		return fmt.Errorf("unknown -agg %q", opts.aggName)
-	}
-
-	inverter, err := inverterByName(opts.invert)
+	cfg, closeJournal, err := opts.shared().Config()
 	if err != nil {
 		return err
 	}
-	spec, err := flowtable.ParseSpec(opts.table, opts.memory)
-	if err != nil {
-		return err
-	}
-
+	defer closeJournal()
 	src, err := source.Open(opts.in, opts.isPcap)
 	if err != nil {
 		return err
 	}
 	defer src.Close()
-	ctl := adaptive.Controller{Target: opts.adapt, TopT: opts.topT, Workers: opts.workers}
-
-	// -journal wires the same flight recorder flowrankd keeps: pipeline
-	// stats on the engine (alloc-free; the output stays bit-identical)
-	// and one schema-validated JSON record per bin. No journal, no stats:
-	// the default path is byte-for-byte the tool it always was.
-	var jw *journalWriter
-	if opts.journal != "" {
-		jw, err = newJournalWriter(opts.journal, opts.workers, spec)
-		if err != nil {
+	cfg.Source = src
+	// Warnings only: the per-bin adapt decisions are already on stdout.
+	cfg.Log = slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	var nfFile *os.File
+	if opts.nfOut != "" {
+		if nfFile, err = os.Create(opts.nfOut); err != nil {
 			return err
 		}
-		defer jw.Close()
+		defer nfFile.Close()
+		cfg.NetFlow, cfg.NetFlowDest = nfFile, opts.nfOut
+	}
+	p, err := pipeline.New(cfg)
+	if err != nil {
+		return err
 	}
 
-	// The sampler is held concretely so the closed loop can retune its
-	// rate between bins. The emit callback runs on the Feed goroutine —
-	// the same one making every sampling decision — so the update is
-	// reader-side and the engine's bit-identical-across-workers contract
-	// is untouched.
-	bern := sampler.NewBernoulli(opts.rate, opts.seed)
-	// NetFlow records are grouped per bin together with the rate the bin
-	// was sampled at: under -adapt the rate changes between bins, and a
-	// v5 header carries exactly one sampling interval, so each bin's
-	// records must be exported under the rate that produced them. The
-	// group is captured before adaptRate retunes the sampler.
-	var nfBins []netflowBin
-	eng, err := stream.NewEngine(stream.Config{
-		Agg:        agg,
-		Sampler:    bern,
-		BinSeconds: opts.binSec,
-		TopT:       opts.topT,
-		Workers:    opts.workers,
-		Inverter:   inverter,
-		Tables:     spec,
-		Obs:        jw.stats(),
-		// flowtop copies everything it keeps past emit (NetFlow records are
-		// value conversions), so the engine may recycle its bin buffers.
-		Recycle: true,
-	}, func(b stream.BinResult) error {
-		emitStart := obs.Nanotime()
-		rate := bern.P // the rate that produced this bin, before any retune
+	nfRecords := 0
+	err = p.Run(context.Background(), func(b stream.BinResult, rec *pipeline.BinRecord) error {
 		if err := printBin(stdout, b, opts.topT); err != nil {
 			return err
 		}
@@ -179,199 +134,45 @@ func run(opts options, stdout, stderr io.Writer) error {
 				return err
 			}
 		}
-		if opts.nfOut != "" && len(b.SampledTop) > 0 {
-			grp := netflowBin{rate: rate}
-			for _, e := range b.SampledTop {
-				grp.records = append(grp.records, netflowRecord(e))
-			}
-			nfBins = append(nfBins, grp)
-		}
-		if opts.adapt > 0 {
-			if err := adaptRate(stdout, ctl, bern, b); err != nil {
+		if rec.Adapt != nil {
+			if err := printAdapt(stdout, rec.Adapt, opts); err != nil {
 				return err
 			}
 		}
-		if jw != nil {
-			jw.record(b, rate, bern.P, obs.Nanotime()-emitStart)
+		if nf := rec.NetFlow; nf != nil {
+			// A collector tolerates lost datagrams; a file with holes is a
+			// failed export (the warning on stderr has the cause).
+			if nf.Err != "" || nf.SendErrors > 0 {
+				return fmt.Errorf("bin %d: NetFlow export to %s failed", b.Bin, opts.nfOut)
+			}
+			nfRecords += nf.Records
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-
-	var p packet.Packet
-	for {
-		if err := src.Next(&p); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			// A corrupt trace must not report the half-ingested bin as if
-			// it were a complete measurement.
-			eng.Abort()
+	if nfFile != nil {
+		if err := nfFile.Close(); err != nil {
 			return err
 		}
-		if err := eng.Feed(p); err != nil {
-			eng.Close()
-			return err
-		}
-	}
-	if err := eng.Close(); err != nil {
-		return err
-	}
-
-	if opts.nfOut != "" {
-		total, err := writeNetflow(opts.nfOut, nfBins)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "wrote %d NetFlow v5 records to %s\n", total, opts.nfOut)
+		fmt.Fprintf(stderr, "wrote %d NetFlow v5 records to %s\n", nfRecords, opts.nfOut)
 	}
 	return nil
 }
 
-// netflowBin is one bin's export group: its sampled top records and the
-// sampling rate in effect while the bin was collected.
-type netflowBin struct {
-	rate    float64
-	records []netflow.Record
-}
-
-// journalWriter owns flowtop's -journal surface: the engine's pipeline
-// stats and the slog JSON stream. It shares flowrankd's BinRecord schema
-// so one journalcheck/ValidateJournal oracle covers both tools.
-type journalWriter struct {
-	f     *os.File
-	log   *slog.Logger
-	ps    *obs.PipelineStats
-	table string
-}
-
-func newJournalWriter(path string, workers int, spec flowtable.Spec) (*journalWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("opening -journal: %w", err)
-	}
-	if workers < 1 {
-		workers = stream.DefaultWorkers()
-	}
-	return &journalWriter{
-		f:     f,
-		log:   daemon.NewJournal(f),
-		ps:    obs.NewPipelineStats(workers),
-		table: spec.Kind.String(),
-	}, nil
-}
-
-// stats is nil-safe so the engine wiring reads naturally without a
-// journal: a nil *PipelineStats disables instrumentation entirely.
-func (j *journalWriter) stats() *obs.PipelineStats {
-	if j == nil {
-		return nil
-	}
-	return j.ps
-}
-
-// record writes one bin's journal line. The engine's barrier/merge/
-// invert gauges describe this bin (they land before emit); the emit
-// stage is flowtop's own emit-path measurement.
-func (j *journalWriter) record(b stream.BinResult, rate, nextRate float64, emitNanos int64) {
-	st := j.ps.LastStages()
-	st.Emit = emitNanos
-	st.Total = st.Barrier + st.Merge + st.Invert + st.Emit
-	rec := daemon.BinRecord{
-		Bin:               b.Bin,
-		Start:             b.Start,
-		End:               b.End,
-		Table:             j.table,
-		Flows:             len(b.Orig),
-		SampledFlows:      b.SampledFlows,
-		OrigPackets:       b.OrigPackets,
-		SampledPackets:    b.SampledPackets,
-		SamplingRate:      rate,
-		CountErrPkts:      b.CountErr,
-		RankingFraction:   b.Pairs.RankingFrac(),
-		DetectionFraction: b.Pairs.DetectionFrac(),
-		Stages:            &st,
-	}
-	if inv := b.Inversion; inv != nil {
-		rec.Inversion = &daemon.InversionRecord{
-			Method:    inv.Method,
-			MeanPkts:  inv.Mean,
-			TailIndex: inv.TailIndex,
-			Flows:     inv.FlowCount,
-			Err:       inv.Err,
-		}
-	}
-	if nextRate != rate {
-		rec.Adapt = &daemon.AdaptRecord{Applied: true, PrevRate: rate, Rate: nextRate}
-	}
-	j.log.Info("bin", slog.Any("record", rec))
-}
-
-func (j *journalWriter) Close() error { return j.f.Close() }
-
-// validate rejects flag combinations with errors that say what to change
-// instead of silently picking a behavior.
-func validate(opts options) error {
-	if opts.in == "" {
-		return errors.New("missing -in trace file")
-	}
-	if opts.adapt > 0 && opts.invert == "" {
-		return errors.New("-adapt needs a per-bin inversion to refit against: add -invert parametric (cheapest) or -invert em")
-	}
-	if opts.memory != 0 && opts.table == "exact" {
-		return errors.New("-memory budgets a bounded table: add -table spacesaving or -table countmin, or drop -memory")
-	}
-	return nil
-}
-
-// inverterByName maps the -invert flag to an estimator; "" disables the
-// inversion stage.
-func inverterByName(name string) (invert.Estimator, error) {
-	switch name {
-	case "":
-		return nil, nil
-	case "naive":
-		return invert.Naive{}, nil
-	case "tail":
-		return invert.TailScaling{}, nil
-	case "em":
-		return invert.EM{}, nil
-	case "parametric":
-		return invert.Parametric{}, nil
-	}
-	return nil, fmt.Errorf("unknown -invert %q (want naive, tail, em, or parametric)", name)
-}
-
-// adaptRate is the closed loop of -adapt: feed the finished bin's
-// inversion summary into the controller and retune the live sampling rate
-// to the cheapest one whose predicted §5 ranking metric meets the target.
-// The new rate takes effect from the first packet of the next bin (the
-// engine flushes a bin before sampling the packet that opens the next
-// one). A bin whose inversion failed keeps the current rate — a monitor
-// must not lose its sampling budget to one degenerate bin. The line format
-// is pinned by the golden-file test.
-func adaptRate(w io.Writer, ctl adaptive.Controller, bern *sampler.Bernoulli, b stream.BinResult) error {
-	if b.Inversion == nil || b.Inversion.Estimate == nil {
-		reason := "no inversion"
-		if b.Inversion != nil {
-			reason = b.Inversion.Err
-		}
-		_, err := fmt.Fprintf(w, "adapt: keeping p=%.4g%% (%s)\n\n", bern.P*100, reason)
+// printAdapt renders the closed loop's decision for the bin under its
+// table: the retune (even when the refit confirmed the current rate), or
+// the reason the rate was kept. The line formats are pinned by the
+// golden-file test.
+func printAdapt(w io.Writer, ad *pipeline.AdaptRecord, opts options) error {
+	if ad.Reason != "" {
+		_, err := fmt.Fprintf(w, "adapt: keeping p=%.4g%% (%s)\n\n", ad.PrevRate*100, ad.Reason)
 		return err
 	}
-	next, model, err := ctl.RecommendEstimate(*b.Inversion.Estimate)
-	if err != nil {
-		return fmt.Errorf("adapt: bin %d: %w", b.Bin, err)
-	}
-	_, err = fmt.Fprintf(w, "adapt: p=%.4g%% -> %.4g%% (ranking<=%.4g over top %d of N=%d fitted flows)\n\n",
-		bern.P*100, next*100, ctl.Target, ctl.TopT, model.N)
-	if err != nil {
-		return err
-	}
-	bern.P = next
-	return nil
+	_, err := fmt.Fprintf(w, "adapt: p=%.4g%% -> %.4g%% (ranking<=%.4g over top %d of N=%d fitted flows)\n\n",
+		ad.PrevRate*100, ad.Rate*100, opts.adapt, opts.topT, ad.FittedFlows)
+	return err
 }
 
 // printInversion renders the per-bin inversion summary under the bin
@@ -421,44 +222,4 @@ func printBin(w io.Writer, b stream.BinResult, topT int) error {
 		t.AddRow(row...)
 	}
 	return t.Fprint(w)
-}
-
-// netflowRecord and samplingInterval are the shared export conversions
-// (saturating 32-bit counters and timestamps, the 14-bit 1-in-N clamp),
-// kept in internal/netflow so flowtop's file export and flowrankd's UDP
-// service clamp identically.
-func netflowRecord(e flowtable.Entry) netflow.Record { return netflow.SaturatingRecord(e) }
-
-func samplingInterval(rate float64) uint16 { return netflow.IntervalForRate(rate) }
-
-// writeNetflow exports every bin group under its own sampling interval —
-// datagrams never span bins, so a consumer's 1-in-N rescaling stays
-// correct when -adapt moved the rate between bins. It returns the total
-// record count written.
-func writeNetflow(path string, bins []netflowBin) (int, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	total := 0
-	for _, bin := range bins {
-		grams, err := netflow.Export(netflow.Header{
-			SamplingMode:     1,
-			SamplingInterval: samplingInterval(bin.rate),
-			// The v5 flow sequence keeps running across bins — collectors
-			// compute datagram loss from its deltas.
-			FlowSequence: uint32(total),
-		}, bin.records)
-		if err != nil {
-			return total, err
-		}
-		for _, g := range grams {
-			if _, err := f.Write(g); err != nil {
-				return total, err
-			}
-		}
-		total += len(bin.records)
-	}
-	return total, f.Close()
 }

@@ -5,20 +5,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"flowrank/internal/daemon"
-	"flowrank/internal/flow"
-	"flowrank/internal/flowtable"
 	"flowrank/internal/layers"
-	"flowrank/internal/netflow"
 	"flowrank/internal/packet"
 	"flowrank/internal/packetgen"
 	"flowrank/internal/pcap"
+	"flowrank/internal/pipeline"
 	"flowrank/internal/tracegen"
 )
 
@@ -217,22 +213,6 @@ func TestGoldenOutputAdapt(t *testing.T) {
 	}
 }
 
-// TestInverterByName covers the -invert flag mapping.
-func TestInverterByName(t *testing.T) {
-	for _, name := range []string{"naive", "tail", "em", "parametric"} {
-		est, err := inverterByName(name)
-		if err != nil || est == nil || est.Name() != name {
-			t.Errorf("inverterByName(%q) = %v, %v", name, est, err)
-		}
-	}
-	if est, err := inverterByName(""); est != nil || err != nil {
-		t.Errorf("empty name should disable inversion, got %v, %v", est, err)
-	}
-	if _, err := inverterByName("bayes"); err == nil {
-		t.Error("unknown inverter accepted")
-	}
-}
-
 // TestCorruptTracePrintsNoPartialBin: a read error mid-bin must fail the
 // run without reporting the half-ingested bin as a complete measurement.
 func TestCorruptTracePrintsNoPartialBin(t *testing.T) {
@@ -260,131 +240,10 @@ func TestCorruptTracePrintsNoPartialBin(t *testing.T) {
 	}
 }
 
-// TestNetflowRecordSaturates: counters beyond the 32-bit v5 fields must
-// clamp at the field maximum, not wrap around.
-func TestNetflowRecordSaturates(t *testing.T) {
-	e := flowtable.Entry{
-		Key:     flow.Key{Src: flow.Addr{1, 2, 3, 4}},
-		Packets: int64(math.MaxUint32) + 12345,
-		Bytes:   1 << 40,
-		First:   1.5,
-		Last:    2.25,
-	}
-	r := netflowRecord(e)
-	if r.Packets != math.MaxUint32 {
-		t.Errorf("Packets = %d, want saturation at %d", r.Packets, uint32(math.MaxUint32))
-	}
-	if r.Octets != math.MaxUint32 {
-		t.Errorf("Octets = %d, want saturation at %d", r.Octets, uint32(math.MaxUint32))
-	}
-	small := flowtable.Entry{Key: e.Key, Packets: 7, Bytes: 900, First: 1, Last: 2}
-	rs := netflowRecord(small)
-	if rs.Packets != 7 || rs.Octets != 900 || rs.FirstMillis != 1000 || rs.LastMillis != 2000 {
-		t.Errorf("in-range record mangled: %+v", rs)
-	}
-	// Timestamps past the 32-bit millisecond range (~49.7 days) must clamp
-	// too: an out-of-range float-to-uint32 conversion is undefined.
-	far := flowtable.Entry{Key: e.Key, Packets: 1, Bytes: 1, First: 1e15, Last: 1e15}
-	rf := netflowRecord(far)
-	if rf.FirstMillis != math.MaxUint32 || rf.LastMillis != math.MaxUint32 {
-		t.Errorf("far timestamps: First=%d Last=%d, want saturation", rf.FirstMillis, rf.LastMillis)
-	}
-	if got := netflowRecord(flowtable.Entry{Key: e.Key, First: -1, Last: -1}); got.FirstMillis != 0 {
-		t.Errorf("negative timestamp: %d, want 0", got.FirstMillis)
-	}
-}
-
-// TestSamplingIntervalClamps: rates below 1/16383 must clamp to the 14-bit
-// maximum instead of overflowing uint16(1/rate).
-func TestSamplingIntervalClamps(t *testing.T) {
-	cases := []struct {
-		rate float64
-		want uint16
-	}{
-		{0.01, 100},
-		{1.0 / 65536, netflow.MaxSamplingInterval}, // overflowed to 0 before
-		{1e-9, netflow.MaxSamplingInterval},
-		{1, 1},
-		{0, 1},
-		{0.3, 3},
-	}
-	for _, c := range cases {
-		if got := samplingInterval(c.rate); got != c.want {
-			t.Errorf("samplingInterval(%g) = %d, want %d", c.rate, got, c.want)
-		}
-	}
-}
-
-// TestWriteNetflowTinyRate: the full export path must succeed at rates the
-// 14-bit field cannot represent, recording the clamped interval.
-func TestWriteNetflowTinyRate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tiny.nf5")
-	rec := netflowRecord(flowtable.Entry{Key: flow.Key{Src: flow.Addr{9, 9, 9, 9}}, Packets: 3, Bytes: 300})
-	n, err := writeNetflow(path, []netflowBin{{rate: 1.0 / 100000, records: []netflow.Record{rec}}})
-	if err != nil || n != 1 {
-		t.Fatal(n, err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, recs, err := netflow.DecodeDatagram(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.SamplingInterval != netflow.MaxSamplingInterval {
-		t.Errorf("interval %d, want clamp at %d", hdr.SamplingInterval, netflow.MaxSamplingInterval)
-	}
-	if len(recs) != 1 || recs[0].Packets != 3 {
-		t.Errorf("records %+v", recs)
-	}
-}
-
-// TestWriteNetflowPerBinRates: when -adapt moves the rate between bins,
-// each bin's records must be exported under its own header interval —
-// a single header computed from the initial rate would make consumers
-// rescale every later bin wrongly.
-func TestWriteNetflowPerBinRates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "adapt.nf5")
-	rec := func(packets int64) netflow.Record {
-		return netflowRecord(flowtable.Entry{Key: flow.Key{Src: flow.Addr{9, 9, 9, 9}}, Packets: packets, Bytes: packets})
-	}
-	n, err := writeNetflow(path, []netflowBin{
-		{rate: 0.2, records: []netflow.Record{rec(1)}},
-		{rate: 0.02, records: []netflow.Record{rec(2)}},
-	})
-	if err != nil || n != 2 {
-		t.Fatal(n, err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var intervals []uint16
-	var sequences []uint32
-	for len(raw) > 0 {
-		hdr, recs, err := netflow.DecodeDatagram(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		intervals = append(intervals, hdr.SamplingInterval)
-		sequences = append(sequences, hdr.FlowSequence)
-		raw = raw[netflow.HeaderLen+len(recs)*netflow.RecordLen:]
-	}
-	want := []uint16{5, 50}
-	if len(intervals) != 2 || intervals[0] != want[0] || intervals[1] != want[1] {
-		t.Errorf("per-bin intervals %v, want %v", intervals, want)
-	}
-	// The flow sequence keeps running across bins — a reset to 0 would
-	// read as datagram loss to a collector.
-	if len(sequences) != 2 || sequences[0] != 0 || sequences[1] != 1 {
-		t.Errorf("flow sequences %v, want [0 1]", sequences)
-	}
-}
-
-// TestFlagValidation is the table of flag-combination rejections; every
-// error must name the flag to change instead of silently picking a
-// behavior (the old -adapt-implies-parametric fallback is gone).
+// TestFlagValidation checks that run rejects bad flags before reading
+// anything: flowtop's own rule (-in) and, through the shared validator,
+// the rules it has in common with flowrankd — those are tabled in full by
+// pipeline.TestFlagValidation.
 func TestFlagValidation(t *testing.T) {
 	base := func() options {
 		return options{
@@ -398,6 +257,7 @@ func TestFlagValidation(t *testing.T) {
 		want string
 	}{
 		{"missing in", func(o *options) { o.in = "" }, "-in"},
+		{"rate above one", func(o *options) { o.rate = 2 }, "outside (0, 1]"}, // panicked in NewBernoulli before
 		{"adapt without invert", func(o *options) { o.adapt = 1 }, "-invert"},
 		{"memory with exact table", func(o *options) { o.memory = 4096 }, "-table"},
 		{"unknown agg", func(o *options) { o.aggName = "7tuple" }, "-agg"},
@@ -449,7 +309,7 @@ func TestJournalOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bins, err := daemon.ValidateJournal(f)
+		bins, err := pipeline.ValidateJournal(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: journal invalid: %v", workers, err)

@@ -20,7 +20,7 @@ import (
 	"log"
 	"os"
 
-	"flowrank/internal/daemon"
+	"flowrank/internal/pipeline"
 )
 
 func main() {
@@ -40,7 +40,7 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	bins, err := daemon.ValidateJournal(in)
+	bins, err := pipeline.ValidateJournal(in)
 	if err != nil {
 		log.Fatal(err)
 	}

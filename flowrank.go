@@ -59,6 +59,7 @@ import (
 	"flowrank/internal/obs"
 	"flowrank/internal/packet"
 	"flowrank/internal/packetgen"
+	"flowrank/internal/pipeline"
 	"flowrank/internal/sampler"
 	"flowrank/internal/seqest"
 	"flowrank/internal/sim"
@@ -483,16 +484,16 @@ type StageNanos = obs.StageNanos
 // swapped-pair fractions, and the optional inversion, adaptation and
 // NetFlow-export outcomes. flowrankd -journal and flowtop -journal
 // write one per bin.
-type BinJournalRecord = daemon.BinRecord
+type BinJournalRecord = pipeline.BinRecord
 
 // NewBinJournal returns a structured logger writing journal records as
 // JSON lines to w — the sink DaemonConfig.Journal expects.
-func NewBinJournal(w io.Writer) *slog.Logger { return daemon.NewJournal(w) }
+func NewBinJournal(w io.Writer) *slog.Logger { return pipeline.NewJournal(w) }
 
 // ValidateBinJournal checks a journal stream line-by-line against the
 // BinJournalRecord schema and returns the number of bin records seen
 // (cmd/journalcheck wraps it for shell pipelines).
-func ValidateBinJournal(r io.Reader) (bins int, err error) { return daemon.ValidateJournal(r) }
+func ValidateBinJournal(r io.Reader) (bins int, err error) { return pipeline.ValidateJournal(r) }
 
 // ---------------------------------------------------------------------------
 // Metrics

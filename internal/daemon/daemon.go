@@ -10,17 +10,19 @@
 // The daemon observes itself on three surfaces: /metrics (current state,
 // including the stream engine's per-stage pipeline telemetry and the Go
 // runtime's view of the process), the structured bin journal (one JSON
-// record per completed bin, see BinRecord), and opt-in net/http/pprof
+// record per completed bin, see pipeline.BinRecord), and opt-in net/http/pprof
 // profiling on the same listener.
+//
+// The monitor itself — sampler, engine, adaptive loop, NetFlow export,
+// journal — is internal/pipeline, shared with cmd/flowtop; this package
+// adds the HTTP surface and maps each bin's record onto metrics.
 //
 // Lifecycle: New validates the configuration and binds the HTTP
 // listener (so callers can pass ":0" and read Addr before scraping);
 // Run serves until the context is canceled or the source ends. On
-// cancellation the daemon drains gracefully — it closes the source to
-// unblock a pending read, waits for the reader, and Closes the engine,
-// which flushes the final partial bin. That is deliberately the engine's
-// Close path, not its context-abort path: a drained daemon reports the
-// measurements it has, while a canceled engine discards them.
+// cancellation the daemon drains gracefully: the pipeline closes the
+// source to unblock a pending read and flushes the final partial bin —
+// a drained daemon reports the measurements it has.
 package daemon
 
 import (
@@ -32,17 +34,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync/atomic"
 	"time"
 
-	"flowrank/internal/adaptive"
 	"flowrank/internal/flow"
 	"flowrank/internal/flowtable"
 	"flowrank/internal/invert"
-	"flowrank/internal/netflow"
-	"flowrank/internal/obs"
-	"flowrank/internal/packet"
-	"flowrank/internal/sampler"
+	"flowrank/internal/pipeline"
 	"flowrank/internal/source"
 	"flowrank/internal/stream"
 )
@@ -50,8 +47,8 @@ import (
 // Config describes one daemon. Source, Rate and ListenAddr are required;
 // zero values elsewhere take the monitor defaults noted per field.
 type Config struct {
-	// Source supplies the packets. The daemon owns it: it is Closed
-	// during drain to unblock a pending read, and again on exit.
+	// Source supplies the packets. The daemon closes it during drain to
+	// unblock a pending read.
 	Source source.PacketSource
 	// Agg classifies packets into flows; nil means the 5-tuple.
 	Agg flow.Aggregator
@@ -87,7 +84,7 @@ type Config struct {
 	Log *slog.Logger
 	// Journal, when set, receives one structured JSON record per
 	// completed measurement bin — the daemon's flight recorder. Build it
-	// with NewJournal; validate a captured stream with ValidateJournal.
+	// with pipeline.NewJournal, validate it with pipeline.ValidateJournal.
 	Journal *slog.Logger
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the same
 	// listener as /metrics. Off by default: profiling endpoints expose
@@ -95,43 +92,18 @@ type Config struct {
 	EnablePprof bool
 }
 
-// nfWarnEvery spaces the rate-limited NetFlow send-failure warnings: a
-// blackholed collector fails every bin, and one warning per failure
-// would turn the operational log into the failure.
-const nfWarnEvery = int64(30 * time.Second)
-
 // Daemon is a constructed monitor, ready to Run.
 type Daemon struct {
 	cfg  Config
 	m    *metricSet
-	obs  *obs.PipelineStats
-	bern *sampler.Bernoulli
-	ctl  adaptive.Controller
+	pipe *pipeline.Pipeline
 	ln   net.Listener
 	nf   net.Conn
-	// nfSeq is the running v5 flow sequence — collectors compute
-	// datagram loss from its deltas, so it spans bins.
-	nfSeq int
-	// nfWarnLast and nfWarnDropped implement the send-failure warning
-	// rate limit: at most one warning per nfWarnEvery, carrying the
-	// count of failures it summarizes.
-	nfWarnLast    atomic.Int64
-	nfWarnDropped atomic.Int64
-	draining      atomic.Bool
 }
 
 // New validates cfg, binds the HTTP listener and (when configured) the
 // NetFlow UDP socket. A returned Daemon must be Run; Run releases both.
 func New(cfg Config) (*Daemon, error) {
-	if cfg.Source == nil {
-		return nil, errors.New("daemon: Config.Source is required")
-	}
-	if !(cfg.Rate > 0 && cfg.Rate <= 1) {
-		return nil, fmt.Errorf("daemon: sampling rate %g outside (0, 1]", cfg.Rate)
-	}
-	if cfg.AdaptTarget > 0 && cfg.Inverter == nil {
-		return nil, errors.New("daemon: AdaptTarget needs a per-bin inversion to refit against; set Config.Inverter")
-	}
 	if cfg.ListenAddr == "" {
 		return nil, errors.New("daemon: Config.ListenAddr is required")
 	}
@@ -144,34 +116,46 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.BinSeconds == 0 {
 		cfg.BinSeconds = 60
 	}
-	if err := cfg.Tables.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Log == nil {
 		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	ln, err := net.Listen("tcp", cfg.ListenAddr)
-	if err != nil {
-		return nil, fmt.Errorf("daemon: listen %s: %w", cfg.ListenAddr, err)
+	pcfg := pipeline.Config{
+		Source:      cfg.Source,
+		Agg:         cfg.Agg,
+		Rate:        cfg.Rate,
+		Seed:        cfg.Seed,
+		TopT:        cfg.TopT,
+		BinSeconds:  cfg.BinSeconds,
+		Workers:     cfg.Workers,
+		BatchSize:   cfg.BatchSize,
+		Tables:      cfg.Tables,
+		Inverter:    cfg.Inverter,
+		AdaptTarget: cfg.AdaptTarget,
+		Log:         cfg.Log,
+		Journal:     cfg.Journal,
 	}
-	d := &Daemon{
-		cfg:  cfg,
-		m:    newMetricSet(),
-		obs:  obs.NewPipelineStats(effectiveWorkers(cfg.Workers)),
-		bern: sampler.NewBernoulli(cfg.Rate, cfg.Seed),
-		ctl:  adaptive.Controller{Target: cfg.AdaptTarget, TopT: cfg.TopT, Workers: cfg.Workers},
-		ln:   ln,
-	}
-	registerPipelineMetrics(d.m.reg, d.obs)
-	registerRuntimeMetrics(d.m.reg, time.Now())
+	d := &Daemon{cfg: cfg}
 	if cfg.NetFlowAddr != "" {
 		conn, err := net.Dial("udp", cfg.NetFlowAddr)
 		if err != nil {
-			ln.Close()
 			return nil, fmt.Errorf("daemon: netflow target %s: %w", cfg.NetFlowAddr, err)
 		}
 		d.nf = conn
+		pcfg.NetFlow, pcfg.NetFlowDest = conn, cfg.NetFlowAddr
 	}
+	var err error
+	if d.pipe, err = pipeline.New(pcfg); err == nil {
+		if d.ln, err = net.Listen("tcp", cfg.ListenAddr); err != nil {
+			err = fmt.Errorf("daemon: listen %s: %w", cfg.ListenAddr, err)
+		}
+	}
+	if err != nil {
+		if d.nf != nil {
+			d.nf.Close()
+		}
+		return nil, err
+	}
+	d.m = newMetricSet(d.pipe)
 	return d, nil
 }
 
@@ -179,18 +163,11 @@ func New(cfg Config) (*Daemon, error) {
 // ListenAddr asked for port 0.
 func (d *Daemon) Addr() string { return d.ln.Addr().String() }
 
-// loopResult is what the reader goroutine hands back to Run.
-type loopResult struct {
-	eof bool  // the source ended cleanly
-	err error // fatal: source corruption or an engine/emit failure
-}
-
-// Run serves until ctx is canceled. The source is read on a dedicated
-// goroutine and fed to the streaming engine; /metrics and /healthz are
-// served throughout, including after a finite source hits EOF (the final
-// values stay scrapeable until shutdown). Run returns nil after a clean
-// drain or EOF, or the first fatal error (corrupt source, emit failure,
-// HTTP serve failure).
+// Run serves until ctx is canceled. The source is fed through the
+// pipeline on this goroutine; /metrics and /healthz are served
+// throughout, including after a finite source hits EOF (the final values
+// stay scrapeable until shutdown). Run returns nil after a clean drain or
+// EOF, or the first fatal error (corrupt source, HTTP serve failure).
 func (d *Daemon) Run(ctx context.Context) error {
 	defer d.ln.Close()
 	if d.nf != nil {
@@ -213,9 +190,15 @@ func (d *Daemon) Run(ctx context.Context) error {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
+	// A failed HTTP server stops the pipeline as the caller's context does.
+	pctx, stop := context.WithCancel(ctx)
+	defer stop()
 	srv := &http.Server{Handler: mux}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(d.ln) }()
+	go func() {
+		serveErr <- srv.Serve(d.ln)
+		stop()
+	}()
 	defer func() {
 		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -223,274 +206,64 @@ func (d *Daemon) Run(ctx context.Context) error {
 	}()
 
 	d.m.up.Set(1)
-	d.m.samplingRate.Set(d.bern.P)
+	d.m.samplingRate.Set(d.pipe.Rate())
 
-	// The engine runs under context.Background on purpose: canceling an
-	// engine's context aborts it and discards the partial bin, while a
-	// draining daemon wants that bin flushed. Drain is therefore
-	// stop-feeding-then-Close, driven from here.
-	eng, err := stream.NewEngine(stream.Config{
-		Agg:        d.cfg.Agg,
-		Sampler:    d.bern,
-		BinSeconds: d.cfg.BinSeconds,
-		TopT:       d.cfg.TopT,
-		Workers:    d.cfg.Workers,
-		BatchSize:  d.cfg.BatchSize,
-		Inverter:   d.cfg.Inverter,
-		Tables:     d.cfg.Tables,
-		Obs:        d.obs,
-		// onBin copies nothing past emit except value conversions
-		// (NetFlow records, metric scalars, the journal record), so
-		// recycling is safe.
-		Recycle: true,
-	}, d.onBin)
-	if err != nil {
+	if err := d.pipe.Run(pctx, d.onBin); err != nil {
 		return err
 	}
-
-	loopDone := make(chan loopResult, 1)
-	go func() { loopDone <- d.readLoop(eng) }()
-
-	var res loopResult
+	select {
+	case err := <-serveErr:
+		return fmt.Errorf("daemon: http serve: %w", err)
+	default:
+	}
+	if ctx.Err() != nil {
+		return nil // drained: the pipeline flushed the partial final bin
+	}
+	d.m.sourceEOF.Set(1)
+	d.cfg.Log.Info("source drained; serving metrics until shutdown")
+	// Keep the observability surface up so the final values can be
+	// scraped; only the context ends a daemon.
 	select {
 	case <-ctx.Done():
-		// Graceful drain: unblock a pending Next, wait for the reader,
-		// then flush the partial final bin below.
-		d.draining.Store(true)
-		d.cfg.Source.Close()
-		res = <-loopDone
-	case res = <-loopDone:
+		return nil
 	case err := <-serveErr:
-		d.draining.Store(true)
-		d.cfg.Source.Close()
-		<-loopDone
-		eng.Abort()
 		return fmt.Errorf("daemon: http serve: %w", err)
 	}
-
-	if res.err != nil {
-		// A corrupt source or failed emit must not report the
-		// half-ingested bin as a complete measurement.
-		eng.Abort()
-		return res.err
-	}
-	if err := eng.Close(); err != nil {
-		return err
-	}
-	if res.eof {
-		d.m.sourceEOF.Set(1)
-		d.cfg.Log.Info("source drained; serving metrics until shutdown")
-		// Keep the observability surface up so the final values can be
-		// scraped; only the context ends a daemon.
-		select {
-		case <-ctx.Done():
-		case err := <-serveErr:
-			return fmt.Errorf("daemon: http serve: %w", err)
-		}
-	}
-	return nil
 }
 
-// effectiveWorkers mirrors the engine's Workers default so the obs shard
-// slice is sized for the shards the engine will actually run.
-func effectiveWorkers(w int) int {
-	if w == 0 {
-		return stream.DefaultWorkers()
-	}
-	return w
-}
-
-// readLoop feeds the engine until EOF, drain, or a fatal error. It owns
-// every Feed call, so all sampling decisions stay on one goroutine — the
-// engine's determinism contract.
-func (d *Daemon) readLoop(eng *stream.Engine) loopResult {
-	var p packet.Packet
-	for {
-		if err := d.cfg.Source.Next(&p); err != nil {
-			switch {
-			case errors.Is(err, io.EOF):
-				return loopResult{eof: true}
-			case d.draining.Load():
-				return loopResult{} // the daemon closed the source under us
-			default:
-				return loopResult{err: fmt.Errorf("daemon: reading source: %w", err)}
-			}
-		}
-		if err := eng.Feed(p); err != nil {
-			return loopResult{err: err}
-		}
-		d.m.ingested.Inc()
-	}
-}
-
-// onBin is the engine's emit callback — it runs on the goroutine driving
-// the engine (the reader, or Run during the drain flush), so the sampler
-// retune below lands before the next bin's first sampling decision.
-func (d *Daemon) onBin(b stream.BinResult) error {
-	start := obs.Nanotime()
-	// rate is the probability that produced this bin; the adaptive
-	// retune below must not relabel the bin's export or journal record.
-	rate := d.bern.P
+// onBin projects the finished bin and the pipeline's record of it onto
+// /metrics. It runs before the bin's journal line is written, so a record
+// on disk is already counted in flowrankd_bins_total.
+func (d *Daemon) onBin(b stream.BinResult, rec *pipeline.BinRecord) error {
 	d.m.bins.Inc()
-	d.m.sampled.Add(float64(b.SampledPackets))
-	d.m.flowsTracked.Set(float64(len(b.Orig) + b.SampledFlows))
-	d.m.binFlows.Set(float64(len(b.Orig)))
-	d.m.binSampledFlows.Set(float64(b.SampledFlows))
+	d.m.sampled.Add(float64(rec.SampledPackets))
+	d.m.flowsTracked.Set(float64(rec.Flows + rec.SampledFlows))
+	d.m.binFlows.Set(float64(rec.Flows))
+	d.m.binSampledFlows.Set(float64(rec.SampledFlows))
 	d.m.rankingPairs.Set(float64(b.Pairs.Ranking))
 	d.m.detectionPairs.Set(float64(b.Pairs.Detection))
-	d.m.rankingFrac.Set(b.Pairs.RankingFrac())
-	d.m.detectionFrac.Set(b.Pairs.DetectionFrac())
-	d.m.countErr.Set(float64(b.CountErr))
-	if inv := b.Inversion; inv != nil && inv.Err == "" {
-		d.m.invMean.Set(inv.Mean)
+	d.m.rankingFrac.Set(rec.RankingFraction)
+	d.m.detectionFrac.Set(rec.DetectionFraction)
+	d.m.countErr.Set(float64(rec.CountErrPkts))
+	if inv := rec.Inversion; inv != nil && inv.Err == "" {
+		d.m.invMean.Set(inv.MeanPkts)
 		d.m.invTail.Set(inv.TailIndex)
-		d.m.invFlows.Set(inv.FlowCount)
+		d.m.invFlows.Set(inv.Flows)
 	}
-	nf := d.exportBin(b, rate)
-	var ad *AdaptRecord
-	if d.cfg.AdaptTarget > 0 {
-		ad = d.adapt(b)
-	}
-	elapsed := obs.Nanotime() - start
-	d.m.binLatency.Observe(float64(elapsed) / 1e9)
-	d.journalBin(b, rate, elapsed, nf, ad)
-	return nil
-}
-
-// journalBin writes the bin's flight-recorder record. The engine wrote
-// the barrier/merge/invert stage gauges before invoking emit, so they
-// describe this bin; the emit stage is the daemon's own measurement of
-// the path above (the engine's emit gauge lands only after this callback
-// returns).
-func (d *Daemon) journalBin(b stream.BinResult, rate float64, emitNanos int64, nf *NetFlowRecord, ad *AdaptRecord) {
-	if d.cfg.Journal == nil {
-		return
-	}
-	st := d.obs.LastStages()
-	st.Emit = emitNanos
-	st.Total = st.Barrier + st.Merge + st.Invert + st.Emit
-	rec := BinRecord{
-		Bin:               b.Bin,
-		Start:             b.Start,
-		End:               b.End,
-		Table:             d.cfg.Tables.Kind.String(),
-		Flows:             len(b.Orig),
-		SampledFlows:      b.SampledFlows,
-		OrigPackets:       b.OrigPackets,
-		SampledPackets:    b.SampledPackets,
-		SamplingRate:      rate,
-		CountErrPkts:      b.CountErr,
-		RankingFraction:   b.Pairs.RankingFrac(),
-		DetectionFraction: b.Pairs.DetectionFrac(),
-		Stages:            &st,
-		NetFlow:           nf,
-		Adapt:             ad,
-	}
-	if inv := b.Inversion; inv != nil {
-		rec.Inversion = &InversionRecord{
-			Method:    inv.Method,
-			MeanPkts:  inv.Mean,
-			TailIndex: inv.TailIndex,
-			Flows:     inv.FlowCount,
-			Err:       inv.Err,
-		}
-	}
-	d.cfg.Journal.Info(journalMsg, slog.Any("record", rec))
-}
-
-// exportBin sends the bin's sampled top list as NetFlow v5 datagrams and
-// reports the outcome for the journal. Send failures are counted and
-// logged (rate-limited), never fatal: losing an export datagram must not
-// take the monitor down (UDP collectors lose datagrams routinely; that
-// is what the flow sequence is for).
-func (d *Daemon) exportBin(b stream.BinResult, rate float64) *NetFlowRecord {
-	if d.nf == nil || len(b.SampledTop) == 0 {
-		return nil
-	}
-	out := &NetFlowRecord{Dest: d.cfg.NetFlowAddr, FlowSeqStart: d.nfSeq}
-	recs := make([]netflow.Record, 0, len(b.SampledTop))
-	for _, e := range b.SampledTop {
-		recs = append(recs, netflow.SaturatingRecord(e))
-	}
-	grams, err := netflow.Export(netflow.Header{
-		SamplingMode:     1,
-		SamplingInterval: netflow.IntervalForRate(rate),
-		FlowSequence:     uint32(d.nfSeq),
-	}, recs)
-	if err != nil {
-		d.m.nfErrors.Inc()
-		out.Err = err.Error()
-		d.cfg.Log.Error("netflow export failed",
-			"bin", b.Bin, "dest", d.cfg.NetFlowAddr, "flow_seq", d.nfSeq, "err", err)
-		return out
-	}
-	for _, g := range grams {
-		if _, err := d.nf.Write(g); err != nil {
+	if nf := rec.NetFlow; nf != nil {
+		d.m.nfRecords.Add(float64(nf.Records))
+		d.m.nfDatagrams.Add(float64(nf.Datagrams))
+		d.m.nfErrors.Add(float64(nf.SendErrors))
+		if nf.Err != "" {
 			d.m.nfErrors.Inc()
-			out.SendErrors++
-			d.warnSendFailure(b.Bin, err)
-			continue
 		}
-		d.m.nfDatagrams.Inc()
-		out.Datagrams++
 	}
-	d.m.nfRecords.Add(float64(len(recs)))
-	out.Records = len(recs)
-	d.nfSeq += len(recs)
-	return out
-}
-
-// warnSendFailure logs a NetFlow UDP send failure with its destination
-// and flow-sequence context, at most once per nfWarnEvery; suppressed
-// failures are counted and reported by the next warning that passes.
-func (d *Daemon) warnSendFailure(bin int64, err error) {
-	now := obs.Nanotime()
-	last := d.nfWarnLast.Load()
-	// last == 0 means no warning yet — the first failure always warns
-	// (Nanotime is small early in the process, so a plain age check
-	// would swallow it).
-	if (last != 0 && now-last < nfWarnEvery) || !d.nfWarnLast.CompareAndSwap(last, now) {
-		d.nfWarnDropped.Add(1)
-		return
-	}
-	d.cfg.Log.Warn("netflow send failed",
-		"bin", bin,
-		"dest", d.cfg.NetFlowAddr,
-		"flow_seq", d.nfSeq,
-		"suppressed", d.nfWarnDropped.Swap(0),
-		"err", err)
-}
-
-// adapt closes the §9 loop: refit the controller to the bin's inversion
-// and retune the live sampling rate, reporting the decision for the
-// journal. A bin whose inversion failed keeps the current rate — the
-// monitor must not lose its sampling budget to one degenerate bin.
-func (d *Daemon) adapt(b stream.BinResult) *AdaptRecord {
-	rec := &AdaptRecord{PrevRate: d.bern.P, Rate: d.bern.P}
-	if b.Inversion == nil || b.Inversion.Estimate == nil {
-		rec.Reason = "no inversion"
-		if b.Inversion != nil {
-			rec.Reason = b.Inversion.Err
+	if ad := rec.Adapt; ad != nil {
+		if ad.Applied {
+			d.m.adaptChanges.Inc()
 		}
-		d.cfg.Log.Info("adapt: keeping rate",
-			"bin", b.Bin, "rate", d.bern.P, "reason", rec.Reason)
-		return rec
+		d.m.samplingRate.Set(ad.Rate)
 	}
-	next, _, err := d.ctl.RecommendEstimate(*b.Inversion.Estimate)
-	if err != nil {
-		rec.Reason = err.Error()
-		d.cfg.Log.Info("adapt: keeping rate",
-			"bin", b.Bin, "rate", d.bern.P, "reason", rec.Reason)
-		return rec
-	}
-	if next != d.bern.P {
-		d.cfg.Log.Info("adapt: retuned rate",
-			"bin", b.Bin, "prev_rate", d.bern.P, "rate", next)
-		d.bern.P = next
-		d.m.adaptChanges.Inc()
-		rec.Applied = true
-		rec.Rate = next
-	}
-	d.m.samplingRate.Set(d.bern.P)
-	return rec
+	d.m.binLatency.Observe(float64(rec.Stages.Emit) / 1e9)
+	return nil
 }

@@ -17,10 +17,22 @@ import (
 	"flowrank/internal/invert"
 	"flowrank/internal/netflow"
 	"flowrank/internal/packet"
+	"flowrank/internal/pipeline"
 	"flowrank/internal/sampler"
 	"flowrank/internal/source"
 	"flowrank/internal/stream"
 )
+
+// The journal lives in internal/pipeline with the code that writes it;
+// the daemon's tests read it under the names they always used.
+type BinRecord = pipeline.BinRecord
+
+var (
+	NewJournal      = pipeline.NewJournal
+	ValidateJournal = pipeline.ValidateJournal
+)
+
+const journalMsg = "bin"
 
 // genPackets builds a deterministic multi-bin workload: flows of very
 // different sizes so rankings and inversions are non-trivial.
@@ -388,11 +400,11 @@ func TestAdaptiveLoopRetunes(t *testing.T) {
 	if d.m.bins.Value() != 1 {
 		t.Fatalf("bins = %g, want 1", d.m.bins.Value())
 	}
-	if got, live := d.m.samplingRate.Value(), d.bern.P; got != live {
+	if got, live := d.m.samplingRate.Value(), d.pipe.Rate(); got != live {
 		t.Errorf("sampling_rate gauge %g != live sampler rate %g", got, live)
 	}
-	if d.m.adaptChanges.Value() == 0 || d.bern.P == 0.5 {
-		t.Errorf("closed loop never retuned: changes=%g p=%g", d.m.adaptChanges.Value(), d.bern.P)
+	if d.m.adaptChanges.Value() == 0 || d.pipe.Rate() == 0.5 {
+		t.Errorf("closed loop never retuned: changes=%g p=%g", d.m.adaptChanges.Value(), d.pipe.Rate())
 	}
 }
 

@@ -1,6 +1,11 @@
 package daemon
 
-import "flowrank/internal/promexp"
+import (
+	"time"
+
+	"flowrank/internal/pipeline"
+	"flowrank/internal/promexp"
+)
 
 // binLatencyBuckets are the upper bounds (seconds) of the bin-processing
 // latency histogram: the emit path of a bin — merge consumption, metric
@@ -20,7 +25,7 @@ type metricSet struct {
 	up        *promexp.Gauge
 	sourceEOF *promexp.Gauge
 
-	ingested *promexp.Counter
+	ingested *promexp.CounterFunc
 	sampled  *promexp.Counter
 	bins     *promexp.Counter
 
@@ -49,17 +54,20 @@ type metricSet struct {
 }
 
 // newMetricSet registers every flowrankd metric on a fresh registry, in
-// the order they render on /metrics.
-func newMetricSet() *metricSet {
+// the order they render on /metrics. The ingest counter is read from the
+// pipeline at render time: the per-packet path pays an integer add for
+// it, not a float CAS.
+func newMetricSet(p *pipeline.Pipeline) *metricSet {
 	r := promexp.NewRegistry()
-	return &metricSet{
+	m := &metricSet{
 		reg: r,
 		up: r.NewGauge("flowrankd_up",
 			"1 while the daemon is monitoring, 0 once it has drained."),
 		sourceEOF: r.NewGauge("flowrankd_source_eof",
 			"1 once the packet source was exhausted (trace replay finished)."),
-		ingested: r.NewCounter("flowrankd_packets_ingested_total",
-			"Packets read from the source and fed to the streaming engine."),
+		ingested: r.NewCounterFunc("flowrankd_packets_ingested_total",
+			"Packets read from the source and fed to the streaming engine.",
+			func() float64 { return float64(p.Ingested()) }),
 		sampled: r.NewCounter("flowrankd_packets_sampled_total",
 			"Packets the sampler kept, accumulated at bin boundaries."),
 		bins: r.NewCounter("flowrankd_bins_total",
@@ -100,4 +108,7 @@ func newMetricSet() *metricSet {
 		adaptChanges: r.NewCounter("flowrankd_adapt_changes_total",
 			"Sampling-rate retunes applied by the closed adaptive loop."),
 	}
+	registerPipelineMetrics(r, p.Instrument())
+	registerRuntimeMetrics(r, time.Now())
+	return m
 }

@@ -147,15 +147,6 @@ func TestValidateJournalRejects(t *testing.T) {
 	}
 }
 
-// failingConn is a net.Conn whose writes always fail — a deterministic
-// stand-in for an unreachable NetFlow collector.
-type failingConn struct{ net.Conn }
-
-func (failingConn) Write(b []byte) (int, error) {
-	return 0, fmt.Errorf("sendto: connection refused")
-}
-func (failingConn) Close() error { return nil }
-
 // TestNetFlowSendFailureWarning: UDP send failures produce a structured,
 // rate-limited warning carrying the destination and flow-sequence
 // context, and the journal records the per-bin failure counts.
@@ -176,7 +167,7 @@ func TestNetFlowSendFailureWarning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.nf = failingConn{} // every datagram write fails
+	d.nf.Close() // every datagram write now fails — a deterministic unreachable collector
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := runDaemon(ctx, d)
@@ -216,12 +207,10 @@ func TestNetFlowSendFailureWarning(t *testing.T) {
 		}
 	}
 	// Every bin's export failed, but the warnings are rate-limited to one
-	// per nfWarnEvery — far longer than this run.
+	// per 30 s — far longer than this run (the suppressed count is pinned
+	// next to the exporter, pipeline.TestExportWriteFailures).
 	if warns != 1 {
 		t.Errorf("%d send-failure warnings, want exactly 1 (rate limit)", warns)
-	}
-	if int64(d.m.nfErrors.Value()) > 1 && d.nfWarnDropped.Load() == 0 {
-		t.Error("repeated failures but nothing recorded as suppressed")
 	}
 
 	// The journal still accounts every failure, unthrottled.

@@ -1,4 +1,4 @@
-package daemon
+package pipeline
 
 import (
 	"bufio"
@@ -10,7 +10,7 @@ import (
 	"flowrank/internal/obs"
 )
 
-// The bin journal is the daemon's flight recorder: one JSON object per
+// The bin journal is the monitor's flight recorder: one JSON object per
 // completed measurement bin, written through log/slog's JSON handler so
 // each line is independently parseable (time, level, msg "bin", and a
 // "record" object holding the measurement). Where /metrics shows the
@@ -23,14 +23,14 @@ import (
 // records can share the stream.
 const journalMsg = "bin"
 
-// NewJournal wraps w in the slog JSON logger the daemon's bin journal
-// expects. Callers own w's lifetime and any locking bufio needs.
+// NewJournal wraps w in the slog JSON logger Config.Journal expects. Callers own w's lifetime and any locking bufio needs.
 func NewJournal(w io.Writer) *slog.Logger {
 	return slog.New(slog.NewJSONHandler(w, nil))
 }
 
-// BinRecord is one journal line's "record" payload: everything the
-// daemon knows about one completed measurement bin.
+// BinRecord is one journal line's "record" payload, and what Run hands
+// its per-bin callback: everything the pipeline knows about one completed
+// measurement bin.
 type BinRecord struct {
 	Bin            int64   `json:"bin"`
 	Start          float64 `json:"start"`
@@ -47,8 +47,9 @@ type BinRecord struct {
 	RankingFraction   float64 `json:"ranking_fraction"`
 	DetectionFraction float64 `json:"detection_fraction"`
 	// Stages is the bin's flush-stage timing breakdown from the stream
-	// engine's instrumentation; absent when the daemon runs without
-	// pipeline stats.
+	// engine's instrumentation, absent on an uninstrumented run. Its emit
+	// stage is the pipeline's own per-bin work: NetFlow export and the
+	// adaptive refit.
 	Stages *obs.StageNanos `json:"stages,omitempty"`
 	// Inversion, Adapt and NetFlow record the optional per-bin stages
 	// that ran; each is absent when its stage is not configured.
@@ -67,12 +68,16 @@ type InversionRecord struct {
 }
 
 // AdaptRecord is the closed loop's decision for this bin: the rate it
-// saw, the rate it chose, and — when it kept the rate — why.
+// saw, the rate it chose, and — when it could not refit — why it kept
+// the rate.
 type AdaptRecord struct {
 	Applied  bool    `json:"applied"`
 	PrevRate float64 `json:"prev_rate"`
 	Rate     float64 `json:"rate"`
 	Reason   string  `json:"reason,omitempty"`
+	// FittedFlows is the flow population N of the model the refit solved
+	// the rate on; absent when there was no refit.
+	FittedFlows int `json:"fitted_flows,omitempty"`
 }
 
 // NetFlowRecord is the bin's NetFlow v5 export outcome.

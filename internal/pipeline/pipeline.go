@@ -1,0 +1,278 @@
+// Package pipeline is the paper's link monitor, wired once: read packets
+// from a source, sample them at rate p, classify them into flows on the
+// sharded stream.Engine, rank the top-t per measurement bin and — §9 —
+// retune p from the bin just measured; per bin it also exports the
+// sampled ranking as NetFlow v5 and writes the bin journal.
+//
+// cmd/flowtop (run to EOF, text report) and internal/daemon (run to
+// signal, HTTP/metrics surface) are its two callers and differ only in
+// what their per-bin callback does with the BinRecord. Everything that
+// decides the sampling rate or the export bytes lives here, so
+// flowrank-lint's wallclock and maporder rules cover the package.
+package pipeline
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"log/slog"
+
+	"flowrank/internal/adaptive"
+	"flowrank/internal/flow"
+	"flowrank/internal/flowtable"
+	"flowrank/internal/invert"
+	"flowrank/internal/obs"
+	"flowrank/internal/packet"
+	"flowrank/internal/sampler"
+	"flowrank/internal/source"
+	"flowrank/internal/stream"
+)
+
+// Config describes one monitor; Source, Agg, Rate and BinSeconds are
+// required.
+type Config struct {
+	// Source supplies the packets. Run closes it only to interrupt a
+	// blocked read on cancellation; whoever opened it releases it.
+	Source source.PacketSource
+	Agg    flow.Aggregator // classifies packets into flows
+	Rate   float64         // initial sampling probability, in (0, 1]
+	Seed   uint64          // of the Bernoulli sampler
+	TopT   int             // ranked top-list length
+	// BinSeconds is the measurement bin width; Workers and BatchSize
+	// configure the engine (0 = its defaults), Tables its per-shard flow
+	// accounting (zero = exact).
+	BinSeconds float64
+	Workers    int
+	BatchSize  int
+	Tables     flowtable.Spec
+	// Inverter, when set, estimates each bin's original flow-size
+	// distribution. AdaptTarget, when positive, closes the §9 loop over
+	// it: after every bin the rate is retuned to the cheapest one whose
+	// predicted ranking metric stays at or below the target.
+	Inverter    invert.Estimator
+	AdaptTarget float64
+	// Log receives operational records (adapt decisions, export
+	// failures), nil discards them; Journal, when set, one JSON record
+	// per bin (build it with NewJournal, check it with ValidateJournal).
+	Log     *slog.Logger
+	Journal *slog.Logger
+	// NetFlow, when set, receives every bin's sampled top list as
+	// NetFlow v5, one Write per datagram (flowtop's -netflow file,
+	// flowrankd's UDP socket); NetFlowDest names it in journal and log.
+	NetFlow     io.Writer
+	NetFlowDest string
+}
+
+// validate holds the rules that need no I/O: the flag layer applies them
+// before any file is opened, New for library callers.
+func (c Config) validate() error {
+	if !(c.Rate > 0 && c.Rate <= 1) {
+		return fmt.Errorf("pipeline: sampling rate %g outside (0, 1]", c.Rate)
+	}
+	if c.AdaptTarget > 0 && c.Inverter == nil {
+		return errors.New("pipeline: AdaptTarget (-adapt) needs a per-bin inversion to refit against: set Config.Inverter (-invert parametric is the cheapest, -invert em the most general)")
+	}
+	if c.AdaptTarget > 0 && c.TopT < 1 {
+		return fmt.Errorf("pipeline: AdaptTarget (-adapt) tunes the rate for a top list: TopT (-t) is %d, must be at least 1", c.TopT)
+	}
+	return c.Tables.Validate()
+}
+
+// Pipeline is a constructed monitor, ready to Run once.
+type Pipeline struct {
+	cfg  Config
+	bern *sampler.Bernoulli
+	// stats and the ingested count are the run's telemetry, nil and
+	// frozen unless Instrument switched them on: their per-packet atomic
+	// adds cost flowtop's default path several percent of throughput.
+	stats    *obs.PipelineStats
+	ingested obs.Counter
+	nf       *exporter // nil without Config.NetFlow
+}
+
+// New validates cfg and builds the sampler. It starts nothing: a Pipeline
+// never Run holds no goroutine or descriptor.
+func New(cfg Config) (*Pipeline, error) {
+	if cfg.Source == nil {
+		return nil, errors.New("pipeline: Config.Source is required")
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Log == nil {
+		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
+	p := &Pipeline{cfg: cfg, bern: sampler.NewBernoulli(cfg.Rate, cfg.Seed)}
+	if cfg.NetFlow != nil {
+		p.nf = &exporter{w: cfg.NetFlow, dest: cfg.NetFlowDest, log: cfg.Log}
+	}
+	if cfg.Journal != nil {
+		p.Instrument() // the journal records each bin's stage timings
+	}
+	return p, nil
+}
+
+// Instrument switches the run's telemetry on (New already has for a
+// journaled run) and returns the engine's per-stage stats; call it before
+// Run. The stats and Ingested are safe to read concurrently with Run.
+func (p *Pipeline) Instrument() *obs.PipelineStats {
+	if p.stats == nil {
+		workers := p.cfg.Workers
+		if workers == 0 {
+			workers = stream.DefaultWorkers()
+		}
+		p.stats = obs.NewPipelineStats(workers)
+	}
+	return p.stats
+}
+
+// Ingested is the number of packets read from the source and fed to the
+// engine so far, counted on an instrumented run.
+func (p *Pipeline) Ingested() int64 { return p.ingested.Load() }
+
+// Rate is the live sampling probability. It moves only at bin boundaries,
+// on Run's goroutine: read it from the per-bin callback, or outside Run.
+func (p *Pipeline) Rate() float64 { return p.bern.P }
+
+// Run feeds the source through the engine until the source ends or ctx is
+// canceled, calling onBin once per non-empty bin, in bin order, on the
+// calling goroutine, after the bin's NetFlow export and adaptive retune.
+// The bin's journal line is written once onBin returns, so whatever onBin
+// publishes (the daemon's counters) never lags behind the journal. Both
+// arguments are valid until onBin returns; an onBin error stops the run.
+//
+// EOF flushes the final bin. Cancellation drains: the source is closed to
+// unblock a pending read and the partial bin is flushed too — a stopped
+// monitor reports the measurements it has. Any other source error aborts
+// without flushing: a corrupt trace must not report its half-ingested bin
+// as a complete measurement.
+func (p *Pipeline) Run(ctx context.Context, onBin func(stream.BinResult, *BinRecord) error) error {
+	// The engine runs under context.Background: canceling its context
+	// would discard the partial bin drain wants. Every Feed comes from
+	// the loop below, so all sampling decisions — and closeBin's retune
+	// between them — stay on one goroutine, the determinism contract.
+	eng, err := stream.NewEngine(stream.Config{
+		Agg:        p.cfg.Agg,
+		Sampler:    p.bern,
+		BinSeconds: p.cfg.BinSeconds,
+		TopT:       p.cfg.TopT,
+		Workers:    p.cfg.Workers,
+		BatchSize:  p.cfg.BatchSize,
+		Inverter:   p.cfg.Inverter,
+		Tables:     p.cfg.Tables,
+		Obs:        p.stats,
+		// Nothing here keeps bin buffers past emit (NetFlow records and
+		// the journal record are value conversions), nor may onBin.
+		Recycle: true,
+	}, func(b stream.BinResult) error {
+		rec := p.closeBin(b)
+		if err := onBin(b, rec); err != nil {
+			return err
+		}
+		if p.cfg.Journal != nil {
+			p.cfg.Journal.Info(journalMsg, slog.Any("record", rec))
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	stop := context.AfterFunc(ctx, func() { p.cfg.Source.Close() })
+	defer stop()
+
+	var pkt packet.Packet
+	for {
+		if err := p.cfg.Source.Next(&pkt); err != nil {
+			if errors.Is(err, io.EOF) || ctx.Err() != nil {
+				return eng.Close() // the latter: drain closed the source under us
+			}
+			eng.Abort()
+			return fmt.Errorf("pipeline: reading source: %w", err)
+		}
+		if err := eng.Feed(pkt); err != nil {
+			eng.Abort()
+			return err
+		}
+		if p.stats != nil {
+			p.ingested.Inc()
+		}
+	}
+}
+
+// closeBin is the per-bin work both front-ends share, in the order that
+// keeps a bin labeled with the rate that produced it: capture the rate,
+// export, only then retune, and record all three.
+func (p *Pipeline) closeBin(b stream.BinResult) *BinRecord {
+	start := obs.Nanotime()
+	rate := p.bern.P
+	rec := &BinRecord{
+		Bin:               b.Bin,
+		Start:             b.Start,
+		End:               b.End,
+		Table:             p.cfg.Tables.Kind.String(),
+		Flows:             len(b.Orig),
+		SampledFlows:      b.SampledFlows,
+		OrigPackets:       b.OrigPackets,
+		SampledPackets:    b.SampledPackets,
+		SamplingRate:      rate,
+		CountErrPkts:      b.CountErr,
+		RankingFraction:   b.Pairs.RankingFrac(),
+		DetectionFraction: b.Pairs.DetectionFrac(),
+	}
+	if inv := b.Inversion; inv != nil {
+		rec.Inversion = &InversionRecord{
+			Method:    inv.Method,
+			MeanPkts:  inv.Mean,
+			TailIndex: inv.TailIndex,
+			Flows:     inv.FlowCount,
+			Err:       inv.Err,
+		}
+	}
+	rec.NetFlow = p.nf.export(b, rate)
+	if p.cfg.AdaptTarget > 0 {
+		rec.Adapt = p.adapt(b)
+	}
+	if p.stats != nil {
+		// The engine's barrier/merge/invert gauges already describe this
+		// bin; its emit gauge lands only after emit returns, so emit is
+		// timed here.
+		st := p.stats.LastStages()
+		st.Emit = obs.Nanotime() - start
+		st.Total = st.Barrier + st.Merge + st.Invert + st.Emit
+		rec.Stages = &st
+	}
+	return rec
+}
+
+// adapt closes the §9 loop: refit the controller to the bin's inversion
+// and retune the live rate to the cheapest one whose predicted §5 ranking
+// metric meets the target, effective from the next bin's first packet. A
+// bin that cannot be refitted keeps the rate and says why — a monitor
+// must not lose its sampling budget, or its run, to one degenerate bin.
+func (p *Pipeline) adapt(b stream.BinResult) *AdaptRecord {
+	rec := &AdaptRecord{PrevRate: p.bern.P, Rate: p.bern.P}
+	switch inv := b.Inversion; {
+	case inv == nil:
+		rec.Reason = "no inversion"
+	case inv.Estimate == nil:
+		rec.Reason = inv.Err
+	default:
+		ctl := adaptive.Controller{Target: p.cfg.AdaptTarget, TopT: p.cfg.TopT, Workers: p.cfg.Workers}
+		next, model, err := ctl.RecommendEstimate(*inv.Estimate)
+		if err != nil {
+			rec.Reason = err.Error()
+			break
+		}
+		rec.FittedFlows = model.N
+		if next != p.bern.P {
+			p.cfg.Log.Info("adapt: retuned rate", "bin", b.Bin, "prev_rate", p.bern.P, "rate", next)
+			p.bern.P = next
+			rec.Applied = true
+			rec.Rate = next
+		}
+		return rec
+	}
+	p.cfg.Log.Info("adapt: keeping rate", "bin", b.Bin, "rate", p.bern.P, "reason", rec.Reason)
+	return rec
+}

@@ -35,6 +35,9 @@ func (r *Registry) NewCounterFunc(name, help string, fn func() float64) *Counter
 	return c
 }
 
+// Value reads the counter through its callback.
+func (c *CounterFunc) Value() float64 { return c.fn() }
+
 func (c *CounterFunc) fqName() string { return c.name }
 
 func (c *CounterFunc) render(b *bytes.Buffer) {

@@ -1,16 +1,19 @@
 #!/bin/sh
 # End-to-end flowrankd check: replay a generated trace through the real
 # daemon binary, scrape /metrics over HTTP, and require the per-bin
-# counters to match what the flowtop batch tool reports for the same
-# trace, sampling seed and worker count. Then SIGTERM the daemon and
-# require a clean drain (exit 0). CI runs this as the daemon-e2e job;
-# locally: make e2e-daemon.
+# counters to match what flowtop prints for the same trace, sampling seed
+# and worker count. Both binaries are front-ends of one pipeline
+# (internal/pipeline), so what this guards is the front-ends — flag
+# wiring, the record-to-metrics mapping, the text report — not a second
+# implementation of the monitor. Then SIGTERM the daemon and require a
+# clean drain (exit 0). CI runs this as the daemon-e2e job; locally:
+# make e2e-daemon.
 #
 # Deliberately no -adapt here: a closed-loop refit costs ~16 s per bin
 # (core.Model quadrature), which belongs in the Go suite's long tests,
-# not a smoke script. Metric-by-metric equivalence with the batch tool,
-# including the adaptive path, is TestMetricsMatchBatch in
-# internal/daemon.
+# not a smoke script. Record-by-record equivalence of the two front-ends,
+# including the adaptive path, is TestJournalParityWithDaemon in
+# cmd/flowtop.
 set -eu
 
 dir="$(mktemp -d)"
