@@ -52,9 +52,12 @@ bench:
 # The subset CI's bench-smoke job runs, plus the machine-readable records
 # (the kernels model figure, the network-wide coordination and dynamic
 # control-plane figures and the bounded-memory sketch figure) and the
-# engine worker-scaling curve.
+# engine worker-scaling curve. BenchmarkRequiredRate reports the rate
+# solve's metric evaluations as evals/op (12 on the adapt-loop model): a
+# regression in the search shows as a count, not as a slow suite.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Misrank|ModelRanking|StreamPackets|StreamEngine|NetworkCoord|NetworkDynamic|ExtensionSketch' -benchtime 1x
+	$(GO) test -run '^$$' -bench '^BenchmarkRequiredRate$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'Ingest' -benchtime 1x ./internal/flowtable
 	$(GO) test -run '^$$' -bench '^BenchmarkEngine$$' -benchtime 1x ./internal/stream
 	$(GO) run ./cmd/flowrank-bench -fig kernels -json

@@ -143,8 +143,11 @@ func (c Controller) Recommend(obs Observation) (float64, core.Model, error) {
 // already hold an inverted population estimate — the streaming monitor's
 // per-bin inversion summary carries one, so the closed loop
 // (flowtop -adapt) does not invert the same bin twice. It fits the model
-// to the estimate and returns the cheapest clamped rate meeting the
-// target.
+// to the estimate and returns the cheapest rate in [MinRate, MaxRate]
+// meeting the target: MinRate when the target is already met there,
+// MaxRate when even MaxRate cannot reach it. Any other solver failure (an
+// estimate the model rejects, say) is returned as an error, never turned
+// into a rate.
 func (c Controller) RecommendEstimate(est invert.Estimate) (float64, core.Model, error) {
 	if err := c.validate(); err != nil {
 		return 0, core.Model{}, err
@@ -167,10 +170,15 @@ func (c Controller) RecommendEstimate(est invert.Estimate) (float64, core.Model,
 	if model.N <= c.TopT {
 		model.N = c.TopT + 1
 	}
-	rate, err := model.RequiredRate(c.Target, c.Detection)
-	if err != nil {
-		// Even p≈1 cannot reach the target: recommend the ceiling.
+	// The clamp interval is the solve interval: a root outside it would be
+	// clamped away, so no probe is spent looking for it there.
+	rate, err := model.RequiredRateIn(c.Target, c.Detection, minRate, maxRate)
+	if errors.Is(err, core.ErrTargetUnreachable) {
+		// Even MaxRate cannot reach the target: recommend the ceiling.
 		return maxRate, model, nil
+	}
+	if err != nil {
+		return 0, model, fmt.Errorf("adaptive: solving the required rate: %w", err)
 	}
 	if rate < minRate {
 		rate = minRate

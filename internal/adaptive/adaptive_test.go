@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"flowrank/internal/core"
 	"flowrank/internal/dist"
 	"flowrank/internal/invert"
 	"flowrank/internal/randx"
@@ -458,5 +459,68 @@ func TestRecommendEstimateMatchesRecommend(t *testing.T) {
 	}
 	if _, _, err := ctl.RecommendEstimate(invert.Estimate{FlowCount: 100}); err == nil {
 		t.Error("estimate without a distribution accepted")
+	}
+}
+
+// nanDist is a size law whose quantile function is broken: every model
+// metric over it is NaN.
+type nanDist struct{ dist.Pareto }
+
+func (nanDist) QuantileCCDF(float64) float64 { return math.NaN() }
+
+// TestRecommendEstimateSolverErrors: only "even MaxRate cannot reach the
+// target" is answered with MaxRate. Any other solver failure is an error —
+// the old code turned every one of them into a confident "sample
+// everything".
+func TestRecommendEstimateSolverErrors(t *testing.T) {
+	est := invert.Estimate{Dist: dist.ParetoWithMean(9.6, 1.5), FlowCount: 2000}
+	ctl := Controller{Target: 1e-12, TopT: 2, MaxRate: 0.5, Workers: 1}
+	rate, model, err := ctl.RecommendEstimate(est)
+	if err != nil || rate != 0.5 {
+		t.Errorf("unreachable target: (%g, %v), want MaxRate 0.5", rate, err)
+	}
+	if _, err := model.RequiredRateIn(ctl.Target, false, 1e-4, 0.5); !errors.Is(err, core.ErrTargetUnreachable) {
+		t.Errorf("the fitted model's own solve: err = %v, want ErrTargetUnreachable", err)
+	}
+
+	est.Dist = nanDist{dist.ParetoWithMean(9.6, 1.5)}
+	ctl = Controller{Target: 1, TopT: 2, Workers: 1}
+	rate, _, err = ctl.RecommendEstimate(est)
+	if err == nil || errors.Is(err, core.ErrTargetUnreachable) {
+		t.Errorf("NaN metric: (%g, %v), want a solver error and no rate", rate, err)
+	}
+}
+
+// TestRecommendEstimateClampEquivalence: solving inside the clamp interval
+// returns what solving on [1e-6, 1) and clamping afterwards returned. The
+// reference rates are the previous implementation's output on the same
+// estimates (Pareto mean 9.6, β 1.5; target 1; MinRate 0.05, MaxRate 0.5):
+// clamped answers must match exactly, the interior ones to the solver's
+// tolerance.
+func TestRecommendEstimateClampEquivalence(t *testing.T) {
+	cases := []struct {
+		name      string
+		flows     float64
+		topT      int
+		detection bool
+		want      float64
+		exact     bool
+	}{
+		{"root 0.3% below MinRate", 3_500_000, 5, true, 0.05, true},
+		{"root inside, upper half", 3_500_000, 10, false, 0.26454575815728126, false},
+		{"root inside, near MinRate", 200_000, 5, false, 0.097644761109387745, false},
+		{"root 51% above MaxRate", 700_000, 10, false, 0.5, true},
+	}
+	for _, c := range cases {
+		ctl := Controller{Target: 1, TopT: c.topT, Detection: c.detection, MinRate: 0.05, MaxRate: 0.5}
+		est := invert.Estimate{Dist: dist.ParetoWithMean(9.6, 1.5), FlowCount: c.flows}
+		got, _, err := ctl.RecommendEstimate(est)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if (c.exact && got != c.want) || math.Abs(got-c.want) > 1e-5*c.want {
+			t.Errorf("%s: recommended %.17g, solve-then-clamp gave %.17g", c.name, got, c.want)
+		}
 	}
 }

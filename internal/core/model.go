@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -296,38 +297,99 @@ func misrankKernel(small, large, p float64) float64 {
 	return numeric.ErfcRatio(large-small, math.Sqrt(2*(1/p-1)*(small+large)))
 }
 
+// ErrTargetUnreachable is returned (wrapped) by the rate solvers when the
+// metric is still above the target at the top of the search interval: no
+// rate the caller allows is high enough. Match it with errors.Is.
+var ErrTargetUnreachable = errors.New("core: target unreachable within the rate interval")
+
+// The default search interval of RequiredRate. The ceiling stops short of
+// p = 1, where the metrics are identically zero and their logarithm would
+// flatten the root search.
+const (
+	rateFloor = 1e-6
+	rateCeil  = 1 - 1e-9
+)
+
+// rateStep is the step in log p — a factor 4 in p — by which solveRate
+// walks the upper end of its bracket down: large enough that a root three
+// decades below the ceiling is bracketed in five probes, small enough that
+// the one probe below the root stays within a factor 4 of it.
+const rateStep = 2 * math.Ln2
+
 // RequiredRate returns the minimum sampling rate at which the given metric
 // (RankingMetric or DetectionMetric, selected by detection) stays at or
 // below target — the paper's "minimum sampling rate for a desired
 // accuracy" question, usually asked with target = 1.
+//
+// The search runs over [1e-6, 1−1e-9] from the top down: the ceiling is
+// evaluated first (still above target there is ErrTargetUnreachable), then
+// the upper end of the bracket is stepped down by factors of 4 until the
+// metric first exceeds the target, and Brent's method polishes the root
+// inside that last step to 1e-6 in log p. The order is deliberate. The
+// metric is non-increasing in p (TestMetricMonotoneInP), so the first
+// crossing met on the way down is the only one; and one evaluation gets
+// steeply dearer as p falls (the hybrid kernel's inner quadratures cost
+// ~300x more at p = 1e-6 than at p ≈ 1), so a search that starts at the
+// floor spends nearly all its time on probes far from the answer. The
+// floor is evaluated only if the descent reaches it, and is returned when
+// the metric meets the target even there.
 func (m Model) RequiredRate(target float64, detection bool) (float64, error) {
+	return m.RequiredRateIn(target, detection, rateFloor, rateCeil)
+}
+
+// RequiredRateIn is RequiredRate restricted to rates in [lo, hi] ⊆ (0, 1]:
+// it returns lo when the metric already meets the target there, and
+// ErrTargetUnreachable when it is still above the target at hi. A caller
+// that would clamp RequiredRate's answer to [lo, hi] anyway (the adaptive
+// controller) gets the clamped answer without paying for any probe outside
+// the interval. hi is capped at RequiredRate's ceiling 1−1e-9.
+func (m Model) RequiredRateIn(target float64, detection bool, lo, hi float64) (float64, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
 	}
 	if target <= 0 {
 		return 0, fmt.Errorf("core: target metric %g must be positive", target)
 	}
+	if !(0 < lo && lo <= hi && hi <= 1) {
+		return 0, fmt.Errorf("core: rate interval [%g, %g] outside 0 < lo <= hi <= 1", lo, hi)
+	}
 	metric := m.RankingMetric
 	if detection {
 		metric = m.DetectionMetric
 	}
-	const (
-		pLo = 1e-6
-		pHi = 1 - 1e-9
-	)
-	if metric(pLo) <= target {
-		return pLo, nil
-	}
+	hi = math.Min(hi, rateCeil)
+	return solveRate(metric, target, math.Min(lo, hi), hi)
+}
+
+// solveRate returns the smallest p in [pLo, pHi] with metric(p) <= target,
+// for a metric non-increasing in p, searching from pHi downward as
+// RequiredRate documents. Every abscissa is evaluated at most once: the
+// values that found the bracket are handed to Brent with it.
+func solveRate(metric func(p float64) float64, target, pLo, pHi float64) (float64, error) {
 	f := func(lp float64) float64 {
 		return math.Log(metric(math.Exp(lp))+1e-300) - math.Log(target)
 	}
-	lo, hi := math.Log(pLo), math.Log(pHi)
-	if f(hi) > 0 {
-		return 0, fmt.Errorf("core: metric still above target %g at p≈1", target)
+	lo, b := math.Log(pLo), math.Log(pHi)
+	fb := f(b)
+	if fb > 0 {
+		return 0, fmt.Errorf("core: metric still above target %g at p=%g: %w", target, pHi, ErrTargetUnreachable)
 	}
-	lp, err := numeric.Brent(f, lo, hi, 1e-6)
-	if err != nil {
-		return 0, err
+	for b > lo && !math.IsNaN(fb) {
+		a := math.Max(lo, b-rateStep)
+		fa := f(a)
+		if fa > 0 {
+			lp, err := numeric.BrentBracket(f, a, fa, b, fb, 1e-6)
+			if err != nil {
+				return 0, err
+			}
+			return math.Exp(lp), nil
+		}
+		b, fb = a, fa
 	}
-	return math.Exp(lp), nil
+	if math.IsNaN(fb) {
+		// A NaN compares false both ways; without this it would read as
+		// "target met" all the way down and return the floor.
+		return 0, fmt.Errorf("core: metric is NaN at p=%g", math.Exp(b))
+	}
+	return pLo, nil
 }

@@ -192,25 +192,33 @@ func OptimalRate(s1, s2 int, target float64, method RateMethod) (float64, error)
 	if target <= 0 || target >= 1 {
 		return 0, fmt.Errorf("core: target misranking probability %g outside (0,1)", target)
 	}
-	pm := func(p float64) float64 {
+	return optimalRate(func(p float64) float64 {
 		if method == RateGaussian {
 			return MisrankGaussian(float64(s1), float64(s2), p)
 		}
 		return MisrankExact(s1, s2, p)
-	}
+	}, target)
+}
+
+// optimalRate finds where the misranking probability pm, decreasing in p,
+// crosses target. Both ends of [1e-9, 1−1e-12] are evaluated once and
+// handed to Brent with their values.
+func optimalRate(pm func(p float64) float64, target float64) (float64, error) {
 	const (
 		pLo = 1e-9
 		pHi = 1 - 1e-12
 	)
-	// Misranking probability decreases in p: find the crossing of target.
-	if pm(pLo) <= target {
+	f := func(lp float64) float64 { return pm(math.Exp(lp)) - target }
+	lo, hi := math.Log(pLo), math.Log(pHi)
+	fLo := f(lo)
+	if fLo <= 0 {
 		return pLo, nil
 	}
-	if v := pm(pHi); v > target {
-		return 0, fmt.Errorf("core: misranking probability %g at p≈1 still above target %g", v, target)
+	fHi := f(hi)
+	if fHi > 0 {
+		return 0, fmt.Errorf("core: misranking probability at p≈1 still %g above target %g: %w", fHi, target, ErrTargetUnreachable)
 	}
-	f := func(lp float64) float64 { return pm(math.Exp(lp)) - target }
-	lp, err := numeric.Brent(f, math.Log(pLo), math.Log(pHi), 1e-10)
+	lp, err := numeric.BrentBracket(f, lo, fLo, hi, fHi, 1e-10)
 	if err != nil {
 		return 0, fmt.Errorf("core: solving optimal rate: %w", err)
 	}

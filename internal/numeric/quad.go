@@ -41,7 +41,9 @@ func adaptiveSimpsonAux(f Func1, a, b, fa, fm, fb, whole, tol float64, depth int
 	left := simpson(a, m, fa, flm, fm)
 	right := simpson(m, b, fm, frm, fb)
 	delta := left + right - whole
-	if depth <= 0 || math.Abs(delta) <= 15*tol {
+	// Written as a negation so that a NaN estimate stops the recursion
+	// (and propagates) instead of refining a broken integrand to maxDepth.
+	if depth <= 0 || !(math.Abs(delta) > 15*tol) {
 		return left + right + delta/15
 	}
 	return adaptiveSimpsonAux(f, a, m, fa, flm, fm, left, tol/2, depth-1) +

@@ -37,6 +37,19 @@ func TestAdaptiveSimpsonEmptyInterval(t *testing.T) {
 	}
 }
 
+// A NaN integrand must come back as NaN after the first refinement, not
+// after 2^maxDepth of them.
+func TestAdaptiveSimpsonNaNTerminates(t *testing.T) {
+	evals := 0
+	f := func(float64) float64 { evals++; return math.NaN() }
+	if got := AdaptiveSimpson(f, 0, 1, 1e-12, 40); !math.IsNaN(got) {
+		t.Errorf("integral of NaN = %g", got)
+	}
+	if evals > 5 {
+		t.Errorf("%d evaluations of a NaN integrand, want 5", evals)
+	}
+}
+
 func TestAdaptiveSimpsonSharpGaussian(t *testing.T) {
 	// A narrow Gaussian centred mid-interval; integral over R is sqrt(pi)*s.
 	s := 0.01

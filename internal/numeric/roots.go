@@ -13,7 +13,14 @@ var ErrNoBracket = errors.New("numeric: endpoints do not bracket a root")
 // f(a) and f(b) must have opposite signs (or one of them must be zero).
 // tol is the absolute x tolerance at which iteration stops.
 func Brent(f Func1, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
+	return BrentBracket(f, a, f(a), b, f(b), tol)
+}
+
+// BrentBracket is Brent for callers that already hold the endpoint values
+// fa = f(a) and fb = f(b) — typically because finding the bracket evaluated
+// them. It never evaluates f at a or b, and otherwise takes exactly the
+// steps Brent takes.
+func BrentBracket(f Func1, a, fa, b, fb, tol float64) (float64, error) {
 	if fa == 0 {
 		return a, nil
 	}

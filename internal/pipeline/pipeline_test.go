@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
 
+	"flowrank/internal/dist"
 	"flowrank/internal/flow"
 	"flowrank/internal/flowtable"
 	"flowrank/internal/invert"
@@ -194,6 +196,12 @@ func TestRunOrdersExportCallbackJournal(t *testing.T) {
 	}
 }
 
+// nanDist is a size law with a broken quantile function: the fitted
+// model's metrics are NaN and the rate solve fails.
+type nanDist struct{ dist.Pareto }
+
+func (nanDist) QuantileCCDF(float64) float64 { return math.NaN() }
+
 // TestAdaptKeepsRate: a bin the loop cannot refit — no inversion, a
 // failed inversion, or a refit that returns an error — keeps the rate
 // and records why; none of them ends the run.
@@ -213,6 +221,10 @@ func TestAdaptKeepsRate(t *testing.T) {
 		{"no inversion", nil, "no inversion"},
 		{"failed inversion", &stream.InversionSummary{Err: "too few flows"}, "too few flows"},
 		{"refit error", &stream.InversionSummary{Estimate: &invert.Estimate{}}, "no size distribution"},
+		// A solver failure is a reason to keep the rate, not a
+		// recommendation to sample everything.
+		{"solver error", &stream.InversionSummary{Estimate: &invert.Estimate{
+			Dist: nanDist{dist.ParetoWithMean(9.6, 1.5)}, FlowCount: 2000}}, "metric is NaN"},
 	}
 	for _, tc := range cases {
 		got := p.adapt(stream.BinResult{Inversion: tc.inv})
