@@ -55,11 +55,15 @@ bench:
 # engine worker-scaling curve. BenchmarkRequiredRate reports the rate
 # solve's metric evaluations as evals/op (12 on the adapt-loop model): a
 # regression in the search shows as a count, not as a slow suite.
+# BenchmarkSourceDecode reads a trace file through source.Open in both
+# formats and reports ns/pkt and allocs: what the source layer charges
+# every packet before the sampling decision, read syscalls included.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Misrank|ModelRanking|StreamPackets|StreamEngine|NetworkCoord|NetworkDynamic|ExtensionSketch' -benchtime 1x
 	$(GO) test -run '^$$' -bench '^BenchmarkRequiredRate$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'Ingest' -benchtime 1x ./internal/flowtable
 	$(GO) test -run '^$$' -bench '^BenchmarkEngine$$' -benchtime 1x ./internal/stream
+	$(GO) test -run '^$$' -bench '^BenchmarkSourceDecode$$' -benchtime 5x ./internal/source
 	$(GO) run ./cmd/flowrank-bench -fig kernels -json
 	$(GO) run ./cmd/flowrank-bench -fig coord -json
 	$(GO) run ./cmd/flowrank-bench -fig dynamic -json
@@ -85,15 +89,18 @@ e2e-daemon:
 e2e-obs:
 	./scripts/e2e_obs.sh
 
-# Brief native fuzz runs (~40 s total) over the wire-format edges (the
-# NetFlow decode/encode round trip, the pcap reader/writer) and the flat
-# flow table's open-addressing machinery. Long runs are for dedicated
-# fuzzing sessions; this keeps the harnesses and seed corpora green.
+# Brief native fuzz runs (~45 s total) over the wire-format edges (the
+# NetFlow decode/encode round trip, the pcap reader/writer, the native
+# packet-trace reader; both trace readers differentially against their
+# unbuffered reference readers) and the flat flow table's open-addressing
+# machinery. Long runs are for dedicated fuzzing sessions; this keeps the
+# harnesses and seed corpora green.
 fuzz-smoke:
 	$(GO) test ./internal/netflow -run '^$$' -fuzz '^FuzzDecodeDatagram$$' -fuzztime 8s
 	$(GO) test ./internal/netflow -run '^$$' -fuzz '^FuzzExportRoundTrip$$' -fuzztime 8s
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 7s
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzWriterRoundTrip$$' -fuzztime 7s
+	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzPacketReader$$' -fuzztime 7s
 	$(GO) test ./internal/flowtable -run '^$$' -fuzz '^FuzzFlatProbe$$' -fuzztime 8s
 
 # Short-suite coverage with a ratchet: fails when total coverage drops

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -15,6 +17,7 @@ import (
 	"flowrank/internal/packetgen"
 	"flowrank/internal/pcap"
 	"flowrank/internal/pipeline"
+	"flowrank/internal/source"
 	"flowrank/internal/tracegen"
 )
 
@@ -237,6 +240,34 @@ func TestCorruptTracePrintsNoPartialBin(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Fatalf("partial bin reported despite read error:\n%s", stdout.String())
+	}
+}
+
+// TestUnsupportedLinkTypeFails: -pcap on a capture that is not Ethernet
+// (here Linux cooked, 113) must fail naming the link type, not parse the
+// frames at Ethernet offsets and print an empty or mis-keyed report.
+func TestUnsupportedLinkTypeFails(t *testing.T) {
+	_, pcapPath := writeTraces(t)
+	raw, err := os.ReadFile(pcapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[20:], 113)
+	cooked := filepath.Join(t.TempDir(), "cooked.pcap")
+	if err := os.WriteFile(cooked, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	opts := options{
+		in: cooked, isPcap: true, rate: 0.2, topT: 5, binSec: 4,
+		aggName: "5tuple", seed: 9, workers: 1,
+	}
+	err = run(opts, &stdout, &stderr)
+	if !errors.Is(err, source.ErrUnsupportedLinkType) || !strings.Contains(err.Error(), "link type 113") {
+		t.Fatalf("run = %v, want ErrUnsupportedLinkType naming link type 113", err)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("report printed for an unsupported capture:\n%s", stdout.String())
 	}
 }
 

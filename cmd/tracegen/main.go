@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"log"
@@ -115,13 +116,16 @@ func writePcap(f *os.File, cfg tracegen.Config, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	w, err := pcap.NewWriter(f, 0)
+	// pcap.Writer issues two writes per frame; buffer them as the native
+	// writers buffer theirs.
+	bw := bufio.NewWriterSize(f, 1<<16)
+	w, err := pcap.NewWriter(bw, 0)
 	if err != nil {
 		return err
 	}
 	frame := make([]byte, 0, 2048)
 	const overhead = layers.EthernetHeaderLen + layers.IPv4MinHeaderLen + layers.TCPMinHeaderLen
-	return packetgen.Stream(records, seed+1, func(p packet.Packet) error {
+	err = packetgen.Stream(records, seed+1, func(p packet.Packet) error {
 		key := p.Key
 		if key.Proto != flow.ProtoTCP && key.Proto != flow.ProtoUDP {
 			key.Proto = flow.ProtoTCP
@@ -137,4 +141,8 @@ func writePcap(f *os.File, cfg tracegen.Config, seed uint64) error {
 		}
 		return w.Write(pcap.Packet{Time: p.Time, Data: frame})
 	})
+	if err != nil {
+		return err
+	}
+	return bw.Flush()
 }

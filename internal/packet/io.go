@@ -39,18 +39,27 @@ func appendKey(buf []byte, k flow.Key) []byte {
 	return append(buf, byte(k.Proto))
 }
 
+// keyLen is the encoded size of a flow.Key.
+const keyLen = 13
+
 func readKey(r *bufio.Reader) (flow.Key, error) {
-	var raw [13]byte
+	var raw [keyLen]byte
 	if _, err := io.ReadFull(r, raw[:]); err != nil {
 		return flow.Key{}, err
 	}
+	return decodeKey(raw[:]), nil
+}
+
+// decodeKey decodes the keyLen bytes appendKey wrote.
+func decodeKey(raw []byte) flow.Key {
+	_ = raw[keyLen-1]
 	var k flow.Key
 	copy(k.Src[:], raw[0:4])
 	copy(k.Dst[:], raw[4:8])
 	k.SrcPort = binary.BigEndian.Uint16(raw[8:10])
 	k.DstPort = binary.BigEndian.Uint16(raw[10:12])
 	k.Proto = flow.Proto(raw[12])
-	return k, nil
+	return k
 }
 
 // Writer encodes a packet trace. Call Flush before closing the underlying
@@ -110,8 +119,34 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
-// Next returns the next packet, or io.EOF at end of trace.
+// Next returns the next packet, or io.EOF at end of trace. A record that
+// lies whole in the buffered block is decoded in place; Next reads no byte
+// beyond the record it returns, so a trace arriving over a pipe yields
+// each record as its last byte arrives.
+//
+//flowrank:hotpath
 func (r *Reader) Next() (Packet, error) {
+	// Peek of what is already buffered never reads, hence never fails.
+	b, _ := r.r.Peek(r.r.Buffered())
+	deltaRaw, n := binary.Uvarint(b)
+	if n <= 0 || len(b) < n+keyLen {
+		return r.nextBytewise()
+	}
+	size, m := binary.Uvarint(b[n+keyLen:])
+	if m <= 0 {
+		return r.nextBytewise()
+	}
+	key := decodeKey(b[n : n+keyLen])
+	_, _ = r.r.Discard(n + keyLen + m) // cannot fail: the record is buffered
+	r.lastNano += unzigzag(deltaRaw)
+	return Packet{Time: nanosToSeconds(r.lastNano), Key: key, Size: int(size)}, nil
+}
+
+// nextBytewise decodes one record a byte at a time. It serves the records
+// the block cannot: one that straddles the end of the buffered bytes (the
+// stream's tail included) and one with a malformed varint, and so owns
+// every error Next reports.
+func (r *Reader) nextBytewise() (Packet, error) {
 	deltaRaw, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		if errors.Is(err, io.EOF) {

@@ -29,7 +29,8 @@ func fuzzSeedCapture(f *testing.F) []byte {
 // FuzzReader: parsing arbitrary bytes must never panic, never hand back a
 // record longer than the snap length, and never allocate a corrupt
 // header's multi-gigabyte length claim (the sanity cap turns that into a
-// parse error).
+// parse error). It is differential: the block reader must yield the
+// unbuffered reference reader's packets and end on its error.
 func FuzzReader(f *testing.F) {
 	seed := fuzzSeedCapture(f)
 	f.Add(seed)
@@ -52,14 +53,25 @@ func FuzzReader(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
+		ref, rerr := newRefReader(bytes.NewReader(data))
+		if !sameError(err, rerr) {
+			t.Fatalf("NewReader: %v, reference: %v", err, rerr)
+		}
 		if err != nil {
 			return
 		}
 		snap := r.Header().SnapLen
 		for i := 0; i < 1<<16; i++ {
 			p, err := r.Next()
+			rp, rerr := ref.Next()
+			if !sameError(err, rerr) {
+				t.Fatalf("record %d: error %v, reference %v", i, err, rerr)
+			}
 			if err != nil {
 				break // io.EOF or a parse error: both fine, looping is not
+			}
+			if p.Time != rp.Time || p.OrigLen != rp.OrigLen || !bytes.Equal(p.Data, rp.Data) {
+				t.Fatalf("record %d differs from the reference", i)
 			}
 			if snap > 0 && uint32(len(p.Data)) > snap {
 				t.Fatalf("record %d: %d bytes beyond snap length %d", i, len(p.Data), snap)

@@ -3,9 +3,28 @@
 // packet tooling. The reader accepts both byte orders and both microsecond
 // and nanosecond timestamp magics; the writer emits little-endian
 // microsecond captures with the Ethernet link type.
+//
+// The reader owns one 256 KiB block buffer and decodes records in place:
+// a record's header and body come from one contiguous slice of the block,
+// so reading costs one Read on the underlying stream per block and no
+// copy or allocation per record. Three consequences callers rely on:
+//
+//   - Packet.Data aliases the block. It is valid until the following Next
+//     call and must be copied to be kept longer.
+//   - The reader reads ahead: it may have consumed more of the underlying
+//     stream than the records it has returned.
+//   - It never waits for more than the record it is about to return, so a
+//     capture streamed over a pipe or socket yields each record as soon as
+//     its last byte arrives. A record larger than the block (a capture
+//     with a raised snap length) is copied into a buffer of its own.
+//
+// The reader reports the capture's link type in Header and interprets
+// none: whoever parses Data must check it (internal/source accepts
+// Ethernet only).
 package pcap
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -31,6 +50,9 @@ const (
 	// claim. Real captures snap at 64 KiB — 64 MiB is far beyond any
 	// valid record.
 	maxRecordLen = 1 << 26
+	// blockSize is the reader's buffer: one underlying Read fetches this
+	// much, and any record up to this size is decoded in place.
+	blockSize = 1 << 18
 )
 
 // ErrNotPcap is returned when the stream does not begin with a known pcap
@@ -49,7 +71,8 @@ type Header struct {
 type Packet struct {
 	// Time is seconds since the capture epoch.
 	Time float64
-	// Data is the captured bytes (up to SnapLen).
+	// Data is the captured bytes (up to SnapLen). From a Reader it points
+	// into the reader's buffer: valid until the following Next.
 	Data []byte
 	// OrigLen is the original wire length.
 	OrigLen int
@@ -121,19 +144,24 @@ func (w *Writer) Write(p Packet) error {
 	return nil
 }
 
-// Reader parses a pcap stream.
+// Reader parses a pcap stream out of one block buffer: records are decoded
+// in place, so a Packet's Data aliases the buffer and reading costs one
+// underlying Read per block, not two per record.
 type Reader struct {
-	r      io.Reader
+	br     *bufio.Reader
 	order  binary.ByteOrder
 	header Header
-	buf    []byte
+	// big holds the one record too large for the block; it grows on demand.
+	big []byte
 }
 
 // NewReader parses the global header, auto-detecting byte order and
-// timestamp resolution.
+// timestamp resolution. The reader buffers: it may consume more of r than
+// the records it has returned.
 func NewReader(r io.Reader) (*Reader, error) {
+	br := bufio.NewReaderSize(r, blockSize)
 	var hdr [globalHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
 	}
 	magicLE := binary.LittleEndian.Uint32(hdr[0:4])
@@ -153,7 +181,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, ErrNotPcap
 	}
 	return &Reader{
-		r:     r,
+		br:    br,
 		order: order,
 		header: Header{
 			SnapLen:  order.Uint32(hdr[16:20]),
@@ -167,34 +195,35 @@ func NewReader(r io.Reader) (*Reader, error) {
 func (r *Reader) Header() Header { return r.header }
 
 // Next returns the next packet, or io.EOF at a clean end of capture. The
-// returned Data is only valid until the following Next call.
+// returned Data points into the reader's buffer and is only valid until
+// the following Next call. Next waits for no byte beyond the record it
+// returns, so a capture arriving over a pipe yields each record as its
+// last byte arrives.
+//
+//flowrank:hotpath
 func (r *Reader) Next() (Packet, error) {
-	var hdr [packetHeaderLen]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Packet{}, io.EOF
-		}
-		return Packet{}, fmt.Errorf("pcap: reading packet header: %w", err)
+	hdr, err := r.br.Peek(packetHeaderLen)
+	if err != nil {
+		return Packet{}, headerError(len(hdr), err)
 	}
 	sec := r.order.Uint32(hdr[0:4])
 	frac := r.order.Uint32(hdr[4:8])
 	inclLen := r.order.Uint32(hdr[8:12])
 	origLen := r.order.Uint32(hdr[12:16])
-	if inclLen > r.header.SnapLen && r.header.SnapLen > 0 {
-		return Packet{}, fmt.Errorf("pcap: record length %d exceeds snap length %d", inclLen, r.header.SnapLen)
+	if inclLen > r.header.SnapLen && r.header.SnapLen > 0 || inclLen > maxRecordLen {
+		return Packet{}, r.lengthError(inclLen)
 	}
-	if inclLen > maxRecordLen {
-		return Packet{}, fmt.Errorf("pcap: record length %d exceeds the %d-byte sanity cap", inclLen, uint32(maxRecordLen))
-	}
-	if cap(r.buf) < int(inclLen) {
-		r.buf = make([]byte, inclLen)
-	}
-	r.buf = r.buf[:inclLen]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
+	recLen := packetHeaderLen + int(inclLen)
+	var data []byte
+	if recLen <= blockSize {
+		rec, err := r.br.Peek(recLen)
+		if err != nil {
+			return Packet{}, dataError(err)
 		}
-		return Packet{}, fmt.Errorf("pcap: reading packet data: %w", err)
+		data = rec[packetHeaderLen:]
+		_, _ = r.br.Discard(recLen) // cannot fail: recLen bytes are buffered
+	} else if data, err = r.readBig(int(inclLen)); err != nil {
+		return Packet{}, err
 	}
 	t := float64(sec)
 	if r.header.Nanos {
@@ -202,5 +231,48 @@ func (r *Reader) Next() (Packet, error) {
 	} else {
 		t += float64(frac) / 1e6
 	}
-	return Packet{Time: t, Data: r.buf, OrigLen: int(origLen)}, nil
+	return Packet{Time: t, Data: data, OrigLen: int(origLen)}, nil
+}
+
+// readBig copies a record body that cannot fit the block buffer (a capture
+// whose snap length was raised past it) into a buffer of its own.
+func (r *Reader) readBig(n int) ([]byte, error) {
+	_, _ = r.br.Discard(packetHeaderLen) // cannot fail: the header was just peeked
+	if cap(r.big) < n {
+		r.big = make([]byte, n)
+	}
+	r.big = r.big[:n]
+	if _, err := io.ReadFull(r.br, r.big); err != nil {
+		return nil, dataError(err)
+	}
+	return r.big, nil
+}
+
+// headerError classifies a failed record-header read: a stream that ends
+// exactly on a record boundary is the clean io.EOF, one that ends inside
+// the header is truncated.
+func headerError(got int, err error) error {
+	if errors.Is(err, io.EOF) {
+		if got == 0 {
+			return io.EOF
+		}
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("pcap: reading packet header: %w", err)
+}
+
+// dataError wraps a failed record-body read; the stream ending there is
+// always a truncation.
+func dataError(err error) error {
+	if errors.Is(err, io.EOF) {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("pcap: reading packet data: %w", err)
+}
+
+func (r *Reader) lengthError(inclLen uint32) error {
+	if inclLen > r.header.SnapLen && r.header.SnapLen > 0 {
+		return fmt.Errorf("pcap: record length %d exceeds snap length %d", inclLen, r.header.SnapLen)
+	}
+	return fmt.Errorf("pcap: record length %d exceeds the %d-byte sanity cap", inclLen, uint32(maxRecordLen))
 }

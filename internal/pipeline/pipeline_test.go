@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"runtime"
 	"strings"
@@ -14,8 +15,10 @@ import (
 	"flowrank/internal/flow"
 	"flowrank/internal/flowtable"
 	"flowrank/internal/invert"
+	"flowrank/internal/layers"
 	"flowrank/internal/netflow"
 	"flowrank/internal/packet"
+	"flowrank/internal/pcap"
 	"flowrank/internal/source"
 	"flowrank/internal/stream"
 )
@@ -323,5 +326,48 @@ func TestRunEndings(t *testing.T) {
 				t.Errorf("%d bins reported, want %d", bins, tc.wantBins)
 			}
 		})
+	}
+}
+
+// TestRunPcapTruncatedMidRecord: a capture that ends inside a record is
+// corruption, not end of stream. The bins that closed before the cut are
+// reported; the run then fails with io.ErrUnexpectedEOF and the bin the
+// cut fell in is not passed off as a measurement.
+func TestRunPcapTruncatedMidRecord(t *testing.T) {
+	pkts := genPackets(250) // 2.5 s: bins 0 and 1 complete, bin 2 partial
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame []byte
+	for _, p := range pkts {
+		if frame, err = layers.Frame(frame[:0], p.Key, 10, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(pcap.Packet{Time: p.Time, Data: frame, OrigLen: p.Size}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := source.NewPcapSource(bytes.NewReader(buf.Bytes()[:buf.Len()-len(frame)/2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(nil)
+	cfg.Source = src
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bins []int64
+	err = p.Run(context.Background(), func(b stream.BinResult, _ *BinRecord) error {
+		bins = append(bins, b.Bin)
+		return nil
+	})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("Run = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if len(bins) != 2 || bins[0] != 0 || bins[1] != 1 {
+		t.Errorf("bins reported: %v, want the two complete ones [0 1]", bins)
 	}
 }

@@ -1,0 +1,223 @@
+package source
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"flowrank/internal/packet"
+)
+
+// The trace readers decode records out of a block they read ahead. These
+// tests pin the source contracts that read-ahead could break.
+
+// bothSources opens the same packets as a TraceSource and a PcapSource.
+func bothSources(t *testing.T, pkts []packet.Packet) map[string]PacketSource {
+	t.Helper()
+	trace, err := NewTraceSource(bytes.NewReader(encodeNative(t, pkts)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := NewPcapSource(bytes.NewReader(encodePcap(t, pkts)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]PacketSource{"trace": trace, "pcap": pc}
+}
+
+// TestCloseDropsBufferedPackets: Close wins over read-ahead. After one
+// Next the whole trace sits decoded-ahead in the reader's block; Next
+// after Close must still fail with ErrClosedSource, not serve from it.
+func TestCloseDropsBufferedPackets(t *testing.T) {
+	for name, src := range bothSources(t, testPackets(t)) {
+		var p packet.Packet
+		if err := src.Next(&p); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := src.Close(); err != nil {
+			t.Fatalf("%s: close: %v", name, err)
+		}
+		if err := src.Next(&p); !errors.Is(err, ErrClosedSource) {
+			t.Errorf("%s: Next after Close = %v, want ErrClosedSource", name, err)
+		}
+	}
+}
+
+// streamsFromPipe feeds open a stream through an io.Pipe one record at a
+// time, each record in two writes, and requires every packet to come out
+// of Next before the following record (or the end of the stream) is
+// written: a reader waiting to fill its block would hang here.
+func streamsFromPipe(t *testing.T, header []byte, records [][]byte, open func(io.Reader) (PacketSource, error)) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	step := make(chan struct{})
+	defer close(step) // releases the writer when the test bails out early
+	go func() {
+		defer pw.Close()
+		pw.Write(header)
+		for _, rec := range records {
+			pw.Write(rec[:len(rec)/2])
+			pw.Write(rec[len(rec)/2:])
+			<-step // written in full: hold the next one back
+		}
+	}()
+	defer pr.Close() // fails the writer's pending Write, likewise
+
+	src, err := open(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range records {
+		got := make(chan error, 1) // one send, never blocks the reader goroutine
+		go func() {
+			var p packet.Packet
+			got <- src.Next(&p)
+		}()
+		select {
+		case err := <-got:
+			if err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("record %d not delivered once its last byte was written: the reader waits for bytes beyond it", i)
+		}
+		step <- struct{}{}
+	}
+	var p packet.Packet
+	if err := src.Next(&p); !errors.Is(err, io.EOF) {
+		t.Errorf("after the writer closed: %v, want io.EOF", err)
+	}
+}
+
+// splitRecords cuts an encoded stream into its header and one byte slice
+// per record, by encoding growing prefixes of pkts.
+func splitRecords(t *testing.T, pkts []packet.Packet, encode func(testing.TB, []packet.Packet) []byte) (header []byte, records [][]byte) {
+	t.Helper()
+	header = encode(t, nil)
+	prev := len(header)
+	for i := range pkts {
+		enc := encode(t, pkts[:i+1])
+		records = append(records, enc[prev:])
+		prev = len(enc)
+	}
+	return header, records
+}
+
+func TestPcapSourceStreamsFromPipe(t *testing.T) {
+	header, records := splitRecords(t, testPackets(t)[:5], encodePcap)
+	streamsFromPipe(t, header, records, func(r io.Reader) (PacketSource, error) { return NewPcapSource(r) })
+}
+
+func TestTraceSourceStreamsFromPipe(t *testing.T) {
+	header, records := splitRecords(t, testPackets(t)[:5], encodeNative)
+	streamsFromPipe(t, header, records, func(r io.Reader) (PacketSource, error) { return NewTraceSource(r) })
+}
+
+// TestSourceNextAllocFree: decoding in place means a packet costs no
+// allocation on either trace source in steady state.
+func TestSourceNextAllocFree(t *testing.T) {
+	pkts := testPackets(t)
+	const runs = 100 // AllocsPerRun makes runs+1 calls
+	if len(pkts) <= runs+1 {
+		t.Fatalf("trace too short: %d packets", len(pkts))
+	}
+	for name, src := range bothSources(t, pkts) {
+		var p packet.Packet
+		if err := src.Next(&p); err != nil { // first call fills the block
+			t.Fatalf("%s: %v", name, err)
+		}
+		allocs := testing.AllocsPerRun(runs, func() {
+			if err := src.Next(&p); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per packet, want 0", name, allocs)
+		}
+	}
+}
+
+// TestPcapSourceRejectsLinkType: a capture that is not Ethernet would be
+// parsed at the wrong offsets — every frame skipped or mis-keyed, an empty
+// or wrong report with exit 0 — so it is refused at open.
+func TestPcapSourceRejectsLinkType(t *testing.T) {
+	hdr := encodePcap(t, nil) // the 24-byte global header, Ethernet
+	for _, tc := range []struct {
+		name     string
+		linkType uint32
+	}{{"raw IP", 101}, {"linux cooked", 113}, {"null", 0}} {
+		raw := append([]byte(nil), hdr...)
+		binary.LittleEndian.PutUint32(raw[20:], tc.linkType)
+		_, err := NewPcapSource(bytes.NewReader(raw))
+		if !errors.Is(err, ErrUnsupportedLinkType) {
+			t.Errorf("%s: %v, want ErrUnsupportedLinkType", tc.name, err)
+		} else if want := fmt.Sprintf("link type %d", tc.linkType); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, want)
+		}
+		// Through Open, which must not leak the file either way.
+		path := filepath.Join(t.TempDir(), "cooked.pcap")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path, true); !errors.Is(err, ErrUnsupportedLinkType) {
+			t.Errorf("%s: Open = %v, want ErrUnsupportedLinkType", tc.name, err)
+		}
+	}
+	if _, err := NewPcapSource(bytes.NewReader(hdr)); err != nil {
+		t.Errorf("Ethernet capture refused: %v", err)
+	}
+}
+
+var sinkPacket packet.Packet
+
+// BenchmarkSourceDecode measures one packet through source.Open on a real
+// file, so the read syscalls are in the number: ns/pkt is the cost the
+// source layer charges every packet before the sampling decision.
+func BenchmarkSourceDecode(b *testing.B) {
+	pkts := genPackets(b, 20, 150) // ~28k packets: 0.5 MB native, 14 MB pcap
+	for _, format := range []struct {
+		name   string
+		isPcap bool
+		encode func(testing.TB, []packet.Packet) []byte
+	}{{"native", false, encodeNative}, {"pcap", true, encodePcap}} {
+		b.Run(format.name, func(b *testing.B) {
+			data := format.encode(b, pkts)
+			path := filepath.Join(b.TempDir(), "trace")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src, err := Open(path, format.isPcap)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for {
+					err := src.Next(&sinkPacket)
+					if errors.Is(err, io.EOF) {
+						break
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					n++
+				}
+				if n != len(pkts) {
+					b.Fatalf("decoded %d packets, want %d", n, len(pkts))
+				}
+				src.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
+		})
+	}
+}

@@ -6,6 +6,18 @@
 // this path, so a trace replayed through the daemon is byte-for-byte the
 // stream the batch tool would have measured.
 //
+// The two trace sources read through block-buffered readers
+// (internal/packet: 64 KiB, internal/pcap: 256 KiB) that decode records in
+// place, so Next costs no allocation and no system call per packet. The
+// buffering is invisible through PacketSource: Next copies what it keeps
+// out of the block (a pcap frame's bytes are parsed to a flow key before
+// the following read overwrites them), Next after Close fails with
+// ErrClosedSource even though decoded-ahead records remain buffered, and a
+// stream that arrives slowly (a pipe, a socket) yields each packet once its
+// last byte is in — the readers never wait to fill a block. A pcap capture
+// must have the Ethernet link type, the only framing internal/layers
+// parses; anything else is refused at open with ErrUnsupportedLinkType.
+//
 // Replay decorators compose over any source: Pace throttles a trace to
 // line rate (or a speed multiple of it) using the packet timestamps, and
 // Loop replays a reopenable trace indefinitely with monotonically shifted
@@ -46,11 +58,22 @@ type PacketSource interface {
 // from trace corruption.
 var ErrClosedSource = errors.New("source: closed")
 
+// Built once so the annotated Next methods stay free of fmt.
+var (
+	errTraceClosed = fmt.Errorf("source: trace read after close: %w", ErrClosedSource)
+	errPcapClosed  = fmt.Errorf("source: pcap read after close: %w", ErrClosedSource)
+)
+
 // ErrLiveUnsupported is wrapped by NewLive when live capture is not
 // available: always in the default hermetic build (no "live" build tag,
 // so CI opens no sockets and needs no capture privileges) and on
 // non-linux platforms (the implementation is AF_PACKET).
 var ErrLiveUnsupported = errors.New("source: live capture unavailable")
+
+// ErrUnsupportedLinkType is wrapped by NewPcapSource (and so by Open) for a
+// capture whose link type is not Ethernet: its frames would be parsed at
+// the wrong offsets, so the capture is refused rather than mis-keyed.
+var ErrUnsupportedLinkType = errors.New("source: unsupported pcap link type (only Ethernet is decoded)")
 
 // TraceSource replays a native flowrank packet trace (packet.Reader
 // format) from an io.Reader.
@@ -75,9 +98,11 @@ func NewTraceSource(r io.Reader) (*TraceSource, error) {
 }
 
 // Next fills p with the next trace record.
+//
+//flowrank:hotpath
 func (s *TraceSource) Next(p *packet.Packet) error {
 	if s.closed.Load() {
-		return fmt.Errorf("source: trace read after close: %w", ErrClosedSource)
+		return errTraceClosed
 	}
 	pk, err := s.r.Next()
 	if err != nil {
@@ -110,11 +135,16 @@ type PcapSource struct {
 }
 
 // NewPcapSource validates the pcap global header and returns a source
-// over r. If r is an io.Closer (an *os.File), Close closes it.
+// over r. Only Ethernet captures are accepted; any other link type fails
+// with ErrUnsupportedLinkType. If r is an io.Closer (an *os.File), Close
+// closes it.
 func NewPcapSource(r io.Reader) (*PcapSource, error) {
 	pr, err := pcap.NewReader(r)
 	if err != nil {
 		return nil, err
+	}
+	if lt := pr.Header().LinkType; lt != pcap.LinkTypeEthernet {
+		return nil, fmt.Errorf("source: pcap link type %d: %w", lt, ErrUnsupportedLinkType)
 	}
 	s := &PcapSource{r: pr}
 	if c, ok := r.(io.Closer); ok {
@@ -124,9 +154,11 @@ func NewPcapSource(r io.Reader) (*PcapSource, error) {
 }
 
 // Next fills p with the next decodable frame.
+//
+//flowrank:hotpath
 func (s *PcapSource) Next(p *packet.Packet) error {
 	if s.closed.Load() {
-		return fmt.Errorf("source: pcap read after close: %w", ErrClosedSource)
+		return errPcapClosed
 	}
 	for {
 		pk, err := s.r.Next()

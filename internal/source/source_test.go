@@ -15,10 +15,17 @@ import (
 )
 
 // testPackets expands a small seeded Sprint-like trace to packets.
-func testPackets(t *testing.T) []packet.Packet {
+func testPackets(t testing.TB) []packet.Packet {
 	t.Helper()
-	cfg := tracegen.SprintFiveTuple(6, 5)
-	cfg.ArrivalRate = 40
+	return genPackets(t, 6, 40)
+}
+
+// genPackets expands a seeded Sprint-like trace of the given duration and
+// flow arrival rate to packets.
+func genPackets(t testing.TB, seconds, arrivalRate float64) []packet.Packet {
+	t.Helper()
+	cfg := tracegen.SprintFiveTuple(seconds, 5)
+	cfg.ArrivalRate = arrivalRate
 	records, err := tracegen.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +44,7 @@ func testPackets(t *testing.T) []packet.Packet {
 }
 
 // encodeNative writes packets in the native trace format.
-func encodeNative(t *testing.T, pkts []packet.Packet) []byte {
+func encodeNative(t testing.TB, pkts []packet.Packet) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := packet.NewWriter(&buf)
@@ -56,7 +63,7 @@ func encodeNative(t *testing.T, pkts []packet.Packet) []byte {
 }
 
 // encodePcap writes packets as framed Ethernet/IPv4 pcap records.
-func encodePcap(t *testing.T, pkts []packet.Packet) []byte {
+func encodePcap(t testing.TB, pkts []packet.Packet) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := pcap.NewWriter(&buf, 0)
