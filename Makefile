@@ -58,11 +58,15 @@ bench:
 # BenchmarkSourceDecode reads a trace file through source.Open in both
 # formats and reports ns/pkt and allocs: what the source layer charges
 # every packet before the sampling decision, read syscalls included.
+# BenchmarkIngestFlatBatch (matched by 'Ingest') sets the engine's batched
+# exact-table ingest against the per-packet one on a million-flow table
+# (ns/pkt); BenchmarkBinClose is the bin boundary alone on a 280k-flow
+# exact bin (ns/flow).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Misrank|ModelRanking|StreamPackets|StreamEngine|NetworkCoord|NetworkDynamic|ExtensionSketch' -benchtime 1x
 	$(GO) test -run '^$$' -bench '^BenchmarkRequiredRate$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'Ingest' -benchtime 1x ./internal/flowtable
-	$(GO) test -run '^$$' -bench '^BenchmarkEngine$$' -benchtime 1x ./internal/stream
+	$(GO) test -run '^$$' -bench '^Benchmark(Engine|BinClose)$$' -benchtime 1x ./internal/stream
 	$(GO) test -run '^$$' -bench '^BenchmarkSourceDecode$$' -benchtime 5x ./internal/source
 	$(GO) run ./cmd/flowrank-bench -fig kernels -json
 	$(GO) run ./cmd/flowrank-bench -fig coord -json

@@ -273,11 +273,14 @@ func NewSampleAndHold(p float64, agg Aggregator, seed uint64) Sampler {
 }
 
 // FlowTable is exact per-bin flow accounting; BoundedFlowTable the
-// limited-memory variant with bottom eviction.
+// limited-memory variant with bottom eviction. FlowObservation is one
+// packet as FlowSummary.AddBatch takes it: the aggregated key, its
+// FastHash, the timestamp and the size.
 type (
 	FlowTable        = flowtable.Table
 	BoundedFlowTable = flowtable.Bounded
 	FlowEntry        = flowtable.Entry
+	FlowObservation  = flowtable.Observation
 )
 
 // NewFlowTable returns an empty exact table under agg.
@@ -290,9 +293,11 @@ func NewBoundedFlowTable(agg Aggregator, capacity int) *BoundedFlowTable {
 
 // FlowSummary is the common surface of every per-bin flow-accounting
 // implementation: the exact tables (map and open-addressing flat) and
-// the bounded sketches (Space-Saving, Count-Min + heap). ErrorBound
-// reports the summary's worst-case per-flow packet overcount (0 for the
-// exact tables).
+// the bounded sketches (Space-Saving, Count-Min + heap). AddAggregated
+// accounts one packet, AddBatch a batch of FlowObservation (what the
+// stream engine calls); AppendAll lists the flows unranked, AppendEntries
+// ranked. ErrorBound reports the summary's worst-case per-flow packet
+// overcount (0 for the exact tables).
 type FlowSummary = flowtable.Summary
 
 // TableSpec selects a flow-accounting implementation for the streaming
@@ -342,9 +347,10 @@ func NewCountMinTable(agg Aggregator, k int) *CountMinTable {
 // sampler, bin width, top-list length, worker count.
 type StreamConfig = stream.Config
 
-// StreamBin is the merged measurement of one non-empty bin: the full
-// original ranking, the exact sampled top list, and the paper's
-// swapped-pair metrics.
+// StreamBin is the merged measurement of one non-empty bin: every
+// original flow with the top list ranked first (Orig[:TopT] is in ranking
+// order, the flows after it are not sorted — SortEntries ranks them), the
+// exact sampled top list, and the paper's swapped-pair metrics.
 type StreamBin = stream.BinResult
 
 // StreamEngine is a running streaming monitor; Feed it packets in trace
@@ -502,9 +508,11 @@ func ValidateBinJournal(r io.Reader) (bins int, err error) { return pipeline.Val
 // counts for one bin.
 type PairCounts = metrics.PairCounts
 
-// CountSwapped computes both metrics: orig is every flow of the bin sorted
-// by descending packets (see SortEntries), sampled maps keys to sampled
-// counts, t is the top-list length.
+// CountSwapped computes both metrics: orig is every flow of the bin with
+// its t highest-ranked flows first, in ranking order — the flows after
+// them may come in any order, so StreamBin.Orig qualifies as delivered and
+// so does a fully sorted list (SortEntries) — sampled maps keys to
+// sampled counts, t is the top-list length.
 func CountSwapped(orig []FlowEntry, sampled map[Key]int64, t int) PairCounts {
 	return metrics.CountSwapped(orig, sampled, t)
 }

@@ -114,8 +114,9 @@ func TestBoundedTablesFacade(t *testing.T) {
 	key := Key{Src: Addr{1, 2, 3, 4}, Proto: ProtoTCP}
 	for i, s := range sums {
 		s.AddAggregated(key, 1.5, 100)
-		if s.TotalPackets() != 1 || s.Len() != 1 {
-			t.Errorf("summary %d: totals %d/%d", i, s.TotalPackets(), s.Len())
+		s.AddBatch([]FlowObservation{{Key: key, Hash: key.FastHash(), Time: 2, Size: 60}})
+		if s.TotalPackets() != 2 || s.TotalBytes() != 160 || s.Len() != 1 {
+			t.Errorf("summary %d: totals %d/%d/%d", i, s.TotalPackets(), s.TotalBytes(), s.Len())
 		}
 		top := s.AppendTop(nil, 1)
 		if len(top) != 1 || top[0].Key != key {

@@ -43,7 +43,7 @@ func (h boundedHeap) Less(i, j int) bool {
 	if h[i].packets != h[j].packets {
 		return h[i].packets < h[j].packets
 	}
-	return keyLess(h[i].key, h[j].key)
+	return compareKeys(h[i].key, h[j].key) < 0
 }
 func (h boundedHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *boundedHeap) Push(x interface{}) { *h = append(*h, x.(boundedSnapshot)) }

@@ -2,7 +2,6 @@ package flowtable
 
 import (
 	"math/bits"
-	"sort"
 
 	"flowrank/internal/flow"
 	"flowrank/internal/packet"
@@ -225,27 +224,22 @@ func (c *CountMin) Lookup(key flow.Key) (Entry, bool) {
 	return c.entries[id], true
 }
 
-// AppendEntries appends the tracked flows to dst in the canonical
-// ranking order (by estimate) and returns it.
-func (c *CountMin) AppendEntries(dst []Entry) []Entry {
-	base := len(dst)
-	dst = append(dst, c.entries...)
-	tail := dst[base:]
-	sort.Slice(tail, func(i, j int) bool { return Less(tail[i], tail[j]) })
-	return dst
+// AddBatch accounts the observations in order.
+func (c *CountMin) AddBatch(batch []Observation) {
+	for i := range batch {
+		c.AddAggregated(batch[i].Key, batch[i].Time, batch[i].Size)
+	}
 }
 
+// AppendAll appends the tracked flows to dst in slot order.
+func (c *CountMin) AppendAll(dst []Entry) []Entry { return append(dst, c.entries...) }
+
+// AppendEntries appends the tracked flows to dst in the canonical
+// ranking order (by estimate) and returns it.
+func (c *CountMin) AppendEntries(dst []Entry) []Entry { return appendSorted(c, dst) }
+
 // AppendTop appends the k highest-estimated flows in ranking order.
-func (c *CountMin) AppendTop(dst []Entry, k int) []Entry {
-	if k <= 0 {
-		return dst
-	}
-	h := make(entryMinHeap, 0, k+1)
-	for i := range c.entries {
-		h.offer(c.entries[i], k)
-	}
-	return h.drainInto(dst)
-}
+func (c *CountMin) AppendTop(dst []Entry, k int) []Entry { return appendTop(c, dst, k) }
 
 // AppendCounts adds every tracked flow's estimated packet count to dst.
 func (c *CountMin) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {

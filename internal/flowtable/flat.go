@@ -1,8 +1,9 @@
 package flowtable
 
 import (
+	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"flowrank/internal/flow"
@@ -41,6 +42,8 @@ type Flat struct {
 	n       int
 	packets int64
 	bytesT  int64
+	// touched absorbs AddBatch's early loads so the compiler keeps them.
+	touched uint64
 }
 
 // flatMinSlots is the smallest slot-array size; large enough that tiny
@@ -72,11 +75,23 @@ func slotsFor(hint int) int {
 
 // flatTag condenses a probe hash to the slot-occupancy byte; 0 is
 // reserved for empty slots, so the low bit is forced on (the probe
-// position uses the hash's low bits, the tag its high bits — setting a
-// high-byte bit costs half the tag alphabet, not probe quality).
+// position uses the hash's middle bits, the tag its high bits — setting
+// a high-byte bit costs half the tag alphabet, not probe quality).
 func flatTag(h uint64) uint8 {
 	return uint8(h>>56) | 1
 }
+
+// flatHomeShift drops the hash's low bits from the probe position. The
+// stream engine picks a key's shard with FastHash() % Workers, so every
+// key of one shard's table agrees on the low bits of its hash; probing
+// from them would leave only every Workers-th slot a home slot and
+// lengthen every chain. Bits 16 and up are untouched by any plausible
+// worker count and stay clear of the tag's byte for tables up to 2^40
+// slots.
+const flatHomeShift = 16
+
+// flatHome returns the slot a probe for hash h starts at.
+func flatHome(h, mask uint64) uint64 { return h >> flatHomeShift & mask }
 
 // Add accounts one packet.
 //
@@ -90,7 +105,14 @@ func (f *Flat) Add(p packet.Packet) {
 //
 //flowrank:hotpath
 func (f *Flat) AddAggregated(key flow.Key, time float64, size int64) {
-	e, isNew := f.findOrClaim(key)
+	f.add(key, key.FastHash(), time, size)
+}
+
+// add accounts one packet of the flow key, whose FastHash is hash.
+//
+//flowrank:hotpath
+func (f *Flat) add(key flow.Key, hash uint64, time float64, size int64) {
+	e, isNew := f.findOrClaim(key, hash)
 	if isNew {
 		*e = Entry{Key: key, First: time}
 	}
@@ -101,6 +123,40 @@ func (f *Flat) AddAggregated(key flow.Key, time float64, size int64) {
 	f.bytesT += size
 }
 
+// flatBatchGroup is how many observations AddBatch looks ahead: enough
+// independent loads to fill a core's miss queue, few enough that the
+// lines are still in L1 when the update reaches them.
+const flatBatchGroup = 16
+
+// AddBatch accounts the observations in order, exactly as one
+// AddAggregated per observation would. On a table beyond the cache an
+// AddAggregated stalls on its slot's entry line before the next packet's
+// address is even computed, so the misses run one after another. Here
+// each group of flatBatchGroup observations first loads its home tags and
+// entry lines — Go has no prefetch intrinsic; ordinary loads whose sum
+// lands in a field do, since none depends on another — and only then
+// probes and updates, by which time the lines have arrived together.
+//
+//flowrank:hotpath
+func (f *Flat) AddBatch(batch []Observation) {
+	for len(batch) > 0 {
+		g := batch[:min(flatBatchGroup, len(batch))]
+		batch = batch[len(g):]
+		mask := uint64(len(f.tags) - 1)
+		var touched uint64
+		for i := range g {
+			j := flatHome(g[i].Hash, mask)
+			e := &f.entries[j]
+			// First and last byte: an entry can straddle two cache lines.
+			touched += uint64(f.tags[j]) + uint64(e.Key.Src[0]) + math.Float64bits(e.Last)
+		}
+		f.touched += touched
+		for i := range g {
+			f.add(g[i].Key, g[i].Hash, g[i].Time, g[i].Size)
+		}
+	}
+}
+
 // AddCount accounts an aggregate observation of pkts packets and
 // byteCount bytes for the (already aggregated) key.
 //
@@ -109,7 +165,7 @@ func (f *Flat) AddCount(key flow.Key, pkts, byteCount int64) {
 	if pkts <= 0 {
 		return
 	}
-	e, isNew := f.findOrClaim(key)
+	e, isNew := f.findOrClaim(key, key.FastHash())
 	if isNew {
 		*e = Entry{Key: key}
 	}
@@ -119,16 +175,15 @@ func (f *Flat) AddCount(key flow.Key, pkts, byteCount int64) {
 	f.bytesT += byteCount
 }
 
-// findOrClaim probes for key, claiming (and marking) a fresh slot when
-// absent. The returned entry is stale garbage when isNew — the caller
-// overwrites it.
+// findOrClaim probes for key, whose FastHash is h, claiming (and marking)
+// a fresh slot when absent. The returned entry is stale garbage when
+// isNew — the caller overwrites it.
 //
 //flowrank:hotpath
-func (f *Flat) findOrClaim(key flow.Key) (e *Entry, isNew bool) {
-	h := key.FastHash()
+func (f *Flat) findOrClaim(key flow.Key, h uint64) (e *Entry, isNew bool) {
 	tag := flatTag(h)
 	mask := uint64(len(f.tags) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
+	for i := flatHome(h, mask); ; i = (i + 1) & mask {
 		switch f.tags[i] {
 		case tag:
 			if f.entries[i].Key == key {
@@ -137,7 +192,7 @@ func (f *Flat) findOrClaim(key flow.Key) (e *Entry, isNew bool) {
 		case 0:
 			if 4*(f.n+1) > 3*len(f.tags) {
 				f.grow(2 * len(f.tags))
-				return f.findOrClaim(key)
+				return f.findOrClaim(key, h)
 			}
 			f.tags[i] = tag
 			f.n++
@@ -157,8 +212,7 @@ func (f *Flat) grow(size int) {
 		if t == 0 {
 			continue
 		}
-		h := oldEntries[j].Key.FastHash()
-		i := h & mask
+		i := flatHome(oldEntries[j].Key.FastHash(), mask)
 		for f.tags[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -185,7 +239,7 @@ func (f *Flat) Lookup(key flow.Key) (Entry, bool) {
 	h := key.FastHash()
 	tag := flatTag(h)
 	mask := uint64(len(f.tags) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
+	for i := flatHome(h, mask); ; i = (i + 1) & mask {
 		switch f.tags[i] {
 		case tag:
 			if f.entries[i].Key == key {
@@ -234,22 +288,23 @@ func (f *Flat) Release() {
 
 // Entries returns all flows sorted by the canonical ranking order.
 func (f *Flat) Entries() []Entry {
-	return f.AppendEntries(make([]Entry, 0, f.n))
+	return f.AppendEntries(nil)
 }
 
-// AppendEntries appends all flows to dst in the canonical ranking order
-// and returns it. Only the appended region is sorted.
-func (f *Flat) AppendEntries(dst []Entry) []Entry {
-	base := len(dst)
+// AppendAll appends all flows to dst in slot order and returns it.
+func (f *Flat) AppendAll(dst []Entry) []Entry {
+	dst = slices.Grow(dst, f.n)
 	for i, t := range f.tags {
 		if t != 0 {
 			dst = append(dst, f.entries[i])
 		}
 	}
-	tail := dst[base:]
-	sort.Slice(tail, func(i, j int) bool { return Less(tail[i], tail[j]) })
 	return dst
 }
+
+// AppendEntries appends all flows to dst in the canonical ranking order
+// and returns it. Only the appended region is sorted.
+func (f *Flat) AppendEntries(dst []Entry) []Entry { return appendSorted(f, dst) }
 
 // Top returns the k largest flows in ranking order.
 func (f *Flat) Top(k int) []Entry {
@@ -257,19 +312,8 @@ func (f *Flat) Top(k int) []Entry {
 }
 
 // AppendTop appends the k largest flows in ranking order to dst and
-// returns it: a size-k min-heap pass over the slots, O(n log k).
-func (f *Flat) AppendTop(dst []Entry, k int) []Entry {
-	if k <= 0 {
-		return dst
-	}
-	h := make(entryMinHeap, 0, k+1)
-	for i, t := range f.tags {
-		if t != 0 {
-			h.offer(f.entries[i], k)
-		}
-	}
-	return h.drainInto(dst)
-}
+// returns it.
+func (f *Flat) AppendTop(dst []Entry, k int) []Entry { return appendTop(f, dst, k) }
 
 // --- slab pool ------------------------------------------------------------
 

@@ -107,16 +107,17 @@ func TestFlatZeroKey(t *testing.T) {
 }
 
 // TestFlatShardedMergeInto is the engine's merge contract on flat
-// tables: hash-sharded flats merged with MergeEntriesInto/MergeTopInto
-// (into recycled non-empty buffers) reproduce the whole table exactly.
+// tables: hash-sharded flats concatenated into a recycled, non-empty
+// buffer and top-selected reproduce the whole table exactly.
 func TestFlatShardedMergeInto(t *testing.T) {
 	const workers = 4
 	whole := NewFlat(flow.FiveTuple{}, 0)
 	defer whole.Release()
-	shards := make([]*Flat, workers)
+	shards := make([]Summary, workers)
 	for i := range shards {
-		shards[i] = NewFlat(flow.FiveTuple{}, 0)
-		defer shards[i].Release()
+		f := NewFlat(flow.FiveTuple{}, 0)
+		defer f.Release()
+		shards[i] = f
 	}
 	g := randx.New(77)
 	for i := 0; i < 3000; i++ {
@@ -124,34 +125,63 @@ func TestFlatShardedMergeInto(t *testing.T) {
 		whole.AddCount(k, int64(1+g.IntN(9)), 500)
 	}
 	for _, e := range whole.Entries() {
-		shards[e.Key.FastHash()%workers].AddCount(e.Key, e.Packets, e.Bytes)
+		shards[e.Key.FastHash()%workers].(*Flat).AddCount(e.Key, e.Packets, e.Bytes)
 	}
-	lists := make([][]Entry, workers)
-	tops := make([][]Entry, workers)
-	for i, s := range shards {
-		lists[i] = s.AppendEntries(nil)
-		tops[i] = s.AppendTop(nil, 10)
-	}
-	// Recycled destination buffers start non-empty; the merge must
-	// truncate-and-fill, not append after stale entries.
+	// A recycled destination buffer starts with stale content behind its
+	// zero length; the merge must fill over it.
 	dst := make([]Entry, 0, whole.Len())
 	dst = append(dst, Entry{Packets: 999})[:0]
-	want := whole.Entries()
-	got := MergeEntriesInto(dst, lists...)
-	if len(got) != len(want) {
-		t.Fatalf("merged %d entries, want %d", len(got), len(want))
+	all, top := mergeShards(shards, dst, 10)
+	if &all[0] != &dst[:1][0] {
+		t.Fatal("merge left the pre-sized buffer")
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d: %+v, want %+v", i, got[i], want[i])
+	checkShardMerge(t, all, top, whole.Entries(), whole.Top(10))
+}
+
+// meanDisplacement is how far, on average, a flow sits from the slot its
+// probe starts at — the length of the chain an ingest walks.
+func meanDisplacement(f *Flat) float64 {
+	mask := uint64(len(f.tags) - 1)
+	var sum uint64
+	for i, tag := range f.tags {
+		if tag != 0 {
+			sum += (uint64(i) - flatHome(f.entries[i].Key.FastHash(), mask)) & mask
 		}
 	}
-	wantTop := whole.Top(10)
-	gotTop := MergeTopInto(dst[:0], 10, tops...)
-	for i := range wantTop {
-		if gotTop[i] != wantTop[i] {
-			t.Fatalf("top %d: %+v, want %+v", i, gotTop[i], wantTop[i])
+	return float64(sum) / float64(f.n)
+}
+
+// TestFlatProbeIgnoresShardBits: the engine gives shard s of W the keys
+// with FastHash() % W == s, so all keys of one table agree on low hash
+// bits. The probe position must not come from those bits — with 8 shards
+// only every 8th slot would be a home slot and chains grow ~3x (mean
+// displacement 1.09 unfiltered, 3.01 filtered, at this load before the
+// fix). A shard's table must probe like an unsharded one.
+func TestFlatProbeIgnoresShardBits(t *testing.T) {
+	const flows = 90000 // 131072 slots: load 0.69
+	displacement := func(keep func(uint64) bool) float64 {
+		f := NewFlat(flow.FiveTuple{}, flows)
+		defer f.Release()
+		for id := uint32(0); f.Len() < flows; id++ {
+			key := flow.Key{
+				Src: flow.Addr{byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)},
+				Dst: flow.Addr{10, 0, 0, 1}, SrcPort: 443, Proto: flow.ProtoTCP,
+			}
+			if keep(key.FastHash()) {
+				f.AddAggregated(key, 1, 100)
+			}
 		}
+		if len(f.tags) != 1<<17 {
+			t.Fatalf("table has %d slots, want 131072 (the load is the premise)", len(f.tags))
+		}
+		return meanDisplacement(f)
+	}
+	whole := displacement(func(uint64) bool { return true })
+	shard := displacement(func(h uint64) bool { return h%8 == 0 })
+	t.Logf("mean displacement: unsharded %.3f, shard 0 of 8 %.3f", whole, shard)
+	if shard > 1.2*whole {
+		t.Fatalf("a shard's table probes %.2fx further than an unsharded one (%.3f vs %.3f): the probe position shares bits with the shard choice",
+			shard/whole, shard, whole)
 	}
 }
 
@@ -369,7 +399,9 @@ func TestHotPathAllocFree(t *testing.T) {
 // hash-0 remapping, growth mid-stream, bin resets — against the map
 // reference. The byte stream is an op tape: every 4 bytes select an
 // operation and a key from a deliberately tiny space so collisions and
-// revisits dominate.
+// revisits dominate. Half of the packet adds reach the flat table through
+// AddBatch: runs of them queue up and are ingested as one batch before
+// the next operation of any other kind.
 func FuzzFlatProbe(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -379,10 +411,20 @@ func FuzzFlatProbe(f *testing.F) {
 		tape = append(tape, byte(i), byte(i>>3), byte(i*7), byte(i%5))
 	}
 	f.Add(tape)
+	tape = tape[:0]
+	for i := 0; i < 200; i++ { // one long batch: whole groups, growth inside a group
+		tape = append(tape, 2, byte(i), byte(i>>4), byte(i%3))
+	}
+	f.Add(tape)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref := New(flow.FiveTuple{})
 		flat := NewFlat(flow.FiveTuple{}, 0)
 		defer flat.Release()
+		var queued []Observation
+		ingestQueued := func() {
+			flat.AddBatch(queued)
+			queued = queued[:0]
+		}
 		for len(data) >= 4 {
 			op, a, b, c := data[0], data[1], data[2], data[3]
 			data = data[4:]
@@ -393,11 +435,17 @@ func FuzzFlatProbe(f *testing.F) {
 			if a&16 != 0 { // sometimes the zero key: exercises hash-0 remap
 				key = flow.Key{}
 			}
+			if op%8 != 2 && op%8 != 3 {
+				ingestQueued()
+			}
 			switch op % 8 {
-			case 0, 1, 2, 3:
+			case 0, 1:
 				p := packet.Packet{Key: key, Time: float64(b), Size: int(c) + 1}
 				ref.Add(p)
 				flat.Add(p)
+			case 2, 3:
+				ref.AddAggregated(key, float64(b), int64(c)+1)
+				queued = append(queued, Observation{Key: key, Hash: key.FastHash(), Time: float64(b), Size: int64(c) + 1})
 			case 4, 5:
 				ref.AddCount(key, int64(c), int64(c)*10)
 				flat.AddCount(key, int64(c), int64(c)*10)
@@ -412,6 +460,7 @@ func FuzzFlatProbe(f *testing.F) {
 				flat.Reset()
 			}
 		}
+		ingestQueued()
 		if flat.Len() != ref.Len() || flat.TotalPackets() != ref.TotalPackets() ||
 			flat.TotalBytes() != ref.TotalBytes() {
 			t.Fatalf("totals: flat %d/%d/%d, ref %d/%d/%d",
@@ -536,4 +585,48 @@ func BenchmarkIngestMillionFlat(b *testing.B) {
 	tab := NewFlat(flow.FiveTuple{}, 1<<20)
 	defer tab.Release()
 	benchMillion(b, tab)
+}
+
+// BenchmarkIngestFlatBatch is the engine's ingest against the per-packet
+// one on the same million-flow table (~100 MB of slots, far beyond L2):
+// each op accounts a million packets of the heavy-tailed stream, either
+// one AddAggregated at a time — one serialized memory miss per packet —
+// or as the engine does, hashing each key once into a batch of 512 and
+// handing it to AddBatch, which overlaps the misses of 16 packets.
+func BenchmarkIngestFlatBatch(b *testing.B) {
+	keys := millionKeys()
+	const perOp = 1 << 20
+	run := func(b *testing.B, ingest func(tab *Flat, keys []flow.Key)) {
+		tab := NewFlat(flow.FiveTuple{}, 1<<20)
+		defer tab.Release()
+		ingest(tab, keys) // build the table to its bin-peak size
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			off := i * perOp & (len(keys) - 1)
+			ingest(tab, keys[off:off+perOp])
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/perOp, "ns/pkt")
+	}
+	b.Run("AddAggregated", func(b *testing.B) {
+		run(b, func(tab *Flat, keys []flow.Key) {
+			for _, k := range keys {
+				tab.AddAggregated(k, 1, 100)
+			}
+		})
+	})
+	b.Run("AddBatch", func(b *testing.B) {
+		batch := make([]Observation, 0, 512)
+		run(b, func(tab *Flat, keys []flow.Key) {
+			for _, k := range keys {
+				batch = append(batch, Observation{Key: k, Hash: k.FastHash(), Time: 1, Size: 100})
+				if len(batch) == cap(batch) {
+					tab.AddBatch(batch)
+					batch = batch[:0]
+				}
+			}
+			tab.AddBatch(batch)
+			batch = batch[:0]
+		})
+	})
 }

@@ -10,8 +10,8 @@ package flowtable
 
 import (
 	"bytes"
-	"container/heap"
-	"sort"
+	"cmp"
+	"slices"
 
 	"flowrank/internal/flow"
 	"flowrank/internal/packet"
@@ -28,28 +28,95 @@ type Entry struct {
 }
 
 // Less orders entries by descending packet count with a deterministic
-// key-based tiebreak, the canonical ranking order of this module.
-func Less(a, b Entry) bool {
-	if a.Packets != b.Packets {
-		return a.Packets > b.Packets
+// key-based tiebreak, the canonical ranking order of this module. Keys are
+// unique within a table (and across the shards of one engine), so the
+// order is total.
+func Less(a, b Entry) bool { return compareEntries(a, b) < 0 }
+
+// compareEntries is the three-way form of Less.
+func compareEntries(a, b Entry) int {
+	if c := cmp.Compare(b.Packets, a.Packets); c != 0 {
+		return c
 	}
-	return keyLess(a.Key, b.Key)
+	return compareKeys(a.Key, b.Key)
 }
 
-func keyLess(a, b flow.Key) bool {
+func compareKeys(a, b flow.Key) int {
 	if c := bytes.Compare(a.Src[:], b.Src[:]); c != 0 {
-		return c < 0
+		return c
 	}
 	if c := bytes.Compare(a.Dst[:], b.Dst[:]); c != 0 {
-		return c < 0
+		return c
 	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
+	if c := cmp.Compare(a.SrcPort, b.SrcPort); c != 0 {
+		return c
 	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
+	if c := cmp.Compare(a.DstPort, b.DstPort); c != 0 {
+		return c
 	}
-	return a.Proto < b.Proto
+	return cmp.Compare(a.Proto, b.Proto)
+}
+
+// SortEntries sorts es into the canonical ranking order in place and
+// returns it: the one full sort of the module, behind every Entries and
+// AppendEntries.
+func SortEntries(es []Entry) []Entry {
+	slices.SortFunc(es, compareEntries)
+	return es
+}
+
+// SelectTop reorders es in place so that its first min(t, len(es)) entries
+// are the highest-ranked ones in canonical order, and returns that prefix;
+// the remaining entries follow in no particular order. It is what a bin
+// close needs instead of a full sort: a min-heap over es[:t] (the
+// lowest-ranked of the current best at the root) swaps in every later
+// entry that outranks the root, then unwinds into ranking order —
+// O(n log t), no allocation, any t including 0 and t >= len(es).
+//
+//flowrank:hotpath
+func SelectTop(es []Entry, t int) []Entry {
+	if t > len(es) {
+		t = len(es)
+	}
+	if t <= 0 {
+		return es[:0]
+	}
+	h := es[:t]
+	for i := t/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for i := t; i < len(es); i++ {
+		if Less(es[i], h[0]) {
+			es[i], h[0] = h[0], es[i]
+			siftDown(h, 0)
+		}
+	}
+	for n := t - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDown(h[:n], 0)
+	}
+	return h
+}
+
+// siftDown restores, below index i, the heap whose root is its
+// lowest-ranked entry: no parent outranks a child.
+//
+//flowrank:hotpath
+func siftDown(h []Entry, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && Less(h[c], h[r]) {
+			c = r
+		}
+		if !Less(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Table is an exact flow accounting table. The zero value is not usable;
@@ -142,107 +209,11 @@ func (t *Table) Reset() {
 
 // Entries returns all flows sorted by the canonical ranking order.
 func (t *Table) Entries() []Entry {
-	out := make([]Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool { return Less(out[i], out[j]) })
-	return out
+	return t.AppendEntries(nil)
 }
 
 // Top returns the k largest flows in ranking order without sorting the
 // whole table: a size-k min-heap pass, O(n log k).
 func (t *Table) Top(k int) []Entry {
 	return t.AppendTop(nil, k)
-}
-
-// MergeEntries k-way merges entry lists that are already in the canonical
-// ranking order (as produced by Entries or Top) into one sorted list.
-// Entries are not coalesced by key: the intended callers merge shard
-// tables, whose key spaces are disjoint by construction.
-func MergeEntries(lists ...[]Entry) []Entry {
-	return mergeSortedInto(nil, -1, lists)
-}
-
-// MergeTop merges canonically sorted per-shard top lists and returns the
-// global top-k. When every input holds its shard's exact top-k and the
-// shards partition the key space, the result is the exact global top-k:
-// any globally top-k flow is top-k within its own shard.
-func MergeTop(k int, lists ...[]Entry) []Entry {
-	if k <= 0 {
-		return nil
-	}
-	return mergeSortedInto(nil, k, lists)
-}
-
-// mergeSortedInto merges sorted lists into dst, stopping after limit
-// appended entries (limit < 0 means merge everything).
-func mergeSortedInto(dst []Entry, limit int, lists [][]Entry) []Entry {
-	h := make(mergeHeap, 0, len(lists))
-	total := 0
-	for _, l := range lists {
-		if len(l) > 0 {
-			h = append(h, mergeCursor{list: l})
-			total += len(l)
-		}
-	}
-	if limit >= 0 && total > limit {
-		total = limit
-	}
-	if len(h) == 1 {
-		return append(dst, h[0].list[:total]...)
-	}
-	heap.Init(&h)
-	out := dst
-	total += len(dst)
-	for len(h) > 0 && len(out) < total {
-		c := &h[0]
-		out = append(out, c.list[c.pos])
-		c.pos++
-		if c.pos == len(c.list) {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
-	}
-	return out
-}
-
-// mergeCursor walks one sorted list inside the k-way merge.
-type mergeCursor struct {
-	list []Entry
-	pos  int
-}
-
-// mergeHeap keeps the cursor with the highest-ranked pending entry at the
-// root.
-type mergeHeap []mergeCursor
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	return Less(h[i].list[h[i].pos], h[j].list[h[j].pos])
-}
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeCursor)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// entryMinHeap keeps the currently-lowest-ranked entry at the root.
-type entryMinHeap []Entry
-
-func (h entryMinHeap) Len() int            { return len(h) }
-func (h entryMinHeap) Less(i, j int) bool  { return Less(h[j], h[i]) }
-func (h entryMinHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *entryMinHeap) Push(x interface{}) { *h = append(*h, x.(Entry)) }
-func (h *entryMinHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -250,13 +251,42 @@ func TestAddAggregatedMatchesAdd(t *testing.T) {
 	}
 }
 
+// mergeShards closes a bin the way the stream engine does: concatenate
+// the shards' unsorted flow lists and rank only the top list to the front;
+// concatenate the shards' top lists and select again.
+func mergeShards(shards []Summary, dst []Entry, k int) (all, top []Entry) {
+	var tops []Entry
+	for _, s := range shards {
+		dst = s.AppendAll(dst)
+		tops = s.AppendTop(tops, k)
+	}
+	SelectTop(dst, k)
+	return dst, SelectTop(tops, k)
+}
+
+// checkShardMerge compares a shard merge with the whole table: the top
+// lists as delivered, the rest as a set.
+func checkShardMerge(t *testing.T, all, top, wantAll, wantTop []Entry) {
+	t.Helper()
+	if !slices.Equal(top, wantTop) {
+		t.Fatalf("merged top lists:\n got %+v\nwant %+v", top, wantTop)
+	}
+	if len(all) < len(wantTop) || !slices.Equal(all[:len(wantTop)], wantTop) {
+		t.Fatalf("merged flow list does not start with the top list %+v", wantTop)
+	}
+	if !slices.Equal(SortEntries(slices.Clone(all)), wantAll) {
+		t.Fatalf("merged flow list holds %d flows that are not the whole table's %d", len(all), len(wantAll))
+	}
+}
+
 // TestMergeShardedEntries is the engine's merge contract: shard a table by
-// key hash, then MergeEntries/MergeTop over per-shard sorted lists must
-// reproduce the whole table's Entries/Top exactly.
+// key hash, then concatenating the shards' flow lists and selecting the
+// top must reproduce the whole table's Entries (as a set) and Top (as
+// delivered) exactly.
 func TestMergeShardedEntries(t *testing.T) {
 	const workers = 4
 	whole := New(flow.FiveTuple{})
-	shards := make([]*Table, workers)
+	shards := make([]Summary, workers)
 	for i := range shards {
 		shards[i] = New(flow.FiveTuple{})
 	}
@@ -265,55 +295,43 @@ func TestMergeShardedEntries(t *testing.T) {
 		p := pkt(byte(g.IntN(120)), 40+g.IntN(1000), float64(i)*1e-3)
 		p.Key.SrcPort = uint16(g.IntN(200))
 		whole.Add(p)
-		shards[p.Key.FastHash()%workers].Add(p)
+		shards[p.Key.FastHash()%workers].AddAggregated(p.Key, p.Time, int64(p.Size))
 	}
-	lists := make([][]Entry, workers)
-	tops := make([][]Entry, workers)
-	for i, s := range shards {
-		lists[i] = s.Entries()
-		tops[i] = s.Top(10)
-	}
-	want := whole.Entries()
-	got := MergeEntries(lists...)
-	if len(got) != len(want) {
-		t.Fatalf("merged %d entries, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d: %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	wantTop := whole.Top(10)
-	gotTop := MergeTop(10, tops...)
-	if len(gotTop) != len(wantTop) {
-		t.Fatalf("merged top has %d entries, want %d", len(gotTop), len(wantTop))
-	}
-	for i := range wantTop {
-		if gotTop[i] != wantTop[i] {
-			t.Fatalf("top %d: %+v, want %+v", i, gotTop[i], wantTop[i])
-		}
-	}
+	all, top := mergeShards(shards, nil, 10)
+	checkShardMerge(t, all, top, whole.Entries(), whole.Top(10))
 }
 
-func TestMergeEntriesEdgeCases(t *testing.T) {
-	if got := MergeEntries(); got != nil && len(got) != 0 {
-		t.Fatalf("empty merge = %v", got)
+// TestSelectTop is SelectTop's contract against the full sort, on random
+// lists with heavy ties in the packet count: the returned prefix is the
+// sorted list's, the rest is the sorted rest as a multiset, nothing is
+// allocated — for every t from 0 past the length, the empty list included.
+func TestSelectTop(t *testing.T) {
+	g := randx.New(5)
+	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
+		es := make([]Entry, n)
+		for i := range es {
+			es[i] = Entry{Key: randKey(g, 200), Packets: int64(1 + g.IntN(8)), Bytes: int64(i)}
+			es[i].Key.DstPort = uint16(i) // unique keys, as in a table
+		}
+		want := SortEntries(slices.Clone(es))
+		for _, k := range []int{-1, 0, 1, 2, 10, n - 1, n, n + 5} {
+			got := slices.Clone(es)
+			top := SelectTop(got, k)
+			m := max(0, min(k, n))
+			if len(top) != m || !slices.Equal(top, want[:m]) || (m > 0 && &top[0] != &got[0]) {
+				t.Fatalf("n=%d t=%d: top list %+v, want %+v in place", n, k, top, want[:m])
+			}
+			if !slices.Equal(SortEntries(got[m:]), want[m:]) {
+				t.Fatalf("n=%d t=%d: the rest is not the sorted list's rest", n, k)
+			}
+		}
 	}
-	one := []Entry{{Packets: 3}, {Packets: 1}}
-	got := MergeEntries(nil, one, nil)
-	if len(got) != 2 || got[0].Packets != 3 {
-		t.Fatalf("single-list merge = %v", got)
+	es := make([]Entry, 4096)
+	for i := range es {
+		es[i] = Entry{Key: randKey(g, 200), Packets: int64(g.IntN(50))}
 	}
-	// The single-list fast path must copy, not alias.
-	got[0].Packets = 99
-	if one[0].Packets != 3 {
-		t.Fatal("merge aliased its input")
-	}
-	if got := MergeTop(0, one); got != nil {
-		t.Fatalf("MergeTop(0) = %v", got)
-	}
-	if got := MergeTop(1, one, []Entry{{Packets: 7}}); len(got) != 1 || got[0].Packets != 7 {
-		t.Fatalf("MergeTop(1) = %v", got)
+	if allocs := testing.AllocsPerRun(20, func() { SelectTop(es, 10) }); allocs != 0 {
+		t.Fatalf("SelectTop allocates %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -1,8 +1,6 @@
 package flowtable
 
 import (
-	"sort"
-
 	"flowrank/internal/flow"
 	"flowrank/internal/packet"
 )
@@ -192,27 +190,22 @@ func (s *SpaceSaving) Lookup(key flow.Key) (Entry, bool) {
 	return s.entries[id], true
 }
 
-// AppendEntries appends the tracked flows to dst in the canonical
-// ranking order (by estimated count) and returns it.
-func (s *SpaceSaving) AppendEntries(dst []Entry) []Entry {
-	base := len(dst)
-	dst = append(dst, s.entries...)
-	tail := dst[base:]
-	sort.Slice(tail, func(i, j int) bool { return Less(tail[i], tail[j]) })
-	return dst
+// AddBatch accounts the observations in order.
+func (s *SpaceSaving) AddBatch(batch []Observation) {
+	for i := range batch {
+		s.AddAggregated(batch[i].Key, batch[i].Time, batch[i].Size)
+	}
 }
 
+// AppendAll appends the tracked flows to dst in slot order.
+func (s *SpaceSaving) AppendAll(dst []Entry) []Entry { return append(dst, s.entries...) }
+
+// AppendEntries appends the tracked flows to dst in the canonical
+// ranking order (by estimated count) and returns it.
+func (s *SpaceSaving) AppendEntries(dst []Entry) []Entry { return appendSorted(s, dst) }
+
 // AppendTop appends the k highest-estimated flows in ranking order.
-func (s *SpaceSaving) AppendTop(dst []Entry, k int) []Entry {
-	if k <= 0 {
-		return dst
-	}
-	h := make(entryMinHeap, 0, k+1)
-	for i := range s.entries {
-		h.offer(s.entries[i], k)
-	}
-	return h.drainInto(dst)
-}
+func (s *SpaceSaving) AppendTop(dst []Entry, k int) []Entry { return appendTop(s, dst, k) }
 
 // AppendCounts adds every tracked flow's estimated packet count to dst.
 func (s *SpaceSaving) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {

@@ -1,9 +1,8 @@
 package flowtable
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 
 	"flowrank/internal/flow"
 )
@@ -28,11 +27,20 @@ import (
 type Summary interface {
 	// AddAggregated accounts one packet whose key is already aggregated.
 	AddAggregated(key flow.Key, time float64, size int64)
+	// AddBatch accounts the observations in order, exactly as one
+	// AddAggregated per observation would — the stream engine's ingest
+	// entry point. A table too large for the cache overlaps the batch's
+	// memory misses instead of taking them one packet at a time.
+	AddBatch(batch []Observation)
 	// Len returns the number of flows currently tracked.
 	Len() int
 	// TotalPackets and TotalBytes are exact totals over every Add.
 	TotalPackets() int64
 	TotalBytes() int64
+	// AppendAll appends all tracked flows to dst in no particular order
+	// and returns dst — what a bin close reads; SelectTop then ranks only
+	// the top list.
+	AppendAll(dst []Entry) []Entry
 	// AppendEntries appends all tracked flows to dst in the canonical
 	// ranking order (only the appended region is sorted) and returns dst.
 	AppendEntries(dst []Entry) []Entry
@@ -49,6 +57,16 @@ type Summary interface {
 	ErrorBound() int64
 	// Reset clears the summary for the next bin, keeping its memory.
 	Reset()
+}
+
+// Observation is one packet as a Summary's AddBatch takes it: the
+// aggregated key with its hash already computed (the engine's reader
+// hashes every key once, to pick the shard), the timestamp and the size.
+type Observation struct {
+	Key  flow.Key
+	Hash uint64 // Key.FastHash()
+	Time float64
+	Size int64
 }
 
 // Kind selects a Summary implementation.
@@ -169,29 +187,29 @@ func ParseSpec(kind string, slots int) (Spec, error) {
 
 // --- Table's Summary conformance ------------------------------------------
 
-// AppendEntries appends all flows to dst in the canonical ranking order
-// (only the appended region is sorted) and returns it.
-func (t *Table) AppendEntries(dst []Entry) []Entry {
-	base := len(dst)
+// AddBatch accounts the observations in order.
+func (t *Table) AddBatch(batch []Observation) {
+	for i := range batch {
+		t.AddAggregated(batch[i].Key, batch[i].Time, batch[i].Size)
+	}
+}
+
+// AppendAll appends all flows to dst in map iteration order.
+func (t *Table) AppendAll(dst []Entry) []Entry {
+	dst = slices.Grow(dst, len(t.entries))
+	//flowrank:unordered the contract is "no particular order"; callers rank with SelectTop or SortEntries
 	for _, e := range t.entries {
 		dst = append(dst, *e)
 	}
-	tail := dst[base:]
-	sort.Slice(tail, func(i, j int) bool { return Less(tail[i], tail[j]) })
 	return dst
 }
 
+// AppendEntries appends all flows to dst in the canonical ranking order
+// (only the appended region is sorted) and returns it.
+func (t *Table) AppendEntries(dst []Entry) []Entry { return appendSorted(t, dst) }
+
 // AppendTop appends the k largest flows in ranking order to dst.
-func (t *Table) AppendTop(dst []Entry, k int) []Entry {
-	if k <= 0 {
-		return dst
-	}
-	h := make(entryMinHeap, 0, k+1)
-	for _, e := range t.entries {
-		h.offer(*e, k)
-	}
-	return h.drainInto(dst)
-}
+func (t *Table) AppendTop(dst []Entry, k int) []Entry { return appendTop(t, dst, k) }
 
 // AppendCounts adds every flow's packet count to dst (allocating it when
 // nil) and returns it — the pooled-map path of the streaming engine,
@@ -210,50 +228,23 @@ func (t *Table) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {
 // ErrorBound implements Summary; Table is exact.
 func (t *Table) ErrorBound() int64 { return 0 }
 
-// --- shared top-k heap helpers --------------------------------------------
+// --- AppendEntries and AppendTop, shared by every kind ---------------------
 
-// offer pushes e into the size-k min-heap of currently-best entries,
-// displacing the heap minimum when e ranks above it.
-func (h *entryMinHeap) offer(e Entry, k int) {
-	if len(*h) < k {
-		*h = append(*h, e)
-		if len(*h) == k {
-			heap.Init(h)
-		}
-		return
-	}
-	if Less(e, (*h)[0]) {
-		(*h)[0] = e
-		heap.Fix(h, 0)
-	}
-}
-
-// drainInto empties the heap into dst in ranking order (best first).
-func (h *entryMinHeap) drainInto(dst []Entry) []Entry {
-	if len(*h) == 0 {
-		return dst
-	}
-	// The heap may not have been initialized when fewer than k entries
-	// were offered.
-	heap.Init(h)
+// appendSorted is AppendEntries over a summary's AppendAll.
+func appendSorted(s Summary, dst []Entry) []Entry {
 	base := len(dst)
-	dst = append(dst, make([]Entry, len(*h))...)
-	for i := len(dst) - 1; i >= base; i-- {
-		dst[i] = heap.Pop(h).(Entry)
-	}
+	dst = s.AppendAll(dst)
+	SortEntries(dst[base:])
 	return dst
 }
 
-// MergeEntriesInto is MergeEntries appending into dst — the pooled-slice
-// path of the streaming engine's bin barrier.
-func MergeEntriesInto(dst []Entry, lists ...[]Entry) []Entry {
-	return mergeSortedInto(dst, -1, lists)
-}
-
-// MergeTopInto is MergeTop appending into dst.
-func MergeTopInto(dst []Entry, k int, lists ...[]Entry) []Entry {
+// appendTop is AppendTop over a summary's AppendAll: collect, select,
+// truncate to the top list.
+func appendTop(s Summary, dst []Entry, k int) []Entry {
+	base := len(dst)
 	if k <= 0 {
 		return dst
 	}
-	return mergeSortedInto(dst, k, lists)
+	dst = s.AppendAll(dst)
+	return dst[:base+len(SelectTop(dst[base:], k))]
 }

@@ -1,6 +1,8 @@
 package flowtable
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,6 +67,58 @@ func TestSummaryConformance(t *testing.T) {
 			sum.Reset()
 			if sum.Len() != 0 || sum.TotalPackets() != 0 || sum.TotalBytes() != 0 {
 				t.Fatalf("%s: Reset left state behind", kind)
+			}
+		}
+	}
+}
+
+// TestAddBatchMatchesAddAggregated: for every kind, AddBatch is one
+// AddAggregated per observation, in order — same flows, counts, byte and
+// time bookkeeping, totals and error bound — whatever the batch length
+// (empty, one, around the exact table's look-ahead group of 16, a full
+// engine batch), across a bin reset, and while the exact table (64 slots
+// at the start, thousands of flows) grows in the middle of a group; the
+// bounded kinds evict throughout.
+func TestAddBatchMatchesAddAggregated(t *testing.T) {
+	for _, kind := range []string{"exact", "map", "spacesaving", "countmin"} {
+		for _, size := range []int{1, 15, 16, 17, 512} {
+			spec, err := ParseSpec(kind, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, _ := spec.New(flow.FiveTuple{})
+			batched, _ := spec.New(flow.FiveTuple{})
+			g := randx.New(uint64(97 + size))
+			for round := 0; round < 2; round++ {
+				tape := make([]Observation, 6000)
+				for i := range tape {
+					key := randKey(g, 20)
+					if g.IntN(4) == 0 { // a few heavy flows: revisits inside one group
+						key = pkt(byte(g.IntN(4)), 0, 0).Key
+					}
+					tape[i] = Observation{Key: key, Hash: key.FastHash(), Time: float64(i) * 1e-3, Size: int64(40 + g.IntN(1400))}
+				}
+				for _, o := range tape {
+					single.AddAggregated(o.Key, o.Time, o.Size)
+				}
+				for len(tape) > 0 {
+					n := min(size, len(tape))
+					batched.AddBatch(tape[:n])
+					batched.AddBatch(nil)
+					tape = tape[n:]
+				}
+				label := fmt.Sprintf("%s batches of %d round %d", kind, size, round)
+				if batched.Len() != single.Len() || batched.TotalPackets() != single.TotalPackets() ||
+					batched.TotalBytes() != single.TotalBytes() || batched.ErrorBound() != single.ErrorBound() {
+					t.Fatalf("%s: len/packets/bytes/bound %d/%d/%d/%d, want %d/%d/%d/%d", label,
+						batched.Len(), batched.TotalPackets(), batched.TotalBytes(), batched.ErrorBound(),
+						single.Len(), single.TotalPackets(), single.TotalBytes(), single.ErrorBound())
+				}
+				if got, want := batched.AppendEntries(nil), single.AppendEntries(nil); !slices.Equal(got, want) {
+					t.Fatalf("%s: entries diverge", label)
+				}
+				single.Reset()
+				batched.Reset()
 			}
 		}
 	}

@@ -19,7 +19,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 
 	"flowrank/internal/flow"
 	"flowrank/internal/flowtable"
@@ -59,10 +58,14 @@ func (p PairCounts) DetectionFrac() float64 {
 
 // CountSwapped computes both metrics for one bin.
 //
-// orig must hold every flow of the bin sorted by flowtable.Less (packet
-// count descending, deterministic tiebreak); the first t entries are the
-// original top list. sampled maps flow keys to sampled packet counts;
-// missing keys mean the flow was not sampled at all.
+// orig must hold every flow of the bin with the original top list first:
+// orig[:t] are the t highest-ranked flows in the order of flowtable.Less
+// (packet count descending, deterministic tiebreak) and the remaining
+// flows follow in any order — the definitions only ever compare a top
+// flow with another flow, so a fully sorted list (flowtable.SortEntries)
+// is accepted but not needed; flowtable.SelectTop establishes exactly
+// this. sampled maps flow keys to sampled packet counts; missing keys
+// mean the flow was not sampled at all.
 func CountSwapped(orig []flowtable.Entry, sampled map[flow.Key]int64, t int) PairCounts {
 	n := len(orig)
 	if t > n {
@@ -76,29 +79,51 @@ func CountSwapped(orig []flowtable.Entry, sampled map[flow.Key]int64, t int) Pai
 	tt := int64(t)
 	pc.Pairs = (2*nn - tt - 1) * tt / 2
 	pc.BoundaryPairs = tt * (nn - tt)
-	for r := 0; r < t; r++ {
-		a := orig[r]
-		sa := sampled[a.Key]
-		for j := r + 1; j < n; j++ {
-			b := orig[j]
-			sb := sampled[b.Key]
-			var swapped bool
-			if a.Packets == b.Packets {
-				swapped = sa != sb || sa == 0
-			} else {
-				// a is the original larger flow (list is sorted).
-				swapped = sb >= sa
-			}
-			if !swapped {
-				continue
-			}
-			pc.Ranking++
-			if j >= t {
-				pc.Detection++
+	top := make([]sizePair, t)
+	for r := range top {
+		top[r] = sizePair{orig[r].Packets, sampled[orig[r].Key]}
+	}
+	for r := range top {
+		for _, b := range top[r+1:] {
+			if top[r].swappedWith(b) {
+				pc.Ranking++
 			}
 		}
 	}
+	pc.Detection = countBoundary(top, orig[t:], sampled)
+	pc.Ranking += pc.Detection
 	return pc
+}
+
+// sizePair is a flow's original and sampled packet count.
+type sizePair struct{ orig, sampled int64 }
+
+// swappedWith reports whether sampling misranks a against b, a flow of
+// equal or smaller original size (the package conventions above).
+func (a sizePair) swappedWith(b sizePair) bool {
+	if a.orig == b.orig {
+		return a.sampled != b.sampled || a.sampled == 0
+	}
+	return b.sampled >= a.sampled
+}
+
+// countBoundary counts the swapped pairs between the top list and the
+// flows below it, one sampled lookup per flow: the pass over a bin's
+// whole flow list, so it walks the list once and keeps the top flows'
+// sizes in the small slice.
+//
+//flowrank:hotpath
+func countBoundary(top []sizePair, rest []flowtable.Entry, sampled map[flow.Key]int64) int64 {
+	var swapped int64
+	for i := range rest {
+		b := sizePair{rest[i].Packets, sampled[rest[i].Key]}
+		for _, a := range top {
+			if a.swappedWith(b) {
+				swapped++
+			}
+		}
+	}
+	return swapped
 }
 
 // CountSwappedCounts is CountSwapped with the sampled counts supplied as a
@@ -118,18 +143,9 @@ func CountSwappedCounts(orig []flowtable.Entry, sampled []int64, t int) PairCoun
 	pc.Pairs = (2*nn - tt - 1) * tt / 2
 	pc.BoundaryPairs = tt * (nn - tt)
 	for r := 0; r < t; r++ {
-		a := orig[r]
-		sa := sampled[r]
+		a := sizePair{orig[r].Packets, sampled[r]}
 		for j := r + 1; j < n; j++ {
-			b := orig[j]
-			sb := sampled[j]
-			var swapped bool
-			if a.Packets == b.Packets {
-				swapped = sa != sb || sa == 0
-			} else {
-				swapped = sb >= sa
-			}
-			if !swapped {
+			if !a.swappedWith(sizePair{orig[j].Packets, sampled[j]}) {
 				continue
 			}
 			pc.Ranking++
@@ -255,6 +271,5 @@ func (r *RunningStat) Merge(o RunningStat) {
 // SortEntries sorts entries into the canonical ranking order in place and
 // returns the slice, a convenience for metric callers.
 func SortEntries(entries []flowtable.Entry) []flowtable.Entry {
-	sort.Slice(entries, func(i, j int) bool { return flowtable.Less(entries[i], entries[j]) })
-	return entries
+	return flowtable.SortEntries(entries)
 }

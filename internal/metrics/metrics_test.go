@@ -106,6 +106,86 @@ func TestCountSwappedDetectionSubsetOfRanking(t *testing.T) {
 	}
 }
 
+// countSwappedRef is the row-major form CountSwapped had while it took a
+// fully sorted list: every top flow against every flow ranked below it,
+// t map lookups per flow. The literal reading of §5.1/§7.1, kept as the
+// oracle for the flow-major pass.
+func countSwappedRef(orig []flowtable.Entry, sampled map[flow.Key]int64, t int) PairCounts {
+	n := len(orig)
+	if t > n {
+		t = n
+	}
+	var pc PairCounts
+	if t <= 0 || n < 2 {
+		return pc
+	}
+	nn := int64(n)
+	tt := int64(t)
+	pc.Pairs = (2*nn - tt - 1) * tt / 2
+	pc.BoundaryPairs = tt * (nn - tt)
+	for r := 0; r < t; r++ {
+		a := orig[r]
+		sa := sampled[a.Key]
+		for j := r + 1; j < n; j++ {
+			b := orig[j]
+			sb := sampled[b.Key]
+			var swapped bool
+			if a.Packets == b.Packets {
+				swapped = sa != sb || sa == 0
+			} else {
+				swapped = sb >= sa
+			}
+			if !swapped {
+				continue
+			}
+			pc.Ranking++
+			if j >= t {
+				pc.Detection++
+			}
+		}
+	}
+	return pc
+}
+
+// TestCountSwappedUnsortedTail pins the relaxed precondition: with only
+// orig[:t] ranked and the flows below the top list shuffled, CountSwapped
+// returns what the row-major reference returns on the fully sorted list —
+// on random bins with heavy ties in the original size (also across the
+// top-list boundary), flows sampled to zero or missing from the map, and
+// t from 0 past the flow count.
+func TestCountSwappedUnsortedTail(t *testing.T) {
+	g := randx.New(8)
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + g.IntN(60)
+		entries := make([]flowtable.Entry, n)
+		sampled := make(map[flow.Key]int64, n)
+		for i := range entries {
+			entries[i] = flowtable.Entry{Key: key(i), Packets: int64(1 + g.IntN(12))}
+			switch s := g.Binomial(int(entries[i].Packets), 0.3); {
+			case s > 0:
+				sampled[key(i)] = int64(s)
+			case g.IntN(2) == 0:
+				sampled[key(i)] = 0 // present but zero; otherwise missing
+			}
+		}
+		SortEntries(entries)
+		for _, tt := range []int{0, 1, 2, n - 1, n, n + 5} {
+			want := countSwappedRef(entries, sampled, tt)
+			shuffled := append([]flowtable.Entry(nil), entries...)
+			if tt < n {
+				tail := shuffled[max(tt, 0):]
+				for i := len(tail) - 1; i > 0; i-- {
+					j := g.IntN(i + 1)
+					tail[i], tail[j] = tail[j], tail[i]
+				}
+			}
+			if got := CountSwapped(shuffled, sampled, tt); got != want {
+				t.Fatalf("trial %d n=%d t=%d: %+v, want %+v", trial, n, tt, got, want)
+			}
+		}
+	}
+}
+
 func TestCountSwappedDegenerate(t *testing.T) {
 	if pc := CountSwapped(nil, nil, 5); pc.Ranking != 0 || pc.Pairs != 0 {
 		t.Errorf("empty bin: %+v", pc)

@@ -39,10 +39,13 @@ type ReaderStats struct {
 	QueueDepthMax Gauge
 }
 
-// ShardStats instruments one shard worker: its share of the key space,
-// its ingest time, and the depth of its inbound queue.
+// ShardStats instruments one shard: its share of the key space, its
+// ingest time, and the depth of its inbound queue.
 type ShardStats struct {
-	// Batches and Packets count what this shard has ingested.
+	// Batches and Packets count what this shard has ingested — by its
+	// worker, or inline by the reader when the engine runs one shard.
+	// Packets trails the packets fed by whatever is still batched on the
+	// reader side; a bin boundary and Close catch it up.
 	Batches Counter
 	Packets Counter
 	// Ingest is the per-batch table-update time on this shard.
@@ -53,15 +56,16 @@ type ShardStats struct {
 }
 
 // FlushStats instruments the bin boundary: the barrier that drains every
-// shard, the k-way merge, the optional inversion, and the caller's emit.
+// shard, the merge, the optional inversion, and the caller's emit.
 type FlushStats struct {
 	// Bins counts completed (non-empty) bin flushes.
 	Bins Counter
 	// Barrier is the time to dispatch the flush and collect every
-	// shard's summary (includes the shards' parallel sorts).
+	// shard's summary (the pending batches' ingest and the shards'
+	// parallel, unsorted table snapshots).
 	Barrier *Histogram
-	// Merge is the k-way merge of the shard summaries into the bin
-	// result.
+	// Merge is the merge of the shard summaries into the bin result:
+	// concatenation, top-list selection and the swapped-pair count.
 	Merge *Histogram
 	// Invert is the per-bin flow-size-distribution inversion (zero-width
 	// when no Inverter is configured).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flowrank/internal/flow"
+	"flowrank/internal/packet"
 	"flowrank/internal/sampler"
 )
 
@@ -41,4 +42,48 @@ func BenchmarkEngine(b *testing.B) {
 			b.ReportMetric(float64(len(pkts))*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 		})
 	}
+}
+
+// BenchmarkBinClose times the bin boundary alone on the shape of the
+// benchmark's batch-exact workload: one exact shard holding 280k flows
+// (heavy-tailed: every 512th flow has up to ~550 packets, the rest one),
+// sampled at 1 %, top list of 10. The fill is untimed; ns/flow is what
+// summarize + merge + swapped-pair count charge each flow of the bin —
+// the cost a full sort used to dominate.
+func BenchmarkBinClose(b *testing.B) {
+	const flows = 280_000
+	eng, err := NewEngine(Config{
+		Agg:        flow.FiveTuple{},
+		Sampler:    sampler.NewBernoulli(0.01, 7),
+		BinSeconds: 60,
+		TopT:       10,
+		Workers:    1,
+		Recycle:    true,
+	}, func(BinResult) error { return nil })
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for f := 0; f < flows; f++ {
+			p := packet.Packet{Time: 1, Size: 100, Key: flow.Key{
+				Src: flow.Addr{10, byte(f >> 16), byte(f >> 8), byte(f)}, DstPort: 80, Proto: flow.ProtoTCP,
+			}}
+			n := 1
+			if f%512 == 0 {
+				n += f / 512
+			}
+			for ; n > 0; n-- {
+				if err := eng.Feed(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StartTimer()
+		if err := eng.flushBin(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/flows, "ns/flow")
 }

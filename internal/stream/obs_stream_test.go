@@ -43,7 +43,7 @@ func TestEngineObsOutputInvariant(t *testing.T) {
 		want := runEngine(t, plain, pkts)
 		instr, _ := obsConfig(workers, invert.Naive{})
 		got := runEngine(t, instr, pkts)
-		compareBins(t, "obs-on vs obs-off", got, want)
+		compareBins(t, "obs-on vs obs-off", 8, got, want)
 	}
 }
 

@@ -5,23 +5,29 @@
 //
 // Stage 1 — the caller's goroutine inside Feed — makes every sampling
 // decision in trace order, so the sampler's decision stream is exactly the
-// one the sequential monitor would draw. Packets are then batched and
-// dispatched to W shard workers by hash of the aggregated flow key; each
-// shard owns its own original/sampled flowtable.Summary pair (the exact
+// one the sequential monitor would draw, and hashes each aggregated flow
+// key once. Packets are then batched per shard by that hash; each of the W
+// shards owns its own original/sampled flowtable.Summary pair (the exact
 // open-addressing table by default, or a bounded Space-Saving/Count-Min
-// sketch via Config.Tables), so the hot path takes no locks and shares no
-// state. At each bin boundary a barrier flushes every shard; the per-shard
-// sorted entry lists and Top lists are k-way merged (exact, because the
-// shards partition the key space) into one BinResult carrying the paper's
-// §5/§7 swapped-pair metrics.
+// sketch via Config.Tables) and ingests a batch with one AddBatch per
+// table, so the hot path takes no locks, shares no state, and a table too
+// large for the cache overlaps a batch's memory misses. At each bin
+// boundary a barrier flushes every shard. A bin is closed without sorting
+// it: the shards' flow lists are concatenated as the tables hold them,
+// flowtable.SelectTop ranks only the top list to the front (exact, because
+// the shards partition the key space), and the paper's §5/§7 swapped-pair
+// metrics — which only ever compare a top flow with another flow — are
+// counted in one pass over the rest.
 //
-// With exact tables the engine is bit-identical to the sequential path for
-// any worker count: with Workers == 1 no goroutines are started and
-// packets are accounted inline, and the cross-check tests pin Workers == N
-// to that output exactly, in the same spirit as the model engine's
-// Workers=1-vs-N tests. Bounded summaries keep that determinism only per
-// fixed worker count — the shard partition is part of a sketch's input —
-// so across worker counts they agree within BinResult.CountErr instead.
+// With exact tables the engine's measurements are identical to the
+// sequential path's for any worker count: with Workers == 1 no goroutines
+// are started and the Feed goroutine ingests each full batch itself, and
+// the cross-check tests pin Workers == N to that output exactly (top
+// lists, metrics and totals as delivered, the unranked rest of Orig as a
+// set), in the same spirit as the model engine's Workers=1-vs-N tests.
+// Bounded summaries keep that determinism only per fixed worker count —
+// the shard partition is part of a sketch's input — so across worker
+// counts they agree within BinResult.CountErr instead.
 package stream
 
 import (
@@ -30,6 +36,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"flowrank/internal/flow"
@@ -53,11 +60,15 @@ type Config struct {
 	// TopT is the length of the ranked top list in every BinResult.
 	TopT int
 	// Workers is the number of shard workers; 0 means GOMAXPROCS. With 1
-	// worker the engine runs the sequential reference path inline.
+	// worker the engine starts no goroutine: Feed ingests each full batch
+	// into the one shard itself.
 	Workers int
-	// BatchSize is the number of packets dispatched to a shard per channel
-	// send; 0 means a sensible default. Smaller batches lower latency,
-	// larger ones lower coordination overhead.
+	// BatchSize is the number of packets a shard ingests at a time — per
+	// channel send with several workers, per inline ingest with one; 0
+	// means a sensible default. Smaller batches lower latency, larger ones
+	// lower coordination overhead and give an exact table more memory
+	// misses to overlap. A bin boundary and Close ingest whatever is
+	// pending, so no result depends on it.
 	BatchSize int
 	// Inverter, when non-nil, estimates the original flow-size
 	// distribution of every bin from its sampled counts at the sampler's
@@ -98,7 +109,12 @@ type BinResult struct {
 	// packets are skipped, so consecutive results may have index gaps.
 	Bin        int64
 	Start, End float64
-	// Orig holds every flow of the bin in the canonical ranking order.
+	// Orig holds every flow of the bin. Its first min(TopT, len) entries
+	// are the original top list in the canonical ranking order; the
+	// remaining entries follow in no particular order (the tables' slot
+	// order shard by shard: deterministic for a fixed worker count with the
+	// default table, map iteration order with the map reference kind).
+	// Call flowtable.SortEntries for the full ranking.
 	Orig []flowtable.Entry
 	// SampledTop is the exact global top-TopT of the sampled table.
 	SampledTop []flowtable.Entry
@@ -122,18 +138,19 @@ type BinResult struct {
 	CountErr int64
 }
 
-// item is one packet after the reader stage: key aggregated, sampling
-// decided.
-type item struct {
-	key     flow.Key
-	time    float64
-	size    int64
-	sampled bool
+// batch is what the reader stage hands a shard: the packets routed to it
+// — key aggregated and hashed, sampling decided — in trace order.
+type batch struct {
+	all  []flowtable.Observation // every packet
+	kept []flowtable.Observation // the sampled ones among them
 }
+
+// emptied returns the batch's buffers at length zero, ready to refill.
+func (b batch) emptied() batch { return batch{all: b.all[:0], kept: b.kept[:0]} }
 
 // shardMsg is either a packet batch or a flush barrier.
 type shardMsg struct {
-	batch []item
+	batch batch
 	flush bool
 }
 
@@ -164,19 +181,30 @@ type shard struct {
 	sampBuf map[flow.Key]int64
 }
 
-// add routes one sampled-decision item into the shard tables.
+// ingest accounts one batch into the shard's tables — the one ingest path,
+// run by the shard's worker or, on the inline engine, by the reader. The
+// instrumentation (batch ingest time, packet counts) is alloc-free — obs
+// primitives carry the same //flowrank:hotpath contract — and records
+// telemetry only; it never alters an accounting decision.
 //
 //flowrank:hotpath
-func (s *shard) add(it item) {
-	s.orig.AddAggregated(it.key, it.time, it.size)
-	if it.sampled {
-		s.samp.AddAggregated(it.key, it.time, it.size)
+func (s *shard) ingest(b batch) {
+	var t0 int64
+	if s.stats != nil {
+		t0 = obs.Nanotime()
+	}
+	s.orig.AddBatch(b.all)
+	s.samp.AddBatch(b.kept)
+	if s.stats != nil {
+		s.stats.Ingest.Observe(obs.Nanotime() - t0)
+		s.stats.Batches.Inc()
+		s.stats.Packets.Add(int64(len(b.all)))
 	}
 }
 
-// summarize snapshots and resets the shard's tables at a bin barrier. The
-// sort of the shard's entries happens here — in parallel across shards —
-// leaving only the k-way merge to the barrier.
+// summarize snapshots and resets the shard's tables at a bin barrier: the
+// original flows as the table holds them (nothing is sorted), the sampled
+// top list and counts, the totals.
 func (s *shard) summarize() shardSummary {
 	var origDst, topDst []flowtable.Entry
 	var sampDst map[flow.Key]int64
@@ -186,7 +214,7 @@ func (s *shard) summarize() shardSummary {
 		clear(sampDst)
 	}
 	sum := shardSummary{
-		orig:        s.orig.AppendEntries(origDst),
+		orig:        s.orig.AppendAll(origDst),
 		sampTop:     s.samp.AppendTop(topDst, s.topT),
 		sampled:     s.samp.AppendCounts(sampDst),
 		origPackets: s.orig.TotalPackets(),
@@ -206,34 +234,19 @@ func (s *shard) summarize() shardSummary {
 	return sum
 }
 
-// loop is the shard worker: drain batches, summarize on flush. The
-// instrumentation (batch ingest time, packet counts) is alloc-free —
-// obs primitives carry the same //flowrank:hotpath contract this loop
-// does — and records telemetry only; it never alters an accounting
-// decision.
+// loop is the shard worker: ingest batches, summarize on flush.
 //
 //flowrank:hotpath
-func (s *shard) loop(wg *sync.WaitGroup, free chan []item) {
+func (s *shard) loop(wg *sync.WaitGroup, free chan batch) {
 	defer wg.Done()
 	for msg := range s.in {
 		if msg.flush {
 			s.out <- s.summarize()
 			continue
 		}
-		var t0 int64
-		if s.stats != nil {
-			t0 = obs.Nanotime()
-		}
-		for _, it := range msg.batch {
-			s.add(it)
-		}
-		if s.stats != nil {
-			s.stats.Ingest.Observe(obs.Nanotime() - t0)
-			s.stats.Batches.Inc()
-			s.stats.Packets.Add(int64(len(msg.batch)))
-		}
-		select { // recycle the batch buffer if the reader wants it
-		case free <- msg.batch[:0]:
+		s.ingest(msg.batch)
+		select { // recycle the batch buffers if the reader wants them
+		case free <- msg.batch:
 		default:
 		}
 	}
@@ -250,8 +263,8 @@ type Engine struct {
 	ctx        context.Context
 	done       <-chan struct{} // ctx.Done(), nil for Background
 	shards     []*shard
-	pending    [][]item // reader-side per-shard batches (nil when inline)
-	free       chan []item
+	pending    []batch    // reader-side per-shard batches
+	free       chan batch // spent batches back from the workers (nil when inline)
 	wg         sync.WaitGroup
 	bin        int64
 	binPackets int64
@@ -357,9 +370,12 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 			e.shards[i].stats = &cfg.Obs.Shards[i]
 		}
 	}
+	e.pending = make([]batch, cfg.Workers)
+	for i := range e.pending {
+		e.pending[i] = e.newBatch()
+	}
 	if cfg.Workers > 1 {
-		e.pending = make([][]item, cfg.Workers)
-		e.free = make(chan []item, 2*cfg.Workers)
+		e.free = make(chan batch, 2*cfg.Workers)
 		for _, s := range e.shards {
 			s.in = make(chan shardMsg, 4)
 			s.out = make(chan shardSummary, 1)
@@ -399,20 +415,18 @@ func (e *Engine) Feed(p packet.Packet) error {
 	}
 	kept := e.cfg.Sampler.Sample(p)
 	key := e.cfg.Agg.Aggregate(p.Key)
-	it := item{key: key, time: p.Time, size: int64(p.Size), sampled: kept}
-	if e.pending == nil {
-		e.shards[0].add(it)
-		if s := e.shards[0].stats; s != nil {
-			// Inline engine: no batches, no queue — packets is the only
-			// shard-stage series with meaning here.
-			s.Packets.Inc()
-		}
-	} else {
-		s := int(key.FastHash() % uint64(len(e.shards)))
-		e.pending[s] = append(e.pending[s], it)
-		if len(e.pending[s]) >= e.cfg.BatchSize {
-			e.dispatch(s)
-		}
+	o := flowtable.Observation{Key: key, Hash: key.FastHash(), Time: p.Time, Size: int64(p.Size)}
+	s := 0
+	if n := uint64(len(e.shards)); n > 1 { // one shard: spare the packet a 64-bit division
+		s = int(o.Hash % n)
+	}
+	b := &e.pending[s]
+	b.all = append(b.all, o)
+	if kept {
+		b.kept = append(b.kept, o)
+	}
+	if len(b.all) >= e.cfg.BatchSize {
+		e.dispatch(s)
 	}
 	e.binPackets++
 	return nil
@@ -452,9 +466,10 @@ func (e *Engine) cancel() {
 }
 
 // Abort releases the engine's workers without flushing the partial final
-// bin — for callers failing mid-stream whose partial measurements must
-// not be reported. After Abort, Feed returns ErrClosed (or the run's
-// earlier error, if any) and Close is a no-op returning the run's error.
+// bin (pending batches included) — for callers failing mid-stream whose
+// partial measurements must not be reported. After Abort, Feed returns
+// ErrClosed (or the run's earlier error, if any) and Close is a no-op
+// returning the run's error.
 // Canceling the context passed to NewEngineContext has the same effect,
 // with the cancellation cause as the run error.
 func (e *Engine) Abort() {
@@ -462,12 +477,32 @@ func (e *Engine) Abort() {
 	e.shutdown()
 }
 
-// dispatch hands shard s's pending batch to its worker, reusing a spent
-// batch buffer when one is available. Instrumented, it also records the
-// shard's queue depth, the hand-off latency, and whether the send had to
-// stall on a full queue — the reader-side backpressure signal.
+// inline reports whether the engine runs no workers (Workers == 1): the
+// Feed goroutine then does the one shard's ingest and summarize itself.
+func (e *Engine) inline() bool { return e.free == nil }
+
+// newBatch returns an empty batch that Feed fills without growing it.
+func (e *Engine) newBatch() batch {
+	return batch{
+		all:  make([]flowtable.Observation, 0, e.cfg.BatchSize),
+		kept: make([]flowtable.Observation, 0, e.cfg.BatchSize),
+	}
+}
+
+// dispatch has shard s ingest its pending batch: inline when the engine
+// runs no workers, otherwise by handing it to the shard's worker and
+// taking a spent batch (or a new one) in its place. Instrumented, the
+// hand-off also records the shard's queue depth, its latency, and whether
+// the send had to stall on a full queue — the reader-side backpressure
+// signal.
 func (e *Engine) dispatch(s int) {
-	if len(e.pending[s]) == 0 {
+	b := e.pending[s]
+	if len(b.all) == 0 {
+		return
+	}
+	if e.inline() {
+		e.shards[s].ingest(b)
+		e.pending[s] = b.emptied()
 		return
 	}
 	if st := e.cfg.Obs; st != nil {
@@ -476,29 +511,30 @@ func (e *Engine) dispatch(s int) {
 		st.Reader.QueueDepthMax.SetMax(depth)
 		t0 := obs.Nanotime()
 		select {
-		case e.shards[s].in <- shardMsg{batch: e.pending[s]}:
+		case e.shards[s].in <- shardMsg{batch: b}:
 		default:
 			st.Reader.Stalls.Inc()
-			e.shards[s].in <- shardMsg{batch: e.pending[s]}
+			e.shards[s].in <- shardMsg{batch: b}
 		}
 		st.Reader.Dispatch.Observe(obs.Nanotime() - t0)
 		st.Reader.Batches.Inc()
 	} else {
-		e.shards[s].in <- shardMsg{batch: e.pending[s]}
+		e.shards[s].in <- shardMsg{batch: b}
 	}
 	select {
-	case b := <-e.free:
-		e.pending[s] = b
+	case b = <-e.free:
+		e.pending[s] = b.emptied()
 	default:
-		e.pending[s] = make([]item, 0, e.cfg.BatchSize)
+		e.pending[s] = e.newBatch()
 	}
 }
 
-// flushBin runs the bin barrier: drain every shard, merge their summaries
-// and emit the BinResult. Empty bins (no packets anywhere) emit nothing.
-// With Config.Obs set it also records the flush breakdown — barrier,
-// merge, invert, emit — into the cumulative histograms and the Last*
-// gauges. The barrier/merge/invert gauges are written before emit runs,
+// flushBin runs the bin barrier: have every shard ingest what is pending
+// and summarize, merge the summaries and emit the BinResult. Empty bins
+// (no packets anywhere) emit nothing. With Config.Obs set it also records
+// the flush breakdown — barrier, merge, invert, emit — into the cumulative
+// histograms and the Last* gauges. The barrier/merge/invert gauges are
+// written before emit runs,
 // so an emit callback building a per-bin journal record reads its own
 // bin's stage timings; emit and total land after the callback returns
 // (they time the callback itself).
@@ -513,15 +549,17 @@ func (e *Engine) flushBin() error {
 		t0 = obs.Nanotime()
 	}
 	sums := make([]shardSummary, len(e.shards))
-	if e.pending == nil {
-		sums[0] = e.shards[0].summarize()
-	} else {
-		for s := range e.shards {
-			e.dispatch(s)
-			e.shards[s].in <- shardMsg{flush: true}
+	for s, sh := range e.shards {
+		e.dispatch(s)
+		if e.inline() {
+			sums[s] = sh.summarize()
+		} else {
+			sh.in <- shardMsg{flush: true}
 		}
-		for s := range e.shards {
-			sums[s] = <-e.shards[s].out
+	}
+	if !e.inline() {
+		for s, sh := range e.shards {
+			sums[s] = <-sh.out
 		}
 	}
 	if st != nil {
@@ -559,29 +597,24 @@ func (e *Engine) flushBin() error {
 	return nil
 }
 
-// mergeBin combines the per-shard summaries into the global bin result.
-// For exact tables the merges are exact: shards partition the key space,
-// so the global sorted order is the k-way merge of the shard orders, and
-// the global top-k is the k-way merge of the shard top-k lists. For
-// bounded summaries the same merge applies to the per-shard estimates —
-// still exact with respect to the shard partition, with the per-flow
-// estimation error carried in CountErr.
+// mergeBin combines the per-shard summaries into the global bin result
+// without sorting it. The shards partition the key space, so the bin's
+// flow list is the concatenation of the shard lists and its top list is
+// the top of that concatenation (likewise for the sampled top lists) —
+// exact for exact tables; for bounded summaries the same holds for the
+// per-shard estimates, with the per-flow estimation error carried in
+// CountErr. SelectTop ranks the top list to the front of Orig in place,
+// which is all CountSwapped and BinResult's contract need.
 func (e *Engine) mergeBin(sums []shardSummary) BinResult {
 	r := BinResult{
 		Bin:   e.bin,
 		Start: float64(e.bin) * e.cfg.BinSeconds,
 		End:   float64(e.bin+1) * e.cfg.BinSeconds,
 	}
-	origLists := make([][]flowtable.Entry, 0, len(sums))
-	topLists := make([][]flowtable.Entry, 0, len(sums))
+	flows := 0
 	for i := range sums {
 		s := &sums[i]
-		if len(s.orig) > 0 {
-			origLists = append(origLists, s.orig)
-		}
-		if len(s.sampTop) > 0 {
-			topLists = append(topLists, s.sampTop)
-		}
+		flows += len(s.orig)
 		r.OrigPackets += s.origPackets
 		r.OrigBytes += s.origBytes
 		r.SampledPackets += s.sampPackets
@@ -609,18 +642,22 @@ func (e *Engine) mergeBin(sums []shardSummary) BinResult {
 		if sampDst == nil {
 			sampDst = make(map[flow.Key]int64, r.SampledFlows)
 		}
-		r.Orig = flowtable.MergeEntriesInto(origDst, origLists...)
-		r.SampledTop = flowtable.MergeTopInto(topDst, e.cfg.TopT, topLists...)
+		origDst = slices.Grow(origDst, flows)
 		for i := range sums {
+			origDst = append(origDst, sums[i].orig...)
+			topDst = append(topDst, sums[i].sampTop...)
 			for k, v := range sums[i].sampled {
 				sampDst[k] = v
 			}
 		}
+		r.Orig = origDst
+		r.SampledTop = flowtable.SelectTop(topDst, e.cfg.TopT)
 		r.Sampled = sampDst
 		if e.cfg.Recycle {
-			e.mergedOrig, e.mergedTop, e.mergedSamp = r.Orig, r.SampledTop, r.Sampled
+			e.mergedOrig, e.mergedTop, e.mergedSamp = r.Orig, topDst, r.Sampled
 		}
 	}
+	flowtable.SelectTop(r.Orig, e.cfg.TopT)
 	r.Pairs = metrics.CountSwapped(r.Orig, r.Sampled, e.cfg.TopT)
 	// The inversion stage runs in flushBin, after this merge, so the two
 	// are timed as distinct pipeline stages.

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"flowrank/internal/flow"
 	"flowrank/internal/flowtable"
 	"flowrank/internal/invert"
 	"flowrank/internal/metrics"
+	"flowrank/internal/obs"
 	"flowrank/internal/packet"
 	"flowrank/internal/packetgen"
 	"flowrank/internal/sampler"
@@ -103,14 +105,26 @@ func runEngine(t testing.TB, cfg Config, pkts []packet.Packet) []BinResult {
 	return out
 }
 
-func compareBins(t *testing.T, label string, got, want []BinResult) {
+// compareBins checks two bin streams for equal measurements under
+// BinResult's contract: the original top list (Orig[:topT]) as delivered,
+// then — with the unranked rest of Orig sorted on a copy, since its order
+// is not part of the contract — every field bit for bit, which takes in
+// Pairs, SampledTop, Sampled, the totals and Inversion as delivered.
+func compareBins(t *testing.T, label string, topT int, got, want []BinResult) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d bins, want %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("%s: bin %d diverges:\ngot  %+v\nwant %+v", label, got[i].Bin, got[i], want[i])
+		g, w := got[i], want[i]
+		top := min(topT, len(w.Orig))
+		if len(g.Orig) < top || !slices.Equal(g.Orig[:top], w.Orig[:top]) {
+			t.Fatalf("%s: bin %d original top list diverges:\ngot  %+v\nwant %+v", label, w.Bin, g.Orig[:min(top, len(g.Orig))], w.Orig[:top])
+		}
+		g.Orig = flowtable.SortEntries(slices.Clone(g.Orig))
+		w.Orig = flowtable.SortEntries(slices.Clone(w.Orig))
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: bin %d diverges:\ngot  %+v\nwant %+v", label, w.Bin, g, w)
 		}
 	}
 }
@@ -136,7 +150,7 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 				Workers:    workers,
 			}
 			got := runEngine(t, cfg, pkts)
-			compareBins(t, fmt.Sprintf("agg %v workers %d", agg, workers), got, want)
+			compareBins(t, fmt.Sprintf("agg %v workers %d", agg, workers), topT, got, want)
 		}
 	}
 }
@@ -162,7 +176,7 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 			cfg.Workers = workers
 			cfg.BatchSize = batch
 			got := runEngine(t, cfg, pkts)
-			compareBins(t, fmt.Sprintf("workers=%d batch=%d", workers, batch), got, want)
+			compareBins(t, fmt.Sprintf("workers=%d batch=%d", workers, batch), 10, got, want)
 		}
 	}
 }
@@ -222,7 +236,7 @@ func TestEngineInversionSummaryInvariance(t *testing.T) {
 				cfg.Workers = workers
 				cfg.BatchSize = batch
 				got := runEngine(t, cfg, pkts)
-				compareBins(t, fmt.Sprintf("%s workers=%d batch=%d", est.Name(), workers, batch), got, want)
+				compareBins(t, fmt.Sprintf("%s workers=%d batch=%d", est.Name(), workers, batch), 10, got, want)
 			}
 		}
 	}
@@ -347,6 +361,97 @@ func TestEngineEmitError(t *testing.T) {
 		}
 		if err := eng.Close(); !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: Close = %v, want boom", workers, err)
+		}
+	}
+}
+
+// TestEngineInlineBatching: the inline engine (Workers == 1) holds
+// packets in a reader-side batch until it fills, so every way a bin can
+// end must first ingest — or, for an aborted run, drop — what is pending.
+// Ten packets, three per one-second bin, one flow per bin: with a batch of
+// 7 the first ingest happens only when the third bin is half fed.
+func TestEngineInlineBatching(t *testing.T) {
+	feed := func(eng *Engine, n int) error {
+		for i := 0; i < n; i++ {
+			p := packet.Packet{Time: float64(i) / 3, Key: flow.Key{Src: flow.Addr{10, 0, 0, byte(i / 3)}}, Size: 100}
+			if err := eng.Feed(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	boom := errors.New("boom")
+	for _, batch := range []int{1, 7, 512} {
+		var out []BinResult
+		var emitErr error
+		stats := obs.NewPipelineStats(1)
+		mk := func() *Engine {
+			out = nil
+			eng, err := NewEngine(Config{
+				Agg:        flow.FiveTuple{},
+				Sampler:    sampler.NewBernoulli(1, 1),
+				BinSeconds: 1,
+				TopT:       2,
+				Workers:    1,
+				BatchSize:  batch,
+				Obs:        stats,
+			}, func(b BinResult) error {
+				out = append(out, b)
+				return emitErr
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng
+		}
+
+		// A boundary in the middle of a batch puts every packet in its own
+		// bin, and Close ingests the partial last batch.
+		eng := mk()
+		if err := feed(eng, 10); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 4 {
+			t.Fatalf("batch=%d: %d bins, want 4", batch, len(out))
+		}
+		for i, b := range out {
+			wantPkts := int64(3)
+			if i == 3 {
+				wantPkts = 1
+			}
+			if b.Bin != int64(i) || b.OrigPackets != wantPkts || b.SampledPackets != wantPkts ||
+				len(b.Orig) != 1 || b.Orig[0].Key.Src[3] != byte(i) || b.Orig[0].Packets != wantPkts {
+				t.Fatalf("batch=%d: bin %d = %+v, want its own %d packets of flow %d", batch, i, b, wantPkts, i)
+			}
+		}
+		if got := stats.Shards[0].Packets.Load(); got != 10 {
+			t.Fatalf("batch=%d: shard ingested %d packets after Close, want 10", batch, got)
+		}
+
+		// Abort drops the pending batch with the rest of the partial bin.
+		eng = mk()
+		if err := feed(eng, 5); err != nil {
+			t.Fatal(err)
+		}
+		eng.Abort()
+		if err := eng.Close(); err != nil || len(out) != 1 {
+			t.Fatalf("batch=%d: Abort then Close = %v with %d bins emitted, want nil and bin 0 only", batch, err, len(out))
+		}
+
+		// An emit error surfaces from the Feed that crossed the boundary
+		// and from every Feed after it.
+		eng, emitErr = mk(), boom
+		if err := feed(eng, 10); !errors.Is(err, boom) {
+			t.Fatalf("batch=%d: Feed across a failing bin = %v, want boom", batch, err)
+		}
+		if err := feed(eng, 1); !errors.Is(err, boom) {
+			t.Fatalf("batch=%d: Feed after the failure = %v, want boom", batch, err)
+		}
+		if err := eng.Close(); !errors.Is(err, boom) || len(out) != 1 {
+			t.Fatalf("batch=%d: Close = %v after %d bins, want boom after 1", batch, err, len(out))
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestEngineTableKindsExactInvariance(t *testing.T) {
 				cfg.Workers = workers
 				cfg.BatchSize = batch
 				got := runEngine(t, cfg, pkts)
-				compareBins(t, fmt.Sprintf("spec=%v workers=%d batch=%d", spec, workers, batch), got, want)
+				compareBins(t, fmt.Sprintf("spec=%v workers=%d batch=%d", spec, workers, batch), 10, got, want)
 			}
 		}
 	}
@@ -106,7 +106,7 @@ func TestEngineRecycleMatches(t *testing.T) {
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
 			}
-			compareBins(t, fmt.Sprintf("spec=%v workers=%d recycle", spec, workers), got, want)
+			compareBins(t, fmt.Sprintf("spec=%v workers=%d recycle", spec, workers), 10, got, want)
 		}
 	}
 }
@@ -131,7 +131,7 @@ func TestEngineBoundedDeterminism(t *testing.T) {
 			}
 			a := runEngine(t, mkCfg(), pkts)
 			b := runEngine(t, mkCfg(), pkts)
-			compareBins(t, fmt.Sprintf("kind=%v workers=%d rerun", kind, workers), a, b)
+			compareBins(t, fmt.Sprintf("kind=%v workers=%d rerun", kind, workers), 10, a, b)
 			if len(a) < 2 {
 				t.Fatalf("kind=%v: degenerate trace: %d bins", kind, len(a))
 			}
@@ -229,7 +229,7 @@ func TestEngineSpaceSavingExactWhenUnderBudget(t *testing.T) {
 		cfg.Tables = flowtable.Spec{Kind: flowtable.KindSpaceSaving, Slots: 1 << 16}
 		got := runEngine(t, cfg, pkts)
 		// Byte/First/Last bookkeeping matches too, so DeepEqual applies.
-		compareBins(t, fmt.Sprintf("workers=%d under-budget", workers), got, want)
+		compareBins(t, fmt.Sprintf("workers=%d under-budget", workers), 10, got, want)
 	}
 }
 
