@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short vet fmt check race bench bench-smoke e2e e2e-daemon e2e-obs fuzz-smoke cover lint
+.PHONY: all build test short vet fmt check race bench microbench bench-smoke e2e e2e-daemon e2e-obs fuzz-smoke cover lint
 
 all: check
 
@@ -46,13 +46,21 @@ lint:
 race:
 	$(GO) test -race -short ./...
 
+# The repo's benchmark (BENCHMARK.json): bench/ drives the real binaries
+# over its four workloads and prints one result document; see
+# bench/README.md for -compare and the per-workload bounds.
 bench:
+	cd bench && $(GO) run . -seed 1
+
+# Every Go micro-benchmark of the root module, one iteration each.
+microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# The subset CI's bench-smoke job runs, plus the machine-readable records
-# (the kernels model figure, the network-wide coordination and dynamic
-# control-plane figures and the bounded-memory sketch figure) and the
-# engine worker-scaling curve. BenchmarkRequiredRate reports the rate
+# What CI's bench-smoke job runs: the benchmark module's own vet and unit
+# tests, the layer micro-benchmarks, and four figures through
+# flowrank-bench (the kernels model figure, the network-wide coordination
+# and dynamic control-plane figures and the bounded-memory sketch figure),
+# which exits non-zero when an experiment fails. BenchmarkRequiredRate reports the rate
 # solve's metric evaluations as evals/op (12 on the adapt-loop model): a
 # regression in the search shows as a count, not as a slow suite.
 # BenchmarkSourceDecode reads a trace file through source.Open in both
@@ -63,15 +71,16 @@ bench:
 # (ns/pkt); BenchmarkBinClose is the bin boundary alone on a 280k-flow
 # exact bin (ns/flow).
 bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -run '^$$' -bench 'Misrank|ModelRanking|StreamPackets|StreamEngine|NetworkCoord|NetworkDynamic|ExtensionSketch' -benchtime 1x
 	$(GO) test -run '^$$' -bench '^BenchmarkRequiredRate$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'Ingest' -benchtime 1x ./internal/flowtable
 	$(GO) test -run '^$$' -bench '^Benchmark(Engine|BinClose)$$' -benchtime 1x ./internal/stream
 	$(GO) test -run '^$$' -bench '^BenchmarkSourceDecode$$' -benchtime 5x ./internal/source
-	$(GO) run ./cmd/flowrank-bench -fig kernels -json
-	$(GO) run ./cmd/flowrank-bench -fig coord -json
-	$(GO) run ./cmd/flowrank-bench -fig dynamic -json
-	$(GO) run ./cmd/flowrank-bench -fig sketch -json
+	$(GO) run ./cmd/flowrank-bench -fig kernels
+	$(GO) run ./cmd/flowrank-bench -fig coord
+	$(GO) run ./cmd/flowrank-bench -fig dynamic
+	$(GO) run ./cmd/flowrank-bench -fig sketch
 
 # End-to-end flowtop cross-check: sequential vs sharded output must be
 # byte-identical on both trace formats (native and pcap).

@@ -54,7 +54,6 @@ func BenchmarkFig16TraceRankingAbilene(b *testing.B)    { benchFigure(b, "fig16"
 // Ablations and extensions (DESIGN.md §5–6).
 func BenchmarkAblationKernels(b *testing.B)   { benchFigure(b, "kernels") }
 func BenchmarkAblationFastpath(b *testing.B)  { benchFigure(b, "fastpath") }
-func BenchmarkExtensionBounded(b *testing.B)  { benchFigure(b, "bounded") }
 func BenchmarkExtensionSketch(b *testing.B)   { benchFigure(b, "sketch") }
 func BenchmarkExtensionSeqest(b *testing.B)   { benchFigure(b, "seqest") }
 func BenchmarkExtensionAdaptive(b *testing.B) { benchFigure(b, "adaptive") }

@@ -1,7 +1,7 @@
 // Command flowrank-bench regenerates the tables and figures of "Ranking
 // flows from sampled traffic" (Barakat, Iannaccone, Diot, CoNEXT 2005),
-// printing each as an aligned text table and optionally saving CSVs and
-// machine-readable benchmark results.
+// printing each as an aligned text table and optionally saving CSVs. It
+// is the paper-figure generator; the repo's benchmark is bench/.
 //
 // Usage:
 //
@@ -9,20 +9,14 @@
 //	flowrank-bench -fig fig04               # one figure
 //	flowrank-bench -fig fig12 -full         # paper scale (30 min, 30 runs)
 //	flowrank-bench -fig all -out results/   # also write results/<id>.csv
-//	flowrank-bench -fig kernels -json       # also write BENCH_kernels.json
-//	flowrank-bench -compare old.json new.json  # diff two BENCH files
 //	flowrank-bench -list                    # show available experiments
 //
 // Figure ids follow the paper (fig01 … fig16); the extras (kernels,
-// fastpath, bounded, seqest, adaptive) are the ablations and future-work
-// extensions documented in DESIGN.md.
+// fastpath, sketch, seqest, adaptive, invert, coord, dynamic) are the
+// ablations and future-work extensions documented in DESIGN.md.
 //
-// With -json the run also emits BENCH_<fig>.json (into -out when set),
-// the versioned schema defined by internal/benchio: per-experiment wall
-// times plus FNV-64a checksums of every table, so CI can archive the file
-// and later runs can be diffed with -compare. The process exits non-zero
-// when any experiment, table rendering, CSV save, or JSON write fails, so
-// CI jobs invoking it actually gate.
+// The process exits non-zero when any experiment, table rendering or CSV
+// save fails, so CI jobs invoking it actually gate.
 package main
 
 import (
@@ -30,12 +24,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
-	"flowrank/internal/benchio"
 	"flowrank/internal/experiments"
 )
 
@@ -47,21 +38,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("flowrank-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		fig         = fs.String("fig", "all", "experiment id (figNN, extras, or 'all')")
-		full        = fs.Bool("full", false, "paper-scale evaluation (slower)")
-		out         = fs.String("out", "", "directory for CSV/JSON output (empty = working directory for JSON)")
-		seed        = fs.Uint64("seed", 0, "experiment seed (0 = default)")
-		workers     = fs.Int("workers", 0, "model and simulation workers (0 = GOMAXPROCS)")
-		list        = fs.Bool("list", false, "list experiment ids and exit")
-		jsonOut     = fs.Bool("json", false, "write BENCH_<fig>.json with wall times and table checksums")
-		compareFlag = fs.Bool("compare", false, "compare two BENCH json files: -compare base.json head.json")
+		fig     = fs.String("fig", "all", "experiment id (figNN, extras, or 'all')")
+		full    = fs.Bool("full", false, "paper-scale evaluation (slower)")
+		out     = fs.String("out", "", "directory for CSV output (empty = none)")
+		seed    = fs.Uint64("seed", 0, "experiment seed (0 = default)")
+		workers = fs.Int("workers", 0, "model and simulation workers (0 = GOMAXPROCS)")
+		list    = fs.Bool("list", false, "list experiment ids and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	if *compareFlag {
-		return runCompare(fs.Args(), stdout, stderr)
 	}
 
 	if *list {
@@ -77,40 +62,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opts := experiments.Options{Full: *full, Seed: *seed, Workers: *workers}
 
-	bench := &benchio.File{
-		SchemaVersion: benchio.SchemaVersion,
-		Module:        "flowrank",
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		CreatedAt:     time.Now().UTC().Format(time.RFC3339),
-		Options:       benchio.Options{Full: *full, Seed: *seed, Workers: *workers},
-	}
-
 	failed := 0
 	for _, id := range ids {
-		var memBefore runtime.MemStats
-		runtime.ReadMemStats(&memBefore)
 		start := time.Now()
 		tables, err := experiments.Run(id, opts)
 		elapsed := time.Since(start)
-		var memAfter runtime.MemStats
-		runtime.ReadMemStats(&memAfter)
-		result := benchio.Result{
-			ID:      id,
-			Title:   experiments.Title(id),
-			WallNS:  elapsed.Nanoseconds(),
-			Mallocs: memAfter.Mallocs - memBefore.Mallocs,
-		}
 		if err != nil {
 			fmt.Fprintf(stderr, "flowrank-bench: %s: %v\n", id, err)
-			result.Error = err.Error()
-			bench.Results = append(bench.Results, result)
 			failed++
 			continue
 		}
 		for _, t := range tables {
-			result.Tables = append(result.Tables, benchio.Digest(t))
 			if err := t.Fprint(stdout); err != nil {
 				fmt.Fprintf(stderr, "flowrank-bench: printing %s: %v\n", t.ID, err)
 				failed++
@@ -125,18 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 			}
 		}
-		bench.Results = append(bench.Results, result)
 		fmt.Fprintf(stdout, "[%s done in %s]\n\n", id, elapsed.Round(time.Millisecond))
-	}
-
-	if *jsonOut {
-		path := filepath.Join(*out, "BENCH_"+*fig+".json")
-		if err := benchio.WriteFile(path, bench); err != nil {
-			fmt.Fprintf(stderr, "flowrank-bench: %v\n", err)
-			failed++
-		} else {
-			fmt.Fprintf(stdout, "wrote %s\n", path)
-		}
 	}
 
 	if failed > 0 {
@@ -146,58 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *fig == "all" && !*full {
 		fmt.Fprintln(stdout, strings.Repeat("-", 72))
 		fmt.Fprintln(stdout, "reduced scale: rerun with -full for the paper's trace lengths and runs")
-	}
-	return 0
-}
-
-// runCompare diffs two BENCH files, printing one line per experiment. It
-// fails when any paired experiment's table checksums disagree, when a
-// paired experiment failed in either run, or when an experiment present
-// in the base run is missing from the head run — all of those are
-// regressions; an experiment only in head (newly added) is fine.
-func runCompare(paths []string, stdout, stderr io.Writer) int {
-	if len(paths) != 2 {
-		fmt.Fprintln(stderr, "flowrank-bench: -compare needs exactly two BENCH json files")
-		return 2
-	}
-	base, err := benchio.ReadFile(paths[0])
-	if err != nil {
-		fmt.Fprintf(stderr, "flowrank-bench: %v\n", err)
-		return 1
-	}
-	head, err := benchio.ReadFile(paths[1])
-	if err != nil {
-		fmt.Fprintf(stderr, "flowrank-bench: %v\n", err)
-		return 1
-	}
-	bad := 0
-	fmt.Fprintf(stdout, "%-10s %12s %12s %8s  %s\n", "id", "base", "head", "speedup", "tables")
-	for _, d := range benchio.Compare(base, head) {
-		switch {
-		case d.OnlyIn == "base":
-			fmt.Fprintf(stdout, "%-10s MISSING FROM HEAD\n", d.ID)
-			bad++
-		case d.OnlyIn == "head":
-			fmt.Fprintf(stdout, "%-10s only in head (new)\n", d.ID)
-		case d.Speedup == 0:
-			fmt.Fprintf(stdout, "%-10s %12s %12s %8s  FAILED RUN\n", d.ID,
-				time.Duration(d.BaseNS).Round(time.Millisecond),
-				time.Duration(d.HeadNS).Round(time.Millisecond), "-")
-			bad++
-		default:
-			status := "match"
-			if !d.ChecksumsMatch {
-				status = "CHECKSUM DRIFT"
-				bad++
-			}
-			fmt.Fprintf(stdout, "%-10s %12s %12s %7.2fx  %s\n", d.ID,
-				time.Duration(d.BaseNS).Round(time.Millisecond),
-				time.Duration(d.HeadNS).Round(time.Millisecond), d.Speedup, status)
-		}
-	}
-	if bad > 0 {
-		fmt.Fprintf(stderr, "flowrank-bench: %d experiments regressed (drift, failure, or missing)\n", bad)
-		return 1
 	}
 	return 0
 }

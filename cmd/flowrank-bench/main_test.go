@@ -2,35 +2,20 @@ package main
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"flowrank/internal/benchio"
 )
-
-func benchFile(results ...benchio.Result) *benchio.File {
-	return &benchio.File{
-		SchemaVersion: benchio.SchemaVersion,
-		Module:        "flowrank",
-		CreatedAt:     "2026-07-29T00:00:00Z",
-		Results:       results,
-	}
-}
-
-func writeBench(t *testing.T, name string, f *benchio.File) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), name)
-	if err := benchio.WriteFile(path, f); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
 
 func TestRunBadFlag(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-workers", "x"}, &out, &errb); code != 2 {
 		t.Fatalf("bad flag exit %d, want 2", code)
+	}
+	// The retired second-harness flags are gone, not ignored.
+	for _, flag := range []string{"-json", "-compare"} {
+		if code := run([]string{"-fig", "fig01", flag}, &out, &errb); code != 2 {
+			t.Errorf("%s exit %d, want 2", flag, code)
+		}
 	}
 }
 
@@ -51,46 +36,5 @@ func TestRunUnknownFig(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "unknown id") {
 		t.Errorf("stderr: %q", errb.String())
-	}
-}
-
-func TestRunCompareGates(t *testing.T) {
-	ok := benchio.Result{ID: "fig99", WallNS: 100,
-		Tables: []benchio.TableDigest{{ID: "fig99", Rows: 1, Cols: 1, Checksum: "aa"}}}
-	drift := ok
-	drift.Tables = []benchio.TableDigest{{ID: "fig99", Rows: 1, Cols: 1, Checksum: "bb"}}
-	failed := benchio.Result{ID: "fig99", WallNS: 100, Error: "boom"}
-	extra := benchio.Result{ID: "fresh", WallNS: 5,
-		Tables: []benchio.TableDigest{{ID: "fresh", Rows: 1, Cols: 1, Checksum: "cc"}}}
-
-	cases := []struct {
-		name       string
-		base, head *benchio.File
-		want       int
-	}{
-		{"identical", benchFile(ok), benchFile(ok), 0},
-		{"new experiment in head is fine", benchFile(ok), benchFile(ok, extra), 0},
-		{"checksum drift", benchFile(ok), benchFile(drift), 1},
-		{"head run failed", benchFile(ok), benchFile(failed), 1},
-		{"experiment missing from head", benchFile(ok, extra), benchFile(ok), 1},
-	}
-	for _, c := range cases {
-		basePath := writeBench(t, "base.json", c.base)
-		headPath := writeBench(t, "head.json", c.head)
-		var out, errb bytes.Buffer
-		if code := run([]string{"-compare", basePath, headPath}, &out, &errb); code != c.want {
-			t.Errorf("%s: exit %d, want %d (stdout %q, stderr %q)",
-				c.name, code, c.want, out.String(), errb.String())
-		}
-	}
-}
-
-func TestRunCompareBadArgs(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-compare", "one.json"}, &out, &errb); code != 2 {
-		t.Fatalf("one-arg compare exit %d, want 2", code)
-	}
-	if code := run([]string{"-compare", "/nonexistent/a.json", "/nonexistent/b.json"}, &out, &errb); code != 1 {
-		t.Fatalf("unreadable compare exit %d, want 1", code)
 	}
 }

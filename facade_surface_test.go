@@ -36,10 +36,8 @@ func TestFacadeSurface(t *testing.T) {
 	// Samplers and flow accounting.
 	_ = NewPeriodic
 	_ = NewSampleAndHold
-	_ = NewBoundedFlowTable
 	var (
 		_ *FlowTable
-		_ *BoundedFlowTable
 		_ TableSpec
 		_ *FlatFlowTable
 		_ *SpaceSavingTable

@@ -241,14 +241,11 @@ func AbileneTrace(traceSeconds float64, seed uint64) TraceConfig {
 func GenerateTrace(cfg TraceConfig) ([]FlowRecord, error) { return tracegen.Generate(cfg) }
 
 // StreamPackets expands flow records to a time-ordered packet stream using
-// the paper's uniform placement (§8.1), calling fn for every packet.
-//
-// Deprecated: the callback style predates the PacketSource ingestion API
-// and cannot be composed with its replay decorators (pacing, looping) or
-// consumed by the monitoring daemon. Expand the records once (StreamRank
-// still wires the expansion straight into a streaming engine), or collect
-// them into a slice and wrap it with NewSliceSource to enter the
-// PacketSource world. StreamPackets keeps working; it just stops growing.
+// the paper's uniform placement (§8.1), calling fn for every packet — the
+// entry point for per-packet logic of the caller's own. To rank the
+// expansion, StreamRank wires it straight into a streaming engine; to
+// feed a PacketSource consumer (replay decorators, the daemon), collect
+// the packets into a slice and wrap it with NewSliceSource.
 func StreamPackets(records []FlowRecord, seed uint64, fn func(Packet) error) error {
 	return packetgen.Stream(records, seed, fn)
 }
@@ -272,24 +269,18 @@ func NewSampleAndHold(p float64, agg Aggregator, seed uint64) Sampler {
 	return sampler.NewSampleAndHold(p, agg, seed)
 }
 
-// FlowTable is exact per-bin flow accounting; BoundedFlowTable the
-// limited-memory variant with bottom eviction. FlowObservation is one
-// packet as FlowSummary.AddBatch takes it: the aggregated key, its
-// FastHash, the timestamp and the size.
+// FlowTable is exact per-bin flow accounting (the limited-memory
+// tables are SpaceSavingTable and CountMinTable below). FlowObservation
+// is one packet as FlowSummary.AddBatch takes it: the aggregated key,
+// its FastHash, the timestamp and the size.
 type (
-	FlowTable        = flowtable.Table
-	BoundedFlowTable = flowtable.Bounded
-	FlowEntry        = flowtable.Entry
-	FlowObservation  = flowtable.Observation
+	FlowTable       = flowtable.Table
+	FlowEntry       = flowtable.Entry
+	FlowObservation = flowtable.Observation
 )
 
 // NewFlowTable returns an empty exact table under agg.
 func NewFlowTable(agg Aggregator) *FlowTable { return flowtable.New(agg) }
-
-// NewBoundedFlowTable returns a table with a fixed number of slots.
-func NewBoundedFlowTable(agg Aggregator, capacity int) *BoundedFlowTable {
-	return flowtable.NewBounded(agg, capacity)
-}
 
 // FlowSummary is the common surface of every per-bin flow-accounting
 // implementation: the exact tables (map and open-addressing flat) and

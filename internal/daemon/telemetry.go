@@ -129,7 +129,7 @@ func registerPipelineMetrics(reg *promexp.Registry, ps *obs.PipelineStats) {
 		"Bin-flush barrier: dispatching the flush and collecting every shard summary.",
 		nsHistFunc(ps.Flush.Barrier.Snapshot))
 	reg.NewHistogramFunc("flowrankd_pipeline_merge_seconds",
-		"K-way merge of shard summaries into the bin result.",
+		"Merging the shard summaries into the bin result: concatenation, top-list selection and the swapped-pair count.",
 		nsHistFunc(ps.Flush.Merge.Snapshot))
 	reg.NewHistogramFunc("flowrankd_pipeline_invert_seconds",
 		"Per-bin flow-size-distribution inversion.",

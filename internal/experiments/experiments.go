@@ -60,8 +60,7 @@ var registry = map[string]struct {
 	"fig16":    {fig16, "trace-driven ranking vs time, Abilene-like short tail (§8.3)"},
 	"kernels":  {extraKernels, "ablation: Gaussian vs hybrid misranking kernel"},
 	"fastpath": {extraFastpath, "ablation: flow-bin fast path vs literal packet path"},
-	"bounded":  {extraBounded, "extension: bounded-memory ranking (future work #1)"},
-	"sketch":   {extraSketch, "extension: Space-Saving/Count-Min summaries vs exact ranking under sampling"},
+	"sketch":   {extraSketch, "extension: bounded-memory ranking (future work #1): Space-Saving/Count-Min vs exact under sampling"},
 	"seqest":   {extraSeqest, "extension: TCP sequence-number size refinement (future work #2)"},
 	"adaptive": {extraAdaptive, "extension: adaptive sampling-rate controller (future work #3)"},
 	"invert":   {extraInvert, "extension: flow-size distribution inversion from sampled counts"},

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,7 +14,7 @@ import (
 
 func TestIDsComplete(t *testing.T) {
 	ids := IDs()
-	want := 16 + 9 // figures + extras
+	want := 16 + 8 // figures + extras
 	if len(ids) != want {
 		t.Errorf("%d experiment ids, want %d: %v", len(ids), want, ids)
 	}
@@ -145,11 +148,48 @@ func TestSimFigureRuns(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite the golden tables under testdata/")
+
+// TestFigureTablesGolden pins the rendered tables — every cell, title and
+// note — of the figures that are deterministic (independent of the worker
+// count) and run in well under a second at reduced scale: the model
+// figures of §3–§7 and the bounded-memory sketch figure, whose rows are
+// the Space-Saving and Count-Min tables' results on a fixed sampled
+// stream. Regenerate with:
+//
+//	go test ./internal/experiments -run TestFigureTablesGolden -update
+func TestFigureTablesGolden(t *testing.T) {
+	ids := []string{"fig01", "fig02", "fig03", "fig04", "fig05", "fig06",
+		"fig07", "fig08", "fig09", "fig10", "fig11", "sketch"}
+	for _, id := range ids {
+		var got bytes.Buffer
+		for _, tab := range runAndRender(t, id) {
+			if err := tab.Fprint(&got); err != nil {
+				t.Fatal(err)
+			}
+		}
+		golden := filepath.Join("testdata", id+".golden")
+		if *update {
+			if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update)", err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s drifted from %s (regenerate with -update if intended):\n--- got\n%s\n--- want\n%s",
+				id, golden, got.String(), want)
+		}
+	}
+}
+
 func TestExtrasRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extras take seconds")
 	}
-	for _, id := range []string{"kernels", "bounded", "seqest", "adaptive"} {
+	for _, id := range []string{"kernels", "seqest", "adaptive"} {
 		runAndRender(t, id)
 	}
 }

@@ -8,10 +8,6 @@ import (
 	"flowrank/internal/core"
 	"flowrank/internal/dist"
 	"flowrank/internal/flow"
-	"flowrank/internal/flowtable"
-	"flowrank/internal/metrics"
-	"flowrank/internal/packet"
-	"flowrank/internal/packetgen"
 	"flowrank/internal/randx"
 	"flowrank/internal/report"
 	"flowrank/internal/sampler"
@@ -89,58 +85,6 @@ func extraFastpath(opts Options) ([]*report.Table, error) {
 	t.Notes = append(t.Notes,
 		"the two engines are different realizations of the same distribution; means agree within noise",
 		fmt.Sprintf("%d runs per engine", runs))
-	return []*report.Table{t}, nil
-}
-
-// extraBounded measures what a limited-memory monitor loses: the sampled
-// stream feeds both an exact table and bottom-eviction tables of varying
-// capacity, and the top-10 lists are compared.
-func extraBounded(opts Options) ([]*report.Table, error) {
-	cfg := tracegen.SprintFiveTuple(60, opts.seed())
-	if !opts.Full {
-		cfg.ArrivalRate = 500
-	}
-	records, err := tracegen.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p := 0.1
-	smp := sampler.NewBernoulli(p, opts.seed()+9)
-	exact := flowtable.New(flow.FiveTuple{})
-	capacities := []int{256, 1024, 4096, 16384}
-	bounded := make([]*flowtable.Bounded, len(capacities))
-	for i, c := range capacities {
-		bounded[i] = flowtable.NewBounded(flow.FiveTuple{}, c)
-	}
-	var sampledPkts int64
-	err = packetgen.Stream(records, opts.seed()+13, func(pk packet.Packet) error {
-		if !smp.Sample(pk) {
-			return nil
-		}
-		sampledPkts++
-		exact.Add(pk)
-		for _, b := range bounded {
-			b.Add(pk)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	exactTop := exact.Top(10)
-	t := &report.Table{
-		ID:      "bounded",
-		Title:   fmt.Sprintf("bounded-memory ranking of the sampled stream (p = 10%%, %d sampled flows)", exact.Len()),
-		Columns: []string{"capacity", "top-10 overlap", "evictions", "tracked"},
-	}
-	for i, b := range bounded {
-		overlap := metrics.TopKOverlap(exactTop, b.Top(10), 10)
-		t.AddRow(capacities[i], overlap, b.Evictions(), b.Len())
-	}
-	t.AddRow("exact", 1.0, int64(0), exact.Len())
-	t.Notes = append(t.Notes,
-		"paper future work #1: sampled traffic into an Estan-Varghese-style limited memory",
-		"overlap: fraction of the exact sampled top-10 recovered by the bounded table")
 	return []*report.Table{t}, nil
 }
 

@@ -35,16 +35,10 @@ var cmSeeds = [cmDepth]uint64{
 // Memory is O(k) flow identities plus the fixed depth x width counter
 // array; steady-state Adds allocate nothing.
 type CountMin struct {
-	agg     flow.Aggregator
-	k       int
-	width   uint64  // power of two
-	rows    []int64 // cmDepth rows of width counters, one slab
-	entries []Entry // tracked flows, len <= k
-	h       []int32 // min-heap of tracked ids ordered by estimate
-	pos     []int32 // tracked id -> heap index
-	index   map[flow.Key]int32
-	packets int64
-	bytesT  int64
+	slots
+	agg   flow.Aggregator
+	width uint64  // power of two
+	rows  []int64 // cmDepth rows of width counters, one slab
 }
 
 // NewCountMin returns a Count-Min summary tracking k flows over a
@@ -55,16 +49,7 @@ func NewCountMin(agg flow.Aggregator, k int) *CountMin {
 		k = 1
 	}
 	width := uint64(1) << bits.Len(uint(4*k-1))
-	return &CountMin{
-		agg:     agg,
-		k:       k,
-		width:   width,
-		rows:    make([]int64, cmDepth*int(width)),
-		entries: make([]Entry, 0, k),
-		h:       make([]int32, 0, k),
-		pos:     make([]int32, 0, k),
-		index:   make(map[flow.Key]int32, k),
-	}
+	return &CountMin{slots: newSlots(k), agg: agg, width: width, rows: make([]int64, cmDepth*int(width))}
 }
 
 // cmMix finalizes a seeded hash into a row index base (splitmix64
@@ -103,27 +88,16 @@ func (c *CountMin) AddAggregated(key flow.Key, time float64, size int64) {
 		return
 	}
 	if len(c.entries) < c.k {
-		id := int32(len(c.entries))
-		c.entries = append(c.entries, Entry{Key: key, Packets: est, Bytes: size, First: time, Last: time})
-		c.index[key] = id
-		c.pos = append(c.pos, int32(len(c.h)))
-		c.h = append(c.h, id)
-		c.siftUp(int32(len(c.h) - 1))
+		c.insert(Entry{Key: key, Packets: est, Bytes: size, First: time, Last: time})
 		return
 	}
 	// Track the flow only if its estimate beats the weakest tracked one.
 	// Bytes and First restart at the takeover: the sketch holds no
 	// identity for the untracked period (documented estimator behaviour,
 	// same shape as Space-Saving's inherited-count caveat).
-	id := c.h[0]
-	e := &c.entries[id]
-	if est <= e.Packets {
-		return
+	if id := c.h[0]; est > c.entries[id].Packets {
+		c.takeover(id, Entry{Key: key, Packets: est, Bytes: size, First: time, Last: time})
 	}
-	delete(c.index, e.Key)
-	*e = Entry{Key: key, Packets: est, Bytes: size, First: time, Last: time}
-	c.index[key] = id
-	c.siftDown(c.pos[id])
 }
 
 // bump increments the key's counter in every row and returns the new
@@ -159,53 +133,6 @@ func (c *CountMin) Estimate(key flow.Key) int64 {
 	return est
 }
 
-// siftUp restores the heap above index i.
-func (c *CountMin) siftUp(i int32) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if c.entries[c.h[parent]].Packets <= c.entries[c.h[i]].Packets {
-			return
-		}
-		c.swap(i, parent)
-		i = parent
-	}
-}
-
-// siftDown restores the heap below index i.
-func (c *CountMin) siftDown(i int32) {
-	n := int32(len(c.h))
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && c.entries[c.h[l]].Packets < c.entries[c.h[min]].Packets {
-			min = l
-		}
-		if r < n && c.entries[c.h[r]].Packets < c.entries[c.h[min]].Packets {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		c.swap(i, min)
-		i = min
-	}
-}
-
-func (c *CountMin) swap(i, j int32) {
-	c.h[i], c.h[j] = c.h[j], c.h[i]
-	c.pos[c.h[i]] = i
-	c.pos[c.h[j]] = j
-}
-
-// Len returns the number of tracked flows (at most k).
-func (c *CountMin) Len() int { return len(c.entries) }
-
-// TotalPackets returns the exact number of accounted packets.
-func (c *CountMin) TotalPackets() int64 { return c.packets }
-
-// TotalBytes returns the exact number of accounted bytes.
-func (c *CountMin) TotalBytes() int64 { return c.bytesT }
-
 // Width returns the per-row counter width.
 func (c *CountMin) Width() int { return int(c.width) }
 
@@ -215,15 +142,6 @@ func (c *CountMin) ErrorBound() int64 {
 	return (2*c.packets + int64(c.width) - 1) / int64(c.width)
 }
 
-// Lookup returns the tracked entry for an (aggregated) key, if tracked.
-func (c *CountMin) Lookup(key flow.Key) (Entry, bool) {
-	id, ok := c.index[key]
-	if !ok {
-		return Entry{}, false
-	}
-	return c.entries[id], true
-}
-
 // AddBatch accounts the observations in order.
 func (c *CountMin) AddBatch(batch []Observation) {
 	for i := range batch {
@@ -231,33 +149,8 @@ func (c *CountMin) AddBatch(batch []Observation) {
 	}
 }
 
-// AppendAll appends the tracked flows to dst in slot order.
-func (c *CountMin) AppendAll(dst []Entry) []Entry { return append(dst, c.entries...) }
-
-// AppendEntries appends the tracked flows to dst in the canonical
-// ranking order (by estimate) and returns it.
-func (c *CountMin) AppendEntries(dst []Entry) []Entry { return appendSorted(c, dst) }
-
-// AppendTop appends the k highest-estimated flows in ranking order.
-func (c *CountMin) AppendTop(dst []Entry, k int) []Entry { return appendTop(c, dst, k) }
-
-// AppendCounts adds every tracked flow's estimated packet count to dst.
-func (c *CountMin) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {
-	if dst == nil {
-		dst = make(map[flow.Key]int64, len(c.entries))
-	}
-	for i := range c.entries {
-		dst[c.entries[i].Key] = c.entries[i].Packets
-	}
-	return dst
-}
-
 // Reset clears the summary for the next bin, keeping its memory.
 func (c *CountMin) Reset() {
 	clear(c.rows)
-	c.entries = c.entries[:0]
-	c.h = c.h[:0]
-	c.pos = c.pos[:0]
-	clear(c.index)
-	c.packets, c.bytesT = 0, 0
+	c.reset()
 }

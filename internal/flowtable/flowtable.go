@@ -2,10 +2,13 @@
 // into flows under a chosen aggregation, count packets and bytes, and
 // extract the top-k list — the link-monitor half of the paper's pipeline.
 //
-// Table is the exact, unbounded accounting used by the experiments.
-// Bounded is the limited-memory variant the paper's related work ([11],
-// [13]) studies: a fixed number of slots with bottom-eviction when a new
-// flow arrives and the memory is full.
+// Table is the exact, unbounded map-based accounting the experiments use
+// and the reference the other kinds are tested against; Flat is the exact
+// open-addressing table of the streaming engine. SpaceSaving and CountMin
+// are the limited-memory variants the paper's related work ([11], [13])
+// studies — a fixed number of slots, the weakest giving way when a new
+// flow arrives and the memory is full — over one shared slot store
+// (slots.go). Summary (summary.go) is the surface all four share.
 package flowtable
 
 import (

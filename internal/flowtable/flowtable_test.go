@@ -119,78 +119,123 @@ func TestEntriesSortedAndDeterministic(t *testing.T) {
 	}
 }
 
+// lookupSummary is what the bounded-kind tests below drive: the Summary
+// surface plus the tracked-key lookup both sketches share.
+type lookupSummary interface {
+	Summary
+	Add(packet.Packet)
+	Lookup(flow.Key) (Entry, bool)
+}
+
+// TestBoundedEvictsSmallest pins the victim choice under both takeover
+// policies: a full table gives up its weakest slot, in place, and no
+// other.
 func TestBoundedEvictsSmallest(t *testing.T) {
-	b := NewBounded(flow.FiveTuple{}, 3)
-	// Flows 1..3 get 5,10,15 packets; flow 4 arrives and must evict flow 1.
+	ss := NewSpaceSaving(flow.FiveTuple{}, 3)
+	cm := NewCountMin(flow.FiveTuple{}, 3)
+	// Flows 1..3 get 5, 10, 15 packets; then flow 4 arrives.
+	for f, n := range []int{5, 10, 15} {
+		for i := 0; i < n; i++ {
+			ss.Add(pkt(byte(f+1), 100, float64(i)))
+			cm.Add(pkt(byte(f+1), 100, float64(i)))
+		}
+	}
+	weakest, newcomer := pkt(1, 0, 0).Key, pkt(4, 0, 0).Key
+	ss.Add(pkt(4, 100, 99))
+	cm.Add(pkt(4, 100, 99))
+
+	// Space-Saving: the newcomer takes the weakest slot at once and
+	// inherits its count as the error term.
+	if _, ok := ss.Lookup(weakest); ok {
+		t.Error("spacesaving: smallest flow should have been evicted")
+	}
+	if e, ok := ss.Lookup(newcomer); !ok || e.Packets != 6 || e.Bytes != 600 || e.First != 99 {
+		t.Errorf("spacesaving: newcomer entry %+v, %v", e, ok)
+	}
+	if errTerm, _ := ss.CountError(newcomer); errTerm != 5 || ss.ErrorBound() != 5 || ss.Evictions() != 1 {
+		t.Errorf("spacesaving: error term %d, bound %d, evictions %d", errTerm, ss.ErrorBound(), ss.Evictions())
+	}
+	if all := ss.AppendAll(nil); len(all) != 3 || all[0].Key != newcomer {
+		t.Errorf("spacesaving: slot order %+v, want the newcomer in the evicted flow's slot", all)
+	}
+
+	// Count-Min: one packet's estimate does not beat the weakest slot...
+	if _, ok := cm.Lookup(newcomer); ok {
+		t.Error("countmin: a one-packet flow displaced a five-packet one")
+	}
+	// ...six packets' does.
 	for i := 0; i < 5; i++ {
-		b.Add(pkt(1, 100, float64(i)))
+		cm.Add(pkt(4, 100, 100+float64(i)))
 	}
-	for i := 0; i < 10; i++ {
-		b.Add(pkt(2, 100, float64(i)))
+	if _, ok := cm.Lookup(weakest); ok {
+		t.Error("countmin: smallest flow should have been displaced")
 	}
-	for i := 0; i < 15; i++ {
-		b.Add(pkt(3, 100, float64(i)))
+	if e, ok := cm.Lookup(newcomer); !ok || e.Packets < 6 || e.Bytes != 100 || e.First != 104 {
+		t.Errorf("countmin: newcomer entry %+v, %v", e, ok)
 	}
-	b.Add(pkt(4, 100, 99))
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", b.Len())
+	if all := cm.AppendAll(nil); len(all) != 3 || all[0].Key != newcomer {
+		t.Errorf("countmin: slot order %+v, want the newcomer in the displaced flow's slot", all)
 	}
-	if _, ok := b.Lookup(pkt(1, 0, 0).Key); ok {
-		t.Error("smallest flow should have been evicted")
-	}
-	if _, ok := b.Lookup(pkt(3, 0, 0).Key); !ok {
-		t.Error("largest flow must survive")
-	}
-	if b.Evictions() != 1 {
-		t.Errorf("Evictions = %d", b.Evictions())
+	for _, s := range []lookupSummary{ss, cm} {
+		if e, ok := s.Lookup(pkt(3, 0, 0).Key); !ok || e.Packets < 15 || s.Len() != 3 {
+			t.Errorf("%T: largest flow %+v, %v; %d tracked", s, e, ok, s.Len())
+		}
 	}
 }
 
 func TestBoundedKeepsHeavyHittersUnderChurn(t *testing.T) {
-	g := randx.New(8)
-	b := NewBounded(flow.FiveTuple{}, 64)
-	heavy := pkt(200, 100, 0).Key
-	// Interleave one heavy flow with a churn of one-packet flows.
-	for i := 0; i < 20000; i++ {
-		if i%4 == 0 {
-			b.Add(packet.Packet{Key: heavy, Size: 100, Time: float64(i)})
-		} else {
-			k := flow.Key{
-				Src:     flow.Addr{byte(g.IntN(250)), byte(g.IntN(250)), byte(g.IntN(250)), 1},
-				Dst:     flow.Addr{1, 1, 1, 1},
-				SrcPort: uint16(g.IntN(60000)), Proto: flow.ProtoUDP,
+	for _, b := range []lookupSummary{NewSpaceSaving(flow.FiveTuple{}, 64), NewCountMin(flow.FiveTuple{}, 64)} {
+		g := randx.New(8)
+		heavy := pkt(200, 100, 0).Key
+		// Interleave one heavy flow with a churn of one-packet flows.
+		for i := 0; i < 20000; i++ {
+			if i%4 == 0 {
+				b.Add(packet.Packet{Key: heavy, Size: 100, Time: float64(i)})
+			} else {
+				k := flow.Key{
+					Src:     flow.Addr{byte(g.IntN(250)), byte(g.IntN(250)), byte(g.IntN(250)), 1},
+					Dst:     flow.Addr{1, 1, 1, 1},
+					SrcPort: uint16(g.IntN(60000)), Proto: flow.ProtoUDP,
+				}
+				b.Add(packet.Packet{Key: k, Size: 40, Time: float64(i)})
 			}
-			b.Add(packet.Packet{Key: k, Size: 40, Time: float64(i)})
 		}
-	}
-	e, ok := b.Lookup(heavy)
-	if !ok {
-		t.Fatal("heavy hitter evicted")
-	}
-	if e.Packets != 5000 {
-		t.Errorf("heavy hitter count = %d, want 5000", e.Packets)
-	}
-	if b.Len() > 64 {
-		t.Errorf("table over capacity: %d", b.Len())
-	}
-	top := b.Top(1)
-	if len(top) != 1 || top[0].Key != heavy {
-		t.Error("heavy hitter should rank first")
+		e, ok := b.Lookup(heavy)
+		if !ok {
+			t.Fatalf("%T: heavy hitter evicted", b)
+		}
+		if e.Packets < 5000 || e.Packets > 5000+b.ErrorBound() {
+			t.Errorf("%T: heavy hitter count = %d, want 5000 to 5000+%d", b, e.Packets, b.ErrorBound())
+		}
+		if b.Len() > 64 {
+			t.Errorf("%T: table over capacity: %d", b, b.Len())
+		}
+		if top := b.AppendTop(nil, 1); len(top) != 1 || top[0].Key != heavy {
+			t.Errorf("%T: heavy hitter should rank first", b)
+		}
 	}
 }
 
 func TestBoundedReset(t *testing.T) {
-	b := NewBounded(flow.FiveTuple{}, 2)
-	b.Add(pkt(1, 100, 0))
-	b.Add(pkt(2, 100, 0))
-	b.Add(pkt(3, 100, 0))
-	b.Reset()
-	if b.Len() != 0 || b.Evictions() != 0 {
-		t.Error("Reset did not clear state")
+	for _, b := range []lookupSummary{NewSpaceSaving(flow.FiveTuple{}, 2), NewCountMin(flow.FiveTuple{}, 2)} {
+		for i := 0; i < 9; i++ {
+			b.Add(pkt(byte(1+i%3), 100, 0))
+		}
+		b.Reset()
+		if b.Len() != 0 || b.ErrorBound() != 0 || len(b.AppendAll(nil)) != 0 {
+			t.Errorf("%T: Reset did not clear state", b)
+		}
+		b.Add(pkt(2, 100, 0))
+		if e, ok := b.Lookup(pkt(2, 0, 0).Key); !ok || e.Packets != 1 || b.Len() != 1 {
+			t.Errorf("%T: after Reset a first packet reads %+v, %v", b, e, ok)
+		}
 	}
-	b.Add(pkt(5, 100, 0))
-	if b.Len() != 1 {
-		t.Error("table unusable after Reset")
+	ss := NewSpaceSaving(flow.FiveTuple{}, 1)
+	ss.Add(pkt(1, 100, 0))
+	ss.Add(pkt(2, 100, 0))
+	ss.Reset()
+	if ss.Evictions() != 0 || ss.MinCount() != 0 {
+		t.Errorf("spacesaving: Reset left %d evictions, min count %d", ss.Evictions(), ss.MinCount())
 	}
 }
 
@@ -200,25 +245,6 @@ func BenchmarkTableAdd(b *testing.B) {
 	pkts := make([]packet.Packet, 4096)
 	for i := range pkts {
 		pkts[i] = pkt(byte(g.IntN(256)), 500, float64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.Add(pkts[i&4095])
-	}
-}
-
-func BenchmarkBoundedAdd(b *testing.B) {
-	tab := NewBounded(flow.FiveTuple{}, 1024)
-	g := randx.New(1)
-	pkts := make([]packet.Packet, 4096)
-	for i := range pkts {
-		pkts[i] = packet.Packet{
-			Key: flow.Key{
-				Src:     flow.Addr{byte(g.IntN(256)), byte(g.IntN(256)), byte(g.IntN(256)), 1},
-				SrcPort: uint16(g.IntN(60000)),
-			},
-			Size: 500,
-		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -22,15 +22,9 @@ import (
 // carries, and steady-state Adds allocate nothing: the counter array,
 // the index and the eviction min-heap are all pre-sized at construction.
 type SpaceSaving struct {
+	slots
 	agg     flow.Aggregator
-	k       int
-	entries []Entry // counter slots, len <= k
 	errs    []int64 // errs[i]: count slot i inherited at its last takeover
-	h       []int32 // min-heap of slot ids ordered by entries[id].Packets
-	pos     []int32 // slot id -> heap index
-	index   map[flow.Key]int32
-	packets int64
-	bytesT  int64
 	evicted int64
 }
 
@@ -39,15 +33,7 @@ func NewSpaceSaving(agg flow.Aggregator, k int) *SpaceSaving {
 	if k < 1 {
 		k = 1
 	}
-	return &SpaceSaving{
-		agg:     agg,
-		k:       k,
-		entries: make([]Entry, 0, k),
-		errs:    make([]int64, 0, k),
-		h:       make([]int32, 0, k),
-		pos:     make([]int32, 0, k),
-		index:   make(map[flow.Key]int32, k),
-	}
+	return &SpaceSaving{slots: newSlots(k), agg: agg, errs: make([]int64, 0, k)}
 }
 
 // Add accounts one packet.
@@ -72,78 +58,19 @@ func (s *SpaceSaving) AddAggregated(key flow.Key, time float64, size int64) {
 		return
 	}
 	if len(s.entries) < s.k {
-		id := int32(len(s.entries))
-		s.entries = append(s.entries, Entry{Key: key, Packets: 1, Bytes: size, First: time, Last: time})
+		s.insert(Entry{Key: key, Packets: 1, Bytes: size, First: time, Last: time})
 		s.errs = append(s.errs, 0)
-		s.index[key] = id
-		s.pos = append(s.pos, int32(len(s.h)))
-		s.h = append(s.h, id)
-		s.siftUp(int32(len(s.h) - 1))
 		return
 	}
 	// Full: the minimum counter changes identity. The new flow inherits
 	// the evicted count (and bytes) as its error term — the Space-Saving
 	// overcount — so its counter never under-estimates its true count.
 	id := s.h[0]
-	e := &s.entries[id]
-	delete(s.index, e.Key)
-	s.errs[id] = e.Packets
+	weakest := &s.entries[id]
+	s.errs[id] = weakest.Packets
 	s.evicted++
-	*e = Entry{Key: key, Packets: e.Packets + 1, Bytes: e.Bytes + size, First: time, Last: time}
-	s.index[key] = id
-	s.siftDown(s.pos[id])
+	s.takeover(id, Entry{Key: key, Packets: weakest.Packets + 1, Bytes: weakest.Bytes + size, First: time, Last: time})
 }
-
-// siftUp restores the heap above index i.
-//
-//flowrank:hotpath
-func (s *SpaceSaving) siftUp(i int32) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s.entries[s.h[parent]].Packets <= s.entries[s.h[i]].Packets {
-			return
-		}
-		s.swap(i, parent)
-		i = parent
-	}
-}
-
-// siftDown restores the heap below index i.
-//
-//flowrank:hotpath
-func (s *SpaceSaving) siftDown(i int32) {
-	n := int32(len(s.h))
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s.entries[s.h[l]].Packets < s.entries[s.h[min]].Packets {
-			min = l
-		}
-		if r < n && s.entries[s.h[r]].Packets < s.entries[s.h[min]].Packets {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		s.swap(i, min)
-		i = min
-	}
-}
-
-func (s *SpaceSaving) swap(i, j int32) {
-	s.h[i], s.h[j] = s.h[j], s.h[i]
-	s.pos[s.h[i]] = i
-	s.pos[s.h[j]] = j
-}
-
-// Len returns the number of tracked flows (at most k).
-func (s *SpaceSaving) Len() int { return len(s.entries) }
-
-// TotalPackets returns the exact number of accounted packets.
-func (s *SpaceSaving) TotalPackets() int64 { return s.packets }
-
-// TotalBytes returns the exact number of accounted bytes.
-func (s *SpaceSaving) TotalBytes() int64 { return s.bytesT }
 
 // Evictions returns how many identity takeovers have happened.
 func (s *SpaceSaving) Evictions() int64 { return s.evicted }
@@ -181,15 +108,6 @@ func (s *SpaceSaving) CountError(key flow.Key) (int64, bool) {
 	return s.errs[id], true
 }
 
-// Lookup returns the entry for an (aggregated) key, if tracked.
-func (s *SpaceSaving) Lookup(key flow.Key) (Entry, bool) {
-	id, ok := s.index[key]
-	if !ok {
-		return Entry{}, false
-	}
-	return s.entries[id], true
-}
-
 // AddBatch accounts the observations in order.
 func (s *SpaceSaving) AddBatch(batch []Observation) {
 	for i := range batch {
@@ -197,33 +115,9 @@ func (s *SpaceSaving) AddBatch(batch []Observation) {
 	}
 }
 
-// AppendAll appends the tracked flows to dst in slot order.
-func (s *SpaceSaving) AppendAll(dst []Entry) []Entry { return append(dst, s.entries...) }
-
-// AppendEntries appends the tracked flows to dst in the canonical
-// ranking order (by estimated count) and returns it.
-func (s *SpaceSaving) AppendEntries(dst []Entry) []Entry { return appendSorted(s, dst) }
-
-// AppendTop appends the k highest-estimated flows in ranking order.
-func (s *SpaceSaving) AppendTop(dst []Entry, k int) []Entry { return appendTop(s, dst, k) }
-
-// AppendCounts adds every tracked flow's estimated packet count to dst.
-func (s *SpaceSaving) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {
-	if dst == nil {
-		dst = make(map[flow.Key]int64, len(s.entries))
-	}
-	for i := range s.entries {
-		dst[s.entries[i].Key] = s.entries[i].Packets
-	}
-	return dst
-}
-
 // Reset clears the summary for the next bin, keeping its memory.
 func (s *SpaceSaving) Reset() {
-	s.entries = s.entries[:0]
+	s.reset()
 	s.errs = s.errs[:0]
-	s.h = s.h[:0]
-	s.pos = s.pos[:0]
-	clear(s.index)
-	s.packets, s.bytesT, s.evicted = 0, 0, 0
+	s.evicted = 0
 }

@@ -9,8 +9,8 @@ import (
 
 // Summary is the per-shard flow-accounting contract of the streaming
 // engine: everything a shard worker needs to account packets and report
-// a bin. Four implementations ship with the package, from exact to
-// bounded memory:
+// a bin. Four implementations ship with the package, two exact and two
+// of bounded memory:
 //
 //   - Flat (KindExact): open-addressing exact table, the default hot path
 //   - Table (KindMap): map-based exact table, the reference implementation
@@ -18,6 +18,9 @@ import (
 //     deterministic per-flow overcount bound (Metwally et al.)
 //   - CountMin (KindCountMin): count-min sketch plus a top-k heap, O(k)
 //     memory, probabilistic overcount bound (Cormode–Muthukrishnan)
+//
+// The two bounded kinds are takeover policies over one tracked-slot store
+// (slots).
 //
 // Exact summaries report every flow with its true count; bounded ones
 // report at most their slot budget of flows, each count an overestimate
@@ -103,6 +106,11 @@ func (k Kind) String() string {
 // leaves Slots at 0.
 const defaultSketchSlots = 4096
 
+// MaxSlots is the largest slot budget a bounded Spec accepts: about
+// 0.8 GB per table at 48 B a slot (two tables per shard), and far inside
+// the int32 slot ids the sketches' heaps use.
+const MaxSlots = 1 << 24
+
 // Spec selects and sizes the Summary implementation a stream shard uses.
 // The zero Spec is the exact open-addressing table at its default
 // pre-size — the configuration every existing caller gets implicitly.
@@ -110,8 +118,9 @@ type Spec struct {
 	Kind Kind
 	// Slots is the memory budget in flow slots. For the exact kinds it is
 	// a pre-size hint (the table still grows past it); for the bounded
-	// kinds it is the hard per-shard budget (default 4096). The Count-Min
-	// kind additionally keeps a depth-4 counter array of 4x Slots width.
+	// kinds it is the hard per-shard budget (default 4096, at most
+	// MaxSlots). The Count-Min kind additionally keeps a depth-4 counter
+	// array of 4x Slots width.
 	Slots int
 }
 
@@ -124,6 +133,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Slots < 0 {
 		return fmt.Errorf("flowtable: negative slot budget %d", s.Slots)
+	}
+	if !s.Exact() && s.Slots > MaxSlots {
+		return fmt.Errorf("flowtable: slot budget %d above the %s maximum of %d", s.Slots, s.Kind, MaxSlots)
 	}
 	return nil
 }
@@ -230,8 +242,14 @@ func (t *Table) ErrorBound() int64 { return 0 }
 
 // --- AppendEntries and AppendTop, shared by every kind ---------------------
 
+// allAppender is the one Summary method AppendEntries and AppendTop are
+// built from.
+type allAppender interface {
+	AppendAll(dst []Entry) []Entry
+}
+
 // appendSorted is AppendEntries over a summary's AppendAll.
-func appendSorted(s Summary, dst []Entry) []Entry {
+func appendSorted(s allAppender, dst []Entry) []Entry {
 	base := len(dst)
 	dst = s.AppendAll(dst)
 	SortEntries(dst[base:])
@@ -240,7 +258,7 @@ func appendSorted(s Summary, dst []Entry) []Entry {
 
 // appendTop is AppendTop over a summary's AppendAll: collect, select,
 // truncate to the top list.
-func appendTop(s Summary, dst []Entry, k int) []Entry {
+func appendTop(s allAppender, dst []Entry, k int) []Entry {
 	base := len(dst)
 	if k <= 0 {
 		return dst

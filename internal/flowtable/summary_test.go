@@ -185,6 +185,19 @@ func TestSpecStrings(t *testing.T) {
 	if err := (Spec{Kind: KindSpaceSaving, Slots: -1}).Validate(); err == nil {
 		t.Error("negative slot budget accepted")
 	}
+	// A bounded budget above MaxSlots would overflow the int32 slot ids or
+	// the allocator; an exact kind's Slots is only a pre-size hint.
+	for _, kind := range []Kind{KindSpaceSaving, KindCountMin} {
+		if err := (Spec{Kind: kind, Slots: MaxSlots}).Validate(); err != nil {
+			t.Errorf("%s: MaxSlots rejected: %v", kind, err)
+		}
+		if _, err := ParseSpec(kind.String(), MaxSlots+1); err == nil || !strings.Contains(err.Error(), "maximum") {
+			t.Errorf("%s: MaxSlots+1 error = %v", kind, err)
+		}
+		if _, err := (Spec{Kind: kind, Slots: 1 << 62}).New(flow.FiveTuple{}); err == nil {
+			t.Errorf("%s: New built a 2^62-slot table", kind)
+		}
+	}
 	if err := (Spec{Kind: Kind(99)}).Validate(); err == nil {
 		t.Error("unknown kind value accepted")
 	}

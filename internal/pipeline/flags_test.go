@@ -61,6 +61,8 @@ func TestFlagValidation(t *testing.T) {
 		{"adapt with an empty top list", []string{"-adapt", "1", "-invert", "em", "-t", "0"}, "(-t)"},
 		{"memory with exact table", []string{"-memory", "4096"}, "-table"},
 		{"negative memory", []string{"-table", "countmin", "-memory", "-1"}, "negative slot budget"},
+		{"memory above the cap", []string{"-table", "spacesaving", "-memory", "16777217"}, "above the spacesaving maximum"},
+		{"memory that would not fit a slice", []string{"-table", "countmin", "-memory", "4611686018427387904"}, "above the countmin maximum"},
 		{"unknown agg", []string{"-agg", "7tuple"}, "-agg"},
 		{"unknown invert", []string{"-invert", "magic"}, "-invert"},
 		{"unknown table", []string{"-table", "btree"}, "btree"},
