@@ -68,8 +68,10 @@ microbench:
 # every packet before the sampling decision, read syscalls included.
 # BenchmarkIngestFlatBatch (matched by 'Ingest') sets the engine's batched
 # exact-table ingest against the per-packet one on a million-flow table
-# (ns/pkt); BenchmarkBinClose is the bin boundary alone on a 280k-flow
-# exact bin (ns/flow).
+# (ns/pkt), BenchmarkIngest{CountMin,SpaceSaving}Batch do the same for the
+# 4096-slot sketches under a mice-heavy stream; BenchmarkEngine's
+# countmin/ runs are the daemon-scrape shard configuration; BenchmarkBinClose
+# is the bin boundary alone on a 280k-flow exact bin (ns/flow).
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -run '^$$' -bench 'Misrank|ModelRanking|StreamPackets|StreamEngine|NetworkCoord|NetworkDynamic|ExtensionSketch' -benchtime 1x
@@ -102,11 +104,11 @@ e2e-daemon:
 e2e-obs:
 	./scripts/e2e_obs.sh
 
-# Brief native fuzz runs (~45 s total) over the wire-format edges (the
+# Brief native fuzz runs (~50 s total) over the wire-format edges (the
 # NetFlow decode/encode round trip, the pcap reader/writer, the native
 # packet-trace reader; both trace readers differentially against their
-# unbuffered reference readers) and the flat flow table's open-addressing
-# machinery. Long runs are for dedicated fuzzing sessions; this keeps the
+# unbuffered reference readers), the flat flow table's open-addressing
+# machinery and the sketches' hash-probed slot index (against a Go map). Long runs are for dedicated fuzzing sessions; this keeps the
 # harnesses and seed corpora green.
 fuzz-smoke:
 	$(GO) test ./internal/netflow -run '^$$' -fuzz '^FuzzDecodeDatagram$$' -fuzztime 8s
@@ -115,6 +117,7 @@ fuzz-smoke:
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzWriterRoundTrip$$' -fuzztime 7s
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzPacketReader$$' -fuzztime 7s
 	$(GO) test ./internal/flowtable -run '^$$' -fuzz '^FuzzFlatProbe$$' -fuzztime 8s
+	$(GO) test ./internal/flowtable -run '^$$' -fuzz '^FuzzSlotsIndex$$' -fuzztime 6s
 
 # Short-suite coverage with a ratchet: fails when total coverage drops
 # more than a point below the committed .coverage-baseline.

@@ -39,17 +39,39 @@ type CountMin struct {
 	agg   flow.Aggregator
 	width uint64  // power of two
 	rows  []int64 // cmDepth rows of width counters, one slab
+	// touched absorbs AddBatch's early loads so the compiler keeps them.
+	touched uint64
 }
 
-// NewCountMin returns a Count-Min summary tracking k flows over a
-// counter array of width 4k per row (rounded up to a power of two), the
-// conventional sizing that keeps 2N/w below N/2k.
+// cmOffsets is one key's counter in every row, as indices into rows.
+// uint32 holds them: newSlots caps k at MaxSlots, where the slab is
+// cmDepth x 4 x MaxSlots = 2^28 counters.
+type cmOffsets [cmDepth]uint32
+
+const _ = uint32(cmDepth*4*MaxSlots - 1) // does not compile if MaxSlots outgrows cmOffsets
+
+// NewCountMin returns a Count-Min summary tracking k flows (k clamped to
+// [1, MaxSlots]) over a counter array of width 4k per row (rounded up to
+// a power of two), the conventional sizing that keeps 2N/w below N/2k.
 func NewCountMin(agg flow.Aggregator, k int) *CountMin {
-	if k < 1 {
-		k = 1
+	sl := newSlots(k)
+	width := uint64(1) << bits.Len(uint(4*sl.k-1))
+	return &CountMin{slots: sl, agg: agg, width: width, rows: make([]int64, cmDepth*int(width))}
+}
+
+// offset returns the index into rows of the row-r counter of a key whose
+// FastHash is h — the one formula behind Estimate, the per-packet path and
+// AddBatch's groups.
+func (c *CountMin) offset(h uint64, r int) uint32 {
+	return uint32(uint64(r)*c.width + cmMix(h^cmSeeds[r])&(c.width-1))
+}
+
+// offsets returns offset(h, r) for every row.
+func (c *CountMin) offsets(h uint64) (o cmOffsets) {
+	for r := range o {
+		o[r] = c.offset(h, r)
 	}
-	width := uint64(1) << bits.Len(uint(4*k-1))
-	return &CountMin{slots: newSlots(k), agg: agg, width: width, rows: make([]int64, cmDepth*int(width))}
+	return o
 }
 
 // cmMix finalizes a seeded hash into a row index base (splitmix64
@@ -74,10 +96,20 @@ func (c *CountMin) Add(p packet.Packet) {
 //
 //flowrank:hotpath
 func (c *CountMin) AddAggregated(key flow.Key, time float64, size int64) {
+	h := key.FastHash()
+	o := c.offsets(h)
+	c.add(key, h, &o, time, size)
+}
+
+// add accounts one packet of the flow key, whose FastHash is hash and
+// whose counters are at o.
+//
+//flowrank:hotpath
+func (c *CountMin) add(key flow.Key, hash uint64, o *cmOffsets, time float64, size int64) {
 	c.packets++
 	c.bytesT += size
-	est := c.bump(key)
-	if id, ok := c.index[key]; ok {
+	est := c.bump(o)
+	if id, ok := c.find(key, hash); ok {
 		e := &c.entries[id]
 		// The min-over-rows estimate is monotone for a fixed key, so this
 		// only moves the tracked count up.
@@ -88,7 +120,7 @@ func (c *CountMin) AddAggregated(key flow.Key, time float64, size int64) {
 		return
 	}
 	if len(c.entries) < c.k {
-		c.insert(Entry{Key: key, Packets: est, Bytes: size, First: time, Last: time})
+		c.insert(Entry{Key: key, Packets: est, Bytes: size, First: time, Last: time}, hash)
 		return
 	}
 	// Track the flow only if its estimate beats the weakest tracked one.
@@ -96,20 +128,17 @@ func (c *CountMin) AddAggregated(key flow.Key, time float64, size int64) {
 	// identity for the untracked period (documented estimator behaviour,
 	// same shape as Space-Saving's inherited-count caveat).
 	if id := c.h[0]; est > c.entries[id].Packets {
-		c.takeover(id, Entry{Key: key, Packets: est, Bytes: size, First: time, Last: time})
+		c.takeover(id, Entry{Key: key, Packets: est, Bytes: size, First: time, Last: time}, hash)
 	}
 }
 
-// bump increments the key's counter in every row and returns the new
+// bump increments the counter at o in every row and returns the new
 // min-over-rows estimate.
 //
 //flowrank:hotpath
-func (c *CountMin) bump(key flow.Key) int64 {
-	h := key.FastHash()
-	mask := c.width - 1
+func (c *CountMin) bump(o *cmOffsets) int64 {
 	est := int64(1<<63 - 1)
-	for r := 0; r < cmDepth; r++ {
-		i := uint64(r)*c.width + cmMix(h^cmSeeds[r])&mask
+	for _, i := range o {
 		c.rows[i]++
 		if c.rows[i] < est {
 			est = c.rows[i]
@@ -121,12 +150,9 @@ func (c *CountMin) bump(key flow.Key) int64 {
 // Estimate returns the sketch's count estimate for an (aggregated) key,
 // whether or not the flow is tracked. It never under-estimates.
 func (c *CountMin) Estimate(key flow.Key) int64 {
-	h := key.FastHash()
-	mask := c.width - 1
 	est := int64(1<<63 - 1)
-	for r := 0; r < cmDepth; r++ {
-		v := c.rows[uint64(r)*c.width+cmMix(h^cmSeeds[r])&mask]
-		if v < est {
+	for _, i := range c.offsets(key.FastHash()) {
+		if v := c.rows[i]; v < est {
 			est = v
 		}
 	}
@@ -142,10 +168,36 @@ func (c *CountMin) ErrorBound() int64 {
 	return (2*c.packets + int64(c.width) - 1) / int64(c.width)
 }
 
-// AddBatch accounts the observations in order.
+// AddBatch accounts the observations in order, exactly as one
+// AddAggregated per observation would, without hashing: the row offsets
+// come from each observation's supplied hash. A packet costs four counter
+// updates in four rows plus an index probe, each a likely cache miss that
+// AddAggregated takes one after another; here every group of
+// flatBatchGroup observations first derives all its offsets and loads
+// those counters and index home words together (Flat.AddBatch's idiom),
+// then increments and updates the tracked slots in trace order from the
+// saved offsets — so a key repeated inside a group still sees its own
+// earlier increment.
+//
+//flowrank:hotpath
 func (c *CountMin) AddBatch(batch []Observation) {
-	for i := range batch {
-		c.AddAggregated(batch[i].Key, batch[i].Time, batch[i].Size)
+	var offs [flatBatchGroup]cmOffsets
+	imask := uint64(len(c.index) - 1)
+	for len(batch) > 0 {
+		g := batch[:min(flatBatchGroup, len(batch))]
+		batch = batch[len(g):]
+		var touched uint64
+		for i := range g {
+			offs[i] = c.offsets(g[i].Hash)
+			for _, j := range offs[i] {
+				touched += uint64(c.rows[j])
+			}
+			touched += c.index[flatHome(g[i].Hash, imask)]
+		}
+		c.touched += touched
+		for i := range g {
+			c.add(g[i].Key, g[i].Hash, &offs[i], g[i].Time, g[i].Size)
+		}
 	}
 }
 

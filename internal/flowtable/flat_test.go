@@ -630,3 +630,49 @@ func BenchmarkIngestFlatBatch(b *testing.B) {
 		})
 	})
 }
+
+// benchSketchBatch sets a bounded summary's two ingest paths side by side
+// on 4096 slots under a mice-heavy stream: 256k packets of millionKeys'
+// mix, three in four from flows that never earn a slot, so index misses
+// and (Space-Saving) takeovers dominate — the shape a sketch shard sees.
+// Both sides read the same pre-built observations; AddAggregated hashes
+// each key itself, AddBatch takes the engine's batches of 512 with the
+// hash Feed already computed.
+func benchSketchBatch(b *testing.B, tab Summary) {
+	tape := make([]Observation, 1<<18)
+	for i, k := range millionKeys()[:len(tape)] {
+		tape[i] = Observation{Key: k, Hash: k.FastHash(), Time: 1, Size: 100}
+	}
+	run := func(b *testing.B, ingest func()) {
+		tab.Reset()
+		ingest() // fill the slots and warm the counters
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ingest()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tape)), "ns/pkt")
+	}
+	b.Run("AddAggregated", func(b *testing.B) {
+		run(b, func() {
+			for i := range tape {
+				tab.AddAggregated(tape[i].Key, tape[i].Time, tape[i].Size)
+			}
+		})
+	})
+	b.Run("AddBatch", func(b *testing.B) {
+		run(b, func() {
+			for t := tape; len(t) > 0; t = t[min(512, len(t)):] {
+				tab.AddBatch(t[:min(512, len(t))])
+			}
+		})
+	})
+}
+
+func BenchmarkIngestSpaceSavingBatch(b *testing.B) {
+	benchSketchBatch(b, NewSpaceSaving(flow.FiveTuple{}, 4096))
+}
+
+func BenchmarkIngestCountMinBatch(b *testing.B) {
+	benchSketchBatch(b, NewCountMin(flow.FiveTuple{}, 4096))
+}

@@ -9,6 +9,12 @@
 // studies — a fixed number of slots, the weakest giving way when a new
 // flow arrives and the memory is full — over one shared slot store
 // (slots.go). Summary (summary.go) is the surface all four share.
+//
+// A packet is hashed once. Summary.AddBatch takes observations that carry
+// their key's FastHash, and every structure a kind looks the key up in is
+// addressed from that hash: Flat's slot array, the sketches' open-addressed
+// slot index, Count-Min's counter rows. No kind keeps a Go map on the
+// ingest path (Table, the reference, is one).
 package flowtable
 
 import (

@@ -1,6 +1,10 @@
 package flowtable
 
-import "flowrank/internal/flow"
+import (
+	"math/bits"
+
+	"flowrank/internal/flow"
+)
 
 // slots is the tracked-flow store under both bounded summaries: at most
 // k Entry slots, a key index over them, an indexed min-heap of slot ids
@@ -11,49 +15,125 @@ import "flowrank/internal/flow"
 // slot order is first-tracked order. Everything is pre-sized at
 // construction: steady-state adds allocate nothing.
 //
+// The key index is an open-addressed array of words, (high half of the
+// key's FastHash) << 32 | slot id + 1, zero when empty, sized to keep the
+// load at or below 1/slotsIndexWordsPerSlot and probed linearly from the
+// hash the caller supplies — the one the stream engine computed to pick
+// the shard, so a tracked-flow update hashes nothing, and from flatHome's
+// bits, because the low ones are that shard choice. hashes keeps each
+// slot's full hash: a takeover removes the evicted key by backward-shift
+// deletion, which needs the home of every word it moves, and leaves no
+// tombstone, so probe lengths do not grow over a bin.
+//
 // The policy — what a hit does to the count, and when an untracked flow
 // takes a slot over — is the embedding sketch's.
 type slots struct {
 	k       int
-	entries []Entry // len <= k
-	h       []int32 // min-heap of slot ids ordered by entries[id].Packets
-	pos     []int32 // slot id -> heap index
-	index   map[flow.Key]int32
+	entries []Entry  // len <= k
+	hashes  []uint64 // slot id -> entries[id].Key.FastHash()
+	h       []int32  // min-heap of slot ids ordered by entries[id].Packets
+	pos     []int32  // slot id -> heap index
+	index   []uint64 // open-addressed key index, power-of-two length
 	packets int64
 	bytesT  int64
 }
 
+// slotsIndexWordsPerSlot sizes the key index: at least this many words per
+// slot (rounded up to a power of two), so an unsuccessful probe — every
+// packet of an untracked flow — ends after 1.5 words on average.
+const slotsIndexWordsPerSlot = 2
+
+// newSlots returns an empty store of k slots, k clamped to [1, MaxSlots].
 func newSlots(k int) slots {
+	k = min(max(k, 1), MaxSlots)
 	return slots{
 		k:       k,
 		entries: make([]Entry, 0, k),
+		hashes:  make([]uint64, 0, k),
 		h:       make([]int32, 0, k),
 		pos:     make([]int32, 0, k),
-		index:   make(map[flow.Key]int32, k),
+		index:   make([]uint64, 1<<bits.Len(uint(slotsIndexWordsPerSlot*k-1))),
 	}
 }
 
-// insert tracks e in a fresh slot; the caller has checked
-// len(entries) < k.
+// find returns the slot tracking key, whose FastHash is hash.
 //
 //flowrank:hotpath
-func (s *slots) insert(e Entry) {
+func (s *slots) find(key flow.Key, hash uint64) (id int32, ok bool) {
+	mask := uint64(len(s.index) - 1)
+	tag := hash >> 32
+	for i := flatHome(hash, mask); ; i = (i + 1) & mask {
+		w := s.index[i]
+		if w == 0 {
+			return 0, false
+		}
+		if w>>32 == tag {
+			if id := int32(uint32(w)) - 1; s.entries[id].Key == key {
+				return id, true
+			}
+		}
+	}
+}
+
+// indexPut records that slot id holds a key of the given hash; the key is
+// not in the index.
+//
+//flowrank:hotpath
+func (s *slots) indexPut(hash uint64, id int32) {
+	mask := uint64(len(s.index) - 1)
+	i := flatHome(hash, mask)
+	for s.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.index[i] = hash>>32<<32 | uint64(id+1)
+}
+
+// indexDelete removes slot id's word and closes the gap: each later word
+// of the run moves back into the hole unless that would put it before its
+// home, so every remaining key stays reachable from its home without a
+// tombstone.
+//
+//flowrank:hotpath
+func (s *slots) indexDelete(id int32) {
+	mask := uint64(len(s.index) - 1)
+	i := flatHome(s.hashes[id], mask)
+	for uint32(s.index[i]) != uint32(id+1) {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
+		w := s.index[j]
+		if home := flatHome(s.hashes[uint32(w)-1], mask); (j-home)&mask >= (j-i)&mask {
+			s.index[i] = w
+			i = j
+		}
+	}
+	s.index[i] = 0
+}
+
+// insert tracks e, whose key's FastHash is hash, in a fresh slot; the
+// caller has checked len(entries) < k.
+//
+//flowrank:hotpath
+func (s *slots) insert(e Entry, hash uint64) {
 	id := int32(len(s.entries)) // also the heap's next leaf: every slot is in h
 	s.entries = append(s.entries, e)
-	s.index[e.Key] = id
+	s.hashes = append(s.hashes, hash)
+	s.indexPut(hash, id)
 	s.pos = append(s.pos, id)
 	s.h = append(s.h, id)
 	s.siftUp(id)
 }
 
-// takeover hands slot id to e's flow — the tracked flow it held loses its
-// identity — and re-seats the slot in the heap.
+// takeover hands slot id to e's flow, whose key's FastHash is hash — the
+// tracked flow it held loses its identity — and re-seats the slot in the
+// heap.
 //
 //flowrank:hotpath
-func (s *slots) takeover(id int32, e Entry) {
-	delete(s.index, s.entries[id].Key)
+func (s *slots) takeover(id int32, e Entry, hash uint64) {
+	s.indexDelete(id)
 	s.entries[id] = e
-	s.index[e.Key] = id
+	s.hashes[id] = hash
+	s.indexPut(hash, id)
 	s.siftDown(s.pos[id])
 }
 
@@ -102,6 +182,7 @@ func (s *slots) swap(i, j int32) {
 // reset empties the store for the next bin, keeping its memory.
 func (s *slots) reset() {
 	s.entries = s.entries[:0]
+	s.hashes = s.hashes[:0]
 	s.h = s.h[:0]
 	s.pos = s.pos[:0]
 	clear(s.index)
@@ -119,7 +200,7 @@ func (s *slots) TotalBytes() int64 { return s.bytesT }
 
 // Lookup returns the entry for an (aggregated) key, if tracked.
 func (s *slots) Lookup(key flow.Key) (Entry, bool) {
-	id, ok := s.index[key]
+	id, ok := s.find(key, key.FastHash())
 	if !ok {
 		return Entry{}, false
 	}

@@ -28,12 +28,11 @@ type SpaceSaving struct {
 	evicted int64
 }
 
-// NewSpaceSaving returns a Space-Saving summary with k counter slots.
+// NewSpaceSaving returns a Space-Saving summary with k counter slots (k
+// clamped to [1, MaxSlots]).
 func NewSpaceSaving(agg flow.Aggregator, k int) *SpaceSaving {
-	if k < 1 {
-		k = 1
-	}
-	return &SpaceSaving{slots: newSlots(k), agg: agg, errs: make([]int64, 0, k)}
+	sl := newSlots(k)
+	return &SpaceSaving{slots: sl, agg: agg, errs: make([]int64, 0, sl.k)}
 }
 
 // Add accounts one packet.
@@ -47,9 +46,16 @@ func (s *SpaceSaving) Add(p packet.Packet) {
 //
 //flowrank:hotpath
 func (s *SpaceSaving) AddAggregated(key flow.Key, time float64, size int64) {
+	s.add(key, key.FastHash(), time, size)
+}
+
+// add accounts one packet of the flow key, whose FastHash is hash.
+//
+//flowrank:hotpath
+func (s *SpaceSaving) add(key flow.Key, hash uint64, time float64, size int64) {
 	s.packets++
 	s.bytesT += size
-	if id, ok := s.index[key]; ok {
+	if id, ok := s.find(key, hash); ok {
 		e := &s.entries[id]
 		e.Packets++
 		e.Bytes += size
@@ -58,7 +64,7 @@ func (s *SpaceSaving) AddAggregated(key flow.Key, time float64, size int64) {
 		return
 	}
 	if len(s.entries) < s.k {
-		s.insert(Entry{Key: key, Packets: 1, Bytes: size, First: time, Last: time})
+		s.insert(Entry{Key: key, Packets: 1, Bytes: size, First: time, Last: time}, hash)
 		s.errs = append(s.errs, 0)
 		return
 	}
@@ -69,7 +75,7 @@ func (s *SpaceSaving) AddAggregated(key flow.Key, time float64, size int64) {
 	weakest := &s.entries[id]
 	s.errs[id] = weakest.Packets
 	s.evicted++
-	s.takeover(id, Entry{Key: key, Packets: weakest.Packets + 1, Bytes: weakest.Bytes + size, First: time, Last: time})
+	s.takeover(id, Entry{Key: key, Packets: weakest.Packets + 1, Bytes: weakest.Bytes + size, First: time, Last: time}, hash)
 }
 
 // Evictions returns how many identity takeovers have happened.
@@ -101,17 +107,20 @@ func (s *SpaceSaving) MinCount() int64 {
 // CountError returns the error term recorded for a tracked key: its
 // count minus the error is a lower bound on the true count.
 func (s *SpaceSaving) CountError(key flow.Key) (int64, bool) {
-	id, ok := s.index[key]
+	id, ok := s.find(key, key.FastHash())
 	if !ok {
 		return 0, false
 	}
 	return s.errs[id], true
 }
 
-// AddBatch accounts the observations in order.
+// AddBatch accounts the observations in order, probing the key index
+// from each observation's supplied hash.
+//
+//flowrank:hotpath
 func (s *SpaceSaving) AddBatch(batch []Observation) {
 	for i := range batch {
-		s.AddAggregated(batch[i].Key, batch[i].Time, batch[i].Size)
+		s.add(batch[i].Key, batch[i].Hash, batch[i].Time, batch[i].Size)
 	}
 }
 

@@ -32,8 +32,10 @@ type Summary interface {
 	AddAggregated(key flow.Key, time float64, size int64)
 	// AddBatch accounts the observations in order, exactly as one
 	// AddAggregated per observation would — the stream engine's ingest
-	// entry point. A table too large for the cache overlaps the batch's
-	// memory misses instead of taking them one packet at a time.
+	// entry point. Flat, SpaceSaving and CountMin take each key's hash from
+	// the observation instead of computing it again, and Flat and CountMin
+	// issue the memory accesses of flatBatchGroup observations together
+	// instead of taking their cache misses one packet at a time.
 	AddBatch(batch []Observation)
 	// Len returns the number of flows currently tracked.
 	Len() int
@@ -106,9 +108,14 @@ func (k Kind) String() string {
 // leaves Slots at 0.
 const defaultSketchSlots = 4096
 
-// MaxSlots is the largest slot budget a bounded Spec accepts: about
-// 0.8 GB per table at 48 B a slot (two tables per shard), and far inside
-// the int32 slot ids the sketches' heaps use.
+// MaxSlots is the largest slot budget a bounded Spec accepts, far inside
+// the int32 slot ids the sketches' heaps and index words use. A slot
+// costs 80 B (Entry 48, its hash 8, heap and position 4 + 4, two index
+// words 16), Space-Saving adds an 8 B error term and Count-Min 128 B of
+// counters (cmDepth rows x 4 per slot x 8 B): 1.3, 1.5 and 3.5 GB per
+// table at the maximum, two tables per shard. Count-Min's slab is then
+// cmDepth x 4 x MaxSlots = 2^28 counters, which is what lets AddBatch
+// save a counter's position as a uint32 (cmOffsets).
 const MaxSlots = 1 << 24
 
 // Spec selects and sizes the Summary implementation a stream shard uses.

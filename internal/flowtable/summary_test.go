@@ -2,6 +2,7 @@ package flowtable
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -119,6 +120,105 @@ func TestAddBatchMatchesAddAggregated(t *testing.T) {
 				}
 				single.Reset()
 				batched.Reset()
+			}
+		}
+	}
+	t.Run("sketch hard cases", testSketchBatchHardCases)
+}
+
+// sketchState is everything a bounded summary holds that a caller can
+// observe, slot order included.
+type sketchState struct {
+	All                    []Entry
+	Errs                   []int64 // Space-Saving: per-slot error terms
+	Estimates              []int64 // Count-Min: the sketch's estimate of every probe key
+	Packets, Bytes, Bound  int64
+	Evictions, WeakestSlot int64
+}
+
+func snapshotSketch(s Summary, probe []flow.Key) sketchState {
+	st := sketchState{All: s.AppendAll(nil), Packets: s.TotalPackets(), Bytes: s.TotalBytes(), Bound: s.ErrorBound(), WeakestSlot: -1}
+	var store *slots
+	switch s := s.(type) {
+	case *SpaceSaving:
+		store = &s.slots
+		st.Errs = slices.Clone(s.errs)
+		st.Evictions = s.Evictions()
+	case *CountMin:
+		store = &s.slots
+		for _, k := range probe {
+			st.Estimates = append(st.Estimates, s.Estimate(k))
+		}
+	}
+	if len(store.h) > 0 {
+		st.WeakestSlot = int64(store.h[0])
+	}
+	return st
+}
+
+// testSketchBatchHardCases replays, on 4-slot sketches, the cases where a
+// group's saved offsets and early loads could go stale: one key several
+// times inside a group, a group that fills the last free slot, a takeover
+// followed in the same group by the evicted key returning, and a Reset
+// between batches. Every split of the tape into batches — one group, the
+// group boundary inside the takeover, one observation at a time — must
+// leave the state AddAggregated leaves, compared whole after each batch.
+func testSketchBatchHardCases(t *testing.T) {
+	key := func(i int) flow.Key { return pkt(byte(i), 0, 0).Key }
+	obs := func(ids ...int) []Observation {
+		tape := make([]Observation, len(ids))
+		for i, id := range ids {
+			tape[i] = Observation{Key: key(id), Hash: key(id).FastHash(), Time: float64(i), Size: int64(100 + id)}
+		}
+		return tape
+	}
+	probe := make([]flow.Key, 12)
+	for i := range probe {
+		probe[i] = key(i) // 8..11 never appear: estimates of untracked keys
+	}
+	tapes := [][]Observation{
+		// 0 repeats, 3 fills the last slot, 4 (twice, so Count-Min's estimate
+		// beats the weakest) takes a slot over, then all of 0..3 return — one
+		// of them the evicted key — and evict again: 16 observations, one group.
+		obs(0, 0, 0, 1, 0, 1, 2, 3, 4, 4, 0, 1, 2, 3, 4, 0),
+		// After the Reset: fills and takeovers straddling the group boundary.
+		obs(5, 5, 6, 7, 5, 0, 1, 1, 1, 6, 7, 2, 2, 2, 5, 0, 0, 3, 3, 3, 3, 6, 7, 5, 5, 4, 4, 4, 4, 4, 0, 1, 2),
+	}
+	for _, kind := range []string{"spacesaving", "countmin"} {
+		for _, size := range []int{1, 3, 9, 16, 33} {
+			spec, err := ParseSpec(kind, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, _ := spec.New(flow.FiveTuple{})
+			batched, _ := spec.New(flow.FiveTuple{})
+			for round, tape := range tapes {
+				var firstTracked []flow.Key // what the slots hold if no takeover ever happens
+				for _, o := range tape {
+					if len(firstTracked) < 4 && !slices.Contains(firstTracked, o.Key) {
+						firstTracked = append(firstTracked, o.Key)
+					}
+				}
+				for len(tape) > 0 {
+					n := min(size, len(tape))
+					for _, o := range tape[:n] {
+						single.AddAggregated(o.Key, o.Time, o.Size)
+					}
+					batched.AddBatch(tape[:n])
+					tape = tape[n:]
+					if got, want := snapshotSketch(batched, probe), snapshotSketch(single, probe); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s batches of %d, tape %d, %d observations left:\n AddBatch      %+v\n AddAggregated %+v",
+							kind, size, round, len(tape), got, want)
+					}
+				}
+				if slices.EqualFunc(batched.AppendAll(nil), firstTracked, func(e Entry, k flow.Key) bool { return e.Key == k }) {
+					t.Fatalf("%s tape %d: no slot changed hands; the tape no longer covers the takeover cases", kind, round)
+				}
+				single.Reset()
+				batched.Reset()
+				if got, want := snapshotSketch(batched, probe), snapshotSketch(single, probe); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s after Reset: %+v, want %+v", kind, got, want)
+				}
 			}
 		}
 	}

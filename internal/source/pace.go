@@ -97,12 +97,17 @@ type Loop struct {
 	gap  float64
 
 	// mu guards cur and closed against the one legal cross-goroutine
-	// call, Close during a blocked Next; the replay state (offset, last,
-	// n) belongs to the single reader.
+	// call, Close during a Next. It is taken at a cycle boundary (open,
+	// retire) and in Close, never per packet.
 	mu     sync.Mutex
-	cur    PacketSource
+	cur    PacketSource // the open inner source, nil between cycles and after Close
 	closed bool
 
+	// The rest belongs to the single reader; Close touches none of it.
+	// rd is the reader's own reference to cur, so Next reads packets
+	// without the lock: a Close in between closes the inner source, whose
+	// own Next then fails.
+	rd     PacketSource
 	offset float64
 	last   float64
 	n      int64
@@ -119,26 +124,24 @@ func NewLoop(open func() (PacketSource, error), gap float64) (*Loop, error) {
 	return &Loop{open: open, gap: gap}, nil
 }
 
-// acquire returns the current inner source, opening a fresh one at a
-// cycle boundary, or fails if the loop was closed.
-func (l *Loop) acquire() (PacketSource, error) {
+// begin opens the next cycle's inner source, or fails if the loop was
+// closed: under mu, so nothing is opened once Close has returned.
+func (l *Loop) begin() (PacketSource, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil, fmt.Errorf("source: loop read after close: %w", ErrClosedSource)
 	}
-	if l.cur == nil {
-		src, err := l.open()
-		if err != nil {
-			return nil, err
-		}
-		l.cur = src
+	src, err := l.open()
+	if err != nil {
+		return nil, err
 	}
-	return l.cur, nil
+	l.cur = src
+	return src, nil
 }
 
 // retire closes the inner source that just hit EOF (unless Close already
-// did) so the next acquire starts a fresh cycle.
+// did) so the next begin starts a fresh cycle.
 func (l *Loop) retire(src PacketSource) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -148,21 +151,33 @@ func (l *Loop) retire(src PacketSource) {
 	}
 }
 
+// errLoopRewound reports a packet timed before its predecessor. A cycle
+// must not rewind time; this only happens when the underlying trace
+// itself is out of order.
+func errLoopRewound(t, last float64) error {
+	return fmt.Errorf("source: loop time went backwards (%g < %g)", t, last)
+}
+
 // Next yields the next packet, restarting the trace at EOF. An empty
-// cycle (a trace with no packets) returns EOF instead of spinning.
+// cycle (a trace with no packets) returns EOF instead of spinning. After
+// Close it fails with an error matching ErrClosedSource — the inner
+// source's own once a cycle is open.
+//
+//flowrank:hotpath
 func (l *Loop) Next(p *packet.Packet) error {
 	for {
-		cur, err := l.acquire()
-		if err != nil {
-			return err
+		if l.rd == nil {
+			src, err := l.begin()
+			if err != nil {
+				return err
+			}
+			l.rd = src
 		}
-		err = cur.Next(p)
+		err := l.rd.Next(p)
 		if err == nil {
 			p.Time += l.offset
 			if p.Time < l.last {
-				// A cycle must not rewind time; this only happens when the
-				// underlying trace itself is out of order.
-				return fmt.Errorf("source: loop time went backwards (%g < %g)", p.Time, l.last)
+				return errLoopRewound(p.Time, l.last)
 			}
 			l.last = p.Time
 			l.n++
@@ -174,7 +189,8 @@ func (l *Loop) Next(p *packet.Packet) error {
 		if l.n == 0 {
 			return io.EOF
 		}
-		l.retire(cur)
+		l.retire(l.rd)
+		l.rd = nil
 		l.offset = l.last + l.gap
 		l.n = 0
 	}

@@ -22,7 +22,10 @@
 // line rate (or a speed multiple of it) using the packet timestamps, and
 // Loop replays a reopenable trace indefinitely with monotonically shifted
 // timestamps — the harness that turns a finite capture into a long-running
-// daemon workload.
+// daemon workload. Loop adds no synchronisation to a packet: its lock is
+// taken when a cycle's source is opened or retired and by Close, and a
+// Close from another goroutine reaches a reader mid-cycle through the
+// inner source it closes.
 package source
 
 import (

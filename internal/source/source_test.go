@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"sync/atomic"
 	"testing"
 
 	"flowrank/internal/layers"
@@ -317,6 +318,127 @@ func TestLoopEmptyCycle(t *testing.T) {
 	if _, err := NewLoop(func() (PacketSource, error) { return NewSlice(nil), nil }, -1); err == nil {
 		t.Error("negative gap accepted")
 	}
+}
+
+// loopInner is the inner source of the Loop close tests: a slice source
+// that counts its Closes and, with hold set, blocks once its packets are
+// out until it is closed — a live capture with nothing arriving.
+type loopInner struct {
+	Slice
+	hold   bool
+	closed chan struct{}
+	closes atomic.Int32
+}
+
+func newLoopInner(pkts []packet.Packet, hold bool) *loopInner {
+	return &loopInner{Slice: Slice{pkts: pkts}, hold: hold, closed: make(chan struct{})}
+}
+
+func (s *loopInner) Next(p *packet.Packet) error {
+	err := s.Slice.Next(p)
+	if s.hold && errors.Is(err, io.EOF) {
+		<-s.closed
+		return s.Slice.Next(p)
+	}
+	return err
+}
+
+func (s *loopInner) Close() error {
+	if s.closes.Add(1) == 1 {
+		close(s.closed)
+	}
+	return s.Slice.Close()
+}
+
+// TestLoopCloseDuringNext pins Loop's one cross-goroutine contract, which
+// Next keeps without taking the lock per packet: a Close from another
+// goroutine unblocks a pending Next with an ErrClosedSource error, nothing
+// is opened once Close has returned, and every inner source the loop
+// opened is closed exactly once — whether Close lands mid-cycle or on the
+// EOF-to-reopen boundary. Under -race (make race) it also shows that
+// Close shares no unguarded state with the reader.
+func TestLoopCloseDuringNext(t *testing.T) {
+	pkts := testPackets(t)[:3]
+
+	t.Run("blocked mid-cycle", func(t *testing.T) {
+		inner := newLoopInner(pkts, true)
+		loop, err := NewLoop(func() (PacketSource, error) { return inner, nil }, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := make(chan struct{}, len(pkts)) // one send per packet: the reader never waits on the test
+		done := make(chan error, 1)
+		go func() {
+			var p packet.Packet
+			for {
+				if err := loop.Next(&p); err != nil {
+					done <- err
+					return
+				}
+				read <- struct{}{}
+			}
+		}()
+		for range pkts {
+			<-read
+		}
+		// The reader is in, or about to enter, the Next that blocks.
+		if err := loop.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if err := <-done; !errors.Is(err, ErrClosedSource) {
+			t.Fatalf("Next unblocked by Close = %v, want ErrClosedSource identity", err)
+		}
+		if n := inner.closes.Load(); n != 1 {
+			t.Fatalf("inner source closed %d times, want 1", n)
+		}
+	})
+
+	t.Run("racing the reopen boundary", func(t *testing.T) {
+		for iter := 0; iter < 300; iter++ {
+			var (
+				opened        []*loopInner // appended under the loop's lock, read after the reader exits
+				closeReturned atomic.Bool
+			)
+			loop, err := NewLoop(func() (PacketSource, error) {
+				if closeReturned.Load() {
+					return nil, errors.New("open called after Close returned")
+				}
+				s := newLoopInner(pkts[:1+iter%2], false) // a boundary every packet or two
+				opened = append(opened, s)
+				return s, nil
+			}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			started := make(chan struct{})
+			done := make(chan error, 1)
+			go func() {
+				var p packet.Packet
+				for n := 0; ; n++ {
+					if n == iter%5 {
+						close(started)
+					}
+					if err := loop.Next(&p); err != nil {
+						done <- err
+						return
+					}
+				}
+			}()
+			<-started
+			if err := loop.Close(); err != nil {
+				t.Fatalf("iteration %d: Close: %v", iter, err)
+			}
+			closeReturned.Store(true)
+			if err := <-done; !errors.Is(err, ErrClosedSource) {
+				t.Fatalf("iteration %d: Next after Close = %v, want ErrClosedSource identity", iter, err)
+			}
+			for i, s := range opened {
+				if n := s.closes.Load(); n != 1 {
+					t.Fatalf("iteration %d: inner source %d of %d closed %d times, want 1", iter, i, len(opened), n)
+				}
+			}
+		}
+	})
 }
 
 // TestLiveStubHermetic: the default build's live capture must fail with

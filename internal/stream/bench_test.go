@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flowrank/internal/flow"
+	"flowrank/internal/flowtable"
 	"flowrank/internal/packet"
 	"flowrank/internal/sampler"
 )
@@ -17,8 +18,8 @@ import (
 // remain).
 func BenchmarkEngine(b *testing.B) {
 	pkts := makePackets(b, 30, 400, 1)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	run := func(name string, workers int, tables flowtable.Spec) {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng, err := NewEngine(Config{
 					Agg:        flow.FiveTuple{},
@@ -26,6 +27,7 @@ func BenchmarkEngine(b *testing.B) {
 					BinSeconds: 5,
 					TopT:       10,
 					Workers:    workers,
+					Tables:     tables,
 				}, func(BinResult) error { return nil })
 				if err != nil {
 					b.Fatal(err)
@@ -41,6 +43,13 @@ func BenchmarkEngine(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(pkts))*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 		})
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		run(fmt.Sprintf("workers=%d", workers), workers, flowtable.Spec{})
+	}
+	// The daemon-scrape configuration: Count-Min shards of 4096 slots.
+	for _, workers := range []int{1, 2} {
+		run(fmt.Sprintf("countmin/workers=%d", workers), workers, flowtable.Spec{Kind: flowtable.KindCountMin, Slots: 4096})
 	}
 }
 

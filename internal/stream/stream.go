@@ -6,12 +6,15 @@
 // Stage 1 — the caller's goroutine inside Feed — makes every sampling
 // decision in trace order, so the sampler's decision stream is exactly the
 // one the sequential monitor would draw, and hashes each aggregated flow
-// key once. Packets are then batched per shard by that hash; each of the W
-// shards owns its own original/sampled flowtable.Summary pair (the exact
+// key once — the only hash the packet gets, whatever the table kind.
+// Packets are then batched per shard by that hash; each of the W shards
+// owns its own original/sampled flowtable.Summary pair (the exact
 // open-addressing table by default, or a bounded Space-Saving/Count-Min
 // sketch via Config.Tables) and ingests a batch with one AddBatch per
-// table, so the hot path takes no locks, shares no state, and a table too
-// large for the cache overlaps a batch's memory misses. At each bin
+// table, which addresses its slots, its key index and its counter rows
+// from the hash the batch carries, so the hot path takes no locks, shares
+// no state, and a table too large for the cache overlaps a batch's memory
+// misses. At each bin
 // boundary a barrier flushes every shard. A bin is closed without sorting
 // it: the shards' flow lists are concatenated as the tables hold them,
 // flowtable.SelectTop ranks only the top list to the front (exact, because
