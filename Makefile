@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short vet fmt check race bench microbench bench-smoke e2e e2e-daemon e2e-obs fuzz-smoke cover lint
+.PHONY: all build test short vet fmt check race bench microbench bench-smoke e2e e2e-daemon e2e-obs fuzz-smoke cover lint loc
 
 all: check
 
@@ -40,6 +40,12 @@ lint:
 	cd tools/flowrank-lint && $(GO) test ./...
 	cd tools/flowrank-lint && $(GO) build -o flowrank-lint .
 	./tools/flowrank-lint/flowrank-lint ./...
+
+# The figure deletion PRs quote (CHANGES.md, since PR 19): lines of
+# non-test Go in the root module as committed or staged — the benchmark
+# harness, the lint tool and the examples are their own concerns.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/\|^tools/\|^examples/' | xargs cat | wc -l
 
 # Race detector over the short suite: the misranking-table worker pool
 # and the parallel outer quadrature are the concurrency hot spots.

@@ -44,6 +44,14 @@ import (
 	"flowrank/internal/stream"
 )
 
+// readHeaderTimeout is how long a client may take to send a request
+// header. Without it a connection that never sends one pins a goroutine
+// and a descriptor for the life of the daemon. It does not govern the
+// wait between requests on a kept-alive connection (IdleTimeout does,
+// and stays unset): a scraper's connection outlives any scrape interval.
+// A variable only so the tests need not wait five seconds.
+var readHeaderTimeout = 5 * time.Second
+
 // Config describes one daemon. Source, Rate and ListenAddr are required;
 // zero values elsewhere take the monitor defaults noted per field.
 type Config struct {
@@ -193,7 +201,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 	// A failed HTTP server stops the pipeline as the caller's context does.
 	pctx, stop := context.WithCancel(ctx)
 	defer stop()
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() {
 		serveErr <- srv.Serve(d.ln)
@@ -206,8 +214,6 @@ func (d *Daemon) Run(ctx context.Context) error {
 	}()
 
 	d.m.up.Set(1)
-	d.m.samplingRate.Set(d.pipe.Rate())
-
 	if err := d.pipe.Run(pctx, d.onBin); err != nil {
 		return err
 	}
@@ -233,37 +239,35 @@ func (d *Daemon) Run(ctx context.Context) error {
 
 // onBin projects the finished bin and the pipeline's record of it onto
 // /metrics. It runs before the bin's journal line is written, so a record
-// on disk is already counted in flowrankd_bins_total.
+// on disk is already counted in flowrankd_bins_total. b and rec are only
+// valid until it returns, so what the last-bin gauges read is copied out.
 func (d *Daemon) onBin(b stream.BinResult, rec *pipeline.BinRecord) error {
-	d.m.bins.Inc()
-	d.m.sampled.Add(float64(rec.SampledPackets))
-	d.m.flowsTracked.Set(float64(rec.Flows + rec.SampledFlows))
-	d.m.binFlows.Set(float64(rec.Flows))
-	d.m.binSampledFlows.Set(float64(rec.SampledFlows))
-	d.m.rankingPairs.Set(float64(b.Pairs.Ranking))
-	d.m.detectionPairs.Set(float64(b.Pairs.Detection))
-	d.m.rankingFrac.Set(rec.RankingFraction)
-	d.m.detectionFrac.Set(rec.DetectionFraction)
-	d.m.countErr.Set(float64(rec.CountErrPkts))
+	m := d.m
+	m.bins.Inc()
+	m.sampled.Add(rec.SampledPackets)
+	next := &lastBin{
+		rec:            *rec,
+		rankingPairs:   b.Pairs.Ranking,
+		detectionPairs: b.Pairs.Detection,
+		inv:            m.last.Load().inv,
+		rate:           d.pipe.Rate(), // after this bin's retune, if any
+	}
+	next.rec.Stages, next.rec.Inversion, next.rec.Adapt, next.rec.NetFlow = nil, nil, nil, nil
 	if inv := rec.Inversion; inv != nil && inv.Err == "" {
-		d.m.invMean.Set(inv.MeanPkts)
-		d.m.invTail.Set(inv.TailIndex)
-		d.m.invFlows.Set(inv.Flows)
+		next.inv = *inv
 	}
+	m.last.Store(next)
 	if nf := rec.NetFlow; nf != nil {
-		d.m.nfRecords.Add(float64(nf.Records))
-		d.m.nfDatagrams.Add(float64(nf.Datagrams))
-		d.m.nfErrors.Add(float64(nf.SendErrors))
+		m.nfRecords.Add(int64(nf.Records))
+		m.nfDatagrams.Add(int64(nf.Datagrams))
+		m.nfErrors.Add(int64(nf.SendErrors))
 		if nf.Err != "" {
-			d.m.nfErrors.Inc()
+			m.nfErrors.Inc()
 		}
 	}
-	if ad := rec.Adapt; ad != nil {
-		if ad.Applied {
-			d.m.adaptChanges.Inc()
-		}
-		d.m.samplingRate.Set(ad.Rate)
+	if ad := rec.Adapt; ad != nil && ad.Applied {
+		m.adaptChanges.Inc()
 	}
-	d.m.binLatency.Observe(float64(rec.Stages.Emit) / 1e9)
+	m.binLatency.Observe(rec.Stages.Emit)
 	return nil
 }

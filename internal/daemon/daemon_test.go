@@ -162,40 +162,46 @@ func TestDrainEmitsFinalPartialBin(t *testing.T) {
 	for _, p := range genPackets(n) {
 		src.ch <- p
 	}
-	waitFor(t, "packets ingested", func() bool { return d.m.ingested.Value() == n })
-	if got := d.m.bins.Value(); got != 0 {
-		t.Fatalf("bins flushed before drain: %g", got)
+	waitFor(t, "packets ingested", func() bool { return d.pipe.Ingested() == n })
+	if got := d.m.bins.Load(); got != 0 {
+		t.Fatalf("bins flushed before drain: %d", got)
 	}
 
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("Run after drain = %v, want nil", err)
 	}
-	if got := d.m.bins.Value(); got != 1 {
-		t.Errorf("bins after drain = %g, want exactly the final partial bin", got)
+	if got := d.m.bins.Load(); got != 1 {
+		t.Errorf("bins after drain = %d, want exactly the final partial bin", got)
 	}
-	if d.m.binFlows.Value() == 0 {
+	if d.m.last.Load().rec.Flows == 0 {
 		t.Error("final partial bin reported zero flows")
 	}
-	if d.m.up.Value() != 0 {
+	if d.m.up.Load() != 0 {
 		t.Error("up gauge still 1 after Run returned")
 	}
 }
 
-// scrape fetches one metrics page and parses the simple samples.
-func scrape(t *testing.T, addr string) map[string]float64 {
+// fetchPage returns one /metrics page verbatim.
+func fetchPage(t *testing.T, addr string) string {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatalf("scrape: %v", err)
 	}
 	defer resp.Body.Close()
-	var sb strings.Builder
-	if _, err := io.Copy(&sb, resp.Body); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return string(body)
+}
+
+// parseSamples reads the label-free samples off a metrics page.
+func parseSamples(t *testing.T, page string) map[string]float64 {
+	t.Helper()
 	vals := make(map[string]float64)
-	for _, line := range strings.Split(sb.String(), "\n") {
+	for _, line := range strings.Split(page, "\n") {
 		if line == "" || strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
 			continue
 		}
@@ -210,6 +216,12 @@ func scrape(t *testing.T, addr string) map[string]float64 {
 		vals[name] = v
 	}
 	return vals
+}
+
+// scrape fetches one metrics page and parses the simple samples.
+func scrape(t *testing.T, addr string) map[string]float64 {
+	t.Helper()
+	return parseSamples(t, fetchPage(t, addr))
 }
 
 // TestMetricsMatchBatch replays a trace to EOF and checks the scraped
@@ -341,8 +353,8 @@ func TestNetFlowService(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := runDaemon(ctx, d)
-	waitFor(t, "netflow datagrams", func() bool { return d.m.nfDatagrams.Value() > 0 })
-	waitFor(t, "source EOF", func() bool { return d.m.sourceEOF.Value() == 1 })
+	waitFor(t, "netflow datagrams", func() bool { return d.m.nfDatagrams.Load() > 0 })
+	waitFor(t, "source EOF", func() bool { return d.m.sourceEOF.Load() == 1 })
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -350,7 +362,7 @@ func TestNetFlowService(t *testing.T) {
 
 	records := 0
 	buf := make([]byte, 65536)
-	for records < int(d.m.nfRecords.Value()) {
+	for records < int(d.m.nfRecords.Load()) {
 		coll.SetReadDeadline(time.Now().Add(5 * time.Second))
 		n, _, err := coll.ReadFrom(buf)
 		if err != nil {
@@ -392,19 +404,19 @@ func TestAdaptiveLoopRetunes(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := runDaemon(ctx, d)
-	waitLong(t, 2*time.Minute, "source EOF", func() bool { return d.m.sourceEOF.Value() == 1 })
+	waitLong(t, 2*time.Minute, "source EOF", func() bool { return d.m.sourceEOF.Load() == 1 })
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if d.m.bins.Value() != 1 {
-		t.Fatalf("bins = %g, want 1", d.m.bins.Value())
+	if d.m.bins.Load() != 1 {
+		t.Fatalf("bins = %d, want 1", d.m.bins.Load())
 	}
-	if got, live := d.m.samplingRate.Value(), d.pipe.Rate(); got != live {
+	if got, live := d.m.last.Load().rate, d.pipe.Rate(); got != live {
 		t.Errorf("sampling_rate gauge %g != live sampler rate %g", got, live)
 	}
-	if d.m.adaptChanges.Value() == 0 || d.pipe.Rate() == 0.5 {
-		t.Errorf("closed loop never retuned: changes=%g p=%g", d.m.adaptChanges.Value(), d.pipe.Rate())
+	if d.m.adaptChanges.Load() == 0 || d.pipe.Rate() == 0.5 {
+		t.Errorf("closed loop never retuned: changes=%d p=%g", d.m.adaptChanges.Load(), d.pipe.Rate())
 	}
 }
 
@@ -423,8 +435,8 @@ func TestCorruptSourceAborts(t *testing.T) {
 	if !errors.Is(err, bad) {
 		t.Fatalf("Run = %v, want the corruption error", err)
 	}
-	if d.m.bins.Value() != 0 {
-		t.Errorf("%g bins reported from an aborted run, want 0", d.m.bins.Value())
+	if d.m.bins.Load() != 0 {
+		t.Errorf("%d bins reported from an aborted run, want 0", d.m.bins.Load())
 	}
 }
 

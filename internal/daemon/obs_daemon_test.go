@@ -41,7 +41,7 @@ func TestJournalRecordsBins(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := runDaemon(ctx, d)
-	waitFor(t, "source EOF", func() bool { return d.m.sourceEOF.Value() == 1 })
+	waitFor(t, "source EOF", func() bool { return d.m.sourceEOF.Load() == 1 })
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestJournalRecordsBins(t *testing.T) {
 	if err != nil {
 		t.Fatalf("journal invalid: %v", err)
 	}
-	if want := int(d.m.bins.Value()); bins != want {
+	if want := int(d.m.bins.Load()); bins != want {
 		t.Fatalf("journal has %d bin records, daemon flushed %d bins", bins, want)
 	}
 
@@ -72,7 +72,7 @@ func TestJournalRecordsBins(t *testing.T) {
 		recs = append(recs, outer.Record)
 		totalSampled += outer.Record.SampledPackets
 	}
-	if got := int64(d.m.sampled.Value()); totalSampled != got {
+	if got := d.m.sampled.Load(); totalSampled != got {
 		t.Errorf("journal sampled packets sum %d != metric %d", totalSampled, got)
 	}
 	for i, r := range recs {
@@ -171,16 +171,16 @@ func TestNetFlowSendFailureWarning(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := runDaemon(ctx, d)
-	waitFor(t, "source EOF", func() bool { return d.m.sourceEOF.Value() == 1 })
+	waitFor(t, "source EOF", func() bool { return d.m.sourceEOF.Load() == 1 })
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if d.m.nfErrors.Value() == 0 {
+	if d.m.nfErrors.Load() == 0 {
 		t.Fatal("no send errors counted")
 	}
-	if d.m.nfDatagrams.Value() != 0 {
-		t.Errorf("%g datagrams counted as sent through a failing conn", d.m.nfDatagrams.Value())
+	if d.m.nfDatagrams.Load() != 0 {
+		t.Errorf("%d datagrams counted as sent through a failing conn", d.m.nfDatagrams.Load())
 	}
 
 	warns := 0
@@ -229,9 +229,9 @@ func TestNetFlowSendFailureWarning(t *testing.T) {
 		sendErrs += outer.Record.NetFlow.SendErrors
 		datagrams += outer.Record.NetFlow.Datagrams
 	}
-	if sendErrs != int(d.m.nfErrors.Value()) || datagrams != 0 {
-		t.Errorf("journal send_errors=%d datagrams=%d, want %g and 0",
-			sendErrs, datagrams, d.m.nfErrors.Value())
+	if sendErrs != int(d.m.nfErrors.Load()) || datagrams != 0 {
+		t.Errorf("journal send_errors=%d datagrams=%d, want %d and 0",
+			sendErrs, datagrams, d.m.nfErrors.Load())
 	}
 }
 
@@ -354,7 +354,7 @@ func TestExpositionConformance(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := runDaemon(ctx, d)
-	waitFor(t, "source EOF", func() bool { return d.m.sourceEOF.Value() == 1 })
+	waitFor(t, "source EOF", func() bool { return d.m.sourceEOF.Load() == 1 })
 
 	resp, err := http.Get("http://" + d.Addr() + "/metrics")
 	if err != nil {
@@ -431,14 +431,14 @@ func TestConcurrentScrapeDuringBins(t *testing.T) {
 			}
 		}()
 	}
-	waitFor(t, "source EOF", func() bool { return d.m.sourceEOF.Value() == 1 })
+	waitFor(t, "source EOF", func() bool { return d.m.sourceEOF.Load() == 1 })
 	close(stop)
 	wg.Wait()
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if d.m.bins.Value() == 0 {
+	if d.m.bins.Load() == 0 {
 		t.Fatal("no bins flushed under scrape load")
 	}
 }

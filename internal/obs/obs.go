@@ -16,9 +16,12 @@
 // the wallclock analyzer's contract holds: wall time feeds telemetry
 // only, never results.
 //
-// Readers (a Prometheus scrape, the per-bin journal) take Snapshots;
-// snapshots allocate, updates do not. All updates and reads are safe for
-// concurrent use.
+// These are the module's only Counter, Gauge and Histogram: the daemon's
+// own per-bin counts are obs primitives too, and internal/promexp renders
+// whatever a registered closure reads without keeping a copy. Readers (a
+// Prometheus scrape, the per-bin journal) Load a value or take a
+// Snapshot; snapshots allocate, updates do not. All updates and reads are
+// safe for concurrent use.
 package obs
 
 import (

@@ -1,15 +1,18 @@
-// Package promexp is a minimal, dependency-free Prometheus exposition
-// library: counters, gauges and histograms registered on a Registry that
-// renders the text format (version 0.0.4) any Prometheus-compatible
-// scraper ingests. It implements exactly the subset the flowrankd daemon
-// needs — unlabeled metrics, atomic updates, an http.Handler — so the
-// module keeps its standard-library-only constraint while exposing a
-// first-class observability surface.
+// Package promexp is a minimal, dependency-free renderer of the Prometheus
+// text exposition format (version 0.0.4). It stores no sample: a series
+// is a name, a help line and a callback read at scrape time, registered
+// on a Registry that renders the page any Prometheus-compatible scraper
+// ingests and serves it as an http.Handler. Counts live in internal/obs
+// primitives (or wherever the callback reads them) — the module has one
+// Counter, one Gauge and one Histogram type, and they are obs's.
 //
-// All metric updates are safe for concurrent use and wait-free (atomic
-// CAS on the value bits); rendering takes a registry-level snapshot lock
-// only to walk the metric list, so a scrape never blocks the packet hot
-// path.
+// It implements exactly the subset the flowrankd daemon needs: unlabeled
+// counters, gauges and histograms, plus the constant-label info idiom.
+// Callbacks run inside WriteTo, one after another on the scraping
+// goroutine, so they must be cheap, must not block, and must be safe to
+// call while the monitor updates what they read; the registry lock is
+// held only to copy the series list, so a scrape never blocks the packet
+// hot path.
 package promexp
 
 import (
@@ -21,40 +24,34 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
+
+	"flowrank/internal/obs"
 )
 
-// nameRE is the Prometheus metric-name grammar.
-var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+var (
+	// nameRE is the Prometheus metric-name grammar.
+	nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	// labelRE is the Prometheus label-name grammar.
+	labelRE = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+)
 
-// atomicFloat is a float64 updated with CAS on its bit pattern.
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
-
-func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
-
-func (f *atomicFloat) add(d float64) {
-	for {
-		old := f.bits.Load()
-		if f.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
+// series is one registered time series family: value is set for counters,
+// gauges and info metrics, hist (with per) for histograms.
+type series struct {
+	name, help, typ string
+	labels          string // pre-rendered {k="v",...} block, info only
+	value           func() float64
+	hist            func() obs.HistSnapshot
+	per             float64
 }
 
-// metric is one registered time series family.
-type metric interface {
-	fqName() string
-	render(b *bytes.Buffer)
-}
-
-// Registry holds registered metrics and renders them in registration
+// Registry holds registered series and renders them in registration
 // order. The zero value is not usable; call NewRegistry.
 type Registry struct {
 	mu    sync.Mutex
-	ms    []metric
+	ss    []series
 	names map[string]struct{}
 }
 
@@ -63,62 +60,86 @@ func NewRegistry() *Registry {
 	return &Registry{names: make(map[string]struct{})}
 }
 
-// register panics on an invalid or duplicate name — metric registration
-// is program initialization, and a bad name is a programmer error no
-// caller can meaningfully handle.
-func (r *Registry) register(m metric) {
-	name := m.fqName()
-	if !nameRE.MatchString(name) {
-		panic(fmt.Sprintf("promexp: invalid metric name %q", name))
+// register panics on an invalid or duplicate name or a missing callback —
+// registration is program initialization, and each is a programmer error
+// no caller can meaningfully handle.
+func (r *Registry) register(s series) {
+	if !nameRE.MatchString(s.name) {
+		panic(fmt.Sprintf("promexp: invalid metric name %q", s.name))
+	}
+	if s.value == nil && s.hist == nil {
+		panic(fmt.Sprintf("promexp: nil callback for %s %q", s.typ, s.name))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.names[name]; dup {
-		panic(fmt.Sprintf("promexp: duplicate metric name %q", name))
+	if _, dup := r.names[s.name]; dup {
+		panic(fmt.Sprintf("promexp: duplicate metric name %q", s.name))
 	}
-	r.names[name] = struct{}{}
-	r.ms = append(r.ms, m)
+	r.names[s.name] = struct{}{}
+	r.ss = append(r.ss, s)
 }
 
-// NewCounter registers a monotonically increasing counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{name: name, help: help}
-	r.register(c)
-	return c
+// Counter registers a counter read through fn at every render. fn must be
+// monotonically non-decreasing across calls — promexp cannot verify that,
+// the contract is the caller's.
+func (r *Registry) Counter(name, help string, fn func() float64) {
+	r.register(series{name: name, help: help, typ: "counter", value: fn})
 }
 
-// NewGauge registers a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(g)
-	return g
+// Gauge registers a gauge read through fn at every render.
+func (r *Registry) Gauge(name, help string, fn func() float64) {
+	r.register(series{name: name, help: help, typ: "gauge", value: fn})
 }
 
-// NewHistogram registers a histogram with the given upper bucket bounds
-// (ascending; the +Inf bucket is implicit). It panics on unsorted or
-// empty bounds.
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	if len(buckets) == 0 {
-		panic(fmt.Sprintf("promexp: histogram %q needs at least one bucket", name))
+// Histogram registers a histogram whose buckets fn snapshots at every
+// render. Bounds and sum are divided by per on the way out: 1e9 renders a
+// nanosecond ladder in seconds (division, not a multiplication by 1e-9,
+// so that 500_000 ns prints as le="0.0005"). A snapshot must satisfy
+// len(Counts) == len(Bounds)+1; a malformed one renders only the buckets
+// it has counts for and the +Inf bucket it can prove, never panics
+// mid-scrape.
+func (r *Registry) Histogram(name, help string, per float64, fn func() obs.HistSnapshot) {
+	if !(per > 0) {
+		panic(fmt.Sprintf("promexp: histogram %q unit divisor %g, want > 0", name, per))
 	}
-	if !sort.Float64sAreSorted(buckets) {
-		panic(fmt.Sprintf("promexp: histogram %q buckets not ascending: %v", name, buckets))
-	}
-	h := &Histogram{name: name, help: help, bounds: append([]float64(nil), buckets...)}
-	h.counts = make([]atomic.Uint64, len(buckets))
-	r.register(h)
-	return h
+	r.register(series{name: name, help: help, typ: "histogram", hist: fn, per: per})
 }
 
-// WriteTo renders every metric in the Prometheus text format, in
+// Info registers the Prometheus info-metric idiom: a gauge fixed at 1
+// whose constant labels carry build metadata (version, go runtime) that
+// joins onto other series in queries. Labels render sorted by key for a
+// deterministic page; an invalid label name panics like an invalid metric
+// name.
+func (r *Registry) Info(name, help string, labels map[string]string) {
+	keys := make([]string, 0, len(labels))
+	for k := range labels {
+		if !labelRE.MatchString(k) {
+			panic(fmt.Sprintf("promexp: invalid label name %q on %q", k, name))
+		}
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	s := series{name: name, help: help, typ: "gauge", value: func() float64 { return 1 }}
+	for i, k := range keys {
+		// %q escapes backslash, quote and newline exactly as the text
+		// format's label-value rules require.
+		keys[i] = fmt.Sprintf("%s=%q", k, labels[k])
+	}
+	if len(keys) > 0 {
+		s.labels = "{" + strings.Join(keys, ",") + "}"
+	}
+	r.register(s)
+}
+
+// WriteTo renders every series in the Prometheus text format, in
 // registration order.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	r.mu.Lock()
-	ms := append([]metric(nil), r.ms...)
+	ss := r.ss[:len(r.ss):len(r.ss)] // registered series are never rewritten
 	r.mu.Unlock()
 	var b bytes.Buffer
-	for _, m := range ms {
-		m.render(&b)
+	for i := range ss {
+		ss[i].render(&b)
 	}
 	n, err := w.Write(b.Bytes())
 	return int64(n), err
@@ -149,13 +170,6 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func renderHeader(b *bytes.Buffer, name, help, typ string) {
-	if help != "" {
-		fmt.Fprintf(b, "# HELP %s %s\n", name, escapeHelp(help))
-	}
-	fmt.Fprintf(b, "# TYPE %s %s\n", name, typ)
-}
-
 // escapeHelp escapes backslashes and newlines per the text format.
 func escapeHelp(s string) string {
 	out := make([]byte, 0, len(s))
@@ -172,107 +186,28 @@ func escapeHelp(s string) string {
 	return string(out)
 }
 
-// Counter is a monotonically increasing value.
-type Counter struct {
-	name, help string
-	v          atomicFloat
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.add(1) }
-
-// Add increases the counter; negative deltas are ignored (a counter
-// never goes down — panicking in a metrics path would take the monitor
-// down over an accounting bug).
-func (c *Counter) Add(d float64) {
-	if d > 0 {
-		c.v.add(d)
+func (s *series) render(b *bytes.Buffer) {
+	if s.help != "" {
+		fmt.Fprintf(b, "# HELP %s %s\n", s.name, escapeHelp(s.help))
 	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return c.v.load() }
-
-func (c *Counter) fqName() string { return c.name }
-
-func (c *Counter) render(b *bytes.Buffer) {
-	renderHeader(b, c.name, c.help, "counter")
-	fmt.Fprintf(b, "%s %s\n", c.name, formatValue(c.v.load()))
-}
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	name, help string
-	v          atomicFloat
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.v.store(v) }
-
-// Add shifts the gauge by d.
-func (g *Gauge) Add(d float64) { g.v.add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v.load() }
-
-func (g *Gauge) fqName() string { return g.name }
-
-func (g *Gauge) render(b *bytes.Buffer) {
-	renderHeader(b, g.name, g.help, "gauge")
-	fmt.Fprintf(b, "%s %s\n", g.name, formatValue(g.v.load()))
-}
-
-// Histogram counts observations into cumulative buckets, with a running
-// sum — Prometheus's native latency shape.
-type Histogram struct {
-	name, help string
-	bounds     []float64
-	counts     []atomic.Uint64 // per-bucket (non-cumulative) counts
-	inf        atomic.Uint64   // observations above the last bound
-	sum        atomicFloat
-}
-
-// Observe records one observation. NaN and negative-infinity are
-// rejected: neither is a duration or a size, both poison the running sum
-// irreversibly (sum + NaN = NaN forever), and a poisoned _sum breaks
-// every rate() a dashboard computes. Dropping the sample keeps the
-// monitor alive over an upstream accounting bug, matching Counter.Add.
-func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, -1) {
+	fmt.Fprintf(b, "# TYPE %s %s\n", s.name, s.typ)
+	if s.hist == nil {
+		fmt.Fprintf(b, "%s%s %s\n", s.name, s.labels, formatValue(s.value()))
 		return
 	}
-	h.sum.add(v)
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	if i < len(h.bounds) {
-		h.counts[i].Add(1)
-		return
-	}
-	h.inf.Add(1)
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n + h.inf.Load()
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum.load() }
-
-func (h *Histogram) fqName() string { return h.name }
-
-func (h *Histogram) render(b *bytes.Buffer) {
-	renderHeader(b, h.name, h.help, "histogram")
+	snap := s.hist()
 	var cum uint64
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", h.name, formatValue(bound), cum)
+	for i, bound := range snap.Bounds {
+		if i >= len(snap.Counts) {
+			break
+		}
+		cum += snap.Counts[i]
+		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", s.name, formatValue(float64(bound)/s.per), cum)
 	}
-	cum += h.inf.Load()
-	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", h.name, cum)
-	fmt.Fprintf(b, "%s_sum %s\n", h.name, formatValue(h.sum.load()))
-	fmt.Fprintf(b, "%s_count %d\n", h.name, cum)
+	if len(snap.Counts) > len(snap.Bounds) {
+		cum += snap.Counts[len(snap.Counts)-1]
+	}
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", s.name, cum)
+	fmt.Fprintf(b, "%s_sum %s\n", s.name, formatValue(float64(snap.Sum)/s.per))
+	fmt.Fprintf(b, "%s_count %d\n", s.name, cum)
 }
