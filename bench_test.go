@@ -111,12 +111,7 @@ func BenchmarkMisrankExact(b *testing.B) {
 }
 
 func BenchmarkSimulateSmall(b *testing.B) {
-	cfg := SprintFiveTuple(60, 1)
-	cfg.ArrivalRate = 200
-	records, err := GenerateTrace(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	records := genTrace(b, SprintFiveTuple(60, 1), 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := Simulate(SimConfig{
@@ -130,12 +125,7 @@ func BenchmarkSimulateSmall(b *testing.B) {
 }
 
 func BenchmarkStreamPackets(b *testing.B) {
-	cfg := SprintFiveTuple(10, 1)
-	cfg.ArrivalRate = 200
-	records, err := GenerateTrace(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	records := genTrace(b, SprintFiveTuple(10, 1), 200)
 	var n int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -152,23 +142,8 @@ func BenchmarkStreamPackets(b *testing.B) {
 // trajectory.
 func BenchmarkNetworkCoordSimulate(b *testing.B) {
 	topo := FatTreeTopology(1)
-	cfg := SprintFiveTuple(10, 3)
-	cfg.ArrivalRate = 150
-	flows, err := GenerateNetworkWorkload(topo, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	demand, err := ObserveNetwork(topo, flows, 0.1, EMInverter{}, 10, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	budgets := map[string]float64{}
-	for sw, load := range NetworkOfferedLoads(demand) {
-		budgets[sw] = 0.02 * load
-	}
-	if err := topo.SetBudgets(budgets); err != nil {
-		b.Fatal(err)
-	}
+	flows := networkWorkload(b, topo)
+	demand := budgetedDemand(b, topo, flows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, alloc := range []Allocator{UniformAllocator{}, CoordinatedAllocator{}} {
@@ -197,22 +172,16 @@ func BenchmarkNetworkDynamicLoop(b *testing.B) {
 	topo := FatTreeTopology(1)
 	cfg := SprintFiveTuple(6, 3)
 	cfg.ArrivalRate = 120
-	bins, err := GenerateDynamicNetworkWorkload(topo, ChurnWorkload(cfg, 2))
+	var dc DynamicTraceConfig = ChurnWorkload(cfg, 2)
+	if want := DynamicPreset("churn"); dc.Preset != want {
+		b.Fatalf("ChurnWorkload drifts under the %q law, want %q", dc.Preset, want)
+	}
+	bins, err := GenerateDynamicNetworkWorkload(topo, dc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	d0, err := ObserveNetwork(topo, bins[0], 0.1, EMInverter{}, 10, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	budgets := map[string]float64{}
-	for sw, load := range NetworkOfferedLoads(d0) {
-		budgets[sw] = 0.02 * load
-	}
-	if err := topo.SetBudgets(budgets); err != nil {
-		b.Fatal(err)
-	}
-	cache := NewNetworkCurveCache(0)
+	budgetedDemand(b, topo, bins[0])
+	var cache *NetworkCurveCache = NewNetworkCurveCache(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctl := &NetworkController{
@@ -225,7 +194,8 @@ func BenchmarkNetworkDynamicLoop(b *testing.B) {
 			Curves:    cache,
 			SizeAware: true,
 		}
-		out, err := ctl.Run(bins)
+		var out []*NetworkBinResult
+		out, err = ctl.Run(bins)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -242,14 +212,8 @@ func BenchmarkNetworkDynamicLoop(b *testing.B) {
 // hardware the pkts/s metric scales with workers until the sequential
 // sampling/dispatch reader saturates.
 func BenchmarkStreamEngine(b *testing.B) {
-	cfg := SprintFiveTuple(30, 1)
-	cfg.ArrivalRate = 400
-	records, err := GenerateTrace(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
 	var pkts []Packet
-	if err := StreamPackets(records, 1, func(p Packet) error {
+	if err := StreamPackets(genTrace(b, SprintFiveTuple(30, 1), 400), 1, func(p Packet) error {
 		pkts = append(pkts, p)
 		return nil
 	}); err != nil {
@@ -268,14 +232,7 @@ func BenchmarkStreamEngine(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, p := range pkts {
-					if err := eng.Feed(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := eng.Close(); err != nil {
-					b.Fatal(err)
-				}
+				feedAll(b, eng, pkts)
 			}
 			b.ReportMetric(float64(len(pkts))*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 		})

@@ -37,48 +37,31 @@ import (
 // options carries the parsed command line; run is separated from main so
 // tests can drive the validation and wiring in-process.
 type options struct {
-	in      string
-	isPcap  bool
-	live    string
-	loop    bool
-	loopGap float64
-	speed   float64
-	rate    float64
-	topT    int
-	binSec  float64
-	aggName string
-	seed    uint64
-	workers int
-	invert  string
-	adapt   float64
-	table   string
-	memory  int
-	listen  string
-	nfAddr  string
-	journal string
-	pprof   bool
+	pipeline.Flags // the monitor flags shared with flowtop
+	live           string
+	loop           bool
+	loopGap        float64
+	speed          float64
+	listen         string
+	nfAddr         string
+	pprof          bool
 }
 
-// shared binds the options flowrankd has in common with flowtop to the
-// helper that registers and validates them.
-func (o *options) shared() pipeline.Flags {
-	return pipeline.Flags{
-		In: &o.in, Pcap: &o.isPcap, Rate: &o.rate, TopT: &o.topT, Bin: &o.binSec,
-		Agg: &o.aggName, Seed: &o.seed, Workers: &o.workers, Invert: &o.invert,
-		Adapt: &o.adapt, Table: &o.table, Memory: &o.memory, Journal: &o.journal,
-	}
+// register declares flowrankd's command line on fs.
+func (o *options) register(fs *flag.FlagSet) {
+	o.Flags.Register(fs)
+	fs.StringVar(&o.live, "live", "", "capture from this interface instead of a trace (needs a -tags live build)")
+	fs.BoolVar(&o.loop, "loop", false, "replay the trace forever, shifting timestamps monotonically")
+	fs.Float64Var(&o.loopGap, "loop-gap", 0, "idle seconds spliced between -loop replays (0 = one bin width)")
+	fs.Float64Var(&o.speed, "speed", 0, "pace replay at this multiple of line rate (1 = real time, 0 = as fast as possible)")
+	fs.StringVar(&o.listen, "listen", ":9465", "HTTP address serving /metrics and /healthz")
+	fs.StringVar(&o.nfAddr, "netflow-udp", "", "export each bin's sampled top list as NetFlow v5 to this UDP host:port")
+	fs.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ on -listen")
 }
 
 func main() {
 	var opts options
-	opts.shared().Register(flag.CommandLine)
-	flag.StringVar(&opts.live, "live", "", "capture from this interface instead of a trace (needs a -tags live build)")
-	flag.BoolVar(&opts.loop, "loop", false, "replay the trace forever, shifting timestamps monotonically")
-	flag.Float64Var(&opts.loopGap, "loop-gap", 0, "idle seconds spliced between -loop replays (0 = one bin width)")
-	flag.Float64Var(&opts.speed, "speed", 0, "pace replay at this multiple of line rate (1 = real time, 0 = as fast as possible)")
-	flag.StringVar(&opts.listen, "listen", ":9465", "HTTP address serving /metrics and /healthz")
-	flag.StringVar(&opts.nfAddr, "netflow-udp", "", "export each bin's sampled top list as NetFlow v5 to this UDP host:port")
-	flag.BoolVar(&opts.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ on -listen")
+	opts.register(flag.CommandLine)
 	flag.Parse()
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -95,11 +78,11 @@ func main() {
 // pipeline.Flags.
 func validate(opts options) error {
 	switch {
-	case opts.in == "" && opts.live == "":
+	case opts.In == "" && opts.live == "":
 		return errors.New("no input: pass -in <trace> to replay a capture, or -live <iface> to monitor an interface")
-	case opts.in != "" && opts.live != "":
+	case opts.In != "" && opts.live != "":
 		return errors.New("-in and -live are mutually exclusive: replay a trace or capture live, not both")
-	case opts.live != "" && opts.isPcap:
+	case opts.live != "" && opts.Pcap:
 		return errors.New("-pcap describes the -in trace format; it does not apply to -live capture")
 	case opts.live != "" && opts.loop:
 		return errors.New("-loop replays a finite trace; a -live capture is already endless")
@@ -125,10 +108,10 @@ func buildSource(opts options) (source.PacketSource, error) {
 	if opts.loop {
 		gap := opts.loopGap
 		if gap == 0 {
-			gap = opts.binSec
+			gap = opts.Bin
 		}
 		lp, err := source.NewLoop(func() (source.PacketSource, error) {
-			return source.Open(opts.in, opts.isPcap)
+			return source.Open(opts.In, opts.Pcap)
 		}, gap)
 		if err != nil {
 			return nil, err
@@ -136,7 +119,7 @@ func buildSource(opts options) (source.PacketSource, error) {
 		src = lp
 	} else {
 		var err error
-		src, err = source.Open(opts.in, opts.isPcap)
+		src, err = source.Open(opts.In, opts.Pcap)
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +134,7 @@ func run(ctx context.Context, opts options, log *slog.Logger) error {
 	if err := validate(opts); err != nil {
 		return err
 	}
-	cfg, closeJournal, err := opts.shared().Config()
+	cfg, closeJournal, err := opts.Flags.Config()
 	if err != nil {
 		return err
 	}
@@ -161,21 +144,11 @@ func run(ctx context.Context, opts options, log *slog.Logger) error {
 		return err
 	}
 	defer src.Close()
+	cfg.Source, cfg.Log = src, log
 	d, err := daemon.New(daemon.Config{
-		Source:      src,
-		Agg:         cfg.Agg,
-		Rate:        cfg.Rate,
-		Seed:        cfg.Seed,
-		TopT:        cfg.TopT,
-		BinSeconds:  cfg.BinSeconds,
-		Workers:     cfg.Workers,
-		Tables:      cfg.Tables,
-		Inverter:    cfg.Inverter,
-		AdaptTarget: cfg.AdaptTarget,
+		Monitor:     cfg,
 		ListenAddr:  opts.listen,
 		NetFlowAddr: opts.nfAddr,
-		Log:         log,
-		Journal:     cfg.Journal,
 		EnablePprof: opts.pprof,
 	})
 	if err != nil {

@@ -49,15 +49,11 @@ func writeTrace(t *testing.T) string {
 
 func baseOptions(in string) options {
 	return options{
-		in:      in,
-		rate:    0.5,
-		topT:    5,
-		binSec:  1,
-		aggName: "5tuple",
-		seed:    1,
-		workers: 2,
-		table:   "exact",
-		listen:  "127.0.0.1:0",
+		Flags: pipeline.Flags{
+			In: in, Rate: 0.5, TopT: 5, Bin: 1,
+			Agg: "5tuple", Seed: 1, Workers: 2, Table: "exact",
+		},
+		listen: "127.0.0.1:0",
 	}
 }
 
@@ -99,21 +95,21 @@ func TestFlagValidation(t *testing.T) {
 		mod  func(*options)
 		want string
 	}{
-		{"no input", func(o *options) { o.in = "" }, "-in"},
+		{"no input", func(o *options) { o.In = "" }, "-in"},
 		{"in and live", func(o *options) { o.live = "eth0" }, "mutually exclusive"},
-		{"pcap with live", func(o *options) { o.in = ""; o.live = "eth0"; o.isPcap = true }, "-pcap"},
-		{"loop with live", func(o *options) { o.in = ""; o.live = "eth0"; o.loop = true }, "-loop"},
-		{"speed with live", func(o *options) { o.in = ""; o.live = "eth0"; o.speed = 1 }, "-speed"},
+		{"pcap with live", func(o *options) { o.In = ""; o.live = "eth0"; o.Pcap = true }, "-pcap"},
+		{"loop with live", func(o *options) { o.In = ""; o.live = "eth0"; o.loop = true }, "-loop"},
+		{"speed with live", func(o *options) { o.In = ""; o.live = "eth0"; o.speed = 1 }, "-speed"},
 		{"negative speed", func(o *options) { o.speed = -2 }, "-speed"},
 		{"loop-gap without loop", func(o *options) { o.loopGap = 5 }, "-loop-gap"},
-		{"adapt without invert", func(o *options) { o.adapt = 1 }, "-invert"},
-		{"unknown agg", func(o *options) { o.aggName = "7tuple" }, "-agg"},
-		{"unknown invert", func(o *options) { o.invert = "magic" }, "-invert"},
-		{"unknown table", func(o *options) { o.table = "btree" }, "btree"},
+		{"adapt without invert", func(o *options) { o.Adapt = 1 }, "-invert"},
+		{"unknown agg", func(o *options) { o.Agg = "7tuple" }, "-agg"},
+		{"unknown invert", func(o *options) { o.Invert = "magic" }, "-invert"},
+		{"unknown table", func(o *options) { o.Table = "btree" }, "btree"},
 		// Both were accepted here while flowtop rejected them: -memory was
 		// silently ignored, -t 0 failed only once the first bin closed.
-		{"memory with exact table", func(o *options) { o.memory = 4096 }, "-table"},
-		{"adapt with an empty top list", func(o *options) { o.adapt = 1; o.invert = "em"; o.topT = 0 }, "(-t)"},
+		{"memory with exact table", func(o *options) { o.Memory = 4096 }, "-table"},
+		{"adapt with an empty top list", func(o *options) { o.Adapt = 1; o.Invert = "em"; o.TopT = 0 }, "(-t)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,7 +130,7 @@ func TestFlagValidation(t *testing.T) {
 // fails with an error telling the operator how to get it.
 func TestLiveUnsupportedInHermeticBuild(t *testing.T) {
 	opts := baseOptions("")
-	opts.in, opts.live = "", "eth0"
+	opts.In, opts.live = "", "eth0"
 	err := run(context.Background(), opts, quietLogger())
 	if err == nil {
 		t.Skip("live capture available in this build")
@@ -153,7 +149,7 @@ func TestRunReplayToDrain(t *testing.T) {
 	trace := writeTrace(t)
 	opts := baseOptions(trace)
 	opts.loop = true // endless replay: the daemon must be stopped, like production
-	opts.journal = filepath.Join(t.TempDir(), "journal.jsonl")
+	opts.Journal = filepath.Join(t.TempDir(), "journal.jsonl")
 	opts.pprof = true
 
 	addrCh := make(chan string, 1)
@@ -210,7 +206,7 @@ func TestRunReplayToDrain(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not drain after cancel")
 	}
-	jf, err := os.Open(opts.journal)
+	jf, err := os.Open(opts.Journal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,38 +54,21 @@ import (
 // options carries the parsed command line; run is separated from main so
 // the sequential-vs-sharded cross-check test can drive it in-process.
 type options struct {
-	in      string
-	isPcap  bool
-	rate    float64
-	topT    int
-	binSec  float64
-	aggName string
-	seed    uint64
-	nfOut   string
-	workers int
-	invert  string
-	adapt   float64
-	table   string
-	memory  int
-	journal string
+	pipeline.Flags // the monitor flags shared with flowrankd
+	nfOut          string
 }
 
-// shared binds the options flowtop has in common with flowrankd to the
-// helper that registers and validates them.
-func (o *options) shared() pipeline.Flags {
-	return pipeline.Flags{
-		In: &o.in, Pcap: &o.isPcap, Rate: &o.rate, TopT: &o.topT, Bin: &o.binSec,
-		Agg: &o.aggName, Seed: &o.seed, Workers: &o.workers, Invert: &o.invert,
-		Adapt: &o.adapt, Table: &o.table, Memory: &o.memory, Journal: &o.journal,
-	}
+// register declares flowtop's command line on fs.
+func (o *options) register(fs *flag.FlagSet) {
+	o.Flags.Register(fs)
+	fs.StringVar(&o.nfOut, "netflow", "", "write each bin's sampled ranking to this file as NetFlow v5 datagrams when the bin closes (after a failed run the file holds the complete bins reported before the error)")
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("flowtop: ")
 	var opts options
-	opts.shared().Register(flag.CommandLine)
-	flag.StringVar(&opts.nfOut, "netflow", "", "write each bin's sampled ranking to this file as NetFlow v5 datagrams when the bin closes (after a failed run the file holds the complete bins reported before the error)")
+	opts.register(flag.CommandLine)
 	flag.Parse()
 	if err := run(opts, os.Stdout, os.Stderr); err != nil {
 		log.Fatal(err)
@@ -95,15 +78,15 @@ func main() {
 // run is flowtop: the shared monitor pipeline, run to EOF, with a per-bin
 // callback that prints the text report.
 func run(opts options, stdout, stderr io.Writer) error {
-	if opts.in == "" {
+	if opts.In == "" {
 		return errors.New("missing -in trace file")
 	}
-	cfg, closeJournal, err := opts.shared().Config()
+	cfg, closeJournal, err := opts.Flags.Config()
 	if err != nil {
 		return err
 	}
 	defer closeJournal()
-	src, err := source.Open(opts.in, opts.isPcap)
+	src, err := source.Open(opts.In, opts.Pcap)
 	if err != nil {
 		return err
 	}
@@ -126,7 +109,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 
 	nfRecords := 0
 	err = p.Run(context.Background(), func(b stream.BinResult, rec *pipeline.BinRecord) error {
-		if err := printBin(stdout, b, opts.topT); err != nil {
+		if err := printBin(stdout, b, opts.TopT); err != nil {
 			return err
 		}
 		if b.Inversion != nil {
@@ -171,7 +154,7 @@ func printAdapt(w io.Writer, ad *pipeline.AdaptRecord, opts options) error {
 		return err
 	}
 	_, err := fmt.Fprintf(w, "adapt: p=%.4g%% -> %.4g%% (ranking<=%.4g over top %d of N=%d fitted flows)\n\n",
-		ad.PrevRate*100, ad.Rate*100, opts.adapt, opts.topT, ad.FittedFlows)
+		ad.PrevRate*100, ad.Rate*100, opts.Adapt, opts.TopT, ad.FittedFlows)
 	return err
 }
 

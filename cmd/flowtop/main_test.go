@@ -110,11 +110,12 @@ func TestShardedMatchesSequential(t *testing.T) {
 			nfPath := filepath.Join(dir, "out.nf5")
 			var stdout, stderr bytes.Buffer
 			opts := options{
-				in: v.in, isPcap: v.isPcap,
-				rate: 0.2, topT: 5, binSec: 4,
-				aggName: "5tuple", seed: 9,
-				nfOut: nfPath, workers: workers,
-				invert: "em", adapt: v.adapt,
+				Flags: pipeline.Flags{
+					In: v.in, Pcap: v.isPcap, Rate: 0.2, TopT: 5,
+					Bin: 4, Agg: "5tuple", Seed: 9, Workers: workers,
+					Invert: "em", Adapt: v.adapt,
+				},
+				nfOut: nfPath,
 			}
 			if err := run(opts, &stdout, &stderr); err != nil {
 				t.Fatalf("pcap=%v adapt=%g workers=%d: %v", v.isPcap, v.adapt, workers, err)
@@ -155,9 +156,10 @@ func TestGoldenOutput(t *testing.T) {
 	native, _ := writeTraces(t)
 	var stdout, stderr bytes.Buffer
 	opts := options{
-		in: native, rate: 0.2, topT: 5, binSec: 4,
-		aggName: "5tuple", seed: 9, workers: 2,
-		invert: "em",
+		Flags: pipeline.Flags{
+			In: native, Rate: 0.2, TopT: 5, Bin: 4,
+			Agg: "5tuple", Seed: 9, Workers: 2, Invert: "em",
+		},
 	}
 	if err := run(opts, &stdout, &stderr); err != nil {
 		t.Fatal(err)
@@ -190,9 +192,11 @@ func TestGoldenOutputAdapt(t *testing.T) {
 	native, _ := writeTraces(t)
 	var stdout, stderr bytes.Buffer
 	opts := options{
-		in: native, rate: 0.2, topT: 5, binSec: 4,
-		aggName: "5tuple", seed: 9, workers: 2,
-		invert: "em", adapt: 1,
+		Flags: pipeline.Flags{
+			In: native, Rate: 0.2, TopT: 5, Bin: 4,
+			Agg: "5tuple", Seed: 9, Workers: 2, Invert: "em",
+			Adapt: 1,
+		},
 	}
 	if err := run(opts, &stdout, &stderr); err != nil {
 		t.Fatal(err)
@@ -232,8 +236,10 @@ func TestCorruptTracePrintsNoPartialBin(t *testing.T) {
 	}
 	var stdout, stderr bytes.Buffer
 	opts := options{
-		in: trunc, rate: 0.2, topT: 5, binSec: 1e6,
-		aggName: "5tuple", seed: 9, workers: 4,
+		Flags: pipeline.Flags{
+			In: trunc, Rate: 0.2, TopT: 5, Bin: 1e6,
+			Agg: "5tuple", Seed: 9, Workers: 4,
+		},
 	}
 	if err := run(opts, &stdout, &stderr); err == nil {
 		t.Fatal("truncated trace accepted")
@@ -259,8 +265,10 @@ func TestUnsupportedLinkTypeFails(t *testing.T) {
 	}
 	var stdout, stderr bytes.Buffer
 	opts := options{
-		in: cooked, isPcap: true, rate: 0.2, topT: 5, binSec: 4,
-		aggName: "5tuple", seed: 9, workers: 1,
+		Flags: pipeline.Flags{
+			In: cooked, Pcap: true, Rate: 0.2, TopT: 5,
+			Bin: 4, Agg: "5tuple", Seed: 9, Workers: 1,
+		},
 	}
 	err = run(opts, &stdout, &stderr)
 	if !errors.Is(err, source.ErrUnsupportedLinkType) || !strings.Contains(err.Error(), "link type 113") {
@@ -278,8 +286,10 @@ func TestUnsupportedLinkTypeFails(t *testing.T) {
 func TestFlagValidation(t *testing.T) {
 	base := func() options {
 		return options{
-			in: "trace.pkts", rate: 0.2, topT: 5, binSec: 4,
-			aggName: "5tuple", seed: 1, workers: 1, table: "exact",
+			Flags: pipeline.Flags{
+				In: "trace.pkts", Rate: 0.2, TopT: 5, Bin: 4,
+				Agg: "5tuple", Seed: 1, Workers: 1, Table: "exact",
+			},
 		}
 	}
 	cases := []struct {
@@ -287,12 +297,12 @@ func TestFlagValidation(t *testing.T) {
 		mod  func(*options)
 		want string
 	}{
-		{"missing in", func(o *options) { o.in = "" }, "-in"},
-		{"rate above one", func(o *options) { o.rate = 2 }, "outside (0, 1]"}, // panicked in NewBernoulli before
-		{"adapt without invert", func(o *options) { o.adapt = 1 }, "-invert"},
-		{"memory with exact table", func(o *options) { o.memory = 4096 }, "-table"},
-		{"unknown agg", func(o *options) { o.aggName = "7tuple" }, "-agg"},
-		{"unknown invert", func(o *options) { o.invert = "magic" }, "-invert"},
+		{"missing in", func(o *options) { o.In = "" }, "-in"},
+		{"rate above one", func(o *options) { o.Rate = 2 }, "outside (0, 1]"}, // panicked in NewBernoulli before
+		{"adapt without invert", func(o *options) { o.Adapt = 1 }, "-invert"},
+		{"memory with exact table", func(o *options) { o.Memory = 4096 }, "-table"},
+		{"unknown agg", func(o *options) { o.Agg = "7tuple" }, "-agg"},
+		{"unknown invert", func(o *options) { o.Invert = "magic" }, "-invert"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -317,8 +327,10 @@ func TestJournalOutput(t *testing.T) {
 	native, _ := writeTraces(t)
 	dir := t.TempDir()
 	base := options{
-		in: native, rate: 0.2, topT: 5, binSec: 4,
-		aggName: "5tuple", seed: 9, workers: 1,
+		Flags: pipeline.Flags{
+			In: native, Rate: 0.2, TopT: 5, Bin: 4,
+			Agg: "5tuple", Seed: 9, Workers: 1,
+		},
 	}
 
 	var plain bytes.Buffer
@@ -327,8 +339,8 @@ func TestJournalOutput(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		opts := base
-		opts.workers = workers
-		opts.journal = filepath.Join(dir, fmt.Sprintf("journal-%d.jsonl", workers))
+		opts.Workers = workers
+		opts.Journal = filepath.Join(dir, fmt.Sprintf("journal-%d.jsonl", workers))
 		var stdout bytes.Buffer
 		if err := run(opts, &stdout, io.Discard); err != nil {
 			t.Fatal(err)
@@ -336,7 +348,7 @@ func TestJournalOutput(t *testing.T) {
 		if stdout.String() != plain.String() {
 			t.Errorf("workers=%d: -journal changed the printed report", workers)
 		}
-		f, err := os.Open(opts.journal)
+		f, err := os.Open(opts.Journal)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,8 +48,11 @@ func TestNetflowWrittenPerBin(t *testing.T) {
 	native, _ := writeTraces(t)
 	w := &binHeaderWatcher{nfPath: filepath.Join(t.TempDir(), "out.nf5")}
 	opts := options{
-		in: native, rate: 0.2, topT: 5, binSec: 4,
-		aggName: "5tuple", seed: 9, workers: 2, nfOut: w.nfPath,
+		Flags: pipeline.Flags{
+			In: native, Rate: 0.2, TopT: 5, Bin: 4,
+			Agg: "5tuple", Seed: 9, Workers: 2,
+		},
+		nfOut: w.nfPath,
 	}
 	if err := run(opts, w, io.Discard); err != nil {
 		t.Fatal(err)
@@ -159,10 +162,12 @@ func TestJournalParityWithDaemon(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			journal := filepath.Join(t.TempDir(), "flowtop.jsonl")
 			opts := options{
-				in: trace, rate: 0.5, topT: tc.topT, binSec: tc.binSec,
-				aggName: "5tuple", seed: 3, workers: 2,
-				invert: tc.invert, adapt: tc.adapt,
-				nfOut: filepath.Join(t.TempDir(), "out.nf5"), journal: journal,
+				Flags: pipeline.Flags{
+					In: trace, Rate: 0.5, TopT: tc.topT, Bin: tc.binSec,
+					Agg: "5tuple", Seed: 3, Workers: 2, Invert: tc.invert,
+					Adapt: tc.adapt, Journal: journal,
+				},
+				nfOut: filepath.Join(t.TempDir(), "out.nf5"),
 			}
 			if err := run(opts, io.Discard, io.Discard); err != nil {
 				t.Fatal(err)
@@ -181,10 +186,12 @@ func TestJournalParityWithDaemon(t *testing.T) {
 			defer coll.Close()
 			var buf bytes.Buffer
 			d, err := daemon.New(daemon.Config{
-				Source: source.NewSlice(pkts), Rate: 0.5, Seed: 3, TopT: tc.topT, BinSeconds: tc.binSec, Workers: 2,
-				Inverter: tc.inverter, AdaptTarget: tc.adapt,
+				Monitor: pipeline.Config{
+					Source: source.NewSlice(pkts), Rate: 0.5, Seed: 3, TopT: tc.topT, BinSeconds: tc.binSec, Workers: 2,
+					Inverter: tc.inverter, AdaptTarget: tc.adapt,
+					Journal: pipeline.NewJournal(&buf),
+				},
 				ListenAddr: "127.0.0.1:0", NetFlowAddr: coll.LocalAddr().String(),
-				Journal: pipeline.NewJournal(&buf),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -5,18 +5,18 @@
 //
 // The package exposes three layers:
 //
-//   - Analytical models (Model, DiscreteModel, OptimalRate, Misrank*):
+//   - Analytical models (Model, DiscreteModel, OptimalRate, MisrankExact):
 //     closed-form and quadrature evaluation of the paper's swapped-pairs
 //     metrics for ranking (§5) and detection (§7), under any flow-size
 //     distribution (Pareto, bounded Pareto, exponential, Weibull,
 //     lognormal, empirical).
 //
 //   - Trace machinery (TraceConfig presets, GenerateTrace, StreamPackets):
-//     synthetic flow-level traces calibrated to the paper's Sprint and
-//     Abilene workloads, and packet-level expansion using the paper's
-//     uniform placement.
+//     synthetic flow-level traces calibrated to the paper's Sprint
+//     workloads, and packet-level expansion using the paper's uniform
+//     placement.
 //
-//   - Experiments (Simulate, Controller, SizeEstimator, samplers, flow
+//   - Experiments (Simulate, Controller, SizeEstimator, the sampler, flow
 //     tables): the §8 trace-driven evaluation plus the paper's three
 //     future-work directions.
 //
@@ -26,8 +26,8 @@
 //     and the streaming monitor's per-bin summaries.
 //
 //   - Ingestion and live monitoring (PacketSource, OpenSource,
-//     PaceSource, NewLoopSource, DaemonConfig/NewDaemon): the unified
-//     packet-source API behind the batch monitor (cmd/flowtop) and the
+//     PaceSource, NewLoopSource, MonitorConfig, DaemonConfig/NewDaemon):
+//     the unified packet-source API behind the batch monitor (cmd/flowtop) and the
 //     long-running daemon (cmd/flowrankd) with its Prometheus metrics
 //     and NetFlow v5 export.
 //
@@ -79,13 +79,10 @@ type Model = core.Model
 // Kernel selects the pairwise misranking kernel of a Model.
 type Kernel = core.Kernel
 
-// Kernel choices: the paper's Gaussian Eq. 2 everywhere, or the hybrid
-// that switches to the exact binomial probability where the Gaussian
-// breaks (p·size small).
-const (
-	KernelGaussian = core.KernelGaussian
-	KernelHybrid   = core.KernelHybrid
-)
+// KernelHybrid switches from the paper's Gaussian Eq. 2 — a Model's zero
+// value, applied everywhere — to the exact binomial probability where the
+// Gaussian breaks (p·size small).
+const KernelHybrid = core.KernelHybrid
 
 // DiscreteModel evaluates the paper's formulas by direct summation over an
 // explicit flow-size pmf (small populations; used for validation).
@@ -94,18 +91,12 @@ type DiscreteModel = core.DiscreteModel
 // RateMethod selects the formula OptimalRate inverts.
 type RateMethod = core.RateMethod
 
-// Optimal-rate inversion methods.
-const (
-	RateExact    = core.RateExact
-	RateGaussian = core.RateGaussian
-)
+// RateExact inverts the exact misranking probability (Eq. 1).
+const RateExact = core.RateExact
 
 // MisrankExact returns the exact probability (Eq. 1) that sampling at rate
 // p misranks flows of s1 and s2 packets.
 func MisrankExact(s1, s2 int, p float64) float64 { return core.MisrankExact(s1, s2, p) }
-
-// MisrankGaussian returns the paper's Normal approximation (Eq. 2).
-func MisrankGaussian(s1, s2, p float64) float64 { return core.MisrankGaussian(s1, s2, p) }
 
 // OptimalRate returns the minimum sampling rate keeping the misranking
 // probability of two flow sizes at or below target (Figs. 1–2).
@@ -189,9 +180,8 @@ type (
 
 // Well-known protocol numbers.
 const (
-	ProtoICMP = flow.ProtoICMP
-	ProtoTCP  = flow.ProtoTCP
-	ProtoUDP  = flow.ProtoUDP
+	ProtoTCP = flow.ProtoTCP
+	ProtoUDP = flow.ProtoUDP
 )
 
 // ParseAddr parses a dotted-quad IPv4 address.
@@ -231,12 +221,6 @@ func SprintPrefix24(traceSeconds float64, seed uint64) TraceConfig {
 	return tracegen.SprintPrefix24(traceSeconds, seed)
 }
 
-// AbileneTrace returns the §8.3 Abilene-like workload: more flows and a
-// short-tailed size distribution.
-func AbileneTrace(traceSeconds float64, seed uint64) TraceConfig {
-	return tracegen.Abilene(traceSeconds, seed)
-}
-
 // GenerateTrace synthesizes the flow-level trace for a workload.
 func GenerateTrace(cfg TraceConfig) ([]FlowRecord, error) { return tracegen.Generate(cfg) }
 
@@ -259,15 +243,6 @@ type Sampler = sampler.Sampler
 // NewBernoulli returns the paper's random sampler: every packet is kept
 // independently with probability p.
 func NewBernoulli(p float64, seed uint64) Sampler { return sampler.NewBernoulli(p, seed) }
-
-// NewPeriodic returns a deterministic 1-in-every sampler with per-run
-// random phase.
-func NewPeriodic(every int, seed uint64) Sampler { return sampler.NewPeriodic(every, seed) }
-
-// NewSampleAndHold returns an Estan–Varghese sample-and-hold sampler.
-func NewSampleAndHold(p float64, agg Aggregator, seed uint64) Sampler {
-	return sampler.NewSampleAndHold(p, agg, seed)
-}
 
 // FlowTable is exact per-bin flow accounting (the limited-memory
 // tables are SpaceSavingTable and CountMinTable below). FlowObservation
@@ -393,11 +368,11 @@ func StreamRank(records []FlowRecord, seed uint64, cfg StreamConfig, emit func(S
 // so the batch monitor and the daemon measure the same stream.
 type PacketSource = source.PacketSource
 
-// The source implementations: native-trace and pcap replay, the
-// in-memory slice, and the pacing/looping replay decorators.
+// The source implementations the constructors below return: native-trace
+// replay, the in-memory slice, and the pacing/looping replay decorators
+// (OpenSource's pcap replay is only ever held as a PacketSource).
 type (
 	TraceSource = source.TraceSource
-	PcapSource  = source.PcapSource
 	SliceSource = source.Slice
 	PacedSource = source.Paced
 	LoopSource  = source.Loop
@@ -414,10 +389,6 @@ var (
 // NewTraceSource replays a native flowrank trace from r; if r is an
 // io.Closer (an *os.File) the source owns and closes it.
 func NewTraceSource(r io.Reader) (*TraceSource, error) { return source.NewTraceSource(r) }
-
-// NewPcapSource replays a pcap capture from r, decoding each frame into
-// a flow key and skipping undecodable frames.
-func NewPcapSource(r io.Reader) (*PcapSource, error) { return source.NewPcapSource(r) }
 
 // OpenSource opens a trace file as a PacketSource (native format, or
 // pcap when isPcap is set); the source owns the file handle.
@@ -443,11 +414,15 @@ func NewLiveSource(iface string, snapLen int) (PacketSource, error) {
 	return source.NewLive(iface, snapLen)
 }
 
-// DaemonConfig configures the long-running monitoring daemon: a
-// PacketSource, the sampling and binning parameters of the streaming
-// engine, the optional inversion and closed-loop adaptation, the HTTP
-// listen address for /metrics and /healthz, and an optional NetFlow v5
-// UDP export target.
+// MonitorConfig describes one link monitor, the pipeline behind flowtop
+// and flowrankd: a PacketSource, the sampling and binning parameters of
+// the streaming engine, the optional inversion and closed-loop adaptation,
+// the operational log and the bin journal.
+type MonitorConfig = pipeline.Config
+
+// DaemonConfig configures the long-running monitoring daemon: the monitor
+// it runs (Monitor), the HTTP listen address for /metrics and /healthz,
+// and an optional NetFlow v5 UDP export target.
 type DaemonConfig = daemon.Config
 
 // MonitorDaemon is a constructed daemon; Run serves until the context is
@@ -484,7 +459,7 @@ type StageNanos = obs.StageNanos
 type BinJournalRecord = pipeline.BinRecord
 
 // NewBinJournal returns a structured logger writing journal records as
-// JSON lines to w — the sink DaemonConfig.Journal expects.
+// JSON lines to w — the sink MonitorConfig.Journal expects.
 func NewBinJournal(w io.Writer) *slog.Logger { return pipeline.NewJournal(w) }
 
 // ValidateBinJournal checks a journal stream line-by-line against the
@@ -511,12 +486,6 @@ func CountSwapped(orig []FlowEntry, sampled map[Key]int64, t int) PairCounts {
 // SortEntries sorts entries into the canonical ranking order in place.
 func SortEntries(entries []FlowEntry) []FlowEntry { return metrics.SortEntries(entries) }
 
-// TopKOverlap returns the fraction of orig's top-k recovered in sampled's
-// top-k.
-func TopKOverlap(orig, sampled []FlowEntry, k int) float64 {
-	return metrics.TopKOverlap(orig, sampled, k)
-}
-
 // ---------------------------------------------------------------------------
 // Trace-driven simulation (paper §8)
 
@@ -532,13 +501,6 @@ type (
 // Simulate runs the experiment: per-bin swapped-pair metrics with mean and
 // standard deviation over independent sampling runs.
 func Simulate(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
-
-// SimulatePackets runs the same experiment on the literal packet path with
-// a custom sampler per rate (validation, periodic sampling, bounded
-// memory studies).
-func SimulatePackets(cfg SimConfig, mk func(rate float64) Sampler) (*SimResult, error) {
-	return sim.RunPackets(cfg, mk)
-}
 
 // ---------------------------------------------------------------------------
 // Future-work extensions (paper §9)
@@ -641,11 +603,6 @@ type (
 	CoordinatedAllocator = netsample.Coordinated
 )
 
-// NewTopology validates switches and links into a routable topology.
-func NewTopology(switches []NetworkSwitch, links []NetworkLink) (*Topology, error) {
-	return netsample.NewTopology(switches, links)
-}
-
 // FatTreeTopology returns the 10-switch two-pod evaluation fabric with
 // the given per-switch sampling budget.
 func FatTreeTopology(budget float64) *Topology { return netsample.FatTree(budget) }
@@ -680,13 +637,6 @@ func NetworkRank(topo *Topology, flows []RoutedFlow, a *Allocation, topT, runs i
 	return netsample.Simulate(topo, flows, a, topT, runs, seed)
 }
 
-// NetworkRankBudgeted is NetworkRank with every switch's budget enforced
-// as a hard per-run sampling quota: a switch that exhausts its quota
-// truncates everything after, so comparing allocations is budget-fair.
-func NetworkRankBudgeted(topo *Topology, flows []RoutedFlow, a *Allocation, topT, runs int, seed uint64) (*NetworkResult, error) {
-	return netsample.SimulateBudgeted(topo, flows, a, topT, runs, seed)
-}
-
 // NetworkController is the dynamic per-bin control plane: it re-observes
 // and re-allocates every measurement bin, carrying per-link model curves
 // across bins in a NetworkCurveCache, optionally capping rates by the
@@ -705,38 +655,18 @@ type (
 // re-evaluating the model.
 func NewNetworkCurveCache(tol float64) *NetworkCurveCache { return netsample.NewCurveCache(tol) }
 
-// NetworkSizeAwareRates caps an allocation's per-switch rates by the
-// realized loads of the previous bin's flows pushed through the
-// allocation's hash ownership, so the realized sampled load tracks the
-// budget instead of the allocator's expectation.
-func NetworkSizeAwareRates(topo *Topology, prev []RoutedFlow, a *Allocation) map[string]float64 {
-	return netsample.SizeAwareRates(topo, prev, a)
-}
-
 // DynamicTraceConfig describes a time-varying workload: a base trace
 // configuration plus a drift law re-drawing per-path demand bin to bin.
-// DynamicPreset selects the law: DynamicChurn re-draws a fraction of the
-// demand weights every bin, DynamicDiurnal modulates them sinusoidally.
+// DynamicPreset names the law ("churn" re-draws a fraction of the demand
+// weights every bin, "diurnal" modulates them sinusoidally).
 type (
 	DynamicTraceConfig = tracegen.DynamicConfig
 	DynamicPreset      = tracegen.Preset
 )
 
-// The two drift laws of DynamicTraceConfig.
-const (
-	DynamicChurn   = tracegen.PresetChurn
-	DynamicDiurnal = tracegen.PresetDiurnal
-)
-
 // ChurnWorkload returns the churn-preset dynamic configuration over the
 // base trace config with default drift parameters.
 func ChurnWorkload(base TraceConfig, bins int) DynamicTraceConfig { return tracegen.Churn(base, bins) }
-
-// DiurnalWorkload returns the diurnal-preset dynamic configuration over
-// the base trace config with default drift parameters.
-func DiurnalWorkload(base TraceConfig, bins int) DynamicTraceConfig {
-	return tracegen.Diurnal(base, bins)
-}
 
 // GenerateDynamicNetworkWorkload synthesizes one routed workload per
 // measurement bin under the dynamic configuration's drift law; pair

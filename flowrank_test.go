@@ -8,20 +8,32 @@ import (
 	"flowrank/internal/randx"
 )
 
+// genTrace synthesizes the flow-level trace of a preset at a test-sized
+// arrival rate (flows/s; the presets' own rates are the paper's).
+func genTrace(tb testing.TB, cfg TraceConfig, arrivalRate float64) []FlowRecord {
+	tb.Helper()
+	cfg.ArrivalRate = arrivalRate
+	records, err := GenerateTrace(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(records) == 0 {
+		tb.Fatal("empty trace")
+	}
+	return records
+}
+
+// firstBin is the first measurement bin of the i-th simulated rate.
+func firstBin(res *SimResult, i int) *BinStat {
+	var series RateSeries = res.Series[i]
+	return &series.Bins[0]
+}
+
 // TestQuickstartWorkflow exercises the full public API surface the way the
 // README's quickstart does.
 func TestQuickstartWorkflow(t *testing.T) {
-	cfg := SprintFiveTuple(60, 7)
-	cfg.ArrivalRate = 200
-	records, err := GenerateTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) == 0 {
-		t.Fatal("empty trace")
-	}
 	res, err := Simulate(SimConfig{
-		Records:    records,
+		Records:    genTrace(t, SprintFiveTuple(60, 7), 200),
 		BinSeconds: 60,
 		Horizon:    60,
 		TopT:       10,
@@ -32,8 +44,8 @@ func TestQuickstartWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	low := res.Series[0].Bins[0].Ranking.Mean()
-	high := res.Series[1].Bins[0].Ranking.Mean()
+	low := firstBin(res, 0).Ranking.Mean()
+	high := firstBin(res, 1).Ranking.Mean()
 	if high >= low {
 		t.Errorf("p=50%% (%g) should beat p=1%% (%g)", high, low)
 	}
@@ -56,7 +68,8 @@ func TestModelFacade(t *testing.T) {
 	if hv == gv {
 		t.Errorf("hybrid kernel had no effect at p=0.1%% (both %g)", hv)
 	}
-	p, err := OptimalRate(100, 200, 1e-3, RateExact)
+	const method RateMethod = RateExact
+	p, err := OptimalRate(100, 200, 1e-3, method)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,16 +79,11 @@ func TestModelFacade(t *testing.T) {
 }
 
 func TestPacketPathFacade(t *testing.T) {
-	cfg := SprintFiveTuple(10, 3)
-	cfg.ArrivalRate = 100
-	records, err := GenerateTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := genTrace(t, SprintFiveTuple(10, 3), 100)
 	tab := NewFlowTable(FiveTuple{})
 	smp := NewBernoulli(0.5, 4)
 	var total, kept int
-	err = StreamPackets(records, 5, func(p Packet) error {
+	err := StreamPackets(records, 5, func(p Packet) error {
 		total++
 		if smp.Sample(p) {
 			kept++
@@ -122,22 +130,34 @@ func TestBoundedTablesFacade(t *testing.T) {
 		if len(top) != 1 || top[0].Key != key {
 			t.Errorf("summary %d: top %+v", i, top)
 		}
+		// What each kind has beyond the shared surface.
+		switch tab := s.(type) {
+		case *FlatFlowTable:
+			tab.Release()
+		case *SpaceSavingTable:
+			if tab.Evictions() != 0 || tab.ErrorBound() != 0 {
+				t.Errorf("Space-Saving under capacity: %d evictions, error bound %d", tab.Evictions(), tab.ErrorBound())
+			}
+		case *CountMinTable:
+			if got := tab.Estimate(key); got != 2 {
+				t.Errorf("Count-Min estimate %d, want 2", got)
+			}
+		}
 	}
 
-	// The spec path drives the streaming engine with a bounded table.
+	// The spec path drives the streaming engine with a bounded table
+	// (the /24 workload under the /24 flow definition).
 	spec, err := ParseTableSpec("spacesaving", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SprintFiveTuple(10, 3)
-	cfg.ArrivalRate = 100
-	records, err := GenerateTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if spec == (TableSpec{}) {
+		t.Fatal("spacesaving parsed to the zero spec, which selects the exact table")
 	}
+	var agg Aggregator = DstPrefix{Bits: 24}
 	bins := 0
-	err = StreamRank(records, 5, StreamConfig{
-		Agg:        FiveTuple{},
+	err = StreamRank(genTrace(t, SprintPrefix24(10, 3), 100), 5, StreamConfig{
+		Agg:        agg,
 		Sampler:    NewBernoulli(0.5, 4),
 		BinSeconds: 5,
 		TopT:       5,
@@ -169,11 +189,17 @@ func TestAggregationFacade(t *testing.T) {
 	if err != nil || a != k.Dst {
 		t.Errorf("ParseAddr: %v %v", a, err)
 	}
+	// The 5-tuple keeps protocols apart; the prefix definition merges them.
+	udp := k
+	udp.Proto = ProtoUDP
+	if (FiveTuple{}).Aggregate(udp) == (FiveTuple{}).Aggregate(k) || agg.Aggregate(udp) != got {
+		t.Errorf("tcp/udp twins: 5-tuple %v, prefix %v", FiveTuple{}.Aggregate(udp), agg.Aggregate(udp))
+	}
 }
 
 func TestExtensionsFacade(t *testing.T) {
 	// Sequence estimator.
-	e := NewSizeEstimator(0.5)
+	var e *SizeEstimator = NewSizeEstimator(0.5)
 	key := Key{Src: Addr{9, 9, 9, 9}, Proto: ProtoTCP}
 	e.Observe(key, 1000, 100)
 	e.Observe(key, 5000, 100)
@@ -198,6 +224,7 @@ func TestExtensionsFacade(t *testing.T) {
 func TestDistributionFacade(t *testing.T) {
 	// Every law and combinator must be reachable and usable through the
 	// public API alone.
+	var mix *Mixture // multi-class traffic: exponential mice under Pareto elephants
 	mix, err := NewMixture(
 		MixtureComponent{Weight: 0.8, Dist: ExponentialWithMean(1, 4)},
 		MixtureComponent{Weight: 0.2, Dist: ParetoWithMean(50, 1.8)},
@@ -208,7 +235,7 @@ func TestDistributionFacade(t *testing.T) {
 	dists := []SizeDist{
 		ParetoWithMean(9.6, 1.5),
 		BoundedPareto{Scale: 3.2, Max: 1e5, Shape: 1.5},
-		ExponentialWithMean(1, 9.6),
+		Exponential{Min: 1, Scale: 8.6},
 		Weibull{Min: 1, Lambda: 8, K: 1.4},
 		Lognormal{Min: 1, Mu: 1.2, Sigma: 1.1},
 		NewEmpirical([]float64{1, 2, 3, 50, 400}),
@@ -250,9 +277,11 @@ func TestMetricsFacade(t *testing.T) {
 	sampled := map[Key]int64{
 		{SrcPort: 1}: 2, {SrcPort: 2}: 5, {SrcPort: 3}: 1,
 	}
-	pc := CountSwapped(entries, sampled, 1)
-	if pc.Ranking != 1 {
-		t.Errorf("ranking = %d, want 1 (top flow under-sampled)", pc.Ranking)
+	// The top flow is under-sampled against the second, not the third: one
+	// of the two pairs it heads — both straddle the top-1 boundary — swaps.
+	want := PairCounts{Ranking: 1, Detection: 1, Pairs: 2, BoundaryPairs: 2}
+	if pc := CountSwapped(entries, sampled, 1); pc != want {
+		t.Errorf("CountSwapped = %+v, want %+v", pc, want)
 	}
 }
 
@@ -260,12 +289,7 @@ func TestMetricsFacade(t *testing.T) {
 // facade and checks the bins against the packet stream it consumed, plus
 // the worker-count invariance contract.
 func TestStreamFacade(t *testing.T) {
-	cfg := SprintFiveTuple(10, 31)
-	cfg.ArrivalRate = 120
-	records, err := GenerateTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := genTrace(t, SprintFiveTuple(10, 31), 120)
 	var total int64
 	if err := StreamPackets(records, 8, func(Packet) error { total++; return nil }); err != nil {
 		t.Fatal(err)
@@ -333,6 +357,7 @@ func TestInversionFacade(t *testing.T) {
 	}
 	emp := NewEmpirical(truth)
 	probes := QuantileProbes(emp, 128)
+	ks := func(est Inversion) float64 { return KolmogorovDistance(est.Dist, emp, probes) }
 	var naiveKS, emKS float64
 	for _, inv := range []Inverter{NaiveInverter{}, TailInverter{}, ParametricInverter{}, EMInverter{}} {
 		est, err := inv.Invert(counts, p)
@@ -344,9 +369,12 @@ func TestInversionFacade(t *testing.T) {
 		}
 		switch inv.(type) {
 		case NaiveInverter:
-			naiveKS = KolmogorovDistance(est.Dist, emp, probes)
+			naiveKS = ks(est)
+			if _, ok := est.Dist.(*Empirical); !ok {
+				t.Fatalf("naive estimate dist %T, want *Empirical", est.Dist)
+			}
 		case EMInverter:
-			emKS = KolmogorovDistance(est.Dist, emp, probes)
+			emKS = ks(est)
 			if _, ok := est.Dist.(*Discrete); !ok {
 				t.Fatalf("EM estimate dist %T, want *Discrete", est.Dist)
 			}
@@ -355,9 +383,63 @@ func TestInversionFacade(t *testing.T) {
 	if !(emKS < naiveKS) {
 		t.Errorf("EM KS %g not below naive %g", emKS, naiveKS)
 	}
+	// The adaptive controller consumes the same sampled counts: a bin
+	// observed at p in, the cheapest rate meeting the target out.
+	obs := Observation{Rate: p, SampledFlows: len(counts), SampledSizes: counts}
+	for _, c := range counts {
+		obs.SampledPackets += int64(c)
+	}
+	rate, fitted, err := Controller{Target: 1, TopT: 10, Workers: 1}.Recommend(obs)
+	if err != nil || !(rate > 0 && rate <= 1) || fitted.N < len(counts) {
+		t.Errorf("Recommend = rate %g over N=%d fitted flows (%d sampled), err %v", rate, fitted.N, len(counts), err)
+	}
 	if miss := MissProbability(NewDiscrete([]float64{10}, []float64{1}), 0.1); math.Abs(miss-math.Pow(0.9, 10)) > 1e-9 {
 		t.Errorf("MissProbability point mass = %g", miss)
 	}
+}
+
+// networkWorkload routes a small Sprint-like workload over the topology.
+func networkWorkload(tb testing.TB, topo *Topology) []RoutedFlow {
+	tb.Helper()
+	cfg := SprintFiveTuple(10, 3)
+	cfg.ArrivalRate = 150
+	flows, err := GenerateNetworkWorkload(topo, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return flows
+}
+
+// budgetedDemand probe-samples the routed workload at 10% and budgets
+// every switch at 2% of its offered load. EM estimates: the Discrete
+// outputs evaluate fastest under the allocators' model scoring (spliced
+// tail mixtures cost ~50x here).
+func budgetedDemand(tb testing.TB, topo *Topology, flows []RoutedFlow) *NetworkDemand {
+	tb.Helper()
+	demand, err := ObserveNetwork(topo, flows, 0.1, EMInverter{}, 10, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	budgets := map[string]float64{}
+	for sw, load := range NetworkOfferedLoads(demand) {
+		budgets[sw] = 0.02 * load
+	}
+	if err := topo.SetBudgets(budgets); err != nil {
+		tb.Fatal(err)
+	}
+	return demand
+}
+
+// overBudget lists the switches whose expected sampled load under the
+// allocation exceeds their budget.
+func overBudget(topo *Topology, d *NetworkDemand, a *Allocation) []NetworkSwitch {
+	var over []NetworkSwitch
+	for id, used := range a.ExpectedSampled(d) {
+		if sw, _ := topo.Switch(id); used > sw.Budget*(1+1e-9) {
+			over = append(over, sw)
+		}
+	}
+	return over
 }
 
 // TestNetworkFacade drives the network-wide coordination layer end to end
@@ -366,26 +448,34 @@ func TestInversionFacade(t *testing.T) {
 // with the coordinated allocation beating the uniform baseline.
 func TestNetworkFacade(t *testing.T) {
 	topo := FatTreeTopology(1)
-	cfg := SprintFiveTuple(10, 3)
-	cfg.ArrivalRate = 150
-	flows, err := GenerateNetworkWorkload(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// EM estimates: the Discrete outputs evaluate fastest under the
-	// allocator's model scoring (spliced tail mixtures cost ~50x here).
-	demand, err := ObserveNetwork(topo, flows, 0.1, EMInverter{}, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flows := networkWorkload(t, topo)
+	demand := budgetedDemand(t, topo, flows)
 	demand.Workers = 1
-	// Budget: 2% of each switch's traversing load.
-	budgets := map[string]float64{}
-	for sw, load := range NetworkOfferedLoads(demand) {
-		budgets[sw] = 0.02 * load
+	// The demand describes the fabric it was observed on: every link row
+	// is a topology link with an inverted size law, every path row a route
+	// over such links.
+	fabric := map[string]bool{}
+	for _, l := range topo.Links() {
+		fabric[l.ID()] = true
 	}
-	if err := topo.SetBudgets(budgets); err != nil {
-		t.Fatal(err)
+	observed := func(ls LinkState) bool { return fabric[ls.Link] && ls.Dist != nil && ls.Flows > 0 }
+	routed := func(ps PathStat) bool {
+		for i := 1; i < len(ps.Switches); i++ {
+			if !fabric[NetworkLink{From: ps.Switches[i-1], To: ps.Switches[i]}.ID()] {
+				return false
+			}
+		}
+		return ps.Flows > 0
+	}
+	for _, ls := range demand.Links {
+		if !observed(ls) {
+			t.Errorf("link row %+v is not an observed topology link", ls)
+		}
+	}
+	for _, ps := range demand.Paths {
+		if !routed(ps) {
+			t.Errorf("path row %+v is not a route of the topology", ps)
+		}
 	}
 	results := map[string]*NetworkResult{}
 	for _, alloc := range []Allocator{UniformAllocator{}, WaterfillAllocator{}, CoordinatedAllocator{}} {
@@ -393,11 +483,8 @@ func TestNetworkFacade(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alloc.Name(), err)
 		}
-		for sw, used := range a.ExpectedSampled(demand) {
-			b, _ := topo.Switch(sw)
-			if used > b.Budget*(1+1e-9) {
-				t.Errorf("%s: switch %s over budget: %g > %g", alloc.Name(), sw, used, b.Budget)
-			}
+		if over := overBudget(topo, demand, a); len(over) > 0 {
+			t.Errorf("%s: switches over budget: %+v", alloc.Name(), over)
 		}
 		res, err := NetworkRank(topo, flows, a, 10, 2, 5)
 		if err != nil {

@@ -21,12 +21,7 @@ import (
 // frames in pcap, reads it back through the layer parser, and verifies
 // the recovered flow table matches the directly-built one exactly.
 func TestPcapPipelineRoundTrip(t *testing.T) {
-	cfg := SprintFiveTuple(5, 77)
-	cfg.ArrivalRate = 60
-	records, err := GenerateTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := genTrace(t, SprintFiveTuple(5, 77), 60)
 
 	direct := NewFlowTable(FiveTuple{})
 	var buf bytes.Buffer
@@ -91,12 +86,7 @@ func TestPcapPipelineRoundTrip(t *testing.T) {
 // TestNativeTracePipeline writes packets in the native binary format and
 // replays them through a sampler into per-bin metrics, mirroring flowtop.
 func TestNativeTracePipeline(t *testing.T) {
-	cfg := SprintFiveTuple(10, 88)
-	cfg.ArrivalRate = 100
-	records, err := GenerateTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := genTrace(t, SprintFiveTuple(10, 88), 100)
 	var buf bytes.Buffer
 	w, err := packet.NewWriter(&buf)
 	if err != nil {
@@ -136,11 +126,7 @@ func TestNativeTracePipeline(t *testing.T) {
 	if replayed != total {
 		t.Fatalf("replayed %d packets, wrote %d", replayed, total)
 	}
-	sampled := make(map[Key]int64, samp.Len())
-	for _, e := range samp.Entries() {
-		sampled[e.Key] = e.Packets
-	}
-	pc := CountSwapped(orig.Entries(), sampled, 10)
+	pc := CountSwapped(orig.Entries(), packetCounts(samp), 10)
 	if pc.Pairs <= 0 || pc.Ranking < 0 || pc.Ranking > pc.Pairs {
 		t.Fatalf("degenerate metrics: %+v", pc)
 	}
@@ -151,15 +137,20 @@ func TestNativeTracePipeline(t *testing.T) {
 	}
 }
 
+// packetCounts maps every flow of the table to its packet count, the form
+// CountSwapped takes the sampled side in.
+func packetCounts(tab *FlowTable) map[Key]int64 {
+	counts := make(map[Key]int64, tab.Len())
+	for _, e := range tab.Entries() {
+		counts[e.Key] = e.Packets
+	}
+	return counts
+}
+
 // TestNetflowExportOfTopFlows round-trips the sampled top list through
 // NetFlow v5 datagrams.
 func TestNetflowExportOfTopFlows(t *testing.T) {
-	cfg := SprintFiveTuple(5, 99)
-	cfg.ArrivalRate = 80
-	records, err := GenerateTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := genTrace(t, SprintFiveTuple(5, 99), 80)
 	table := NewFlowTable(FiveTuple{})
 	if err := StreamPackets(records, 5, func(p Packet) error {
 		table.Add(p)
@@ -225,7 +216,7 @@ func TestModelPredictsSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simMean := res.Series[0].Bins[0].Ranking.Mean()
+	simMean := firstBin(res, 0).Ranking.Mean()
 	m := Model{N: n, T: 5, Dist: d, Kernel: KernelHybrid}
 	pred := m.RankingMetric(p)
 	if simMean > pred*2.5+1 || pred > simMean*2.5+1 {

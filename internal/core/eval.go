@@ -24,9 +24,8 @@ import (
 // immutable and safe for concurrent use because every metric call builds
 // its own evaluation.
 type modelEval struct {
-	m   Model
-	p   float64
-	thr float64
+	m Model
+	p float64
 	// memo caches misrankExactTrunc(s1, s2, p) keyed by the packed pair;
 	// lastKey/lastVal front it because the adaptive quadrature evaluates
 	// runs of neighboring points that round to the same pair. Allocated
@@ -39,7 +38,7 @@ type modelEval struct {
 }
 
 // maxMemoSize bounds the sizes packed into a memo key. Larger sizes
-// (possible only with extreme HybridThreshold/p combinations) bypass the
+// (possible only at extreme hybridThreshold/p ratios) bypass the
 // memo instead of being packed.
 const maxMemoSize = 1 << 31
 
@@ -49,13 +48,13 @@ const maxMemoSize = 1 << 31
 var disableKernelMemo bool
 
 func (m Model) newEval(p float64) *modelEval {
-	return &modelEval{m: m, p: p, thr: m.hybridThreshold(), noMemo: disableKernelMemo}
+	return &modelEval{m: m, p: p, noMemo: disableKernelMemo}
 }
 
 // kernel returns the misranking probability for continuous sizes
 // small <= large under the model's kernel selection.
 func (e *modelEval) kernel(small, large float64) float64 {
-	if e.m.Kernel == KernelHybrid && e.p*small < e.thr {
+	if e.m.Kernel == KernelHybrid && e.p*small < hybridThreshold {
 		s1 := int(math.Round(small))
 		if s1 < 1 {
 			s1 = 1
@@ -168,7 +167,7 @@ func (e *modelEval) innerBelow(u, x float64) float64 {
 		y := e.m.Dist.QuantileCCDF(v)
 		return v * e.kernel(y, x)
 	}
-	return numeric.AdaptiveSimpson(f, 0, smax, e.m.innerTol(), 48)
+	return numeric.AdaptiveSimpson(f, 0, smax, innerTol, 48)
 }
 
 // innerAbove computes ∫_{vcut}^u Pm(x, y(v)) dv — the misranking mass
@@ -194,7 +193,7 @@ func (e *modelEval) innerAbove(u, x float64) float64 {
 		y := e.m.Dist.QuantileCCDF(v)
 		return v * e.kernel(x, y)
 	}
-	return numeric.AdaptiveSimpson(f, 0, smax, e.m.innerTol(), 48)
+	return numeric.AdaptiveSimpson(f, 0, smax, innerTol, 48)
 }
 
 // innerDetect computes ∫_u^1 P*t(v, u) · Pm(y(v), x) dv for the detection
@@ -218,5 +217,5 @@ func (e *modelEval) innerDetect(pmfBig []float64, u, x float64) float64 {
 		}
 		return v * kern * JointTopProb(pmfBig, v, u, e.m.T, e.m.N, e.m.PoissonTails)
 	}
-	return numeric.AdaptiveSimpson(f, 0, smax, e.m.innerTol(), 48)
+	return numeric.AdaptiveSimpson(f, 0, smax, innerTol, 48)
 }

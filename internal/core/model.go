@@ -36,23 +36,16 @@ type Model struct {
 	// Kernel selects the pairwise misranking kernel. KernelGaussian (the
 	// default) is the paper's Eq. 2 applied everywhere, reproducing the
 	// paper's model figures exactly. KernelHybrid switches to the exact
-	// binomial probability whenever p·min(s1,s2) < HybridThreshold, where
+	// binomial probability whenever p·min(s1,s2) < hybridThreshold, where
 	// the Gaussian tails badly overestimate misranking against the bulk
 	// of small flows; at low sampling rates this can change the metric by
 	// an order of magnitude and brings the model onto the trace-driven
 	// simulation (see EXPERIMENTS.md).
 	Kernel Kernel
 
-	// HybridThreshold is the p·size level below which KernelHybrid uses
-	// the exact binomial kernel (default 10).
-	HybridThreshold float64
-
 	// OuterOrder is the Gauss–Legendre order per outer panel
 	// (default 40).
 	OuterOrder int
-	// InnerTol is the absolute adaptive-quadrature tolerance of the inner
-	// integrals (default 1e-13).
-	InnerTol float64
 
 	// Workers bounds the outer-quadrature parallelism of one metric
 	// evaluation: 0 means GOMAXPROCS, 1 forces the serial path. The outer
@@ -84,12 +77,13 @@ func (m Model) outerOrder() int {
 	return m.OuterOrder
 }
 
-func (m Model) innerTol() float64 {
-	if m.InnerTol <= 0 {
-		return 1e-13
-	}
-	return m.InnerTol
-}
+// innerTol is the absolute adaptive-quadrature tolerance of the inner
+// integrals, hybridThreshold the p·size level below which KernelHybrid
+// uses the exact binomial kernel.
+const (
+	innerTol        = 1e-13
+	hybridThreshold = 10
+)
 
 // Kernel selects the pairwise misranking kernel used inside a Model.
 type Kernel int
@@ -98,17 +92,10 @@ const (
 	// KernelGaussian applies Eq. 2 to every pair — the paper's model.
 	KernelGaussian Kernel = iota
 	// KernelHybrid uses the exact binomial misranking probability where
-	// the smaller flow samples fewer than HybridThreshold packets in
+	// the smaller flow samples fewer than hybridThreshold packets in
 	// expectation, and Eq. 2 elsewhere.
 	KernelHybrid
 )
-
-func (m Model) hybridThreshold() float64 {
-	if m.HybridThreshold <= 0 {
-		return 10
-	}
-	return m.HybridThreshold
-}
 
 // lambdaMax is the Poisson intensity beyond which the top-t membership
 // weight is below ~1e-16 and the outer integral can be truncated.
@@ -180,13 +167,6 @@ func (m Model) RankingMetric(p float64) float64 {
 	return (2*n - t - 1) / 2 * n * integral
 }
 
-// AvgMisrankTop returns P̄mt, the probability that an average top-T flow is
-// swapped with an average other flow.
-func (m Model) AvgMisrankTop(p float64) float64 {
-	n, t := float64(m.N), float64(m.T)
-	return m.RankingMetric(p) / ((2*n - t - 1) * t / 2)
-}
-
 // DetectionMetric returns the expected number of swapped pairs straddling
 // the top-T boundary — the paper's §7 metric, t(N−t)·P̄*mt. Values below 1
 // mean the top-T *set* is on average recovered correctly.
@@ -217,13 +197,6 @@ func (m Model) DetectionMetric(p float64) float64 {
 	}) * uhi
 	n := float64(m.N)
 	return n * (n - 1) * integral
-}
-
-// AvgMisrankBoundary returns P̄*mt, the probability that an average top-T
-// flow is swapped with an average flow outside the top-T list.
-func (m Model) AvgMisrankBoundary(p float64) float64 {
-	n, t := float64(m.N), float64(m.T)
-	return m.DetectionMetric(p) / (t * (n - t))
 }
 
 // integrateOuter integrates the metric integrand over w in [0, 1] with

@@ -14,8 +14,9 @@
 // profiling on the same listener.
 //
 // The monitor itself — sampler, engine, adaptive loop, NetFlow export,
-// journal — is internal/pipeline, shared with cmd/flowtop; this package
-// adds the HTTP surface and maps each bin's record onto metrics.
+// journal — is internal/pipeline, shared with cmd/flowtop, and configured
+// by its Config (Config.Monitor here, not a copy of its fields); this
+// package adds the HTTP surface and maps each bin's record onto metrics.
 //
 // Lifecycle: New validates the configuration and binds the HTTP
 // listener (so callers can pass ":0" and read Addr before scraping);
@@ -37,10 +38,7 @@ import (
 	"time"
 
 	"flowrank/internal/flow"
-	"flowrank/internal/flowtable"
-	"flowrank/internal/invert"
 	"flowrank/internal/pipeline"
-	"flowrank/internal/source"
 	"flowrank/internal/stream"
 )
 
@@ -52,48 +50,21 @@ import (
 // A variable only so the tests need not wait five seconds.
 var readHeaderTimeout = 5 * time.Second
 
-// Config describes one daemon. Source, Rate and ListenAddr are required;
-// zero values elsewhere take the monitor defaults noted per field.
+// Config describes one daemon: the monitor it runs and the network
+// surfaces around it. Monitor.Source, Monitor.Rate and ListenAddr are
+// required.
 type Config struct {
-	// Source supplies the packets. The daemon closes it during drain to
-	// unblock a pending read.
-	Source source.PacketSource
-	// Agg classifies packets into flows; nil means the 5-tuple.
-	Agg flow.Aggregator
-	// Rate is the initial packet sampling probability, in (0, 1].
-	Rate float64
-	// Seed seeds the Bernoulli sampler.
-	Seed uint64
-	// TopT is the ranked top-list length; 0 means 10.
-	TopT int
-	// BinSeconds is the measurement bin width; 0 means 60.
-	BinSeconds float64
-	// Workers and BatchSize configure the streaming engine (0 = engine
-	// defaults).
-	Workers   int
-	BatchSize int
-	// Tables selects the per-shard flow accounting (zero = exact).
-	Tables flowtable.Spec
-	// Inverter, when set, estimates each bin's original flow-size
-	// distribution; required when AdaptTarget is set.
-	Inverter invert.Estimator
-	// AdaptTarget, when positive, closes the §9 loop: after every bin
-	// the sampling rate is retuned to the cheapest one whose predicted
-	// ranking metric stays at or below this target.
-	AdaptTarget float64
+	// Monitor is the pipeline configuration. A nil Agg, zero TopT and
+	// zero BinSeconds take the daemon's defaults (5-tuple, 10, 60); the
+	// daemon closes Source during drain to unblock a pending read and
+	// sets NetFlow/NetFlowDest itself from NetFlowAddr.
+	Monitor pipeline.Config
 	// ListenAddr is the HTTP address for /metrics and /healthz
 	// (host:port; ":0" picks a free port, see Daemon.Addr). Required.
 	ListenAddr string
 	// NetFlowAddr, when set, is the UDP host:port every bin's sampled
 	// top list is exported to as NetFlow v5 datagrams.
 	NetFlowAddr string
-	// Log receives operational log records (drain notices, adapt
-	// decisions, export failures); nil discards them.
-	Log *slog.Logger
-	// Journal, when set, receives one structured JSON record per
-	// completed measurement bin — the daemon's flight recorder. Build it
-	// with pipeline.NewJournal, validate it with pipeline.ValidateJournal.
-	Journal *slog.Logger
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the same
 	// listener as /metrics. Off by default: profiling endpoints expose
 	// execution detail an operator must opt into.
@@ -115,44 +86,31 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.ListenAddr == "" {
 		return nil, errors.New("daemon: Config.ListenAddr is required")
 	}
-	if cfg.Agg == nil {
-		cfg.Agg = flow.FiveTuple{}
+	mon := &cfg.Monitor
+	if mon.Agg == nil {
+		mon.Agg = flow.FiveTuple{}
 	}
-	if cfg.TopT == 0 {
-		cfg.TopT = 10
+	if mon.TopT == 0 {
+		mon.TopT = 10
 	}
-	if cfg.BinSeconds == 0 {
-		cfg.BinSeconds = 60
+	if mon.BinSeconds == 0 {
+		mon.BinSeconds = 60
 	}
-	if cfg.Log == nil {
-		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	if mon.Log == nil {
+		mon.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	pcfg := pipeline.Config{
-		Source:      cfg.Source,
-		Agg:         cfg.Agg,
-		Rate:        cfg.Rate,
-		Seed:        cfg.Seed,
-		TopT:        cfg.TopT,
-		BinSeconds:  cfg.BinSeconds,
-		Workers:     cfg.Workers,
-		BatchSize:   cfg.BatchSize,
-		Tables:      cfg.Tables,
-		Inverter:    cfg.Inverter,
-		AdaptTarget: cfg.AdaptTarget,
-		Log:         cfg.Log,
-		Journal:     cfg.Journal,
-	}
-	d := &Daemon{cfg: cfg}
+	var nf net.Conn
 	if cfg.NetFlowAddr != "" {
 		conn, err := net.Dial("udp", cfg.NetFlowAddr)
 		if err != nil {
 			return nil, fmt.Errorf("daemon: netflow target %s: %w", cfg.NetFlowAddr, err)
 		}
-		d.nf = conn
-		pcfg.NetFlow, pcfg.NetFlowDest = conn, cfg.NetFlowAddr
+		nf = conn
+		mon.NetFlow, mon.NetFlowDest = conn, cfg.NetFlowAddr
 	}
+	d := &Daemon{cfg: cfg, nf: nf}
 	var err error
-	if d.pipe, err = pipeline.New(pcfg); err == nil {
+	if d.pipe, err = pipeline.New(cfg.Monitor); err == nil {
 		if d.ln, err = net.Listen("tcp", cfg.ListenAddr); err != nil {
 			err = fmt.Errorf("daemon: listen %s: %w", cfg.ListenAddr, err)
 		}
@@ -226,7 +184,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 		return nil // drained: the pipeline flushed the partial final bin
 	}
 	d.m.sourceEOF.Set(1)
-	d.cfg.Log.Info("source drained; serving metrics until shutdown")
+	d.cfg.Monitor.Log.Info("source drained; serving metrics until shutdown")
 	// Keep the observability surface up so the final values can be
 	// scraped; only the context ends a daemon.
 	select {

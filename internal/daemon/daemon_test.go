@@ -110,12 +110,14 @@ func (s *failSource) Close() error { return s.inner.Close() }
 
 func testDaemonConfig(src source.PacketSource) Config {
 	return Config{
-		Source:     src,
-		Rate:       0.5,
-		Seed:       1,
-		TopT:       5,
-		BinSeconds: 1,
-		Workers:    2,
+		Monitor: pipeline.Config{
+			Source:     src,
+			Rate:       0.5,
+			Seed:       1,
+			TopT:       5,
+			BinSeconds: 1,
+			Workers:    2,
+		},
 		ListenAddr: "127.0.0.1:0",
 	}
 }
@@ -150,7 +152,7 @@ func waitLong(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestDrainEmitsFinalPartialBin(t *testing.T) {
 	src := newChanSource()
 	cfg := testDaemonConfig(src)
-	cfg.BinSeconds = 60 // everything below lands in one partial bin
+	cfg.Monitor.BinSeconds = 60 // everything below lands in one partial bin
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +264,7 @@ func TestMetricsMatchBatch(t *testing.T) {
 	}
 
 	cfg := testDaemonConfig(source.NewSlice(pkts))
-	cfg.Inverter = invert.EM{}
+	cfg.Monitor.Inverter = invert.EM{}
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -393,11 +395,11 @@ func TestAdaptiveLoopRetunes(t *testing.T) {
 	}
 	pkts := genPackets(300)
 	cfg := testDaemonConfig(source.NewSlice(pkts))
-	cfg.Inverter = invert.Parametric{}
-	cfg.AdaptTarget = 1
+	cfg.Monitor.Inverter = invert.Parametric{}
+	cfg.Monitor.AdaptTarget = 1
 	// One bin covers the whole trace: exactly one (expensive) refit, run
 	// during the EOF flush.
-	cfg.BinSeconds = 10
+	cfg.Monitor.BinSeconds = 10
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +428,7 @@ func TestCorruptSourceAborts(t *testing.T) {
 	bad := errors.New("truncated frame 17")
 	src := &failSource{inner: source.NewSlice(genPackets(30)), err: bad}
 	cfg := testDaemonConfig(src)
-	cfg.BinSeconds = 60
+	cfg.Monitor.BinSeconds = 60
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -448,10 +450,10 @@ func TestConfigValidation(t *testing.T) {
 		mod  func(*Config)
 		want string
 	}{
-		{"missing source", func(c *Config) { c.Source = nil }, "Source is required"},
-		{"zero rate", func(c *Config) { c.Rate = 0 }, "outside (0, 1]"},
-		{"rate above one", func(c *Config) { c.Rate = 1.5 }, "outside (0, 1]"},
-		{"adapt without inverter", func(c *Config) { c.AdaptTarget = 0.1 }, "set Config.Inverter"},
+		{"missing source", func(c *Config) { c.Monitor.Source = nil }, "Source is required"},
+		{"zero rate", func(c *Config) { c.Monitor.Rate = 0 }, "outside (0, 1]"},
+		{"rate above one", func(c *Config) { c.Monitor.Rate = 1.5 }, "outside (0, 1]"},
+		{"adapt without inverter", func(c *Config) { c.Monitor.AdaptTarget = 0.1 }, "set Config.Inverter"},
 		{"missing listen addr", func(c *Config) { c.ListenAddr = "" }, "ListenAddr is required"},
 		{"bad listen addr", func(c *Config) { c.ListenAddr = "not-an-addr" }, "listen"},
 		{"bad netflow addr", func(c *Config) { c.NetFlowAddr = "no-port" }, "netflow target"},
@@ -468,5 +470,41 @@ func TestConfigValidation(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestMonitorDefaults: a Monitor that leaves Agg, TopT and BinSeconds zero
+// runs as the 5-tuple / top-10 / 60 s monitor, read off the first journal
+// record: the bin is 60 s wide, its flows are the trace's distinct
+// 5-tuples (under /24 prefixes genPackets has one), and the NetFlow export
+// — the sampled top list — carries ten of its fifteen flows.
+func TestMonitorDefaults(t *testing.T) {
+	coll, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	pkts := genPackets(300)
+	tuples := map[flow.Key]bool{}
+	for _, p := range pkts {
+		tuples[p.Key] = true
+	}
+	_, recs := replayToEOF(t, Config{
+		Monitor:     pipeline.Config{Source: source.NewSlice(pkts), Rate: 1},
+		ListenAddr:  "127.0.0.1:0",
+		NetFlowAddr: coll.LocalAddr().String(),
+	})
+	if len(recs) == 0 {
+		t.Fatal("no bin journaled")
+	}
+	r := recs[0]
+	if r.Start != 0 || r.End != 60 {
+		t.Errorf("first bin spans [%g, %g), want the 60 s default", r.Start, r.End)
+	}
+	if len(tuples) <= 10 || r.Flows != len(tuples) {
+		t.Errorf("first bin has %d flows, want the trace's %d (> 10) 5-tuples", r.Flows, len(tuples))
+	}
+	if r.NetFlow == nil || r.NetFlow.Records != 10 {
+		t.Errorf("NetFlow export %+v, want the default top 10", r.NetFlow)
 	}
 }

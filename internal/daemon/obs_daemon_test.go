@@ -32,9 +32,9 @@ func TestJournalRecordsBins(t *testing.T) {
 	var buf bytes.Buffer // slog handlers serialize writes; read only after Run returns
 	pkts := genPackets(400)
 	cfg := testDaemonConfig(source.NewSlice(pkts))
-	cfg.Inverter = invert.Naive{}
+	cfg.Monitor.Inverter = invert.Naive{}
 	cfg.NetFlowAddr = coll.LocalAddr().String()
-	cfg.Journal = NewJournal(&buf)
+	cfg.Monitor.Journal = NewJournal(&buf)
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +161,8 @@ func TestNetFlowSendFailureWarning(t *testing.T) {
 	pkts := genPackets(400)
 	cfg := testDaemonConfig(source.NewSlice(pkts))
 	cfg.NetFlowAddr = coll.LocalAddr().String()
-	cfg.Log = NewJournal(&logBuf) // JSON operational log: easy to assert on
-	cfg.Journal = NewJournal(&jBuf)
+	cfg.Monitor.Log = NewJournal(&logBuf) // JSON operational log: easy to assert on
+	cfg.Monitor.Journal = NewJournal(&jBuf)
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func validateExposition(t *testing.T, page string) map[string]string {
 func TestExpositionConformance(t *testing.T) {
 	pkts := genPackets(400)
 	cfg := testDaemonConfig(source.NewSlice(pkts))
-	cfg.Inverter = invert.Naive{}
+	cfg.Monitor.Inverter = invert.Naive{}
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

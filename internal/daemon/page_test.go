@@ -70,7 +70,7 @@ func journalRecords(t *testing.T, buf *bytes.Buffer) []BinRecord {
 func replayToEOF(t *testing.T, cfg Config) (page string, recs []BinRecord) {
 	t.Helper()
 	var jbuf bytes.Buffer
-	cfg.Journal = NewJournal(&jbuf)
+	cfg.Monitor.Journal = NewJournal(&jbuf)
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -105,9 +105,9 @@ func TestMetricsPageGolden(t *testing.T) {
 	}
 	defer coll.Close()
 	cfg := testDaemonConfig(source.NewSlice(genPackets(300)))
-	cfg.Inverter = invert.Parametric{}
-	cfg.AdaptTarget = 1
-	cfg.BinSeconds = 10 // one bin: the page's shape needs one refit, not three
+	cfg.Monitor.Inverter = invert.Parametric{}
+	cfg.Monitor.AdaptTarget = 1
+	cfg.Monitor.BinSeconds = 10 // one bin: the page's shape needs one refit, not three
 	cfg.NetFlowAddr = coll.LocalAddr().String()
 	page, _ := replayToEOF(t, cfg)
 	got := pageShape(page)
@@ -140,11 +140,11 @@ func TestSamplingRateGauge(t *testing.T) {
 	src := newChanSource()
 	var jbuf bytes.Buffer
 	cfg := testDaemonConfig(src)
-	cfg.Rate = 0.4
-	cfg.BinSeconds = 60 // one bin, closed by the drain
-	cfg.Inverter = invert.Parametric{}
-	cfg.AdaptTarget = 1
-	cfg.Journal = NewJournal(&jbuf)
+	cfg.Monitor.Rate = 0.4
+	cfg.Monitor.BinSeconds = 60 // one bin, closed by the drain
+	cfg.Monitor.Inverter = invert.Parametric{}
+	cfg.Monitor.AdaptTarget = 1
+	cfg.Monitor.Journal = NewJournal(&jbuf)
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func (f *thinBinInverter) Invert(counts []float64, p float64) (invert.Estimate, 
 // succeeded, while every other last-bin gauge moves on to the new bin.
 func TestFailedInversionKeepsLastEstimate(t *testing.T) {
 	cfg := testDaemonConfig(source.NewSlice(genPackets(400))) // 4 bins
-	cfg.Inverter = &thinBinInverter{good: 2}
+	cfg.Monitor.Inverter = &thinBinInverter{good: 2}
 	page, recs := replayToEOF(t, cfg)
 	if len(recs) != 4 {
 		t.Fatalf("%d bins journaled, want 4", len(recs))

@@ -99,8 +99,9 @@ func registerRuntimeMetrics(reg *promexp.Registry, start time.Time) {
 
 // registerPipelineMetrics projects the stream engine's per-stage
 // instrumentation onto /metrics, its nanosecond ladders rendered in
-// seconds. Per-shard detail is aggregated here (promexp has no labels);
-// the journal keeps the per-shard view.
+// seconds. Per-shard detail is aggregated here (promexp has no variable
+// labels) and the journal's BinRecord has no per-shard field either:
+// per-shard series are ROADMAP 5(b).
 func registerPipelineMetrics(reg *promexp.Registry, ps *obs.PipelineStats) {
 	reg.Counter("flowrankd_pipeline_packets_total",
 		"Packets the shard workers accounted (every packet fed to the engine, sampled or not).",

@@ -40,9 +40,6 @@ func (p Proto) String() string {
 // Addr is an IPv4 address as a comparable 4-byte array.
 type Addr [4]byte
 
-// AddrFrom4 builds an Addr from four octets.
-func AddrFrom4(a, b, c, d byte) Addr { return Addr{a, b, c, d} }
-
 // ParseAddr parses a dotted-quad IPv4 address.
 func ParseAddr(s string) (Addr, error) {
 	ip, err := netip.ParseAddr(s)

@@ -180,44 +180,6 @@ func TopKOverlap(orig, sampled []flowtable.Entry, k int) float64 {
 	return float64(hits) / float64(k)
 }
 
-// KendallTau returns the Kendall rank correlation between the original and
-// sampled packet counts of the given flows, in [-1, 1]. Ties are handled
-// with the tau-b correction. It is an auxiliary diagnostic, not a paper
-// metric.
-func KendallTau(orig []flowtable.Entry, sampled map[flow.Key]int64) float64 {
-	n := len(orig)
-	if n < 2 {
-		return 0
-	}
-	var concordant, discordant, tiesA, tiesB int64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			da := orig[i].Packets - orig[j].Packets
-			db := sampled[orig[i].Key] - sampled[orig[j].Key]
-			switch {
-			case da == 0 && db == 0:
-				tiesA++
-				tiesB++
-			case da == 0:
-				tiesA++
-			case db == 0:
-				tiesB++
-			case (da > 0) == (db > 0):
-				concordant++
-			default:
-				discordant++
-			}
-		}
-	}
-	total := int64(n) * int64(n-1) / 2
-	denomA := float64(total - tiesA)
-	denomB := float64(total - tiesB)
-	if denomA <= 0 || denomB <= 0 {
-		return 0
-	}
-	return float64(concordant-discordant) / math.Sqrt(denomA*denomB)
-}
-
 // RunningStat accumulates mean and standard deviation with Welford's
 // algorithm; it summarizes a metric across simulation runs.
 type RunningStat struct {

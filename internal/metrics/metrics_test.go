@@ -236,22 +236,6 @@ func TestTopKOverlap(t *testing.T) {
 	}
 }
 
-func TestKendallTau(t *testing.T) {
-	// Perfect agreement.
-	orig, m := mkBin([]int64{40, 30, 20, 10}, []int64{8, 6, 4, 2})
-	if got := KendallTau(orig, m); math.Abs(got-1) > 1e-12 {
-		t.Errorf("tau = %g, want 1", got)
-	}
-	// Perfect reversal.
-	orig, m = mkBin([]int64{40, 30, 20, 10}, []int64{1, 2, 3, 4})
-	if got := KendallTau(orig, m); math.Abs(got+1) > 1e-12 {
-		t.Errorf("tau = %g, want -1", got)
-	}
-	if KendallTau(orig[:1], m) != 0 {
-		t.Error("tau of single flow should be 0")
-	}
-}
-
 func TestRunningStat(t *testing.T) {
 	var r RunningStat
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}

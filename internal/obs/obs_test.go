@@ -98,8 +98,7 @@ func TestNanotimeMonotone(t *testing.T) {
 	}
 }
 
-// TestPipelineStatsShape: preallocation, aggregation helpers and the
-// last-bin stage view.
+// TestPipelineStatsShape: preallocation and the aggregation helpers.
 func TestPipelineStatsShape(t *testing.T) {
 	p := NewPipelineStats(3)
 	if len(p.Shards) != 3 {
@@ -111,18 +110,14 @@ func TestPipelineStatsShape(t *testing.T) {
 	p.Shards[0].Ingest.Observe(2000)
 	p.Shards[2].Ingest.Observe(200_000)
 	p.Shards[1].Depth.Set(4)
-	if p.ShardPackets() != 15 || p.ShardBatches() != 1 {
-		t.Errorf("aggregates: packets %d batches %d", p.ShardPackets(), p.ShardBatches())
+	if p.ShardPackets() != 15 {
+		t.Errorf("aggregate packets %d, want 15", p.ShardPackets())
 	}
-	if depths := p.ShardDepths(); len(depths) != 3 || depths[1] != 4 {
-		t.Errorf("depths = %v", depths)
+	if b, d := p.Shards[1].Batches.Load(), p.Shards[1].Depth.Load(); b != 1 || d != 4 {
+		t.Errorf("shard 1: batches %d depth %d, want 1 and 4", b, d)
 	}
 	if in := p.IngestSnapshot(); in.Count() != 2 || in.Sum != 202_000 {
 		t.Errorf("ingest aggregate = %+v", in)
-	}
-	p.Flush.LastMergeNanos.Set(77)
-	if st := p.LastStages(); st.Merge != 77 || st.Barrier != 0 {
-		t.Errorf("last stages = %+v", st)
 	}
 	if NewPipelineStats(0).Shards == nil {
 		t.Error("shard count floor missing")
@@ -171,7 +166,7 @@ func TestConcurrentUpdates(t *testing.T) {
 				_ = p.IngestSnapshot()
 				_ = p.Reader.Dispatch.Snapshot()
 				_ = p.ShardPackets()
-				_ = p.LastStages()
+				_ = p.Shards[0].Depth.Load()
 			}
 		}
 	}()
@@ -186,7 +181,7 @@ func TestConcurrentUpdates(t *testing.T) {
 				sh.Ingest.Observe(int64(i))
 				p.Reader.Stalls.Inc()
 				p.Reader.QueueDepthMax.SetMax(int64(i % 5))
-				p.Flush.LastMergeNanos.Set(int64(i))
+				sh.Depth.Set(int64(i))
 			}
 		}(w)
 	}

@@ -75,14 +75,6 @@ type FlushStats struct {
 	Emit *Histogram
 	// Total is the whole flush, barrier through emit.
 	Total *Histogram
-	// LastBarrierNanos through LastTotalNanos are the most recent bin's
-	// stage timings — what the per-bin journal records without touching
-	// the cumulative histograms.
-	LastBarrierNanos Gauge
-	LastMergeNanos   Gauge
-	LastInvertNanos  Gauge
-	LastEmitNanos    Gauge
-	LastTotalNanos   Gauge
 }
 
 // PipelineStats is the stream engine's self-instrumentation surface: one
@@ -119,8 +111,9 @@ func NewPipelineStats(shards int) *PipelineStats {
 }
 
 // IngestSnapshot merges the per-shard ingest histograms into one — the
-// aggregate a single /metrics series exposes (per-shard detail stays
-// available through Shards and the journal).
+// aggregate a single /metrics series exposes. Per-shard detail is in
+// Shards only: neither /metrics nor the journal's BinRecord has a
+// per-shard field yet (ROADMAP 5(b)).
 func (p *PipelineStats) IngestSnapshot() HistSnapshot {
 	snaps := make([]HistSnapshot, len(p.Shards))
 	for i := range p.Shards {
@@ -138,44 +131,13 @@ func (p *PipelineStats) ShardPackets() int64 {
 	return n
 }
 
-// ShardBatches sums the per-shard batch counters.
-func (p *PipelineStats) ShardBatches() int64 {
-	var n int64
-	for i := range p.Shards {
-		n += p.Shards[i].Batches.Load()
-	}
-	return n
-}
-
-// ShardDepths returns the per-shard queue depths last observed at
-// dispatch, in shard order — the journal's per-shard view.
-func (p *PipelineStats) ShardDepths() []int64 {
-	out := make([]int64, len(p.Shards))
-	for i := range p.Shards {
-		out[i] = p.Shards[i].Depth.Load()
-	}
-	return out
-}
-
-// StageNanos is the most recent bin's flush-stage timing breakdown, read
-// from the Last* gauges as one consistent-enough view (the gauges are
-// written together at the end of each flush, on the single goroutine
-// driving the engine).
+// StageNanos is one bin's flush-stage timing breakdown. The engine fills
+// Barrier, Merge and Invert in the bin result it emits; the emit callback,
+// which Emit and Total time, completes it (pipeline's journal record).
 type StageNanos struct {
 	Barrier int64 `json:"barrier_ns"`
 	Merge   int64 `json:"merge_ns"`
 	Invert  int64 `json:"invert_ns"`
 	Emit    int64 `json:"emit_ns"`
 	Total   int64 `json:"total_ns"`
-}
-
-// LastStages returns the most recent bin's stage timings.
-func (p *PipelineStats) LastStages() StageNanos {
-	return StageNanos{
-		Barrier: p.Flush.LastBarrierNanos.Load(),
-		Merge:   p.Flush.LastMergeNanos.Load(),
-		Invert:  p.Flush.LastInvertNanos.Load(),
-		Emit:    p.Flush.LastEmitNanos.Load(),
-		Total:   p.Flush.LastTotalNanos.Load(),
-	}
 }

@@ -12,35 +12,18 @@ import (
 	"flowrank/internal/flowtable"
 )
 
-// flagVars is the variable set a binary binds Flags to.
-type flagVars struct {
-	in, agg, invert, table, journal string
-	pcap                            bool
-	rate, bin, adapt                float64
-	topT, workers, memory           int
-	seed                            uint64
-}
-
-func (v *flagVars) flags() Flags {
-	return Flags{
-		In: &v.in, Pcap: &v.pcap, Rate: &v.rate, TopT: &v.topT, Bin: &v.bin,
-		Agg: &v.agg, Seed: &v.seed, Workers: &v.workers, Invert: &v.invert,
-		Adapt: &v.adapt, Table: &v.table, Memory: &v.memory, Journal: &v.journal,
-	}
-}
-
 // parse registers the shared flags on a fresh set and parses args, the
 // way both mains do.
-func parse(t *testing.T, args ...string) *flagVars {
+func parse(t *testing.T, args ...string) Flags {
 	t.Helper()
-	var v flagVars
+	var f Flags
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	v.flags().Register(fs)
+	f.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	return &v
+	return f
 }
 
 // TestFlagValidation is the table of rejections for the flags flowtop and
@@ -70,8 +53,7 @@ func TestFlagValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			journal := filepath.Join(t.TempDir(), "journal.jsonl")
-			v := parse(t, append(tc.args, "-journal", journal)...)
-			_, _, err := v.flags().Config()
+			_, _, err := parse(t, append(tc.args, "-journal", journal)...).Config()
 			if err == nil {
 				t.Fatal("Config accepted the bad flags")
 			}
@@ -88,7 +70,7 @@ func TestFlagValidation(t *testing.T) {
 // TestFlagsConfig: accepted flags resolve to the Config they describe,
 // and the defaults are a valid monitor.
 func TestFlagsConfig(t *testing.T) {
-	cfg, closeJournal, err := parse(t).flags().Config()
+	cfg, closeJournal, err := parse(t).Config()
 	if err != nil {
 		t.Fatalf("the default flags are rejected: %v", err)
 	}
@@ -101,7 +83,7 @@ func TestFlagsConfig(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 	cfg, closeJournal, err = parse(t, "-p", "1", "-t", "3", "-bin", "5", "-agg", "prefix24", "-seed", "7",
 		"-workers", "3", "-invert", "tail", "-adapt", "0.5", "-table", "spacesaving", "-memory", "64",
-		"-journal", journal).flags().Config()
+		"-journal", journal).Config()
 	if err != nil {
 		t.Fatal(err)
 	}

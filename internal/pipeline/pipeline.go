@@ -6,7 +6,11 @@
 //
 // cmd/flowtop (run to EOF, text report) and internal/daemon (run to
 // signal, HTTP/metrics surface) are its two callers and differ only in
-// what their per-bin callback does with the BinRecord. Everything that
+// what their per-bin callback does with the BinRecord. Config is the
+// monitor's one configuration — the daemon's Config carries it whole as
+// Monitor — and Flags its one command-line form, embedded by both
+// binaries; a new monitor option is a Flags field, a Register line, a
+// Flags.Config line and a Config field. Everything that
 // decides the sampling rate or the export bytes lives here, so
 // flowrank-lint's wallclock and maporder rules cover the package.
 package pipeline
@@ -39,12 +43,11 @@ type Config struct {
 	Rate   float64         // initial sampling probability, in (0, 1]
 	Seed   uint64          // of the Bernoulli sampler
 	TopT   int             // ranked top-list length
-	// BinSeconds is the measurement bin width; Workers and BatchSize
-	// configure the engine (0 = its defaults), Tables its per-shard flow
-	// accounting (zero = exact).
+	// BinSeconds is the measurement bin width; Workers is the engine's
+	// shard count (0 = its default), Tables its per-shard flow accounting
+	// (zero = exact).
 	BinSeconds float64
 	Workers    int
-	BatchSize  int
 	Tables     flowtable.Spec
 	// Inverter, when set, estimates each bin's original flow-size
 	// distribution. AdaptTarget, when positive, closes the §9 loop over
@@ -158,7 +161,6 @@ func (p *Pipeline) Run(ctx context.Context, onBin func(stream.BinResult, *BinRec
 		BinSeconds: p.cfg.BinSeconds,
 		TopT:       p.cfg.TopT,
 		Workers:    p.cfg.Workers,
-		BatchSize:  p.cfg.BatchSize,
 		Inverter:   p.cfg.Inverter,
 		Tables:     p.cfg.Tables,
 		Obs:        p.stats,
@@ -234,10 +236,9 @@ func (p *Pipeline) closeBin(b stream.BinResult) *BinRecord {
 		rec.Adapt = p.adapt(b)
 	}
 	if p.stats != nil {
-		// The engine's barrier/merge/invert gauges already describe this
-		// bin; its emit gauge lands only after emit returns, so emit is
-		// timed here.
-		st := p.stats.LastStages()
+		// The engine timed barrier, merge and invert; emit is this
+		// function (it runs inside the engine's emit), so it is timed here.
+		st := b.Stages
 		st.Emit = obs.Nanotime() - start
 		st.Total = st.Barrier + st.Merge + st.Invert + st.Emit
 		rec.Stages = &st

@@ -41,6 +41,11 @@ func TestEngineObsOutputInvariant(t *testing.T) {
 			Inverter:   invert.Naive{},
 		}
 		want := runEngine(t, plain, pkts)
+		for _, b := range want {
+			if b.Stages != (obs.StageNanos{}) {
+				t.Fatalf("workers=%d bin %d: stage timings %+v without Config.Obs", workers, b.Bin, b.Stages)
+			}
+		}
 		instr, _ := obsConfig(workers, invert.Naive{})
 		got := runEngine(t, instr, pkts)
 		compareBins(t, "obs-on vs obs-off", 8, got, want)
@@ -71,20 +76,43 @@ func TestEngineObsTelemetry(t *testing.T) {
 				t.Errorf("workers=%d: stage histogram count %d, want %d bins", workers, got, len(bins))
 			}
 		}
-		if st := stats.LastStages(); st.Total < st.Barrier+st.Merge {
-			t.Errorf("workers=%d: total %dns below barrier+merge %dns", workers, st.Total, st.Barrier+st.Merge)
+		// Each bin carries the stage timings the histograms accumulated;
+		// emit and total time the callback and are the callback's to fill.
+		var st obs.StageNanos
+		for _, b := range bins {
+			if b.Stages.Emit != 0 || b.Stages.Total != 0 {
+				t.Errorf("workers=%d bin %d: engine filled emit/total: %+v", workers, b.Bin, b.Stages)
+			}
+			st.Barrier += b.Stages.Barrier
+			st.Merge += b.Stages.Merge
+			st.Invert += b.Stages.Invert
+		}
+		hist := obs.StageNanos{
+			Barrier: stats.Flush.Barrier.Snapshot().Sum,
+			Merge:   stats.Flush.Merge.Snapshot().Sum,
+			Invert:  stats.Flush.Invert.Snapshot().Sum,
+		}
+		if st != hist {
+			t.Errorf("workers=%d: bins' stages sum to %+v, the histograms to %+v", workers, st, hist)
+		}
+		if total := stats.Flush.Total.Snapshot().Sum; total < st.Barrier+st.Merge+st.Invert {
+			t.Errorf("workers=%d: total %dns below barrier+merge+invert %dns", workers, total, st.Barrier+st.Merge+st.Invert)
 		}
 		if workers > 1 {
-			if stats.Reader.Batches.Load() == 0 || stats.ShardBatches() == 0 {
+			var shardBatches int64
+			for i := range stats.Shards {
+				shardBatches += stats.Shards[i].Batches.Load()
+			}
+			if stats.Reader.Batches.Load() == 0 || shardBatches == 0 {
 				t.Errorf("workers=%d: no batches recorded (reader %d, shards %d)",
-					workers, stats.Reader.Batches.Load(), stats.ShardBatches())
+					workers, stats.Reader.Batches.Load(), shardBatches)
 			}
 			if stats.Reader.Dispatch.Count() != uint64(stats.Reader.Batches.Load()) {
 				t.Errorf("dispatch latency observations %d != dispatched batches %d",
 					stats.Reader.Dispatch.Count(), stats.Reader.Batches.Load())
 			}
-			if got := stats.IngestSnapshot().Count(); got != uint64(stats.ShardBatches()) {
-				t.Errorf("ingest observations %d != shard batches %d", got, stats.ShardBatches())
+			if got := stats.IngestSnapshot().Count(); got != uint64(shardBatches) {
+				t.Errorf("ingest observations %d != shard batches %d", got, shardBatches)
 			}
 		}
 	}
@@ -152,8 +180,7 @@ func TestEngineObsConcurrentScrape(t *testing.T) {
 			default:
 				_ = stats.IngestSnapshot()
 				_ = stats.Flush.Total.Snapshot()
-				_ = stats.LastStages()
-				_ = stats.ShardDepths()
+				_ = stats.Shards[0].Depth.Load()
 				_ = stats.Reader.Stalls.Load()
 			}
 		}

@@ -139,6 +139,10 @@ type BinResult struct {
 	// bounded summaries (deterministic for Space-Saving, probabilistic —
 	// holding per flow with probability >= 1 - 2^-4 — for Count-Min).
 	CountErr int64
+	// Stages is the flush timing known when the bin is emitted: Barrier,
+	// Merge and Invert, zero unless Config.Obs is set. Emit and Total time
+	// the emit callback itself, so they are the callback's to fill.
+	Stages obs.StageNanos
 }
 
 // batch is what the reader stage hands a shard: the packets routed to it
@@ -536,11 +540,8 @@ func (e *Engine) dispatch(s int) {
 // and summarize, merge the summaries and emit the BinResult. Empty bins
 // (no packets anywhere) emit nothing. With Config.Obs set it also records
 // the flush breakdown — barrier, merge, invert, emit — into the cumulative
-// histograms and the Last* gauges. The barrier/merge/invert gauges are
-// written before emit runs,
-// so an emit callback building a per-bin journal record reads its own
-// bin's stage timings; emit and total land after the callback returns
-// (they time the callback itself).
+// histograms, and hands the first three to emit in BinResult.Stages, so a
+// callback building a per-bin journal record has its own bin's timings.
 func (e *Engine) flushBin() error {
 	if e.binPackets == 0 {
 		return nil
@@ -577,20 +578,16 @@ func (e *Engine) flushBin() error {
 	}
 	if st != nil {
 		tInvert = obs.Nanotime()
-		st.Flush.Barrier.Observe(tBarrier - t0)
-		st.Flush.Merge.Observe(tMerge - tBarrier)
-		st.Flush.Invert.Observe(tInvert - tMerge)
-		st.Flush.LastBarrierNanos.Set(tBarrier - t0)
-		st.Flush.LastMergeNanos.Set(tMerge - tBarrier)
-		st.Flush.LastInvertNanos.Set(tInvert - tMerge)
+		r.Stages = obs.StageNanos{Barrier: tBarrier - t0, Merge: tMerge - tBarrier, Invert: tInvert - tMerge}
+		st.Flush.Barrier.Observe(r.Stages.Barrier)
+		st.Flush.Merge.Observe(r.Stages.Merge)
+		st.Flush.Invert.Observe(r.Stages.Invert)
 	}
 	err := e.emit(r)
 	if st != nil {
 		tEmit := obs.Nanotime()
 		st.Flush.Emit.Observe(tEmit - tInvert)
 		st.Flush.Total.Observe(tEmit - t0)
-		st.Flush.LastEmitNanos.Set(tEmit - tInvert)
-		st.Flush.LastTotalNanos.Set(tEmit - t0)
 		st.Flush.Bins.Inc()
 	}
 	if err != nil {

@@ -123,6 +123,7 @@ func compareBins(t *testing.T, label string, topT int, got, want []BinResult) {
 		}
 		g.Orig = flowtable.SortEntries(slices.Clone(g.Orig))
 		w.Orig = flowtable.SortEntries(slices.Clone(w.Orig))
+		g.Stages, w.Stages = obs.StageNanos{}, obs.StageNanos{} // timings, not measurement
 		if !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s: bin %d diverges:\ngot  %+v\nwant %+v", label, w.Bin, g, w)
 		}

@@ -32,14 +32,7 @@ func TestObservabilityFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range pkts {
-			if err := eng.Feed(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
+		feedAll(t, eng, pkts)
 		return bins
 	}
 
@@ -56,9 +49,17 @@ func TestObservabilityFacade(t *testing.T) {
 	if got := stats.ShardPackets(); got != int64(len(pkts)) {
 		t.Errorf("ShardPackets = %d, want %d", got, len(pkts))
 	}
-	var st StageNanos = stats.LastStages()
-	if st.Total < 0 || st.Barrier < 0 {
-		t.Errorf("negative stage timings: %+v", st)
+	// The engine times barrier, merge and invert into each bin it emits —
+	// only with stats attached — and leaves emit and total to the callback.
+	var flush StageNanos
+	for i, b := range observed {
+		if plain[i].Stages != (StageNanos{}) || b.Stages.Barrier < 0 || b.Stages.Emit != 0 || b.Stages.Total != 0 {
+			t.Errorf("bin %d stage timings: %+v with stats, %+v without", i, b.Stages, plain[i].Stages)
+		}
+		flush.Barrier += b.Stages.Barrier
+	}
+	if got := stats.Flush.Barrier.Snapshot().Sum; got != flush.Barrier {
+		t.Errorf("bins' barrier timings sum to %d ns, the histogram to %d", flush.Barrier, got)
 	}
 
 	var buf bytes.Buffer
@@ -74,6 +75,7 @@ func TestObservabilityFacade(t *testing.T) {
 			OrigPackets:    b.OrigPackets,
 			SampledPackets: b.SampledPackets,
 			SamplingRate:   0.5,
+			Stages:         &b.Stages,
 		}
 		journal.Info("bin", "record", rec)
 	}
@@ -87,5 +89,18 @@ func TestObservabilityFacade(t *testing.T) {
 	var line map[string]any
 	if err := json.Unmarshal(buf.Bytes()[:bytes.IndexByte(buf.Bytes(), '\n')], &line); err != nil {
 		t.Fatalf("journal line not JSON: %v", err)
+	}
+}
+
+// feedAll feeds the packets to the engine in order and closes it.
+func feedAll(tb testing.TB, eng *StreamEngine, pkts []Packet) {
+	tb.Helper()
+	for _, p := range pkts {
+		if err := eng.Feed(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		tb.Fatal(err)
 	}
 }

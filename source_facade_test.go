@@ -13,28 +13,12 @@ import (
 	"flowrank/internal/packet"
 )
 
-// Compile-time conformance: every exported source implements the facade
-// PacketSource interface.
-var (
-	_ PacketSource = (*TraceSource)(nil)
-	_ PacketSource = (*PcapSource)(nil)
-	_ PacketSource = (*SliceSource)(nil)
-	_ PacketSource = (*PacedSource)(nil)
-	_ PacketSource = (*LoopSource)(nil)
-)
-
 // facadePackets synthesizes a small deterministic packet stream via the
 // public trace machinery.
 func facadePackets(t *testing.T) []Packet {
 	t.Helper()
-	cfg := SprintFiveTuple(3, 5)
-	cfg.ArrivalRate = 60
-	records, err := GenerateTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var pkts []Packet
-	if err := StreamPackets(records, 6, func(p Packet) error {
+	if err := StreamPackets(genTrace(t, SprintFiveTuple(3, 5), 60), 6, func(p Packet) error {
 		pkts = append(pkts, p)
 		return nil
 	}); err != nil {
@@ -63,14 +47,15 @@ func drain(t *testing.T, src PacketSource) []Packet {
 	}
 }
 
-// TestSourceFacadeConformance: the facade constructors produce sources
-// that replay identical streams, honor the Close error identity, and
-// compose with the replay decorators.
+// TestSourceFacadeConformance: the facade constructors produce sources —
+// each concrete type a PacketSource — that replay identical streams, honor
+// the Close error identity, and compose with the replay decorators.
 func TestSourceFacadeConformance(t *testing.T) {
 	pkts := facadePackets(t)
 
 	// Slice source replays verbatim.
-	got := drain(t, NewSliceSource(pkts))
+	var slice *SliceSource = NewSliceSource(pkts)
+	got := drain(t, slice)
 	if len(got) != len(pkts) || got[0] != pkts[0] || got[len(got)-1] != pkts[len(pkts)-1] {
 		t.Fatalf("slice replay: %d packets, want %d", len(got), len(pkts))
 	}
@@ -89,7 +74,8 @@ func TestSourceFacadeConformance(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	ts, err := NewTraceSource(bytes.NewReader(buf.Bytes()))
+	var ts *TraceSource
+	ts, err = NewTraceSource(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +105,8 @@ func TestSourceFacadeConformance(t *testing.T) {
 	}
 
 	// Looping doubles the stream with monotonic timestamps.
-	loop, err := NewLoopSource(func() (PacketSource, error) {
+	var loop *LoopSource
+	loop, err = NewLoopSource(func() (PacketSource, error) {
 		return NewSliceSource(pkts), nil
 	}, 1)
 	if err != nil {
@@ -140,7 +127,7 @@ func TestSourceFacadeConformance(t *testing.T) {
 	}
 
 	// Pacing at an extreme speed still yields the same packets.
-	paced := PaceSource(NewSliceSource(pkts), 1e9)
+	var paced *PacedSource = PaceSource(NewSliceSource(pkts), 1e9)
 	if got := drain(t, paced); len(got) != len(pkts) {
 		t.Fatalf("paced replay: %d packets, want %d", len(got), len(pkts))
 	}
@@ -164,13 +151,16 @@ func TestDaemonFacade(t *testing.T) {
 	if _, err := NewDaemon(DaemonConfig{}); err == nil {
 		t.Fatal("NewDaemon accepted an empty config")
 	}
+	var d *MonitorDaemon
 	d, err := NewDaemon(DaemonConfig{
-		Source:     NewSliceSource(facadePackets(t)),
-		Rate:       0.5,
-		Seed:       1,
-		TopT:       5,
-		BinSeconds: 1,
-		Workers:    2,
+		Monitor: MonitorConfig{
+			Source:     NewSliceSource(facadePackets(t)),
+			Rate:       0.5,
+			Seed:       1,
+			TopT:       5,
+			BinSeconds: 1,
+			Workers:    2,
+		},
 		ListenAddr: "127.0.0.1:0",
 	})
 	if err != nil {

@@ -1,5 +1,6 @@
 // Package flowrank is facadedoc testdata: every exported symbol needs a
-// doc comment and a reference from a _test.go file in the directory.
+// doc comment and a non-blank reference from a _test.go file in the
+// directory.
 package flowrank
 
 import "errors"
@@ -11,6 +12,16 @@ func Undocumented() {} // want `exported function Undocumented of the flowrank f
 
 // Unreferenced is doc'd but never touched by a test.
 func Unreferenced() {} // want `exported function Unreferenced of the flowrank facade is not referenced from any _test.go file`
+
+// BlankFunc, BlankType and BlankErr are doc'd but only ever discarded by
+// the tests (`_ = X`, `var _ T`, `var _ T = X`): not references.
+func BlankFunc() {} // want `exported function BlankFunc of the flowrank facade is not referenced from any _test.go file`
+
+// BlankType is named only in a `var _ BlankType`.
+type BlankType int // want `exported type BlankType of the flowrank facade is not referenced from any _test.go file`
+
+// BlankErr is named only in a `var _ error = BlankErr`.
+var BlankErr = errors.New("blank") // want `exported var BlankErr of the flowrank facade is not referenced from any _test.go file`
 
 func Both() {} // want `exported function Both of the flowrank facade has no doc comment` `exported function Both of the flowrank facade is not referenced from any _test.go file`
 
