@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short vet fmt check race bench microbench bench-smoke e2e e2e-daemon e2e-obs fuzz-smoke cover lint loc
+.PHONY: all build test short short-times vet fmt check race bench microbench bench-smoke e2e e2e-daemon e2e-obs fuzz-smoke cover lint loc
 
 all: check
 
@@ -17,6 +17,15 @@ test:
 # Fast loop: skips the long Monte-Carlo and paper-scale experiments.
 short:
 	$(GO) test -short ./...
+
+# The short suite uncached, packages by wall time, slowest first, with the
+# sum: the figure ROADMAP quotes for "is the suite fast enough that people
+# run it" gets a trend line (CI's test job prints it, non-blocking).
+short-times:
+	@$(GO) test -short -count=1 -json ./... \
+		| sed -nE 's/.*"Action":"(pass|fail)","Package":"([^"]*)","Elapsed":([0-9.eE+-]+).*/\3 \1 \2/p' \
+		| sort -rn \
+		| awk '{ printf "%8.2fs  %s  %s\n", $$1, $$2, $$3; sum += $$1 } END { printf "%8.2fs  sum over %d packages\n", sum, NR }'
 
 vet:
 	$(GO) vet ./...
@@ -67,8 +76,10 @@ microbench:
 # flowrank-bench (the kernels model figure, the network-wide coordination
 # and dynamic control-plane figures and the bounded-memory sketch figure),
 # which exits non-zero when an experiment fails. BenchmarkRequiredRate reports the rate
-# solve's metric evaluations as evals/op (12 on the adapt-loop model): a
-# regression in the search shows as a count, not as a slow suite.
+# solve's metric evaluations as evals/op (12 on the adapt-loop model) and
+# BenchmarkRankingMetric one evaluation's integrand probes as probes/op
+# (11 640 at p = 0.9 on the same model): a regression in the search or in
+# the integrator shows as a count that repeats exactly, not as a slow suite.
 # BenchmarkSourceDecode reads a trace file through source.Open in both
 # formats and reports ns/pkt and allocs: what the source layer charges
 # every packet before the sampling decision, read syscalls included.
@@ -81,7 +92,7 @@ microbench:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -run '^$$' -bench 'Misrank|ModelRanking|StreamPackets|StreamEngine|NetworkCoord|NetworkDynamic|ExtensionSketch' -benchtime 1x
-	$(GO) test -run '^$$' -bench '^BenchmarkRequiredRate$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(RequiredRate|RankingMetric)$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'Ingest' -benchtime 1x ./internal/flowtable
 	$(GO) test -run '^$$' -bench '^Benchmark(Engine|BinClose)$$' -benchtime 1x ./internal/stream
 	$(GO) test -run '^$$' -bench '^BenchmarkSourceDecode$$' -benchtime 5x ./internal/source

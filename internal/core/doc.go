@@ -20,13 +20,21 @@
 //
 // # Ranking and detection models (paper §5–7)
 //
-// Model evaluates the two swapped-pairs metrics. Flow sizes follow a
-// continuous distribution (internal/dist); all integrals are taken in
-// quantile space u = CCDF(x), where the top-t membership weight
+// Model evaluates the two swapped-pairs metrics. Flow sizes follow any law
+// of internal/dist. The outer integral, over the size of a top flow, is
+// taken in quantile space u = CCDF(x), where the top-t membership weight
 // concentrates on u ≲ t/N and the distribution needs no infinite-domain
-// handling. Inner integrals over the "other" flow run in logarithmic
-// quantile space so that the sharp erfc kernel near equal sizes and the
-// slowly varying far field are both resolved by the same adaptive rule.
+// handling. The inner integrals, over the size of the other flow, are taken
+// over sizes (eval.go): what is a step — the atoms of a sampled or inverted
+// law, the whole-packet cells of the hybrid kernel — is summed exactly, and
+// only the smooth Gaussian remainder goes to an adaptive quadrature, one
+// continuous component of the law at a time, in logarithmic quantile space
+// so that the sharp erfc front near equal sizes and the slowly varying far
+// field are resolved by the same rule. The quadrature is asked for a
+// relative error: every term of the metrics is non-negative, so ε on each
+// inner integral is at most ε on the metric, and ε is set by what the
+// metric's consumers can use (eval.go states the budget), not by an
+// absolute number that means something different at every N.
 //
 // DiscreteModel is a direct summation of the paper's discrete formulas for
 // small N; it exists to validate the continuous fast path and is what the

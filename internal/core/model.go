@@ -77,13 +77,9 @@ func (m Model) outerOrder() int {
 	return m.OuterOrder
 }
 
-// innerTol is the absolute adaptive-quadrature tolerance of the inner
-// integrals, hybridThreshold the p·size level below which KernelHybrid
-// uses the exact binomial kernel.
-const (
-	innerTol        = 1e-13
-	hybridThreshold = 10
-)
+// hybridThreshold is the p·size level below which KernelHybrid uses the
+// exact binomial kernel.
+const hybridThreshold = 10
 
 // Kernel selects the pairwise misranking kernel used inside a Model.
 type Kernel int
@@ -155,11 +151,12 @@ func (m Model) RankingMetric(p float64) float64 {
 				u = math.SmallestNonzeroFloat64
 			}
 			x := m.Dist.QuantileCCDF(u)
-			below := TopProb(u, m.T, m.N-1, m.PoissonTails) * ev.innerBelow(u, x)
+			below := TopProb(u, m.T, m.N-1, m.PoissonTails) * ev.below(u, x, nil)
 			var above float64
 			if m.T > 1 {
-				above = TopProb(u, m.T-1, m.N-1, m.PoissonTails) * ev.innerAbove(u, x)
+				above = TopProb(u, m.T-1, m.N-1, m.PoissonTails) * ev.above(u, x)
 			}
+			ev.flushProbes()
 			return below + above
 		}
 	}) * uhi
@@ -184,15 +181,17 @@ func (m Model) DetectionMetric(p float64) float64 {
 	uhi := m.uHi()
 	integral := m.integrateOuter(func() numeric.Func1 {
 		ev := m.newEval(p)
-		pmfBig := make([]float64, 0, m.T)
+		jw := newJointWeight(m)
 		return func(w float64) float64 {
 			u := w * uhi
 			if u <= 0 {
 				u = math.SmallestNonzeroFloat64
 			}
 			x := m.Dist.QuantileCCDF(u)
-			pmfBig = topPMF(pmfBig, u, m.T, m.N, m.PoissonTails)
-			return ev.innerDetect(pmfBig, u, x)
+			jw.u, jw.pmfBig = u, topPMF(jw.pmfBig, u, m.T, m.N, m.PoissonTails)
+			v := ev.below(u, x, jw)
+			ev.flushProbes()
+			return v
 		}
 	}) * uhi
 	n := float64(m.N)
@@ -301,11 +300,25 @@ const rateStep = 2 * math.Ln2
 // inside that last step to 1e-6 in log p. The order is deliberate. The
 // metric is non-increasing in p (TestMetricMonotoneInP), so the first
 // crossing met on the way down is the only one; and one evaluation gets
-// steeply dearer as p falls (the hybrid kernel's inner quadratures cost
-// ~300x more at p = 1e-6 than at p ≈ 1), so a search that starts at the
-// floor spends nearly all its time on probes far from the answer. The
-// floor is evaluated only if the descent reaches it, and is returned when
-// the metric meets the target even there.
+// dearer as p falls, so a search that starts at the floor spends most of
+// its time on probes far from the answer. Measured on the benchmark's
+// adapt-loop model (Pareto mean 12.38 β 1.64, N = 38 240, t = 10, hybrid
+// kernel, one worker; ms and integrand probes per RankingMetric, before →
+// after the inner integrals were taken over sizes, eval.go):
+//
+//	p = 0.9     15 ms    83 k  →   1.9 ms   12 k
+//	p = 0.1    101 ms   710 k  →   3.4 ms   24 k
+//	p = 0.01   2.2 s   17.4 M  →    43 ms  391 k
+//	p = 0.001  4.7 s   34.8 M  →   153 ms  2.4 M
+//	p = 3e-4   5.9 s   44.6 M  →   193 ms  3.2 M
+//	p = 1e-4   7.9 s   50.1 M  →    33 ms  384 k
+//	p = 1e-6   4.0 s   23.5 M  →    17 ms  187 k
+//
+// The hump is the hybrid kernel's whole-packet cells above a small flow:
+// there are ~85/p of them, each summed exactly until, below p ≈ 3e-4, they
+// are narrow enough to integrate (p = 5e-4 is the dearest rate now, 300 ms).
+// The floor is evaluated only if the descent reaches it, and is returned
+// when the metric meets the target even there.
 func (m Model) RequiredRate(target float64, detection bool) (float64, error) {
 	return m.RequiredRateIn(target, detection, rateFloor, rateCeil)
 }

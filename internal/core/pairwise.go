@@ -113,10 +113,7 @@ func misrankExactTrunc(s1, s2 int, p float64) float64 {
 	if lo < 0 {
 		lo = 0
 	}
-	hi := int(mu+10*sd) + 20
-	if hi > s1 {
-		hi = s1
-	}
+	hi := exactWindow(s1, p)
 	// pmf1(i) over Binomial(s1, p), cdf2(i) over Binomial(s2, p), both
 	// advanced incrementally from the lower truncation point (starting in
 	// log space so large p·s does not underflow the i = 0 start). The
@@ -156,10 +153,7 @@ func misrankEqualTrunc(s int, p float64) float64 {
 	if lo < 1 {
 		lo = 1
 	}
-	hi := int(mu+10*math.Sqrt(mu*q)) + 20
-	if hi > s {
-		hi = s
-	}
+	hi := exactWindow(s, p)
 	pmf := math.Exp(numeric.LogBinomialPMF(lo, s, p))
 	var acc numeric.KahanSum
 	for i := lo; i <= hi; i++ {
@@ -171,6 +165,129 @@ func misrankEqualTrunc(s int, p float64) float64 {
 		return 0
 	}
 	return v
+}
+
+// exactWindow returns the largest sampled size of an s-packet flow that the
+// truncated exact kernels keep: ten standard deviations past the mean. The
+// row forms below keep every sampled size from 0 up to it — they are used
+// where p·s is a few packets, so the window is a few dozen terms and its
+// lower end is 0 anyway.
+func exactWindow(s int, p float64) int {
+	mu := p * float64(s)
+	hi := int(mu+10*math.Sqrt(mu*(1-p))) + 20
+	if hi > s {
+		hi = s
+	}
+	return hi
+}
+
+// aboveRow is the row form of misrankExactTrunc for a fixed smaller flow:
+// after start(s1, p), the k-th call of next returns misrankExactTrunc(s1,
+// s1+k, p). Summing the hybrid kernel over the integer sizes above s1 needs
+// thousands of consecutive cells of one row, none of them a memo hit; the
+// row advances the larger flow's sampled-size pmf from Binomial(s2, p) to
+// Binomial(s2+1, p) by pmf'(i) = q·pmf(i) + p·pmf(i−1) — all terms
+// positive, so nothing cancels over a long walk — which is O(window) per
+// cell with no lgamma. The sampled-size pmf of the fixed flow stays
+// available as pmf1 for the continued kernel.
+type aboveRow struct {
+	p, q float64
+	pmf1 []float64 // P{Bin(s1,p) = i}, i = 0..window
+	pmf2 []float64 // P{Bin(s2,p) = i} of the walking larger flow
+}
+
+func (r *aboveRow) start(s1 int, p float64) {
+	r.p, r.q = p, 1-p
+	hi := exactWindow(s1, p)
+	r.pmf1 = append(r.pmf1[:0], make([]float64, hi+1)...)
+	pmf := math.Exp(float64(s1) * math.Log1p(-p))
+	for i := 0; i <= hi; i++ {
+		r.pmf1[i] = pmf
+		pmf *= float64(s1-i) * p / (float64(i+1) * r.q)
+	}
+	r.pmf2 = append(r.pmf2[:0], r.pmf1...)
+}
+
+func (r *aboveRow) next() float64 {
+	var acc, cdf2, prev float64
+	for i, old := range r.pmf2 {
+		now := r.q*old + r.p*prev
+		r.pmf2[i] = now
+		prev = old
+		cdf2 += now
+		acc += r.pmf1[i] * cdf2
+	}
+	if acc > 1 {
+		return 1
+	}
+	return acc
+}
+
+// continued returns the exact kernel of the row's fixed flow against a
+// larger flow of real size y: P{Bin(y,p) <= i} continued to real y through
+// the generalized binomial coefficient (it is the regularized incomplete
+// beta function I_q(y−i, i+1)), so the value is analytic in y and equals
+// misrankExactTrunc at every integer. It is what a quadrature can be asked
+// to integrate where the integer cells are too narrow to be worth summing.
+func (r *aboveRow) continued(y float64) float64 {
+	pmf2 := math.Exp(y * math.Log1p(-r.p))
+	ratio := r.p / r.q
+	var acc, cdf2 float64
+	for i, pmf1 := range r.pmf1 {
+		cdf2 += pmf2
+		acc += pmf1 * cdf2
+		pmf2 *= (y - float64(i)) / float64(i+1) * ratio
+	}
+	if acc > 1 {
+		return 1
+	}
+	return acc
+}
+
+// belowRow is the row form for a fixed larger flow: after start(s2, p,
+// last), the j-th call of next returns misrankExactTrunc(j, s2, p), for
+// j = 1..last < s2. The larger flow's sampled-size cdf is tabulated once;
+// the smaller flow's pmf walks up one packet per call.
+type belowRow struct {
+	p, q float64
+	cdf2 []float64 // P{Bin(s2,p) <= i}, i = 0..window of the last cell
+	pmf1 []float64 // P{Bin(j,p) = i} of the walking smaller flow
+	j    int
+}
+
+func (r *belowRow) start(s2 int, p float64, last int) {
+	r.p, r.q, r.j = p, 1-p, 0
+	hi := exactWindow(last, p)
+	r.cdf2 = append(r.cdf2[:0], make([]float64, hi+1)...)
+	pmf := math.Exp(float64(s2) * math.Log1p(-p))
+	cdf := 0.0
+	for i := 0; i <= hi; i++ {
+		cdf += pmf
+		r.cdf2[i] = math.Min(cdf, 1)
+		pmf *= float64(s2-i) * p / (float64(i+1) * r.q)
+	}
+	r.pmf1 = append(r.pmf1[:0], make([]float64, hi+1)...)
+	r.pmf1[0] = 1
+}
+
+func (r *belowRow) next() float64 {
+	r.j++
+	top := r.j
+	if top >= len(r.pmf1) {
+		top = len(r.pmf1) - 1
+	}
+	var acc, prev float64
+	for i := 0; i <= top; i++ {
+		old := r.pmf1[i]
+		now := r.q*old + r.p*prev
+		r.pmf1[i] = now
+		prev = old
+		acc += now * r.cdf2[i]
+	}
+	if acc > 1 {
+		return 1
+	}
+	return acc
 }
 
 // RateMethod selects which misranking formula OptimalRate inverts.

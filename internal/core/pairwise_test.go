@@ -228,3 +228,53 @@ func TestOptimalRateRejectsBadTarget(t *testing.T) {
 		t.Error("target 1 should be rejected")
 	}
 }
+
+// TestExactRowsMatchTrunc pins the row forms to misrankExactTrunc cell by
+// cell, over the sizes and rates the hybrid kernel hands them (p·size under
+// hybridThreshold on the fixed side, thousands of cells on the walking
+// one), and the continued kernel to the same values at the integers.
+func TestExactRowsMatchTrunc(t *testing.T) {
+	same := func(got, want float64) bool {
+		return math.Abs(got-want) <= 1e-10*want+1e-290
+	}
+	for _, c := range []struct {
+		fixed int
+		p     float64
+		cells int
+	}{
+		{1, 0.9, 60}, {5, 0.9, 60}, {11, 0.9, 60}, {3, 0.5, 200}, {19, 0.5, 200},
+		{40, 0.2, 500}, {99, 0.1, 1000}, {300, 0.03, 3000}, {999, 0.01, 9000},
+		{200, 0.003, 30000}, {3000, 0.003, 30000}, {25, 1e-4, 50000},
+	} {
+		var up aboveRow
+		up.start(c.fixed, c.p)
+		for k := 1; k <= c.cells; k++ {
+			got, want := up.next(), misrankExactTrunc(c.fixed, c.fixed+k, c.p)
+			if !same(got, want) {
+				t.Fatalf("aboveRow(%d, p=%g) cell %d: %.17g, misrankExactTrunc %.17g", c.fixed, c.p, c.fixed+k, got, want)
+			}
+			if k%97 == 1 {
+				if cont := up.continued(float64(c.fixed + k)); !same(cont, want) {
+					t.Fatalf("continued(%d, p=%g) at %d: %.17g, misrankExactTrunc %.17g", c.fixed, c.p, c.fixed+k, cont, want)
+				}
+			}
+		}
+		// Between two integers the continued kernel lies between them.
+		lo, hi := misrankExactTrunc(c.fixed, c.fixed+8, c.p), misrankExactTrunc(c.fixed, c.fixed+7, c.p)
+		if mid := up.continued(float64(c.fixed) + 7.5); !(lo <= mid && mid <= hi) {
+			t.Errorf("continued(%d, p=%g) at +7.5: %g outside [%g, %g]", c.fixed, c.p, mid, lo, hi)
+		}
+
+		// The same sizes the other way round: fixed larger flow, walking
+		// smaller one, up to where p·size leaves the exact regime.
+		big := c.fixed + c.cells
+		last := min(big-1, int(hybridThreshold/c.p)+2)
+		var low belowRow
+		low.start(big, c.p, last)
+		for j := 1; j <= last; j++ {
+			if got, want := low.next(), misrankExactTrunc(j, big, c.p); !same(got, want) {
+				t.Fatalf("belowRow(%d, p=%g) cell %d: %.17g, misrankExactTrunc %.17g", big, c.p, j, got, want)
+			}
+		}
+	}
+}

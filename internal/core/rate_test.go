@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"flowrank/internal/dist"
@@ -255,7 +256,9 @@ func coldRequiredRate(metric func(p float64) float64, target float64) (float64, 
 // ceiling error where even p≈1 is not enough.
 //
 // What makes a cold solve dear is the hybrid kernel's exact branch at low
-// p (seconds per probe), so the full grid runs on the Gaussian kernel — the
+// p (up to half a second per probe around p = 5e-4, where the integer cells
+// above a flow are many and not yet narrow enough to integrate; seconds
+// when this grid was laid out), so the full grid runs on the Gaussian kernel — the
 // same metric shape at tens of milliseconds a probe — and the hybrid kernel
 // on one population per law. Both run at a low outer order: the solvers see
 // the same function whatever the quadrature. The targets of one model share
@@ -327,12 +330,6 @@ func TestRequiredRateMatchesColdSolve(t *testing.T) {
 				if n != 40_000 && testing.Short() {
 					continue
 				}
-				if n == 500 && isMix {
-					// One evaluation near p = 1 takes minutes here: with
-					// so few flows the outer integral reaches the kink
-					// where the mixture's two components cross.
-					continue
-				}
 				for _, top := range []int{1, 10, 50} {
 					m := Model{N: n, T: top, Dist: d, PoissonTails: true, OuterOrder: 8}
 					check(m, detection, 0.1, 1, 10)
@@ -366,4 +363,28 @@ func BenchmarkRequiredRate(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(log.ps))/float64(b.N), "evals/op")
+}
+
+// BenchmarkRankingMetric is one model evaluation on the adapt-loop model,
+// near the rate the refit settles at and one and two decades below it.
+// probes/op is the number of integrand probes the evaluation makes — smooth
+// integrand evaluations plus step terms, through probeCounter — and repeats
+// exactly from run to run: a regression in the integrator (a lost seed, a
+// tolerance nobody can use, a cell walk that stops late) moves it before it
+// moves a stopwatch.
+func BenchmarkRankingMetric(b *testing.B) {
+	for _, p := range []float64{0.9, 0.1, 0.01} {
+		b.Run(fmt.Sprintf("p=%g", p), func(b *testing.B) {
+			m := adaptLoopModel()
+			var probes atomic.Int64
+			probeCounter = &probes
+			defer func() { probeCounter = nil }()
+			for i := 0; i < b.N; i++ {
+				if v := m.RankingMetric(p); !(v > 0) {
+					b.Fatalf("metric %g", v)
+				}
+			}
+			b.ReportMetric(float64(probes.Load())/float64(b.N), "probes/op")
+		})
+	}
 }
