@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short short-times vet fmt check race bench microbench bench-smoke e2e e2e-daemon e2e-obs fuzz-smoke cover lint loc
+.PHONY: all build test short short-times vet fmt check race bench bench-pairs microbench bench-smoke e2e e2e-daemon e2e-obs fuzz-smoke cover lint loc
 
 all: check
 
@@ -67,6 +67,17 @@ race:
 bench:
 	cd bench && $(GO) run . -seed 1
 
+# The pair protocol a performance change is judged by (ROADMAP 1(d); PRs
+# 17-23 each ran it by hand): N alternating runs of one workload in an
+# export of BASE and in this tree, medians, quartiles, ratio and pair wins
+# per end-to-end metric. Fails only on the correctness gate.
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=daemon-scrape [N=10] [SEED=1]
+N ?= 10
+SEED ?= 1
+bench-pairs:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs BASE=<rev> WORKLOAD=<name> [N=10] [SEED=1]"; exit 2; }
+	./scripts/bench_pairs.sh "$(BASE)" "$(WORKLOAD)" "$(N)" "$(SEED)"
+
 # Every Go micro-benchmark of the root module, one iteration each.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
@@ -87,7 +98,9 @@ microbench:
 # exact-table ingest against the per-packet one on a million-flow table
 # (ns/pkt), BenchmarkIngest{CountMin,SpaceSaving}Batch do the same for the
 # 4096-slot sketches under a mice-heavy stream; BenchmarkEngine's
-# countmin/ runs are the daemon-scrape shard configuration; BenchmarkBinClose
+# countmin/ runs are the daemon-scrape shard configuration and its inline/
+# runs Feed plus an exact ingest on a warm engine, in ns/pkt and allocs/pkt
+# (0) for both aggregations; BenchmarkBinClose
 # is the bin boundary alone on a 280k-flow exact bin (ns/flow).
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...

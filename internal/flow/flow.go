@@ -9,6 +9,7 @@
 package flow
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -66,7 +67,10 @@ func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
 }
 
-// Mask returns the address with only the leading bits kept.
+// Mask returns the address with only the leading bits kept. The address
+// is masked as one 32-bit word: assembled byte by byte in an array it
+// would be reloaded whole right after the byte stores, a load the store
+// buffer cannot forward.
 func (a Addr) Mask(bits int) Addr {
 	if bits >= 32 {
 		return a
@@ -74,21 +78,31 @@ func (a Addr) Mask(bits int) Addr {
 	if bits <= 0 {
 		return Addr{}
 	}
-	var m Addr
-	full := bits / 8
-	copy(m[:full], a[:full])
-	if rem := bits % 8; rem != 0 {
-		m[full] = a[full] & (0xff << (8 - rem))
-	}
-	return m
+	v := binary.BigEndian.Uint32(a[:]) &^ (1<<(32-bits) - 1)
+	return Addr{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
 }
 
 // Key is the classic 5-tuple flow identity. The zero Key is valid (it is
 // what prefix aggregation collapses unused fields to).
+//
+// A Key is 16 bytes: the five fields take 13, and the blank tail pads them
+// to the one size the compiler copies with a single load and a single
+// store. Every packet's key is copied half a dozen times between the
+// decoder and a flow table, mostly through the stack (a struct holding
+// arrays is never passed in registers). At its natural 14 bytes a copy
+// compiled to two overlapping 8-byte moves (bytes 0-7 and 6-13), so a key
+// a callee had just written that way — Aggregate's result, an argument —
+// was reloaded with a load spanning two stores still in the store buffer:
+// such a load cannot be forwarded and waits for both to retire. That stall
+// was a quarter of Engine.Feed. The padding takes part in nothing: ==, map
+// identity and FastHash see only the five fields, whatever bytes a copy
+// carried along, and the trace formats write 13 bytes (internal/packet).
+// Because of the blank field, unkeyed Key{...} literals are not supported.
 type Key struct {
 	Src, Dst         Addr
 	SrcPort, DstPort uint16
 	Proto            Proto
+	_                [3]byte
 }
 
 // String renders "tcp 10.0.0.1:1234 > 10.0.0.2:80".

@@ -3,6 +3,7 @@ package flow
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestParseAddr(t *testing.T) {
@@ -52,6 +53,54 @@ func TestAddrMask(t *testing.T) {
 		if got := a.Mask(c.bits); got != c.want {
 			t.Errorf("Mask(%d) = %v, want %v", c.bits, got, c.want)
 		}
+	}
+}
+
+// TestKeyLayout pins what the packet path relies on: a Key is 16 bytes, so
+// a copy is one load and one store, and the three bytes that make it so
+// carry no identity — keys equal in the five fields are equal, collide as
+// map keys and hash alike whatever memory they were copied from.
+func TestKeyLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Key{}); got != 16 {
+		t.Fatalf("sizeof(Key) = %d, want 16", got)
+	}
+	clean := Key{
+		Src: Addr{10, 0, 0, 1}, Dst: Addr{192, 168, 7, 9},
+		SrcPort: 40000, DstPort: 443, Proto: ProtoTCP,
+	}
+	// The same five fields written over memory whose every byte was set.
+	raw := [2]uint64{^uint64(0), ^uint64(0)}
+	dirty := (*Key)(unsafe.Pointer(&raw))
+	dirty.Src, dirty.Dst = clean.Src, clean.Dst
+	dirty.SrcPort, dirty.DstPort, dirty.Proto = clean.SrcPort, clean.DstPort, clean.Proto
+	if pad := (*[16]byte)(unsafe.Pointer(&raw))[13:]; pad[0] != 0xff || pad[1] != 0xff || pad[2] != 0xff {
+		t.Fatalf("field stores reached the padding: % x", pad)
+	}
+	copied := *dirty // a whole-key copy carries the padding along
+	for _, k := range []Key{*dirty, copied} {
+		if k != clean {
+			t.Errorf("key over dirty memory != the same key over zeroed memory")
+		}
+		if k.FastHash() != clean.FastHash() {
+			t.Errorf("FastHash differs with the padding: %#x vs %#x", k.FastHash(), clean.FastHash())
+		}
+		m := map[Key]int{clean: 1}
+		m[k]++
+		if len(m) != 1 || m[clean] != 2 {
+			t.Errorf("map holds %d keys, count %d: the padding took part in map identity", len(m), m[clean])
+		}
+		if k.String() != clean.String() {
+			t.Errorf("String() = %q, want %q", k.String(), clean.String())
+		}
+	}
+	// The zero Key stays a valid key: what prefix aggregation collapses the
+	// unused fields to, equal however it was produced.
+	var zero Key
+	if got := (DstPrefix{Bits: 0}).Aggregate(clean); got != zero || got.FastHash() != zero.FastHash() {
+		t.Errorf("DstPrefix{0}.Aggregate = %v, want the zero key", got)
+	}
+	if m := map[Key]bool{zero: true}; !m[Key{}] {
+		t.Error("zero key not found under Key{}")
 	}
 }
 

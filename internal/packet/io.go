@@ -47,19 +47,22 @@ func readKey(r *bufio.Reader) (flow.Key, error) {
 	if _, err := io.ReadFull(r, raw[:]); err != nil {
 		return flow.Key{}, err
 	}
-	return decodeKey(raw[:]), nil
+	var k flow.Key
+	decodeKey(&k, raw[:])
+	return k, nil
 }
 
-// decodeKey decodes the keyLen bytes appendKey wrote.
-func decodeKey(raw []byte) flow.Key {
+// decodeKey decodes the keyLen bytes appendKey wrote into *k, in place:
+// the 13 bytes on disk are the first 13 of the 16-byte in-memory key, in
+// the same order, and a key built in a local and then copied out would be
+// reloaded whole right after these narrower stores.
+func decodeKey(k *flow.Key, raw []byte) {
 	_ = raw[keyLen-1]
-	var k flow.Key
-	copy(k.Src[:], raw[0:4])
-	copy(k.Dst[:], raw[4:8])
+	k.Src = flow.Addr(raw[0:4])
+	k.Dst = flow.Addr(raw[4:8])
 	k.SrcPort = binary.BigEndian.Uint16(raw[8:10])
 	k.DstPort = binary.BigEndian.Uint16(raw[10:12])
 	k.Proto = flow.Proto(raw[12])
-	return k
 }
 
 // Writer encodes a packet trace. Call Flush before closing the underlying
@@ -119,51 +122,67 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
-// Next returns the next packet, or io.EOF at end of trace. A record that
-// lies whole in the buffered block is decoded in place; Next reads no byte
-// beyond the record it returns, so a trace arriving over a pipe yields
-// each record as its last byte arrives.
+// Read decodes the next packet into *p and returns nil, or io.EOF at end
+// of trace; on any error *p is left partly written and must not be used. A
+// record that lies whole in the buffered block is decoded in place — from
+// the block straight into *p, with no Packet built and copied on the way;
+// Read reads no byte beyond the record it returns, so a trace arriving
+// over a pipe yields each record as its last byte arrives.
 //
 //flowrank:hotpath
-func (r *Reader) Next() (Packet, error) {
+func (r *Reader) Read(p *Packet) error {
 	// Peek of what is already buffered never reads, hence never fails.
 	b, _ := r.r.Peek(r.r.Buffered())
 	deltaRaw, n := binary.Uvarint(b)
 	if n <= 0 || len(b) < n+keyLen {
-		return r.nextBytewise()
+		return r.nextBytewise(p)
 	}
 	size, m := binary.Uvarint(b[n+keyLen:])
 	if m <= 0 {
-		return r.nextBytewise()
+		return r.nextBytewise(p)
 	}
-	key := decodeKey(b[n : n+keyLen])
+	decodeKey(&p.Key, b[n:n+keyLen])
 	_, _ = r.r.Discard(n + keyLen + m) // cannot fail: the record is buffered
 	r.lastNano += unzigzag(deltaRaw)
-	return Packet{Time: nanosToSeconds(r.lastNano), Key: key, Size: int(size)}, nil
+	p.Time = nanosToSeconds(r.lastNano)
+	p.Size = int(size)
+	return nil
+}
+
+// Next returns the next packet by value: Read into a fresh Packet.
+func (r *Reader) Next() (Packet, error) {
+	var p Packet
+	if err := r.Read(&p); err != nil {
+		return Packet{}, err
+	}
+	return p, nil
 }
 
 // nextBytewise decodes one record a byte at a time. It serves the records
 // the block cannot: one that straddles the end of the buffered bytes (the
 // stream's tail included) and one with a malformed varint, and so owns
-// every error Next reports.
-func (r *Reader) nextBytewise() (Packet, error) {
+// every error Read reports.
+func (r *Reader) nextBytewise(p *Packet) error {
 	deltaRaw, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
-			return Packet{}, io.EOF
+			return io.EOF
 		}
-		return Packet{}, fmt.Errorf("packet: reading timestamp: %w", err)
+		return fmt.Errorf("packet: reading timestamp: %w", err)
 	}
 	r.lastNano += unzigzag(deltaRaw)
 	key, err := readKey(r.r)
 	if err != nil {
-		return Packet{}, fmt.Errorf("packet: reading key: %w", truncated(err))
+		return fmt.Errorf("packet: reading key: %w", truncated(err))
 	}
 	size, err := binary.ReadUvarint(r.r)
 	if err != nil {
-		return Packet{}, fmt.Errorf("packet: reading size: %w", truncated(err))
+		return fmt.Errorf("packet: reading size: %w", truncated(err))
 	}
-	return Packet{Time: nanosToSeconds(r.lastNano), Key: key, Size: int(size)}, nil
+	p.Time = nanosToSeconds(r.lastNano)
+	p.Key = key
+	p.Size = int(size)
+	return nil
 }
 
 // truncated converts a bare EOF in mid-record into ErrUnexpectedEOF so

@@ -3,18 +3,22 @@
 //
 // The on-disk format is a stream-friendly varint encoding: timestamps are
 // delta-encoded (zig-zag, nanosecond resolution), sizes are uvarints and
-// flow keys are fixed 13-byte tuples. A 30-minute Sprint-scale packet
+// flow keys are fixed 13-byte tuples — addresses, ports in network order,
+// protocol. That is the key's five fields and nothing else: the in-memory
+// flow.Key is 16 bytes, padded so that a copy is one instruction, and the
+// padding never reaches a file. A 30-minute Sprint-scale packet
 // trace (~40M packets) encodes to roughly 0.6 GB versus 2.8 GB as pcap.
 // The pcap format (internal/pcap) remains available for interoperability.
 //
-// Reader and Writer buffer 64 KiB. Reader decodes a record in place from
-// the bytes already buffered (binary.Uvarint over the block, one Discard)
-// and falls back to byte-at-a-time decoding only for a record split across
-// two blocks, the tail of the stream, and malformed input — so it reads
-// ahead of the records it has returned, but never waits for a byte beyond
-// the record it is about to return: a trace streamed over a pipe yields
-// each record as its last byte arrives. Packets are returned by value and
-// alias nothing.
+// Reader and Writer buffer 64 KiB. Reader.Read decodes a record in place
+// at both ends — from the bytes already buffered (binary.Uvarint over the
+// block, one Discard) straight into the caller's Packet — and falls back to
+// byte-at-a-time decoding only for a record split across two blocks, the
+// tail of the stream, and malformed input — so it reads ahead of the
+// records it has returned, but never waits for a byte beyond the record it
+// is about to return: a trace streamed over a pipe yields each record as
+// its last byte arrives. Reader.Next is Read into a fresh Packet, returned
+// by value; either way a decoded packet aliases nothing.
 package packet
 
 import "flowrank/internal/flow"

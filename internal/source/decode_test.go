@@ -179,7 +179,9 @@ var sinkPacket packet.Packet
 
 // BenchmarkSourceDecode measures one packet through source.Open on a real
 // file, so the read syscalls are in the number: ns/pkt is the cost the
-// source layer charges every packet before the sampling decision.
+// source layer charges every packet before the sampling decision. Next
+// decodes into the Packet it is handed (native: packet.Reader.Read, from
+// the block buffer straight into *p), so this is the in-place path.
 func BenchmarkSourceDecode(b *testing.B) {
 	pkts := genPackets(b, 20, 150) // ~28k packets: 0.5 MB native, 14 MB pcap
 	for _, format := range []struct {

@@ -107,12 +107,7 @@ func (s *TraceSource) Next(p *packet.Packet) error {
 	if s.closed.Load() {
 		return errTraceClosed
 	}
-	pk, err := s.r.Next()
-	if err != nil {
-		return err
-	}
-	*p = pk
-	return nil
+	return s.r.Read(p)
 }
 
 // Close closes the underlying reader when it is closable.

@@ -131,33 +131,72 @@ func TestEngineObsShardMismatch(t *testing.T) {
 
 // TestEngineFeedAllocFreeWithObs is the hot-path half of the tentpole
 // contract: with instrumentation attached, a steady-state packet still
-// costs zero heap allocations on the inline (Workers=1) engine, whose
-// Feed call IS the whole per-packet pipeline.
+// costs zero heap allocations — on the inline (Workers=1) engine, whose
+// Feed call IS the whole per-packet pipeline, and on a sharded one at
+// p = 0.5, where half the batches keep more packets than the capacity
+// their kept buffer started with: it grows by append once, and the batch
+// comes back from the worker with what it grew to.
 func TestEngineFeedAllocFreeWithObs(t *testing.T) {
-	cfg, _ := obsConfig(1, nil)
-	cfg.Recycle = true
-	eng, err := NewEngine(cfg, func(BinResult) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
 	pkts := makePackets(t, 4, 200, 9) // one bin's worth: no flush mid-measurement
-	for _, p := range pkts {          // warm the tables and slab pools
-		if err := eng.Feed(p); err != nil {
+	for _, c := range []struct {
+		name           string
+		workers, batch int
+		p              float64
+	}{
+		{"inline", 1, 0, 0.3},
+		{"sharded", 2, 64, 0.5},
+	} {
+		cfg, _ := obsConfig(c.workers, nil)
+		cfg.Sampler = sampler.NewBernoulli(c.p, 11)
+		cfg.BatchSize = c.batch
+		cfg.Recycle = true
+		eng, err := NewEngine(cfg, func(BinResult) error { return nil })
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		p := pkts[i%len(pkts)]
-		p.Time = 4.5 // stay inside the warm bin
-		if err := eng.Feed(p); err != nil {
+		firstCap := cap(eng.pending[0].kept)
+		feed := func(p packet.Packet) {
+			if err := eng.Feed(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range pkts { // warm the tables, the slab pools and the batches in flight
+			feed(p)
+		}
+		// Sharded, go on until the batches Feed is filling are ones that came
+		// back from the workers grown (a hand-off that found no spent batch
+		// starts a new one at the first capacity; passes stay in the warm bin).
+		grown := func() bool {
+			for s := range eng.pending {
+				if cap(eng.pending[s].kept) <= firstCap {
+					return false
+				}
+			}
+			return true
+		}
+		for pass := 0; c.workers > 1 && !grown(); pass++ {
+			if pass == 20 {
+				t.Fatalf("%s: kept capacity still %d after %d hand-offs: nothing grew, or growth is not recycled",
+					c.name, firstCap, 20*len(pkts)/c.batch)
+			}
+			for _, p := range pkts {
+				p.Time = 4.5
+				feed(p)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(2000, func() {
+			p := pkts[i%len(pkts)]
+			p.Time = 4.5 // stay inside the warm bin
+			feed(p)
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: instrumented Feed allocates %.2f/packet, want 0", c.name, allocs)
+		}
+		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("instrumented Feed allocates %.2f/packet, want 0", allocs)
 	}
 }
 

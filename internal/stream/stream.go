@@ -7,20 +7,21 @@
 // decision in trace order, so the sampler's decision stream is exactly the
 // one the sequential monitor would draw, and hashes each aggregated flow
 // key once — the only hash the packet gets, whatever the table kind.
-// Packets are then batched per shard by that hash; each of the W shards
-// owns its own original/sampled flowtable.Summary pair (the exact
+// Packets are then batched per shard by that hash — 2048 to a hand-off,
+// 512 when the one shard is ingested inline; the hand-off, not the bytes,
+// is what a batch costs (Config.BatchSize has the measurement). Each of the
+// W shards owns its own original/sampled flowtable.Summary pair (the exact
 // open-addressing table by default, or a bounded Space-Saving/Count-Min
 // sketch via Config.Tables) and ingests a batch with one AddBatch per
 // table, which addresses its slots, its key index and its counter rows
 // from the hash the batch carries, so the hot path takes no locks, shares
 // no state, and a table too large for the cache overlaps a batch's memory
-// misses. At each bin
-// boundary a barrier flushes every shard. A bin is closed without sorting
-// it: the shards' flow lists are concatenated as the tables hold them,
-// flowtable.SelectTop ranks only the top list to the front (exact, because
-// the shards partition the key space), and the paper's §5/§7 swapped-pair
-// metrics — which only ever compare a top flow with another flow — are
-// counted in one pass over the rest.
+// misses. At each bin boundary a barrier flushes every shard. A bin is
+// closed without sorting it: the shards' flow lists are concatenated as the
+// tables hold them, flowtable.SelectTop ranks only the top list to the
+// front (exact, because the shards partition the key space), and the
+// paper's §5/§7 swapped-pair metrics — which only ever compare a top flow
+// with another flow — are counted in one pass over the rest.
 //
 // With exact tables the engine's measurements are identical to the
 // sequential path's for any worker count: with Workers == 1 no goroutines
@@ -67,11 +68,18 @@ type Config struct {
 	// into the one shard itself.
 	Workers int
 	// BatchSize is the number of packets a shard ingests at a time — per
-	// channel send with several workers, per inline ingest with one; 0
-	// means a sensible default. Smaller batches lower latency, larger ones
-	// lower coordination overhead and give an exact table more memory
-	// misses to overlap. A bin boundary and Close ingest whatever is
-	// pending, so no result depends on it.
+	// channel send with several workers, per inline ingest with one. A bin
+	// boundary and Close ingest whatever is pending, so no result depends
+	// on it. 0 means the default of the path the engine runs: 2048 with
+	// several workers, 512 inline. Sharded, what a batch costs is the
+	// hand-off — the worker parked and woken, goroutines migrating between
+	// cores — not the bytes handed over: on a 2-vCPU container 512 -> 2048
+	// took a two-worker Count-Min replay of 2.7 M packets 0.390 -> 0.325 s
+	// wall and 0.640 -> 0.566 s CPU (11 of 11 alternating pairs), and 4096
+	// or 8192 read the same as 2048. Inline there is no hand-off to
+	// amortise, and a larger batch only pushes the buffer Feed fills out of
+	// L1 before the tables read it back: the exact-table replay lost 8 % at
+	// 4096 (4 of 4 pairs).
 	BatchSize int
 	// Inverter, when non-nil, estimates the original flow-size
 	// distribution of every bin from its sampled counts at the sampler's
@@ -298,6 +306,13 @@ var ErrClosed = errors.New("stream: engine already closed")
 // timestamp collapses into this one final bin.
 const clampBin int64 = 1 << 53
 
+// The batch sizes a zero Config.BatchSize resolves to, one per path;
+// Config.BatchSize has the measurements.
+const (
+	defaultBatchInline  = 512
+	defaultBatchSharded = 2048
+)
+
 // DefaultWorkers is the shard worker count a zero Config.Workers
 // resolves to — exported so callers preallocating per-shard state (an
 // obs.PipelineStats) can size it for the engine they are about to build.
@@ -341,7 +356,10 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 		return nil, fmt.Errorf("stream: worker count %d must be at least 1", cfg.Workers)
 	}
 	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 512
+		cfg.BatchSize = defaultBatchInline
+		if cfg.Workers > 1 {
+			cfg.BatchSize = defaultBatchSharded
+		}
 	}
 	if cfg.BatchSize < 1 {
 		return nil, fmt.Errorf("stream: batch size %d must be at least 1", cfg.BatchSize)
@@ -423,10 +441,7 @@ func (e *Engine) Feed(p packet.Packet) error {
 	kept := e.cfg.Sampler.Sample(p)
 	key := e.cfg.Agg.Aggregate(p.Key)
 	o := flowtable.Observation{Key: key, Hash: key.FastHash(), Time: p.Time, Size: int64(p.Size)}
-	s := 0
-	if n := uint64(len(e.shards)); n > 1 { // one shard: spare the packet a 64-bit division
-		s = int(o.Hash % n)
-	}
+	s := e.shardOf(o.Hash)
 	b := &e.pending[s]
 	b.all = append(b.all, o)
 	if kept {
@@ -437,6 +452,17 @@ func (e *Engine) Feed(p packet.Packet) error {
 	}
 	e.binPackets++
 	return nil
+}
+
+// shardOf returns the shard that owns a key of the given hash: hash mod
+// the worker count, taken as a mask when the count is a power of two (one
+// shard included), which spares the packet a 64-bit division.
+func (e *Engine) shardOf(hash uint64) int {
+	n := uint64(len(e.shards))
+	if n&(n-1) == 0 {
+		return int(hash & (n - 1))
+	}
+	return int(hash % n)
 }
 
 // Close flushes the final bin, stops the workers and returns the first
@@ -488,11 +514,20 @@ func (e *Engine) Abort() {
 // Feed goroutine then does the one shard's ingest and summarize itself.
 func (e *Engine) inline() bool { return e.free == nil }
 
-// newBatch returns an empty batch that Feed fills without growing it.
+// minKeptCap is the least capacity a new batch's kept buffer starts with.
+const minKeptCap = 32
+
+// newBatch returns an empty batch. all holds BatchSize observations and
+// never grows; kept receives the sampled fraction of them, so it starts at
+// the capacity the sampler's rate implies and grows by append when a batch
+// keeps more. A recycled batch keeps what it grew to (emptied), so the
+// steady state still allocates nothing, and a sharded engine's dozen
+// batches in flight hold p·BatchSize kept observations each, not BatchSize.
 func (e *Engine) newBatch() batch {
+	kept := int(e.cfg.Sampler.Rate() * float64(e.cfg.BatchSize))
 	return batch{
 		all:  make([]flowtable.Observation, 0, e.cfg.BatchSize),
-		kept: make([]flowtable.Observation, 0, e.cfg.BatchSize),
+		kept: make([]flowtable.Observation, 0, min(max(kept, minKeptCap), e.cfg.BatchSize)),
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"flowrank/internal/obs"
 	"flowrank/internal/packet"
 	"flowrank/internal/packetgen"
+	"flowrank/internal/randx"
 	"flowrank/internal/sampler"
 	"flowrank/internal/tracegen"
 )
@@ -172,7 +173,7 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 	}
 	want := runEngine(t, base(), pkts)
 	for _, workers := range []int{2, 3, 4, 8} {
-		for _, batch := range []int{1, 7, 512} {
+		for _, batch := range []int{1, 7, 512, 2047, 2048} {
 			cfg := base()
 			cfg.Workers = workers
 			cfg.BatchSize = batch
@@ -232,7 +233,7 @@ func TestEngineInversionSummaryInvariance(t *testing.T) {
 			t.Fatalf("%s: no bin produced a successful inversion", est.Name())
 		}
 		for _, workers := range []int{4} {
-			for _, batch := range []int{3, 512} {
+			for _, batch := range []int{3, 512, 2047, 2048} {
 				cfg := base(est)
 				cfg.Workers = workers
 				cfg.BatchSize = batch
@@ -382,7 +383,7 @@ func TestEngineInlineBatching(t *testing.T) {
 		return nil
 	}
 	boom := errors.New("boom")
-	for _, batch := range []int{1, 7, 512} {
+	for _, batch := range []int{1, 7, 512, 2047, 2048} {
 		var out []BinResult
 		var emitErr error
 		stats := obs.NewPipelineStats(1)
@@ -540,6 +541,57 @@ func TestEngineConfigValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(Config{Agg: flow.FiveTuple{}, Sampler: smp, BinSeconds: 1}, nil); err == nil {
 		t.Error("nil emit accepted")
+	}
+}
+
+// TestDefaultBatchPerPath: a zero BatchSize resolves per path — 512 on the
+// inline engine, 2048 where a batch is a hand-off to a shard worker — and
+// an explicit size is honoured on both.
+func TestDefaultBatchPerPath(t *testing.T) {
+	for _, c := range []struct{ workers, batch, want int }{
+		{1, 0, 512}, {2, 0, 2048}, {4, 0, 2048},
+		{1, 100, 100}, {2, 100, 100}, {1, 4096, 4096}, {2, 4096, 4096},
+	} {
+		eng, err := NewEngine(Config{
+			Agg:        flow.FiveTuple{},
+			Sampler:    sampler.NewBernoulli(0.5, 1),
+			BinSeconds: 1,
+			Workers:    c.workers,
+			BatchSize:  c.batch,
+		}, func(BinResult) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.cfg.BatchSize; got != c.want {
+			t.Errorf("workers=%d BatchSize=%d: engine batches %d packets, want %d", c.workers, c.batch, got, c.want)
+		}
+		if got := cap(eng.pending[0].all); got != c.want {
+			t.Errorf("workers=%d BatchSize=%d: pending batch holds %d packets, want %d", c.workers, c.batch, got, c.want)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestShardChoiceMatchesModulo: the mask Feed takes for a power-of-two
+// worker count picks the shard hash % Workers picks, so no key moved when
+// the division went — sketch results and Orig's shard-by-shard order depend
+// on the partition.
+func TestShardChoiceMatchesModulo(t *testing.T) {
+	g := randx.New(24)
+	hashes := make([]uint64, 100_000)
+	for i := range hashes {
+		hashes[i] = g.Uint64()
+	}
+	hashes[0], hashes[1] = 0, ^uint64(0)
+	for w := 1; w <= 16; w++ {
+		e := &Engine{shards: make([]*shard, w)}
+		for _, h := range hashes {
+			if got, want := e.shardOf(h), int(h%uint64(w)); got != want {
+				t.Fatalf("workers=%d hash=%#x: shard %d, want %d", w, h, got, want)
+			}
+		}
 	}
 }
 

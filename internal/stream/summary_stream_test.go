@@ -58,7 +58,7 @@ func TestEngineTableKindsExactInvariance(t *testing.T) {
 	}
 	for _, spec := range specs {
 		for _, workers := range []int{1, 4} {
-			for _, batch := range []int{1, 7, 512} {
+			for _, batch := range []int{1, 7, 512, 2047, 2048} {
 				cfg := base(spec)
 				cfg.Workers = workers
 				cfg.BatchSize = batch
