@@ -93,7 +93,9 @@ microbench:
 # the integrator shows as a count that repeats exactly, not as a slow suite.
 # BenchmarkSourceDecode reads a trace file through source.Open in both
 # formats and reports ns/pkt and allocs: what the source layer charges
-# every packet before the sampling decision, read syscalls included.
+# every packet before the sampling decision, read syscalls included — two
+# files small enough to be read synchronously, and a 72 MB capture
+# (pcap-large) that is read ahead of the decoder.
 # BenchmarkIngestFlatBatch (matched by 'Ingest') sets the engine's batched
 # exact-table ingest against the per-packet one on a million-flow table
 # (ns/pkt), BenchmarkIngest{CountMin,SpaceSaving}Batch do the same for the
@@ -134,18 +136,23 @@ e2e-daemon:
 e2e-obs:
 	./scripts/e2e_obs.sh
 
-# Brief native fuzz runs (~50 s total) over the wire-format edges (the
+# Brief native fuzz runs (~65 s total) over the wire-format edges (the
 # NetFlow decode/encode round trip, the pcap reader/writer, the native
 # packet-trace reader; both trace readers differentially against their
-# unbuffered reference readers), the flat flow table's open-addressing
-# machinery and the sketches' hash-probed slot index (against a Go map). Long runs are for dedicated fuzzing sessions; this keeps the
-# harnesses and seed corpora green.
+# unbuffered reference readers; the block reader under both, synchronous
+# and reading ahead, against bufio.Reader on an op tape; the frame-to-key
+# parse against the struct decoders), the flat flow table's open-addressing
+# machinery and the sketches' hash-probed slot index (against a Go map).
+# Long runs are for dedicated fuzzing sessions; this keeps the harnesses
+# and seed corpora green.
 fuzz-smoke:
 	$(GO) test ./internal/netflow -run '^$$' -fuzz '^FuzzDecodeDatagram$$' -fuzztime 8s
 	$(GO) test ./internal/netflow -run '^$$' -fuzz '^FuzzExportRoundTrip$$' -fuzztime 8s
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 7s
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzWriterRoundTrip$$' -fuzztime 7s
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzPacketReader$$' -fuzztime 7s
+	$(GO) test ./internal/blockio -run '^$$' -fuzz '^FuzzBlockReader$$' -fuzztime 7s
+	$(GO) test ./internal/layers -run '^$$' -fuzz '^FuzzFlowKey$$' -fuzztime 6s
 	$(GO) test ./internal/flowtable -run '^$$' -fuzz '^FuzzFlatProbe$$' -fuzztime 8s
 	$(GO) test ./internal/flowtable -run '^$$' -fuzz '^FuzzSlotsIndex$$' -fuzztime 6s
 

@@ -36,6 +36,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -107,30 +108,26 @@ func run(opts options, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	// One write per bin: a bin's report is a dozen Fprintlns, collected
+	// here and flushed when the bin's callback is done — also when it
+	// failed, so that stdout holds every bin reported before an error, as
+	// the -netflow file does. Nothing is written outside the callback.
+	out := bufio.NewWriterSize(stdout, 1<<16)
 	nfRecords := 0
 	err = p.Run(context.Background(), func(b stream.BinResult, rec *pipeline.BinRecord) error {
-		if err := printBin(stdout, b, opts.TopT); err != nil {
-			return err
-		}
-		if b.Inversion != nil {
-			if err := printInversion(stdout, b.Inversion); err != nil {
-				return err
-			}
-		}
-		if rec.Adapt != nil {
-			if err := printAdapt(stdout, rec.Adapt, opts); err != nil {
-				return err
-			}
-		}
-		if nf := rec.NetFlow; nf != nil {
+		err := printRecord(out, b, rec, opts)
+		if nf := rec.NetFlow; err == nil && nf != nil {
 			// A collector tolerates lost datagrams; a file with holes is a
 			// failed export (the warning on stderr has the cause).
 			if nf.Err != "" || nf.SendErrors > 0 {
-				return fmt.Errorf("bin %d: NetFlow export to %s failed", b.Bin, opts.nfOut)
+				err = fmt.Errorf("bin %d: NetFlow export to %s failed", b.Bin, opts.nfOut)
 			}
 			nfRecords += nf.Records
 		}
-		return nil
+		if ferr := out.Flush(); err == nil {
+			err = ferr
+		}
+		return err
 	})
 	if err != nil {
 		return err
@@ -140,6 +137,23 @@ func run(opts options, stdout, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stderr, "wrote %d NetFlow v5 records to %s\n", nfRecords, opts.nfOut)
+	}
+	return nil
+}
+
+// printRecord is one bin's report: the table, then the inversion summary
+// and the adapt decision where the run has them.
+func printRecord(w io.Writer, b stream.BinResult, rec *pipeline.BinRecord, opts options) error {
+	if err := printBin(w, b, opts.TopT); err != nil {
+		return err
+	}
+	if b.Inversion != nil {
+		if err := printInversion(w, b.Inversion); err != nil {
+			return err
+		}
+	}
+	if rec.Adapt != nil {
+		return printAdapt(w, rec.Adapt, opts)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -74,6 +75,79 @@ func TestNetflowWrittenPerBin(t *testing.T) {
 	}
 	if last := w.sizes[len(w.sizes)-1]; st.Size() != last {
 		t.Errorf("file grew from %d to %d bytes after the last bin was printed", last, st.Size())
+	}
+}
+
+// writeLog is a stdout that keeps every Write apart and fails from the
+// failAt-th on (never, when that is 0).
+type writeLog struct {
+	writes [][]byte
+	failAt int
+}
+
+func (w *writeLog) Write(b []byte) (int, error) {
+	if w.failAt > 0 && len(w.writes)+1 >= w.failAt {
+		return 0, io.ErrClosedPipe
+	}
+	w.writes = append(w.writes, append([]byte(nil), b...))
+	return len(b), nil
+}
+
+// TestStdoutWrittenPerBin: a bin's report — table, inversion line, adapt
+// line — reaches stdout as one Write when the bin closes. A run that fails
+// later has still printed every complete bin before the error, a stdout
+// that fails is the run's error, and nothing of a bin is held back.
+func TestStdoutWrittenPerBin(t *testing.T) {
+	native, _ := writeTraces(t)
+	opts := options{Flags: pipeline.Flags{
+		In: native, Rate: 0.2, TopT: 5, Bin: 4,
+		Agg: "5tuple", Seed: 9, Workers: 2, Invert: "naive",
+	}}
+	var whole writeLog
+	if err := run(opts, &whole, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if len(whole.writes) < 3 {
+		t.Fatalf("%d writes; the trace should span at least three bins", len(whole.writes))
+	}
+	for i, b := range whole.writes {
+		if !bytes.HasPrefix(b, []byte("== bin")) || bytes.Count(b, []byte("== bin")) != 1 || !bytes.Contains(b, []byte("inversion (")) {
+			t.Fatalf("write %d of %d is not one whole bin report:\n%s", i, len(whole.writes), b)
+		}
+	}
+
+	// The same trace cut inside a record of its last quarter: the bins
+	// that closed before the cut are on stdout, byte for byte, in a Write
+	// each, and nothing else is.
+	raw, err := os.ReadFile(native)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := opts
+	cut.In = filepath.Join(t.TempDir(), "cut.pkts")
+	if err := os.WriteFile(cut.In, raw[:len(raw)*7/8-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var partial writeLog
+	if err := run(cut, &partial, io.Discard); err == nil {
+		t.Fatal("truncated trace accepted")
+	}
+	if n := len(partial.writes); n == 0 || n >= len(whole.writes) {
+		t.Fatalf("%d bins printed before the error, want some but fewer than the whole run's %d", n, len(whole.writes))
+	}
+	for i, b := range partial.writes {
+		if !bytes.Equal(b, whole.writes[i]) {
+			t.Fatalf("bin %d printed before the error differs from the whole run's:\n%s", i, b)
+		}
+	}
+
+	// A stdout that fails on the second bin fails the run with its error.
+	failing := writeLog{failAt: 2}
+	if err := run(opts, &failing, io.Discard); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("run with a closed stdout: %v, want io.ErrClosedPipe", err)
+	}
+	if len(failing.writes) != 1 {
+		t.Fatalf("%d writes before the failing one, want 1", len(failing.writes))
 	}
 }
 

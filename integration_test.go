@@ -53,7 +53,6 @@ func TestPcapPipelineRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := NewFlowTable(FiveTuple{})
-	var parser layers.Parser
 	for {
 		pk, err := r.Next()
 		if err == io.EOF {
@@ -62,7 +61,7 @@ func TestPcapPipelineRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, _, err := parser.Parse(pk.Data)
+		key, err := layers.FlowKey(pk.Data)
 		if err != nil {
 			t.Fatal(err)
 		}

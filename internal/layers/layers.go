@@ -1,8 +1,11 @@
 // Package layers implements the minimal wire-format encode/decode the
-// experiments need — Ethernet II, IPv4, TCP and UDP — in the style of
-// gopacket's DecodingLayer: decoding fills caller-owned structs with no
-// allocation, and a Parser drives the usual Ethernet→IPv4→TCP/UDP chain
-// and extracts the 5-tuple flow key.
+// experiments need — Ethernet II, IPv4, TCP and UDP. A monitor wants one
+// thing of a frame, its 5-tuple, and FlowKey walks the usual
+// Ethernet→IPv4→TCP/UDP chain for exactly that: every check a full decode
+// makes, nothing stored but the key. The per-layer structs decode in the
+// style of gopacket's DecodingLayer — DecodeFromBytes fills a caller-owned
+// struct with no allocation — for whoever needs the other fields, and
+// composed they are the reference FlowKey is tested against.
 //
 // Encoding is the mirror image: Frame serializes a synthetic packet for a
 // flow key (used by the pcap exporter), computing real IPv4 header and
@@ -216,98 +219,118 @@ func (u *UDP) AppendTo(buf []byte) []byte {
 }
 
 // Checksum computes the Internet checksum (RFC 1071) of data.
-func Checksum(data []byte) uint16 {
-	var sum uint32
-	for len(data) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[:2]))
+//
+//flowrank:hotpath
+func Checksum(data []byte) uint16 { return checksum(0, data) }
+
+// checksum is the Internet checksum of data on top of an initial sum. The
+// one's-complement sum does not care how its 16-bit words are grouped
+// (2^16 ≡ 1 mod 2^16-1), so it is taken 8 bytes at a time, as two 32-bit
+// halves into a 64-bit accumulator — a 20-byte header is three loads, not
+// ten — and folded to 16 bits at the end.
+//
+//flowrank:hotpath
+func checksum(sum uint64, data []byte) uint16 {
+	for len(data) >= 8 {
+		v := binary.BigEndian.Uint64(data)
+		sum += v>>32 + v&0xffffffff
+		data = data[8:]
+	}
+	if len(data) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(data))
+		data = data[4:]
+	}
+	if len(data) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(data))
 		data = data[2:]
 	}
 	if len(data) == 1 {
-		sum += uint32(data[0]) << 8
+		sum += uint64(data[0]) << 8
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
+	sum = sum>>32 + sum&0xffffffff // < 2^33
+	sum = sum>>16 + sum&0xffff     // < 2^18
+	sum = sum>>16 + sum&0xffff     // < 2^16 + 3
+	sum = sum>>16 + sum&0xffff
 	return ^uint16(sum)
 }
 
-// pseudoHeaderChecksum folds the IPv4 pseudo-header into an initial sum.
-func pseudoHeaderSum(src, dst flow.Addr, proto flow.Proto, l4len int) uint32 {
-	var sum uint32
-	sum += uint32(binary.BigEndian.Uint16(src[0:2]))
-	sum += uint32(binary.BigEndian.Uint16(src[2:4]))
-	sum += uint32(binary.BigEndian.Uint16(dst[0:2]))
-	sum += uint32(binary.BigEndian.Uint16(dst[2:4]))
-	sum += uint32(proto)
-	sum += uint32(l4len)
-	return sum
+// pseudoHeaderSum is the IPv4 pseudo-header as an initial sum.
+func pseudoHeaderSum(src, dst flow.Addr, proto flow.Proto, l4len int) uint64 {
+	return uint64(binary.BigEndian.Uint32(src[:])) + uint64(binary.BigEndian.Uint32(dst[:])) +
+		uint64(proto) + uint64(l4len)
 }
 
 // L4Checksum computes the TCP/UDP checksum over pseudo-header plus
 // segment.
 func L4Checksum(src, dst flow.Addr, proto flow.Proto, segment []byte) uint16 {
-	sum := pseudoHeaderSum(src, dst, proto, len(segment))
-	for len(segment) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(segment[:2]))
-		segment = segment[2:]
-	}
-	if len(segment) == 1 {
-		sum += uint32(segment[0]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
+	return checksum(pseudoHeaderSum(src, dst, proto, len(segment)), segment)
 }
 
-// Decoded reports which layers a Parse call filled in.
-type Decoded struct {
-	HasEthernet, HasIPv4, HasTCP, HasUDP bool
-}
-
-// Parser decodes Ethernet/IPv4/TCP-or-UDP frames into preallocated layer
-// structs, gopacket DecodingLayerParser style: zero allocation per packet.
-// Not safe for concurrent use; create one per goroutine.
-type Parser struct {
-	Eth Ethernet
-	IP  IPv4
-	TCP TCP
-	UDP UDP
-}
-
-// Parse decodes frame and returns the 5-tuple key. Unknown transports
-// yield a key with ports zero but a valid address pair.
-func (p *Parser) Parse(frame []byte) (flow.Key, Decoded, error) {
-	var dec Decoded
-	payload, err := p.Eth.DecodeFromBytes(frame)
-	if err != nil {
-		return flow.Key{}, dec, err
+// FlowKey returns the 5-tuple of an Ethernet frame carrying IPv4. It makes
+// the checks of the struct decoders composed in order — EtherType, IP
+// version, header length, header checksum, total length, then the TCP data
+// offset or UDP length against the bytes present — and fails with their
+// errors, but stores nothing except the key. Transports other than TCP and
+// UDP yield a key with ports zero; so does every fragment but a
+// datagram's first, whose payload has no L4 header to read ports from
+// (the NetFlow convention: a flow's later fragments count under the
+// address pair and protocol). On error the key is zero.
+//
+//flowrank:hotpath
+func FlowKey(frame []byte) (flow.Key, error) {
+	if len(frame) < EthernetHeaderLen {
+		return flow.Key{}, ErrTruncated
 	}
-	dec.HasEthernet = true
-	if p.Eth.EtherType != EtherTypeIPv4 {
-		return flow.Key{}, dec, ErrNotIPv4
+	if binary.BigEndian.Uint16(frame[12:14]) != EtherTypeIPv4 {
+		return flow.Key{}, ErrNotIPv4
 	}
-	l4, err := p.IP.DecodeFromBytes(payload)
-	if err != nil {
-		return flow.Key{}, dec, err
+	ip := frame[EthernetHeaderLen:]
+	if len(ip) < IPv4MinHeaderLen {
+		return flow.Key{}, ErrTruncated
 	}
-	dec.HasIPv4 = true
-	key := flow.Key{Src: p.IP.Src, Dst: p.IP.Dst, Proto: p.IP.Protocol}
-	switch p.IP.Protocol {
+	if ip[0]>>4 != 4 {
+		return flow.Key{}, ErrNotIPv4
+	}
+	ihl := int(ip[0]&0x0f) * 4
+	if ihl < IPv4MinHeaderLen || len(ip) < ihl {
+		return flow.Key{}, ErrBadHeader
+	}
+	if Checksum(ip[:ihl]) != 0 {
+		return flow.Key{}, ErrBadChecksum
+	}
+	end := int(binary.BigEndian.Uint16(ip[2:4]))
+	if end < ihl {
+		return flow.Key{}, ErrBadHeader
+	}
+	if end > len(ip) {
+		end = len(ip) // truncated capture: what is there decides
+	}
+	l4 := ip[ihl:end]
+	key := flow.Key{Src: flow.Addr(ip[12:16]), Dst: flow.Addr(ip[16:20]), Proto: flow.Proto(ip[9])}
+	if binary.BigEndian.Uint16(ip[6:8])&0x1fff != 0 {
+		return key, nil // not a first fragment: no L4 header here
+	}
+	switch key.Proto {
 	case flow.ProtoTCP:
-		if _, err := p.TCP.DecodeFromBytes(l4); err != nil {
-			return key, dec, err
+		if len(l4) < TCPMinHeaderLen {
+			return flow.Key{}, ErrTruncated
 		}
-		dec.HasTCP = true
-		key.SrcPort, key.DstPort = p.TCP.SrcPort, p.TCP.DstPort
+		if off := int(l4[12]>>4) * 4; off < TCPMinHeaderLen || len(l4) < off {
+			return flow.Key{}, ErrBadHeader
+		}
 	case flow.ProtoUDP:
-		if _, err := p.UDP.DecodeFromBytes(l4); err != nil {
-			return key, dec, err
+		if len(l4) < UDPHeaderLen {
+			return flow.Key{}, ErrTruncated
 		}
-		dec.HasUDP = true
-		key.SrcPort, key.DstPort = p.UDP.SrcPort, p.UDP.DstPort
+		if binary.BigEndian.Uint16(l4[4:6]) < UDPHeaderLen {
+			return flow.Key{}, ErrBadHeader
+		}
+	default:
+		return key, nil
 	}
-	return key, dec, nil
+	key.SrcPort = binary.BigEndian.Uint16(l4[0:2])
+	key.DstPort = binary.BigEndian.Uint16(l4[2:4])
+	return key, nil
 }
 
 // Frame serializes a complete Ethernet/IPv4/{TCP,UDP} frame for the given

@@ -9,6 +9,8 @@ import (
 	"io"
 	"testing"
 	"testing/iotest"
+
+	"flowrank/internal/blockio"
 )
 
 // refReader is the packet reader as it was before records were decoded in
@@ -72,8 +74,15 @@ func diffReaders(t testing.TB, data []byte, wrap func(io.Reader) io.Reader) (int
 	if wrap == nil {
 		wrap = func(r io.Reader) io.Reader { return r }
 	}
-	got, gerr := NewReader(wrap(bytes.NewReader(data)))
-	want, werr := newRefReader(wrap(bytes.NewReader(data)))
+	return diffStreams(t, data, wrap(bytes.NewReader(data)), wrap(bytes.NewReader(data)))
+}
+
+// diffStreams is diffReaders over two streams of the same bytes that the
+// caller made: subject is read by the reader, ref by the reference.
+func diffStreams(t testing.TB, data []byte, subject, ref io.Reader) (int, error) {
+	t.Helper()
+	got, gerr := NewReader(subject)
+	want, werr := newRefReader(ref)
 	if !sameError(gerr, werr) {
 		t.Fatalf("NewReader: %v, reference: %v", gerr, werr)
 	}
@@ -150,7 +159,7 @@ var wrappers = []struct {
 // backwards and sizes of every varint length in it, and for a trace cut
 // inside a record.
 func TestReaderMatchesReference(t *testing.T) {
-	pkts := samplePackets(12000, 4) // ~210 KB: three block refills
+	pkts := samplePackets(48000, 4) // ~840 KB: three block refills
 	for i := range pkts {
 		switch i % 97 {
 		case 0:
@@ -179,7 +188,7 @@ func TestReaderMatchesReference(t *testing.T) {
 // is not a multiple of — so that the block ends at many different offsets
 // inside a record.
 func TestReaderBlockBoundary(t *testing.T) {
-	pkts := samplePackets(4500, 5) // ~80 KB, past the 64 KiB block
+	pkts := samplePackets(18000, 5) // ~320 KB, past the 256 KiB block
 	for shift := 0; shift < 36; shift++ {
 		lead := make([]Packet, shift)
 		for i := range lead {
@@ -305,4 +314,25 @@ func FuzzPacketReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		diffReaders(t, data, nil)
 	})
+}
+
+// TestReaderReadAhead: with the block reader reading ahead of the decoder
+// — what internal/source's Open puts under a trace file — the packets and
+// the final error are the reference's, over a trace of several blocks
+// whole and cut inside a record.
+func TestReaderReadAhead(t *testing.T) {
+	pkts := samplePackets(80000, 9) // ~1.4 MB: five blocks, a record across each boundary
+	full := encode(t, pkts)
+	for _, cut := range []int{0, 7} {
+		data := full[:len(full)-cut]
+		br := blockio.NewReadAhead(io.NopCloser(bytes.NewReader(data)))
+		n, err := diffStreams(t, data, br, bytes.NewReader(data))
+		br.Close()
+		if cut == 0 && (n != len(pkts) || err != io.EOF) {
+			t.Errorf("whole trace: %d records then %v, want %d then io.EOF", n, err, len(pkts))
+		}
+		if cut != 0 && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("cut trace ended with %v, want io.ErrUnexpectedEOF", err)
+		}
+	}
 }

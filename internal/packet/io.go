@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 
+	"flowrank/internal/blockio"
 	"flowrank/internal/flow"
 )
 
@@ -42,7 +43,7 @@ func appendKey(buf []byte, k flow.Key) []byte {
 // keyLen is the encoded size of a flow.Key.
 const keyLen = 13
 
-func readKey(r *bufio.Reader) (flow.Key, error) {
+func readKey(r io.Reader) (flow.Key, error) {
 	var raw [keyLen]byte
 	if _, err := io.ReadFull(r, raw[:]); err != nil {
 		return flow.Key{}, err
@@ -102,16 +103,21 @@ func (w *Writer) Write(p Packet) error {
 // Flush drains buffered output to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Reader decodes a packet trace written by Writer.
+// Reader decodes a packet trace written by Writer, in place out of the
+// blocks of an internal/blockio.Reader (the block reader it shares with
+// internal/pcap; 256 KiB per underlying Read). It starts no goroutine and
+// has nothing to close; handed a *blockio.Reader it reads through that one
+// instead of wrapping it, which is how internal/source's Open puts a
+// reader that reads ahead under a trace file.
 type Reader struct {
-	r        *bufio.Reader
+	r        *blockio.Reader
 	lastNano int64
 }
 
 // NewReader validates the header and returns a reader positioned at the
 // first record.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := blockio.NewReader(r)
 	var hdr [5]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("packet: reading header: %w", err)

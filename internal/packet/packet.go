@@ -10,15 +10,19 @@
 // trace (~40M packets) encodes to roughly 0.6 GB versus 2.8 GB as pcap.
 // The pcap format (internal/pcap) remains available for interoperability.
 //
-// Reader and Writer buffer 64 KiB. Reader.Read decodes a record in place
-// at both ends — from the bytes already buffered (binary.Uvarint over the
-// block, one Discard) straight into the caller's Packet — and falls back to
-// byte-at-a-time decoding only for a record split across two blocks, the
-// tail of the stream, and malformed input — so it reads ahead of the
-// records it has returned, but never waits for a byte beyond the record it
-// is about to return: a trace streamed over a pipe yields each record as
-// its last byte arrives. Reader.Next is Read into a fresh Packet, returned
-// by value; either way a decoded packet aliases nothing.
+// Writer buffers 64 KiB; Reader reads through an internal/blockio.Reader,
+// the block reader it shares with internal/pcap, 256 KiB per underlying
+// Read. Reader.Read decodes a record in place at both ends — from the bytes
+// already buffered (binary.Uvarint over the block, one Discard) straight
+// into the caller's Packet — and falls back to byte-at-a-time decoding only
+// for a record split across two blocks, the tail of the stream, and
+// malformed input — so it buffers beyond the records it has returned, but
+// never waits for a byte beyond the record it is about to return: a trace
+// streamed over a pipe yields each record as its last byte arrives.
+// Reader.Next is Read into a fresh Packet, returned by value; either way a
+// decoded packet aliases nothing. The reader starts no goroutine: reading
+// ahead of the decoder is internal/source's Open's doing, through the
+// *blockio.Reader it hands NewReader, and ends with that source's Close.
 package packet
 
 import "flowrank/internal/flow"

@@ -107,8 +107,15 @@ func diffReaders(t testing.TB, data []byte, wrap func(io.Reader) io.Reader) (int
 	if wrap == nil {
 		wrap = func(r io.Reader) io.Reader { return r }
 	}
-	got, gerr := NewReader(wrap(bytes.NewReader(data)))
-	want, werr := newRefReader(wrap(bytes.NewReader(data)))
+	return diffStreams(t, data, wrap(bytes.NewReader(data)), wrap(bytes.NewReader(data)))
+}
+
+// diffStreams is diffReaders over two streams of the same bytes that the
+// caller made: subject is read by the block reader, ref by the reference.
+func diffStreams(t testing.TB, data []byte, subject, ref io.Reader) (int, error) {
+	t.Helper()
+	got, gerr := NewReader(subject)
+	want, werr := newRefReader(ref)
 	if !sameError(gerr, werr) {
 		t.Fatalf("NewReader: %v, reference: %v", gerr, werr)
 	}

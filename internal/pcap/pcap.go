@@ -4,19 +4,26 @@
 // and nanosecond timestamp magics; the writer emits little-endian
 // microsecond captures with the Ethernet link type.
 //
-// The reader owns one 256 KiB block buffer and decodes records in place:
-// a record's header and body come from one contiguous slice of the block,
-// so reading costs one Read on the underlying stream per block and no
-// copy or allocation per record. Three consequences callers rely on:
+// The reader decodes records in place out of the 256 KiB blocks of an
+// internal/blockio.Reader, the block reader it shares with the native
+// trace decoder: a record's header and body come from one contiguous
+// slice of a block, so reading costs one Read on the underlying stream per
+// block and no copy or allocation per record. Three consequences callers
+// rely on:
 //
-//   - Packet.Data aliases the block. It is valid until the following Next
+//   - Packet.Data aliases a block. It is valid until the following Next
 //     call and must be copied to be kept longer.
-//   - The reader reads ahead: it may have consumed more of the underlying
+//   - The reader buffers: it may have consumed more of the underlying
 //     stream than the records it has returned.
 //   - It never waits for more than the record it is about to return, so a
 //     capture streamed over a pipe or socket yields each record as soon as
-//     its last byte arrives. A record larger than the block (a capture
+//     its last byte arrives. A record larger than a block (a capture
 //     with a raised snap length) is copied into a buffer of its own.
+//
+// The reader itself starts no goroutine and has nothing to close. Handed a
+// *blockio.Reader it reads through that one instead of wrapping it, which
+// is how internal/source's Open puts a reader that reads ahead (and whose
+// Close ends the read-ahead goroutine) under a capture file.
 //
 // The reader reports the capture's link type in Header and interprets
 // none: whoever parses Data must check it (internal/source accepts
@@ -24,12 +31,13 @@
 package pcap
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+
+	"flowrank/internal/blockio"
 )
 
 // Link types.
@@ -50,9 +58,9 @@ const (
 	// claim. Real captures snap at 64 KiB — 64 MiB is far beyond any
 	// valid record.
 	maxRecordLen = 1 << 26
-	// blockSize is the reader's buffer: one underlying Read fetches this
-	// much, and any record up to this size is decoded in place.
-	blockSize = 1 << 18
+	// blockSize is what one underlying Read fetches; any record up to this
+	// size is decoded in place.
+	blockSize = blockio.BlockSize
 )
 
 // ErrNotPcap is returned when the stream does not begin with a known pcap
@@ -144,11 +152,11 @@ func (w *Writer) Write(p Packet) error {
 	return nil
 }
 
-// Reader parses a pcap stream out of one block buffer: records are decoded
-// in place, so a Packet's Data aliases the buffer and reading costs one
+// Reader parses a pcap stream block by block: records are decoded in
+// place, so a Packet's Data aliases a block and reading costs one
 // underlying Read per block, not two per record.
 type Reader struct {
-	br     *bufio.Reader
+	br     *blockio.Reader
 	order  binary.ByteOrder
 	header Header
 	// big holds the one record too large for the block; it grows on demand.
@@ -159,7 +167,7 @@ type Reader struct {
 // timestamp resolution. The reader buffers: it may consume more of r than
 // the records it has returned.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, blockSize)
+	br := blockio.NewReader(r)
 	var hdr [globalHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)

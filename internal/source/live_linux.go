@@ -15,12 +15,11 @@ import (
 
 // live captures packets from a network interface through an AF_PACKET
 // raw socket — the stdlib-only equivalent of a gopacket/libpcap handle.
-// Frames are parsed with the same layers.Parser the pcap path uses, and
+// Frames are keyed with the same layers.FlowKey the pcap path uses, and
 // timestamps are wall-clock seconds since the first captured frame, so
 // downstream binning sees the same shape as a trace replay.
 type live struct {
 	fd     int
-	parser layers.Parser
 	buf    []byte
 	start  time.Time
 	began  bool
@@ -76,8 +75,8 @@ func (l *live) Next(p *packet.Packet) error {
 			l.began = true
 			l.start = now
 		}
-		key, _, perr := l.parser.Parse(l.buf[:n])
-		if perr != nil {
+		key, kerr := layers.FlowKey(l.buf[:n])
+		if kerr != nil {
 			continue // skip undecodable frames
 		}
 		p.Time = now.Sub(l.start).Seconds()

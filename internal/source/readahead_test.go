@@ -1,0 +1,264 @@
+package source
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"flowrank/internal/blockio"
+	"flowrank/internal/flow"
+	"flowrank/internal/layers"
+	"flowrank/internal/packet"
+	"flowrank/internal/pcap"
+)
+
+// Reading ahead of the decoder is Open's doing alone, for files worth it,
+// and ends with the source's Close. These tests pin who owns a goroutine
+// and when it is gone. They count goroutines exactly, without polling:
+// Close returns only once the read-ahead goroutine has exited, and nothing
+// else in this package's tests leaves one running.
+
+// manyBlocks encodes enough copies of the test packets to fill a dozen
+// blocks in either format: halfway through, a read-ahead goroutine — four
+// buffers deep — cannot have met the end of the file yet.
+func manyBlocks(t *testing.T, isPcap bool) (data []byte, packets int) {
+	t.Helper()
+	pkts := testPackets(t)
+	encode, per := encodeNative, 15
+	if isPcap {
+		encode, per = encodePcap, 600
+	}
+	var trace []packet.Packet
+	for len(trace)*per < 12*blockio.BlockSize {
+		trace = append(trace, pkts...)
+	}
+	for i := range trace {
+		trace[i].Time = float64(i) * 1e-3
+	}
+	data = encode(t, trace)
+	if len(data) < 12*blockio.BlockSize {
+		t.Fatalf("%d-byte trace, want at least twelve blocks", len(data))
+	}
+	return data, len(trace)
+}
+
+// TestOnlyOpenReadsAhead: a source built over a bare io.Reader decodes a
+// trace of several blocks without ever starting a goroutine, and so does
+// Open below its size threshold; Open above it (here: at threshold 0) runs
+// exactly one, gone when Close returns.
+func TestOnlyOpenReadsAhead(t *testing.T) {
+	for _, isPcap := range []bool{false, true} {
+		data, packets := manyBlocks(t, isPcap)
+		path := filepath.Join(t.TempDir(), "trace")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		for _, tc := range []struct {
+			name string
+			open func() (PacketSource, error)
+			want int // goroutines beyond base while the source is being read
+		}{
+			{"bare reader", func() (PacketSource, error) {
+				if isPcap {
+					return NewPcapSource(bytes.NewReader(data))
+				}
+				return NewTraceSource(bytes.NewReader(data))
+			}, 0},
+			{"Open, small file", func() (PacketSource, error) { return Open(path, isPcap) }, 0},
+			{"Open, reading ahead", func() (PacketSource, error) { return open(path, isPcap, 0) }, 1},
+		} {
+			src, err := tc.open()
+			if err != nil {
+				t.Fatalf("pcap=%v %s: %v", isPcap, tc.name, err)
+			}
+			var p packet.Packet
+			for i := 0; i < packets/2; i++ { // mid-stream
+				if err := src.Next(&p); err != nil {
+					t.Fatalf("pcap=%v %s: packet %d: %v", isPcap, tc.name, i, err)
+				}
+			}
+			if got := runtime.NumGoroutine() - base; got != tc.want {
+				t.Errorf("pcap=%v %s: %d goroutines started, want %d", isPcap, tc.name, got, tc.want)
+			}
+			if err := src.Close(); err != nil {
+				t.Errorf("pcap=%v %s: Close: %v", isPcap, tc.name, err)
+			}
+			if got := runtime.NumGoroutine() - base; got != 0 {
+				t.Errorf("pcap=%v %s: %d goroutines left after Close", isPcap, tc.name, got)
+			}
+			if err := src.Next(&p); !errors.Is(err, ErrClosedSource) {
+				t.Errorf("pcap=%v %s: Next after Close = %v, want ErrClosedSource", isPcap, tc.name, err)
+			}
+		}
+	}
+}
+
+// TestReadAheadMatchesSynchronous: through Open with the goroutine running,
+// both formats yield the packets the synchronous sources yield.
+func TestReadAheadMatchesSynchronous(t *testing.T) {
+	for _, isPcap := range []bool{false, true} {
+		data, packets := manyBlocks(t, isPcap)
+		path := filepath.Join(t.TempDir(), "trace")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ahead, err := open(path, isPcap, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := Open(path, isPcap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := drain(t, ahead), drain(t, plain)
+		ahead.Close()
+		plain.Close()
+		if len(got) != packets || len(want) != packets {
+			t.Fatalf("pcap=%v: %d packets reading ahead, %d synchronously, want %d", isPcap, len(got), len(want), packets)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("pcap=%v: packet %d: %+v reading ahead, %+v synchronously", isPcap, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// countedSource counts the Close calls a Loop makes on one inner source.
+type countedSource struct {
+	PacketSource
+	closes *int
+}
+
+func (c countedSource) Close() error {
+	*c.closes++
+	return c.PacketSource.Close()
+}
+
+// TestLoopOverReadAheadFile: 300 cycles of a Loop over a file that is read
+// ahead open 300 files and 300 goroutines; each source is closed once, and
+// when the loop is closed no goroutine and no descriptor is left.
+func TestLoopOverReadAheadFile(t *testing.T) {
+	pkts := testPackets(t)[:50]
+	path := filepath.Join(t.TempDir(), "trace.pcap")
+	if err := os.WriteFile(path, encodePcap(t, pkts), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	fds := openDescriptors(t)
+	var closes []*int
+	loop, err := NewLoop(func() (PacketSource, error) {
+		src, err := open(path, true, 0)
+		if err != nil {
+			return nil, err
+		}
+		n := new(int)
+		closes = append(closes, n)
+		return countedSource{src, n}, nil
+	}, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 300
+	var p packet.Packet
+	for i := 0; i < cycles*len(pkts)+1; i++ { // the +1 opens cycle 301
+		if err := loop.Next(&p); err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+	}
+	if err := loop.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(closes) != cycles+1 {
+		t.Fatalf("%d sources opened, want %d", len(closes), cycles+1)
+	}
+	for i, n := range closes {
+		if *n != 1 {
+			t.Fatalf("source %d closed %d times, want once", i, *n)
+		}
+	}
+	if got := runtime.NumGoroutine() - base; got != 0 {
+		t.Errorf("%d goroutines left after %d cycles", got, cycles)
+	}
+	if got := openDescriptors(t); fds >= 0 && got != fds {
+		t.Errorf("%d descriptors open after %d cycles, %d before", got, cycles, fds)
+	}
+}
+
+// openDescriptors counts this process's open file descriptors, or returns
+// -1 where /proc does not say.
+func openDescriptors(t *testing.T) int {
+	t.Helper()
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(entries) - 1 // ReadDir's own
+}
+
+// TestPcapSourceCountsFragments: every frame of a fragmented datagram is
+// one packet of its flow. The fragments after the first carry payload
+// where a TCP or UDP header would be — bytes that used to be read as ports,
+// or to fail the frame as malformed and drop it — and are keyed by
+// addresses and protocol alone.
+func TestPcapSourceCountsFragments(t *testing.T) {
+	key := flow.Key{Src: flow.Addr{10, 0, 0, 1}, Dst: flow.Addr{10, 0, 0, 2}, SrcPort: 4000, DstPort: 53, Proto: flow.ProtoUDP}
+	portless := key
+	portless.SrcPort, portless.DstPort = 0, 0
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const train = 5 // fragments per datagram
+	frames := 0
+	for d := 0; d < 20; d++ {
+		for f := 0; f < train; f++ {
+			frame, err := layers.Frame(nil, key, 1472, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ip := frame[layers.EthernetHeaderLen:]
+			fragOff := uint16(f * 185) // 1480-byte fragments, in 8-byte units
+			if f < train-1 {
+				fragOff |= 1 << 13 // more fragments
+			}
+			binary.BigEndian.PutUint16(ip[6:8], fragOff)
+			if f > 0 { // payload, not a UDP header: zeros and a text
+				l4 := ip[layers.IPv4MinHeaderLen:]
+				for i := range l4 {
+					l4[i] = 0
+				}
+				if d%2 == 1 {
+					copy(l4, "gab payload bytes")
+				}
+			}
+			binary.BigEndian.PutUint16(ip[10:12], 0)
+			binary.BigEndian.PutUint16(ip[10:12], layers.Checksum(ip[:layers.IPv4MinHeaderLen]))
+			if err := w.Write(pcap.Packet{Time: float64(frames) * 1e-3, Data: frame}); err != nil {
+				t.Fatal(err)
+			}
+			frames++
+		}
+	}
+	src, err := NewPcapSource(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[flow.Key]int{}
+	for _, p := range drain(t, src) {
+		counts[p.Key]++
+	}
+	if got := counts[key] + counts[portless]; got != frames {
+		t.Errorf("%d packets out of %d frames written (per key: %v)", got, frames, counts)
+	}
+	if counts[key] != frames/train || counts[portless] != frames-frames/train || len(counts) != 2 {
+		t.Errorf("per key %v, want %d first fragments under %v and %d later ones under %v",
+			counts, frames/train, key, frames-frames/train, portless)
+	}
+}

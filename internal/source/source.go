@@ -6,17 +6,29 @@
 // this path, so a trace replayed through the daemon is byte-for-byte the
 // stream the batch tool would have measured.
 //
-// The two trace sources read through block-buffered readers
-// (internal/packet: 64 KiB, internal/pcap: 256 KiB) that decode records in
-// place, so Next costs no allocation and no system call per packet. The
-// buffering is invisible through PacketSource: Next copies what it keeps
-// out of the block (a pcap frame's bytes are parsed to a flow key before
-// the following read overwrites them), Next after Close fails with
-// ErrClosedSource even though decoded-ahead records remain buffered, and a
-// stream that arrives slowly (a pipe, a socket) yields each packet once its
-// last byte is in — the readers never wait to fill a block. A pcap capture
-// must have the Ethernet link type, the only framing internal/layers
-// parses; anything else is refused at open with ErrUnsupportedLinkType.
+// The two trace sources decode records in place out of the 256 KiB blocks
+// of one block reader (internal/blockio, under internal/packet and
+// internal/pcap alike), so Next costs no allocation and no system call per
+// packet. The buffering is invisible through PacketSource: Next copies what
+// it keeps out of the block (a pcap frame is reduced to its flow key,
+// layers.FlowKey, while its bytes are still there: they are valid until the
+// following Next), Next after Close fails with ErrClosedSource even though
+// records remain buffered, and a stream that arrives slowly (a pipe, a
+// socket) yields each packet once its last byte is in — the readers never
+// wait to fill a block. A pcap capture must have the Ethernet link type,
+// the only framing internal/layers parses; anything else is refused at open
+// with ErrUnsupportedLinkType.
+//
+// Who reads ahead: Open, and nothing else. For a regular file of 16 MiB or
+// more it puts a blockio reader under the decoder whose goroutine keeps up
+// to three blocks read while the caller's Next works through the current
+// one (at most 2 MiB of buffers per open source); smaller files, pipes, and
+// every source built from a bare io.Reader (NewTraceSource, NewPcapSource)
+// are read synchronously and own no goroutine. The goroutine exits by
+// itself at the end of the file or at a read error, and Close — which
+// closes the file first, so a blocked read returns — does not return
+// before it has exited: a closed source leaves nothing behind, and Loop,
+// which opens its source once per cycle, leaves nothing behind per cycle.
 //
 // Replay decorators compose over any source: Pace throttles a trace to
 // line rate (or a speed multiple of it) using the packet timestamps, and
@@ -35,6 +47,7 @@ import (
 	"os"
 	"sync/atomic"
 
+	"flowrank/internal/blockio"
 	"flowrank/internal/layers"
 	"flowrank/internal/packet"
 	"flowrank/internal/pcap"
@@ -121,13 +134,12 @@ func (s *TraceSource) Close() error {
 	return nil
 }
 
-// PcapSource replays a pcap capture, decoding each frame's
-// Ethernet/IPv4/L4 headers into a flow key. Frames the parser cannot
-// decode (non-IP, truncated) are skipped, matching what a link monitor
-// classifying 5-tuples would do.
+// PcapSource replays a pcap capture, reading each frame's flow key out of
+// its Ethernet/IPv4/L4 headers (layers.FlowKey). Frames that have none
+// (non-IP, truncated, failing a header check) are skipped, matching what a
+// link monitor classifying 5-tuples would do.
 type PcapSource struct {
 	r      *pcap.Reader
-	parser layers.Parser
 	c      io.Closer
 	closed atomic.Bool
 }
@@ -163,8 +175,8 @@ func (s *PcapSource) Next(p *packet.Packet) error {
 		if err != nil {
 			return err
 		}
-		key, _, perr := s.parser.Parse(pk.Data)
-		if perr != nil {
+		key, kerr := layers.FlowKey(pk.Data)
+		if kerr != nil {
 			continue // skip undecodable frames
 		}
 		p.Time = pk.Time
@@ -185,22 +197,41 @@ func (s *PcapSource) Close() error {
 	return nil
 }
 
+// readAheadMin is the file size from which Open reads ahead. Starting the
+// goroutine and faulting in its 2 MiB of buffers costs what overlapping
+// some tens of blocks returns (BenchmarkSourceDecode: 55 blocks break about
+// even in a decode-only loop), so a file below 64 blocks is read as
+// NewTraceSource and NewPcapSource read anything: synchronously.
+const readAheadMin = 64 * blockio.BlockSize
+
 // Open opens a trace file as a PacketSource: the native format by
-// default, pcap when isPcap is set. The returned source owns the file
-// handle and closes it on Close.
+// default, pcap when isPcap is set. A regular file of readAheadMin bytes
+// or more is read ahead of the decoder (see the package comment). The
+// returned source owns the file handle and the read-ahead: its Close
+// closes the one and ends the other.
 func Open(path string, isPcap bool) (PacketSource, error) {
+	return open(path, isPcap, readAheadMin)
+}
+
+// open is Open with the read-ahead threshold as a parameter, for the tests
+// that want the goroutine under a file of a few packets.
+func open(path string, isPcap bool, readAheadMin int64) (PacketSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	var r io.ReadCloser = f
+	if st, err := f.Stat(); err == nil && st.Mode().IsRegular() && st.Size() >= readAheadMin {
+		r = blockio.NewReadAhead(f)
+	}
 	var src PacketSource
 	if isPcap {
-		src, err = NewPcapSource(f)
+		src, err = NewPcapSource(r)
 	} else {
-		src, err = NewTraceSource(f)
+		src, err = NewTraceSource(r)
 	}
 	if err != nil {
-		f.Close()
+		r.Close()
 		return nil, err
 	}
 	return src, nil
