@@ -165,7 +165,7 @@ func BenchmarkNetworkCoordSimulate(b *testing.B) {
 
 // BenchmarkNetworkDynamicLoop measures one pass of the dynamic control
 // plane over a churning reduced fat-tree workload: per bin, observe,
-// re-allocate (curves carried across bins by the cache) and simulate.
+// re-allocate (every link's model curves fitted afresh) and simulate.
 // It is part of the CI bench-smoke regex, so the control loop's cost has
 // a recorded trajectory.
 func BenchmarkNetworkDynamicLoop(b *testing.B) {
@@ -181,7 +181,6 @@ func BenchmarkNetworkDynamicLoop(b *testing.B) {
 		b.Fatal(err)
 	}
 	budgetedDemand(b, topo, bins[0])
-	var cache *NetworkCurveCache = NewNetworkCurveCache(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctl := &NetworkController{
@@ -191,7 +190,6 @@ func BenchmarkNetworkDynamicLoop(b *testing.B) {
 			ProbeRate: 0.1,
 			TopT:      10,
 			Seed:      uint64(i) + 1,
-			Curves:    cache,
 			SizeAware: true,
 		}
 		var out []*NetworkBinResult

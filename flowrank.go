@@ -638,22 +638,15 @@ func NetworkRank(topo *Topology, flows []RoutedFlow, a *Allocation, topT, runs i
 }
 
 // NetworkController is the dynamic per-bin control plane: it re-observes
-// and re-allocates every measurement bin, carrying per-link model curves
-// across bins in a NetworkCurveCache, optionally capping rates by the
-// previous bin's realized loads (SizeAware) and routing each monitor's
-// rate through the adaptive controller's clamps (Adapt).
+// and re-allocates every measurement bin from that bin's inversion alone,
+// optionally capping rates by the previous bin's realized loads
+// (SizeAware) and routing each monitor's rate through the adaptive
+// controller's clamps (Adapt).
 // NetworkBinResult is one control-loop step's outcome.
 type (
 	NetworkController = netsample.Controller
 	NetworkBinResult  = netsample.BinResult
-	NetworkCurveCache = netsample.CurveCache
 )
-
-// NewNetworkCurveCache returns a cross-bin per-link curve cache with the
-// given relative tolerance (0 = default): links whose fitted population
-// stays within tolerance reuse their rate-quality curves instead of
-// re-evaluating the model.
-func NewNetworkCurveCache(tol float64) *NetworkCurveCache { return netsample.NewCurveCache(tol) }
 
 // DynamicTraceConfig describes a time-varying workload: a base trace
 // configuration plus a drift law re-drawing per-path demand bin to bin.

@@ -33,11 +33,6 @@ type DiscreteModel struct {
 	// value produces the identical table — rows are independent and each
 	// cell is written exactly once — so Workers is purely a latency knob.
 	Workers int
-
-	// NoCache bypasses the package-level table cache, recomputing the
-	// strict CCDF and the misranking table on every metric call. The
-	// cross-check tests use it to pin the cached path to the direct one.
-	NoCache bool
 }
 
 // Validate checks parameters and that PMF is a distribution.
@@ -141,24 +136,20 @@ func (dm DiscreteModel) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// tables returns the strict CCDF and the misranking table for rate p,
-// consulting the package-level cache unless NoCache is set. The returned
-// slices are shared and must be treated as read-only.
-func (dm DiscreteModel) tables(p float64) ([]float64, [][]float64) {
-	if dm.NoCache {
-		return dm.ccdfStrict(), dm.misrankTable(p)
-	}
-	return cachedTables(dm, p)
-}
-
 // RankingMetric returns the §5 metric (2N−t−1)·t/2 · P̄mt evaluated by
-// direct summation.
+// direct summation. Each call builds the strict CCDF and the O(max²)
+// misranking table for p.
 func (dm DiscreteModel) RankingMetric(p float64) float64 {
 	if err := dm.Validate(); err != nil {
 		panic(err)
 	}
+	return dm.rankingOver(dm.ccdfStrict(), dm.misrankTable(p))
+}
+
+// rankingOver is RankingMetric over tables the caller built: gt from
+// ccdfStrict, pm from misrankTable at the rate in question.
+func (dm DiscreteModel) rankingOver(gt []float64, pm [][]float64) float64 {
 	mMax := len(dm.PMF) - 1
-	gt, pm := dm.tables(p)
 
 	// P̄mt · (t/N) = Σ_i pmf_i [ Pt(i,t,N-1)·Σ_{j<=i} p_j·Pm +
 	//                            Pt(i,t-1,N-1)·Σ_{j>i} p_j·Pm ]
@@ -197,8 +188,12 @@ func (dm DiscreteModel) DetectionMetric(p float64) float64 {
 	if err := dm.Validate(); err != nil {
 		panic(err)
 	}
+	return dm.detectionOver(dm.ccdfStrict(), dm.misrankTable(p))
+}
+
+// detectionOver is DetectionMetric over the same tables as rankingOver.
+func (dm DiscreteModel) detectionOver(gt []float64, pm [][]float64) float64 {
 	mMax := len(dm.PMF) - 1
-	gt, pm := dm.tables(p)
 
 	pmfBig := make([]float64, 0, dm.T)
 	var outer numeric.KahanSum

@@ -156,6 +156,13 @@ func TestDiscreteRankingNearEnumeration(t *testing.T) {
 	}
 }
 
+// bothMetrics evaluates the ranking and the detection metric at p over one
+// build of the O(max²) misranking table.
+func bothMetrics(dm DiscreteModel, p float64) (ranking, detection float64) {
+	gt, pm := dm.ccdfStrict(), dm.misrankTable(p)
+	return dm.rankingOver(gt, pm), dm.detectionOver(gt, pm)
+}
+
 // drawFromPMF draws a size from the pmf by inverse transform.
 func drawFromPMF(g *randx.RNG, cdf []float64) int {
 	u := g.Float64()
@@ -177,9 +184,8 @@ func TestDiscreteModelMatchesMonteCarlo(t *testing.T) {
 	n, tt := 40, 4
 	p := 0.15
 	dm := DiscreteModel{PMF: pmf, N: n, T: tt}
-	wantRank := dm.RankingMetric(p)
+	wantRank, wantDet := bothMetrics(dm, p)
 	wantFull := wantRank * 2 * float64(n-1) / float64(2*n-tt-1)
-	wantDet := dm.DetectionMetric(p)
 
 	cdf := make([]float64, len(pmf)-1)
 	var run float64
@@ -266,8 +272,7 @@ func TestDiscreteMetricsMonotoneInP(t *testing.T) {
 	dm := DiscreteModel{PMF: ZipfPMF(1.3, 120), N: 60, T: 5}
 	prevR, prevD := math.Inf(1), math.Inf(1)
 	for _, p := range []float64{0.02, 0.1, 0.3, 0.7} {
-		r := dm.RankingMetric(p)
-		d := dm.DetectionMetric(p)
+		r, d := bothMetrics(dm, p)
 		if r > prevR || d > prevD {
 			t.Fatalf("discrete metrics not decreasing at p=%g", p)
 		}

@@ -24,12 +24,11 @@ func TestDiscretizedLawMatchesContinuousModel(t *testing.T) {
 	cm := Model{N: n, T: topT, Dist: d, Kernel: KernelHybrid}
 
 	for _, p := range []float64{0.25} {
-		dr, cr := dm.RankingMetric(p), cm.RankingMetric(p)
-		if !almostEqual(dr, cr, 0.1) {
+		dr, dd := bothMetrics(dm, p)
+		if cr := cm.RankingMetric(p); !almostEqual(dr, cr, 0.1) {
 			t.Errorf("p=%g ranking: discrete %g vs continuous %g", p, dr, cr)
 		}
-		dd, cd := dm.DetectionMetric(p), cm.DetectionMetric(p)
-		if !almostEqual(dd, cd, 0.1) {
+		if cd := cm.DetectionMetric(p); !almostEqual(dd, cd, 0.1) {
 			t.Errorf("p=%g detection: discrete %g vs continuous %g", p, dd, cd)
 		}
 	}

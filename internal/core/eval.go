@@ -48,9 +48,8 @@ import (
 // than ~5e-7 — golden tables and reports print six significant digits,
 // solveRate stops at 1e-6 in log p where the metrics' log-log slope is of
 // order one, the Monte-Carlo validation tests carry percent-level noise, and
-// a Mixture's outer size x is itself only good to dist's inverse-table
-// accuracy (5e-10 in x, up to ~1e-7 in a kernel many standard deviations
-// wide). The constants below spend 1.2e-7 of it between them, and there is
+// a Mixture's outer size x is itself only good to dist's bisection width
+// (1e-12 in x off a CCDF jump). The constants below spend 1.2e-7 of it between them, and there is
 // no absolute tolerance: an absolute 1e-13 left the detection metric 4e-4 off
 // at N = 7·10⁵ (it differed from the ranking metric by that much at t = 1,
 // where the two are the same problem) and resolved digits nobody reads at
@@ -82,8 +81,7 @@ const (
 // Model.DetectionMetric: one metric computation at one sampling rate. It
 // owns the state that makes a single evaluation fast but must not leak
 // between evaluations: the law taken apart, the row and quadrature scratch,
-// the table of half-integer tails, and the exact-kernel memo behind kernel
-// (which now only the atoms of a step law reach).
+// and the table of half-integer tails.
 //
 // A modelEval is confined to the goroutine that created it; Model stays
 // immutable and safe for concurrent use because every metric call builds
@@ -105,26 +103,7 @@ type modelEval struct {
 	// half[j] is contTail(j+½), see tailHalf.
 	half   []float64
 	probes int64
-
-	// memo caches misrankExactTrunc(s1, s2, p) keyed by the packed pair;
-	// lastKey/lastVal front it. Allocated on first use so the Gaussian
-	// kernel pays nothing.
-	memo    pairTable
-	lastKey uint64
-	lastVal float64
-	// noMemo disables the memo (cross-check tests only).
-	noMemo bool
 }
-
-// maxMemoSize bounds the sizes packed into a memo key. Larger sizes
-// (possible only at extreme hybridThreshold/p ratios) bypass the
-// memo instead of being packed.
-const maxMemoSize = 1 << 31
-
-// disableKernelMemo turns the exact-kernel memo off process-wide. It is a
-// cross-check hook for tests that pin the memoized metrics to the
-// memo-free baseline; production code never sets it.
-var disableKernelMemo bool
 
 // probeCounter, when a test or benchmark sets it, receives the number of
 // integrand probes — smooth-integrand evaluations plus step terms — of
@@ -133,7 +112,7 @@ var disableKernelMemo bool
 var probeCounter *atomic.Int64
 
 func (m Model) newEval(p float64) *modelEval {
-	e := &modelEval{m: m, p: p, noMemo: disableKernelMemo, parts: dist.Decompose(m.Dist), ymin: math.Inf(1)}
+	e := &modelEval{m: m, p: p, parts: dist.Decompose(m.Dist), ymin: math.Inf(1)}
 	for _, leaf := range e.parts.Smooth {
 		e.ymin = math.Min(e.ymin, leaf.Dist.QuantileCCDF(1))
 	}
@@ -158,98 +137,9 @@ func (e *modelEval) flushProbes() {
 // small <= large under the model's kernel selection.
 func (e *modelEval) kernel(small, large float64) float64 {
 	if e.m.Kernel == KernelHybrid && e.p*small < hybridThreshold {
-		s1 := int(math.Round(small))
-		if s1 < 1 {
-			s1 = 1
-		}
-		s2 := int(math.Round(large))
-		if s2 < 1 {
-			s2 = 1
-		}
-		if e.noMemo || s1 >= maxMemoSize || s2 >= maxMemoSize {
-			return misrankExactTrunc(s1, s2, e.p)
-		}
-		key := uint64(s1)<<32 | uint64(s2)
-		if key == e.lastKey {
-			return e.lastVal
-		}
-		v, ok := e.memo.get(key)
-		if !ok {
-			v = misrankExactTrunc(s1, s2, e.p)
-			e.memo.put(key, v)
-		}
-		e.lastKey, e.lastVal = key, v
-		return v
+		return misrankExactTrunc(roundSize(small), roundSize(large), e.p)
 	}
 	return misrankKernel(small, large, e.p)
-}
-
-// pairTable is a minimal open-addressing hash table from packed size
-// pairs to kernel values: linear probing over a power-of-two slot array
-// with a multiplicative hash. Keys are never zero (both sizes are >= 1), so
-// zero marks an empty slot. It dates from the quantile-space evaluator,
-// whose quadrature asked for the same integer pair tens of millions of
-// times per metric call; the cell walks ask for each pair once.
-type pairTable struct {
-	keys []uint64
-	vals []float64
-	n    int
-}
-
-func pairHash(k uint64) uint64 {
-	k *= 0x9e3779b97f4a7c15 // Fibonacci hashing: spread consecutive pairs
-	return k ^ (k >> 29)
-}
-
-func (t *pairTable) get(k uint64) (float64, bool) {
-	if t.n == 0 {
-		return 0, false
-	}
-	mask := uint64(len(t.keys) - 1)
-	for i := pairHash(k) & mask; ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case k:
-			return t.vals[i], true
-		case 0:
-			return 0, false
-		}
-	}
-}
-
-func (t *pairTable) put(k uint64, v float64) {
-	if len(t.keys) == 0 {
-		t.grow(1 << 13)
-	} else if 4*(t.n+1) > 3*len(t.keys) { // resize beyond 3/4 load
-		t.grow(2 * len(t.keys))
-	}
-	mask := uint64(len(t.keys) - 1)
-	i := pairHash(k) & mask
-	for t.keys[i] != 0 && t.keys[i] != k {
-		i = (i + 1) & mask
-	}
-	if t.keys[i] == 0 {
-		t.n++
-	}
-	t.keys[i] = k
-	t.vals[i] = v
-}
-
-func (t *pairTable) grow(size int) {
-	oldKeys, oldVals := t.keys, t.vals
-	t.keys = make([]uint64, size)
-	t.vals = make([]float64, size)
-	mask := uint64(size - 1)
-	for j, k := range oldKeys {
-		if k == 0 {
-			continue
-		}
-		i := pairHash(k) & mask
-		for t.keys[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.keys[i] = k
-		t.vals[i] = oldVals[j]
-	}
 }
 
 // roundSize is the whole-packet size the hybrid kernel takes a continuous

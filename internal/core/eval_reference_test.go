@@ -14,6 +14,32 @@ import (
 // guaranteed to return; TestEvalMatchesReference holds the evaluator in
 // eval.go to it.
 
+// refEval is a modelEval whose hybrid kernel remembers its integer pairs:
+// the reference quadrature asks for one pair of whole-packet sizes millions
+// of times per metric, where the cell walks in eval.go ask once. One per
+// outer worker, like the modelEval it wraps.
+type refEval struct {
+	*modelEval
+	memo map[[2]int]float64
+}
+
+func (m Model) newRefEval(p float64) refEval {
+	return refEval{m.newEval(p), map[[2]int]float64{}}
+}
+
+func (e refEval) kernel(small, large float64) float64 {
+	if e.m.Kernel != KernelHybrid || e.p*small >= hybridThreshold {
+		return e.modelEval.kernel(small, large)
+	}
+	key := [2]int{roundSize(small), roundSize(large)}
+	v, ok := e.memo[key]
+	if !ok {
+		v = e.modelEval.kernel(small, large)
+		e.memo[key] = v
+	}
+	return v
+}
+
 // refInnerTol is the absolute adaptive-quadrature tolerance the inner
 // integrals used.
 const refInnerTol = 1e-13
@@ -22,7 +48,7 @@ const refInnerTol = 1e-13
 func refRankingMetric(m Model, p float64) float64 {
 	uhi := m.uHi()
 	integral := m.integrateOuter(func() numeric.Func1 {
-		ev := m.newEval(p)
+		ev := m.newRefEval(p)
 		return func(w float64) float64 {
 			u := w * uhi
 			if u <= 0 {
@@ -45,7 +71,7 @@ func refRankingMetric(m Model, p float64) float64 {
 func refDetectionMetric(m Model, p float64) float64 {
 	uhi := m.uHi()
 	integral := m.integrateOuter(func() numeric.Func1 {
-		ev := m.newEval(p)
+		ev := m.newRefEval(p)
 		pmfBig := make([]float64, 0, m.T)
 		return func(w float64) float64 {
 			u := w * uhi
@@ -65,7 +91,7 @@ func refDetectionMetric(m Model, p float64) float64 {
 // all flows smaller than x — in logarithmic quantile space v = u·e^s, which
 // resolves both the sharp erfc kernel near y ≈ x and the slowly varying
 // bulk of small flows with one adaptive rule.
-func (e *modelEval) refInnerBelow(u, x float64) float64 {
+func (e refEval) refInnerBelow(u, x float64) float64 {
 	if u >= 1 {
 		return 0
 	}
@@ -85,7 +111,7 @@ func (e *modelEval) refInnerBelow(u, x float64) float64 {
 // against larger flows — again in logarithmic quantile space v = u·e^{-s}.
 // The integral is truncated at the size beyond which the kernel is below
 // ~1e-18 (larger flows are essentially never outranked by x).
-func (e *modelEval) refInnerAbove(u, x float64) float64 {
+func (e refEval) refInnerAbove(u, x float64) float64 {
 	// Solve (y-x)/sqrt(2(1/p-1)(x+y)) = z* for y = x + Δ:
 	// Δ² = 2 z*² (1/p-1) (2x + Δ).
 	const zstar = 6.5 // erfc(6.5) ≈ 3e-20
@@ -111,7 +137,7 @@ func (e *modelEval) refInnerAbove(u, x float64) float64 {
 // model: misranking of x (a top-T candidate) against smaller flows,
 // weighted by the probability that the pair actually straddles the top-T
 // boundary.
-func (e *modelEval) refInnerDetect(pmfBig []float64, u, x float64) float64 {
+func (e refEval) refInnerDetect(pmfBig []float64, u, x float64) float64 {
 	if u >= 1 {
 		return 0
 	}

@@ -97,14 +97,30 @@ func conformanceLaws() (laws []dist.SizeDist, stepLaw []bool) {
 //     many ranks, the boundary weight rises and saturates inside it, and the
 //     reference's first abscissas miss the rise altogether (44 % low on the
 //     discretized Pareto at N = 7·10⁵, t = 25, p = 0.9).
+//
+// Under -short every 33rd cell of the loop nest runs: a 20-cell diagonal of
+// the 630 on which every law, N, t, p and both kernels appear (checked
+// below), 28 values held to the reference.
 func TestEvalMatchesReference(t *testing.T) {
-	var compared, skipped int
+	var compared, skipped, cells, ran int
+	grid, stride := "full grid", 1
+	if testing.Short() {
+		grid, stride = "short diagonal", 33
+	}
+	seen := map[[2]any]bool{} // (axis, value) pairs the cells that ran cover
 	laws, stepLaw := conformanceLaws()
 	for li, d := range laws {
 		for _, n := range []int{500, 38240, 700000} {
 			for _, top := range []int{1, 10, 25} {
 				for _, p := range []float64{0.9, 0.5, 0.1, 0.03, 0.01} {
 					for _, kernel := range []Kernel{KernelGaussian, KernelHybrid} {
+						if cells++; (cells-1)%stride != 0 {
+							continue
+						}
+						ran++
+						for axis, v := range []any{li, n, top, p, kernel} {
+							seen[[2]any{axis, v}] = true
+						}
 						m := Model{N: n, T: top, Dist: d, PoissonTails: true, Kernel: kernel, OuterOrder: 4}
 						rank, det := m.RankingMetric(p), m.DetectionMetric(p)
 						name := fmt.Sprintf("%v N=%d t=%d p=%g kernel=%d", d, n, top, p, kernel)
@@ -141,7 +157,10 @@ func TestEvalMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d values held to the reference, %d skipped", compared, skipped)
+	if want := len(laws) + 3 + 3 + 5 + 2; len(seen) != want {
+		t.Errorf("%s covers %d axis values of %d: %v", grid, len(seen), want, seen)
+	}
+	t.Logf("%s, %d of %d cells: %d values held to the reference, %d skipped", grid, ran, cells, compared, skipped)
 }
 
 // TestCellSumsMatchDirectSums checks the cell walks — row forms, shared

@@ -202,7 +202,7 @@ func (m Model) DetectionMetric(p float64) float64 {
 // Gauss–Legendre panels concentrated around the top-t membership knee.
 //
 // newIntegrand builds one integrand instance with its own evaluation
-// state (exact-kernel memo, scratch buffers); the serial path builds one,
+// state (the law taken apart, scratch buffers); the serial path builds one,
 // the parallel path one per worker so workers never share mutable state.
 // Because every node value is a pure function of the node abscissa, and
 // the parallel merge reduces the node values in the same order with the

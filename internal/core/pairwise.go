@@ -184,8 +184,8 @@ func exactWindow(s int, p float64) int {
 // aboveRow is the row form of misrankExactTrunc for a fixed smaller flow:
 // after start(s1, p), the k-th call of next returns misrankExactTrunc(s1,
 // s1+k, p). Summing the hybrid kernel over the integer sizes above s1 needs
-// thousands of consecutive cells of one row, none of them a memo hit; the
-// row advances the larger flow's sampled-size pmf from Binomial(s2, p) to
+// thousands of consecutive cells of one row, each asked for once; the row
+// advances the larger flow's sampled-size pmf from Binomial(s2, p) to
 // Binomial(s2+1, p) by pmf'(i) = q·pmf(i) + p·pmf(i−1) — all terms
 // positive, so nothing cancels over a long walk — which is O(window) per
 // cell with no lgamma. The sampled-size pmf of the fixed flow stays

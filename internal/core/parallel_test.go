@@ -7,11 +7,10 @@ import (
 	"flowrank/internal/dist"
 )
 
-// The engine contracts under test here: every parallelism or caching
-// layer added under the model path must be invisible in the numbers.
-// Workers=1 vs Workers=N, cached vs NoCache, and memoized vs memo-free
-// evaluations must agree bit for bit, because each layer only reorders or
-// reuses identical float64 computations.
+// The engine contract under test here: parallelism under the model path
+// must be invisible in the numbers. Workers=1 and Workers=N evaluations
+// must agree bit for bit, because the workers only reorder identical
+// float64 computations.
 
 func testPMF(t *testing.T) []float64 {
 	t.Helper()
@@ -36,70 +35,16 @@ func TestMisrankTableWorkersIdentical(t *testing.T) {
 	}
 }
 
-func TestDiscreteMetricsCachedMatchUncached(t *testing.T) {
-	resetDiscreteCache()
+func TestDiscreteMetricsWorkersIdentical(t *testing.T) {
 	pmf := testPMF(t)
 	for _, p := range []float64{0.02, 0.5} {
-		serial := DiscreteModel{PMF: pmf, N: 5000, T: 10, Workers: 1, NoCache: true}
+		serial := DiscreteModel{PMF: pmf, N: 5000, T: 10, Workers: 1}
 		parallel := DiscreteModel{PMF: pmf, N: 5000, T: 10, Workers: 8}
-		wantR, wantD := serial.RankingMetric(p), serial.DetectionMetric(p)
-		// First parallel+cached call builds the cache entry, the second
-		// must hit it; both must match the serial, uncached baseline
-		// exactly.
-		for pass := 0; pass < 2; pass++ {
-			if got := parallel.RankingMetric(p); got != wantR {
-				t.Errorf("p=%g pass %d: cached ranking %g, uncached serial %g", p, pass, got, wantR)
-			}
-			if got := parallel.DetectionMetric(p); got != wantD {
-				t.Errorf("p=%g pass %d: cached detection %g, uncached serial %g", p, pass, got, wantD)
-			}
+		if got, want := parallel.RankingMetric(p), serial.RankingMetric(p); got != want {
+			t.Errorf("p=%g: ranking with 8 workers %g, serial %g", p, got, want)
 		}
-	}
-	if n := discreteCacheLen(); n != 2 {
-		t.Errorf("cache holds %d entries after 2 rates of one law, want 2", n)
-	}
-}
-
-func TestDiscreteCacheDistinguishesLaws(t *testing.T) {
-	resetDiscreteCache()
-	a := DiscreteModel{PMF: ZipfPMF(1.2, 80), N: 5000, T: 10}
-	b := DiscreteModel{PMF: GeometricPMF(0.2, 80), N: 5000, T: 10}
-	wantA := DiscreteModel{PMF: a.PMF, N: 5000, T: 10, NoCache: true}.RankingMetric(0.1)
-	wantB := DiscreteModel{PMF: b.PMF, N: 5000, T: 10, NoCache: true}.RankingMetric(0.1)
-	if wantA == wantB {
-		t.Fatal("test laws indistinct")
-	}
-	if gotA := a.RankingMetric(0.1); gotA != wantA {
-		t.Errorf("law a: cached %g, want %g", gotA, wantA)
-	}
-	if gotB := b.RankingMetric(0.1); gotB != wantB {
-		t.Errorf("law b: cached %g, want %g", gotB, wantB)
-	}
-	if n := discreteCacheLen(); n != 2 {
-		t.Errorf("cache holds %d entries for 2 laws at 1 rate, want 2", n)
-	}
-}
-
-func TestKernelMemoMatchesMemoFree(t *testing.T) {
-	m := Model{
-		N: 200_000, T: 5,
-		Dist:         dist.ParetoWithMean(9.6, 1.5),
-		PoissonTails: true,
-		Kernel:       KernelHybrid,
-		Workers:      1,
-	}
-	for _, p := range []float64{0.02} {
-		withMemo := m.RankingMetric(p)
-		withMemoD := m.DetectionMetric(p)
-		disableKernelMemo = true
-		noMemo := m.RankingMetric(p)
-		noMemoD := m.DetectionMetric(p)
-		disableKernelMemo = false
-		if withMemo != noMemo {
-			t.Errorf("p=%g: ranking with memo %g, without %g", p, withMemo, noMemo)
-		}
-		if withMemoD != noMemoD {
-			t.Errorf("p=%g: detection with memo %g, without %g", p, withMemoD, noMemoD)
+		if got, want := parallel.DetectionMetric(p), serial.DetectionMetric(p); got != want {
+			t.Errorf("p=%g: detection with 8 workers %g, serial %g", p, got, want)
 		}
 	}
 }
@@ -142,52 +87,11 @@ func TestModelWorkersDegenerateOrder(t *testing.T) {
 	}
 }
 
-func TestPairTable(t *testing.T) {
-	var pt pairTable
-	if _, ok := pt.get(1); ok {
-		t.Fatal("empty table returned a value")
-	}
-	// Enough keys to force several growths and probe collisions.
-	const n = 50_000
-	for i := 0; i < n; i++ {
-		k := uint64(i+1)<<32 | uint64(2*i+1)
-		pt.put(k, float64(i))
-	}
-	for i := 0; i < n; i++ {
-		k := uint64(i+1)<<32 | uint64(2*i+1)
-		v, ok := pt.get(k)
-		if !ok || v != float64(i) {
-			t.Fatalf("key %d: got %g ok=%v", i, v, ok)
-		}
-	}
-	if _, ok := pt.get(uint64(n+7) << 32); ok {
-		t.Fatal("absent key found")
-	}
-	// Overwriting a key must not duplicate it.
-	pt.put(1<<32|1, 42)
-	if v, _ := pt.get(1<<32 | 1); v != 42 {
-		t.Fatalf("overwrite lost: %g", v)
-	}
-}
-
-func TestFingerprintPMFDistinguishes(t *testing.T) {
-	a := fingerprintPMF([]float64{0, 0.5, 0.5})
-	if b := fingerprintPMF([]float64{0, 0.5, 0.5}); b != a {
-		t.Error("fingerprint not deterministic")
-	}
-	if b := fingerprintPMF([]float64{0, 0.5, 0.5 + 1e-16}); b == a {
-		t.Error("one-ulp pmf change not fingerprinted")
-	}
-	if b := fingerprintPMF([]float64{0.5, 0, 0.5}); b == a {
-		t.Error("permuted pmf collides")
-	}
-}
-
 func TestDiscreteWorkersDefaultsToGOMAXPROCS(t *testing.T) {
 	// Smoke: the default (Workers: 0) path must agree with serial too.
 	pmf := GeometricPMF(0.3, 100)
-	serial := DiscreteModel{PMF: pmf, N: 2000, T: 5, Workers: 1, NoCache: true}
-	auto := DiscreteModel{PMF: pmf, N: 2000, T: 5, NoCache: true}
+	serial := DiscreteModel{PMF: pmf, N: 2000, T: 5, Workers: 1}
+	auto := DiscreteModel{PMF: pmf, N: 2000, T: 5}
 	if s, a := serial.RankingMetric(0.1), auto.RankingMetric(0.1); s != a {
 		t.Errorf("auto workers %g, serial %g", a, s)
 	}

@@ -9,7 +9,9 @@ import (
 
 // laws returns one representative of every continuous law plus the two
 // combinators, covering heavy, bounded, light, stretched and short tails.
-func laws(t *testing.T) []SizeDist {
+// smoothMixture is the two-class mixture of continuous laws — mostly
+// mice, a Pareto elephant class — the law and mixture suites share.
+func smoothMixture(t *testing.T) *Mixture {
 	t.Helper()
 	mix, err := NewMixture(
 		Component{Weight: 3, Dist: ExponentialWithMean(1, 4)},
@@ -18,6 +20,11 @@ func laws(t *testing.T) []SizeDist {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return mix
+}
+
+func laws(t *testing.T) []SizeDist {
+	t.Helper()
 	return []SizeDist{
 		ParetoWithMean(9.6, 1.5),
 		Pareto{Scale: 1, Shape: 2},
@@ -27,7 +34,7 @@ func laws(t *testing.T) []SizeDist {
 		Weibull{Min: 1, Lambda: 8, K: 1.4},
 		Weibull{Min: 1, Lambda: 5, K: 0.7}, // stretched exponential
 		Lognormal{Min: 1, Mu: 1.2, Sigma: 1.1},
-		mix,
+		smoothMixture(t),
 	}
 }
 

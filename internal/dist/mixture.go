@@ -22,23 +22,17 @@ type Component struct {
 // traffic such as "mostly mice with a Pareto elephant class", the scenario
 // the flow-inversion literature (Clegg et al., Chabchoub et al.) swaps
 // under the same estimator machinery. Its CCDF is the weighted sum of the
-// component CCDFs; the quantile function is recovered through a
-// precomputed monotone inverse-CCDF table (see invtable.go), falling back
-// to bracketed bisection where the table cannot vouch for the answer.
+// component CCDFs; it has no closed-form quantile, so QuantileCCDF is the
+// atom itself for a probability inside a CCDF jump (stepatlas.go) and a
+// bracketed bisection of the CCDF everywhere else — about 50 CCDF
+// evaluations a call, which the models in internal/core pay once per
+// outer node since they integrate over sizes.
 type Mixture struct {
 	comps []Component
 
-	// inv is the lazily built inverse-CCDF table. Quantile-space
-	// integration (internal/core) calls QuantileCCDF millions of times
-	// per metric, which made the original per-call bisection the dominant
-	// cost of any model over a mixture.
-	invOnce sync.Once
-	inv     *invTable
-
 	// atlas is the lazily built step atlas (stepatlas.go): exact
-	// quantiles for probabilities inside a CCDF jump, the region where
-	// the inverse table's verification must fail and bisection used to
-	// take over — the ~50x hot spot of spliced Empirical+Pareto mixtures.
+	// quantiles for probabilities inside a CCDF jump, where bisection can
+	// only approach the atom.
 	atlasOnce sync.Once
 	atlas     *stepAtlas
 }
@@ -76,13 +70,10 @@ func (m *Mixture) CCDF(x float64) float64 {
 	return s
 }
 
-// QuantileCCDF inverts the mixture CCDF. Inside the table's range the
-// precomputed inverse answers with one monotone-interpolation evaluation
-// plus a two-point verification; outside it, or when the verification
-// cannot vouch for the interpolant (step-valued components), it falls
-// back to bisection, bracketed by the table where possible. The result
-// agrees with direct bisection to within ~1e-9 relative (see
-// TestMixtureInverseTableMatchesBisection).
+// QuantileCCDF inverts the mixture CCDF: the pseudo-inverse
+// sup{x : CCDF(x) >= u}, exact inside a jump and within the bisection's
+// 1e-12 relative termination width elsewhere
+// (TestMixtureQuantileIsPseudoInverse).
 func (m *Mixture) QuantileCCDF(u float64) float64 {
 	if u >= 1 {
 		lo := math.Inf(1)
@@ -95,29 +86,33 @@ func (m *Mixture) QuantileCCDF(u float64) float64 {
 		u = math.SmallestNonzeroFloat64
 	}
 	// Step regions first: for u inside a CCDF jump the atom location is
-	// the exact pseudo-inverse, and neither the table's interpolant nor
-	// bisection can do better than recover it approximately.
+	// the exact pseudo-inverse, which bisection can only approach.
 	if a := m.stepAtlas(); a != nil {
 		if x, ok := a.lookup(u); ok {
 			return x
 		}
 	}
-	t := m.invTable()
-	if t == nil || u < t.uMin {
-		return m.quantileBisect(u)
-	}
-	return t.quantile(m, u)
+	return m.quantileBisect(u)
 }
 
-// quantileBisect is the reference inversion: monotone bisection between
-// the component quantiles. The root is bracketed by the smallest and
-// largest component quantiles at u: below the smallest every component's
-// CCDF is at least u, above the largest at most u. Step-valued components
+// quantileBisect inverts off the jumps: monotone bisection between the
+// component quantiles. The root is bracketed by the smallest and largest
+// component quantiles at u: below the smallest every component's CCDF is
+// at least u, above the largest at most u. Step-valued components
 // (Empirical) can put the pseudo-inverse slightly outside that bracket,
-// so the bracket is widened until it straddles u.
+// so quantileBracket widens it until it straddles u. 200 halvings reach
+// float64 resolution from any finite bracket.
 func (m *Mixture) quantileBisect(u float64) float64 {
 	lo, hi := m.quantileBracket(u)
-	return m.refineBracket(u, lo, hi)
+	for i := 0; i < 200 && hi-lo > 1e-12*(1+math.Abs(lo)); i++ {
+		mid := lo + (hi-lo)/2
+		if m.CCDF(mid) >= u {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // quantileBracket returns lo <= hi with CCDF(lo) >= u >= CCDF(hi).
@@ -141,21 +136,6 @@ func (m *Mixture) quantileBracket(u float64) (lo, hi float64) {
 		hi = hi*2 + 1
 	}
 	return lo, hi
-}
-
-// refineBracket runs the monotone bisection CCDF(lo) >= u >= CCDF(hi)
-// down to full resolution. 200 halvings reach float64 resolution from
-// any finite bracket.
-func (m *Mixture) refineBracket(u, lo, hi float64) float64 {
-	for i := 0; i < 200 && hi-lo > 1e-12*(1+math.Abs(lo)); i++ {
-		mid := lo + (hi-lo)/2
-		if m.CCDF(mid) >= u {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Mean returns the weighted sum of the component means.

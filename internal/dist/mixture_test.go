@@ -118,6 +118,103 @@ func TestMixtureWithEmpiricalComponent(t *testing.T) {
 	}
 }
 
+// TestMixtureQuantileMonotone sweeps a dense grid of a smooth mixture:
+// the inverse must stay non-increasing in u from one bisection to the
+// next.
+func TestMixtureQuantileMonotone(t *testing.T) {
+	m := smoothMixture(t)
+	prev := math.Inf(1)
+	for e := -14.0; e <= 0; e += 0.004 {
+		u := math.Pow(10, e)
+		x := m.QuantileCCDF(u)
+		if math.IsNaN(x) || x > prev*(1+1e-9) {
+			t.Fatalf("QuantileCCDF(%g) = %g rises above %g", u, x, prev)
+		}
+		prev = x
+	}
+}
+
+// TestMixtureQuantileIsPseudoInverse states what QuantileCCDF(u) is —
+// sup{x : CCDF(x) >= u} — through the CCDF alone, for a smooth two-class
+// mixture, the spliced Empirical+Pareto shape and a Discrete+Pareto one,
+// over eighteen decades of u. The test finds the jumps itself, from the
+// step components' atoms: u is inside the jump at a when
+// CCDF(a) < u <= CCDF(a-), and there the quantile is a exactly. Off a
+// jump the CCDF sandwich CCDF(x(1-ε)) >= u >= CCDF(x(1+ε)) holds at
+// ε = 1e-9. Either way x never falls as u does, up to the bisection's
+// 1e-12 termination width.
+func TestMixtureQuantileIsPseudoInverse(t *testing.T) {
+	discrete, err := NewMixture(
+		Component{Weight: 0.8, Dist: NewDiscrete([]float64{1, 2, 3, 5, 8}, []float64{0.4, 0.3, 0.15, 0.1, 0.05})},
+		Component{Weight: 0.2, Dist: Pareto{Scale: 8, Shape: 2}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 1e-9
+	for _, m := range []*Mixture{smoothMixture(t), splicedMixture(t, 400, 7), discrete} {
+		type jump struct{ atom, below, above float64 } // CCDF(atom), CCDF(atom-)
+		var jumps []jump
+		for _, c := range m.comps {
+			if src, ok := c.Dist.(atomSource); ok {
+				for _, a := range src.atomValues() {
+					jumps = append(jumps, jump{a, m.CCDF(a), m.CCDF(math.Nextafter(a, math.Inf(-1)))})
+				}
+			}
+		}
+		prev, inJump := 0.0, 0
+		for e := 0.0; e >= -18; e -= 0.025 {
+			u := math.Pow(10, e)
+			x := m.QuantileCCDF(u)
+			if math.IsNaN(x) || x < prev*(1-1e-12) {
+				t.Fatalf("%s: QuantileCCDF(%g) = %g falls below %g", m, u, x, prev)
+			}
+			prev = x
+			atom := math.NaN()
+			for _, j := range jumps {
+				if j.below < u && u <= j.above {
+					atom = j.atom
+				}
+			}
+			if !math.IsNaN(atom) {
+				inJump++
+				if x != atom {
+					t.Errorf("%s: QuantileCCDF(%g) = %.17g inside the jump at %.17g", m, u, x, atom)
+				}
+				continue
+			}
+			if below, above := m.CCDF(x*(1-eps)), m.CCDF(x*(1+eps)); below < u || u < above {
+				t.Errorf("%s: QuantileCCDF(%g) = %g: CCDF just below %g, just above %g", m, u, x, below, above)
+			}
+		}
+		if len(jumps) > 0 && inJump == 0 {
+			t.Errorf("%s: no probe landed inside a jump", m)
+		}
+	}
+}
+
+// TestMixtureQuantileOnFlatIsRightEnd: where u ties with a flat stretch of
+// the CCDF every x on the stretch satisfies the sandwich, and the quantile
+// is the documented one, the sup. invert.TailScaling builds this shape
+// whenever a bin has exactly 100 sampled flows: tail weight 10/100, flat at
+// 0.1 — one of the checkpoints flowtop prints — from the largest body value
+// to the Pareto scale.
+func TestMixtureQuantileOnFlatIsRightEnd(t *testing.T) {
+	m, err := NewMixture(
+		Component{Weight: 0.9, Dist: NewEmpirical([]float64{1, 1, 1, 1, 1, 1, 2, 2, 2.5})},
+		Component{Weight: 0.1, Dist: Pareto{Scale: 3, Shape: 12.5}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := m.CCDF(2.5), m.CCDF(3); lo != 0.1 || hi != 0.1 {
+		t.Fatalf("CCDF is %g at 2.5 and %g at 3, want a flat at exactly 0.1", lo, hi)
+	}
+	if x := m.QuantileCCDF(0.1); x > 3 || x < 3*(1-1e-11) {
+		t.Errorf("QuantileCCDF(0.1) = %.17g on the flat [2.5, 3], want its right end", x)
+	}
+}
+
 func TestEmpiricalSteps(t *testing.T) {
 	e := NewEmpirical([]float64{5, 1, 2, 2}) // unsorted on purpose
 	if e.Len() != 4 {

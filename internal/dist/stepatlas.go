@@ -7,24 +7,20 @@ import (
 
 // The step atlas: exact quantiles across CCDF jumps.
 //
-// The inverse-CCDF table (invtable.go) verifies its interpolant with a
-// CCDF sandwich, and that sandwich can never hold across a jump: for u
-// strictly inside a step of the CCDF no x satisfies
-// CCDF(x·(1-ε)) >= u >= CCDF(x·(1+ε)) with room to spare, so every such
-// call fell through to ~50-evaluation bisection. A spliced
+// If the mixture has an atom at a with mass p = P{S = a} > 0, then for
+// every u in (CCDF(a), CCDF(a) + p] the pseudo-inverse
+// sup{x : CCDF(x) >= u} is exactly a — below a the CCDF is at least
+// CCDF(a) + p regardless of what the continuous components do, and at a
+// it has already dropped below u. Bisection can only approach a from
+// below, to within its termination width, and a size a hair under an atom
+// sits on the other side of every comparison with that atom. A spliced
 // Mixture{Empirical, Pareto} — exactly what invert.TailScaling produces —
-// puts the body's whole probability mass on sample atoms, which made
-// model scoring over spliced mixtures ~50x slower than over smooth laws
-// (the ROADMAP blocker for the closed control loop).
+// puts the body's whole probability mass on sample atoms, so most of its
+// quantile calls land inside a jump.
 //
-// The atlas removes the fallback for that entire class of calls by
-// answering them exactly: if the mixture has an atom at a with mass
-// p = P{S = a} > 0, then for every u in (CCDF(a), CCDF(a) + p] the
-// pseudo-inverse sup{x : CCDF(x) >= u} is exactly a — below a the CCDF
-// is at least CCDF(a) + p regardless of what the continuous components
-// do, and at a it has already dropped below u. Each atom therefore owns
-// a disjoint u-interval, the atlas is a sorted array of those intervals,
-// and a lookup is one binary search, no CCDF evaluations at all.
+// Each atom owns a disjoint u-interval, the atlas is a sorted array of
+// those intervals, and a lookup is one binary search with no CCDF
+// evaluation at all (bisection is ~50).
 type stepAtlas struct {
 	atoms []float64 // ascending atom values
 	ulo   []float64 // ulo[i] = CCDF(atoms[i]), exclusive lower bound
@@ -41,8 +37,8 @@ type atomSource interface {
 }
 
 // stepAtlasMaxAtoms caps construction cost: beyond ~1M distinct atoms the
-// O(atoms·components·log) build and the table's memory stop paying for
-// themselves, and the bisection fallback remains correct.
+// O(atoms·components·log) build and the atlas's memory stop paying for
+// themselves, and bisection remains correct to its termination width.
 const stepAtlasMaxAtoms = 1 << 20
 
 // stepAtlas returns the lazily built atlas, nil when the mixture has no

@@ -8,21 +8,19 @@ import (
 )
 
 // splicedMixture builds the Empirical-body + Pareto-tail shape that
-// invert.TailScaling produces — the workload whose quantile calls used to
-// fall off the inverse table onto bisection.
+// invert.TailScaling produces — the workload whose quantile calls mostly
+// land inside a CCDF jump.
 func splicedMixture(t testing.TB, n int, seed uint64) *Mixture {
 	t.Helper()
 	g := randx.New(seed)
 	body := make([]float64, n)
 	for i := range body {
 		if i%4 == 0 {
-			// A few heavy duplicated atoms: wide steps the inverse table
-			// already handled via its flat segments.
+			// A few heavy duplicated atoms: wide steps.
 			body[i] = 1 + float64(g.IntN(8))
 		} else {
 			// Mostly-distinct values, as TailScaling's scaled samples are:
-			// u-steps finer than the table's node spacing, the regime
-			// whose sandwich verification always failed.
+			// many narrow u-steps.
 			body[i] = 1 + 40*g.Float64()
 		}
 	}
@@ -79,6 +77,29 @@ func TestMixtureStepAtlasMatchesBisection(t *testing.T) {
 	}
 }
 
+// TestMixtureInverseTableWithSteps exercises a step CCDF with few, wide
+// steps over a smooth component with the same support: on and off the
+// Empirical component's atoms the answer must agree with plain bisection.
+func TestMixtureInverseTableWithSteps(t *testing.T) {
+	m, err := NewMixture(
+		Component{Weight: 1, Dist: NewEmpirical([]float64{2, 2, 3, 7, 7, 7, 11, 40})},
+		Component{Weight: 1, Dist: ExponentialWithMean(1, 9.6)},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []float64{
+		1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4,
+		1e-3, 0.01, 0.03, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999,
+	} {
+		fast := m.QuantileCCDF(u)
+		ref := m.quantileBisect(u)
+		if diff := math.Abs(fast - ref); diff > 1e-9*math.Max(1, ref) {
+			t.Errorf("steps: QuantileCCDF(%g) = %.15g, bisection %.15g", u, fast, ref)
+		}
+	}
+}
+
 // TestMixtureStepAtlasIntervalsDisjoint pins the atlas invariants the
 // lookup's binary search relies on.
 func TestMixtureStepAtlasIntervalsDisjoint(t *testing.T) {
@@ -104,7 +125,7 @@ func TestMixtureStepAtlasIntervalsDisjoint(t *testing.T) {
 }
 
 // TestMixtureContinuousHasNoAtlas: smooth mixtures must not pay for an
-// atlas (and must keep their existing inversion path untouched).
+// atlas.
 func TestMixtureContinuousHasNoAtlas(t *testing.T) {
 	m, err := NewMixture(
 		Component{Weight: 0.7, Dist: Pareto{Scale: 1, Shape: 1.5}},
@@ -140,12 +161,11 @@ func TestMixtureDiscreteAtlas(t *testing.T) {
 	}
 }
 
-// BenchmarkMixtureQuantileSpliced measures the spliced-mixture inversion
-// hot path the model's inner integrals hammer; before the step atlas this
-// fell through to bisection on ~90% of calls.
+// BenchmarkMixtureQuantileSpliced measures the spliced-mixture inversion;
+// without the step atlas ~90% of these calls are bisections.
 func BenchmarkMixtureQuantileSpliced(b *testing.B) {
 	m := splicedMixture(b, 2000, 3)
-	m.QuantileCCDF(0.5) // build table and atlas outside the timer
+	m.QuantileCCDF(0.5) // build the atlas outside the timer
 	us := make([]float64, 1024)
 	g := randx.New(17)
 	for i := range us {

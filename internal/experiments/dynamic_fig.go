@@ -19,8 +19,7 @@ import (
 //   - static: Observe + Allocate once on the first bin, reuse that
 //     allocation for every later bin — the deployment that never adapts;
 //   - dynamic: the netsample.Controller loop — re-Observe and
-//     re-Allocate every bin, reusing unchanged links' model curves
-//     through a CurveCache and capping rates by the previous bin's
+//     re-Allocate every bin, capping rates by the previous bin's
 //     realized loads (size-aware);
 //   - oracle: re-allocate every bin against the exact per-link truth —
 //     the upper bound re-observation approximates.
@@ -31,9 +30,8 @@ import (
 // quality with packets its budget does not cover — a stale static
 // allocation exhausts grown switches' quotas partway through the bin and
 // pays in truncated estimates. The table reports the bin-aggregated
-// ranking fraction per policy, the static/dynamic gain, the dynamic
-// policy's worst realized-vs-budget ratio, and the curve-cache hit rate
-// the controller achieved.
+// ranking fraction per policy, the static/dynamic gain and the dynamic
+// policy's worst realized-vs-budget ratio.
 func extraDynamic(opts Options) ([]*report.Table, error) {
 	const topT = 10
 	bins, traceSeconds, arrival, runs := 3, 8.0, 150.0, 2
@@ -50,7 +48,7 @@ func extraDynamic(opts Options) ([]*report.Table, error) {
 			"dynamic control plane: static-once vs per-bin re-allocation vs oracle, churning fat tree, %d bins, top %d per link (%d runs)",
 			bins, topT, runs),
 		Columns: []string{"preset", "budget(%)",
-			"static", "dynamic", "oracle", "gain", "max util", "curve hit(%)"},
+			"static", "dynamic", "oracle", "gain", "max util"},
 	}
 	for _, preset := range presets {
 		topo := netsample.FatTree(1) // budgets set per sweep point
@@ -93,10 +91,6 @@ func extraDynamic(opts Options) ([]*report.Table, error) {
 			return nil, err
 		}
 		d0.Workers = opts.Workers
-		// One curve cache across the whole budget sweep: budgets do not
-		// change the curves, so every sweep point past the first re-pays
-		// only the links the churn actually moved.
-		cache := netsample.NewCurveCache(0)
 		alloc := netsample.Coordinated{}
 		for _, frac := range fracs {
 			budgets := make(map[string]float64, len(topo.Switches()))
@@ -123,17 +117,11 @@ func extraDynamic(opts Options) ([]*report.Table, error) {
 				Runs:      1,
 				Seed:      opts.seed() + 73,
 				Workers:   opts.Workers,
-				Curves:    cache,
 				SizeAware: true,
 			}
 			brs, err := ctl.Run(binFlows)
 			if err != nil {
 				return nil, fmt.Errorf("dynamic: controller at %g: %w", frac, err)
-			}
-			var hits, misses int
-			for _, br := range brs {
-				hits += br.CurveHits
-				misses += br.CurveMisses
 			}
 			// Re-simulate all three policies per bin with one shared seed,
 			// so the comparison sees identical sampling noise.
@@ -164,19 +152,14 @@ func extraDynamic(opts Options) ([]*report.Table, error) {
 			if dynamic > 0 {
 				gain = static / dynamic
 			}
-			hitRate := 0.0
-			if hits+misses > 0 {
-				hitRate = float64(hits) / float64(hits+misses)
-			}
 			t.AddRow(string(preset), percent(frac),
-				static, dynamic, oracle, gain, maxRatio, percent(hitRate))
+				static, dynamic, oracle, gain, maxRatio)
 		}
 	}
 	t.Notes = append(t.Notes,
 		"budget(%): every switch may sample that fraction of its time-mean traversing load per bin",
 		"static/dynamic/oracle: bin-aggregated swapped-pair ranking fraction (lower is better); gain = static/dynamic",
 		"budgets are enforced as hard per-bin quotas: a switch that exhausts its quota truncates everything after, so stale rates cost quality instead of silently overspending",
-		"max util: the dynamic policy's worst per-switch realized-sampled-to-budget ratio over all bins (1 = exactly on budget; enforcement keeps it at most ~1)",
-		"curve hit(%): fraction of per-link model curves the controller reused across bins and budgets instead of re-evaluating")
+		"max util: the dynamic policy's worst per-switch realized-sampled-to-budget ratio over all bins (1 = exactly on budget; enforcement keeps it at most ~1)")
 	return []*report.Table{t}, nil
 }

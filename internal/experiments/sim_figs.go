@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"flowrank/internal/flow"
 	"flowrank/internal/report"
@@ -148,22 +147,4 @@ func fig16(opts Options) ([]*report.Table, error) {
 	t.Notes = append(t.Notes,
 		"short-tailed sizes make ranking harder than Sprint at equal p (paper §8.3)")
 	return []*report.Table{t}, nil
-}
-
-// summarizeSeries returns the per-rate metric averaged over bins — used by
-// tests to check cross-figure shapes without caring about per-bin noise.
-func summarizeSeries(res *sim.Result, detection bool) map[float64]float64 {
-	out := make(map[float64]float64, len(res.Series))
-	for _, s := range res.Series {
-		var sum float64
-		for _, b := range s.Bins {
-			if detection {
-				sum += b.Detection.Mean()
-			} else {
-				sum += b.Ranking.Mean()
-			}
-		}
-		out[s.Rate] = sum / math.Max(1, float64(len(s.Bins)))
-	}
-	return out
 }

@@ -72,14 +72,12 @@ func (a *Allocation) ExpectedSampled(d *Demand) map[string]float64 {
 // ensureView lazily builds and memoizes the demand's canonical view and
 // scorer, keyed on a fingerprint of Paths/Links/TopT: mutating the
 // demand rebuilds the memo on next use instead of silently serving a
-// stale view. A shared CurveCache (AttachCurves) carries unchanged
-// links' quality curves through the rebuild, so invalidation costs only
-// the links that actually moved.
+// stale view.
 func (d *Demand) ensureView() *demandView {
 	fp := d.fingerprint()
 	if d.view == nil || fp != d.viewFP {
 		d.view = newDemandView(d)
-		d.score = newScorer(d.view, d.curves)
+		d.score = newScorer(d.view)
 		d.viewFP = fp
 	}
 	return d.view
@@ -308,16 +306,14 @@ var rateGridPredict = []float64{1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 0.
 // allocator sharing the Demand shares the memo.
 type scorer struct {
 	v      *demandView
-	cache  *CurveCache           // optional cross-Demand curve reuse
 	models map[string]core.Model // link ID -> fitted model
 	points map[string][]float64  // link ID -> metric at rateGridPredict (NaN = not yet evaluated)
 	pairs  map[string]float64    // link ID -> countable pair total
 }
 
-func newScorer(v *demandView, cache *CurveCache) *scorer {
+func newScorer(v *demandView) *scorer {
 	return &scorer{
 		v:      v,
-		cache:  cache,
 		models: map[string]core.Model{},
 		points: map[string][]float64{},
 		pairs:  map[string]float64{},
@@ -348,7 +344,7 @@ func (s *scorer) linkModel(ls LinkState) core.Model {
 func (s *scorer) point(ls LinkState, i int) float64 {
 	c, ok := s.points[ls.Link]
 	if !ok {
-		c = s.initLink(ls)
+		c = s.installLink(ls)
 	}
 	if math.IsNaN(c[i]) {
 		c[i] = s.models[ls.Link].RankingMetric(rateGridPredict[i])
@@ -356,29 +352,9 @@ func (s *scorer) point(ls LinkState, i int) float64 {
 	return c[i]
 }
 
-// initLink fits the link's model and curve slots, adopting a compatible
-// cached curve when a CurveCache is attached — the adopted points slice
-// is shared with the cache, so gridpoints evaluated now stay evaluated
-// for the next Demand that reuses the entry.
-func (s *scorer) initLink(ls LinkState) []float64 {
-	if s.cache != nil {
-		if e, sig := s.cache.lookup(ls); e != nil {
-			s.models[ls.Link] = e.model
-			s.pairs[ls.Link] = e.pairs
-			s.points[ls.Link] = e.points
-			return e.points
-		} else {
-			m := s.linkModel(ls)
-			pts := s.installLink(ls.Link, m)
-			s.cache.store(ls.Link, ls.Flows, sig, m, pts, s.pairs[ls.Link])
-			return pts
-		}
-	}
-	return s.installLink(ls.Link, s.linkModel(ls))
-}
-
-// installLink records a freshly fitted model's curve slots.
-func (s *scorer) installLink(link string, m core.Model) []float64 {
+// installLink fits the link's model and opens its curve slots.
+func (s *scorer) installLink(ls LinkState) []float64 {
+	link, m := ls.Link, s.linkModel(ls)
 	s.models[link] = m
 	n, t := float64(m.N), float64(m.T)
 	s.pairs[link] = (2*n - t - 1) * t / 2

@@ -56,12 +56,11 @@ func SizeAwareRates(topo *Topology, prev []RoutedFlow, a *Allocation) map[string
 // Controller is the dynamic network control plane: the per-bin loop that
 // closes the ROADMAP's "re-allocate as flow rates drift" item. Every
 // measurement bin it re-runs Observe (probe-sample each link, invert the
-// size distributions) and Allocate over the fresh demand, carrying the
-// expensive per-link model curves across bins in a CurveCache — only
-// links whose fitted population moved beyond the cache tolerance re-pay
-// the model — and optionally re-deriving rates from the previous bin's
-// realized loads (SizeAware) and routing every monitor's rate through
-// the single-monitor adaptive controller's clamps (Adapt).
+// size distributions) and Allocate over the fresh demand — every bin's
+// model curves are fitted to that bin's inversion alone — optionally
+// re-deriving rates from the previous bin's realized loads (SizeAware)
+// and routing every monitor's rate through the single-monitor adaptive
+// controller's clamps (Adapt).
 //
 // The zero value is not usable; fill the required fields and call Step
 // per bin or Run over a whole bin sequence. Everything is deterministic
@@ -85,9 +84,6 @@ type Controller struct {
 	Seed uint64
 	// Workers bounds the model evaluation parallelism (Demand.Workers).
 	Workers int
-	// Curves carries fitted link curves bin to bin (nil = every bin
-	// re-fits from scratch). Use NewCurveCache.
-	Curves *CurveCache
 	// SizeAware caps each bin's rates by the previous bin's realized
 	// owned loads (SizeAwareRates); the first bin has no history and
 	// keeps the allocator's expected-load rates.
@@ -118,11 +114,6 @@ type BinResult struct {
 	// Result is the bin's simulated network-wide quality, including the
 	// realized budget compliance (Result.BudgetRatio/MaxBudgetRatio).
 	Result *Result
-	// CurveHits and CurveMisses are this bin's curve-cache reuse stats
-	// (both zero when no cache is attached): hits are links whose fitted
-	// population stayed within tolerance, misses links that re-paid the
-	// model.
-	CurveHits, CurveMisses int
 }
 
 // validate checks the controller configuration.
@@ -160,15 +151,11 @@ func (c *Controller) Step(flows []RoutedFlow) (*BinResult, error) {
 		return nil, err
 	}
 	bin := c.bin
-	br := &BinResult{Bin: bin}
 	d, err := Observe(c.Topo, flows, c.ProbeRate, c.Estimator, c.TopT, binSeed(c.Seed, bin, 1))
 	if err != nil {
 		return nil, fmt.Errorf("netsample: controller bin %d: %w", bin, err)
 	}
 	d.Workers = c.Workers
-	if c.Curves != nil {
-		d.AttachCurves(c.Curves)
-	}
 	var a *Allocation
 	if len(d.Links) == 0 {
 		if c.lastAllo == nil {
@@ -176,17 +163,9 @@ func (c *Controller) Step(flows []RoutedFlow) (*BinResult, error) {
 		}
 		a = c.lastAllo
 	} else {
-		h0, m0 := 0, 0
-		if c.Curves != nil {
-			h0, m0 = c.Curves.Stats()
-		}
 		a, err = c.Alloc.Allocate(d)
 		if err != nil {
 			return nil, fmt.Errorf("netsample: controller bin %d: %w", bin, err)
-		}
-		if c.Curves != nil {
-			h1, m1 := c.Curves.Stats()
-			br.CurveHits, br.CurveMisses = h1-h0, m1-m0
 		}
 		if c.SizeAware && c.prev != nil {
 			a.Rates = SizeAwareRates(c.Topo, c.prev, a)
@@ -201,11 +180,10 @@ func (c *Controller) Step(flows []RoutedFlow) (*BinResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netsample: controller bin %d: %w", bin, err)
 	}
-	br.Demand, br.Allocation, br.Result = d, a, res
 	c.bin++
 	c.prev = flows
 	c.lastAllo = a
-	return br, nil
+	return &BinResult{Bin: bin, Demand: d, Allocation: a, Result: res}, nil
 }
 
 // Run steps the controller over a whole bin sequence.

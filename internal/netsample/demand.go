@@ -63,23 +63,26 @@ type Demand struct {
 	// shares them, so comparing three allocators pays the model cost
 	// once. viewFP fingerprints the Paths/Links the memo was built from,
 	// so mutating the demand invalidates it instead of silently serving
-	// stale curves; curves optionally shares fitted link curves across
-	// Demands (the dynamic control plane's cross-bin reuse).
+	// stale curves.
 	view   *demandView
 	score  *scorer
 	viewFP uint64
-	curves *CurveCache
 }
 
-// AttachCurves shares a cross-Demand curve cache with this demand's
-// scorer: links whose fitted population matches a cached entry within the
-// cache tolerance reuse its quality curve instead of re-evaluating the
-// model. Attach before the first allocator call; attaching drops any
-// memoized view so the scorer is rebuilt against the cache.
-func (d *Demand) AttachCurves(c *CurveCache) {
-	d.curves = c
-	d.view = nil
-	d.score = nil
+// sigProbes is the fixed size ladder a distribution's signature samples
+// the CCDF on — body through deep tail, matching the range the scorer's
+// quality curves are sensitive to.
+var sigProbes = []float64{1, 2, 5, 10, 30, 100, 300, 1e3, 1e4, 1e5}
+
+// distSig summarizes a size law for change detection: its mean followed
+// by the CCDF at the fixed probe ladder.
+func distSig(d dist.SizeDist) []float64 {
+	sig := make([]float64, 0, len(sigProbes)+1)
+	sig = append(sig, d.Mean())
+	for _, x := range sigProbes {
+		sig = append(sig, d.CCDF(x))
+	}
+	return sig
 }
 
 // fingerprint hashes everything the memoized view and scorer were built
