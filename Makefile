@@ -52,9 +52,13 @@ lint:
 
 # The figure deletion PRs quote (CHANGES.md, since PR 19): lines of
 # non-test Go in the root module as committed or staged — the benchmark
-# harness, the lint tool and the examples are their own concerns.
+# harness, the lint tool and the examples are their own concerns. One line
+# per package directory, largest first, then the total alone on the last
+# line (what `make loc | tail -1` reads).
 loc:
-	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/\|^tools/\|^examples/' | xargs cat | wc -l
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/\|^tools/\|^examples/' | xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; sum += $$1 } \
+			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -rn"; close("sort -rn"); print sum }'
 
 # Race detector over the short suite: the misranking-table worker pool
 # and the parallel outer quadrature are the concurrency hot spots.

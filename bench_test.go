@@ -51,7 +51,8 @@ func BenchmarkFig14TraceDetection5Tuple(b *testing.B)   { benchFigure(b, "fig14"
 func BenchmarkFig15TraceDetectionPrefix24(b *testing.B) { benchFigure(b, "fig15") }
 func BenchmarkFig16TraceRankingAbilene(b *testing.B)    { benchFigure(b, "fig16") }
 
-// Ablations and extensions (DESIGN.md §5–6).
+// Ablations and extensions (README: "Layout", layer 3, and the sections
+// on the inversion, sketch and coordination extensions).
 func BenchmarkAblationKernels(b *testing.B)   { benchFigure(b, "kernels") }
 func BenchmarkAblationFastpath(b *testing.B)  { benchFigure(b, "fastpath") }
 func BenchmarkExtensionSketch(b *testing.B)   { benchFigure(b, "sketch") }
@@ -164,8 +165,9 @@ func BenchmarkNetworkCoordSimulate(b *testing.B) {
 }
 
 // BenchmarkNetworkDynamicLoop measures one pass of the dynamic control
-// plane over a churning reduced fat-tree workload: per bin, observe,
-// re-allocate (every link's model curves fitted afresh) and simulate.
+// plane over a churning reduced fat-tree workload: per bin, observe and
+// re-allocate (every link's model curves fitted afresh, rates capped by
+// the previous bin's realized loads).
 // It is part of the CI bench-smoke regex, so the control loop's cost has
 // a recorded trajectory.
 func BenchmarkNetworkDynamicLoop(b *testing.B) {
@@ -190,7 +192,6 @@ func BenchmarkNetworkDynamicLoop(b *testing.B) {
 			ProbeRate: 0.1,
 			TopT:      10,
 			Seed:      uint64(i) + 1,
-			SizeAware: true,
 		}
 		var out []*NetworkBinResult
 		out, err = ctl.Run(bins)

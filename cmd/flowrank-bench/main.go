@@ -13,7 +13,8 @@
 //
 // Figure ids follow the paper (fig01 … fig16); the extras (kernels,
 // fastpath, sketch, seqest, adaptive, invert, coord, dynamic) are the
-// ablations and future-work extensions documented in DESIGN.md.
+// ablations and future-work extensions; -list gives each one's title and
+// README's sections describe the extensions.
 //
 // The process exits non-zero when any experiment, table rendering or CSV
 // save fails, so CI jobs invoking it actually gate.

@@ -638,11 +638,10 @@ func NetworkRank(topo *Topology, flows []RoutedFlow, a *Allocation, topT, runs i
 }
 
 // NetworkController is the dynamic per-bin control plane: it re-observes
-// and re-allocates every measurement bin from that bin's inversion alone,
-// optionally capping rates by the previous bin's realized loads
-// (SizeAware) and routing each monitor's rate through the adaptive
-// controller's clamps (Adapt).
-// NetworkBinResult is one control-loop step's outcome.
+// and re-allocates every measurement bin from that bin's inversion alone
+// and caps the rates by the previous bin's realized loads; scoring an
+// allocation is the caller's job (NetworkRank). NetworkBinResult is one
+// control-loop step's outcome: the bin's demand and allocation.
 type (
 	NetworkController = netsample.Controller
 	NetworkBinResult  = netsample.BinResult

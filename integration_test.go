@@ -192,9 +192,9 @@ func TestNetflowExportOfTopFlows(t *testing.T) {
 }
 
 // TestModelPredictsSimulation ties the analytical and simulated halves of
-// the library together on a small population, the way EXPERIMENTS.md
-// describes: the hybrid-kernel model should land within a factor ~2 of the
-// trace-driven experiment once the population matches.
+// the library together on a small population, as the kernels figure does
+// at N = 3.5M: the hybrid-kernel model should land within a factor ~2 of
+// the trace-driven experiment once the population matches.
 func TestModelPredictsSimulation(t *testing.T) {
 	// One 60s bin; all flows fully inside it so N is known exactly.
 	n := 3000

@@ -40,7 +40,7 @@ type Model struct {
 	// the Gaussian tails badly overestimate misranking against the bulk
 	// of small flows; at low sampling rates this can change the metric by
 	// an order of magnitude and brings the model onto the trace-driven
-	// simulation (see EXPERIMENTS.md).
+	// simulation (the kernels figure of cmd/flowrank-bench).
 	Kernel Kernel
 
 	// OuterOrder is the Gauss–Legendre order per outer panel

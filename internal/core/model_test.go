@@ -199,7 +199,7 @@ func TestPaperShapeLargeN(t *testing.T) {
 	// (The paper's text claims 0.1% suffices at N = 3.5M; direct
 	// simulation of 3.5M Pareto flows contradicts that — the metric is
 	// ~12 at p = 0.1% — so here we assert the reproducible part: the
-	// required rate drops steeply with N. See EXPERIMENTS.md.)
+	// required rate drops steeply with N. See the kernels figure.)
 	big := sprintModel(3500000, 10, 1.5)
 	small := sprintModel(140000, 10, 1.5)
 	pBig, err := big.RequiredRate(1, false)

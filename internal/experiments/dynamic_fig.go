@@ -114,10 +114,8 @@ func extraDynamic(opts Options) ([]*report.Table, error) {
 				Estimator: invert.EM{},
 				ProbeRate: 0.1,
 				TopT:      topT,
-				Runs:      1,
 				Seed:      opts.seed() + 73,
 				Workers:   opts.Workers,
-				SizeAware: true,
 			}
 			brs, err := ctl.Run(binFlows)
 			if err != nil {

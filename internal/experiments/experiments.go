@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation, plus the ablations and extensions documented in DESIGN.md.
-// It is the single implementation behind cmd/flowrank-bench and the
-// repository's benchmark suite.
+// evaluation, plus the ablations and the extensions README describes
+// (its "Layout" section and one section per extension). It is the single
+// implementation behind cmd/flowrank-bench and the repository's
+// benchmark suite.
 //
 // Each experiment is identified by an id ("fig01" … "fig16", or one of
 // the extras listed by IDs) and produces report tables whose rows/series
@@ -45,14 +46,14 @@ var registry = map[string]struct {
 	"fig01":    {fig01, "optimal sampling rate, log-spaced flow sizes (§3.2)"},
 	"fig02":    {fig02, "optimal sampling rate, linear-spaced flow sizes (§3.2)"},
 	"fig03":    {fig03, "absolute error of the Gaussian approximation at p=1% (§4)"},
-	"fig04":    {fig04, "ranking metric vs p, 5-tuple, t sweep (§6.1)"},
-	"fig05":    {fig05, "ranking metric vs p, /24 prefix, t sweep (§6.1)"},
-	"fig06":    {fig06, "ranking metric vs p, 5-tuple, beta sweep (§6.2)"},
-	"fig07":    {fig07, "ranking metric vs p, /24 prefix, beta sweep (§6.2)"},
-	"fig08":    {fig08, "ranking metric vs p, 5-tuple, N sweep (§6.3)"},
-	"fig09":    {fig09, "ranking metric vs p, /24 prefix, N sweep (§6.3)"},
-	"fig10":    {fig10, "detection metric vs p, 5-tuple, t sweep (§7.2)"},
-	"fig11":    {fig11, "detection metric vs p, /24 prefix, t sweep (§7.2)"},
+	"fig04":    {fig04.run, "ranking metric vs p, 5-tuple, t sweep (§6.1)"},
+	"fig05":    {fig05.run, "ranking metric vs p, /24 prefix, t sweep (§6.1)"},
+	"fig06":    {fig06.run, "ranking metric vs p, 5-tuple, beta sweep (§6.2)"},
+	"fig07":    {fig07.run, "ranking metric vs p, /24 prefix, beta sweep (§6.2)"},
+	"fig08":    {fig08.run, "ranking metric vs p, 5-tuple, N sweep (§6.3)"},
+	"fig09":    {fig09.run, "ranking metric vs p, /24 prefix, N sweep (§6.3)"},
+	"fig10":    {fig10.run, "detection metric vs p, 5-tuple, t sweep (§7.2)"},
+	"fig11":    {fig11.run, "detection metric vs p, /24 prefix, t sweep (§7.2)"},
 	"fig12":    {fig12, "trace-driven ranking vs time, 5-tuple, top 10 (§8.2)"},
 	"fig13":    {fig13, "trace-driven ranking vs time, /24 prefix, top 10 (§8.2)"},
 	"fig14":    {fig14, "trace-driven detection vs time, 5-tuple, top 10 (§8.2)"},

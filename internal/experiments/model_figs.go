@@ -113,144 +113,80 @@ func fig03(opts Options) ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// metricSweep renders a "metric vs p" figure with one column per model
-// variant.
-func metricSweep(id, title string, rates []float64, cols []string,
-	eval func(rate float64, col int) float64) *report.Table {
-	t := &report.Table{ID: id, Title: title}
-	t.Columns = append([]string{"p(%)"}, cols...)
-	for _, p := range rates {
+// sweepFig is one "metric vs p" figure of §6–§7 (Figs. 4–11): a Sprint
+// Pareto model per swept value of t, beta or N, one column each, every
+// other parameter at its default (t = 10, beta = 1.5, N of the flow
+// definition).
+type sweepFig struct {
+	id, title string
+	prefix24  bool      // the /24 prefix calibration, not the 5-tuple one
+	detection bool      // DetectionMetric instead of RankingMetric
+	axis      string    // "t", "beta" or "N"
+	values    []float64 // the swept values, one column each
+	notes     []string
+}
+
+var (
+	tSweep    = []float64{1, 2, 5, 10, 25}
+	betaSweep = []float64{3, 2.5, 2, 1.5, 1.2}
+
+	fig04 = sweepFig{id: "fig04", title: "ranking: 5-tuple flows, N = 0.7M, beta = 1.5, varying t",
+		axis: "t", values: tSweep}
+	fig05 = sweepFig{id: "fig05", title: "ranking: /24 prefix flows, N = 0.1M, beta = 1.5, varying t",
+		prefix24: true, axis: "t", values: tSweep,
+		notes: []string{"coarser aggregation does not significantly improve the ranking (paper §6.1)"}}
+	fig06 = sweepFig{id: "fig06", title: "ranking: 5-tuple flows, N = 0.7M, t = 10, varying beta",
+		axis: "beta", values: betaSweep,
+		notes: []string{"heavier tails (smaller beta) rank better (paper §6.2)"}}
+	fig07 = sweepFig{id: "fig07", title: "ranking: /24 prefix flows, N = 0.1M, t = 10, varying beta",
+		prefix24: true, axis: "beta", values: betaSweep}
+	fig08 = sweepFig{id: "fig08", title: "ranking: 5-tuple flows, t = 10, beta = 1.5, varying N",
+		axis: "N", values: []float64{140_000, 350_000, 700_000, 1_750_000, 2_800_000, 3_500_000},
+		notes: []string{"accuracy improves with N (larger top flows)",
+			"see the kernels figure: direct simulation contradicts the paper's claim that 0.1% suffices at N = 3.5M"}}
+	fig09 = sweepFig{id: "fig09", title: "ranking: /24 prefix flows, t = 10, beta = 1.5, varying N",
+		prefix24: true, axis: "N", values: []float64{20_000, 50_000, 100_000, 250_000, 400_000, 500_000}}
+	fig10 = sweepFig{id: "fig10", title: "detection: 5-tuple flows, N = 0.7M, beta = 1.5, varying t",
+		detection: true, axis: "t", values: tSweep,
+		notes: []string{"detection needs roughly an order of magnitude lower rate than ranking (paper §7.2)"}}
+	fig11 = sweepFig{id: "fig11", title: "detection: /24 prefix flows, N = 0.1M, beta = 1.5, varying t",
+		prefix24: true, detection: true, axis: "t", values: tSweep}
+)
+
+func (f sweepFig) run(opts Options) ([]*report.Table, error) {
+	n, mean := nFiveTuple, meanPktsFiveTuple
+	if f.prefix24 {
+		n, mean = nPrefix24, meanPktsPrefix24
+	}
+	t := &report.Table{ID: f.id, Title: f.title, Columns: []string{"p(%)"}}
+	models := make([]core.Model, len(f.values))
+	for i, v := range f.values {
+		nn, tt, beta := n, 10, defaultBeta
+		switch f.axis {
+		case "t":
+			tt = int(v)
+			t.Columns = append(t.Columns, fmt.Sprintf("t=%d", tt))
+		case "beta":
+			beta = v
+			t.Columns = append(t.Columns, fmt.Sprintf("beta=%.2g", beta))
+		case "N":
+			nn = int(v)
+			t.Columns = append(t.Columns, "N="+humanN(nn))
+		}
+		models[i] = sprintModel(opts, nn, tt, mean, beta)
+	}
+	for _, p := range rateGrid(opts.Full) {
 		row := []interface{}{percent(p)}
-		for c := range cols {
-			row = append(row, eval(p, c))
+		for _, m := range models {
+			if f.detection {
+				row = append(row, m.DetectionMetric(p))
+			} else {
+				row = append(row, m.RankingMetric(p))
+			}
 		}
 		t.AddRow(row...)
 	}
-	t.Notes = append(t.Notes, "cells: average number of swapped flow pairs; values below 1 are acceptable (paper's criterion)")
-	return t
-}
-
-var tSweep = []int{1, 2, 5, 10, 25}
-
-func fig04(opts Options) ([]*report.Table, error) {
-	rates := rateGrid(opts.Full)
-	models := make([]core.Model, len(tSweep))
-	cols := make([]string, len(tSweep))
-	for i, tt := range tSweep {
-		models[i] = sprintModel(opts, nFiveTuple, tt, meanPktsFiveTuple, defaultBeta)
-		cols[i] = fmt.Sprintf("t=%d", tt)
-	}
-	t := metricSweep("fig04",
-		"ranking: 5-tuple flows, N = 0.7M, beta = 1.5, varying t",
-		rates, cols, func(p float64, c int) float64 { return models[c].RankingMetric(p) })
-	return []*report.Table{t}, nil
-}
-
-func fig05(opts Options) ([]*report.Table, error) {
-	rates := rateGrid(opts.Full)
-	models := make([]core.Model, len(tSweep))
-	cols := make([]string, len(tSweep))
-	for i, tt := range tSweep {
-		models[i] = sprintModel(opts, nPrefix24, tt, meanPktsPrefix24, defaultBeta)
-		cols[i] = fmt.Sprintf("t=%d", tt)
-	}
-	t := metricSweep("fig05",
-		"ranking: /24 prefix flows, N = 0.1M, beta = 1.5, varying t",
-		rates, cols, func(p float64, c int) float64 { return models[c].RankingMetric(p) })
-	t.Notes = append(t.Notes, "coarser aggregation does not significantly improve the ranking (paper §6.1)")
-	return []*report.Table{t}, nil
-}
-
-var betaSweep = []float64{3, 2.5, 2, 1.5, 1.2}
-
-func fig06(opts Options) ([]*report.Table, error) {
-	rates := rateGrid(opts.Full)
-	models := make([]core.Model, len(betaSweep))
-	cols := make([]string, len(betaSweep))
-	for i, b := range betaSweep {
-		models[i] = sprintModel(opts, nFiveTuple, 10, meanPktsFiveTuple, b)
-		cols[i] = fmt.Sprintf("beta=%.2g", b)
-	}
-	t := metricSweep("fig06",
-		"ranking: 5-tuple flows, N = 0.7M, t = 10, varying beta",
-		rates, cols, func(p float64, c int) float64 { return models[c].RankingMetric(p) })
-	t.Notes = append(t.Notes, "heavier tails (smaller beta) rank better (paper §6.2)")
-	return []*report.Table{t}, nil
-}
-
-func fig07(opts Options) ([]*report.Table, error) {
-	rates := rateGrid(opts.Full)
-	models := make([]core.Model, len(betaSweep))
-	cols := make([]string, len(betaSweep))
-	for i, b := range betaSweep {
-		models[i] = sprintModel(opts, nPrefix24, 10, meanPktsPrefix24, b)
-		cols[i] = fmt.Sprintf("beta=%.2g", b)
-	}
-	t := metricSweep("fig07",
-		"ranking: /24 prefix flows, N = 0.1M, t = 10, varying beta",
-		rates, cols, func(p float64, c int) float64 { return models[c].RankingMetric(p) })
-	return []*report.Table{t}, nil
-}
-
-func fig08(opts Options) ([]*report.Table, error) {
-	rates := rateGrid(opts.Full)
-	ns := []int{140_000, 350_000, 700_000, 1_750_000, 2_800_000, 3_500_000}
-	models := make([]core.Model, len(ns))
-	cols := make([]string, len(ns))
-	for i, n := range ns {
-		models[i] = sprintModel(opts, n, 10, meanPktsFiveTuple, defaultBeta)
-		cols[i] = fmt.Sprintf("N=%s", humanN(n))
-	}
-	t := metricSweep("fig08",
-		"ranking: 5-tuple flows, t = 10, beta = 1.5, varying N",
-		rates, cols, func(p float64, c int) float64 { return models[c].RankingMetric(p) })
-	t.Notes = append(t.Notes,
-		"accuracy improves with N (larger top flows)",
-		"see EXPERIMENTS.md: direct simulation contradicts the paper's claim that 0.1% suffices at N = 3.5M")
-	return []*report.Table{t}, nil
-}
-
-func fig09(opts Options) ([]*report.Table, error) {
-	rates := rateGrid(opts.Full)
-	ns := []int{20_000, 50_000, 100_000, 250_000, 400_000, 500_000}
-	models := make([]core.Model, len(ns))
-	cols := make([]string, len(ns))
-	for i, n := range ns {
-		models[i] = sprintModel(opts, n, 10, meanPktsPrefix24, defaultBeta)
-		cols[i] = fmt.Sprintf("N=%s", humanN(n))
-	}
-	t := metricSweep("fig09",
-		"ranking: /24 prefix flows, t = 10, beta = 1.5, varying N",
-		rates, cols, func(p float64, c int) float64 { return models[c].RankingMetric(p) })
-	return []*report.Table{t}, nil
-}
-
-func fig10(opts Options) ([]*report.Table, error) {
-	rates := rateGrid(opts.Full)
-	models := make([]core.Model, len(tSweep))
-	cols := make([]string, len(tSweep))
-	for i, tt := range tSweep {
-		models[i] = sprintModel(opts, nFiveTuple, tt, meanPktsFiveTuple, defaultBeta)
-		cols[i] = fmt.Sprintf("t=%d", tt)
-	}
-	t := metricSweep("fig10",
-		"detection: 5-tuple flows, N = 0.7M, beta = 1.5, varying t",
-		rates, cols, func(p float64, c int) float64 { return models[c].DetectionMetric(p) })
-	t.Notes = append(t.Notes, "detection needs roughly an order of magnitude lower rate than ranking (paper §7.2)")
-	return []*report.Table{t}, nil
-}
-
-func fig11(opts Options) ([]*report.Table, error) {
-	rates := rateGrid(opts.Full)
-	models := make([]core.Model, len(tSweep))
-	cols := make([]string, len(tSweep))
-	for i, tt := range tSweep {
-		models[i] = sprintModel(opts, nPrefix24, tt, meanPktsPrefix24, defaultBeta)
-		cols[i] = fmt.Sprintf("t=%d", tt)
-	}
-	t := metricSweep("fig11",
-		"detection: /24 prefix flows, N = 0.1M, beta = 1.5, varying t",
-		rates, cols, func(p float64, c int) float64 { return models[c].DetectionMetric(p) })
+	t.Notes = append([]string{"cells: average number of swapped flow pairs; values below 1 are acceptable (paper's criterion)"}, f.notes...)
 	return []*report.Table{t}, nil
 }
 

@@ -53,15 +53,6 @@ func ParseAddr(s string) (Addr, error) {
 	return Addr(ip.As4()), nil
 }
 
-// MustParseAddr is ParseAddr that panics on error, for tests and tables.
-func MustParseAddr(s string) Addr {
-	a, err := ParseAddr(s)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // String returns the dotted-quad form.
 func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
@@ -108,15 +99,6 @@ type Key struct {
 // String renders "tcp 10.0.0.1:1234 > 10.0.0.2:80".
 func (k Key) String() string {
 	return fmt.Sprintf("%s %s:%d > %s:%d", k.Proto, k.Src, k.SrcPort, k.Dst, k.DstPort)
-}
-
-// Reverse returns the key of the opposite direction.
-func (k Key) Reverse() Key {
-	return Key{
-		Src: k.Dst, Dst: k.Src,
-		SrcPort: k.DstPort, DstPort: k.SrcPort,
-		Proto: k.Proto,
-	}
 }
 
 // FastHash returns a cheap, well-mixed 64-bit hash of the key, suitable for

@@ -25,15 +25,6 @@ func TestParseAddr(t *testing.T) {
 	}
 }
 
-func TestMustParseAddrPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParseAddr should panic on bad input")
-		}
-	}()
-	MustParseAddr("999.1.1.1")
-}
-
 func TestAddrMask(t *testing.T) {
 	a := Addr{10, 20, 30, 40}
 	cases := []struct {
@@ -101,20 +92,6 @@ func TestKeyLayout(t *testing.T) {
 	}
 	if m := map[Key]bool{zero: true}; !m[Key{}] {
 		t.Error("zero key not found under Key{}")
-	}
-}
-
-func TestKeyReverse(t *testing.T) {
-	k := Key{
-		Src: Addr{1, 2, 3, 4}, Dst: Addr{5, 6, 7, 8},
-		SrcPort: 1234, DstPort: 80, Proto: ProtoTCP,
-	}
-	r := k.Reverse()
-	if r.Src != k.Dst || r.Dst != k.Src || r.SrcPort != k.DstPort || r.DstPort != k.SrcPort {
-		t.Errorf("Reverse() = %v", r)
-	}
-	if r.Reverse() != k {
-		t.Error("double reverse must be identity")
 	}
 }
 

@@ -167,6 +167,23 @@ func (v *demandView) concentratedShares(pick func(p PathStat) string) map[string
 	return shares
 }
 
+// heaviestFirst returns the path indices by descending packets with the
+// canonical key as tiebreak.
+func (v *demandView) heaviestFirst() []int {
+	order := make([]int, len(v.paths))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		pa, pb := v.paths[order[a]], v.paths[order[b]]
+		if pa.Packets != pb.Packets {
+			return pa.Packets > pb.Packets
+		}
+		return pa.Key() < pb.Key()
+	})
+	return order
+}
+
 // bestMonitor returns the path's monitor with the highest rate,
 // tie-broken lexicographically — the observation point a collector would
 // prefer.
@@ -220,21 +237,9 @@ func (GreedyWaterfill) Allocate(d *Demand) (*Allocation, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Heaviest paths first, deterministic tiebreak on the key.
-	order := make([]int, len(v.paths))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := v.paths[order[a]], v.paths[order[b]]
-		if pa.Packets != pb.Packets {
-			return pa.Packets > pb.Packets
-		}
-		return pa.Key() < pb.Key()
-	})
 	owned := map[string]float64{}
 	owner := make(map[string]string, len(v.paths))
-	for _, pi := range order {
+	for _, pi := range v.heaviestFirst() {
 		p := v.paths[pi]
 		best, bestRate := "", -1.0
 		for _, sw := range Monitors(p.Switches) {

@@ -234,21 +234,23 @@ func TestAllocationOrderInvariant(t *testing.T) {
 }
 
 // TestCoordinatedImprovesOnItsStart: the hill climb must never return an
-// allocation scoring worse than its dominating start, and a pass cap of 1
-// still yields a valid allocation.
+// allocation scoring worse than its dominating start — Uniform's
+// observation points with coordinated budget accounting.
 func TestCoordinatedImprovesOnItsStart(t *testing.T) {
 	topo, d := sharedPropDemand(t)
-	setBudgetFraction(t, topo, d, 0.02)
-	base, err := Coordinated{Passes: 1}.Allocate(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	more, err := Coordinated{Passes: 4}.Allocate(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if more.Predicted > base.Predicted*(1+1e-9) {
-		t.Errorf("more passes made the allocation worse: %g vs %g", more.Predicted, base.Predicted)
+	for _, frac := range []float64{0.01, 0.02, 0.05} {
+		setBudgetFraction(t, topo, d, frac)
+		c, err := Coordinated{}.Allocate(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := d.ensureView()
+		uniformRates := v.budgetRates(v.offered)
+		shares := v.concentratedShares(func(p PathStat) string { return bestMonitor(p, uniformRates) })
+		start := d.score.networkFrac(v.budgetRates(v.owned(shares)), shares)
+		if c.Predicted > start {
+			t.Errorf("@%g: hill climb ended at %g, above its start %g", frac, c.Predicted, start)
+		}
 	}
 }
 

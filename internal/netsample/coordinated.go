@@ -1,6 +1,6 @@
 package netsample
 
-import "sort"
+import "maps"
 
 // Coordinated is the model-driven allocator: it searches over hash-range
 // assignments (which monitor owns which slice of each path's flows),
@@ -16,32 +16,27 @@ import "sort"
 //     Owned load never exceeds offered load, so every rate starts at or
 //     above the Uniform rate and the starting score already dominates the
 //     baseline.
-//  2. For a fixed number of passes, visit paths heaviest-first and try
-//     re-owning each path: wholly to each of its monitors, or split
+//  2. For up to coordinatedPasses passes, visit paths heaviest-first and
+//     try re-owning each path: wholly to each of its monitors, or split
 //     evenly across them. Keep a move only if the predicted score
 //     strictly improves.
 //
 // Every candidate is scored against rates recomputed from its shares, so
 // the search sees the real budget coupling: taking a path from a loaded
 // switch raises that switch's rate for everything it still owns.
-type Coordinated struct {
-	// Passes bounds the hill-climbing sweeps over the path list
-	// (default 2).
-	Passes int
-}
+type Coordinated struct{}
+
+// coordinatedPasses bounds the hill-climbing sweeps over the path list.
+const coordinatedPasses = 2
 
 // Name implements Allocator.
 func (Coordinated) Name() string { return "coordinated" }
 
 // Allocate implements Allocator.
-func (c Coordinated) Allocate(d *Demand) (*Allocation, error) {
+func (Coordinated) Allocate(d *Demand) (*Allocation, error) {
 	v, s, err := viewAndScorer(d)
 	if err != nil {
 		return nil, err
-	}
-	passes := c.Passes
-	if passes <= 0 {
-		passes = 2
 	}
 
 	// Step 1: the dominating start — Uniform's observation points with
@@ -52,17 +47,13 @@ func (c Coordinated) Allocate(d *Demand) (*Allocation, error) {
 	score := s.networkFrac(rates, shares)
 
 	// Step 2: hill-climb path ownerships, heaviest paths first.
-	order := make([]int, len(v.paths))
-	for i := range order {
-		order[i] = i
-	}
-	sortPathsByWeight(v, order)
-	for pass := 0; pass < passes; pass++ {
+	order := v.heaviestFirst()
+	for pass := 0; pass < coordinatedPasses; pass++ {
 		improved := false
 		for _, pi := range order {
 			p := v.paths[pi]
 			monitors := Monitors(p.Switches)
-			best := clonePathShares(shares[p.Key()])
+			best := maps.Clone(shares[p.Key()])
 			bestScore := score
 			for ci := 0; ci <= len(monitors); ci++ {
 				cand := make(map[string]float64, len(monitors))
@@ -101,24 +92,4 @@ func (c Coordinated) Allocate(d *Demand) (*Allocation, error) {
 		Shares:      shares,
 		Predicted:   s.networkFrac(rates, shares),
 	}, nil
-}
-
-// sortPathsByWeight orders path indices by descending packets with the
-// canonical key as tiebreak.
-func sortPathsByWeight(v *demandView, order []int) {
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := v.paths[order[a]], v.paths[order[b]]
-		if pa.Packets != pb.Packets {
-			return pa.Packets > pb.Packets
-		}
-		return pa.Key() < pb.Key()
-	})
-}
-
-func clonePathShares(ps map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(ps))
-	for k, w := range ps {
-		out[k] = w
-	}
-	return out
 }

@@ -225,14 +225,6 @@ func TestZigzagRoundTrip(t *testing.T) {
 	}
 }
 
-func TestByTime(t *testing.T) {
-	a := Packet{Time: 1}
-	b := Packet{Time: 2}
-	if ByTime(a, b) != -1 || ByTime(b, a) != 1 || ByTime(a, a) != 0 {
-		t.Error("ByTime ordering wrong")
-	}
-}
-
 func BenchmarkPacketWrite(b *testing.B) {
 	pkts := samplePackets(1000, 9)
 	var buf bytes.Buffer

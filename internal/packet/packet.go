@@ -34,16 +34,3 @@ type Packet struct {
 	Key  flow.Key
 	Size int
 }
-
-// ByTime orders packets chronologically; it is the order every trace
-// consumer in this module expects.
-func ByTime(a, b Packet) int {
-	switch {
-	case a.Time < b.Time:
-		return -1
-	case a.Time > b.Time:
-		return 1
-	default:
-		return 0
-	}
-}

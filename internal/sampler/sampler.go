@@ -1,14 +1,12 @@
 // Package sampler implements the packet selection policies the paper
 // studies: independent per-packet (Bernoulli) sampling and deterministic
-// periodic 1-in-N sampling, plus Estan–Varghese sample-and-hold as an
-// extension. Samplers are deterministic given (seed, run) so that
-// experiments are reproducible and runs are independent.
+// periodic 1-in-N sampling. Samplers are deterministic given (seed, run)
+// so that experiments are reproducible and runs are independent.
 package sampler
 
 import (
 	"fmt"
 
-	"flowrank/internal/flow"
 	"flowrank/internal/packet"
 	"flowrank/internal/randx"
 )
@@ -99,56 +97,3 @@ func (s *Periodic) Reset(run uint64) {
 func (s *Periodic) Rate() float64 { return 1 / float64(s.Every) }
 
 func (s *Periodic) String() string { return fmt.Sprintf("periodic(1-in-%d)", s.Every) }
-
-// SampleAndHold implements Estan–Varghese sample-and-hold ([11] in the
-// paper): a packet is sampled with probability P, but once any packet of a
-// flow has been sampled, every later packet of that flow is kept. It
-// trades memory (per-held-flow state) for far better size estimates of the
-// large flows; the paper lists feeding sampled traffic into such
-// mechanisms as future work.
-type SampleAndHold struct {
-	P    float64
-	Agg  flow.Aggregator
-	seed uint64
-	rng  *randx.RNG
-	held map[flow.Key]struct{}
-}
-
-// NewSampleAndHold returns a sample-and-hold sampler aggregating held
-// state by agg.
-func NewSampleAndHold(p float64, agg flow.Aggregator, seed uint64) *SampleAndHold {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("sampler: rate %g outside [0,1]", p))
-	}
-	s := &SampleAndHold{P: p, Agg: agg, seed: seed}
-	s.Reset(0)
-	return s
-}
-
-// Sample keeps the packet if its flow is held or the coin flip succeeds.
-func (s *SampleAndHold) Sample(p packet.Packet) bool {
-	k := s.Agg.Aggregate(p.Key)
-	if _, ok := s.held[k]; ok {
-		return true
-	}
-	if s.rng.Bernoulli(s.P) {
-		s.held[k] = struct{}{}
-		return true
-	}
-	return false
-}
-
-// Reset clears held flows and reseeds.
-func (s *SampleAndHold) Reset(run uint64) {
-	s.rng = randx.New(s.seed).Derive(run)
-	s.held = make(map[flow.Key]struct{})
-}
-
-// HeldFlows returns the number of flows currently held.
-func (s *SampleAndHold) HeldFlows() int { return len(s.held) }
-
-// Rate returns the per-packet trigger probability P (the effective keep
-// rate is higher and flow-size dependent).
-func (s *SampleAndHold) Rate() float64 { return s.P }
-
-func (s *SampleAndHold) String() string { return fmt.Sprintf("sample-and-hold(p=%g)", s.P) }

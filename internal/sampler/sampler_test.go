@@ -124,61 +124,11 @@ func TestPeriodicPhaseVariesAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestSampleAndHoldHolds(t *testing.T) {
-	s := NewSampleAndHold(0.05, flow.FiveTuple{}, 11)
-	// One flow sending many packets: once sampled, all others kept.
-	p := mkPacket(1)
-	kept := 0
-	total := 2000
-	firstKeptAt := -1
-	for i := 0; i < total; i++ {
-		if s.Sample(p) {
-			kept++
-			if firstKeptAt < 0 {
-				firstKeptAt = i
-			}
-		} else if firstKeptAt >= 0 {
-			t.Fatalf("packet dropped at %d after the flow was held at %d", i, firstKeptAt)
-		}
-	}
-	if firstKeptAt < 0 {
-		t.Fatal("flow never sampled at p=0.05 over 2000 packets (prob ~e-100)")
-	}
-	if kept != total-firstKeptAt {
-		t.Errorf("kept %d, want %d", kept, total-firstKeptAt)
-	}
-	if s.HeldFlows() != 1 {
-		t.Errorf("held %d flows, want 1", s.HeldFlows())
-	}
-	s.Reset(1)
-	if s.HeldFlows() != 0 {
-		t.Error("Reset must clear held flows")
-	}
-}
-
-func TestSampleAndHoldAggregation(t *testing.T) {
-	s := NewSampleAndHold(1, flow.DstPrefix{Bits: 24}, 12)
-	a := mkPacket(1)
-	b := mkPacket(2)
-	b.Key.Dst = a.Key.Dst // same /24
-	s.Sample(a)
-	if s.HeldFlows() != 1 {
-		t.Fatalf("held %d", s.HeldFlows())
-	}
-	s.Sample(b)
-	if s.HeldFlows() != 1 {
-		t.Errorf("same /24 should share one held slot, got %d", s.HeldFlows())
-	}
-}
-
 func TestSamplerStrings(t *testing.T) {
 	if NewBernoulli(0.25, 1).String() != "bernoulli(p=0.25)" {
 		t.Error("bernoulli label")
 	}
 	if NewPeriodic(8, 1).String() != "periodic(1-in-8)" {
 		t.Error("periodic label")
-	}
-	if NewSampleAndHold(0.1, flow.FiveTuple{}, 1).String() != "sample-and-hold(p=0.1)" {
-		t.Error("sample-and-hold label")
 	}
 }

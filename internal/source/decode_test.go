@@ -53,13 +53,17 @@ func TestCloseDropsBufferedPackets(t *testing.T) {
 // streamsFromPipe feeds open a stream through an io.Pipe one record at a
 // time, each record in two writes, and requires every packet to come out
 // of Next before the following record (or the end of the stream) is
-// written: a reader waiting to fill its block would hang here.
+// written: a reader waiting to fill its block would hang here. It returns
+// only once the writer has, so the goroutine counts of later tests
+// (readahead_test.go) never see it exit.
 func streamsFromPipe(t *testing.T, header []byte, records [][]byte, open func(io.Reader) (PacketSource, error)) {
 	t.Helper()
 	pr, pw := io.Pipe()
-	step := make(chan struct{})
+	step, done := make(chan struct{}), make(chan struct{})
+	defer func() { <-done }()
 	defer close(step) // releases the writer when the test bails out early
 	go func() {
+		defer close(done)
 		defer pw.Close()
 		pw.Write(header)
 		for _, rec := range records {

@@ -26,9 +26,10 @@ func TestCloseUnblocksNextOnPipe(t *testing.T) {
 		if err := syscall.Mkfifo(path, 0o600); err != nil {
 			t.Skipf("mkfifo: %v", err)
 		}
-		release := make(chan struct{})
+		release, done := make(chan struct{}), make(chan struct{})
 		wrote := make(chan error, 1) // one send: the writer never waits on the test
 		go func() {
+			defer close(done)
 			w, err := os.OpenFile(path, os.O_WRONLY, 0)
 			if err != nil {
 				wrote <- err
@@ -74,5 +75,6 @@ func TestCloseUnblocksNextOnPipe(t *testing.T) {
 			t.Fatalf("pcap=%v: Close did not unblock the pending Next", isPcap)
 		}
 		close(release)
+		<-done // gone before the next test counts goroutines (readahead_test.go)
 	}
 }

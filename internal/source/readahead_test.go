@@ -22,6 +22,40 @@ import (
 // Close returns only once the read-ahead goroutine has exited, and nothing
 // else in this package's tests leaves one running.
 
+// ownGoroutines counts the other goroutines running this module's code:
+// one has a frame in it. Goroutines of the testing package and the
+// runtime — an earlier test's runner still on its way out — come and go
+// on their own schedule, so a plain runtime.NumGoroutine difference can
+// read -1 on a loaded machine; none of them runs a flowrank/ function.
+//
+// A goroutine's last act (the read-ahead's close of its done channel)
+// wakes the goroutine that waits for it while its own frames are still on
+// the stack. With a second P idle, the waiter can run and count it before
+// it is gone; a test that counts right after a Close therefore runs on one
+// P (oneP), where the woken waiter queues behind the exiting goroutine.
+func ownGoroutines() int {
+	buf := make([]byte, 64<<10)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	own := 0
+	// The caller's own trace comes first; the traces are blank-line separated.
+	for _, g := range bytes.Split(buf[:n], []byte("\n\n"))[1:] {
+		if bytes.Contains(g, []byte("\nflowrank/")) {
+			own++
+		}
+	}
+	return own
+}
+
+// oneP runs the rest of the test with GOMAXPROCS 1 (see ownGoroutines).
+func oneP(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // manyBlocks encodes enough copies of the test packets to fill a dozen
 // blocks in either format: halfway through, a read-ahead goroutine — four
 // buffers deep — cannot have met the end of the file yet.
@@ -51,17 +85,17 @@ func manyBlocks(t *testing.T, isPcap bool) (data []byte, packets int) {
 // Open below its size threshold; Open above it (here: at threshold 0) runs
 // exactly one, gone when Close returns.
 func TestOnlyOpenReadsAhead(t *testing.T) {
+	oneP(t)
 	for _, isPcap := range []bool{false, true} {
 		data, packets := manyBlocks(t, isPcap)
 		path := filepath.Join(t.TempDir(), "trace")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		base := runtime.NumGoroutine()
 		for _, tc := range []struct {
 			name string
 			open func() (PacketSource, error)
-			want int // goroutines beyond base while the source is being read
+			want int // goroutines running while the source is being read
 		}{
 			{"bare reader", func() (PacketSource, error) {
 				if isPcap {
@@ -82,13 +116,13 @@ func TestOnlyOpenReadsAhead(t *testing.T) {
 					t.Fatalf("pcap=%v %s: packet %d: %v", isPcap, tc.name, i, err)
 				}
 			}
-			if got := runtime.NumGoroutine() - base; got != tc.want {
+			if got := ownGoroutines(); got != tc.want {
 				t.Errorf("pcap=%v %s: %d goroutines started, want %d", isPcap, tc.name, got, tc.want)
 			}
 			if err := src.Close(); err != nil {
 				t.Errorf("pcap=%v %s: Close: %v", isPcap, tc.name, err)
 			}
-			if got := runtime.NumGoroutine() - base; got != 0 {
+			if got := ownGoroutines(); got != 0 {
 				t.Errorf("pcap=%v %s: %d goroutines left after Close", isPcap, tc.name, got)
 			}
 			if err := src.Next(&p); !errors.Is(err, ErrClosedSource) {
@@ -144,12 +178,12 @@ func (c countedSource) Close() error {
 // ahead open 300 files and 300 goroutines; each source is closed once, and
 // when the loop is closed no goroutine and no descriptor is left.
 func TestLoopOverReadAheadFile(t *testing.T) {
+	oneP(t)
 	pkts := testPackets(t)[:50]
 	path := filepath.Join(t.TempDir(), "trace.pcap")
 	if err := os.WriteFile(path, encodePcap(t, pkts), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine()
 	fds := openDescriptors(t)
 	var closes []*int
 	loop, err := NewLoop(func() (PacketSource, error) {
@@ -182,7 +216,7 @@ func TestLoopOverReadAheadFile(t *testing.T) {
 			t.Fatalf("source %d closed %d times, want once", i, *n)
 		}
 	}
-	if got := runtime.NumGoroutine() - base; got != 0 {
+	if got := ownGoroutines(); got != 0 {
 		t.Errorf("%d goroutines left after %d cycles", got, cycles)
 	}
 	if got := openDescriptors(t); fds >= 0 && got != fds {
