@@ -179,9 +179,10 @@ func printInversion(w io.Writer, s *stream.InversionSummary) error {
 		_, err := fmt.Fprintf(w, "inversion (%s): %s\n\n", s.Method, s.Err)
 		return err
 	}
+	e := s.Estimate
 	_, err := fmt.Fprintf(w,
 		"inversion (%s): mean=%.4g pkts, tail index=%.3g, est flows=%.0f, size quantiles q50=%.4g q10=%.4g q1=%.4g q0.1=%.4g\n\n",
-		s.Method, s.Mean, s.TailIndex, s.FlowCount,
+		s.Method, e.Mean, e.TailIndex, e.FlowCount,
 		s.Quantiles[0], s.Quantiles[1], s.Quantiles[2], s.Quantiles[3])
 	return err
 }

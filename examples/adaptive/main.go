@@ -34,21 +34,29 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	obs := flowrank.Observation{Rate: pObserve, SampledFlows: table.Len()}
+	var sizes []float64
+	var packets int64
 	for _, e := range table.Entries() {
-		obs.SampledPackets += e.Packets
-		obs.SampledSizes = append(obs.SampledSizes, float64(e.Packets))
+		packets += e.Packets
+		sizes = append(sizes, float64(e.Packets))
 	}
 	fmt.Printf("observed at p = %.0f%%: %d sampled flows, %d sampled packets\n\n",
-		pObserve*100, obs.SampledFlows, obs.SampledPackets)
+		pObserve*100, len(sizes), packets)
 
-	// Step 2: ask the controller for rates meeting two targets.
+	// Step 2: invert the sampling to estimate the population the bin came
+	// from: how many flows, and their size law.
+	est, err := flowrank.ParametricInverter{}.Invert(sizes, pObserve)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// Step 3: ask the controller for rates meeting two targets.
 	for _, goal := range []struct {
 		name      string
 		detection bool
 	}{{"rank the top 10 in order", false}, {"identify the top 10 set", true}} {
 		ctl := flowrank.Controller{Target: 1, TopT: 10, Detection: goal.detection}
-		rate, model, err := ctl.Recommend(obs)
+		rate, model, err := ctl.RecommendEstimate(est)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,7 +65,7 @@ func main() {
 			model.N, model.Dist.Mean(), len(records))
 		fmt.Printf("  recommended rate: %.2f%%\n", rate*100)
 
-		// Step 3: verify by simulation at the recommended rate.
+		// Step 4: verify by simulation at the recommended rate.
 		res, err := flowrank.Simulate(flowrank.SimConfig{
 			Records: records, BinSeconds: 60, Horizon: 60, TopT: 10,
 			Rates: []float64{math.Min(rate, 1)}, Runs: 20, Seed: 99,

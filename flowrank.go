@@ -513,15 +513,13 @@ type SizeEstimator = seqest.Estimator
 func NewSizeEstimator(p float64) *SizeEstimator { return seqest.New(p) }
 
 // Controller recommends sampling rates from observed traffic (future work
-// #3); Observation summarizes one sampled bin.
-type (
-	Controller  = adaptive.Controller
-	Observation = adaptive.Observation
-)
+// #3): RecommendEstimate takes one bin's Inversion and returns the
+// cheapest rate whose fitted model meets the target.
+type Controller = adaptive.Controller
 
 // HillTailIndex estimates the Pareto tail index from the k largest sample
 // values.
-func HillTailIndex(sizes []float64, k int) (float64, error) { return adaptive.Hill(sizes, k) }
+func HillTailIndex(sizes []float64, k int) (float64, error) { return invert.Hill(sizes, k) }
 
 // ---------------------------------------------------------------------------
 // Distribution inversion (internal/invert)
@@ -539,9 +537,9 @@ type (
 // The four inverters, cheapest to most faithful: 1/p rescaling of the
 // observed counts, Chabchoub-style tail rescaling with a Hill fit, the
 // controller's parametric Pareto fixed point, and full EM/MLE inversion
-// of the binomial thinning kernel over a discretized support. The zero
-// value of each is ready to use; Controller.Inverter and
-// StreamConfig.Inverter accept any of them.
+// of the binomial thinning kernel over a discretized support. Each is an
+// empty struct; StreamConfig.Inverter and ObserveNetwork accept any of
+// them, and Controller.RecommendEstimate takes any of their estimates.
 type (
 	NaiveInverter      = invert.Naive
 	TailInverter       = invert.TailScaling

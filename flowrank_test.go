@@ -383,15 +383,16 @@ func TestInversionFacade(t *testing.T) {
 	if !(emKS < naiveKS) {
 		t.Errorf("EM KS %g not below naive %g", emKS, naiveKS)
 	}
-	// The adaptive controller consumes the same sampled counts: a bin
-	// observed at p in, the cheapest rate meeting the target out.
-	obs := Observation{Rate: p, SampledFlows: len(counts), SampledSizes: counts}
-	for _, c := range counts {
-		obs.SampledPackets += int64(c)
+	// The adaptive controller consumes an inversion of the same sampled
+	// counts: a bin observed at p in, the cheapest rate meeting the target
+	// out.
+	est, err := ParametricInverter{}.Invert(counts, p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rate, fitted, err := Controller{Target: 1, TopT: 10, Workers: 1}.Recommend(obs)
+	rate, fitted, err := Controller{Target: 1, TopT: 10, Workers: 1}.RecommendEstimate(est)
 	if err != nil || !(rate > 0 && rate <= 1) || fitted.N < len(counts) {
-		t.Errorf("Recommend = rate %g over N=%d fitted flows (%d sampled), err %v", rate, fitted.N, len(counts), err)
+		t.Errorf("RecommendEstimate = rate %g over N=%d fitted flows (%d sampled), err %v", rate, fitted.N, len(counts), err)
 	}
 	if miss := MissProbability(NewDiscrete([]float64{10}, []float64{1}), 0.1); math.Abs(miss-math.Pow(0.9, 10)) > 1e-9 {
 		t.Errorf("MissProbability point mass = %g", miss)

@@ -56,6 +56,23 @@ type Model struct {
 	Workers int
 }
 
+// FitModel is the model a monitor fits to an inverted flow population —
+// flows estimated original flows whose sizes follow d — when it ranks the
+// top t: N is flows rounded, raised to t+1 so the top list is a proper
+// subset, with Poisson top-t weights and the hybrid kernel. The adaptive
+// controller's refit and the network allocator's per-link scoring both use
+// it.
+func FitModel(flows float64, d dist.SizeDist, t, workers int) Model {
+	return Model{
+		N:            max(int(flows+0.5), t+1),
+		T:            t,
+		Dist:         d,
+		PoissonTails: true,
+		Kernel:       KernelHybrid,
+		Workers:      workers,
+	}
+}
+
 // Validate checks the model parameters.
 func (m Model) Validate() error {
 	if m.N < 2 {

@@ -207,6 +207,62 @@ func TestRequiredRateInInterval(t *testing.T) {
 	}
 }
 
+// TestRequiredRateInClampEquivalence: solving inside an interval returns
+// what solving on [1e-6, 1) and clamping afterwards returned. The
+// reference rates are that older solve-then-clamp output on the same
+// fitted populations (Pareto mean 9.6, β 1.5; target 1; interval
+// [0.05, 0.5]; a root above the interval is answered with its top, as the
+// adaptive controller does): clamped answers must match exactly, the
+// interior ones to the solver's tolerance.
+func TestRequiredRateInClampEquivalence(t *testing.T) {
+	const lo, hi = 0.05, 0.5
+	cases := []struct {
+		name      string
+		flows     float64
+		topT      int
+		detection bool
+		want      float64
+		exact     bool
+	}{
+		{"root 0.3% below the interval", 3_500_000, 5, true, lo, true},
+		{"root inside, upper half", 3_500_000, 10, false, 0.26454575815728126, false},
+		{"root inside, near the floor", 200_000, 5, false, 0.097644761109387745, false},
+		{"root 51% above the interval", 700_000, 10, false, hi, true},
+	}
+	for _, c := range cases {
+		m := FitModel(c.flows, dist.ParetoWithMean(9.6, 1.5), c.topT, 0)
+		got, err := m.RequiredRateIn(1, c.detection, lo, hi)
+		if errors.Is(err, ErrTargetUnreachable) {
+			got, err = hi, nil
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if (c.exact && got != c.want) || math.Abs(got-c.want) > 1e-5*c.want {
+			t.Errorf("%s: solved %.17g, solve-then-clamp gave %.17g", c.name, got, c.want)
+		}
+	}
+}
+
+// TestFitModel: the fitted population is the rounded flow count, raised
+// to t+1 when the estimate holds no more flows than the top list.
+func TestFitModel(t *testing.T) {
+	d := dist.ParetoWithMean(9.6, 1.5)
+	for _, c := range []struct {
+		flows float64
+		want  int
+	}{{1234.5, 1235}, {1234.4, 1234}, {10, 11}, {0, 11}} {
+		m := FitModel(c.flows, d, 10, 3)
+		if m.N != c.want || m.T != 10 || m.Dist != d || !m.PoissonTails || m.Kernel != KernelHybrid || m.Workers != 3 {
+			t.Errorf("FitModel(%g) = %+v, want N = %d", c.flows, m, c.want)
+		}
+		if err := m.Validate(); err != nil {
+			t.Errorf("FitModel(%g): %v", c.flows, err)
+		}
+	}
+}
+
 // TestOptimalRateNoDoubleEvaluation: the pairwise solve hands Brent the two
 // endpoint values it checked, so no abscissa is evaluated twice.
 func TestOptimalRateNoDoubleEvaluation(t *testing.T) {

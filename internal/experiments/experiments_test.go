@@ -155,15 +155,16 @@ var update = flag.Bool("update", false, "rewrite the golden tables under testdat
 // count) and run in well under a second at reduced scale: the model
 // figures of §3–§7, the bounded-memory sketch figure, whose rows are
 // the Space-Saving and Count-Min tables' results on a fixed sampled
-// stream, and the inversion, coordination and dynamic control-plane
-// figures, which walk the mixture quantile, the per-link model curves and
-// the per-bin controller end to end. Regenerate with:
+// stream, the inversion, coordination and dynamic control-plane figures,
+// which walk the mixture quantile, the per-link model curves and the
+// per-bin controller end to end, and the adaptive controller's figure.
+// Regenerate with:
 //
 //	go test ./internal/experiments -run TestFigureTablesGolden -update
 func TestFigureTablesGolden(t *testing.T) {
 	ids := []string{"fig01", "fig02", "fig03", "fig04", "fig05", "fig06",
 		"fig07", "fig08", "fig09", "fig10", "fig11", "sketch",
-		"invert", "coord", "dynamic"}
+		"invert", "coord", "dynamic", "adaptive"}
 	for _, id := range ids {
 		var got bytes.Buffer
 		for _, tab := range runAndRender(t, id) {

@@ -8,6 +8,7 @@ import (
 	"flowrank/internal/core"
 	"flowrank/internal/dist"
 	"flowrank/internal/flow"
+	"flowrank/internal/invert"
 	"flowrank/internal/randx"
 	"flowrank/internal/report"
 	"flowrank/internal/sampler"
@@ -167,15 +168,16 @@ func extraAdaptive(opts Options) ([]*report.Table, error) {
 	}
 	d := dist.ParetoWithMean(meanPktsFiveTuple, defaultBeta)
 	pObs := 0.1
-	obs := adaptive.Observation{Rate: pObs}
+	var sampled []float64
 	for i := 0; i < trueN; i++ {
 		s := int(math.Max(1, math.Round(d.Rand(g))))
-		got := g.Binomial(s, pObs)
-		if got > 0 {
-			obs.SampledFlows++
-			obs.SampledPackets += int64(got)
-			obs.SampledSizes = append(obs.SampledSizes, float64(got))
+		if got := g.Binomial(s, pObs); got > 0 {
+			sampled = append(sampled, float64(got))
 		}
+	}
+	est, err := invert.Parametric{}.Invert(sampled, pObs)
+	if err != nil {
+		return nil, err
 	}
 	t := &report.Table{
 		ID:      "adaptive",
@@ -185,7 +187,7 @@ func extraAdaptive(opts Options) ([]*report.Table, error) {
 	for _, tt := range []int{5, 10} {
 		for _, det := range []bool{false, true} {
 			ctl := adaptive.Controller{Target: 1, TopT: tt, Detection: det, Workers: opts.Workers}
-			rate, model, err := ctl.Recommend(obs)
+			rate, model, err := ctl.RecommendEstimate(est)
 			if err != nil {
 				return nil, err
 			}

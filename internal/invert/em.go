@@ -16,44 +16,42 @@ import (
 // through an explicit k = 0 completion step, so the estimated pmf covers
 // the body the observed counts cannot see directly).
 //
-// The support grid is integer sizes 1..GridLinear followed by a geometric
-// progression up to MaxSupport, always augmented with every distinct
-// observed count (so at p = 1, where the kernel degenerates to the
-// identity, the fit reproduces the observed histogram exactly). The
-// kernel is evaluated once per distinct count, windowed to the support
-// range where the binomial carries usable mass (zero below s = k,
-// negligible far past the mode s ≈ k/p), so each EM sweep costs the sum
-// of the window sizes rather than distinct × grid: tens of milliseconds
-// for the typical monitor bin, and a bin with hundreds of thousands of
-// flows and thousands of distinct counts stays around a second.
-type EM struct {
-	// MaxSupport caps the modeled original size; 0 derives it from the
-	// data as 2 * max(count) / p (clamped to at least 4 / p).
-	MaxSupport int
-	// GridLinear is the size up to which every integer is a support
-	// point (default 128); beyond it the grid grows geometrically.
-	GridLinear int
-	// GridRatio is the geometric growth factor past GridLinear
-	// (default 1.06).
-	GridRatio float64
-	// MaxIter bounds the EM sweeps (default 400).
-	MaxIter int
-	// Tol stops the iteration when no pmf entry moved by more than this
-	// (default 1e-8).
-	Tol float64
-}
+// The support grid is integer sizes 1..emGridLinear followed by a
+// geometric progression up to the largest modeled size, always augmented
+// with every distinct observed count (so at p = 1, where the kernel
+// degenerates to the identity, the fit reproduces the observed histogram
+// exactly). The kernel is evaluated once per distinct count, windowed to
+// the support range where the binomial carries usable mass (zero below
+// s = k, negligible far past the mode s ≈ k/p), so each EM sweep costs the
+// sum of the window sizes rather than distinct × grid: tens of
+// milliseconds for the typical monitor bin, and a bin with hundreds of
+// thousands of flows and thousands of distinct counts stays around a
+// second.
+type EM struct{}
+
+// The EM support grid and stopping rule.
+const (
+	// emGridLinear is the size up to which every integer is a support
+	// point; beyond it the grid grows geometrically by emGridRatio.
+	emGridLinear = 128
+	emGridRatio  = 1.06
+	// emMaxIter bounds the EM sweeps; emTol stops them once no pmf entry
+	// moved by more than it.
+	emMaxIter = 400
+	emTol     = 1e-8
+)
 
 // Name implements Estimator.
 func (EM) Name() string { return "em" }
 
 // Invert implements Estimator.
-func (em EM) Invert(counts []float64, p float64) (Estimate, error) {
+func (EM) Invert(counts []float64, p float64) (Estimate, error) {
 	if err := validate(counts, p); err != nil {
 		return Estimate{}, err
 	}
 	ks, ws := histogram(counts)
-	support := em.supportGrid(ks, p)
-	pi := em.fit(ks, ws, support, p)
+	support := supportGrid(ks, p)
+	pi := fit(ks, ws, support, p)
 
 	values := make([]float64, len(support))
 	for j, s := range support {
@@ -111,28 +109,12 @@ func histogram(counts []float64) (ks []int, ws []float64) {
 }
 
 // supportGrid builds the ascending integer support: dense up to
-// GridLinear, geometric beyond, plus every observed count (which makes
-// the p = 1 identity kernel exact) and the derived maximum.
-func (em EM) supportGrid(ks []int, p float64) []int {
+// emGridLinear, geometric beyond up to the largest modeled size
+// 2 * max(count) / p (at least 4 / p and the largest count), plus every
+// observed count (which makes the p = 1 identity kernel exact).
+func supportGrid(ks []int, p float64) []int {
 	maxK := ks[len(ks)-1]
-	maxS := em.MaxSupport
-	if maxS <= 0 {
-		maxS = int(2 * float64(maxK) / p)
-		if min := int(4 / p); maxS < min {
-			maxS = min
-		}
-	}
-	if maxS < maxK {
-		maxS = maxK
-	}
-	linear := em.GridLinear
-	if linear <= 0 {
-		linear = 128
-	}
-	ratio := em.GridRatio
-	if ratio <= 1 {
-		ratio = 1.06
-	}
+	maxS := max(int(2*float64(maxK)/p), int(4/p), maxK)
 	seen := make(map[int]bool)
 	var grid []int
 	add := func(s int) {
@@ -141,10 +123,10 @@ func (em EM) supportGrid(ks []int, p float64) []int {
 			grid = append(grid, s)
 		}
 	}
-	for s := 1; s <= linear && s <= maxS; s++ {
+	for s := 1; s <= emGridLinear && s <= maxS; s++ {
 		add(s)
 	}
-	for x := float64(linear); x < float64(maxS); x *= ratio {
+	for x := float64(emGridLinear); x < float64(maxS); x *= emGridRatio {
 		add(int(math.Ceil(x)))
 	}
 	add(maxS)
@@ -164,15 +146,7 @@ type kernelRow struct {
 }
 
 // fit runs the zero-truncated EM and returns the pmf over the support.
-func (em EM) fit(ks []int, ws []float64, support []int, p float64) []float64 {
-	maxIter := em.MaxIter
-	if maxIter <= 0 {
-		maxIter = 400
-	}
-	tol := em.Tol
-	if tol <= 0 {
-		tol = 1e-8
-	}
+func fit(ks []int, ws []float64, support []int, p float64) []float64 {
 	nK, nS := len(ks), len(support)
 
 	// Kernel rows: rows[i] holds P{K = ks[i] | S = s} over the window of
@@ -223,7 +197,7 @@ func (em EM) fit(ks []int, ws []float64, support []int, p float64) []float64 {
 	}
 
 	next := make([]float64, nS)
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < emMaxIter; iter++ {
 		for j := range next {
 			next[j] = 0
 		}
@@ -270,7 +244,7 @@ func (em EM) fit(ks []int, ws []float64, support []int, p float64) []float64 {
 			}
 		}
 		pi, next = next, pi
-		if delta < tol {
+		if delta < emTol {
 			break
 		}
 	}

@@ -4,7 +4,7 @@
 // what sampling does to a known distribution, the inverters recover the
 // distribution from what sampling left behind.
 //
-// Three estimators with increasing fidelity (and cost) implement the
+// Four estimators with increasing fidelity (and cost) implement the
 // common Estimator interface:
 //
 //   - Naive: rescale every sampled count by 1/p. The classical baseline;
@@ -17,17 +17,20 @@
 //     statistics give the tail location. The body below the tail
 //     threshold stays the rescaled empirical; the two are spliced as a
 //     Mixture.
+//   - Parametric: the Duffield-style Pareto fit — a Hill tail index, then
+//     the original flow count and mean by a fixed point on the Pareto
+//     model's missed-flow probability.
 //   - EM: full-distribution inversion in the spirit of Clegg et al. —
 //     maximum-likelihood estimation of the size pmf over a discretized
 //     support under the zero-truncated binomial thinning kernel
 //     P{K = k | S = s} = Binom(s, p) at k, fitted by EM with an explicit
-//     missed-flow (k = 0) completion step. Recovers the body the other
-//     two cannot see.
+//     missed-flow (k = 0) completion step. Recovers the body the others
+//     cannot see.
 //
-// Every estimate carries a dist.SizeDist (an Empirical, a Mixture, or a
-// Discrete over the EM grid), so consumers — the adaptive controller, the
-// streaming monitor's per-bin summaries, the analytical models — plug the
-// inverted distribution wherever a size law goes.
+// Every estimate carries a dist.SizeDist (an Empirical, a Mixture, a
+// Pareto, or a Discrete over the EM grid), so consumers — the adaptive
+// controller, the streaming monitor's per-bin summaries, the analytical
+// models — plug the inverted distribution wherever a size law goes.
 package invert
 
 import (
@@ -193,26 +196,22 @@ func (Naive) Invert(counts []float64, p float64) (Estimate, error) {
 // rescaled order statistics locate the tail, and the estimate splices a
 // Pareto tail above the threshold onto the rescaled empirical body below
 // it. FlowCount inverts the miss probability of the spliced law.
-type TailScaling struct {
-	// TailFraction is the fraction of the sample treated as tail
-	// (default 0.02, at least 10 flows).
-	TailFraction float64
-}
+type TailScaling struct{}
+
+// tailFraction is the fraction of the sample TailScaling treats as tail
+// (at least 10 flows).
+const tailFraction = 0.02
 
 // Name implements Estimator.
 func (TailScaling) Name() string { return "tail" }
 
 // Invert implements Estimator.
-func (ts TailScaling) Invert(counts []float64, p float64) (Estimate, error) {
+func (TailScaling) Invert(counts []float64, p float64) (Estimate, error) {
 	if err := validate(counts, p); err != nil {
 		return Estimate{}, err
 	}
 	n := len(counts)
-	frac := ts.TailFraction
-	if frac <= 0 {
-		frac = 0.02
-	}
-	k := int(frac * float64(n))
+	k := int(tailFraction * float64(n))
 	if k < 10 {
 		k = 10
 	}
@@ -259,41 +258,32 @@ func (ts TailScaling) Invert(counts []float64, p float64) (Estimate, error) {
 	return est, nil
 }
 
-// Parametric is the adaptive controller's population inversion as an
-// Estimator: fit a Pareto tail index by Hill, then recover the original
-// flow count and mean by fixed-point iteration on the missed-flow
-// probability of a Pareto model — the Duffield-style inversion the
-// controller shipped with, now shared behind the common interface.
-type Parametric struct {
-	// TailIndex fixes the Pareto shape; 0 estimates it by Hill and clamps
-	// to >= 1.05 so the fitted mean stays finite.
-	TailIndex float64
-}
+// Parametric is the classic population inversion: fit a Pareto tail
+// index by Hill (clamped to >= 1.05 so the fitted mean stays finite), then
+// recover the original flow count and mean by fixed-point iteration on the
+// missed-flow probability of a Pareto model — the Duffield-style inversion.
+type Parametric struct{}
 
 // Name implements Estimator.
 func (Parametric) Name() string { return "parametric" }
 
 // Invert implements Estimator.
-func (pe Parametric) Invert(counts []float64, p float64) (Estimate, error) {
+func (Parametric) Invert(counts []float64, p float64) (Estimate, error) {
 	if err := validate(counts, p); err != nil {
 		return Estimate{}, err
 	}
-	beta := pe.TailIndex
-	if beta == 0 {
-		var err error
-		beta, err = Hill(counts, hillDefaultK(len(counts)))
-		if err != nil {
-			return Estimate{}, err
-		}
-		if beta <= 1.05 {
-			beta = 1.05
-		}
+	beta, err := Hill(counts, hillDefaultK(len(counts)))
+	if err != nil {
+		return Estimate{}, err
+	}
+	if beta <= 1.05 {
+		beta = 1.05
 	}
 	var packets float64
 	for _, c := range counts {
 		packets += c
 	}
-	nEst, meanEst, err := EstimatePopulation(len(counts), int64(math.Round(packets)), p, beta)
+	nEst, meanEst, err := estimatePopulation(len(counts), int64(math.Round(packets)), p, beta)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -306,12 +296,11 @@ func (pe Parametric) Invert(counts []float64, p float64) (Estimate, error) {
 	}, nil
 }
 
-// EstimatePopulation inverts one sampled bin parametrically: given the
-// number of sampled flows (>= 1 sampled packet), the total sampled
-// packets, and the rate, it estimates the true flow count and true mean
-// flow size by fixed-point iteration on a Pareto model with the given
-// tail index.
-func EstimatePopulation(sampledFlows int, sampledPackets int64, p, beta float64) (nEst float64, meanEst float64, err error) {
+// estimatePopulation is Parametric's fixed point: given the number of
+// sampled flows (>= 1 sampled packet), the total sampled packets, and the
+// rate, it estimates the true flow count and true mean flow size by
+// fixed-point iteration on a Pareto model with the given tail index.
+func estimatePopulation(sampledFlows int, sampledPackets int64, p, beta float64) (nEst float64, meanEst float64, err error) {
 	if sampledFlows <= 0 || sampledPackets <= 0 {
 		return 0, 0, fmt.Errorf("invert: empty sampled bin")
 	}

@@ -269,19 +269,20 @@ func TestEMRateOneReproducesEmpirical(t *testing.T) {
 }
 
 // TestTailScalingSplice: the spliced estimate carries the Hill exponent,
-// puts the configured tail weight above the rescaled threshold, and
-// matches the rescaled empirical in the body.
+// puts the tail weight above the rescaled threshold, and matches the
+// rescaled empirical in the body.
 func TestTailScalingSplice(t *testing.T) {
 	const p = 0.1
 	_, counts := sampleTrace(dist.ParetoWithMean(9.6, 1.5), 20000, p, 3)
-	est, err := TailScaling{TailFraction: 0.05}.Invert(counts, p)
+	est, err := TailScaling{}.Invert(counts, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(est.TailIndex-1.5) > 0.3 {
 		t.Errorf("tail index %g, want near 1.5", est.TailIndex)
 	}
-	hill, err := Hill(counts, len(counts)/20)
+	k := int(tailFraction * float64(len(counts)))
+	hill, err := Hill(counts, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,9 +290,9 @@ func TestTailScalingSplice(t *testing.T) {
 		t.Errorf("tail index %g must be the Hill fit %g", est.TailIndex, hill)
 	}
 	// Above the splice threshold the CCDF is the fitted Pareto tail.
-	w := float64(len(counts)/20) / float64(len(counts))
+	w := float64(k) / float64(len(counts))
 	sorted := sortedCopy(counts)
-	threshold := sorted[len(counts)-len(counts)/20] / p
+	threshold := sorted[len(counts)-k] / p
 	if got := est.Dist.CCDF(threshold); math.Abs(got-w) > 0.25*w {
 		t.Errorf("CCDF at threshold %g = %g, want about the tail weight %g", threshold, got, w)
 	}
@@ -350,12 +351,12 @@ func TestParametricMatchesEstimatePopulation(t *testing.T) {
 	if beta <= 1.05 {
 		beta = 1.05
 	}
-	n, mean, err := EstimatePopulation(len(counts), int64(math.Round(packets)), p, beta)
+	n, mean, err := estimatePopulation(len(counts), int64(math.Round(packets)), p, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.FlowCount != n || est.Mean != mean || est.TailIndex != beta {
-		t.Errorf("Parametric (%g, %g, %g) differs from EstimatePopulation (%g, %g, %g)",
+		t.Errorf("Parametric (%g, %g, %g) differs from estimatePopulation (%g, %g, %g)",
 			est.FlowCount, est.Mean, est.TailIndex, n, mean, beta)
 	}
 	// ParetoWithMean round-trips mean -> scale -> mean through two float
@@ -405,6 +406,54 @@ func TestKolmogorovDistance(t *testing.T) {
 	}
 }
 
+// missMonteCarlo is the share of n flows drawn from d (rounded to >= 1
+// packet) that leave no packet when thinned at rate p.
+func missMonteCarlo(d dist.SizeDist, p float64, n int, seed uint64) float64 {
+	g := randx.New(seed)
+	missed := 0
+	for i := 0; i < n; i++ {
+		s := int(math.Max(1, math.Round(d.Rand(g))))
+		if g.Binomial(s, p) == 0 {
+			missed++
+		}
+	}
+	return float64(missed) / float64(n)
+}
+
+func TestMissProbability(t *testing.T) {
+	d := dist.ParetoWithMean(9.6, 1.5)
+	for _, p := range []float64{0.01, 0.1, 0.5} {
+		mc := missMonteCarlo(d, p, 300000, 2)
+		// The analytic form uses continuous sizes; allow the
+		// discretization gap plus MC noise.
+		if got := MissProbability(d, p); math.Abs(got-mc) > 0.03 {
+			t.Errorf("p=%g: analytic %g vs MC %g", p, got, mc)
+		}
+	}
+}
+
+// TestMissProbabilityAnySizeLaw: the population inversion must accept any
+// SizeDist, not just the Pareto Parametric fits: cross-check the
+// quantile-space integral against Monte Carlo for a short-tailed law and a
+// multi-class mixture.
+func TestMissProbabilityAnySizeLaw(t *testing.T) {
+	mix, err := dist.NewMixture(
+		dist.Component{Weight: 0.9, Dist: dist.ExponentialWithMean(1, 4)},
+		dist.Component{Weight: 0.1, Dist: dist.ParetoWithMean(50, 1.6)},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []dist.SizeDist{dist.Lognormal{Min: 1, Mu: 1.2, Sigma: 1.1}, mix} {
+		for i, p := range []float64{0.05, 0.3} {
+			mc := missMonteCarlo(d, p, 200000, 8+uint64(i))
+			if got := MissProbability(d, p); math.Abs(got-mc) > 0.03 {
+				t.Errorf("%s p=%g: analytic %g vs MC %g", d, p, got, mc)
+			}
+		}
+	}
+}
+
 func TestMissProbabilityEdges(t *testing.T) {
 	d := dist.ParetoWithMean(9.6, 1.5)
 	if MissProbability(d, 1) != 0 || MissProbability(d, 0) != 1 {
@@ -417,14 +466,35 @@ func TestMissProbabilityEdges(t *testing.T) {
 	}
 }
 
+// TestEstimatePopulation: the fixed point recovers the flow count and
+// mean of a sampled bin synthesized from a known population.
+func TestEstimatePopulation(t *testing.T) {
+	const trueN, p = 100000, 0.05
+	_, counts := sampleTrace(dist.ParetoWithMean(9.6, 1.5), trueN, p, 3)
+	var packets int64
+	for _, c := range counts {
+		packets += int64(c)
+	}
+	nEst, meanEst, err := estimatePopulation(len(counts), packets, p, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(nEst-trueN) > 0.1*trueN {
+		t.Errorf("N estimate %g, true %d", nEst, trueN)
+	}
+	if math.Abs(meanEst-9.6) > 0.15*9.6 {
+		t.Errorf("mean estimate %g, true 9.6", meanEst)
+	}
+}
+
 func TestEstimatePopulationErrors(t *testing.T) {
-	if _, _, err := EstimatePopulation(0, 0, 0.1, 1.5); err == nil {
+	if _, _, err := estimatePopulation(0, 0, 0.1, 1.5); err == nil {
 		t.Error("empty bin accepted")
 	}
-	if _, _, err := EstimatePopulation(10, 100, 0, 1.5); err == nil {
+	if _, _, err := estimatePopulation(10, 100, 0, 1.5); err == nil {
 		t.Error("zero rate accepted")
 	}
-	if _, _, err := EstimatePopulation(10, 100, 0.1, 0.9); err == nil {
+	if _, _, err := estimatePopulation(10, 100, 0.1, 0.9); err == nil {
 		t.Error("infinite-mean tail accepted")
 	}
 }

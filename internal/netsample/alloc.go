@@ -325,25 +325,6 @@ func newScorer(v *demandView) *scorer {
 	}
 }
 
-// linkModel fits the analytical model to one link's estimated population.
-func (s *scorer) linkModel(ls LinkState) core.Model {
-	n := int(ls.Flows + 0.5)
-	if n < s.v.d.TopT+1 {
-		n = s.v.d.TopT + 1
-	}
-	if n < 2 {
-		n = 2
-	}
-	return core.Model{
-		N:            n,
-		T:            s.v.d.TopT,
-		Dist:         ls.Dist,
-		PoissonTails: true,
-		Kernel:       core.KernelHybrid,
-		Workers:      s.v.d.Workers,
-	}
-}
-
 // point returns the link's metric at gridpoint i, evaluating the model on
 // first use.
 func (s *scorer) point(ls LinkState, i int) float64 {
@@ -357,9 +338,10 @@ func (s *scorer) point(ls LinkState, i int) float64 {
 	return c[i]
 }
 
-// installLink fits the link's model and opens its curve slots.
+// installLink fits the link's model to its estimated population and opens
+// its curve slots.
 func (s *scorer) installLink(ls LinkState) []float64 {
-	link, m := ls.Link, s.linkModel(ls)
+	link, m := ls.Link, core.FitModel(ls.Flows, ls.Dist, s.v.d.TopT, s.v.d.Workers)
 	s.models[link] = m
 	n, t := float64(m.N), float64(m.T)
 	s.pairs[link] = (2*n - t - 1) * t / 2

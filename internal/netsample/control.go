@@ -117,8 +117,9 @@ func (c *Controller) validate() error {
 // Step observes and allocates one measurement bin, advancing the
 // controller's history. A bin whose probe saw nothing on any link
 // reuses the previous bin's allocation (a quiet bin is not a controller
-// failure — the same contract as the adaptive loop's
-// ErrEmptyObservation); a first bin with nothing to observe errors.
+// failure — the same contract as the monitor's adaptive loop, which keeps
+// its rate on a bin it cannot invert); a first bin with nothing to observe
+// errors.
 func (c *Controller) Step(flows []RoutedFlow) (*BinResult, error) {
 	if err := c.validate(); err != nil {
 		return nil, err

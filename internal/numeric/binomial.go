@@ -140,14 +140,6 @@ func PoissonCDF(k int, lambda float64) float64 {
 	return clampUnit(RegGammaQ(float64(k)+1, lambda))
 }
 
-// PoissonSurvival returns P{Poisson(lambda) >= k}.
-func PoissonSurvival(k int, lambda float64) float64 {
-	if k <= 0 {
-		return 1
-	}
-	return clampUnit(1 - PoissonCDF(k-1, lambda))
-}
-
 func clampUnit(x float64) float64 {
 	if x < 0 {
 		return 0

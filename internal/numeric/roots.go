@@ -93,32 +93,3 @@ func BrentBracket(f Func1, a, fa, b, fb, tol float64) (float64, error) {
 	}
 	return b, nil
 }
-
-// Bisect finds a root of f in [a, b] by plain bisection. It is slower than
-// Brent but immune to pathological interpolation behaviour; used as the
-// fallback in tests.
-func Bisect(f Func1, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if (fa > 0) == (fb > 0) {
-		return 0, ErrNoBracket
-	}
-	for math.Abs(b-a) > tol {
-		m := 0.5 * (a + b)
-		fm := f(m)
-		if fm == 0 {
-			return m, nil
-		}
-		if (fm > 0) == (fa > 0) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return 0.5 * (a + b), nil
-}

@@ -52,27 +52,16 @@ func TestBrentSteepFunction(t *testing.T) {
 	}
 }
 
-func TestBrentAgainstBisect(t *testing.T) {
+func TestBrentRandomCubics(t *testing.T) {
 	f := func(seed uint16) bool {
 		// Random cubic with a root in [0, 10].
 		r := float64(seed%1000)/100 + 0.001
 		g := func(x float64) float64 { return (x - r) * (x*x + 1) }
-		xb, err1 := Brent(g, -1, 11, 1e-12)
-		xs, err2 := Bisect(g, -1, 11, 1e-12)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return almostEqual(xb, r, 1e-9) && almostEqual(xs, r, 1e-9)
+		xb, err := Brent(g, -1, 11, 1e-12)
+		return err == nil && almostEqual(xb, r, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	f := func(x float64) float64 { return 1.0 }
-	if _, err := Bisect(f, 0, 1, 1e-9); err != ErrNoBracket {
-		t.Errorf("err = %v, want ErrNoBracket", err)
 	}
 }
 

@@ -82,23 +82,6 @@ func betaCF(a, b, x float64) float64 {
 	return h
 }
 
-// RegGammaP returns the regularized lower incomplete gamma function
-// P(a, x) = gamma(a,x)/Gamma(a) for a > 0, x >= 0.
-func RegGammaP(a, x float64) float64 {
-	switch {
-	case math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case a <= 0 || x < 0:
-		return math.NaN()
-	case x == 0:
-		return 0
-	}
-	if x < a+1 {
-		return gammaPSeries(a, x)
-	}
-	return 1 - gammaQCF(a, x)
-}
-
 // RegGammaQ returns the regularized upper incomplete gamma function
 // Q(a, x) = 1 - P(a, x).
 func RegGammaQ(a, x float64) float64 {

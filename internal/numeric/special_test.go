@@ -55,32 +55,34 @@ func TestRegIncBetaBounds(t *testing.T) {
 	}
 }
 
-func TestRegGammaPKnownValues(t *testing.T) {
-	// P(1, x) = 1 - e^{-x}.
+func TestRegGammaQKnownValues(t *testing.T) {
+	// Q(1, x) = e^{-x}, on both sides of the x = a+1 branch switch.
 	for _, x := range []float64{0.1, 1, 3, 10} {
-		got := RegGammaP(1, x)
-		want := 1 - math.Exp(-x)
+		got := RegGammaQ(1, x)
+		want := math.Exp(-x)
 		if !almostEqual(got, want, 1e-12) {
-			t.Errorf("P(1,%g) = %g, want %g", x, got, want)
+			t.Errorf("Q(1,%g) = %g, want %g", x, got, want)
 		}
 	}
-	// P(1/2, x) = erf(sqrt(x)).
+	// Q(1/2, x) = erfc(sqrt(x)).
 	for _, x := range []float64{0.2, 1, 2.5, 9} {
-		got := RegGammaP(0.5, x)
-		want := math.Erf(math.Sqrt(x))
+		got := RegGammaQ(0.5, x)
+		want := math.Erfc(math.Sqrt(x))
 		if !almostEqual(got, want, 1e-12) {
-			t.Errorf("P(0.5,%g) = %g, want %g", x, got, want)
+			t.Errorf("Q(0.5,%g) = %g, want %g", x, got, want)
 		}
 	}
 }
 
+// TestRegGammaComplement: the two evaluations behind RegGammaQ — the
+// power series of P (x < a+1) and the continued fraction of Q — are
+// complements wherever both converge, so Q is continuous across the
+// branch switch.
 func TestRegGammaComplement(t *testing.T) {
 	f := func(aRaw, xRaw uint16) bool {
 		a := float64(aRaw%800)/10 + 0.05
-		x := float64(xRaw%2000) / 10
-		p := RegGammaP(a, x)
-		q := RegGammaQ(a, x)
-		return almostEqual(p+q, 1, 1e-10)
+		x := a + float64(xRaw%200)/100 // within 1 of the switch at a+1
+		return almostEqual(gammaPSeries(a, x)+gammaQCF(a, x), 1, 1e-10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -89,13 +91,13 @@ func TestRegGammaComplement(t *testing.T) {
 
 func TestRegGammaMonotoneInX(t *testing.T) {
 	a := 3.7
-	prev := -1.0
+	prev := 2.0
 	for x := 0.0; x < 30; x += 0.25 {
-		p := RegGammaP(a, x)
-		if p < prev-1e-13 {
-			t.Fatalf("P(a,x) not monotone at x=%g", x)
+		q := RegGammaQ(a, x)
+		if q > prev+1e-13 {
+			t.Fatalf("Q(a,x) not monotone at x=%g", x)
 		}
-		prev = p
+		prev = q
 	}
 }
 

@@ -223,13 +223,11 @@ func (p *Pipeline) closeBin(b stream.BinResult) *BinRecord {
 		DetectionFraction: b.Pairs.DetectionFrac(),
 	}
 	if inv := b.Inversion; inv != nil {
-		rec.Inversion = &InversionRecord{
-			Method:    inv.Method,
-			MeanPkts:  inv.Mean,
-			TailIndex: inv.TailIndex,
-			Flows:     inv.FlowCount,
-			Err:       inv.Err,
+		ir := &InversionRecord{Method: inv.Method, Err: inv.Err}
+		if e := inv.Estimate; e != nil {
+			ir.MeanPkts, ir.TailIndex, ir.Flows = e.Mean, e.TailIndex, e.FlowCount
 		}
+		rec.Inversion = ir
 	}
 	rec.NetFlow = p.nf.export(b, rate)
 	if p.cfg.AdaptTarget > 0 {

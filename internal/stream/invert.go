@@ -13,37 +13,26 @@ var InversionCheckpoints = [4]float64{0.5, 0.1, 0.01, 0.001}
 
 // InversionSummary is the per-bin output of the optional inversion stage:
 // the bin's sampled per-flow packet counts run through the configured
-// invert.Estimator at the sampler's rate, summarized as scalars so the
-// result is cheap to keep per bin. It obeys the engine's determinism
-// contract — bit-identical for any worker count and batch size — because
-// the input is the merged multiset of sampled counts (estimators are
-// order-invariant) and the estimate is reduced to checkpoints in a fixed
-// order.
+// invert.Estimator at the sampler's rate. It obeys the engine's
+// determinism contract — bit-identical for any worker count and batch
+// size — because the input is the merged multiset of sampled counts
+// (estimators are order-invariant) and the quantiles are read at fixed
+// checkpoints.
 type InversionSummary struct {
 	// Method names the estimator ("naive", "tail", "em", "parametric").
 	Method string
-	// Mean is the estimated mean original flow size in packets.
-	Mean float64
-	// TailIndex is the fitted Pareto tail exponent (0 when not
-	// identifiable).
-	TailIndex float64
-	// FlowCount estimates the number of original flows, including the
-	// flows sampling missed.
-	FlowCount float64
 	// Quantiles are the estimated original size quantiles at the
-	// upper-tail probabilities InversionCheckpoints.
+	// upper-tail probabilities InversionCheckpoints (zero when Err is
+	// set).
 	Quantiles [4]float64
 	// Err carries the estimator's error when the bin could not be
-	// inverted (for example too few sampled flows for a tail fit); the
-	// other fields are zero then.
+	// inverted (for example too few sampled flows for a tail fit).
 	Err string
-	// Estimate is the full inversion result the scalars above were read
-	// from, including the estimated size distribution — what a closed
-	// control loop (flowtop -adapt) feeds into
-	// adaptive.Controller.RecommendEstimate without inverting the bin a
-	// second time. Nil when Err is set. Like every other field it is a
-	// pure function of the merged multiset of sampled counts, so it keeps
-	// the bit-identical-across-workers contract.
+	// Estimate is the inversion result — mean, tail index, flow count and
+	// the estimated size distribution — and what a closed control loop
+	// (flowtop -adapt) feeds into adaptive.Controller.RecommendEstimate
+	// without inverting the bin a second time. Nil exactly when Err is
+	// set.
 	Estimate *invert.Estimate
 }
 
@@ -66,9 +55,6 @@ func summarizeInversion(est invert.Estimator, sampled map[flow.Key]int64, rate f
 		s.Err = err.Error()
 		return s
 	}
-	s.Mean = e.Mean
-	s.TailIndex = e.TailIndex
-	s.FlowCount = e.FlowCount
 	s.Estimate = &e
 	for i, u := range InversionCheckpoints {
 		s.Quantiles[i] = e.Dist.QuantileCCDF(u)

@@ -218,7 +218,7 @@ func TestEngineInversionSummaryInvariance(t *testing.T) {
 				continue // too few flows for this estimator: still deterministic
 			}
 			inverted++
-			if !(inv.Mean > 0) || !(inv.FlowCount >= float64(b.SampledFlows)) {
+			if e := inv.Estimate; e == nil || !(e.Mean > 0) || !(e.FlowCount >= float64(b.SampledFlows)) {
 				t.Errorf("%s: bin %d implausible summary %+v (sampled flows %d)",
 					est.Name(), b.Bin, inv, b.SampledFlows)
 			}
