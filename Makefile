@@ -101,6 +101,10 @@ microbench:
 # BenchmarkRankingMetric one evaluation's integrand probes as probes/op
 # (11 640 at p = 0.9 on the same model): a regression in the search or in
 # the integrator shows as a count that repeats exactly, not as a slow suite.
+# BenchmarkStreamPackets expands a 2000-flow sprint5 trace into packets
+# (packetgen.Stream, what tracegen -packets/-pcap and the fastpath figure's
+# packet path run) and reports ns/pkt and allocs/op (32: the growth of the
+# merge's own slices, nothing per flow or per packet).
 # BenchmarkSourceDecode reads a trace file through source.Open in both
 # formats and reports ns/pkt and allocs: what the source layer charges
 # every packet before the sampling decision, read syscalls included — two

@@ -157,14 +157,17 @@ var update = flag.Bool("update", false, "rewrite the golden tables under testdat
 // the Space-Saving and Count-Min tables' results on a fixed sampled
 // stream, the inversion, coordination and dynamic control-plane figures,
 // which walk the mixture quantile, the per-link model curves and the
-// per-bin controller end to end, and the adaptive controller's figure.
+// per-bin controller end to end, the adaptive controller's figure, and
+// fastpath (about a second), the one figure that expands flows into
+// packets (packetgen.Stream) and runs the literal packet path
+// (sim.RunPackets); its table is the same at every worker count.
 // Regenerate with:
 //
 //	go test ./internal/experiments -run TestFigureTablesGolden -update
 func TestFigureTablesGolden(t *testing.T) {
 	ids := []string{"fig01", "fig02", "fig03", "fig04", "fig05", "fig06",
 		"fig07", "fig08", "fig09", "fig10", "fig11", "sketch",
-		"invert", "coord", "dynamic", "adaptive"}
+		"invert", "coord", "dynamic", "adaptive", "fastpath"}
 	for _, id := range ids {
 		var got bytes.Buffer
 		for _, tab := range runAndRender(t, id) {

@@ -8,7 +8,9 @@
 //
 //   - Stream emits the full time-ordered packet trace through a k-way
 //     merge over the active flows, for consumers that need real packets
-//     (pcap export, the flowtable path, NetFlow emission).
+//     (pcap export, the flowtable path, NetFlow emission). The merge is a
+//     typed binary heap over one reused slice of flow states, and each
+//     flow draws its packet times from its own inline PCG stream.
 //   - BinCounts computes each flow's packet count per measurement bin
 //     directly — a multinomial split over the bin overlap fractions,
 //     which is distributionally identical to binning the streamed
@@ -18,7 +20,6 @@
 package packetgen
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -31,106 +32,164 @@ import (
 // Stream generates the packets of records (any order) and delivers them to
 // fn in global time order. Packet timestamps are reproducible functions of
 // (seed, record index): the interleaving does not perturb per-flow
-// randomness. fn returning an error aborts the stream.
+// randomness. fn returning an error aborts the stream. Every record must
+// pass flow.Record.Validate; otherwise Stream returns an error naming the
+// first bad record before it emits any packet.
 //
 // Packet sizes split the record's byte count evenly, with the remainder on
 // the first packet, so per-flow byte totals are preserved exactly.
+//
+// The merge admits flows in start order, each into a slot of one slice of
+// flow states (reused once the flow ends), and keeps a binary min-heap of
+// (next packet time, slot) items. The heap makes the comparisons and moves
+// container/heap would, so packets with equal timestamps leave in
+// container/heap's order, which the traces tracegen writes depend on. A
+// packet costs one heap fix-up or pop and one draw from its flow's inline
+// PCG stream; it reads no record.
 func Stream(records []flow.Record, seed uint64, fn func(packet.Packet) error) error {
 	base := randx.New(seed)
 	// Sort indices by start time so flows enter the merge lazily.
 	order := make([]int, len(records))
 	for i := range order {
+		if err := records[i].Validate(); err != nil {
+			return fmt.Errorf("packetgen: record %d: %w", i, err)
+		}
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return records[order[a]].Start < records[order[b]].Start })
 
-	h := make(flowHeap, 0, 1024)
+	var (
+		h      = make(mergeHeap, 0, 1024)
+		states []flowState
+		free   []int
+	)
 	next := 0
 	for next < len(order) || len(h) > 0 {
 		// Admit every flow that starts before the earliest pending packet.
 		for next < len(order) {
 			idx := order[next]
-			if len(h) > 0 && records[idx].Start > h[0].nextTime {
+			if len(h) > 0 && records[idx].Start > h[0].t {
 				break
 			}
-			st := newFlowState(records[idx], idx, base)
-			heap.Push(&h, st)
+			slot := len(states)
+			if n := len(free); n > 0 {
+				slot, free = free[n-1], free[:n-1]
+			} else {
+				states = append(states, flowState{})
+			}
+			t := states[slot].admit(records[idx], base.DerivePCG(uint64(idx)+0x51ed270b))
+			h.push(mergeItem{t: t, slot: slot})
 			next++
 		}
-		st := h[0]
-		rec := records[st.rec]
-		size := st.nextSize(rec)
-		if err := fn(packet.Packet{Time: st.nextTime, Key: rec.Key, Size: size}); err != nil {
+		top := h[0]
+		st := &states[top.slot]
+		if err := fn(packet.Packet{Time: top.t, Key: st.key, Size: st.size}); err != nil {
 			return err
 		}
-		if st.advance(rec) {
-			heap.Fix(&h, 0)
+		if st.left--; st.left > 0 {
+			st.size = st.restSize
+			h.fixRoot(st.nextTime())
 		} else {
-			heap.Pop(&h)
+			h.pop()
+			free = append(free, top.slot)
 		}
 	}
 	return nil
 }
 
-// flowState tracks one active flow inside the merge. Sorted uniform
-// placement is generated incrementally with the order-statistics
+// flowState is one active flow inside the merge: the record fields the
+// merge reads per packet, both packet sizes, and the flow's stream. Sorted
+// uniform placement is generated incrementally with the order-statistics
 // recurrence U(k) = 1 - (1 - U(k-1)) * u^(1/(S-k+1)), avoiding per-flow
 // buffers.
 type flowState struct {
-	rec      int
-	g        *randx.RNG
-	emitted  int
-	lastU    float64
-	nextTime float64
+	g               randx.PCG
+	start, duration float64
+	lastU           float64
+	key             flow.Key
+	left            int // packets not yet emitted, the pending one included
+	size            int // wire size of the pending packet
+	restSize        int // wire size of every packet after the first
 }
 
-func newFlowState(rec flow.Record, idx int, base *randx.RNG) *flowState {
-	st := &flowState{rec: idx, g: base.Derive(uint64(idx) + 0x51ed270b)}
-	st.nextTime = rec.Start + st.drawNextU(rec)*rec.Duration
-	return st
-}
-
-// drawNextU advances the sorted-uniform recurrence and returns the next
-// order statistic in [lastU, 1].
-func (st *flowState) drawNextU(rec flow.Record) float64 {
-	remaining := rec.Packets - st.emitted
-	u := st.g.Float64()
-	st.lastU = 1 - (1-st.lastU)*math.Pow(1-u, 1/float64(remaining))
-	return st.lastU
-}
-
-// nextSize returns the wire size of the packet about to be emitted.
-func (st *flowState) nextSize(rec flow.Record) int {
+// admit starts rec in st, drawing from g, and returns its first packet's
+// time.
+func (st *flowState) admit(rec flow.Record, g randx.PCG) float64 {
 	per := rec.Bytes / int64(rec.Packets)
-	if st.emitted == 0 {
-		return int(per + rec.Bytes%int64(rec.Packets))
+	*st = flowState{
+		g: g, start: rec.Start, duration: rec.Duration, key: rec.Key, left: rec.Packets,
+		size: int(per + rec.Bytes%int64(rec.Packets)), restSize: int(per),
 	}
-	return int(per)
+	return st.nextTime()
 }
 
-// advance moves to the next packet; it reports whether the flow remains
-// active.
-func (st *flowState) advance(rec flow.Record) bool {
-	st.emitted++
-	if st.emitted >= rec.Packets {
-		return false
-	}
-	st.nextTime = rec.Start + st.drawNextU(rec)*rec.Duration
-	return true
+// nextTime advances the sorted-uniform recurrence to the pending packet's
+// order statistic in [lastU, 1] and returns that packet's time.
+func (st *flowState) nextTime() float64 {
+	u := st.g.Float64()
+	st.lastU = 1 - (1-st.lastU)*math.Pow(1-u, 1/float64(st.left))
+	return st.start + st.lastU*st.duration
 }
 
-type flowHeap []*flowState
+// mergeItem is a heap entry: a flow's pending packet time and its slot in
+// the flow states.
+type mergeItem struct {
+	t    float64
+	slot int
+}
 
-func (h flowHeap) Len() int            { return len(h) }
-func (h flowHeap) Less(i, j int) bool  { return h[i].nextTime < h[j].nextTime }
-func (h flowHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *flowHeap) Push(x interface{}) { *h = append(*h, x.(*flowState)) }
-func (h *flowHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// mergeHeap is a binary min-heap on t. push, fixRoot and pop compare and
+// move items exactly as container/heap's Push, Fix(h, 0) and Pop do, so
+// ties break identically.
+type mergeHeap []mergeItem
+
+func (h *mergeHeap) push(it mergeItem) {
+	*h = append(*h, it)
+	s := *h
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(it.t < s[i].t) {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = it
+}
+
+// fixRoot gives the root item the time t and restores the heap.
+func (h mergeHeap) fixRoot(t float64) {
+	it := h[0]
+	it.t = t
+	h.down(it, len(h))
+}
+
+func (h *mergeHeap) pop() {
+	s := *h
+	n := len(s) - 1
+	s.down(s[n], n)
+	*h = s[:n]
+}
+
+// down places it at the root of h[:n] and sifts it down.
+func (h mergeHeap) down(it mergeItem, n int) {
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].t < h[j].t {
+			j = j2
+		}
+		if !(h[j].t < it.t) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = it
 }
 
 // BinCount is one flow's packet count within one measurement bin.

@@ -2,6 +2,7 @@ package packetgen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"flowrank/internal/flow"
@@ -101,6 +102,28 @@ func TestStreamAbortsOnError(t *testing.T) {
 	}
 	if count != 10 {
 		t.Errorf("callback ran %d times, want 10", count)
+	}
+}
+
+// TestStreamRejectsInvalidRecords: a record flow.Record.Validate refuses
+// (no packets, which used to divide by zero, or a negative duration or
+// start, which put packets before the flow) fails the whole stream with
+// the record's index before any packet is emitted.
+func TestStreamRejectsInvalidRecords(t *testing.T) {
+	good := flow.Record{Start: 0.5, Duration: 1, Packets: 3, Bytes: 1500}
+	for name, bad := range map[string]flow.Record{
+		"zero packets":      {Start: 1, Duration: 2},
+		"negative duration": {Start: 1, Duration: -2, Packets: 4, Bytes: 2000},
+		"negative start":    {Start: -1, Duration: 2, Packets: 4, Bytes: 2000},
+	} {
+		called := false
+		err := Stream([]flow.Record{good, bad}, 1, func(packet.Packet) error { called = true; return nil })
+		if err == nil || !strings.HasPrefix(err.Error(), "packetgen: record 1: ") {
+			t.Errorf("%s: err = %v, want packetgen: record 1: …", name, err)
+		}
+		if called {
+			t.Errorf("%s: callback ran before the error", name)
+		}
 	}
 }
 

@@ -38,9 +38,21 @@ func New(seed uint64) *RNG {
 // Streams derived with different ids are statistically independent of each
 // other and of the parent; deriving the same id twice yields equal streams.
 // The parent's state is not consumed.
-func (g *RNG) Derive(id uint64) *RNG {
-	mixed := splitmix64(g.s1 ^ splitmix64(id+0x9e3779b97f4a7c15))
-	return New(mixed ^ g.s2)
+func (g *RNG) Derive(id uint64) *RNG { return New(g.derivedSeed(id)) }
+
+// DerivePCG returns the stream Derive(id) returns as a PCG value: its
+// Float64 and Uint64 sequences are Derive(id)'s, and deriving it allocates
+// nothing.
+func (g *RNG) DerivePCG(id uint64) PCG {
+	// New's seeding, without the *rand.Rand.
+	s1 := splitmix64(g.derivedSeed(id))
+	var p PCG
+	p.src.Seed(s1, splitmix64(s1))
+	return p
+}
+
+func (g *RNG) derivedSeed(id uint64) uint64 {
+	return splitmix64(g.s1^splitmix64(id+0x9e3779b97f4a7c15)) ^ g.s2
 }
 
 // splitmix64 is the canonical 64-bit finalizer used for seed derivation.
@@ -50,6 +62,20 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
+
+// PCG is a uniform stream held by value: math/rand/v2's PCG generator
+// without the *rand.Rand around it, for a caller that keeps one small
+// stream per item in a slice (packetgen's flows) and draws from it with
+// direct calls. Obtain one with RNG.DerivePCG; its zero value is a valid
+// but fixed stream.
+type PCG struct{ src rand.PCG }
+
+// Uint64 returns a uniform 64-bit value.
+func (p *PCG) Uint64() uint64 { return p.src.Uint64() }
+
+// Float64 returns a uniform variate in [0, 1), by (*rand.Rand).Float64's
+// formula, so it equals what the *RNG this PCG was derived as would draw.
+func (p *PCG) Float64() float64 { return float64(p.src.Uint64()<<11>>11) / (1 << 53) }
 
 // Float64 returns a uniform variate in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }

@@ -46,6 +46,29 @@ func TestDeriveIndependence(t *testing.T) {
 	}
 }
 
+// TestDerivePCGMatchesDerive: the value-type stream draws exactly what the
+// *RNG of the same id draws, in both Float64 and Uint64, interleaved.
+func TestDerivePCGMatchesDerive(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		g := New(seed)
+		for id := uint64(0); id < 300; id++ {
+			want := g.Derive(id * 0x51ed270b)
+			got := g.DerivePCG(id * 0x51ed270b)
+			for i := 0; i < 20; i++ {
+				if i%3 == 2 {
+					if w, v := want.Uint64(), got.Uint64(); v != w {
+						t.Fatalf("seed %d id %d draw %d: Uint64 %d, want %d", seed, id, i, v, w)
+					}
+					continue
+				}
+				if w, v := want.Float64(), got.Float64(); v != w {
+					t.Fatalf("seed %d id %d draw %d: Float64 %v, want %v", seed, id, i, v, w)
+				}
+			}
+		}
+	}
+}
+
 // moments draws n variates and returns their sample mean and variance.
 func moments(n int, draw func() float64) (mean, variance float64) {
 	var sum, sum2 float64
