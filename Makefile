@@ -19,13 +19,20 @@ short:
 	$(GO) test -short ./...
 
 # The short suite uncached, packages by wall time, slowest first, with the
-# sum: the figure ROADMAP quotes for "is the suite fast enough that people
-# run it" gets a trend line (CI's test job prints it, non-blocking).
+# sum, then the ten slowest top-level tests of the same -json run: the
+# figure ROADMAP quotes for "is the suite fast enough that people run it"
+# gets a trend line, and so do the tests that make it (CI's test job
+# prints it, non-blocking).
 short-times:
-	@$(GO) test -short -count=1 -json ./... \
-		| sed -nE 's/.*"Action":"(pass|fail)","Package":"([^"]*)","Elapsed":([0-9.eE+-]+).*/\3 \1 \2/p' \
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) test -short -count=1 -json ./... > "$$out"; \
+	sed -nE 's/.*"Action":"(pass|fail)","Package":"([^"]*)","Elapsed":([0-9.eE+-]+).*/\3 \1 \2/p' "$$out" \
 		| sort -rn \
-		| awk '{ printf "%8.2fs  %s  %s\n", $$1, $$2, $$3; sum += $$1 } END { printf "%8.2fs  sum over %d packages\n", sum, NR }'
+		| awk '{ printf "%8.2fs  %s  %s\n", $$1, $$2, $$3; sum += $$1 } END { printf "%8.2fs  sum over %d packages\n", sum, NR }'; \
+	echo "ten slowest tests:"; \
+	sed -nE 's/.*"Action":"(pass|fail)","Package":"([^"]*)","Test":"([^"/]*)","Elapsed":([0-9.eE+-]+).*/\4 \1 \2.\3/p' "$$out" \
+		| sort -rn | head -10 \
+		| awk '{ printf "%8.2fs  %s  %s\n", $$1, $$2, $$3 }'
 
 vet:
 	$(GO) vet ./...
@@ -66,8 +73,9 @@ loc:
 examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d" || exit 1; done
 
-# Race detector over the short suite: the misranking-table worker pool
-# and the parallel outer quadrature are the concurrency hot spots.
+# Race detector over the short suite: the stream engine's shard workers,
+# the parallel outer quadrature and the simulators' run workers are the
+# concurrency hot spots.
 race:
 	$(GO) test -race -short ./...
 

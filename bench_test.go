@@ -126,9 +126,10 @@ func BenchmarkSimulateSmall(b *testing.B) {
 }
 
 // BenchmarkStreamPackets expands a 10 s sprint5 flow trace (200 flows/s)
-// into its time-ordered packets, the expansion tracegen's -packets and
-// -pcap outputs and sim.RunPackets run on: ns/pkt is its cost per emitted
-// packet, allocs/op what one whole expansion allocates.
+// into its time-ordered packets, the expansion behind tracegen's -packets
+// and -pcap outputs and the packets sim.RunPackets feeds the stream
+// engine: ns/pkt is its cost per emitted packet, allocs/op what one whole
+// expansion allocates.
 func BenchmarkStreamPackets(b *testing.B) {
 	records := genTrace(b, SprintFiveTuple(10, 1), 200)
 	var n int64

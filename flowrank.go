@@ -3,13 +3,13 @@
 // RR-5266 / CoNEXT 2005): how well the largest flows on a link can be
 // detected and ranked when the monitor samples packets with probability p.
 //
-// The package exposes three layers:
+// The package exposes six layers:
 //
-//   - Analytical models (Model, DiscreteModel, OptimalRate, MisrankExact):
-//     closed-form and quadrature evaluation of the paper's swapped-pairs
-//     metrics for ranking (§5) and detection (§7), under any flow-size
-//     distribution (Pareto, bounded Pareto, exponential, Weibull,
-//     lognormal, empirical).
+//   - Analytical models (Model, OptimalRate, MisrankExact): closed-form
+//     and quadrature evaluation of the paper's swapped-pairs metrics for
+//     ranking (§5) and detection (§7), under any flow-size distribution
+//     (Pareto, bounded Pareto, exponential, Weibull, lognormal, empirical,
+//     discrete, and mixtures of them).
 //
 //   - Trace machinery (TraceConfig presets, GenerateTrace, StreamPackets):
 //     synthetic flow-level traces calibrated to the paper's Sprint
@@ -27,9 +27,9 @@
 //
 //   - Ingestion and live monitoring (PacketSource, OpenSource,
 //     PaceSource, NewLoopSource, MonitorConfig, DaemonConfig/NewDaemon):
-//     the unified packet-source API behind the batch monitor (cmd/flowtop) and the
-//     long-running daemon (cmd/flowrankd) with its Prometheus metrics
-//     and NetFlow v5 export.
+//     the unified packet-source API behind the batch monitor
+//     (cmd/flowtop) and the long-running daemon (cmd/flowrankd) with its
+//     Prometheus metrics and NetFlow v5 export.
 //
 //   - Network-wide coordination (Topology, Allocator, AllocateRates,
 //     NetworkRank): the multi-link generalization — budgeted switches,
@@ -83,10 +83,6 @@ type Kernel = core.Kernel
 // value, applied everywhere — to the exact binomial probability where the
 // Gaussian breaks (p·size small).
 const KernelHybrid = core.KernelHybrid
-
-// DiscreteModel evaluates the paper's formulas by direct summation over an
-// explicit flow-size pmf (small populations; used for validation).
-type DiscreteModel = core.DiscreteModel
 
 // RateMethod selects the formula OptimalRate inverts.
 type RateMethod = core.RateMethod
@@ -152,11 +148,6 @@ type (
 func NewMixture(components ...MixtureComponent) (*Mixture, error) {
 	return dist.NewMixture(components...)
 }
-
-// Discretize projects a size law onto the integer packet counts 1..max,
-// returning the pmf in the layout DiscreteModel consumes (the tail beyond
-// max is folded into the last bin).
-func Discretize(d SizeDist, max int) []float64 { return dist.Discretize(d, max) }
 
 // Discrete is a weighted discrete distribution over an arbitrary
 // ascending support — the output type of the EM inversion, and the

@@ -257,14 +257,6 @@ func TestDistributionFacade(t *testing.T) {
 	if r := m.RankingMetric(0.2); math.IsNaN(r) || r < 0 {
 		t.Errorf("mixture ranking metric %g", r)
 	}
-	// Discretize feeds DiscreteModel through the facade. (Small support:
-	// the discrete evaluator's misranking table is O(max²) exact
-	// binomial sums.)
-	pmf := Discretize(ParetoWithMean(9.6, 1.5), 120)
-	dm := DiscreteModel{PMF: pmf, N: 100, T: 3}
-	if r := dm.RankingMetric(0.3); math.IsNaN(r) || r < 0 {
-		t.Errorf("discretized ranking metric %g", r)
-	}
 }
 
 func TestMetricsFacade(t *testing.T) {

@@ -13,8 +13,8 @@ import (
 // comparable (exact binomial where the Gaussian breaks); the residual gap
 // is the integer rounding of the sizes.
 func TestDiscretizedLawMatchesContinuousModel(t *testing.T) {
-	d := dist.BoundedPareto{Scale: 2, Max: 200, Shape: 1.5}
-	pmf := dist.Discretize(d, 220)
+	d := dist.BoundedPareto{Scale: 2, Max: 120, Shape: 1.5}
+	pmf := dist.Discretize(d, 130)
 
 	n, topT := 1500, 3
 	dm := DiscreteModel{PMF: pmf, N: n, T: topT}

@@ -36,7 +36,9 @@
 // metric's consumers can use (eval.go states the budget), not by an
 // absolute number that means something different at every N.
 //
-// DiscreteModel is a direct summation of the paper's discrete formulas for
-// small N; it exists to validate the continuous fast path and is what the
-// tests compare Monte-Carlo simulations against.
+// The direct summation of the paper's discrete formulas over a small pmf
+// (DiscreteModel) and the quantile-space evaluator eval.go replaced are
+// test references in this package's _test.go files: the continuous path is
+// validated against them and against Monte-Carlo simulation, and
+// production code has no second implementation to drift.
 package core

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"testing"
 
 	"flowrank/internal/numeric"
 )
@@ -104,7 +105,7 @@ func (e refEval) refInnerBelow(u, x float64) float64 {
 		y := e.m.Dist.QuantileCCDF(v)
 		return v * e.kernel(y, x)
 	}
-	return numeric.AdaptiveSimpson(f, 0, smax, refInnerTol, 48)
+	return adaptiveSimpson(f, 0, smax, refInnerTol, 48)
 }
 
 // refInnerAbove computes ∫_{vcut}^u Pm(x, y(v)) dv — the misranking mass
@@ -130,7 +131,7 @@ func (e refEval) refInnerAbove(u, x float64) float64 {
 		y := e.m.Dist.QuantileCCDF(v)
 		return v * e.kernel(x, y)
 	}
-	return numeric.AdaptiveSimpson(f, 0, smax, refInnerTol, 48)
+	return adaptiveSimpson(f, 0, smax, refInnerTol, 48)
 }
 
 // refInnerDetect computes ∫_u^1 P*t(v, u) · Pm(y(v), x) dv for the detection
@@ -154,5 +155,119 @@ func (e refEval) refInnerDetect(pmfBig []float64, u, x float64) float64 {
 		}
 		return v * kern * JointTopProb(pmfBig, v, u, e.m.T, e.m.N, e.m.PoissonTails)
 	}
-	return numeric.AdaptiveSimpson(f, 0, smax, refInnerTol, 48)
+	return adaptiveSimpson(f, 0, smax, refInnerTol, 48)
+}
+
+// adaptiveSimpson integrates f over [a, b] with the classic recursive
+// Simpson rule and Richardson acceptance test: the reference evaluator's
+// inner rule, kept here because nothing else integrates this way. tol is
+// an absolute error target for the whole interval; maxDepth bounds
+// recursion (each level halves the interval).
+func adaptiveSimpson(f numeric.Func1, a, b, tol float64, maxDepth int) float64 {
+	if a == b {
+		return 0
+	}
+	if a > b {
+		return -adaptiveSimpson(f, b, a, tol, maxDepth)
+	}
+	fa, fb := f(a), f(b)
+	m := 0.5 * (a + b)
+	fm := f(m)
+	whole := simpson(a, b, fa, fm, fb)
+	return adaptiveSimpsonAux(f, a, b, fa, fm, fb, whole, tol, maxDepth)
+}
+
+func simpson(a, b, fa, fm, fb float64) float64 {
+	return (b - a) / 6 * (fa + 4*fm + fb)
+}
+
+func adaptiveSimpsonAux(f numeric.Func1, a, b, fa, fm, fb, whole, tol float64, depth int) float64 {
+	m := 0.5 * (a + b)
+	lm := 0.5 * (a + m)
+	rm := 0.5 * (m + b)
+	flm, frm := f(lm), f(rm)
+	left := simpson(a, m, fa, flm, fm)
+	right := simpson(m, b, fm, frm, fb)
+	delta := left + right - whole
+	// Written as a negation so that a NaN estimate stops the recursion
+	// (and propagates) instead of refining a broken integrand to maxDepth.
+	if depth <= 0 || !(math.Abs(delta) > 15*tol) {
+		return left + right + delta/15
+	}
+	return adaptiveSimpsonAux(f, a, m, fa, flm, fm, left, tol/2, depth-1) +
+		adaptiveSimpsonAux(f, m, b, fm, frm, fb, right, tol/2, depth-1)
+}
+
+func TestAdaptiveSimpsonPolynomial(t *testing.T) {
+	// Simpson is exact for cubics.
+	f := func(x float64) float64 { return 3*x*x - 2*x + 1 }
+	got := adaptiveSimpson(f, 0, 2, 1e-12, 30)
+	want := 8.0 - 4.0 + 2.0
+	if !almostEqual(got, want, 1e-12) {
+		t.Errorf("integral = %g, want %g", got, want)
+	}
+}
+
+func TestAdaptiveSimpsonExp(t *testing.T) {
+	got := adaptiveSimpson(math.Exp, 0, 1, 1e-12, 40)
+	want := math.E - 1
+	if !almostEqual(got, want, 1e-11) {
+		t.Errorf("integral = %.15g, want %.15g", got, want)
+	}
+}
+
+func TestAdaptiveSimpsonReversedInterval(t *testing.T) {
+	got := adaptiveSimpson(math.Exp, 1, 0, 1e-12, 40)
+	want := -(math.E - 1)
+	if !almostEqual(got, want, 1e-11) {
+		t.Errorf("reversed integral = %g, want %g", got, want)
+	}
+}
+
+func TestAdaptiveSimpsonEmptyInterval(t *testing.T) {
+	if got := adaptiveSimpson(math.Exp, 2, 2, 1e-12, 40); got != 0 {
+		t.Errorf("empty interval integral = %g, want 0", got)
+	}
+}
+
+// A NaN integrand must come back as NaN after the first refinement, not
+// after 2^maxDepth of them.
+func TestAdaptiveSimpsonNaNTerminates(t *testing.T) {
+	evals := 0
+	f := func(float64) float64 { evals++; return math.NaN() }
+	if got := adaptiveSimpson(f, 0, 1, 1e-12, 40); !math.IsNaN(got) {
+		t.Errorf("integral of NaN = %g", got)
+	}
+	if evals > 5 {
+		t.Errorf("%d evaluations of a NaN integrand, want 5", evals)
+	}
+}
+
+func TestAdaptiveSimpsonSharpGaussian(t *testing.T) {
+	// A narrow Gaussian centred mid-interval; integral over R is sqrt(pi)*s.
+	s := 0.01
+	f := func(x float64) float64 { return math.Exp(-(x - 0.5) * (x - 0.5) / (s * s)) }
+	got := adaptiveSimpson(f, 0, 1, 1e-14, 50)
+	want := math.SqrtPi * s
+	if !almostEqual(got, want, 1e-8) {
+		t.Errorf("narrow gaussian integral = %g, want %g", got, want)
+	}
+}
+
+func TestGaussLegendreAgainstSimpson(t *testing.T) {
+	f := func(x float64) float64 { return math.Sin(3*x) * math.Exp(-x) }
+	want := adaptiveSimpson(f, 0, 4, 1e-13, 50)
+	for _, n := range []int{16, 32, 64} {
+		got := numeric.GaussLegendre(f, 0, 4, n)
+		if !almostEqual(got, want, 1e-10) {
+			t.Errorf("GL%d = %.14g, want %.14g", n, got, want)
+		}
+	}
+}
+
+func BenchmarkAdaptiveSimpson(b *testing.B) {
+	f := func(x float64) float64 { return math.Exp(-x*x) * math.Cos(4*x) }
+	for i := 0; i < b.N; i++ {
+		_ = adaptiveSimpson(f, -3, 3, 1e-10, 40)
+	}
 }

@@ -3,9 +3,10 @@ package dist
 import "fmt"
 
 // Discretize projects a continuous size law onto the integer packet
-// counts 1..max, returning the pmf in the layout core.DiscreteModel
-// consumes: pmf[s] is P{S rounds to s packets}, pmf[0] = 0, and the whole
-// tail beyond max is folded into pmf[max] so the result sums to one.
+// counts 1..max, returning the pmf in the layout NewDiscreteFromPMF wraps
+// and core's test reference (DiscreteModel) consumes: pmf[s] is P{S rounds
+// to s packets}, pmf[0] = 0, and the whole tail beyond max is folded into
+// pmf[max] so the result sums to one.
 //
 // The rounding convention matches the simulators (tracegen rounds
 // continuous draws to the nearest integer and clamps to >= 1 packet):

@@ -14,8 +14,10 @@
 // calibration), BoundedPareto (truncated tails), Exponential and Weibull
 // (light tails, §6.2), Lognormal (the short-tailed Abilene workload,
 // §8.3) and Empirical (measured samples). Mixture combines any of them
-// into multi-class traffic, and Discretize projects any law onto the
-// integer packet-count pmf that core.DiscreteModel consumes.
+// into multi-class traffic, and Discrete holds weighted atoms (the EM
+// inversion's output). Discretize projects any law onto an integer
+// packet-count pmf: NewDiscreteFromPMF wraps it as a law, and core's test
+// reference (DiscreteModel, direct summation) sums over it.
 package dist
 
 import "flowrank/internal/randx"

@@ -151,22 +151,25 @@ func TestSimFigureRuns(t *testing.T) {
 var update = flag.Bool("update", false, "rewrite the golden tables under testdata/")
 
 // TestFigureTablesGolden pins the rendered tables — every cell, title and
-// note — of the figures that are deterministic (independent of the worker
-// count) and run in well under a second at reduced scale: the model
-// figures of §3–§7, the bounded-memory sketch figure, whose rows are
-// the Space-Saving and Count-Min tables' results on a fixed sampled
-// stream, the inversion, coordination and dynamic control-plane figures,
-// which walk the mixture quantile, the per-link model curves and the
-// per-bin controller end to end, the adaptive controller's figure, and
-// fastpath (about a second), the one figure that expands flows into
-// packets (packetgen.Stream) and runs the literal packet path
-// (sim.RunPackets); its table is the same at every worker count.
+// note — of every figure that runs in about a second or less at reduced
+// scale, all of them independent of the worker count: the model figures
+// of §3–§7 and the kernel ablation, the trace-driven figures 12–16 of §8
+// (sim.Run: each run's counts are added in run order, so the running
+// means do not depend on which worker finished first), the sequence-number
+// and bounded-memory sketch figures, whose rows are the Space-Saving and
+// Count-Min tables' results on a fixed sampled stream, the inversion,
+// coordination and dynamic control-plane figures, which walk the mixture
+// quantile, the per-link model curves and the per-bin controller end to
+// end, the adaptive controller's figure, and fastpath, the one figure that
+// expands flows into packets (packetgen.Stream) and feeds them to the
+// monitor's stream engine (sim.RunPackets).
 // Regenerate with:
 //
 //	go test ./internal/experiments -run TestFigureTablesGolden -update
 func TestFigureTablesGolden(t *testing.T) {
 	ids := []string{"fig01", "fig02", "fig03", "fig04", "fig05", "fig06",
-		"fig07", "fig08", "fig09", "fig10", "fig11", "sketch",
+		"fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
+		"fig14", "fig15", "fig16", "kernels", "seqest", "sketch",
 		"invert", "coord", "dynamic", "adaptive", "fastpath"}
 	for _, id := range ids {
 		var got bytes.Buffer

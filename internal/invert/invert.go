@@ -140,6 +140,12 @@ func hillDefaultK(n int) int {
 // MissProbability returns the probability that a flow drawn from d leaves
 // no sampled packet at rate p: E[(1-p)^S]. It is the quantity that
 // converts an observed flow count into an original one (Duffield et al.).
+//
+// The expectation is linear in the law, so it is taken over d's parts
+// (dist.Decompose): the atoms of a step law — the Discrete EM returns, an
+// Empirical body — are summed exactly, and each smooth leaf is integrated
+// in its own quantile space, E[(1-p)^S] = ∫_0^1 exp(S(u)·log(1-p)) du,
+// where it has no jumps.
 func MissProbability(d dist.SizeDist, p float64) float64 {
 	if p >= 1 {
 		return 0
@@ -148,14 +154,17 @@ func MissProbability(d dist.SizeDist, p float64) float64 {
 		return 1
 	}
 	logq := math.Log1p(-p)
-	// E[(1-p)^S] = Int_0^1 exp(S(u) * log(1-p)) du in quantile space.
-	f := func(u float64) float64 {
-		if u <= 0 {
-			u = 1e-300
-		}
-		return math.Exp(d.QuantileCCDF(u) * logq)
+	parts := dist.Decompose(d)
+	var sum numeric.KahanSum
+	for _, a := range parts.Atoms {
+		sum.Add(a.Mass * math.Exp(a.Value*logq))
 	}
-	return numeric.AdaptiveSimpson(f, 0, 1, 1e-10, 40)
+	var q numeric.Quad
+	for _, leaf := range parts.Smooth {
+		f := func(u float64) float64 { return math.Exp(leaf.Dist.QuantileCCDF(u) * logq) }
+		sum.Add(leaf.Weight * q.Integrate(f, 1e-10, 0, 1))
+	}
+	return sum.Sum()
 }
 
 // Naive is the 1/p-scaling baseline: every sampled count is multiplied by

@@ -464,6 +464,27 @@ func TestMissProbabilityEdges(t *testing.T) {
 	if got, want := MissProbability(point, 0.1), math.Pow(0.9, 10); math.Abs(got-want) > 1e-9 {
 		t.Errorf("point-mass miss %g, want %g", got, want)
 	}
+	// A step law's miss probability is the finite sum Σ w·(1-p)^v over its
+	// atoms, and it is summed, not integrated: a quadrature over the step
+	// quantile was off by up to 1e-6 relative on the EM estimate below.
+	multi := dist.NewDiscrete([]float64{1, 2, 3, 7, 40, 1000}, []float64{0.4, 0.25, 0.15, 0.1, 0.07, 0.03})
+	_, counts := sampleTrace(dist.ParetoWithMean(9.6, 1.5), 20000, 0.5, 11)
+	em, err := EM{}.Invert(counts, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, law := range []*dist.Discrete{multi, em.Dist.(*dist.Discrete)} {
+		values, weights := law.Atoms(nil, nil)
+		for _, p := range []float64{0.01, 0.1, 0.5, 0.9} {
+			want := 0.0
+			for i, v := range values {
+				want += weights[i] * math.Pow(1-p, v)
+			}
+			if got := MissProbability(law, p); math.Abs(got-want) > 1e-13*want {
+				t.Errorf("%s p=%g: miss %.17g, atom sum %.17g (rel %.2g)", law, p, got, want, math.Abs(got-want)/want)
+			}
+		}
+	}
 }
 
 // TestEstimatePopulation: the fixed point recovers the flow count and

@@ -8,48 +8,6 @@ import (
 // Func1 is a scalar function of one variable.
 type Func1 func(x float64) float64
 
-// AdaptiveSimpson integrates f over [a, b] with the classic recursive
-// Simpson rule and Richardson acceptance test. tol is an absolute error
-// target for the whole interval; maxDepth bounds recursion (each level
-// halves the interval). The routine is robust to integrands with isolated
-// sharp features as long as the initial interval is reasonably bracketed;
-// callers that know where a kernel concentrates should split the interval
-// themselves (see internal/core).
-func AdaptiveSimpson(f Func1, a, b, tol float64, maxDepth int) float64 {
-	if a == b {
-		return 0
-	}
-	if a > b {
-		return -AdaptiveSimpson(f, b, a, tol, maxDepth)
-	}
-	fa, fb := f(a), f(b)
-	m := 0.5 * (a + b)
-	fm := f(m)
-	whole := simpson(a, b, fa, fm, fb)
-	return adaptiveSimpsonAux(f, a, b, fa, fm, fb, whole, tol, maxDepth)
-}
-
-func simpson(a, b, fa, fm, fb float64) float64 {
-	return (b - a) / 6 * (fa + 4*fm + fb)
-}
-
-func adaptiveSimpsonAux(f Func1, a, b, fa, fm, fb, whole, tol float64, depth int) float64 {
-	m := 0.5 * (a + b)
-	lm := 0.5 * (a + m)
-	rm := 0.5 * (m + b)
-	flm, frm := f(lm), f(rm)
-	left := simpson(a, m, fa, flm, fm)
-	right := simpson(m, b, fm, frm, fb)
-	delta := left + right - whole
-	// Written as a negation so that a NaN estimate stops the recursion
-	// (and propagates) instead of refining a broken integrand to maxDepth.
-	if depth <= 0 || !(math.Abs(delta) > 15*tol) {
-		return left + right + delta/15
-	}
-	return adaptiveSimpsonAux(f, a, m, fa, flm, fm, left, tol/2, depth-1) +
-		adaptiveSimpsonAux(f, m, b, fm, frm, fb, right, tol/2, depth-1)
-}
-
 // GaussLegendre integrates f over [a, b] with an n-point Gauss-Legendre
 // rule. Nodes and weights for commonly used orders are cached after the
 // first computation; arbitrary n >= 2 is supported.

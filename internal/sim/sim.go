@@ -3,18 +3,21 @@
 // measure the swapped-pairs metrics per bin, averaged with standard
 // deviations over independent sampling runs.
 //
-// Two engines exist. Run is the fast flow-bin path: because packets are
-// sampled i.i.d., a flow contributing n packets to a bin contributes
-// Binomial(n, p) sampled packets, so the experiment only needs per-flow
-// per-bin counts — the placement realization is drawn once (the paper
-// fixes one packet trace) and each run redraws only the thinning.
-// RunPackets is the literal path: it streams every packet through a
-// Sampler into flow tables. The two are distributionally identical
+// Run is the fast flow-bin path: because packets are sampled i.i.d., a flow
+// contributing n packets to a bin contributes Binomial(n, p) sampled
+// packets, so the experiment only needs per-flow per-bin counts — the
+// placement realization is drawn once (the paper fixes one packet trace)
+// and each run redraws only the thinning. RunPackets is the literal path,
+// and it is the monitor's own: every packet goes through a Sampler into a
+// one-worker stream.Engine, the engine flowtop and flowrankd run, so any
+// sampler — periodic 1-in-N included — is validated on the code that
+// ships. The two are distributionally identical under Bernoulli sampling
 // (TestFastMatchesPacketPath) and the fast path is ~100x cheaper.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -26,6 +29,7 @@ import (
 	"flowrank/internal/packetgen"
 	"flowrank/internal/randx"
 	"flowrank/internal/sampler"
+	"flowrank/internal/stream"
 )
 
 // Config describes a trace-driven experiment.
@@ -52,15 +56,16 @@ type Config struct {
 	Workers int
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. The comparisons are negated so that a
+// NaN fails them too.
 func (c Config) Validate() error {
 	switch {
 	case len(c.Records) == 0:
 		return fmt.Errorf("sim: empty trace")
-	case c.BinSeconds <= 0:
-		return fmt.Errorf("sim: bin width %g must be positive", c.BinSeconds)
-	case c.Horizon <= 0:
-		return fmt.Errorf("sim: horizon %g must be positive", c.Horizon)
+	case !(c.BinSeconds > 0) || math.IsInf(c.BinSeconds, 0):
+		return fmt.Errorf("sim: bin width %g must be positive and finite", c.BinSeconds)
+	case !(c.Horizon > 0) || math.IsInf(c.Horizon, 0):
+		return fmt.Errorf("sim: horizon %g must be positive and finite", c.Horizon)
 	case c.TopT < 1:
 		return fmt.Errorf("sim: top-t %d must be >= 1", c.TopT)
 	case len(c.Rates) == 0:
@@ -69,7 +74,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: runs %d must be >= 1", c.Runs)
 	}
 	for _, p := range c.Rates {
-		if p <= 0 || p > 1 {
+		if !(p > 0 && p <= 1) {
 			return fmt.Errorf("sim: sampling rate %g outside (0, 1]", p)
 		}
 	}
@@ -119,9 +124,7 @@ type Result struct {
 
 // binData is the precomputed original content of one bin.
 type binData struct {
-	start   float64
 	entries []flowtable.Entry // sorted in canonical ranking order
-	counts  []int64           // original counts aligned with entries
 	packets int64
 }
 
@@ -136,15 +139,15 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res := &Result{TopT: cfg.TopT, BinSeconds: cfg.BinSeconds}
 	for _, rate := range cfg.Rates {
-		res.Series = append(res.Series, RateSeries{Rate: rate, Bins: newBinStats(bins)})
+		res.Series = append(res.Series, RateSeries{Rate: rate, Bins: newBinStats(bins, cfg.BinSeconds)})
 	}
 
-	type task struct {
-		rateIdx int
-		run     int
-	}
-	tasks := make(chan task)
-	var mu sync.Mutex
+	// Task i is run i%Runs at rate i/Runs. Each task writes its own slot of
+	// outs, and the slots are added in task order once all are done, so the
+	// running means — and every digit a figure prints — do not depend on
+	// the worker count.
+	outs := make([][]metrics.PairCounts, len(cfg.Rates)*cfg.Runs)
+	tasks := make(chan int)
 	var wg sync.WaitGroup
 	workers := cfg.workers()
 	wg.Add(workers)
@@ -152,43 +155,41 @@ func Run(cfg Config) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			sampled := make([]int64, 0, 1024)
-			for tk := range tasks {
-				rate := cfg.Rates[tk.rateIdx]
-				g := randx.New(cfg.Seed).Derive(0x5a17 + uint64(tk.rateIdx)<<32 + uint64(tk.run))
-				type binOut struct{ pc metrics.PairCounts }
-				outs := make([]binOut, len(bins))
+			for i := range tasks {
+				ri, run := i/cfg.Runs, i%cfg.Runs
+				g := randx.New(cfg.Seed).Derive(0x5a17 + uint64(ri)<<32 + uint64(run))
+				pcs := make([]metrics.PairCounts, len(bins))
 				for bi, b := range bins {
 					sampled = sampled[:0]
-					for _, c := range b.counts {
-						sampled = append(sampled, int64(g.Binomial(int(c), rate)))
+					for _, e := range b.entries {
+						sampled = append(sampled, int64(g.Binomial(int(e.Packets), cfg.Rates[ri])))
 					}
-					outs[bi].pc = metrics.CountSwappedCounts(b.entries, sampled, cfg.TopT)
+					pcs[bi] = metrics.CountSwappedCounts(b.entries, sampled, cfg.TopT)
 				}
-				mu.Lock()
-				series := &res.Series[tk.rateIdx]
-				for bi := range bins {
-					series.Bins[bi].Ranking.Add(float64(outs[bi].pc.Ranking))
-					series.Bins[bi].Detection.Add(float64(outs[bi].pc.Detection))
-				}
-				mu.Unlock()
+				outs[i] = pcs
 			}
 		}()
 	}
-	for ri := range cfg.Rates {
-		for run := 0; run < cfg.Runs; run++ {
-			tasks <- task{rateIdx: ri, run: run}
-		}
+	for i := range outs {
+		tasks <- i
 	}
 	close(tasks)
 	wg.Wait()
+	for i, pcs := range outs {
+		series := &res.Series[i/cfg.Runs]
+		for bi, pc := range pcs {
+			series.Bins[bi].Ranking.Add(float64(pc.Ranking))
+			series.Bins[bi].Detection.Add(float64(pc.Detection))
+		}
+	}
 	return res, nil
 }
 
 // newBinStats initializes the per-bin stat slots from the bin contents.
-func newBinStats(bins []binData) []BinStat {
+func newBinStats(bins []binData, binSeconds float64) []BinStat {
 	out := make([]BinStat, len(bins))
 	for i, b := range bins {
-		out[i] = BinStat{Start: b.start, Flows: len(b.entries), Packets: b.packets}
+		out[i] = BinStat{Start: float64(i) * binSeconds, Flows: len(b.entries), Packets: b.packets}
 	}
 	return out
 }
@@ -213,27 +214,24 @@ func buildBins(cfg Config) ([]binData, error) {
 	}
 	bins := make([]binData, nBins)
 	for i, m := range maps {
-		b := binData{start: float64(i) * cfg.BinSeconds}
+		b := &bins[i]
 		b.entries = make([]flowtable.Entry, 0, len(m))
 		for k, c := range m {
 			b.entries = append(b.entries, flowtable.Entry{Key: k, Packets: c})
 			b.packets += c
 		}
 		sort.Slice(b.entries, func(x, y int) bool { return flowtable.Less(b.entries[x], b.entries[y]) })
-		b.counts = make([]int64, len(b.entries))
-		for j, e := range b.entries {
-			b.counts[j] = e.Packets
-		}
-		bins[i] = b
 	}
 	return bins, nil
 }
 
-// RunPackets executes the experiment on the literal packet path: every
-// packet of the (streamed) trace is offered to a sampler built by mk, and
-// original and sampled flow tables are maintained per bin. It is intended
-// for validation and for moderate traces; its cost is Runs × Rates × the
-// full packet count.
+// RunPackets executes the experiment on the monitor's packet path: for
+// every rate and run, the packets of the streamed trace before Horizon are
+// fed in trace order to a fresh one-worker stream.Engine that samples with
+// the sampler mk built, and each bin it emits adds its swapped pairs to the
+// bin's statistics. A bin with no packets emits nothing and scores zero, as
+// in Run. It is intended for validation and for moderate traces; its cost
+// is Runs × Rates × the full packet count.
 //
 // mk builds a fresh sampler for a rate; the sampler is Reset per run.
 func RunPackets(cfg Config, mk func(rate float64) sampler.Sampler) (*Result, error) {
@@ -241,64 +239,48 @@ func RunPackets(cfg Config, mk func(rate float64) sampler.Sampler) (*Result, err
 		return nil, err
 	}
 	nBins := packetgen.NumBins(cfg.BinSeconds, cfg.Horizon)
-	agg := cfg.agg()
-	res := &Result{TopT: cfg.TopT, BinSeconds: cfg.BinSeconds}
-
-	// The original per-bin ranking is the same for every run and rate:
-	// build it once from the shared placement stream.
-	origTables := make([]*flowtable.Table, nBins)
-	for i := range origTables {
-		origTables[i] = flowtable.New(agg)
-	}
 	packetSeed := randx.New(cfg.Seed).Derive(0xb1a5).Uint64()
-	err := packetgen.Stream(cfg.Records, packetSeed, func(p packet.Packet) error {
-		if p.Time >= cfg.Horizon {
-			return nil
-		}
-		origTables[int(p.Time/cfg.BinSeconds)].Add(p)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	origSorted := make([][]flowtable.Entry, nBins)
-	for i, tab := range origTables {
-		origSorted[i] = tab.Entries()
-	}
-
+	res := &Result{TopT: cfg.TopT, BinSeconds: cfg.BinSeconds}
 	for ri, rate := range cfg.Rates {
-		series := RateSeries{Rate: rate, Bins: make([]BinStat, nBins)}
-		for bi := range series.Bins {
-			series.Bins[bi].Start = float64(bi) * cfg.BinSeconds
-			series.Bins[bi].Flows = len(origSorted[bi])
-			series.Bins[bi].Packets = origTables[bi].TotalPackets()
+		bins := make([]BinStat, nBins)
+		for bi := range bins {
+			bins[bi].Start = float64(bi) * cfg.BinSeconds
 		}
 		smp := mk(rate)
 		for run := 0; run < cfg.Runs; run++ {
 			smp.Reset(uint64(ri)<<32 + uint64(run) + 1)
-			sampledTables := make([]map[flow.Key]int64, nBins)
-			for i := range sampledTables {
-				sampledTables[i] = make(map[flow.Key]int64)
-			}
-			err := packetgen.Stream(cfg.Records, packetSeed, func(p packet.Packet) error {
-				if p.Time >= cfg.Horizon {
-					return nil
-				}
-				if smp.Sample(p) {
-					sampledTables[int(p.Time/cfg.BinSeconds)][agg.Aggregate(p.Key)]++
-				}
+			eng, err := stream.NewEngine(stream.Config{
+				Agg: cfg.agg(), Sampler: smp, BinSeconds: cfg.BinSeconds, TopT: cfg.TopT, Workers: 1,
+			}, func(r stream.BinResult) error {
+				b := &bins[r.Bin]
+				b.Flows, b.Packets = len(r.Orig), r.OrigPackets
+				b.Ranking.Add(float64(r.Pairs.Ranking))
+				b.Detection.Add(float64(r.Pairs.Detection))
 				return nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			for bi := range series.Bins {
-				pc := metrics.CountSwapped(origSorted[bi], sampledTables[bi], cfg.TopT)
-				series.Bins[bi].Ranking.Add(float64(pc.Ranking))
-				series.Bins[bi].Detection.Add(float64(pc.Detection))
+			err = packetgen.Stream(cfg.Records, packetSeed, func(p packet.Packet) error {
+				if p.Time >= cfg.Horizon {
+					return nil
+				}
+				return eng.Feed(p)
+			})
+			if cerr := eng.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return nil, err
+			}
+			for bi := range bins {
+				if b := &bins[bi]; b.Ranking.N() == int64(run) { // not emitted: empty
+					b.Ranking.Add(0)
+					b.Detection.Add(0)
+				}
 			}
 		}
-		res.Series = append(res.Series, series)
+		res.Series = append(res.Series, RateSeries{Rate: rate, Bins: bins})
 	}
 	return res, nil
 }

@@ -34,6 +34,13 @@ func TestConfigValidate(t *testing.T) {
 		{Records: recs, BinSeconds: 5, Horizon: 5, TopT: 5, Rates: nil, Runs: 2},
 		{Records: recs, BinSeconds: 5, Horizon: 5, TopT: 5, Rates: []float64{1.5}, Runs: 2},
 		{Records: recs, BinSeconds: 5, Horizon: 5, TopT: 5, Rates: []float64{0.1}, Runs: 0},
+		// Non-finite values fail the negated comparisons: these used to
+		// panic in makeslice (bin width, horizon) or hang Run (rate).
+		{Records: recs, BinSeconds: math.NaN(), Horizon: 5, TopT: 5, Rates: []float64{0.1}, Runs: 2},
+		{Records: recs, BinSeconds: math.Inf(1), Horizon: 5, TopT: 5, Rates: []float64{0.1}, Runs: 2},
+		{Records: recs, BinSeconds: 5, Horizon: math.NaN(), TopT: 5, Rates: []float64{0.1}, Runs: 2},
+		{Records: recs, BinSeconds: 5, Horizon: math.Inf(1), TopT: 5, Rates: []float64{0.1}, Runs: 2},
+		{Records: recs, BinSeconds: 5, Horizon: 5, TopT: 5, Rates: []float64{math.NaN()}, Runs: 2},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -98,6 +105,22 @@ func TestRunDeterministic(t *testing.T) {
 	for bi := range a.Series[0].Bins {
 		if a.Series[0].Bins[bi].Ranking.Mean() != b.Series[0].Bins[bi].Ranking.Mean() {
 			t.Fatal("same seed must give identical results")
+		}
+	}
+	// The runs are added in run order whatever the worker count, so the
+	// running means and deviations are bit-identical, not just close.
+	for _, workers := range []int{1, 3} {
+		wcfg := cfg
+		wcfg.Workers = workers
+		w, err := Run(wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bi, wb := range w.Series[0].Bins {
+			ab := a.Series[0].Bins[bi]
+			if wb.Ranking != ab.Ranking || wb.Detection != ab.Detection {
+				t.Fatalf("workers=%d bin %d: %+v, default workers %+v", workers, bi, wb, ab)
+			}
 		}
 	}
 	cfg.Seed = 10
@@ -167,41 +190,72 @@ func TestRunAggregated(t *testing.T) {
 // TestFastMatchesPacketPath is the core cross-validation: the flow-bin
 // fast path and the literal packet path are different realizations of the
 // same experiment, so their per-bin metric means must agree within MC
-// noise.
+// noise. The second case runs past the end of its 10 s trace: the bins
+// beyond it have no packets, the engine emits nothing for them, and both
+// paths must still record one zero per run there.
 func TestFastMatchesPacketPath(t *testing.T) {
-	recs := smallTrace(t, 20, 13)
-	cfg := Config{
-		Records: recs, BinSeconds: 10, Horizon: 20, TopT: 5,
-		Rates: []float64{0.1}, Runs: 40, Seed: 14,
-	}
-	fast, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts, err := RunPackets(cfg, func(rate float64) sampler.Sampler {
-		return sampler.NewBernoulli(rate, 77)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for bi := range fast.Series[0].Bins {
-		f := fast.Series[0].Bins[bi]
-		p := pkts.Series[0].Bins[bi]
-		if f.Flows != p.Flows {
-			// Placement realizations differ slightly between paths (the
-			// packet path re-streams), so flow counts can differ by the
-			// handful of flows whose packets all fell outside the bin.
-			if math.Abs(float64(f.Flows-p.Flows)) > 0.05*float64(f.Flows) {
-				t.Errorf("bin %d: flows %d vs %d", bi, f.Flows, p.Flows)
+	for _, tc := range []struct {
+		name                string
+		seconds             float64
+		binSeconds, horizon float64
+		wantEmpty           bool
+	}{
+		{"full", 20, 10, 20, false},
+		{"trailing empty bins", 10, 50, 400, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := smallTrace(t, tc.seconds, 13)
+			cfg := Config{
+				Records: recs, BinSeconds: tc.binSeconds, Horizon: tc.horizon, TopT: 5,
+				Rates: []float64{0.1}, Runs: 40, Seed: 14,
 			}
-		}
-		seF := f.Ranking.Std()/math.Sqrt(float64(f.Ranking.N())) + 1e-9
-		seP := p.Ranking.Std()/math.Sqrt(float64(p.Ranking.N())) + 1e-9
-		diff := math.Abs(f.Ranking.Mean() - p.Ranking.Mean())
-		tol := 6*(seF+seP) + 0.15*(f.Ranking.Mean()+p.Ranking.Mean())/2
-		if diff > tol {
-			t.Errorf("bin %d: fast ranking %g vs packet %g (tol %g)", bi, f.Ranking.Mean(), p.Ranking.Mean(), tol)
-		}
+			fast, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkts, err := RunPackets(cfg, func(rate float64) sampler.Sampler {
+				return sampler.NewBernoulli(rate, 77)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			empty := 0
+			for bi := range fast.Series[0].Bins {
+				f := fast.Series[0].Bins[bi]
+				p := pkts.Series[0].Bins[bi]
+				if f.Ranking.N() != int64(cfg.Runs) || p.Ranking.N() != int64(cfg.Runs) ||
+					f.Detection.N() != int64(cfg.Runs) || p.Detection.N() != int64(cfg.Runs) {
+					t.Errorf("bin %d: runs recorded fast %d/%d, packet %d/%d, want %d",
+						bi, f.Ranking.N(), f.Detection.N(), p.Ranking.N(), p.Detection.N(), cfg.Runs)
+				}
+				if f.Packets == 0 {
+					empty++
+					if f.Flows != 0 || p.Flows != 0 || p.Packets != 0 {
+						t.Errorf("empty bin %d: flows %d vs %d, packet-path packets %d",
+							bi, f.Flows, p.Flows, p.Packets)
+					}
+				}
+				if f.Flows != p.Flows {
+					// Placement realizations differ slightly between paths (the
+					// packet path re-streams), so flow counts can differ by the
+					// handful of flows whose packets all fell outside the bin
+					// (two flows of slack for the sparse bins at a trace's end).
+					if math.Abs(float64(f.Flows-p.Flows)) > 0.05*float64(f.Flows)+2 {
+						t.Errorf("bin %d: flows %d vs %d", bi, f.Flows, p.Flows)
+					}
+				}
+				seF := f.Ranking.Std()/math.Sqrt(float64(f.Ranking.N())) + 1e-9
+				seP := p.Ranking.Std()/math.Sqrt(float64(p.Ranking.N())) + 1e-9
+				diff := math.Abs(f.Ranking.Mean() - p.Ranking.Mean())
+				tol := 6*(seF+seP) + 0.15*(f.Ranking.Mean()+p.Ranking.Mean())/2
+				if diff > tol {
+					t.Errorf("bin %d: fast ranking %g vs packet %g (tol %g)", bi, f.Ranking.Mean(), p.Ranking.Mean(), tol)
+				}
+			}
+			if got := empty > 0; got != tc.wantEmpty {
+				t.Errorf("%d empty bins, want some: %v", empty, tc.wantEmpty)
+			}
+		})
 	}
 }
 
