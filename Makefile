@@ -125,7 +125,8 @@ microbench:
 # countmin/ runs are the daemon-scrape shard configuration and its inline/
 # runs Feed plus an exact ingest on a warm engine, in ns/pkt and allocs/pkt
 # (0) for both aggregations; BenchmarkBinClose
-# is the bin boundary alone on a 280k-flow exact bin (ns/flow).
+# is the bin boundary alone (ns/flow) on batch-exact's shape (280k flows,
+# one shard) and adapt-loop's (47k flows, two shards, p = 0.1).
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -run '^$$' -bench 'Misrank|ModelRanking|StreamPackets|StreamEngine|NetworkCoord|NetworkDynamic|ExtensionSketch' -benchtime 1x

@@ -253,8 +253,8 @@ func NewFlowTable(agg Aggregator) *FlowTable { return flowtable.New(agg) }
 // the bounded sketches (Space-Saving, Count-Min + heap). AddAggregated
 // accounts one packet, AddBatch a batch of FlowObservation (what the
 // stream engine calls); AppendAll lists the flows unranked, AppendEntries
-// ranked. ErrorBound reports the summary's worst-case per-flow packet
-// overcount (0 for the exact tables).
+// ranked, Lookup reads one. ErrorBound reports the summary's worst-case
+// per-flow packet overcount (0 for the exact tables).
 type FlowSummary = flowtable.Summary
 
 // TableSpec selects a flow-accounting implementation for the streaming
@@ -307,7 +307,9 @@ type StreamConfig = stream.Config
 // StreamBin is the merged measurement of one non-empty bin: every
 // original flow with the top list ranked first (Orig[:TopT] is in ranking
 // order, the flows after it are not sorted — SortEntries ranks them), the
-// exact sampled top list, and the paper's swapped-pair metrics.
+// exact sampled top list and the sampled flow count, and the paper's
+// swapped-pair metrics. It carries no per-flow sampled counts: the engine
+// joins each flow's sampled count inside its shard and hands over Pairs.
 type StreamBin = stream.BinResult
 
 // StreamEngine is a running streaming monitor; Feed it packets in trace
@@ -465,11 +467,13 @@ func ValidateBinJournal(r io.Reader) (bins int, err error) { return pipeline.Val
 // counts for one bin.
 type PairCounts = metrics.PairCounts
 
-// CountSwapped computes both metrics: orig is every flow of the bin with
-// its t highest-ranked flows first, in ranking order — the flows after
-// them may come in any order, so StreamBin.Orig qualifies as delivered and
-// so does a fully sorted list (SortEntries) — sampled maps keys to
-// sampled counts, t is the top-list length.
+// CountSwapped computes both metrics for a caller holding its own tables
+// (StreamBin.Pairs already has them for an engine's bin): orig is every
+// flow of the bin with its t highest-ranked flows first, in ranking
+// order — the flows after them may come in any order, so StreamBin.Orig
+// qualifies as delivered and so does a fully sorted list (SortEntries) —
+// sampled maps keys to sampled counts (FlowSummary.AppendCounts), t is
+// the top-list length.
 func CountSwapped(orig []FlowEntry, sampled map[Key]int64, t int) PairCounts {
 	return metrics.CountSwapped(orig, sampled, t)
 }

@@ -83,47 +83,75 @@ func SortEntries(es []Entry) []Entry {
 // O(n log t), no allocation, any t including 0 and t >= len(es).
 //
 //flowrank:hotpath
-func SelectTop(es []Entry, t int) []Entry {
+func SelectTop(es []Entry, t int) []Entry { return SelectTopAligned(es, nil, t) }
+
+// SelectTopAligned is SelectTop over es and a slice aligned with it —
+// aux[i] belongs to es[i] — that every move in es carries along: a bin
+// close ranks its flows with the sampled count joined to each. aux is nil
+// or at least as long as es.
+//
+//flowrank:hotpath
+func SelectTopAligned(es []Entry, aux []int64, t int) []Entry {
 	if t > len(es) {
 		t = len(es)
 	}
 	if t <= 0 {
 		return es[:0]
 	}
-	h := es[:t]
+	if aux != nil {
+		aux = aux[:len(es)]
+	}
+	a := aligned{es, aux}
 	for i := t/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
+		a.siftDown(i, t)
 	}
 	for i := t; i < len(es); i++ {
-		if Less(es[i], h[0]) {
-			es[i], h[0] = h[0], es[i]
-			siftDown(h, 0)
+		if Less(es[i], es[0]) {
+			a.swap(i, 0)
+			a.siftDown(0, t)
 		}
 	}
 	for n := t - 1; n > 0; n-- {
-		h[0], h[n] = h[n], h[0]
-		siftDown(h[:n], 0)
+		a.swap(0, n)
+		a.siftDown(0, n)
 	}
-	return h
+	return es[:t]
 }
 
-// siftDown restores, below index i, the heap whose root is its
+// aligned is an entry list and its optional aligned counts, moved as one.
+type aligned struct {
+	es  []Entry
+	aux []int64 // nil, or aux[i] belongs to es[i]
+}
+
+// swap exchanges entries i and j, and their aux values.
+//
+//flowrank:hotpath
+func (a aligned) swap(i, j int) {
+	a.es[i], a.es[j] = a.es[j], a.es[i]
+	if a.aux != nil {
+		a.aux[i], a.aux[j] = a.aux[j], a.aux[i]
+	}
+}
+
+// siftDown restores, below index i, the heap es[:n] whose root is its
 // lowest-ranked entry: no parent outranks a child.
 //
 //flowrank:hotpath
-func siftDown(h []Entry, i int) {
+func (a aligned) siftDown(i, n int) {
+	h := a.es[:n]
 	for {
 		c := 2*i + 1
-		if c >= len(h) {
+		if c >= n {
 			return
 		}
-		if r := c + 1; r < len(h) && Less(h[c], h[r]) {
+		if r := c + 1; r < n && Less(h[c], h[r]) {
 			c = r
 		}
 		if !Less(h[i], h[c]) {
 			return
 		}
-		h[i], h[c] = h[c], h[i]
+		a.swap(i, c)
 		i = c
 	}
 }

@@ -119,12 +119,11 @@ func TestEntriesSortedAndDeterministic(t *testing.T) {
 	}
 }
 
-// lookupSummary is what the bounded-kind tests below drive: the Summary
-// surface plus the tracked-key lookup both sketches share.
-type lookupSummary interface {
+// packetSummary is what the bounded-kind tests below drive: the Summary
+// surface plus the packet Add both sketches share.
+type packetSummary interface {
 	Summary
 	Add(packet.Packet)
-	Lookup(flow.Key) (Entry, bool)
 }
 
 // TestBoundedEvictsSmallest pins the victim choice under both takeover
@@ -176,7 +175,7 @@ func TestBoundedEvictsSmallest(t *testing.T) {
 	if all := cm.AppendAll(nil); len(all) != 3 || all[0].Key != newcomer {
 		t.Errorf("countmin: slot order %+v, want the newcomer in the displaced flow's slot", all)
 	}
-	for _, s := range []lookupSummary{ss, cm} {
+	for _, s := range []packetSummary{ss, cm} {
 		if e, ok := s.Lookup(pkt(3, 0, 0).Key); !ok || e.Packets < 15 || s.Len() != 3 {
 			t.Errorf("%T: largest flow %+v, %v; %d tracked", s, e, ok, s.Len())
 		}
@@ -184,7 +183,7 @@ func TestBoundedEvictsSmallest(t *testing.T) {
 }
 
 func TestBoundedKeepsHeavyHittersUnderChurn(t *testing.T) {
-	for _, b := range []lookupSummary{NewSpaceSaving(flow.FiveTuple{}, 64), NewCountMin(flow.FiveTuple{}, 64)} {
+	for _, b := range []packetSummary{NewSpaceSaving(flow.FiveTuple{}, 64), NewCountMin(flow.FiveTuple{}, 64)} {
 		g := randx.New(8)
 		heavy := pkt(200, 100, 0).Key
 		// Interleave one heavy flow with a churn of one-packet flows.
@@ -217,7 +216,7 @@ func TestBoundedKeepsHeavyHittersUnderChurn(t *testing.T) {
 }
 
 func TestBoundedReset(t *testing.T) {
-	for _, b := range []lookupSummary{NewSpaceSaving(flow.FiveTuple{}, 2), NewCountMin(flow.FiveTuple{}, 2)} {
+	for _, b := range []packetSummary{NewSpaceSaving(flow.FiveTuple{}, 2), NewCountMin(flow.FiveTuple{}, 2)} {
 		for i := 0; i < 9; i++ {
 			b.Add(pkt(byte(1+i%3), 100, 0))
 		}
@@ -329,8 +328,9 @@ func TestMergeShardedEntries(t *testing.T) {
 
 // TestSelectTop is SelectTop's contract against the full sort, on random
 // lists with heavy ties in the packet count: the returned prefix is the
-// sorted list's, the rest is the sorted rest as a multiset, nothing is
-// allocated — for every t from 0 past the length, the empty list included.
+// sorted list's, the rest is the sorted rest as a multiset, an aligned
+// slice moves with its entries, nothing is allocated — for every t from 0
+// past the length, the empty list included.
 func TestSelectTop(t *testing.T) {
 	g := randx.New(5)
 	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
@@ -347,6 +347,22 @@ func TestSelectTop(t *testing.T) {
 			if len(top) != m || !slices.Equal(top, want[:m]) || (m > 0 && &top[0] != &got[0]) {
 				t.Fatalf("n=%d t=%d: top list %+v, want %+v in place", n, k, top, want[:m])
 			}
+			// The aligned form makes the same moves and carries each
+			// entry's aux value (here its Bytes) along.
+			withAux := slices.Clone(es)
+			aux := make([]int64, n)
+			for i := range aux {
+				aux[i] = withAux[i].Bytes
+			}
+			SelectTopAligned(withAux, aux, k)
+			if !slices.Equal(withAux, got) {
+				t.Fatalf("n=%d t=%d: aligned selection moves entries differently", n, k)
+			}
+			for i := range aux {
+				if aux[i] != withAux[i].Bytes {
+					t.Fatalf("n=%d t=%d: aux[%d] = %d left behind by its entry (%d)", n, k, i, aux[i], withAux[i].Bytes)
+				}
+			}
 			if !slices.Equal(SortEntries(got[m:]), want[m:]) {
 				t.Fatalf("n=%d t=%d: the rest is not the sorted list's rest", n, k)
 			}
@@ -356,7 +372,8 @@ func TestSelectTop(t *testing.T) {
 	for i := range es {
 		es[i] = Entry{Key: randKey(g, 200), Packets: int64(g.IntN(50))}
 	}
-	if allocs := testing.AllocsPerRun(20, func() { SelectTop(es, 10) }); allocs != 0 {
+	aux := make([]int64, len(es))
+	if allocs := testing.AllocsPerRun(20, func() { SelectTop(es, 10); SelectTopAligned(es, aux, 10) }); allocs != 0 {
 		t.Fatalf("SelectTop allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -55,6 +55,9 @@ type Summary interface {
 	// AppendCounts adds every tracked flow's packet count to dst
 	// (allocating it when nil) and returns it.
 	AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64
+	// Lookup returns the tracked entry of an (aggregated) key — what a bin
+	// close joins each original flow's sampled count with.
+	Lookup(key flow.Key) (Entry, bool)
 	// ErrorBound returns the summary's current worst-case per-flow packet
 	// overcount: 0 for exact tables, the largest evicted count for
 	// Space-Saving (deterministic), and the 2·packets/width Markov bound

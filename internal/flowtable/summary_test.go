@@ -61,6 +61,14 @@ func TestSummaryConformance(t *testing.T) {
 			if len(counts) != sum.Len() || counts[heavy] < top[0].Packets {
 				t.Errorf("%s round %d: counts map disagrees with top list", kind, round)
 			}
+			for _, e := range entries {
+				if got, ok := sum.Lookup(e.Key); !ok || got != e {
+					t.Errorf("%s round %d: Lookup(%v) = %+v, %v; want %+v", kind, round, e.Key, got, ok, e)
+				}
+			}
+			if got, ok := sum.Lookup(pkt(251, 0, 0).Key); ok {
+				t.Errorf("%s round %d: Lookup of a flow never added = %+v", kind, round, got)
+			}
 			if bound := sum.ErrorBound(); spec.Exact() && bound != 0 {
 				t.Errorf("%s round %d: exact kind reports ErrorBound %d", kind, round, bound)
 			}

@@ -63,7 +63,9 @@ type Estimate struct {
 // observed only when at least one of its packets was kept) at sampling
 // rate p into an Estimate. Implementations canonicalize the input
 // internally (sorting or histogramming), so the estimate depends only on
-// the multiset of counts — never on their order.
+// the multiset of counts — never on their order. Invert must not keep
+// sampledCounts past its return: the stream engine refills the slice for
+// its next bin.
 type Estimator interface {
 	Invert(sampledCounts []float64, p float64) (Estimate, error)
 	Name() string

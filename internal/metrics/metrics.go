@@ -19,6 +19,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 
 	"flowrank/internal/flow"
 	"flowrank/internal/flowtable"
@@ -66,33 +67,47 @@ func (p PairCounts) DetectionFrac() float64 {
 // is accepted but not needed; flowtable.SelectTop establishes exactly
 // this. sampled maps flow keys to sampled packet counts; missing keys
 // mean the flow was not sampled at all.
+//
+// This map form is the API for callers holding their own tables and the
+// reference CountSwappedCounts is tested against; the stream engine joins
+// each flow's sampled count in its shard and calls CountSwappedCounts.
 func CountSwapped(orig []flowtable.Entry, sampled map[flow.Key]int64, t int) PairCounts {
-	n := len(orig)
-	if t > n {
-		t = n
-	}
-	var pc PairCounts
-	if t <= 0 || n < 2 {
+	pc, t := pairTotals(len(orig), t)
+	if pc.Pairs == 0 {
 		return pc
 	}
-	nn := int64(n)
-	tt := int64(t)
-	pc.Pairs = (2*nn - tt - 1) * tt / 2
-	pc.BoundaryPairs = tt * (nn - tt)
 	top := make([]sizePair, t)
 	for r := range top {
 		top[r] = sizePair{orig[r].Packets, sampled[orig[r].Key]}
 	}
+	pc.Detection = countBoundary(top, orig[t:], sampled)
+	pc.Ranking = countWithin(top) + pc.Detection
+	return pc
+}
+
+// pairTotals clamps t to the bin's n flows and returns the pair totals of
+// a bin of that shape; Pairs is 0 exactly when there is nothing to count
+// (t <= 0 or n < 2).
+func pairTotals(n, t int) (PairCounts, int) {
+	t = min(t, n)
+	if t <= 0 || n < 2 {
+		return PairCounts{}, t
+	}
+	nn, tt := int64(n), int64(t)
+	return PairCounts{Pairs: (2*nn - tt - 1) * tt / 2, BoundaryPairs: tt * (nn - tt)}, t
+}
+
+// countWithin counts the swapped pairs inside the top list.
+func countWithin(top []sizePair) int64 {
+	var swapped int64
 	for r := range top {
 		for _, b := range top[r+1:] {
 			if top[r].swappedWith(b) {
-				pc.Ranking++
+				swapped++
 			}
 		}
 	}
-	pc.Detection = countBoundary(top, orig[t:], sampled)
-	pc.Ranking += pc.Detection
-	return pc
+	return swapped
 }
 
 // sizePair is a flow's original and sampled packet count.
@@ -127,34 +142,57 @@ func countBoundary(top []sizePair, rest []flowtable.Entry, sampled map[flow.Key]
 }
 
 // CountSwappedCounts is CountSwapped with the sampled counts supplied as a
-// slice aligned with orig (sampled[i] is the sampled size of orig[i]),
-// avoiding map construction on the simulator's hot path.
+// slice aligned with orig (sampled[i] is the sampled size of orig[i]) —
+// no map and no lookup: what the stream engine and the simulators count
+// a bin with.
 func CountSwappedCounts(orig []flowtable.Entry, sampled []int64, t int) PairCounts {
-	n := len(orig)
-	if t > n {
-		t = n
-	}
-	var pc PairCounts
-	if t <= 0 || n < 2 {
+	pc, t := pairTotals(len(orig), t)
+	if pc.Pairs == 0 {
 		return pc
 	}
-	nn := int64(n)
-	tt := int64(t)
-	pc.Pairs = (2*nn - tt - 1) * tt / 2
-	pc.BoundaryPairs = tt * (nn - tt)
-	for r := 0; r < t; r++ {
-		a := sizePair{orig[r].Packets, sampled[r]}
-		for j := r + 1; j < n; j++ {
-			if !a.swappedWith(sizePair{orig[j].Packets, sampled[j]}) {
-				continue
+	sampled = sampled[:len(orig)]
+	top := make([]sizePair, t)
+	for r := range top {
+		top[r] = sizePair{orig[r].Packets, sampled[r]}
+	}
+	ts := slices.Clone(sampled[:t])
+	slices.Sort(ts)
+	pc.Detection = countBoundaryCounts(top, ts, orig[t:], sampled[t:])
+	pc.Ranking = countWithin(top) + pc.Detection
+	return pc
+}
+
+// countBoundaryCounts is countBoundary over aligned counts: one pass over
+// the flows below the top list. A flow smaller than every top flow —
+// nearly all of a bin — is misranked against a top flow exactly when its
+// sampled count reaches the top flow's, so it is scored by how many of the
+// top flows' sampled counts, sorted in ts, it reaches.
+//
+//flowrank:hotpath
+func countBoundaryCounts(top []sizePair, ts []int64, rest []flowtable.Entry, sampled []int64) int64 {
+	var swapped int64
+	sampled = sampled[:len(rest)]
+	smallest := top[0].orig
+	for _, a := range top {
+		smallest = min(smallest, a.orig)
+	}
+	for i := range rest {
+		b := sizePair{rest[i].Packets, sampled[i]}
+		if b.orig < smallest {
+			n := 0
+			for n < len(ts) && ts[n] <= b.sampled {
+				n++
 			}
-			pc.Ranking++
-			if j >= t {
-				pc.Detection++
+			swapped += int64(n)
+			continue
+		}
+		for _, a := range top {
+			if a.swappedWith(b) {
+				swapped++
 			}
 		}
 	}
-	return pc
+	return swapped
 }
 
 // TopKOverlap returns |top-k(orig) ∩ top-k(sampled)| / k — the fraction of

@@ -186,6 +186,43 @@ func TestCountSwappedUnsortedTail(t *testing.T) {
 	}
 }
 
+// TestCountSwappedCountsMatchesMap pins the aligned form to the map form
+// CountSwapped keeps as its reference: on random bins with heavy ties in
+// the original size, flows sampled to zero (in the map as 0 or missing),
+// the flows below the top list shuffled together with their counts, t
+// from below 0 past the flow count, and bins of fewer than two flows.
+func TestCountSwappedCountsMatchesMap(t *testing.T) {
+	g := randx.New(12)
+	for trial := 0; trial < 300; trial++ {
+		n := g.IntN(80)
+		entries := make([]flowtable.Entry, n)
+		for i := range entries {
+			entries[i] = flowtable.Entry{Key: key(i), Packets: int64(1 + g.IntN(12))}
+		}
+		SortEntries(entries)
+		for _, tt := range []int{-1, 0, 1, 2, 17, 40, n - 1, n, n + 5} {
+			rest := entries[max(0, min(tt, n)):]
+			for i := len(rest) - 1; i > 0; i-- {
+				j := g.IntN(i + 1)
+				rest[i], rest[j] = rest[j], rest[i]
+			}
+			counts := make([]int64, n)
+			sampled := make(map[flow.Key]int64, n)
+			for i, e := range entries {
+				counts[i] = int64(g.Binomial(int(e.Packets), 0.3))
+				if counts[i] > 0 || g.IntN(2) == 0 {
+					sampled[e.Key] = counts[i]
+				}
+			}
+			want := CountSwapped(entries, sampled, tt)
+			if got := CountSwappedCounts(entries, counts, tt); got != want {
+				t.Fatalf("trial %d n=%d t=%d: %+v, map form %+v", trial, n, tt, got, want)
+			}
+			SortEntries(entries)
+		}
+	}
+}
+
 func TestCountSwappedDegenerate(t *testing.T) {
 	if pc := CountSwapped(nil, nil, 5); pc.Ranking != 0 || pc.Pairs != 0 {
 		t.Errorf("empty bin: %+v", pc)

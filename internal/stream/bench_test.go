@@ -1,12 +1,14 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"flowrank/internal/flow"
 	"flowrank/internal/flowtable"
+	"flowrank/internal/invert"
 	"flowrank/internal/packet"
 	"flowrank/internal/sampler"
 )
@@ -100,46 +102,103 @@ func BenchmarkEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkBinClose times the bin boundary alone on the shape of the
-// benchmark's batch-exact workload: one exact shard holding 280k flows
-// (heavy-tailed: every 512th flow has up to ~550 packets, the rest one),
-// sampled at 1 %, top list of 10. The fill is untimed; ns/flow is what
-// summarize + merge + swapped-pair count charge each flow of the bin —
-// the cost a full sort used to dominate.
+// BenchmarkBinClose times the bin boundary alone — the shards writing the
+// bin, the merge, the swapped-pair count and the hand-over of the sampled
+// counts to the inverter — on the shapes of two benchmark workloads, top
+// list of 10:
+//
+//   - batch-exact: one exact shard holding 280k flows (heavy-tailed: every
+//     512th flow has up to ~550 packets, the rest one), sampled at 1 %;
+//   - adapt-loop: two exact shards holding 47k flows of 1 to ~110 packets
+//     (~480k packets), sampled at 10 %, with an inverter — the shape where
+//     the shards' outputs are merged.
+//
+// The fill is untimed and fully ingested before the clock starts, and the
+// inverter returns at once, so ns/flow is what closing the bin charges each
+// of its flows — the cost a full sort used to dominate.
 func BenchmarkBinClose(b *testing.B) {
-	const flows = 280_000
-	eng, err := NewEngine(Config{
-		Agg:        flow.FiveTuple{},
-		Sampler:    sampler.NewBernoulli(0.01, 7),
-		BinSeconds: 60,
-		TopT:       10,
-		Workers:    1,
-		Recycle:    true,
-	}, func(BinResult) error { return nil })
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for f := 0; f < flows; f++ {
-			p := packet.Packet{Time: 1, Size: 100, Key: flow.Key{
-				Src: flow.Addr{10, byte(f >> 16), byte(f >> 8), byte(f)}, DstPort: 80, Proto: flow.ProtoTCP,
-			}}
-			n := 1
+	cases := []struct {
+		name     string
+		flows    int
+		workers  int
+		rate     float64
+		inverter invert.Estimator
+		packets  func(f int) int
+	}{
+		{"batch-exact", 280_000, 1, 0.01, nil, func(f int) int {
+			if f%512 == 0 {
+				return 1 + f/512
+			}
+			return 1
+		}},
+		{"adapt-loop", 47_000, 2, 0.1, countsOnly{}, func(f int) int {
+			n := 1 + f*7919%19
 			if f%512 == 0 {
 				n += f / 512
 			}
-			for ; n > 0; n-- {
-				if err := eng.Feed(p); err != nil {
+			return n
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			eng, err := NewEngine(Config{
+				Agg:        flow.FiveTuple{},
+				Sampler:    sampler.NewBernoulli(c.rate, 7),
+				BinSeconds: 60,
+				TopT:       10,
+				Workers:    c.workers,
+				Inverter:   c.inverter,
+				Recycle:    true,
+			}, func(BinResult) error { return nil })
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for f := 0; f < c.flows; f++ {
+					p := packet.Packet{Time: 1, Size: 100, Key: flow.Key{
+						Src: flow.Addr{10, byte(f >> 16), byte(f >> 8), byte(f)}, DstPort: 80, Proto: flow.ProtoTCP,
+					}}
+					for n := c.packets(f); n > 0; n-- {
+						if err := eng.Feed(p); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				settle(eng)
+				b.StartTimer()
+				if err := eng.flushBin(); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
-		b.StartTimer()
-		if err := eng.flushBin(); err != nil {
-			b.Fatal(err)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.flows), "ns/flow")
+		})
+	}
+}
+
+// settle returns once every shard worker has ingested the batches handed
+// to it so far. A worker takes a message only after finishing the one
+// before, so once cap(in)+2 empty batches are sent behind the real ones,
+// the real ones are done; the empty ones left queued cost the flush
+// nothing.
+func settle(e *Engine) {
+	if e.inline() {
+		return
+	}
+	for _, s := range e.shards {
+		for range cap(s.in) + 2 {
+			s.in <- shardMsg{}
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/flows, "ns/flow")
+}
+
+// countsOnly is an inverter that takes the bin's sampled counts and
+// returns at once.
+type countsOnly struct{}
+
+func (countsOnly) Name() string { return "counts-only" }
+
+func (countsOnly) Invert([]float64, float64) (invert.Estimate, error) {
+	return invert.Estimate{}, errors.New("counts only")
 }

@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"flowrank/internal/flow"
-	"flowrank/internal/invert"
-)
+import "flowrank/internal/invert"
 
 // InversionCheckpoints are the upper-tail probabilities at which every
 // InversionSummary reports the estimated size quantiles: the median, the
@@ -36,19 +33,14 @@ type InversionSummary struct {
 	Estimate *invert.Estimate
 }
 
-// summarizeInversion runs the estimator over the bin's sampled counts.
-// Map iteration order does not matter: estimators canonicalize their
+// summarizeInversion runs the estimator over the bin's sampled counts,
+// which come in the shards' table order: estimators canonicalize their
 // input, so the summary depends only on the multiset of counts.
-func summarizeInversion(est invert.Estimator, sampled map[flow.Key]int64, rate float64) *InversionSummary {
+func summarizeInversion(est invert.Estimator, counts []float64, rate float64) *InversionSummary {
 	s := &InversionSummary{Method: est.Name()}
-	if len(sampled) == 0 {
+	if len(counts) == 0 {
 		s.Err = "no sampled flows"
 		return s
-	}
-	counts := make([]float64, 0, len(sampled))
-	//flowrank:unordered estimators canonicalize the count multiset before use
-	for _, c := range sampled {
-		counts = append(counts, float64(c))
 	}
 	e, err := est.Invert(counts, rate)
 	if err != nil {

@@ -17,11 +17,16 @@
 // from the hash the batch carries, so the hot path takes no locks, shares
 // no state, and a table too large for the cache overlaps a batch's memory
 // misses. At each bin boundary a barrier flushes every shard. A bin is
-// closed without sorting it: the shards' flow lists are concatenated as the
-// tables hold them, flowtable.SelectTop ranks only the top list to the
-// front (exact, because the shards partition the key space), and the
-// paper's §5/§7 swapped-pair metrics — which only ever compare a top flow
-// with another flow — are counted in one pass over the rest.
+// closed without sorting it and without a map keyed by flow. The shards
+// report their table sizes, the engine sizes the bin's buffers and gives
+// each shard its own run of them, and each shard writes there its original
+// flows as its table holds them, each one's sampled count beside it (a
+// flow's original and sampled entries live in the same shard), its sampled
+// top list and — for the inverter — its sampled counts without their keys.
+// The engine then ranks only the top list to the front with the joined
+// counts moving along (exact, because the shards partition the key space),
+// and counts the paper's §5/§7 swapped pairs — which only ever compare a
+// top flow with another flow — in one pass over the rest.
 //
 // With exact tables the engine's measurements are identical to the
 // sequential path's for any worker count: with Workers == 1 no goroutines
@@ -40,7 +45,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 
 	"flowrank/internal/flow"
@@ -96,10 +100,9 @@ type Config struct {
 	// deterministic only per fixed worker count.
 	Tables flowtable.Spec
 	// Recycle, when set, reuses the engine's per-bin buffers (BinResult's
-	// Orig/SampledTop slices and Sampled map) across bins: steady-state
-	// bins allocate almost nothing, but every BinResult is valid only
-	// until the emit callback returns. Leave it unset when retaining
-	// results beyond emit.
+	// Orig and SampledTop slices) across bins: steady-state bins allocate
+	// almost nothing, but every BinResult is valid only until the emit
+	// callback returns. Leave it unset when retaining results beyond emit.
 	Recycle bool
 	// Obs, when non-nil, receives the engine's pipeline telemetry:
 	// reader dispatch latency and backpressure stalls, per-shard queue
@@ -129,12 +132,11 @@ type BinResult struct {
 	Orig []flowtable.Entry
 	// SampledTop is the exact global top-TopT of the sampled table.
 	SampledTop []flowtable.Entry
-	// Sampled maps every sampled flow to its sampled packet count.
-	Sampled map[flow.Key]int64
-	// SampledFlows is len(Sampled), the sampled table's flow count.
+	// SampledFlows is the sampled table's flow count.
 	SampledFlows int
 	// Pairs carries the §5 ranking and §7 detection swapped-pair counts of
-	// the bin.
+	// the bin, each original flow against its own sampled count (0 when
+	// sampling missed it).
 	Pairs metrics.PairCounts
 	// Totals of the original and sampled tables.
 	OrigPackets, OrigBytes       int64
@@ -163,17 +165,33 @@ type batch struct {
 // emptied returns the batch's buffers at length zero, ready to refill.
 func (b batch) emptied() batch { return batch{all: b.all[:0], kept: b.kept[:0]} }
 
-// shardMsg is either a packet batch or a flush barrier.
+// shardMsg is what the reader hands a shard: a packet batch, or one of
+// the two steps of a bin barrier — flush (ingest what is queued, report
+// the table sizes), then part (write the bin's share of this shard into
+// it and reset the tables).
 type shardMsg struct {
 	batch batch
 	flush bool
+	part  *binPart
 }
 
-// shardSummary is one shard's contribution to a bin merge.
+// binPart is a run of the bin's buffers: the whole bin, or one shard's
+// share of it, each slice exactly as long as what it holds.
+type binPart struct {
+	orig []flowtable.Entry
+	// join is aligned with orig: join[i] is orig[i]'s sampled count, 0
+	// when sampling missed the flow.
+	join []int64
+	top  []flowtable.Entry // the sampled top list
+	// counts holds every sampled flow's count, keyless and in no order:
+	// the inverter's input, nil when the engine does not invert.
+	counts []float64
+}
+
+// shardSummary is a shard's answer to a barrier step: after flush, the
+// sizes of its tables; after part, also their totals.
 type shardSummary struct {
-	orig                   []flowtable.Entry
-	sampTop                []flowtable.Entry
-	sampled                map[flow.Key]int64
+	flows, sampFlows       int
 	origPackets, origBytes int64
 	sampPackets, sampBytes int64
 	countErr               int64
@@ -182,18 +200,10 @@ type shardSummary struct {
 // shard owns one partition of the key space.
 type shard struct {
 	orig, samp flowtable.Summary
-	topT       int
-	recycle    bool
 	stats      *obs.ShardStats   // nil when instrumentation is off
 	in         chan shardMsg     // nil when the engine runs inline
-	out        chan shardSummary // one summary per flush barrier
-	// Persistent summarize buffers, reused across bins when recycle is
-	// set. Safe: the barrier hands each bin's summary to the merge, and
-	// the next flush — the next time these buffers are touched — starts
-	// only after the previous bin's emit returned.
-	origBuf []flowtable.Entry
-	topBuf  []flowtable.Entry
-	sampBuf map[flow.Key]int64
+	out        chan shardSummary // one answer per barrier step
+	sampBuf    []flowtable.Entry // the sampled table, copied once per bin
 }
 
 // ingest accounts one batch into the shard's tables — the one ingest path,
@@ -217,46 +227,53 @@ func (s *shard) ingest(b batch) {
 	}
 }
 
-// summarize snapshots and resets the shard's tables at a bin barrier: the
-// original flows as the table holds them (nothing is sorted), the sampled
-// top list and counts, the totals.
-func (s *shard) summarize() shardSummary {
-	var origDst, topDst []flowtable.Entry
-	var sampDst map[flow.Key]int64
-	if s.recycle {
-		origDst, topDst = s.origBuf[:0], s.topBuf[:0]
-		sampDst = s.sampBuf
-		clear(sampDst)
+// step answers one barrier message.
+func (s *shard) step(msg shardMsg) shardSummary {
+	if msg.part != nil {
+		return s.fill(msg.part)
 	}
+	return shardSummary{flows: s.orig.Len(), sampFlows: s.samp.Len()}
+}
+
+// fill writes the shard's share of the bin into p and resets its tables:
+// the original flows as the table holds them (nothing is sorted), each
+// one's sampled count beside it — a flow's original and sampled entries
+// live in the same shard, so the join is a lookup in the shard's own
+// sampled table — then, from one copy of the sampled table, its top list
+// and its counts. The totals go back in the summary.
+func (s *shard) fill(p *binPart) shardSummary {
+	s.orig.AppendAll(p.orig[:0])
+	for i := range p.orig {
+		e, _ := s.samp.Lookup(p.orig[i].Key)
+		p.join[i] = e.Packets
+	}
+	s.sampBuf = s.samp.AppendAll(s.sampBuf[:0])
+	for i := range p.counts {
+		p.counts[i] = float64(s.sampBuf[i].Packets)
+	}
+	copy(p.top, flowtable.SelectTop(s.sampBuf, len(p.top)))
 	sum := shardSummary{
-		orig:        s.orig.AppendAll(origDst),
-		sampTop:     s.samp.AppendTop(topDst, s.topT),
-		sampled:     s.samp.AppendCounts(sampDst),
+		flows:       len(p.orig),
+		sampFlows:   len(s.sampBuf),
 		origPackets: s.orig.TotalPackets(),
 		origBytes:   s.orig.TotalBytes(),
 		sampPackets: s.samp.TotalPackets(),
 		sampBytes:   s.samp.TotalBytes(),
-	}
-	sum.countErr = s.orig.ErrorBound()
-	if b := s.samp.ErrorBound(); b > sum.countErr {
-		sum.countErr = b
-	}
-	if s.recycle {
-		s.origBuf, s.topBuf, s.sampBuf = sum.orig, sum.sampTop, sum.sampled
+		countErr:    max(s.orig.ErrorBound(), s.samp.ErrorBound()),
 	}
 	s.orig.Reset()
 	s.samp.Reset()
 	return sum
 }
 
-// loop is the shard worker: ingest batches, summarize on flush.
+// loop is the shard worker: ingest batches, answer barrier steps.
 //
 //flowrank:hotpath
 func (s *shard) loop(wg *sync.WaitGroup, free chan batch) {
 	defer wg.Done()
 	for msg := range s.in {
-		if msg.flush {
-			s.out <- s.summarize()
+		if msg.flush || msg.part != nil {
+			s.out <- s.step(msg)
 			continue
 		}
 		s.ingest(msg.batch)
@@ -286,12 +303,14 @@ type Engine struct {
 	err        error
 	closed     bool
 	stopped    bool // workers shut down
-	// Engine-owned merge buffers, reused across bins when cfg.Recycle is
-	// set (multi-shard path only; the single-shard path aliases the
-	// shard's own recycled buffers).
-	mergedOrig []flowtable.Entry
-	mergedTop  []flowtable.Entry
-	mergedSamp map[flow.Key]int64
+	// bufs holds the bin the shards write at a barrier and the merge reads;
+	// parts[s] is shard s's share of it. bufs.orig and bufs.top become the
+	// BinResult's Orig and SampledTop, so they are reused only when
+	// cfg.Recycle is set; join and counts never leave the engine and are
+	// always reused. Safe: the next barrier — the next time they are
+	// written — starts only after the previous bin's emit returned.
+	bufs  binPart
+	parts []binPart
 }
 
 // ErrClosed is returned (wrapped) by Feed on an engine that was Closed or
@@ -376,6 +395,7 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 	}
 	e := &Engine{cfg: cfg, emit: emit, ctx: ctx, done: ctx.Done()}
 	e.shards = make([]*shard, cfg.Workers)
+	e.parts = make([]binPart, cfg.Workers)
 	for i := range e.shards {
 		orig, err := cfg.Tables.New(cfg.Agg)
 		if err != nil {
@@ -386,10 +406,8 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 			return nil, err
 		}
 		e.shards[i] = &shard{
-			orig:    orig,
-			samp:    samp,
-			topT:    cfg.TopT,
-			recycle: cfg.Recycle,
+			orig: orig,
+			samp: samp,
 		}
 		if cfg.Obs != nil {
 			e.shards[i].stats = &cfg.Obs.Shards[i]
@@ -511,7 +529,7 @@ func (e *Engine) Abort() {
 }
 
 // inline reports whether the engine runs no workers (Workers == 1): the
-// Feed goroutine then does the one shard's ingest and summarize itself.
+// Feed goroutine then does the one shard's ingest and barrier steps itself.
 func (e *Engine) inline() bool { return e.free == nil }
 
 // minKeptCap is the least capacity a new batch's kept buffer starts with.
@@ -572,9 +590,10 @@ func (e *Engine) dispatch(s int) {
 }
 
 // flushBin runs the bin barrier: have every shard ingest what is pending
-// and summarize, merge the summaries and emit the BinResult. Empty bins
-// (no packets anywhere) emit nothing. With Config.Obs set it also records
-// the flush breakdown — barrier, merge, invert, emit — into the cumulative
+// and report its table sizes, size the bin's buffers and have every shard
+// write its share into them, merge and emit the BinResult. Empty bins (no
+// packets anywhere) emit nothing. With Config.Obs set it also records the
+// flush breakdown — barrier, merge, invert, emit — into the cumulative
 // histograms, and hands the first three to emit in BinResult.Stages, so a
 // callback building a per-bin journal record has its own bin's timings.
 func (e *Engine) flushBin() error {
@@ -587,20 +606,13 @@ func (e *Engine) flushBin() error {
 	if st != nil {
 		t0 = obs.Nanotime()
 	}
-	sums := make([]shardSummary, len(e.shards))
-	for s, sh := range e.shards {
+	for s := range e.shards {
 		e.dispatch(s)
-		if e.inline() {
-			sums[s] = sh.summarize()
-		} else {
-			sh.in <- shardMsg{flush: true}
-		}
 	}
-	if !e.inline() {
-		for s, sh := range e.shards {
-			sums[s] = <-sh.out
-		}
-	}
+	sums := make([]shardSummary, len(e.shards))
+	e.barrierStep(sums, false)
+	e.carve(sums)
+	e.barrierStep(sums, true)
 	if st != nil {
 		tBarrier = obs.Nanotime()
 	}
@@ -609,7 +621,7 @@ func (e *Engine) flushBin() error {
 		tMerge = obs.Nanotime()
 	}
 	if e.cfg.Inverter != nil {
-		r.Inversion = summarizeInversion(e.cfg.Inverter, r.Sampled, e.cfg.Sampler.Rate())
+		r.Inversion = summarizeInversion(e.cfg.Inverter, e.bufs.counts, e.cfg.Sampler.Rate())
 	}
 	if st != nil {
 		tInvert = obs.Nanotime()
@@ -632,70 +644,100 @@ func (e *Engine) flushBin() error {
 	return nil
 }
 
-// mergeBin combines the per-shard summaries into the global bin result
+// barrierStep has every shard answer one barrier step into sums: flush,
+// or with fill its part of the bin. The inline engine answers for its
+// shard itself; the sharded one sends every worker its message before
+// collecting any answer, so the workers answer in parallel.
+func (e *Engine) barrierStep(sums []shardSummary, fill bool) {
+	for s, sh := range e.shards {
+		msg := shardMsg{flush: !fill}
+		if fill {
+			msg.part = &e.parts[s]
+		}
+		if e.inline() {
+			sums[s] = sh.step(msg)
+		} else {
+			sh.in <- msg
+		}
+	}
+	if !e.inline() {
+		for s, sh := range e.shards {
+			sums[s] = <-sh.out
+		}
+	}
+}
+
+// carve sizes the bin's buffers to the table sizes the shards reported and
+// cuts each shard its part, shard after shard, so Orig holds the shards'
+// flows in shard order. Each part is capped at its own length: a shard
+// appending its flows cannot spill into the next one's.
+func (e *Engine) carve(sums []shardSummary) {
+	flows, sampFlows, tops := 0, 0, 0
+	for _, s := range sums {
+		flows += s.flows
+		sampFlows += s.sampFlows
+		tops += min(e.cfg.TopT, s.sampFlows)
+	}
+	b := &e.bufs
+	if !e.cfg.Recycle {
+		b.orig, b.top = nil, nil
+	}
+	b.orig, b.join, b.top = resize(b.orig, flows), resize(b.join, flows), resize(b.top, tops)
+	if e.cfg.Inverter != nil {
+		b.counts = resize(b.counts, sampFlows)
+	}
+	var o, so, to int
+	for i, s := range sums {
+		n, k, t := s.flows, s.sampFlows, min(e.cfg.TopT, s.sampFlows)
+		e.parts[i] = binPart{orig: b.orig[o : o+n : o+n], join: b.join[o : o+n : o+n], top: b.top[to : to+t : to+t]}
+		if b.counts != nil {
+			e.parts[i].counts = b.counts[so : so+k : so+k]
+		}
+		o, so, to = o+n, so+k, to+t
+	}
+}
+
+// resize returns s at length n, reusing its array when it is large enough.
+// A new array is made, not grown: fresh memory from the OS needs no
+// clearing, so its pages are first touched by the shards filling their
+// parts in parallel, not by the reader here (1.3 ms of adapt-loop's one
+// 47k-flow bin when slices.Grow cleared them).
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// mergeBin reads the bin the shards wrote into the global bin result
 // without sorting it. The shards partition the key space, so the bin's
-// flow list is the concatenation of the shard lists and its top list is
-// the top of that concatenation (likewise for the sampled top lists) —
-// exact for exact tables; for bounded summaries the same holds for the
-// per-shard estimates, with the per-flow estimation error carried in
-// CountErr. SelectTop ranks the top list to the front of Orig in place,
-// which is all CountSwapped and BinResult's contract need.
+// flow list is the shards' lists one after another and its top list is the
+// top of them all (likewise for the sampled top lists) — exact for exact
+// tables; for bounded summaries the same holds for the per-shard
+// estimates, with the per-flow estimation error carried in CountErr.
+// SelectTopAligned ranks the top list to the front of Orig in place, the
+// joined sampled counts moving along, which is all CountSwappedCounts and
+// BinResult's contract need. The inversion stage runs in flushBin, after
+// this merge, so the two are timed as distinct pipeline stages.
 func (e *Engine) mergeBin(sums []shardSummary) BinResult {
 	r := BinResult{
-		Bin:   e.bin,
-		Start: float64(e.bin) * e.cfg.BinSeconds,
-		End:   float64(e.bin+1) * e.cfg.BinSeconds,
+		Bin:        e.bin,
+		Start:      float64(e.bin) * e.cfg.BinSeconds,
+		End:        float64(e.bin+1) * e.cfg.BinSeconds,
+		Orig:       e.bufs.orig,
+		SampledTop: flowtable.SelectTop(e.bufs.top, e.cfg.TopT),
 	}
-	flows := 0
 	for i := range sums {
 		s := &sums[i]
-		flows += len(s.orig)
 		r.OrigPackets += s.origPackets
 		r.OrigBytes += s.origBytes
 		r.SampledPackets += s.sampPackets
 		r.SampledBytes += s.sampBytes
-		r.SampledFlows += len(s.sampled)
-		if s.countErr > r.CountErr {
-			r.CountErr = s.countErr
-		}
+		r.SampledFlows += s.sampFlows
+		r.CountErr = max(r.CountErr, s.countErr)
 	}
-	if len(sums) == 1 {
-		// Single shard: alias its summary instead of re-copying — this is
-		// the hot path of the sequential (Workers=1) engine. Without
-		// Recycle the snapshot is fresh and owned by nobody else; with it,
-		// the aliasing is what makes the bin buffers shard-recycled.
-		r.Orig = sums[0].orig
-		r.SampledTop = sums[0].sampTop
-		r.Sampled = sums[0].sampled
-	} else {
-		var origDst, topDst []flowtable.Entry
-		sampDst := e.mergedSamp
-		if e.cfg.Recycle {
-			origDst, topDst = e.mergedOrig[:0], e.mergedTop[:0]
-			clear(sampDst)
-		}
-		if sampDst == nil {
-			sampDst = make(map[flow.Key]int64, r.SampledFlows)
-		}
-		origDst = slices.Grow(origDst, flows)
-		for i := range sums {
-			origDst = append(origDst, sums[i].orig...)
-			topDst = append(topDst, sums[i].sampTop...)
-			for k, v := range sums[i].sampled {
-				sampDst[k] = v
-			}
-		}
-		r.Orig = origDst
-		r.SampledTop = flowtable.SelectTop(topDst, e.cfg.TopT)
-		r.Sampled = sampDst
-		if e.cfg.Recycle {
-			e.mergedOrig, e.mergedTop, e.mergedSamp = r.Orig, topDst, r.Sampled
-		}
-	}
-	flowtable.SelectTop(r.Orig, e.cfg.TopT)
-	r.Pairs = metrics.CountSwapped(r.Orig, r.Sampled, e.cfg.TopT)
-	// The inversion stage runs in flushBin, after this merge, so the two
-	// are timed as distinct pipeline stages.
+	flowtable.SelectTopAligned(r.Orig, e.bufs.join, e.cfg.TopT)
+	r.Pairs = metrics.CountSwappedCounts(r.Orig, e.bufs.join, e.cfg.TopT)
 	return r
 }
 

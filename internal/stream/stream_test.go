@@ -59,7 +59,6 @@ func referenceBins(pkts []packet.Packet, agg flow.Aggregator, smp sampler.Sample
 			End:            float64(binIdx+1) * binSec,
 			Orig:           origSorted,
 			SampledTop:     samp.Top(topT),
-			Sampled:        sampled,
 			SampledFlows:   samp.Len(),
 			Pairs:          metrics.CountSwapped(origSorted, sampled, topT),
 			OrigPackets:    orig.TotalPackets(),
@@ -110,7 +109,7 @@ func runEngine(t testing.TB, cfg Config, pkts []packet.Packet) []BinResult {
 // BinResult's contract: the original top list (Orig[:topT]) as delivered,
 // then — with the unranked rest of Orig sorted on a copy, since its order
 // is not part of the contract — every field bit for bit, which takes in
-// Pairs, SampledTop, Sampled, the totals and Inversion as delivered.
+// Pairs, SampledTop, SampledFlows, the totals and Inversion as delivered.
 func compareBins(t *testing.T, label string, topT int, got, want []BinResult) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -186,8 +185,8 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 // TestEngineInversionSummaryInvariance: the optional per-bin inversion
 // summary joins the engine's bit-identical contract — Workers in {1, 4}
 // and any batch size must produce exactly equal summaries for every
-// estimator, even though the sampled counts reach the inverter through a
-// merged map whose iteration order varies run to run.
+// estimator, even though the sampled counts reach the inverter in the
+// shards' table order, which changes with the worker count.
 func TestEngineInversionSummaryInvariance(t *testing.T) {
 	pkts := makePackets(t, 15, 200, 13)
 	base := func(est invert.Estimator) Config {
@@ -618,8 +617,9 @@ func TestEngineBinTotals(t *testing.T) {
 		if b.SampledPackets > b.OrigPackets {
 			t.Fatalf("bin %d: sampled %d > original %d", b.Bin, b.SampledPackets, b.OrigPackets)
 		}
-		if b.SampledFlows != len(b.Sampled) {
-			t.Fatalf("bin %d: SampledFlows %d != len(Sampled) %d", b.Bin, b.SampledFlows, len(b.Sampled))
+		if len(b.SampledTop) != min(5, b.SampledFlows) {
+			t.Fatalf("bin %d: %d sampled top flows of %d sampled flows, want min(5, %d)",
+				b.Bin, len(b.SampledTop), b.SampledFlows, b.SampledFlows)
 		}
 	}
 	if gotPkts != total || gotBytes != bytes {

@@ -6,6 +6,8 @@ import (
 
 	"flowrank/internal/flow"
 	"flowrank/internal/flowtable"
+	"flowrank/internal/metrics"
+	"flowrank/internal/packet"
 	"flowrank/internal/sampler"
 )
 
@@ -15,10 +17,6 @@ func copyBin(b BinResult) BinResult {
 	out := b
 	out.Orig = append([]flowtable.Entry(nil), b.Orig...)
 	out.SampledTop = append([]flowtable.Entry(nil), b.SampledTop...)
-	out.Sampled = make(map[flow.Key]int64, len(b.Sampled))
-	for k, v := range b.Sampled {
-		out.Sampled[k] = v
-	}
 	if b.Inversion != nil {
 		inv := *b.Inversion
 		out.Inversion = &inv
@@ -156,10 +154,12 @@ func TestEngineBoundedErrorBound(t *testing.T) {
 		}
 	}
 	exact := runEngine(t, base(flowtable.Spec{}, 1), pkts)
-	exactSampled := make([]map[flow.Key]int64, len(exact))
+	exactSampled := referenceSampledCounts(pkts, flow.FiveTuple{}, sampler.NewBernoulli(0.5, 47), 5, flowtable.Spec{}, 1)
+	if len(exactSampled) != len(exact) {
+		t.Fatalf("reference has %d bins, engine %d", len(exactSampled), len(exact))
+	}
 	exactOrig := make([]map[flow.Key]int64, len(exact))
 	for i, b := range exact {
-		exactSampled[i] = b.Sampled
 		exactOrig[i] = make(map[flow.Key]int64, len(b.Orig))
 		for _, e := range b.Orig {
 			exactOrig[i][e.Key] = e.Packets
@@ -187,8 +187,8 @@ func TestEngineBoundedErrorBound(t *testing.T) {
 							kind, workers, b.Bin, label, est, tr, tr+b.CountErr)
 					}
 				}
-				for key, est := range b.Sampled {
-					check(key, est, exactSampled[i], "sampled")
+				for _, e := range b.SampledTop {
+					check(e.Key, e.Packets, exactSampled[i], "sampled top")
 				}
 				for _, e := range b.Orig {
 					check(e.Key, e.Packets, exactOrig[i], "orig")
@@ -198,6 +198,90 @@ func TestEngineBoundedErrorBound(t *testing.T) {
 				// The tiny slot budget must have evicted in at least one
 				// bin, or the bound checks above are vacuous.
 				t.Fatalf("kind=%v workers=%d: no bin under memory pressure", kind, workers)
+			}
+		}
+	}
+}
+
+// referenceSampledCounts is the sampled side of the engine's bins, built
+// without the engine: per non-empty bin, the packet counts of workers
+// sequential tables of spec's kind — the exact kinds as the map reference —
+// each fed in trace order the sampled packets whose key falls in its shard,
+// merged into one map.
+func referenceSampledCounts(pkts []packet.Packet, agg flow.Aggregator, smp sampler.Sampler, binSec float64, spec flowtable.Spec, workers int) []map[flow.Key]int64 {
+	tables := make([]flowtable.Summary, workers)
+	for i := range tables {
+		if spec.Exact() {
+			tables[i] = flowtable.New(agg)
+		} else {
+			tables[i], _ = spec.New(agg)
+		}
+	}
+	var out []map[flow.Key]int64
+	binIdx, binPackets := int64(0), 0
+	flush := func() {
+		if binPackets > 0 {
+			m := map[flow.Key]int64{}
+			for _, tab := range tables {
+				m = tab.AppendCounts(m)
+				tab.Reset()
+			}
+			out = append(out, m)
+		}
+		binIdx, binPackets = binIdx+1, 0
+	}
+	for _, p := range pkts {
+		for p.Time >= float64(binIdx+1)*binSec {
+			flush()
+		}
+		binPackets++
+		if smp.Sample(p) {
+			key := agg.Aggregate(p.Key)
+			tables[key.FastHash()%uint64(workers)].AddAggregated(key, p.Time, int64(p.Size))
+		}
+	}
+	flush()
+	return out
+}
+
+// TestEnginePairsMatchMapReference pins the shard-side join: for every
+// table kind, worker count and batch size, each bin's Pairs must equal the
+// map form of the pair count over the bin's own Orig and the sampled
+// counts a sequential reference holds — every original flow scored against
+// its own sampled count, found in its own shard — and SampledFlows must be
+// that reference's flow count.
+func TestEnginePairsMatchMapReference(t *testing.T) {
+	pkts := makePackets(t, 15, 150, 61)
+	const binSec, topT, rate = 5.0, 10, 0.3
+	for _, kind := range []flowtable.Kind{flowtable.KindExact, flowtable.KindMap, flowtable.KindSpaceSaving, flowtable.KindCountMin} {
+		spec := flowtable.Spec{Kind: kind}
+		if !spec.Exact() {
+			spec.Slots = 48
+		}
+		for _, workers := range []int{1, 3} {
+			want := referenceSampledCounts(pkts, flow.FiveTuple{}, sampler.NewBernoulli(rate, 67), binSec, spec, workers)
+			for _, batch := range []int{7, 2048} {
+				label := fmt.Sprintf("spec=%v workers=%d batch=%d", spec, workers, batch)
+				got := runEngine(t, Config{
+					Agg:        flow.FiveTuple{},
+					Sampler:    sampler.NewBernoulli(rate, 67),
+					BinSeconds: binSec,
+					TopT:       topT,
+					Workers:    workers,
+					BatchSize:  batch,
+					Tables:     spec,
+				}, pkts)
+				if len(got) != len(want) || len(got) < 3 {
+					t.Fatalf("%s: %d bins, reference %d", label, len(got), len(want))
+				}
+				for i, b := range got {
+					if b.SampledFlows != len(want[i]) {
+						t.Fatalf("%s bin %d: SampledFlows %d, reference %d", label, b.Bin, b.SampledFlows, len(want[i]))
+					}
+					if ref := metrics.CountSwapped(b.Orig, want[i], topT); b.Pairs != ref {
+						t.Fatalf("%s bin %d: Pairs %+v, map reference %+v", label, b.Bin, b.Pairs, ref)
+					}
+				}
 			}
 		}
 	}
