@@ -105,7 +105,7 @@ microbench:
 # flowrank-bench (the kernels model figure, the network-wide coordination
 # and dynamic control-plane figures and the bounded-memory sketch figure),
 # which exits non-zero when an experiment fails. BenchmarkRequiredRate reports the rate
-# solve's metric evaluations as evals/op (12 on the adapt-loop model) and
+# solve's metric evaluations as evals/op (6 on the adapt-loop model) and
 # BenchmarkRankingMetric one evaluation's integrand probes as probes/op
 # (11 640 at p = 0.9 on the same model): a regression in the search or in
 # the integrator shows as a count that repeats exactly, not as a slow suite.
@@ -140,7 +140,8 @@ bench-smoke:
 	$(GO) run ./cmd/flowrank-bench -fig sketch
 
 # End-to-end flowtop cross-check: sequential vs sharded output must be
-# byte-identical on both trace formats (native and pcap).
+# byte-identical on both trace formats (native and pcap), and with the
+# closed loop (-invert parametric -adapt 1) on the native trace.
 e2e:
 	./scripts/e2e_flowtop.sh
 

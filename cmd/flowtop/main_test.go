@@ -99,11 +99,6 @@ func TestShardedMatchesSequential(t *testing.T) {
 		adapt  float64
 	}
 	for _, v := range []variant{{native, false, 0}, {pcapPath, true, 0}, {native, false, 1}} {
-		if v.adapt > 0 && testing.Short() {
-			// The closed loop runs a controller search per bin — tens of
-			// seconds under the race detector. The full suite covers it.
-			continue
-		}
 		var outs []string
 		var nfs [][]byte
 		for _, workers := range []int{1, 4} {
@@ -186,9 +181,6 @@ func TestGoldenOutput(t *testing.T) {
 //
 //	go test ./cmd/flowtop -run TestGoldenOutputAdapt -update
 func TestGoldenOutputAdapt(t *testing.T) {
-	if testing.Short() {
-		t.Skip("closed-loop run takes seconds per bin")
-	}
 	native, _ := writeTraces(t)
 	var stdout, stderr bytes.Buffer
 	opts := options{

@@ -46,10 +46,11 @@ import (
 // Every term of both metrics is non-negative: a relative error ε on each
 // inner integral is at most ε on the metric. Nothing downstream can use more
 // than ~5e-7 — golden tables and reports print six significant digits,
-// solveRate stops at 1e-6 in log p where the metrics' log-log slope is of
-// order one, the Monte-Carlo validation tests carry percent-level noise, and
-// a Mixture's outer size x is itself only good to dist's bisection width
-// (1e-12 in x off a CCDF jump). The constants below spend 1.2e-7 of it between them, and there is
+// solveRate stops at 1e-6 in the log-odds ln(1/p − 1) (at most 1e-6 in
+// log p), where the metrics' log slope is of order one, the Monte-Carlo
+// validation tests carry percent-level noise, and a Mixture's outer size x
+// is itself only good to dist's bisection width (1e-12 in x off a CCDF
+// jump). The constants below spend 1.2e-7 of it between them, and there is
 // no absolute tolerance: an absolute 1e-13 left the detection metric 4e-4 off
 // at N = 7·10⁵ (it differed from the ranking metric by that much at t = 1,
 // where the two are the same problem) and resolved digits nobody reads at

@@ -67,8 +67,10 @@ func (l *probeLog) count(p float64) int {
 }
 
 // stubMetric is a metric-shaped function with an analytic root: strictly
-// decreasing in p, zero at p = 1, curved in log-log like the real metrics,
-// and equal to 1 exactly at p = root.
+// decreasing in p, zero at p = 1, and equal to 1 exactly at p = root. It is
+// r^1.5 in the odds ratio r = (1/p − 1)/(1/root − 1), so its logarithm is a
+// straight line in the log-odds ln(1/p − 1), which the polish solves on its
+// first secant step.
 func stubMetric(root float64) func(p float64) float64 {
 	return func(p float64) float64 {
 		r := (1/p - 1) / (1/root - 1)
@@ -76,10 +78,22 @@ func stubMetric(root float64) func(p float64) float64 {
 	}
 }
 
+// curvedStubMetric is stubMetric times √((1+r)/2): still 1 at the root, but
+// its log-odds slope runs from 1.5 to 2 across the bracket, so Brent has to
+// iterate on it.
+func curvedStubMetric(root float64) func(p float64) float64 {
+	straight := stubMetric(root)
+	return func(p float64) float64 {
+		r := (1/p - 1) / (1/root - 1)
+		return straight(p) * math.Sqrt((1+r)/2)
+	}
+}
+
 // TestSolveRateProbeBudget pins what the search is allowed to spend: no
 // abscissa twice, nothing below the one descent step that first falls
-// under the root, the floor only when the descent gets there, and at most
-// 20 evaluations for a root anywhere in [1e-4, 0.99].
+// under the root, the floor only when the descent gets there, at most 20
+// evaluations for a root anywhere in [1e-4, 0.99], and at most 8 for a
+// root at or above 0.25 on the curved stub.
 func TestSolveRateProbeBudget(t *testing.T) {
 	// descentBelow replays the descent grid and returns its first point
 	// below root — the lowest abscissa the search may touch.
@@ -98,25 +112,34 @@ func TestSolveRateProbeBudget(t *testing.T) {
 	}
 	roots = append(roots, 1e-4)
 	for _, root := range roots {
-		name := fmt.Sprintf("root %g", root)
-		log := &probeLog{metric: stubMetric(root)}
-		got, err := solveRate(log.eval, 1, rateFloor, rateCeil)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if math.Abs(got-root) > 1e-5*root {
-			t.Errorf("%s: solved %g", name, got)
-		}
-		log.checkNoRepeat(t, name)
-		if want := descentBelow(root); log.min() != want {
-			t.Errorf("%s: lowest probe %g, want the bracketing step %g (probes %v)", name, log.min(), want, log.ps)
-		}
-		if log.count(floorP) != 0 {
-			t.Errorf("%s: floor evaluated though the descent never reached it (probes %v)", name, log.ps)
-		}
-		if len(log.ps) > 20 {
-			t.Errorf("%s: %d evaluations, budget 20 (probes %v)", name, len(log.ps), log.ps)
+		for _, stub := range []struct {
+			name   string
+			metric func(root float64) func(p float64) float64
+		}{{"straight", stubMetric}, {"curved", curvedStubMetric}} {
+			name := fmt.Sprintf("%s stub, root %g", stub.name, root)
+			log := &probeLog{metric: stub.metric(root)}
+			got, err := solveRate(log.eval, 1, rateFloor, rateCeil)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				continue
+			}
+			if math.Abs(got-root) > 1e-5*root {
+				t.Errorf("%s: solved %g", name, got)
+			}
+			log.checkNoRepeat(t, name)
+			if want := descentBelow(root); log.min() != want {
+				t.Errorf("%s: lowest probe %g, want the bracketing step %g (probes %v)", name, log.min(), want, log.ps)
+			}
+			if log.count(floorP) != 0 {
+				t.Errorf("%s: floor evaluated though the descent never reached it (probes %v)", name, log.ps)
+			}
+			budget := 20
+			if stub.name == "curved" && root >= 0.25 {
+				budget = 8
+			}
+			if len(log.ps) > budget {
+				t.Errorf("%s: %d evaluations, budget %d (probes %v)", name, len(log.ps), budget, log.ps)
+			}
 		}
 	}
 
@@ -157,22 +180,33 @@ func TestSolveRateProbeBudget(t *testing.T) {
 }
 
 // TestRequiredRateAdaptLoopProbes: on the model the benchmark refits, the
-// search stays at the cheap end — no probe below p = 5 %, none repeated.
+// search stays at the cheap end — no probe below p = 5 %, none repeated —
+// and both metrics are solved in at most 7 evaluations: the ceiling, one
+// descent step, and a polish that the metric's straight log-odds line
+// finishes in a few more.
 func TestRequiredRateAdaptLoopProbes(t *testing.T) {
-	log := &probeLog{metric: adaptLoopModel().RankingMetric}
-	p, err := solveRate(log.eval, 1, rateFloor, rateCeil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-0.9039) > 1e-3 {
-		t.Errorf("required rate %g, want 0.9039", p)
-	}
-	log.checkNoRepeat(t, "adapt-loop model")
-	if log.min() < 0.05 {
-		t.Errorf("probe at p = %g, below 5%% (probes %v)", log.min(), log.ps)
-	}
-	if len(log.ps) > 20 {
-		t.Errorf("%d evaluations, budget 20", len(log.ps))
+	m := adaptLoopModel()
+	for _, c := range []struct {
+		name   string
+		metric func(p float64) float64
+		want   float64
+	}{{"ranking", m.RankingMetric, 0.9039}, {"detection", m.DetectionMetric, 0.3007}} {
+		log := &probeLog{metric: c.metric}
+		p, err := solveRate(log.eval, 1, rateFloor, rateCeil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if math.Abs(p-c.want) > 1e-3 {
+			t.Errorf("%s: required rate %g, want %g", c.name, p, c.want)
+		}
+		log.checkNoRepeat(t, c.name)
+		if log.min() < 0.05 {
+			t.Errorf("%s: probe at p = %g, below 5%% (probes %v)", c.name, log.min(), log.ps)
+		}
+		if len(log.ps) > 7 {
+			t.Errorf("%s: %d evaluations, budget 7 (probes %v)", c.name, len(log.ps), log.ps)
+		}
+		t.Logf("%s: p = %.6g after %d evaluations", c.name, p, len(log.ps))
 	}
 }
 

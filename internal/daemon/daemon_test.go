@@ -390,15 +390,12 @@ func TestNetFlowService(t *testing.T) {
 // TestAdaptiveLoopRetunes: with AdaptTarget set the daemon refits after
 // every bin and the sampling-rate gauge tracks the live sampler.
 func TestAdaptiveLoopRetunes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("closed-loop refits are too slow for -short")
-	}
 	pkts := genPackets(300)
 	cfg := testDaemonConfig(source.NewSlice(pkts))
 	cfg.Monitor.Inverter = invert.Parametric{}
 	cfg.Monitor.AdaptTarget = 1
-	// One bin covers the whole trace: exactly one (expensive) refit, run
-	// during the EOF flush.
+	// One bin covers the whole trace: exactly one refit, run during the
+	// EOF flush.
 	cfg.Monitor.BinSeconds = 10
 	d, err := New(cfg)
 	if err != nil {

@@ -308,9 +308,18 @@ func (Parametric) Invert(counts []float64, p float64) (Estimate, error) {
 }
 
 // estimatePopulation is Parametric's fixed point: given the number of
-// sampled flows (>= 1 sampled packet), the total sampled packets, and the
-// rate, it estimates the true flow count and true mean flow size by
-// fixed-point iteration on a Pareto model with the given tail index.
+// sampled flows S (>= 1 sampled packet), the total sampled packets P, and
+// the rate, it returns the original flow count N and mean flow size
+// m = max(P/(pN), 1) that solve N = S/(1 − miss(m)), miss being the
+// missed-flow probability of a Pareto law with mean m and the given tail
+// index.
+//
+// The equation is solved as one bracketed root in ln N. At N = S the
+// right-hand side is larger (some flows are missed); from N = P/p up the
+// mean is clamped to 1, the right-hand side is the constant S/(1 − miss₁),
+// and N = max(P/p, S/(1 − miss₁)) has passed it. Iterating the map is no
+// substitute: it contracts by a factor that tends to 1 as p falls, since
+// N(1 − miss) tends to the constant P.
 func estimatePopulation(sampledFlows int, sampledPackets int64, p, beta float64) (nEst float64, meanEst float64, err error) {
 	if sampledFlows <= 0 || sampledPackets <= 0 {
 		return 0, 0, fmt.Errorf("invert: empty sampled bin")
@@ -321,24 +330,25 @@ func estimatePopulation(sampledFlows int, sampledPackets int64, p, beta float64)
 	if beta <= 1 {
 		return 0, 0, fmt.Errorf("invert: tail index %g <= 1 has no finite mean", beta)
 	}
-	// Initial guess: no flows missed.
-	nEst = float64(sampledFlows)
-	meanEst = float64(sampledPackets) / p / nEst
-	for iter := 0; iter < 60; iter++ {
-		d := dist.ParetoWithMean(meanEst, beta)
-		miss := MissProbability(d, p)
-		if miss >= 1 {
-			return 0, 0, fmt.Errorf("invert: sampling rate too low to invert")
-		}
-		nNext := float64(sampledFlows) / (1 - miss)
-		meanNext := float64(sampledPackets) / p / nNext
-		if meanNext < 1 {
-			meanNext = 1
-		}
-		if math.Abs(nNext-nEst) < 0.5 && math.Abs(meanNext-meanEst) < 1e-6*meanEst {
-			return nNext, meanNext, nil
-		}
-		nEst, meanEst = nNext, meanNext
+	total := float64(sampledPackets) / p
+	mean := func(n float64) float64 { return math.Max(total/n, 1) }
+	// logRHS is ln(S/(1 − miss)) at the mean n flows would have.
+	logS := math.Log(float64(sampledFlows))
+	logRHS := func(n float64) float64 {
+		return logS - math.Log1p(-MissProbability(dist.ParetoWithMean(mean(n), beta), p))
 	}
-	return nEst, meanEst, nil
+	logRHS1 := logRHS(total)
+	if !(logRHS1 < math.Inf(1)) {
+		return 0, 0, fmt.Errorf("invert: sampling rate %g too low to invert", p)
+	}
+	f := func(lnN float64) float64 { return lnN - logRHS(math.Exp(lnN)) }
+	// At the upper end the mean is clamped to 1, so f there is known
+	// without another miss probability.
+	hi := math.Max(math.Log(total), logRHS1)
+	lnN, err := numeric.BrentBracket(f, logS, f(logS), hi, hi-logRHS1, 1e-7)
+	if err != nil {
+		return 0, 0, fmt.Errorf("invert: population fixed point: %w", err)
+	}
+	nEst = math.Exp(lnN)
+	return nEst, mean(nEst), nil
 }

@@ -1,6 +1,7 @@
 package invert
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -505,6 +506,37 @@ func TestEstimatePopulation(t *testing.T) {
 	}
 	if math.Abs(meanEst-9.6) > 0.15*9.6 {
 		t.Errorf("mean estimate %g, true 9.6", meanEst)
+	}
+}
+
+// TestEstimatePopulationSolvesItsEquation: over rates down to the adaptive
+// controller's floor, tail indices, bin sizes and packets per sampled flow,
+// the returned N satisfies N = S/(1 − miss(m)) with m = max(P/(pN), 1) to
+// 1e-6 relative. The grid includes p = 1e-4, β = 1.64, 1 000 flows carrying
+// 1 010 packets, where the root is N = 951 k and 60 steps of the fixed-point
+// iteration reach only 160 k.
+func TestEstimatePopulationSolvesItsEquation(t *testing.T) {
+	for _, p := range []float64{1e-4, 3e-4, 1e-3, 0.01, 0.1, 0.5, 1} {
+		for _, beta := range []float64{1.05, 1.3, 1.64, 2, 3} {
+			for _, flows := range []int{10, 1000, 100_000} {
+				for _, perFlow := range []float64{1, 1.01, 1.5, 4, 20} {
+					packets := int64(math.Round(float64(flows) * perFlow))
+					name := fmt.Sprintf("p=%g beta=%g flows=%d packets=%d", p, beta, flows, packets)
+					n, mean, err := estimatePopulation(flows, packets, p, beta)
+					if err != nil {
+						t.Errorf("%s: %v", name, err)
+						continue
+					}
+					if want := math.Max(float64(packets)/p/n, 1); mean != want {
+						t.Errorf("%s: mean %g, want max(P/(pN), 1) = %g", name, mean, want)
+					}
+					rhs := float64(flows) / (1 - MissProbability(dist.ParetoWithMean(mean, beta), p))
+					if rel := math.Abs(n-rhs) / n; !(rel <= 1e-6) {
+						t.Errorf("%s: N = %g, S/(1 - miss) = %g (rel %.2g)", name, n, rhs, rel)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -9,10 +9,9 @@
 # clean drain (exit 0). CI runs this as the daemon-e2e job; locally:
 # make e2e-daemon.
 #
-# Deliberately no -adapt here: a closed-loop refit costs ~16 s per bin
-# (core.Model quadrature), which belongs in the Go suite's long tests,
-# not a smoke script. Record-by-record equivalence of the two front-ends,
-# including the adaptive path, is TestJournalParityWithDaemon in
+# Both runs close the loop (-invert parametric -adapt 1), so the daemon
+# must also have retuned its sampler at least once. Record-by-record
+# equivalence of the two front-ends is TestJournalParityWithDaemon in
 # cmd/flowtop.
 set -eu
 
@@ -35,7 +34,8 @@ go build -o "$dir/flowrankd" ./cmd/flowrankd
 # Batch reference: the bin count and the last bin's flow and
 # swapped-pairs counts, parsed from the pinned title line
 #   == binN: t=[..s,..s) F flows, swapped pairs: ranking R (..) detection D (..) ==
-"$dir/flowtop" -in "$dir/trace.pkts" -p 0.1 -t 5 -bin 4 -seed 7 -workers 4 >"$dir/batch.txt"
+"$dir/flowtop" -in "$dir/trace.pkts" -p 0.1 -t 5 -bin 4 -seed 7 -workers 4 \
+    -invert parametric -adapt 1 >"$dir/batch.txt"
 bins="$(grep -c '^== bin' "$dir/batch.txt")"
 last="$(grep '^== bin' "$dir/batch.txt" | tail -n 1)"
 flows="$(printf '%s\n' "$last" | awk '{print $4}')"
@@ -48,7 +48,7 @@ test "$flows" -gt 0
 # the bound address is read from the startup log record's addr attribute
 # (slog text format: msg="serving /metrics and /healthz" addr=HOST:PORT).
 "$dir/flowrankd" -in "$dir/trace.pkts" -p 0.1 -t 5 -bin 4 -seed 7 -workers 4 \
-    -listen 127.0.0.1:0 2>"$dir/daemon.log" &
+    -invert parametric -adapt 1 -listen 127.0.0.1:0 2>"$dir/daemon.log" &
 daemon_pid=$!
 
 addr=""
@@ -96,6 +96,11 @@ check flowrankd_bins_total "$bins"
 check flowrankd_bin_flows "$flows"
 check flowrankd_bin_ranking_pairs "$ranking"
 check flowrankd_bin_detection_pairs "$detection"
+changes="$(metric flowrankd_adapt_changes_total)"
+if ! [ "${changes:-0}" -gt 0 ]; then
+    echo "metric flowrankd_adapt_changes_total = $changes, want > 0" >&2
+    exit 1
+fi
 
 # Graceful drain: SIGTERM must produce a clean exit, not a kill.
 kill -TERM "$daemon_pid"
@@ -107,4 +112,4 @@ if ! wait "$pid"; then
     exit 1
 fi
 
-echo "flowrankd e2e: /metrics matches flowtop batch ($bins bins, last bin $flows flows), SIGTERM drained cleanly"
+echo "flowrankd e2e: /metrics matches flowtop batch ($bins bins, last bin $flows flows, $changes rate retunes), SIGTERM drained cleanly"

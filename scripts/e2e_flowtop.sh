@@ -23,9 +23,20 @@ cmp "$dir/seq.nf5" "$dir/shard.nf5"
 test -s "$dir/seq.txt"
 test -s "$dir/seq.nf5"
 
+# The closed loop: a parametric inversion and a rate refit after every bin,
+# run on the reader goroutine, so the retuned rates must not depend on the
+# worker count either.
+"$dir/flowtop" -in "$dir/trace.pkts" -p 0.1 -t 5 -bin 4 -seed 7 -workers 1 \
+    -invert parametric -adapt 1 -netflow "$dir/seq-adapt.nf5" >"$dir/seq-adapt.txt"
+"$dir/flowtop" -in "$dir/trace.pkts" -p 0.1 -t 5 -bin 4 -seed 7 -workers 4 \
+    -invert parametric -adapt 1 -netflow "$dir/shard-adapt.nf5" >"$dir/shard-adapt.txt"
+diff "$dir/seq-adapt.txt" "$dir/shard-adapt.txt"
+cmp "$dir/seq-adapt.nf5" "$dir/shard-adapt.nf5"
+grep -q '^adapt: ' "$dir/seq-adapt.txt"
+
 "$dir/flowtop" -in "$dir/trace.pcap" -pcap -p 0.1 -t 5 -bin 4 -seed 7 -workers 1 >"$dir/seq-pcap.txt"
 "$dir/flowtop" -in "$dir/trace.pcap" -pcap -p 0.1 -t 5 -bin 4 -seed 7 -workers 4 >"$dir/shard-pcap.txt"
 diff "$dir/seq-pcap.txt" "$dir/shard-pcap.txt"
 test -s "$dir/seq-pcap.txt"
 
-echo "flowtop e2e: sequential and sharded outputs identical (native + pcap)"
+echo "flowtop e2e: sequential and sharded outputs identical (native, native -adapt, pcap)"
