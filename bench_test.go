@@ -63,7 +63,7 @@ func BenchmarkExtensionCoord(b *testing.B)    { benchFigure(b, "coord") }
 // --- public API micro-benchmarks -----------------------------------------
 
 func BenchmarkModelRankingMetric(b *testing.B) {
-	m := Model{N: 700_000, T: 10, Dist: ParetoWithMean(9.6, 1.5), PoissonTails: true}
+	m := Model{N: 700_000, T: 10, Dist: ParetoWithMean(9.6, 1.5)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.RankingMetric(0.1)
@@ -90,7 +90,7 @@ func BenchmarkModelRankingSpliced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := Model{N: 700_000, T: 10, Dist: mix, PoissonTails: true}
+	m := Model{N: 700_000, T: 10, Dist: mix}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.RankingMetric(0.1)
@@ -98,7 +98,7 @@ func BenchmarkModelRankingSpliced(b *testing.B) {
 }
 
 func BenchmarkModelDetectionMetric(b *testing.B) {
-	m := Model{N: 700_000, T: 10, Dist: ParetoWithMean(9.6, 1.5), PoissonTails: true}
+	m := Model{N: 700_000, T: 10, Dist: ParetoWithMean(9.6, 1.5)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.DetectionMetric(0.1)

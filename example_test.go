@@ -10,10 +10,9 @@ import (
 // flows need? The model answers without simulating anything.
 func ExampleModel_rankingMetric() {
 	m := flowrank.Model{
-		N:            700_000, // flows per 5-minute bin (Sprint 5-tuple)
-		T:            10,
-		Dist:         flowrank.ParetoWithMean(9.6, 1.5),
-		PoissonTails: true,
+		N:    700_000, // flows per 5-minute bin (Sprint 5-tuple)
+		T:    10,
+		Dist: flowrank.ParetoWithMean(9.6, 1.5),
 	}
 	for _, p := range []float64{0.01, 0.10, 0.50} {
 		fmt.Printf("p=%3.0f%%  swapped pairs ≈ %.1f\n", p*100, m.RankingMetric(p))
@@ -28,10 +27,9 @@ func ExampleModel_rankingMetric() {
 // of magnitude cheaper than ranking — §7 of the paper.
 func ExampleModel_requiredRate() {
 	m := flowrank.Model{
-		N:            700_000,
-		T:            10,
-		Dist:         flowrank.ParetoWithMean(9.6, 1.5),
-		PoissonTails: true,
+		N:    700_000,
+		T:    10,
+		Dist: flowrank.ParetoWithMean(9.6, 1.5),
 	}
 	rank, _ := m.RequiredRate(1, false)
 	detect, _ := m.RequiredRate(1, true)

@@ -26,10 +26,7 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%6s  %18s  %18s  %8s\n", "t", "rank in order", "identify the set", "gain")
 	for _, t := range []int{1, 2, 5, 10, 25} {
-		m := flowrank.Model{
-			N: 700_000, T: t, Dist: sizeDist,
-			PoissonTails: true,
-		}
+		m := flowrank.Model{N: 700_000, T: t, Dist: sizeDist}
 		pRank, err := m.RequiredRate(1, false)
 		if err != nil {
 			log.Fatal(err)
@@ -51,7 +48,7 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%s\n", "expected swapped pairs at p = 1%:")
 	for _, t := range []int{1, 5, 25} {
-		m := flowrank.Model{N: 700_000, T: t, Dist: sizeDist, PoissonTails: true}
+		m := flowrank.Model{N: 700_000, T: t, Dist: sizeDist}
 		fmt.Printf("  top-%-3d ranking %8.2f   detection %8.2f\n",
 			t, m.RankingMetric(0.01), m.DetectionMetric(0.01))
 	}

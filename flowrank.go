@@ -73,7 +73,9 @@ import (
 
 // Model evaluates the paper's ranking and detection metrics for N flows
 // with a given size distribution when the top T flows are of interest.
-// See the field documentation for options (Poisson tails, kernel choice).
+// Its top-t membership weights are the Poisson limit of the paper's
+// binomial ones; Kernel chooses the pairwise kernel and Workers the
+// parallelism of one evaluation.
 type Model = core.Model
 
 // Kernel selects the pairwise misranking kernel of a Model.
@@ -91,7 +93,9 @@ type RateMethod = core.RateMethod
 const RateExact = core.RateExact
 
 // MisrankExact returns the exact probability (Eq. 1) that sampling at rate
-// p misranks flows of s1 and s2 packets.
+// p misranks flows of s1 and s2 packets. The sum keeps ten standard
+// deviations around the smaller flow's mean sampled size, dropping about
+// 1e-23 of mass.
 func MisrankExact(s1, s2 int, p float64) float64 { return core.MisrankExact(s1, s2, p) }
 
 // OptimalRate returns the minimum sampling rate keeping the misranking

@@ -52,7 +52,7 @@ func TestQuickstartWorkflow(t *testing.T) {
 }
 
 func TestModelFacade(t *testing.T) {
-	m := Model{N: 100000, T: 10, Dist: ParetoWithMean(9.6, 1.5), PoissonTails: true}
+	m := Model{N: 100000, T: 10, Dist: ParetoWithMean(9.6, 1.5)}
 	r := m.RankingMetric(0.1)
 	d := m.DetectionMetric(0.1)
 	if d >= r {
@@ -253,7 +253,7 @@ func TestDistributionFacade(t *testing.T) {
 			t.Errorf("%s: mean %g", d, m)
 		}
 	}
-	m := Model{N: 5000, T: 3, Dist: mix, PoissonTails: true}
+	m := Model{N: 5000, T: 3, Dist: mix}
 	if r := m.RankingMetric(0.2); math.IsNaN(r) || r < 0 {
 		t.Errorf("mixture ranking metric %g", r)
 	}

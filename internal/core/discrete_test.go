@@ -112,8 +112,8 @@ func (dm DiscreteModel) rankingOver(gt []float64, pm [][]float64) float64 {
 		if pi == 0 {
 			continue
 		}
-		wSame := TopProb(gt[i], dm.T, dm.N-1, false)
-		wDisp := TopProb(gt[i], dm.T-1, dm.N-1, false)
+		wSame := binomialTopProb(gt[i], dm.T, dm.N-1)
+		wDisp := binomialTopProb(gt[i], dm.T-1, dm.N-1)
 		var below, above numeric.KahanSum
 		for j := 1; j <= i; j++ {
 			if dm.PMF[j] != 0 {
@@ -151,14 +151,14 @@ func (dm DiscreteModel) detectionOver(gt []float64, pm [][]float64) float64 {
 		if pi == 0 {
 			continue
 		}
-		pmfBig = topPMF(pmfBig, gt[i], dm.T, dm.N, false)
+		pmfBig = binomialTopPMF(pmfBig, gt[i], dm.T, dm.N)
 		var inner numeric.KahanSum
 		for j := 1; j < i; j++ {
 			pj := dm.PMF[j]
 			if pj == 0 {
 				continue
 			}
-			joint := JointTopProb(pmfBig, gt[j], gt[i], dm.T, dm.N, false)
+			joint := binomialJointTopProb(pmfBig, gt[j], gt[i], dm.T, dm.N)
 			inner.Add(pj * joint * pm[j][i])
 		}
 		outer.Add(pi * inner.Sum())

@@ -46,7 +46,7 @@ func TestModelAcceptsMixtureAndEmpirical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Model{N: 20000, T: 5, Dist: mix, PoissonTails: true}
+	m := Model{N: 20000, T: 5, Dist: mix}
 	prev := 1e300
 	for _, p := range []float64{0.02, 0.1, 0.5} {
 		r, dv := m.RankingMetric(p), m.DetectionMetric(p)

@@ -138,7 +138,7 @@ func (e *modelEval) flushProbes() {
 // small <= large under the model's kernel selection.
 func (e *modelEval) kernel(small, large float64) float64 {
 	if e.m.Kernel == KernelHybrid && e.p*small < hybridThreshold {
-		return misrankExactTrunc(roundSize(small), roundSize(large), e.p)
+		return MisrankExact(roundSize(small), roundSize(large), e.p)
 	}
 	return misrankKernel(small, large, e.p)
 }
@@ -320,7 +320,7 @@ func (e *modelEval) cellsBelow(x, yTop float64, jw *jointWeight) float64 {
 		if j < big {
 			kern = e.rowLow.next()
 		} else {
-			kern = misrankEqualTrunc(big, e.p)
+			kern = misrankEqual(big, e.p)
 		}
 		b := float64(j) + 0.5
 		if b <= a {
@@ -369,7 +369,7 @@ func (e *modelEval) cellsAbove(x, yEnd float64) float64 {
 		if j > small {
 			kern = e.rowUp.next()
 		} else {
-			kern = misrankEqualTrunc(small, e.p)
+			kern = misrankEqual(small, e.p)
 		}
 		w := tailA - tailB
 		total += kern * w
@@ -502,7 +502,7 @@ func newJointWeight(m Model) *jointWeight {
 }
 
 func (w *jointWeight) at(v float64) float64 {
-	return JointTopProb(w.pmfBig, v, w.u, w.m.T, w.m.N, w.m.PoissonTails)
+	return jointTopProb(w.pmfBig, v, w.u, w.m.T, w.m.N)
 }
 
 // perV is λ per unit of tail probability above u: the weight depends on v

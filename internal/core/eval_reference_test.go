@@ -11,9 +11,11 @@ import (
 // the size-space evaluator replaced them — adaptive Simpson in logarithmic
 // quantile space over whatever the integrand happens to be (step functions
 // included), absolute tolerance 1e-13, depth 48 — under the unchanged outer
-// Gauss–Legendre panels. Slow and, on a two-component mixture, not
-// guaranteed to return; TestEvalMatchesReference holds the evaluator in
-// eval.go to it.
+// Gauss–Legendre panels, with the top-t weights in the form the caller
+// names. Slow and, on a two-component mixture, not guaranteed to return;
+// TestEvalMatchesReference holds the evaluator in eval.go to it, and
+// TestPoissonTailsMatchExact holds the Poisson weights to the binomial ones
+// through it.
 
 // refEval is a modelEval whose hybrid kernel remembers its integer pairs:
 // the reference quadrature asks for one pair of whole-packet sizes millions
@@ -45,8 +47,9 @@ func (e refEval) kernel(small, large float64) float64 {
 // integrals used.
 const refInnerTol = 1e-13
 
-// refRankingMetric is Model.RankingMetric over the reference integrals.
-func refRankingMetric(m Model, p float64) float64 {
+// refRankingMetric is Model.RankingMetric over the reference integrals and
+// the weights tw.
+func refRankingMetric(m Model, p float64, tw topWeights) float64 {
 	uhi := m.uHi()
 	integral := m.integrateOuter(func() numeric.Func1 {
 		ev := m.newRefEval(p)
@@ -56,10 +59,10 @@ func refRankingMetric(m Model, p float64) float64 {
 				u = math.SmallestNonzeroFloat64
 			}
 			x := m.Dist.QuantileCCDF(u)
-			below := TopProb(u, m.T, m.N-1, m.PoissonTails) * ev.refInnerBelow(u, x)
+			below := tw.prob(u, m.T, m.N-1) * ev.refInnerBelow(u, x)
 			var above float64
 			if m.T > 1 {
-				above = TopProb(u, m.T-1, m.N-1, m.PoissonTails) * ev.refInnerAbove(u, x)
+				above = tw.prob(u, m.T-1, m.N-1) * ev.refInnerAbove(u, x)
 			}
 			return below + above
 		}
@@ -68,8 +71,9 @@ func refRankingMetric(m Model, p float64) float64 {
 	return (2*n - t - 1) / 2 * n * integral
 }
 
-// refDetectionMetric is Model.DetectionMetric over the reference integrals.
-func refDetectionMetric(m Model, p float64) float64 {
+// refDetectionMetric is Model.DetectionMetric over the reference integrals
+// and the weights tw.
+func refDetectionMetric(m Model, p float64, tw topWeights) float64 {
 	uhi := m.uHi()
 	integral := m.integrateOuter(func() numeric.Func1 {
 		ev := m.newRefEval(p)
@@ -80,8 +84,8 @@ func refDetectionMetric(m Model, p float64) float64 {
 				u = math.SmallestNonzeroFloat64
 			}
 			x := m.Dist.QuantileCCDF(u)
-			pmfBig = topPMF(pmfBig, u, m.T, m.N, m.PoissonTails)
-			return ev.refInnerDetect(pmfBig, u, x)
+			pmfBig = tw.pmf(pmfBig, u, m.T, m.N)
+			return ev.refInnerDetect(pmfBig, u, x, tw)
 		}
 	}) * uhi
 	n := float64(m.N)
@@ -138,7 +142,7 @@ func (e refEval) refInnerAbove(u, x float64) float64 {
 // model: misranking of x (a top-T candidate) against smaller flows,
 // weighted by the probability that the pair actually straddles the top-T
 // boundary.
-func (e refEval) refInnerDetect(pmfBig []float64, u, x float64) float64 {
+func (e refEval) refInnerDetect(pmfBig []float64, u, x float64, tw topWeights) float64 {
 	if u >= 1 {
 		return 0
 	}
@@ -153,7 +157,7 @@ func (e refEval) refInnerDetect(pmfBig []float64, u, x float64) float64 {
 		if kern == 0 {
 			return 0
 		}
-		return v * kern * JointTopProb(pmfBig, v, u, e.m.T, e.m.N, e.m.PoissonTails)
+		return v * kern * tw.joint(pmfBig, v, u, e.m.T, e.m.N)
 	}
 	return adaptiveSimpson(f, 0, smax, refInnerTol, 48)
 }

@@ -121,7 +121,7 @@ func TestEvalMatchesReference(t *testing.T) {
 						for axis, v := range []any{li, n, top, p, kernel} {
 							seen[[2]any{axis, v}] = true
 						}
-						m := Model{N: n, T: top, Dist: d, PoissonTails: true, Kernel: kernel, OuterOrder: 4}
+						m := Model{N: n, T: top, Dist: d, Kernel: kernel, outerOrder: 4}
 						rank, det := m.RankingMetric(p), m.DetectionMetric(p)
 						name := fmt.Sprintf("%v N=%d t=%d p=%g kernel=%d", d, n, top, p, kernel)
 						if !(rank > 0 && det > 0 && det <= rank*(1+1e-9)) || math.IsInf(rank, 0) {
@@ -140,7 +140,7 @@ func TestEvalMatchesReference(t *testing.T) {
 							rel = 5e-5
 						}
 						floor := 300 * float64(n) * lambdaMax(top) * refInnerTol
-						if want := refRankingMetric(m, p); math.Abs(rank-want) > rel*want+floor {
+						if want := refRankingMetric(m, p, poissonWeights); math.Abs(rank-want) > rel*want+floor {
 							t.Errorf("%s: ranking %.12g, reference %.12g", name, rank, want)
 						}
 						compared++
@@ -148,7 +148,7 @@ func TestEvalMatchesReference(t *testing.T) {
 							skipped++
 							continue
 						}
-						if want := refDetectionMetric(m, p); math.Abs(det-want) > rel*want+floor {
+						if want := refDetectionMetric(m, p, poissonWeights); math.Abs(det-want) > rel*want+floor {
 							t.Errorf("%s: detection %.12g, reference %.12g", name, det, want)
 						}
 						compared++
@@ -165,7 +165,7 @@ func TestEvalMatchesReference(t *testing.T) {
 
 // TestCellSumsMatchDirectSums checks the cell walks — row forms, shared
 // half-integer tails, clipping at x and at the hybrid threshold, the early
-// stop — against the sums written out: one misrankExactTrunc and two CCDF
+// stop — against the sums written out: one MisrankExact and two CCDF
 // calls per cell, every cell to the truncation size.
 func TestCellSumsMatchDirectSums(t *testing.T) {
 	m := adaptLoopModel()
@@ -180,7 +180,7 @@ func TestCellSumsMatchDirectSums(t *testing.T) {
 			for j := 1; j <= roundSize(yTop); j++ {
 				a, b := math.Max(e.ymin, float64(j)-0.5), math.Min(yTop, float64(j)+0.5)
 				if b > a {
-					below += misrankExactTrunc(j, big, p) * (m.Dist.CCDF(a) - m.Dist.CCDF(b))
+					below += MisrankExact(j, big, p) * (m.Dist.CCDF(a) - m.Dist.CCDF(b))
 				}
 			}
 			if got := e.cellsBelow(x, yTop, nil); math.Abs(got-below) > 1e-10*below+1e-100 {
@@ -194,7 +194,7 @@ func TestCellSumsMatchDirectSums(t *testing.T) {
 			var above float64
 			for j := big; float64(j)-0.5 < yEnd; j++ {
 				a, b := math.Max(x, float64(j)-0.5), math.Min(yEnd, float64(j)+0.5)
-				above += misrankExactTrunc(big, j, p) * (m.Dist.CCDF(a) - m.Dist.CCDF(b))
+				above += MisrankExact(big, j, p) * (m.Dist.CCDF(a) - m.Dist.CCDF(b))
 			}
 			if got := e.cellsAbove(x, yEnd); math.Abs(got-above) > 2*stopTol*above {
 				t.Errorf("p=%g u=%g: cells above %.15g, direct sum %.15g", p, u, got, above)
@@ -257,12 +257,12 @@ func TestMixturesMatchReference(t *testing.T) {
 	} {
 		for _, kernel := range []Kernel{KernelGaussian, KernelHybrid} {
 			for _, p := range []float64{0.9, 0.5, 0.1} {
-				m := Model{N: c.n, T: c.t, Dist: c.law, PoissonTails: true, Kernel: kernel, OuterOrder: 8}
+				m := Model{N: c.n, T: c.t, Dist: c.law, Kernel: kernel, outerOrder: 8}
 				floor := 300 * float64(c.n) * lambdaMax(c.t) * refInnerTol
-				if got, want := m.RankingMetric(p), refRankingMetric(m, p); math.Abs(got-want) > c.rel*want+floor {
+				if got, want := m.RankingMetric(p), refRankingMetric(m, p, poissonWeights); math.Abs(got-want) > c.rel*want+floor {
 					t.Errorf("%v kernel=%d p=%g: ranking %.12g, reference %.12g", c.law, kernel, p, got, want)
 				}
-				if got, want := m.DetectionMetric(p), refDetectionMetric(m, p); math.Abs(got-want) > c.rel*want+floor {
+				if got, want := m.DetectionMetric(p), refDetectionMetric(m, p, poissonWeights); math.Abs(got-want) > c.rel*want+floor {
 					t.Errorf("%v kernel=%d p=%g: detection %.12g, reference %.12g", c.law, kernel, p, got, want)
 				}
 			}

@@ -27,12 +27,6 @@ type Model struct {
 	// Dist is the flow size distribution in packets.
 	Dist dist.SizeDist
 
-	// PoissonTails selects the Poisson limit for the binomial top-t
-	// membership weights. It is numerically indistinguishable for
-	// N >= ~10^4 (see TestPoissonTailAccuracy) and substantially faster;
-	// the default (false) uses exact binomial weights.
-	PoissonTails bool
-
 	// Kernel selects the pairwise misranking kernel. KernelGaussian (the
 	// default) is the paper's Eq. 2 applied everywhere, reproducing the
 	// paper's model figures exactly. KernelHybrid switches to the exact
@@ -43,10 +37,6 @@ type Model struct {
 	// simulation (the kernels figure of cmd/flowrank-bench).
 	Kernel Kernel
 
-	// OuterOrder is the Gauss–Legendre order per outer panel
-	// (default 40).
-	OuterOrder int
-
 	// Workers bounds the outer-quadrature parallelism of one metric
 	// evaluation: 0 means GOMAXPROCS, 1 forces the serial path. The outer
 	// Gauss–Legendre nodes are independent, each worker evaluates its own
@@ -54,22 +44,25 @@ type Model struct {
 	// in node order with the same compensated summation as the serial
 	// path — so every worker count produces the bit-identical metric.
 	Workers int
+
+	// outerOrder is the Gauss–Legendre order per outer panel when set: a
+	// test hook, like probeCounter, that in-package tests lower to keep
+	// their grids cheap. Production leaves it 0, which is order 40.
+	outerOrder int
 }
 
 // FitModel is the model a monitor fits to an inverted flow population —
 // flows estimated original flows whose sizes follow d — when it ranks the
 // top t: N is flows rounded, raised to t+1 so the top list is a proper
-// subset, with Poisson top-t weights and the hybrid kernel. The adaptive
-// controller's refit and the network allocator's per-link scoring both use
-// it.
+// subset, with the hybrid kernel. The adaptive controller's refit and the
+// network allocator's per-link scoring both use it.
 func FitModel(flows float64, d dist.SizeDist, t, workers int) Model {
 	return Model{
-		N:            max(int(flows+0.5), t+1),
-		T:            t,
-		Dist:         d,
-		PoissonTails: true,
-		Kernel:       KernelHybrid,
-		Workers:      workers,
+		N:       max(int(flows+0.5), t+1),
+		T:       t,
+		Dist:    d,
+		Kernel:  KernelHybrid,
+		Workers: workers,
 	}
 }
 
@@ -87,11 +80,11 @@ func (m Model) Validate() error {
 	return nil
 }
 
-func (m Model) outerOrder() int {
-	if m.OuterOrder <= 0 {
+func (m Model) order() int {
+	if m.outerOrder <= 0 {
 		return 40
 	}
-	return m.OuterOrder
+	return m.outerOrder
 }
 
 // hybridThreshold is the p·size level below which KernelHybrid uses the
@@ -168,10 +161,10 @@ func (m Model) RankingMetric(p float64) float64 {
 				u = math.SmallestNonzeroFloat64
 			}
 			x := m.Dist.QuantileCCDF(u)
-			below := TopProb(u, m.T, m.N-1, m.PoissonTails) * ev.below(u, x, nil)
+			below := topProb(u, m.T, m.N-1) * ev.below(u, x, nil)
 			var above float64
 			if m.T > 1 {
-				above = TopProb(u, m.T-1, m.N-1, m.PoissonTails) * ev.above(u, x)
+				above = topProb(u, m.T-1, m.N-1) * ev.above(u, x)
 			}
 			ev.flushProbes()
 			return below + above
@@ -205,7 +198,7 @@ func (m Model) DetectionMetric(p float64) float64 {
 				u = math.SmallestNonzeroFloat64
 			}
 			x := m.Dist.QuantileCCDF(u)
-			jw.u, jw.pmfBig = u, topPMF(jw.pmfBig, u, m.T, m.N, m.PoissonTails)
+			jw.u, jw.pmfBig = u, topPMF(jw.pmfBig, u, m.T, m.N)
 			v := ev.below(u, x, jw)
 			ev.flushProbes()
 			return v
@@ -227,10 +220,7 @@ func (m Model) DetectionMetric(p float64) float64 {
 // bit-identical integral.
 func (m Model) integrateOuter(newIntegrand func() numeric.Func1) float64 {
 	panels := m.outerPanels()
-	order := m.outerOrder()
-	if order < 2 {
-		order = 2 // GLNodes' own clamp; keeps vals sized like the rule
-	}
+	order := m.order()
 	workers := m.outerWorkers()
 	nPanels := len(panels) - 1
 	if workers > nPanels*order {

@@ -12,12 +12,7 @@ import (
 // sprintModel returns the paper's 5-tuple Sprint calibration: Pareto sizes
 // with mean 4.8KB/500B = 9.6 packets and N = 0.7M flows per 5-minute bin.
 func sprintModel(n, t int, beta float64) Model {
-	return Model{
-		N:            n,
-		T:            t,
-		Dist:         dist.ParetoWithMean(9.6, beta),
-		PoissonTails: true,
-	}
+	return Model{N: n, T: t, Dist: dist.ParetoWithMean(9.6, beta)}
 }
 
 func TestModelValidate(t *testing.T) {
@@ -133,17 +128,17 @@ func TestRankingEqualsDetectionForT1(t *testing.T) {
 	}
 }
 
+// TestPoissonTailsMatchExact holds the model, whose top-t weights are the
+// Poisson limit, to the reference evaluator over the paper's binomial
+// weights.
 func TestPoissonTailsMatchExact(t *testing.T) {
-	base := Model{N: 100000, T: 10, Dist: dist.ParetoWithMean(9.6, 1.5)}
-	exact := base
-	pois := base
-	pois.PoissonTails = true
+	m := Model{N: 100000, T: 10, Dist: dist.ParetoWithMean(9.6, 1.5)}
 	for _, p := range []float64{0.01, 0.1} {
-		re, rp := exact.RankingMetric(p), pois.RankingMetric(p)
+		re, rp := refRankingMetric(m, p, binomialWeights), m.RankingMetric(p)
 		if !almostEqual(re, rp, 5e-3) {
 			t.Errorf("p=%g: exact %g vs poisson %g", p, re, rp)
 		}
-		de, dp := exact.DetectionMetric(p), pois.DetectionMetric(p)
+		de, dp := refDetectionMetric(m, p, binomialWeights), m.DetectionMetric(p)
 		if !almostEqual(de, dp, 5e-3) {
 			t.Errorf("detection p=%g: exact %g vs poisson %g", p, de, dp)
 		}
@@ -237,18 +232,35 @@ func TestHybridKernelLowRate(t *testing.T) {
 	}
 }
 
+// TestMisrankExactTruncMatchesFull holds the truncated series to the full
+// sum on hand-picked cells, among them the figures' range: sizes up to
+// 1 000 (fig01–fig03) at the ends of OptimalRate's search, p = 1e-9 and
+// 1 − 1e-12. A probability far below the dropped mass is held to an
+// absolute bound instead.
 func TestMisrankExactTruncMatchesFull(t *testing.T) {
-	cases := []struct {
+	type cell struct {
 		s1, s2 int
 		p      float64
-	}{
-		{100, 15900, 0.001}, {5000, 15900, 0.001}, {30, 500, 0.01},
-		{10, 10, 0.1}, {400, 400, 0.02}, {3, 8, 0.5}, {1, 1000, 0.005},
+		abs    float64 // absolute bound, asserted where the value is below 1e-30
+	}
+	cases := []cell{
+		{100, 15900, 0.001, 0}, {5000, 15900, 0.001, 0}, {30, 500, 0.01, 0},
+		{10, 10, 0.1, 0}, {400, 400, 0.02, 0}, {3, 8, 0.5, 0}, {1, 1000, 0.005, 0},
+		{300, 1000, 0.5, 1e-22},
+	}
+	for _, sizes := range [][2]int{{1000, 1000}, {1, 1000}, {700, 1000}} {
+		for _, p := range []float64{1e-9, 1e-3, 0.5, 1 - 1e-12} {
+			cases = append(cases, cell{sizes[0], sizes[1], p, 0})
+		}
 	}
 	for _, c := range cases {
-		full := MisrankExact(c.s1, c.s2, c.p)
-		trunc := misrankExactTrunc(c.s1, c.s2, c.p)
-		if !almostEqual(full, trunc, 1e-9) {
+		full := misrankFullSum(c.s1, c.s2, c.p)
+		trunc := MisrankExact(c.s1, c.s2, c.p)
+		if c.abs > 0 {
+			if !(full < 1e-30) || math.Abs(full-trunc) > c.abs {
+				t.Errorf("trunc(%d,%d,%g) = %g, full = %g: want full < 1e-30 and within %g", c.s1, c.s2, c.p, trunc, full, c.abs)
+			}
+		} else if !almostEqual(full, trunc, 1e-9) {
 			t.Errorf("trunc(%d,%d,%g) = %g, full = %g", c.s1, c.s2, c.p, trunc, full)
 		}
 	}

@@ -14,6 +14,13 @@ import (
 // and the case where both flows vanish count as misranked. For s1 == s2 it
 // is the paper's equal-size convention, 1 - P{s1 = s2 != 0}. The function
 // is symmetric in its first two arguments.
+//
+// The sum runs over the smaller flow's sampled size and keeps ten standard
+// deviations (plus 20 terms) either side of its mean, dropping about 1e-23
+// of mass; both binomial series advance incrementally from the lower end.
+// Where p·s1 is a few packets — the hybrid kernel's regime, where the
+// Gaussian approximation fails — that is a few dozen terms whatever the
+// flow sizes.
 func MisrankExact(s1, s2 int, p float64) float64 {
 	if s1 > s2 {
 		s1, s2 = s2, s1
@@ -25,86 +32,8 @@ func MisrankExact(s1, s2 int, p float64) float64 {
 		return 1
 	case p >= 1:
 		return 0
-	}
-	if s1 == s2 {
-		return misrankEqualExact(s1, p)
-	}
-	// P{x1 >= x2} = sum_i P{x1 = i} * P{x2 <= i}.
-	var acc numeric.KahanSum
-	for i := 0; i <= s1; i++ {
-		pmf := numeric.BinomialPMF(i, s1, p)
-		if pmf == 0 {
-			continue
-		}
-		acc.Add(pmf * numeric.BinomialCDF(i, s2, p))
-	}
-	v := acc.Sum()
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-// misrankEqualExact returns 1 - sum_{i>=1} b_p(i,s)^2, the probability that
-// two equal-size flows are misranked (different sampled sizes, or both
-// sampled to zero).
-func misrankEqualExact(s int, p float64) float64 {
-	var acc numeric.KahanSum
-	for i := 1; i <= s; i++ {
-		b := numeric.BinomialPMF(i, s, p)
-		acc.Add(b * b)
-	}
-	v := 1 - acc.Sum()
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// MisrankGaussian returns the Normal approximation of the misranking
-// probability — Eq. (2) of the paper. It accepts continuous sizes and is
-// accurate once p*max(s1,s2) is at least a few packets (see Fig. 3).
-func MisrankGaussian(s1, s2, p float64) float64 {
-	switch {
-	case p <= 0:
-		return 1
-	case p >= 1:
-		if s1 == s2 {
-			return 0 // deterministic equal counts, never swapped
-		}
-		return 0
-	}
-	delta := math.Abs(s2 - s1)
-	scale := math.Sqrt(2 * (1/p - 1) * (s1 + s2))
-	return numeric.ErfcRatio(delta, scale)
-}
-
-// GaussianAbsError returns |MisrankExact - MisrankGaussian| for integer
-// sizes — the quantity plotted in Fig. 3.
-func GaussianAbsError(s1, s2 int, p float64) float64 {
-	return math.Abs(MisrankExact(s1, s2, p) - MisrankGaussian(float64(s1), float64(s2), p))
-}
-
-// misrankExactTrunc is MisrankExact with both binomial series evaluated
-// incrementally and truncated ten standard deviations past the mean of the
-// smaller flow's sampled size. It exists for the hybrid model kernel: in
-// the regime p·s1 ≲ 10 where the Gaussian approximation fails, the exact
-// sum has only O(p·s1 + sqrt(p·s1) + const) significant terms, so this is
-// O(60) regardless of flow sizes.
-func misrankExactTrunc(s1, s2 int, p float64) float64 {
-	if s1 > s2 {
-		s1, s2 = s2, s1
-	}
-	switch {
-	case p <= 0:
-		return 1
-	case p >= 1:
-		return 0
 	case s1 == s2:
-		return misrankEqualTrunc(s1, p)
+		return misrankEqual(s1, p)
 	}
 	q := 1 - p
 	mu := p * float64(s1)
@@ -134,19 +63,37 @@ func misrankExactTrunc(s1, s2 int, p float64) float64 {
 			}
 		}
 	}
-	v := acc.Sum()
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
+	return clamp01(acc.Sum())
 }
 
-// misrankEqualTrunc is the equal-size misranking probability with the
-// series truncated around the mean, O(sqrt(p·s)) terms.
-func misrankEqualTrunc(s int, p float64) float64 {
+// MisrankGaussian returns the Normal approximation of the misranking
+// probability — Eq. (2) of the paper. It accepts continuous sizes and is
+// accurate once p*max(s1,s2) is at least a few packets (see Fig. 3).
+func MisrankGaussian(s1, s2, p float64) float64 {
+	switch {
+	case p <= 0:
+		return 1
+	case p >= 1:
+		if s1 == s2 {
+			return 0 // deterministic equal counts, never swapped
+		}
+		return 0
+	}
+	delta := math.Abs(s2 - s1)
+	scale := math.Sqrt(2 * (1/p - 1) * (s1 + s2))
+	return numeric.ErfcRatio(delta, scale)
+}
+
+// GaussianAbsError returns |MisrankExact - MisrankGaussian| for integer
+// sizes — the quantity plotted in Fig. 3.
+func GaussianAbsError(s1, s2 int, p float64) float64 {
+	return math.Abs(MisrankExact(s1, s2, p) - MisrankGaussian(float64(s1), float64(s2), p))
+}
+
+// misrankEqual is MisrankExact's equal-size case, 1 − Σ_{i>=1} b_p(i,s)²,
+// with the series truncated around the mean like the unequal one:
+// O(sqrt(p·s)) terms.
+func misrankEqual(s int, p float64) float64 {
 	q := 1 - p
 	mu := p * float64(s)
 	lo := int(mu-10*math.Sqrt(mu*q)) - 20
@@ -167,8 +114,8 @@ func misrankEqualTrunc(s int, p float64) float64 {
 	return v
 }
 
-// exactWindow returns the largest sampled size of an s-packet flow that the
-// truncated exact kernels keep: ten standard deviations past the mean. The
+// exactWindow returns the largest sampled size of an s-packet flow that
+// MisrankExact keeps: ten standard deviations past the mean. The
 // row forms below keep every sampled size from 0 up to it — they are used
 // where p·s is a few packets, so the window is a few dozen terms and its
 // lower end is 0 anyway.
@@ -181,8 +128,8 @@ func exactWindow(s int, p float64) int {
 	return hi
 }
 
-// aboveRow is the row form of misrankExactTrunc for a fixed smaller flow:
-// after start(s1, p), the k-th call of next returns misrankExactTrunc(s1,
+// aboveRow is the row form of MisrankExact for a fixed smaller flow:
+// after start(s1, p), the k-th call of next returns MisrankExact(s1,
 // s1+k, p). Summing the hybrid kernel over the integer sizes above s1 needs
 // thousands of consecutive cells of one row, each asked for once; the row
 // advances the larger flow's sampled-size pmf from Binomial(s2, p) to
@@ -227,7 +174,7 @@ func (r *aboveRow) next() float64 {
 // larger flow of real size y: P{Bin(y,p) <= i} continued to real y through
 // the generalized binomial coefficient (it is the regularized incomplete
 // beta function I_q(y−i, i+1)), so the value is analytic in y and equals
-// misrankExactTrunc at every integer. It is what a quadrature can be asked
+// MisrankExact at every integer. It is what a quadrature can be asked
 // to integrate where the integer cells are too narrow to be worth summing.
 func (r *aboveRow) continued(y float64) float64 {
 	pmf2 := math.Exp(y * math.Log1p(-r.p))
@@ -245,7 +192,7 @@ func (r *aboveRow) continued(y float64) float64 {
 }
 
 // belowRow is the row form for a fixed larger flow: after start(s2, p,
-// last), the j-th call of next returns misrankExactTrunc(j, s2, p), for
+// last), the j-th call of next returns MisrankExact(j, s2, p), for
 // j = 1..last < s2. The larger flow's sampled-size cdf is tabulated once;
 // the smaller flow's pmf walks up one packet per call.
 type belowRow struct {

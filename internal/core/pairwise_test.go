@@ -4,11 +4,44 @@ import (
 	"math"
 	"testing"
 
+	"flowrank/internal/numeric"
 	"flowrank/internal/randx"
 )
 
 func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
+}
+
+// misrankFullSum is Eq. (1) summed over every sampled size of the smaller
+// flow, each term from log-gamma: O(s) where MisrankExact keeps a window of
+// O(sqrt(p·s)) terms around the mean. It is the reference the truncation is
+// held to.
+func misrankFullSum(s1, s2 int, p float64) float64 {
+	if s1 > s2 {
+		s1, s2 = s2, s1
+	}
+	switch {
+	case p <= 0:
+		return 1
+	case p >= 1:
+		return 0
+	}
+	var acc numeric.KahanSum
+	if s1 == s2 {
+		// 1 - sum_{i>=1} b_p(i,s)^2: different sampled sizes, or both zero.
+		for i := 1; i <= s1; i++ {
+			b := numeric.BinomialPMF(i, s1, p)
+			acc.Add(b * b)
+		}
+		return clamp01(1 - acc.Sum())
+	}
+	// P{x1 >= x2} = sum_i P{x1 = i} * P{x2 <= i}.
+	for i := 0; i <= s1; i++ {
+		if pmf := numeric.BinomialPMF(i, s1, p); pmf != 0 {
+			acc.Add(pmf * numeric.BinomialCDF(i, s2, p))
+		}
+	}
+	return clamp01(acc.Sum())
 }
 
 func TestMisrankExactHandComputed(t *testing.T) {
@@ -229,7 +262,7 @@ func TestOptimalRateRejectsBadTarget(t *testing.T) {
 	}
 }
 
-// TestExactRowsMatchTrunc pins the row forms to misrankExactTrunc cell by
+// TestExactRowsMatchTrunc pins the row forms to MisrankExact cell by
 // cell, over the sizes and rates the hybrid kernel hands them (p·size under
 // hybridThreshold on the fixed side, thousands of cells on the walking
 // one), and the continued kernel to the same values at the integers.
@@ -249,18 +282,18 @@ func TestExactRowsMatchTrunc(t *testing.T) {
 		var up aboveRow
 		up.start(c.fixed, c.p)
 		for k := 1; k <= c.cells; k++ {
-			got, want := up.next(), misrankExactTrunc(c.fixed, c.fixed+k, c.p)
+			got, want := up.next(), MisrankExact(c.fixed, c.fixed+k, c.p)
 			if !same(got, want) {
-				t.Fatalf("aboveRow(%d, p=%g) cell %d: %.17g, misrankExactTrunc %.17g", c.fixed, c.p, c.fixed+k, got, want)
+				t.Fatalf("aboveRow(%d, p=%g) cell %d: %.17g, MisrankExact %.17g", c.fixed, c.p, c.fixed+k, got, want)
 			}
 			if k%97 == 1 {
 				if cont := up.continued(float64(c.fixed + k)); !same(cont, want) {
-					t.Fatalf("continued(%d, p=%g) at %d: %.17g, misrankExactTrunc %.17g", c.fixed, c.p, c.fixed+k, cont, want)
+					t.Fatalf("continued(%d, p=%g) at %d: %.17g, MisrankExact %.17g", c.fixed, c.p, c.fixed+k, cont, want)
 				}
 			}
 		}
 		// Between two integers the continued kernel lies between them.
-		lo, hi := misrankExactTrunc(c.fixed, c.fixed+8, c.p), misrankExactTrunc(c.fixed, c.fixed+7, c.p)
+		lo, hi := MisrankExact(c.fixed, c.fixed+8, c.p), MisrankExact(c.fixed, c.fixed+7, c.p)
 		if mid := up.continued(float64(c.fixed) + 7.5); !(lo <= mid && mid <= hi) {
 			t.Errorf("continued(%d, p=%g) at +7.5: %g outside [%g, %g]", c.fixed, c.p, mid, lo, hi)
 		}
@@ -272,8 +305,8 @@ func TestExactRowsMatchTrunc(t *testing.T) {
 		var low belowRow
 		low.start(big, c.p, last)
 		for j := 1; j <= last; j++ {
-			if got, want := low.next(), misrankExactTrunc(j, big, c.p); !same(got, want) {
-				t.Fatalf("belowRow(%d, p=%g) cell %d: %.17g, misrankExactTrunc %.17g", big, c.p, j, got, want)
+			if got, want := low.next(), MisrankExact(j, big, c.p); !same(got, want) {
+				t.Fatalf("belowRow(%d, p=%g) cell %d: %.17g, MisrankExact %.17g", big, c.p, j, got, want)
 			}
 		}
 	}

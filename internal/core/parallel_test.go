@@ -15,10 +15,9 @@ func TestModelWorkersIdentical(t *testing.T) {
 	for _, kernel := range []Kernel{KernelGaussian, KernelHybrid} {
 		m := Model{
 			N: 200_000, T: 5,
-			Dist:         dist.ParetoWithMean(9.6, 1.5),
-			PoissonTails: true,
-			Kernel:       kernel,
-			Workers:      1,
+			Dist:    dist.ParetoWithMean(9.6, 1.5),
+			Kernel:  kernel,
+			Workers: 1,
 		}
 		for _, p := range []float64{0.02, 0.2} {
 			wantR, wantD := m.RankingMetric(p), m.DetectionMetric(p)
@@ -35,16 +34,5 @@ func TestModelWorkersIdentical(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestModelWorkersDegenerateOrder(t *testing.T) {
-	// OuterOrder below the Gauss-Legendre minimum is clamped identically
-	// on the serial and parallel paths.
-	m := Model{N: 1000, T: 3, Dist: dist.ParetoWithMean(9.6, 1.5), OuterOrder: 1, Workers: 4}
-	s := m
-	s.Workers = 1
-	if a, b := m.RankingMetric(0.1), s.RankingMetric(0.1); a != b {
-		t.Fatalf("order-1 parallel %g vs serial %g", a, b)
 	}
 }

@@ -40,8 +40,8 @@ func TestMisrankTruncMatchesFullProperty(t *testing.T) {
 		s1 := int(s1Raw%500) + 1
 		s2 := int(s2Raw%500) + 1
 		p := (float64(pRaw%999) + 0.5) / 1000
-		full := MisrankExact(s1, s2, p)
-		trunc := misrankExactTrunc(s1, s2, p)
+		full := misrankFullSum(s1, s2, p)
+		trunc := MisrankExact(s1, s2, p)
 		return math.Abs(full-trunc) <= 1e-9*(1+full)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -105,7 +105,7 @@ func TestMetricScalesWithPairCount(t *testing.T) {
 			tt = n - 1
 		}
 		p := (float64(pRaw%99) + 0.5) / 100
-		m := Model{N: n, T: tt, Dist: d, PoissonTails: true}
+		m := Model{N: n, T: tt, Dist: d}
 		nf, tf := float64(n), float64(tt)
 		if r := m.RankingMetric(p); r < 0 || r > (2*nf-tf-1)*tf/2*1.001 {
 			return false
@@ -131,7 +131,7 @@ func TestMetricsAcrossDistributions(t *testing.T) {
 		dist.Lognormal{Min: 1, Mu: 1.2, Sigma: 1.1},
 	}
 	for _, d := range dists {
-		m := Model{N: 50000, T: 5, Dist: d, PoissonTails: true}
+		m := Model{N: 50000, T: 5, Dist: d}
 		prev := math.Inf(1)
 		for _, p := range []float64{0.01, 0.1, 0.5} {
 			r := m.RankingMetric(p)

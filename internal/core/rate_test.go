@@ -16,12 +16,11 @@ import (
 // benchmark times is RequiredRate(1, false) on exactly this.
 func adaptLoopModel() Model {
 	return Model{
-		N:            38240,
-		T:            10,
-		Dist:         dist.ParetoWithMean(12.38, 1.64),
-		PoissonTails: true,
-		Kernel:       KernelHybrid,
-		Workers:      2,
+		N:       38240,
+		T:       10,
+		Dist:    dist.ParetoWithMean(12.38, 1.64),
+		Kernel:  KernelHybrid,
+		Workers: 2,
 	}
 }
 
@@ -288,7 +287,7 @@ func TestFitModel(t *testing.T) {
 		want  int
 	}{{1234.5, 1235}, {1234.4, 1234}, {10, 11}, {0, 11}} {
 		m := FitModel(c.flows, d, 10, 3)
-		if m.N != c.want || m.T != 10 || m.Dist != d || !m.PoissonTails || m.Kernel != KernelHybrid || m.Workers != 3 {
+		if m.N != c.want || m.T != 10 || m.Dist != d || m.Kernel != KernelHybrid || m.Workers != 3 {
 			t.Errorf("FitModel(%g) = %+v, want N = %d", c.flows, m, c.want)
 		}
 		if err := m.Validate(); err != nil {
@@ -421,7 +420,7 @@ func TestRequiredRateMatchesColdSolve(t *testing.T) {
 					continue
 				}
 				for _, top := range []int{1, 10, 50} {
-					m := Model{N: n, T: top, Dist: d, PoissonTails: true, OuterOrder: 8}
+					m := Model{N: n, T: top, Dist: d, outerOrder: 8}
 					check(m, detection, 0.1, 1, 10)
 				}
 			}
@@ -430,7 +429,7 @@ func TestRequiredRateMatchesColdSolve(t *testing.T) {
 			}
 			// No grid target is loose enough for the floor to be the
 			// answer, or tight enough for the ceiling error.
-			m := Model{N: 40_000, T: 10, Dist: d, PoissonTails: true, Kernel: KernelHybrid, OuterOrder: 4}
+			m := Model{N: 40_000, T: 10, Dist: d, Kernel: KernelHybrid, outerOrder: 4}
 			check(m, detection, 1e-7, 0.1, 1, 10, 1e10)
 		}
 	}

@@ -4,82 +4,50 @@ import (
 	"flowrank/internal/numeric"
 )
 
-// TopProb returns the probability that a flow whose size is exceeded by a
+// topProb returns the probability that a flow whose size is exceeded by a
 // random flow with probability u (u = CCDF(size)) belongs to the top-t list
 // among n flows total: at most t-1 of the other n-1 flows may be larger
-// (paper §5.2, Pt(i,t,N)).
-//
-// With poisson set, the Binomial(n-1, u) count of larger flows is replaced
-// by its Poisson(λ = (n-1)·u) limit, which is indistinguishable for the
-// n >= 10^5 regimes of the paper and noticeably cheaper.
-func TopProb(u float64, t, n int, poisson bool) float64 {
+// (paper §5.2, Pt(i,t,N)). The Binomial(n-1, u) count of larger flows is
+// taken in its Poisson(λ = (n-1)·u) limit, indistinguishable for the
+// n >= 10^4 regimes of the paper (TestPoissonTailAccuracy holds it to the
+// binomial form the tests keep).
+func topProb(u float64, t, n int) float64 {
 	if t <= 0 {
 		return 0
 	}
 	if t >= n {
 		return 1
 	}
-	if poisson {
-		return numeric.PoissonCDF(t-1, float64(n-1)*u)
-	}
-	return numeric.BinomialCDF(t-1, n-1, u)
+	return numeric.PoissonCDF(t-1, float64(n-1)*u)
 }
 
 // topPMF fills dst[k] with the probability that exactly k of the n-2 other
-// flows exceed the reference flow, for k = 0..t-1. It is the per-outer-point
-// precomputation used by the detection model (the b_{Pi}(k, N-2) factors).
-func topPMF(dst []float64, u float64, t, n int, poisson bool) []float64 {
+// flows exceed the reference flow, for k = 0..t-1, in the same Poisson
+// limit. It is the per-outer-point precomputation used by the detection
+// model (the b_{Pi}(k, N-2) factors).
+func topPMF(dst []float64, u float64, t, n int) []float64 {
 	dst = dst[:0]
-	if poisson {
-		lambda := float64(n-2) * u
-		for k := 0; k < t; k++ {
-			dst = append(dst, numeric.PoissonPMF(k, lambda))
-		}
-		return dst
-	}
+	lambda := float64(n-2) * u
 	for k := 0; k < t; k++ {
-		dst = append(dst, numeric.BinomialPMF(k, n-2, u))
+		dst = append(dst, numeric.PoissonPMF(k, lambda))
 	}
 	return dst
 }
 
-// JointTopProb returns P*t(j, i, t, N): the probability that a flow with
+// jointTopProb returns P*t(j, i, t, N): the probability that a flow with
 // tail probability uBig (the larger flow i) is in the top-t list while a
 // flow with tail probability vSmall > uBig (the smaller flow j) is not
-// (paper §7.1). pmfBig must be the output of topPMF(…, uBig, t, n, …).
+// (paper §7.1). pmfBig must be the output of topPMF(…, uBig, t, n).
 //
-// The second factor — P{Bin(n-k-2, Pji) >= t-k-1} with
-// Pji = (vSmall-uBig)/(1-uBig) — is evaluated exactly when poisson is
-// false. With poisson set, the count of intermediate flows is approximated
-// by Poisson(λ = (n-2)·Pji) and all t survival terms are produced by one
-// O(t) recurrence.
-func JointTopProb(pmfBig []float64, vSmall, uBig float64, t, n int, poisson bool) float64 {
+// The count of intermediate flows — Bin(n-k-2, Pji) with
+// Pji = (vSmall-uBig)/(1-uBig) in the paper — is taken as
+// Poisson(λ = (n-2)·Pji), and all t survival terms come from one O(t)
+// recurrence.
+func jointTopProb(pmfBig []float64, vSmall, uBig float64, t, n int) float64 {
 	if t <= 0 || t >= n {
 		return 0
 	}
-	pji := (vSmall - uBig) / (1 - uBig)
-	if pji < 0 {
-		pji = 0
-	}
-	if pji > 1 {
-		pji = 1
-	}
-	if poisson {
-		return jointTopPoisson(pmfBig, pji, t, n)
-	}
-	var acc numeric.KahanSum
-	for k := 0; k < t; k++ {
-		if pmfBig[k] == 0 {
-			continue
-		}
-		acc.Add(pmfBig[k] * numeric.BinomialSurvival(t-k-1, n-k-2, pji))
-	}
-	return clamp01(acc.Sum())
-}
-
-// jointTopPoisson computes sum_k pmfBig[k] * P{Poisson(lambda) >= t-k-1}
-// with lambda = (n-2)*pji, sharing one survival recurrence across all k.
-func jointTopPoisson(pmfBig []float64, pji float64, t, n int) float64 {
+	pji := clamp01((vSmall - uBig) / (1 - uBig))
 	lambda := float64(n-2) * pji
 	// surv[m] = P{Poisson(lambda) >= m}, for m = 0..t-1.
 	// surv[0] = 1; surv[m+1] = surv[m] - pmf(m).

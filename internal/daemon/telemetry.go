@@ -101,7 +101,7 @@ func registerRuntimeMetrics(reg *promexp.Registry, start time.Time) {
 // instrumentation onto /metrics, its nanosecond ladders rendered in
 // seconds. Per-shard detail is aggregated here (promexp has no variable
 // labels) and the journal's BinRecord has no per-shard field either:
-// per-shard series are ROADMAP 5(b).
+// per-shard series are ROADMAP 6(a).
 func registerPipelineMetrics(reg *promexp.Registry, ps *obs.PipelineStats) {
 	reg.Counter("flowrankd_pipeline_packets_total",
 		"Packets the shard workers accounted (every packet fed to the engine, sampled or not).",

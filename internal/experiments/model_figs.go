@@ -21,11 +21,10 @@ const (
 
 func sprintModel(opts Options, n, t int, meanPkts, beta float64) core.Model {
 	return core.Model{
-		N:            n,
-		T:            t,
-		Dist:         dist.ParetoWithMean(meanPkts, beta),
-		PoissonTails: true,
-		Workers:      opts.Workers,
+		N:       n,
+		T:       t,
+		Dist:    dist.ParetoWithMean(meanPkts, beta),
+		Workers: opts.Workers,
 	}
 }
 

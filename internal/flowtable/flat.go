@@ -26,7 +26,7 @@ import (
 // match (about 1 in 128 probes) just continues the probe.
 //
 // Flat is bit-compatible with Table: both produce identical Entries, Top,
-// Counts and totals for the same input (the differential tests in
+// AppendCounts and totals for the same input (the differential tests in
 // flat_test.go pin this under random workloads), so the map table remains
 // the reference implementation while Flat carries production traffic.
 //
@@ -157,24 +157,6 @@ func (f *Flat) AddBatch(batch []Observation) {
 	}
 }
 
-// AddCount accounts an aggregate observation of pkts packets and
-// byteCount bytes for the (already aggregated) key.
-//
-//flowrank:hotpath
-func (f *Flat) AddCount(key flow.Key, pkts, byteCount int64) {
-	if pkts <= 0 {
-		return
-	}
-	e, isNew := f.findOrClaim(key, key.FastHash())
-	if isNew {
-		*e = Entry{Key: key}
-	}
-	e.Packets += pkts
-	e.Bytes += byteCount
-	f.packets += pkts
-	f.bytesT += byteCount
-}
-
 // findOrClaim probes for key, whose FastHash is h, claiming (and marking)
 // a fresh slot when absent. The returned entry is stale garbage when
 // isNew — the caller overwrites it.
@@ -251,13 +233,8 @@ func (f *Flat) Lookup(key flow.Key) (Entry, bool) {
 	}
 }
 
-// Counts returns the table's packet counts keyed by flow.
-func (f *Flat) Counts() map[flow.Key]int64 {
-	return f.AppendCounts(make(map[flow.Key]int64, f.n))
-}
-
 // AppendCounts adds every flow's packet count to dst (allocating it when
-// nil) and returns it — the pooled-map path of the streaming engine.
+// nil) and returns it.
 func (f *Flat) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {
 	if dst == nil {
 		dst = make(map[flow.Key]int64, f.n)

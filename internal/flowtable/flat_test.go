@@ -21,9 +21,9 @@ func randKey(g *randx.RNG, space int) flow.Key {
 }
 
 // TestFlatMatchesMapReference is the differential contract of the flat
-// table: under a mixed random workload (packet adds, aggregate counts,
-// bin resets) every observable — totals, Len, Lookup, Entries, Top,
-// Counts — is bit-identical to the map reference implementation.
+// table: under a mixed random workload (packet adds, runs of aggregated
+// packets, bin resets) every observable — totals, Len, Lookup, Entries,
+// Top, AppendCounts — is bit-identical to the map reference implementation.
 func TestFlatMatchesMapReference(t *testing.T) {
 	g := randx.New(101)
 	ref := New(flow.FiveTuple{})
@@ -38,9 +38,10 @@ func TestFlatMatchesMapReference(t *testing.T) {
 				ref.Add(p)
 				flat.Add(p)
 			case 2:
-				n := int64(g.IntN(5)) // includes 0: the ignored-add case
-				ref.AddCount(k, n, n*300)
-				flat.AddCount(k, n, n*300)
+				for range g.IntN(5) {
+					ref.AddAggregated(k, float64(i)*1e-3, 300)
+					flat.AddAggregated(k, float64(i)*1e-3, 300)
+				}
 			}
 		}
 		if flat.Len() != ref.Len() || flat.TotalPackets() != ref.TotalPackets() ||
@@ -66,13 +67,13 @@ func TestFlatMatchesMapReference(t *testing.T) {
 				}
 			}
 		}
-		fc, rc := flat.Counts(), ref.Counts()
+		fc, rc := flat.AppendCounts(nil), ref.AppendCounts(nil)
 		if len(fc) != len(rc) {
-			t.Fatalf("round %d Counts: %d vs %d flows", round, len(fc), len(rc))
+			t.Fatalf("round %d AppendCounts: %d vs %d flows", round, len(fc), len(rc))
 		}
 		for k, v := range rc {
 			if fc[k] != v {
-				t.Fatalf("round %d Counts[%v] = %d, want %d", round, k, fc[k], v)
+				t.Fatalf("round %d AppendCounts[%v] = %d, want %d", round, k, fc[k], v)
 			}
 			fe, ok := flat.Lookup(k)
 			re, _ := ref.Lookup(k)
@@ -95,10 +96,12 @@ func TestFlatZeroKey(t *testing.T) {
 	flat := NewFlat(flow.DstPrefix{Bits: 24}, 0)
 	defer flat.Release()
 	var zero flow.Key
-	flat.AddCount(zero, 7, 700)
+	for range 7 {
+		flat.AddAggregated(zero, 0, 100)
+	}
 	g := randx.New(5)
 	for i := 0; i < 500; i++ { // force at least one grow past 64 slots
-		flat.AddCount(randKey(g, 40), 1, 40)
+		flat.AddAggregated(randKey(g, 40), 0, 40)
 	}
 	e, ok := flat.Lookup(zero)
 	if !ok || e.Packets != 7 || e.Bytes != 700 {
@@ -122,10 +125,14 @@ func TestFlatShardedMergeInto(t *testing.T) {
 	g := randx.New(77)
 	for i := 0; i < 3000; i++ {
 		k := randKey(g, 30)
-		whole.AddCount(k, int64(1+g.IntN(9)), 500)
+		for range 1 + g.IntN(9) {
+			whole.AddAggregated(k, 0, 50)
+		}
 	}
 	for _, e := range whole.Entries() {
-		shards[e.Key.FastHash()%workers].(*Flat).AddCount(e.Key, e.Packets, e.Bytes)
+		for range e.Packets {
+			shards[e.Key.FastHash()%workers].(*Flat).AddAggregated(e.Key, 0, 50)
+		}
 	}
 	// A recycled destination buffer starts with stale content behind its
 	// zero length; the merge must fill over it.
@@ -447,8 +454,10 @@ func FuzzFlatProbe(f *testing.F) {
 				ref.AddAggregated(key, float64(b), int64(c)+1)
 				queued = append(queued, Observation{Key: key, Hash: key.FastHash(), Time: float64(b), Size: int64(c) + 1})
 			case 4, 5:
-				ref.AddCount(key, int64(c), int64(c)*10)
-				flat.AddCount(key, int64(c), int64(c)*10)
+				for range c {
+					ref.AddAggregated(key, float64(b), 10)
+					flat.AddAggregated(key, float64(b), 10)
+				}
 			case 6:
 				re, rok := ref.Lookup(key)
 				fe, fok := flat.Lookup(key)

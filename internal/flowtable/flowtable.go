@@ -2,13 +2,14 @@
 // into flows under a chosen aggregation, count packets and bytes, and
 // extract the top-k list — the link-monitor half of the paper's pipeline.
 //
-// Table is the exact, unbounded map-based accounting the experiments use
-// and the reference the other kinds are tested against; Flat is the exact
-// open-addressing table of the streaming engine. SpaceSaving and CountMin
-// are the limited-memory variants the paper's related work ([11], [13])
-// studies — a fixed number of slots, the weakest giving way when a new
-// flow arrives and the memory is full — over one shared slot store
-// (slots.go). Summary (summary.go) is the surface all four share.
+// Table is the exact, unbounded map-based accounting the examples and the
+// conformance suites use, and the reference the other kinds are tested
+// against; Flat is the exact open-addressing table of the streaming engine.
+// SpaceSaving and CountMin are the limited-memory variants the paper's
+// related work ([11], [13]) studies — a fixed number of slots, the weakest
+// giving way when a new flow arrives and the memory is full — over one
+// shared slot store (slots.go). Summary (summary.go) is the surface all
+// four share.
 //
 // A packet is hashed once. Summary.AddBatch takes observations that carry
 // their key's FastHash, and every structure a kind looks the key up in is
@@ -192,24 +193,6 @@ func (t *Table) AddAggregated(key flow.Key, time float64, size int64) {
 	t.bytesT += size
 }
 
-// AddCount accounts an aggregate observation: pkts packets and byteCount
-// bytes for the flow key (already aggregated). It is the fast-path entry
-// point used by the flow-bin simulator.
-func (t *Table) AddCount(key flow.Key, pkts, byteCount int64) {
-	if pkts <= 0 {
-		return
-	}
-	e, ok := t.entries[key]
-	if !ok {
-		e = &Entry{Key: key}
-		t.entries[key] = e
-	}
-	e.Packets += pkts
-	e.Bytes += byteCount
-	t.packets += pkts
-	t.bytesT += byteCount
-}
-
 // Len returns the number of distinct flows.
 func (t *Table) Len() int { return len(t.entries) }
 
@@ -226,16 +209,6 @@ func (t *Table) Lookup(key flow.Key) (Entry, bool) {
 		return Entry{}, false
 	}
 	return *e, true
-}
-
-// Counts returns the table's packet counts keyed by flow — the map shape
-// metrics.CountSwapped consumes.
-func (t *Table) Counts() map[flow.Key]int64 {
-	out := make(map[flow.Key]int64, len(t.entries))
-	for k, e := range t.entries {
-		out[k] = e.Packets
-	}
-	return out
 }
 
 // Reset clears the table for the next measurement bin.

@@ -57,18 +57,6 @@ func TestTableAggregation(t *testing.T) {
 	}
 }
 
-func TestAddCount(t *testing.T) {
-	tab := New(flow.FiveTuple{})
-	k := pkt(1, 0, 0).Key
-	tab.AddCount(k, 10, 5000)
-	tab.AddCount(k, 5, 2500)
-	tab.AddCount(k, 0, 999) // ignored
-	e, _ := tab.Lookup(k)
-	if e.Packets != 15 || e.Bytes != 7500 {
-		t.Errorf("entry = %+v", e)
-	}
-}
-
 func TestTopMatchesFullSort(t *testing.T) {
 	g := randx.New(3)
 	tab := New(flow.FiveTuple{})
@@ -78,7 +66,9 @@ func TestTopMatchesFullSort(t *testing.T) {
 			Dst:     flow.Addr{10, 0, 0, 1},
 			SrcPort: uint16(g.IntN(100)), DstPort: 80, Proto: flow.ProtoTCP,
 		}
-		tab.AddCount(k, int64(1+g.IntN(50)), 500)
+		for range 1 + g.IntN(50) {
+			tab.AddAggregated(k, 0, 10)
+		}
 	}
 	full := tab.Entries()
 	for _, k := range []int{1, 5, 17, 100, tab.Len(), tab.Len() + 10} {
@@ -105,7 +95,9 @@ func TestEntriesSortedAndDeterministic(t *testing.T) {
 	tab := New(flow.FiveTuple{})
 	// Several flows with equal counts: order must be deterministic.
 	for i := 0; i < 50; i++ {
-		tab.AddCount(pkt(byte(i), 0, 0).Key, 7, 700)
+		for range 7 {
+			tab.AddAggregated(pkt(byte(i), 0, 0).Key, 0, 100)
+		}
 	}
 	a := tab.Entries()
 	b := tab.Entries()
@@ -383,8 +375,8 @@ func TestCounts(t *testing.T) {
 	tab.Add(pkt(1, 100, 0))
 	tab.Add(pkt(1, 100, 1))
 	tab.Add(pkt(2, 100, 2))
-	counts := tab.Counts()
+	counts := tab.AppendCounts(nil)
 	if len(counts) != 2 || counts[pkt(1, 0, 0).Key] != 2 || counts[pkt(2, 0, 0).Key] != 1 {
-		t.Fatalf("Counts = %v", counts)
+		t.Fatalf("AppendCounts = %v", counts)
 	}
 }

@@ -234,9 +234,7 @@ func (t *Table) AppendEntries(dst []Entry) []Entry { return appendSorted(t, dst)
 func (t *Table) AppendTop(dst []Entry, k int) []Entry { return appendTop(t, dst, k) }
 
 // AppendCounts adds every flow's packet count to dst (allocating it when
-// nil) and returns it — the pooled-map path of the streaming engine,
-// which clears and reuses one map across bins instead of allocating a
-// fresh Counts map per bin.
+// nil) and returns it.
 func (t *Table) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {
 	if dst == nil {
 		dst = make(map[flow.Key]int64, len(t.entries))

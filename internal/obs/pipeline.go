@@ -113,7 +113,7 @@ func NewPipelineStats(shards int) *PipelineStats {
 // IngestSnapshot merges the per-shard ingest histograms into one — the
 // aggregate a single /metrics series exposes. Per-shard detail is in
 // Shards only: neither /metrics nor the journal's BinRecord has a
-// per-shard field yet (ROADMAP 5(b)).
+// per-shard field yet (ROADMAP 6(a)).
 func (p *PipelineStats) IngestSnapshot() HistSnapshot {
 	snaps := make([]HistSnapshot, len(p.Shards))
 	for i := range p.Shards {

@@ -1,8 +1,8 @@
 // Package randx provides the reproducible random-variate generation the
 // simulators are built on: deterministic seedable streams that can be split
-// into independent sub-streams, and exact (not normal-approximated) samplers
-// for the binomial and Poisson distributions together with the heavy-tailed
-// flow-size laws used by the paper (Pareto, exponential, lognormal).
+// into independent sub-streams, and an exact (not normal-approximated)
+// binomial sampler together with the heavy-tailed flow-size laws used by the
+// paper (Pareto, exponential, lognormal).
 //
 // Exactness of the binomial sampler matters here: the whole point of the
 // trace-driven fast path (internal/sim) is that thinning a flow's per-bin
@@ -174,58 +174,6 @@ func (g *RNG) binomialModeInversion(n int, p float64) int {
 		}
 	}
 	return k
-}
-
-// Poisson returns an exact Poisson(lambda) variate. Small means use Knuth's
-// product method; large means use the same mode-started CDF inversion as
-// Binomial.
-func (g *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		limit := math.Exp(-lambda)
-		k := 0
-		prod := g.r.Float64()
-		for prod > limit {
-			k++
-			prod *= g.r.Float64()
-		}
-		return k
-	}
-	return g.poissonModeInversion(lambda)
-}
-
-func (g *RNG) poissonModeInversion(lambda float64) int {
-	mode := int(lambda)
-	u := g.r.Float64()
-	cdfMode := numeric.PoissonCDF(mode, lambda)
-	pmf := numeric.PoissonPMF(mode, lambda)
-	if u <= cdfMode {
-		cdf := cdfMode
-		k := mode
-		f := pmf
-		for k > 0 {
-			if cdf-f < u {
-				return k
-			}
-			cdf -= f
-			f *= float64(k) / lambda
-			k--
-		}
-		return 0
-	}
-	cdf := cdfMode
-	k := mode
-	f := pmf
-	for {
-		f *= lambda / float64(k+1)
-		k++
-		cdf += f
-		if cdf >= u || f == 0 {
-			return k
-		}
-	}
 }
 
 // Pareto returns a Pareto(scale a, shape beta) variate: values exceed a and

@@ -175,23 +175,6 @@ func binomialPMF(k, n int, p float64) float64 {
 	return math.Exp(ln1 - lk1 - lnk1 + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
 }
 
-func TestPoissonMoments(t *testing.T) {
-	g := New(5)
-	for _, lambda := range []float64{0.2, 1, 8, 29, 30, 150, 2500} {
-		const draws = 20000
-		mean, variance := moments(draws, func() float64 {
-			return float64(g.Poisson(lambda))
-		})
-		se := math.Sqrt(lambda / draws)
-		if math.Abs(mean-lambda) > 5*se {
-			t.Errorf("Poisson(%g): mean %g", lambda, mean)
-		}
-		if math.Abs(variance-lambda) > 0.1*lambda+5*se {
-			t.Errorf("Poisson(%g): var %g", lambda, variance)
-		}
-	}
-}
-
 func TestParetoMomentsAndSupport(t *testing.T) {
 	g := New(6)
 	a, beta := 3.2, 1.5
@@ -312,12 +295,5 @@ func BenchmarkBinomialLarge(b *testing.B) {
 	g := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = g.Binomial(25000, 0.1)
-	}
-}
-
-func BenchmarkPoissonLarge(b *testing.B) {
-	g := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = g.Poisson(1000)
 	}
 }

@@ -52,7 +52,7 @@ func referenceBins(pkts []packet.Packet, agg flow.Aggregator, smp sampler.Sample
 			return
 		}
 		origSorted := orig.Entries()
-		sampled := samp.Counts()
+		sampled := samp.AppendCounts(nil)
 		out = append(out, BinResult{
 			Bin:            binIdx,
 			Start:          float64(binIdx) * binSec,

@@ -39,16 +39,18 @@ type DynamicConfig struct {
 	Bins int
 	// Preset selects the drift law.
 	Preset Preset
-	// ChurnFrac is the per-bin probability that each demand weight
-	// re-draws (churn preset; 0 = default 0.4).
-	ChurnFrac float64
-	// PeriodBins is the diurnal cycle length in bins (diurnal preset;
-	// 0 = default 8).
-	PeriodBins float64
-	// Amplitude is the diurnal swing in (0, 1) (diurnal preset;
-	// 0 = default 0.8).
-	Amplitude float64
 }
+
+// The presets' shapes.
+const (
+	// churnFrac is the per-bin probability that each demand weight
+	// re-draws (churn preset).
+	churnFrac = 0.4
+	// diurnalPeriod is the diurnal cycle length in bins.
+	diurnalPeriod = 8
+	// diurnalAmplitude is the diurnal swing, in (0, 1).
+	diurnalAmplitude = 0.8
+)
 
 // Churn returns the churn preset over the base workload: steady aggregate
 // intensity, heavy-tailed demand weights of which a fraction re-draw
@@ -63,30 +65,6 @@ func Diurnal(base Config, bins int) DynamicConfig {
 	return DynamicConfig{Base: base, Bins: bins, Preset: PresetDiurnal}
 }
 
-// churnFrac resolves the churn re-draw probability.
-func (c DynamicConfig) churnFrac() float64 {
-	if c.ChurnFrac == 0 {
-		return 0.4
-	}
-	return c.ChurnFrac
-}
-
-// periodBins resolves the diurnal period.
-func (c DynamicConfig) periodBins() float64 {
-	if c.PeriodBins == 0 {
-		return 8
-	}
-	return c.PeriodBins
-}
-
-// amplitude resolves the diurnal swing.
-func (c DynamicConfig) amplitude() float64 {
-	if c.Amplitude == 0 {
-		return 0.8
-	}
-	return c.Amplitude
-}
-
 // Validate checks the dynamic configuration (including the base template).
 func (c DynamicConfig) Validate() error {
 	if err := c.Base.Validate(); err != nil {
@@ -95,19 +73,7 @@ func (c DynamicConfig) Validate() error {
 	if c.Bins < 1 {
 		return fmt.Errorf("tracegen: dynamic workload needs >= 1 bin, have %d", c.Bins)
 	}
-	switch c.Preset {
-	case PresetChurn:
-		if f := c.churnFrac(); !(f > 0 && f <= 1) {
-			return fmt.Errorf("tracegen: churn fraction %g outside (0, 1]", f)
-		}
-	case PresetDiurnal:
-		if p := c.periodBins(); !(p > 0) {
-			return fmt.Errorf("tracegen: diurnal period %g bins must be positive", p)
-		}
-		if a := c.amplitude(); !(a > 0 && a < 1) {
-			return fmt.Errorf("tracegen: diurnal amplitude %g outside (0, 1)", a)
-		}
-	default:
+	if c.Preset != PresetChurn && c.Preset != PresetDiurnal {
 		return fmt.Errorf("tracegen: unknown dynamic preset %q", c.Preset)
 	}
 	return nil
@@ -121,7 +87,7 @@ func (c DynamicConfig) BinConfig(bin int) Config {
 	cfg.Name = fmt.Sprintf("%s-%s-bin%d", c.Base.Name, c.Preset, bin)
 	cfg.Seed = mix64(c.Base.Seed, uint64(bin)+1)
 	if c.Preset == PresetDiurnal {
-		cfg.ArrivalRate *= 1 + c.amplitude()*math.Sin(2*math.Pi*float64(bin)/c.periodBins())
+		cfg.ArrivalRate *= 1 + diurnalAmplitude*math.Sin(2*math.Pi*float64(bin)/diurnalPeriod)
 	}
 	return cfg
 }
@@ -147,18 +113,17 @@ func (c DynamicConfig) PairWeights(bin, n int) ([]float64, error) {
 	case PresetChurn:
 		// Bin 0: iid heavy-tailed weights (Pareto shape 1.1 — a few hot
 		// pairs dominate, as real traffic matrices do). Bin b: each weight
-		// re-draws with probability ChurnFrac from bin b's stream.
+		// re-draws with probability churnFrac from bin b's stream.
 		g := randx.New(mix64(c.Base.Seed, 0x9a7c)).Derive(0)
 		for i := range w {
 			w[i] = g.Pareto(1, 1.1)
 		}
-		frac := c.churnFrac()
 		for b := 1; b <= bin; b++ {
 			gb := randx.New(mix64(c.Base.Seed, 0x9a7c)).Derive(uint64(b))
 			for i := range w {
 				// Two draws per pair regardless of the churn decision, so
 				// one pair's re-draw never shifts another pair's stream.
-				redraw := gb.Bernoulli(frac)
+				redraw := gb.Bernoulli(churnFrac)
 				v := gb.Pareto(1, 1.1)
 				if redraw {
 					w[i] = v
@@ -168,10 +133,9 @@ func (c DynamicConfig) PairWeights(bin, n int) ([]float64, error) {
 	case PresetDiurnal:
 		// Per-pair phases are bin-independent; only the modulation moves.
 		g := randx.New(mix64(c.Base.Seed, 0xd1a5)).Derive(0)
-		a, period := c.amplitude(), c.periodBins()
 		for i := range w {
 			phase := g.Float64()
-			w[i] = 1 + a*math.Sin(2*math.Pi*(float64(bin)/period+phase))
+			w[i] = 1 + diurnalAmplitude*math.Sin(2*math.Pi*(float64(bin)/diurnalPeriod+phase))
 		}
 	}
 	return w, nil

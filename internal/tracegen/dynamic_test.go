@@ -20,9 +20,6 @@ func TestDynamicValidate(t *testing.T) {
 		{"zero bins", DynamicConfig{Base: dynBase(1), Bins: 0, Preset: PresetChurn}},
 		{"unknown preset", DynamicConfig{Base: dynBase(1), Bins: 4, Preset: "weekly"}},
 		{"empty preset", DynamicConfig{Base: dynBase(1), Bins: 4}},
-		{"churn frac above 1", DynamicConfig{Base: dynBase(1), Bins: 4, Preset: PresetChurn, ChurnFrac: 1.5}},
-		{"negative period", DynamicConfig{Base: dynBase(1), Bins: 4, Preset: PresetDiurnal, PeriodBins: -2}},
-		{"amplitude 1", DynamicConfig{Base: dynBase(1), Bins: 4, Preset: PresetDiurnal, Amplitude: 1}},
 		{"bad base", DynamicConfig{Base: Config{}, Bins: 4, Preset: PresetChurn}},
 	}
 	for _, c := range cases {
@@ -92,8 +89,8 @@ func TestChurnPairWeights(t *testing.T) {
 			t.Fatalf("pair %d weight %g not positive", i, w)
 		}
 	}
-	// Between consecutive bins, roughly ChurnFrac of the weights re-draw
-	// (default 0.4) — the rest persist exactly.
+	// Between consecutive bins, roughly churnFrac (0.4) of the weights
+	// re-draw — the rest persist exactly.
 	prev := w0
 	for b := 1; b < dc.Bins; b++ {
 		cur, err := dc.PairWeights(b, n)
@@ -131,7 +128,7 @@ func TestDiurnalPairWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := dc.amplitude()
+	a := diurnalAmplitude
 	for b := 0; b < dc.Bins; b++ {
 		w, err := dc.PairWeights(b, n)
 		if err != nil {
