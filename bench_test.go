@@ -125,24 +125,38 @@ func BenchmarkSimulateSmall(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamPackets expands a 10 s sprint5 flow trace (200 flows/s)
-// into its time-ordered packets, the expansion behind tracegen's -packets
-// and -pcap outputs and the packets sim.RunPackets feeds the stream
-// engine: ns/pkt is its cost per emitted packet, allocs/op what one whole
-// expansion allocates.
+// BenchmarkStreamPackets expands a flow trace into its time-ordered
+// packets, the expansion behind tracegen's -packets and -pcap outputs and
+// the packets sim.RunPackets feeds the stream engine: ns/pkt is its cost
+// per emitted packet, allocs/op what one whole expansion allocates. The
+// 2000-flow case is a 10 s sprint5 trace at 200 flows/s; batch-exact is
+// the benchmark workload's trace, 30 s of sprint5 at 4× its arrival rate
+// (2.7 M packets, ~100 k flows active at once), where the merge's cost
+// per packet would grow with the active flows if it sifted a heap.
 func BenchmarkStreamPackets(b *testing.B) {
-	records := genTrace(b, SprintFiveTuple(10, 1), 200)
-	var n int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n = 0
-		if err := StreamPackets(records, uint64(i), func(Packet) error { n++; return nil }); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name    string
+		seconds float64
+		rate    float64
+	}{
+		{"2000-flows", 10, 200},
+		{"batch-exact", 30, 4 * SprintFiveTuple(0, 1).ArrivalRate},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			records := genTrace(b, SprintFiveTuple(bc.seconds, 1), bc.rate)
+			var n int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n = 0
+				if err := StreamPackets(records, uint64(i), func(Packet) error { n++; return nil }); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(n), "packets/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n)/float64(b.N), "ns/pkt")
+		})
 	}
-	b.ReportMetric(float64(n), "packets/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n)/float64(b.N), "ns/pkt")
 }
 
 // BenchmarkNetworkCoordSimulate measures the network-wide pipeline at the

@@ -221,10 +221,16 @@ func GenerateTrace(cfg TraceConfig) ([]FlowRecord, error) { return tracegen.Gene
 
 // StreamPackets expands flow records to a time-ordered packet stream using
 // the paper's uniform placement (§8.1), calling fn for every packet — the
-// entry point for per-packet logic of the caller's own. To rank the
-// expansion, StreamRank wires it straight into a streaming engine; to
-// feed a PacketSource consumer (replay decorators, the daemon), collect
-// the packets into a slice and wrap it with NewSliceSource.
+// entry point for per-packet logic of the caller's own. Packets with equal
+// timestamps arrive in order of their flows' start times, then record
+// indices. fn runs on the calling goroutine, in order, while a second
+// goroutine generates and sorts the next window of about 2^18 packets;
+// StreamPackets returns once that goroutine has exited, with fn's error
+// unchanged if fn failed. Memory is the concurrently active flows plus two
+// windows (about 16 MB). To rank the expansion, StreamRank wires it
+// straight into a streaming engine; to feed a PacketSource consumer
+// (replay decorators, the daemon), collect the packets into a slice and
+// wrap it with NewSliceSource.
 func StreamPackets(records []FlowRecord, seed uint64, fn func(Packet) error) error {
 	return packetgen.Stream(records, seed, fn)
 }
@@ -342,6 +348,8 @@ var ErrStreamClosed = stream.ErrClosed
 
 // StreamRank runs a flow-level trace through packet expansion and the
 // streaming monitor in one call: GenerateTrace → StreamPackets → engine.
+// The engine is fed on the calling goroutine while the expansion builds
+// the next window of packets beside it.
 func StreamRank(records []FlowRecord, seed uint64, cfg StreamConfig, emit func(StreamBin) error) error {
 	eng, err := stream.NewEngine(cfg, emit)
 	if err != nil {

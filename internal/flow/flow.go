@@ -11,6 +11,7 @@ package flow
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net/netip"
 )
 
@@ -167,9 +168,17 @@ type Record struct {
 // End returns the flow's finish time.
 func (r Record) End() float64 { return r.Start + r.Duration }
 
-// Validate performs basic sanity checks.
+// Validate performs basic sanity checks. Start, Duration and End must be
+// finite: a packet placed in a flow's lifetime needs a time it can be
+// ordered and written by.
 func (r Record) Validate() error {
 	switch {
+	case math.IsNaN(r.Start) || math.IsInf(r.Start, 0):
+		return fmt.Errorf("flow: non-finite start %g", r.Start)
+	case math.IsNaN(r.Duration) || math.IsInf(r.Duration, 0):
+		return fmt.Errorf("flow: non-finite duration %g", r.Duration)
+	case math.IsInf(r.End(), 0):
+		return fmt.Errorf("flow: end %g + %g overflows", r.Start, r.Duration)
 	case r.Packets < 1:
 		return fmt.Errorf("flow: record with %d packets", r.Packets)
 	case r.Duration < 0:

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -185,6 +186,12 @@ func TestRecordValidate(t *testing.T) {
 		{Start: 1, Duration: -1, Packets: 3},
 		{Start: -1, Duration: 1, Packets: 3},
 		{Start: 1, Duration: 1, Packets: 3, Bytes: -5},
+		{Start: math.NaN(), Duration: 1, Packets: 3},
+		{Start: math.Inf(1), Duration: 1, Packets: 3},
+		{Start: math.Inf(-1), Duration: 1, Packets: 3},
+		{Start: 1, Duration: math.NaN(), Packets: 3},
+		{Start: 1, Duration: math.Inf(1), Packets: 3},
+		{Start: math.MaxFloat64, Duration: math.MaxFloat64, Packets: 3},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
