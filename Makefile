@@ -128,9 +128,9 @@ microbench:
 # exact-table ingest against the per-packet one on a million-flow table
 # (ns/pkt), BenchmarkIngest{CountMin,SpaceSaving}Batch do the same for the
 # 4096-slot sketches under a mice-heavy stream; BenchmarkEngine's
-# countmin/ runs are the daemon-scrape shard configuration and its inline/
-# runs Feed plus an exact ingest on a warm engine, in ns/pkt and allocs/pkt
-# (0) for both aggregations; BenchmarkBinClose
+# countmin/ runs are the daemon-scrape shard configuration and its warm/
+# runs Feed, the hand-off and an exact ingest on a warm one-worker engine,
+# in ns/pkt and allocs/pkt (0) for both aggregations; BenchmarkBinClose
 # is the bin boundary alone (ns/flow) on batch-exact's shape (280k flows,
 # one shard) and adapt-loop's (47k flows, two shards, p = 0.1).
 bench-smoke:
@@ -145,7 +145,7 @@ bench-smoke:
 	$(GO) run ./cmd/flowrank-bench -fig dynamic
 	$(GO) run ./cmd/flowrank-bench -fig sketch
 
-# End-to-end flowtop cross-check: sequential vs sharded output must be
+# End-to-end flowtop cross-check: one-shard vs four-shard output must be
 # byte-identical on both trace formats (native and pcap), and with the
 # closed loop (-invert parametric -adapt 1) on the native trace.
 e2e:

@@ -86,7 +86,7 @@ func writeTraces(t *testing.T) (native, pcapPath string) {
 
 // TestShardedMatchesSequential is the PR's acceptance cross-check: the
 // sharded engine (workers=N) must produce byte-identical bin reports and
-// NetFlow output to the sequential path (workers=1) on the same seeded
+// NetFlow output to the one-shard run (workers=1) on the same seeded
 // trace, for both input formats — including the closed loop (-adapt),
 // whose rate updates happen on the reader goroutine and so must not
 // depend on the worker count either.

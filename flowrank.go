@@ -349,7 +349,8 @@ var ErrStreamClosed = stream.ErrClosed
 // StreamRank runs a flow-level trace through packet expansion and the
 // streaming monitor in one call: GenerateTrace → StreamPackets → engine.
 // The engine is fed on the calling goroutine while the expansion builds
-// the next window of packets beside it.
+// the next window of packets and the engine's shard workers ingest beside
+// it.
 func StreamRank(records []FlowRecord, seed uint64, cfg StreamConfig, emit func(StreamBin) error) error {
 	eng, err := stream.NewEngine(cfg, emit)
 	if err != nil {

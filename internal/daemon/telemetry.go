@@ -107,7 +107,7 @@ func registerPipelineMetrics(reg *promexp.Registry, ps *obs.PipelineStats) {
 		"Packets the shard workers accounted (every packet fed to the engine, sampled or not).",
 		func() float64 { return float64(ps.ShardPackets()) })
 	reg.Counter("flowrankd_pipeline_reader_batches_total",
-		"Packet batches the reader dispatched to shard workers (0 on the inline single-worker engine).",
+		"Packet batches the reader dispatched to shard workers.",
 		func() float64 { return float64(ps.Reader.Batches.Load()) })
 	reg.Counter("flowrankd_pipeline_reader_stalls_total",
 		"Dispatches that found a shard queue full — the engine's backpressure signal.",

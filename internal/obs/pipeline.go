@@ -42,8 +42,7 @@ type ReaderStats struct {
 // ShardStats instruments one shard: its share of the key space, its
 // ingest time, and the depth of its inbound queue.
 type ShardStats struct {
-	// Batches and Packets count what this shard has ingested — by its
-	// worker, or inline by the reader when the engine runs one shard.
+	// Batches and Packets count what this shard's worker has ingested.
 	// Packets trails the packets fed by whatever is still batched on the
 	// reader side; a bin boundary and Close catch it up.
 	Batches Counter

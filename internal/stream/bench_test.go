@@ -20,10 +20,10 @@ import (
 // (parallelism cannot beat the core count, only the algorithmic wins
 // remain).
 //
-// The inline/ runs are the guard on Feed itself, in ns: one warm
-// single-shard engine with Recycle set is fed the trace again and again at
-// shifted times, so ns/pkt is the reader stage plus an exact-table ingest
-// with no construction, hand-off or growth in it, and allocs/pkt must read
+// The warm/ runs are the guard on Feed itself, in ns: one warm one-worker
+// engine with Recycle set is fed the trace again and again at shifted
+// times, so ns/pkt is the reader stage, the hand-off and an exact-table
+// ingest with no construction or growth in it, and allocs/pkt must read
 // 0. 5tuple aggregates by copying the key, prefix24 by building a new one —
 // the two shapes of key hand-over between Aggregate, FastHash and the batch.
 func BenchmarkEngine(b *testing.B) {
@@ -54,8 +54,8 @@ func BenchmarkEngine(b *testing.B) {
 			b.ReportMetric(float64(len(pkts))*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 		})
 	}
-	inline := func(name string, agg flow.Aggregator) {
-		b.Run("inline/"+name, func(b *testing.B) {
+	warm := func(name string, agg flow.Aggregator) {
+		b.Run("warm/"+name, func(b *testing.B) {
 			eng, err := NewEngine(Config{
 				Agg:        agg,
 				Sampler:    sampler.NewBernoulli(0.1, 7),
@@ -91,8 +91,8 @@ func BenchmarkEngine(b *testing.B) {
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/pkt")
 		})
 	}
-	inline("5tuple", flow.FiveTuple{})
-	inline("prefix24", flow.DstPrefix{Bits: 24})
+	warm("5tuple", flow.FiveTuple{})
+	warm("prefix24", flow.DstPrefix{Bits: 24})
 	for _, workers := range []int{1, 2, 4, 8} {
 		run(fmt.Sprintf("workers=%d", workers), workers, flowtable.Spec{})
 	}
@@ -183,9 +183,6 @@ func BenchmarkBinClose(b *testing.B) {
 // the real ones are done; the empty ones left queued cost the flush
 // nothing.
 func settle(e *Engine) {
-	if e.inline() {
-		return
-	}
 	for _, s := range e.shards {
 		for range cap(s.in) + 2 {
 			s.in <- shardMsg{}

@@ -98,22 +98,24 @@ func TestEngineObsTelemetry(t *testing.T) {
 		if total := stats.Flush.Total.Snapshot().Sum; total < st.Barrier+st.Merge+st.Invert {
 			t.Errorf("workers=%d: total %dns below barrier+merge+invert %dns", workers, total, st.Barrier+st.Merge+st.Invert)
 		}
-		if workers > 1 {
-			var shardBatches int64
-			for i := range stats.Shards {
-				shardBatches += stats.Shards[i].Batches.Load()
-			}
-			if stats.Reader.Batches.Load() == 0 || shardBatches == 0 {
-				t.Errorf("workers=%d: no batches recorded (reader %d, shards %d)",
-					workers, stats.Reader.Batches.Load(), shardBatches)
-			}
-			if stats.Reader.Dispatch.Count() != uint64(stats.Reader.Batches.Load()) {
-				t.Errorf("dispatch latency observations %d != dispatched batches %d",
-					stats.Reader.Dispatch.Count(), stats.Reader.Batches.Load())
-			}
-			if got := stats.IngestSnapshot().Count(); got != uint64(shardBatches) {
-				t.Errorf("ingest observations %d != shard batches %d", got, shardBatches)
-			}
+		var shardBatches int64
+		for i := range stats.Shards {
+			shardBatches += stats.Shards[i].Batches.Load()
+		}
+		if stats.Reader.Batches.Load() == 0 || shardBatches == 0 {
+			t.Errorf("workers=%d: no batches recorded (reader %d, shards %d)",
+				workers, stats.Reader.Batches.Load(), shardBatches)
+		}
+		if stats.Reader.Batches.Load() != shardBatches {
+			t.Errorf("workers=%d: reader dispatched %d batches, shards ingested %d",
+				workers, stats.Reader.Batches.Load(), shardBatches)
+		}
+		if stats.Reader.Dispatch.Count() != uint64(stats.Reader.Batches.Load()) {
+			t.Errorf("workers=%d: dispatch latency observations %d != dispatched batches %d",
+				workers, stats.Reader.Dispatch.Count(), stats.Reader.Batches.Load())
+		}
+		if got := stats.IngestSnapshot().Count(); got != uint64(shardBatches) {
+			t.Errorf("workers=%d: ingest observations %d != shard batches %d", workers, got, shardBatches)
 		}
 	}
 }
@@ -131,11 +133,11 @@ func TestEngineObsShardMismatch(t *testing.T) {
 
 // TestEngineFeedAllocFreeWithObs is the hot-path half of the tentpole
 // contract: with instrumentation attached, a steady-state packet still
-// costs zero heap allocations — on the inline (Workers=1) engine, whose
-// Feed call IS the whole per-packet pipeline, and on a sharded one at
-// p = 0.5, where half the batches keep more packets than the capacity
-// their kept buffer started with: it grows by append once, and the batch
-// comes back from the worker with what it grew to.
+// costs zero heap allocations — on a one-worker engine at the default
+// batch and on a two-worker one at p = 0.5 and 64-packet batches. In both
+// about half the batches keep more packets than the capacity their kept
+// buffer started with: it grows by append once, and the batch comes back
+// from the worker with what it grew to.
 func TestEngineFeedAllocFreeWithObs(t *testing.T) {
 	pkts := makePackets(t, 4, 200, 9) // one bin's worth: no flush mid-measurement
 	for _, c := range []struct {
@@ -143,7 +145,7 @@ func TestEngineFeedAllocFreeWithObs(t *testing.T) {
 		workers, batch int
 		p              float64
 	}{
-		{"inline", 1, 0, 0.3},
+		{"one worker", 1, 0, 0.3},
 		{"sharded", 2, 64, 0.5},
 	} {
 		cfg, _ := obsConfig(c.workers, nil)
@@ -163,9 +165,9 @@ func TestEngineFeedAllocFreeWithObs(t *testing.T) {
 		for _, p := range pkts { // warm the tables, the slab pools and the batches in flight
 			feed(p)
 		}
-		// Sharded, go on until the batches Feed is filling are ones that came
-		// back from the workers grown (a hand-off that found no spent batch
-		// starts a new one at the first capacity; passes stay in the warm bin).
+		// Go on until the batches Feed is filling are ones that came back
+		// from the workers grown (a hand-off that found no spent batch starts
+		// a new one at the first capacity; passes stay in the warm bin).
 		grown := func() bool {
 			for s := range eng.pending {
 				if cap(eng.pending[s].kept) <= firstCap {
@@ -174,10 +176,10 @@ func TestEngineFeedAllocFreeWithObs(t *testing.T) {
 			}
 			return true
 		}
-		for pass := 0; c.workers > 1 && !grown(); pass++ {
+		for pass := 0; !grown(); pass++ {
 			if pass == 20 {
 				t.Fatalf("%s: kept capacity still %d after %d hand-offs: nothing grew, or growth is not recycled",
-					c.name, firstCap, 20*len(pkts)/c.batch)
+					c.name, firstCap, 20*len(pkts)/eng.cfg.BatchSize)
 			}
 			for _, p := range pkts {
 				p.Time = 4.5

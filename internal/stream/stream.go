@@ -7,33 +7,35 @@
 // decision in trace order, so the sampler's decision stream is exactly the
 // one the sequential monitor would draw, and hashes each aggregated flow
 // key once — the only hash the packet gets, whatever the table kind.
-// Packets are then batched per shard by that hash — 2048 to a hand-off,
-// 512 when the one shard is ingested inline; the hand-off, not the bytes,
-// is what a batch costs (Config.BatchSize has the measurement). Each of the
-// W shards owns its own original/sampled flowtable.Summary pair (the exact
-// open-addressing table by default, or a bounded Space-Saving/Count-Min
-// sketch via Config.Tables) and ingests a batch with one AddBatch per
-// table, which addresses its slots, its key index and its counter rows
-// from the hash the batch carries, so the hot path takes no locks, shares
-// no state, and a table too large for the cache overlaps a batch's memory
-// misses. At each bin boundary a barrier flushes every shard. A bin is
-// closed without sorting it and without a map keyed by flow. The shards
-// report their table sizes, the engine sizes the bin's buffers and gives
-// each shard its own run of them, and each shard writes there its original
-// flows as its table holds them, each one's sampled count beside it (a
-// flow's original and sampled entries live in the same shard), its sampled
-// top list and — for the inverter — its sampled counts without their keys.
-// The engine then ranks only the top list to the front with the joined
-// counts moving along (exact, because the shards partition the key space),
-// and counts the paper's §5/§7 swapped pairs — which only ever compare a
-// top flow with another flow — in one pass over the rest.
+// Packets are then batched per shard by that hash, 2048 to a hand-off; the
+// hand-off, not the bytes, is what a batch costs (Config.BatchSize has the
+// measurements). Every shard — a lone one included — runs on its own
+// worker goroutine, so the reader's decode, sampling and hashing overlap
+// the tables' ingest. Each of the W shards owns its own original/sampled
+// flowtable.Summary pair (the exact open-addressing table by default, or a
+// bounded Space-Saving/Count-Min sketch via Config.Tables) and ingests a
+// batch with one AddBatch per table, which addresses its slots, its key
+// index and its counter rows from the hash the batch carries, so the hot
+// path takes no locks, shares no state, and a table too large for the
+// cache overlaps a batch's memory misses. At each bin boundary a barrier
+// flushes every shard. A bin is closed without sorting it and without a
+// map keyed by flow. The shards report their table sizes, the engine
+// sizes the bin's buffers and gives each shard its own run of them, and
+// each shard writes there its original flows as its table holds them, each
+// one's sampled count beside it (a flow's original and sampled entries
+// live in the same shard), its sampled top list and — for the inverter —
+// its sampled counts without their keys. The engine then ranks only the
+// top list to the front with the joined counts moving along (exact,
+// because the shards partition the key space), and counts the paper's
+// §5/§7 swapped pairs — which only ever compare a top flow with another
+// flow — in one pass over the rest.
 //
 // With exact tables the engine's measurements are identical to the
-// sequential path's for any worker count: with Workers == 1 no goroutines
-// are started and the Feed goroutine ingests each full batch itself, and
-// the cross-check tests pin Workers == N to that output exactly (top
-// lists, metrics and totals as delivered, the unranked rest of Orig as a
-// set), in the same spirit as the model engine's Workers=1-vs-N tests.
+// sequential path's for any worker count: one worker is one shard holding
+// the whole key space, and the cross-check tests pin Workers == N to the
+// sequential reference exactly (top lists, metrics and totals as
+// delivered, the unranked rest of Orig as a set), in the same spirit as
+// the model engine's Workers=1-vs-N tests.
 // Bounded summaries keep that determinism only per fixed worker count —
 // the shard partition is part of a sketch's input — so across worker
 // counts they agree within BinResult.CountErr instead.
@@ -67,23 +69,27 @@ type Config struct {
 	BinSeconds float64
 	// TopT is the length of the ranked top list in every BinResult.
 	TopT int
-	// Workers is the number of shard workers; 0 means GOMAXPROCS. With 1
-	// worker the engine starts no goroutine: Feed ingests each full batch
-	// into the one shard itself.
+	// Workers is the number of shard workers; 0 means GOMAXPROCS. Each
+	// worker is a goroutine owning one shard, one worker included: the Feed
+	// goroutine only samples, hashes and batches.
 	Workers int
-	// BatchSize is the number of packets a shard ingests at a time — per
-	// channel send with several workers, per inline ingest with one. A bin
-	// boundary and Close ingest whatever is pending, so no result depends
-	// on it. 0 means the default of the path the engine runs: 2048 with
-	// several workers, 512 inline. Sharded, what a batch costs is the
-	// hand-off — the worker parked and woken, goroutines migrating between
-	// cores — not the bytes handed over: on a 2-vCPU container 512 -> 2048
-	// took a two-worker Count-Min replay of 2.7 M packets 0.390 -> 0.325 s
-	// wall and 0.640 -> 0.566 s CPU (11 of 11 alternating pairs), and 4096
-	// or 8192 read the same as 2048. Inline there is no hand-off to
-	// amortise, and a larger batch only pushes the buffer Feed fills out of
-	// L1 before the tables read it back: the exact-table replay lost 8 % at
-	// 4096 (4 of 4 pairs).
+	// BatchSize is the number of packets a shard ingests at a time, one
+	// channel send to its worker. A bin boundary and Close ingest whatever
+	// is pending, so no result depends on it. 0 means 2048. What a batch
+	// costs is the hand-off — the worker parked and woken, goroutines
+	// migrating between cores — not the bytes handed over: on a 2-vCPU
+	// container 512 -> 2048 took a two-worker Count-Min replay of 2.7 M
+	// packets 0.390 -> 0.325 s wall and 0.640 -> 0.566 s CPU (11 of 11
+	// alternating pairs), and 4096 or 8192 read the same as 2048. One
+	// worker runs on its own goroutine too, so the reader's decode,
+	// sampling and hashing overlap the shard's ingest: on the same container
+	// an exact-table replay of 2.7 M packets and ~280k flows went from
+	// 0.493 to 0.343 s wall at 0.495 -> 0.513 s CPU when the lone shard
+	// moved off the reader, which had ingested it in 512-packet batches
+	// itself (30 alternating pairs, 29 faster). Pinned to one core, where
+	// nothing overlaps and a batch leaves L1 before the shard reads it back,
+	// the replay read 0.441 -> 0.440 s wall and 0.431 -> 0.438 s CPU (24
+	// pairs, 11 faster).
 	BatchSize int
 	// Inverter, when non-nil, estimates the original flow-size
 	// distribution of every bin from its sampled counts at the sampler's
@@ -201,16 +207,15 @@ type shardSummary struct {
 type shard struct {
 	orig, samp flowtable.Summary
 	stats      *obs.ShardStats   // nil when instrumentation is off
-	in         chan shardMsg     // nil when the engine runs inline
+	in         chan shardMsg     // batches and barrier steps from the reader
 	out        chan shardSummary // one answer per barrier step
 	sampBuf    []flowtable.Entry // the sampled table, copied once per bin
 }
 
-// ingest accounts one batch into the shard's tables — the one ingest path,
-// run by the shard's worker or, on the inline engine, by the reader. The
-// instrumentation (batch ingest time, packet counts) is alloc-free — obs
-// primitives carry the same //flowrank:hotpath contract — and records
-// telemetry only; it never alters an accounting decision.
+// ingest accounts one batch into the shard's tables. The instrumentation
+// (batch ingest time, packet counts) is alloc-free — obs primitives carry
+// the same //flowrank:hotpath contract — and records telemetry only; it
+// never alters an accounting decision.
 //
 //flowrank:hotpath
 func (s *shard) ingest(b batch) {
@@ -225,14 +230,6 @@ func (s *shard) ingest(b batch) {
 		s.stats.Batches.Inc()
 		s.stats.Packets.Add(int64(len(b.all)))
 	}
-}
-
-// step answers one barrier message.
-func (s *shard) step(msg shardMsg) shardSummary {
-	if msg.part != nil {
-		return s.fill(msg.part)
-	}
-	return shardSummary{flows: s.orig.Len(), sampFlows: s.samp.Len()}
 }
 
 // fill writes the shard's share of the bin into p and resets its tables:
@@ -266,20 +263,24 @@ func (s *shard) fill(p *binPart) shardSummary {
 	return sum
 }
 
-// loop is the shard worker: ingest batches, answer barrier steps.
+// loop is the shard worker: ingest batches and hand them back spent,
+// answer barrier steps.
 //
 //flowrank:hotpath
 func (s *shard) loop(wg *sync.WaitGroup, free chan batch) {
 	defer wg.Done()
 	for msg := range s.in {
-		if msg.flush || msg.part != nil {
-			s.out <- s.step(msg)
-			continue
-		}
-		s.ingest(msg.batch)
-		select { // recycle the batch buffers if the reader wants them
-		case free <- msg.batch:
+		switch {
+		case msg.part != nil:
+			s.out <- s.fill(msg.part)
+		case msg.flush:
+			s.out <- shardSummary{flows: s.orig.Len(), sampFlows: s.samp.Len()}
 		default:
+			s.ingest(msg.batch)
+			select { // free has room for every batch in flight; never block on it
+			case free <- msg.batch:
+			default:
+			}
 		}
 	}
 }
@@ -296,7 +297,7 @@ type Engine struct {
 	done       <-chan struct{} // ctx.Done(), nil for Background
 	shards     []*shard
 	pending    []batch    // reader-side per-shard batches
-	free       chan batch // spent batches back from the workers (nil when inline)
+	free       chan batch // spent batches back from the workers
 	wg         sync.WaitGroup
 	bin        int64
 	binPackets int64
@@ -325,21 +326,23 @@ var ErrClosed = errors.New("stream: engine already closed")
 // timestamp collapses into this one final bin.
 const clampBin int64 = 1 << 53
 
-// The batch sizes a zero Config.BatchSize resolves to, one per path;
+// defaultBatch is the batch size a zero Config.BatchSize resolves to;
 // Config.BatchSize has the measurements.
-const (
-	defaultBatchInline  = 512
-	defaultBatchSharded = 2048
-)
+const defaultBatch = 2048
+
+// shardQueue is the number of messages a shard's inbound queue holds: a
+// few batches of slack, so the reader runs on while a worker is still
+// ingesting or waking up.
+const shardQueue = 4
 
 // DefaultWorkers is the shard worker count a zero Config.Workers
 // resolves to — exported so callers preallocating per-shard state (an
 // obs.PipelineStats) can size it for the engine they are about to build.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// NewEngine validates cfg, starts the shard workers (for Workers > 1) and
-// returns an engine ready for Feed. Every engine must be Closed, even
-// after an error, to release its workers.
+// NewEngine validates cfg, starts the shard workers and returns an engine
+// ready for Feed. Every engine must be Closed (or Aborted), even after an
+// error, to release its workers.
 func NewEngine(cfg Config, emit func(BinResult) error) (*Engine, error) {
 	return NewEngineContext(context.Background(), cfg, emit)
 }
@@ -375,10 +378,7 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 		return nil, fmt.Errorf("stream: worker count %d must be at least 1", cfg.Workers)
 	}
 	if cfg.BatchSize == 0 {
-		cfg.BatchSize = defaultBatchInline
-		if cfg.Workers > 1 {
-			cfg.BatchSize = defaultBatchSharded
-		}
+		cfg.BatchSize = defaultBatch
 	}
 	if cfg.BatchSize < 1 {
 		return nil, fmt.Errorf("stream: batch size %d must be at least 1", cfg.BatchSize)
@@ -417,14 +417,17 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 	for i := range e.pending {
 		e.pending[i] = e.newBatch()
 	}
-	if cfg.Workers > 1 {
-		e.free = make(chan batch, 2*cfg.Workers)
-		for _, s := range e.shards {
-			s.in = make(chan shardMsg, 4)
-			s.out = make(chan shardSummary, 1)
-			e.wg.Add(1)
-			go s.loop(&e.wg, e.free)
-		}
+	// A shard has at most shardQueue+2 batches in flight: the one its
+	// worker ingests, a full queue and one the reader is blocked sending.
+	// free has room for all of them, so a worker never drops a spent batch
+	// and, once the batches in circulation stop growing, every hand-off
+	// takes a spent batch instead of a new one.
+	e.free = make(chan batch, cfg.Workers*(shardQueue+2))
+	for _, s := range e.shards {
+		s.in = make(chan shardMsg, shardQueue)
+		s.out = make(chan shardSummary, 1)
+		e.wg.Add(1)
+		go s.loop(&e.wg, e.free)
 	}
 	return e, nil
 }
@@ -528,10 +531,6 @@ func (e *Engine) Abort() {
 	e.shutdown()
 }
 
-// inline reports whether the engine runs no workers (Workers == 1): the
-// Feed goroutine then does the one shard's ingest and barrier steps itself.
-func (e *Engine) inline() bool { return e.free == nil }
-
 // minKeptCap is the least capacity a new batch's kept buffer starts with.
 const minKeptCap = 32
 
@@ -539,8 +538,9 @@ const minKeptCap = 32
 // never grows; kept receives the sampled fraction of them, so it starts at
 // the capacity the sampler's rate implies and grows by append when a batch
 // keeps more. A recycled batch keeps what it grew to (emptied), so the
-// steady state still allocates nothing, and a sharded engine's dozen
-// batches in flight hold p·BatchSize kept observations each, not BatchSize.
+// steady state still allocates nothing, and the up to shardQueue+3
+// batches a shard has in circulation hold p·BatchSize kept observations
+// each, not BatchSize.
 func (e *Engine) newBatch() batch {
 	kept := int(e.cfg.Sampler.Rate() * float64(e.cfg.BatchSize))
 	return batch{
@@ -549,20 +549,13 @@ func (e *Engine) newBatch() batch {
 	}
 }
 
-// dispatch has shard s ingest its pending batch: inline when the engine
-// runs no workers, otherwise by handing it to the shard's worker and
-// taking a spent batch (or a new one) in its place. Instrumented, the
-// hand-off also records the shard's queue depth, its latency, and whether
-// the send had to stall on a full queue — the reader-side backpressure
-// signal.
+// dispatch hands shard s its pending batch and takes a spent batch (or a
+// new one) in its place. Instrumented, the hand-off also records the
+// shard's queue depth, its latency, and whether the send had to stall on a
+// full queue — the reader-side backpressure signal.
 func (e *Engine) dispatch(s int) {
 	b := e.pending[s]
 	if len(b.all) == 0 {
-		return
-	}
-	if e.inline() {
-		e.shards[s].ingest(b)
-		e.pending[s] = b.emptied()
 		return
 	}
 	if st := e.cfg.Obs; st != nil {
@@ -645,25 +638,18 @@ func (e *Engine) flushBin() error {
 }
 
 // barrierStep has every shard answer one barrier step into sums: flush,
-// or with fill its part of the bin. The inline engine answers for its
-// shard itself; the sharded one sends every worker its message before
-// collecting any answer, so the workers answer in parallel.
+// or with fill its part of the bin. Every worker is sent its message
+// before any answer is collected, so the workers answer in parallel.
 func (e *Engine) barrierStep(sums []shardSummary, fill bool) {
 	for s, sh := range e.shards {
 		msg := shardMsg{flush: !fill}
 		if fill {
 			msg.part = &e.parts[s]
 		}
-		if e.inline() {
-			sums[s] = sh.step(msg)
-		} else {
-			sh.in <- msg
-		}
+		sh.in <- msg
 	}
-	if !e.inline() {
-		for s, sh := range e.shards {
-			sums[s] = <-sh.out
-		}
+	for s, sh := range e.shards {
+		sums[s] = <-sh.out
 	}
 }
 
@@ -780,9 +766,7 @@ func (e *Engine) shutdown() {
 	}
 	e.stopped = true
 	for _, s := range e.shards {
-		if s.in != nil {
-			close(s.in)
-		}
+		close(s.in)
 	}
 	e.wg.Wait()
 }

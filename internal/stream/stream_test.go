@@ -1,9 +1,12 @@
 package stream
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -130,9 +133,9 @@ func compareBins(t *testing.T, label string, topT int, got, want []BinResult) {
 	}
 }
 
-// TestEngineMatchesSequentialReference pins the engine — sequential inline
-// path and sharded path alike — to the independent reference loop,
-// bit for bit, for both flow definitions.
+// TestEngineMatchesSequentialReference pins the engine — one shard and
+// several alike — to the independent reference loop, bit for bit, for
+// both flow definitions.
 func TestEngineMatchesSequentialReference(t *testing.T) {
 	pkts := makePackets(t, 20, 120, 3)
 	const binSec, topT, rate = 5.0, 8, 0.2
@@ -157,7 +160,7 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 }
 
 // TestEngineWorkerCountInvariance: any worker count and batch size must
-// produce the same bin stream as the sequential path — the cross-check
+// produce the same bin stream as one worker at the default batch — the cross-check
 // that the sharded merge is exact.
 func TestEngineWorkerCountInvariance(t *testing.T) {
 	pkts := makePackets(t, 15, 150, 11)
@@ -366,12 +369,13 @@ func TestEngineEmitError(t *testing.T) {
 	}
 }
 
-// TestEngineInlineBatching: the inline engine (Workers == 1) holds
-// packets in a reader-side batch until it fills, so every way a bin can
-// end must first ingest — or, for an aborted run, drop — what is pending.
-// Ten packets, three per one-second bin, one flow per bin: with a batch of
-// 7 the first ingest happens only when the third bin is half fed.
-func TestEngineInlineBatching(t *testing.T) {
+// TestEngineBatching: the reader holds each shard's packets in a batch
+// until it fills, so every way a bin can end must first ingest — or, for
+// an aborted run, drop — what is pending. Ten packets, three per
+// one-second bin, one flow per bin: with one worker and a batch of 7 the
+// first hand-off happens only when the third bin is half fed; with three
+// workers the flows' batches fill apart, shard by shard.
+func TestEngineBatching(t *testing.T) {
 	feed := func(eng *Engine, n int) error {
 		for i := 0; i < n; i++ {
 			p := packet.Packet{Time: float64(i) / 3, Key: flow.Key{Src: flow.Addr{10, 0, 0, byte(i / 3)}}, Size: 100}
@@ -382,10 +386,13 @@ func TestEngineInlineBatching(t *testing.T) {
 		return nil
 	}
 	boom := errors.New("boom")
-	for _, batch := range []int{1, 7, 512, 2047, 2048} {
+	for _, c := range []struct{ workers, batch int }{
+		{1, 1}, {1, 7}, {1, 512}, {1, 2047}, {1, 2048}, {3, 1}, {3, 7}, {3, 2048},
+	} {
+		workers, batch := c.workers, c.batch
 		var out []BinResult
 		var emitErr error
-		stats := obs.NewPipelineStats(1)
+		stats := obs.NewPipelineStats(workers)
 		mk := func() *Engine {
 			out = nil
 			eng, err := NewEngine(Config{
@@ -393,7 +400,7 @@ func TestEngineInlineBatching(t *testing.T) {
 				Sampler:    sampler.NewBernoulli(1, 1),
 				BinSeconds: 1,
 				TopT:       2,
-				Workers:    1,
+				Workers:    workers,
 				BatchSize:  batch,
 				Obs:        stats,
 			}, func(b BinResult) error {
@@ -416,7 +423,7 @@ func TestEngineInlineBatching(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(out) != 4 {
-			t.Fatalf("batch=%d: %d bins, want 4", batch, len(out))
+			t.Fatalf("workers=%d batch=%d: %d bins, want 4", workers, batch, len(out))
 		}
 		for i, b := range out {
 			wantPkts := int64(3)
@@ -425,11 +432,11 @@ func TestEngineInlineBatching(t *testing.T) {
 			}
 			if b.Bin != int64(i) || b.OrigPackets != wantPkts || b.SampledPackets != wantPkts ||
 				len(b.Orig) != 1 || b.Orig[0].Key.Src[3] != byte(i) || b.Orig[0].Packets != wantPkts {
-				t.Fatalf("batch=%d: bin %d = %+v, want its own %d packets of flow %d", batch, i, b, wantPkts, i)
+				t.Fatalf("workers=%d batch=%d: bin %d = %+v, want its own %d packets of flow %d", workers, batch, i, b, wantPkts, i)
 			}
 		}
-		if got := stats.Shards[0].Packets.Load(); got != 10 {
-			t.Fatalf("batch=%d: shard ingested %d packets after Close, want 10", batch, got)
+		if got := stats.ShardPackets(); got != 10 {
+			t.Fatalf("workers=%d batch=%d: shards ingested %d packets after Close, want 10", workers, batch, got)
 		}
 
 		// Abort drops the pending batch with the rest of the partial bin.
@@ -439,20 +446,94 @@ func TestEngineInlineBatching(t *testing.T) {
 		}
 		eng.Abort()
 		if err := eng.Close(); err != nil || len(out) != 1 {
-			t.Fatalf("batch=%d: Abort then Close = %v with %d bins emitted, want nil and bin 0 only", batch, err, len(out))
+			t.Fatalf("workers=%d batch=%d: Abort then Close = %v with %d bins emitted, want nil and bin 0 only", workers, batch, err, len(out))
 		}
 
 		// An emit error surfaces from the Feed that crossed the boundary
 		// and from every Feed after it.
 		eng, emitErr = mk(), boom
 		if err := feed(eng, 10); !errors.Is(err, boom) {
-			t.Fatalf("batch=%d: Feed across a failing bin = %v, want boom", batch, err)
+			t.Fatalf("workers=%d batch=%d: Feed across a failing bin = %v, want boom", workers, batch, err)
 		}
 		if err := feed(eng, 1); !errors.Is(err, boom) {
-			t.Fatalf("batch=%d: Feed after the failure = %v, want boom", batch, err)
+			t.Fatalf("workers=%d batch=%d: Feed after the failure = %v, want boom", workers, batch, err)
 		}
 		if err := eng.Close(); !errors.Is(err, boom) || len(out) != 1 {
-			t.Fatalf("batch=%d: Close = %v after %d bins, want boom after 1", batch, err, len(out))
+			t.Fatalf("workers=%d batch=%d: Close = %v after %d bins, want boom after 1", workers, batch, err, len(out))
+		}
+	}
+}
+
+// shardWorkers counts the live goroutines NewEngineContext started — the
+// shard workers, each running its shard's loop — by their creation frame,
+// which a worker not yet scheduled (its stack still the go statement's
+// wrapper) carries too. A worker calls wg.Done on its way out of the loop,
+// so on one P none is left once shutdown's Wait has returned: the last one
+// to call Done runs on to its exit before the waiter is scheduled.
+func shardWorkers() int {
+	buf := make([]byte, 64<<10)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	return bytes.Count(buf[:n], []byte("\ncreated by flowrank/internal/stream.NewEngineContext in goroutine "))
+}
+
+// TestEngineWorkersExit: an engine runs one worker goroutine per shard, a
+// lone shard included, from NewEngine until it is released — by Close,
+// Abort, a context cancellation seen by Feed, or a failed emit followed by
+// Close. Nothing sleeps: release waits for the workers itself.
+func TestEngineWorkersExit(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	boom := errors.New("boom")
+	ends := []struct {
+		name    string
+		emitErr error
+		end     func(eng *Engine, cancel context.CancelFunc) error
+	}{
+		{"Close", nil, func(eng *Engine, _ context.CancelFunc) error { return eng.Close() }},
+		{"Abort", nil, func(eng *Engine, _ context.CancelFunc) error { eng.Abort(); return nil }},
+		{"cancel", nil, func(eng *Engine, cancel context.CancelFunc) error {
+			cancel()
+			if err := eng.Feed(pkt(0.5, 99)); !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("Feed after cancel = %v, want context.Canceled", err)
+			}
+			return nil
+		}},
+		{"emit error", boom, func(eng *Engine, _ context.CancelFunc) error {
+			if err := eng.Feed(pkt(1.5, 99)); !errors.Is(err, boom) {
+				return fmt.Errorf("Feed across a failing bin = %v, want boom", err)
+			}
+			if err := eng.Close(); !errors.Is(err, boom) {
+				return fmt.Errorf("Close after a failed emit = %v, want boom", err)
+			}
+			return nil
+		}},
+	}
+	for _, workers := range []int{1, 3} {
+		for _, c := range ends {
+			ctx, cancel := context.WithCancel(context.Background())
+			eng, err := NewEngineContext(ctx, testConfig(workers), func(BinResult) error { return c.emitErr })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				if err := eng.Feed(pkt(0.1+float64(i)*0.01, byte(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := shardWorkers(); got != workers {
+				t.Errorf("workers=%d %s: %d shard workers while running, want %d", workers, c.name, got, workers)
+			}
+			if err := c.end(eng, cancel); err != nil {
+				t.Errorf("workers=%d %s: %v", workers, c.name, err)
+			}
+			if got := shardWorkers(); got != 0 {
+				t.Errorf("workers=%d %s: %d shard workers left after release", workers, c.name, got)
+			}
+			cancel()
 		}
 	}
 }
@@ -543,13 +624,13 @@ func TestEngineConfigValidation(t *testing.T) {
 	}
 }
 
-// TestDefaultBatchPerPath: a zero BatchSize resolves per path — 512 on the
-// inline engine, 2048 where a batch is a hand-off to a shard worker — and
-// an explicit size is honoured on both.
-func TestDefaultBatchPerPath(t *testing.T) {
+// TestDefaultBatch: a zero BatchSize resolves to 2048 at every worker
+// count, and an explicit size is honoured at each.
+func TestDefaultBatch(t *testing.T) {
 	for _, c := range []struct{ workers, batch, want int }{
-		{1, 0, 512}, {2, 0, 2048}, {4, 0, 2048},
-		{1, 100, 100}, {2, 100, 100}, {1, 4096, 4096}, {2, 4096, 4096},
+		{1, 0, 2048}, {2, 0, 2048}, {4, 0, 2048},
+		{1, 100, 100}, {2, 100, 100}, {4, 100, 100},
+		{1, 4096, 4096}, {2, 4096, 4096}, {4, 4096, 4096},
 	} {
 		eng, err := NewEngine(Config{
 			Agg:        flow.FiveTuple{},
