@@ -133,9 +133,12 @@ microbench:
 # in ns/pkt and allocs/pkt (0) for both aggregations; BenchmarkBinClose
 # is the bin boundary alone (ns/flow) on batch-exact's shape (280k flows,
 # one shard) and adapt-loop's (47k flows, two shards, p = 0.1).
+# BenchmarkInvert runs every inverter on daemon-scrape's sampled bin
+# (p = 0.01) and adapt-loop's (p = 0.1), in ns/op and allocs/op.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -run '^$$' -bench 'Misrank|ModelRanking|StreamPackets|StreamEngine|NetworkCoord|NetworkDynamic|ExtensionSketch' -benchtime 1x
+	$(GO) test -run '^$$' -bench '^BenchmarkInvert$$' -benchtime 1x ./internal/invert
 	$(GO) test -run '^$$' -bench '^Benchmark(RequiredRate|RankingMetric)$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'Ingest' -benchtime 1x ./internal/flowtable
 	$(GO) test -run '^$$' -bench '^Benchmark(Engine|BinClose)$$' -benchtime 1x ./internal/stream

@@ -71,7 +71,7 @@ func BenchmarkModelRankingMetric(b *testing.B) {
 }
 
 // BenchmarkModelRankingSpliced scores the model over the spliced
-// Empirical-body + Pareto-tail mixture that invert.TailScaling feeds back
+// sample-body + Pareto-tail mixture that invert.TailScaling feeds back
 // into the control loop. The inner integrals invert the mixture CCDF at
 // every quadrature node; before the step atlas (internal/dist) those
 // inversions fell through to bisection on the body's atoms, making this
@@ -84,7 +84,7 @@ func BenchmarkModelRankingSpliced(b *testing.B) {
 		body[i] = 1 + float64(i%37) + float64(i)*7.3e-4
 	}
 	mix, err := NewMixture(
-		MixtureComponent{Weight: 0.9, Dist: NewEmpirical(body)},
+		MixtureComponent{Weight: 0.9, Dist: NewDiscrete(Tally(body))},
 		MixtureComponent{Weight: 0.1, Dist: Pareto{Scale: 40, Shape: 1.3}},
 	)
 	if err != nil {

@@ -8,8 +8,8 @@
 //   - Analytical models (Model, OptimalRate, MisrankExact): closed-form
 //     and quadrature evaluation of the paper's swapped-pairs metrics for
 //     ranking (§5) and detection (§7), under any flow-size distribution
-//     (Pareto, bounded Pareto, exponential, Weibull, lognormal, empirical,
-//     discrete, and mixtures of them).
+//     (Pareto, bounded Pareto, exponential, Weibull, lognormal, discrete —
+//     a measured sample's law among them — and mixtures of them).
 //
 //   - Trace machinery (TraceConfig presets, GenerateTrace, StreamPackets):
 //     synthetic flow-level traces calibrated to the paper's Sprint
@@ -122,8 +122,6 @@ type (
 	Weibull = dist.Weibull
 	// Lognormal is the short-tailed law used for the Abilene workload.
 	Lognormal = dist.Lognormal
-	// Empirical is the discrete distribution of an observed sample.
-	Empirical = dist.Empirical
 )
 
 // ParetoWithMean returns a Pareto distribution with the given mean and
@@ -135,9 +133,6 @@ func ParetoWithMean(mean, shape float64) Pareto { return dist.ParetoWithMean(mea
 func ExponentialWithMean(min, mean float64) Exponential {
 	return dist.ExponentialWithMean(min, mean)
 }
-
-// NewEmpirical builds an empirical distribution from sample values.
-func NewEmpirical(values []float64) *Empirical { return dist.NewEmpirical(values) }
 
 // Mixture is the convex combination of several size laws — multi-class
 // traffic such as an exponential body of mice under a Pareto elephant
@@ -153,14 +148,18 @@ func NewMixture(components ...MixtureComponent) (*Mixture, error) {
 	return dist.NewMixture(components...)
 }
 
-// Discrete is a weighted discrete distribution over an arbitrary
-// ascending support — the output type of the EM inversion, and the
-// generalization of Empirical to (value, probability) atoms.
+// Discrete is the step law: weighted atoms over an ascending support.
+// An observed sample's law is NewDiscrete(Tally(sample)); the EM
+// inversion returns one over its support grid.
 type Discrete = dist.Discrete
 
 // NewDiscrete builds a discrete distribution from parallel value/weight
 // slices (weights are normalized; zero-weight atoms dropped).
 func NewDiscrete(values, weights []float64) *Discrete { return dist.NewDiscrete(values, weights) }
+
+// Tally sorts a copy of a sample into its ascending distinct values and
+// their multiplicities, the arguments of NewDiscrete for the sample's law.
+func Tally(sample []float64) (values, counts []float64) { return dist.Tally(sample) }
 
 // ---------------------------------------------------------------------------
 // Flow identity and traces
@@ -526,7 +525,7 @@ func NewSizeEstimator(p float64) *SizeEstimator { return seqest.New(p) }
 type Controller = adaptive.Controller
 
 // HillTailIndex estimates the Pareto tail index from the k largest sample
-// values.
+// values; a non-positive or non-finite size is an error.
 func HillTailIndex(sizes []float64, k int) (float64, error) { return invert.Hill(sizes, k) }
 
 // ---------------------------------------------------------------------------

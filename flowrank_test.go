@@ -238,7 +238,7 @@ func TestDistributionFacade(t *testing.T) {
 		Exponential{Min: 1, Scale: 8.6},
 		Weibull{Min: 1, Lambda: 8, K: 1.4},
 		Lognormal{Min: 1, Mu: 1.2, Sigma: 1.1},
-		NewEmpirical([]float64{1, 2, 3, 50, 400}),
+		NewDiscrete(Tally([]float64{1, 2, 3, 50, 400})),
 		mix,
 	}
 	// The laws' analytical behaviour is covered by internal/dist and
@@ -347,7 +347,7 @@ func TestInversionFacade(t *testing.T) {
 			counts = append(counts, float64(k))
 		}
 	}
-	emp := NewEmpirical(truth)
+	emp := NewDiscrete(Tally(truth))
 	probes := QuantileProbes(emp, 128)
 	ks := func(est Inversion) float64 { return KolmogorovDistance(est.Dist, emp, probes) }
 	var naiveKS, emKS float64
@@ -362,8 +362,8 @@ func TestInversionFacade(t *testing.T) {
 		switch inv.(type) {
 		case NaiveInverter:
 			naiveKS = ks(est)
-			if _, ok := est.Dist.(*Empirical); !ok {
-				t.Fatalf("naive estimate dist %T, want *Empirical", est.Dist)
+			if _, ok := est.Dist.(*Discrete); !ok {
+				t.Fatalf("naive estimate dist %T, want *Discrete", est.Dist)
 			}
 		case EMInverter:
 			emKS = ks(est)

@@ -35,7 +35,8 @@ func TestDiscretizedLawMatchesContinuousModel(t *testing.T) {
 }
 
 // TestModelAcceptsMixtureAndEmpirical runs the quadrature end-to-end on
-// the two combinator-style laws the subsystem adds beyond the seed: the
+// the two combinator-style laws the subsystem adds beyond the seed, a
+// mixture and a sample's empirical law (a Discrete over its tally): the
 // metrics must stay finite, ordered (detection <= ranking) and decreasing
 // in p.
 func TestModelAcceptsMixtureAndEmpirical(t *testing.T) {

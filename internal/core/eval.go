@@ -20,8 +20,8 @@ import (
 // instead of pointing one adaptive rule at "whatever the integrand happens
 // to be" in the law's quantile space:
 //
-//   - Atoms are summed. The mass of an Empirical or Discrete law (alone or
-//     inside a Mixture) sits on points; each contributes kernel × mass.
+//   - Atoms are summed. The mass of a Discrete law (alone or inside a
+//     Mixture) sits on points; each contributes kernel × mass.
 //   - Integer cells are summed. KernelHybrid rounds both sizes to whole
 //     packets while p·min(sizes) < hybridThreshold, so over that range the
 //     integrand is constant on each cell [j−½, j+½) and the integral is

@@ -59,7 +59,7 @@ func conformanceLaws() (laws []dist.SizeDist, stepLaw []bool) {
 		dist.ExponentialWithMean(1, 9.6),
 		dist.Weibull{Min: 1, Lambda: 8, K: 0.6},
 		dist.Lognormal{Min: 1, Mu: 1.2, Sigma: 1.1},
-		dist.NewEmpirical(sample),
+		dist.NewDiscrete(dist.Tally(sample)),
 		dist.NewDiscreteFromPMF(dist.Discretize(pareto, 3000)),
 	}, []bool{5: true, 6: true}
 }
@@ -242,7 +242,7 @@ func TestMixturesMatchReference(t *testing.T) {
 	}
 	body := []float64{1, 1, 1, 2, 2, 3, 3.5, 4, 6, 6, 9, 12.25, 14, 20, 31}
 	spliced, err := dist.NewMixture(
-		dist.Component{Weight: 0.85, Dist: dist.NewEmpirical(body)},
+		dist.Component{Weight: 0.85, Dist: dist.NewDiscrete(dist.Tally(body))},
 		dist.Component{Weight: 0.15, Dist: dist.Pareto{Scale: 8, Shape: 1.4}})
 	if err != nil {
 		t.Fatal(err)

@@ -3,17 +3,18 @@ package dist
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"flowrank/internal/randx"
 )
 
-// Discrete is a weighted discrete distribution over an arbitrary
-// ascending support — the generalization of Empirical from equal-weight
-// samples to (value, probability) atoms. It is the natural output type of
-// the distribution inverters (internal/invert): an EM inversion produces
-// a probability vector over a support grid, and wrapping it in a Discrete
-// hands every consumer a full SizeDist for free.
+// Discrete is a weighted discrete distribution over an ascending support
+// of (value, probability) atoms: every step law in this module. A measured
+// sample is the Discrete over its distinct values weighted by their
+// multiplicities, NewDiscrete(Tally(sample)); the EM inversion
+// (internal/invert) produces a probability vector over a support grid, and
+// wrapping it in a Discrete hands every consumer a full SizeDist for free.
 type Discrete struct {
 	// values is the ascending support; weights[i] is P{S = values[i]}.
 	values  []float64
@@ -25,10 +26,15 @@ type Discrete struct {
 }
 
 // NewDiscrete builds a discrete distribution from parallel value/weight
-// slices. Values must be strictly ascending and non-negative, weights
-// non-negative with a positive sum (they are normalized); both are
+// slices. Values must be strictly ascending, non-negative and finite,
+// weights non-negative with a positive sum (they are normalized); both are
 // copied. Atoms with zero weight are dropped. It panics on invalid input,
 // like the other law constructors.
+//
+// The CCDF tails and the mean are summed in the caller's weights and
+// divided by their total once, so integer multiplicities of a sample give
+// exactly its empirical law: CCDF(values[i]) is (n − m)/n with m the
+// number of sample values at or below values[i], and the mean is Σv/n.
 func NewDiscrete(values, weights []float64) *Discrete {
 	if len(values) == 0 || len(values) != len(weights) {
 		panic(fmt.Sprintf("dist: NewDiscrete needs equal-length non-empty slices, got %d values, %d weights",
@@ -39,7 +45,7 @@ func NewDiscrete(values, weights []float64) *Discrete {
 		if w < 0 || math.IsNaN(w) {
 			panic(fmt.Sprintf("dist: NewDiscrete weight[%d] = %g", i, w))
 		}
-		if values[i] < 0 || math.IsNaN(values[i]) {
+		if !(values[i] >= 0) || math.IsInf(values[i], 1) {
 			panic(fmt.Sprintf("dist: NewDiscrete value[%d] = %g", i, values[i]))
 		}
 		if i > 0 && values[i] <= values[i-1] {
@@ -60,16 +66,38 @@ func NewDiscrete(values, weights []float64) *Discrete {
 			continue
 		}
 		d.values = append(d.values, values[i])
-		d.weights = append(d.weights, w/total)
+		d.weights = append(d.weights, w)
 	}
 	d.ccdf = make([]float64, len(d.values))
-	tail := 0.0
+	var tail, sum float64
 	for i := len(d.values) - 1; i >= 0; i-- {
-		d.ccdf[i] = tail
+		d.ccdf[i] = tail / total
 		tail += d.weights[i]
-		d.mean += d.values[i] * d.weights[i]
+		sum += d.values[i] * d.weights[i]
+		d.weights[i] /= total
 	}
+	d.mean = sum / total
 	return d
+}
+
+// Tally sorts a copy of sample into its ascending distinct values and the
+// number of times each occurs: the (value, weight) pairs NewDiscrete takes
+// to build the sample's own step law. A NaN sorts first, as its own value.
+func Tally(sample []float64) (values, counts []float64) {
+	values = slices.Clone(sample)
+	slices.Sort(values)
+	counts = make([]float64, 0, 64)
+	out := 0
+	for _, v := range values {
+		if out > 0 && values[out-1] == v {
+			counts[out-1]++
+			continue
+		}
+		values[out] = v
+		counts = append(counts, 1)
+		out++
+	}
+	return values[:out], counts
 }
 
 // NewDiscreteFromPMF wraps a pmf in the Discretize layout (pmf[s] is
@@ -95,10 +123,6 @@ func (d *Discrete) Len() int { return len(d.values) }
 func (d *Discrete) Atoms(values, weights []float64) ([]float64, []float64) {
 	return append(values, d.values...), append(weights, d.weights...)
 }
-
-// atomValues implements atomSource for the mixture step atlas. The
-// returned slice is owned by d.
-func (d *Discrete) atomValues() []float64 { return d.values }
 
 // CCDF returns P{S > x}.
 func (d *Discrete) CCDF(x float64) float64 {

@@ -10,14 +10,16 @@
 // CCDF, its inverse QuantileCCDF, the mean (for calibration and
 // population inversion), and a deterministic sampler for the simulators.
 //
-// Six laws cover the paper's workloads — Pareto (§6, the Sprint
-// calibration), BoundedPareto (truncated tails), Exponential and Weibull
-// (light tails, §6.2), Lognormal (the short-tailed Abilene workload,
-// §8.3) and Empirical (measured samples). Mixture combines any of them
-// into multi-class traffic, and Discrete holds weighted atoms (the EM
-// inversion's output). Discretize projects any law onto an integer
-// packet-count pmf: NewDiscreteFromPMF wraps it as a law, and core's test
-// reference (DiscreteModel, direct summation) sums over it.
+// Five continuous laws cover the paper's workloads — Pareto (§6, the
+// Sprint calibration), BoundedPareto (truncated tails), Exponential and
+// Weibull (light tails, §6.2) and Lognormal (the short-tailed Abilene
+// workload, §8.3). Discrete is the one step law: weighted atoms, whether
+// a measured sample's distinct values with their multiplicities
+// (NewDiscrete(Tally(sample))) or the EM inversion's output. Mixture
+// combines any of them into multi-class traffic. Discretize projects any
+// law onto an integer packet-count pmf: NewDiscreteFromPMF wraps it as a
+// law, and core's test reference (DiscreteModel, direct summation) sums
+// over it.
 package dist
 
 import "flowrank/internal/randx"
@@ -53,7 +55,6 @@ var (
 	_ SizeDist = Exponential{}
 	_ SizeDist = Weibull{}
 	_ SizeDist = Lognormal{}
-	_ SizeDist = (*Empirical)(nil)
 	_ SizeDist = (*Discrete)(nil)
 	_ SizeDist = (*Mixture)(nil)
 )

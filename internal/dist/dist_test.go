@@ -53,14 +53,14 @@ func stepLaws(t *testing.T) []SizeDist {
 		body[i] = math.Round(ExponentialWithMean(1, 20).Rand(g))
 	}
 	spliced, err := NewMixture(
-		Component{Weight: 0.95, Dist: NewEmpirical(body)},
+		Component{Weight: 0.95, Dist: NewDiscrete(Tally(body))},
 		Component{Weight: 0.05, Dist: Pareto{Scale: 120, Shape: 1.6}},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return []SizeDist{
-		NewEmpirical([]float64{10, 20, 20, 30, 70, 200, 1100}),
+		NewDiscrete(Tally([]float64{10, 20, 20, 30, 70, 200, 1100})),
 		NewDiscrete([]float64{1, 2, 5, 17, 80, 4000}, []float64{0.35, 0.3, 0.2, 0.1, 0.04, 0.01}),
 		NewDiscreteFromPMF(Discretize(ParetoWithMean(9.6, 1.5), 300)),
 		spliced,

@@ -99,7 +99,7 @@ func (m *Mixture) QuantileCCDF(u float64) float64 {
 // component quantiles. The root is bracketed by the smallest and largest
 // component quantiles at u: below the smallest every component's CCDF is
 // at least u, above the largest at most u. Step-valued components
-// (Empirical) can put the pseudo-inverse slightly outside that bracket,
+// (Discrete) can put the pseudo-inverse slightly outside that bracket,
 // so quantileBracket widens it until it straddles u. 200 halvings reach
 // float64 resolution from any finite bracket.
 func (m *Mixture) quantileBisect(u float64) float64 {

@@ -92,7 +92,7 @@ func TestMixtureRandClassShares(t *testing.T) {
 
 func TestMixtureWithEmpiricalComponent(t *testing.T) {
 	// A step-CCDF component must not break the quantile bisection.
-	emp := NewEmpirical([]float64{2, 2, 3, 7, 7, 7, 11, 40})
+	emp := NewDiscrete(Tally([]float64{2, 2, 3, 7, 7, 7, 11, 40}))
 	m, err := NewMixture(
 		Component{Weight: 1, Dist: emp},
 		Component{Weight: 1, Dist: ExponentialWithMean(1, 9.6)},
@@ -136,7 +136,7 @@ func TestMixtureQuantileMonotone(t *testing.T) {
 
 // TestMixtureQuantileIsPseudoInverse states what QuantileCCDF(u) is —
 // sup{x : CCDF(x) >= u} — through the CCDF alone, for a smooth two-class
-// mixture, the spliced Empirical+Pareto shape and a Discrete+Pareto one,
+// mixture, the spliced sample+Pareto shape and a Discrete+Pareto one,
 // over eighteen decades of u. The test finds the jumps itself, from the
 // step components' atoms: u is inside the jump at a when
 // CCDF(a) < u <= CCDF(a-), and there the quantile is a exactly. Off a
@@ -156,8 +156,8 @@ func TestMixtureQuantileIsPseudoInverse(t *testing.T) {
 		type jump struct{ atom, below, above float64 } // CCDF(atom), CCDF(atom-)
 		var jumps []jump
 		for _, c := range m.comps {
-			if src, ok := c.Dist.(atomSource); ok {
-				for _, a := range src.atomValues() {
+			if d, ok := c.Dist.(*Discrete); ok {
+				for _, a := range d.values {
 					jumps = append(jumps, jump{a, m.CCDF(a), m.CCDF(math.Nextafter(a, math.Inf(-1)))})
 				}
 			}
@@ -201,7 +201,7 @@ func TestMixtureQuantileIsPseudoInverse(t *testing.T) {
 // to the Pareto scale.
 func TestMixtureQuantileOnFlatIsRightEnd(t *testing.T) {
 	m, err := NewMixture(
-		Component{Weight: 0.9, Dist: NewEmpirical([]float64{1, 1, 1, 1, 1, 1, 2, 2, 2.5})},
+		Component{Weight: 0.9, Dist: NewDiscrete(Tally([]float64{1, 1, 1, 1, 1, 1, 2, 2, 2.5}))},
 		Component{Weight: 0.1, Dist: Pareto{Scale: 3, Shape: 12.5}},
 	)
 	if err != nil {
@@ -212,58 +212,6 @@ func TestMixtureQuantileOnFlatIsRightEnd(t *testing.T) {
 	}
 	if x := m.QuantileCCDF(0.1); x > 3 || x < 3*(1-1e-11) {
 		t.Errorf("QuantileCCDF(0.1) = %.17g on the flat [2.5, 3], want its right end", x)
-	}
-}
-
-func TestEmpiricalSteps(t *testing.T) {
-	e := NewEmpirical([]float64{5, 1, 2, 2}) // unsorted on purpose
-	if e.Len() != 4 {
-		t.Fatalf("Len = %d", e.Len())
-	}
-	if got := e.Mean(); got != 2.5 {
-		t.Errorf("mean %g, want 2.5", got)
-	}
-	cases := []struct{ x, want float64 }{
-		{0, 1}, {1, 0.75}, {1.5, 0.75}, {2, 0.25}, {4.9, 0.25}, {5, 0}, {9, 0},
-	}
-	for _, c := range cases {
-		if got := e.CCDF(c.x); got != c.want {
-			t.Errorf("CCDF(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
-	quants := []struct{ u, want float64 }{
-		{1, 1}, {0.76, 1}, {0.75, 1}, {0.5, 2}, {0.26, 2}, {0.25, 2}, {0.2, 5}, {1e-9, 5},
-	}
-	for _, c := range quants {
-		if got := e.QuantileCCDF(c.u); got != c.want {
-			t.Errorf("QuantileCCDF(%g) = %g, want %g", c.u, got, c.want)
-		}
-	}
-	// Pseudo-inverse property: CCDF at the returned value never exceeds u.
-	for u := 0.001; u <= 1; u += 0.001 {
-		if e.CCDF(e.QuantileCCDF(u)) > u {
-			t.Fatalf("CCDF(QuantileCCDF(%g)) = %g above u", u, e.CCDF(e.QuantileCCDF(u)))
-		}
-	}
-	mustPanic(t, func() { NewEmpirical(nil) })
-}
-
-func TestEmpiricalRandBootstraps(t *testing.T) {
-	values := []float64{1, 2, 2, 5, 9}
-	e := NewEmpirical(values)
-	in := map[float64]bool{1: true, 2: true, 5: true, 9: true}
-	g := randx.New(3)
-	counts := map[float64]int{}
-	const n = 50_000
-	for i := 0; i < n; i++ {
-		v := e.Rand(g)
-		if !in[v] {
-			t.Fatalf("draw %g not in sample", v)
-		}
-		counts[v]++
-	}
-	if got := float64(counts[2]) / n; math.Abs(got-0.4) > 0.01 {
-		t.Errorf("value 2 drawn with frequency %g, want ~0.4", got)
 	}
 }
 

@@ -31,8 +31,8 @@ type Parts struct {
 	// Atoms are the point masses in ascending, distinct Value order.
 	Atoms []Atom
 	// Smooth are the leaves that are not step laws — every law other than
-	// Mixture, Empirical and Discrete, including implementations this
-	// package does not know.
+	// Mixture and Discrete, including implementations this package does
+	// not know.
 	Smooth []Component
 }
 
@@ -66,11 +66,6 @@ func (ps *Parts) add(d SizeDist, weight float64) {
 	case *Discrete:
 		for i, v := range d.values {
 			ps.Atoms = append(ps.Atoms, Atom{Value: v, Mass: weight * d.weights[i]})
-		}
-	case *Empirical:
-		each := weight / float64(len(d.values))
-		for _, v := range d.values {
-			ps.Atoms = append(ps.Atoms, Atom{Value: v, Mass: each})
 		}
 	default:
 		ps.Smooth = append(ps.Smooth, Component{Weight: weight, Dist: d})

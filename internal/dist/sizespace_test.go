@@ -24,7 +24,7 @@ func TestRayMatchesQuantile(t *testing.T) {
 		Weibull{Min: 1, Lambda: 8, K: 0.6},
 		Weibull{Min: 0, Lambda: 8, K: 1.4},
 		Lognormal{Min: 1, Mu: 1.2, Sigma: 1.1},
-		NewEmpirical([]float64{1, 2, 2, 5, 9, 40}),
+		NewDiscrete(Tally([]float64{1, 2, 2, 5, 9, 40})),
 		NewDiscrete([]float64{1, 2, 7}, []float64{0.5, 0.3, 0.2}),
 		mix,
 	}
@@ -46,7 +46,7 @@ func TestRayMatchesQuantile(t *testing.T) {
 // and weighted continuous leaves that add back up to its CCDF.
 func TestDecompose(t *testing.T) {
 	inner, err := NewMixture(
-		Component{Weight: 1, Dist: NewEmpirical([]float64{3, 1, 3, 8})},
+		Component{Weight: 1, Dist: NewDiscrete(Tally([]float64{3, 1, 3, 8}))},
 		Component{Weight: 3, Dist: ParetoWithMean(40, 1.5)})
 	if err != nil {
 		t.Fatal(err)

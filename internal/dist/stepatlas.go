@@ -14,7 +14,7 @@ import (
 // it has already dropped below u. Bisection can only approach a from
 // below, to within its termination width, and a size a hair under an atom
 // sits on the other side of every comparison with that atom. A spliced
-// Mixture{Empirical, Pareto} — exactly what invert.TailScaling produces —
+// Mixture{Discrete, Pareto} — exactly what invert.TailScaling produces —
 // puts the body's whole probability mass on sample atoms, so most of its
 // quantile calls land inside a jump.
 //
@@ -27,48 +27,33 @@ type stepAtlas struct {
 	uhi   []float64 // uhi[i] = CCDF(atoms[i]-), inclusive upper bound
 }
 
-// atomSource is implemented by step-valued size laws that can enumerate
-// their atoms. Empirical and Discrete implement it; continuous laws do
-// not, and a mixture with no atomSource component gets no atlas.
-type atomSource interface {
-	// atomValues returns the law's atom locations in ascending order. The
-	// slice is owned by the law and must not be modified.
-	atomValues() []float64
-}
-
 // stepAtlasMaxAtoms caps construction cost: beyond ~1M distinct atoms the
 // O(atoms·components·log) build and the atlas's memory stop paying for
 // themselves, and bisection remains correct to its termination width.
 const stepAtlasMaxAtoms = 1 << 20
 
 // stepAtlas returns the lazily built atlas, nil when the mixture has no
-// step-valued components (or too many atoms to be worth indexing).
+// Discrete component (or too many atoms to be worth indexing).
 func (m *Mixture) stepAtlas() *stepAtlas {
 	m.atlasOnce.Do(func() { m.atlas = buildStepAtlas(m) })
 	return m.atlas
 }
 
 func buildStepAtlas(m *Mixture) *stepAtlas {
-	total := 0
+	var atoms []float64
 	for _, c := range m.comps {
-		if src, ok := c.Dist.(atomSource); ok {
-			total += len(src.atomValues())
+		if d, ok := c.Dist.(*Discrete); ok {
+			atoms = append(atoms, d.values...)
 		}
 	}
-	if total == 0 || total > stepAtlasMaxAtoms {
+	if len(atoms) == 0 || len(atoms) > stepAtlasMaxAtoms {
 		return nil
-	}
-	atoms := make([]float64, 0, total)
-	for _, c := range m.comps {
-		if src, ok := c.Dist.(atomSource); ok {
-			atoms = append(atoms, src.atomValues()...)
-		}
 	}
 	sort.Float64s(atoms)
 	a := &stepAtlas{
 		atoms: atoms[:0],
-		ulo:   make([]float64, 0, total),
-		uhi:   make([]float64, 0, total),
+		ulo:   make([]float64, 0, len(atoms)),
+		uhi:   make([]float64, 0, len(atoms)),
 	}
 	for i, v := range atoms {
 		if i > 0 && v == atoms[i-1] {

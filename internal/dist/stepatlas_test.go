@@ -7,7 +7,7 @@ import (
 	"flowrank/internal/randx"
 )
 
-// splicedMixture builds the Empirical-body + Pareto-tail shape that
+// splicedMixture builds the sample-body + Pareto-tail shape that
 // invert.TailScaling produces — the workload whose quantile calls mostly
 // land inside a CCDF jump.
 func splicedMixture(t testing.TB, n int, seed uint64) *Mixture {
@@ -25,7 +25,7 @@ func splicedMixture(t testing.TB, n int, seed uint64) *Mixture {
 		}
 	}
 	m, err := NewMixture(
-		Component{Weight: 0.9, Dist: NewEmpirical(body)},
+		Component{Weight: 0.9, Dist: NewDiscrete(Tally(body))},
 		Component{Weight: 0.1, Dist: Pareto{Scale: 40, Shape: 1.3}},
 	)
 	if err != nil {
@@ -79,10 +79,10 @@ func TestMixtureStepAtlasMatchesBisection(t *testing.T) {
 
 // TestMixtureInverseTableWithSteps exercises a step CCDF with few, wide
 // steps over a smooth component with the same support: on and off the
-// Empirical component's atoms the answer must agree with plain bisection.
+// sample component's atoms the answer must agree with plain bisection.
 func TestMixtureInverseTableWithSteps(t *testing.T) {
 	m, err := NewMixture(
-		Component{Weight: 1, Dist: NewEmpirical([]float64{2, 2, 3, 7, 7, 7, 11, 40})},
+		Component{Weight: 1, Dist: NewDiscrete(Tally([]float64{2, 2, 3, 7, 7, 7, 11, 40}))},
 		Component{Weight: 1, Dist: ExponentialWithMean(1, 9.6)},
 	)
 	if err != nil {

@@ -62,7 +62,7 @@ func extraInvert(opts Options) ([]*report.Table, error) {
 					counts = append(counts, float64(k))
 				}
 			}
-			emp := dist.NewEmpirical(truth)
+			emp := dist.NewDiscrete(dist.Tally(truth))
 			probes := invert.QuantileProbes(emp, 256)
 			row := []interface{}{law.name, percent(p)}
 			var ks, meanErr []interface{}

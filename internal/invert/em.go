@@ -46,10 +46,17 @@ func (EM) Name() string { return "em" }
 
 // Invert implements Estimator.
 func (EM) Invert(counts []float64, p float64) (Estimate, error) {
-	if err := validate(counts, p); err != nil {
+	sampled, ws := dist.Tally(counts)
+	if err := validate(sampled, p); err != nil {
 		return Estimate{}, err
 	}
-	ks, ws := histogram(counts)
+	// Counts are packet counts; float inputs exist only for interface
+	// convenience, so they are rounded to the nearest integer.
+	sampled, ws = mergeRuns(sampled, ws, math.Round)
+	ks := make([]int, len(sampled))
+	for i, v := range sampled {
+		ks[i] = int(v)
+	}
 	support := supportGrid(ks, p)
 	pi := fit(ks, ws, support, p)
 
@@ -59,10 +66,7 @@ func (EM) Invert(counts []float64, p float64) (Estimate, error) {
 	}
 	d := dist.NewDiscrete(values, pi)
 
-	var n float64
-	for _, w := range ws {
-		n += w
-	}
+	n := float64(len(counts))
 	est := Estimate{
 		Dist:   d,
 		Mean:   d.Mean(),
@@ -82,30 +86,6 @@ func (EM) Invert(counts []float64, p float64) (Estimate, error) {
 	}
 	est.TailIndex = weightedTailIndex(values, pi, 0.02)
 	return est, nil
-}
-
-// histogram collapses the counts into sorted distinct integer values and
-// their multiplicities. Counts are rounded to the nearest integer (they
-// are packet counts; float inputs exist only for interface convenience).
-func histogram(counts []float64) (ks []int, ws []float64) {
-	byK := make(map[int]float64, len(counts))
-	for _, c := range counts {
-		k := int(math.Round(c))
-		if k < 1 {
-			k = 1
-		}
-		byK[k]++
-	}
-	ks = make([]int, 0, len(byK))
-	for k := range byK {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	ws = make([]float64, len(ks))
-	for i, k := range ks {
-		ws[i] = byK[k]
-	}
-	return ks, ws
 }
 
 // supportGrid builds the ascending integer support: dense up to

@@ -27,16 +27,16 @@
 //     missed-flow (k = 0) completion step. Recovers the body the others
 //     cannot see.
 //
-// Every estimate carries a dist.SizeDist (an Empirical, a Mixture, a
-// Pareto, or a Discrete over the EM grid), so consumers — the adaptive
-// controller, the streaming monitor's per-bin summaries, the analytical
-// models — plug the inverted distribution wherever a size law goes.
+// Every estimate carries a dist.SizeDist (a Discrete over the rescaled
+// counts or the EM grid, a Mixture, or a Pareto), so consumers — the
+// adaptive controller, the streaming monitor's per-bin summaries, the
+// analytical models — plug the inverted distribution wherever a size law
+// goes.
 package invert
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"flowrank/internal/dist"
 	"flowrank/internal/numeric"
@@ -61,11 +61,11 @@ type Estimate struct {
 
 // Estimator turns per-flow sampled packet counts (each >= 1: a flow is
 // observed only when at least one of its packets was kept) at sampling
-// rate p into an Estimate. Implementations canonicalize the input
-// internally (sorting or histogramming), so the estimate depends only on
-// the multiset of counts — never on their order. Invert must not keep
-// sampledCounts past its return: the stream engine refills the slice for
-// its next bin.
+// rate p into an Estimate. Implementations tally the input once
+// (dist.Tally: ascending distinct counts and their multiplicities), so
+// the estimate depends only on the multiset of counts — never on their
+// order. Invert must not keep sampledCounts past its return: the stream
+// engine refills the slice for its next bin.
 type Estimator interface {
 	Invert(sampledCounts []float64, p float64) (Estimate, error)
 	Name() string
@@ -79,28 +79,50 @@ var (
 	_ Estimator = Parametric{}
 )
 
-// validate rejects inputs no estimator can work with.
-func validate(counts []float64, p float64) error {
-	if len(counts) == 0 {
+// validate rejects inputs no estimator can work with. values is the
+// tally of the sampled counts, so only its two ends need checking: a NaN
+// sorts first.
+func validate(values []float64, p float64) error {
+	if len(values) == 0 {
 		return fmt.Errorf("invert: no sampled flows")
 	}
 	if !(p > 0 && p <= 1) {
 		return fmt.Errorf("invert: sampling rate %g outside (0, 1]", p)
 	}
-	for _, c := range counts {
-		if !(c >= 1) || math.IsInf(c, 0) {
-			return fmt.Errorf("invert: sampled count %g (observed flows have >= 1 sampled packet)", c)
-		}
+	if lo, hi := values[0], values[len(values)-1]; !(lo >= 1) || math.IsInf(hi, 1) {
+		return fmt.Errorf("invert: sampled counts span [%g, %g] (observed flows have >= 1 sampled packet)", lo, hi)
 	}
 	return nil
 }
 
-// sortedCopy canonicalizes the input multiset.
-func sortedCopy(counts []float64) []float64 {
-	s := make([]float64, len(counts))
-	copy(s, counts)
-	sort.Float64s(s)
-	return s
+// mergeRuns replaces each value of a tally by f(value), f non-decreasing,
+// and merges neighbouring runs that f maps to one value. It works in place
+// and returns the shortened slices.
+func mergeRuns(values, mult []float64, f func(float64) float64) ([]float64, []float64) {
+	out := 0
+	for i, v := range values {
+		v = f(v)
+		if out > 0 && values[out-1] == v {
+			mult[out-1] += mult[i]
+			continue
+		}
+		values[out], mult[out] = v, mult[i]
+		out++
+	}
+	return values[:out], mult[:out]
+}
+
+// kthLargest returns the run of a tally that holds its k-th largest member
+// (1 <= k <= the tally's total) and how many of that run's members are
+// among the k largest.
+func kthLargest(mult []float64, k int) (run int, inTop float64) {
+	left := float64(k)
+	run = len(mult) - 1
+	for mult[run] < left {
+		left -= mult[run]
+		run--
+	}
+	return run, left
 }
 
 // Hill returns the Hill estimator of the Pareto tail index from the k
@@ -108,20 +130,31 @@ func sortedCopy(counts []float64) []float64 {
 // order statistic. Larger k lowers variance but admits bias from the
 // non-tail body; k of a few percent of the sample is customary. The
 // estimator is scale-invariant, so it applies to sampled counts and
-// rescaled counts alike — thinning preserves the tail exponent.
+// rescaled counts alike — thinning preserves the tail exponent. Sizes
+// must be positive and finite.
 func Hill(sizes []float64, k int) (float64, error) {
-	n := len(sizes)
+	values, mult := dist.Tally(sizes)
+	return hill(values, mult, len(sizes), k)
+}
+
+// hill is Hill on the tally (values, mult) of n sizes. It walks down from
+// the top run to the threshold, then adds each run's log-excess once per
+// member in ascending order — the sum over the sorted top k.
+func hill(values, mult []float64, n, k int) (float64, error) {
 	if k < 2 || k >= n {
 		return 0, fmt.Errorf("invert: Hill estimator needs 2 <= k < n, got k=%d n=%d", k, n)
 	}
-	sorted := sortedCopy(sizes)
-	threshold := sorted[n-k]
-	if threshold <= 0 {
-		return 0, fmt.Errorf("invert: non-positive threshold %g", threshold)
+	if lo, hi := values[0], values[len(values)-1]; !(lo > 0) || math.IsInf(hi, 1) {
+		return 0, fmt.Errorf("invert: Hill estimator needs positive finite sizes, got range [%g, %g]", lo, hi)
 	}
+	run, _ := kthLargest(mult, k)
+	threshold := values[run]
 	var sum float64
-	for _, v := range sorted[n-k:] {
-		sum += math.Log(v / threshold)
+	for i := run + 1; i < len(values); i++ {
+		excess := math.Log(values[i] / threshold)
+		for range int(mult[i]) {
+			sum += excess
+		}
 	}
 	if sum <= 0 {
 		return 0, fmt.Errorf("invert: degenerate tail (all top-%d values equal)", k)
@@ -144,10 +177,10 @@ func hillDefaultK(n int) int {
 // converts an observed flow count into an original one (Duffield et al.).
 //
 // The expectation is linear in the law, so it is taken over d's parts
-// (dist.Decompose): the atoms of a step law — the Discrete EM returns, an
-// Empirical body — are summed exactly, and each smooth leaf is integrated
-// in its own quantile space, E[(1-p)^S] = ∫_0^1 exp(S(u)·log(1-p)) du,
-// where it has no jumps.
+// (dist.Decompose): the atoms of a step law — the Discrete EM returns, a
+// rescaled sample's — are summed exactly, and each smooth leaf is
+// integrated in its own quantile space, E[(1-p)^S] =
+// ∫_0^1 exp(S(u)·log(1-p)) du, where it has no jumps.
 func MissProbability(d dist.SizeDist, p float64) float64 {
 	if p >= 1 {
 		return 0
@@ -170,9 +203,9 @@ func MissProbability(d dist.SizeDist, p float64) float64 {
 }
 
 // Naive is the 1/p-scaling baseline: every sampled count is multiplied by
-// 1/p and the scaled sample is the estimate. It cannot see flows sampling
-// missed, so its distribution has no mass below 1/p and FlowCount is the
-// observed count.
+// 1/p and the scaled sample's law is the estimate. It cannot see flows
+// sampling missed, so its distribution has no mass below 1/p and
+// FlowCount is the observed count.
 type Naive struct{}
 
 // Name implements Estimator.
@@ -180,23 +213,21 @@ func (Naive) Name() string { return "naive" }
 
 // Invert implements Estimator.
 func (Naive) Invert(counts []float64, p float64) (Estimate, error) {
-	if err := validate(counts, p); err != nil {
+	values, mult := dist.Tally(counts)
+	if err := validate(values, p); err != nil {
 		return Estimate{}, err
 	}
-	scaled := sortedCopy(counts)
-	for i := range scaled {
-		scaled[i] /= p
-	}
-	e := dist.NewEmpirical(scaled)
+	values, mult = mergeRuns(values, mult, func(v float64) float64 { return v / p })
+	d := dist.NewDiscrete(values, mult)
 	est := Estimate{
-		Dist:      e,
-		Mean:      e.Mean(),
+		Dist:      d,
+		Mean:      d.Mean(),
 		FlowCount: float64(len(counts)),
 		Method:    "naive",
 	}
 	// Hill is scale-invariant, so the rescaled sample carries the sampled
 	// tail exponent unchanged.
-	if idx, err := Hill(scaled, hillDefaultK(len(scaled))); err == nil {
+	if idx, err := hill(values, mult, len(counts), hillDefaultK(len(counts))); err == nil {
 		est.TailIndex = idx
 	}
 	return est, nil
@@ -218,7 +249,8 @@ func (TailScaling) Name() string { return "tail" }
 
 // Invert implements Estimator.
 func (TailScaling) Invert(counts []float64, p float64) (Estimate, error) {
-	if err := validate(counts, p); err != nil {
+	values, mult := dist.Tally(counts)
+	if err := validate(values, p); err != nil {
 		return Estimate{}, err
 	}
 	n := len(counts)
@@ -229,7 +261,7 @@ func (TailScaling) Invert(counts []float64, p float64) (Estimate, error) {
 	if k >= n {
 		return Estimate{}, fmt.Errorf("invert: tail fit needs more than %d flows, got %d", k, n)
 	}
-	alpha, err := Hill(counts, k)
+	alpha, err := hill(values, mult, n, k)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -241,15 +273,15 @@ func (TailScaling) Invert(counts []float64, p float64) (Estimate, error) {
 		// estimate self-consistent.
 		alpha = 1.05
 	}
-	scaled := sortedCopy(counts)
-	for i := range scaled {
-		scaled[i] /= p
-	}
-	threshold := scaled[n-k]
-	body := scaled[:n-k]
+	// The run holding the k-th largest count is the threshold; its members
+	// outside the top k stay in the body (a zero weight drops the atom).
+	values, mult = mergeRuns(values, mult, func(v float64) float64 { return v / p })
+	run, inTop := kthLargest(mult, k)
+	threshold := values[run]
+	mult[run] -= inTop
 	w := float64(k) / float64(n)
 	spliced, err := dist.NewMixture(
-		dist.Component{Weight: 1 - w, Dist: dist.NewEmpirical(body)},
+		dist.Component{Weight: 1 - w, Dist: dist.NewDiscrete(values[:run+1], mult[:run+1])},
 		dist.Component{Weight: w, Dist: dist.Pareto{Scale: threshold, Shape: alpha}},
 	)
 	if err != nil {
@@ -280,10 +312,11 @@ func (Parametric) Name() string { return "parametric" }
 
 // Invert implements Estimator.
 func (Parametric) Invert(counts []float64, p float64) (Estimate, error) {
-	if err := validate(counts, p); err != nil {
+	values, mult := dist.Tally(counts)
+	if err := validate(values, p); err != nil {
 		return Estimate{}, err
 	}
-	beta, err := Hill(counts, hillDefaultK(len(counts)))
+	beta, err := hill(values, mult, len(counts), hillDefaultK(len(counts)))
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -291,8 +324,8 @@ func (Parametric) Invert(counts []float64, p float64) (Estimate, error) {
 		beta = 1.05
 	}
 	var packets float64
-	for _, c := range counts {
-		packets += c
+	for i, v := range values {
+		packets += v * mult[i]
 	}
 	nEst, meanEst, err := estimatePopulation(len(counts), int64(math.Round(packets)), p, beta)
 	if err != nil {

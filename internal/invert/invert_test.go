@@ -3,6 +3,7 @@ package invert
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"flowrank/internal/dist"
@@ -110,6 +111,14 @@ func TestHillErrors(t *testing.T) {
 	if _, err := Hill([]float64{5, 5, 5, 5, 5}, 3); err == nil {
 		t.Error("degenerate tail accepted")
 	}
+	// A non-finite size is no size: +Inf made the log-excess sum infinite
+	// and the estimate 0, and a NaN sorted silently below the body.
+	sizes := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	for _, bad := range []float64{math.Inf(1), math.NaN(), 0, -3} {
+		if got, err := Hill(append(slices.Clone(sizes), bad), 3); err == nil {
+			t.Errorf("size %g accepted: Hill = %g", bad, got)
+		}
+	}
 }
 
 // TestEstimatesOrderInvariant: every estimator must canonicalize its
@@ -152,7 +161,7 @@ func TestPinnedParetoRecovery(t *testing.T) {
 		n     = 30000
 	)
 	truth, counts := sampleTrace(dist.ParetoWithMean(300, alpha), n, p, 77)
-	emp := dist.NewEmpirical(truth)
+	emp := dist.NewDiscrete(dist.Tally(truth))
 	probes := QuantileProbes(emp, 512)
 
 	naive, err := Naive{}.Invert(counts, p)
@@ -207,7 +216,7 @@ func TestEMImprovesKSAcrossLaws(t *testing.T) {
 		{"pareto", dist.ParetoWithMean(9.6, 1.5), 0.1},
 	} {
 		truth, counts := sampleTrace(tc.d, 20000, tc.p, 7)
-		emp := dist.NewEmpirical(truth)
+		emp := dist.NewDiscrete(dist.Tally(truth))
 		probes := QuantileProbes(emp, 256)
 		naive, err := Naive{}.Invert(counts, tc.p)
 		if err != nil {
@@ -230,7 +239,7 @@ func TestEMImprovesKSAcrossLaws(t *testing.T) {
 
 // TestEMRateOneReproducesEmpirical is the cross-law exactness property:
 // at p = 1 the thinning kernel is the identity, so the EM fit must
-// reproduce the empirical input distribution exactly — equal mean, equal
+// reproduce the input sample's law (a Discrete over its tally) exactly — equal mean, equal
 // CCDF at every atom, zero KS distance — for every law family.
 func TestEMRateOneReproducesEmpirical(t *testing.T) {
 	laws := []dist.SizeDist{
@@ -244,7 +253,7 @@ func TestEMRateOneReproducesEmpirical(t *testing.T) {
 		if len(counts) != len(truth) {
 			t.Fatalf("%s: p=1 must observe every flow", law)
 		}
-		emp := dist.NewEmpirical(truth)
+		emp := dist.NewDiscrete(dist.Tally(truth))
 		em, err := EM{}.Invert(counts, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -292,7 +301,7 @@ func TestTailScalingSplice(t *testing.T) {
 	}
 	// Above the splice threshold the CCDF is the fitted Pareto tail.
 	w := float64(k) / float64(len(counts))
-	sorted := sortedCopy(counts)
+	sorted := slices.Sorted(slices.Values(counts))
 	threshold := sorted[len(counts)-k] / p
 	if got := est.Dist.CCDF(threshold); math.Abs(got-w) > 0.25*w {
 		t.Errorf("CCDF at threshold %g = %g, want about the tail weight %g", threshold, got, w)
@@ -556,5 +565,31 @@ func TestEstimateString(t *testing.T) {
 	e := Estimate{Method: "em", Mean: 9.6, TailIndex: 1.5, FlowCount: 1000}
 	if got := e.String(); got != "em: mean=9.6 tail=1.5 flows=1000" {
 		t.Errorf("String() = %q", got)
+	}
+}
+
+// BenchmarkInvert times every estimator on two sampled bins of the
+// sprint5 workload (Pareto, mean 9.6, shape 1.5; 47 200 original flows):
+// daemon-scrape's five-second bin at p = 0.01, a few thousand sampled
+// flows its naive inversion reads, and adapt-loop's one bin at p = 0.1,
+// which it inverts parametrically.
+func BenchmarkInvert(b *testing.B) {
+	law := dist.ParetoWithMean(9.6, 1.5)
+	for _, shape := range []struct {
+		name string
+		p    float64
+	}{{"daemon-scrape", 0.01}, {"adapt-loop", 0.1}} {
+		_, counts := sampleTrace(law, 47_200, shape.p, 1)
+		for _, est := range estimators() {
+			b.Run(shape.name+"/"+est.Name(), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := est.Invert(counts, shape.p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(counts)), "flows")
+			})
+		}
 	}
 }

@@ -282,7 +282,7 @@ func TrueDemand(topo *Topology, flows []RoutedFlow, topT int) (*Demand, error) {
 			Link:    id,
 			Flows:   float64(len(members)),
 			Packets: truePkts,
-			Dist:    dist.NewEmpirical(sizes),
+			Dist:    dist.NewDiscrete(dist.Tally(sizes)),
 			Method:  "true",
 		})
 	}
