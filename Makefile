@@ -123,7 +123,7 @@ microbench:
 # formats and reports ns/pkt and allocs: what the source layer charges
 # every packet before the sampling decision, read syscalls included — two
 # files small enough to be read synchronously, and a 72 MB capture
-# (pcap-large) that is read ahead of the decoder.
+# (pcap-large) that a goroutine decodes ahead, in batches of keyed packets.
 # BenchmarkIngestFlatBatch (matched by 'Ingest') sets the engine's batched
 # exact-table ingest against the per-packet one on a million-flow table
 # (ns/pkt), BenchmarkIngest{CountMin,SpaceSaving}Batch do the same for the
@@ -150,7 +150,9 @@ bench-smoke:
 
 # End-to-end flowtop cross-check: one-shard vs four-shard output must be
 # byte-identical on both trace formats (native and pcap), and with the
-# closed loop (-invert parametric -adapt 1) on the native trace.
+# closed loop (-invert parametric -adapt 1) on the native trace; a capture
+# above source.Open's read-ahead threshold must read the same decoded
+# ahead from its file as synchronously through a pipe.
 e2e:
 	./scripts/e2e_flowtop.sh
 

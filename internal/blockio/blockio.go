@@ -2,7 +2,8 @@
 // (internal/pcap, internal/packet): the subset of bufio.Reader they decode
 // records out of — Peek, Discard, Buffered, ReadByte, Read, with bufio's
 // results and errors — over one block size, in two ways of getting the
-// bytes there.
+// bytes there; and Ahead, the one protocol by which anything in this
+// module is read ahead of its consumer.
 //
 // A reader from NewReader reads synchronously into one block, as bufio
 // does, and never owns a goroutine.
@@ -20,6 +21,15 @@
 //
 // Either way a slice Peek returned stays valid, and unchanged, until the
 // next call that has to read.
+//
+// Ahead is that goroutine with the buffer's element left open: bytes for
+// NewReadAhead, decoded packets for internal/source, whose goroutine runs
+// a whole synchronous pcap decoder (a NewReader of its own, the record
+// parse and the flow key) and hands over batches of packets, so a frame is
+// parsed on the core that read it. Both share the free and ready queues,
+// the exit at the first failed fill, and the shutdown: the owner closes
+// the file, so that a blocked read returns, then stops the goroutine and
+// waits for it to exit.
 package blockio
 
 import (
@@ -34,11 +44,11 @@ const (
 	// BlockSize is what one underlying Read is asked for, and the longest
 	// Peek: any record up to this size is decoded in place.
 	BlockSize = 1 << 18
-	// aheadBlocks is how many blocks the read-ahead goroutine may hold
-	// filled beyond the one being decoded. One is not enough: waking a
-	// parked thread costs about as long as decoding a block, so the
-	// decoder would wait at every block (ROADMAP, "Decided against").
-	aheadBlocks = 3
+	// Depth is how many buffers a read-ahead goroutine may hold filled
+	// beyond the one its consumer is working through. One is not enough:
+	// waking a parked thread costs about as long as decoding a block, so
+	// the decoder would wait at every block (ROADMAP, "Decided against").
+	Depth = 3
 	// maxEmptyReads is bufio's bound on consecutive (0, nil) Reads.
 	maxEmptyReads = 100
 )
@@ -58,8 +68,8 @@ type Reader struct {
 	r, w int   // buf[r:w] is buffered and unread
 	err  error // the last Read's error, reported once
 
-	a     *ahead // nil from NewReader; never reassigned
-	async bool   // blocks come from a's goroutine
+	a     *Ahead[byte] // nil from NewReader; never reassigned
+	async bool         // blocks come from a's goroutine
 }
 
 // NewReader returns a Reader over rd that reads synchronously; if rd
@@ -80,16 +90,7 @@ func newReader(rd io.Reader, size int) *Reader {
 func NewReadAhead(rc io.ReadCloser) *Reader { return newReadAhead(rc, BlockSize) }
 
 func newReadAhead(rc io.ReadCloser, size int) *Reader {
-	a := &ahead{
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-		ready: make(chan block, aheadBlocks+1),
-		free:  make(chan []byte, aheadBlocks+1),
-	}
-	for i := 0; i < aheadBlocks; i++ {
-		a.free <- make([]byte, 2*size)
-	}
-	go a.loop(rc, size)
+	a := NewAhead(2*size, func(buf []byte) (int, error) { return readSome(rc, buf[size:]) })
 	// The reader's own buffer, empty, is the one more that circulates.
 	return &Reader{rd: rc, size: size, buf: make([]byte, 2*size), r: size, w: size, a: a, async: true}
 }
@@ -256,22 +257,20 @@ func readSome(rd io.Reader, p []byte) (int, error) {
 //
 //flowrank:hotpath
 func (b *Reader) swap() bool {
-	blk, ok := <-b.a.ready
+	blk, ok := b.a.Next()
 	if !ok {
 		b.async = false
-		select {
-		case <-b.a.stop:
+		if b.a.Stopped() {
 			b.err = errClosed
 			return true
-		default:
-			return false
 		}
+		return false
 	}
-	b.r = b.size - copy(blk.buf[b.size-(b.w-b.r):b.size], b.buf[b.r:b.w])
-	b.w = b.size + blk.n
-	b.err = blk.err
-	b.a.free <- b.buf // never blocks: free has room for every buffer
-	b.buf = blk.buf
+	b.r = b.size - copy(blk.Buf[b.size-(b.w-b.r):b.size], b.buf[b.r:b.w])
+	b.w = b.size + blk.N
+	b.err = blk.Err
+	b.a.Free(b.buf)
+	b.buf = blk.Buf
 	return true
 }
 
@@ -286,46 +285,105 @@ func (b *Reader) Close() error {
 		err = c.Close()
 	}
 	if b.a != nil {
-		b.a.once.Do(func() { close(b.a.stop) })
-		<-b.a.done
+		b.a.Stop()
 	}
 	return err
 }
 
-// block is one Read's outcome on its way from the goroutine to the reader.
-type block struct {
-	buf []byte
-	n   int
-	err error
+// Batch is one fill's outcome on its way from the goroutine to the
+// consumer: the buffer, how many of its elements the fill produced, and
+// the error that ended the fill, if one did.
+type Batch[T any] struct {
+	Buf []T
+	N   int
+	Err error
 }
 
-// ahead is what a reader and its read-ahead goroutine share. Both queues
-// have room for every buffer, so neither side ever blocks on a send: the
-// reader parks only on an empty ready, the goroutine only on an empty free.
-type ahead struct {
+// Ahead is the one read-ahead protocol, over buffers of any element: a
+// goroutine takes a free buffer, fills it and hands it over in stream
+// order, until a fill fails or Stop says stop; the consumer takes filled
+// buffers with Next and gives each back with Free once it is done with
+// it. Both queues have room for every buffer, so neither side ever blocks
+// on a send: the consumer parks only on an empty ready, the goroutine only
+// on an empty free.
+type Ahead[T any] struct {
 	once  sync.Once
-	stop  chan struct{} // closed by Close, once
+	stop  chan struct{} // closed by Stop, once
 	done  chan struct{} // closed when the goroutine has exited
-	ready chan block    // filled blocks in stream order; closed with done
-	free  chan []byte
+	ready chan Batch[T] // filled buffers in stream order; closed with done
+	free  chan []T
 }
 
-// loop is the goroutine: fill a free buffer's block and hand it over,
-// until a Read fails or Close says stop.
+// NewAhead starts the goroutine with Depth buffers of n elements; the
+// consumer may hold one more of its own, which Free adds to them. fill
+// fills one buffer and says how far; the goroutine exits after the first
+// fill that fails. The caller must Stop it.
+func NewAhead[T any](n int, fill func([]T) (int, error)) *Ahead[T] {
+	a := &Ahead[T]{
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+		ready: make(chan Batch[T], Depth+1),
+		free:  make(chan []T, Depth+1),
+	}
+	for i := 0; i < Depth; i++ {
+		a.free <- make([]T, n)
+	}
+	go a.loop(fill)
+	return a
+}
+
+// Next waits for the next filled buffer. It returns false once the
+// goroutine has exited and its buffers are all taken: the last of them
+// carried the error that ended it, unless Stop did (Stopped).
 //
 //flowrank:hotpath
-func (a *ahead) loop(rd io.Reader, size int) {
+func (a *Ahead[T]) Next() (Batch[T], bool) {
+	b, ok := <-a.ready
+	return b, ok
+}
+
+// Free gives a buffer the consumer is done with to the goroutine.
+//
+//flowrank:hotpath
+func (a *Ahead[T]) Free(buf []T) {
+	a.free <- buf // never blocks: free has room for every buffer
+}
+
+// Stopped reports whether Stop has been called.
+func (a *Ahead[T]) Stopped() bool {
+	select {
+	case <-a.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// Stop tells the goroutine to stop and returns once it has exited. A fill
+// blocked in a read does not see it: the owner closes the underlying file
+// first, so that the read returns. Stop may be called more than once and
+// from another goroutine than the consumer.
+func (a *Ahead[T]) Stop() {
+	a.once.Do(func() { close(a.stop) })
+	<-a.done
+}
+
+// loop is the goroutine: fill a free buffer and hand it over, until a fill
+// fails or Stop says stop.
+//
+//flowrank:hotpath
+func (a *Ahead[T]) loop(fill func([]T) (int, error)) {
 	defer close(a.done)
 	defer close(a.ready)
 	for {
-		var buf []byte
+		var buf []T
 		select {
 		case buf = <-a.free:
 		case <-a.stop:
 			return
 		}
-		n, err := readSome(rd, buf[size:])
-		a.ready <- block{buf, n, err}
+		n, err := fill(buf)
+		a.ready <- Batch[T]{buf, n, err}
 		if err != nil {
 			return
 		}

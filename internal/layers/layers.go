@@ -2,10 +2,10 @@
 // experiments need — Ethernet II, IPv4, TCP and UDP. A monitor wants one
 // thing of a frame, its 5-tuple, and FlowKey walks the usual
 // Ethernet→IPv4→TCP/UDP chain for exactly that: every check a full decode
-// makes, nothing stored but the key. The per-layer structs decode in the
-// style of gopacket's DecodingLayer — DecodeFromBytes fills a caller-owned
-// struct with no allocation — for whoever needs the other fields, and
-// composed they are the reference FlowKey is tested against.
+// makes, nothing stored but the key. The per-layer header structs are
+// what Frame encodes through (AppendTo); the tests decode into them, in the
+// style of gopacket's DecodingLayer, as the reference FlowKey must agree
+// with.
 //
 // Encoding is the mirror image: Frame serializes a synthetic packet for a
 // flow key (used by the pcap exporter), computing real IPv4 header and
@@ -48,17 +48,6 @@ const (
 	UDPHeaderLen      = 8
 )
 
-// DecodeFromBytes parses the header and returns the payload.
-func (e *Ethernet) DecodeFromBytes(data []byte) ([]byte, error) {
-	if len(data) < EthernetHeaderLen {
-		return nil, ErrTruncated
-	}
-	copy(e.DstMAC[:], data[0:6])
-	copy(e.SrcMAC[:], data[6:12])
-	e.EtherType = binary.BigEndian.Uint16(data[12:14])
-	return data[EthernetHeaderLen:], nil
-}
-
 // AppendTo serializes the header onto buf.
 func (e *Ethernet) AppendTo(buf []byte) []byte {
 	buf = append(buf, e.DstMAC[:]...)
@@ -78,45 +67,6 @@ type IPv4 struct {
 	Protocol flow.Proto
 	Checksum uint16
 	Src, Dst flow.Addr
-	ihl      int
-}
-
-// DecodeFromBytes parses the header, verifies the checksum, and returns
-// the L4 payload (truncated to the header's total length when the capture
-// includes padding).
-func (ip *IPv4) DecodeFromBytes(data []byte) ([]byte, error) {
-	if len(data) < IPv4MinHeaderLen {
-		return nil, ErrTruncated
-	}
-	if data[0]>>4 != 4 {
-		return nil, ErrNotIPv4
-	}
-	ihl := int(data[0]&0x0f) * 4
-	if ihl < IPv4MinHeaderLen || len(data) < ihl {
-		return nil, ErrBadHeader
-	}
-	if Checksum(data[:ihl]) != 0 {
-		return nil, ErrBadChecksum
-	}
-	ip.ihl = ihl
-	ip.TOS = data[1]
-	ip.Length = binary.BigEndian.Uint16(data[2:4])
-	ip.ID = binary.BigEndian.Uint16(data[4:6])
-	ip.Flags = data[6] >> 5
-	ip.FragOff = binary.BigEndian.Uint16(data[6:8]) & 0x1fff
-	ip.TTL = data[8]
-	ip.Protocol = flow.Proto(data[9])
-	ip.Checksum = binary.BigEndian.Uint16(data[10:12])
-	copy(ip.Src[:], data[12:16])
-	copy(ip.Dst[:], data[16:20])
-	if int(ip.Length) < ihl {
-		return nil, ErrBadHeader
-	}
-	end := int(ip.Length)
-	if end > len(data) {
-		end = len(data) // truncated capture: deliver what we have
-	}
-	return data[ihl:end], nil
 }
 
 // AppendTo serializes a 20-byte header with a freshly computed checksum.
@@ -155,26 +105,6 @@ const (
 	TCPAck
 )
 
-// DecodeFromBytes parses the header and returns the payload.
-func (t *TCP) DecodeFromBytes(data []byte) ([]byte, error) {
-	if len(data) < TCPMinHeaderLen {
-		return nil, ErrTruncated
-	}
-	off := int(data[12]>>4) * 4
-	if off < TCPMinHeaderLen || len(data) < off {
-		return nil, ErrBadHeader
-	}
-	t.SrcPort = binary.BigEndian.Uint16(data[0:2])
-	t.DstPort = binary.BigEndian.Uint16(data[2:4])
-	t.Seq = binary.BigEndian.Uint32(data[4:8])
-	t.Ack = binary.BigEndian.Uint32(data[8:12])
-	t.DataOffset = off
-	t.Flags = data[13]
-	t.Window = binary.BigEndian.Uint16(data[14:16])
-	t.Checksum = binary.BigEndian.Uint16(data[16:18])
-	return data[off:], nil
-}
-
 // AppendTo serializes a 20-byte header; the checksum is computed by the
 // caller (Frame) because it spans the pseudo-header and payload.
 func (t *TCP) AppendTo(buf []byte) []byte {
@@ -193,21 +123,6 @@ type UDP struct {
 	SrcPort, DstPort uint16
 	Length           uint16
 	Checksum         uint16
-}
-
-// DecodeFromBytes parses the header and returns the payload.
-func (u *UDP) DecodeFromBytes(data []byte) ([]byte, error) {
-	if len(data) < UDPHeaderLen {
-		return nil, ErrTruncated
-	}
-	u.SrcPort = binary.BigEndian.Uint16(data[0:2])
-	u.DstPort = binary.BigEndian.Uint16(data[2:4])
-	u.Length = binary.BigEndian.Uint16(data[4:6])
-	u.Checksum = binary.BigEndian.Uint16(data[6:8])
-	if int(u.Length) < UDPHeaderLen {
-		return nil, ErrBadHeader
-	}
-	return data[UDPHeaderLen:], nil
 }
 
 // AppendTo serializes the header with a zero checksum placeholder.

@@ -21,9 +21,11 @@
 //     with a raised snap length) is copied into a buffer of its own.
 //
 // The reader itself starts no goroutine and has nothing to close. Handed a
-// *blockio.Reader it reads through that one instead of wrapping it, which
-// is how internal/source's Open puts a reader that reads ahead (and whose
-// Close ends the read-ahead goroutine) under a capture file.
+// *blockio.Reader it reads through that one instead of wrapping it, so a
+// reader that reads blocks ahead can be put under it. internal/source's
+// Open does not: for a large capture file it runs this reader, and the
+// flow key, on a read-ahead goroutine of its own, and hands the consumer
+// decoded packets.
 //
 // The reader reports the capture's link type in Header and interprets
 // none: whoever parses Data must check it (internal/source accepts

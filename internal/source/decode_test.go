@@ -125,17 +125,36 @@ func TestTraceSourceStreamsFromPipe(t *testing.T) {
 }
 
 // TestSourceNextAllocFree: decoding in place means a packet costs no
-// allocation on either trace source in steady state.
+// allocation on either trace source in steady state, nor on Open's
+// decode-ahead of a capture across the hand-off of a batch.
 func TestSourceNextAllocFree(t *testing.T) {
 	pkts := testPackets(t)
 	const runs = 100 // AllocsPerRun makes runs+1 calls
 	if len(pkts) <= runs+1 {
 		t.Fatalf("trace too short: %d packets", len(pkts))
 	}
-	for name, src := range bothSources(t, pkts) {
+	srcs := bothSources(t, pkts)
+	data, _ := manyBlocks(t, true)
+	path := filepath.Join(t.TempDir(), "capture.pcap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ahead, err := open(path, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ahead.Close()
+	srcs["pcap, decoding ahead"] = ahead
+	for name, src := range srcs {
 		var p packet.Packet
-		if err := src.Next(&p); err != nil { // first call fills the block
-			t.Fatalf("%s: %v", name, err)
+		skip := 1 // the first call fills the block
+		if src == ahead {
+			skip = batchPackets - runs/2
+		}
+		for i := 0; i < skip; i++ {
+			if err := src.Next(&p); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 		}
 		allocs := testing.AllocsPerRun(runs, func() {
 			if err := src.Next(&p); err != nil {
@@ -186,9 +205,9 @@ var sinkPacket packet.Packet
 // source layer charges every packet before the sampling decision. Next
 // decodes into the Packet it is handed (native: packet.Reader.Read, from
 // the block buffer straight into *p), so this is the in-place path. The
-// native file is two blocks long and is read synchronously, as it would be
-// without read-ahead; pcap (55 blocks) pays for starting the read-ahead on
-// every open; pcap-large (275 blocks) is the read-ahead in steady state.
+// native file (two blocks) and pcap (55 blocks) are below Open's threshold
+// and are read synchronously; pcap-large (275 blocks) is decoded ahead, in
+// batches of keyed packets, and times that in steady state.
 func BenchmarkSourceDecode(b *testing.B) {
 	pkts := genPackets(b, 20, 150) // ~28k packets: 0.5 MB native, 14 MB pcap
 	for _, format := range []struct {

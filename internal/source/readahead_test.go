@@ -57,25 +57,33 @@ func oneP(t *testing.T) {
 }
 
 // manyBlocks encodes enough copies of the test packets to fill a dozen
-// blocks in either format: halfway through, a read-ahead goroutine — four
-// buffers deep — cannot have met the end of the file yet.
+// blocks in either format, and a capture of more than twice the packets a
+// decode-ahead holds (four batches, and the undecoded rest of its block):
+// halfway through, a read-ahead goroutine cannot have met the end of the
+// file yet. The capture's frames are cut to 64 bytes on the wire, so that
+// it still stays below Open's threshold.
 func manyBlocks(t *testing.T, isPcap bool) (data []byte, packets int) {
 	t.Helper()
 	pkts := testPackets(t)
-	encode, per := encodeNative, 15
+	encode, per, atLeast := encodeNative, 15, 0
 	if isPcap {
-		encode, per = encodePcap, 600
+		const minRecord = 16 + 42 // record header, Ethernet/IPv4/UDP headers
+		encode, per = encodePcap, minRecord
+		atLeast = 2 * ((blockio.Depth+1)*batchPackets + blockio.BlockSize/minRecord)
 	}
 	var trace []packet.Packet
-	for len(trace)*per < 12*blockio.BlockSize {
+	for len(trace)*per < 12*blockio.BlockSize || len(trace) <= atLeast {
 		trace = append(trace, pkts...)
 	}
 	for i := range trace {
 		trace[i].Time = float64(i) * 1e-3
+		if isPcap {
+			trace[i].Size = 64
+		}
 	}
 	data = encode(t, trace)
-	if len(data) < 12*blockio.BlockSize {
-		t.Fatalf("%d-byte trace, want at least twelve blocks", len(data))
+	if len(data) < 12*blockio.BlockSize || len(data) >= readAheadMin {
+		t.Fatalf("%d-byte trace, want at least twelve blocks and less than Open's threshold", len(data))
 	}
 	return data, len(trace)
 }
@@ -175,53 +183,77 @@ func (c countedSource) Close() error {
 }
 
 // TestLoopOverReadAheadFile: 300 cycles of a Loop over a file that is read
-// ahead open 300 files and 300 goroutines; each source is closed once, and
-// when the loop is closed no goroutine and no descriptor is left.
+// ahead open 300 files and 300 goroutines, in either format; each source
+// is closed once, and when the loop is closed no goroutine and no
+// descriptor is left, and the live heap is back within loopHeapSlack of
+// where it started: a cycle's buffers (2 MiB of blocks reading a native
+// trace ahead, 768 KiB of batches and block decoding a capture ahead)
+// do not accumulate.
 func TestLoopOverReadAheadFile(t *testing.T) {
 	oneP(t)
+	const loopHeapSlack = 1 << 20
 	pkts := testPackets(t)[:50]
-	path := filepath.Join(t.TempDir(), "trace.pcap")
-	if err := os.WriteFile(path, encodePcap(t, pkts), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fds := openDescriptors(t)
-	var closes []*int
-	loop, err := NewLoop(func() (PacketSource, error) {
-		src, err := open(path, true, 0)
+	for _, isPcap := range []bool{false, true} {
+		encode := encodeNative
+		if isPcap {
+			encode = encodePcap
+		}
+		path := filepath.Join(t.TempDir(), "trace")
+		if err := os.WriteFile(path, encode(t, pkts), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fds := openDescriptors(t)
+		heap := liveHeap()
+		var closes []*int
+		loop, err := NewLoop(func() (PacketSource, error) {
+			src, err := open(path, isPcap, 0)
+			if err != nil {
+				return nil, err
+			}
+			n := new(int)
+			closes = append(closes, n)
+			return countedSource{src, n}, nil
+		}, 0.001)
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		n := new(int)
-		closes = append(closes, n)
-		return countedSource{src, n}, nil
-	}, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cycles = 300
-	var p packet.Packet
-	for i := 0; i < cycles*len(pkts)+1; i++ { // the +1 opens cycle 301
-		if err := loop.Next(&p); err != nil {
-			t.Fatalf("packet %d: %v", i, err)
+		const cycles = 300
+		var p packet.Packet
+		for i := 0; i < cycles*len(pkts)+1; i++ { // the +1 opens cycle 301
+			if err := loop.Next(&p); err != nil {
+				t.Fatalf("pcap=%v: packet %d: %v", isPcap, i, err)
+			}
+		}
+		if err := loop.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(closes) != cycles+1 {
+			t.Fatalf("pcap=%v: %d sources opened, want %d", isPcap, len(closes), cycles+1)
+		}
+		for i, n := range closes {
+			if *n != 1 {
+				t.Fatalf("pcap=%v: source %d closed %d times, want once", isPcap, i, *n)
+			}
+		}
+		if got := ownGoroutines(); got != 0 {
+			t.Errorf("pcap=%v: %d goroutines left after %d cycles", isPcap, got, cycles)
+		}
+		if got := openDescriptors(t); fds >= 0 && got != fds {
+			t.Errorf("pcap=%v: %d descriptors open after %d cycles, %d before", isPcap, got, cycles, fds)
+		}
+		closes = nil
+		if got := liveHeap(); got > heap+loopHeapSlack {
+			t.Errorf("pcap=%v: live heap %d B after %d cycles, %d B before: more than %d B kept", isPcap, got, cycles, heap, loopHeapSlack)
 		}
 	}
-	if err := loop.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(closes) != cycles+1 {
-		t.Fatalf("%d sources opened, want %d", len(closes), cycles+1)
-	}
-	for i, n := range closes {
-		if *n != 1 {
-			t.Fatalf("source %d closed %d times, want once", i, *n)
-		}
-	}
-	if got := ownGoroutines(); got != 0 {
-		t.Errorf("%d goroutines left after %d cycles", got, cycles)
-	}
-	if got := openDescriptors(t); fds >= 0 && got != fds {
-		t.Errorf("%d descriptors open after %d cycles, %d before", got, cycles, fds)
-	}
+}
+
+// liveHeap is the heap in use right after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 // openDescriptors counts this process's open file descriptors, or returns

@@ -19,16 +19,26 @@
 // the only framing internal/layers parses; anything else is refused at open
 // with ErrUnsupportedLinkType.
 //
-// Who reads ahead: Open, and nothing else. For a regular file of 16 MiB or
-// more it puts a blockio reader under the decoder whose goroutine keeps up
-// to three blocks read while the caller's Next works through the current
-// one (at most 2 MiB of buffers per open source); smaller files, pipes, and
-// every source built from a bare io.Reader (NewTraceSource, NewPcapSource)
-// are read synchronously and own no goroutine. The goroutine exits by
-// itself at the end of the file or at a read error, and Close — which
-// closes the file first, so a blocked read returns — does not return
-// before it has exited: a closed source leaves nothing behind, and Loop,
-// which opens its source once per cycle, leaves nothing behind per cycle.
+// Who reads ahead: Open, and nothing else, for a regular file of 16 MiB or
+// more, on one goroutine (internal/blockio's Ahead) that keeps up to three
+// buffers filled while the caller's Next works through the current one. A
+// native trace's goroutine reads 256 KiB blocks of bytes for its decoder
+// (2 MiB of buffers per open source). A capture's goroutine runs the whole
+// synchronous PcapSource — its own block reader, the record parse, the
+// flow key — and hands over batches of 4096 keyed packets (768 KiB per
+// open source), so a frame's headers are parsed on the core whose read(2)
+// just wrote them, not out of the other core's cache. (Decoding a native
+// trace ahead measured no gain: ROADMAP, "Decided against".) Smaller
+// files, pipes, and every source built from a bare io.Reader
+// (NewTraceSource, NewPcapSource) are read synchronously and own no
+// goroutine. Either way the reader sees what the synchronous source shows:
+// every packet before an error, then that error; once the goroutine has
+// exited — by itself, at the end of the file or at a read error — Next
+// goes on synchronously, so a retry or a repeated io.EOF is answered as
+// without it. Close closes the file first, so a blocked read returns, and
+// does not return before the goroutine has exited: a closed source leaves
+// nothing behind, and Loop, which opens its source once per cycle, leaves
+// nothing behind per cycle.
 //
 // Replay decorators compose over any source: Pace throttles a trace to
 // line rate (or a speed multiple of it) using the packet timestamps, and
@@ -197,6 +207,19 @@ func (s *PcapSource) Close() error {
 	return nil
 }
 
+// fill decodes packets into buf until it is full or Next fails: the
+// decode-ahead goroutine's work (pcapAhead).
+//
+//flowrank:hotpath
+func (s *PcapSource) fill(buf []packet.Packet) (int, error) {
+	for i := range buf {
+		if err := s.Next(&buf[i]); err != nil {
+			return i, err
+		}
+	}
+	return len(buf), nil
+}
+
 // readAheadMin is the file size from which Open reads ahead. Starting the
 // goroutine and faulting in its 2 MiB of buffers costs what overlapping
 // some tens of blocks returns (BenchmarkSourceDecode: 55 blocks break about
@@ -204,11 +227,17 @@ func (s *PcapSource) Close() error {
 // NewTraceSource and NewPcapSource read anything: synchronously.
 const readAheadMin = 64 * blockio.BlockSize
 
+// batchPackets is how many decoded packets one hand-off of a pcap
+// decode-ahead carries: 128 KiB of packet.Packet. Batches of 512 and 1024
+// packets ran at 0.82x and 0.87x its speed, 16384 tied.
+const batchPackets = 4096
+
 // Open opens a trace file as a PacketSource: the native format by
 // default, pcap when isPcap is set. A regular file of readAheadMin bytes
-// or more is read ahead of the decoder (see the package comment). The
-// returned source owns the file handle and the read-ahead: its Close
-// closes the one and ends the other.
+// or more is read ahead (see the package comment): a native trace as
+// blocks of bytes under its decoder, a capture as batches of packets its
+// decoder has already keyed. The returned source owns the file handle and
+// the read-ahead: its Close closes the one and ends the other.
 func Open(path string, isPcap bool) (PacketSource, error) {
 	return open(path, isPcap, readAheadMin)
 }
@@ -220,21 +249,113 @@ func open(path string, isPcap bool, readAheadMin int64) (PacketSource, error) {
 	if err != nil {
 		return nil, err
 	}
+	st, err := f.Stat()
+	ahead := err == nil && st.Mode().IsRegular() && st.Size() >= readAheadMin
+	if isPcap {
+		src, err := NewPcapSource(f)
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		if ahead {
+			return newPcapAhead(src), nil
+		}
+		return src, nil
+	}
 	var r io.ReadCloser = f
-	if st, err := f.Stat(); err == nil && st.Mode().IsRegular() && st.Size() >= readAheadMin {
+	if ahead {
 		r = blockio.NewReadAhead(f)
 	}
-	var src PacketSource
-	if isPcap {
-		src, err = NewPcapSource(r)
-	} else {
-		src, err = NewTraceSource(r)
-	}
+	src, err := NewTraceSource(r)
 	if err != nil {
 		r.Close()
 		return nil, err
 	}
 	return src, nil
+}
+
+// pcapAhead is what Open returns for a large capture file: a goroutine
+// runs the synchronous source's decoder (fill) and hands over batches of
+// packets, which Next copies out one at a time. Once the goroutine has
+// exited — after the batch that carried the end of the capture or an
+// error — Next calls the synchronous source itself, so a retry or a
+// repeated io.EOF is answered exactly as it would be without it.
+type pcapAhead struct {
+	sync *PcapSource // the goroutine's until it has exited, then Next's
+	a    *blockio.Ahead[packet.Packet]
+	buf  []packet.Packet // buf[i:n] is decoded and unread
+	i, n int
+	err  error // the error that ended buf, reported after its packets
+	// async is true while the packets come from a's goroutine.
+	async  bool
+	closed atomic.Bool
+}
+
+func newPcapAhead(src *PcapSource) *pcapAhead {
+	return &pcapAhead{
+		sync:  src,
+		a:     blockio.NewAhead(batchPackets, src.fill),
+		buf:   make([]packet.Packet, batchPackets), // the one more that circulates
+		async: true,
+	}
+}
+
+// Next fills p with the next decodable frame.
+//
+//flowrank:hotpath
+func (s *pcapAhead) Next(p *packet.Packet) error {
+	if s.closed.Load() {
+		return errPcapClosed
+	}
+	if s.i < s.n {
+		*p = s.buf[s.i]
+		s.i++
+		return nil
+	}
+	return s.nextBatch(p)
+}
+
+// nextBatch reports the error that ended the current batch, or takes the
+// next batch and returns its first packet, or — once the goroutine is gone
+// — hands Next to the synchronous source. A Close that ends the goroutine
+// fails the read instead: the stream it read past is not resumed.
+//
+//flowrank:hotpath
+func (s *pcapAhead) nextBatch(p *packet.Packet) error {
+	for s.async {
+		if err := s.err; err != nil {
+			s.err = nil
+			return err
+		}
+		blk, ok := s.a.Next()
+		if s.closed.Load() {
+			return errPcapClosed
+		}
+		if !ok {
+			s.async = false
+			break
+		}
+		s.a.Free(s.buf)
+		s.buf, s.i, s.n, s.err = blk.Buf, 0, blk.N, blk.Err
+		if s.n > 0 {
+			*p = s.buf[0]
+			s.i = 1
+			return nil
+		}
+	}
+	return s.sync.Next(p)
+}
+
+// Close closes the file, which ends a read the goroutine is blocked in,
+// and returns once the goroutine has exited. A Next waiting for a batch
+// fails with ErrClosedSource.
+func (s *pcapAhead) Close() error {
+	if !s.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	err := s.sync.Close()
+	s.a.Stop()
+	return err
 }
 
 // Slice is an in-memory PacketSource over a packet slice — the test and

@@ -2,7 +2,9 @@
 # End-to-end flowtop cross-check: generate a small trace in both on-disk
 # formats, run the monitor on one shard (-workers 1) and on four
 # (-workers 4), and require byte-identical bin reports and NetFlow
-# exports. CI runs this after the unit suite; locally: make e2e.
+# exports; then read one capture above source.Open's read-ahead threshold
+# both ways it can be read, and require the same bytes again. CI runs this
+# after the unit suite; locally: make e2e.
 set -eu
 
 dir="$(mktemp -d)"
@@ -39,4 +41,21 @@ grep -q '^adapt: ' "$dir/one-adapt.txt"
 diff "$dir/one-pcap.txt" "$dir/four-pcap.txt"
 test -s "$dir/one-pcap.txt"
 
-echo "flowtop e2e: one-shard and four-shard outputs identical (native, native -adapt, pcap)"
+# Both read paths of a capture: a file of 16 MiB or more is decoded ahead
+# on a goroutine of its own, the same bytes through a pipe are read
+# synchronously. Reports and exports must not tell them apart.
+"$dir/tracegen" -preset sprint24 -seconds 4 -seed 3 -pcap -o "$dir/large.pcap"
+test "$(wc -c <"$dir/large.pcap")" -ge 16777216
+for w in 1 4; do
+    "$dir/flowtop" -in "$dir/large.pcap" -pcap -p 0.1 -t 5 -bin 1 -seed 7 -workers $w \
+        -netflow "$dir/ahead-$w.nf5" >"$dir/ahead-$w.txt"
+    cat "$dir/large.pcap" | "$dir/flowtop" -in /dev/stdin -pcap -p 0.1 -t 5 -bin 1 -seed 7 -workers $w \
+        -netflow "$dir/pipe-$w.nf5" >"$dir/pipe-$w.txt"
+    cmp "$dir/ahead-$w.txt" "$dir/pipe-$w.txt"
+    cmp "$dir/ahead-$w.nf5" "$dir/pipe-$w.nf5"
+done
+cmp "$dir/ahead-1.txt" "$dir/ahead-4.txt"
+test -s "$dir/ahead-1.txt"
+test -s "$dir/ahead-1.nf5"
+
+echo "flowtop e2e: one-shard and four-shard outputs identical (native, native -adapt, pcap); a large capture decoded ahead reads as it does through a pipe"
