@@ -171,13 +171,15 @@ e2e-daemon:
 e2e-obs:
 	./scripts/e2e_obs.sh
 
-# Brief native fuzz runs (~65 s total) over the wire-format edges (the
+# Brief native fuzz runs (~71 s total) over the wire-format edges (the
 # NetFlow decode/encode round trip, the pcap reader/writer, the native
 # packet-trace reader; both trace readers differentially against their
 # unbuffered reference readers; the block reader under both, synchronous
 # and reading ahead, against bufio.Reader on an op tape; the frame-to-key
 # parse against the struct decoders), the flat flow table's open-addressing
-# machinery and the sketches' hash-probed slot index (against a Go map).
+# machinery, the sketches' hash-probed slot index (against a Go map) and
+# the bin journal's validator (an accepted bin line decodes into BinRecord,
+# and journaled again it validates again).
 # Long runs are for dedicated fuzzing sessions; this keeps the harnesses
 # and seed corpora green.
 fuzz-smoke:
@@ -190,6 +192,7 @@ fuzz-smoke:
 	$(GO) test ./internal/layers -run '^$$' -fuzz '^FuzzFlowKey$$' -fuzztime 6s
 	$(GO) test ./internal/flowtable -run '^$$' -fuzz '^FuzzFlatProbe$$' -fuzztime 8s
 	$(GO) test ./internal/flowtable -run '^$$' -fuzz '^FuzzSlotsIndex$$' -fuzztime 6s
+	$(GO) test ./internal/pipeline -run '^$$' -fuzz '^FuzzValidateJournal$$' -fuzztime 6s
 
 # Short-suite coverage with a ratchet: fails when total coverage drops
 # more than a point below the committed .coverage-baseline.

@@ -1,8 +1,12 @@
 // Command journalcheck validates a flowrank bin journal — the JSON-lines
-// stream flowrankd -journal and flowtop -journal write — against the
-// BinRecord schema, line by line. It is the CI oracle of the e2e-obs
-// harness and a quick sanity check for operators: a journal that passes
-// is safe to feed to jq pipelines and dashboards that assume the schema.
+// stream flowrankd -journal and flowtop -journal write — line by line
+// against pipeline.BinRecord, the type that writes it and the journal's
+// only schema: every line must carry the slog envelope, and every bin
+// line's record must decode into BinRecord and hold each field the
+// encoder always writes (unknown keys pass). It is the CI oracle of the
+// e2e-obs harness and a quick sanity check for operators: a journal that
+// passes is safe to feed to jq pipelines and dashboards that assume the
+// schema. A failure names the line it is on.
 //
 // Usage:
 //

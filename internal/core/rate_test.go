@@ -331,7 +331,7 @@ func coldRequiredRate(metric func(p float64) float64, target float64) (float64, 
 	if f(hi) > 0 {
 		return 0, ErrTargetUnreachable
 	}
-	lp, err := numeric.Brent(f, lo, hi, 1e-6)
+	lp, err := numeric.BrentBracket(f, lo, f(lo), hi, f(hi), 1e-6)
 	if err != nil {
 		return 0, err
 	}

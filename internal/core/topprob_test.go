@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"testing/quick"
 
 	"flowrank/internal/numeric"
 )
@@ -42,10 +43,69 @@ func binomialJointTopProb(pmfBig []float64, vSmall, uBig float64, t, n int) floa
 	var acc numeric.KahanSum
 	for k := 0; k < t; k++ {
 		if pmfBig[k] != 0 {
-			acc.Add(pmfBig[k] * numeric.BinomialSurvival(t-k-1, n-k-2, pji))
+			acc.Add(pmfBig[k] * binomialSurvival(t-k-1, n-k-2, pji))
 		}
 	}
 	return clamp01(acc.Sum())
+}
+
+// binomialSurvival returns P{Bin(n,p) >= k}, the upper tail including k,
+// summed directly while it has fewer than 64 terms (numeric's direct-sum
+// bound) so that a small tail keeps its precision.
+func binomialSurvival(k, n int, p float64) float64 {
+	switch {
+	case k <= 0:
+		return 1
+	case k > n:
+		return 0
+	case p <= 0:
+		return 0
+	case p >= 1:
+		return 1
+	}
+	// P{X >= k} = I_p(k, n-k+1).
+	if n-k < 64 {
+		var s numeric.KahanSum
+		for i := k; i <= n; i++ {
+			s.Add(numeric.BinomialPMF(i, n, p))
+		}
+		return clamp01(s.Sum())
+	}
+	return clamp01(numeric.RegIncBeta(float64(k), float64(n-k)+1, p))
+}
+
+func TestBinomialCDFSurvivalComplement(t *testing.T) {
+	f := func(nRaw uint16, kRaw uint16, pRaw uint16) bool {
+		n := int(nRaw%3000) + 1
+		k := int(kRaw) % (n + 1)
+		p := (float64(pRaw%999) + 0.5) / 1000
+		cdf := numeric.BinomialCDF(k, n, p)
+		sur := binomialSurvival(k+1, n, p)
+		return almostEqual(cdf+sur, 1, 1e-9)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestBinomialSurvivalLargeN(t *testing.T) {
+	// With N ~ 1e6 and tiny success probability the tail must stay finite
+	// and match the Poisson limit.
+	n := 1_000_000
+	pp := 5.0 / float64(n)
+	for k := 0; k <= 15; k++ {
+		b := binomialSurvival(k, n, pp)
+		po := 1 - numeric.PoissonCDF(k-1, 5.0)
+		if !almostEqual(b, po, 1e-4) {
+			t.Errorf("survival(k=%d): binomial %g vs poisson %g", k, b, po)
+		}
+	}
+}
+
+func BenchmarkBinomialSurvivalBeta(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		_ = binomialSurvival(900, 100000, 0.001)
+	}
 }
 
 // topWeights is one form of the top-t membership weights: Pt, the pmf of

@@ -124,29 +124,6 @@ func TestJournalExampleRecord(t *testing.T) {
 	}
 }
 
-// TestValidateJournalRejects pins the validator's failure modes: it is
-// the e2e harness's oracle, so it must actually reject broken streams.
-func TestValidateJournalRejects(t *testing.T) {
-	cases := map[string]string{
-		"not json":        "bogus\n",
-		"missing msg":     `{"time":"t","level":"INFO"}` + "\n",
-		"missing record":  `{"time":"t","level":"INFO","msg":"bin"}` + "\n",
-		"missing field":   `{"time":"t","level":"INFO","msg":"bin","record":{"bin":1}}` + "\n",
-		"wrong type":      `{"time":"t","level":"INFO","msg":"bin","record":{"bin":"one","start":0,"end":1,"table":"exact","flows":1,"sampled_flows":1,"orig_packets":1,"sampled_packets":1,"sampling_rate":0.5,"count_err_pkts":0,"ranking_fraction":0,"detection_fraction":0}}` + "\n",
-		"bad nested type": `{"time":"t","level":"INFO","msg":"bin","record":{"bin":1,"start":0,"end":1,"table":"exact","flows":1,"sampled_flows":1,"orig_packets":1,"sampled_packets":1,"sampling_rate":0.5,"count_err_pkts":0,"ranking_fraction":0,"detection_fraction":0,"netflow":{"dest":7,"records":1,"datagrams":1,"send_errors":0,"flow_seq_start":0}}}` + "\n",
-	}
-	for name, in := range cases {
-		if _, err := ValidateJournal(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: ValidateJournal accepted it", name)
-		}
-	}
-	// Non-bin operational records pass through uncounted.
-	n, err := ValidateJournal(strings.NewReader(`{"time":"t","level":"INFO","msg":"other"}` + "\n"))
-	if err != nil || n != 0 {
-		t.Errorf("operational record: bins=%d err=%v, want 0, nil", n, err)
-	}
-}
-
 // TestNetFlowSendFailureWarning: UDP send failures produce a structured,
 // rate-limited warning carrying the destination and flow-sequence
 // context, and the journal records the per-bin failure counts.

@@ -94,8 +94,9 @@ func replayToEOF(t *testing.T, cfg Config) (page string, recs []BinRecord) {
 // TestMetricsPageGolden pins the whole /metrics page — names, help, types,
 // bucket ladders and their order — of a daemon with every optional stage
 // on (inversion, NetFlow export, the adaptive loop) after a finite replay.
-// Dashboards, deploy/alerts.yml and the benchmark read these names; a PR
-// that moves one must show it in this file's diff. Regenerate with:
+// Dashboards, deploy/alerts.yml and the benchmark read these names
+// (TestDeployReadsPageSeries checks deploy/'s); a change that moves one
+// must show it in this file's diff. Regenerate with:
 //
 //	go test ./internal/daemon -run TestMetricsPageGolden -update
 func TestMetricsPageGolden(t *testing.T) {
@@ -131,6 +132,47 @@ func TestMetricsPageGolden(t *testing.T) {
 		}
 		t.Errorf("/metrics page (%d lines) drifted from %s (%d lines) at line %d (regenerate with -update if intended):\n got: %s\nwant: %s",
 			len(gl)-1, golden, len(wl)-1, i+1, gl[i], wl[i])
+	}
+}
+
+// deploySeriesRE matches a series name in deploy/'s rules and docs.
+var deploySeriesRE = regexp.MustCompile(`\bflowrankd?_[a-zA-Z0-9_:]*[a-zA-Z0-9:]`)
+
+// TestDeployReadsPageSeries: every flowrank(d)_* series deploy/alerts.yml
+// and deploy/README.md name is a family on the golden /metrics page (a
+// histogram's _bucket, _sum and _count samples name their family), so a
+// rename shows in the deploy rig, not as an alert that never fires.
+func TestDeployReadsPageSeries(t *testing.T) {
+	golden, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := map[string]bool{}
+	for _, line := range strings.Split(string(golden), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families[strings.Fields(rest)[0]] = true
+		}
+	}
+	for _, path := range []string{"../../deploy/alerts.yml", "../../deploy/README.md"} {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := deploySeriesRE.FindAllString(string(doc), -1)
+		if len(names) == 0 {
+			t.Errorf("%s names no flowrank series", path)
+		}
+		for _, name := range names {
+			fam := name
+			for _, suf := range []string{"_bucket", "_sum", "_count"} {
+				if base, ok := strings.CutSuffix(name, suf); ok && families[base] {
+					fam = base
+				}
+			}
+			if !families[fam] {
+				t.Errorf("%s reads %s, which is not on the /metrics page", path, name)
+			}
+		}
 	}
 }
 

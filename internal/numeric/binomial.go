@@ -70,30 +70,6 @@ func BinomialCDF(k, n int, p float64) float64 {
 	return clampUnit(RegIncBeta(float64(n-k), float64(k)+1, 1-p))
 }
 
-// BinomialSurvival returns P{Bin(n,p) >= k}, the upper tail including k.
-// It is the numerically preferred form when the tail mass is small.
-func BinomialSurvival(k, n int, p float64) float64 {
-	switch {
-	case k <= 0:
-		return 1
-	case k > n:
-		return 0
-	case p <= 0:
-		return 0
-	case p >= 1:
-		return 1
-	}
-	// P{X >= k} = I_p(k, n-k+1).
-	if n-k < cdfDirectTerms {
-		var s KahanSum
-		for i := k; i <= n; i++ {
-			s.Add(BinomialPMF(i, n, p))
-		}
-		return clampUnit(s.Sum())
-	}
-	return clampUnit(RegIncBeta(float64(k), float64(n-k)+1, p))
-}
-
 // cdfDirectTerms bounds how many point masses are summed directly before
 // switching to the incomplete-beta form. The models in internal/core only
 // ever need tails with k below the top-list length t (tens at most), so the

@@ -126,20 +126,6 @@ func TestBinomialCDFMatchesDirectSum(t *testing.T) {
 	}
 }
 
-func TestBinomialCDFSurvivalComplement(t *testing.T) {
-	f := func(nRaw uint16, kRaw uint16, pRaw uint16) bool {
-		n := int(nRaw%3000) + 1
-		k := int(kRaw) % (n + 1)
-		p := (float64(pRaw%999) + 0.5) / 1000
-		cdf := BinomialCDF(k, n, p)
-		sur := BinomialSurvival(k+1, n, p)
-		return almostEqual(cdf+sur, 1, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBinomialCDFMonotone(t *testing.T) {
 	n := 200
 	p := 0.31
@@ -153,20 +139,6 @@ func TestBinomialCDFMonotone(t *testing.T) {
 	}
 	if !almostEqual(prev, 1, 1e-12) {
 		t.Errorf("CDF(n) = %g, want 1", prev)
-	}
-}
-
-func TestBinomialSurvivalLargeN(t *testing.T) {
-	// With N ~ 1e6 and tiny success probability the tail must stay finite
-	// and match the Poisson limit.
-	n := 1_000_000
-	pp := 5.0 / float64(n)
-	for k := 0; k <= 15; k++ {
-		b := BinomialSurvival(k, n, pp)
-		po := 1 - PoissonCDF(k-1, 5.0)
-		if !almostEqual(b, po, 1e-4) {
-			t.Errorf("survival(k=%d): binomial %g vs poisson %g", k, b, po)
-		}
 	}
 }
 
@@ -209,11 +181,5 @@ func TestPoissonCDFLargeK(t *testing.T) {
 func BenchmarkBinomialPMF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = BinomialPMF(12, 100000, 0.001)
-	}
-}
-
-func BenchmarkBinomialSurvivalBeta(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = BinomialSurvival(900, 100000, 0.001)
 	}
 }

@@ -25,15 +25,6 @@ func (k *KahanSum) Sum() float64 { return k.sum + k.c }
 // Reset clears the accumulator.
 func (k *KahanSum) Reset() { k.sum, k.c = 0, 0 }
 
-// SumSlice returns the compensated sum of xs.
-func SumSlice(xs []float64) float64 {
-	var s KahanSum
-	for _, x := range xs {
-		s.Add(x)
-	}
-	return s.Sum()
-}
-
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x

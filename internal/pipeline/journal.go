@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"reflect"
+	"slices"
+	"strings"
 
 	"flowrank/internal/obs"
 )
@@ -31,6 +34,12 @@ func NewJournal(w io.Writer) *slog.Logger {
 // BinRecord is one journal line's "record" payload, and what Run hands
 // its per-bin callback: everything the pipeline knows about one completed
 // measurement bin.
+//
+// This type and its sub-records are the journal's schema. ValidateJournal
+// decodes each record into it to check types, and requires every field
+// that is neither a pointer nor omitempty, since the encoder always writes
+// those; a pointer or omitempty field is optional. A field added here is
+// journaled and validated with no other edit.
 type BinRecord struct {
 	Bin            int64   `json:"bin"`
 	Start          float64 `json:"start"`
@@ -94,111 +103,23 @@ type NetFlowRecord struct {
 	Err          string `json:"err,omitempty"`
 }
 
-// jsonKind is the JSON type a schema field must decode to.
-type jsonKind int
-
-const (
-	kindNumber jsonKind = iota
-	kindString
-	kindObject
-)
-
-// field is one schema entry: a key, its JSON type, and whether a record
-// may omit it.
-type field struct {
-	key      string
-	kind     jsonKind
-	optional bool
+// journalLine is the slog envelope of every journal line. Record is
+// decoded into a BinRecord only on a bin line; other lines may carry a
+// record attribute of any shape.
+type journalLine struct {
+	Time   string          `json:"time"`
+	Level  string          `json:"level"`
+	Msg    string          `json:"msg"`
+	Record json.RawMessage `json:"record,omitempty"`
 }
 
-// recordSchema is the journal's contract, checked field-by-field by
-// ValidateJournal — the Go-native stand-in for a JSON Schema document,
-// kept next to BinRecord so the two cannot drift silently.
-var recordSchema = []field{
-	{key: "bin", kind: kindNumber},
-	{key: "start", kind: kindNumber},
-	{key: "end", kind: kindNumber},
-	{key: "table", kind: kindString},
-	{key: "flows", kind: kindNumber},
-	{key: "sampled_flows", kind: kindNumber},
-	{key: "orig_packets", kind: kindNumber},
-	{key: "sampled_packets", kind: kindNumber},
-	{key: "sampling_rate", kind: kindNumber},
-	{key: "count_err_pkts", kind: kindNumber},
-	{key: "ranking_fraction", kind: kindNumber},
-	{key: "detection_fraction", kind: kindNumber},
-	{key: "stages", kind: kindObject, optional: true},
-	{key: "inversion", kind: kindObject, optional: true},
-	{key: "adapt", kind: kindObject, optional: true},
-	{key: "netflow", kind: kindObject, optional: true},
-}
-
-// subSchemas are the required fields of each optional nested object.
-var subSchemas = map[string][]field{
-	"stages": {
-		{key: "barrier_ns", kind: kindNumber},
-		{key: "merge_ns", kind: kindNumber},
-		{key: "invert_ns", kind: kindNumber},
-		{key: "emit_ns", kind: kindNumber},
-		{key: "total_ns", kind: kindNumber},
-	},
-	"inversion": {
-		{key: "method", kind: kindString},
-		{key: "mean_pkts", kind: kindNumber},
-		{key: "tail_index", kind: kindNumber},
-		{key: "flows", kind: kindNumber},
-	},
-	"adapt": {
-		{key: "prev_rate", kind: kindNumber},
-		{key: "rate", kind: kindNumber},
-	},
-	"netflow": {
-		{key: "dest", kind: kindString},
-		{key: "records", kind: kindNumber},
-		{key: "datagrams", kind: kindNumber},
-		{key: "send_errors", kind: kindNumber},
-		{key: "flow_seq_start", kind: kindNumber},
-	},
-}
-
-// checkFields validates one object against a schema slice.
-func checkFields(obj map[string]any, schema []field, where string) error {
-	for _, f := range schema {
-		v, ok := obj[f.key]
-		if !ok {
-			if f.optional {
-				continue
-			}
-			return fmt.Errorf("%s: missing required field %q", where, f.key)
-		}
-		switch f.kind {
-		case kindNumber:
-			if _, ok := v.(float64); !ok {
-				return fmt.Errorf("%s: field %q is %T, want number", where, f.key, v)
-			}
-		case kindString:
-			if _, ok := v.(string); !ok {
-				return fmt.Errorf("%s: field %q is %T, want string", where, f.key, v)
-			}
-		case kindObject:
-			sub, ok := v.(map[string]any)
-			if !ok {
-				return fmt.Errorf("%s: field %q is %T, want object", where, f.key, v)
-			}
-			if err := checkFields(sub, subSchemas[f.key], where+"."+f.key); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ValidateJournal reads a journal stream line by line and checks every
-// bin record against the schema: each line must be a JSON object with
-// time, level and msg; lines whose msg is "bin" must carry a record
-// object with all required fields at their required types. It returns
-// the number of bin records seen; zero bins with a nil error means the
-// stream held no journal records (which callers may treat as a failure).
+// ValidateJournal reads a journal stream line by line and checks each
+// line against the types that write it: a line must decode into the slog
+// envelope (time, level and msg strings), and a line whose msg is "bin"
+// must carry a record object that decodes into BinRecord and holds every
+// field the encoder always writes. Unknown keys pass. It returns the
+// number of bin records seen; zero bins with a nil error means the stream
+// held no journal records (which callers may treat as a failure).
 func ValidateJournal(r io.Reader) (bins int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -209,29 +130,68 @@ func ValidateJournal(r io.Reader) (bins int, err error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var obj map[string]any
-		if err := json.Unmarshal(raw, &obj); err != nil {
-			return bins, fmt.Errorf("journal line %d: not a JSON object: %w", line, err)
-		}
 		where := fmt.Sprintf("journal line %d", line)
-		if err := checkFields(obj, []field{
-			{key: "time", kind: kindString},
-			{key: "level", kind: kindString},
-			{key: "msg", kind: kindString},
-		}, where); err != nil {
+		var env journalLine
+		if err := check(raw, &env, where); err != nil {
 			return bins, err
 		}
-		if obj["msg"] != journalMsg {
+		if env.Msg != journalMsg {
 			continue // operational record sharing the stream
 		}
-		rec, ok := obj["record"].(map[string]any)
-		if !ok {
+		if env.Record == nil {
 			return bins, fmt.Errorf("%s: bin record missing \"record\" object", where)
 		}
-		if err := checkFields(rec, recordSchema, where+".record"); err != nil {
+		if err := check(env.Record, new(BinRecord), where+".record"); err != nil {
 			return bins, err
 		}
 		bins++
 	}
-	return bins, sc.Err()
+	if err := sc.Err(); err != nil {
+		return bins, fmt.Errorf("journal line %d: %w", line+1, err)
+	}
+	return bins, nil
+}
+
+// check decodes raw into v, a pointer to a struct, which checks the
+// types, then checks that raw holds what the encoder of v always writes.
+func check(raw []byte, v any, where string) error {
+	if err := json.Unmarshal(raw, v); err != nil {
+		return fmt.Errorf("%s: %w", where, err)
+	}
+	return present(raw, reflect.TypeOf(v).Elem(), where)
+}
+
+// present checks that raw is a JSON object holding every field of struct
+// type t that is neither a pointer nor omitempty, under its json tag's
+// name, and walks into each struct-valued field present. A null field
+// counts as absent, except that a pointer field present must not be null.
+func present(raw []byte, t reflect.Type, where string) error {
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &obj); err != nil || obj == nil {
+		return fmt.Errorf("%s: not a JSON object", where)
+	}
+	for i := range t.NumField() {
+		f := t.Field(i)
+		name, opts, _ := strings.Cut(f.Tag.Get("json"), ",")
+		ft, ptr := f.Type, f.Type.Kind() == reflect.Pointer
+		if ptr {
+			ft = ft.Elem()
+		}
+		v, ok := obj[name]
+		if ok && string(v) == "null" {
+			if ptr {
+				return fmt.Errorf("%s: field %q is null", where, name)
+			}
+			ok = false
+		}
+		switch {
+		case ok && ft.Kind() == reflect.Struct:
+			if err := present(v, ft, where+"."+name); err != nil {
+				return err
+			}
+		case !ok && !ptr && !slices.Contains(strings.Split(opts, ","), "omitempty"):
+			return fmt.Errorf("%s: required field %q is missing or null", where, name)
+		}
+	}
+	return nil
 }
