@@ -143,35 +143,43 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 // TestGoldenOutput pins flowtop's stdout, byte for byte, on a fixed-seed
 // native trace — output-format drift now fails tier-1 instead of only the
-// e2e script. The run includes the -invert summary so the inversion
-// output format is pinned too. Regenerate with:
+// e2e script. One run per -invert estimator pins its inversion line: the
+// estimate's mean, tail index, flow count and size quantiles (tail's
+// Mixture reads its quantiles through the step atlas). Regenerate with:
 //
 //	go test ./cmd/flowtop -run TestGoldenOutput -update
 func TestGoldenOutput(t *testing.T) {
 	native, _ := writeTraces(t)
-	var stdout, stderr bytes.Buffer
-	opts := options{
-		Flags: pipeline.Flags{
-			In: native, Rate: 0.2, TopT: 5, Bin: 4,
-			Agg: "5tuple", Seed: 9, Workers: 2, Invert: "em",
-		},
-	}
-	if err := run(opts, &stdout, &stderr); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "flowtop_sprint12s_p20_em.golden")
-	if *update {
-		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Errorf("stdout drifted from %s (regenerate with -update if intended):\n--- got\n%s\n--- want\n%s",
-			golden, stdout.String(), want)
+	for _, inv := range []string{"em", "naive", "tail", "parametric"} {
+		t.Run(inv, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			opts := options{
+				Flags: pipeline.Flags{
+					In: native, Rate: 0.2, TopT: 5, Bin: 4,
+					Agg: "5tuple", Seed: 9, Workers: 2, Invert: inv,
+				},
+			}
+			if err := run(opts, &stdout, &stderr); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(stdout.String(), "inversion ("+inv+")") {
+				t.Fatalf("no %s inversion line:\n%s", inv, stdout.String())
+			}
+			golden := filepath.Join("testdata", "flowtop_sprint12s_p20_"+inv+".golden")
+			if *update {
+				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update)", err)
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("stdout drifted from %s (regenerate with -update if intended):\n--- got\n%s\n--- want\n%s",
+					golden, stdout.String(), want)
+			}
+		})
 	}
 }
 
