@@ -28,7 +28,7 @@
 // input of a sketch).
 //
 // With -adapt <target> the monitor closes the loop of the paper's §9:
-// after every bin it feeds the bin's inversion summary into the adaptive
+// after every bin it feeds the bin's inversion into the adaptive
 // controller and retunes the live sampling rate to the cheapest one whose
 // predicted ranking metric stays at or below the target. Rate changes
 // happen only at bin boundaries, on the reader goroutine, so the output
@@ -141,14 +141,14 @@ func run(opts options, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// printRecord is one bin's report: the table, then the inversion summary
+// printRecord is one bin's report: the table, then the inversion
 // and the adapt decision where the run has them.
 func printRecord(w io.Writer, b stream.BinResult, rec *pipeline.BinRecord, opts options) error {
 	if err := printBin(w, b, opts.TopT); err != nil {
 		return err
 	}
-	if b.Inversion != nil {
-		if err := printInversion(w, b.Inversion); err != nil {
+	if rec.Inversion != nil {
+		if err := printInversion(w, rec.Inversion.Method, b); err != nil {
 			return err
 		}
 	}
@@ -172,18 +172,21 @@ func printAdapt(w io.Writer, ad *pipeline.AdaptRecord, opts options) error {
 	return err
 }
 
-// printInversion renders the per-bin inversion summary under the bin
-// table. The format is pinned by the golden-file test.
-func printInversion(w io.Writer, s *stream.InversionSummary) error {
-	if s.Err != "" {
-		_, err := fmt.Fprintf(w, "inversion (%s): %s\n\n", s.Method, s.Err)
+// printInversion renders the bin's inversion under its table: the
+// estimate with its size quantiles at the median, the top decile, the top
+// percent and the top 0.1% — the body-to-tail checkpoints an operator
+// reads off a CCDF plot — or the estimator's error. The format is pinned
+// by the golden-file test.
+func printInversion(w io.Writer, method string, b stream.BinResult) error {
+	if b.InversionErr != nil {
+		_, err := fmt.Fprintf(w, "inversion (%s): %s\n\n", method, b.InversionErr)
 		return err
 	}
-	e := s.Estimate
+	e := b.Inversion
+	q := e.Dist.QuantileCCDF
 	_, err := fmt.Fprintf(w,
 		"inversion (%s): mean=%.4g pkts, tail index=%.3g, est flows=%.0f, size quantiles q50=%.4g q10=%.4g q1=%.4g q0.1=%.4g\n\n",
-		s.Method, e.Mean, e.TailIndex, e.FlowCount,
-		s.Quantiles[0], s.Quantiles[1], s.Quantiles[2], s.Quantiles[3])
+		method, e.Mean, e.TailIndex, e.FlowCount, q(0.5), q(0.1), q(0.01), q(0.001))
 	return err
 }
 

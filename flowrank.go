@@ -310,7 +310,10 @@ func NewCountMinTable(agg Aggregator, k int) *CountMinTable {
 // Streaming monitor (sharded ingestion engine)
 
 // StreamConfig configures the sharded streaming monitor: aggregation,
-// sampler, bin width, top-list length, worker count.
+// sampler, bin width, top-list length, worker count, and optionally a
+// per-bin Inverter, bounded Tables and the PipelineStats (Obs) a caller
+// reads the engine's stage timings from while it runs. The engine times
+// its stages whether or not Obs is set; Obs only makes them readable.
 type StreamConfig = stream.Config
 
 // StreamBin is the merged measurement of one non-empty bin: every
@@ -319,6 +322,9 @@ type StreamConfig = stream.Config
 // exact sampled top list and the sampled flow count, and the paper's
 // swapped-pair metrics. It carries no per-flow sampled counts: the engine
 // joins each flow's sampled count inside its shard and hands over Pairs.
+// With an Inverter it carries the estimator's own result (Inversion) or
+// its error (InversionErr); on every bin, Stages holds the flush's
+// barrier, merge and invert timings.
 type StreamBin = stream.BinResult
 
 // StreamEngine is a running streaming monitor; Feed it packets in trace
@@ -444,8 +450,9 @@ func NewDaemon(cfg DaemonConfig) (*MonitorDaemon, error) { return daemon.New(cfg
 // PipelineStats is the streaming engine's self-instrumentation surface
 // (StreamConfig.Obs): preallocated alloc-free counters and fixed-bucket
 // latency histograms for the reader, each shard worker and the
-// bin-boundary flush. Attaching one never changes engine output — with
-// or without it, results are bit-identical.
+// bin-boundary flush. The engine records into its own when none is
+// attached; attaching one lets the caller read them and never changes
+// engine output.
 type PipelineStats = obs.PipelineStats
 
 // NewPipelineStats preallocates pipeline instrumentation for an engine

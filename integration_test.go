@@ -109,7 +109,8 @@ func TestNativeTracePipeline(t *testing.T) {
 	smp := NewBernoulli(0.2, 9)
 	replayed := 0
 	for {
-		p, err := r.Next()
+		var p Packet
+		err := r.Read(&p)
 		if err == io.EOF {
 			break
 		}

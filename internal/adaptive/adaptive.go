@@ -38,9 +38,8 @@ type Controller struct {
 // target, together with the fitted model: 1e-4 when the target is already
 // met there, 1 when even p = 1 cannot reach it. Any other solver failure (an
 // estimate the model rejects, say) is returned as an error, never turned
-// into a rate. The streaming monitor's per-bin inversion summary carries
-// the estimate, so the closed loop (flowtop -adapt) does not invert the
-// same bin twice.
+// into a rate. The streaming monitor's bin result carries the estimate,
+// so the closed loop (flowtop -adapt) does not invert the same bin twice.
 func (c Controller) RecommendEstimate(est invert.Estimate) (float64, core.Model, error) {
 	if c.TopT < 1 {
 		return 0, core.Model{}, fmt.Errorf("adaptive: top-t %d must be >= 1", c.TopT)

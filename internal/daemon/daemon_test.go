@@ -278,7 +278,7 @@ func TestMetricsMatchBatch(t *testing.T) {
 	got := scrape(t, d.Addr())
 
 	last := bins[len(bins)-1]
-	lastInv := last.Inversion.Estimate
+	lastInv := last.Inversion
 	want := map[string]float64{
 		"flowrankd_up":                     1,
 		"flowrankd_packets_ingested_total": float64(len(pkts)),

@@ -10,9 +10,10 @@ import (
 )
 
 // binLatencyBounds are the upper bounds (ns) of the bin-processing latency
-// histogram: the emit path of a bin — merge consumption, metric updates,
-// NetFlow export, the adaptive-controller refit — from sub-millisecond
-// exact-table bins up to multi-second model fits. Not
+// histogram: the pipeline's own per-bin work once the engine has flushed
+// the bin — the record, NetFlow export, the adaptive-controller refit;
+// the journal's emit_ns, which ends before onBin updates /metrics — from
+// sub-millisecond exact-table bins up to multi-second model fits. Not
 // obs.DefaultLatencyBounds: dashboards read these ten le labels.
 var binLatencyBounds = []int64{
 	500_000, 1_000_000, 5_000_000, 10_000_000, 50_000_000,
@@ -120,7 +121,7 @@ func newMetricSet(p *pipeline.Pipeline) *metricSet {
 		"Estimated original flow count of the last inverted bin, including flows sampling missed.",
 		func(l *lastBin) float64 { return l.inv.Flows })
 	r.Histogram("flowrankd_bin_process_seconds",
-		"Bin emit-path latency: metrics update, NetFlow export and adaptive refit.",
+		"Per-bin pipeline work after the engine's flush: NetFlow export and adaptive refit, before the metrics update.",
 		1e9, m.binLatency.Snapshot)
 	counter("flowrankd_netflow_records_total",
 		"NetFlow v5 records exported over UDP.", &m.nfRecords)

@@ -55,10 +55,9 @@ type ShardStats struct {
 }
 
 // FlushStats instruments the bin boundary: the barrier that drains every
-// shard, the merge, the optional inversion, and the caller's emit.
+// shard, the merge, the optional inversion, and the whole flush through
+// the caller's emit.
 type FlushStats struct {
-	// Bins counts completed (non-empty) bin flushes.
-	Bins Counter
 	// Barrier is the time to dispatch the flush and collect every
 	// shard's summary (the pending batches' ingest and the shards'
 	// parallel, unsorted table snapshots).
@@ -69,21 +68,18 @@ type FlushStats struct {
 	// Invert is the per-bin flow-size-distribution inversion (zero-width
 	// when no Inverter is configured).
 	Invert *Histogram
-	// Emit is the caller's emit callback (metrics export, NetFlow,
-	// adaptive refit).
-	Emit *Histogram
-	// Total is the whole flush, barrier through emit.
+	// Total is the whole flush, barrier through the caller's emit
+	// callback (for the monitor pipeline: its per-bin work, the front
+	// end's callback and the journal write).
 	Total *Histogram
 }
 
 // PipelineStats is the stream engine's self-instrumentation surface: one
 // ReaderStats, one ShardStats per shard worker, one FlushStats. All
 // storage is preallocated by NewPipelineStats, so recording into any
-// field is alloc-free; a nil *PipelineStats disables instrumentation
-// entirely (the engine branches on nil, never on a flag).
-//
-// The stats never feed back into the measurement: with or without a
-// PipelineStats attached, the engine's output is bit-identical.
+// field is alloc-free. The engine records into one on every run — the
+// caller's, or its own — and the stats never feed back into the
+// measurement.
 type PipelineStats struct {
 	Reader ReaderStats
 	Shards []ShardStats
@@ -104,7 +100,6 @@ func NewPipelineStats(shards int) *PipelineStats {
 	p.Flush.Barrier = NewHistogram(DefaultLatencyBounds)
 	p.Flush.Merge = NewHistogram(DefaultLatencyBounds)
 	p.Flush.Invert = NewHistogram(DefaultLatencyBounds)
-	p.Flush.Emit = NewHistogram(DefaultLatencyBounds)
 	p.Flush.Total = NewHistogram(DefaultLatencyBounds)
 	return p
 }
@@ -131,8 +126,13 @@ func (p *PipelineStats) ShardPackets() int64 {
 }
 
 // StageNanos is one bin's flush-stage timing breakdown. The engine fills
-// Barrier, Merge and Invert in the bin result it emits; the emit callback,
-// which Emit and Total time, completes it (pipeline's journal record).
+// Barrier, Merge and Invert in the bin result it emits; the emit callback
+// completes it (pipeline's journal record). There Emit spans the
+// pipeline's own per-bin work — building the record, NetFlow export and
+// the adaptive refit — and ends before the front end's callback runs, and
+// Total is Barrier+Merge+Invert+Emit. FlushStats.Total, the daemon's
+// flowrankd_pipeline_flush_seconds, additionally covers the front end's
+// callback and the journal write.
 type StageNanos struct {
 	Barrier int64 `json:"barrier_ns"`
 	Merge   int64 `json:"merge_ns"`

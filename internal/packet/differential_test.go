@@ -92,7 +92,8 @@ func diffStreams(t testing.TB, data []byte, subject, ref io.Reader) (int, error)
 	// Every call consumes a byte or fails, so the bound is never reached
 	// by a reader that makes progress.
 	for i := 0; i <= len(data); i++ {
-		gp, gerr := got.Next()
+		var gp Packet
+		gerr := got.Read(&gp)
 		wp, werr := want.Next()
 		if !sameError(gerr, werr) {
 			t.Fatalf("record %d: error %v, reference %v", i, gerr, werr)
@@ -216,7 +217,8 @@ func TestReaderTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(pkts)+2; i++ {
-		gp, gerr := got.Next()
+		var gp Packet
+		gerr := got.Read(&gp)
 		wp, werr := want.Next()
 		if !sameError(gerr, werr) || gp != wp {
 			t.Fatalf("call %d: (%+v, %v), reference (%+v, %v)", i, gp, gerr, wp, werr)

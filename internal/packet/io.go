@@ -155,15 +155,6 @@ func (r *Reader) Read(p *Packet) error {
 	return nil
 }
 
-// Next returns the next packet by value: Read into a fresh Packet.
-func (r *Reader) Next() (Packet, error) {
-	var p Packet
-	if err := r.Read(&p); err != nil {
-		return Packet{}, err
-	}
-	return p, nil
-}
-
 // nextBytewise decodes one record a byte at a time. It serves the records
 // the block cannot: one that straddles the end of the buffered bytes (the
 // stream's tail included) and one with a malformed varint, and so owns

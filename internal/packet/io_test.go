@@ -53,8 +53,8 @@ func TestPacketRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range pkts {
-		got, err := r.Next()
-		if err != nil {
+		var got Packet
+		if err := r.Read(&got); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		if got.Key != want.Key || got.Size != want.Size {
@@ -64,7 +64,7 @@ func TestPacketRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: time %g vs %g", i, got.Time, want.Time)
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if err := r.Read(new(Packet)); err != io.EOF {
 		t.Errorf("expected EOF, got %v", err)
 	}
 }
@@ -85,8 +85,8 @@ func TestPacketOutOfOrderTimestamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range pkts {
-		got, err := r.Next()
-		if err != nil {
+		var got Packet
+		if err := r.Read(&got); err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(got.Time-want.Time) > 1e-9 {
@@ -118,8 +118,7 @@ func TestPacketTruncatedStream(t *testing.T) {
 	}
 	var lastErr error
 	for {
-		_, err := r.Next()
-		if err != nil {
+		if err := r.Read(new(Packet)); err != nil {
 			lastErr = err
 			break
 		}
@@ -137,7 +136,7 @@ func TestEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if err := r.Read(new(Packet)); err != io.EOF {
 		t.Errorf("empty trace: err = %v, want EOF", err)
 	}
 }
@@ -252,10 +251,8 @@ func BenchmarkPacketRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, _ := NewReader(bytes.NewReader(data))
-		for {
-			if _, err := r.Next(); err != nil {
-				break
-			}
+		var p Packet
+		for r.Read(&p) == nil {
 		}
 	}
 	b.SetBytes(int64(len(pkts)))

@@ -19,8 +19,7 @@
 // malformed input — so it buffers beyond the records it has returned, but
 // never waits for a byte beyond the record it is about to return: a trace
 // streamed over a pipe yields each record as its last byte arrives.
-// Reader.Next is Read into a fresh Packet, returned by value; either way a
-// decoded packet aliases nothing. The reader starts no goroutine: reading
+// A decoded packet aliases nothing. The reader starts no goroutine: reading
 // ahead of the decoder is internal/source's Open's doing, through the
 // *blockio.Reader it hands NewReader, and ends with that source's Close.
 package packet

@@ -55,10 +55,13 @@ type BinRecord struct {
 	CountErrPkts      int64   `json:"count_err_pkts"`
 	RankingFraction   float64 `json:"ranking_fraction"`
 	DetectionFraction float64 `json:"detection_fraction"`
-	// Stages is the bin's flush-stage timing breakdown from the stream
-	// engine's instrumentation, absent on an uninstrumented run. Its emit
-	// stage is the pipeline's own per-bin work: NetFlow export and the
-	// adaptive refit.
+	// Stages is the bin's flush-stage timing breakdown, present on every
+	// record Run writes. Barrier, merge and invert are the stream
+	// engine's; emit_ns is the pipeline's own per-bin work (building this
+	// record, NetFlow export, the adaptive refit) and ends before the
+	// per-bin callback runs; total_ns is their sum. Neither covers the
+	// callback or the journal write, which the daemon's
+	// flowrankd_pipeline_flush_seconds does.
 	Stages *obs.StageNanos `json:"stages,omitempty"`
 	// Inversion, Adapt and NetFlow record the optional per-bin stages
 	// that ran; each is absent when its stage is not configured.
@@ -67,7 +70,9 @@ type BinRecord struct {
 	NetFlow   *NetFlowRecord   `json:"netflow,omitempty"`
 }
 
-// InversionRecord summarizes the bin's flow-size-distribution inversion.
+// InversionRecord summarizes the bin's flow-size-distribution inversion:
+// the estimator's name and its estimate, or its error when the bin could
+// not be inverted.
 type InversionRecord struct {
 	Method    string  `json:"method"`
 	MeanPkts  float64 `json:"mean_pkts"`

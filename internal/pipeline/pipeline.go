@@ -86,9 +86,12 @@ func (c Config) validate() error {
 type Pipeline struct {
 	cfg  Config
 	bern *sampler.Bernoulli
-	// stats and the ingested count are the run's telemetry, nil and
-	// frozen unless Instrument switched them on: their per-packet atomic
-	// adds cost flowtop's default path several percent of throughput.
+	// stats is the engine's telemetry as the daemon reads it, and the
+	// ingested count the packets fed so far: nil and frozen unless
+	// Instrument switched them on. Without stats the engine records into
+	// its own, and every bin's record still carries its stage timings;
+	// the count's per-packet atomic add would cost flowtop's default path
+	// several percent of throughput.
 	stats    *obs.PipelineStats
 	ingested obs.Counter
 	nf       *exporter // nil without Config.NetFlow
@@ -110,15 +113,13 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.NetFlow != nil {
 		p.nf = &exporter{w: cfg.NetFlow, dest: cfg.NetFlowDest, log: cfg.Log}
 	}
-	if cfg.Journal != nil {
-		p.Instrument() // the journal records each bin's stage timings
-	}
 	return p, nil
 }
 
-// Instrument switches the run's telemetry on (New already has for a
-// journaled run) and returns the engine's per-stage stats; call it before
-// Run. The stats and Ingested are safe to read concurrently with Run.
+// Instrument switches on the per-packet Ingested count and returns the
+// engine's per-stage stats, for a caller that reads them during the run
+// (the daemon's /metrics); call it before Run. The stats and Ingested are
+// safe to read concurrently with Run.
 func (p *Pipeline) Instrument() *obs.PipelineStats {
 	if p.stats == nil {
 		workers := p.cfg.Workers
@@ -222,10 +223,12 @@ func (p *Pipeline) closeBin(b stream.BinResult) *BinRecord {
 		RankingFraction:   b.Pairs.RankingFrac(),
 		DetectionFraction: b.Pairs.DetectionFrac(),
 	}
-	if inv := b.Inversion; inv != nil {
-		ir := &InversionRecord{Method: inv.Method, Err: inv.Err}
-		if e := inv.Estimate; e != nil {
+	if inv := p.cfg.Inverter; inv != nil {
+		ir := &InversionRecord{Method: inv.Name()}
+		if e := b.Inversion; e != nil {
 			ir.MeanPkts, ir.TailIndex, ir.Flows = e.Mean, e.TailIndex, e.FlowCount
+		} else {
+			ir.Err = b.InversionErr.Error()
 		}
 		rec.Inversion = ir
 	}
@@ -233,14 +236,12 @@ func (p *Pipeline) closeBin(b stream.BinResult) *BinRecord {
 	if p.cfg.AdaptTarget > 0 {
 		rec.Adapt = p.adapt(b)
 	}
-	if p.stats != nil {
-		// The engine timed barrier, merge and invert; emit is this
-		// function (it runs inside the engine's emit), so it is timed here.
-		st := b.Stages
-		st.Emit = obs.Nanotime() - start
-		st.Total = st.Barrier + st.Merge + st.Invert + st.Emit
-		rec.Stages = &st
-	}
+	// The engine timed barrier, merge and invert; emit is this function
+	// (it runs inside the engine's emit), so it is timed here.
+	st := b.Stages
+	st.Emit = obs.Nanotime() - start
+	st.Total = st.Barrier + st.Merge + st.Invert + st.Emit
+	rec.Stages = &st
 	return rec
 }
 
@@ -251,14 +252,14 @@ func (p *Pipeline) closeBin(b stream.BinResult) *BinRecord {
 // must not lose its sampling budget, or its run, to one degenerate bin.
 func (p *Pipeline) adapt(b stream.BinResult) *AdaptRecord {
 	rec := &AdaptRecord{PrevRate: p.bern.P, Rate: p.bern.P}
-	switch inv := b.Inversion; {
-	case inv == nil:
+	switch {
+	case b.InversionErr != nil:
+		rec.Reason = b.InversionErr.Error()
+	case b.Inversion == nil:
 		rec.Reason = "no inversion"
-	case inv.Estimate == nil:
-		rec.Reason = inv.Err
 	default:
 		ctl := adaptive.Controller{Target: p.cfg.AdaptTarget, TopT: p.cfg.TopT, Workers: p.cfg.Workers}
-		next, model, err := ctl.RecommendEstimate(*inv.Estimate)
+		next, model, err := ctl.RecommendEstimate(*b.Inversion)
 		if err != nil {
 			rec.Reason = err.Error()
 			break

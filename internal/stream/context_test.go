@@ -17,7 +17,7 @@ func testConfig(workers int) Config {
 		BinSeconds: 1,
 		TopT:       3,
 		Workers:    workers,
-		BatchSize:  4,
+		batchSize:  4,
 	}
 }
 

@@ -8,7 +8,7 @@
 // one the sequential monitor would draw, and hashes each aggregated flow
 // key once — the only hash the packet gets, whatever the table kind.
 // Packets are then batched per shard by that hash, 2048 to a hand-off; the
-// hand-off, not the bytes, is what a batch costs (Config.BatchSize has the
+// hand-off, not the bytes, is what a batch costs (defaultBatch has the
 // measurements). Every shard — a lone one included — runs on its own
 // worker goroutine, so the reader's decode, sampling and hashing overlap
 // the tables' ingest. Each of the W shards owns its own original/sampled
@@ -28,7 +28,15 @@
 // top list to the front with the joined counts moving along (exact,
 // because the shards partition the key space), and counts the paper's
 // §5/§7 swapped pairs — which only ever compare a top flow with another
-// flow — in one pass over the rest.
+// flow — in one pass over the rest. With Config.Inverter set, the bin's
+// sampled counts then go through the estimator, and BinResult carries its
+// result as returned.
+//
+// The engine times its own work on every run, one way: each hand-off and
+// stall on the reader, each batch a shard ingests, and each bin's barrier,
+// merge and inversion, into an obs.PipelineStats — the caller's
+// Config.Obs, or stats of its own when that is nil. BinResult.Stages
+// carries a bin's flush timings. Timing never feeds back into a result.
 //
 // With exact tables the engine's measurements are identical to the
 // sequential path's for any worker count: one worker is one shard holding
@@ -73,30 +81,17 @@ type Config struct {
 	// worker is a goroutine owning one shard, one worker included: the Feed
 	// goroutine only samples, hashes and batches.
 	Workers int
-	// BatchSize is the number of packets a shard ingests at a time, one
-	// channel send to its worker. A bin boundary and Close ingest whatever
-	// is pending, so no result depends on it. 0 means 2048. What a batch
-	// costs is the hand-off — the worker parked and woken, goroutines
-	// migrating between cores — not the bytes handed over: on a 2-vCPU
-	// container 512 -> 2048 took a two-worker Count-Min replay of 2.7 M
-	// packets 0.390 -> 0.325 s wall and 0.640 -> 0.566 s CPU (11 of 11
-	// alternating pairs), and 4096 or 8192 read the same as 2048. One
-	// worker runs on its own goroutine too, so the reader's decode,
-	// sampling and hashing overlap the shard's ingest: on the same container
-	// an exact-table replay of 2.7 M packets and ~280k flows went from
-	// 0.493 to 0.343 s wall at 0.495 -> 0.513 s CPU when the lone shard
-	// moved off the reader, which had ingested it in 512-packet batches
-	// itself (30 alternating pairs, 29 faster). Pinned to one core, where
-	// nothing overlaps and a batch leaves L1 before the shard reads it back,
-	// the replay read 0.441 -> 0.440 s wall and 0.431 -> 0.438 s CPU (24
-	// pairs, 11 faster).
-	BatchSize int
+	// batchSize is the number of packets a shard ingests at a time; 0
+	// means defaultBatch. No result depends on it, which the tests show by
+	// sweeping it.
+	batchSize int
 	// Inverter, when non-nil, estimates the original flow-size
 	// distribution of every bin from its sampled counts at the sampler's
-	// rate (Sampler.Rate()) and attaches the result to
-	// BinResult.Inversion. The summary is part of the engine's
-	// bit-identical contract: it depends only on the merged multiset of
-	// sampled counts, never on worker count or batch size.
+	// rate (Sampler.Rate()) and hands over the estimator's result in
+	// BinResult.Inversion, or its error in BinResult.InversionErr. Both
+	// are part of the engine's bit-identical contract: they depend only on
+	// the merged multiset of sampled counts, never on worker count or
+	// batch size.
 	Inverter invert.Estimator
 	// Tables selects the per-shard flow-accounting implementation for both
 	// the original and sampled tables (flowtop -table/-memory). The zero
@@ -110,16 +105,17 @@ type Config struct {
 	// almost nothing, but every BinResult is valid only until the emit
 	// callback returns. Leave it unset when retaining results beyond emit.
 	Recycle bool
-	// Obs, when non-nil, receives the engine's pipeline telemetry:
-	// reader dispatch latency and backpressure stalls, per-shard queue
-	// depth and batch ingest time, and the bin-boundary flush breakdown
-	// (barrier, merge, invert, emit). It must come from
-	// obs.NewPipelineStats with at least Workers shards (after the
-	// GOMAXPROCS default is applied). Instrumentation is alloc-free on
-	// the packet path and never feeds back into the measurement: the
-	// engine's output is bit-identical with Obs set or nil. Timing reads
-	// use obs.Nanotime (telemetry only), keeping the package's
-	// no-wall-clock determinism contract intact.
+	// Obs, when non-nil, is where the engine records its pipeline
+	// telemetry: reader dispatch latency and backpressure stalls,
+	// per-shard queue depth and batch ingest time, and the bin-boundary
+	// flush breakdown (barrier, merge, invert, total). When nil the engine
+	// records the same into stats of its own; Obs selects no code path,
+	// it is how a caller reads the stats, concurrently with the run. It
+	// must come from obs.NewPipelineStats with at least Workers shards
+	// (after the GOMAXPROCS default is applied). Recording is alloc-free
+	// on the packet path and never feeds back into the measurement.
+	// Timing reads use obs.Nanotime (telemetry only), keeping the
+	// package's no-wall-clock determinism contract intact.
 	Obs *obs.PipelineStats
 }
 
@@ -147,17 +143,20 @@ type BinResult struct {
 	// Totals of the original and sampled tables.
 	OrigPackets, OrigBytes       int64
 	SampledPackets, SampledBytes int64
-	// Inversion is the estimated original flow-size distribution of the
-	// bin, present only when Config.Inverter is set.
-	Inversion *InversionSummary
+	// Inversion is Config.Inverter's estimate of the bin's original
+	// flow-size distribution, as the estimator returned it. InversionErr
+	// is set instead when the bin could not be inverted: no sampled flows,
+	// or too few for the estimator. Both are nil without an Inverter.
+	Inversion    *invert.Estimate
+	InversionErr error
 	// CountErr is the worst-case per-flow packet overcount of any entry in
 	// this result: 0 for exact tables, the maximum shard ErrorBound for
 	// bounded summaries (deterministic for Space-Saving, probabilistic —
 	// holding per flow with probability >= 1 - 2^-4 — for Count-Min).
 	CountErr int64
 	// Stages is the flush timing known when the bin is emitted: Barrier,
-	// Merge and Invert, zero unless Config.Obs is set. Emit and Total time
-	// the emit callback itself, so they are the callback's to fill.
+	// Merge and Invert, on every bin. Emit and Total time the emit
+	// callback itself, so they are the callback's to fill.
 	Stages obs.StageNanos
 }
 
@@ -206,7 +205,7 @@ type shardSummary struct {
 // shard owns one partition of the key space.
 type shard struct {
 	orig, samp flowtable.Summary
-	stats      *obs.ShardStats   // nil when instrumentation is off
+	stats      *obs.ShardStats
 	in         chan shardMsg     // batches and barrier steps from the reader
 	out        chan shardSummary // one answer per barrier step
 	sampBuf    []flowtable.Entry // the sampled table, copied once per bin
@@ -219,17 +218,12 @@ type shard struct {
 //
 //flowrank:hotpath
 func (s *shard) ingest(b batch) {
-	var t0 int64
-	if s.stats != nil {
-		t0 = obs.Nanotime()
-	}
+	t0 := obs.Nanotime()
 	s.orig.AddBatch(b.all)
 	s.samp.AddBatch(b.kept)
-	if s.stats != nil {
-		s.stats.Ingest.Observe(obs.Nanotime() - t0)
-		s.stats.Batches.Inc()
-		s.stats.Packets.Add(int64(len(b.all)))
-	}
+	s.stats.Ingest.Observe(obs.Nanotime() - t0)
+	s.stats.Batches.Inc()
+	s.stats.Packets.Add(int64(len(b.all)))
 }
 
 // fill writes the shard's share of the bin into p and resets its tables:
@@ -326,8 +320,22 @@ var ErrClosed = errors.New("stream: engine already closed")
 // timestamp collapses into this one final bin.
 const clampBin int64 = 1 << 53
 
-// defaultBatch is the batch size a zero Config.BatchSize resolves to;
-// Config.BatchSize has the measurements.
+// defaultBatch is the number of packets a shard ingests at a time, one
+// channel send to its worker. A bin boundary and Close ingest whatever is
+// pending, so no result depends on it. What a batch costs is the hand-off
+// — the worker parked and woken, goroutines migrating between cores — not
+// the bytes handed over: on a 2-vCPU container 512 -> 2048 took a
+// two-worker Count-Min replay of 2.7 M packets 0.390 -> 0.325 s wall and
+// 0.640 -> 0.566 s CPU (11 of 11 alternating pairs), and 4096 or 8192 read
+// the same as 2048. One worker runs on its own goroutine too, so the
+// reader's decode, sampling and hashing overlap the shard's ingest: on the
+// same container an exact-table replay of 2.7 M packets and ~280k flows
+// went from 0.493 to 0.343 s wall at 0.495 -> 0.513 s CPU when the lone
+// shard moved off the reader, which had ingested it in 512-packet batches
+// itself (30 alternating pairs, 29 faster). Pinned to one core, where
+// nothing overlaps and a batch leaves L1 before the shard reads it back,
+// the replay read 0.441 -> 0.440 s wall and 0.431 -> 0.438 s CPU (24
+// pairs, 11 faster).
 const defaultBatch = 2048
 
 // shardQueue is the number of messages a shard's inbound queue holds: a
@@ -377,11 +385,8 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("stream: worker count %d must be at least 1", cfg.Workers)
 	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = defaultBatch
-	}
-	if cfg.BatchSize < 1 {
-		return nil, fmt.Errorf("stream: batch size %d must be at least 1", cfg.BatchSize)
+	if cfg.batchSize == 0 {
+		cfg.batchSize = defaultBatch
 	}
 	if emit == nil {
 		return nil, errors.New("stream: emit callback is required")
@@ -389,7 +394,10 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 	if err := cfg.Tables.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Obs != nil && len(cfg.Obs.Shards) < cfg.Workers {
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewPipelineStats(cfg.Workers)
+	}
+	if len(cfg.Obs.Shards) < cfg.Workers {
 		return nil, fmt.Errorf("stream: Config.Obs has %d shard slots for %d workers; allocate with obs.NewPipelineStats(workers)",
 			len(cfg.Obs.Shards), cfg.Workers)
 	}
@@ -405,13 +413,7 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 		if err != nil {
 			return nil, err
 		}
-		e.shards[i] = &shard{
-			orig: orig,
-			samp: samp,
-		}
-		if cfg.Obs != nil {
-			e.shards[i].stats = &cfg.Obs.Shards[i]
-		}
+		e.shards[i] = &shard{orig: orig, samp: samp, stats: &cfg.Obs.Shards[i]}
 	}
 	e.pending = make([]batch, cfg.Workers)
 	for i := range e.pending {
@@ -468,7 +470,7 @@ func (e *Engine) Feed(p packet.Packet) error {
 	if kept {
 		b.kept = append(b.kept, o)
 	}
-	if len(b.all) >= e.cfg.BatchSize {
+	if len(b.all) >= e.cfg.batchSize {
 		e.dispatch(s)
 	}
 	e.binPackets++
@@ -534,46 +536,44 @@ func (e *Engine) Abort() {
 // minKeptCap is the least capacity a new batch's kept buffer starts with.
 const minKeptCap = 32
 
-// newBatch returns an empty batch. all holds BatchSize observations and
+// newBatch returns an empty batch. all holds batchSize observations and
 // never grows; kept receives the sampled fraction of them, so it starts at
 // the capacity the sampler's rate implies and grows by append when a batch
 // keeps more. A recycled batch keeps what it grew to (emptied), so the
 // steady state still allocates nothing, and the up to shardQueue+3
-// batches a shard has in circulation hold p·BatchSize kept observations
-// each, not BatchSize.
+// batches a shard has in circulation hold p·batchSize kept observations
+// each, not batchSize.
 func (e *Engine) newBatch() batch {
-	kept := int(e.cfg.Sampler.Rate() * float64(e.cfg.BatchSize))
+	n := e.cfg.batchSize
+	kept := int(e.cfg.Sampler.Rate() * float64(n))
 	return batch{
-		all:  make([]flowtable.Observation, 0, e.cfg.BatchSize),
-		kept: make([]flowtable.Observation, 0, min(max(kept, minKeptCap), e.cfg.BatchSize)),
+		all:  make([]flowtable.Observation, 0, n),
+		kept: make([]flowtable.Observation, 0, min(max(kept, minKeptCap), n)),
 	}
 }
 
 // dispatch hands shard s its pending batch and takes a spent batch (or a
-// new one) in its place. Instrumented, the hand-off also records the
-// shard's queue depth, its latency, and whether the send had to stall on a
-// full queue — the reader-side backpressure signal.
+// new one) in its place. The hand-off also records the shard's queue
+// depth, its latency, and whether the send had to stall on a full queue —
+// the reader-side backpressure signal.
 func (e *Engine) dispatch(s int) {
 	b := e.pending[s]
 	if len(b.all) == 0 {
 		return
 	}
-	if st := e.cfg.Obs; st != nil {
-		depth := int64(len(e.shards[s].in))
-		st.Shards[s].Depth.Set(depth)
-		st.Reader.QueueDepthMax.SetMax(depth)
-		t0 := obs.Nanotime()
-		select {
-		case e.shards[s].in <- shardMsg{batch: b}:
-		default:
-			st.Reader.Stalls.Inc()
-			e.shards[s].in <- shardMsg{batch: b}
-		}
-		st.Reader.Dispatch.Observe(obs.Nanotime() - t0)
-		st.Reader.Batches.Inc()
-	} else {
-		e.shards[s].in <- shardMsg{batch: b}
+	st, in := e.cfg.Obs, e.shards[s].in
+	depth := int64(len(in))
+	st.Shards[s].Depth.Set(depth)
+	st.Reader.QueueDepthMax.SetMax(depth)
+	t0 := obs.Nanotime()
+	select {
+	case in <- shardMsg{batch: b}:
+	default:
+		st.Reader.Stalls.Inc()
+		in <- shardMsg{batch: b}
 	}
+	st.Reader.Dispatch.Observe(obs.Nanotime() - t0)
+	st.Reader.Batches.Inc()
 	select {
 	case b = <-e.free:
 		e.pending[s] = b.emptied()
@@ -585,20 +585,18 @@ func (e *Engine) dispatch(s int) {
 // flushBin runs the bin barrier: have every shard ingest what is pending
 // and report its table sizes, size the bin's buffers and have every shard
 // write its share into them, merge and emit the BinResult. Empty bins (no
-// packets anywhere) emit nothing. With Config.Obs set it also records the
-// flush breakdown — barrier, merge, invert, emit — into the cumulative
-// histograms, and hands the first three to emit in BinResult.Stages, so a
-// callback building a per-bin journal record has its own bin's timings.
+// packets anywhere) emit nothing. It also records the flush breakdown —
+// barrier, merge, invert, and the whole flush through emit — into the
+// cumulative histograms, and hands the first three to emit in
+// BinResult.Stages, so a callback building a per-bin journal record has
+// its own bin's timings.
 func (e *Engine) flushBin() error {
 	if e.binPackets == 0 {
 		return nil
 	}
 	e.binPackets = 0
-	st := e.cfg.Obs
-	var t0, tBarrier, tMerge, tInvert int64
-	if st != nil {
-		t0 = obs.Nanotime()
-	}
+	st := &e.cfg.Obs.Flush
+	t0 := obs.Nanotime()
 	for s := range e.shards {
 		e.dispatch(s)
 	}
@@ -606,30 +604,19 @@ func (e *Engine) flushBin() error {
 	e.barrierStep(sums, false)
 	e.carve(sums)
 	e.barrierStep(sums, true)
-	if st != nil {
-		tBarrier = obs.Nanotime()
-	}
+	tBarrier := obs.Nanotime()
 	r := e.mergeBin(sums)
-	if st != nil {
-		tMerge = obs.Nanotime()
-	}
+	tMerge := obs.Nanotime()
 	if e.cfg.Inverter != nil {
-		r.Inversion = summarizeInversion(e.cfg.Inverter, e.bufs.counts, e.cfg.Sampler.Rate())
+		r.Inversion, r.InversionErr = e.invertBin()
 	}
-	if st != nil {
-		tInvert = obs.Nanotime()
-		r.Stages = obs.StageNanos{Barrier: tBarrier - t0, Merge: tMerge - tBarrier, Invert: tInvert - tMerge}
-		st.Flush.Barrier.Observe(r.Stages.Barrier)
-		st.Flush.Merge.Observe(r.Stages.Merge)
-		st.Flush.Invert.Observe(r.Stages.Invert)
-	}
+	tInvert := obs.Nanotime()
+	r.Stages = obs.StageNanos{Barrier: tBarrier - t0, Merge: tMerge - tBarrier, Invert: tInvert - tMerge}
+	st.Barrier.Observe(r.Stages.Barrier)
+	st.Merge.Observe(r.Stages.Merge)
+	st.Invert.Observe(r.Stages.Invert)
 	err := e.emit(r)
-	if st != nil {
-		tEmit := obs.Nanotime()
-		st.Flush.Emit.Observe(tEmit - tInvert)
-		st.Flush.Total.Observe(tEmit - t0)
-		st.Flush.Bins.Inc()
-	}
+	st.Total.Observe(obs.Nanotime() - t0)
 	if err != nil {
 		e.fail(fmt.Errorf("stream: emitting bin %d: %w", r.Bin, err))
 		return e.err
@@ -681,6 +668,24 @@ func (e *Engine) carve(sums []shardSummary) {
 		}
 		o, so, to = o+n, so+k, to+t
 	}
+}
+
+// errNoSampledFlows is the inversion error of a bin in which sampling kept
+// no packet.
+var errNoSampledFlows = errors.New("no sampled flows")
+
+// invertBin runs the estimator over the bin's sampled counts, which come in
+// the shards' table order: estimators canonicalize their input, so the
+// result depends only on the multiset of counts.
+func (e *Engine) invertBin() (*invert.Estimate, error) {
+	if len(e.bufs.counts) == 0 {
+		return nil, errNoSampledFlows
+	}
+	est, err := e.cfg.Inverter.Invert(e.bufs.counts, e.cfg.Sampler.Rate())
+	if err != nil {
+		return nil, err
+	}
+	return &est, nil
 }
 
 // resize returns s at length n, reusing its array when it is large enough.

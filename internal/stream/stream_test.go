@@ -178,19 +178,21 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 		for _, batch := range []int{1, 7, 512, 2047, 2048} {
 			cfg := base()
 			cfg.Workers = workers
-			cfg.BatchSize = batch
+			cfg.batchSize = batch
 			got := runEngine(t, cfg, pkts)
 			compareBins(t, fmt.Sprintf("workers=%d batch=%d", workers, batch), 10, got, want)
 		}
 	}
 }
 
-// TestEngineInversionSummaryInvariance: the optional per-bin inversion
-// summary joins the engine's bit-identical contract — Workers in {1, 4}
-// and any batch size must produce exactly equal summaries for every
-// estimator, even though the sampled counts reach the inverter in the
-// shards' table order, which changes with the worker count.
-func TestEngineInversionSummaryInvariance(t *testing.T) {
+// TestEngineInversionInvariance: the optional per-bin inversion joins the
+// engine's bit-identical contract — Workers in {1, 4} and any batch size
+// must hand over exactly equal estimates and errors for every estimator,
+// even though the sampled counts reach the inverter in the shards' table
+// order, which changes with the worker count. The runs are compared
+// before any quantile is read: a tail Mixture builds its quantile atlas on
+// the first read, so a read on one side only would differ in that cache.
+func TestEngineInversionInvariance(t *testing.T) {
 	pkts := makePackets(t, 15, 200, 13)
 	base := func(est invert.Estimator) Config {
 		return Config{
@@ -207,41 +209,38 @@ func TestEngineInversionSummaryInvariance(t *testing.T) {
 		if len(want) < 3 {
 			t.Fatalf("%s: degenerate trace: only %d bins", est.Name(), len(want))
 		}
-		inverted := 0
-		for _, b := range want {
-			inv := b.Inversion
-			if inv == nil {
-				t.Fatalf("%s: bin %d missing inversion summary", est.Name(), b.Bin)
-			}
-			if inv.Method != est.Name() {
-				t.Errorf("%s: bin %d summary method %q", est.Name(), b.Bin, inv.Method)
-			}
-			if inv.Err != "" {
-				continue // too few flows for this estimator: still deterministic
-			}
-			inverted++
-			if e := inv.Estimate; e == nil || !(e.Mean > 0) || !(e.FlowCount >= float64(b.SampledFlows)) {
-				t.Errorf("%s: bin %d implausible summary %+v (sampled flows %d)",
-					est.Name(), b.Bin, inv, b.SampledFlows)
-			}
-			for i := 1; i < len(inv.Quantiles); i++ {
-				if inv.Quantiles[i] < inv.Quantiles[i-1] {
-					t.Errorf("%s: bin %d quantile checkpoints not ascending: %v",
-						est.Name(), b.Bin, inv.Quantiles)
-				}
-			}
-		}
-		if inverted == 0 {
-			t.Fatalf("%s: no bin produced a successful inversion", est.Name())
-		}
 		for _, workers := range []int{4} {
 			for _, batch := range []int{3, 512, 2047, 2048} {
 				cfg := base(est)
 				cfg.Workers = workers
-				cfg.BatchSize = batch
+				cfg.batchSize = batch
 				got := runEngine(t, cfg, pkts)
 				compareBins(t, fmt.Sprintf("%s workers=%d batch=%d", est.Name(), workers, batch), 10, got, want)
 			}
+		}
+		inverted := 0
+		for _, b := range want {
+			if (b.Inversion == nil) == (b.InversionErr == nil) {
+				t.Fatalf("%s: bin %d has estimate %v and error %v, want exactly one", est.Name(), b.Bin, b.Inversion, b.InversionErr)
+			}
+			if b.InversionErr != nil {
+				continue // too few flows for this estimator: still deterministic
+			}
+			inverted++
+			if e := b.Inversion; !(e.Mean > 0) || !(e.FlowCount >= float64(b.SampledFlows)) {
+				t.Errorf("%s: bin %d implausible estimate %+v (sampled flows %d)",
+					est.Name(), b.Bin, e, b.SampledFlows)
+			}
+			q := []float64{0.5, 0.1, 0.01, 0.001}
+			for i := range q {
+				q[i] = b.Inversion.Dist.QuantileCCDF(q[i])
+			}
+			if !slices.IsSorted(q) {
+				t.Errorf("%s: bin %d size quantiles not ascending: %v", est.Name(), b.Bin, q)
+			}
+		}
+		if inverted == 0 {
+			t.Fatalf("%s: no bin produced a successful inversion", est.Name())
 		}
 	}
 }
@@ -401,7 +400,7 @@ func TestEngineBatching(t *testing.T) {
 				BinSeconds: 1,
 				TopT:       2,
 				Workers:    workers,
-				BatchSize:  batch,
+				batchSize:  batch,
 				Obs:        stats,
 			}, func(b BinResult) error {
 				out = append(out, b)
@@ -612,7 +611,6 @@ func TestEngineConfigValidation(t *testing.T) {
 		{"negative bin", Config{Agg: flow.FiveTuple{}, Sampler: smp, BinSeconds: -1}},
 		{"negative topT", Config{Agg: flow.FiveTuple{}, Sampler: smp, BinSeconds: 1, TopT: -1}},
 		{"negative workers", Config{Agg: flow.FiveTuple{}, Sampler: smp, BinSeconds: 1, Workers: -2}},
-		{"negative batch", Config{Agg: flow.FiveTuple{}, Sampler: smp, BinSeconds: 1, BatchSize: -1}},
 	}
 	for _, c := range cases {
 		if _, err := NewEngine(c.cfg, emit); err == nil {
@@ -624,7 +622,7 @@ func TestEngineConfigValidation(t *testing.T) {
 	}
 }
 
-// TestDefaultBatch: a zero BatchSize resolves to 2048 at every worker
+// TestDefaultBatch: a zero batchSize resolves to 2048 at every worker
 // count, and an explicit size is honoured at each.
 func TestDefaultBatch(t *testing.T) {
 	for _, c := range []struct{ workers, batch, want int }{
@@ -637,16 +635,16 @@ func TestDefaultBatch(t *testing.T) {
 			Sampler:    sampler.NewBernoulli(0.5, 1),
 			BinSeconds: 1,
 			Workers:    c.workers,
-			BatchSize:  c.batch,
+			batchSize:  c.batch,
 		}, func(BinResult) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := eng.cfg.BatchSize; got != c.want {
-			t.Errorf("workers=%d BatchSize=%d: engine batches %d packets, want %d", c.workers, c.batch, got, c.want)
+		if got := eng.cfg.batchSize; got != c.want {
+			t.Errorf("workers=%d batchSize=%d: engine batches %d packets, want %d", c.workers, c.batch, got, c.want)
 		}
 		if got := cap(eng.pending[0].all); got != c.want {
-			t.Errorf("workers=%d BatchSize=%d: pending batch holds %d packets, want %d", c.workers, c.batch, got, c.want)
+			t.Errorf("workers=%d batchSize=%d: pending batch holds %d packets, want %d", c.workers, c.batch, got, c.want)
 		}
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)

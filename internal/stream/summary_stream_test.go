@@ -17,10 +17,6 @@ func copyBin(b BinResult) BinResult {
 	out := b
 	out.Orig = append([]flowtable.Entry(nil), b.Orig...)
 	out.SampledTop = append([]flowtable.Entry(nil), b.SampledTop...)
-	if b.Inversion != nil {
-		inv := *b.Inversion
-		out.Inversion = &inv
-	}
 	return out
 }
 
@@ -59,7 +55,7 @@ func TestEngineTableKindsExactInvariance(t *testing.T) {
 			for _, batch := range []int{1, 7, 512, 2047, 2048} {
 				cfg := base(spec)
 				cfg.Workers = workers
-				cfg.BatchSize = batch
+				cfg.batchSize = batch
 				got := runEngine(t, cfg, pkts)
 				compareBins(t, fmt.Sprintf("spec=%v workers=%d batch=%d", spec, workers, batch), 10, got, want)
 			}
@@ -268,7 +264,7 @@ func TestEnginePairsMatchMapReference(t *testing.T) {
 					BinSeconds: binSec,
 					TopT:       topT,
 					Workers:    workers,
-					BatchSize:  batch,
+					batchSize:  batch,
 					Tables:     spec,
 				}, pkts)
 				if len(got) != len(want) || len(got) < 3 {

@@ -24,14 +24,9 @@ import (
 	"flowrank/internal/randx"
 )
 
-// DurationModel draws a flow duration (seconds) given the flow's packet
-// count. Implementations must be deterministic given the RNG stream.
-type DurationModel interface {
-	Duration(g *randx.RNG, packets int) float64
-	String() string
-}
-
-// LognormalDuration draws durations independent of flow size.
+// LognormalDuration is the flow duration model: it draws a flow's duration
+// (seconds) lognormally, independent of the flow's size and deterministic
+// given the RNG stream.
 type LognormalDuration struct {
 	Mu, Sigma float64
 }
@@ -51,30 +46,6 @@ func (d LognormalDuration) String() string {
 	return fmt.Sprintf("lognormal-duration(mu=%.3g, sigma=%.3g)", d.Mu, d.Sigma)
 }
 
-// ThroughputDuration models duration as packets divided by a per-flow
-// packet rate drawn lognormally — large flows last longer, as in real
-// traffic.
-type ThroughputDuration struct {
-	// RateMu/RateSigma parameterize the lognormal packets-per-second.
-	RateMu, RateSigma float64
-	// MaxSeconds caps the duration (0 = uncapped).
-	MaxSeconds float64
-}
-
-// Duration draws packets/rate, capped at MaxSeconds.
-func (d ThroughputDuration) Duration(g *randx.RNG, packets int) float64 {
-	rate := g.Lognormal(d.RateMu, d.RateSigma)
-	dur := float64(packets) / rate
-	if d.MaxSeconds > 0 && dur > d.MaxSeconds {
-		return d.MaxSeconds
-	}
-	return dur
-}
-
-func (d ThroughputDuration) String() string {
-	return fmt.Sprintf("throughput-duration(mu=%.3g, sigma=%.3g)", d.RateMu, d.RateSigma)
-}
-
 // Config describes a synthetic workload.
 type Config struct {
 	// Name labels the workload in reports.
@@ -87,8 +58,8 @@ type Config struct {
 	SizeDist dist.SizeDist
 	// MeanPacketBytes converts packets to bytes (the paper uses 500 B).
 	MeanPacketBytes int
-	// Durations is the flow duration model.
-	Durations DurationModel
+	// Durations is the flow duration model; the zero value is unset.
+	Durations LognormalDuration
 	// PrefixFlows marks workloads whose flow identity is a destination
 	// /24 prefix: each record gets a distinct /24 key with host bits and
 	// ports zeroed, so the 5-tuple and prefix flow tables coincide.
@@ -106,8 +77,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("tracegen: arrival rate %g must be positive", c.ArrivalRate)
 	case c.SizeDist == nil:
 		return fmt.Errorf("tracegen: nil size distribution")
-	case c.Durations == nil:
-		return fmt.Errorf("tracegen: nil duration model")
+	case c.Durations == (LognormalDuration{}):
+		return fmt.Errorf("tracegen: no duration model")
 	case c.MeanPacketBytes <= 0:
 		return fmt.Errorf("tracegen: mean packet size %d must be positive", c.MeanPacketBytes)
 	}

@@ -206,14 +206,4 @@ func TestDurationModels(t *testing.T) {
 	if mean := sum / n; math.Abs(mean-13) > 0.5 {
 		t.Errorf("lognormal duration mean %g, want 13", mean)
 	}
-
-	tp := ThroughputDuration{RateMu: math.Log(2), RateSigma: 0.5, MaxSeconds: 60}
-	big := tp.Duration(g, 100000)
-	if big != 60 {
-		t.Errorf("cap not applied: %g", big)
-	}
-	small := tp.Duration(g, 1)
-	if small <= 0 || small > 60 {
-		t.Errorf("duration %g out of range", small)
-	}
 }

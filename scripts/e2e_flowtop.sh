@@ -2,7 +2,8 @@
 # End-to-end flowtop cross-check: generate a small trace in both on-disk
 # formats, run the monitor on one shard (-workers 1) and on four
 # (-workers 4), and require byte-identical bin reports and NetFlow
-# exports; then read one capture above source.Open's read-ahead threshold
+# exports, and a journal that validates with one record, stage timings
+# included, per reported bin; then read one capture above source.Open's read-ahead threshold
 # both ways it can be read, and require the same bytes again. CI runs this
 # after the unit suite; locally: make e2e.
 set -eu
@@ -12,18 +13,32 @@ trap 'rm -rf "$dir"' EXIT
 
 go build -o "$dir/tracegen" ./cmd/tracegen
 go build -o "$dir/flowtop" ./cmd/flowtop
+go build -o "$dir/journalcheck" ./cmd/journalcheck
 
 "$dir/tracegen" -preset sprint5 -seconds 12 -rate 0.5 -seed 3 -packets -o "$dir/trace.pkts"
 "$dir/tracegen" -preset sprint5 -seconds 12 -rate 0.5 -seed 3 -pcap -o "$dir/trace.pcap"
 
 "$dir/flowtop" -in "$dir/trace.pkts" -p 0.1 -t 5 -bin 4 -seed 7 -workers 1 \
-    -netflow "$dir/one.nf5" >"$dir/one.txt"
+    -netflow "$dir/one.nf5" -journal "$dir/one.jsonl" >"$dir/one.txt"
 "$dir/flowtop" -in "$dir/trace.pkts" -p 0.1 -t 5 -bin 4 -seed 7 -workers 4 \
     -netflow "$dir/four.nf5" >"$dir/four.txt"
 diff "$dir/one.txt" "$dir/four.txt"
 cmp "$dir/one.nf5" "$dir/four.nf5"
 test -s "$dir/one.txt"
 test -s "$dir/one.nf5"
+
+# The journal flowtop writes is checked as the daemon's is: it validates
+# against BinRecord, holds one record per reported bin, and every record
+# carries the bin's stage timings.
+bins="$(grep -c '^== bin' "$dir/one.txt")"
+test "$bins" -gt 0
+"$dir/journalcheck" -min-bins "$bins" "$dir/one.jsonl"
+records="$(grep -c '"msg":"bin"' "$dir/one.jsonl")"
+staged="$(grep '"msg":"bin"' "$dir/one.jsonl" | grep -c '"stages":{')"
+if [ "$records" != "$bins" ] || [ "$staged" != "$bins" ]; then
+    echo "journal: $records records, $staged with stages, for $bins reported bins" >&2
+    exit 1
+fi
 
 # The closed loop: a parametric inversion and a rate refit after every bin,
 # run on the reader goroutine, so the retuned rates must not depend on the
@@ -58,4 +73,4 @@ cmp "$dir/ahead-1.txt" "$dir/ahead-4.txt"
 test -s "$dir/ahead-1.txt"
 test -s "$dir/ahead-1.nf5"
 
-echo "flowtop e2e: one-shard and four-shard outputs identical (native, native -adapt, pcap); a large capture decoded ahead reads as it does through a pipe"
+echo "flowtop e2e: one-shard and four-shard outputs identical (native, native -adapt, pcap); journal valid, one staged record per bin; a large capture decoded ahead reads as it does through a pipe"
