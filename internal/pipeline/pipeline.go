@@ -86,12 +86,11 @@ func (c Config) validate() error {
 type Pipeline struct {
 	cfg  Config
 	bern *sampler.Bernoulli
-	// stats is the engine's telemetry as the daemon reads it, and the
-	// ingested count the packets fed so far: nil and frozen unless
-	// Instrument switched them on. Without stats the engine records into
-	// its own, and every bin's record still carries its stage timings;
-	// the count's per-packet atomic add would cost flowtop's default path
-	// several percent of throughput.
+	// stats and the ingested count are read during the run (the
+	// daemon's /metrics): nil and frozen unless Instrument switched them
+	// on. The engine times every bin without them; the count's per-packet
+	// atomic add would cost flowtop's default path several percent of
+	// throughput.
 	stats    *obs.PipelineStats
 	ingested obs.Counter
 	nf       *exporter // nil without Config.NetFlow
