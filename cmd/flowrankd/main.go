@@ -40,7 +40,6 @@ type options struct {
 	pipeline.Flags // the monitor flags shared with flowtop
 	live           string
 	loop           bool
-	loopGap        float64
 	speed          float64
 	listen         string
 	nfAddr         string
@@ -51,8 +50,7 @@ type options struct {
 func (o *options) register(fs *flag.FlagSet) {
 	o.Flags.Register(fs)
 	fs.StringVar(&o.live, "live", "", "capture from this interface instead of a trace (needs a -tags live build)")
-	fs.BoolVar(&o.loop, "loop", false, "replay the trace forever, shifting timestamps monotonically")
-	fs.Float64Var(&o.loopGap, "loop-gap", 0, "idle seconds spliced between -loop replays (0 = one bin width)")
+	fs.BoolVar(&o.loop, "loop", false, "replay the trace forever, shifting timestamps monotonically with one -bin of idle time between replays")
 	fs.Float64Var(&o.speed, "speed", 0, "pace replay at this multiple of line rate (1 = real time, 0 = as fast as possible)")
 	fs.StringVar(&o.listen, "listen", ":9465", "HTTP address serving /metrics and /healthz")
 	fs.StringVar(&o.nfAddr, "netflow-udp", "", "export each bin's sampled top list as NetFlow v5 to this UDP host:port")
@@ -92,9 +90,6 @@ func validate(opts options) error {
 	if opts.speed < 0 {
 		return fmt.Errorf("-speed %g is negative: use 0 for unpaced replay or a positive multiple of line rate", opts.speed)
 	}
-	if opts.loopGap != 0 && !opts.loop {
-		return errors.New("-loop-gap only applies with -loop")
-	}
 	return nil
 }
 
@@ -106,13 +101,9 @@ func buildSource(opts options) (source.PacketSource, error) {
 	}
 	var src source.PacketSource
 	if opts.loop {
-		gap := opts.loopGap
-		if gap == 0 {
-			gap = opts.Bin
-		}
 		lp, err := source.NewLoop(func() (source.PacketSource, error) {
 			return source.Open(opts.In, opts.Pcap)
-		}, gap)
+		}, opts.Bin)
 		if err != nil {
 			return nil, err
 		}

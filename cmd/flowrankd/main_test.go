@@ -101,7 +101,6 @@ func TestFlagValidation(t *testing.T) {
 		{"loop with live", func(o *options) { o.In = ""; o.live = "eth0"; o.loop = true }, "-loop"},
 		{"speed with live", func(o *options) { o.In = ""; o.live = "eth0"; o.speed = 1 }, "-speed"},
 		{"negative speed", func(o *options) { o.speed = -2 }, "-speed"},
-		{"loop-gap without loop", func(o *options) { o.loopGap = 5 }, "-loop-gap"},
 		{"adapt without invert", func(o *options) { o.Adapt = 1 }, "-invert"},
 		{"unknown agg", func(o *options) { o.Agg = "7tuple" }, "-agg"},
 		{"unknown invert", func(o *options) { o.Invert = "magic" }, "-invert"},

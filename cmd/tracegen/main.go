@@ -1,10 +1,10 @@
-// Command tracegen synthesizes flow-level and packet-level traces with the
-// paper's workload statistics and writes them in the native binary format
-// or as pcap.
+// Command tracegen synthesizes packet-level traces with the paper's
+// workload statistics and writes them in the native binary format or as
+// pcap, the two formats flowtop and flowrankd read. Exactly one of
+// -packets and -pcap picks the format.
 //
 // Usage:
 //
-//	tracegen -preset sprint5 -seconds 60 -o trace.flows        # flow records
 //	tracegen -preset sprint5 -seconds 10 -packets -o trace.pkts # packet records
 //	tracegen -preset abilene -seconds 10 -pcap -o trace.pcap    # real frames
 //
@@ -14,8 +14,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -27,73 +29,81 @@ import (
 	"flowrank/internal/tracegen"
 )
 
+// options carries the parsed command line; run is separated from main so
+// tests can drive it in-process.
+type options struct {
+	preset    string
+	seconds   float64
+	seed      uint64
+	rateScale float64
+	packets   bool
+	asPcap    bool
+	out       string
+}
+
+// register declares tracegen's command line on fs.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.preset, "preset", "sprint5", "workload: sprint5, sprint24, abilene")
+	fs.Float64Var(&o.seconds, "seconds", 60, "trace duration")
+	fs.Uint64Var(&o.seed, "seed", 1, "generator seed")
+	fs.Float64Var(&o.rateScale, "rate", 1, "flow arrival rate multiplier")
+	fs.BoolVar(&o.packets, "packets", false, "emit a native packet trace")
+	fs.BoolVar(&o.asPcap, "pcap", false, "emit a pcap file with real Ethernet/IPv4 frames")
+	fs.StringVar(&o.out, "o", "", "output file (required)")
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracegen: ")
-	var (
-		preset    = flag.String("preset", "sprint5", "workload: sprint5, sprint24, abilene")
-		seconds   = flag.Float64("seconds", 60, "trace duration")
-		seed      = flag.Uint64("seed", 1, "generator seed")
-		rateScale = flag.Float64("rate", 1, "flow arrival rate multiplier")
-		packets   = flag.Bool("packets", false, "emit packet-level records instead of flow records")
-		asPcap    = flag.Bool("pcap", false, "emit a pcap file with real Ethernet/IPv4 frames")
-		out       = flag.String("o", "", "output file (required)")
-	)
+	var opts options
+	opts.register(flag.CommandLine)
 	flag.Parse()
-	if *out == "" {
-		log.Fatal("missing -o output file")
-	}
-
-	var cfg tracegen.Config
-	switch *preset {
-	case "sprint5":
-		cfg = tracegen.SprintFiveTuple(*seconds, *seed)
-	case "sprint24":
-		cfg = tracegen.SprintPrefix24(*seconds, *seed)
-	case "abilene":
-		cfg = tracegen.Abilene(*seconds, *seed)
-	default:
-		log.Fatalf("unknown preset %q", *preset)
-	}
-	cfg.ArrivalRate *= *rateScale
-
-	f, err := os.Create(*out)
-	if err != nil {
+	if err := run(opts, os.Stderr); err != nil {
 		log.Fatal(err)
 	}
-	defer func() {
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}()
-
-	switch {
-	case *asPcap:
-		if err := writePcap(f, cfg, *seed); err != nil {
-			log.Fatal(err)
-		}
-	case *packets:
-		if err := writePackets(f, cfg, *seed); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		if err := writeFlows(f, cfg); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%s, %.0fs, ~%d flows)\n",
-		*out, *preset, *seconds, cfg.ExpectedFlows())
 }
 
-func writeFlows(f *os.File, cfg tracegen.Config) error {
-	w, err := packet.NewFlowWriter(f)
+// run is tracegen: it checks the command line before it creates -o, then
+// writes the trace.
+func run(opts options, stderr io.Writer) (err error) {
+	if opts.out == "" {
+		return errors.New("missing -o output file")
+	}
+	if opts.packets == opts.asPcap {
+		return errors.New("pick exactly one output format: -packets or -pcap")
+	}
+	var cfg tracegen.Config
+	switch opts.preset {
+	case "sprint5":
+		cfg = tracegen.SprintFiveTuple(opts.seconds, opts.seed)
+	case "sprint24":
+		cfg = tracegen.SprintPrefix24(opts.seconds, opts.seed)
+	case "abilene":
+		cfg = tracegen.Abilene(opts.seconds, opts.seed)
+	default:
+		return fmt.Errorf("unknown preset %q", opts.preset)
+	}
+	cfg.ArrivalRate *= opts.rateScale
+
+	f, err := os.Create(opts.out)
 	if err != nil {
 		return err
 	}
-	if err := tracegen.GenerateFunc(cfg, w.Write); err != nil {
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	write := writePackets
+	if opts.asPcap {
+		write = writePcap
+	}
+	if err := write(f, cfg, opts.seed); err != nil {
 		return err
 	}
-	return w.Flush()
+	fmt.Fprintf(stderr, "wrote %s (%s, %.0fs, ~%d flows)\n",
+		opts.out, opts.preset, opts.seconds, cfg.ExpectedFlows())
+	return nil
 }
 
 func writePackets(f *os.File, cfg tracegen.Config, seed uint64) error {

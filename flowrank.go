@@ -290,7 +290,7 @@ func ParseTableSpec(kind string, slots int) (TableSpec, error) {
 }
 
 // NewFlatFlowTable returns an exact open-addressing table pre-sized for
-// sizeHint flows; Release returns its slot arrays to the slab pool.
+// sizeHint flows.
 func NewFlatFlowTable(agg Aggregator, sizeHint int) *FlatFlowTable {
 	return flowtable.NewFlat(agg, sizeHint)
 }
@@ -498,7 +498,7 @@ func CountSwapped(orig []FlowEntry, sampled map[Key]int64, t int) PairCounts {
 }
 
 // SortEntries sorts entries into the canonical ranking order in place.
-func SortEntries(entries []FlowEntry) []FlowEntry { return metrics.SortEntries(entries) }
+func SortEntries(entries []FlowEntry) []FlowEntry { return flowtable.SortEntries(entries) }
 
 // ---------------------------------------------------------------------------
 // Trace-driven simulation (paper §8)

@@ -133,7 +133,9 @@ func TestBoundedTablesFacade(t *testing.T) {
 		// What each kind has beyond the shared surface.
 		switch tab := s.(type) {
 		case *FlatFlowTable:
-			tab.Release()
+			if all := tab.Entries(); len(all) != 1 || all[0].Packets != 2 {
+				t.Errorf("exact table entries %+v", all)
+			}
 		case *SpaceSavingTable:
 			if tab.Evictions() != 0 || tab.ErrorBound() != 0 {
 				t.Errorf("Space-Saving under capacity: %d evictions, error bound %d", tab.Evictions(), tab.ErrorBound())

@@ -38,7 +38,10 @@ import (
 	"time"
 
 	"flowrank/internal/flow"
+	"flowrank/internal/obs"
+	"flowrank/internal/packet"
 	"flowrank/internal/pipeline"
+	"flowrank/internal/source"
 	"flowrank/internal/stream"
 )
 
@@ -76,8 +79,25 @@ type Daemon struct {
 	cfg  Config
 	m    *metricSet
 	pipe *pipeline.Pipeline
+	src  *countedSource
 	ln   net.Listener
 	nf   net.Conn
+}
+
+// countedSource counts the packets its source returns: the daemon's one
+// live packet count, safe to read during the run.
+type countedSource struct {
+	source.PacketSource
+	n obs.Counter
+}
+
+//flowrank:hotpath
+func (s *countedSource) Next(p *packet.Packet) error {
+	err := s.PacketSource.Next(p)
+	if err == nil {
+		s.n.Inc()
+	}
+	return err
 }
 
 // New validates cfg, binds the HTTP listener and (when configured) the
@@ -109,8 +129,12 @@ func New(cfg Config) (*Daemon, error) {
 		mon.NetFlow, mon.NetFlowDest = conn, cfg.NetFlowAddr
 	}
 	d := &Daemon{cfg: cfg, nf: nf}
+	if mon.Source != nil { // else pipeline.New says it is required
+		d.src = &countedSource{PacketSource: mon.Source}
+		d.cfg.Monitor.Source = d.src
+	}
 	var err error
-	if d.pipe, err = pipeline.New(cfg.Monitor); err == nil {
+	if d.pipe, err = pipeline.New(d.cfg.Monitor); err == nil {
 		if d.ln, err = net.Listen("tcp", cfg.ListenAddr); err != nil {
 			err = fmt.Errorf("daemon: listen %s: %w", cfg.ListenAddr, err)
 		}
@@ -121,7 +145,7 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		return nil, err
 	}
-	d.m = newMetricSet(d.pipe)
+	d.m = newMetricSet(d.pipe, &d.src.n)
 	return d, nil
 }
 

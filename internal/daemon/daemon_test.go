@@ -164,7 +164,7 @@ func TestDrainEmitsFinalPartialBin(t *testing.T) {
 	for _, p := range genPackets(n) {
 		src.ch <- p
 	}
-	waitFor(t, "packets ingested", func() bool { return d.pipe.Ingested() == n })
+	waitFor(t, "packets ingested", func() bool { return d.src.n.Load() == n })
 	if got := d.m.bins.Load(); got != 0 {
 		t.Fatalf("bins flushed before drain: %d", got)
 	}

@@ -56,9 +56,9 @@ type metricSet struct {
 }
 
 // newMetricSet registers every flowrankd metric on a fresh registry, in
-// the order they render on /metrics. The ingest counter is the pipeline's
-// own: the per-packet path pays one integer add for it.
-func newMetricSet(p *pipeline.Pipeline) *metricSet {
+// the order they render on /metrics. ingested counts the packets the
+// daemon's source returns: the per-packet path pays one atomic add for it.
+func newMetricSet(p *pipeline.Pipeline, ingested *obs.Counter) *metricSet {
 	r := promexp.NewRegistry()
 	m := &metricSet{reg: r, binLatency: obs.NewHistogram(binLatencyBounds)}
 	m.last.Store(&lastBin{rate: p.Rate()})
@@ -77,9 +77,8 @@ func newMetricSet(p *pipeline.Pipeline) *metricSet {
 		"1 while the daemon is monitoring, 0 once it has drained.", &m.up)
 	gauge("flowrankd_source_eof",
 		"1 once the packet source was exhausted (trace replay finished).", &m.sourceEOF)
-	r.Counter("flowrankd_packets_ingested_total",
-		"Packets read from the source and fed to the streaming engine.",
-		func() float64 { return float64(p.Ingested()) })
+	counter("flowrankd_packets_ingested_total",
+		"Packets read from the source and fed to the streaming engine.", ingested)
 	counter("flowrankd_packets_sampled_total",
 		"Packets the sampler kept, accumulated at bin boundaries.", &m.sampled)
 	counter("flowrankd_bins_total",
@@ -132,7 +131,7 @@ func newMetricSet(p *pipeline.Pipeline) *metricSet {
 	counter("flowrankd_adapt_changes_total",
 		"Sampling-rate retunes applied by the closed adaptive loop.", &m.adaptChanges)
 
-	registerPipelineMetrics(r, p.Instrument())
+	registerPipelineMetrics(r, p.Stats())
 	registerRuntimeMetrics(r, time.Now())
 	return m
 }

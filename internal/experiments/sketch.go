@@ -82,8 +82,6 @@ func extraSketch(opts Options) ([]*report.Table, error) {
 				metrics.TopKOverlap(trueTop, top, topK),
 				r.sum.ErrorBound(), r.sum.Len())
 		}
-		orig.Release()
-		exact.Release()
 	}
 	t.Notes = append(t.Notes,
 		"vs sampled: overlap with the exact table's top-10 of the same sampled stream (sketch error alone)",

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"flowrank/internal/flow"
 	"flowrank/internal/packet"
@@ -30,9 +29,8 @@ import (
 // flat_test.go pin this under random workloads), so the map table remains
 // the reference implementation while Flat carries production traffic.
 //
-// Slot arrays are drawn from a per-size sync.Pool and returned by
-// Release, so short-lived tables (per-bin experiment sweeps) recycle
-// their slabs instead of churning the heap.
+// A table keeps its slot arrays from bin to bin through Reset; only
+// growth allocates.
 type Flat struct {
 	agg flow.Aggregator
 	// tags[i] != 0 marks slot i occupied with the hash tag of its key;
@@ -55,9 +53,8 @@ const flatMinSlots = 64
 // small default). The table grows transparently past the hint; only the
 // pre-sized capacity is allocation-free.
 func NewFlat(agg flow.Aggregator, sizeHint int) *Flat {
-	f := &Flat{agg: agg}
-	f.tags, f.entries = acquireSlab(slotsFor(sizeHint))
-	return f
+	size := slotsFor(sizeHint)
+	return &Flat{agg: agg, tags: make([]uint8, size), entries: make([]Entry, size)}
 }
 
 // slotsFor converts a flow-count hint to a power-of-two slot count that
@@ -183,12 +180,12 @@ func (f *Flat) findOrClaim(key flow.Key, h uint64) (e *Entry, isNew bool) {
 	}
 }
 
-// grow rehashes into a doubled slot array, releasing the old slab to the
-// pool. Only the tag survives per slot, so the probe hash is recomputed
-// from each entry's key — growth is rare and off the per-packet path.
+// grow rehashes into a doubled slot array and drops the old one. Only
+// the tag survives per slot, so the probe hash is recomputed from each
+// entry's key — growth is rare and off the per-packet path.
 func (f *Flat) grow(size int) {
 	oldTags, oldEntries := f.tags, f.entries
-	f.tags, f.entries = acquireSlab(size)
+	f.tags, f.entries = make([]uint8, size), make([]Entry, size)
 	mask := uint64(size - 1)
 	for j, t := range oldTags {
 		if t == 0 {
@@ -201,7 +198,6 @@ func (f *Flat) grow(size int) {
 		f.tags[i] = t
 		f.entries[i] = oldEntries[j]
 	}
-	releaseSlab(oldTags, oldEntries)
 }
 
 // Len returns the number of distinct flows.
@@ -255,14 +251,6 @@ func (f *Flat) Reset() {
 	f.packets, f.bytesT = 0, 0
 }
 
-// Release returns the table's slot arrays to the slab pool. The table
-// must not be used afterwards.
-func (f *Flat) Release() {
-	releaseSlab(f.tags, f.entries)
-	f.tags, f.entries = nil, nil
-	f.n = 0
-}
-
 // Entries returns all flows sorted by the canonical ranking order.
 func (f *Flat) Entries() []Entry {
 	return f.AppendEntries(nil)
@@ -291,31 +279,3 @@ func (f *Flat) Top(k int) []Entry {
 // AppendTop appends the k largest flows in ranking order to dst and
 // returns it.
 func (f *Flat) AppendTop(dst []Entry, k int) []Entry { return appendTop(f, dst, k) }
-
-// --- slab pool ------------------------------------------------------------
-
-// flatSlab is a parallel (tags, entries) slot-array pair; pooled per
-// power-of-two size class so bin-scoped tables reuse memory.
-type flatSlab struct {
-	tags    []uint8
-	entries []Entry
-}
-
-var slabPools [64]sync.Pool
-
-func acquireSlab(size int) ([]uint8, []Entry) {
-	class := bits.TrailingZeros(uint(size))
-	if s, ok := slabPools[class].Get().(*flatSlab); ok {
-		clear(s.tags)
-		return s.tags, s.entries
-	}
-	return make([]uint8, size), make([]Entry, size)
-}
-
-func releaseSlab(tags []uint8, entries []Entry) {
-	if len(tags) == 0 || len(tags) != len(entries) || bits.OnesCount(uint(len(tags))) != 1 {
-		return
-	}
-	class := bits.TrailingZeros(uint(len(tags)))
-	slabPools[class].Put(&flatSlab{tags: tags, entries: entries})
-}

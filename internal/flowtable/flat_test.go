@@ -28,7 +28,6 @@ func TestFlatMatchesMapReference(t *testing.T) {
 	g := randx.New(101)
 	ref := New(flow.FiveTuple{})
 	flat := NewFlat(flow.FiveTuple{}, 16) // small hint: forces several grows
-	defer flat.Release()
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 20000; i++ {
 			k := randKey(g, 24)
@@ -94,7 +93,6 @@ func TestFlatMatchesMapReference(t *testing.T) {
 // prefix aggregation) must be insertable, findable and survive growth.
 func TestFlatZeroKey(t *testing.T) {
 	flat := NewFlat(flow.DstPrefix{Bits: 24}, 0)
-	defer flat.Release()
 	var zero flow.Key
 	for range 7 {
 		flat.AddAggregated(zero, 0, 100)
@@ -115,11 +113,9 @@ func TestFlatZeroKey(t *testing.T) {
 func TestFlatShardedMergeInto(t *testing.T) {
 	const workers = 4
 	whole := NewFlat(flow.FiveTuple{}, 0)
-	defer whole.Release()
 	shards := make([]Summary, workers)
 	for i := range shards {
 		f := NewFlat(flow.FiveTuple{}, 0)
-		defer f.Release()
 		shards[i] = f
 	}
 	g := randx.New(77)
@@ -168,7 +164,6 @@ func TestFlatProbeIgnoresShardBits(t *testing.T) {
 	const flows = 90000 // 131072 slots: load 0.69
 	displacement := func(keep func(uint64) bool) float64 {
 		f := NewFlat(flow.FiveTuple{}, flows)
-		defer f.Release()
 		for id := uint32(0); f.Len() < flows; id++ {
 			key := flow.Key{
 				Src: flow.Addr{byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)},
@@ -374,7 +369,6 @@ func TestHotPathAllocFree(t *testing.T) {
 		keys[i] = randKey(g, 32)
 	}
 	flat := NewFlat(flow.FiveTuple{}, len(keys))
-	defer flat.Release()
 	ss := NewSpaceSaving(flow.FiveTuple{}, 256)
 	cm := NewCountMin(flow.FiveTuple{}, 256)
 	warm := func(add func(flow.Key)) func() {
@@ -426,7 +420,6 @@ func FuzzFlatProbe(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref := New(flow.FiveTuple{})
 		flat := NewFlat(flow.FiveTuple{}, 0)
-		defer flat.Release()
 		var queued []Observation
 		ingestQueued := func() {
 			flat.AddBatch(queued)
@@ -517,7 +510,6 @@ func BenchmarkIngestMap(b *testing.B) {
 func BenchmarkIngestFlat(b *testing.B) {
 	keys := ingestKeys()
 	tab := NewFlat(flow.FiveTuple{}, 1<<13)
-	defer tab.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -592,7 +584,6 @@ func BenchmarkIngestMillionMap(b *testing.B) {
 
 func BenchmarkIngestMillionFlat(b *testing.B) {
 	tab := NewFlat(flow.FiveTuple{}, 1<<20)
-	defer tab.Release()
 	benchMillion(b, tab)
 }
 
@@ -607,7 +598,6 @@ func BenchmarkIngestFlatBatch(b *testing.B) {
 	const perOp = 1 << 20
 	run := func(b *testing.B, ingest func(tab *Flat, keys []flow.Key)) {
 		tab := NewFlat(flow.FiveTuple{}, 1<<20)
-		defer tab.Release()
 		ingest(tab, keys) // build the table to its bin-peak size
 		b.ReportAllocs()
 		b.ResetTimer()

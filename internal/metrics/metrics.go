@@ -267,9 +267,3 @@ func (r *RunningStat) Merge(o RunningStat) {
 	r.m2 += o.m2 + delta*delta*nA*nB/total
 	r.n += o.n
 }
-
-// SortEntries sorts entries into the canonical ranking order in place and
-// returns the slice, a convenience for metric callers.
-func SortEntries(entries []flowtable.Entry) []flowtable.Entry {
-	return flowtable.SortEntries(entries)
-}

@@ -22,7 +22,7 @@ func mkBin(orig []int64, sampled []int64) ([]flowtable.Entry, map[flow.Key]int64
 		entries[i] = flowtable.Entry{Key: key(i), Packets: c}
 		m[key(i)] = sampled[i]
 	}
-	return SortEntries(entries), m
+	return flowtable.SortEntries(entries), m
 }
 
 func TestCountSwappedPerfect(t *testing.T) {
@@ -168,7 +168,7 @@ func TestCountSwappedUnsortedTail(t *testing.T) {
 				sampled[key(i)] = 0 // present but zero; otherwise missing
 			}
 		}
-		SortEntries(entries)
+		flowtable.SortEntries(entries)
 		for _, tt := range []int{0, 1, 2, n - 1, n, n + 5} {
 			want := countSwappedRef(entries, sampled, tt)
 			shuffled := append([]flowtable.Entry(nil), entries...)
@@ -199,7 +199,7 @@ func TestCountSwappedCountsMatchesMap(t *testing.T) {
 		for i := range entries {
 			entries[i] = flowtable.Entry{Key: key(i), Packets: int64(1 + g.IntN(12))}
 		}
-		SortEntries(entries)
+		flowtable.SortEntries(entries)
 		for _, tt := range []int{-1, 0, 1, 2, 17, 40, n - 1, n, n + 5} {
 			rest := entries[max(0, min(tt, n)):]
 			for i := len(rest) - 1; i > 0; i-- {
@@ -218,7 +218,7 @@ func TestCountSwappedCountsMatchesMap(t *testing.T) {
 			if got := CountSwappedCounts(entries, counts, tt); got != want {
 				t.Fatalf("trial %d n=%d t=%d: %+v, map form %+v", trial, n, tt, got, want)
 			}
-			SortEntries(entries)
+			flowtable.SortEntries(entries)
 		}
 	}
 }

@@ -182,7 +182,7 @@ func simulate(topo *Topology, flows []RoutedFlow, a *Allocation, topT, runs int,
 			res.Pairs.Detection += pc.Detection
 			res.Pairs.Pairs += pc.Pairs
 			res.Pairs.BoundaryPairs += pc.BoundaryPairs
-			topkSum += metrics.TopKOverlap(lt.entries, metrics.SortEntries(sampledEntries), topT)
+			topkSum += metrics.TopKOverlap(lt.entries, flowtable.SortEntries(sampledEntries), topT)
 			topkCells++
 		}
 	}

@@ -12,11 +12,8 @@ import (
 	"flowrank/internal/flow"
 )
 
-// Trace format identification.
-var (
-	packetMagic = [5]byte{'F', 'P', 'K', 'T', 1}
-	flowMagic   = [5]byte{'F', 'F', 'L', 'W', 1}
-)
+// packetMagic identifies the trace format.
+var packetMagic = [5]byte{'F', 'P', 'K', 'T', 1}
 
 // ErrBadMagic is returned when a trace stream does not start with the
 // expected format marker.
@@ -189,97 +186,4 @@ func truncated(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// FlowWriter encodes a flow-level trace of flow.Records.
-type FlowWriter struct {
-	w        *bufio.Writer
-	lastNano int64
-	buf      []byte
-}
-
-// NewFlowWriter creates a flow-trace writer and emits the format header.
-func NewFlowWriter(w io.Writer) (*FlowWriter, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(flowMagic[:]); err != nil {
-		return nil, fmt.Errorf("packet: writing flow header: %w", err)
-	}
-	return &FlowWriter{w: bw, buf: make([]byte, 0, 48)}, nil
-}
-
-// Write appends one flow record.
-func (w *FlowWriter) Write(rec flow.Record) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	start := secondsToNanos(rec.Start)
-	delta := start - w.lastNano
-	w.lastNano = start
-	w.buf = w.buf[:0]
-	w.buf = binary.AppendUvarint(w.buf, zigzag(delta))
-	w.buf = binary.AppendUvarint(w.buf, uint64(secondsToNanos(rec.Duration)))
-	w.buf = binary.AppendUvarint(w.buf, uint64(rec.Packets))
-	w.buf = binary.AppendUvarint(w.buf, uint64(rec.Bytes))
-	w.buf = appendKey(w.buf, rec.Key)
-	if _, err := w.w.Write(w.buf); err != nil {
-		return fmt.Errorf("packet: writing flow record: %w", err)
-	}
-	return nil
-}
-
-// Flush drains buffered output.
-func (w *FlowWriter) Flush() error { return w.w.Flush() }
-
-// FlowReader decodes a flow-level trace written by FlowWriter.
-type FlowReader struct {
-	r        *bufio.Reader
-	lastNano int64
-}
-
-// NewFlowReader validates the header and returns a reader.
-func NewFlowReader(r io.Reader) (*FlowReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [5]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("packet: reading flow header: %w", err)
-	}
-	if hdr != flowMagic {
-		return nil, ErrBadMagic
-	}
-	return &FlowReader{r: br}, nil
-}
-
-// Next returns the next flow record, or io.EOF at end of trace.
-func (r *FlowReader) Next() (flow.Record, error) {
-	deltaRaw, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return flow.Record{}, io.EOF
-		}
-		return flow.Record{}, fmt.Errorf("packet: reading flow start: %w", err)
-	}
-	r.lastNano += unzigzag(deltaRaw)
-	durRaw, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return flow.Record{}, fmt.Errorf("packet: reading duration: %w", truncated(err))
-	}
-	pkts, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return flow.Record{}, fmt.Errorf("packet: reading packet count: %w", truncated(err))
-	}
-	bytes, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return flow.Record{}, fmt.Errorf("packet: reading byte count: %w", truncated(err))
-	}
-	key, err := readKey(r.r)
-	if err != nil {
-		return flow.Record{}, fmt.Errorf("packet: reading key: %w", truncated(err))
-	}
-	return flow.Record{
-		Key:      key,
-		Start:    nanosToSeconds(r.lastNano),
-		Duration: nanosToSeconds(int64(durRaw)),
-		Packets:  int(pkts),
-		Bytes:    int64(bytes),
-	}, nil
 }

@@ -141,82 +141,6 @@ func TestEmptyTrace(t *testing.T) {
 	}
 }
 
-func sampleFlows(n int, seed uint64) []flow.Record {
-	g := randx.New(seed)
-	recs := make([]flow.Record, n)
-	t := 0.0
-	for i := range recs {
-		t += g.Exponential(0.01)
-		pkts := 1 + g.IntN(500)
-		recs[i] = flow.Record{
-			Key: flow.Key{
-				Src:     flow.Addr{1, 2, byte(i >> 8), byte(i)},
-				Dst:     flow.Addr{9, 9, byte(g.IntN(256)), byte(g.IntN(256))},
-				SrcPort: uint16(1024 + g.IntN(60000)),
-				DstPort: 80,
-				Proto:   flow.ProtoTCP,
-			},
-			Start:    t,
-			Duration: g.Exponential(13),
-			Packets:  pkts,
-			Bytes:    int64(pkts) * 500,
-		}
-	}
-	return recs
-}
-
-func TestFlowRoundTrip(t *testing.T) {
-	recs := sampleFlows(3000, 3)
-	var buf bytes.Buffer
-	w, err := NewFlowWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-
-	r, err := NewFlowReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range recs {
-		got, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if got.Key != want.Key || got.Packets != want.Packets || got.Bytes != want.Bytes {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, got, want)
-		}
-		if math.Abs(got.Start-want.Start) > 1e-9 || math.Abs(got.Duration-want.Duration) > 1e-9 {
-			t.Fatalf("record %d time mismatch", i)
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
-	}
-}
-
-func TestFlowWriterRejectsInvalid(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewFlowWriter(&buf)
-	if err := w.Write(flow.Record{Packets: 0}); err == nil {
-		t.Error("invalid record accepted")
-	}
-}
-
-func TestFlowReaderRejectsPacketTrace(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Flush()
-	if _, err := NewFlowReader(&buf); err != ErrBadMagic {
-		t.Errorf("err = %v, want ErrBadMagic", err)
-	}
-}
-
 func TestZigzagRoundTrip(t *testing.T) {
 	f := func(v int64) bool { return unzigzag(zigzag(v)) == v }
 	if err := quick.Check(f, nil); err != nil {

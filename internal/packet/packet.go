@@ -1,5 +1,5 @@
 // Package packet defines the packet record the simulators exchange and a
-// compact binary trace format for both packet-level and flow-level traces.
+// compact binary format for packet traces.
 //
 // The on-disk format is a stream-friendly varint encoding: timestamps are
 // delta-encoded (zig-zag, nanosecond resolution), sizes are uvarints and

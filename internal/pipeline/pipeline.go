@@ -86,14 +86,10 @@ func (c Config) validate() error {
 type Pipeline struct {
 	cfg  Config
 	bern *sampler.Bernoulli
-	// stats and the ingested count are read during the run (the
-	// daemon's /metrics): nil and frozen unless Instrument switched them
-	// on. The engine times every bin without them; the count's per-packet
-	// atomic add would cost flowtop's default path several percent of
-	// throughput.
-	stats    *obs.PipelineStats
-	ingested obs.Counter
-	nf       *exporter // nil without Config.NetFlow
+	// stats is the engine's per-stage telemetry, read during the run by
+	// the daemon's /metrics.
+	stats *obs.PipelineStats
+	nf    *exporter // nil without Config.NetFlow
 }
 
 // New validates cfg and builds the sampler. It starts nothing: a Pipeline
@@ -108,31 +104,20 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Log == nil {
 		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	p := &Pipeline{cfg: cfg, bern: sampler.NewBernoulli(cfg.Rate, cfg.Seed)}
+	workers := cfg.Workers
+	if workers == 0 {
+		workers = stream.DefaultWorkers()
+	}
+	p := &Pipeline{cfg: cfg, bern: sampler.NewBernoulli(cfg.Rate, cfg.Seed), stats: obs.NewPipelineStats(workers)}
 	if cfg.NetFlow != nil {
 		p.nf = &exporter{w: cfg.NetFlow, dest: cfg.NetFlowDest, log: cfg.Log}
 	}
 	return p, nil
 }
 
-// Instrument switches on the per-packet Ingested count and returns the
-// engine's per-stage stats, for a caller that reads them during the run
-// (the daemon's /metrics); call it before Run. The stats and Ingested are
-// safe to read concurrently with Run.
-func (p *Pipeline) Instrument() *obs.PipelineStats {
-	if p.stats == nil {
-		workers := p.cfg.Workers
-		if workers == 0 {
-			workers = stream.DefaultWorkers()
-		}
-		p.stats = obs.NewPipelineStats(workers)
-	}
-	return p.stats
-}
-
-// Ingested is the number of packets read from the source and fed to the
-// engine so far, counted on an instrumented run.
-func (p *Pipeline) Ingested() int64 { return p.ingested.Load() }
+// Stats is the engine's per-stage telemetry, safe to read concurrently
+// with Run (the daemon's /metrics).
+func (p *Pipeline) Stats() *obs.PipelineStats { return p.stats }
 
 // Rate is the live sampling probability. It moves only at bin boundaries,
 // on Run's goroutine: read it from the per-bin callback, or outside Run.
@@ -195,9 +180,6 @@ func (p *Pipeline) Run(ctx context.Context, onBin func(stream.BinResult, *BinRec
 		if err := eng.Feed(pkt); err != nil {
 			eng.Abort()
 			return err
-		}
-		if p.stats != nil {
-			p.ingested.Inc()
 		}
 	}
 }

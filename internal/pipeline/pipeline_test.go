@@ -9,6 +9,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"flowrank/internal/dist"
@@ -160,8 +161,7 @@ func TestExportWriteFailures(t *testing.T) {
 // TestRunOrdersExportCallbackJournal pins the per-bin order: a bin's
 // datagrams are written before its callback runs (nothing is held back
 // for a later bin or for EOF), and its journal line after. Every record
-// carries its stage timings, and the journal does not switch the
-// per-packet Ingested count on.
+// carries its stage timings.
 func TestRunOrdersExportCallbackJournal(t *testing.T) {
 	var nf, journal bytes.Buffer
 	cfg := testConfig(genPackets(400))
@@ -170,9 +170,6 @@ func TestRunOrdersExportCallbackJournal(t *testing.T) {
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p.stats != nil {
-		t.Fatal("a journal switched the run's telemetry on")
 	}
 	bins, exported := 0, 0
 	err = p.Run(context.Background(), func(b stream.BinResult, rec *BinRecord) error {
@@ -196,8 +193,8 @@ func TestRunOrdersExportCallbackJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bins != 4 || p.Ingested() != 0 {
-		t.Errorf("%d bins, %d counted ingested; want 4, 0 on a run never instrumented", bins, p.Ingested())
+	if bins != 4 {
+		t.Errorf("%d bins, want 4", bins)
 	}
 	if n, err := ValidateJournal(&journal); err != nil || n != bins {
 		t.Errorf("journal: %d records, %v; want %d valid", n, err, bins)
@@ -269,15 +266,18 @@ func TestNewValidation(t *testing.T) {
 
 // liveSource yields its packets, then blocks like a live capture until it
 // is Closed (fail == nil) or reports a corruption error (fail != nil).
+// read counts the packets it has yielded.
 type liveSource struct {
 	pkts   []packet.Packet
 	fail   error
 	closed chan struct{}
+	read   atomic.Int64
 }
 
 func (s *liveSource) Next(p *packet.Packet) error {
 	if len(s.pkts) > 0 {
 		*p, s.pkts = s.pkts[0], s.pkts[1:]
+		s.read.Add(1)
 		return nil
 	}
 	if s.fail != nil {
@@ -307,20 +307,20 @@ func TestRunEndings(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig(nil)
-			cfg.Source = &liveSource{pkts: genPackets(50), fail: tc.fail, closed: make(chan struct{})}
+			src := &liveSource{pkts: genPackets(50), fail: tc.fail, closed: make(chan struct{})}
+			cfg.Source = src
 			cfg.BinSeconds = 60 // one partial bin
 			p, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.Instrument() // for Ingested
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			if tc.fail == nil {
 				// The corrupt source needs no cancel, and one racing its
 				// failing read would turn the abort into a drain.
 				go func() {
-					for p.Ingested() < 50 {
+					for src.read.Load() < 50 {
 						runtime.Gosched()
 					}
 					cancel()

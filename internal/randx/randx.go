@@ -89,9 +89,6 @@ func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
 // NormFloat64 returns a standard normal variate.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
-// ExpFloat64 returns a unit-mean exponential variate.
-func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
-
 // Bernoulli returns true with probability p.
 func (g *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {

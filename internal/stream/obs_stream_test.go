@@ -166,7 +166,7 @@ func TestEngineFeedAllocFreeWithObs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, p := range pkts { // warm the tables, the slab pools and the batches in flight
+		for _, p := range pkts { // warm the tables and the batches in flight
 			feed(p)
 		}
 		// Go on until the batches Feed is filling are ones that came back

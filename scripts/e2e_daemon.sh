@@ -96,6 +96,14 @@ check flowrankd_bins_total "$bins"
 check flowrankd_bin_flows "$flows"
 check flowrankd_bin_ranking_pairs "$ranking"
 check flowrankd_bin_detection_pairs "$detection"
+# The daemon counts the packets its source returns, the engine the
+# packets it is fed: at EOF both have seen the whole trace.
+ingested="$(metric flowrankd_packets_ingested_total)"
+fed="$(metric flowrankd_pipeline_packets_total)"
+if [ "$ingested" != "$fed" ] || ! awk -v n="$ingested" 'BEGIN { exit !(n + 0 > 0) }'; then
+    echo "metric flowrankd_packets_ingested_total = $ingested, flowrankd_pipeline_packets_total = $fed, want equal and > 0" >&2
+    exit 1
+fi
 changes="$(metric flowrankd_adapt_changes_total)"
 if ! [ "${changes:-0}" -gt 0 ]; then
     echo "metric flowrankd_adapt_changes_total = $changes, want > 0" >&2
@@ -112,4 +120,4 @@ if ! wait "$pid"; then
     exit 1
 fi
 
-echo "flowrankd e2e: /metrics matches flowtop batch ($bins bins, last bin $flows flows, $changes rate retunes), SIGTERM drained cleanly"
+echo "flowrankd e2e: /metrics matches flowtop batch ($bins bins, last bin $flows flows, $changes rate retunes, $ingested packets ingested), SIGTERM drained cleanly"
