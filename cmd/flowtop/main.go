@@ -200,7 +200,7 @@ func printBin(w io.Writer, b stream.BinResult, topT int) error {
 	t := &report.Table{
 		ID: fmt.Sprintf("bin%d", b.Bin),
 		Title: fmt.Sprintf("t=[%.0fs,%.0fs) %d flows, swapped pairs: ranking %d (%.3g) detection %d (%.3g)%s",
-			b.Start, b.End, len(b.Orig),
+			b.Start, b.End, b.Flows,
 			b.Pairs.Ranking, b.Pairs.RankingFrac(),
 			b.Pairs.Detection, b.Pairs.DetectionFrac(), countErr),
 		Columns: []string{"rank", "true flow", "pkts", "sampled flow", "pkts"},
@@ -208,9 +208,9 @@ func printBin(w io.Writer, b stream.BinResult, topT int) error {
 	for i := 0; i < topT; i++ {
 		row := make([]interface{}, 5)
 		row[0] = i + 1
-		if i < len(b.Orig) {
-			row[1] = b.Orig[i].Key.String()
-			row[2] = b.Orig[i].Packets
+		if i < len(b.OrigTop) {
+			row[1] = b.OrigTop[i].Key.String()
+			row[2] = b.OrigTop[i].Packets
 		} else {
 			row[1], row[2] = "-", "-"
 		}

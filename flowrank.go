@@ -271,7 +271,8 @@ type FlowSummary = flowtable.Summary
 type TableSpec = flowtable.Spec
 
 // FlatFlowTable is the allocation-free open-addressing exact table of
-// the packet hot path; bit-compatible with FlowTable.
+// the packet hot path; bit-compatible with FlowTable, timestamps
+// included.
 type FlatFlowTable = flowtable.Flat
 
 // SpaceSavingTable and CountMinTable are the bounded summaries: O(k)
@@ -316,12 +317,12 @@ func NewCountMinTable(agg Aggregator, k int) *CountMinTable {
 // its stages whether or not Obs is set; Obs only makes them readable.
 type StreamConfig = stream.Config
 
-// StreamBin is the merged measurement of one non-empty bin: every
-// original flow with the top list ranked first (Orig[:TopT] is in ranking
-// order, the flows after it are not sorted — SortEntries ranks them), the
-// exact sampled top list and the sampled flow count, and the paper's
-// swapped-pair metrics. It carries no per-flow sampled counts: the engine
-// joins each flow's sampled count inside its shard and hands over Pairs.
+// StreamBin is the merged measurement of one non-empty bin: the original
+// top list in ranking order (OrigTop: Key, Packets and Bytes, zero
+// First/Last) and the original flow count (Flows), the exact sampled top
+// list and the sampled flow count, and the paper's swapped-pair metrics.
+// It carries no other per-flow state: the shards score their own flows
+// against the top list and hand over Pairs.
 // With an Inverter it carries the estimator's own result (Inversion) or
 // its error (InversionErr); on every bin, Stages holds the flush's
 // barrier, merge and invert timings.
@@ -489,10 +490,9 @@ type PairCounts = metrics.PairCounts
 // CountSwapped computes both metrics for a caller holding its own tables
 // (StreamBin.Pairs already has them for an engine's bin): orig is every
 // flow of the bin with its t highest-ranked flows first, in ranking
-// order — the flows after them may come in any order, so StreamBin.Orig
-// qualifies as delivered and so does a fully sorted list (SortEntries) —
-// sampled maps keys to sampled counts (FlowSummary.AppendCounts), t is
-// the top-list length.
+// order (the flows after them may come in any order, so a fully sorted
+// list from SortEntries qualifies); sampled maps keys to sampled counts
+// (FlowSummary.AppendCounts); t is the top-list length.
 func CountSwapped(orig []FlowEntry, sampled map[Key]int64, t int) PairCounts {
 	return metrics.CountSwapped(orig, sampled, t)
 }

@@ -285,7 +285,7 @@ func TestMetricsMatchBatch(t *testing.T) {
 		"flowrankd_packets_sampled_total":  float64(sampledPkts),
 		"flowrankd_bins_total":             float64(len(bins)),
 		"flowrankd_sampling_rate":          0.5,
-		"flowrankd_bin_flows":              float64(len(last.Orig)),
+		"flowrankd_bin_flows":              float64(last.Flows),
 		"flowrankd_bin_sampled_flows":      float64(last.SampledFlows),
 		"flowrankd_bin_ranking_pairs":      float64(last.Pairs.Ranking),
 		"flowrankd_bin_detection_pairs":    float64(last.Pairs.Detection),

@@ -20,9 +20,16 @@ import (
 // Occupancy is tracked in a byte-per-slot tag array (the top bits of the
 // probe hash, never 0) rather than the full hash: at a million flows the
 // tag array is ~2 MB and stays cache-resident, so a probe costs one tag
-// read plus at most one entry-line miss, where a full-hash array would
+// read plus at most one slot-line miss, where a full-hash array would
 // take a second DRAM miss per packet. A tag match that is not a key
 // match (about 1 in 128 probes) just continues the probe.
+//
+// A slot holds a flow's key and counts, 32 bytes: two to a cache line,
+// and none straddles two. The timestamps of Entry live in a side array
+// that only a timestamp-keeping table has (NewFlat): the stream engine's
+// original table, an evaluation oracle nothing reads a time from, keeps
+// counts only (Spec.NewCounts), and its entries carry zero First and
+// Last. Growth rehashes the slots and, when kept, the timestamps.
 //
 // Flat is bit-compatible with Table: both produce identical Entries, Top,
 // AppendCounts and totals for the same input (the differential tests in
@@ -34,9 +41,11 @@ import (
 type Flat struct {
 	agg flow.Aggregator
 	// tags[i] != 0 marks slot i occupied with the hash tag of its key;
-	// entries[i] is the slot's accounting state, valid only when marked.
+	// slots[i] is the slot's counts and times[i] its timestamps (nil when
+	// the table keeps none), valid only when marked.
 	tags    []uint8
-	entries []Entry
+	slots   []flatSlot
+	times   []flatTimes
 	n       int
 	packets int64
 	bytesT  int64
@@ -44,17 +53,40 @@ type Flat struct {
 	touched uint64
 }
 
+// flatSlot is one flow's key and counts: 32 bytes.
+type flatSlot struct {
+	Key            flow.Key
+	Packets, Bytes int64
+}
+
+// flatTimes is one flow's first and most recent packet time.
+type flatTimes struct{ First, Last float64 }
+
 // flatMinSlots is the smallest slot-array size; large enough that tiny
 // tables do not grow immediately, small enough to stay cache-resident.
 const flatMinSlots = 64
 
 // NewFlat returns an empty open-addressing table classifying packets
-// under agg, pre-sized to hold sizeHint flows without growing (0 picks a
-// small default). The table grows transparently past the hint; only the
-// pre-sized capacity is allocation-free.
-func NewFlat(agg flow.Aggregator, sizeHint int) *Flat {
-	size := slotsFor(sizeHint)
-	return &Flat{agg: agg, tags: make([]uint8, size), entries: make([]Entry, size)}
+// under agg and keeping each flow's first and last packet time, pre-sized
+// to hold sizeHint flows without growing (0 picks a small default). The
+// table grows transparently past the hint; only the pre-sized capacity is
+// allocation-free.
+func NewFlat(agg flow.Aggregator, sizeHint int) *Flat { return newFlat(agg, sizeHint, true) }
+
+// newFlat is NewFlat, keeping timestamps only when times is set.
+func newFlat(agg flow.Aggregator, sizeHint int, times bool) *Flat {
+	f := &Flat{agg: agg}
+	f.alloc(slotsFor(sizeHint), times)
+	return f
+}
+
+// alloc gives the table fresh arrays of size slots, with timestamps when
+// times is set.
+func (f *Flat) alloc(size int, times bool) {
+	f.tags, f.slots = make([]uint8, size), make([]flatSlot, size)
+	if times {
+		f.times = make([]flatTimes, size)
+	}
 }
 
 // slotsFor converts a flow-count hint to a power-of-two slot count that
@@ -109,13 +141,19 @@ func (f *Flat) AddAggregated(key flow.Key, time float64, size int64) {
 //
 //flowrank:hotpath
 func (f *Flat) add(key flow.Key, hash uint64, time float64, size int64) {
-	e, isNew := f.findOrClaim(key, hash)
+	i, isNew := f.findOrClaim(key, hash)
+	s := &f.slots[i]
 	if isNew {
-		*e = Entry{Key: key, First: time}
+		*s = flatSlot{Key: key}
+		if f.times != nil {
+			f.times[i].First = time
+		}
 	}
-	e.Packets++
-	e.Bytes += size
-	e.Last = time
+	s.Packets++
+	s.Bytes += size
+	if f.times != nil {
+		f.times[i].Last = time
+	}
 	f.packets++
 	f.bytesT += size
 }
@@ -127,12 +165,13 @@ const flatBatchGroup = 16
 
 // AddBatch accounts the observations in order, exactly as one
 // AddAggregated per observation would. On a table beyond the cache an
-// AddAggregated stalls on its slot's entry line before the next packet's
+// AddAggregated stalls on its slot's line before the next packet's
 // address is even computed, so the misses run one after another. Here
 // each group of flatBatchGroup observations first loads its home tags and
-// entry lines — Go has no prefetch intrinsic; ordinary loads whose sum
-// lands in a field do, since none depends on another — and only then
-// probes and updates, by which time the lines have arrived together.
+// slot lines (and timestamp lines, when kept) — Go has no prefetch
+// intrinsic; ordinary loads whose sum lands in a field do, since none
+// depends on another — and only then probes and updates, by which time
+// the lines have arrived together.
 //
 //flowrank:hotpath
 func (f *Flat) AddBatch(batch []Observation) {
@@ -143,9 +182,10 @@ func (f *Flat) AddBatch(batch []Observation) {
 		var touched uint64
 		for i := range g {
 			j := flatHome(g[i].Hash, mask)
-			e := &f.entries[j]
-			// First and last byte: an entry can straddle two cache lines.
-			touched += uint64(f.tags[j]) + uint64(e.Key.Src[0]) + math.Float64bits(e.Last)
+			touched += uint64(f.tags[j]) + uint64(f.slots[j].Key.Src[0])
+			if f.times != nil {
+				touched += math.Float64bits(f.times[j].Last)
+			}
 		}
 		f.touched += touched
 		for i := range g {
@@ -155,18 +195,18 @@ func (f *Flat) AddBatch(batch []Observation) {
 }
 
 // findOrClaim probes for key, whose FastHash is h, claiming (and marking)
-// a fresh slot when absent. The returned entry is stale garbage when
-// isNew — the caller overwrites it.
+// a fresh slot when absent, and returns the slot's index. The slot is
+// stale garbage when isNew — the caller overwrites it.
 //
 //flowrank:hotpath
-func (f *Flat) findOrClaim(key flow.Key, h uint64) (e *Entry, isNew bool) {
+func (f *Flat) findOrClaim(key flow.Key, h uint64) (i uint64, isNew bool) {
 	tag := flatTag(h)
 	mask := uint64(len(f.tags) - 1)
-	for i := flatHome(h, mask); ; i = (i + 1) & mask {
+	for i = flatHome(h, mask); ; i = (i + 1) & mask {
 		switch f.tags[i] {
 		case tag:
-			if f.entries[i].Key == key {
-				return &f.entries[i], false
+			if f.slots[i].Key == key {
+				return i, false
 			}
 		case 0:
 			if 4*(f.n+1) > 3*len(f.tags) {
@@ -175,29 +215,60 @@ func (f *Flat) findOrClaim(key flow.Key, h uint64) (e *Entry, isNew bool) {
 			}
 			f.tags[i] = tag
 			f.n++
-			return &f.entries[i], true
+			return i, true
 		}
 	}
 }
 
-// grow rehashes into a doubled slot array and drops the old one. Only
-// the tag survives per slot, so the probe hash is recomputed from each
-// entry's key — growth is rare and off the per-packet path.
+// find returns the index of key's slot, if present.
+func (f *Flat) find(key flow.Key) (int, bool) {
+	h := key.FastHash()
+	tag := flatTag(h)
+	mask := uint64(len(f.tags) - 1)
+	for i := flatHome(h, mask); ; i = (i + 1) & mask {
+		switch f.tags[i] {
+		case tag:
+			if f.slots[i].Key == key {
+				return int(i), true
+			}
+		case 0:
+			return 0, false
+		}
+	}
+}
+
+// grow rehashes into doubled slot arrays and drops the old ones. Only the
+// tag survives per slot, so the probe hash is recomputed from each
+// slot's key — growth is rare and off the per-packet path.
 func (f *Flat) grow(size int) {
-	oldTags, oldEntries := f.tags, f.entries
-	f.tags, f.entries = make([]uint8, size), make([]Entry, size)
+	oldTags, oldSlots, oldTimes := f.tags, f.slots, f.times
+	f.alloc(size, oldTimes != nil)
 	mask := uint64(size - 1)
 	for j, t := range oldTags {
 		if t == 0 {
 			continue
 		}
-		i := flatHome(oldEntries[j].Key.FastHash(), mask)
+		i := flatHome(oldSlots[j].Key.FastHash(), mask)
 		for f.tags[i] != 0 {
 			i = (i + 1) & mask
 		}
 		f.tags[i] = t
-		f.entries[i] = oldEntries[j]
+		f.slots[i] = oldSlots[j]
+		if oldTimes != nil {
+			f.times[i] = oldTimes[j]
+		}
 	}
+}
+
+// entry returns slot i's flow as an Entry, with zero timestamps when the
+// table keeps none.
+func (f *Flat) entry(i int) Entry {
+	s := &f.slots[i]
+	e := Entry{Key: s.Key, Packets: s.Packets, Bytes: s.Bytes}
+	if f.times != nil {
+		e.First, e.Last = f.times[i].First, f.times[i].Last
+	}
+	return e
 }
 
 // Len returns the number of distinct flows.
@@ -214,19 +285,11 @@ func (f *Flat) ErrorBound() int64 { return 0 }
 
 // Lookup returns the entry for an (aggregated) key, if present.
 func (f *Flat) Lookup(key flow.Key) (Entry, bool) {
-	h := key.FastHash()
-	tag := flatTag(h)
-	mask := uint64(len(f.tags) - 1)
-	for i := flatHome(h, mask); ; i = (i + 1) & mask {
-		switch f.tags[i] {
-		case tag:
-			if f.entries[i].Key == key {
-				return f.entries[i], true
-			}
-		case 0:
-			return Entry{}, false
-		}
+	i, ok := f.find(key)
+	if !ok {
+		return Entry{}, false
 	}
+	return f.entry(i), true
 }
 
 // AppendCounts adds every flow's packet count to dst (allocating it when
@@ -237,7 +300,7 @@ func (f *Flat) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {
 	}
 	for i, t := range f.tags {
 		if t != 0 {
-			dst[f.entries[i].Key] = f.entries[i].Packets
+			dst[f.slots[i].Key] = f.slots[i].Packets
 		}
 	}
 	return dst
@@ -261,7 +324,7 @@ func (f *Flat) AppendAll(dst []Entry) []Entry {
 	dst = slices.Grow(dst, f.n)
 	for i, t := range f.tags {
 		if t != 0 {
-			dst = append(dst, f.entries[i])
+			dst = append(dst, f.entry(i))
 		}
 	}
 	return dst
@@ -278,4 +341,20 @@ func (f *Flat) Top(k int) []Entry {
 
 // AppendTop appends the k largest flows in ranking order to dst and
 // returns it.
-func (f *Flat) AppendTop(dst []Entry, k int) []Entry { return appendTop(f, dst, k) }
+func (f *Flat) AppendTop(dst []Entry, k int) []Entry {
+	dst, _ = f.AppendTopTies(dst, k)
+	return dst
+}
+
+// AppendTopTies is AppendTop that also counts the flows left out whose
+// count equals the last one appended: one scan of the slots, which copies
+// out only the flows that could still enter the list.
+func (f *Flat) AppendTopTies(dst []Entry, k int) ([]Entry, int) {
+	r := newRanker(dst, k, f.n)
+	for i, t := range f.tags {
+		if t != 0 && r.wants(f.slots[i].Packets) {
+			r.offer(f.entry(i))
+		}
+	}
+	return r.result()
+}

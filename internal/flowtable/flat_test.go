@@ -2,6 +2,7 @@ package flowtable
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"flowrank/internal/flow"
@@ -148,7 +149,7 @@ func meanDisplacement(f *Flat) float64 {
 	var sum uint64
 	for i, tag := range f.tags {
 		if tag != 0 {
-			sum += (uint64(i) - flatHome(f.entries[i].Key.FastHash(), mask)) & mask
+			sum += (uint64(i) - flatHome(f.slots[i].Key.FastHash(), mask)) & mask
 		}
 	}
 	return float64(sum) / float64(f.n)
@@ -398,11 +399,15 @@ func TestHotPathAllocFree(t *testing.T) {
 
 // FuzzFlatProbe hammers the open-addressing machinery — probe chains,
 // hash-0 remapping, growth mid-stream, bin resets — against the map
-// reference. The byte stream is an op tape: every 4 bytes select an
-// operation and a key from a deliberately tiny space so collisions and
-// revisits dominate. Half of the packet adds reach the flat table through
-// AddBatch: runs of them queue up and are ingested as one batch before
-// the next operation of any other kind.
+// reference, on both slot layouts: a timestamp-keeping Flat (NewFlat) and
+// a count-only one (Spec.NewCounts). The byte stream is an op tape: every
+// 4 bytes select an operation and a key from a deliberately tiny space so
+// collisions and revisits dominate. Half of the packet adds reach the flat
+// tables through AddBatch: runs of them queue up and are ingested as one
+// batch before the next operation of any other kind. Key, Packets and
+// Bytes must match the reference on both tables, First and Last on the
+// timestamp-keeping one (the count-only one reports them as zero), and so
+// must the top lists and their tie counts.
 func FuzzFlatProbe(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -419,12 +424,19 @@ func FuzzFlatProbe(f *testing.F) {
 	f.Add(tape)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref := New(flow.FiveTuple{})
-		flat := NewFlat(flow.FiveTuple{}, 0)
+		stamped := NewFlat(flow.FiveTuple{}, 0)
+		counts := newFlat(flow.FiveTuple{}, 0, false)
+		flats := []*Flat{stamped, counts}
 		var queued []Observation
 		ingestQueued := func() {
-			flat.AddBatch(queued)
+			for _, fl := range flats {
+				fl.AddBatch(queued)
+			}
 			queued = queued[:0]
 		}
+		// countsOnly is the reference entry as the count-only table
+		// reports it.
+		countsOnly := func(e Entry) Entry { e.First, e.Last = 0, 0; return e }
 		for len(data) >= 4 {
 			op, a, b, c := data[0], data[1], data[2], data[3]
 			data = data[4:]
@@ -442,40 +454,74 @@ func FuzzFlatProbe(f *testing.F) {
 			case 0, 1:
 				p := packet.Packet{Key: key, Time: float64(b), Size: int(c) + 1}
 				ref.Add(p)
-				flat.Add(p)
+				for _, fl := range flats {
+					fl.Add(p)
+				}
 			case 2, 3:
 				ref.AddAggregated(key, float64(b), int64(c)+1)
 				queued = append(queued, Observation{Key: key, Hash: key.FastHash(), Time: float64(b), Size: int64(c) + 1})
 			case 4, 5:
 				for range c {
 					ref.AddAggregated(key, float64(b), 10)
-					flat.AddAggregated(key, float64(b), 10)
+					for _, fl := range flats {
+						fl.AddAggregated(key, float64(b), 10)
+					}
 				}
 			case 6:
 				re, rok := ref.Lookup(key)
-				fe, fok := flat.Lookup(key)
-				if rok != fok || re != fe {
-					t.Fatalf("Lookup(%v): flat %+v,%v ref %+v,%v", key, fe, fok, re, rok)
+				se, sok := stamped.Lookup(key)
+				ce, cok := counts.Lookup(key)
+				if rok != sok || re != se || rok != cok || countsOnly(re) != ce {
+					t.Fatalf("Lookup(%v): stamped %+v,%v counts %+v,%v ref %+v,%v", key, se, sok, ce, cok, re, rok)
 				}
 			case 7:
 				ref.Reset()
-				flat.Reset()
+				for _, fl := range flats {
+					fl.Reset()
+				}
 			}
 		}
 		ingestQueued()
-		if flat.Len() != ref.Len() || flat.TotalPackets() != ref.TotalPackets() ||
-			flat.TotalBytes() != ref.TotalBytes() {
-			t.Fatalf("totals: flat %d/%d/%d, ref %d/%d/%d",
-				flat.Len(), flat.TotalPackets(), flat.TotalBytes(),
-				ref.Len(), ref.TotalPackets(), ref.TotalBytes())
-		}
-		fe, re := flat.Entries(), ref.Entries()
-		for i := range re {
-			if fe[i] != re[i] {
-				t.Fatalf("entry %d: flat %+v, ref %+v", i, fe[i], re[i])
+		re := ref.Entries()
+		for _, fl := range flats {
+			if fl.Len() != ref.Len() || fl.TotalPackets() != ref.TotalPackets() ||
+				fl.TotalBytes() != ref.TotalBytes() {
+				t.Fatalf("totals: flat %d/%d/%d, ref %d/%d/%d",
+					fl.Len(), fl.TotalPackets(), fl.TotalBytes(),
+					ref.Len(), ref.TotalPackets(), ref.TotalBytes())
+			}
+			want := re
+			if fl == counts {
+				want = make([]Entry, len(re))
+				for i, e := range re {
+					want[i] = countsOnly(e)
+				}
+			}
+			fe := fl.Entries()
+			for i := range want {
+				if fe[i] != want[i] {
+					t.Fatalf("entry %d (timestamps kept: %v): flat %+v, ref %+v", i, fl == stamped, fe[i], want[i])
+				}
+			}
+			for _, k := range []int{0, 1, 3, len(want)} {
+				top, ties := fl.AppendTopTies(nil, k)
+				if n := min(k, len(want)); !slices.Equal(top, want[:n]) || ties != tiesAfter(want, n) {
+					t.Fatalf("AppendTopTies(%d) (timestamps kept: %v): %+v with %d ties, want %+v with %d",
+						k, fl == stamped, top, ties, want[:n], tiesAfter(want, n))
+				}
 			}
 		}
 	})
+}
+
+// tiesAfter is the tie count of the top-n list of the ranked entries es:
+// how many entries after es[:n] have es[n-1]'s count.
+func tiesAfter(es []Entry, n int) int {
+	ties := 0
+	for i := n; n > 0 && i < len(es) && es[i].Packets == es[n-1].Packets; i++ {
+		ties++
+	}
+	return ties
 }
 
 // ingestKeys builds the shared key stream of the ingestion benchmarks:
@@ -588,46 +634,54 @@ func BenchmarkIngestMillionFlat(b *testing.B) {
 }
 
 // BenchmarkIngestFlatBatch is the engine's ingest against the per-packet
-// one on the same million-flow table (~100 MB of slots, far beyond L2):
-// each op accounts a million packets of the heavy-tailed stream, either
-// one AddAggregated at a time — one serialized memory miss per packet —
-// or as the engine does, hashing each key once into a batch of 512 and
-// handing it to AddBatch, which overlaps the misses of 16 packets.
+// one on the same million-flow table (2^21 slots, far beyond L2), on both
+// slot layouts: timestamps/ is NewFlat's, 32-byte slots and a 16-byte
+// timestamp side array (96 MB), counts/ the engine's original table's,
+// the slots alone (64 MB). Each op accounts a million packets of the
+// heavy-tailed stream, either one AddAggregated at a time — one
+// serialized memory miss per packet — or as the engine does, hashing each
+// key once into a batch of 512 and handing it to AddBatch, which overlaps
+// the misses of 16 packets.
 func BenchmarkIngestFlatBatch(b *testing.B) {
 	keys := millionKeys()
 	const perOp = 1 << 20
-	run := func(b *testing.B, ingest func(tab *Flat, keys []flow.Key)) {
-		tab := NewFlat(flow.FiveTuple{}, 1<<20)
-		ingest(tab, keys) // build the table to its bin-peak size
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			off := i * perOp & (len(keys) - 1)
-			ingest(tab, keys[off:off+perOp])
+	for _, layout := range []struct {
+		name  string
+		times bool
+	}{{"timestamps", true}, {"counts", false}} {
+		run := func(b *testing.B, ingest func(tab *Flat, keys []flow.Key)) {
+			tab := newFlat(flow.FiveTuple{}, 1<<20, layout.times)
+			ingest(tab, keys) // build the table to its bin-peak size
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := i * perOp & (len(keys) - 1)
+				ingest(tab, keys[off:off+perOp])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/perOp, "ns/pkt")
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/perOp, "ns/pkt")
-	}
-	b.Run("AddAggregated", func(b *testing.B) {
-		run(b, func(tab *Flat, keys []flow.Key) {
-			for _, k := range keys {
-				tab.AddAggregated(k, 1, 100)
-			}
-		})
-	})
-	b.Run("AddBatch", func(b *testing.B) {
-		batch := make([]Observation, 0, 512)
-		run(b, func(tab *Flat, keys []flow.Key) {
-			for _, k := range keys {
-				batch = append(batch, Observation{Key: k, Hash: k.FastHash(), Time: 1, Size: 100})
-				if len(batch) == cap(batch) {
-					tab.AddBatch(batch)
-					batch = batch[:0]
+		b.Run(layout.name+"/AddAggregated", func(b *testing.B) {
+			run(b, func(tab *Flat, keys []flow.Key) {
+				for _, k := range keys {
+					tab.AddAggregated(k, 1, 100)
 				}
-			}
-			tab.AddBatch(batch)
-			batch = batch[:0]
+			})
 		})
-	})
+		b.Run(layout.name+"/AddBatch", func(b *testing.B) {
+			batch := make([]Observation, 0, 512)
+			run(b, func(tab *Flat, keys []flow.Key) {
+				for _, k := range keys {
+					batch = append(batch, Observation{Key: k, Hash: k.FastHash(), Time: 1, Size: 100})
+					if len(batch) == cap(batch) {
+						tab.AddBatch(batch)
+						batch = batch[:0]
+					}
+				}
+				tab.AddBatch(batch)
+				batch = batch[:0]
+			})
+		})
+	}
 }
 
 // benchSketchBatch sets a bounded summary's two ingest paths side by side

@@ -21,6 +21,7 @@ package flowtable
 import (
 	"bytes"
 	"cmp"
+	"math"
 	"slices"
 
 	"flowrank/internal/flow"
@@ -77,70 +78,127 @@ func SortEntries(es []Entry) []Entry {
 
 // SelectTop reorders es in place so that its first min(t, len(es)) entries
 // are the highest-ranked ones in canonical order, and returns that prefix;
-// the remaining entries follow in no particular order. It is what a bin
-// close needs instead of a full sort: a min-heap over es[:t] (the
+// the remaining entries follow in no particular order. It is what ranking
+// a list needs instead of a full sort: a min-heap over es[:t] (the
 // lowest-ranked of the current best at the root) swaps in every later
 // entry that outranks the root, then unwinds into ranking order —
 // O(n log t), no allocation, any t including 0 and t >= len(es).
 //
 //flowrank:hotpath
-func SelectTop(es []Entry, t int) []Entry { return SelectTopAligned(es, nil, t) }
-
-// SelectTopAligned is SelectTop over es and a slice aligned with it —
-// aux[i] belongs to es[i] — that every move in es carries along: a bin
-// close ranks its flows with the sampled count joined to each. aux is nil
-// or at least as long as es.
-//
-//flowrank:hotpath
-func SelectTopAligned(es []Entry, aux []int64, t int) []Entry {
+func SelectTop(es []Entry, t int) []Entry {
 	if t > len(es) {
 		t = len(es)
 	}
 	if t <= 0 {
 		return es[:0]
 	}
-	if aux != nil {
-		aux = aux[:len(es)]
-	}
-	a := aligned{es, aux}
-	for i := t/2 - 1; i >= 0; i-- {
-		a.siftDown(i, t)
-	}
+	h := es[:t]
+	heapify(h)
 	for i := t; i < len(es); i++ {
-		if Less(es[i], es[0]) {
-			a.swap(i, 0)
-			a.siftDown(0, t)
+		if Less(es[i], h[0]) {
+			h[0], es[i] = es[i], h[0]
+			siftDown(h, 0)
 		}
 	}
-	for n := t - 1; n > 0; n-- {
-		a.swap(0, n)
-		a.siftDown(0, n)
+	unwind(h)
+	return h
+}
+
+// ranker selects the k highest-ranked of the entries offered to it, in a
+// heap appended to the caller's list, and counts the offered entries left
+// out whose count equals the lowest-ranked one kept: every kind's
+// AppendTopTies in one scan of its storage, which copies out only the
+// entries wants lets through.
+type ranker struct {
+	dst  []Entry // dst[base:] is the heap: the lowest-ranked kept entry at its root
+	base int
+	k    int
+	// floor is the least count an offer needs to enter or tie the list:
+	// the root's once the heap holds k entries, MinInt64 before, MaxInt64
+	// when k <= 0.
+	floor int64
+	ties  int
+}
+
+// newRanker returns a ranker appending to dst, which grows by the list's
+// length: k, or n, the number of entries there are, when that is smaller.
+func newRanker(dst []Entry, k, n int) ranker {
+	r := ranker{dst: slices.Grow(dst, max(min(k, n), 0)), base: len(dst), k: k, floor: math.MinInt64}
+	if k <= 0 {
+		r.floor = math.MaxInt64
 	}
-	return es[:t]
+	return r
 }
 
-// aligned is an entry list and its optional aligned counts, moved as one.
-type aligned struct {
-	es  []Entry
-	aux []int64 // nil, or aux[i] belongs to es[i]
+// wants reports whether an entry of the given count can enter or tie the
+// list, so a table builds the Entry only then.
+func (r *ranker) wants(packets int64) bool { return packets >= r.floor }
+
+// offer considers e, which wants let through.
+func (r *ranker) offer(e Entry) {
+	h := r.dst[r.base:]
+	if len(h) < r.k {
+		r.dst = append(r.dst, e)
+		if h = r.dst[r.base:]; len(h) == r.k {
+			heapify(h)
+			r.floor = h[0].Packets
+		}
+		return
+	}
+	if !Less(e, h[0]) {
+		if e.Packets == r.floor {
+			r.ties++
+		}
+		return
+	}
+	// Evict the root. The new root has the evicted one's count, which then
+	// ties it, or a larger one that no entry left out so far reaches.
+	h[0] = e
+	siftDown(h, 0)
+	if h[0].Packets == r.floor {
+		r.ties++
+	} else {
+		r.floor, r.ties = h[0].Packets, 0
+	}
 }
 
-// swap exchanges entries i and j, and their aux values.
+// result returns dst with the list appended in ranking order, and the
+// number of entries left out whose count equals the list's last (0 when
+// every entry made the list).
+func (r *ranker) result() ([]Entry, int) {
+	h := r.dst[r.base:]
+	if len(h) < r.k {
+		heapify(h)
+	}
+	unwind(h)
+	return r.dst, r.ties
+}
+
+// heapify orders h as a heap whose root is its lowest-ranked entry: no
+// parent outranks a child.
 //
 //flowrank:hotpath
-func (a aligned) swap(i, j int) {
-	a.es[i], a.es[j] = a.es[j], a.es[i]
-	if a.aux != nil {
-		a.aux[i], a.aux[j] = a.aux[j], a.aux[i]
+func heapify(h []Entry) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
 }
 
-// siftDown restores, below index i, the heap es[:n] whose root is its
-// lowest-ranked entry: no parent outranks a child.
+// unwind turns heap h into ranking order.
 //
 //flowrank:hotpath
-func (a aligned) siftDown(i, n int) {
-	h := a.es[:n]
+func unwind(h []Entry) {
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDown(h[:n], 0)
+	}
+}
+
+// siftDown restores the heap h below index i.
+//
+//flowrank:hotpath
+func siftDown(h []Entry, i int) {
+	n := len(h)
 	for {
 		c := 2*i + 1
 		if c >= n {
@@ -152,7 +210,7 @@ func (a aligned) siftDown(i, n int) {
 		if !Less(h[i], h[c]) {
 			return
 		}
-		a.swap(i, c)
+		h[i], h[c] = h[c], h[i]
 		i = c
 	}
 }

@@ -320,9 +320,11 @@ func TestMergeShardedEntries(t *testing.T) {
 
 // TestSelectTop is SelectTop's contract against the full sort, on random
 // lists with heavy ties in the packet count: the returned prefix is the
-// sorted list's, the rest is the sorted rest as a multiset, an aligned
-// slice moves with its entries, nothing is allocated — for every t from 0
-// past the length, the empty list included.
+// sorted list's, the rest is the sorted rest as a multiset, nothing is
+// allocated — for every t from 0 past the length, the empty list
+// included. The ranker behind every kind's AppendTopTies, offered the
+// same list one entry at a time, must append the same prefix and count
+// the entries after it that tie its last.
 func TestSelectTop(t *testing.T) {
 	g := randx.New(5)
 	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
@@ -339,24 +341,20 @@ func TestSelectTop(t *testing.T) {
 			if len(top) != m || !slices.Equal(top, want[:m]) || (m > 0 && &top[0] != &got[0]) {
 				t.Fatalf("n=%d t=%d: top list %+v, want %+v in place", n, k, top, want[:m])
 			}
-			// The aligned form makes the same moves and carries each
-			// entry's aux value (here its Bytes) along.
-			withAux := slices.Clone(es)
-			aux := make([]int64, n)
-			for i := range aux {
-				aux[i] = withAux[i].Bytes
-			}
-			SelectTopAligned(withAux, aux, k)
-			if !slices.Equal(withAux, got) {
-				t.Fatalf("n=%d t=%d: aligned selection moves entries differently", n, k)
-			}
-			for i := range aux {
-				if aux[i] != withAux[i].Bytes {
-					t.Fatalf("n=%d t=%d: aux[%d] = %d left behind by its entry (%d)", n, k, i, aux[i], withAux[i].Bytes)
-				}
-			}
 			if !slices.Equal(SortEntries(got[m:]), want[m:]) {
 				t.Fatalf("n=%d t=%d: the rest is not the sorted list's rest", n, k)
+			}
+			prefix := []Entry{{Packets: 999}} // AppendTopTies appends after what dst holds
+			r := newRanker(prefix, k, n)
+			for _, e := range es {
+				if r.wants(e.Packets) {
+					r.offer(e)
+				}
+			}
+			ranked, ties := r.result()
+			if !slices.Equal(ranked, append(prefix, want[:m]...)) || ties != tiesAfter(want, m) {
+				t.Fatalf("n=%d t=%d: ranker appended %+v with %d ties, want %+v with %d",
+					n, k, ranked[1:], ties, want[:m], tiesAfter(want, m))
 			}
 		}
 	}
@@ -364,8 +362,7 @@ func TestSelectTop(t *testing.T) {
 	for i := range es {
 		es[i] = Entry{Key: randKey(g, 200), Packets: int64(g.IntN(50))}
 	}
-	aux := make([]int64, len(es))
-	if allocs := testing.AllocsPerRun(20, func() { SelectTop(es, 10); SelectTopAligned(es, aux, 10) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { SelectTop(es, 10) }); allocs != 0 {
 		t.Fatalf("SelectTop allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -215,7 +215,22 @@ func (s *slots) AppendAll(dst []Entry) []Entry { return append(dst, s.entries...
 func (s *slots) AppendEntries(dst []Entry) []Entry { return appendSorted(s, dst) }
 
 // AppendTop appends the k highest-estimated flows in ranking order.
-func (s *slots) AppendTop(dst []Entry, k int) []Entry { return appendTop(s, dst, k) }
+func (s *slots) AppendTop(dst []Entry, k int) []Entry {
+	dst, _ = s.AppendTopTies(dst, k)
+	return dst
+}
+
+// AppendTopTies is AppendTop that also counts the tracked flows left out
+// whose estimate equals the last one appended.
+func (s *slots) AppendTopTies(dst []Entry, k int) ([]Entry, int) {
+	r := newRanker(dst, k, len(s.entries))
+	for i := range s.entries {
+		if r.wants(s.entries[i].Packets) {
+			r.offer(s.entries[i])
+		}
+	}
+	return r.result()
+}
 
 // AppendCounts adds every tracked flow's estimated packet count to dst.
 func (s *slots) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {

@@ -43,8 +43,8 @@ type Summary interface {
 	TotalPackets() int64
 	TotalBytes() int64
 	// AppendAll appends all tracked flows to dst in no particular order
-	// and returns dst — what a bin close reads; SelectTop then ranks only
-	// the top list.
+	// and returns dst — what a bin close reads of the sampled table;
+	// SelectTop then ranks only the top list.
 	AppendAll(dst []Entry) []Entry
 	// AppendEntries appends all tracked flows to dst in the canonical
 	// ranking order (only the appended region is sorted) and returns dst.
@@ -52,11 +52,17 @@ type Summary interface {
 	// AppendTop appends the k highest-ranked tracked flows to dst in
 	// ranking order and returns dst.
 	AppendTop(dst []Entry, k int) []Entry
+	// AppendTopTies is AppendTop that also returns how many tracked flows
+	// it left out have the same count as the last flow it appended (0 when
+	// it appended every flow) — what a bin close ranks the original table
+	// with, in one pass over it.
+	AppendTopTies(dst []Entry, k int) ([]Entry, int)
 	// AppendCounts adds every tracked flow's packet count to dst
 	// (allocating it when nil) and returns it.
 	AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64
 	// Lookup returns the tracked entry of an (aggregated) key — what a bin
-	// close joins each original flow's sampled count with.
+	// close joins a top flow with its sampled count by, and a sampled flow
+	// with its original one.
 	Lookup(key flow.Key) (Entry, bool)
 	// ErrorBound returns the summary's current worst-case per-flow packet
 	// overcount: 0 for exact tables, the largest evicted count for
@@ -186,6 +192,19 @@ func (s Spec) New(agg flow.Aggregator) (Summary, error) {
 	}
 }
 
+// NewCounts is New for a table nothing reads a timestamp from: the exact
+// kind's Flat then keeps counts only, in 32-byte slots, and its entries
+// carry zero First and Last. The other kinds are built as New builds them.
+func (s Spec) NewCounts(agg flow.Aggregator) (Summary, error) {
+	if s.Kind != KindExact {
+		return s.New(agg)
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return newFlat(agg, s.Slots, false), nil
+}
+
 // ParseSpec maps a flowtop -table/-memory flag pair to a Spec.
 func ParseSpec(kind string, slots int) (Spec, error) {
 	s := Spec{Slots: slots}
@@ -231,7 +250,23 @@ func (t *Table) AppendAll(dst []Entry) []Entry {
 func (t *Table) AppendEntries(dst []Entry) []Entry { return appendSorted(t, dst) }
 
 // AppendTop appends the k largest flows in ranking order to dst.
-func (t *Table) AppendTop(dst []Entry, k int) []Entry { return appendTop(t, dst, k) }
+func (t *Table) AppendTop(dst []Entry, k int) []Entry {
+	dst, _ = t.AppendTopTies(dst, k)
+	return dst
+}
+
+// AppendTopTies is AppendTop that also counts the flows left out whose
+// count equals the last one appended.
+func (t *Table) AppendTopTies(dst []Entry, k int) ([]Entry, int) {
+	r := newRanker(dst, k, len(t.entries))
+	//flowrank:unordered the list is ranked and the tie count is a count: neither depends on the order offered
+	for _, e := range t.entries {
+		if r.wants(e.Packets) {
+			r.offer(*e)
+		}
+	}
+	return r.result()
+}
 
 // AppendCounts adds every flow's packet count to dst (allocating it when
 // nil) and returns it.
@@ -248,10 +283,9 @@ func (t *Table) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {
 // ErrorBound implements Summary; Table is exact.
 func (t *Table) ErrorBound() int64 { return 0 }
 
-// --- AppendEntries and AppendTop, shared by every kind ---------------------
+// --- AppendEntries, shared by every kind ----------------------------------
 
-// allAppender is the one Summary method AppendEntries and AppendTop are
-// built from.
+// allAppender is the one Summary method AppendEntries is built from.
 type allAppender interface {
 	AppendAll(dst []Entry) []Entry
 }
@@ -262,15 +296,4 @@ func appendSorted(s allAppender, dst []Entry) []Entry {
 	dst = s.AppendAll(dst)
 	SortEntries(dst[base:])
 	return dst
-}
-
-// appendTop is AppendTop over a summary's AppendAll: collect, select,
-// truncate to the top list.
-func appendTop(s allAppender, dst []Entry, k int) []Entry {
-	base := len(dst)
-	if k <= 0 {
-		return dst
-	}
-	dst = s.AppendAll(dst)
-	return dst[:base+len(SelectTop(dst[base:], k))]
 }

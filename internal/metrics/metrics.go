@@ -69,32 +69,110 @@ func (p PairCounts) DetectionFrac() float64 {
 // mean the flow was not sampled at all.
 //
 // This map form is the API for callers holding their own tables and the
-// reference CountSwappedCounts is tested against; the stream engine joins
-// each flow's sampled count in its shard and calls CountSwappedCounts.
+// reference CountSwappedCounts is tested against; the stream engine
+// scores each shard's flows against the bin's top list with a Boundary.
 func CountSwapped(orig []flowtable.Entry, sampled map[flow.Key]int64, t int) PairCounts {
-	pc, t := pairTotals(len(orig), t)
-	if pc.Pairs == 0 {
-		return pc
-	}
-	top := make([]sizePair, t)
+	t = min(max(t, 0), len(orig))
+	top := make([]int64, t)
 	for r := range top {
-		top[r] = sizePair{orig[r].Packets, sampled[orig[r].Key]}
+		top[r] = sampled[orig[r].Key]
 	}
-	pc.Detection = countBoundary(top, orig[t:], sampled)
-	pc.Ranking = countWithin(top) + pc.Detection
-	return pc
+	b := NewBoundary(orig[:t], top)
+	var detection int64
+	for _, e := range orig[t:] {
+		detection += b.Score(e.Packets, sampled[e.Key])
+	}
+	return b.Pairs(len(orig), detection)
 }
 
-// pairTotals clamps t to the bin's n flows and returns the pair totals of
-// a bin of that shape; Pairs is 0 exactly when there is nothing to count
-// (t <= 0 or n < 2).
-func pairTotals(n, t int) (PairCounts, int) {
-	t = min(t, n)
+// CountSwappedCounts is CountSwapped with the sampled counts supplied as a
+// slice aligned with orig (sampled[i] is the sampled size of orig[i]) —
+// no map and no lookup: what the simulators count a bin with.
+func CountSwappedCounts(orig []flowtable.Entry, sampled []int64, t int) PairCounts {
+	t = min(max(t, 0), len(orig))
+	sampled = sampled[:len(orig)]
+	b := NewBoundary(orig[:t], sampled[:t])
+	var detection int64
+	for i, e := range orig[t:] {
+		detection += b.Score(e.Packets, sampled[t+i])
+	}
+	return b.Pairs(len(orig), detection)
+}
+
+// Boundary scores the flows outside a bin's original top list against it:
+// the §7 detection metric is the sum of their scores, and the §5 ranking
+// metric adds the pairs inside the list. A sum over any partition of the
+// flows is the same, so shards holding disjoint sets of flows can each
+// sum their own.
+type Boundary struct {
+	top      []sizePair
+	ts       []int64 // the top flows' sampled counts, ascending
+	smallest int64   // the top list's smallest original size
+	reach    int64   // its smallest nonzero sampled count, MaxInt64 if none
+}
+
+// NewBoundary returns the scorer of a bin whose original top list is top,
+// in ranking order, with sampled[i] the sampled count of top[i].
+func NewBoundary(top []flowtable.Entry, sampled []int64) Boundary {
+	b := Boundary{top: make([]sizePair, len(top)), ts: slices.Clone(sampled[:len(top)]), reach: math.MaxInt64}
+	for r := range top {
+		b.top[r] = sizePair{top[r].Packets, sampled[r]}
+		if s := sampled[r]; s > 0 {
+			b.reach = min(b.reach, s)
+		}
+	}
+	slices.Sort(b.ts)
+	if len(top) > 0 {
+		b.smallest = top[len(top)-1].Packets
+	}
+	return b
+}
+
+// Score returns the number of top flows that sampling misranks a flow
+// outside the list against: orig is the flow's original size, at most the
+// list's smallest, and sampled its sampled size.
+//
+//flowrank:hotpath
+func (b *Boundary) Score(orig, sampled int64) int64 {
+	if orig < b.smallest {
+		// Smaller than every top flow — nearly all of a bin: misranked
+		// against a top flow exactly when its sampled count reaches the top
+		// flow's, so it scores how many of the sorted ts it reaches.
+		n := 0
+		for n < len(b.ts) && b.ts[n] <= sampled {
+			n++
+		}
+		return int64(n)
+	}
+	var swapped int64
+	c := sizePair{orig, sampled}
+	for _, a := range b.top {
+		if a.swappedWith(c) {
+			swapped++
+		}
+	}
+	return swapped
+}
+
+// Reach returns the top list's smallest nonzero sampled count, or
+// math.MaxInt64 when sampling missed every top flow: a flow outside the
+// list sampled below it scores Score(orig, 0), as if sampling missed it.
+func (b *Boundary) Reach() int64 { return b.reach }
+
+// Pairs returns the metrics of a bin of n flows whose flows outside the
+// list score detection in sum.
+func (b *Boundary) Pairs(n int, detection int64) PairCounts {
+	t := min(len(b.top), n)
 	if t <= 0 || n < 2 {
-		return PairCounts{}, t
+		return PairCounts{}
 	}
 	nn, tt := int64(n), int64(t)
-	return PairCounts{Pairs: (2*nn - tt - 1) * tt / 2, BoundaryPairs: tt * (nn - tt)}, t
+	return PairCounts{
+		Ranking:       countWithin(b.top) + detection,
+		Detection:     detection,
+		Pairs:         (2*nn - tt - 1) * tt / 2,
+		BoundaryPairs: tt * (nn - tt),
+	}
 }
 
 // countWithin counts the swapped pairs inside the top list.
@@ -120,79 +198,6 @@ func (a sizePair) swappedWith(b sizePair) bool {
 		return a.sampled != b.sampled || a.sampled == 0
 	}
 	return b.sampled >= a.sampled
-}
-
-// countBoundary counts the swapped pairs between the top list and the
-// flows below it, one sampled lookup per flow: the pass over a bin's
-// whole flow list, so it walks the list once and keeps the top flows'
-// sizes in the small slice.
-//
-//flowrank:hotpath
-func countBoundary(top []sizePair, rest []flowtable.Entry, sampled map[flow.Key]int64) int64 {
-	var swapped int64
-	for i := range rest {
-		b := sizePair{rest[i].Packets, sampled[rest[i].Key]}
-		for _, a := range top {
-			if a.swappedWith(b) {
-				swapped++
-			}
-		}
-	}
-	return swapped
-}
-
-// CountSwappedCounts is CountSwapped with the sampled counts supplied as a
-// slice aligned with orig (sampled[i] is the sampled size of orig[i]) —
-// no map and no lookup: what the stream engine and the simulators count
-// a bin with.
-func CountSwappedCounts(orig []flowtable.Entry, sampled []int64, t int) PairCounts {
-	pc, t := pairTotals(len(orig), t)
-	if pc.Pairs == 0 {
-		return pc
-	}
-	sampled = sampled[:len(orig)]
-	top := make([]sizePair, t)
-	for r := range top {
-		top[r] = sizePair{orig[r].Packets, sampled[r]}
-	}
-	ts := slices.Clone(sampled[:t])
-	slices.Sort(ts)
-	pc.Detection = countBoundaryCounts(top, ts, orig[t:], sampled[t:])
-	pc.Ranking = countWithin(top) + pc.Detection
-	return pc
-}
-
-// countBoundaryCounts is countBoundary over aligned counts: one pass over
-// the flows below the top list. A flow smaller than every top flow —
-// nearly all of a bin — is misranked against a top flow exactly when its
-// sampled count reaches the top flow's, so it is scored by how many of the
-// top flows' sampled counts, sorted in ts, it reaches.
-//
-//flowrank:hotpath
-func countBoundaryCounts(top []sizePair, ts []int64, rest []flowtable.Entry, sampled []int64) int64 {
-	var swapped int64
-	sampled = sampled[:len(rest)]
-	smallest := top[0].orig
-	for _, a := range top {
-		smallest = min(smallest, a.orig)
-	}
-	for i := range rest {
-		b := sizePair{rest[i].Packets, sampled[i]}
-		if b.orig < smallest {
-			n := 0
-			for n < len(ts) && ts[n] <= b.sampled {
-				n++
-			}
-			swapped += int64(n)
-			continue
-		}
-		for _, a := range top {
-			if a.swappedWith(b) {
-				swapped++
-			}
-		}
-	}
-	return swapped
 }
 
 // TopKOverlap returns |top-k(orig) ∩ top-k(sampled)| / k — the fraction of

@@ -58,12 +58,14 @@ type ShardStats struct {
 // shard, the merge, the optional inversion, and the whole flush through
 // the caller's emit.
 type FlushStats struct {
-	// Barrier is the time to dispatch the flush and collect every
-	// shard's summary (the pending batches' ingest and the shards'
-	// parallel, unsorted table snapshots).
+	// Barrier is the time the shards work at the flush: the two barrier
+	// steps, each from its dispatch to the last shard's answer (the
+	// pending batches' ingest, each shard's scan for its top list, then
+	// its scoring, sampled-table copy and reset, the shards in parallel).
 	Barrier *Histogram
-	// Merge is the merge of the shard summaries into the bin result:
-	// concatenation, top-list selection and the swapped-pair count.
+	// Merge is the engine's own work around the two steps: merging the
+	// shards' top lists and sizing the bin's buffers, then adding up the
+	// shards' answers and ranking the sampled top list.
 	Merge *Histogram
 	// Invert is the per-bin flow-size-distribution inversion (zero-width
 	// when no Inverter is configured).

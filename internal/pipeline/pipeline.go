@@ -195,7 +195,7 @@ func (p *Pipeline) closeBin(b stream.BinResult) *BinRecord {
 		Start:             b.Start,
 		End:               b.End,
 		Table:             p.cfg.Tables.Kind.String(),
-		Flows:             len(b.Orig),
+		Flows:             b.Flows,
 		SampledFlows:      b.SampledFlows,
 		OrigPackets:       b.OrigPackets,
 		SampledPackets:    b.SampledPackets,

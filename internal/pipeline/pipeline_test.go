@@ -184,7 +184,7 @@ func TestRunOrdersExportCallbackJournal(t *testing.T) {
 		if got := strings.Count(journal.String(), "\n"); got != bins {
 			t.Errorf("bin %d: %d journal lines when the callback ran, want %d", b.Bin, got, bins)
 		}
-		if rec.Bin != b.Bin || rec.Flows != len(b.Orig) || rec.SamplingRate != 0.5 || rec.Stages == nil || rec.Stages.Emit <= 0 {
+		if rec.Bin != b.Bin || rec.Flows != b.Flows || rec.SamplingRate != 0.5 || rec.Stages == nil || rec.Stages.Emit <= 0 {
 			t.Errorf("bin %d: record %+v", b.Bin, rec)
 		}
 		bins++

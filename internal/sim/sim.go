@@ -253,7 +253,7 @@ func RunPackets(cfg Config, mk func(rate float64) sampler.Sampler) (*Result, err
 				Agg: cfg.agg(), Sampler: smp, BinSeconds: cfg.BinSeconds, TopT: cfg.TopT, Workers: 1,
 			}, func(r stream.BinResult) error {
 				b := &bins[r.Bin]
-				b.Flows, b.Packets = len(r.Orig), r.OrigPackets
+				b.Flows, b.Packets = r.Flows, r.OrigPackets
 				b.Ranking.Add(float64(r.Pairs.Ranking))
 				b.Detection.Add(float64(r.Pairs.Detection))
 				return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"flowrank/internal/flow"
@@ -102,10 +103,10 @@ func BenchmarkEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkBinClose times the bin boundary alone — the shards writing the
-// bin, the merge, the swapped-pair count and the hand-over of the sampled
-// counts to the inverter — on the shapes of two benchmark workloads, top
-// list of 10:
+// BenchmarkBinClose times the bin boundary alone — the shards ranking and
+// scoring their flows, the merges and the hand-over of the sampled counts
+// to the inverter — on the shapes of two benchmark workloads, top list of
+// 10:
 //
 //   - batch-exact: one exact shard holding 280k flows (heavy-tailed: every
 //     512th flow has up to ~550 packets, the rest one), sampled at 1 %;
@@ -115,7 +116,11 @@ func BenchmarkEngine(b *testing.B) {
 //
 // The fill is untimed and fully ingested before the clock starts, and the
 // inverter returns at once, so ns/flow is what closing the bin charges each
-// of its flows — the cost a full sort used to dominate.
+// of its flows. warm/ closes bin after bin of one engine with Recycle set,
+// so every buffer the close writes is already allocated and faulted in.
+// first/ closes the first bin of a fresh engine, with the heap handed back
+// to the OS before the fill: the close allocates what it writes and takes
+// the page faults, as bin 0 of a flowtop run does.
 func BenchmarkBinClose(b *testing.B) {
 	cases := []struct {
 		name     string
@@ -140,7 +145,7 @@ func BenchmarkBinClose(b *testing.B) {
 		}},
 	}
 	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
+		newEngine := func(b *testing.B) *Engine {
 			eng, err := NewEngine(Config{
 				Agg:        flow.FiveTuple{},
 				Sampler:    sampler.NewBernoulli(c.rate, 7),
@@ -153,24 +158,46 @@ func BenchmarkBinClose(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer eng.Close()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				for f := 0; f < c.flows; f++ {
-					p := packet.Packet{Time: 1, Size: 100, Key: flow.Key{
-						Src: flow.Addr{10, byte(f >> 16), byte(f >> 8), byte(f)}, DstPort: 80, Proto: flow.ProtoTCP,
-					}}
-					for n := c.packets(f); n > 0; n-- {
-						if err := eng.Feed(p); err != nil {
-							b.Fatal(err)
-						}
+			return eng
+		}
+		fill := func(b *testing.B, eng *Engine) {
+			for f := 0; f < c.flows; f++ {
+				p := packet.Packet{Time: 1, Size: 100, Key: flow.Key{
+					Src: flow.Addr{10, byte(f >> 16), byte(f >> 8), byte(f)}, DstPort: 80, Proto: flow.ProtoTCP,
+				}}
+				for n := c.packets(f); n > 0; n-- {
+					if err := eng.Feed(p); err != nil {
+						b.Fatal(err)
 					}
 				}
-				settle(eng)
-				b.StartTimer()
-				if err := eng.flushBin(); err != nil {
-					b.Fatal(err)
-				}
+			}
+			settle(eng)
+		}
+		timeClose := func(b *testing.B, eng *Engine) {
+			b.StartTimer()
+			if err := eng.flushBin(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+		}
+		b.Run("warm/"+c.name, func(b *testing.B) {
+			eng := newEngine(b)
+			defer eng.Close()
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				fill(b, eng)
+				timeClose(b, eng)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.flows), "ns/flow")
+		})
+		b.Run("first/"+c.name, func(b *testing.B) {
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				debug.FreeOSMemory()
+				eng := newEngine(b)
+				fill(b, eng)
+				timeClose(b, eng)
+				eng.Close()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.flows), "ns/flow")
 		})

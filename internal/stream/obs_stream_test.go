@@ -50,7 +50,7 @@ func TestEngineObsOutputInvariant(t *testing.T) {
 				}
 			}
 		}
-		compareBins(t, "obs-on vs obs-off", 8, got, want)
+		compareBins(t, "obs-on vs obs-off", got, want)
 	}
 }
 

@@ -17,20 +17,29 @@
 // batch with one AddBatch per table, which addresses its slots, its key
 // index and its counter rows from the hash the batch carries, so the hot
 // path takes no locks, shares no state, and a table too large for the
-// cache overlaps a batch's memory misses. At each bin boundary a barrier
-// flushes every shard. A bin is closed without sorting it and without a
-// map keyed by flow. The shards report their table sizes, the engine
-// sizes the bin's buffers and gives each shard its own run of them, and
-// each shard writes there its original flows as its table holds them, each
-// one's sampled count beside it (a flow's original and sampled entries
-// live in the same shard), its sampled top list and — for the inverter —
-// its sampled counts without their keys. The engine then ranks only the
-// top list to the front with the joined counts moving along (exact,
-// because the shards partition the key space), and counts the paper's
-// §5/§7 swapped pairs — which only ever compare a top flow with another
-// flow — in one pass over the rest. With Config.Inverter set, the bin's
-// sampled counts then go through the estimator, and BinResult carries its
-// result as returned.
+// cache overlaps a batch's memory misses. The original table is the
+// evaluation oracle the sampled one is scored against: with the exact kind
+// it keeps counts only (flowtable.Spec.NewCounts), no timestamps.
+//
+// At each bin boundary a two-step barrier closes the bin where its flows
+// live, and only top lists, pair counts, sampled counts and totals leave
+// the shards. In the first step every shard ingests what is queued, ranks
+// its own original top list in one scan of its table, counts the flows
+// that tie the list's last, and joins each top flow with its sampled count
+// (a flow's original and sampled entries live in the same shard). The
+// engine merges the shards' lists into the bin's — exact, because the
+// shards partition the key space. In the second step every shard sums the
+// paper's §5/§7 swapped pairs between that list and its own flows
+// (metrics.Boundary): a flow below the list's smallest size scores as an
+// unsampled one unless its sampled count reaches a top flow's, so one scan
+// of the sampled table, with a lookup in the original table for each flow
+// that reaches, finds every exception, and the flows tying the smallest
+// size are scored in full. The shard then writes its sampled top list and
+// — for the inverter — its sampled counts without their keys into its run
+// of the bin's buffers, and resets its tables. The engine adds the sums up
+// and ranks the sampled top lists. Nothing is sorted and no map keyed by
+// flow is built. With Config.Inverter set, the bin's sampled counts then
+// go through the estimator, and BinResult carries its result as returned.
 //
 // The engine times its own work on every run, one way: each hand-off and
 // stall on the reader, each batch a shard ingests, and each bin's barrier,
@@ -42,8 +51,8 @@
 // sequential path's for any worker count: one worker is one shard holding
 // the whole key space, and the cross-check tests pin Workers == N to the
 // sequential reference exactly (top lists, metrics and totals as
-// delivered, the unranked rest of Orig as a set), in the same spirit as
-// the model engine's Workers=1-vs-N tests.
+// delivered), in the same spirit as the model engine's Workers=1-vs-N
+// tests.
 // Bounded summaries keep that determinism only per fixed worker count —
 // the shard partition is part of a sketch's input — so across worker
 // counts they agree within BinResult.CountErr instead.
@@ -100,8 +109,8 @@ type Config struct {
 	// the per-flow overcount bound in BinResult.CountErr and are
 	// deterministic only per fixed worker count.
 	Tables flowtable.Spec
-	// Recycle, when set, reuses the engine's per-bin buffers (BinResult's
-	// Orig and SampledTop slices) across bins: steady-state bins allocate
+	// Recycle, when set, reuses the arrays of BinResult's two top lists,
+	// OrigTop and SampledTop, across bins: steady-state bins allocate
 	// almost nothing, but every BinResult is valid only until the emit
 	// callback returns. Leave it unset when retaining results beyond emit.
 	Recycle bool
@@ -125,20 +134,20 @@ type BinResult struct {
 	// packets are skipped, so consecutive results may have index gaps.
 	Bin        int64
 	Start, End float64
-	// Orig holds every flow of the bin. Its first min(TopT, len) entries
-	// are the original top list in the canonical ranking order; the
-	// remaining entries follow in no particular order (the tables' slot
-	// order shard by shard: deterministic for a fixed worker count with the
-	// default table, map iteration order with the map reference kind).
-	// Call flowtable.SortEntries for the full ranking.
-	Orig []flowtable.Entry
+	// OrigTop is the original top list: the bin's min(TopT, Flows)
+	// highest-ranked flows in the canonical ranking order, each with its
+	// Key, Packets and Bytes. First and Last are zero for every table
+	// kind: the original table is an oracle nothing reads a time from.
+	OrigTop []flowtable.Entry
+	// Flows is the original table's flow count.
+	Flows int
 	// SampledTop is the exact global top-TopT of the sampled table.
 	SampledTop []flowtable.Entry
 	// SampledFlows is the sampled table's flow count.
 	SampledFlows int
 	// Pairs carries the §5 ranking and §7 detection swapped-pair counts of
 	// the bin, each original flow against its own sampled count (0 when
-	// sampling missed it).
+	// sampling missed it): metrics.CountSwapped over all Flows flows.
 	Pairs metrics.PairCounts
 	// Totals of the original and sampled tables.
 	OrigPackets, OrigBytes       int64
@@ -171,32 +180,34 @@ type batch struct {
 func (b batch) emptied() batch { return batch{all: b.all[:0], kept: b.kept[:0]} }
 
 // shardMsg is what the reader hands a shard: a packet batch, or one of
-// the two steps of a bin barrier — flush (ingest what is queued, report
-// the table sizes), then part (write the bin's share of this shard into
-// it and reset the tables).
+// the two steps of a bin barrier — rank (ingest what is queued, rank the
+// shard's original top list), then close (score the shard's flows against
+// the bin's top list, write the shard's share of the bin and reset the
+// tables).
 type shardMsg struct {
 	batch batch
-	flush bool
-	part  *binPart
+	rank  bool
+	close *binClose
 }
 
-// binPart is a run of the bin's buffers: the whole bin, or one shard's
-// share of it, each slice exactly as long as what it holds.
-type binPart struct {
-	orig []flowtable.Entry
-	// join is aligned with orig: join[i] is orig[i]'s sampled count, 0
-	// when sampling missed the flow.
-	join []int64
-	top  []flowtable.Entry // the sampled top list
+// binClose is what the close step gives a shard: the bin's original top
+// list and its scorer, which every shard reads, and the shard's own run of
+// the bin's buffers, each slice exactly as long as what it holds.
+type binClose struct {
+	top     []flowtable.Entry
+	score   *metrics.Boundary
+	sampTop []flowtable.Entry // the shard's sampled top list
 	// counts holds every sampled flow's count, keyless and in no order:
 	// the inverter's input, nil when the engine does not invert.
 	counts []float64
 }
 
-// shardSummary is a shard's answer to a barrier step: after flush, the
-// sizes of its tables; after part, also their totals.
+// shardSummary is a shard's answer to a barrier step: after rank, the
+// size of its sampled table; after close, also its flow count, the totals
+// of its tables and the detection pairs of its flows.
 type shardSummary struct {
 	flows, sampFlows       int
+	detection              int64
 	origPackets, origBytes int64
 	sampPackets, sampBytes int64
 	countErr               int64
@@ -205,9 +216,16 @@ type shardSummary struct {
 // shard owns one partition of the key space.
 type shard struct {
 	orig, samp flowtable.Summary
+	topT       int
 	stats      *obs.ShardStats
 	in         chan shardMsg     // batches and barrier steps from the reader
 	out        chan shardSummary // one answer per barrier step
+	// top is the shard's original top list as the rank step left it, in
+	// ranking order, topSampled[i] the sampled count of top[i], and ties
+	// the number of flows outside it that tie its last.
+	top        []flowtable.Entry
+	topSampled []int64
+	ties       int
 	sampBuf    []flowtable.Entry // the sampled table, copied once per bin
 }
 
@@ -226,34 +244,91 @@ func (s *shard) ingest(b batch) {
 	s.stats.Packets.Add(int64(len(b.all)))
 }
 
-// fill writes the shard's share of the bin into p and resets its tables:
-// the original flows as the table holds them (nothing is sorted), each
-// one's sampled count beside it — a flow's original and sampled entries
-// live in the same shard, so the join is a lookup in the shard's own
-// sampled table — then, from one copy of the sampled table, its top list
-// and its counts. The totals go back in the summary.
-func (s *shard) fill(p *binPart) shardSummary {
-	s.orig.AppendAll(p.orig[:0])
-	for i := range p.orig {
-		e, _ := s.samp.Lookup(p.orig[i].Key)
-		p.join[i] = e.Packets
+// rank is the barrier's first step: rank the shard's original top list in
+// one scan of its table, count the flows that tie the list's last, and
+// join each top flow with its sampled count — a flow's original and
+// sampled entries live in the same shard, so the join is a lookup in the
+// shard's own sampled table. The list keeps Key, Packets and Bytes.
+func (s *shard) rank() shardSummary {
+	s.top, s.ties = s.orig.AppendTopTies(s.top[:0], s.topT)
+	s.topSampled = s.topSampled[:0]
+	for i := range s.top {
+		s.top[i].First, s.top[i].Last = 0, 0
+		e, _ := s.samp.Lookup(s.top[i].Key)
+		s.topSampled = append(s.topSampled, e.Packets)
 	}
+	return shardSummary{sampFlows: s.samp.Len()}
+}
+
+// close is the barrier's second step: score the shard's flows against the
+// bin's top list, then, from one copy of the sampled table, write the
+// shard's sampled counts and its sampled top list into c, and reset the
+// tables. The detection sum and the totals go back in the summary.
+func (s *shard) close(c *binClose) shardSummary {
 	s.sampBuf = s.samp.AppendAll(s.sampBuf[:0])
-	for i := range p.counts {
-		p.counts[i] = float64(s.sampBuf[i].Packets)
-	}
-	copy(p.top, flowtable.SelectTop(s.sampBuf, len(p.top)))
 	sum := shardSummary{
-		flows:       len(p.orig),
+		flows:       s.orig.Len(),
 		sampFlows:   len(s.sampBuf),
+		detection:   s.detection(c),
 		origPackets: s.orig.TotalPackets(),
 		origBytes:   s.orig.TotalBytes(),
 		sampPackets: s.samp.TotalPackets(),
 		sampBytes:   s.samp.TotalBytes(),
 		countErr:    max(s.orig.ErrorBound(), s.samp.ErrorBound()),
 	}
+	for i := range c.counts {
+		c.counts[i] = float64(s.sampBuf[i].Packets)
+	}
+	copy(c.sampTop, flowtable.SelectTop(s.sampBuf, len(c.sampTop)))
 	s.orig.Reset()
 	s.samp.Reset()
+	return sum
+}
+
+// detection sums the detection pairs between the bin's top list and the
+// shard's flows outside it, in integers. The shard's flows in the list
+// are a prefix of its own list. Every other flow of the list's smallest
+// size ties it: the rest of the own list that does, and the ties the rank
+// step counted when the own list ends on that size. The remaining flows
+// lie below the list and score as unsampled flows do, and a tie scores as
+// an unsampled tie does, unless its sampled count reaches a top flow's:
+// the scan of the sampled table finds those, looks each up in the
+// original table, and adds the difference its sampled count makes — with
+// Score in full for a tie.
+func (s *shard) detection(c *binClose) int64 {
+	if len(c.top) == 0 {
+		return 0
+	}
+	last := c.top[len(c.top)-1]
+	in := 0
+	for in < len(s.top) && !flowtable.Less(last, s.top[in]) {
+		in++
+	}
+	ties := 0
+	for _, e := range s.top[in:] {
+		if e.Packets == last.Packets {
+			ties++
+		}
+	}
+	if n := len(s.top); n > 0 && s.top[n-1].Packets == last.Packets {
+		ties += s.ties
+	}
+	below := s.orig.Len() - in - ties
+	// Score(0, 0) is an unsampled flow below the list: every flow has a
+	// packet, so the list's smallest size is at least 1.
+	sum := int64(below)*c.score.Score(0, 0) + int64(ties)*c.score.Score(last.Packets, 0)
+	reach := c.score.Reach()
+	for i := range s.sampBuf {
+		e := &s.sampBuf[i]
+		if e.Packets < reach {
+			continue
+		}
+		o, ok := s.orig.Lookup(e.Key)
+		if !ok || !flowtable.Less(last, o) { // not tracked, or in the list
+			continue
+		}
+		sum += c.score.Score(o.Packets, e.Packets) - c.score.Score(o.Packets, 0)
+	}
 	return sum
 }
 
@@ -265,10 +340,10 @@ func (s *shard) loop(wg *sync.WaitGroup, free chan batch) {
 	defer wg.Done()
 	for msg := range s.in {
 		switch {
-		case msg.part != nil:
-			s.out <- s.fill(msg.part)
-		case msg.flush:
-			s.out <- shardSummary{flows: s.orig.Len(), sampFlows: s.samp.Len()}
+		case msg.close != nil:
+			s.out <- s.close(msg.close)
+		case msg.rank:
+			s.out <- s.rank()
 		default:
 			s.ingest(msg.batch)
 			select { // free has room for every batch in flight; never block on it
@@ -298,14 +373,20 @@ type Engine struct {
 	err        error
 	closed     bool
 	stopped    bool // workers shut down
-	// bufs holds the bin the shards write at a barrier and the merge reads;
-	// parts[s] is shard s's share of it. bufs.orig and bufs.top become the
-	// BinResult's Orig and SampledTop, so they are reused only when
-	// cfg.Recycle is set; join and counts never leave the engine and are
-	// always reused. Safe: the next barrier — the next time they are
+	// origTop and topSampled are the bin's original top list and its
+	// sampled counts, score its scorer; sampTop and counts are the buffers
+	// the shards write the bin's sampled top lists and counts into, and
+	// parts[s] is shard s's close step. origTop and sampTop become the
+	// BinResult's OrigTop and SampledTop, so they are reused only when
+	// cfg.Recycle is set; topSampled and counts never leave the engine and
+	// are always reused. Safe: the next barrier — the next time they are
 	// written — starts only after the previous bin's emit returned.
-	bufs  binPart
-	parts []binPart
+	origTop    []flowtable.Entry
+	topSampled []int64
+	score      metrics.Boundary
+	sampTop    []flowtable.Entry
+	counts     []float64
+	parts      []binClose
 }
 
 // ErrClosed is returned (wrapped) by Feed on an engine that was Closed or
@@ -403,9 +484,9 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 	}
 	e := &Engine{cfg: cfg, emit: emit, ctx: ctx, done: ctx.Done()}
 	e.shards = make([]*shard, cfg.Workers)
-	e.parts = make([]binPart, cfg.Workers)
+	e.parts = make([]binClose, cfg.Workers)
 	for i := range e.shards {
-		orig, err := cfg.Tables.New(cfg.Agg)
+		orig, err := cfg.Tables.NewCounts(cfg.Agg)
 		if err != nil {
 			return nil, err
 		}
@@ -413,7 +494,7 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 		if err != nil {
 			return nil, err
 		}
-		e.shards[i] = &shard{orig: orig, samp: samp, stats: &cfg.Obs.Shards[i]}
+		e.shards[i] = &shard{orig: orig, samp: samp, topT: cfg.TopT, stats: &cfg.Obs.Shards[i]}
 	}
 	e.pending = make([]batch, cfg.Workers)
 	for i := range e.pending {
@@ -583,11 +664,12 @@ func (e *Engine) dispatch(s int) {
 }
 
 // flushBin runs the bin barrier: have every shard ingest what is pending
-// and report its table sizes, size the bin's buffers and have every shard
-// write its share into them, merge and emit the BinResult. Empty bins (no
-// packets anywhere) emit nothing. It also records the flush breakdown —
-// barrier, merge, invert, and the whole flush through emit — into the
-// cumulative histograms, and hands the first three to emit in
+// and rank its top list, merge the lists and size the bin's buffers, have
+// every shard close its share of the bin, merge the result and emit the
+// BinResult. Empty bins (no packets anywhere) emit nothing. It also
+// records the flush breakdown — barrier (the two steps), merge (the
+// engine's work around them), invert, and the whole flush through emit —
+// into the cumulative histograms, and hands the first three to emit in
 // BinResult.Stages, so a callback building a per-bin journal record has
 // its own bin's timings.
 func (e *Engine) flushBin() error {
@@ -602,16 +684,23 @@ func (e *Engine) flushBin() error {
 	}
 	sums := make([]shardSummary, len(e.shards))
 	e.barrierStep(sums, false)
+	tRanked := obs.Nanotime()
+	e.mergeTop()
 	e.carve(sums)
+	tMerged := obs.Nanotime()
 	e.barrierStep(sums, true)
-	tBarrier := obs.Nanotime()
+	tClosed := obs.Nanotime()
 	r := e.mergeBin(sums)
 	tMerge := obs.Nanotime()
 	if e.cfg.Inverter != nil {
 		r.Inversion, r.InversionErr = e.invertBin()
 	}
 	tInvert := obs.Nanotime()
-	r.Stages = obs.StageNanos{Barrier: tBarrier - t0, Merge: tMerge - tBarrier, Invert: tInvert - tMerge}
+	r.Stages = obs.StageNanos{
+		Barrier: tRanked - t0 + tClosed - tMerged,
+		Merge:   tMerged - tRanked + tMerge - tClosed,
+		Invert:  tInvert - tMerge,
+	}
 	st.Barrier.Observe(r.Stages.Barrier)
 	st.Merge.Observe(r.Stages.Merge)
 	st.Invert.Observe(r.Stages.Invert)
@@ -624,14 +713,14 @@ func (e *Engine) flushBin() error {
 	return nil
 }
 
-// barrierStep has every shard answer one barrier step into sums: flush,
-// or with fill its part of the bin. Every worker is sent its message
-// before any answer is collected, so the workers answer in parallel.
-func (e *Engine) barrierStep(sums []shardSummary, fill bool) {
+// barrierStep has every shard answer one barrier step into sums: rank, or
+// with close its part of the bin. Every worker is sent its message before
+// any answer is collected, so the workers answer in parallel.
+func (e *Engine) barrierStep(sums []shardSummary, closing bool) {
 	for s, sh := range e.shards {
-		msg := shardMsg{flush: !fill}
-		if fill {
-			msg.part = &e.parts[s]
+		msg := shardMsg{rank: !closing}
+		if closing {
+			msg.close = &e.parts[s]
 		}
 		sh.in <- msg
 	}
@@ -640,33 +729,60 @@ func (e *Engine) barrierStep(sums []shardSummary, fill bool) {
 	}
 }
 
-// carve sizes the bin's buffers to the table sizes the shards reported and
-// cuts each shard its part, shard after shard, so Orig holds the shards'
-// flows in shard order. Each part is capped at its own length: a shard
-// appending its flows cannot spill into the next one's.
+// mergeTop merges the shards' top lists, each in ranking order, into the
+// bin's, each flow's sampled count moving along, and builds the list's
+// scorer. The shards partition the key space, so the bin's top flows are
+// the top of their own shards' lists: exact for exact tables, and for
+// bounded summaries the same holds for their estimates.
+func (e *Engine) mergeTop() {
+	if !e.cfg.Recycle {
+		e.origTop = nil
+	}
+	e.origTop, e.topSampled = e.origTop[:0], e.topSampled[:0]
+	heads := make([]int, len(e.shards)) // heads[s]: shard s's next flow
+	for len(e.origTop) < e.cfg.TopT {
+		best := -1
+		for s, sh := range e.shards {
+			if heads[s] < len(sh.top) && (best < 0 || flowtable.Less(sh.top[heads[s]], e.shards[best].top[heads[best]])) {
+				best = s
+			}
+		}
+		if best < 0 {
+			break
+		}
+		sh, i := e.shards[best], heads[best]
+		e.origTop = append(e.origTop, sh.top[i])
+		e.topSampled = append(e.topSampled, sh.topSampled[i])
+		heads[best]++
+	}
+	e.score = metrics.NewBoundary(e.origTop, e.topSampled)
+}
+
+// carve sizes the bin's sampled buffers to the table sizes the shards
+// reported and gives each shard its close step with its own run of them,
+// shard after shard. Each run is capped at its own length: a shard writing
+// its share cannot spill into the next one's.
 func (e *Engine) carve(sums []shardSummary) {
-	flows, sampFlows, tops := 0, 0, 0
+	sampFlows, tops := 0, 0
 	for _, s := range sums {
-		flows += s.flows
 		sampFlows += s.sampFlows
 		tops += min(e.cfg.TopT, s.sampFlows)
 	}
-	b := &e.bufs
 	if !e.cfg.Recycle {
-		b.orig, b.top = nil, nil
+		e.sampTop = nil
 	}
-	b.orig, b.join, b.top = resize(b.orig, flows), resize(b.join, flows), resize(b.top, tops)
+	e.sampTop = resize(e.sampTop, tops)
 	if e.cfg.Inverter != nil {
-		b.counts = resize(b.counts, sampFlows)
+		e.counts = resize(e.counts, sampFlows)
 	}
-	var o, so, to int
+	var so, to int
 	for i, s := range sums {
-		n, k, t := s.flows, s.sampFlows, min(e.cfg.TopT, s.sampFlows)
-		e.parts[i] = binPart{orig: b.orig[o : o+n : o+n], join: b.join[o : o+n : o+n], top: b.top[to : to+t : to+t]}
-		if b.counts != nil {
-			e.parts[i].counts = b.counts[so : so+k : so+k]
+		k, t := s.sampFlows, min(e.cfg.TopT, s.sampFlows)
+		e.parts[i] = binClose{top: e.origTop, score: &e.score, sampTop: e.sampTop[to : to+t : to+t]}
+		if e.counts != nil {
+			e.parts[i].counts = e.counts[so : so+k : so+k]
 		}
-		o, so, to = o+n, so+k, to+t
+		so, to = so+k, to+t
 	}
 }
 
@@ -678,10 +794,10 @@ var errNoSampledFlows = errors.New("no sampled flows")
 // the shards' table order: estimators canonicalize their input, so the
 // result depends only on the multiset of counts.
 func (e *Engine) invertBin() (*invert.Estimate, error) {
-	if len(e.bufs.counts) == 0 {
+	if len(e.counts) == 0 {
 		return nil, errNoSampledFlows
 	}
-	est, err := e.cfg.Inverter.Invert(e.bufs.counts, e.cfg.Sampler.Rate())
+	est, err := e.cfg.Inverter.Invert(e.counts, e.cfg.Sampler.Rate())
 	if err != nil {
 		return nil, err
 	}
@@ -700,35 +816,32 @@ func resize[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// mergeBin reads the bin the shards wrote into the global bin result
-// without sorting it. The shards partition the key space, so the bin's
-// flow list is the shards' lists one after another and its top list is the
-// top of them all (likewise for the sampled top lists) — exact for exact
-// tables; for bounded summaries the same holds for the per-shard
-// estimates, with the per-flow estimation error carried in CountErr.
-// SelectTopAligned ranks the top list to the front of Orig in place, the
-// joined sampled counts moving along, which is all CountSwappedCounts and
-// BinResult's contract need. The inversion stage runs in flushBin, after
-// this merge, so the two are timed as distinct pipeline stages.
+// mergeBin reads what the shards reported into the bin result: the flow
+// counts, totals and detection sums add up, and the bin's sampled top
+// list is the top of the shards' lists, ranked without sorting the rest.
+// The inversion stage runs in flushBin, after this merge, so the two are
+// timed as distinct pipeline stages.
 func (e *Engine) mergeBin(sums []shardSummary) BinResult {
 	r := BinResult{
 		Bin:        e.bin,
 		Start:      float64(e.bin) * e.cfg.BinSeconds,
 		End:        float64(e.bin+1) * e.cfg.BinSeconds,
-		Orig:       e.bufs.orig,
-		SampledTop: flowtable.SelectTop(e.bufs.top, e.cfg.TopT),
+		OrigTop:    e.origTop,
+		SampledTop: flowtable.SelectTop(e.sampTop, e.cfg.TopT),
 	}
+	var detection int64
 	for i := range sums {
 		s := &sums[i]
+		r.Flows += s.flows
 		r.OrigPackets += s.origPackets
 		r.OrigBytes += s.origBytes
 		r.SampledPackets += s.sampPackets
 		r.SampledBytes += s.sampBytes
 		r.SampledFlows += s.sampFlows
 		r.CountErr = max(r.CountErr, s.countErr)
+		detection += s.detection
 	}
-	flowtable.SelectTopAligned(r.Orig, e.bufs.join, e.cfg.TopT)
-	r.Pairs = metrics.CountSwappedCounts(r.Orig, e.bufs.join, e.cfg.TopT)
+	r.Pairs = e.score.Pairs(r.Flows, detection)
 	return r
 }
 

@@ -60,7 +60,8 @@ func referenceBins(pkts []packet.Packet, agg flow.Aggregator, smp sampler.Sample
 			Bin:            binIdx,
 			Start:          float64(binIdx) * binSec,
 			End:            float64(binIdx+1) * binSec,
-			Orig:           origSorted,
+			OrigTop:        withoutTimes(origSorted[:min(topT, len(origSorted))]),
+			Flows:          len(origSorted),
 			SampledTop:     samp.Top(topT),
 			SampledFlows:   samp.Len(),
 			Pairs:          metrics.CountSwapped(origSorted, sampled, topT),
@@ -86,6 +87,15 @@ func referenceBins(pkts []packet.Packet, agg flow.Aggregator, smp sampler.Sample
 	return out
 }
 
+// withoutTimes returns es with First and Last zeroed, as BinResult.OrigTop
+// carries its flows.
+func withoutTimes(es []flowtable.Entry) []flowtable.Entry {
+	for i := range es {
+		es[i].First, es[i].Last = 0, 0
+	}
+	return es
+}
+
 // runEngine feeds pkts through an engine and collects every BinResult.
 func runEngine(t testing.TB, cfg Config, pkts []packet.Packet) []BinResult {
 	t.Helper()
@@ -108,24 +118,16 @@ func runEngine(t testing.TB, cfg Config, pkts []packet.Packet) []BinResult {
 	return out
 }
 
-// compareBins checks two bin streams for equal measurements under
-// BinResult's contract: the original top list (Orig[:topT]) as delivered,
-// then — with the unranked rest of Orig sorted on a copy, since its order
-// is not part of the contract — every field bit for bit, which takes in
-// Pairs, SampledTop, SampledFlows, the totals and Inversion as delivered.
-func compareBins(t *testing.T, label string, topT int, got, want []BinResult) {
+// compareBins checks two bin streams for equal measurements: every field
+// bit for bit but the stage timings, which takes in OrigTop, Flows, Pairs,
+// SampledTop, SampledFlows, the totals and Inversion as delivered.
+func compareBins(t *testing.T, label string, got, want []BinResult) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d bins, want %d", label, len(got), len(want))
 	}
 	for i := range want {
 		g, w := got[i], want[i]
-		top := min(topT, len(w.Orig))
-		if len(g.Orig) < top || !slices.Equal(g.Orig[:top], w.Orig[:top]) {
-			t.Fatalf("%s: bin %d original top list diverges:\ngot  %+v\nwant %+v", label, w.Bin, g.Orig[:min(top, len(g.Orig))], w.Orig[:top])
-		}
-		g.Orig = flowtable.SortEntries(slices.Clone(g.Orig))
-		w.Orig = flowtable.SortEntries(slices.Clone(w.Orig))
 		g.Stages, w.Stages = obs.StageNanos{}, obs.StageNanos{} // timings, not measurement
 		if !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s: bin %d diverges:\ngot  %+v\nwant %+v", label, w.Bin, g, w)
@@ -154,7 +156,7 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 				Workers:    workers,
 			}
 			got := runEngine(t, cfg, pkts)
-			compareBins(t, fmt.Sprintf("agg %v workers %d", agg, workers), topT, got, want)
+			compareBins(t, fmt.Sprintf("agg %v workers %d", agg, workers), got, want)
 		}
 	}
 }
@@ -180,7 +182,7 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 			cfg.Workers = workers
 			cfg.batchSize = batch
 			got := runEngine(t, cfg, pkts)
-			compareBins(t, fmt.Sprintf("workers=%d batch=%d", workers, batch), 10, got, want)
+			compareBins(t, fmt.Sprintf("workers=%d batch=%d", workers, batch), got, want)
 		}
 	}
 }
@@ -215,7 +217,7 @@ func TestEngineInversionInvariance(t *testing.T) {
 				cfg.Workers = workers
 				cfg.batchSize = batch
 				got := runEngine(t, cfg, pkts)
-				compareBins(t, fmt.Sprintf("%s workers=%d batch=%d", est.Name(), workers, batch), 10, got, want)
+				compareBins(t, fmt.Sprintf("%s workers=%d batch=%d", est.Name(), workers, batch), got, want)
 			}
 		}
 		inverted := 0
@@ -430,7 +432,7 @@ func TestEngineBatching(t *testing.T) {
 				wantPkts = 1
 			}
 			if b.Bin != int64(i) || b.OrigPackets != wantPkts || b.SampledPackets != wantPkts ||
-				len(b.Orig) != 1 || b.Orig[0].Key.Src[3] != byte(i) || b.Orig[0].Packets != wantPkts {
+				b.Flows != 1 || b.OrigTop[0].Key.Src[3] != byte(i) || b.OrigTop[0].Packets != wantPkts {
 				t.Fatalf("workers=%d batch=%d: bin %d = %+v, want its own %d packets of flow %d", workers, batch, i, b, wantPkts, i)
 			}
 		}
@@ -654,8 +656,7 @@ func TestDefaultBatch(t *testing.T) {
 
 // TestShardChoiceMatchesModulo: the mask Feed takes for a power-of-two
 // worker count picks the shard hash % Workers picks, so no key moved when
-// the division went — sketch results and Orig's shard-by-shard order depend
-// on the partition.
+// the division went — sketch results depend on the partition.
 func TestShardChoiceMatchesModulo(t *testing.T) {
 	g := randx.New(24)
 	hashes := make([]uint64, 100_000)

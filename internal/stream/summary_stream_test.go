@@ -15,7 +15,7 @@ import (
 // the engine recycles its buffers.
 func copyBin(b BinResult) BinResult {
 	out := b
-	out.Orig = append([]flowtable.Entry(nil), b.Orig...)
+	out.OrigTop = append([]flowtable.Entry(nil), b.OrigTop...)
 	out.SampledTop = append([]flowtable.Entry(nil), b.SampledTop...)
 	return out
 }
@@ -57,7 +57,7 @@ func TestEngineTableKindsExactInvariance(t *testing.T) {
 				cfg.Workers = workers
 				cfg.batchSize = batch
 				got := runEngine(t, cfg, pkts)
-				compareBins(t, fmt.Sprintf("spec=%v workers=%d batch=%d", spec, workers, batch), 10, got, want)
+				compareBins(t, fmt.Sprintf("spec=%v workers=%d batch=%d", spec, workers, batch), got, want)
 			}
 		}
 	}
@@ -100,7 +100,7 @@ func TestEngineRecycleMatches(t *testing.T) {
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
 			}
-			compareBins(t, fmt.Sprintf("spec=%v workers=%d recycle", spec, workers), 10, got, want)
+			compareBins(t, fmt.Sprintf("spec=%v workers=%d recycle", spec, workers), got, want)
 		}
 	}
 }
@@ -125,7 +125,7 @@ func TestEngineBoundedDeterminism(t *testing.T) {
 			}
 			a := runEngine(t, mkCfg(), pkts)
 			b := runEngine(t, mkCfg(), pkts)
-			compareBins(t, fmt.Sprintf("kind=%v workers=%d rerun", kind, workers), 10, a, b)
+			compareBins(t, fmt.Sprintf("kind=%v workers=%d rerun", kind, workers), a, b)
 			if len(a) < 2 {
 				t.Fatalf("kind=%v: degenerate trace: %d bins", kind, len(a))
 			}
@@ -133,10 +133,10 @@ func TestEngineBoundedDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineBoundedErrorBound: every count a bounded summary reports must
-// bracket the exact count from above within the bin's CountErr — across
-// worker counts, where bit-identity is not promised — while the exact
-// totals stay exact.
+// TestEngineBoundedErrorBound: every count a bounded summary reports in a
+// bin's two top lists must bracket the exact count from above within the
+// bin's CountErr — across worker counts, where bit-identity is not
+// promised — while the exact totals stay exact.
 func TestEngineBoundedErrorBound(t *testing.T) {
 	pkts := makePackets(t, 15, 200, 43)
 	base := func(spec flowtable.Spec, workers int) Config {
@@ -154,13 +154,7 @@ func TestEngineBoundedErrorBound(t *testing.T) {
 	if len(exactSampled) != len(exact) {
 		t.Fatalf("reference has %d bins, engine %d", len(exactSampled), len(exact))
 	}
-	exactOrig := make([]map[flow.Key]int64, len(exact))
-	for i, b := range exact {
-		exactOrig[i] = make(map[flow.Key]int64, len(b.Orig))
-		for _, e := range b.Orig {
-			exactOrig[i][e.Key] = e.Packets
-		}
-	}
+	exactOrig := referenceSampledCounts(pkts, flow.FiveTuple{}, sampler.NewBernoulli(1, 47), 5, flowtable.Spec{}, 1)
 	for _, kind := range []flowtable.Kind{flowtable.KindSpaceSaving, flowtable.KindCountMin} {
 		for _, workers := range []int{1, 4} {
 			got := runEngine(t, base(flowtable.Spec{Kind: kind, Slots: 48}, workers), pkts)
@@ -186,8 +180,8 @@ func TestEngineBoundedErrorBound(t *testing.T) {
 				for _, e := range b.SampledTop {
 					check(e.Key, e.Packets, exactSampled[i], "sampled top")
 				}
-				for _, e := range b.Orig {
-					check(e.Key, e.Packets, exactOrig[i], "orig")
+				for _, e := range b.OrigTop {
+					check(e.Key, e.Packets, exactOrig[i], "orig top")
 				}
 			}
 			if pressured == 0 {
@@ -240,12 +234,13 @@ func referenceSampledCounts(pkts []packet.Packet, agg flow.Aggregator, smp sampl
 	return out
 }
 
-// TestEnginePairsMatchMapReference pins the shard-side join: for every
+// TestEnginePairsMatchMapReference pins the shard-side scoring: for every
 // table kind, worker count and batch size, each bin's Pairs must equal the
-// map form of the pair count over the bin's own Orig and the sampled
-// counts a sequential reference holds — every original flow scored against
-// its own sampled count, found in its own shard — and SampledFlows must be
-// that reference's flow count.
+// map form of the pair count over the original and sampled counts a
+// sequential reference holds — every original flow scored against its own
+// sampled count, found in its own shard — and Flows and SampledFlows must
+// be that reference's flow counts. With a rate-1 sampler the reference
+// holds the original tables.
 func TestEnginePairsMatchMapReference(t *testing.T) {
 	pkts := makePackets(t, 15, 150, 61)
 	const binSec, topT, rate = 5.0, 10, 0.3
@@ -256,6 +251,7 @@ func TestEnginePairsMatchMapReference(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3} {
 			want := referenceSampledCounts(pkts, flow.FiveTuple{}, sampler.NewBernoulli(rate, 67), binSec, spec, workers)
+			orig := referenceSampledCounts(pkts, flow.FiveTuple{}, sampler.NewBernoulli(1, 67), binSec, spec, workers)
 			for _, batch := range []int{7, 2048} {
 				label := fmt.Sprintf("spec=%v workers=%d batch=%d", spec, workers, batch)
 				got := runEngine(t, Config{
@@ -274,7 +270,14 @@ func TestEnginePairsMatchMapReference(t *testing.T) {
 					if b.SampledFlows != len(want[i]) {
 						t.Fatalf("%s bin %d: SampledFlows %d, reference %d", label, b.Bin, b.SampledFlows, len(want[i]))
 					}
-					if ref := metrics.CountSwapped(b.Orig, want[i], topT); b.Pairs != ref {
+					if b.Flows != len(orig[i]) {
+						t.Fatalf("%s bin %d: Flows %d, reference %d", label, b.Bin, b.Flows, len(orig[i]))
+					}
+					var flows []flowtable.Entry
+					for k, n := range orig[i] {
+						flows = append(flows, flowtable.Entry{Key: k, Packets: n})
+					}
+					if ref := metrics.CountSwapped(flowtable.SortEntries(flows), want[i], topT); b.Pairs != ref {
 						t.Fatalf("%s bin %d: Pairs %+v, map reference %+v", label, b.Bin, b.Pairs, ref)
 					}
 				}
@@ -301,15 +304,15 @@ func TestEngineSpaceSavingExactWhenUnderBudget(t *testing.T) {
 		}
 		want := runEngine(t, mkCfg(), pkts)
 		for _, b := range want {
-			if len(b.Orig) > 50000 {
-				t.Fatalf("trace too large for the under-budget premise: %d flows", len(b.Orig))
+			if b.Flows > 50000 {
+				t.Fatalf("trace too large for the under-budget premise: %d flows", b.Flows)
 			}
 		}
 		cfg := mkCfg()
 		cfg.Tables = flowtable.Spec{Kind: flowtable.KindSpaceSaving, Slots: 1 << 16}
 		got := runEngine(t, cfg, pkts)
 		// Byte/First/Last bookkeeping matches too, so DeepEqual applies.
-		compareBins(t, fmt.Sprintf("workers=%d under-budget", workers), 10, got, want)
+		compareBins(t, fmt.Sprintf("workers=%d under-budget", workers), got, want)
 	}
 }
 

@@ -42,7 +42,7 @@ func TestObservabilityFacade(t *testing.T) {
 		t.Fatalf("got %d bins with obs, %d without", len(observed), len(plain))
 	}
 	for i := range plain {
-		if len(plain[i].Orig) != len(observed[i].Orig) || plain[i].OrigPackets != observed[i].OrigPackets {
+		if plain[i].Flows != observed[i].Flows || plain[i].OrigPackets != observed[i].OrigPackets {
 			t.Fatalf("bin %d differs with instrumentation attached", i)
 		}
 	}
@@ -73,7 +73,7 @@ func TestObservabilityFacade(t *testing.T) {
 			Start:          b.Start,
 			End:            b.End,
 			Table:          "exact",
-			Flows:          len(b.Orig),
+			Flows:          b.Flows,
 			SampledFlows:   b.SampledFlows,
 			OrigPackets:    b.OrigPackets,
 			SampledPackets: b.SampledPackets,

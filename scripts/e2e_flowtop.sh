@@ -1,8 +1,8 @@
 #!/bin/sh
 # End-to-end flowtop cross-check: generate a small trace in both on-disk
-# formats, run the monitor on one shard (-workers 1) and on four
-# (-workers 4), and require byte-identical bin reports and NetFlow
-# exports, and a journal that validates with one record, stage timings
+# formats, run the monitor on one shard (-workers 1), on four (-workers 4)
+# and on three (-workers 3, a partition by hash modulo rather than by
+# mask), and require byte-identical bin reports and NetFlow exports, and a journal that validates with one record, stage timings
 # included, per reported bin; then read one capture above source.Open's read-ahead threshold
 # both ways it can be read, and require the same bytes again. CI runs this
 # after the unit suite; locally: make e2e.
@@ -22,8 +22,12 @@ go build -o "$dir/journalcheck" ./cmd/journalcheck
     -netflow "$dir/one.nf5" -journal "$dir/one.jsonl" >"$dir/one.txt"
 "$dir/flowtop" -in "$dir/trace.pkts" -p 0.1 -t 5 -bin 4 -seed 7 -workers 4 \
     -netflow "$dir/four.nf5" >"$dir/four.txt"
+"$dir/flowtop" -in "$dir/trace.pkts" -p 0.1 -t 5 -bin 4 -seed 7 -workers 3 \
+    -netflow "$dir/three.nf5" >"$dir/three.txt"
 diff "$dir/one.txt" "$dir/four.txt"
 cmp "$dir/one.nf5" "$dir/four.nf5"
+diff "$dir/one.txt" "$dir/three.txt"
+cmp "$dir/one.nf5" "$dir/three.nf5"
 test -s "$dir/one.txt"
 test -s "$dir/one.nf5"
 
@@ -73,4 +77,4 @@ cmp "$dir/ahead-1.txt" "$dir/ahead-4.txt"
 test -s "$dir/ahead-1.txt"
 test -s "$dir/ahead-1.nf5"
 
-echo "flowtop e2e: one-shard and four-shard outputs identical (native, native -adapt, pcap); journal valid, one staged record per bin; a large capture decoded ahead reads as it does through a pipe"
+echo "flowtop e2e: one-shard and four-shard outputs identical (native, native -adapt, pcap), three-shard too (native); journal valid, one staged record per bin; a large capture decoded ahead reads as it does through a pipe"
