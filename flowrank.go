@@ -329,7 +329,9 @@ type StreamConfig = stream.Config
 type StreamBin = stream.BinResult
 
 // StreamEngine is a running streaming monitor; Feed it packets in trace
-// order and Close it. Output is bit-identical for any worker count.
+// order — one per call, or a block of them, as PacketSource.NextBlock
+// returns it — and Close it. Output is bit-identical for any worker count
+// and however the packets are grouped into calls.
 type StreamEngine = stream.Engine
 
 // NewStreamEngine starts a streaming monitor that calls emit once per
@@ -362,7 +364,7 @@ func StreamRank(records []FlowRecord, seed uint64, cfg StreamConfig, emit func(S
 	if err != nil {
 		return err
 	}
-	if err := packetgen.Stream(records, seed, eng.Feed); err != nil {
+	if err := packetgen.Stream(records, seed, func(p Packet) error { return eng.Feed(p) }); err != nil {
 		eng.Close()
 		return err
 	}
@@ -372,12 +374,17 @@ func StreamRank(records []FlowRecord, seed uint64, cfg StreamConfig, emit func(S
 // ---------------------------------------------------------------------------
 // Packet sources and the monitoring daemon (internal/source, internal/daemon)
 
-// PacketSource is the unified ingestion interface: Next fills the packet
-// in place (io.EOF at a clean end), Close releases the source and, from
-// another goroutine, unblocks a pending Next — the graceful-drain path.
-// Trace replay, pcap replay, in-memory slices, the pacing and looping
-// decorators, and live capture (in -tags live builds) all implement it,
-// so the batch monitor and the daemon measure the same stream.
+// PacketSource is the unified ingestion interface: NextBlock fills a
+// buffer with the next packets and returns how many — at least one with a
+// nil error, or none with the error (io.EOF at a clean end), never both —
+// without waiting for more than the first, so a slow stream still yields
+// each packet as it arrives; Next is its one-packet form, filling the
+// packet in place. Close releases the source and, from another goroutine,
+// unblocks a pending read — the graceful-drain path. Trace replay, pcap
+// replay, in-memory slices, the pacing and looping decorators, and live
+// capture (in -tags live builds) all implement it, so the batch monitor
+// and the daemon measure the same stream; the monitor reads it 256
+// packets at a time and hands each block to StreamEngine.Feed whole.
 type PacketSource = source.PacketSource
 
 // The source implementations the constructors below return: native-trace

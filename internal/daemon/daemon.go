@@ -38,8 +38,6 @@ import (
 	"time"
 
 	"flowrank/internal/flow"
-	"flowrank/internal/obs"
-	"flowrank/internal/packet"
 	"flowrank/internal/pipeline"
 	"flowrank/internal/source"
 	"flowrank/internal/stream"
@@ -79,25 +77,9 @@ type Daemon struct {
 	cfg  Config
 	m    *metricSet
 	pipe *pipeline.Pipeline
-	src  *countedSource
+	src  *source.Counted
 	ln   net.Listener
 	nf   net.Conn
-}
-
-// countedSource counts the packets its source returns: the daemon's one
-// live packet count, safe to read during the run.
-type countedSource struct {
-	source.PacketSource
-	n obs.Counter
-}
-
-//flowrank:hotpath
-func (s *countedSource) Next(p *packet.Packet) error {
-	err := s.PacketSource.Next(p)
-	if err == nil {
-		s.n.Inc()
-	}
-	return err
 }
 
 // New validates cfg, binds the HTTP listener and (when configured) the
@@ -130,7 +112,7 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{cfg: cfg, nf: nf}
 	if mon.Source != nil { // else pipeline.New says it is required
-		d.src = &countedSource{PacketSource: mon.Source}
+		d.src = &source.Counted{PacketSource: mon.Source}
 		d.cfg.Monitor.Source = d.src
 	}
 	var err error
@@ -145,7 +127,7 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		return nil, err
 	}
-	d.m = newMetricSet(d.pipe, &d.src.n)
+	d.m = newMetricSet(d.pipe, &d.src.Packets)
 	return d, nil
 }
 

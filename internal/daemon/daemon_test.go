@@ -85,6 +85,16 @@ func (s *chanSource) Next(p *packet.Packet) error {
 	}
 }
 
+func (s *chanSource) NextBlock(buf []packet.Packet) (int, error) { return nextOne(s, buf) }
+
+// nextOne is NextBlock for a test source that yields one packet per read.
+func nextOne(src source.PacketSource, buf []packet.Packet) (int, error) {
+	if err := src.Next(&buf[0]); err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
 func (s *chanSource) Close() error {
 	s.once.Do(func() { close(s.done) })
 	return nil
@@ -105,6 +115,8 @@ func (s *failSource) Next(p *packet.Packet) error {
 	}
 	return nil
 }
+
+func (s *failSource) NextBlock(buf []packet.Packet) (int, error) { return nextOne(s, buf) }
 
 func (s *failSource) Close() error { return s.inner.Close() }
 
@@ -164,7 +176,7 @@ func TestDrainEmitsFinalPartialBin(t *testing.T) {
 	for _, p := range genPackets(n) {
 		src.ch <- p
 	}
-	waitFor(t, "packets ingested", func() bool { return d.src.n.Load() == n })
+	waitFor(t, "packets ingested", func() bool { return d.src.Packets.Load() == n })
 	if got := d.m.bins.Load(); got != 0 {
 		t.Fatalf("bins flushed before drain: %d", got)
 	}

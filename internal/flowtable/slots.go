@@ -2,15 +2,20 @@ package flowtable
 
 import (
 	"math/bits"
+	"slices"
 
 	"flowrank/internal/flow"
 )
 
 // slots is the tracked-flow store under both bounded summaries: at most
-// k Entry slots, a key index over them, an indexed min-heap of slot ids
-// ordered by entries[id].Packets (so the weakest tracked flow is h[0] and
-// a slot whose count grew is re-seated in O(log k)), and the exact
-// packet/byte totals of everything accounted. A slot id never changes
+// k slots of a flow's key and counts (Flat's 32-byte flatSlot, two to a
+// cache line), the flows' first and last packet times in a side array
+// that only a timestamp-keeping store has (a count-only one, from
+// Spec.NewCounts, reports zero First and Last), a key index over the
+// slots, an indexed min-heap of slot ids ordered by entries[id].Packets
+// (so the weakest tracked flow is h[0] and a slot whose count grew is
+// re-seated in O(log k)), and the exact packet/byte totals of everything
+// accounted. A slot id never changes
 // once assigned — a takeover rewrites the slot in place — so AppendAll's
 // slot order is first-tracked order. Everything is pre-sized at
 // construction: steady-state adds allocate nothing.
@@ -29,11 +34,12 @@ import (
 // takes a slot over — is the embedding sketch's.
 type slots struct {
 	k       int
-	entries []Entry  // len <= k
-	hashes  []uint64 // slot id -> entries[id].Key.FastHash()
-	h       []int32  // min-heap of slot ids ordered by entries[id].Packets
-	pos     []int32  // slot id -> heap index
-	index   []uint64 // open-addressed key index, power-of-two length
+	entries []flatSlot  // len <= k
+	times   []flatTimes // slot id -> its timestamps; nil when kept none
+	hashes  []uint64    // slot id -> entries[id].Key.FastHash()
+	h       []int32     // min-heap of slot ids ordered by entries[id].Packets
+	pos     []int32     // slot id -> heap index
+	index   []uint64    // open-addressed key index, power-of-two length
 	packets int64
 	bytesT  int64
 }
@@ -43,17 +49,22 @@ type slots struct {
 // packet of an untracked flow — ends after 1.5 words on average.
 const slotsIndexWordsPerSlot = 2
 
-// newSlots returns an empty store of k slots, k clamped to [1, MaxSlots].
-func newSlots(k int) slots {
+// newSlots returns an empty store of k slots, k clamped to [1, MaxSlots],
+// keeping each flow's timestamps when times is set.
+func newSlots(k int, times bool) slots {
 	k = min(max(k, 1), MaxSlots)
-	return slots{
+	s := slots{
 		k:       k,
-		entries: make([]Entry, 0, k),
+		entries: make([]flatSlot, 0, k),
 		hashes:  make([]uint64, 0, k),
 		h:       make([]int32, 0, k),
 		pos:     make([]int32, 0, k),
 		index:   make([]uint64, 1<<bits.Len(uint(slotsIndexWordsPerSlot*k-1))),
 	}
+	if times {
+		s.times = make([]flatTimes, 0, k)
+	}
+	return s
 }
 
 // find returns the slot tracking key, whose FastHash is hash.
@@ -110,13 +121,16 @@ func (s *slots) indexDelete(id int32) {
 	s.index[i] = 0
 }
 
-// insert tracks e, whose key's FastHash is hash, in a fresh slot; the
-// caller has checked len(entries) < k.
+// insert tracks the flow of e, whose key's FastHash is hash, in a fresh
+// slot, its first packet at time; the caller has checked len(entries) < k.
 //
 //flowrank:hotpath
-func (s *slots) insert(e Entry, hash uint64) {
+func (s *slots) insert(e flatSlot, time float64, hash uint64) {
 	id := int32(len(s.entries)) // also the heap's next leaf: every slot is in h
 	s.entries = append(s.entries, e)
+	if s.times != nil {
+		s.times = append(s.times, flatTimes{First: time, Last: time})
+	}
 	s.hashes = append(s.hashes, hash)
 	s.indexPut(hash, id)
 	s.pos = append(s.pos, id)
@@ -124,17 +138,33 @@ func (s *slots) insert(e Entry, hash uint64) {
 	s.siftUp(id)
 }
 
-// takeover hands slot id to e's flow, whose key's FastHash is hash — the
-// tracked flow it held loses its identity — and re-seats the slot in the
-// heap.
+// takeover hands slot id to e's flow, whose key's FastHash is hash, from
+// its packet at time — the tracked flow it held loses its identity — and
+// re-seats the slot in the heap.
 //
 //flowrank:hotpath
-func (s *slots) takeover(id int32, e Entry, hash uint64) {
+func (s *slots) takeover(id int32, e flatSlot, time float64, hash uint64) {
 	s.indexDelete(id)
 	s.entries[id] = e
+	if s.times != nil {
+		s.times[id] = flatTimes{First: time, Last: time}
+	}
 	s.hashes[id] = hash
 	s.indexPut(hash, id)
 	s.siftDown(s.pos[id])
+}
+
+// hit records a packet of the tracked flow in slot id, at time, and
+// returns the slot for the caller's count update.
+//
+//flowrank:hotpath
+func (s *slots) hit(id int32, time float64, size int64) *flatSlot {
+	e := &s.entries[id]
+	e.Bytes += size
+	if s.times != nil {
+		s.times[id].Last = time
+	}
+	return e
 }
 
 // siftUp restores the heap above index i.
@@ -182,6 +212,7 @@ func (s *slots) swap(i, j int32) {
 // reset empties the store for the next bin, keeping its memory.
 func (s *slots) reset() {
 	s.entries = s.entries[:0]
+	s.times = s.times[:0]
 	s.hashes = s.hashes[:0]
 	s.h = s.h[:0]
 	s.pos = s.pos[:0]
@@ -198,17 +229,34 @@ func (s *slots) TotalPackets() int64 { return s.packets }
 // TotalBytes returns the exact number of accounted bytes.
 func (s *slots) TotalBytes() int64 { return s.bytesT }
 
+// entry returns slot id's flow as an Entry, with zero timestamps when the
+// store keeps none.
+func (s *slots) entry(id int) Entry {
+	e := &s.entries[id]
+	out := Entry{Key: e.Key, Packets: e.Packets, Bytes: e.Bytes}
+	if s.times != nil {
+		out.First, out.Last = s.times[id].First, s.times[id].Last
+	}
+	return out
+}
+
 // Lookup returns the entry for an (aggregated) key, if tracked.
 func (s *slots) Lookup(key flow.Key) (Entry, bool) {
 	id, ok := s.find(key, key.FastHash())
 	if !ok {
 		return Entry{}, false
 	}
-	return s.entries[id], true
+	return s.entry(int(id)), true
 }
 
 // AppendAll appends the tracked flows to dst in slot order.
-func (s *slots) AppendAll(dst []Entry) []Entry { return append(dst, s.entries...) }
+func (s *slots) AppendAll(dst []Entry) []Entry {
+	dst = slices.Grow(dst, len(s.entries))
+	for i := range s.entries {
+		dst = append(dst, s.entry(i))
+	}
+	return dst
+}
 
 // AppendEntries appends the tracked flows to dst in the canonical
 // ranking order (by estimated count) and returns it.
@@ -226,7 +274,7 @@ func (s *slots) AppendTopTies(dst []Entry, k int) ([]Entry, int) {
 	r := newRanker(dst, k, len(s.entries))
 	for i := range s.entries {
 		if r.wants(s.entries[i].Packets) {
-			r.offer(s.entries[i])
+			r.offer(s.entry(i))
 		}
 	}
 	return r.result()

@@ -26,14 +26,14 @@ func meanIndexDisplacement(s *slots) float64 {
 func TestSlotsIndexIgnoresShardBits(t *testing.T) {
 	const k = 1 << 16 // 131072 index words: load 1/2 when full
 	displacement := func(keep func(uint64) bool) float64 {
-		s := newSlots(k)
+		s := newSlots(k, false)
 		for id := uint32(0); s.Len() < k; id++ {
 			key := flow.Key{
 				Src: flow.Addr{byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)},
 				Dst: flow.Addr{10, 0, 0, 1}, SrcPort: 443, Proto: flow.ProtoTCP,
 			}
 			if h := key.FastHash(); keep(h) {
-				s.insert(Entry{Key: key, Packets: 1}, h)
+				s.insert(flatSlot{Key: key, Packets: 1}, 0, h)
 			}
 		}
 		if len(s.index) != slotsIndexWordsPerSlot*k {
@@ -72,7 +72,7 @@ func FuzzSlotsIndex(f *testing.F) {
 			return flow.Key{Src: flow.Addr{a, 0, 0, 1}, Proto: flow.ProtoTCP},
 				uint64(a&15)<<flatHomeShift | uint64(a>>5)<<40
 		}
-		s := newSlots(k)
+		s := newSlots(k, false)
 		ref := map[flow.Key]int32{}
 		for step := 0; len(data) >= 3; step++ {
 			op, a, c := data[0], data[1], data[2]
@@ -86,13 +86,13 @@ func FuzzSlotsIndex(f *testing.F) {
 				}
 				if s.Len() < k {
 					ref[key] = int32(s.Len())
-					s.insert(Entry{Key: key, Packets: int64(c)}, hash)
+					s.insert(flatSlot{Key: key, Packets: int64(c)}, 0, hash)
 					break
 				}
 				id := s.h[0]
 				delete(ref, s.entries[id].Key)
 				ref[key] = id
-				s.takeover(id, Entry{Key: key, Packets: s.entries[id].Packets + int64(c)}, hash)
+				s.takeover(id, flatSlot{Key: key, Packets: s.entries[id].Packets + int64(c)}, 0, hash)
 			case 2: // a hit that grows the count: the heap moves, the index must not
 				if tracked {
 					id := ref[key]

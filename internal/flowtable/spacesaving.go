@@ -30,8 +30,12 @@ type SpaceSaving struct {
 
 // NewSpaceSaving returns a Space-Saving summary with k counter slots (k
 // clamped to [1, MaxSlots]).
-func NewSpaceSaving(agg flow.Aggregator, k int) *SpaceSaving {
-	sl := newSlots(k)
+func NewSpaceSaving(agg flow.Aggregator, k int) *SpaceSaving { return newSpaceSaving(agg, k, true) }
+
+// newSpaceSaving is NewSpaceSaving, keeping timestamps only when times is
+// set.
+func newSpaceSaving(agg flow.Aggregator, k int, times bool) *SpaceSaving {
+	sl := newSlots(k, times)
 	return &SpaceSaving{slots: sl, agg: agg, errs: make([]int64, 0, sl.k)}
 }
 
@@ -56,15 +60,12 @@ func (s *SpaceSaving) add(key flow.Key, hash uint64, time float64, size int64) {
 	s.packets++
 	s.bytesT += size
 	if id, ok := s.find(key, hash); ok {
-		e := &s.entries[id]
-		e.Packets++
-		e.Bytes += size
-		e.Last = time
+		s.hit(id, time, size).Packets++
 		s.siftDown(s.pos[id])
 		return
 	}
 	if len(s.entries) < s.k {
-		s.insert(Entry{Key: key, Packets: 1, Bytes: size, First: time, Last: time}, hash)
+		s.insert(flatSlot{Key: key, Packets: 1, Bytes: size}, time, hash)
 		s.errs = append(s.errs, 0)
 		return
 	}
@@ -75,7 +76,7 @@ func (s *SpaceSaving) add(key flow.Key, hash uint64, time float64, size int64) {
 	weakest := &s.entries[id]
 	s.errs[id] = weakest.Packets
 	s.evicted++
-	s.takeover(id, Entry{Key: key, Packets: weakest.Packets + 1, Bytes: weakest.Bytes + size, First: time, Last: time}, hash)
+	s.takeover(id, flatSlot{Key: key, Packets: weakest.Packets + 1, Bytes: weakest.Bytes + size}, time, hash)
 }
 
 // Evictions returns how many identity takeovers have happened.

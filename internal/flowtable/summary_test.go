@@ -11,18 +11,25 @@ import (
 	"flowrank/internal/randx"
 )
 
-// TestSummaryConformance drives every Spec kind through the full
-// Summary surface — packet Add, aggregated add, append accessors,
-// Reset — and checks the observations every implementation must agree
-// on: exact totals, budget respect, and top-1 identity on a stream
-// with one unambiguous heavy hitter.
+// TestSummaryConformance drives every Spec kind, built by New and by
+// NewCounts, through the full Summary surface — packet Add, aggregated
+// add, append accessors, Reset — and checks the observations every
+// implementation must agree on: exact totals, budget respect, and top-1
+// identity on a stream with one unambiguous heavy hitter.
 func TestSummaryConformance(t *testing.T) {
-	for _, kind := range []string{"exact", "map", "spacesaving", "countmin"} {
+	for _, c := range []struct {
+		kind  string
+		build func(Spec, flow.Aggregator) (Summary, error)
+	}{
+		{"exact", Spec.New}, {"map", Spec.New}, {"spacesaving", Spec.New}, {"countmin", Spec.New},
+		{"exact", Spec.NewCounts}, {"map", Spec.NewCounts}, {"spacesaving", Spec.NewCounts}, {"countmin", Spec.NewCounts},
+	} {
+		kind := c.kind
 		spec, err := ParseSpec(kind, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := spec.New(flow.FiveTuple{})
+		sum, err := c.build(spec, flow.FiveTuple{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,6 +84,71 @@ func TestSummaryConformance(t *testing.T) {
 			if sum.Len() != 0 || sum.TotalPackets() != 0 || sum.TotalBytes() != 0 {
 				t.Fatalf("%s: Reset left state behind", kind)
 			}
+		}
+	}
+}
+
+// TestNewCountsMatchesNew: a summary from NewCounts, fed what one from New
+// is fed, answers with the same flows, counts, totals and error bound —
+// and, but for the map kind (the reference, built as New builds it), with
+// zero First and Last.
+func TestNewCountsMatchesNew(t *testing.T) {
+	g := randx.New(7)
+	tape := make([]Observation, 20000)
+	for i := range tape {
+		key := randKey(g, 600)
+		if g.IntN(3) == 0 {
+			key = pkt(byte(g.IntN(6)), 0, 0).Key
+		}
+		tape[i] = Observation{Key: key, Hash: key.FastHash(), Time: float64(i) * 1e-3, Size: int64(40 + g.IntN(1400))}
+	}
+	for _, kind := range []string{"exact", "map", "spacesaving", "countmin"} {
+		spec, err := ParseSpec(kind, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, _ := spec.New(flow.FiveTuple{})
+		counts, err := spec.NewCounts(flow.FiveTuple{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		timeless := func(es []Entry) []Entry {
+			for i := range es {
+				es[i].First, es[i].Last = 0, 0
+			}
+			return es
+		}
+		for round := 0; round < 2; round++ {
+			for rest := tape; len(rest) > 0; {
+				n := min(1+g.IntN(700), len(rest))
+				full.AddBatch(rest[:n])
+				counts.AddBatch(rest[:n])
+				rest = rest[n:]
+			}
+			label := fmt.Sprintf("%s round %d", kind, round)
+			got, want := counts.AppendEntries(nil), full.AppendEntries(nil)
+			if kind != "map" && slices.ContainsFunc(got, func(e Entry) bool { return e.First != 0 || e.Last != 0 }) {
+				t.Fatalf("%s: NewCounts entries carry timestamps", label)
+			}
+			if !slices.Equal(timeless(got), timeless(want)) {
+				t.Fatalf("%s: NewCounts entries differ from New's", label)
+			}
+			if counts.Len() != full.Len() || counts.TotalPackets() != full.TotalPackets() ||
+				counts.TotalBytes() != full.TotalBytes() || counts.ErrorBound() != full.ErrorBound() {
+				t.Fatalf("%s: len/packets/bytes/bound differ", label)
+			}
+			gotTop, gotTies := counts.AppendTopTies(nil, 10)
+			wantTop, wantTies := full.AppendTopTies(nil, 10)
+			if !slices.Equal(timeless(gotTop), timeless(wantTop)) || gotTies != wantTies {
+				t.Fatalf("%s: top lists differ", label)
+			}
+			for _, e := range want {
+				if o, ok := counts.Lookup(e.Key); !ok || o != e && kind != "map" {
+					t.Fatalf("%s: Lookup(%v) = %+v, %v; want %+v", label, e.Key, o, ok, e)
+				}
+			}
+			full.Reset()
+			counts.Reset()
 		}
 	}
 }

@@ -14,9 +14,10 @@
 // the block reader it shares with internal/pcap, 256 KiB per underlying
 // Read. Reader.Read decodes a record in place at both ends — from the bytes
 // already buffered (binary.Uvarint over the block, one Discard) straight
-// into the caller's Packet — and falls back to byte-at-a-time decoding only
-// for a record split across two blocks, the tail of the stream, and
-// malformed input — so it buffers beyond the records it has returned, but
+// into the caller's Packet; Reader.ReadBlock does the same for every whole
+// record buffered, up to the caller's block, with one Discard — and falls
+// back to byte-at-a-time decoding only for a record split across two
+// blocks, the tail of the stream, and malformed input — so it buffers beyond the records it has returned, but
 // never waits for a byte beyond the record it is about to return: a trace
 // streamed over a pipe yields each record as its last byte arrives.
 // A decoded packet aliases nothing. The reader starts no goroutine: reading

@@ -244,6 +244,26 @@ func (r *Reader) Next() (Packet, error) {
 	return Packet{Time: t, Data: data, OrigLen: int(origLen)}, nil
 }
 
+// Buffered reports whether the next record lies whole, and well formed, in
+// the buffered block: then Next returns it without reading the stream and
+// without failing. A batch decoder asks before every record but its first,
+// so that it never waits for bytes beyond a record it could already return.
+//
+//flowrank:hotpath
+func (r *Reader) Buffered() bool {
+	avail := r.br.Buffered()
+	if avail < packetHeaderLen {
+		return false
+	}
+	hdr, _ := r.br.Peek(packetHeaderLen) // buffered: never reads
+	inclLen := r.order.Uint32(hdr[8:12])
+	if inclLen > r.header.SnapLen && r.header.SnapLen > 0 || inclLen > maxRecordLen {
+		return false
+	}
+	recLen := packetHeaderLen + int(inclLen)
+	return recLen <= blockSize && recLen <= avail
+}
+
 // readBig copies a record body that cannot fit the block buffer (a capture
 // whose snap length was raised past it) into a buffer of its own.
 func (r *Reader) readBig(n int) ([]byte, error) {

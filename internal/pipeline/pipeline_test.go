@@ -287,6 +287,13 @@ func (s *liveSource) Next(p *packet.Packet) error {
 	return source.ErrClosedSource
 }
 
+func (s *liveSource) NextBlock(buf []packet.Packet) (int, error) {
+	if err := s.Next(&buf[0]); err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
 func (s *liveSource) Close() error {
 	close(s.closed)
 	return nil

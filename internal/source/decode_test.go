@@ -52,11 +52,12 @@ func TestCloseDropsBufferedPackets(t *testing.T) {
 
 // streamsFromPipe feeds open a stream through an io.Pipe one record at a
 // time, each record in two writes, and requires every packet to come out
-// of Next before the following record (or the end of the stream) is
-// written: a reader waiting to fill its block would hang here. It returns
+// of Next — or of NextBlock, with room for more, when blocks is set —
+// before the following record (or the end of the stream) is written: a
+// reader waiting to fill its block would hang here. It returns
 // only once the writer has, so the goroutine counts of later tests
 // (readahead_test.go) never see it exit.
-func streamsFromPipe(t *testing.T, header []byte, records [][]byte, open func(io.Reader) (PacketSource, error)) {
+func streamsFromPipe(t *testing.T, header []byte, records [][]byte, blocks bool, open func(io.Reader) (PacketSource, error)) {
 	t.Helper()
 	pr, pw := io.Pipe()
 	step, done := make(chan struct{}), make(chan struct{})
@@ -81,8 +82,16 @@ func streamsFromPipe(t *testing.T, header []byte, records [][]byte, open func(io
 	for i := range records {
 		got := make(chan error, 1) // one send, never blocks the reader goroutine
 		go func() {
-			var p packet.Packet
-			got <- src.Next(&p)
+			if !blocks {
+				var p packet.Packet
+				got <- src.Next(&p)
+				return
+			}
+			n, err := src.NextBlock(make([]packet.Packet, 8))
+			if err == nil && n != 1 {
+				err = fmt.Errorf("NextBlock returned %d packets of one record", n)
+			}
+			got <- err
 		}()
 		select {
 		case err := <-got:
@@ -116,53 +125,70 @@ func splitRecords(t *testing.T, pkts []packet.Packet, encode func(testing.TB, []
 
 func TestPcapSourceStreamsFromPipe(t *testing.T) {
 	header, records := splitRecords(t, testPackets(t)[:5], encodePcap)
-	streamsFromPipe(t, header, records, func(r io.Reader) (PacketSource, error) { return NewPcapSource(r) })
+	for _, blocks := range []bool{false, true} {
+		streamsFromPipe(t, header, records, blocks, func(r io.Reader) (PacketSource, error) { return NewPcapSource(r) })
+	}
 }
 
 func TestTraceSourceStreamsFromPipe(t *testing.T) {
 	header, records := splitRecords(t, testPackets(t)[:5], encodeNative)
-	streamsFromPipe(t, header, records, func(r io.Reader) (PacketSource, error) { return NewTraceSource(r) })
+	for _, blocks := range []bool{false, true} {
+		streamsFromPipe(t, header, records, blocks, func(r io.Reader) (PacketSource, error) { return NewTraceSource(r) })
+	}
 }
 
 // TestSourceNextAllocFree: decoding in place means a packet costs no
 // allocation on either trace source in steady state, nor on Open's
-// decode-ahead of a capture across the hand-off of a batch.
+// decode-ahead of a capture across the hand-off of a batch, whether read
+// by Next or by NextBlock.
 func TestSourceNextAllocFree(t *testing.T) {
 	pkts := testPackets(t)
 	const runs = 100 // AllocsPerRun makes runs+1 calls
-	if len(pkts) <= runs+1 {
+	const block = 7  // packets per NextBlock
+	if len(pkts) <= block*(runs+1)+1 {
 		t.Fatalf("trace too short: %d packets", len(pkts))
 	}
-	srcs := bothSources(t, pkts)
 	data, _ := manyBlocks(t, true)
 	path := filepath.Join(t.TempDir(), "capture.pcap")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ahead, err := open(path, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ahead.Close()
-	srcs["pcap, decoding ahead"] = ahead
-	for name, src := range srcs {
-		var p packet.Packet
-		skip := 1 // the first call fills the block
-		if src == ahead {
-			skip = batchPackets - runs/2
+	for _, blocks := range []bool{false, true} {
+		srcs := bothSources(t, pkts)
+		ahead, err := open(path, true, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < skip; i++ {
-			if err := src.Next(&p); err != nil {
+		srcs["pcap, decoding ahead"] = ahead
+		per := 1 // packets per read
+		if blocks {
+			per = block
+		}
+		buf := make([]packet.Packet, per)
+		read := func(name string, src PacketSource) {
+			var err error
+			if blocks {
+				_, err = src.NextBlock(buf)
+			} else {
+				err = src.Next(&buf[0])
+			}
+			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		allocs := testing.AllocsPerRun(runs, func() {
-			if err := src.Next(&p); err != nil {
-				t.Fatalf("%s: %v", name, err)
+		for name, src := range srcs {
+			skip := 1 // the first read fills the block
+			if src == ahead {
+				skip = (batchPackets - per*runs/2) / per // a batch hand-off inside the runs
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %v allocs per packet, want 0", name, allocs)
+			for i := 0; i < skip; i++ {
+				read(name, src)
+			}
+			allocs := testing.AllocsPerRun(runs, func() { read(name, src) })
+			if allocs != 0 {
+				t.Errorf("%s, NextBlock %v: %v allocs per read, want 0", name, blocks, allocs)
+			}
+			src.Close()
 		}
 	}
 }
@@ -204,12 +230,14 @@ var sinkPacket packet.Packet
 // file, so the read syscalls are in the number: ns/pkt is the cost the
 // source layer charges every packet before the sampling decision. Next
 // decodes into the Packet it is handed (native: packet.Reader.Read, from
-// the block buffer straight into *p), so this is the in-place path. The
-// native file (two blocks) and pcap (55 blocks) are below Open's threshold
-// and are read synchronously; pcap-large (275 blocks) is decoded ahead, in
-// batches of keyed packets, and times that in steady state.
+// the block buffer straight into *p), so this is the in-place path;
+// NextBlock reads blocks of the pipeline's length, the path Run takes. The native file (two blocks) and pcap (55 blocks) are below
+// Open's threshold and are read synchronously; pcap-large (275 blocks) is
+// decoded ahead, in batches of keyed packets, and times that in steady
+// state.
 func BenchmarkSourceDecode(b *testing.B) {
 	pkts := genPackets(b, 20, 150) // ~28k packets: 0.5 MB native, 14 MB pcap
+	buf := make([]packet.Packet, readBlock)
 	for _, format := range []struct {
 		name   string
 		isPcap bool
@@ -220,41 +248,51 @@ func BenchmarkSourceDecode(b *testing.B) {
 		{"pcap", true, 1, encodePcap},
 		{"pcap-large", true, 5, encodePcap},
 	} {
-		b.Run(format.name, func(b *testing.B) {
-			var trace []packet.Packet
-			for i := 0; i < format.repeat; i++ {
-				trace = append(trace, pkts...) // time may go back: the sources do not care
+		var trace []packet.Packet
+		for i := 0; i < format.repeat; i++ {
+			trace = append(trace, pkts...) // time may go back: the sources do not care
+		}
+		data := format.encode(b, trace)
+		path := filepath.Join(b.TempDir(), "trace")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		for _, blocks := range []bool{false, true} {
+			name := format.name + "/Next"
+			if blocks {
+				name = format.name + "/NextBlock"
 			}
-			data := format.encode(b, trace)
-			path := filepath.Join(b.TempDir(), "trace")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src, err := Open(path, format.isPcap)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n := 0
-				for {
-					err := src.Next(&sinkPacket)
-					if errors.Is(err, io.EOF) {
-						break
-					}
+			b.Run(name, func(b *testing.B) {
+				b.SetBytes(int64(len(data)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					src, err := Open(path, format.isPcap)
 					if err != nil {
 						b.Fatal(err)
 					}
-					n++
+					n := 0
+					for {
+						k := 1
+						if blocks {
+							k, err = src.NextBlock(buf)
+						} else {
+							err = src.Next(&sinkPacket)
+						}
+						if errors.Is(err, io.EOF) {
+							break
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+						n += k
+					}
+					if n != len(trace) {
+						b.Fatalf("decoded %d packets, want %d", n, len(trace))
+					}
+					src.Close()
 				}
-				if n != len(trace) {
-					b.Fatalf("decoded %d packets, want %d", n, len(trace))
-				}
-				src.Close()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trace)), "ns/pkt")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trace)), "ns/pkt")
+			})
+		}
 	}
 }

@@ -86,6 +86,11 @@ func (l *live) Next(p *packet.Packet) error {
 	}
 }
 
+// NextBlock returns one frame per call: a socket read returns one.
+//
+//flowrank:hotpath
+func (l *live) NextBlock(buf []packet.Packet) (int, error) { return one(l.Next(&buf[0])) }
+
 // Close shuts the socket down, unblocking a pending Next.
 func (l *live) Close() error {
 	if l.closed.Swap(true) {

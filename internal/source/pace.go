@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,6 +66,12 @@ func (p *Paced) Next(pk *packet.Packet) error {
 	return nil
 }
 
+// NextBlock returns one packet, as Next reads it: each waits for its own
+// delivery time.
+//
+//flowrank:hotpath
+func (p *Paced) NextBlock(buf []packet.Packet) (int, error) { return one(p.Next(&buf[0])) }
+
 // wait blocks for d unless Close interrupts it first.
 func (p *Paced) wait(d time.Duration) error {
 	if p.sleep != nil { // deterministic test clock
@@ -104,13 +111,20 @@ type Loop struct {
 	closed bool
 
 	// The rest belongs to the single reader; Close touches none of it.
-	// rd is the reader's own reference to cur, so Next reads packets
-	// without the lock: a Close in between closes the inner source, whose
-	// own Next then fails.
+	// rd is the reader's own reference to cur, so a read takes no lock: a
+	// Close in between closes the inner source, whose own read then
+	// fails.
 	rd     PacketSource
 	offset float64
 	last   float64
 	n      int64
+	// A block that carried a packet timed before its predecessor is cut
+	// there: rewound is the error, reported after the packets before it,
+	// and held the packets after it, unshifted, read before the inner
+	// source again.
+	rewound error
+	held    []packet.Packet
+	one     [1]packet.Packet // Next's block
 }
 
 // NewLoop returns a looping source. open must return a fresh source over
@@ -158,36 +172,50 @@ func errLoopRewound(t, last float64) error {
 	return fmt.Errorf("source: loop time went backwards (%g < %g)", t, last)
 }
 
-// Next yields the next packet, restarting the trace at EOF. An empty
-// cycle (a trace with no packets) returns EOF instead of spinning. After
-// Close it fails with an error matching ErrClosedSource — the inner
-// source's own once a cycle is open.
+// Next yields the next packet, restarting the trace at EOF: NextBlock for
+// one packet.
+func (l *Loop) Next(p *packet.Packet) error {
+	if _, err := l.NextBlock(l.one[:]); err != nil {
+		return err
+	}
+	*p = l.one[0]
+	return nil
+}
+
+// NextBlock yields the inner source's next block, shifted into the
+// current cycle, restarting the trace at EOF. An empty cycle (a trace with
+// no packets) returns EOF instead of spinning. After Close it fails with
+// an error matching ErrClosedSource — the inner source's own once a cycle
+// is open.
 //
 //flowrank:hotpath
-func (l *Loop) Next(p *packet.Packet) error {
+func (l *Loop) NextBlock(buf []packet.Packet) (int, error) {
+	if err := l.rewound; err != nil {
+		l.rewound = nil
+		return 0, err
+	}
+	if len(l.held) > 0 {
+		n := copy(buf, l.held)
+		l.held = l.held[n:]
+		return l.shift(buf[:n])
+	}
 	for {
 		if l.rd == nil {
 			src, err := l.begin()
 			if err != nil {
-				return err
+				return 0, err
 			}
 			l.rd = src
 		}
-		err := l.rd.Next(p)
+		n, err := l.rd.NextBlock(buf)
 		if err == nil {
-			p.Time += l.offset
-			if p.Time < l.last {
-				return errLoopRewound(p.Time, l.last)
-			}
-			l.last = p.Time
-			l.n++
-			return nil
+			return l.shift(buf[:n])
 		}
 		if !errors.Is(err, io.EOF) {
-			return err
+			return 0, err
 		}
 		if l.n == 0 {
-			return io.EOF
+			return 0, io.EOF
 		}
 		l.retire(l.rd)
 		l.rd = nil
@@ -196,7 +224,40 @@ func (l *Loop) Next(p *packet.Packet) error {
 	}
 }
 
-// Close closes the current inner source — unblocking a pending Next —
+// shift moves a block of the inner source into the current cycle and
+// returns how many of its packets to yield: all of them, or those before
+// the first that goes back in time, which then fails the next read.
+//
+//flowrank:hotpath
+func (l *Loop) shift(ps []packet.Packet) (int, error) {
+	last := l.last
+	for i := range ps {
+		t := ps[i].Time + l.offset
+		if t < last {
+			return l.cut(ps, i, errLoopRewound(t, last))
+		}
+		ps[i].Time = t
+		last = t
+	}
+	l.last = last
+	l.n += int64(len(ps))
+	return len(ps), nil
+}
+
+// cut ends a block at ps[i], which went back in time with err: the packets
+// before it are yielded, then err, then the packets after it.
+func (l *Loop) cut(ps []packet.Packet, i int, err error) (int, error) {
+	l.held = append(slices.Clone(ps[i+1:]), l.held...)
+	if i == 0 {
+		return 0, err
+	}
+	l.last = ps[i-1].Time
+	l.n += int64(i)
+	l.rewound = err
+	return i, nil
+}
+
+// Close closes the current inner source — unblocking a pending read —
 // and stops the loop.
 func (l *Loop) Close() error {
 	l.mu.Lock()

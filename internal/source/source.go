@@ -1,40 +1,56 @@
 // Package source unifies packet ingestion behind one interface: a
-// PacketSource yields time-ordered packets one at a time, whether they
-// come from a native flowrank trace, a pcap capture, an in-memory slice,
-// or (behind the "live" build tag) a live network interface. The batch
-// monitor (cmd/flowtop) and the long-running daemon (cmd/flowrankd) share
-// this path, so a trace replayed through the daemon is byte-for-byte the
-// stream the batch tool would have measured.
+// PacketSource yields time-ordered packets a block at a time (NextBlock)
+// or one at a time (Next), whether they come from a native flowrank trace,
+// a pcap capture, an in-memory slice, or (behind the "live" build tag) a
+// live network interface. The batch monitor (cmd/flowtop) and the
+// long-running daemon (cmd/flowrankd) share this path, so a trace replayed
+// through the daemon is byte-for-byte the stream the batch tool would have
+// measured.
+//
+// The block is the unit from source to engine: the pipeline asks for 256
+// packets at a time and feeds them to the engine in one call, so the
+// per-read work of every layer — an interface call, a closed check, a
+// Loop's cycle bookkeeping, the daemon's published count (Counted) — is
+// paid per block, not per packet. NextBlock returns n >= 1 packets with a
+// nil error, or 0 with the error, never both; it returns what is already
+// at hand and never waits for more than the first packet. Sources whose
+// every read waits (Paced, the live capture) return one packet per call.
+// Next is the one-packet form of the same read, and any mix of the two
+// yields the stream in order.
 //
 // The two trace sources decode records in place out of the 256 KiB blocks
 // of one block reader (internal/blockio, under internal/packet and
-// internal/pcap alike), so Next costs no allocation and no system call per
-// packet. The buffering is invisible through PacketSource: Next copies what
-// it keeps out of the block (a pcap frame is reduced to its flow key,
-// layers.FlowKey, while its bytes are still there: they are valid until the
-// following Next), Next after Close fails with ErrClosedSource even though
-// records remain buffered, and a stream that arrives slowly (a pipe, a
-// socket) yields each packet once its last byte is in — the readers never
-// wait to fill a block. A pcap capture must have the Ethernet link type,
+// internal/pcap alike), so a read costs no allocation and no system call
+// per packet: NextBlock decodes, in one loop, every whole record already
+// in the block, and leaves a record that straddles the block's end, or a
+// malformed one, to the byte-wise path of the next call. The buffering is
+// invisible through PacketSource: a read copies what it keeps out of the
+// block (a pcap frame is reduced to its flow key, layers.FlowKey, while its
+// bytes are still there: they are valid until the following read), a read
+// after Close fails with ErrClosedSource even though records remain
+// buffered, and a stream that arrives slowly (a pipe, a socket) yields
+// each packet once its last byte is in — the readers never wait to fill a
+// block. A pcap capture must have the Ethernet link type,
 // the only framing internal/layers parses; anything else is refused at open
 // with ErrUnsupportedLinkType.
 //
 // Who reads ahead: Open, and nothing else, for a regular file of 16 MiB or
 // more, on one goroutine (internal/blockio's Ahead) that keeps up to three
-// buffers filled while the caller's Next works through the current one. A
+// buffers filled while the caller's reads work through the current one. A
 // native trace's goroutine reads 256 KiB blocks of bytes for its decoder
 // (2 MiB of buffers per open source). A capture's goroutine runs the whole
 // synchronous PcapSource — its own block reader, the record parse, the
 // flow key — and hands over batches of 4096 keyed packets (768 KiB per
-// open source), so a frame's headers are parsed on the core whose read(2)
-// just wrote them, not out of the other core's cache. (Decoding a native
+// open source), which NextBlock copies out, so a frame's headers are
+// parsed on the core whose read(2) just wrote them, not out of the other
+// core's cache. (Decoding a native
 // trace ahead measured no gain: ROADMAP, "Decided against".) Smaller
 // files, pipes, and every source built from a bare io.Reader
 // (NewTraceSource, NewPcapSource) are read synchronously and own no
 // goroutine. Either way the reader sees what the synchronous source shows:
 // every packet before an error, then that error; once the goroutine has
-// exited — by itself, at the end of the file or at a read error — Next
-// goes on synchronously, so a retry or a repeated io.EOF is answered as
+// exited — by itself, at the end of the file or at a read error — reads
+// go on synchronously, so a retry or a repeated io.EOF is answered as
 // without it. Close closes the file first, so a blocked read returns, and
 // does not return before the goroutine has exited: a closed source leaves
 // nothing behind, and Loop, which opens its source once per cycle, leaves
@@ -44,10 +60,10 @@
 // line rate (or a speed multiple of it) using the packet timestamps, and
 // Loop replays a reopenable trace indefinitely with monotonically shifted
 // timestamps — the harness that turns a finite capture into a long-running
-// daemon workload. Loop adds no synchronisation to a packet: its lock is
-// taken when a cycle's source is opened or retired and by Close, and a
-// Close from another goroutine reaches a reader mid-cycle through the
-// inner source it closes.
+// daemon workload; it shifts and checks a whole block at once. Loop adds
+// no synchronisation to a packet: its lock is taken when a cycle's source
+// is opened or retired and by Close, and a Close from another goroutine
+// reaches a reader mid-cycle through the inner source it closes.
 package source
 
 import (
@@ -59,35 +75,56 @@ import (
 
 	"flowrank/internal/blockio"
 	"flowrank/internal/layers"
+	"flowrank/internal/obs"
 	"flowrank/internal/packet"
 	"flowrank/internal/pcap"
 )
 
 // PacketSource is the ingestion interface every consumer reads from.
 //
-// Next fills *p with the next packet and returns nil, io.EOF at a clean
-// end of stream, or another error on corruption. Packets arrive in
-// non-decreasing time order, the order the stream engine requires. A
-// source is not safe for concurrent Next calls.
+// NextBlock fills buf, which must not be empty, with the next packets and
+// returns how many: n >= 1 with a nil error, or 0 with the error — io.EOF
+// at a clean end of stream, another error on corruption — never packets
+// and an error together. It returns at most len(buf) packets and never
+// waits for more than the first: what a pipe or a live capture has not
+// delivered yet is left for the next call, so a slow stream still yields
+// each packet as soon as its last byte arrives. Next is the one-packet
+// form: it fills *p with the next packet and returns nil, or the error.
+// Both read the one stream, in any mix, and a sequence of NextBlock calls
+// yields exactly the packets, then the error, that Next calls would.
+// Packets arrive in non-decreasing time order, the order the stream
+// engine requires. A source is not safe for concurrent reads.
 //
-// Close releases the source. Closing a source blocked in Next (from
+// Close releases the source. Closing a source blocked in a read (from
 // another goroutine) unblocks it with an error — the graceful-shutdown
 // path of a daemon draining a live capture.
 type PacketSource interface {
+	NextBlock(buf []packet.Packet) (n int, err error)
 	Next(p *packet.Packet) error
 	Close() error
 }
 
-// ErrClosedSource is wrapped by Next when the source was Closed. Callers
+// one is the block of one packet that a source which reads a packet at a
+// time returns from NextBlock: 1 after Next succeeded, else 0 and its
+// error.
+func one(err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+// ErrClosedSource is wrapped by a read of a source that was Closed. Callers
 // draining a source from another goroutine use errors.Is against it (or
 // os.ErrClosed, which file-backed sources surface) to tell a shutdown
 // from trace corruption.
 var ErrClosedSource = errors.New("source: closed")
 
-// Built once so the annotated Next methods stay free of fmt.
+// Built once so the annotated read methods stay free of fmt.
 var (
 	errTraceClosed = fmt.Errorf("source: trace read after close: %w", ErrClosedSource)
 	errPcapClosed  = fmt.Errorf("source: pcap read after close: %w", ErrClosedSource)
+	errSliceClosed = fmt.Errorf("source: slice read after close: %w", ErrClosedSource)
 )
 
 // ErrLiveUnsupported is wrapped by NewLive when live capture is not
@@ -133,6 +170,17 @@ func (s *TraceSource) Next(p *packet.Packet) error {
 	return s.r.Read(p)
 }
 
+// NextBlock decodes the records already buffered, up to len(buf), into
+// buf (packet.Reader.ReadBlock).
+//
+//flowrank:hotpath
+func (s *TraceSource) NextBlock(buf []packet.Packet) (int, error) {
+	if s.closed.Load() {
+		return 0, errTraceClosed
+	}
+	return s.r.ReadBlock(buf)
+}
+
 // Close closes the underlying reader when it is closable.
 func (s *TraceSource) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
@@ -152,6 +200,7 @@ type PcapSource struct {
 	r      *pcap.Reader
 	c      io.Closer
 	closed atomic.Bool
+	one    [1]packet.Packet // Next's block
 }
 
 // NewPcapSource validates the pcap global header and returns a source
@@ -173,27 +222,15 @@ func NewPcapSource(r io.Reader) (*PcapSource, error) {
 	return s, nil
 }
 
-// Next fills p with the next decodable frame.
+// Next fills p with the next decodable frame: NextBlock for one packet.
 //
 //flowrank:hotpath
 func (s *PcapSource) Next(p *packet.Packet) error {
-	if s.closed.Load() {
-		return errPcapClosed
+	if _, err := s.NextBlock(s.one[:]); err != nil {
+		return err
 	}
-	for {
-		pk, err := s.r.Next()
-		if err != nil {
-			return err
-		}
-		key, kerr := layers.FlowKey(pk.Data)
-		if kerr != nil {
-			continue // skip undecodable frames
-		}
-		p.Time = pk.Time
-		p.Key = key
-		p.Size = pk.OrigLen
-		return nil
-	}
+	*p = s.one[0]
+	return nil
 }
 
 // Close closes the underlying reader when it is closable.
@@ -207,17 +244,48 @@ func (s *PcapSource) Close() error {
 	return nil
 }
 
-// fill decodes packets into buf until it is full or Next fails: the
+// NextBlock fills buf with the next decodable frames: the first as Next
+// reads it, then every further one whose record is already buffered
+// whole.
+//
+//flowrank:hotpath
+func (s *PcapSource) NextBlock(buf []packet.Packet) (int, error) {
+	if s.closed.Load() {
+		return 0, errPcapClosed
+	}
+	n := 0
+	for n < len(buf) && (n == 0 || s.r.Buffered()) {
+		pk, err := s.r.Next()
+		if err != nil {
+			return 0, err // n is 0: a buffered record does not fail
+		}
+		key, kerr := layers.FlowKey(pk.Data)
+		if kerr != nil {
+			continue // skip undecodable frames
+		}
+		p := &buf[n]
+		p.Time = pk.Time
+		p.Key = key
+		p.Size = pk.OrigLen
+		n++
+	}
+	return n, nil
+}
+
+// fill decodes packets into buf until it is full or a read fails: the
 // decode-ahead goroutine's work (pcapAhead).
 //
 //flowrank:hotpath
 func (s *PcapSource) fill(buf []packet.Packet) (int, error) {
-	for i := range buf {
-		if err := s.Next(&buf[i]); err != nil {
-			return i, err
+	n := 0
+	for n < len(buf) {
+		k, err := s.NextBlock(buf[n:])
+		if err != nil {
+			return n, err
 		}
+		n += k
 	}
-	return len(buf), nil
+	return n, nil
 }
 
 // readAheadMin is the file size from which Open reads ahead. Starting the
@@ -276,12 +344,12 @@ func open(path string, isPcap bool, readAheadMin int64) (PacketSource, error) {
 
 // pcapAhead is what Open returns for a large capture file: a goroutine
 // runs the synchronous source's decoder (fill) and hands over batches of
-// packets, which Next copies out one at a time. Once the goroutine has
-// exited — after the batch that carried the end of the capture or an
-// error — Next calls the synchronous source itself, so a retry or a
+// packets, which NextBlock copies out a block at a time (Next one at a
+// time). Once the goroutine has exited — after the batch that carried the
+// end of the capture or an error — reads go to the synchronous source, so a retry or a
 // repeated io.EOF is answered exactly as it would be without it.
 type pcapAhead struct {
-	sync *PcapSource // the goroutine's until it has exited, then Next's
+	sync *PcapSource // the goroutine's until it has exited, then the reads'
 	a    *blockio.Ahead[packet.Packet]
 	buf  []packet.Packet // buf[i:n] is decoded and unread
 	i, n int
@@ -289,6 +357,7 @@ type pcapAhead struct {
 	// async is true while the packets come from a's goroutine.
 	async  bool
 	closed atomic.Bool
+	one    [1]packet.Packet // Next's block
 }
 
 func newPcapAhead(src *PcapSource) *pcapAhead {
@@ -300,28 +369,46 @@ func newPcapAhead(src *PcapSource) *pcapAhead {
 	}
 }
 
-// Next fills p with the next decodable frame.
+// Next fills p with the next decodable frame: NextBlock for one packet.
 //
 //flowrank:hotpath
 func (s *pcapAhead) Next(p *packet.Packet) error {
-	if s.closed.Load() {
-		return errPcapClosed
+	if _, err := s.NextBlock(s.one[:]); err != nil {
+		return err
 	}
-	if s.i < s.n {
-		*p = s.buf[s.i]
-		s.i++
-		return nil
-	}
-	return s.nextBatch(p)
+	*p = s.one[0]
+	return nil
 }
 
-// nextBatch reports the error that ended the current batch, or takes the
-// next batch and returns its first packet, or — once the goroutine is gone
-// — hands Next to the synchronous source. A Close that ends the goroutine
-// fails the read instead: the stream it read past is not resumed.
+// NextBlock copies the next decoded frames, up to len(buf), out of the
+// current batch.
 //
 //flowrank:hotpath
-func (s *pcapAhead) nextBatch(p *packet.Packet) error {
+func (s *pcapAhead) NextBlock(buf []packet.Packet) (int, error) {
+	if s.closed.Load() {
+		return 0, errPcapClosed
+	}
+	if s.i == s.n {
+		if err := s.refill(); err != nil {
+			return 0, err
+		}
+		if s.i == s.n {
+			return s.sync.NextBlock(buf)
+		}
+	}
+	n := copy(buf, s.buf[s.i:s.n])
+	s.i += n
+	return n, nil
+}
+
+// refill, called with the current batch read, reports the error that
+// ended it, or takes the next batch that holds packets. Once the goroutine
+// is gone it leaves the batch empty, and the reads to the synchronous
+// source. A Close that ends the goroutine fails the read instead: the
+// stream it read past is not resumed.
+//
+//flowrank:hotpath
+func (s *pcapAhead) refill() error {
 	for s.async {
 		if err := s.err; err != nil {
 			s.err = nil
@@ -338,16 +425,14 @@ func (s *pcapAhead) nextBatch(p *packet.Packet) error {
 		s.a.Free(s.buf)
 		s.buf, s.i, s.n, s.err = blk.Buf, 0, blk.N, blk.Err
 		if s.n > 0 {
-			*p = s.buf[0]
-			s.i = 1
-			return nil
+			break
 		}
 	}
-	return s.sync.Next(p)
+	return nil
 }
 
 // Close closes the file, which ends a read the goroutine is blocked in,
-// and returns once the goroutine has exited. A Next waiting for a batch
+// and returns once the goroutine has exited. A read waiting for a batch
 // fails with ErrClosedSource.
 func (s *pcapAhead) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
@@ -356,6 +441,34 @@ func (s *pcapAhead) Close() error {
 	err := s.sync.Close()
 	s.a.Stop()
 	return err
+}
+
+// Counted counts the packets its source returns, safe to read while
+// another goroutine reads the source: the daemon's one live packet count.
+// A block is counted once, as NextBlock returns it.
+type Counted struct {
+	PacketSource
+	Packets obs.Counter
+}
+
+// Next reads the next packet and counts it.
+//
+//flowrank:hotpath
+func (s *Counted) Next(p *packet.Packet) error {
+	err := s.PacketSource.Next(p)
+	if err == nil {
+		s.Packets.Inc()
+	}
+	return err
+}
+
+// NextBlock reads the next block and counts its packets.
+//
+//flowrank:hotpath
+func (s *Counted) NextBlock(buf []packet.Packet) (int, error) {
+	n, err := s.PacketSource.NextBlock(buf)
+	s.Packets.Add(int64(n))
+	return n, err
 }
 
 // Slice is an in-memory PacketSource over a packet slice — the test and
@@ -372,18 +485,39 @@ func NewSlice(pkts []packet.Packet) *Slice { return &Slice{pkts: pkts} }
 
 // Next fills p with the next packet of the slice.
 func (s *Slice) Next(p *packet.Packet) error {
-	if s.closed.Load() {
-		return fmt.Errorf("source: slice read after close: %w", ErrClosedSource)
-	}
-	if s.i >= len(s.pkts) {
-		return io.EOF
+	if err := s.check(); err != nil {
+		return err
 	}
 	*p = s.pkts[s.i]
 	s.i++
 	return nil
 }
 
-// Close marks the source closed; later Next calls error.
+// NextBlock copies the next packets of the slice, up to len(buf), into
+// buf.
+//
+//flowrank:hotpath
+func (s *Slice) NextBlock(buf []packet.Packet) (int, error) {
+	if err := s.check(); err != nil {
+		return 0, err
+	}
+	n := copy(buf, s.pkts[s.i:])
+	s.i += n
+	return n, nil
+}
+
+// check returns why the slice has no next packet, if it has none.
+func (s *Slice) check() error {
+	if s.closed.Load() {
+		return errSliceClosed
+	}
+	if s.i >= len(s.pkts) {
+		return io.EOF
+	}
+	return nil
+}
+
+// Close marks the source closed; later reads error.
 func (s *Slice) Close() error {
 	s.closed.Store(true)
 	return nil

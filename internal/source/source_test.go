@@ -343,6 +343,15 @@ func (s *loopInner) Next(p *packet.Packet) error {
 	return err
 }
 
+func (s *loopInner) NextBlock(buf []packet.Packet) (int, error) {
+	n, err := s.Slice.NextBlock(buf)
+	if s.hold && errors.Is(err, io.EOF) {
+		<-s.closed
+		return s.Slice.NextBlock(buf)
+	}
+	return n, err
+}
+
 func (s *loopInner) Close() error {
 	if s.closes.Add(1) == 1 {
 		close(s.closed)

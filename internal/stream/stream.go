@@ -18,8 +18,9 @@
 // index and its counter rows from the hash the batch carries, so the hot
 // path takes no locks, shares no state, and a table too large for the
 // cache overlaps a batch's memory misses. The original table is the
-// evaluation oracle the sampled one is scored against: with the exact kind
-// it keeps counts only (flowtable.Spec.NewCounts), no timestamps.
+// evaluation oracle the sampled one is scored against: it keeps counts
+// only (flowtable.Spec.NewCounts), no timestamps, whatever the kind but
+// the map reference.
 //
 // At each bin boundary a two-step barrier closes the bin where its flows
 // live, and only top lists, pair counts, sampled counts and totals leave
@@ -174,6 +175,16 @@ type BinResult struct {
 type batch struct {
 	all  []flowtable.Observation // every packet
 	kept []flowtable.Observation // the sampled ones among them
+}
+
+// add appends one packet to the batch, and to its sampled ones when kept.
+//
+//flowrank:hotpath
+func (b *batch) add(o flowtable.Observation, kept bool) {
+	b.all = append(b.all, o)
+	if kept {
+		b.kept = append(b.kept, o)
+	}
 }
 
 // emptied returns the batch's buffers at length zero, ready to refill.
@@ -515,10 +526,16 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 	return e, nil
 }
 
-// Feed accounts one packet. Packets must arrive in non-decreasing time
-// order; crossing a bin boundary triggers the barrier flush and the emit
-// callback before the packet is accounted into its own bin.
-func (e *Engine) Feed(p packet.Packet) error {
+// Feed accounts packets, in order: one, or a block of them as a
+// PacketSource's NextBlock returns it. Packets must arrive in
+// non-decreasing time order; crossing a bin boundary triggers the barrier
+// flush and the emit callback before the packet is accounted into its own
+// bin, so the packets after it in the same call are sampled at whatever
+// rate the callback left. The run's error, Close and the context are
+// checked once per call: a flush that fails stops the call there.
+//
+//flowrank:hotpath
+func (e *Engine) Feed(ps ...packet.Packet) error {
 	if e.err != nil {
 		return e.err
 	}
@@ -533,28 +550,28 @@ func (e *Engine) Feed(p packet.Packet) error {
 		default:
 		}
 	}
-	// The far-future bin is a clamp (see targetBin): once in it, later
-	// packets accumulate there rather than re-triggering the boundary,
-	// which would emit duplicate bins with the same clamped index.
-	if e.bin < clampBin && p.Time >= float64(e.bin+1)*e.cfg.BinSeconds {
-		if err := e.flushBin(); err != nil {
-			return err
+	for i := range ps {
+		p := &ps[i]
+		// The far-future bin is a clamp (see targetBin): once in it, later
+		// packets accumulate there rather than re-triggering the boundary,
+		// which would emit duplicate bins with the same clamped index.
+		if e.bin < clampBin && p.Time >= float64(e.bin+1)*e.cfg.BinSeconds {
+			if err := e.flushBin(); err != nil {
+				return err
+			}
+			e.bin = e.targetBin(p.Time)
 		}
-		e.bin = e.targetBin(p.Time)
+		kept := e.cfg.Sampler.Sample(*p)
+		key := e.cfg.Agg.Aggregate(p.Key)
+		o := flowtable.Observation{Key: key, Hash: key.FastHash(), Time: p.Time, Size: int64(p.Size)}
+		s := e.shardOf(o.Hash)
+		b := &e.pending[s]
+		b.add(o, kept)
+		if len(b.all) >= e.cfg.batchSize {
+			e.dispatch(s)
+		}
+		e.binPackets++
 	}
-	kept := e.cfg.Sampler.Sample(p)
-	key := e.cfg.Agg.Aggregate(p.Key)
-	o := flowtable.Observation{Key: key, Hash: key.FastHash(), Time: p.Time, Size: int64(p.Size)}
-	s := e.shardOf(o.Hash)
-	b := &e.pending[s]
-	b.all = append(b.all, o)
-	if kept {
-		b.kept = append(b.kept, o)
-	}
-	if len(b.all) >= e.cfg.batchSize {
-		e.dispatch(s)
-	}
-	e.binPackets++
 	return nil
 }
 

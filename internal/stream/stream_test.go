@@ -161,6 +161,56 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 	}
 }
 
+// TestFeedBlocks: feeding the packets in blocks — of one, of a few, of the
+// pipeline's 256, of the whole trace — measures what feeding them one by
+// one does, also when the emit callback retunes the sampler between two
+// packets of one block (the rate a packet is sampled at is whatever the
+// bin boundary before it left); and an emit error stops the block at the
+// boundary that failed, the packets after it unaccounted.
+func TestFeedBlocks(t *testing.T) {
+	pkts := makePackets(t, 20, 120, 5)
+	run := func(block int, failBin int64) ([]BinResult, error) {
+		bern := sampler.NewBernoulli(0.3, 9)
+		var out []BinResult
+		eng, err := NewEngine(Config{Agg: flow.FiveTuple{}, Sampler: bern, BinSeconds: 3, TopT: 6, Workers: 2}, func(b BinResult) error {
+			if b.Bin == failBin {
+				return errors.New("boom")
+			}
+			out = append(out, b)
+			bern.P = 0.1 + 0.2*float64(b.Bin%3) // a retune, as the adaptive loop makes
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rest := pkts; len(rest) > 0; {
+			n := min(block, len(rest))
+			if err := eng.Feed(rest[:n]...); err != nil {
+				eng.Abort()
+				return out, err
+			}
+			rest = rest[n:]
+		}
+		return out, eng.Close()
+	}
+	want, err := run(1, -1)
+	if err != nil || len(want) < 5 {
+		t.Fatalf("one by one: %d bins, %v", len(want), err)
+	}
+	for _, block := range []int{2, 7, 256, len(pkts)} {
+		got, err := run(block, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareBins(t, fmt.Sprintf("blocks of %d", block), got, want)
+		got, err = run(block, 3)
+		if err == nil || len(got) != 3 {
+			t.Fatalf("blocks of %d, emit failing on bin 3: %d bins, %v", block, len(got), err)
+		}
+		compareBins(t, fmt.Sprintf("blocks of %d, failing", block), got, want[:3])
+	}
+}
+
 // TestEngineWorkerCountInvariance: any worker count and batch size must
 // produce the same bin stream as one worker at the default batch — the cross-check
 // that the sharded merge is exact.
@@ -465,20 +515,32 @@ func TestEngineBatching(t *testing.T) {
 	}
 }
 
-// shardWorkers counts the live goroutines NewEngineContext started — the
-// shard workers, each running its shard's loop — by their creation frame,
+// shardWorkers counts the live goroutines that NewEngineContext started
+// when the calling goroutine called it — the shard workers of the caller's
+// own engines, each running its shard's loop — by their creation frame,
 // which a worker not yet scheduled (its stack still the go statement's
-// wrapper) carries too. A worker calls wg.Done on its way out of the loop,
-// so on one P none is left once shutdown's Wait has returned: the last one
-// to call Done runs on to its exit before the waiter is scheduled.
+// wrapper) carries too, with the id of the goroutine whose go statement
+// started it. Workers of an engine another test left unreleased were
+// created by another goroutine and are not counted. A worker calls
+// wg.Done on its way out of the loop, so on one P none is left once
+// shutdown's Wait has returned: the last one to call Done runs on to its
+// exit before the waiter is scheduled.
 func shardWorkers() int {
+	self := make([]byte, 64)
+	self = self[:runtime.Stack(self, false)]
+	// The trace starts "goroutine <id> [running]:".
+	id, _, ok := bytes.Cut(bytes.TrimPrefix(self, []byte("goroutine ")), []byte(" "))
+	if !ok {
+		panic(fmt.Sprintf("unexpected stack header %q", self))
+	}
 	buf := make([]byte, 64<<10)
 	n := runtime.Stack(buf, true)
 	for n == len(buf) {
 		buf = make([]byte, 2*len(buf))
 		n = runtime.Stack(buf, true)
 	}
-	return bytes.Count(buf[:n], []byte("\ncreated by flowrank/internal/stream.NewEngineContext in goroutine "))
+	frame := "\ncreated by flowrank/internal/stream.NewEngineContext in goroutine " + string(id) + "\n"
+	return bytes.Count(buf[:n], []byte(frame))
 }
 
 // TestEngineWorkersExit: an engine runs one worker goroutine per shard, a
