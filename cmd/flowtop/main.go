@@ -18,14 +18,16 @@
 //	flowtop -in trace.pkts -p 0.1 -adapt 1 -invert em
 //	flowtop -in trace.pkts -p 0.01 -table spacesaving -memory 4096
 //
-// With -table spacesaving or -table countmin the per-shard flow tables
-// are replaced by bounded summaries holding at most -memory flows each,
-// so the monitor's memory stays O(memory) no matter how many concurrent
-// flows the trace carries. Bounded bins print the summary's worst-case
-// per-flow packet overcount next to the swapped-pairs counts; the output
-// is deterministic for a fixed -workers count but, unlike the exact
-// tables, may differ between worker counts (the shard partition is an
-// input of a sketch).
+// With -table spacesaving or -table countmin the per-shard sampled flow
+// tables are replaced by bounded summaries holding at most -memory flows
+// each, so the monitor's sampled table stays O(memory) no matter how many
+// concurrent flows the trace carries. The original tables, the truth each
+// bin is scored against, stay exact and grow with the bin's flows: the
+// flow counts and true top lists are those of -table exact. Bounded bins
+// print the sampled summary's worst-case per-flow packet overcount next to
+// the swapped-pairs counts; the sampled side is deterministic for a fixed
+// -workers count but, unlike the exact tables, may differ between worker
+// counts (the shard partition is an input of a sketch).
 //
 // With -adapt <target> the monitor closes the loop of the paper's §9:
 // after every bin it feeds the bin's inversion into the adaptive

@@ -267,7 +267,9 @@ func NewFlowTable(agg Aggregator) *FlowTable { return flowtable.New(agg) }
 type FlowSummary = flowtable.Summary
 
 // TableSpec selects a flow-accounting implementation for the streaming
-// engine (StreamConfig.Tables) by kind and slot budget.
+// engine's sampled tables (StreamConfig.Tables) by kind and slot budget.
+// The engine's original tables, the truth each bin is scored against, are
+// exact whatever it names.
 type TableSpec = flowtable.Spec
 
 // FlatFlowTable is the allocation-free open-addressing exact table of
@@ -312,9 +314,10 @@ func NewCountMinTable(agg Aggregator, k int) *CountMinTable {
 
 // StreamConfig configures the sharded streaming monitor: aggregation,
 // sampler, bin width, top-list length, worker count, and optionally a
-// per-bin Inverter, bounded Tables and the PipelineStats (Obs) a caller
-// reads the engine's stage timings from while it runs. The engine times
-// its stages whether or not Obs is set; Obs only makes them readable.
+// per-bin Inverter, bounded sampled Tables and the PipelineStats (Obs) a
+// caller reads the engine's stage timings from while it runs. The engine
+// times its stages whether or not Obs is set; Obs only makes them
+// readable.
 type StreamConfig = stream.Config
 
 // StreamBin is the merged measurement of one non-empty bin: the original

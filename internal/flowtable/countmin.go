@@ -34,35 +34,18 @@ var cmSeeds = [cmDepth]uint64{
 // oblivious to adversarial arrival order.
 //
 // Memory is O(k) flow identities plus the fixed depth x width counter
-// array; steady-state Adds allocate nothing. No counter exceeds the bin's
-// exact packet total, so while that total fits a uint32 the counters are
-// uint32 — half the cache footprint of the row slab, which every packet
-// touches in four places. The batch that would take the total past it
-// widens the counters to int64 for the rest of the bin, and Reset narrows
-// them again: one ingest, instantiated for both widths, with the same
-// estimates either way.
+// array; steady-state Adds allocate nothing.
 type CountMin struct {
 	slots
 	agg   flow.Aggregator
-	width uint64 // power of two
-	// rows32 and rows64 each hold cmDepth rows of width counters, one slab:
-	// rows32 while wide is false, rows64 (allocated at the first widening)
-	// from the widening to the next Reset.
-	rows32 []uint32
-	rows64 []int64
-	wide   bool
-	// narrowMax is the largest packet total the narrow counters take:
-	// math.MaxUint32, lowered by the tests to widen a bin early.
-	narrowMax int64
+	width uint64  // power of two
+	rows  []int64 // cmDepth rows of width counters, one slab
 	// touched absorbs AddBatch's early loads so the compiler keeps them.
 	touched uint64
 }
 
-// cmCounter is the type of a Count-Min counter: narrow, or widened.
-type cmCounter interface{ uint32 | int64 }
-
-// cmOffsets is one key's counter in every row, as indices into the row
-// slab. uint32 holds them: newSlots caps k at MaxSlots, where the slab is
+// cmOffsets is one key's counter in every row, as indices into rows.
+// uint32 holds them: newSlots caps k at MaxSlots, where the slab is
 // cmDepth x 4 x MaxSlots = 2^28 counters. It is filled and read element by
 // element through a pointer, never copied: a copy is one 16-byte load over
 // four 4-byte stores made an instruction earlier, which the store buffer
@@ -74,18 +57,15 @@ const _ = uint32(cmDepth*4*MaxSlots - 1) // does not compile if MaxSlots outgrow
 // NewCountMin returns a Count-Min summary tracking k flows (k clamped to
 // [1, MaxSlots]) over a counter array of width 4k per row (rounded up to
 // a power of two), the conventional sizing that keeps 2N/w below N/2k.
-func NewCountMin(agg flow.Aggregator, k int) *CountMin { return newCountMin(agg, k, true) }
-
-// newCountMin is NewCountMin, keeping timestamps only when times is set.
-func newCountMin(agg flow.Aggregator, k int, times bool) *CountMin {
-	sl := newSlots(k, times)
+func NewCountMin(agg flow.Aggregator, k int) *CountMin {
+	sl := newSlots(k)
 	width := uint64(1) << bits.Len(uint(4*sl.k-1))
-	return &CountMin{slots: sl, agg: agg, width: width, rows32: make([]uint32, cmDepth*int(width)), narrowMax: math.MaxUint32}
+	return &CountMin{slots: sl, agg: agg, width: width, rows: make([]int64, cmDepth*int(width))}
 }
 
-// offset returns the index into the row slab of the row-r counter of a key
-// whose FastHash is h — the one formula behind Estimate, the per-packet
-// path and AddBatch's groups.
+// offset returns the index into rows of the row-r counter of a key whose
+// FastHash is h — the one formula behind Estimate, the per-packet path and
+// AddBatch's groups.
 func (c *CountMin) offset(h uint64, r int) uint32 {
 	return uint32(uint64(r)*c.width + cmMix(h^cmSeeds[r])&(c.width-1))
 }
@@ -117,37 +97,17 @@ func (c *CountMin) AddAggregated(key flow.Key, time float64, size int64) {
 	for r := range o {
 		o[r] = c.offset(h, r)
 	}
-	if c.widens(1) {
-		cmAdd(c, c.rows64, key, h, &o, time, size)
-	} else {
-		cmAdd(c, c.rows32, key, h, &o, time, size)
-	}
+	c.add(key, h, &o, time, size)
 }
 
-// widens reports whether the next n packets are counted in the wide
-// counters, widening them first when the narrow ones could not hold the
-// total the n packets bring the bin to.
-func (c *CountMin) widens(n int) bool {
-	if !c.wide && c.packets+int64(n) > c.narrowMax {
-		if c.rows64 == nil {
-			c.rows64 = make([]int64, len(c.rows32))
-		}
-		for i, v := range c.rows32 {
-			c.rows64[i] = int64(v)
-		}
-		c.wide = true
-	}
-	return c.wide
-}
-
-// cmAdd accounts one packet of the flow key, whose FastHash is hash and
-// whose counters in rows are at o.
+// add accounts one packet of the flow key, whose FastHash is hash and
+// whose counters are at o.
 //
 //flowrank:hotpath
-func cmAdd[T cmCounter](c *CountMin, rows []T, key flow.Key, hash uint64, o *cmOffsets, time float64, size int64) {
+func (c *CountMin) add(key flow.Key, hash uint64, o *cmOffsets, time float64, size int64) {
 	c.packets++
 	c.bytesT += size
-	est := cmBump(rows, o)
+	est := c.bump(o)
 	full := len(c.entries) == c.k
 	// A full table whose weakest count est does not beat has nothing to
 	// do: the flow is not tracked — a tracked flow's count is at least
@@ -175,19 +135,19 @@ func cmAdd[T cmCounter](c *CountMin, rows []T, key flow.Key, hash uint64, o *cmO
 	c.takeover(c.h[0], flatSlot{Key: key, Packets: est, Bytes: size}, time, hash)
 }
 
-// cmBump increments the counter at o in every row and returns the new
+// bump increments the counter at o in every row and returns the new
 // min-over-rows estimate.
 //
 //flowrank:hotpath
-func cmBump[T cmCounter](rows []T, o *cmOffsets) int64 {
-	est := rows[o[0]] + 1
-	rows[o[0]] = est
+func (c *CountMin) bump(o *cmOffsets) int64 {
+	est := c.rows[o[0]] + 1
+	c.rows[o[0]] = est
 	for r := 1; r < cmDepth; r++ {
-		v := rows[o[r]] + 1
-		rows[o[r]] = v
+		v := c.rows[o[r]] + 1
+		c.rows[o[r]] = v
 		est = min(est, v)
 	}
-	return int64(est)
+	return est
 }
 
 // Estimate returns the sketch's count estimate for an (aggregated) key,
@@ -196,12 +156,7 @@ func (c *CountMin) Estimate(key flow.Key) int64 {
 	h := key.FastHash()
 	est := int64(math.MaxInt64)
 	for r := 0; r < cmDepth; r++ {
-		j := c.offset(h, r)
-		v := int64(c.rows32[j])
-		if c.wide {
-			v = c.rows64[j]
-		}
-		est = min(est, v)
+		est = min(est, c.rows[c.offset(h, r)])
 	}
 	return est
 }
@@ -217,20 +172,9 @@ func (c *CountMin) ErrorBound() int64 {
 
 // AddBatch accounts the observations in order, exactly as one
 // AddAggregated per observation would, without hashing: the row offsets
-// come from each observation's supplied hash.
-//
-//flowrank:hotpath
-func (c *CountMin) AddBatch(batch []Observation) {
-	if c.widens(len(batch)) {
-		cmAddBatch(c, c.rows64, batch)
-	} else {
-		cmAddBatch(c, c.rows32, batch)
-	}
-}
-
-// cmAddBatch is AddBatch over the counters in rows. A packet costs four
-// counter updates in four rows plus an index probe, each a likely cache
-// miss that AddAggregated takes one after another; here every group of
+// come from each observation's supplied hash. A packet costs four counter
+// updates in four rows plus an index probe, each a likely cache miss that
+// AddAggregated takes one after another; here every group of
 // flatBatchGroup observations first derives all its offsets and loads
 // those counters and index home words together (Flat.AddBatch's idiom),
 // then increments and updates the tracked slots in trace order from the
@@ -238,7 +182,7 @@ func (c *CountMin) AddBatch(batch []Observation) {
 // earlier increment.
 //
 //flowrank:hotpath
-func cmAddBatch[T cmCounter](c *CountMin, rows []T, batch []Observation) {
+func (c *CountMin) AddBatch(batch []Observation) {
 	var offs [flatBatchGroup]cmOffsets
 	imask := uint64(len(c.index) - 1)
 	for len(batch) > 0 {
@@ -250,21 +194,19 @@ func cmAddBatch[T cmCounter](c *CountMin, rows []T, batch []Observation) {
 			for r := range offs[i] {
 				j := c.offset(h, r)
 				offs[i][r] = j
-				touched += uint64(rows[j])
+				touched += uint64(c.rows[j])
 			}
 			touched += c.index[flatHome(h, imask)]
 		}
 		c.touched += touched
 		for i := range g {
-			cmAdd(c, rows, g[i].Key, g[i].Hash, &offs[i], g[i].Time, g[i].Size)
+			c.add(g[i].Key, g[i].Hash, &offs[i], g[i].Time, g[i].Size)
 		}
 	}
 }
 
-// Reset clears the summary for the next bin, keeping its memory; the
-// counters are narrow again.
+// Reset clears the summary for the next bin, keeping its memory.
 func (c *CountMin) Reset() {
-	clear(c.rows32)
-	c.wide = false
+	clear(c.rows)
 	c.reset()
 }

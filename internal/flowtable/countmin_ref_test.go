@@ -7,10 +7,10 @@ import (
 	"flowrank/internal/packet"
 )
 
-// refCountMin is CountMin as it was before its counters narrowed to uint32
-// and its slots to 32 bytes, and before a full table's add returned early
-// when the estimate could not take a slot over: int64 rows, 48-byte Entry
-// slots with timestamps, and every add probing the key index. The
+// refCountMin is CountMin as it was before its slots narrowed to 32 bytes,
+// and before a full table's add returned early when the estimate could
+// not take a slot over: 48-byte Entry slots with timestamps, and every add
+// probing the key index. The
 // lockstep tests (countmin_test.go) hold the live CountMin to it. The
 // slot store under it is refSlots, the tracked-slot store of the same
 // revision. Comments are dropped; the code is unchanged but for the names.

@@ -50,17 +50,12 @@ func cmStreams(k, n int) []cmStream {
 }
 
 // cmMatchesRef fails unless the live sketch answers as the reference does:
-// every tracked flow in slot order (without timestamps when the live one
-// keeps none), the estimate of every key of the stream, the totals, the
-// error bound and the top lists with their tie counts.
-func cmMatchesRef(t *testing.T, label string, live *CountMin, ref *refCountMin, keys []flow.Key, times bool) {
+// every tracked flow in slot order, the estimate of every key of the
+// stream, the totals, the error bound and the top lists with their tie
+// counts.
+func cmMatchesRef(t *testing.T, label string, live *CountMin, ref *refCountMin, keys []flow.Key) {
 	t.Helper()
 	want := ref.AppendAll(nil)
-	if !times {
-		for i := range want {
-			want[i].First, want[i].Last = 0, 0
-		}
-	}
 	if got := live.AppendAll(nil); !slices.Equal(got, want) {
 		t.Fatalf("%s: AppendAll diverges:\n live %v\n ref  %v", label, got, want)
 	}
@@ -76,11 +71,6 @@ func cmMatchesRef(t *testing.T, label string, live *CountMin, ref *refCountMin, 
 	for _, n := range []int{1, 10, live.k} {
 		got, gotTies := live.AppendTopTies(nil, n)
 		want, wantTies := ref.AppendTopTies(nil, n)
-		if !times {
-			for i := range want {
-				want[i].First, want[i].Last = 0, 0
-			}
-		}
 		if !slices.Equal(got, want) || gotTies != wantTies {
 			t.Fatalf("%s: AppendTopTies(%d) = %v +%d ties, reference %v +%d", label, n, got, gotTies, want, wantTies)
 		}
@@ -88,85 +78,32 @@ func cmMatchesRef(t *testing.T, label string, live *CountMin, ref *refCountMin, 
 }
 
 // TestCountMinMatchesReference holds Count-Min in lockstep with its
-// previous form (refCountMin: int64 counters, 48-byte slots, no early
-// return), timestamped and count-only, batch after batch of random
-// lengths over two bins of each stream: narrowing the counters, moving the
+// previous form (refCountMin: 48-byte slots, no early return), batch
+// after batch of random lengths over two bins of each stream: moving the
 // timestamps out of the slots and returning early from adds that cannot
 // take a slot over change no answer the sketch gives.
 func TestCountMinMatchesReference(t *testing.T) {
 	const k = 64
 	for _, s := range cmStreams(k, 20000) {
-		for _, times := range []bool{true, false} {
-			live, ref := newCountMin(flow.FiveTuple{}, k, times), newRefCountMin(flow.FiveTuple{}, k)
-			g := randx.New(3)
-			for bin := 0; bin < 2; bin++ {
-				tape := s.obs
-				for len(tape) > 0 {
-					n := min(1+g.IntN(600), len(tape))
-					if n == 1 {
-						o := tape[0]
-						live.AddAggregated(o.Key, o.Time, o.Size)
-						ref.AddAggregated(o.Key, o.Time, o.Size)
-					} else {
-						live.AddBatch(tape[:n])
-						ref.AddBatch(tape[:n])
-					}
-					tape = tape[n:]
-					cmMatchesRef(t, fmt.Sprintf("%s times=%v bin %d, %d left", s.name, times, bin, len(tape)), live, ref, s.keys, times)
-				}
-				if live.wide {
-					t.Fatalf("%s: a bin of %d packets widened the counters", s.name, len(s.obs))
-				}
-				live.Reset()
-				ref.Reset()
-			}
-		}
-	}
-}
-
-// TestCountMinWidens lowers the narrow counters' limit so that bins cross
-// it in the middle of a batch: the counters widen before that batch, the
-// narrow slab is dead from there to the end of the bin (poisoning it
-// changes nothing), Reset narrows them again, and throughout, the sketch
-// answers as the reference does.
-func TestCountMinWidens(t *testing.T) {
-	const k = 64
-	for _, s := range cmStreams(k, 6000) {
-		live, ref := newCountMin(flow.FiveTuple{}, k, true), newRefCountMin(flow.FiveTuple{}, k)
-		live.narrowMax = 2500
-		g := randx.New(5)
-		for bin := 0; bin < 3; bin++ {
+		live, ref := NewCountMin(flow.FiveTuple{}, k), newRefCountMin(flow.FiveTuple{}, k)
+		g := randx.New(3)
+		for bin := 0; bin < 2; bin++ {
 			tape := s.obs
-			widened := false
 			for len(tape) > 0 {
-				n := min(1+g.IntN(400), len(tape))
-				before := live.TotalPackets()
-				live.AddBatch(tape[:n])
-				ref.AddBatch(tape[:n])
+				n := min(1+g.IntN(600), len(tape))
+				if n == 1 {
+					o := tape[0]
+					live.AddAggregated(o.Key, o.Time, o.Size)
+					ref.AddAggregated(o.Key, o.Time, o.Size)
+				} else {
+					live.AddBatch(tape[:n])
+					ref.AddBatch(tape[:n])
+				}
 				tape = tape[n:]
-				crossed := before+int64(n) > live.narrowMax
-				if live.wide != crossed {
-					t.Fatalf("%s bin %d: %d packets after a batch of %d, limit %d: wide = %v", s.name, bin, before+int64(n), n, live.narrowMax, live.wide)
-				}
-				if crossed && !widened {
-					widened = true
-					if before >= live.narrowMax {
-						t.Fatalf("%s bin %d: the widening batch starts at the limit, not across it", s.name, bin)
-					}
-					for i := range live.rows32 {
-						live.rows32[i] = 1<<32 - 1 // dead until Reset
-					}
-				}
-				cmMatchesRef(t, fmt.Sprintf("%s bin %d, %d left", s.name, bin, len(tape)), live, ref, s.keys, true)
-			}
-			if !widened {
-				t.Fatalf("%s bin %d: never crossed the limit", s.name, bin)
+				cmMatchesRef(t, fmt.Sprintf("%s bin %d, %d left", s.name, bin, len(tape)), live, ref, s.keys)
 			}
 			live.Reset()
 			ref.Reset()
-			if live.wide || slices.ContainsFunc(live.rows32, func(v uint32) bool { return v != 0 }) {
-				t.Fatalf("%s: Reset left the counters wide or dirty", s.name)
-			}
 		}
 	}
 }

@@ -9,16 +9,14 @@ import (
 
 // slots is the tracked-flow store under both bounded summaries: at most
 // k slots of a flow's key and counts (Flat's 32-byte flatSlot, two to a
-// cache line), the flows' first and last packet times in a side array
-// that only a timestamp-keeping store has (a count-only one, from
-// Spec.NewCounts, reports zero First and Last), a key index over the
-// slots, an indexed min-heap of slot ids ordered by entries[id].Packets
-// (so the weakest tracked flow is h[0] and a slot whose count grew is
-// re-seated in O(log k)), and the exact packet/byte totals of everything
-// accounted. A slot id never changes
-// once assigned — a takeover rewrites the slot in place — so AppendAll's
-// slot order is first-tracked order. Everything is pre-sized at
-// construction: steady-state adds allocate nothing.
+// cache line), the flows' first and last packet times in a side array, a
+// key index over the slots, an indexed min-heap of slot ids ordered by
+// entries[id].Packets (so the weakest tracked flow is h[0] and a slot
+// whose count grew is re-seated in O(log k)), and the exact packet/byte
+// totals of everything accounted. A slot id never changes once assigned —
+// a takeover rewrites the slot in place — so AppendAll's slot order is
+// first-tracked order. Everything is pre-sized at construction:
+// steady-state adds allocate nothing.
 //
 // The key index is an open-addressed array of words, (high half of the
 // key's FastHash) << 32 | slot id + 1, zero when empty, sized to keep the
@@ -35,7 +33,7 @@ import (
 type slots struct {
 	k       int
 	entries []flatSlot  // len <= k
-	times   []flatTimes // slot id -> its timestamps; nil when kept none
+	times   []flatTimes // slot id -> its timestamps
 	hashes  []uint64    // slot id -> entries[id].Key.FastHash()
 	h       []int32     // min-heap of slot ids ordered by entries[id].Packets
 	pos     []int32     // slot id -> heap index
@@ -49,22 +47,18 @@ type slots struct {
 // packet of an untracked flow — ends after 1.5 words on average.
 const slotsIndexWordsPerSlot = 2
 
-// newSlots returns an empty store of k slots, k clamped to [1, MaxSlots],
-// keeping each flow's timestamps when times is set.
-func newSlots(k int, times bool) slots {
+// newSlots returns an empty store of k slots, k clamped to [1, MaxSlots].
+func newSlots(k int) slots {
 	k = min(max(k, 1), MaxSlots)
-	s := slots{
+	return slots{
 		k:       k,
 		entries: make([]flatSlot, 0, k),
+		times:   make([]flatTimes, 0, k),
 		hashes:  make([]uint64, 0, k),
 		h:       make([]int32, 0, k),
 		pos:     make([]int32, 0, k),
 		index:   make([]uint64, 1<<bits.Len(uint(slotsIndexWordsPerSlot*k-1))),
 	}
-	if times {
-		s.times = make([]flatTimes, 0, k)
-	}
-	return s
 }
 
 // find returns the slot tracking key, whose FastHash is hash.
@@ -128,9 +122,7 @@ func (s *slots) indexDelete(id int32) {
 func (s *slots) insert(e flatSlot, time float64, hash uint64) {
 	id := int32(len(s.entries)) // also the heap's next leaf: every slot is in h
 	s.entries = append(s.entries, e)
-	if s.times != nil {
-		s.times = append(s.times, flatTimes{First: time, Last: time})
-	}
+	s.times = append(s.times, flatTimes{First: time, Last: time})
 	s.hashes = append(s.hashes, hash)
 	s.indexPut(hash, id)
 	s.pos = append(s.pos, id)
@@ -146,9 +138,7 @@ func (s *slots) insert(e flatSlot, time float64, hash uint64) {
 func (s *slots) takeover(id int32, e flatSlot, time float64, hash uint64) {
 	s.indexDelete(id)
 	s.entries[id] = e
-	if s.times != nil {
-		s.times[id] = flatTimes{First: time, Last: time}
-	}
+	s.times[id] = flatTimes{First: time, Last: time}
 	s.hashes[id] = hash
 	s.indexPut(hash, id)
 	s.siftDown(s.pos[id])
@@ -161,9 +151,7 @@ func (s *slots) takeover(id int32, e flatSlot, time float64, hash uint64) {
 func (s *slots) hit(id int32, time float64, size int64) *flatSlot {
 	e := &s.entries[id]
 	e.Bytes += size
-	if s.times != nil {
-		s.times[id].Last = time
-	}
+	s.times[id].Last = time
 	return e
 }
 
@@ -229,15 +217,10 @@ func (s *slots) TotalPackets() int64 { return s.packets }
 // TotalBytes returns the exact number of accounted bytes.
 func (s *slots) TotalBytes() int64 { return s.bytesT }
 
-// entry returns slot id's flow as an Entry, with zero timestamps when the
-// store keeps none.
+// entry returns slot id's flow as an Entry.
 func (s *slots) entry(id int) Entry {
 	e := &s.entries[id]
-	out := Entry{Key: e.Key, Packets: e.Packets, Bytes: e.Bytes}
-	if s.times != nil {
-		out.First, out.Last = s.times[id].First, s.times[id].Last
-	}
-	return out
+	return Entry{Key: e.Key, Packets: e.Packets, Bytes: e.Bytes, First: s.times[id].First, Last: s.times[id].Last}
 }
 
 // Lookup returns the entry for an (aggregated) key, if tracked.

@@ -26,7 +26,7 @@ func meanIndexDisplacement(s *slots) float64 {
 func TestSlotsIndexIgnoresShardBits(t *testing.T) {
 	const k = 1 << 16 // 131072 index words: load 1/2 when full
 	displacement := func(keep func(uint64) bool) float64 {
-		s := newSlots(k, false)
+		s := newSlots(k)
 		for id := uint32(0); s.Len() < k; id++ {
 			key := flow.Key{
 				Src: flow.Addr{byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)},
@@ -72,7 +72,7 @@ func FuzzSlotsIndex(f *testing.F) {
 			return flow.Key{Src: flow.Addr{a, 0, 0, 1}, Proto: flow.ProtoTCP},
 				uint64(a&15)<<flatHomeShift | uint64(a>>5)<<40
 		}
-		s := newSlots(k, false)
+		s := newSlots(k)
 		ref := map[flow.Key]int32{}
 		for step := 0; len(data) >= 3; step++ {
 			op, a, c := data[0], data[1], data[2]

@@ -30,12 +30,8 @@ type SpaceSaving struct {
 
 // NewSpaceSaving returns a Space-Saving summary with k counter slots (k
 // clamped to [1, MaxSlots]).
-func NewSpaceSaving(agg flow.Aggregator, k int) *SpaceSaving { return newSpaceSaving(agg, k, true) }
-
-// newSpaceSaving is NewSpaceSaving, keeping timestamps only when times is
-// set.
-func newSpaceSaving(agg flow.Aggregator, k int, times bool) *SpaceSaving {
-	sl := newSlots(k, times)
+func NewSpaceSaving(agg flow.Aggregator, k int) *SpaceSaving {
+	sl := newSlots(k)
 	return &SpaceSaving{slots: sl, agg: agg, errs: make([]int64, 0, sl.k)}
 }
 

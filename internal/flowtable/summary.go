@@ -119,18 +119,18 @@ const defaultSketchSlots = 4096
 
 // MaxSlots is the largest slot budget a bounded Spec accepts, far inside
 // the int32 slot ids the sketches' heaps and index words use. A slot
-// costs 64 B (key and counts 32, its hash 8, heap and position 4 + 4, two
-// index words 16) and 16 B more with timestamps; Space-Saving adds an 8 B
-// error term and Count-Min 64 B of counters (cmDepth rows x 4 per slot x
-// 4 B), 128 B more in a bin whose counters widened: about 1.3, 1.5 and
-// 2.4 GB per timestamped table at the maximum, two tables per shard.
-// Count-Min's slab is then cmDepth x 4 x MaxSlots = 2^28 counters, which
-// is what lets AddBatch save a counter's position as a uint32 (cmOffsets).
+// costs 80 B (key and counts 32, its timestamps 16, its hash 8, heap and
+// position 4 + 4, two index words 16); Space-Saving adds an 8 B error term
+// and Count-Min 128 B of counters (cmDepth rows x 4 per slot x 8 B): 1.3,
+// 1.5 and 3.5 GB per shard at the maximum. Count-Min's slab is then
+// cmDepth x 4 x MaxSlots = 2^28 counters, which is what lets AddBatch save
+// a counter's position as a uint32 (cmOffsets).
 const MaxSlots = 1 << 24
 
-// Spec selects and sizes the Summary implementation a stream shard uses.
-// The zero Spec is the exact open-addressing table at its default
-// pre-size — the configuration every existing caller gets implicitly.
+// Spec selects and sizes the Summary implementation of a stream shard's
+// sampled table (its original table is NewCounts', exact). The zero Spec
+// is the exact open-addressing table at its default pre-size — the
+// configuration every existing caller gets implicitly.
 type Spec struct {
 	Kind Kind
 	// Slots is the memory budget in flow slots. For the exact kinds it is
@@ -193,24 +193,23 @@ func (s Spec) New(agg flow.Aggregator) (Summary, error) {
 	}
 }
 
-// NewCounts is New for a table nothing reads a timestamp from: Flat and
-// the two sketches then keep a flow's key and counts only, in 32-byte
-// slots, and their entries carry zero First and Last. The map kind, the
-// reference, is built as New builds it.
+// NewCounts builds the exact table the stream engine scores a spec's
+// sampled table against, one nothing reads a timestamp from: the map
+// reference for the map kind, as New builds it, and for every other kind
+// a Flat that keeps a flow's key and counts only, in 32-byte slots, whose
+// entries carry zero First and Last. A bounded kind's Slots caps its
+// sketch and is no size hint, so that Flat starts at the default size.
 func (s Spec) NewCounts(agg flow.Aggregator) (Summary, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	switch s.Kind {
-	case KindMap:
+	if s.Kind == KindMap {
 		return New(agg), nil
-	case KindSpaceSaving:
-		return newSpaceSaving(agg, s.sketchSlots(), false), nil
-	case KindCountMin:
-		return newCountMin(agg, s.sketchSlots(), false), nil
-	default:
-		return newFlat(agg, s.Slots, false), nil
 	}
+	if !s.Exact() {
+		s.Slots = 0
+	}
+	return newFlat(agg, s.Slots, false), nil
 }
 
 // ParseSpec maps a flowtop -table/-memory flag pair to a Spec.

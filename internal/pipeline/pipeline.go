@@ -44,8 +44,8 @@ type Config struct {
 	Seed   uint64          // of the Bernoulli sampler
 	TopT   int             // ranked top-list length
 	// BinSeconds is the measurement bin width; Workers is the engine's
-	// shard count (0 = its default), Tables its per-shard flow accounting
-	// (zero = exact).
+	// shard count (0 = its default), Tables its per-shard sampled flow
+	// accounting (zero = exact; the original tables are always exact).
 	BinSeconds float64
 	Workers    int
 	Tables     flowtable.Spec

@@ -60,8 +60,8 @@ func (s *Bernoulli) String() string { return fmt.Sprintf("bernoulli(p=%g)", s.P)
 // Periodic keeps one packet out of every Every packets — the "collect one
 // packet every period" policy routers actually implement. The phase is
 // randomized per run; [10] (cited in §2) found periodic and random
-// sampling indistinguishable on high-speed links, which
-// TestPeriodicMatchesBernoulliMetrics reproduces.
+// sampling indistinguishable on high-speed links. No test pins that
+// equivalence for this monitor yet: that is ROADMAP 3(b).
 type Periodic struct {
 	Every   int
 	seed    uint64

@@ -35,8 +35,8 @@ func closeBin(sizes []int) []packet.Packet {
 }
 
 // referenceClose closes a one-bin trace the whole-bin way: per shard an
-// original and a sampled table of the spec's kind, fed in trace order the
-// packets whose key falls in the shard; every original flow copied out
+// exact original table (the map reference) and a sampled table of the
+// spec's kind, fed in trace order the packets whose key falls in the shard; every original flow copied out
 // with its sampled count joined beside it; the top list ranked to the
 // front of the whole list with the counts moving along; and the pairs
 // counted over the whole list — by CountSwappedCounts, which must agree
@@ -49,7 +49,7 @@ func referenceClose(t *testing.T, pkts []packet.Packet, smp sampler.Sampler, spe
 	orig := make([]flowtable.Summary, workers)
 	samp := make([]flowtable.Summary, workers)
 	for i := range orig {
-		orig[i], _ = spec.New(agg)
+		orig[i] = flowtable.New(agg)
 		samp[i], _ = spec.New(agg)
 	}
 	for _, p := range pkts {
@@ -149,7 +149,8 @@ func selectTopAligned(es []flowtable.Entry, aux []int64, t int) {
 // stress the scorer: fewer flows than the list, two flows, all sizes
 // equal, the list's last size tied by flows spread over the shards, top
 // flows that sampling missed, and one giant among mice. The bounded kinds
-// get so few slots that the larger bins evict.
+// get so few slots that the larger bins evict from the sampled table; the
+// original side is exact for every kind.
 func TestShardCloseMatchesWholeBinClose(t *testing.T) {
 	ties := []int{40, 39, 38, 37, 36, 35}
 	for range 50 {

@@ -12,15 +12,17 @@
 // measurements). Every shard — a lone one included — runs on its own
 // worker goroutine, so the reader's decode, sampling and hashing overlap
 // the tables' ingest. Each of the W shards owns its own original/sampled
-// flowtable.Summary pair (the exact open-addressing table by default, or a
-// bounded Space-Saving/Count-Min sketch via Config.Tables) and ingests a
-// batch with one AddBatch per table, which addresses its slots, its key
-// index and its counter rows from the hash the batch carries, so the hot
-// path takes no locks, shares no state, and a table too large for the
-// cache overlaps a batch's memory misses. The original table is the
-// evaluation oracle the sampled one is scored against: it keeps counts
-// only (flowtable.Spec.NewCounts), no timestamps, whatever the kind but
-// the map reference.
+// flowtable.Summary pair and ingests a batch with one AddBatch per table,
+// which addresses its slots, its key index and its counter rows from the
+// hash the batch carries, so the hot path takes no locks, shares no state,
+// and a table too large for the cache overlaps a batch's memory misses.
+// The original table is the evaluation oracle the sampled one is scored
+// against, and it is exact whatever Config.Tables names: the exact
+// open-addressing table keeping counts only, no timestamps
+// (flowtable.Spec.NewCounts), or the map reference under the map kind.
+// Config.Tables selects the sampled table alone, which a bounded
+// Space-Saving or Count-Min sketch can cap. The oracle is the ground truth
+// a live monitor never has, so its memory grows with the bin's flows.
 //
 // At each bin boundary a two-step barrier closes the bin where its flows
 // live, and only top lists, pair counts, sampled counts and totals leave
@@ -53,10 +55,12 @@
 // the whole key space, and the cross-check tests pin Workers == N to the
 // sequential reference exactly (top lists, metrics and totals as
 // delivered), in the same spirit as the model engine's Workers=1-vs-N
-// tests.
-// Bounded summaries keep that determinism only per fixed worker count —
-// the shard partition is part of a sketch's input — so across worker
-// counts they agree within BinResult.CountErr instead.
+// tests. With a bounded sampled table the oracle's side of a bin — Flows,
+// OrigTop and the original totals — is still the same for any worker
+// count, equal to an exact run's. The sampled side is deterministic only
+// per fixed worker count — the shard partition is part of a sketch's
+// input — so across worker counts its counts agree within
+// BinResult.CountErr instead.
 package stream
 
 import (
@@ -103,12 +107,13 @@ type Config struct {
 	// the merged multiset of sampled counts, never on worker count or
 	// batch size.
 	Inverter invert.Estimator
-	// Tables selects the per-shard flow-accounting implementation for both
-	// the original and sampled tables (flowtop -table/-memory). The zero
-	// Spec is the exact open-addressing table. Bounded kinds (spacesaving,
-	// countmin) cap each shard at Tables.Slots flows; their results carry
-	// the per-flow overcount bound in BinResult.CountErr and are
-	// deterministic only per fixed worker count.
+	// Tables selects the per-shard flow-accounting implementation of the
+	// sampled table (flowtop -table/-memory); the original table is exact
+	// whatever it names. The zero Spec is the exact open-addressing table.
+	// Bounded kinds (spacesaving, countmin) cap each shard's sampled table
+	// at Tables.Slots flows; their sampled counts carry the per-flow
+	// overcount bound in BinResult.CountErr and are deterministic only per
+	// fixed worker count.
 	Tables flowtable.Spec
 	// Recycle, when set, reuses the arrays of BinResult's two top lists,
 	// OrigTop and SampledTop, across bins: steady-state bins allocate
@@ -159,10 +164,11 @@ type BinResult struct {
 	// or too few for the estimator. Both are nil without an Inverter.
 	Inversion    *invert.Estimate
 	InversionErr error
-	// CountErr is the worst-case per-flow packet overcount of any entry in
-	// this result: 0 for exact tables, the maximum shard ErrorBound for
-	// bounded summaries (deterministic for Space-Saving, probabilistic —
-	// holding per flow with probability >= 1 - 2^-4 — for Count-Min).
+	// CountErr is the worst-case per-flow packet overcount of any sampled
+	// count in this result: 0 for an exact sampled table, the maximum shard
+	// ErrorBound of a bounded one (deterministic for Space-Saving,
+	// probabilistic — holding per flow with probability >= 1 - 2^-4 — for
+	// Count-Min). The original side is exact.
 	CountErr int64
 	// Stages is the flush timing known when the bin is emitted: Barrier,
 	// Merge and Invert, on every bin. Emit and Total time the emit
@@ -285,7 +291,7 @@ func (s *shard) close(c *binClose) shardSummary {
 		origBytes:   s.orig.TotalBytes(),
 		sampPackets: s.samp.TotalPackets(),
 		sampBytes:   s.samp.TotalBytes(),
-		countErr:    max(s.orig.ErrorBound(), s.samp.ErrorBound()),
+		countErr:    s.samp.ErrorBound(),
 	}
 	for i := range c.counts {
 		c.counts[i] = float64(s.sampBuf[i].Packets)
@@ -334,8 +340,8 @@ func (s *shard) detection(c *binClose) int64 {
 		if e.Packets < reach {
 			continue
 		}
-		o, ok := s.orig.Lookup(e.Key)
-		if !ok || !flowtable.Less(last, o) { // not tracked, or in the list
+		o, _ := s.orig.Lookup(e.Key)
+		if !flowtable.Less(last, o) { // in the list
 			continue
 		}
 		sum += c.score.Score(o.Packets, e.Packets) - c.score.Score(o.Packets, 0)

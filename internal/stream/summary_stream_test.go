@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"flowrank/internal/flow"
@@ -107,8 +108,9 @@ func TestEngineRecycleMatches(t *testing.T) {
 
 // TestEngineBoundedDeterminism: for a fixed worker count and input, the
 // bounded summaries are fully deterministic — two runs produce identical
-// bin streams. (Across worker counts only the error bound is promised:
-// the shard partition is part of a sketch's input.)
+// bin streams. (Across worker counts the original side is identical, and
+// the sampled side is promised only its error bound: the shard partition
+// is part of a sketch's input. TestEngineBoundedErrorBound checks both.)
 func TestEngineBoundedDeterminism(t *testing.T) {
 	pkts := makePackets(t, 15, 150, 37)
 	for _, kind := range []flowtable.Kind{flowtable.KindSpaceSaving, flowtable.KindCountMin} {
@@ -134,9 +136,11 @@ func TestEngineBoundedDeterminism(t *testing.T) {
 }
 
 // TestEngineBoundedErrorBound: every count a bounded summary reports in a
-// bin's two top lists must bracket the exact count from above within the
-// bin's CountErr — across worker counts, where bit-identity is not
-// promised — while the exact totals stay exact.
+// bin's sampled top list must bracket the exact count from above within
+// the bin's CountErr — across worker counts, where bit-identity of the
+// sampled side is not promised — while the totals stay exact, and the
+// original side (Flows, OrigTop, the original totals) is the exact run's
+// at every worker count: a bounded -table bounds the sampled table only.
 func TestEngineBoundedErrorBound(t *testing.T) {
 	pkts := makePackets(t, 15, 200, 43)
 	base := func(spec flowtable.Spec, workers int) Config {
@@ -154,9 +158,8 @@ func TestEngineBoundedErrorBound(t *testing.T) {
 	if len(exactSampled) != len(exact) {
 		t.Fatalf("reference has %d bins, engine %d", len(exactSampled), len(exact))
 	}
-	exactOrig := referenceSampledCounts(pkts, flow.FiveTuple{}, sampler.NewBernoulli(1, 47), 5, flowtable.Spec{}, 1)
 	for _, kind := range []flowtable.Kind{flowtable.KindSpaceSaving, flowtable.KindCountMin} {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 3, 4} {
 			got := runEngine(t, base(flowtable.Spec{Kind: kind, Slots: 48}, workers), pkts)
 			if len(got) != len(exact) {
 				t.Fatalf("kind=%v workers=%d: %d bins, want %d", kind, workers, len(got), len(exact))
@@ -167,21 +170,18 @@ func TestEngineBoundedErrorBound(t *testing.T) {
 					b.OrigBytes != exact[i].OrigBytes || b.SampledBytes != exact[i].SampledBytes {
 					t.Fatalf("kind=%v workers=%d bin %d: totals diverge from exact", kind, workers, b.Bin)
 				}
+				if b.Flows != exact[i].Flows || !slices.Equal(b.OrigTop, exact[i].OrigTop) {
+					t.Fatalf("kind=%v workers=%d bin %d: %d flows, top %v; exact run %d flows, top %v",
+						kind, workers, b.Bin, b.Flows, b.OrigTop, exact[i].Flows, exact[i].OrigTop)
+				}
 				if b.CountErr > 0 {
 					pressured++
 				}
-				check := func(key flow.Key, est int64, truth map[flow.Key]int64, label string) {
-					tr := truth[key]
-					if est < tr || est > tr+b.CountErr {
-						t.Fatalf("kind=%v workers=%d bin %d %s: estimate %d outside [%d, %d]",
-							kind, workers, b.Bin, label, est, tr, tr+b.CountErr)
-					}
-				}
 				for _, e := range b.SampledTop {
-					check(e.Key, e.Packets, exactSampled[i], "sampled top")
-				}
-				for _, e := range b.OrigTop {
-					check(e.Key, e.Packets, exactOrig[i], "orig top")
+					if tr := exactSampled[i][e.Key]; e.Packets < tr || e.Packets > tr+b.CountErr {
+						t.Fatalf("kind=%v workers=%d bin %d sampled top: estimate %d outside [%d, %d]",
+							kind, workers, b.Bin, e.Packets, tr, tr+b.CountErr)
+					}
 				}
 			}
 			if pressured == 0 {
@@ -239,8 +239,9 @@ func referenceSampledCounts(pkts []packet.Packet, agg flow.Aggregator, smp sampl
 // map form of the pair count over the original and sampled counts a
 // sequential reference holds — every original flow scored against its own
 // sampled count, found in its own shard — and Flows and SampledFlows must
-// be that reference's flow counts. With a rate-1 sampler the reference
-// holds the original tables.
+// be that reference's flow counts. With a rate-1 sampler and the exact
+// spec the reference holds the original tables, which are exact for every
+// kind.
 func TestEnginePairsMatchMapReference(t *testing.T) {
 	pkts := makePackets(t, 15, 150, 61)
 	const binSec, topT, rate = 5.0, 10, 0.3
@@ -251,7 +252,7 @@ func TestEnginePairsMatchMapReference(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3} {
 			want := referenceSampledCounts(pkts, flow.FiveTuple{}, sampler.NewBernoulli(rate, 67), binSec, spec, workers)
-			orig := referenceSampledCounts(pkts, flow.FiveTuple{}, sampler.NewBernoulli(1, 67), binSec, spec, workers)
+			orig := referenceSampledCounts(pkts, flow.FiveTuple{}, sampler.NewBernoulli(1, 67), binSec, flowtable.Spec{}, workers)
 			for _, batch := range []int{7, 2048} {
 				label := fmt.Sprintf("spec=%v workers=%d batch=%d", spec, workers, batch)
 				got := runEngine(t, Config{

@@ -3,7 +3,9 @@
 # formats, run the monitor on one shard (-workers 1), on four (-workers 4)
 # and on three (-workers 3, a partition by hash modulo rather than by
 # mask), and require byte-identical bin reports and NetFlow exports, and a journal that validates with one record, stage timings
-# included, per reported bin; then read one capture above source.Open's read-ahead threshold
+# included, per reported bin; run the two bounded sampled tables at one and
+# three shards and require the exact run's flow counts and true top lists;
+# then read one capture above source.Open's read-ahead threshold
 # both ways it can be read, and require the same bytes again. CI runs this
 # after the unit suite; locally: make e2e.
 set -eu
@@ -44,6 +46,23 @@ if [ "$records" != "$bins" ] || [ "$staged" != "$bins" ]; then
     exit 1
 fi
 
+# A bounded -table caps the sampled table only: the original side of every
+# bin (its flow count and true top list) is the exact run's, at any worker
+# count. origside prints that side of a report, one bin header's flow count
+# or one true top-list row (rank, flow, packets) a line.
+origside() {
+    awk '/^== bin/ { print $2, $3, $4 } /^ +[0-9]+ / { print $1, $2, $3, $4, $5, $6 }' "$1"
+}
+origside "$dir/one.txt" >"$dir/exact-orig.txt"
+for table in countmin spacesaving; do
+    for w in 1 3; do
+        "$dir/flowtop" -in "$dir/trace.pkts" -p 0.1 -t 5 -bin 4 -seed 7 -workers $w \
+            -table $table -memory 64 >"$dir/$table-$w.txt"
+        grep -q 'count err <=' "$dir/$table-$w.txt"
+        origside "$dir/$table-$w.txt" | diff "$dir/exact-orig.txt" -
+    done
+done
+
 # The closed loop: a parametric inversion and a rate refit after every bin,
 # run on the reader goroutine, so the retuned rates must not depend on the
 # worker count either.
@@ -77,4 +96,4 @@ cmp "$dir/ahead-1.txt" "$dir/ahead-4.txt"
 test -s "$dir/ahead-1.txt"
 test -s "$dir/ahead-1.nf5"
 
-echo "flowtop e2e: one-shard and four-shard outputs identical (native, native -adapt, pcap), three-shard too (native); journal valid, one staged record per bin; a large capture decoded ahead reads as it does through a pipe"
+echo "flowtop e2e: one-shard and four-shard outputs identical (native, native -adapt, pcap), three-shard too (native); journal valid, one staged record per bin; countmin and spacesaving at -memory 64 report the exact run's flow counts and true top lists at one and three shards; a large capture decoded ahead reads as it does through a pipe"
