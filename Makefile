@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short short-times vet fmt check race bench bench-pairs microbench bench-smoke e2e e2e-daemon e2e-obs fuzz-smoke cover lint loc examples
+.PHONY: all build test short short-times vet fmt check race bench bench-pairs identity microbench bench-smoke e2e e2e-daemon e2e-obs fuzz-smoke cover lint loc examples
 
 all: check
 
@@ -98,6 +98,14 @@ SEED ?= 1
 bench-pairs:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs BASE=<rev> WORKLOAD=<name> [N=10] [SEED=1]"; exit 2; }
 	./scripts/bench_pairs.sh "$(BASE)" "$(WORKLOAD)" "$(N)" "$(SEED)"
+
+# Byte identity of flowtop's report and NetFlow export between revision
+# BASE and the working tree, on reduced-scale traces of the benchmark's
+# four workloads at -workers 1, 2 and 4 (scripts/identity.sh, under a
+# minute on two vCPUs after the builds).
+identity:
+	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }
+	./scripts/identity.sh "$(BASE)"
 
 # Every Go micro-benchmark of the root module, one iteration each.
 microbench:

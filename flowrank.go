@@ -377,12 +377,12 @@ func StreamRank(records []FlowRecord, seed uint64, cfg StreamConfig, emit func(S
 // ---------------------------------------------------------------------------
 // Packet sources and the monitoring daemon (internal/source, internal/daemon)
 
-// PacketSource is the unified ingestion interface: NextBlock fills a
-// buffer with the next packets and returns how many — at least one with a
-// nil error, or none with the error (io.EOF at a clean end), never both —
-// without waiting for more than the first, so a slow stream still yields
-// each packet as it arrives; Next is its one-packet form, filling the
-// packet in place. Close releases the source and, from another goroutine,
+// PacketSource is the unified ingestion interface: NextBlock, every
+// source's one read, fills a buffer with the next packets and returns how
+// many — at least one with a nil error, or none with the error (io.EOF at
+// a clean end), never both — without waiting for more than the first, so
+// a slow stream still yields each packet as it arrives; Next is NextBlock
+// of one packet, copied out to the caller. Close releases the source and, from another goroutine,
 // unblocks a pending read — the graceful-drain path. Trace replay, pcap
 // replay, in-memory slices, the pacing and looping decorators, and live
 // capture (in -tags live builds) all implement it, so the batch monitor

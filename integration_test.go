@@ -108,19 +108,21 @@ func TestNativeTracePipeline(t *testing.T) {
 	samp := NewFlowTable(FiveTuple{})
 	smp := NewBernoulli(0.2, 9)
 	replayed := 0
+	block := make([]Packet, 256)
 	for {
-		var p Packet
-		err := r.Read(&p)
+		n, err := r.ReadBlock(block)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayed++
-		orig.Add(p)
-		if smp.Sample(p) {
-			samp.Add(p)
+		for _, p := range block[:n] {
+			replayed++
+			orig.Add(p)
+			if smp.Sample(p) {
+				samp.Add(p)
+			}
 		}
 	}
 	if replayed != total {

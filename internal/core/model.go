@@ -38,11 +38,11 @@ type Model struct {
 	Kernel Kernel
 
 	// Workers bounds the outer-quadrature parallelism of one metric
-	// evaluation: 0 means GOMAXPROCS, 1 forces the serial path. The outer
+	// evaluation: 0 means GOMAXPROCS, 1 a pool of one worker. The outer
 	// Gauss–Legendre nodes are independent, each worker evaluates its own
 	// nodes with its own evaluation state, and the node values are merged
-	// in node order with the same compensated summation as the serial
-	// path — so every worker count produces the bit-identical metric.
+	// in node order with one compensated summation — so every worker
+	// count produces the bit-identical metric.
 	Workers int
 
 	// outerOrder is the Gauss–Legendre order per outer panel when set: a
@@ -211,32 +211,20 @@ func (m Model) DetectionMetric(p float64) float64 {
 // integrateOuter integrates the metric integrand over w in [0, 1] with
 // Gauss–Legendre panels concentrated around the top-t membership knee.
 //
-// newIntegrand builds one integrand instance with its own evaluation
-// state (the law taken apart, scratch buffers); the serial path builds one,
-// the parallel path one per worker so workers never share mutable state.
-// Because every node value is a pure function of the node abscissa, and
-// the parallel merge reduces the node values in the same order with the
-// same compensated summation as the serial loop, both paths return the
-// bit-identical integral.
+// A pool of outerWorkers goroutines, never more than there are nodes,
+// evaluates every (panel, node) abscissa; newIntegrand builds one
+// integrand instance per worker with its own evaluation state (the law
+// taken apart, scratch buffers), so workers never share mutable state.
+// The node values are then reduced panel by panel in node order with the
+// same compensated summation as numeric.GaussLegendre. Every node value is
+// a pure function of its abscissa, so the integral is bit-identical at
+// every worker count, one included.
 func (m Model) integrateOuter(newIntegrand func() numeric.Func1) float64 {
 	panels := m.outerPanels()
 	order := m.order()
-	workers := m.outerWorkers()
 	nPanels := len(panels) - 1
-	if workers > nPanels*order {
-		workers = nPanels * order
-	}
-	if workers <= 1 {
-		f := newIntegrand()
-		var acc numeric.KahanSum
-		for i := 0; i < nPanels; i++ {
-			acc.Add(numeric.GaussLegendre(f, panels[i], panels[i+1], order))
-		}
-		return acc.Sum()
-	}
-	// Evaluate all (panel, node) abscissas across the pool, then reduce
-	// panel by panel in node order.
 	vals := make([]float64, nPanels*order)
+	workers := min(m.outerWorkers(), len(vals))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

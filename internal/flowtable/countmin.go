@@ -40,19 +40,7 @@ type CountMin struct {
 	agg   flow.Aggregator
 	width uint64  // power of two
 	rows  []int64 // cmDepth rows of width counters, one slab
-	// touched absorbs AddBatch's early loads so the compiler keeps them.
-	touched uint64
 }
-
-// cmOffsets is one key's counter in every row, as indices into rows.
-// uint32 holds them: newSlots caps k at MaxSlots, where the slab is
-// cmDepth x 4 x MaxSlots = 2^28 counters. It is filled and read element by
-// element through a pointer, never copied: a copy is one 16-byte load over
-// four 4-byte stores made an instruction earlier, which the store buffer
-// cannot forward — that copy was half of AddBatch's own time.
-type cmOffsets [cmDepth]uint32
-
-const _ = uint32(cmDepth*4*MaxSlots - 1) // does not compile if MaxSlots outgrows cmOffsets
 
 // NewCountMin returns a Count-Min summary tracking k flows (k clamped to
 // [1, MaxSlots]) over a counter array of width 4k per row (rounded up to
@@ -64,10 +52,9 @@ func NewCountMin(agg flow.Aggregator, k int) *CountMin {
 }
 
 // offset returns the index into rows of the row-r counter of a key whose
-// FastHash is h — the one formula behind Estimate, the per-packet path and
-// AddBatch's groups.
-func (c *CountMin) offset(h uint64, r int) uint32 {
-	return uint32(uint64(r)*c.width + cmMix(h^cmSeeds[r])&(c.width-1))
+// FastHash is h — the one formula behind Estimate and the per-packet path.
+func (c *CountMin) offset(h uint64, r int) uint64 {
+	return uint64(r)*c.width + cmMix(h^cmSeeds[r])&(c.width-1)
 }
 
 // cmMix finalizes a seeded hash into a row index base (splitmix64
@@ -92,22 +79,16 @@ func (c *CountMin) Add(p packet.Packet) {
 //
 //flowrank:hotpath
 func (c *CountMin) AddAggregated(key flow.Key, time float64, size int64) {
-	h := key.FastHash()
-	var o cmOffsets
-	for r := range o {
-		o[r] = c.offset(h, r)
-	}
-	c.add(key, h, &o, time, size)
+	c.add(key, key.FastHash(), time, size)
 }
 
-// add accounts one packet of the flow key, whose FastHash is hash and
-// whose counters are at o.
+// add accounts one packet of the flow key, whose FastHash is hash.
 //
 //flowrank:hotpath
-func (c *CountMin) add(key flow.Key, hash uint64, o *cmOffsets, time float64, size int64) {
+func (c *CountMin) add(key flow.Key, hash uint64, time float64, size int64) {
 	c.packets++
 	c.bytesT += size
-	est := c.bump(o)
+	est := c.bump(hash)
 	full := len(c.entries) == c.k
 	// A full table whose weakest count est does not beat has nothing to
 	// do: the flow is not tracked — a tracked flow's count is at least
@@ -135,16 +116,16 @@ func (c *CountMin) add(key flow.Key, hash uint64, o *cmOffsets, time float64, si
 	c.takeover(c.h[0], flatSlot{Key: key, Packets: est, Bytes: size}, time, hash)
 }
 
-// bump increments the counter at o in every row and returns the new
-// min-over-rows estimate.
+// bump increments, in every row, the counter of the key whose FastHash
+// is h and returns the new min-over-rows estimate.
 //
 //flowrank:hotpath
-func (c *CountMin) bump(o *cmOffsets) int64 {
-	est := c.rows[o[0]] + 1
-	c.rows[o[0]] = est
-	for r := 1; r < cmDepth; r++ {
-		v := c.rows[o[r]] + 1
-		c.rows[o[r]] = v
+func (c *CountMin) bump(h uint64) int64 {
+	est := int64(math.MaxInt64)
+	for r := 0; r < cmDepth; r++ {
+		j := c.offset(h, r)
+		v := c.rows[j] + 1
+		c.rows[j] = v
 		est = min(est, v)
 	}
 	return est
@@ -171,37 +152,13 @@ func (c *CountMin) ErrorBound() int64 {
 }
 
 // AddBatch accounts the observations in order, exactly as one
-// AddAggregated per observation would, without hashing: the row offsets
-// come from each observation's supplied hash. A packet costs four counter
-// updates in four rows plus an index probe, each a likely cache miss that
-// AddAggregated takes one after another; here every group of
-// flatBatchGroup observations first derives all its offsets and loads
-// those counters and index home words together (Flat.AddBatch's idiom),
-// then increments and updates the tracked slots in trace order from the
-// saved offsets — so a key repeated inside a group still sees its own
-// earlier increment.
+// AddAggregated per observation would, taking each key's hash from the
+// observation.
 //
 //flowrank:hotpath
 func (c *CountMin) AddBatch(batch []Observation) {
-	var offs [flatBatchGroup]cmOffsets
-	imask := uint64(len(c.index) - 1)
-	for len(batch) > 0 {
-		g := batch[:min(flatBatchGroup, len(batch))]
-		batch = batch[len(g):]
-		var touched uint64
-		for i := range g {
-			h := g[i].Hash
-			for r := range offs[i] {
-				j := c.offset(h, r)
-				offs[i][r] = j
-				touched += uint64(c.rows[j])
-			}
-			touched += c.index[flatHome(h, imask)]
-		}
-		c.touched += touched
-		for i := range g {
-			c.add(g[i].Key, g[i].Hash, &offs[i], g[i].Time, g[i].Size)
-		}
+	for i := range batch {
+		c.add(batch[i].Key, batch[i].Hash, batch[i].Time, batch[i].Size)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 
 // refCountMin is CountMin as it was before its slots narrowed to 32 bytes,
 // and before a full table's add returned early when the estimate could
-// not take a slot over: 48-byte Entry slots with timestamps, and every add
-// probing the key index. The
+// not take a slot over: 48-byte Entry slots with timestamps, every add
+// probing the key index, and an AddBatch that loads the counters and index
+// words of flatBatchGroup observations together before adding them. The
 // lockstep tests (countmin_test.go) hold the live CountMin to it. The
 // slot store under it is refSlots, the tracked-slot store of the same
 // revision. Comments are dropped; the code is unchanged but for the names.
@@ -192,6 +193,11 @@ type refCountMin struct {
 	touched uint64
 }
 
+// refCMOffsets is one key's counter in every row, as indices into rows:
+// the grouped AddBatch saves them between the pass that loads a group's
+// counters and the pass that adds its observations.
+type refCMOffsets [cmDepth]uint32
+
 func newRefCountMin(agg flow.Aggregator, k int) *refCountMin {
 	sl := newRefSlots(k)
 	width := uint64(1) << bits.Len(uint(4*sl.k-1))
@@ -208,14 +214,14 @@ func (c *refCountMin) Add(p packet.Packet) {
 
 func (c *refCountMin) AddAggregated(key flow.Key, time float64, size int64) {
 	h := key.FastHash()
-	var o cmOffsets
+	var o refCMOffsets
 	for r := range o {
 		o[r] = c.offset(h, r)
 	}
 	c.add(key, h, &o, time, size)
 }
 
-func (c *refCountMin) add(key flow.Key, hash uint64, o *cmOffsets, time float64, size int64) {
+func (c *refCountMin) add(key flow.Key, hash uint64, o *refCMOffsets, time float64, size int64) {
 	c.packets++
 	c.bytesT += size
 	est := c.bump(o)
@@ -236,7 +242,7 @@ func (c *refCountMin) add(key flow.Key, hash uint64, o *cmOffsets, time float64,
 	}
 }
 
-func (c *refCountMin) bump(o *cmOffsets) int64 {
+func (c *refCountMin) bump(o *refCMOffsets) int64 {
 	est := int64(1<<63 - 1)
 	for r := range o {
 		v := c.rows[o[r]] + 1
@@ -266,7 +272,7 @@ func (c *refCountMin) ErrorBound() int64 {
 }
 
 func (c *refCountMin) AddBatch(batch []Observation) {
-	var offs [flatBatchGroup]cmOffsets
+	var offs [flatBatchGroup]refCMOffsets
 	imask := uint64(len(c.index) - 1)
 	for len(batch) > 0 {
 		g := batch[:min(flatBatchGroup, len(batch))]

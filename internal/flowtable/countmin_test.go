@@ -78,10 +78,11 @@ func cmMatchesRef(t *testing.T, label string, live *CountMin, ref *refCountMin, 
 }
 
 // TestCountMinMatchesReference holds Count-Min in lockstep with its
-// previous form (refCountMin: 48-byte slots, no early return), batch
-// after batch of random lengths over two bins of each stream: moving the
-// timestamps out of the slots and returning early from adds that cannot
-// take a slot over change no answer the sketch gives.
+// previous form (refCountMin: 48-byte slots, no early return, a grouped
+// AddBatch), batch after batch of random lengths over two bins of each
+// stream: moving the timestamps out of the slots, returning early from
+// adds that cannot take a slot over and adding a batch one observation at
+// a time change no answer the sketch gives.
 func TestCountMinMatchesReference(t *testing.T) {
 	const k = 64
 	for _, s := range cmStreams(k, 20000) {

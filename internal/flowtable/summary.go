@@ -33,9 +33,11 @@ type Summary interface {
 	// AddBatch accounts the observations in order, exactly as one
 	// AddAggregated per observation would — the stream engine's ingest
 	// entry point. Flat, SpaceSaving and CountMin take each key's hash from
-	// the observation instead of computing it again, and Flat and CountMin
-	// issue the memory accesses of flatBatchGroup observations together
-	// instead of taking their cache misses one packet at a time.
+	// the observation instead of computing it again. Flat alone groups its
+	// loads: it issues the memory accesses of flatBatchGroup observations
+	// together instead of taking their cache misses one packet at a time,
+	// for the exact original table that sees every packet. The sketches
+	// see only the sampled stream and add one observation at a time.
 	AddBatch(batch []Observation)
 	// Len returns the number of flows currently tracked.
 	Len() int
@@ -122,9 +124,7 @@ const defaultSketchSlots = 4096
 // costs 80 B (key and counts 32, its timestamps 16, its hash 8, heap and
 // position 4 + 4, two index words 16); Space-Saving adds an 8 B error term
 // and Count-Min 128 B of counters (cmDepth rows x 4 per slot x 8 B): 1.3,
-// 1.5 and 3.5 GB per shard at the maximum. Count-Min's slab is then
-// cmDepth x 4 x MaxSlots = 2^28 counters, which is what lets AddBatch save
-// a counter's position as a uint32 (cmOffsets).
+// 1.5 and 3.5 GB per shard at the maximum.
 const MaxSlots = 1 << 24
 
 // Spec selects and sizes the Summary implementation of a stream shard's

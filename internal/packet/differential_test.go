@@ -65,21 +65,34 @@ func sameError(a, b error) bool {
 		a.Error() == b.Error()
 }
 
-// diffReaders drives the reader and the reference in lock step over the
-// same bytes, each behind its own wrap(...) of them, until the first
-// error. Every packet and that error must agree. It returns the packets
-// read and the final error.
-func diffReaders(t testing.TB, data []byte, wrap func(io.Reader) io.Reader) (int, error) {
+// blockLens are the block lengths ReadBlock is checked at: one record,
+// two, a length that cuts the buffered records anywhere, and the
+// pipeline's.
+var blockLens = []int{1, 2, 7, readBlock}
+
+// readBlock mirrors internal/pipeline's block length.
+const readBlock = 256
+
+// diffReaders drives the reader, at every block length, and the reference
+// in lock step over the same bytes, each behind its own wrap(...) of them,
+// until the first error. Every packet and that error must agree. It
+// returns the packets read and the final error, which every block length
+// agrees on.
+func diffReaders(t testing.TB, data []byte, wrap func(io.Reader) io.Reader) (n int, err error) {
 	t.Helper()
 	if wrap == nil {
 		wrap = func(r io.Reader) io.Reader { return r }
 	}
-	return diffStreams(t, data, wrap(bytes.NewReader(data)), wrap(bytes.NewReader(data)))
+	for _, block := range blockLens {
+		n, err = diffStreams(t, data, wrap(bytes.NewReader(data)), wrap(bytes.NewReader(data)), block)
+	}
+	return n, err
 }
 
 // diffStreams is diffReaders over two streams of the same bytes that the
-// caller made: subject is read by the reader, ref by the reference.
-func diffStreams(t testing.TB, data []byte, subject, ref io.Reader) (int, error) {
+// caller made, at one block length: subject is read by the reader's
+// ReadBlock, block records at most per call, ref by the reference.
+func diffStreams(t testing.TB, data []byte, subject, ref io.Reader, block int) (int, error) {
 	t.Helper()
 	got, gerr := NewReader(subject)
 	want, werr := newRefReader(ref)
@@ -89,23 +102,33 @@ func diffStreams(t testing.TB, data []byte, subject, ref io.Reader) (int, error)
 	if gerr != nil {
 		return 0, gerr
 	}
+	buf := make([]Packet, block)
 	// Every call consumes a byte or fails, so the bound is never reached
 	// by a reader that makes progress.
-	for i := 0; i <= len(data); i++ {
-		var gp Packet
-		gerr := got.Read(&gp)
-		wp, werr := want.Next()
-		if !sameError(gerr, werr) {
-			t.Fatalf("record %d: error %v, reference %v", i, gerr, werr)
+	for i, calls := 0, 0; calls <= len(data); calls++ {
+		n, gerr := got.ReadBlock(buf)
+		if n < 0 || n > block || (n == 0) == (gerr == nil) {
+			t.Fatalf("block %d, record %d: ReadBlock = %d records and %v", block, i, n, gerr)
 		}
-		if gerr != nil {
-			return i, gerr
+		for _, gp := range buf[:n] {
+			wp, werr := want.Next()
+			if werr != nil {
+				t.Fatalf("block %d, record %d: %+v, reference error %v", block, i, gp, werr)
+			}
+			if gp != wp {
+				t.Fatalf("block %d, record %d: %+v, reference %+v", block, i, gp, wp)
+			}
+			i++
 		}
-		if gp != wp {
-			t.Fatalf("record %d: %+v, reference %+v", i, gp, wp)
+		if gerr == nil {
+			continue
 		}
+		if _, werr := want.Next(); !sameError(gerr, werr) {
+			t.Fatalf("block %d, record %d: error %v, reference %v", block, i, gerr, werr)
+		}
+		return i, gerr
 	}
-	t.Fatalf("no error after %d records of a %d-byte trace", len(data)+1, len(data))
+	t.Fatalf("block %d: no error after %d calls on a %d-byte trace", block, len(data)+1, len(data))
 	return 0, nil
 }
 
@@ -203,33 +226,44 @@ func TestReaderBlockBoundary(t *testing.T) {
 }
 
 // TestReaderTimeout: a transient read error surfaces wrapped and a retry
-// resumes. Both readers buffer, so both meet the error at their second
-// block read, the end of this small trace.
+// resumes, at every block length. Both readers buffer, so both meet the
+// error at their second block read, the end of this small trace: the
+// records before it come first, then the timeout, then io.EOF.
 func TestReaderTimeout(t *testing.T) {
 	pkts := samplePackets(3, 6)
 	data := encode(t, pkts)
-	got, err := NewReader(iotest.TimeoutReader(bytes.NewReader(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := newRefReader(iotest.TimeoutReader(bytes.NewReader(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(pkts)+2; i++ {
-		var gp Packet
-		gerr := got.Read(&gp)
-		wp, werr := want.Next()
-		if !sameError(gerr, werr) || gp != wp {
-			t.Fatalf("call %d: (%+v, %v), reference (%+v, %v)", i, gp, gerr, wp, werr)
+	for _, block := range blockLens {
+		got, err := NewReader(iotest.TimeoutReader(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		switch {
-		case i < len(pkts) && gerr != nil:
-			t.Fatalf("call %d: %v", i, gerr)
-		case i == len(pkts) && !errors.Is(gerr, iotest.ErrTimeout):
-			t.Fatalf("call %d: %v, want the timeout", i, gerr)
-		case i == len(pkts)+1 && gerr != io.EOF:
-			t.Fatalf("call %d: %v, want io.EOF after the retry", i, gerr)
+		want, err := newRefReader(iotest.TimeoutReader(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]Packet, block)
+		var errs []error
+		for i := 0; i < len(pkts)+2 && len(errs) < 2; {
+			n, gerr := got.ReadBlock(buf)
+			for _, gp := range buf[:n] {
+				if wp, werr := want.Next(); werr != nil || gp != wp {
+					t.Fatalf("block %d, record %d: %+v, reference (%+v, %v)", block, i, gp, wp, werr)
+				}
+				i++
+			}
+			if gerr == nil {
+				continue
+			}
+			if _, werr := want.Next(); !sameError(gerr, werr) {
+				t.Fatalf("block %d, record %d: error %v, reference %v", block, i, gerr, werr)
+			}
+			if i != len(pkts) {
+				t.Fatalf("block %d: %v after %d records, want %d first", block, gerr, i, len(pkts))
+			}
+			errs = append(errs, gerr)
+		}
+		if len(errs) != 2 || !errors.Is(errs[0], iotest.ErrTimeout) || errs[1] != io.EOF {
+			t.Fatalf("block %d: errors %v, want the timeout, then io.EOF after the retry", block, errs)
 		}
 	}
 }
@@ -307,20 +341,23 @@ func TestReaderMalformed(t *testing.T) {
 }
 
 // FuzzPacketReader: decoding arbitrary bytes must never panic or loop,
-// and the in-place decode must yield the byte-wise reference reader's
-// packets and end on its error.
+// and ReadBlock, at the block length pick selects from blockLens, must
+// yield the byte-wise reference reader's packets and end on its error.
 func FuzzPacketReader(f *testing.F) {
 	for _, seed := range malformedSeeds(f) {
-		f.Add(seed)
+		for pick := range blockLens {
+			f.Add(seed, uint8(pick))
+		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		diffReaders(t, data, nil)
+	f.Fuzz(func(t *testing.T, data []byte, pick uint8) {
+		block := blockLens[int(pick)%len(blockLens)]
+		diffStreams(t, data, bytes.NewReader(data), bytes.NewReader(data), block)
 	})
 }
 
 // TestReaderReadAhead: with the block reader reading ahead of the decoder
 // — what internal/source's Open puts under a trace file — the packets and
-// the final error are the reference's, over a trace of several blocks
+// the final error of the pipeline's block reads are the reference's, over a trace of several blocks
 // whole and cut inside a record.
 func TestReaderReadAhead(t *testing.T) {
 	pkts := samplePackets(80000, 9) // ~1.4 MB: five blocks, a record across each boundary
@@ -328,7 +365,7 @@ func TestReaderReadAhead(t *testing.T) {
 	for _, cut := range []int{0, 7} {
 		data := full[:len(full)-cut]
 		br := blockio.NewReadAhead(io.NopCloser(bytes.NewReader(data)))
-		n, err := diffStreams(t, data, br, bytes.NewReader(data))
+		n, err := diffStreams(t, data, br, bytes.NewReader(data), readBlock)
 		br.Close()
 		if cut == 0 && (n != len(pkts) || err != io.EOF) {
 			t.Errorf("whole trace: %d records then %v, want %d then io.EOF", n, err, len(pkts))

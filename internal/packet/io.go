@@ -125,33 +125,17 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
-// Read decodes the next packet into *p and returns nil, or io.EOF at end
-// of trace; on any error *p is left partly written and must not be used. A
-// record that lies whole in the buffered block is decoded in place — from
-// the block straight into *p, with no Packet built and copied on the way;
-// Read reads no byte beyond the record it returns, so a trace arriving
-// over a pipe yields each record as its last byte arrives.
-//
-//flowrank:hotpath
-func (r *Reader) Read(p *Packet) error {
-	// Peek of what is already buffered never reads, hence never fails.
-	b, _ := r.r.Peek(r.r.Buffered())
-	n, nano := decodeRecord(b, p, r.lastNano)
-	if n == 0 {
-		return r.nextBytewise(p)
-	}
-	_, _ = r.r.Discard(n) // cannot fail: the record is buffered
-	r.lastNano = nano
-	return nil
-}
-
 // ReadBlock decodes up to len(buf) records into buf, which must not be
 // empty, and returns how many: n >= 1 with a nil error, or 0 with the
-// error Read would have returned. It decodes, in one loop, every whole
-// record already in the buffered block, and reads the stream only for a
-// first record that is not there (a straddling or malformed record, or an
-// empty buffer), through Read's byte-wise path; so, like Read, it never
-// waits for a byte beyond the first record it returns.
+// error — io.EOF at the end of the trace. It is the reader's one decode: a
+// block of one packet reads one record. It decodes, in one loop, every
+// whole record already in the buffered block, in place — from the block
+// straight into buf, with no Packet built and copied on the way — and
+// reads the stream only for a first record that is not there (a
+// straddling or malformed record, or an empty buffer), through the
+// byte-wise path; so it never waits for a byte beyond the first record it
+// returns, and a trace arriving over a pipe yields each record as its last
+// byte arrives. On an error buf[0] may be partly written.
 //
 //flowrank:hotpath
 func (r *Reader) ReadBlock(buf []Packet) (int, error) {
@@ -198,7 +182,7 @@ func decodeRecord(b []byte, p *Packet, lastNano int64) (n int, nano int64) {
 // nextBytewise decodes one record a byte at a time. It serves the records
 // the block cannot: one that straddles the end of the buffered bytes (the
 // stream's tail included) and one with a malformed varint, and so owns
-// every error Read reports.
+// every error ReadBlock reports.
 func (r *Reader) nextBytewise(p *Packet) error {
 	deltaRaw, err := binary.ReadUvarint(r.r)
 	if err != nil {

@@ -12,14 +12,15 @@
 //
 // Writer buffers 64 KiB; Reader reads through an internal/blockio.Reader,
 // the block reader it shares with internal/pcap, 256 KiB per underlying
-// Read. Reader.Read decodes a record in place at both ends — from the bytes
-// already buffered (binary.Uvarint over the block, one Discard) straight
-// into the caller's Packet; Reader.ReadBlock does the same for every whole
-// record buffered, up to the caller's block, with one Discard — and falls
-// back to byte-at-a-time decoding only for a record split across two
-// blocks, the tail of the stream, and malformed input — so it buffers beyond the records it has returned, but
-// never waits for a byte beyond the record it is about to return: a trace
-// streamed over a pipe yields each record as its last byte arrives.
+// Read. Reader.ReadBlock, its one decode, reads a block of records in
+// place at both ends — every whole record already buffered, up to the
+// caller's block, from the bytes (binary.Uvarint over the block, one
+// Discard) straight into the caller's Packets; a block of one packet reads
+// one record — and falls back to byte-at-a-time decoding only for a record
+// split across two blocks, the tail of the stream, and malformed input. So
+// it buffers beyond the records it has returned, but never waits for a
+// byte beyond the first record it is about to return: a trace streamed
+// over a pipe yields each record as its last byte arrives.
 // A decoded packet aliases nothing. The reader starts no goroutine: reading
 // ahead of the decoder is internal/source's Open's doing, through the
 // *blockio.Reader it hands NewReader, and ends with that source's Close.

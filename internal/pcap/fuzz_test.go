@@ -30,7 +30,10 @@ func fuzzSeedCapture(f *testing.F) []byte {
 // record longer than the snap length, and never allocate a corrupt
 // header's multi-gigabyte length claim (the sanity cap turns that into a
 // parse error). It is differential: the block reader must yield the
-// unbuffered reference reader's packets and end on its error.
+// unbuffered reference reader's packets and end on its error. And a record
+// that Buffered reports whole must not fail: internal/source's
+// PcapSource.NextBlock decodes every such record into the same block as
+// the first, and drops the block's packets if one of them fails.
 func FuzzReader(f *testing.F) {
 	seed := fuzzSeedCapture(f)
 	f.Add(seed)
@@ -50,6 +53,11 @@ func FuzzReader(f *testing.F) {
 	nanos := append([]byte{}, seed...)
 	binary.LittleEndian.PutUint32(nanos[0:], magicNanoseconds)
 	f.Add(nanos)
+	// The second record (60 bytes) lies whole in the block but exceeds
+	// the snap length: Buffered must say no, because Next fails on it.
+	overSnap := append([]byte{}, seed...)
+	binary.LittleEndian.PutUint32(overSnap[16:], 16)
+	f.Add(overSnap)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
@@ -62,10 +70,14 @@ func FuzzReader(f *testing.F) {
 		}
 		snap := r.Header().SnapLen
 		for i := 0; i < 1<<16; i++ {
+			whole := r.Buffered()
 			p, err := r.Next()
 			rp, rerr := ref.Next()
 			if !sameError(err, rerr) {
 				t.Fatalf("record %d: error %v, reference %v", i, err, rerr)
+			}
+			if whole && err != nil {
+				t.Fatalf("record %d: Buffered reported it whole, Next failed: %v", i, err)
 			}
 			if err != nil {
 				break // io.EOF or a parse error: both fine, looping is not

@@ -229,9 +229,9 @@ var sinkPacket packet.Packet
 // BenchmarkSourceDecode measures one packet through source.Open on a real
 // file, so the read syscalls are in the number: ns/pkt is the cost the
 // source layer charges every packet before the sampling decision. Next
-// decodes into the Packet it is handed (native: packet.Reader.Read, from
-// the block buffer straight into *p), so this is the in-place path;
-// NextBlock reads blocks of the pipeline's length, the path Run takes. The native file (two blocks) and pcap (55 blocks) are below
+// is NextBlock into a block of one packet, copied out; NextBlock reads
+// blocks of the pipeline's length, the path Run takes. The native file
+// (two blocks) and pcap (55 blocks) are below
 // Open's threshold and are read synchronously; pcap-large (275 blocks) is
 // decoded ahead, in batches of keyed packets, and times that in steady
 // state.

@@ -24,6 +24,7 @@ type live struct {
 	start  time.Time
 	began  bool
 	closed atomic.Bool
+	one    [1]packet.Packet // Next's block
 }
 
 // htons converts a short to network byte order.
@@ -54,11 +55,21 @@ func NewLive(iface string, snapLen int) (PacketSource, error) {
 	return &live{fd: fd, buf: make([]byte, snapLen)}, nil
 }
 
-// Next blocks for the next decodable frame.
+// Next blocks for the next decodable frame: NextBlock for one packet.
 func (l *live) Next(p *packet.Packet) error {
+	if _, err := l.NextBlock(l.one[:]); err != nil {
+		return err
+	}
+	*p = l.one[0]
+	return nil
+}
+
+// NextBlock blocks for the next decodable frame and returns it alone: a
+// socket read returns one.
+func (l *live) NextBlock(buf []packet.Packet) (int, error) {
 	for {
 		if l.closed.Load() {
-			return fmt.Errorf("source: live read after close: %w", ErrClosedSource)
+			return 0, fmt.Errorf("source: live read after close: %w", ErrClosedSource)
 		}
 		n, _, err := syscall.Recvfrom(l.fd, l.buf, 0)
 		if err != nil {
@@ -66,9 +77,9 @@ func (l *live) Next(p *packet.Packet) error {
 				continue
 			}
 			if l.closed.Load() {
-				return fmt.Errorf("source: live capture closed: %w", ErrClosedSource)
+				return 0, fmt.Errorf("source: live capture closed: %w", ErrClosedSource)
 			}
-			return fmt.Errorf("source: live recv: %w", err)
+			return 0, fmt.Errorf("source: live recv: %w", err)
 		}
 		now := time.Now()
 		if !l.began {
@@ -79,19 +90,15 @@ func (l *live) Next(p *packet.Packet) error {
 		if kerr != nil {
 			continue // skip undecodable frames
 		}
+		p := &buf[0]
 		p.Time = now.Sub(l.start).Seconds()
 		p.Key = key
 		p.Size = n
-		return nil
+		return 1, nil
 	}
 }
 
-// NextBlock returns one frame per call: a socket read returns one.
-//
-//flowrank:hotpath
-func (l *live) NextBlock(buf []packet.Packet) (int, error) { return one(l.Next(&buf[0])) }
-
-// Close shuts the socket down, unblocking a pending Next.
+// Close shuts the socket down, unblocking a pending read.
 func (l *live) Close() error {
 	if l.closed.Swap(true) {
 		return nil

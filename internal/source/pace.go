@@ -34,6 +34,7 @@ type Paced struct {
 	started bool
 	start   time.Time
 	base    float64
+	one     [1]packet.Packet // Next's block
 }
 
 // Pace wraps src with line-rate pacing at the given speed multiplier.
@@ -46,31 +47,39 @@ func Pace(src PacketSource, speed float64) *Paced {
 	return &Paced{src: src, speed: speed, now: time.Now, done: make(chan struct{})}
 }
 
-// Next reads the next packet from the wrapped source, sleeping until its
-// scheduled wall-clock delivery time. The first packet anchors the
-// schedule and is delivered immediately.
+// Next reads the next packet at its delivery time: NextBlock for one
+// packet.
 func (p *Paced) Next(pk *packet.Packet) error {
-	if err := p.src.Next(pk); err != nil {
+	if _, err := p.NextBlock(p.one[:]); err != nil {
 		return err
+	}
+	*pk = p.one[0]
+	return nil
+}
+
+// NextBlock reads one packet from the wrapped source into buf, sleeping
+// until its scheduled wall-clock delivery time: each packet waits for its
+// own. The first packet anchors the schedule and is delivered immediately.
+//
+//flowrank:hotpath
+func (p *Paced) NextBlock(buf []packet.Packet) (int, error) {
+	if _, err := p.src.NextBlock(buf[:1]); err != nil {
+		return 0, err
 	}
 	if !p.started {
 		p.started = true
 		p.start = p.now()
-		p.base = pk.Time
-		return nil
+		p.base = buf[0].Time
+		return 1, nil
 	}
-	target := p.start.Add(time.Duration((pk.Time - p.base) / p.speed * float64(time.Second)))
+	target := p.start.Add(time.Duration((buf[0].Time - p.base) / p.speed * float64(time.Second)))
 	if d := target.Sub(p.now()); d > 0 {
-		return p.wait(d)
+		if err := p.wait(d); err != nil {
+			return 0, err
+		}
 	}
-	return nil
+	return 1, nil
 }
-
-// NextBlock returns one packet, as Next reads it: each waits for its own
-// delivery time.
-//
-//flowrank:hotpath
-func (p *Paced) NextBlock(buf []packet.Packet) (int, error) { return one(p.Next(&buf[0])) }
 
 // wait blocks for d unless Close interrupts it first.
 func (p *Paced) wait(d time.Duration) error {
@@ -88,7 +97,7 @@ func (p *Paced) wait(d time.Duration) error {
 	}
 }
 
-// Close closes the wrapped source and wakes a Next sleeping toward its
+// Close closes the wrapped source and wakes a read sleeping toward its
 // delivery time.
 func (p *Paced) Close() error {
 	p.once.Do(func() { close(p.done) })

@@ -1,11 +1,10 @@
 // Package source unifies packet ingestion behind one interface: a
-// PacketSource yields time-ordered packets a block at a time (NextBlock)
-// or one at a time (Next), whether they come from a native flowrank trace,
-// a pcap capture, an in-memory slice, or (behind the "live" build tag) a
-// live network interface. The batch monitor (cmd/flowtop) and the
-// long-running daemon (cmd/flowrankd) share this path, so a trace replayed
-// through the daemon is byte-for-byte the stream the batch tool would have
-// measured.
+// PacketSource yields time-ordered packets a block at a time (NextBlock),
+// whether they come from a native flowrank trace, a pcap capture, an
+// in-memory slice, or (behind the "live" build tag) a live network
+// interface. The batch monitor (cmd/flowtop) and the long-running daemon
+// (cmd/flowrankd) share this path, so a trace replayed through the daemon
+// is byte-for-byte the stream the batch tool would have measured.
 //
 // The block is the unit from source to engine: the pipeline asks for 256
 // packets at a time and feeds them to the engine in one call, so the
@@ -15,8 +14,9 @@
 // nil error, or 0 with the error, never both; it returns what is already
 // at hand and never waits for more than the first packet. Sources whose
 // every read waits (Paced, the live capture) return one packet per call.
-// Next is the one-packet form of the same read, and any mix of the two
-// yields the stream in order.
+// NextBlock is every source's one read: Next is NextBlock into a block of
+// one packet, copied out, so any mix of the two yields the stream in order
+// by construction.
 //
 // The two trace sources decode records in place out of the 256 KiB blocks
 // of one block reader (internal/blockio, under internal/packet and
@@ -82,17 +82,17 @@ import (
 
 // PacketSource is the ingestion interface every consumer reads from.
 //
-// NextBlock fills buf, which must not be empty, with the next packets and
-// returns how many: n >= 1 with a nil error, or 0 with the error — io.EOF
-// at a clean end of stream, another error on corruption — never packets
-// and an error together. It returns at most len(buf) packets and never
-// waits for more than the first: what a pipe or a live capture has not
-// delivered yet is left for the next call, so a slow stream still yields
-// each packet as soon as its last byte arrives. Next is the one-packet
-// form: it fills *p with the next packet and returns nil, or the error.
-// Both read the one stream, in any mix, and a sequence of NextBlock calls
-// yields exactly the packets, then the error, that Next calls would.
-// Packets arrive in non-decreasing time order, the order the stream
+// NextBlock is the read. It fills buf, which must not be empty, with the
+// next packets and returns how many: n >= 1 with a nil error, or 0 with
+// the error — io.EOF at a clean end of stream, another error on
+// corruption — never packets and an error together. It returns at most
+// len(buf) packets and never waits for more than the first: what a pipe
+// or a live capture has not delivered yet is left for the next call, so a
+// slow stream still yields each packet as soon as its last byte arrives.
+// Next is NextBlock of one packet: it fills *p with the next packet and
+// returns nil, or the error, and leaves *p alone on an error. Every
+// source derives it so, which is why the two read the one stream in any
+// mix. Packets arrive in non-decreasing time order, the order the stream
 // engine requires. A source is not safe for concurrent reads.
 //
 // Close releases the source. Closing a source blocked in a read (from
@@ -102,16 +102,6 @@ type PacketSource interface {
 	NextBlock(buf []packet.Packet) (n int, err error)
 	Next(p *packet.Packet) error
 	Close() error
-}
-
-// one is the block of one packet that a source which reads a packet at a
-// time returns from NextBlock: 1 after Next succeeded, else 0 and its
-// error.
-func one(err error) (int, error) {
-	if err != nil {
-		return 0, err
-	}
-	return 1, nil
 }
 
 // ErrClosedSource is wrapped by a read of a source that was Closed. Callers
@@ -144,6 +134,7 @@ type TraceSource struct {
 	r      *packet.Reader
 	c      io.Closer
 	closed atomic.Bool
+	one    [1]packet.Packet // Next's block
 }
 
 // NewTraceSource validates the trace header and returns a source over r.
@@ -160,14 +151,15 @@ func NewTraceSource(r io.Reader) (*TraceSource, error) {
 	return s, nil
 }
 
-// Next fills p with the next trace record.
+// Next fills p with the next trace record: NextBlock for one packet.
 //
 //flowrank:hotpath
 func (s *TraceSource) Next(p *packet.Packet) error {
-	if s.closed.Load() {
-		return errTraceClosed
+	if _, err := s.NextBlock(s.one[:]); err != nil {
+		return err
 	}
-	return s.r.Read(p)
+	*p = s.one[0]
+	return nil
 }
 
 // NextBlock decodes the records already buffered, up to len(buf), into
@@ -244,9 +236,8 @@ func (s *PcapSource) Close() error {
 	return nil
 }
 
-// NextBlock fills buf with the next decodable frames: the first as Next
-// reads it, then every further one whose record is already buffered
-// whole.
+// NextBlock fills buf with the next decodable frames: the first wherever
+// it lies, then every further one whose record is already buffered whole.
 //
 //flowrank:hotpath
 func (s *PcapSource) NextBlock(buf []packet.Packet) (int, error) {
@@ -449,17 +440,18 @@ func (s *pcapAhead) Close() error {
 type Counted struct {
 	PacketSource
 	Packets obs.Counter
+	one     [1]packet.Packet // Next's block
 }
 
-// Next reads the next packet and counts it.
+// Next reads the next packet and counts it: NextBlock for one packet.
 //
 //flowrank:hotpath
 func (s *Counted) Next(p *packet.Packet) error {
-	err := s.PacketSource.Next(p)
-	if err == nil {
-		s.Packets.Inc()
+	if _, err := s.NextBlock(s.one[:]); err != nil {
+		return err
 	}
-	return err
+	*p = s.one[0]
+	return nil
 }
 
 // NextBlock reads the next block and counts its packets.
@@ -477,19 +469,22 @@ type Slice struct {
 	pkts   []packet.Packet
 	i      int
 	closed atomic.Bool
+	one    [1]packet.Packet // Next's block
 }
 
 // NewSlice returns a source yielding pkts in order. The caller keeps
 // ownership of the slice but must not mutate it while reading.
 func NewSlice(pkts []packet.Packet) *Slice { return &Slice{pkts: pkts} }
 
-// Next fills p with the next packet of the slice.
+// Next fills p with the next packet of the slice: NextBlock for one
+// packet.
+//
+//flowrank:hotpath
 func (s *Slice) Next(p *packet.Packet) error {
-	if err := s.check(); err != nil {
+	if _, err := s.NextBlock(s.one[:]); err != nil {
 		return err
 	}
-	*p = s.pkts[s.i]
-	s.i++
+	*p = s.one[0]
 	return nil
 }
 
@@ -498,23 +493,15 @@ func (s *Slice) Next(p *packet.Packet) error {
 //
 //flowrank:hotpath
 func (s *Slice) NextBlock(buf []packet.Packet) (int, error) {
-	if err := s.check(); err != nil {
-		return 0, err
+	if s.closed.Load() {
+		return 0, errSliceClosed
+	}
+	if s.i >= len(s.pkts) {
+		return 0, io.EOF
 	}
 	n := copy(buf, s.pkts[s.i:])
 	s.i += n
 	return n, nil
-}
-
-// check returns why the slice has no next packet, if it has none.
-func (s *Slice) check() error {
-	if s.closed.Load() {
-		return errSliceClosed
-	}
-	if s.i >= len(s.pkts) {
-		return io.EOF
-	}
-	return nil
 }
 
 // Close marks the source closed; later reads error.

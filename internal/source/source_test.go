@@ -322,7 +322,8 @@ func TestLoopEmptyCycle(t *testing.T) {
 
 // loopInner is the inner source of the Loop close tests: a slice source
 // that counts its Closes and, with hold set, blocks once its packets are
-// out until it is closed — a live capture with nothing arriving.
+// out until it is closed — a live capture with nothing arriving. Loop
+// reads an inner source only through NextBlock, all that it overrides.
 type loopInner struct {
 	Slice
 	hold   bool
@@ -332,15 +333,6 @@ type loopInner struct {
 
 func newLoopInner(pkts []packet.Packet, hold bool) *loopInner {
 	return &loopInner{Slice: Slice{pkts: pkts}, hold: hold, closed: make(chan struct{})}
-}
-
-func (s *loopInner) Next(p *packet.Packet) error {
-	err := s.Slice.Next(p)
-	if s.hold && errors.Is(err, io.EOF) {
-		<-s.closed
-		return s.Slice.Next(p)
-	}
-	return err
 }
 
 func (s *loopInner) NextBlock(buf []packet.Packet) (int, error) {
