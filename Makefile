@@ -127,10 +127,10 @@ microbench:
 # flows (~175 allocs). The allocations are the growth of the merge's own
 # slices (two windows, the radix sort's spare buffer, the active flows)
 # and its goroutine and channels, nothing per flow or per packet.
-# BenchmarkSourceDecode reads a trace file through source.Open in both
-# formats and reports ns/pkt and allocs: what the source layer charges
-# every packet before the sampling decision, read syscalls included — two
-# files small enough to be read synchronously, and a 72 MB capture
+# BenchmarkSourceDecode reads a trace through a source in both formats and
+# reports ns/pkt and allocs: what the source layer charges every packet
+# before the sampling decision — an in-memory trace of each format read
+# synchronously, 2 M packets an iteration, and a 72 MB capture file
 # (pcap-large) that a goroutine decodes ahead, in batches of keyed packets.
 # BenchmarkIngestFlatBatch (matched by 'Ingest') sets the engine's batched
 # exact-table ingest against the per-packet one on a million-flow table
@@ -159,7 +159,7 @@ bench-smoke:
 # End-to-end flowtop cross-check: one-shard vs four-shard output must be
 # byte-identical on both trace formats (native and pcap), and with the
 # closed loop (-invert parametric -adapt 1) on the native trace; a capture
-# above source.Open's read-ahead threshold must read the same decoded
+# above source.Open's decode-ahead threshold must read the same decoded
 # ahead from its file as synchronously through a pipe.
 e2e:
 	./scripts/e2e_flowtop.sh
@@ -179,12 +179,11 @@ e2e-daemon:
 e2e-obs:
 	./scripts/e2e_obs.sh
 
-# Brief native fuzz runs (~71 s total) over the wire-format edges (the
+# Brief native fuzz runs (~64 s total) over the wire-format edges (the
 # NetFlow decode/encode round trip, the pcap reader/writer, the native
-# packet-trace reader; both trace readers differentially against their
-# unbuffered reference readers; the block reader under both, synchronous
-# and reading ahead, against bufio.Reader on an op tape; the frame-to-key
-# parse against the struct decoders), the flat flow table's open-addressing
+# packet-trace reader; both trace readers' ReadBlock, over bufio,
+# differentially against their unbuffered reference readers; the
+# frame-to-key parse against the struct decoders), the flat flow table's open-addressing
 # machinery, the sketches' hash-probed slot index (against a Go map) and
 # the bin journal's validator (an accepted bin line decodes into BinRecord,
 # and journaled again it validates again).
@@ -196,7 +195,6 @@ fuzz-smoke:
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 7s
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzWriterRoundTrip$$' -fuzztime 7s
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzPacketReader$$' -fuzztime 7s
-	$(GO) test ./internal/blockio -run '^$$' -fuzz '^FuzzBlockReader$$' -fuzztime 7s
 	$(GO) test ./internal/layers -run '^$$' -fuzz '^FuzzFlowKey$$' -fuzztime 6s
 	$(GO) test ./internal/flowtable -run '^$$' -fuzz '^FuzzFlatProbe$$' -fuzztime 8s
 	$(GO) test ./internal/flowtable -run '^$$' -fuzz '^FuzzSlotsIndex$$' -fuzztime 6s

@@ -63,7 +63,7 @@ func MisrankExact(s1, s2 int, p float64) float64 {
 			}
 		}
 	}
-	return clamp01(acc.Sum())
+	return numeric.ClampUnit(acc.Sum())
 }
 
 // MisrankGaussian returns the Normal approximation of the misranking

@@ -33,7 +33,7 @@ func misrankFullSum(s1, s2 int, p float64) float64 {
 			b := numeric.BinomialPMF(i, s1, p)
 			acc.Add(b * b)
 		}
-		return clamp01(1 - acc.Sum())
+		return numeric.ClampUnit(1 - acc.Sum())
 	}
 	// P{x1 >= x2} = sum_i P{x1 = i} * P{x2 <= i}.
 	for i := 0; i <= s1; i++ {
@@ -41,7 +41,7 @@ func misrankFullSum(s1, s2 int, p float64) float64 {
 			acc.Add(pmf * numeric.BinomialCDF(i, s2, p))
 		}
 	}
-	return clamp01(acc.Sum())
+	return numeric.ClampUnit(acc.Sum())
 }
 
 func TestMisrankExactHandComputed(t *testing.T) {

@@ -47,7 +47,7 @@ func jointTopProb(pmfBig []float64, vSmall, uBig float64, t, n int) float64 {
 	if t <= 0 || t >= n {
 		return 0
 	}
-	pji := clamp01((vSmall - uBig) / (1 - uBig))
+	pji := numeric.ClampUnit((vSmall - uBig) / (1 - uBig))
 	lambda := float64(n-2) * pji
 	// surv[m] = P{Poisson(lambda) >= m}, for m = 0..t-1.
 	// surv[0] = 1; surv[m+1] = surv[m] - pmf(m).
@@ -66,15 +66,5 @@ func jointTopProb(pmfBig []float64, vSmall, uBig float64, t, n int) float64 {
 		}
 		pmf *= lambda / float64(m+1)
 	}
-	return clamp01(acc.Sum())
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
+	return numeric.ClampUnit(acc.Sum())
 }

@@ -39,14 +39,14 @@ func binomialJointTopProb(pmfBig []float64, vSmall, uBig float64, t, n int) floa
 	if t <= 0 || t >= n {
 		return 0
 	}
-	pji := clamp01((vSmall - uBig) / (1 - uBig))
+	pji := numeric.ClampUnit((vSmall - uBig) / (1 - uBig))
 	var acc numeric.KahanSum
 	for k := 0; k < t; k++ {
 		if pmfBig[k] != 0 {
 			acc.Add(pmfBig[k] * binomialSurvival(t-k-1, n-k-2, pji))
 		}
 	}
-	return clamp01(acc.Sum())
+	return numeric.ClampUnit(acc.Sum())
 }
 
 // binomialSurvival returns P{Bin(n,p) >= k}, the upper tail including k,
@@ -69,9 +69,9 @@ func binomialSurvival(k, n int, p float64) float64 {
 		for i := k; i <= n; i++ {
 			s.Add(numeric.BinomialPMF(i, n, p))
 		}
-		return clamp01(s.Sum())
+		return numeric.ClampUnit(s.Sum())
 	}
-	return clamp01(numeric.RegIncBeta(float64(k), float64(n-k)+1, p))
+	return numeric.ClampUnit(numeric.RegIncBeta(float64(k), float64(n-k)+1, p))
 }
 
 func TestBinomialCDFSurvivalComplement(t *testing.T) {

@@ -118,12 +118,6 @@ func NewDiscreteFromPMF(pmf []float64) *Discrete {
 // Len returns the number of atoms with positive probability.
 func (d *Discrete) Len() int { return len(d.values) }
 
-// Atoms appends the (value, probability) pairs to the given slices and
-// returns them; the values are ascending and the probabilities sum to 1.
-func (d *Discrete) Atoms(values, weights []float64) ([]float64, []float64) {
-	return append(values, d.values...), append(weights, d.weights...)
-}
-
 // CCDF returns P{S > x}.
 func (d *Discrete) CCDF(x float64) float64 {
 	// First atom strictly greater than x; all mass from there up counts.

@@ -14,7 +14,7 @@ func TestNewDiscreteNormalizesAndDropsZeros(t *testing.T) {
 	if d.Len() != 3 {
 		t.Errorf("Len() = %d, want 3 (zero-weight atom dropped)", d.Len())
 	}
-	values, weights := d.Atoms(nil, nil)
+	values, weights := d.values, d.weights
 	if len(values) != 3 || values[0] != 1 || values[1] != 7 || values[2] != 20 {
 		t.Errorf("atoms %v", values)
 	}

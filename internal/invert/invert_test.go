@@ -484,11 +484,11 @@ func TestMissProbabilityEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, law := range []*dist.Discrete{multi, em.Dist.(*dist.Discrete)} {
-		values, weights := law.Atoms(nil, nil)
+		atoms := dist.Decompose(law).Atoms
 		for _, p := range []float64{0.01, 0.1, 0.5, 0.9} {
 			want := 0.0
-			for i, v := range values {
-				want += weights[i] * math.Pow(1-p, v)
+			for _, a := range atoms {
+				want += a.Mass * math.Pow(1-p, a.Value)
 			}
 			if got := MissProbability(law, p); math.Abs(got-want) > 1e-13*want {
 				t.Errorf("%s p=%g: miss %.17g, atom sum %.17g (rel %.2g)", law, p, got, want, math.Abs(got-want)/want)

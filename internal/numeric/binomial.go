@@ -65,9 +65,9 @@ func BinomialCDF(k, n int, p float64) float64 {
 		for i := 0; i <= k; i++ {
 			s.Add(BinomialPMF(i, n, p))
 		}
-		return clampUnit(s.Sum())
+		return ClampUnit(s.Sum())
 	}
-	return clampUnit(RegIncBeta(float64(n-k), float64(k)+1, 1-p))
+	return ClampUnit(RegIncBeta(float64(n-k), float64(k)+1, 1-p))
 }
 
 // cdfDirectTerms bounds how many point masses are summed directly before
@@ -111,12 +111,14 @@ func PoissonCDF(k int, lambda float64) float64 {
 		for i := 0; i <= k; i++ {
 			s.Add(PoissonPMF(i, lambda))
 		}
-		return clampUnit(s.Sum())
+		return ClampUnit(s.Sum())
 	}
-	return clampUnit(RegGammaQ(float64(k)+1, lambda))
+	return ClampUnit(RegGammaQ(float64(k)+1, lambda))
 }
 
-func clampUnit(x float64) float64 {
+// ClampUnit clamps x into [0, 1]: a probability summed or integrated in
+// floating point can land a rounding error outside it.
+func ClampUnit(x float64) float64 {
 	if x < 0 {
 		return 0
 	}

@@ -9,8 +9,6 @@ import (
 	"io"
 	"testing"
 	"testing/iotest"
-
-	"flowrank/internal/blockio"
 )
 
 // refReader is the packet reader as it was before records were decoded in
@@ -353,25 +351,4 @@ func FuzzPacketReader(f *testing.F) {
 		block := blockLens[int(pick)%len(blockLens)]
 		diffStreams(t, data, bytes.NewReader(data), bytes.NewReader(data), block)
 	})
-}
-
-// TestReaderReadAhead: with the block reader reading ahead of the decoder
-// — what internal/source's Open puts under a trace file — the packets and
-// the final error of the pipeline's block reads are the reference's, over a trace of several blocks
-// whole and cut inside a record.
-func TestReaderReadAhead(t *testing.T) {
-	pkts := samplePackets(80000, 9) // ~1.4 MB: five blocks, a record across each boundary
-	full := encode(t, pkts)
-	for _, cut := range []int{0, 7} {
-		data := full[:len(full)-cut]
-		br := blockio.NewReadAhead(io.NopCloser(bytes.NewReader(data)))
-		n, err := diffStreams(t, data, br, bytes.NewReader(data), readBlock)
-		br.Close()
-		if cut == 0 && (n != len(pkts) || err != io.EOF) {
-			t.Errorf("whole trace: %d records then %v, want %d then io.EOF", n, err, len(pkts))
-		}
-		if cut != 0 && !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("cut trace ended with %v, want io.ErrUnexpectedEOF", err)
-		}
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 
-	"flowrank/internal/blockio"
 	"flowrank/internal/flow"
 )
 
@@ -100,21 +99,20 @@ func (w *Writer) Write(p Packet) error {
 // Flush drains buffered output to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Reader decodes a packet trace written by Writer, in place out of the
-// blocks of an internal/blockio.Reader (the block reader it shares with
-// internal/pcap; 256 KiB per underlying Read). It starts no goroutine and
-// has nothing to close; handed a *blockio.Reader it reads through that one
-// instead of wrapping it, which is how internal/source's Open puts a
-// reader that reads ahead under a trace file.
+// readerSize is the Reader's buffer, what one underlying Read fetches.
+const readerSize = 1 << 18
+
+// Reader decodes a packet trace written by Writer, in place out of a
+// 256 KiB bufio.Reader. It starts no goroutine and has nothing to close.
 type Reader struct {
-	r        *blockio.Reader
+	r        *bufio.Reader
 	lastNano int64
 }
 
 // NewReader validates the header and returns a reader positioned at the
 // first record.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := blockio.NewReader(r)
+	br := bufio.NewReaderSize(r, readerSize)
 	var hdr [5]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("packet: reading header: %w", err)
@@ -129,9 +127,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 // empty, and returns how many: n >= 1 with a nil error, or 0 with the
 // error — io.EOF at the end of the trace. It is the reader's one decode: a
 // block of one packet reads one record. It decodes, in one loop, every
-// whole record already in the buffered block, in place — from the block
-// straight into buf, with no Packet built and copied on the way — and
-// reads the stream only for a first record that is not there (a
+// whole record already buffered, in place — from the buffer straight into
+// buf, with one Peek and one Discard and no Packet built and copied on the
+// way — and reads the stream only for a first record that is not there (a
 // straddling or malformed record, or an empty buffer), through the
 // byte-wise path; so it never waits for a byte beyond the first record it
 // returns, and a trace arriving over a pipe yields each record as its last
@@ -180,9 +178,9 @@ func decodeRecord(b []byte, p *Packet, lastNano int64) (n int, nano int64) {
 }
 
 // nextBytewise decodes one record a byte at a time. It serves the records
-// the block cannot: one that straddles the end of the buffered bytes (the
-// stream's tail included) and one with a malformed varint, and so owns
-// every error ReadBlock reports.
+// ReadBlock cannot decode in place: one that straddles the end of the
+// buffered bytes (the stream's tail included) and one with a malformed
+// varint, and so owns every error ReadBlock reports.
 func (r *Reader) nextBytewise(p *Packet) error {
 	deltaRaw, err := binary.ReadUvarint(r.r)
 	if err != nil {

@@ -10,20 +10,17 @@
 // trace (~40M packets) encodes to roughly 0.6 GB versus 2.8 GB as pcap.
 // The pcap format (internal/pcap) remains available for interoperability.
 //
-// Writer buffers 64 KiB; Reader reads through an internal/blockio.Reader,
-// the block reader it shares with internal/pcap, 256 KiB per underlying
-// Read. Reader.ReadBlock, its one decode, reads a block of records in
-// place at both ends — every whole record already buffered, up to the
-// caller's block, from the bytes (binary.Uvarint over the block, one
+// Writer buffers 64 KiB; Reader reads through a 256 KiB bufio.Reader, as
+// internal/pcap's does. Reader.ReadBlock, its one decode, reads a block of
+// records in place at both ends — every whole record already buffered, up
+// to the caller's block, from the bytes (binary.Uvarint over one Peek, one
 // Discard) straight into the caller's Packets; a block of one packet reads
 // one record — and falls back to byte-at-a-time decoding only for a record
-// split across two blocks, the tail of the stream, and malformed input. So
-// it buffers beyond the records it has returned, but never waits for a
-// byte beyond the first record it is about to return: a trace streamed
-// over a pipe yields each record as its last byte arrives.
-// A decoded packet aliases nothing. The reader starts no goroutine: reading
-// ahead of the decoder is internal/source's Open's doing, through the
-// *blockio.Reader it hands NewReader, and ends with that source's Close.
+// split across two refills of the buffer, the tail of the stream, and
+// malformed input. So it buffers beyond the records it has returned, but
+// never waits for a byte beyond the first record it is about to return: a
+// trace streamed over a pipe yields each record as its last byte arrives.
+// A decoded packet aliases nothing, and the reader starts no goroutine.
 package packet
 
 import "flowrank/internal/flow"

@@ -11,9 +11,9 @@ import (
 )
 
 // refReader is the reader as it was before records were decoded out of a
-// block buffer: two io.ReadFull calls per record straight on the
+// buffer: two io.ReadFull calls per record straight on the
 // underlying reader, the body copied into a grown buffer. It is kept as
-// the reference the block reader must agree with, packet for packet and
+// the reference the buffered reader must agree with, packet for packet and
 // error for error.
 type refReader struct {
 	r      io.Reader
@@ -98,21 +98,33 @@ func sameError(a, b error) bool {
 		a.Error() == b.Error()
 }
 
-// diffReaders drives the block reader and the reference in lock step over
-// the same bytes, each behind its own wrap(...) of them, until the first
-// error. Every packet and that error must agree. It returns the packets
-// read and the final error.
-func diffReaders(t testing.TB, data []byte, wrap func(io.Reader) io.Reader) (int, error) {
+// blockLens are the block lengths ReadBlock is checked at: one record,
+// two, a length that cuts the buffered records anywhere, and the
+// pipeline's.
+var blockLens = []int{1, 2, 7, 256}
+
+// diffReaders drives the reader's ReadBlock, at every block length, and
+// the reference in lock step over the same bytes, each behind its own
+// wrap(...) of them, until the first error. Every packet and that error
+// must agree. It returns the packets read and the final error, which
+// every block length agrees on.
+func diffReaders(t testing.TB, data []byte, wrap func(io.Reader) io.Reader) (n int, err error) {
 	t.Helper()
 	if wrap == nil {
 		wrap = func(r io.Reader) io.Reader { return r }
 	}
-	return diffStreams(t, data, wrap(bytes.NewReader(data)), wrap(bytes.NewReader(data)))
+	for _, block := range blockLens {
+		n, err = diffStreams(t, data, wrap(bytes.NewReader(data)), wrap(bytes.NewReader(data)), block)
+	}
+	return n, err
 }
 
 // diffStreams is diffReaders over two streams of the same bytes that the
-// caller made: subject is read by the block reader, ref by the reference.
-func diffStreams(t testing.TB, data []byte, subject, ref io.Reader) (int, error) {
+// caller made, at one block length: subject is read by the reader's
+// ReadBlock, block records at most per call, ref by the reference. Every
+// call must return n >= 1 records with a nil error or 0 with the error;
+// a record must stay within the snap length and the sanity cap.
+func diffStreams(t testing.TB, data []byte, subject, ref io.Reader, block int) (int, error) {
 	t.Helper()
 	got, gerr := NewReader(subject)
 	want, werr := newRefReader(ref)
@@ -125,23 +137,39 @@ func diffStreams(t testing.TB, data []byte, subject, ref io.Reader) (int, error)
 	if got.Header() != want.header {
 		t.Fatalf("header %+v, reference %+v", got.Header(), want.header)
 	}
-	// A record holds at least its 16-byte header, so the bound is never
-	// reached by a reader that makes progress.
-	for i := 0; i <= len(data)/packetHeaderLen; i++ {
-		gp, gerr := got.Next()
-		wp, werr := want.Next()
-		if !sameError(gerr, werr) {
-			t.Fatalf("record %d: error %v, reference %v", i, gerr, werr)
+	snap := got.Header().SnapLen
+	frames := make([]Packet, block)
+	// A record holds at least its 16-byte header, so every call consumes
+	// 16 bytes or fails, and the bound is never reached by a reader that
+	// makes progress.
+	for i, calls := 0, 0; calls <= len(data)/packetHeaderLen; calls++ {
+		n, gerr := got.ReadBlock(frames)
+		if n < 0 || n > block || (n == 0) == (gerr == nil) {
+			t.Fatalf("block %d, record %d: ReadBlock = %d records and %v", block, i, n, gerr)
 		}
-		if gerr != nil {
-			return i, gerr
+		for _, gp := range frames[:n] {
+			wp, werr := want.Next()
+			if werr != nil {
+				t.Fatalf("block %d, record %d: a record, reference error %v", block, i, werr)
+			}
+			if gp.Time != wp.Time || gp.OrigLen != wp.OrigLen || !bytes.Equal(gp.Data, wp.Data) {
+				t.Fatalf("block %d, record %d: (t=%v, %d bytes, orig %d), reference (t=%v, %d bytes, orig %d)",
+					block, i, gp.Time, len(gp.Data), gp.OrigLen, wp.Time, len(wp.Data), wp.OrigLen)
+			}
+			if snap > 0 && uint32(len(gp.Data)) > snap || len(gp.Data) > maxRecordLen {
+				t.Fatalf("block %d, record %d: %d bytes beyond snap length %d or the sanity cap", block, i, len(gp.Data), snap)
+			}
+			i++
 		}
-		if gp.Time != wp.Time || gp.OrigLen != wp.OrigLen || !bytes.Equal(gp.Data, wp.Data) {
-			t.Fatalf("record %d: (t=%v, %d bytes, orig %d), reference (t=%v, %d bytes, orig %d)",
-				i, gp.Time, len(gp.Data), gp.OrigLen, wp.Time, len(wp.Data), wp.OrigLen)
+		if gerr == nil {
+			continue
 		}
+		if _, werr := want.Next(); !sameError(gerr, werr) {
+			t.Fatalf("block %d, record %d: error %v, reference %v", block, i, gerr, werr)
+		}
+		return i, gerr
 	}
-	t.Fatalf("no error after %d records of a %d-byte capture", len(data)/packetHeaderLen+1, len(data))
+	t.Fatalf("block %d: no error after %d calls on a %d-byte capture", block, len(data)/packetHeaderLen+1, len(data))
 	return 0, nil
 }
 
@@ -217,7 +245,7 @@ var variants = []struct {
 }
 
 // TestReaderMatchesReference: through every hostile-but-legal io.Reader
-// shape and every header variant, the block reader yields the reference's
+// shape and every header variant, the reader yields the reference's
 // packets and ends on the reference's error — for a whole capture and for
 // one cut inside a header and inside a body.
 func TestReaderMatchesReference(t *testing.T) {
@@ -256,24 +284,28 @@ func TestReaderRejectsLikeReference(t *testing.T) {
 }
 
 // TestReaderTimeout: a transient read error surfaces wrapped and a retry
-// resumes. The block reader meets the error wherever its second block
-// read falls — for a capture smaller than the block that is the end of
-// the stream, where, as in the reference, it is a failed header read — so
-// the two are compared on the packets delivered and the errors seen, not
-// on where the error interrupts the sequence.
+// resumes, at every block length. The reader meets the error wherever its
+// second buffer fill falls — for a capture smaller than the buffer that is
+// the end of the stream, where, as in the reference, it is a failed
+// header read — so the two are compared on the packets delivered and the
+// errors seen, not on where the error interrupts the sequence.
 func TestReaderTimeout(t *testing.T) {
 	data := capture(binary.LittleEndian, false, 65535, body(60, 1), body(700, 2), body(3, 3))
 	type result struct {
 		pkts []Packet
 		errs []string
 	}
-	drain := func(next func() (Packet, error)) result {
+	// drain reads until an error other than the timeout, keeping a copy of
+	// every packet; a reader stuck on the timeout stops at four errors.
+	drain := func(read func() ([]Packet, error)) result {
 		var res result
-		for len(res.errs) < 4 { // a reader stuck on the timeout stops here
-			p, err := next()
-			if err == nil {
+		for len(res.errs) < 4 {
+			pkts, err := read()
+			for _, p := range pkts {
 				p.Data = append([]byte(nil), p.Data...)
 				res.pkts = append(res.pkts, p)
+			}
+			if err == nil {
 				continue
 			}
 			res.errs = append(res.errs, err.Error())
@@ -283,24 +315,37 @@ func TestReaderTimeout(t *testing.T) {
 		}
 		return res
 	}
-	got, err := NewReader(iotest.TimeoutReader(bytes.NewReader(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := newRefReader(iotest.TimeoutReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, w := drain(got.Next), drain(want.Next)
-	if fmt.Sprint(g.errs) != fmt.Sprint(w.errs) || len(g.errs) != 2 || g.errs[1] != "EOF" {
-		t.Errorf("errors %q, reference %q, want one timeout then EOF", g.errs, w.errs)
-	}
-	if len(g.pkts) != 3 || len(w.pkts) != 3 {
-		t.Fatalf("%d packets, reference %d, want 3", len(g.pkts), len(w.pkts))
-	}
-	for i := range g.pkts {
-		if g.pkts[i].Time != w.pkts[i].Time || !bytes.Equal(g.pkts[i].Data, w.pkts[i].Data) {
-			t.Errorf("packet %d differs from the reference", i)
+	w := drain(func() ([]Packet, error) {
+		p, err := want.Next()
+		if err != nil {
+			return nil, err
+		}
+		return []Packet{p}, nil
+	})
+	for _, block := range blockLens {
+		got, err := NewReader(iotest.TimeoutReader(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := make([]Packet, block)
+		g := drain(func() ([]Packet, error) {
+			n, err := got.ReadBlock(frames)
+			return frames[:n], err
+		})
+		if fmt.Sprint(g.errs) != fmt.Sprint(w.errs) || len(g.errs) != 2 || g.errs[1] != "EOF" {
+			t.Errorf("block %d: errors %q, reference %q, want one timeout then EOF", block, g.errs, w.errs)
+		}
+		if len(g.pkts) != 3 || len(w.pkts) != 3 {
+			t.Fatalf("block %d: %d packets, reference %d, want 3", block, len(g.pkts), len(w.pkts))
+		}
+		for i := range g.pkts {
+			if g.pkts[i].Time != w.pkts[i].Time || !bytes.Equal(g.pkts[i].Data, w.pkts[i].Data) {
+				t.Errorf("block %d: packet %d differs from the reference", block, i)
+			}
 		}
 	}
 }
@@ -340,13 +385,13 @@ func TestReaderTruncatedEverywhere(t *testing.T) {
 }
 
 // TestReaderBlockBoundary places the second record at every interesting
-// distance before the end of the first block — starting exactly on it,
-// header split across it, header ending on it, body split across it — and
-// checks the records on both sides. A last capture runs across several
+// distance before the end of the first buffer fill — starting exactly on
+// it, header split across it, header ending on it, body split across it —
+// and checks the records on both sides. A last capture runs across several
 // refills with a record split at each.
 func TestReaderBlockBoundary(t *testing.T) {
 	for _, before := range []int{0, 1, 8, 15, 16, 17, 40, 115, 116, 117} {
-		// Record 1 ends `before` bytes short of the block; record 2 is
+		// Record 1 ends `before` bytes short of the buffer; record 2 is
 		// 16+100 bytes, so it straddles for 0 < before < 116.
 		first := blockSize - before - globalHeaderLen - packetHeaderLen
 		data := capture(binary.LittleEndian, false, 1<<20, body(first, 1), body(100, 2), body(9, 3), body(1400, 4))
@@ -367,7 +412,7 @@ func TestReaderBlockBoundary(t *testing.T) {
 }
 
 // TestReaderRecordLargerThanBlock: with the snap length raised past the
-// block, a record that cannot be decoded in place takes the copy path and
+// buffer, a record that cannot be decoded in place takes the copy path and
 // the records behind it are still found — including the two sizes either
 // side of the largest in-place record.
 func TestReaderRecordLargerThanBlock(t *testing.T) {
@@ -381,6 +426,44 @@ func TestReaderRecordLargerThanBlock(t *testing.T) {
 		// Cut inside the big body: a truncation, not a clean end.
 		if _, err := diffReaders(t, data[:globalHeaderLen+packetHeaderLen+50+packetHeaderLen+n/2], nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("body %d cut: %v, want io.ErrUnexpectedEOF", n, err)
+		}
+	}
+}
+
+// TestReaderDataValidUntilNext: a frame's Data stays unchanged until the
+// reader's next call — every frame a ReadBlock returned, at every block
+// length, and Next's — across refills with a record split at each, and
+// with a record larger than the buffer, copied into one of its own, among
+// them.
+func TestReaderDataValidUntilNext(t *testing.T) {
+	bodies := make([][]byte, 1500) // ~1.5 MiB: six refills
+	for i := range bodies {
+		bodies[i] = body(1000+i%53, i)
+	}
+	bodies[700] = body(blockSize+100, 700)
+	data := capture(binary.LittleEndian, false, 1<<20, bodies...)
+	for _, block := range append([]int{0}, blockLens...) { // 0: Next
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := make([]Packet, max(block, 1))
+		for i := 0; i < len(bodies); {
+			n := 1
+			if block == 0 {
+				frames[0], err = r.Next()
+			} else {
+				n, err = r.ReadBlock(frames)
+			}
+			if err != nil {
+				t.Fatalf("block %d, record %d: %v", block, i, err)
+			}
+			for j, p := range frames[:n] {
+				if !bytes.Equal(p.Data, bodies[i+j]) {
+					t.Fatalf("block %d, record %d: Data changed before the next call", block, i+j)
+				}
+			}
+			i += n
 		}
 	}
 }

@@ -29,11 +29,10 @@ func fuzzSeedCapture(f *testing.F) []byte {
 // FuzzReader: parsing arbitrary bytes must never panic, never hand back a
 // record longer than the snap length, and never allocate a corrupt
 // header's multi-gigabyte length claim (the sanity cap turns that into a
-// parse error). It is differential: the block reader must yield the
-// unbuffered reference reader's packets and end on its error. And a record
-// that Buffered reports whole must not fail: internal/source's
-// PcapSource.NextBlock decodes every such record into the same block as
-// the first, and drops the block's packets if one of them fails.
+// parse error). It is differential: ReadBlock, at every block length of
+// blockLens, must yield the unbuffered reference reader's packets and end
+// on its error, and every call must return records or an error, never
+// both — internal/source's PcapSource.NextBlock keys the block it gets.
 func FuzzReader(f *testing.F) {
 	seed := fuzzSeedCapture(f)
 	f.Add(seed)
@@ -53,47 +52,15 @@ func FuzzReader(f *testing.F) {
 	nanos := append([]byte{}, seed...)
 	binary.LittleEndian.PutUint32(nanos[0:], magicNanoseconds)
 	f.Add(nanos)
-	// The second record (60 bytes) lies whole in the block but exceeds
-	// the snap length: Buffered must say no, because Next fails on it.
+	// The second record (60 bytes) lies whole in the buffer but exceeds
+	// the snap length: ReadBlock must return the first alone, then fail.
 	overSnap := append([]byte{}, seed...)
 	binary.LittleEndian.PutUint32(overSnap[16:], 16)
 	f.Add(overSnap)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		ref, rerr := newRefReader(bytes.NewReader(data))
-		if !sameError(err, rerr) {
-			t.Fatalf("NewReader: %v, reference: %v", err, rerr)
-		}
-		if err != nil {
-			return
-		}
-		snap := r.Header().SnapLen
-		for i := 0; i < 1<<16; i++ {
-			whole := r.Buffered()
-			p, err := r.Next()
-			rp, rerr := ref.Next()
-			if !sameError(err, rerr) {
-				t.Fatalf("record %d: error %v, reference %v", i, err, rerr)
-			}
-			if whole && err != nil {
-				t.Fatalf("record %d: Buffered reported it whole, Next failed: %v", i, err)
-			}
-			if err != nil {
-				break // io.EOF or a parse error: both fine, looping is not
-			}
-			if p.Time != rp.Time || p.OrigLen != rp.OrigLen || !bytes.Equal(p.Data, rp.Data) {
-				t.Fatalf("record %d differs from the reference", i)
-			}
-			if snap > 0 && uint32(len(p.Data)) > snap {
-				t.Fatalf("record %d: %d bytes beyond snap length %d", i, len(p.Data), snap)
-			}
-			if len(p.Data) > maxRecordLen {
-				t.Fatalf("record %d: %d bytes beyond the sanity cap", i, len(p.Data))
-			}
-			if math.IsNaN(p.Time) || p.Time < 0 {
-				t.Fatalf("record %d: timestamp %g", i, p.Time)
-			}
+		for _, block := range blockLens {
+			diffStreams(t, data, bytes.NewReader(data), bytes.NewReader(data), block)
 		}
 	})
 }

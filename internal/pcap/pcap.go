@@ -4,28 +4,26 @@
 // and nanosecond timestamp magics; the writer emits little-endian
 // microsecond captures with the Ethernet link type.
 //
-// The reader decodes records in place out of the 256 KiB blocks of an
-// internal/blockio.Reader, the block reader it shares with the native
-// trace decoder: a record's header and body come from one contiguous
-// slice of a block, so reading costs one Read on the underlying stream per
-// block and no copy or allocation per record. Three consequences callers
-// rely on:
+// The reader decodes records in place out of a 256 KiB bufio.Reader, as
+// the native trace decoder does: a record's header and body come from one
+// contiguous slice of the buffer, so reading costs one Read on the
+// underlying stream per buffer refill and no copy or allocation per
+// record. ReadBlock decodes every whole record already buffered in one
+// loop, with one Peek and one Discard; Next decodes one. Three
+// consequences callers rely on:
 //
-//   - Packet.Data aliases a block. It is valid until the following Next
-//     call and must be copied to be kept longer.
+//   - Packet.Data aliases the buffer. It is valid until the following
+//     Next or ReadBlock call and must be copied to be kept longer.
 //   - The reader buffers: it may have consumed more of the underlying
 //     stream than the records it has returned.
 //   - It never waits for more than the record it is about to return, so a
 //     capture streamed over a pipe or socket yields each record as soon as
-//     its last byte arrives. A record larger than a block (a capture
+//     its last byte arrives. A record larger than the buffer (a capture
 //     with a raised snap length) is copied into a buffer of its own.
 //
-// The reader itself starts no goroutine and has nothing to close. Handed a
-// *blockio.Reader it reads through that one instead of wrapping it, so a
-// reader that reads blocks ahead can be put under it. internal/source's
-// Open does not: for a large capture file it runs this reader, and the
-// flow key, on a read-ahead goroutine of its own, and hands the consumer
-// decoded packets.
+// The reader starts no goroutine and has nothing to close. internal/source's
+// Open runs it, and the flow key, on a decode-ahead goroutine of its own
+// for a large capture file, and hands the consumer decoded packets.
 //
 // The reader reports the capture's link type in Header and interprets
 // none: whoever parses Data must check it (internal/source accepts
@@ -33,13 +31,12 @@
 package pcap
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-
-	"flowrank/internal/blockio"
 )
 
 // Link types.
@@ -60,9 +57,9 @@ const (
 	// claim. Real captures snap at 64 KiB — 64 MiB is far beyond any
 	// valid record.
 	maxRecordLen = 1 << 26
-	// blockSize is what one underlying Read fetches; any record up to this
-	// size is decoded in place.
-	blockSize = blockio.BlockSize
+	// blockSize is the reader's buffer: what one underlying Read fetches,
+	// and the longest record decoded in place.
+	blockSize = 1 << 18
 )
 
 // ErrNotPcap is returned when the stream does not begin with a known pcap
@@ -82,7 +79,7 @@ type Packet struct {
 	// Time is seconds since the capture epoch.
 	Time float64
 	// Data is the captured bytes (up to SnapLen). From a Reader it points
-	// into the reader's buffer: valid until the following Next.
+	// into the reader's buffer: valid until the following read.
 	Data []byte
 	// OrigLen is the original wire length.
 	OrigLen int
@@ -154,14 +151,14 @@ func (w *Writer) Write(p Packet) error {
 	return nil
 }
 
-// Reader parses a pcap stream block by block: records are decoded in
-// place, so a Packet's Data aliases a block and reading costs one
-// underlying Read per block, not two per record.
+// Reader parses a pcap stream out of one buffer: records are decoded in
+// place, so a Packet's Data aliases the buffer and reading costs one
+// underlying Read per refill, not two per record.
 type Reader struct {
-	br     *blockio.Reader
+	br     *bufio.Reader
 	order  binary.ByteOrder
 	header Header
-	// big holds the one record too large for the block; it grows on demand.
+	// big holds the one record too large for the buffer; it grows on demand.
 	big []byte
 }
 
@@ -169,7 +166,7 @@ type Reader struct {
 // timestamp resolution. The reader buffers: it may consume more of r than
 // the records it has returned.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := blockio.NewReader(r)
+	br := bufio.NewReaderSize(r, blockSize)
 	var hdr [globalHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
@@ -204,9 +201,42 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Header returns the capture description.
 func (r *Reader) Header() Header { return r.header }
 
+// ReadBlock decodes up to len(frames) records into frames, which must not
+// be empty, and returns how many: n >= 1 with a nil error, or 0 with the
+// error — io.EOF at a clean end of capture. It decodes, in one loop, every
+// whole and well-formed record already buffered, with one Peek and one
+// Discard, and reads the stream through Next only for a first record that
+// is not there (one that straddles the end of the buffered bytes, one
+// larger than the buffer, a malformed one, or an empty buffer); so it
+// never waits for a byte beyond the first record it returns. Every
+// frame's Data is valid until the following read.
+//
+//flowrank:hotpath
+func (r *Reader) ReadBlock(frames []Packet) (int, error) {
+	b, _ := r.br.Peek(r.br.Buffered()) // buffered: never reads
+	off, i := 0, 0
+	for ; i < len(frames); i++ {
+		n := r.decodeRecord(b[off:], &frames[i])
+		if n == 0 {
+			break
+		}
+		off += n
+	}
+	if i == 0 {
+		p, err := r.Next()
+		if err != nil {
+			return 0, err
+		}
+		frames[0] = p
+		return 1, nil
+	}
+	_, _ = r.br.Discard(off) // cannot fail: the records are buffered
+	return i, nil
+}
+
 // Next returns the next packet, or io.EOF at a clean end of capture. The
 // returned Data points into the reader's buffer and is only valid until
-// the following Next call. Next waits for no byte beyond the record it
+// the following read. Next waits for no byte beyond the record it
 // returns, so a capture arriving over a pipe yields each record as its
 // last byte arrives.
 //
@@ -216,56 +246,67 @@ func (r *Reader) Next() (Packet, error) {
 	if err != nil {
 		return Packet{}, headerError(len(hdr), err)
 	}
-	sec := r.order.Uint32(hdr[0:4])
-	frac := r.order.Uint32(hdr[4:8])
 	inclLen := r.order.Uint32(hdr[8:12])
-	origLen := r.order.Uint32(hdr[12:16])
-	if inclLen > r.header.SnapLen && r.header.SnapLen > 0 || inclLen > maxRecordLen {
+	if r.tooLong(inclLen) {
 		return Packet{}, r.lengthError(inclLen)
 	}
 	recLen := packetHeaderLen + int(inclLen)
-	var data []byte
-	if recLen <= blockSize {
-		rec, err := r.br.Peek(recLen)
-		if err != nil {
-			return Packet{}, dataError(err)
+	if recLen > blockSize {
+		// readBig refills the buffer hdr aliases: read the header first.
+		p := Packet{Time: r.time(hdr), OrigLen: int(r.order.Uint32(hdr[12:16]))}
+		if p.Data, err = r.readBig(int(inclLen)); err != nil {
+			return Packet{}, err
 		}
-		data = rec[packetHeaderLen:]
-		_, _ = r.br.Discard(recLen) // cannot fail: recLen bytes are buffered
-	} else if data, err = r.readBig(int(inclLen)); err != nil {
-		return Packet{}, err
+		return p, nil
 	}
-	t := float64(sec)
-	if r.header.Nanos {
-		t += float64(frac) / 1e9
-	} else {
-		t += float64(frac) / 1e6
+	rec, err := r.br.Peek(recLen)
+	if err != nil {
+		return Packet{}, dataError(err)
 	}
-	return Packet{Time: t, Data: data, OrigLen: int(origLen)}, nil
+	var p Packet
+	r.decodeRecord(rec, &p)
+	_, _ = r.br.Discard(recLen) // cannot fail: recLen bytes are buffered
+	return p, nil
 }
 
-// Buffered reports whether the next record lies whole, and well formed, in
-// the buffered block: then Next returns it without reading the stream and
-// without failing. A batch decoder asks before every record but its first,
-// so that it never waits for bytes beyond a record it could already return.
+// decodeRecord decodes the record at the start of b into *p, its Data
+// aliasing b, and returns the record's length; 0, and *p untouched, when
+// b does not hold a whole record of a valid length.
 //
 //flowrank:hotpath
-func (r *Reader) Buffered() bool {
-	avail := r.br.Buffered()
-	if avail < packetHeaderLen {
-		return false
+func (r *Reader) decodeRecord(b []byte, p *Packet) int {
+	if len(b) < packetHeaderLen {
+		return 0
 	}
-	hdr, _ := r.br.Peek(packetHeaderLen) // buffered: never reads
-	inclLen := r.order.Uint32(hdr[8:12])
-	if inclLen > r.header.SnapLen && r.header.SnapLen > 0 || inclLen > maxRecordLen {
-		return false
-	}
+	inclLen := r.order.Uint32(b[8:12])
 	recLen := packetHeaderLen + int(inclLen)
-	return recLen <= blockSize && recLen <= avail
+	if r.tooLong(inclLen) || recLen > len(b) {
+		return 0
+	}
+	p.Time = r.time(b)
+	p.Data = b[packetHeaderLen:recLen]
+	p.OrigLen = int(r.order.Uint32(b[12:16]))
+	return recLen
 }
 
-// readBig copies a record body that cannot fit the block buffer (a capture
-// whose snap length was raised past it) into a buffer of its own.
+// tooLong reports whether a record's captured length breaks the snap
+// length or the sanity cap.
+func (r *Reader) tooLong(inclLen uint32) bool {
+	return inclLen > r.header.SnapLen && r.header.SnapLen > 0 || inclLen > maxRecordLen
+}
+
+// time decodes a record header's timestamp into seconds.
+func (r *Reader) time(hdr []byte) float64 {
+	t := float64(r.order.Uint32(hdr[0:4]))
+	frac := r.order.Uint32(hdr[4:8])
+	if r.header.Nanos {
+		return t + float64(frac)/1e9
+	}
+	return t + float64(frac)/1e6
+}
+
+// readBig copies a record body that cannot fit the buffer (a capture whose
+// snap length was raised past it) into a buffer of its own.
 func (r *Reader) readBig(n int) ([]byte, error) {
 	_, _ = r.br.Discard(packetHeaderLen) // cannot fail: the header was just peeked
 	if cap(r.big) < n {

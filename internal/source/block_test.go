@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"flowrank/internal/blockio"
 	"flowrank/internal/packet"
 )
 
@@ -23,9 +22,6 @@ import (
 // packet, two, a length that cuts every batch and block somewhere, the
 // pipeline's readBlock, and more than a decode-ahead batch.
 var blockSizes = []int{1, 2, 7, readBlock, 5000}
-
-// readBlock mirrors internal/pipeline's block length.
-const readBlock = 256
 
 // tape is what a run of reads returned: the packets, and the text of each
 // error with the number of packets read before it.
@@ -152,8 +148,9 @@ func checkBlocks(t *testing.T, cases []blockCase) {
 
 // blockSources returns a case per source over data — the packets encoded
 // as a native trace, or as a capture when isPcap — which holds n packets
-// and ends with end: every trace source, synchronous and reading ahead, a
-// Loop over the file (lim caps its endless stream), Paced and Counted.
+// and ends with end: every trace source, over the bytes and opened at a
+// zero threshold (decoding a capture ahead), a Loop over the file (lim
+// caps its endless stream), Paced and Counted.
 func blockSources(t *testing.T, label string, data []byte, isPcap bool, n int, end error) []blockCase {
 	path := filepath.Join(t.TempDir(), "trace")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -172,7 +169,7 @@ func blockSources(t *testing.T, label string, data []byte, isPcap bool, n int, e
 		}
 		return src
 	}
-	ahead := func(t *testing.T) PacketSource {
+	opened := func(t *testing.T) PacketSource {
 		src, err := open(path, isPcap, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -191,11 +188,11 @@ func blockSources(t *testing.T, label string, data []byte, isPcap bool, n int, e
 		p.sleep = func(time.Duration) {}
 		return p
 	}
-	counted := func(t *testing.T) PacketSource { return &Counted{PacketSource: ahead(t)} }
+	counted := func(t *testing.T) PacketSource { return &Counted{PacketSource: opened(t)} }
 	whole := tapeLimit{packets: n + 1} // stops at the end's two errors
 	cases := []blockCase{
 		{name: "sync", open: sync, lim: whole, end: end, packets: n},
-		{name: "reading ahead", open: ahead, lim: whole, end: end, packets: n},
+		{name: "opened", open: opened, lim: whole, end: end, packets: n},
 		{name: "paced", open: paced, lim: whole, end: end, packets: n},
 		{name: "counted", open: counted, lim: whole, end: end, packets: n},
 	}
@@ -210,8 +207,9 @@ func blockSources(t *testing.T, label string, data []byte, isPcap bool, n int, e
 }
 
 // fewBlocks encodes enough copies of the test packets, at rising times,
-// to fill three blocks in either format, so that records straddle two
-// block boundaries and a capture read ahead spans several batches.
+// to fill the readers' buffer three times in either format, so that
+// records straddle two refills and a capture decoded ahead spans several
+// batches.
 func fewBlocks(t *testing.T, isPcap bool) (data []byte, packets int) {
 	t.Helper()
 	pkts := testPackets(t)
@@ -220,7 +218,7 @@ func fewBlocks(t *testing.T, isPcap bool) (data []byte, packets int) {
 		encode = encodePcap
 	}
 	var trace []packet.Packet
-	for len(data) < 3*blockio.BlockSize {
+	for len(data) < 3*bufSize {
 		trace = append(trace, pkts...)
 		for i := range trace {
 			trace[i].Time = float64(i) * 1e-3
@@ -237,7 +235,7 @@ func fewBlocks(t *testing.T, isPcap bool) (data []byte, packets int) {
 }
 
 // TestNextBlockMatchesNext: every source, at every block length, over
-// traces of three blocks (so records straddle the 256 KiB blocks the
+// traces of three buffers (so records straddle the 256 KiB buffer the
 // readers decode from), whole or cut inside their final record: the same
 // packets as Next, then the same errors — io.EOF again and again after a
 // clean end, a wrapped io.ErrUnexpectedEOF after a truncated one.

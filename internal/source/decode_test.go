@@ -15,8 +15,9 @@ import (
 	"flowrank/internal/packet"
 )
 
-// The trace readers decode records out of a block they read ahead. These
-// tests pin the source contracts that read-ahead could break.
+// The trace readers decode records out of a buffer they fill ahead of the
+// records they return. These tests pin the source contracts that
+// buffering could break.
 
 // bothSources opens the same packets as a TraceSource and a PcapSource.
 func bothSources(t *testing.T, pkts []packet.Packet) map[string]PacketSource {
@@ -32,8 +33,8 @@ func bothSources(t *testing.T, pkts []packet.Packet) map[string]PacketSource {
 	return map[string]PacketSource{"trace": trace, "pcap": pc}
 }
 
-// TestCloseDropsBufferedPackets: Close wins over read-ahead. After one
-// Next the whole trace sits decoded-ahead in the reader's block; Next
+// TestCloseDropsBufferedPackets: Close wins over buffering. After one
+// Next the whole trace sits in the reader's buffer; Next
 // after Close must still fail with ErrClosedSource, not serve from it.
 func TestCloseDropsBufferedPackets(t *testing.T) {
 	for name, src := range bothSources(t, testPackets(t)) {
@@ -226,36 +227,51 @@ func TestPcapSourceRejectsLinkType(t *testing.T) {
 
 var sinkPacket packet.Packet
 
-// BenchmarkSourceDecode measures one packet through source.Open on a real
-// file, so the read syscalls are in the number: ns/pkt is the cost the
-// source layer charges every packet before the sampling decision. Next
-// is NextBlock into a block of one packet, copied out; NextBlock reads
-// blocks of the pipeline's length, the path Run takes. The native file
-// (two blocks) and pcap (55 blocks) are below
-// Open's threshold and are read synchronously; pcap-large (275 blocks) is
-// decoded ahead, in batches of keyed packets, and times that in steady
-// state.
+// BenchmarkSourceDecode measures what the source layer charges every
+// packet before the sampling decision, in ns/pkt. Next is NextBlock into
+// a block of one packet, copied out; NextBlock reads blocks of the
+// pipeline's length, the path Run takes. native and pcap decode an
+// in-memory trace, built once, synchronously: one iteration reads it as
+// many times over, each through a new source, as it takes to decode
+// decodeAtLeast packets, so that a run resolves steps of a few ns/pkt and
+// no file system is in the number. pcap-large is a 72 MB capture file
+// above Open's threshold, decoded ahead in batches of keyed packets, and
+// times that in steady state, read syscalls included.
 func BenchmarkSourceDecode(b *testing.B) {
+	const decodeAtLeast = 2_000_000
 	pkts := genPackets(b, 20, 150) // ~28k packets: 0.5 MB native, 14 MB pcap
 	buf := make([]packet.Packet, readBlock)
 	for _, format := range []struct {
 		name   string
 		isPcap bool
-		repeat int // the file is the trace this many times over
+		repeat int  // the trace is the packets this many times over
+		file   bool // read from a file through Open, once an iteration
 		encode func(testing.TB, []packet.Packet) []byte
 	}{
-		{"native", false, 1, encodeNative},
-		{"pcap", true, 1, encodePcap},
-		{"pcap-large", true, 5, encodePcap},
+		{"native", false, 8, false, encodeNative},
+		{"pcap", true, 1, false, encodePcap},
+		{"pcap-large", true, 5, true, encodePcap},
 	} {
 		var trace []packet.Packet
 		for i := 0; i < format.repeat; i++ {
 			trace = append(trace, pkts...) // time may go back: the sources do not care
 		}
 		data := format.encode(b, trace)
-		path := filepath.Join(b.TempDir(), "trace")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			b.Fatal(err)
+		passes := 1
+		open := func() (PacketSource, error) {
+			if format.isPcap {
+				return NewPcapSource(bytes.NewReader(data))
+			}
+			return NewTraceSource(bytes.NewReader(data))
+		}
+		if format.file {
+			path := filepath.Join(b.TempDir(), "trace")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				b.Fatal(err)
+			}
+			open = func() (PacketSource, error) { return Open(path, format.isPcap) }
+		} else {
+			passes = (decodeAtLeast + len(trace) - 1) / len(trace)
 		}
 		for _, blocks := range []bool{false, true} {
 			name := format.name + "/Next"
@@ -263,10 +279,10 @@ func BenchmarkSourceDecode(b *testing.B) {
 				name = format.name + "/NextBlock"
 			}
 			b.Run(name, func(b *testing.B) {
-				b.SetBytes(int64(len(data)))
+				b.SetBytes(int64(passes * len(data)))
 				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					src, err := Open(path, format.isPcap)
+				for i := 0; i < b.N*passes; i++ {
+					src, err := open()
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -291,7 +307,7 @@ func BenchmarkSourceDecode(b *testing.B) {
 					}
 					src.Close()
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trace)), "ns/pkt")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes*len(trace)), "ns/pkt")
 			})
 		}
 	}

@@ -9,18 +9,30 @@ import (
 	"runtime"
 	"testing"
 
-	"flowrank/internal/blockio"
 	"flowrank/internal/flow"
 	"flowrank/internal/layers"
 	"flowrank/internal/packet"
 	"flowrank/internal/pcap"
 )
 
-// Reading ahead of the decoder is Open's doing alone, for files worth it,
-// and ends with the source's Close. These tests pin who owns a goroutine
-// and when it is gone. They count goroutines exactly, without polling:
-// Close returns only once the read-ahead goroutine has exited, and nothing
+// Decoding ahead of the reader is Open's doing alone, for capture files
+// worth it, and ends with the source's Close; a native trace is read
+// synchronously at any size. These tests pin who owns a goroutine and when
+// it is gone. They count goroutines exactly, without polling: Close
+// returns only once the decode-ahead goroutine has exited, and nothing
 // else in this package's tests leaves one running.
+
+// bufSize is the trace readers' buffer (internal/packet, internal/pcap).
+const bufSize = 1 << 18
+
+// aheadGoroutines is how many goroutines Open at threshold 0 runs for a
+// trace: one decoding a capture ahead, none for a native trace.
+func aheadGoroutines(isPcap bool) int {
+	if isPcap {
+		return 1
+	}
+	return 0
+}
 
 // ownGoroutines counts the other goroutines running this module's code:
 // one has a frame in it. Goroutines of the testing package and the
@@ -28,7 +40,7 @@ import (
 // on their own schedule, so a plain runtime.NumGoroutine difference can
 // read -1 on a loaded machine; none of them runs a flowrank/ function.
 //
-// A goroutine's last act (the read-ahead's close of its done channel)
+// A goroutine's last act (the decode-ahead's close of its done channel)
 // wakes the goroutine that waits for it while its own frames are still on
 // the stack. With a second P idle, the waiter can run and count it before
 // it is gone; a test that counts right after a Close therefore runs on one
@@ -56,12 +68,12 @@ func oneP(t *testing.T) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// manyBlocks encodes enough copies of the test packets to fill a dozen
-// blocks in either format, and a capture of more than twice the packets a
-// decode-ahead holds (four batches, and the undecoded rest of its block):
-// halfway through, a read-ahead goroutine cannot have met the end of the
-// file yet. The capture's frames are cut to 64 bytes on the wire, so that
-// it still stays below Open's threshold.
+// manyBlocks encodes enough copies of the test packets to fill the
+// readers' buffer a dozen times in either format, and a capture of more
+// than twice the packets a decode-ahead holds (four batches, and the
+// undecoded rest of its buffer): halfway through, a decode-ahead goroutine
+// cannot have met the end of the file yet. The capture's frames are cut to
+// 64 bytes on the wire, so that it still stays below Open's threshold.
 func manyBlocks(t *testing.T, isPcap bool) (data []byte, packets int) {
 	t.Helper()
 	pkts := testPackets(t)
@@ -69,10 +81,10 @@ func manyBlocks(t *testing.T, isPcap bool) (data []byte, packets int) {
 	if isPcap {
 		const minRecord = 16 + 42 // record header, Ethernet/IPv4/UDP headers
 		encode, per = encodePcap, minRecord
-		atLeast = 2 * ((blockio.Depth+1)*batchPackets + blockio.BlockSize/minRecord)
+		atLeast = 2 * ((aheadDepth+1)*batchPackets + bufSize/minRecord)
 	}
 	var trace []packet.Packet
-	for len(trace)*per < 12*blockio.BlockSize || len(trace) <= atLeast {
+	for len(trace)*per < 12*bufSize || len(trace) <= atLeast {
 		trace = append(trace, pkts...)
 	}
 	for i := range trace {
@@ -82,16 +94,17 @@ func manyBlocks(t *testing.T, isPcap bool) (data []byte, packets int) {
 		}
 	}
 	data = encode(t, trace)
-	if len(data) < 12*blockio.BlockSize || len(data) >= readAheadMin {
-		t.Fatalf("%d-byte trace, want at least twelve blocks and less than Open's threshold", len(data))
+	if len(data) < 12*bufSize || len(data) >= readAheadMin {
+		t.Fatalf("%d-byte trace, want at least twelve buffers and less than Open's threshold", len(data))
 	}
 	return data, len(trace)
 }
 
 // TestOnlyOpenReadsAhead: a source built over a bare io.Reader decodes a
-// trace of several blocks without ever starting a goroutine, and so does
+// trace of several buffers without ever starting a goroutine, and so does
 // Open below its size threshold; Open above it (here: at threshold 0) runs
-// exactly one, gone when Close returns.
+// exactly one for a capture, gone when Close returns, and none for a
+// native trace.
 func TestOnlyOpenReadsAhead(t *testing.T) {
 	oneP(t)
 	for _, isPcap := range []bool{false, true} {
@@ -112,7 +125,7 @@ func TestOnlyOpenReadsAhead(t *testing.T) {
 				return NewTraceSource(bytes.NewReader(data))
 			}, 0},
 			{"Open, small file", func() (PacketSource, error) { return Open(path, isPcap) }, 0},
-			{"Open, reading ahead", func() (PacketSource, error) { return open(path, isPcap, 0) }, 1},
+			{"Open, threshold 0", func() (PacketSource, error) { return open(path, isPcap, 0) }, aheadGoroutines(isPcap)},
 		} {
 			src, err := tc.open()
 			if err != nil {
@@ -140,9 +153,11 @@ func TestOnlyOpenReadsAhead(t *testing.T) {
 	}
 }
 
-// TestReadAheadMatchesSynchronous: through Open with the goroutine running,
-// both formats yield the packets the synchronous sources yield.
+// TestReadAheadMatchesSynchronous: through Open at threshold 0 — a capture
+// decoded ahead by its one goroutine, a native trace read synchronously by
+// none — both formats yield the packets the synchronous sources yield.
 func TestReadAheadMatchesSynchronous(t *testing.T) {
+	oneP(t)
 	for _, isPcap := range []bool{false, true} {
 		data, packets := manyBlocks(t, isPcap)
 		path := filepath.Join(t.TempDir(), "trace")
@@ -152,6 +167,9 @@ func TestReadAheadMatchesSynchronous(t *testing.T) {
 		ahead, err := open(path, isPcap, 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got, want := ownGoroutines(), aheadGoroutines(isPcap); got != want {
+			t.Errorf("pcap=%v: %d goroutines at threshold 0, want %d", isPcap, got, want)
 		}
 		plain, err := Open(path, isPcap)
 		if err != nil {
@@ -182,13 +200,13 @@ func (c countedSource) Close() error {
 	return c.PacketSource.Close()
 }
 
-// TestLoopOverReadAheadFile: 300 cycles of a Loop over a file that is read
-// ahead open 300 files and 300 goroutines, in either format; each source
-// is closed once, and when the loop is closed no goroutine and no
-// descriptor is left, and the live heap is back within loopHeapSlack of
-// where it started: a cycle's buffers (2 MiB of blocks reading a native
-// trace ahead, 768 KiB of batches and block decoding a capture ahead)
-// do not accumulate.
+// TestLoopOverReadAheadFile: 300 cycles of a Loop over a file opened at
+// threshold 0 open 300 files, in either format, and 300 decode-ahead
+// goroutines for a capture, none for a native trace; each source is closed
+// once, and when the loop is closed no goroutine and no descriptor is
+// left, and the live heap is back within loopHeapSlack of where it
+// started: a cycle's buffers (the 256 KiB reader buffer, and a capture's
+// 768 KiB of batches) do not accumulate.
 func TestLoopOverReadAheadFile(t *testing.T) {
 	oneP(t)
 	const loopHeapSlack = 1 << 20
@@ -222,6 +240,12 @@ func TestLoopOverReadAheadFile(t *testing.T) {
 		for i := 0; i < cycles*len(pkts)+1; i++ { // the +1 opens cycle 301
 			if err := loop.Next(&p); err != nil {
 				t.Fatalf("pcap=%v: packet %d: %v", isPcap, i, err)
+			}
+			// Mid-cycle; a capture's goroutine may have met the end already.
+			if i%len(pkts) == len(pkts)/2 {
+				if got, most := ownGoroutines(), aheadGoroutines(isPcap); got > most {
+					t.Fatalf("pcap=%v: %d goroutines in cycle %d, want at most %d", isPcap, got, i/len(pkts), most)
+				}
 			}
 		}
 		if err := loop.Close(); err != nil {

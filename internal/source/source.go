@@ -18,43 +18,42 @@
 // one packet, copied out, so any mix of the two yields the stream in order
 // by construction.
 //
-// The two trace sources decode records in place out of the 256 KiB blocks
-// of one block reader (internal/blockio, under internal/packet and
-// internal/pcap alike), so a read costs no allocation and no system call
-// per packet: NextBlock decodes, in one loop, every whole record already
-// in the block, and leaves a record that straddles the block's end, or a
-// malformed one, to the byte-wise path of the next call. The buffering is
-// invisible through PacketSource: a read copies what it keeps out of the
-// block (a pcap frame is reduced to its flow key, layers.FlowKey, while its
-// bytes are still there: they are valid until the following read), a read
-// after Close fails with ErrClosedSource even though records remain
-// buffered, and a stream that arrives slowly (a pipe, a socket) yields
-// each packet once its last byte is in — the readers never wait to fill a
-// block. A pcap capture must have the Ethernet link type,
-// the only framing internal/layers parses; anything else is refused at open
-// with ErrUnsupportedLinkType.
+// The two trace sources decode records in place out of a 256 KiB
+// bufio.Reader (internal/packet's and internal/pcap's ReadBlock), so a
+// read costs no allocation and no system call per packet: NextBlock
+// decodes, in one loop, every whole record already buffered, and leaves a
+// record that straddles the buffer's end, or a malformed one, to the
+// record-at-a-time path of the next call. The buffering is invisible
+// through PacketSource: a read copies what it keeps out of the buffer (a
+// pcap frame is reduced to its flow key, layers.FlowKey, while its bytes
+// are still there: they are valid until the following read), a read after
+// Close fails with ErrClosedSource even though records remain buffered,
+// and a stream that arrives slowly (a pipe, a socket) yields each packet
+// once its last byte is in — the readers never wait to fill a buffer. A
+// pcap capture must have the Ethernet link type, the only framing
+// internal/layers parses; anything else is refused at open with
+// ErrUnsupportedLinkType.
 //
-// Who reads ahead: Open, and nothing else, for a regular file of 16 MiB or
-// more, on one goroutine (internal/blockio's Ahead) that keeps up to three
-// buffers filled while the caller's reads work through the current one. A
-// native trace's goroutine reads 256 KiB blocks of bytes for its decoder
-// (2 MiB of buffers per open source). A capture's goroutine runs the whole
-// synchronous PcapSource — its own block reader, the record parse, the
-// flow key — and hands over batches of 4096 keyed packets (768 KiB per
-// open source), which NextBlock copies out, so a frame's headers are
-// parsed on the core whose read(2) just wrote them, not out of the other
-// core's cache. (Decoding a native
-// trace ahead measured no gain: ROADMAP, "Decided against".) Smaller
-// files, pipes, and every source built from a bare io.Reader
-// (NewTraceSource, NewPcapSource) are read synchronously and own no
-// goroutine. Either way the reader sees what the synchronous source shows:
-// every packet before an error, then that error; once the goroutine has
-// exited — by itself, at the end of the file or at a read error — reads
-// go on synchronously, so a retry or a repeated io.EOF is answered as
-// without it. Close closes the file first, so a blocked read returns, and
-// does not return before the goroutine has exited: a closed source leaves
-// nothing behind, and Loop, which opens its source once per cycle, leaves
-// nothing behind per cycle.
+// Who reads ahead: Open, and nothing else, for a pcap capture in a regular
+// file of 16 MiB or more, on one goroutine (pcapAhead's) that runs the
+// whole synchronous PcapSource — its reader, the record parse, the flow
+// key — and keeps up to three batches of 4096 keyed packets decoded while
+// the caller's reads work through the current one (768 KiB per open
+// source). NextBlock copies them out, so a frame's headers are parsed on
+// the core whose read(2) just wrote them, not out of the other core's
+// cache. A native trace is read synchronously at any size: decoding it
+// ahead cost more CPU than it saved, and reading its bytes ahead hid only
+// its read(2) calls, a few per cent of wall time, at the price of a second
+// buffered reader (ROADMAP, "Decided against"). Smaller captures, pipes,
+// and every source built from a bare io.Reader (NewTraceSource,
+// NewPcapSource) are read synchronously too and own no goroutine. Decoding ahead, the reader sees what the
+// synchronous source shows: every packet before an error, then that error;
+// once the goroutine has exited — by itself, at the end of the file or at
+// a read error — reads go on synchronously, so a retry or a repeated
+// io.EOF is answered as without it. Close closes the file first, so a
+// blocked read returns, and does not return before the goroutine has
+// exited: a closed source leaves nothing behind, and Loop, which opens its
+// source once per cycle, leaves nothing behind per cycle.
 //
 // Replay decorators compose over any source: Pace throttles a trace to
 // line rate (or a speed multiple of it) using the packet timestamps, and
@@ -73,7 +72,6 @@ import (
 	"os"
 	"sync/atomic"
 
-	"flowrank/internal/blockio"
 	"flowrank/internal/layers"
 	"flowrank/internal/obs"
 	"flowrank/internal/packet"
@@ -193,7 +191,13 @@ type PcapSource struct {
 	c      io.Closer
 	closed atomic.Bool
 	one    [1]packet.Packet // Next's block
+	// frames is where ReadBlock decodes a block before it is keyed.
+	frames [readBlock]pcap.Packet
 }
+
+// readBlock is how many frames PcapSource decodes per ReadBlock: the
+// pipeline's block length.
+const readBlock = 256
 
 // NewPcapSource validates the pcap global header and returns a source
 // over r. Only Ethernet captures are accepted; any other link type fails
@@ -237,30 +241,37 @@ func (s *PcapSource) Close() error {
 }
 
 // NextBlock fills buf with the next decodable frames: the first wherever
-// it lies, then every further one whose record is already buffered whole.
+// it lies, then every further one whose record is already buffered whole
+// (pcap.Reader.ReadBlock), up to readBlock frames a call.
 //
 //flowrank:hotpath
 func (s *PcapSource) NextBlock(buf []packet.Packet) (int, error) {
 	if s.closed.Load() {
 		return 0, errPcapClosed
 	}
-	n := 0
-	for n < len(buf) && (n == 0 || s.r.Buffered()) {
-		pk, err := s.r.Next()
+	frames := s.frames[:min(len(buf), len(s.frames))]
+	for {
+		k, err := s.r.ReadBlock(frames)
 		if err != nil {
-			return 0, err // n is 0: a buffered record does not fail
+			return 0, err
 		}
-		key, kerr := layers.FlowKey(pk.Data)
-		if kerr != nil {
-			continue // skip undecodable frames
+		n := 0
+		for i := range frames[:k] {
+			f := &frames[i]
+			key, kerr := layers.FlowKey(f.Data)
+			if kerr != nil {
+				continue // skip undecodable frames
+			}
+			p := &buf[n]
+			p.Time = f.Time
+			p.Key = key
+			p.Size = f.OrigLen
+			n++
 		}
-		p := &buf[n]
-		p.Time = pk.Time
-		p.Key = key
-		p.Size = pk.OrigLen
-		n++
+		if n > 0 {
+			return n, nil
+		}
 	}
-	return n, nil
 }
 
 // fill decodes packets into buf until it is full or a read fails: the
@@ -279,84 +290,134 @@ func (s *PcapSource) fill(buf []packet.Packet) (int, error) {
 	return n, nil
 }
 
-// readAheadMin is the file size from which Open reads ahead. Starting the
-// goroutine and faulting in its 2 MiB of buffers costs what overlapping
-// some tens of blocks returns (BenchmarkSourceDecode: 55 blocks break about
-// even in a decode-only loop), so a file below 64 blocks is read as
-// NewTraceSource and NewPcapSource read anything: synchronously.
-const readAheadMin = 64 * blockio.BlockSize
+// readAheadMin is the capture file size from which Open decodes ahead.
+// Starting the goroutine and faulting in its 768 KiB of batches costs what
+// overlapping the decode of some megabytes returns, so a smaller capture
+// is read as NewPcapSource reads anything: synchronously. The figure was
+// set for a byte read-ahead of 256 KiB blocks (55 blocks broke about even
+// in a decode-only loop) and has not been measured again for the
+// decode-ahead alone.
+const readAheadMin = 16 << 20
 
 // batchPackets is how many decoded packets one hand-off of a pcap
 // decode-ahead carries: 128 KiB of packet.Packet. Batches of 512 and 1024
 // packets ran at 0.82x and 0.87x its speed, 16384 tied.
 const batchPackets = 4096
 
+// aheadDepth is how many batches the decode-ahead goroutine may hold
+// decoded beyond the one its consumer is working through. With one in
+// flight, waking a parked thread costs about as long as the work between
+// two hand-offs, and the consumer waits at every one (ROADMAP, "Decided
+// against").
+const aheadDepth = 3
+
 // Open opens a trace file as a PacketSource: the native format by
-// default, pcap when isPcap is set. A regular file of readAheadMin bytes
-// or more is read ahead (see the package comment): a native trace as
-// blocks of bytes under its decoder, a capture as batches of packets its
-// decoder has already keyed. The returned source owns the file handle and
-// the read-ahead: its Close closes the one and ends the other.
+// default, pcap when isPcap is set. A capture in a regular file of
+// readAheadMin bytes or more is decoded ahead (see the package comment);
+// everything else is read synchronously. The returned source owns the
+// file handle and the goroutine: its Close closes the one and ends the
+// other.
 func Open(path string, isPcap bool) (PacketSource, error) {
 	return open(path, isPcap, readAheadMin)
 }
 
-// open is Open with the read-ahead threshold as a parameter, for the tests
-// that want the goroutine under a file of a few packets.
+// open is Open with the decode-ahead threshold as a parameter, for the
+// tests that want the goroutine under a file of a few packets.
 func open(path string, isPcap bool, readAheadMin int64) (PacketSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
-	ahead := err == nil && st.Mode().IsRegular() && st.Size() >= readAheadMin
-	if isPcap {
-		src, err := NewPcapSource(f)
+	if !isPcap {
+		src, err := NewTraceSource(f)
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
-		if ahead {
-			return newPcapAhead(src), nil
-		}
 		return src, nil
 	}
-	var r io.ReadCloser = f
-	if ahead {
-		r = blockio.NewReadAhead(f)
-	}
-	src, err := NewTraceSource(r)
+	src, err := NewPcapSource(f)
 	if err != nil {
-		r.Close()
+		f.Close()
 		return nil, err
+	}
+	if st, err := f.Stat(); err == nil && st.Mode().IsRegular() && st.Size() >= readAheadMin {
+		return newPcapAhead(src), nil
 	}
 	return src, nil
 }
 
 // pcapAhead is what Open returns for a large capture file: a goroutine
-// runs the synchronous source's decoder (fill) and hands over batches of
-// packets, which NextBlock copies out a block at a time (Next one at a
-// time). Once the goroutine has exited — after the batch that carried the
-// end of the capture or an error — reads go to the synchronous source, so a retry or a
-// repeated io.EOF is answered exactly as it would be without it.
+// (decode) runs the synchronous source's decoder (fill) and hands over
+// batches of packets, which NextBlock copies out a block at a time (Next
+// one at a time). Once the goroutine has exited — after the batch that
+// carried the end of the capture or an error — reads go to the
+// synchronous source, so a retry or a repeated io.EOF is answered exactly
+// as it would be without it.
+//
+// Batches circulate between two queues, each with room for every batch,
+// so neither side ever blocks on a send: the consumer parks only on an
+// empty ready, the goroutine only on an empty free.
 type pcapAhead struct {
-	sync *PcapSource // the goroutine's until it has exited, then the reads'
-	a    *blockio.Ahead[packet.Packet]
-	buf  []packet.Packet // buf[i:n] is decoded and unread
-	i, n int
-	err  error // the error that ended buf, reported after its packets
-	// async is true while the packets come from a's goroutine.
+	sync  *PcapSource   // the goroutine's until it has exited, then the reads'
+	stop  chan struct{} // closed by Close
+	done  chan struct{} // closed when the goroutine has exited
+	ready chan batch    // decoded batches in stream order; closed with done
+	free  chan []packet.Packet
+	buf   []packet.Packet // buf[i:n] is decoded and unread
+	i, n  int
+	err   error // the error that ended buf, reported after its packets
+	// async is true while the packets come from the goroutine.
 	async  bool
 	closed atomic.Bool
 	one    [1]packet.Packet // Next's block
 }
 
+// batch is one fill on its way from the goroutine to the consumer: the
+// buffer, how many packets the fill decoded into it, and the error that
+// ended the fill, if one did.
+type batch struct {
+	pkts []packet.Packet
+	n    int
+	err  error
+}
+
 func newPcapAhead(src *PcapSource) *pcapAhead {
-	return &pcapAhead{
+	s := &pcapAhead{
 		sync:  src,
-		a:     blockio.NewAhead(batchPackets, src.fill),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+		ready: make(chan batch, aheadDepth+1),
+		free:  make(chan []packet.Packet, aheadDepth+1),
 		buf:   make([]packet.Packet, batchPackets), // the one more that circulates
 		async: true,
+	}
+	for i := 0; i < aheadDepth; i++ {
+		s.free <- make([]packet.Packet, batchPackets)
+	}
+	go s.decode()
+	return s
+}
+
+// decode is the goroutine: fill a free batch and hand it over, until a
+// fill fails or Close says stop.
+//
+//flowrank:hotpath
+func (s *pcapAhead) decode() {
+	defer close(s.done)
+	defer close(s.ready)
+	for {
+		var buf []packet.Packet
+		select {
+		case buf = <-s.free:
+		case <-s.stop:
+			return
+		}
+		n, err := s.sync.fill(buf)
+		s.ready <- batch{buf, n, err}
+		if err != nil {
+			return
+		}
 	}
 }
 
@@ -405,7 +466,7 @@ func (s *pcapAhead) refill() error {
 			s.err = nil
 			return err
 		}
-		blk, ok := s.a.Next()
+		b, ok := <-s.ready
 		if s.closed.Load() {
 			return errPcapClosed
 		}
@@ -413,8 +474,8 @@ func (s *pcapAhead) refill() error {
 			s.async = false
 			break
 		}
-		s.a.Free(s.buf)
-		s.buf, s.i, s.n, s.err = blk.Buf, 0, blk.N, blk.Err
+		s.free <- s.buf // never blocks: free has room for every batch
+		s.buf, s.i, s.n, s.err = b.pkts, 0, b.n, b.err
 		if s.n > 0 {
 			break
 		}
@@ -430,7 +491,8 @@ func (s *pcapAhead) Close() error {
 		return nil
 	}
 	err := s.sync.Close()
-	s.a.Stop()
+	close(s.stop)
+	<-s.done
 	return err
 }
 

@@ -5,7 +5,7 @@
 # mask), and require byte-identical bin reports and NetFlow exports, and a journal that validates with one record, stage timings
 # included, per reported bin; run the two bounded sampled tables at one and
 # three shards and require the exact run's flow counts and true top lists;
-# then read one capture above source.Open's read-ahead threshold
+# then read one capture above source.Open's decode-ahead threshold
 # both ways it can be read, and require the same bytes again. CI runs this
 # after the unit suite; locally: make e2e.
 set -eu
