@@ -51,11 +51,18 @@ check: vet fmt build test
 # under tools/, stdlib-only), run its analyzer test suites, then run all
 # five analyzers (maporder, wallclock, hotpath, errsentinel, facadedoc)
 # over every package of the root module. Zero findings is the contract;
-# deliberate exemptions carry //flowrank: directives.
+# deliberate exemptions carry //flowrank: directives. Last, the library
+# facade must not link the daemon: the root package's dependency closure
+# may hold none of net/http, internal/daemon, internal/pipeline or
+# internal/promexp (cmd/flowrankd imports those directly).
 lint:
 	cd tools/flowrank-lint && $(GO) test ./...
 	cd tools/flowrank-lint && $(GO) build -o flowrank-lint .
 	./tools/flowrank-lint/flowrank-lint ./...
+	@bad="$$($(GO) list -deps . | grep -xE 'net/http|flowrank/internal/(daemon|pipeline|promexp)')"; \
+	if [ -n "$$bad" ]; then \
+		echo "the flowrank facade links daemon-only packages:"; echo "$$bad"; exit 1; \
+	fi
 
 # The figure deletion PRs quote (CHANGES.md, since PR 19): lines of
 # non-test Go in the root module as committed or staged — the benchmark
@@ -120,6 +127,10 @@ microbench:
 # BenchmarkRankingMetric one evaluation's integrand probes as probes/op
 # (11 640 at p = 0.9 on the same model): a regression in the search or in
 # the integrator shows as a count that repeats exactly, not as a slow suite.
+# Beside them run BenchmarkMisrankExact (Eq. 1 alone) and
+# BenchmarkRankingMetricSpliced (one evaluation over a spliced sample-body
+# + Pareto-tail law), and in internal/netsample BenchmarkNetworkDynamicLoop
+# (one pass of the per-bin network control plane over a churning workload).
 # BenchmarkStreamPackets expands flow traces into packets (packetgen.Stream,
 # what tracegen -packets/-pcap and the fastpath figure's packet path run)
 # and reports ns/pkt and allocs/op: a 2000-flow sprint5 trace (90 allocs)
@@ -145,9 +156,10 @@ microbench:
 # (p = 0.01) and adapt-loop's (p = 0.1), in ns/op and allocs/op.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
-	$(GO) test -run '^$$' -bench 'Misrank|ModelRanking|StreamPackets|StreamEngine|NetworkCoord|NetworkDynamic|ExtensionSketch' -benchtime 1x
+	$(GO) test -run '^$$' -bench 'ModelRanking|StreamPackets|StreamEngine|NetworkCoord|ExtensionSketch' -benchtime 1x
 	$(GO) test -run '^$$' -bench '^BenchmarkInvert$$' -benchtime 1x ./internal/invert
-	$(GO) test -run '^$$' -bench '^Benchmark(RequiredRate|RankingMetric)$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(RequiredRate|RankingMetric|RankingMetricSpliced|MisrankExact)$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkNetworkDynamicLoop$$' -benchtime 1x ./internal/netsample
 	$(GO) test -run '^$$' -bench 'Ingest' -benchtime 1x ./internal/flowtable
 	$(GO) test -run '^$$' -bench '^Benchmark(Engine|BinClose)$$' -benchtime 1x ./internal/stream
 	$(GO) test -run '^$$' -bench '^BenchmarkSourceDecode$$' -benchtime 5x ./internal/source

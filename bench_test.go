@@ -70,44 +70,11 @@ func BenchmarkModelRankingMetric(b *testing.B) {
 	}
 }
 
-// BenchmarkModelRankingSpliced scores the model over the spliced
-// sample-body + Pareto-tail mixture that invert.TailScaling feeds back
-// into the control loop. The inner integrals invert the mixture CCDF at
-// every quadrature node; before the step atlas (internal/dist) those
-// inversions fell through to bisection on the body's atoms, making this
-// ~50x slower than the smooth-law benchmark above.
-func BenchmarkModelRankingSpliced(b *testing.B) {
-	body := make([]float64, 2000)
-	for i := range body {
-		// Mostly-distinct sizes with a few heavy duplicates — the shape of
-		// a scaled sample.
-		body[i] = 1 + float64(i%37) + float64(i)*7.3e-4
-	}
-	mix, err := NewMixture(
-		MixtureComponent{Weight: 0.9, Dist: NewDiscrete(Tally(body))},
-		MixtureComponent{Weight: 0.1, Dist: Pareto{Scale: 40, Shape: 1.3}},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := Model{N: 700_000, T: 10, Dist: mix}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.RankingMetric(0.1)
-	}
-}
-
 func BenchmarkModelDetectionMetric(b *testing.B) {
 	m := Model{N: 700_000, T: 10, Dist: ParetoWithMean(9.6, 1.5)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.DetectionMetric(0.1)
-	}
-}
-
-func BenchmarkMisrankExact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = MisrankExact(500, 600, 0.05)
 	}
 }
 
@@ -187,47 +154,6 @@ func BenchmarkNetworkCoordSimulate(b *testing.B) {
 	b.ReportMetric(float64(len(flows)), "flows/op")
 }
 
-// BenchmarkNetworkDynamicLoop measures one pass of the dynamic control
-// plane over a churning reduced fat-tree workload: per bin, observe and
-// re-allocate (every link's model curves fitted afresh, rates capped by
-// the previous bin's realized loads).
-// It is part of the CI bench-smoke regex, so the control loop's cost has
-// a recorded trajectory.
-func BenchmarkNetworkDynamicLoop(b *testing.B) {
-	topo := FatTreeTopology(1)
-	cfg := SprintFiveTuple(6, 3)
-	cfg.ArrivalRate = 120
-	var dc DynamicTraceConfig = ChurnWorkload(cfg, 2)
-	if want := DynamicPreset("churn"); dc.Preset != want {
-		b.Fatalf("ChurnWorkload drifts under the %q law, want %q", dc.Preset, want)
-	}
-	bins, err := GenerateDynamicNetworkWorkload(topo, dc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	budgetedDemand(b, topo, bins[0])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctl := &NetworkController{
-			Topo:      topo,
-			Alloc:     WaterfillAllocator{},
-			Estimator: EMInverter{},
-			ProbeRate: 0.1,
-			TopT:      10,
-			Seed:      uint64(i) + 1,
-		}
-		var out []*NetworkBinResult
-		out, err = ctl.Run(bins)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) != len(bins) {
-			b.Fatal("degenerate result")
-		}
-	}
-	b.ReportMetric(float64(len(bins)), "bins/op")
-}
-
 // BenchmarkStreamEngine measures the sharded streaming monitor's
 // ingestion throughput across worker counts on a multi-bin trace
 // (packets are materialized once, outside the timer). On multi-core
@@ -258,5 +184,18 @@ func BenchmarkStreamEngine(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(pkts))*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 		})
+	}
+}
+
+// feedAll feeds the packets to the engine in order and closes it.
+func feedAll(tb testing.TB, eng *StreamEngine, pkts []Packet) {
+	tb.Helper()
+	for _, p := range pkts {
+		if err := eng.Feed(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		tb.Fatal(err)
 	}
 }

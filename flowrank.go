@@ -5,11 +5,10 @@
 //
 // The package exposes six layers:
 //
-//   - Analytical models (Model, OptimalRate, MisrankExact): closed-form
-//     and quadrature evaluation of the paper's swapped-pairs metrics for
-//     ranking (§5) and detection (§7), under any flow-size distribution
-//     (Pareto, bounded Pareto, exponential, Weibull, lognormal, discrete —
-//     a measured sample's law among them — and mixtures of them).
+//   - Analytical models (Model, OptimalRate): closed-form and quadrature
+//     evaluation of the paper's swapped-pairs metrics for ranking (§5) and
+//     detection (§7), under the paper's Pareto flow sizes or a size law an
+//     Inverter estimated from sampled counts.
 //
 //   - Trace machinery (TraceConfig presets, GenerateTrace, StreamPackets):
 //     synthetic flow-level traces calibrated to the paper's Sprint
@@ -25,11 +24,11 @@
 //     from the sampled per-flow counts, feeding the adaptive controller
 //     and the streaming monitor's per-bin summaries.
 //
-//   - Ingestion and live monitoring (PacketSource, OpenSource,
-//     PaceSource, NewLoopSource, MonitorConfig, DaemonConfig/NewDaemon):
-//     the unified packet-source API behind the batch monitor
-//     (cmd/flowtop) and the long-running daemon (cmd/flowrankd) with its
-//     Prometheus metrics and NetFlow v5 export.
+//   - Ingestion (PacketSource, OpenSource, NewSliceSource): the unified
+//     packet-source API behind the batch monitor (cmd/flowtop) and the
+//     long-running daemon (cmd/flowrankd). The daemon, with its
+//     Prometheus metrics and NetFlow v5 export, and the pacing, looping
+//     and live-capture sources are reached through cmd/flowrankd.
 //
 //   - Network-wide coordination (Topology, Allocator, AllocateRates,
 //     NetworkRank): the multi-link generalization — budgeted switches,
@@ -43,23 +42,16 @@
 package flowrank
 
 import (
-	"context"
-	"io"
-	"log/slog"
-
 	"flowrank/internal/adaptive"
 	"flowrank/internal/core"
-	"flowrank/internal/daemon"
 	"flowrank/internal/dist"
 	"flowrank/internal/flow"
 	"flowrank/internal/flowtable"
 	"flowrank/internal/invert"
 	"flowrank/internal/metrics"
 	"flowrank/internal/netsample"
-	"flowrank/internal/obs"
 	"flowrank/internal/packet"
 	"flowrank/internal/packetgen"
-	"flowrank/internal/pipeline"
 	"flowrank/internal/sampler"
 	"flowrank/internal/seqest"
 	"flowrank/internal/sim"
@@ -74,29 +66,15 @@ import (
 // Model evaluates the paper's ranking and detection metrics for N flows
 // with a given size distribution when the top T flows are of interest.
 // Its top-t membership weights are the Poisson limit of the paper's
-// binomial ones; Kernel chooses the pairwise kernel and Workers the
-// parallelism of one evaluation.
+// binomial ones; its zero Kernel is the paper's Gaussian Eq. 2, and
+// Workers sets the parallelism of one evaluation.
 type Model = core.Model
-
-// Kernel selects the pairwise misranking kernel of a Model.
-type Kernel = core.Kernel
-
-// KernelHybrid switches from the paper's Gaussian Eq. 2 — a Model's zero
-// value, applied everywhere — to the exact binomial probability where the
-// Gaussian breaks (p·size small).
-const KernelHybrid = core.KernelHybrid
 
 // RateMethod selects the formula OptimalRate inverts.
 type RateMethod = core.RateMethod
 
 // RateExact inverts the exact misranking probability (Eq. 1).
 const RateExact = core.RateExact
-
-// MisrankExact returns the exact probability (Eq. 1) that sampling at rate
-// p misranks flows of s1 and s2 packets. The sum keeps ten standard
-// deviations around the smaller flow's mean sampled size, dropping about
-// 1e-23 of mass.
-func MisrankExact(s1, s2 int, p float64) float64 { return core.MisrankExact(s1, s2, p) }
 
 // OptimalRate returns the minimum sampling rate keeping the misranking
 // probability of two flow sizes at or below target (Figs. 1–2).
@@ -107,59 +85,12 @@ func OptimalRate(s1, s2 int, target float64, method RateMethod) (float64, error)
 // ---------------------------------------------------------------------------
 // Flow-size distributions
 
-// SizeDist is a flow-size distribution in packets.
-type SizeDist = dist.SizeDist
-
-// Distribution implementations.
-type (
-	// Pareto is the paper's heavy-tailed flow size law.
-	Pareto = dist.Pareto
-	// BoundedPareto truncates Pareto at a maximum size.
-	BoundedPareto = dist.BoundedPareto
-	// Exponential is a shifted exponential (light tail).
-	Exponential = dist.Exponential
-	// Weibull has a tail shorter than exponential for K > 1.
-	Weibull = dist.Weibull
-	// Lognormal is the short-tailed law used for the Abilene workload.
-	Lognormal = dist.Lognormal
-)
+// Pareto is the paper's heavy-tailed flow size law.
+type Pareto = dist.Pareto
 
 // ParetoWithMean returns a Pareto distribution with the given mean and
 // shape (panics if shape <= 1, where the mean is infinite).
 func ParetoWithMean(mean, shape float64) Pareto { return dist.ParetoWithMean(mean, shape) }
-
-// ExponentialWithMean returns a shifted exponential with minimum size min
-// and overall mean mean (panics if mean <= min).
-func ExponentialWithMean(min, mean float64) Exponential {
-	return dist.ExponentialWithMean(min, mean)
-}
-
-// Mixture is the convex combination of several size laws — multi-class
-// traffic such as an exponential body of mice under a Pareto elephant
-// class. MixtureComponent pairs a law with its traffic share.
-type (
-	Mixture          = dist.Mixture
-	MixtureComponent = dist.Component
-)
-
-// NewMixture builds a mixture of size laws, normalizing the component
-// weights to sum to one.
-func NewMixture(components ...MixtureComponent) (*Mixture, error) {
-	return dist.NewMixture(components...)
-}
-
-// Discrete is the step law: weighted atoms over an ascending support.
-// An observed sample's law is NewDiscrete(Tally(sample)); the EM
-// inversion returns one over its support grid.
-type Discrete = dist.Discrete
-
-// NewDiscrete builds a discrete distribution from parallel value/weight
-// slices (weights are normalized; zero-weight atoms dropped).
-func NewDiscrete(values, weights []float64) *Discrete { return dist.NewDiscrete(values, weights) }
-
-// Tally sorts a copy of a sample into its ascending distinct values and
-// their multiplicities, the arguments of NewDiscrete for the sample's law.
-func Tally(sample []float64) (values, counts []float64) { return dist.Tally(sample) }
 
 // ---------------------------------------------------------------------------
 // Flow identity and traces
@@ -177,9 +108,6 @@ const (
 	ProtoTCP = flow.ProtoTCP
 	ProtoUDP = flow.ProtoUDP
 )
-
-// ParseAddr parses a dotted-quad IPv4 address.
-func ParseAddr(s string) (Addr, error) { return flow.ParseAddr(s) }
 
 // Aggregator maps packet 5-tuples to ranked flow identities.
 type Aggregator = flow.Aggregator
@@ -227,9 +155,8 @@ func GenerateTrace(cfg TraceConfig) ([]FlowRecord, error) { return tracegen.Gene
 // StreamPackets returns once that goroutine has exited, with fn's error
 // unchanged if fn failed. Memory is the concurrently active flows plus two
 // windows (about 16 MB). To rank the expansion, StreamRank wires it
-// straight into a streaming engine; to feed a PacketSource consumer
-// (replay decorators, the daemon), collect the packets into a slice and
-// wrap it with NewSliceSource.
+// straight into a streaming engine; to feed a PacketSource consumer,
+// collect the packets into a slice and wrap it with NewSliceSource.
 func StreamPackets(records []FlowRecord, seed uint64, fn func(Packet) error) error {
 	return packetgen.Stream(records, seed, fn)
 }
@@ -245,13 +172,11 @@ type Sampler = sampler.Sampler
 func NewBernoulli(p float64, seed uint64) Sampler { return sampler.NewBernoulli(p, seed) }
 
 // FlowTable is exact per-bin flow accounting (the limited-memory
-// tables are SpaceSavingTable and CountMinTable below). FlowObservation
-// is one packet as FlowSummary.AddBatch takes it: the aggregated key,
-// its FastHash, the timestamp and the size.
+// tables are SpaceSavingTable and CountMinTable below); FlowEntry is one
+// flow's totals.
 type (
-	FlowTable       = flowtable.Table
-	FlowEntry       = flowtable.Entry
-	FlowObservation = flowtable.Observation
+	FlowTable = flowtable.Table
+	FlowEntry = flowtable.Entry
 )
 
 // NewFlowTable returns an empty exact table under agg.
@@ -260,7 +185,7 @@ func NewFlowTable(agg Aggregator) *FlowTable { return flowtable.New(agg) }
 // FlowSummary is the common surface of every per-bin flow-accounting
 // implementation: the exact tables (map and open-addressing flat) and
 // the bounded sketches (Space-Saving, Count-Min + heap). AddAggregated
-// accounts one packet, AddBatch a batch of FlowObservation (what the
+// accounts one packet, AddBatch a batch of keyed packets (what the
 // stream engine calls); AppendAll lists the flows unranked, AppendEntries
 // ranked, Lookup reads one. ErrorBound reports the summary's worst-case
 // per-flow packet overcount (0 for the exact tables).
@@ -314,10 +239,10 @@ func NewCountMinTable(agg Aggregator, k int) *CountMinTable {
 
 // StreamConfig configures the sharded streaming monitor: aggregation,
 // sampler, bin width, top-list length, worker count, and optionally a
-// per-bin Inverter, bounded sampled Tables and the PipelineStats (Obs) a
-// caller reads the engine's stage timings from while it runs. The engine
-// times its stages whether or not Obs is set; Obs only makes them
-// readable.
+// per-bin Inverter and bounded sampled Tables. Every bin carries its
+// stage timings (StreamBin.Stages); Obs, which makes them readable while
+// the engine runs, is set by the monitor behind cmd/flowtop and
+// cmd/flowrankd.
 type StreamConfig = stream.Config
 
 // StreamBin is the merged measurement of one non-empty bin: the original
@@ -343,20 +268,6 @@ func NewStreamEngine(cfg StreamConfig, emit func(StreamBin) error) (*StreamEngin
 	return stream.NewEngine(cfg, emit)
 }
 
-// NewStreamEngineContext is NewStreamEngine under a context: canceling
-// ctx aborts the engine — Feed fails with the cancellation cause and the
-// partial final bin is not flushed. A caller that wants the partial bin
-// reported (a daemon draining on SIGTERM) stops feeding and calls Close
-// instead of canceling.
-func NewStreamEngineContext(ctx context.Context, cfg StreamConfig, emit func(StreamBin) error) (*StreamEngine, error) {
-	return stream.NewEngineContext(ctx, cfg, emit)
-}
-
-// ErrStreamClosed is the identity Feed reports on an engine Closed or
-// Aborted without a run error; a run that failed keeps returning its
-// original error instead (test with errors.Is).
-var ErrStreamClosed = stream.ErrClosed
-
 // StreamRank runs a flow-level trace through packet expansion and the
 // streaming monitor in one call: GenerateTrace → StreamPackets → engine.
 // The engine is fed on the calling goroutine while the expansion builds
@@ -375,42 +286,24 @@ func StreamRank(records []FlowRecord, seed uint64, cfg StreamConfig, emit func(S
 }
 
 // ---------------------------------------------------------------------------
-// Packet sources and the monitoring daemon (internal/source, internal/daemon)
+// Packet sources (internal/source)
 
 // PacketSource is the unified ingestion interface: NextBlock, every
 // source's one read, fills a buffer with the next packets and returns how
 // many — at least one with a nil error, or none with the error (io.EOF at
 // a clean end), never both — without waiting for more than the first, so
 // a slow stream still yields each packet as it arrives; Next is NextBlock
-// of one packet, copied out to the caller. Close releases the source and, from another goroutine,
-// unblocks a pending read — the graceful-drain path. Trace replay, pcap
-// replay, in-memory slices, the pacing and looping decorators, and live
-// capture (in -tags live builds) all implement it, so the batch monitor
-// and the daemon measure the same stream; the monitor reads it 256
-// packets at a time and hands each block to StreamEngine.Feed whole.
+// of one packet, copied out to the caller. Close releases the source and,
+// from another goroutine, unblocks a pending read. Trace and pcap replay,
+// in-memory slices, and the daemon's pacing, looping and live-capture
+// sources all implement it, so the batch monitor and the daemon measure
+// the same stream; the monitor reads it 256 packets at a time and hands
+// each block to StreamEngine.Feed whole.
 type PacketSource = source.PacketSource
 
-// The source implementations the constructors below return: native-trace
-// replay, the in-memory slice, and the pacing/looping replay decorators
-// (OpenSource's pcap replay is only ever held as a PacketSource).
-type (
-	TraceSource = source.TraceSource
-	SliceSource = source.Slice
-	PacedSource = source.Paced
-	LoopSource  = source.Loop
-)
-
-// Source error identities: ErrSourceClosed is wrapped by Next after
-// Close; ErrLiveUnsupported by NewLiveSource when the build carries no
-// live capture (no "live" tag, or a non-linux platform).
-var (
-	ErrSourceClosed    = source.ErrClosedSource
-	ErrLiveUnsupported = source.ErrLiveUnsupported
-)
-
-// NewTraceSource replays a native flowrank trace from r; if r is an
-// io.Closer (an *os.File) the source owns and closes it.
-func NewTraceSource(r io.Reader) (*TraceSource, error) { return source.NewTraceSource(r) }
+// SliceSource is the in-memory source NewSliceSource returns (OpenSource's
+// replays are only ever held as a PacketSource).
+type SliceSource = source.Slice
 
 // OpenSource opens a trace file as a PacketSource (native format, or
 // pcap when isPcap is set); the source owns the file handle.
@@ -418,77 +311,6 @@ func OpenSource(path string, isPcap bool) (PacketSource, error) { return source.
 
 // NewSliceSource yields an in-memory packet slice in order.
 func NewSliceSource(pkts []Packet) *SliceSource { return source.NewSlice(pkts) }
-
-// PaceSource throttles src to replay at a multiple of the trace's line
-// rate (1 = real time); it panics unless speed is positive and finite.
-func PaceSource(src PacketSource, speed float64) *PacedSource { return source.Pace(src, speed) }
-
-// NewLoopSource replays a reopenable trace indefinitely, shifting
-// timestamps monotonically with gap idle seconds between cycles.
-func NewLoopSource(open func() (PacketSource, error), gap float64) (*LoopSource, error) {
-	return source.NewLoop(open, gap)
-}
-
-// NewLiveSource captures from a network interface. It requires a build
-// with -tags live on linux; other builds return ErrLiveUnsupported, so
-// the default build stays hermetic.
-func NewLiveSource(iface string, snapLen int) (PacketSource, error) {
-	return source.NewLive(iface, snapLen)
-}
-
-// MonitorConfig describes one link monitor, the pipeline behind flowtop
-// and flowrankd: a PacketSource, the sampling and binning parameters of
-// the streaming engine, the optional inversion and closed-loop adaptation,
-// the operational log and the bin journal.
-type MonitorConfig = pipeline.Config
-
-// DaemonConfig configures the long-running monitoring daemon: the monitor
-// it runs (Monitor), the HTTP listen address for /metrics and /healthz,
-// and an optional NetFlow v5 UDP export target.
-type DaemonConfig = daemon.Config
-
-// MonitorDaemon is a constructed daemon; Run serves until the context is
-// canceled, then drains gracefully — the final partial bin is flushed
-// into the metrics and the export before Run returns.
-type MonitorDaemon = daemon.Daemon
-
-// NewDaemon validates cfg and binds its listeners; Run releases them.
-func NewDaemon(cfg DaemonConfig) (*MonitorDaemon, error) { return daemon.New(cfg) }
-
-// ---------------------------------------------------------------------------
-// Observability: pipeline self-instrumentation and the bin journal
-
-// PipelineStats is the streaming engine's self-instrumentation surface
-// (StreamConfig.Obs): preallocated alloc-free counters and fixed-bucket
-// latency histograms for the reader, each shard worker and the
-// bin-boundary flush. The engine records into its own when none is
-// attached; attaching one lets the caller read them and never changes
-// engine output.
-type PipelineStats = obs.PipelineStats
-
-// NewPipelineStats preallocates pipeline instrumentation for an engine
-// with the given shard worker count (it must cover StreamConfig.Workers).
-func NewPipelineStats(shards int) *PipelineStats { return obs.NewPipelineStats(shards) }
-
-// StageNanos is one bin's flush-stage timing breakdown (barrier, merge,
-// inversion, emit, total), as recorded in the bin journal.
-type StageNanos = obs.StageNanos
-
-// BinJournalRecord is one measurement bin's machine-readable journal
-// entry: stage timings, table kind, flow and packet counts, the
-// swapped-pair fractions, and the optional inversion, adaptation and
-// NetFlow-export outcomes. flowrankd -journal and flowtop -journal
-// write one per bin.
-type BinJournalRecord = pipeline.BinRecord
-
-// NewBinJournal returns a structured logger writing journal records as
-// JSON lines to w — the sink MonitorConfig.Journal expects.
-func NewBinJournal(w io.Writer) *slog.Logger { return pipeline.NewJournal(w) }
-
-// ValidateBinJournal checks a journal stream line-by-line against the
-// BinJournalRecord schema and returns the number of bin records seen
-// (cmd/journalcheck wraps it for shell pipelines).
-func ValidateBinJournal(r io.Reader) (bins int, err error) { return pipeline.ValidateJournal(r) }
 
 // ---------------------------------------------------------------------------
 // Metrics
@@ -541,18 +363,15 @@ func NewSizeEstimator(p float64) *SizeEstimator { return seqest.New(p) }
 // cheapest rate whose fitted model meets the target.
 type Controller = adaptive.Controller
 
-// HillTailIndex estimates the Pareto tail index from the k largest sample
-// values; a non-positive or non-finite size is an error.
-func HillTailIndex(sizes []float64, k int) (float64, error) { return invert.Hill(sizes, k) }
-
 // ---------------------------------------------------------------------------
 // Distribution inversion (internal/invert)
 
 // Inverter estimates the original flow-size distribution from the
 // per-flow packet counts a sampling monitor observed at rate p — the
 // inverse problem of the analytical models. Inversion is its result: an
-// estimated SizeDist plus scalar summaries (mean, tail index, original
-// flow count including the flows sampling missed).
+// estimated size law (Dist, which a Model takes) plus scalar summaries
+// (mean, tail index, original flow count including the flows sampling
+// missed).
 type (
 	Inverter  = invert.Estimator
 	Inversion = invert.Estimate
@@ -570,22 +389,6 @@ type (
 	ParametricInverter = invert.Parametric
 	EMInverter         = invert.EM
 )
-
-// MissProbability returns the probability that a flow drawn from d leaves
-// no sampled packet at rate p: E[(1-p)^S] — the quantity that converts an
-// observed flow count into an original one.
-func MissProbability(d SizeDist, p float64) float64 { return invert.MissProbability(d, p) }
-
-// KolmogorovDistance returns the Kolmogorov–Smirnov sup-distance between
-// two size laws over the probe points (include both laws' atoms for step
-// distributions; QuantileProbes builds a suitable grid).
-func KolmogorovDistance(a, b SizeDist, probes []float64) float64 {
-	return invert.KolmogorovDistance(a, b, probes)
-}
-
-// QuantileProbes returns an n-point probe grid spanning d's body and deep
-// tail, for KolmogorovDistance.
-func QuantileProbes(d SizeDist, n int) []float64 { return invert.QuantileProbes(d, n) }
 
 // ---------------------------------------------------------------------------
 // Network-wide coordinated sampling (internal/netsample)
@@ -657,34 +460,4 @@ func NetworkOfferedLoads(d *NetworkDemand) map[string]float64 { return netsample
 // ownership — and scores network-wide ranking and top-k recovery.
 func NetworkRank(topo *Topology, flows []RoutedFlow, a *Allocation, topT, runs int, seed uint64) (*NetworkResult, error) {
 	return netsample.Simulate(topo, flows, a, topT, runs, seed)
-}
-
-// NetworkController is the dynamic per-bin control plane: it re-observes
-// and re-allocates every measurement bin from that bin's inversion alone
-// and caps the rates by the previous bin's realized loads; scoring an
-// allocation is the caller's job (NetworkRank). NetworkBinResult is one
-// control-loop step's outcome: the bin's demand and allocation.
-type (
-	NetworkController = netsample.Controller
-	NetworkBinResult  = netsample.BinResult
-)
-
-// DynamicTraceConfig describes a time-varying workload: a base trace
-// configuration plus a drift law re-drawing per-path demand bin to bin.
-// DynamicPreset names the law ("churn" re-draws a fraction of the demand
-// weights every bin, "diurnal" modulates them sinusoidally).
-type (
-	DynamicTraceConfig = tracegen.DynamicConfig
-	DynamicPreset      = tracegen.Preset
-)
-
-// ChurnWorkload returns the churn-preset dynamic configuration over the
-// base trace config with default drift parameters.
-func ChurnWorkload(base TraceConfig, bins int) DynamicTraceConfig { return tracegen.Churn(base, bins) }
-
-// GenerateDynamicNetworkWorkload synthesizes one routed workload per
-// measurement bin under the dynamic configuration's drift law; pair
-// demand weights drift bin to bin while routes stay fixed.
-func GenerateDynamicNetworkWorkload(topo *Topology, dc DynamicTraceConfig) ([][]RoutedFlow, error) {
-	return netsample.GenerateDynamicWorkload(topo, dc)
 }

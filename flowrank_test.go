@@ -58,23 +58,20 @@ func TestModelFacade(t *testing.T) {
 	if d >= r {
 		t.Errorf("detection %g should be below ranking %g", d, r)
 	}
-	// The hybrid kernel diverges from the Gaussian at very low rates when
-	// N is large (see internal/core TestHybridKernelLowRate); here just
-	// confirm the option is wired through and changes the answer.
-	h := m
-	h.Kernel = KernelHybrid
-	gv := m.RankingMetric(0.001)
-	hv := h.RankingMetric(0.001)
-	if hv == gv {
-		t.Errorf("hybrid kernel had no effect at p=0.1%% (both %g)", hv)
-	}
+	// Closer sizes need a higher rate to keep the same misranking
+	// probability (internal/core TestOptimalRateHitsTarget checks the
+	// probability at the returned rate).
 	const method RateMethod = RateExact
-	p, err := OptimalRate(100, 200, 1e-3, method)
+	near, err := OptimalRate(190, 200, 1e-3, method)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MisrankExact(100, 200, p); math.Abs(got-1e-3) > 1e-4 {
-		t.Errorf("misranking at optimal rate = %g", got)
+	far, err := OptimalRate(100, 200, 1e-3, method)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(0 < far && far < near && near <= 1) {
+		t.Errorf("optimal rates: %g for 190 vs 200, %g for 100 vs 200", near, far)
 	}
 }
 
@@ -122,7 +119,7 @@ func TestBoundedTablesFacade(t *testing.T) {
 	key := Key{Src: Addr{1, 2, 3, 4}, Proto: ProtoTCP}
 	for i, s := range sums {
 		s.AddAggregated(key, 1.5, 100)
-		s.AddBatch([]FlowObservation{{Key: key, Hash: key.FastHash(), Time: 2, Size: 60}})
+		s.AddAggregated(key, 2, 60)
 		if s.TotalPackets() != 2 || s.TotalBytes() != 160 || s.Len() != 1 {
 			t.Errorf("summary %d: totals %d/%d/%d", i, s.TotalPackets(), s.TotalBytes(), s.Len())
 		}
@@ -187,10 +184,6 @@ func TestAggregationFacade(t *testing.T) {
 	if got.Dst != (Addr{10, 20, 30, 0}) {
 		t.Errorf("aggregated to %v", got)
 	}
-	a, err := ParseAddr("10.20.30.40")
-	if err != nil || a != k.Dst {
-		t.Errorf("ParseAddr: %v %v", a, err)
-	}
 	// The 5-tuple keeps protocols apart; the prefix definition merges them.
 	udp := k
 	udp.Proto = ProtoUDP
@@ -208,56 +201,19 @@ func TestExtensionsFacade(t *testing.T) {
 	if est, ok := e.EstimateBytes(key); !ok || est <= 0 {
 		t.Errorf("estimate %g ok=%v", est, ok)
 	}
-	// Hill estimator on an exact power law.
-	sizes := make([]float64, 5000)
-	d := Pareto{Scale: 1, Shape: 2}
-	for i := range sizes {
-		sizes[i] = d.QuantileCCDF(float64(i+1) / 5001)
-	}
-	beta, err := HillTailIndex(sizes, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(beta-2) > 0.3 {
-		t.Errorf("Hill index %g, want ~2", beta)
-	}
 }
 
 func TestDistributionFacade(t *testing.T) {
-	// Every law and combinator must be reachable and usable through the
-	// public API alone.
-	var mix *Mixture // multi-class traffic: exponential mice under Pareto elephants
-	mix, err := NewMixture(
-		MixtureComponent{Weight: 0.8, Dist: ExponentialWithMean(1, 4)},
-		MixtureComponent{Weight: 0.2, Dist: ParetoWithMean(50, 1.8)},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dists := []SizeDist{
-		ParetoWithMean(9.6, 1.5),
-		BoundedPareto{Scale: 3.2, Max: 1e5, Shape: 1.5},
-		Exponential{Min: 1, Scale: 8.6},
-		Weibull{Min: 1, Lambda: 8, K: 1.4},
-		Lognormal{Min: 1, Mu: 1.2, Sigma: 1.1},
-		NewDiscrete(Tally([]float64{1, 2, 3, 50, 400})),
-		mix,
-	}
-	// The laws' analytical behaviour is covered by internal/dist and
-	// internal/core; here just confirm each export satisfies the
-	// interface contract end to end.
-	for _, d := range dists {
+	// The facade's one size law, by its parameters and by its mean; the
+	// other laws and the mixture are internal/dist's and tested there.
+	for _, d := range []Pareto{ParetoWithMean(9.6, 1.5), {Scale: 3.2, Shape: 1.5}} {
 		u := 0.05
-		if got := d.CCDF(d.QuantileCCDF(u)); got > u+1e-9 {
+		if got := d.CCDF(d.QuantileCCDF(u)); math.Abs(got-u) > 1e-9 {
 			t.Errorf("%s: CCDF(QuantileCCDF(%g)) = %g", d, u, got)
 		}
-		if m := d.Mean(); math.IsNaN(m) || m <= 0 {
-			t.Errorf("%s: mean %g", d, m)
+		if m := d.Mean(); math.Abs(m-9.6) > 1e-9 {
+			t.Errorf("%s: mean %g, want 9.6", d, m)
 		}
-	}
-	m := Model{N: 5000, T: 3, Dist: mix}
-	if r := m.RankingMetric(0.2); math.IsNaN(r) || r < 0 {
-		t.Errorf("mixture ranking metric %g", r)
 	}
 }
 
@@ -335,24 +291,21 @@ func TestStreamFacade(t *testing.T) {
 }
 
 // TestInversionFacade: the inverters are usable end to end through the
-// facade — sample a known law, invert the observed counts, and plug the
-// estimate back into the streaming monitor and distance helpers.
+// facade — sample a known law, invert the observed counts, and hand the
+// estimate to the adaptive controller. How close each estimate comes to
+// the truth is internal/invert's to check (TestEMImprovesKSAcrossLaws).
 func TestInversionFacade(t *testing.T) {
 	d := ParetoWithMean(9.6, 1.5)
 	g := randx.New(33)
 	const n, p = 8000, 0.1
-	var truth, counts []float64
+	var counts []float64
 	for i := 0; i < n; i++ {
 		s := math.Max(1, math.Round(d.Rand(g)))
-		truth = append(truth, s)
 		if k := g.Binomial(int(s), p); k > 0 {
 			counts = append(counts, float64(k))
 		}
 	}
-	emp := NewDiscrete(Tally(truth))
-	probes := QuantileProbes(emp, 128)
-	ks := func(est Inversion) float64 { return KolmogorovDistance(est.Dist, emp, probes) }
-	var naiveKS, emKS float64
+	ests := map[string]Inversion{}
 	for _, inv := range []Inverter{NaiveInverter{}, TailInverter{}, ParametricInverter{}, EMInverter{}} {
 		est, err := inv.Invert(counts, p)
 		if err != nil {
@@ -361,35 +314,14 @@ func TestInversionFacade(t *testing.T) {
 		if est.Method != inv.Name() || !(est.Mean > 0) || est.Dist == nil {
 			t.Fatalf("%s: degenerate estimate %+v", inv.Name(), est)
 		}
-		switch inv.(type) {
-		case NaiveInverter:
-			naiveKS = ks(est)
-			if _, ok := est.Dist.(*Discrete); !ok {
-				t.Fatalf("naive estimate dist %T, want *Discrete", est.Dist)
-			}
-		case EMInverter:
-			emKS = ks(est)
-			if _, ok := est.Dist.(*Discrete); !ok {
-				t.Fatalf("EM estimate dist %T, want *Discrete", est.Dist)
-			}
-		}
-	}
-	if !(emKS < naiveKS) {
-		t.Errorf("EM KS %g not below naive %g", emKS, naiveKS)
+		ests[est.Method] = est
 	}
 	// The adaptive controller consumes an inversion of the same sampled
 	// counts: a bin observed at p in, the cheapest rate meeting the target
 	// out.
-	est, err := ParametricInverter{}.Invert(counts, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rate, fitted, err := Controller{Target: 1, TopT: 10, Workers: 1}.RecommendEstimate(est)
+	rate, fitted, err := Controller{Target: 1, TopT: 10, Workers: 1}.RecommendEstimate(ests["parametric"])
 	if err != nil || !(rate > 0 && rate <= 1) || fitted.N < len(counts) {
 		t.Errorf("RecommendEstimate = rate %g over N=%d fitted flows (%d sampled), err %v", rate, fitted.N, len(counts), err)
-	}
-	if miss := MissProbability(NewDiscrete([]float64{10}, []float64{1}), 0.1); math.Abs(miss-math.Pow(0.9, 10)) > 1e-9 {
-		t.Errorf("MissProbability point mass = %g", miss)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"math"
 	"testing"
 
+	"flowrank/internal/core"
 	"flowrank/internal/layers"
 	"flowrank/internal/netflow"
 	"flowrank/internal/packet"
@@ -219,7 +220,7 @@ func TestModelPredictsSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	simMean := firstBin(res, 0).Ranking.Mean()
-	m := Model{N: n, T: 5, Dist: d, Kernel: KernelHybrid}
+	m := Model{N: n, T: 5, Dist: d, Kernel: core.KernelHybrid}
 	pred := m.RankingMetric(p)
 	if simMean > pred*2.5+1 || pred > simMean*2.5+1 {
 		t.Errorf("model %g vs simulation %g: should agree within ~2x", pred, simMean)

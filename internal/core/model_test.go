@@ -410,6 +410,33 @@ func BenchmarkRankingMetricSprint(b *testing.B) {
 	}
 }
 
+// BenchmarkRankingMetricSpliced scores the model over the spliced
+// sample-body + Pareto-tail mixture that invert.TailScaling feeds back
+// into the control loop. The inner integrals invert the mixture CCDF at
+// every quadrature node; before the step atlas (internal/dist) those
+// inversions fell through to bisection on the body's atoms, making this
+// ~50x slower than BenchmarkRankingMetricSprint.
+func BenchmarkRankingMetricSpliced(b *testing.B) {
+	body := make([]float64, 2000)
+	for i := range body {
+		// Mostly-distinct sizes with a few heavy duplicates — the shape of
+		// a scaled sample.
+		body[i] = 1 + float64(i%37) + float64(i)*7.3e-4
+	}
+	mix, err := dist.NewMixture(
+		dist.Component{Weight: 0.9, Dist: dist.NewDiscrete(dist.Tally(body))},
+		dist.Component{Weight: 0.1, Dist: dist.Pareto{Scale: 40, Shape: 1.3}},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := Model{N: 700_000, T: 10, Dist: mix}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = m.RankingMetric(0.1)
+	}
+}
+
 func BenchmarkDetectionMetricSprint(b *testing.B) {
 	m := sprintModel(700000, 10, 1.5)
 	b.ResetTimer()

@@ -311,3 +311,9 @@ func TestExactRowsMatchTrunc(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkMisrankExact(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		_ = MisrankExact(500, 600, 0.05)
+	}
+}

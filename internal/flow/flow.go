@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"net/netip"
 )
 
 // Proto is an IP protocol number.
@@ -41,18 +40,6 @@ func (p Proto) String() string {
 
 // Addr is an IPv4 address as a comparable 4-byte array.
 type Addr [4]byte
-
-// ParseAddr parses a dotted-quad IPv4 address.
-func ParseAddr(s string) (Addr, error) {
-	ip, err := netip.ParseAddr(s)
-	if err != nil {
-		return Addr{}, fmt.Errorf("flow: parsing address %q: %w", s, err)
-	}
-	if !ip.Is4() {
-		return Addr{}, fmt.Errorf("flow: address %q is not IPv4", s)
-	}
-	return Addr(ip.As4()), nil
-}
 
 // String returns the dotted-quad form.
 func (a Addr) String() string {

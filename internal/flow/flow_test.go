@@ -7,25 +7,6 @@ import (
 	"unsafe"
 )
 
-func TestParseAddr(t *testing.T) {
-	a, err := ParseAddr("192.168.1.200")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != (Addr{192, 168, 1, 200}) {
-		t.Errorf("parsed %v", a)
-	}
-	if a.String() != "192.168.1.200" {
-		t.Errorf("String() = %q", a.String())
-	}
-	if _, err := ParseAddr("not-an-ip"); err == nil {
-		t.Error("expected error for garbage")
-	}
-	if _, err := ParseAddr("::1"); err == nil {
-		t.Error("expected error for IPv6")
-	}
-}
-
 func TestAddrMask(t *testing.T) {
 	a := Addr{10, 20, 30, 40}
 	cases := []struct {

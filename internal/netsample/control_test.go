@@ -9,24 +9,6 @@ import (
 	"flowrank/internal/tracegen"
 )
 
-// setFracBudgets gives every switch a budget equal to frac of its
-// offered load under the demand (floored at 1 packet).
-func setFracBudgets(t *testing.T, topo *Topology, d *Demand, frac float64) {
-	t.Helper()
-	offered := OfferedLoads(d)
-	budgets := make(map[string]float64, len(topo.Switches()))
-	for _, sw := range topo.Switches() {
-		b := frac * offered[sw.ID]
-		if b <= 0 {
-			b = 1
-		}
-		budgets[sw.ID] = b
-	}
-	if err := topo.SetBudgets(budgets); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestEnsureViewTracksMutation pins the fingerprint invalidation: the
 // memoized view must follow a mutation of Demand.Paths instead of
 // serving the stale aggregate (the pre-fix behavior).
@@ -60,7 +42,7 @@ func TestRealizedBudgetWithinBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		setFracBudgets(t, topo, d, frac)
+		setBudgetFraction(t, topo, d, frac)
 		for _, alloc := range allocators {
 			a, err := alloc.Allocate(d)
 			if err != nil {
@@ -99,7 +81,7 @@ func TestSizeAwareRatesRespectBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setFracBudgets(t, topo, d, 0.02)
+	setBudgetFraction(t, topo, d, 0.02)
 	a, err := Coordinated{}.Allocate(d)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +123,7 @@ func controllerFor(topo *Topology) *Controller {
 func dynamicBins(t *testing.T, topo *Topology, bins int) [][]RoutedFlow {
 	t.Helper()
 	base := smallConfig(15)
-	out, err := GenerateDynamicWorkload(topo, tracegen.Churn(base, bins))
+	out, err := GenerateDynamicWorkload(topo, tracegen.DynamicConfig{Base: base, Bins: bins, Preset: tracegen.PresetChurn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +140,7 @@ func TestControllerRunDeterministicAndCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setFracBudgets(t, topo, d0, 0.05)
+	setBudgetFraction(t, topo, d0, 0.05)
 
 	run := func() []*BinResult {
 		out, err := controllerFor(topo).Run(bins)
@@ -191,7 +173,7 @@ func TestControllerQuietBinReusesAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setFracBudgets(t, topo, d0, 0.05)
+	setBudgetFraction(t, topo, d0, 0.05)
 
 	c := controllerFor(topo)
 	if _, err := c.Step(nil); err == nil {
@@ -223,7 +205,7 @@ func TestControllerSizeAwareImprovesCompliance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setFracBudgets(t, topo, d0, 0.02)
+	setBudgetFraction(t, topo, d0, 0.02)
 
 	c := controllerFor(topo)
 	out, err := c.Run(bins)
@@ -279,4 +261,43 @@ func TestControllerValidation(t *testing.T) {
 	if out, err := good().Run(nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty Run: got %v, %v", out, err)
 	}
+}
+
+// BenchmarkNetworkDynamicLoop measures one pass of the dynamic control
+// plane over a churning reduced fat-tree workload: per bin, observe and
+// re-allocate (every link's model curves fitted afresh, rates capped by
+// the previous bin's realized loads). Budgets are 2% of each switch's
+// offered load in the first bin, as probe-observed.
+func BenchmarkNetworkDynamicLoop(b *testing.B) {
+	topo := FatTree(1)
+	cfg := tracegen.SprintFiveTuple(6, 3)
+	cfg.ArrivalRate = 120
+	bins, err := GenerateDynamicWorkload(topo, tracegen.DynamicConfig{Base: cfg, Bins: 2, Preset: tracegen.PresetChurn})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d0, err := Observe(topo, bins[0], 0.1, invert.EM{}, 10, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	setBudgetFraction(b, topo, d0, 0.02)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctl := &Controller{
+			Topo:      topo,
+			Alloc:     GreedyWaterfill{},
+			Estimator: invert.EM{},
+			ProbeRate: 0.1,
+			TopT:      10,
+			Seed:      uint64(i) + 1,
+		}
+		out, err := ctl.Run(bins)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out) != len(bins) {
+			b.Fatal("degenerate result")
+		}
+	}
+	b.ReportMetric(float64(len(bins)), "bins/op")
 }

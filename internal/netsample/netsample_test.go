@@ -294,7 +294,7 @@ func TestHashOwnershipFollowsShares(t *testing.T) {
 // the allocation.
 func TestGenerateDynamicWorkload(t *testing.T) {
 	topo := FatTree(1000)
-	dc := tracegen.Churn(smallConfig(81), 4)
+	dc := tracegen.DynamicConfig{Base: smallConfig(81), Bins: 4, Preset: tracegen.PresetChurn}
 	dc.Base.Duration = 5
 	bins, err := GenerateDynamicWorkload(topo, dc)
 	if err != nil {

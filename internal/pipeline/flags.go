@@ -77,7 +77,7 @@ func (f Flags) Config() (Config, func() error, error) {
 	if cfg.Tables, err = flowtable.ParseSpec(f.Table, f.Memory); err != nil {
 		return Config{}, nil, err
 	}
-	if f.Memory != 0 && cfg.Tables.Kind == flowtable.KindExact {
+	if f.Memory != 0 && cfg.Tables.Exact() {
 		return Config{}, nil, errors.New("-memory budgets a bounded table: add -table spacesaving or -table countmin, or drop -memory")
 	}
 	if err := cfg.validate(); err != nil {

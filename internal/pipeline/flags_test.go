@@ -43,6 +43,7 @@ func TestFlagValidation(t *testing.T) {
 		{"adapt without invert", []string{"-adapt", "1"}, "-invert"},
 		{"adapt with an empty top list", []string{"-adapt", "1", "-invert", "em", "-t", "0"}, "(-t)"},
 		{"memory with exact table", []string{"-memory", "4096"}, "-table"},
+		{"memory with map table", []string{"-table", "map", "-memory", "4096"}, "-table"},
 		{"negative memory", []string{"-table", "countmin", "-memory", "-1"}, "negative slot budget"},
 		{"memory above the cap", []string{"-table", "spacesaving", "-memory", "16777217"}, "above the spacesaving maximum"},
 		{"memory that would not fit a slice", []string{"-table", "countmin", "-memory", "4611686018427387904"}, "above the countmin maximum"},

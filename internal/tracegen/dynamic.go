@@ -52,19 +52,6 @@ const (
 	diurnalAmplitude = 0.8
 )
 
-// Churn returns the churn preset over the base workload: steady aggregate
-// intensity, heavy-tailed demand weights of which a fraction re-draw
-// every bin.
-func Churn(base Config, bins int) DynamicConfig {
-	return DynamicConfig{Base: base, Bins: bins, Preset: PresetChurn}
-}
-
-// Diurnal returns the diurnal preset over the base workload: sinusoidal
-// aggregate intensity and per-pair weights with independent phases.
-func Diurnal(base Config, bins int) DynamicConfig {
-	return DynamicConfig{Base: base, Bins: bins, Preset: PresetDiurnal}
-}
-
 // Validate checks the dynamic configuration (including the base template).
 func (c DynamicConfig) Validate() error {
 	if err := c.Base.Validate(); err != nil {

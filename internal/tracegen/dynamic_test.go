@@ -27,16 +27,16 @@ func TestDynamicValidate(t *testing.T) {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if err := Churn(dynBase(1), 6).Validate(); err != nil {
+	if err := (DynamicConfig{Base: dynBase(1), Bins: 6, Preset: PresetChurn}).Validate(); err != nil {
 		t.Errorf("churn preset rejected: %v", err)
 	}
-	if err := Diurnal(dynBase(1), 6).Validate(); err != nil {
+	if err := (DynamicConfig{Base: dynBase(1), Bins: 6, Preset: PresetDiurnal}).Validate(); err != nil {
 		t.Errorf("diurnal preset rejected: %v", err)
 	}
 }
 
 func TestDynamicBinConfigs(t *testing.T) {
-	churn := Churn(dynBase(7), 6)
+	churn := DynamicConfig{Base: dynBase(7), Bins: 6, Preset: PresetChurn}
 	seeds := map[uint64]bool{}
 	for b := 0; b < churn.Bins; b++ {
 		cfg := churn.BinConfig(b)
@@ -53,7 +53,7 @@ func TestDynamicBinConfigs(t *testing.T) {
 	}
 	// Diurnal intensity swings around the base rate and returns after one
 	// period.
-	diurnal := Diurnal(dynBase(7), 16)
+	diurnal := DynamicConfig{Base: dynBase(7), Bins: 16, Preset: PresetDiurnal}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for b := 0; b < diurnal.Bins; b++ {
 		r := diurnal.BinConfig(b).ArrivalRate
@@ -71,7 +71,7 @@ func TestDynamicBinConfigs(t *testing.T) {
 }
 
 func TestChurnPairWeights(t *testing.T) {
-	dc := Churn(dynBase(11), 8)
+	dc := DynamicConfig{Base: dynBase(11), Bins: 8, Preset: PresetChurn}
 	const n = 600
 	w0, err := dc.PairWeights(0, n)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestChurnPairWeights(t *testing.T) {
 }
 
 func TestDiurnalPairWeights(t *testing.T) {
-	dc := Diurnal(dynBase(13), 16)
+	dc := DynamicConfig{Base: dynBase(13), Bins: 16, Preset: PresetDiurnal}
 	const n = 200
 	w0, err := dc.PairWeights(0, n)
 	if err != nil {
