@@ -127,7 +127,9 @@ microbench:
 # BenchmarkRankingMetric one evaluation's integrand probes as probes/op
 # (11 640 at p = 0.9 on the same model): a regression in the search or in
 # the integrator shows as a count that repeats exactly, not as a slow suite.
-# Beside them run BenchmarkMisrankExact (Eq. 1 alone) and
+# Beside them run BenchmarkRankingMetricSprint (one evaluation of the
+# ranking metric on the sprint model, N = 700 000, Pareto mean 9.6,
+# α = 1.5, p = 0.1), BenchmarkMisrankExact (Eq. 1 alone) and
 # BenchmarkRankingMetricSpliced (one evaluation over a spliced sample-body
 # + Pareto-tail law), and in internal/netsample BenchmarkNetworkDynamicLoop
 # (one pass of the per-bin network control plane over a churning workload).
@@ -150,15 +152,20 @@ microbench:
 # countmin/ runs are the daemon-scrape shard configuration and its warm/
 # runs Feed, the hand-off and an exact ingest on a warm one-worker engine,
 # in ns/pkt and allocs/pkt (0) for both aggregations; BenchmarkBinClose
-# is the bin boundary alone (ns/flow) on batch-exact's shape (280k flows,
-# one shard) and adapt-loop's (47k flows, two shards, p = 0.1).
+# is the bin boundary alone (ns/flow, ns/bin, allocs/op: 0 on the warm/
+# runs) on batch-exact's shape (280k flows, one shard), adapt-loop's (47k
+# flows, two shards, p = 0.1) and sparse-after-dense, daemon-scrape's quiet
+# bins: 10-flow bins on two shards with 4096-slot Count-Min sampled tables,
+# after a 100k-flow bin has grown the exact originals to 131 072 slots —
+# a close that costs the tables' size instead of the bin's flows shows
+# there as ns/bin.
 # BenchmarkInvert runs every inverter on daemon-scrape's sampled bin
 # (p = 0.01) and adapt-loop's (p = 0.1), in ns/op and allocs/op.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
-	$(GO) test -run '^$$' -bench 'ModelRanking|StreamPackets|StreamEngine|NetworkCoord|ExtensionSketch' -benchtime 1x
+	$(GO) test -run '^$$' -bench 'StreamPackets|StreamEngine|NetworkCoord|ExtensionSketch' -benchtime 1x
 	$(GO) test -run '^$$' -bench '^BenchmarkInvert$$' -benchtime 1x ./internal/invert
-	$(GO) test -run '^$$' -bench '^Benchmark(RequiredRate|RankingMetric|RankingMetricSpliced|MisrankExact)$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(RequiredRate|RankingMetric|RankingMetricSprint|RankingMetricSpliced|MisrankExact)$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkNetworkDynamicLoop$$' -benchtime 1x ./internal/netsample
 	$(GO) test -run '^$$' -bench 'Ingest' -benchtime 1x ./internal/flowtable
 	$(GO) test -run '^$$' -bench '^Benchmark(Engine|BinClose)$$' -benchtime 1x ./internal/stream

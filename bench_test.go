@@ -62,22 +62,6 @@ func BenchmarkExtensionCoord(b *testing.B)    { benchFigure(b, "coord") }
 
 // --- public API micro-benchmarks -----------------------------------------
 
-func BenchmarkModelRankingMetric(b *testing.B) {
-	m := Model{N: 700_000, T: 10, Dist: ParetoWithMean(9.6, 1.5)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.RankingMetric(0.1)
-	}
-}
-
-func BenchmarkModelDetectionMetric(b *testing.B) {
-	m := Model{N: 700_000, T: 10, Dist: ParetoWithMean(9.6, 1.5)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.DetectionMetric(0.1)
-	}
-}
-
 func BenchmarkSimulateSmall(b *testing.B) {
 	records := genTrace(b, SprintFiveTuple(60, 1), 200)
 	b.ResetTimer()

@@ -162,8 +162,21 @@ func (c *CountMin) AddBatch(batch []Observation) {
 	}
 }
 
-// Reset clears the summary for the next bin, keeping its memory.
+// Reset clears the summary for the next bin, keeping its memory. While
+// the table has a free slot every flow an add bumps is tracked (a new
+// flow takes the free slot), so a table that never filled has bumped only
+// its tracked flows' counters, and Reset zeroes those alone: a quiet bin
+// pays for its own flows, not for depth x width counters — nothing at
+// all when it accounted no packet. A table that filled clears every row.
 func (c *CountMin) Reset() {
-	clear(c.rows)
+	if len(c.entries) < c.k {
+		for _, h := range c.hashes {
+			for r := 0; r < cmDepth; r++ {
+				c.rows[c.offset(h, r)] = 0
+			}
+		}
+	} else {
+		clear(c.rows)
+	}
 	c.reset()
 }

@@ -108,3 +108,36 @@ func TestCountMinMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestCountMinResetClearsEveryCounter holds Count-Min in lockstep with the
+// reference over bins of 0 to 3000 flows against 64 slots, resetting
+// between them. A table that never filled zeroes only its tracked flows'
+// counters and index words, a full one clears them all; either way every
+// counter and every index word must read zero after Reset, and the next
+// bin must answer as the reference's does.
+func TestCountMinResetClearsEveryCounter(t *testing.T) {
+	const k = 64
+	live, ref := NewCountMin(flow.FiveTuple{}, k), newRefCountMin(flow.FiveTuple{}, k)
+	g := randx.New(29)
+	for bin, flows := range []int{40, 0, 1, 63, 64, 500, 10, 3000, 5, k - 1} {
+		var keys []flow.Key
+		for f := range flows {
+			key := randKey(g, 1<<10)
+			key.DstPort = uint16(f) // distinct: exactly flows flows
+			keys = append(keys, key)
+			for range 1 + g.IntN(5) {
+				live.AddAggregated(key, float64(f), 100)
+				ref.AddAggregated(key, float64(f), 100)
+			}
+		}
+		cmMatchesRef(t, fmt.Sprintf("bin %d (%d flows)", bin, flows), live, ref, keys)
+		live.Reset()
+		ref.Reset()
+		if i := slices.IndexFunc(live.rows, func(v int64) bool { return v != 0 }); i >= 0 {
+			t.Fatalf("bin %d (%d flows): counter %d reads %d after Reset", bin, flows, i, live.rows[i])
+		}
+		if i := slices.IndexFunc(live.index, func(w uint64) bool { return w != 0 }); i >= 0 {
+			t.Fatalf("bin %d (%d flows): index word %d reads %#x after Reset", bin, flows, i, live.index[i])
+		}
+	}
+}

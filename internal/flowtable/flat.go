@@ -37,13 +37,22 @@ import (
 // the reference implementation while Flat carries production traffic.
 //
 // A table keeps its slot arrays from bin to bin through Reset; only
-// growth allocates.
+// growth allocates. The arrays are sized by the busiest bin the table has
+// held, so a bitmap beside the tags marks each 64-tag line (one cache
+// line) that holds an occupied slot, and a bin close — AppendTopTies,
+// AppendAll, AppendCounts — and a Reset visit only the marked lines: a
+// quiet bin after a busy one costs its own flows plus one bit per line,
+// not a scan of the whole tag array. The scan keeps ascending slot order,
+// so every list and count order it produces is the one a full scan of the
+// same slots gives.
 type Flat struct {
 	agg flow.Aggregator
 	// tags[i] != 0 marks slot i occupied with the hash tag of its key;
 	// slots[i] is the slot's counts and times[i] its timestamps (nil when
-	// the table keeps none), valid only when marked.
+	// the table keeps none), valid only when marked. Bit j%64 of lines[j/64]
+	// is set when tags[j*flatLine:(j+1)*flatLine] holds a non-zero tag.
 	tags    []uint8
+	lines   []uint64
 	slots   []flatSlot
 	times   []flatTimes
 	n       int
@@ -66,6 +75,10 @@ type flatTimes struct{ First, Last float64 }
 // tables do not grow immediately, small enough to stay cache-resident.
 const flatMinSlots = 64
 
+// flatLine is the number of tags one bit of Flat.lines covers: a cache
+// line of tags. flatMinSlots is a multiple of it.
+const flatLine = 64
+
 // NewFlat returns an empty open-addressing table classifying packets
 // under agg and keeping each flow's first and last packet time, pre-sized
 // to hold sizeHint flows without growing (0 picks a small default). The
@@ -84,6 +97,7 @@ func newFlat(agg flow.Aggregator, sizeHint int, times bool) *Flat {
 // times is set.
 func (f *Flat) alloc(size int, times bool) {
 	f.tags, f.slots = make([]uint8, size), make([]flatSlot, size)
+	f.lines = make([]uint64, (size/flatLine+63)/64)
 	if times {
 		f.times = make([]flatTimes, size)
 	}
@@ -214,8 +228,29 @@ func (f *Flat) findOrClaim(key flow.Key, h uint64) (i uint64, isNew bool) {
 				return f.findOrClaim(key, h)
 			}
 			f.tags[i] = tag
+			f.mark(i)
 			f.n++
 			return i, true
+		}
+	}
+}
+
+// mark records that slot i is occupied in the line bitmap.
+//
+//flowrank:hotpath
+func (f *Flat) mark(i uint64) {
+	f.lines[i/(64*flatLine)] |= 1 << (i / flatLine % 64)
+}
+
+// markedLines yields the first slot and the tags of every line the bitmap
+// marks, in ascending slot order.
+func (f *Flat) markedLines(yield func(base int, tags []uint8) bool) {
+	for w, word := range f.lines {
+		for ; word != 0; word &= word - 1 {
+			base := (w*64 + bits.TrailingZeros64(word)) * flatLine
+			if !yield(base, f.tags[base:base+flatLine]) {
+				return
+			}
 		}
 	}
 }
@@ -241,21 +276,25 @@ func (f *Flat) find(key flow.Key) (int, bool) {
 // tag survives per slot, so the probe hash is recomputed from each
 // slot's key — growth is rare and off the per-packet path.
 func (f *Flat) grow(size int) {
-	oldTags, oldSlots, oldTimes := f.tags, f.slots, f.times
-	f.alloc(size, oldTimes != nil)
+	old := *f
+	f.alloc(size, old.times != nil)
 	mask := uint64(size - 1)
-	for j, t := range oldTags {
-		if t == 0 {
-			continue
-		}
-		i := flatHome(oldSlots[j].Key.FastHash(), mask)
-		for f.tags[i] != 0 {
-			i = (i + 1) & mask
-		}
-		f.tags[i] = t
-		f.slots[i] = oldSlots[j]
-		if oldTimes != nil {
-			f.times[i] = oldTimes[j]
+	for base, tags := range old.markedLines {
+		for k, t := range tags {
+			if t == 0 {
+				continue
+			}
+			j := base + k
+			i := flatHome(old.slots[j].Key.FastHash(), mask)
+			for f.tags[i] != 0 {
+				i = (i + 1) & mask
+			}
+			f.tags[i] = t
+			f.mark(i)
+			f.slots[i] = old.slots[j]
+			if old.times != nil {
+				f.times[i] = old.times[j]
+			}
 		}
 	}
 }
@@ -298,18 +337,25 @@ func (f *Flat) AppendCounts(dst map[flow.Key]int64) map[flow.Key]int64 {
 	if dst == nil {
 		dst = make(map[flow.Key]int64, f.n)
 	}
-	for i, t := range f.tags {
-		if t != 0 {
-			dst[f.slots[i].Key] = f.slots[i].Packets
+	for base, tags := range f.markedLines {
+		for k, t := range tags {
+			if t != 0 {
+				dst[f.slots[base+k].Key] = f.slots[base+k].Packets
+			}
 		}
 	}
 	return dst
 }
 
 // Reset clears the table for the next measurement bin, keeping its slot
-// arrays: steady-state bins allocate nothing.
+// arrays: steady-state bins allocate nothing. It clears only the marked
+// tag lines and then the bitmap, so it costs the bin's flows, not the
+// table's size.
 func (f *Flat) Reset() {
-	clear(f.tags)
+	for _, tags := range f.markedLines {
+		clear(tags)
+	}
+	clear(f.lines)
 	f.n = 0
 	f.packets, f.bytesT = 0, 0
 }
@@ -322,9 +368,11 @@ func (f *Flat) Entries() []Entry {
 // AppendAll appends all flows to dst in slot order and returns it.
 func (f *Flat) AppendAll(dst []Entry) []Entry {
 	dst = slices.Grow(dst, f.n)
-	for i, t := range f.tags {
-		if t != 0 {
-			dst = append(dst, f.entry(i))
+	for base, tags := range f.markedLines {
+		for k, t := range tags {
+			if t != 0 {
+				dst = append(dst, f.entry(base+k))
+			}
 		}
 	}
 	return dst
@@ -347,13 +395,15 @@ func (f *Flat) AppendTop(dst []Entry, k int) []Entry {
 }
 
 // AppendTopTies is AppendTop that also counts the flows left out whose
-// count equals the last one appended: one scan of the slots, which copies
-// out only the flows that could still enter the list.
+// count equals the last one appended: one scan of the occupied lines,
+// which copies out only the flows that could still enter the list.
 func (f *Flat) AppendTopTies(dst []Entry, k int) ([]Entry, int) {
 	r := newRanker(dst, k, f.n)
-	for i, t := range f.tags {
-		if t != 0 && r.wants(f.slots[i].Packets) {
-			r.offer(f.entry(i))
+	for base, tags := range f.markedLines {
+		for j, t := range tags {
+			if t != 0 && r.wants(f.slots[base+j].Packets) {
+				r.offer(f.entry(base + j))
+			}
 		}
 	}
 	return r.result()

@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -32,6 +33,7 @@ func TestFlatMatchesMapReference(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 20000; i++ {
 			k := randKey(g, 24)
+			size := len(flat.tags)
 			switch g.IntN(3) {
 			case 0, 1:
 				p := packet.Packet{Key: k, Time: float64(i) * 1e-3, Size: 40 + g.IntN(1400)}
@@ -43,7 +45,11 @@ func TestFlatMatchesMapReference(t *testing.T) {
 					flat.AddAggregated(k, float64(i)*1e-3, 300)
 				}
 			}
+			if len(flat.tags) != size {
+				checkLines(t, fmt.Sprintf("round %d, grown to %d slots", round, len(flat.tags)), flat)
+			}
 		}
+		checkLines(t, fmt.Sprintf("round %d", round), flat)
 		if flat.Len() != ref.Len() || flat.TotalPackets() != ref.TotalPackets() ||
 			flat.TotalBytes() != ref.TotalBytes() {
 			t.Fatalf("round %d totals: flat %d/%d/%d, ref %d/%d/%d", round,
@@ -87,6 +93,7 @@ func TestFlatMatchesMapReference(t *testing.T) {
 		if flat.Len() != 0 || flat.TotalPackets() != 0 {
 			t.Fatal("Reset did not clear the flat table")
 		}
+		checkLines(t, fmt.Sprintf("round %d reset", round), flat)
 	}
 }
 
@@ -140,6 +147,29 @@ func TestFlatShardedMergeInto(t *testing.T) {
 		t.Fatal("merge left the pre-sized buffer")
 	}
 	checkShardMerge(t, all, top, whole.Entries(), whole.Top(10))
+}
+
+// checkLines fails unless f's line bitmap marks exactly the tag lines that
+// hold an occupied slot — the invariant every scan and Reset relies on: an
+// occupied slot in an unmarked line would be missed by every bin close,
+// and a marked empty line costs a close a line it need not read.
+func checkLines(t *testing.T, label string, f *Flat) {
+	t.Helper()
+	if want := (len(f.tags)/flatLine + 63) / 64; len(f.lines) != want {
+		t.Fatalf("%s: %d bitmap words for %d slots, want %d", label, len(f.lines), len(f.tags), want)
+	}
+	for j := 0; j < len(f.tags)/flatLine; j++ {
+		marked := f.lines[j/64]>>(j%64)&1 != 0
+		occupied := slices.ContainsFunc(f.tags[j*flatLine:(j+1)*flatLine], func(t uint8) bool { return t != 0 })
+		if marked != occupied {
+			t.Fatalf("%s: line %d of %d marked %v, holds an occupied slot %v", label, j, len(f.tags)/flatLine, marked, occupied)
+		}
+	}
+	for j := len(f.tags) / flatLine; j < 64*len(f.lines); j++ {
+		if f.lines[j/64]>>(j%64)&1 != 0 {
+			t.Fatalf("%s: bit %d marks a line past the %d-slot table", label, j, len(f.tags))
+		}
+	}
 }
 
 // meanDisplacement is how far, on average, a flow sits from the slot its
@@ -431,6 +461,7 @@ func FuzzFlatProbe(f *testing.F) {
 		ingestQueued := func() {
 			for _, fl := range flats {
 				fl.AddBatch(queued)
+				checkLines(t, "after a batch", fl)
 			}
 			queued = queued[:0]
 		}
@@ -479,6 +510,9 @@ func FuzzFlatProbe(f *testing.F) {
 				for _, fl := range flats {
 					fl.Reset()
 				}
+			}
+			for _, fl := range flats {
+				checkLines(t, fmt.Sprintf("after op %d", op%8), fl)
 			}
 		}
 		ingestQueued()

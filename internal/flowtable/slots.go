@@ -197,14 +197,29 @@ func (s *slots) swap(i, j int32) {
 	s.pos[s.h[j]] = j
 }
 
-// reset empties the store for the next bin, keeping its memory.
+// reset empties the store for the next bin, keeping its memory. The index
+// holds one word per tracked flow; a store with a free slot left zeroes
+// those words alone, a full one clears the whole index.
 func (s *slots) reset() {
+	if len(s.entries) < s.k {
+		mask := uint64(len(s.index) - 1)
+		for id, h := range s.hashes {
+			// The walk skips the words zeroed before it: it looks for id's
+			// word, not for the end of the run.
+			i := flatHome(h, mask)
+			for uint32(s.index[i]) != uint32(id+1) {
+				i = (i + 1) & mask
+			}
+			s.index[i] = 0
+		}
+	} else {
+		clear(s.index)
+	}
 	s.entries = s.entries[:0]
 	s.times = s.times[:0]
 	s.hashes = s.hashes[:0]
 	s.h = s.h[:0]
 	s.pos = s.pos[:0]
-	clear(s.index)
 	s.packets, s.bytesT = 0, 0
 }
 

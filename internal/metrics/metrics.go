@@ -114,9 +114,19 @@ type Boundary struct {
 // NewBoundary returns the scorer of a bin whose original top list is top,
 // in ranking order, with sampled[i] the sampled count of top[i].
 func NewBoundary(top []flowtable.Entry, sampled []int64) Boundary {
-	b := Boundary{top: make([]sizePair, len(top)), ts: slices.Clone(sampled[:len(top)]), reach: math.MaxInt64}
+	var b Boundary
+	b.Reset(top, sampled)
+	return b
+}
+
+// Reset makes b the scorer NewBoundary(top, sampled) returns, reusing b's
+// arrays when they are long enough: a caller scoring bin after bin
+// allocates nothing once its longest list has been seen.
+func (b *Boundary) Reset(top []flowtable.Entry, sampled []int64) {
+	b.top, b.ts = b.top[:0], append(b.ts[:0], sampled[:len(top)]...)
+	b.smallest, b.reach = 0, math.MaxInt64
 	for r := range top {
-		b.top[r] = sizePair{top[r].Packets, sampled[r]}
+		b.top = append(b.top, sizePair{top[r].Packets, sampled[r]})
 		if s := sampled[r]; s > 0 {
 			b.reach = min(b.reach, s)
 		}
@@ -125,7 +135,6 @@ func NewBoundary(top []flowtable.Entry, sampled []int64) Boundary {
 	if len(top) > 0 {
 		b.smallest = top[len(top)-1].Packets
 	}
-	return b
 }
 
 // Score returns the number of top flows that sampling misranks a flow

@@ -44,7 +44,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Workers, "workers", runtime.GOMAXPROCS(0), "shard workers for the streaming engine")
 	fs.StringVar(&f.Invert, "invert", "", "estimate the original flow-size distribution per bin: naive, tail, em, or parametric")
 	fs.Float64Var(&f.Adapt, "adapt", 0, "closed-loop target for the §5 ranking metric: after every bin, refit the model to the bin's inversion and set the next bin's sampling rate to the cheapest one meeting the target (0 disables; requires -invert)")
-	fs.StringVar(&f.Table, "table", "exact", "per-shard flow table: exact, spacesaving, or countmin (bounded kinds keep at most -memory flows per shard)")
+	fs.StringVar(&f.Table, "table", "exact", "per-shard flow table: exact, map (the reference table), spacesaving, or countmin (bounded kinds keep at most -memory flows per shard)")
 	fs.IntVar(&f.Memory, "memory", 0, "slot budget per bounded table (0 = kind default; needs a bounded -table)")
 	fs.StringVar(&f.Journal, "journal", "", "append one JSON record per bin to this file (- = stdout)")
 }

@@ -28,11 +28,14 @@ type Sampler interface {
 }
 
 // Bernoulli samples each packet independently with probability P — the
-// paper's "random sampling", and the variant all its models assume.
+// paper's "random sampling", and the variant all its models assume. Its
+// decision stream is randx.New(seed).Derive(run).Bernoulli(P)'s, drawn
+// from a uniform stream held by value: a packet's decision is one direct
+// call, with no pointer to follow and no interface to go through.
 type Bernoulli struct {
 	P    float64
 	seed uint64
-	rng  *randx.RNG
+	rng  randx.PCG
 }
 
 // NewBernoulli returns a Bernoulli sampler with rate p. It panics if p is
@@ -46,11 +49,20 @@ func NewBernoulli(p float64, seed uint64) *Bernoulli {
 	return s
 }
 
-// Sample keeps the packet with probability P.
-func (s *Bernoulli) Sample(packet.Packet) bool { return s.rng.Bernoulli(s.P) }
+// Sample keeps the packet with probability P. As RNG.Bernoulli does, a
+// rate of 0 or 1 decides without drawing.
+func (s *Bernoulli) Sample(packet.Packet) bool {
+	if s.P <= 0 {
+		return false
+	}
+	if s.P >= 1 {
+		return true
+	}
+	return s.rng.Float64() < s.P
+}
 
 // Reset reseeds the decision stream for the given run.
-func (s *Bernoulli) Reset(run uint64) { s.rng = randx.New(s.seed).Derive(run) }
+func (s *Bernoulli) Reset(run uint64) { s.rng = randx.New(s.seed).DerivePCG(run) }
 
 // Rate returns P.
 func (s *Bernoulli) Rate() float64 { return s.P }

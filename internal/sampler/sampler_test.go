@@ -6,6 +6,7 @@ import (
 
 	"flowrank/internal/flow"
 	"flowrank/internal/packet"
+	"flowrank/internal/randx"
 )
 
 func mkPacket(i int) packet.Packet {
@@ -37,6 +38,34 @@ func TestBernoulliRate(t *testing.T) {
 		if s.Rate() != p {
 			t.Errorf("Rate() = %g", s.Rate())
 		}
+	}
+}
+
+// TestBernoulliMatchesRNGStream pins the sampler's decisions to the
+// stream randx.New(seed).Derive(run).Bernoulli(p) draws: the first 10^6
+// at every rate, including the two that draw nothing, then after a Reset
+// to another run, and across a rate changed mid-stream — as the adaptive
+// loop retunes P between bins — where both sides keep their one stream.
+func TestBernoulliMatchesRNGStream(t *testing.T) {
+	const seed, n = 977, 1_000_000
+	check := func(label string, s *Bernoulli, ref *randx.RNG, p float64, n int) {
+		t.Helper()
+		s.P = p
+		for i := range n {
+			if got, want := s.Sample(packet.Packet{}), ref.Bernoulli(p); got != want {
+				t.Fatalf("%s: decision %d at p=%g is %v, the RNG stream's %v", label, i, p, got, want)
+			}
+		}
+	}
+	for _, p := range []float64{0, 1e-4, 0.01, 0.5, 1} {
+		s := NewBernoulli(p, seed)
+		check("run 0", s, randx.New(seed).Derive(0), p, n)
+		s.Reset(3)
+		check("run 3", s, randx.New(seed).Derive(3), p, n)
+	}
+	s, ref := NewBernoulli(0.01, seed), randx.New(seed).Derive(0)
+	for _, p := range []float64{0.01, 0.5, 0, 1e-4, 1, 0.2} {
+		check("rate changes", s, ref, p, n/10)
 	}
 }
 

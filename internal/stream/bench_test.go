@@ -113,22 +113,28 @@ func BenchmarkEngine(b *testing.B) {
 
 // BenchmarkBinClose times the bin boundary alone — the shards ranking and
 // scoring their flows, the merges and the hand-over of the sampled counts
-// to the inverter — on the shapes of two benchmark workloads, top list of
-// 10:
+// to the inverter — on the shapes of three benchmark workloads' bins, top
+// list of 10:
 //
 //   - batch-exact: one exact shard holding 280k flows (heavy-tailed: every
 //     512th flow has up to ~550 packets, the rest one), sampled at 1 %;
 //   - adapt-loop: two exact shards holding 47k flows of 1 to ~110 packets
 //     (~480k packets), sampled at 10 %, with an inverter — the shape where
-//     the shards' outputs are merged.
+//     the shards' outputs are merged;
+//   - sparse-after-dense: daemon-scrape's quiet bins — two shards with a
+//     4096-slot Count-Min sampled table, whose exact originals an untimed
+//     100k-flow bin has grown to 131 072 slots each, closing bins of 10
+//     flows of 100 packets, sampled at 1 %. A close that scanned or cleared
+//     the originals by their size would cost the dense bin's flows here.
 //
 // The fill is untimed and fully ingested before the clock starts, and the
 // inverter returns at once, so ns/flow is what closing the bin charges each
-// of its flows. warm/ closes bin after bin of one engine with Recycle set,
-// so every buffer the close writes is already allocated and faulted in.
-// first/ closes the first bin of a fresh engine, with the heap handed back
-// to the OS before the fill: the close allocates what it writes and takes
-// the page faults, as bin 0 of a flowtop run does.
+// of its flows, and ns/bin the whole close. warm/ closes bin after bin of
+// one engine with Recycle set, so every buffer the close writes is already
+// allocated and faulted in, and allocs/op must read 0. first/ closes the
+// first bin of a fresh engine, with the heap handed back to the OS before
+// the fill: the close allocates what it writes and takes the page faults,
+// as bin 0 of a flowtop run does.
 func BenchmarkBinClose(b *testing.B) {
 	cases := []struct {
 		name     string
@@ -136,21 +142,25 @@ func BenchmarkBinClose(b *testing.B) {
 		workers  int
 		rate     float64
 		inverter invert.Estimator
+		tables   flowtable.Spec
+		dense    int // flows of an untimed bin closed before the timed ones
 		packets  func(f int) int
 	}{
-		{"batch-exact", 280_000, 1, 0.01, nil, func(f int) int {
+		{"batch-exact", 280_000, 1, 0.01, nil, flowtable.Spec{}, 0, func(f int) int {
 			if f%512 == 0 {
 				return 1 + f/512
 			}
 			return 1
 		}},
-		{"adapt-loop", 47_000, 2, 0.1, countsOnly{}, func(f int) int {
+		{"adapt-loop", 47_000, 2, 0.1, countsOnly{}, flowtable.Spec{}, 0, func(f int) int {
 			n := 1 + f*7919%19
 			if f%512 == 0 {
 				n += f / 512
 			}
 			return n
 		}},
+		{"sparse-after-dense", 10, 2, 0.01, countsOnly{}, flowtable.Spec{Kind: flowtable.KindCountMin, Slots: 4096}, 100_000,
+			func(int) int { return 100 }},
 	}
 	for _, c := range cases {
 		newEngine := func(b *testing.B) *Engine {
@@ -161,6 +171,7 @@ func BenchmarkBinClose(b *testing.B) {
 				TopT:       10,
 				Workers:    c.workers,
 				Inverter:   c.inverter,
+				Tables:     c.tables,
 				Recycle:    true,
 			}, func(BinResult) error { return nil })
 			if err != nil {
@@ -168,18 +179,28 @@ func BenchmarkBinClose(b *testing.B) {
 			}
 			return eng
 		}
-		fill := func(b *testing.B, eng *Engine) {
-			for f := 0; f < c.flows; f++ {
+		feed := func(b *testing.B, eng *Engine, flows int, packets func(int) int) {
+			for f := 0; f < flows; f++ {
 				p := packet.Packet{Time: 1, Size: 100, Key: flow.Key{
 					Src: flow.Addr{10, byte(f >> 16), byte(f >> 8), byte(f)}, DstPort: 80, Proto: flow.ProtoTCP,
 				}}
-				for n := c.packets(f); n > 0; n-- {
+				for n := packets(f); n > 0; n-- {
 					if err := eng.Feed(p); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
 			settle(eng)
+		}
+		fill := func(b *testing.B, eng *Engine) { feed(b, eng, c.flows, c.packets) }
+		// grow closes the untimed dense bin, if the case has one.
+		grow := func(b *testing.B, eng *Engine) {
+			if c.dense > 0 {
+				feed(b, eng, c.dense, func(int) int { return 1 })
+				if err := eng.flushBin(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 		timeClose := func(b *testing.B, eng *Engine) {
 			b.StartTimer()
@@ -188,26 +209,38 @@ func BenchmarkBinClose(b *testing.B) {
 			}
 			b.StopTimer()
 		}
+		report := func(b *testing.B) {
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(ns/float64(c.flows), "ns/flow")
+			b.ReportMetric(ns, "ns/bin")
+		}
 		b.Run("warm/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.StopTimer()
 			eng := newEngine(b)
 			defer eng.Close()
-			b.StopTimer()
+			grow(b, eng)
+			fill(b, eng) // an untimed bin sizes the close's buffers
+			if err := eng.flushBin(); err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < b.N; i++ {
 				fill(b, eng)
 				timeClose(b, eng)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.flows), "ns/flow")
+			report(b)
 		})
 		b.Run("first/"+c.name, func(b *testing.B) {
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
 				debug.FreeOSMemory()
 				eng := newEngine(b)
+				grow(b, eng)
 				fill(b, eng)
 				timeClose(b, eng)
 				eng.Close()
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.flows), "ns/flow")
+			report(b)
 		})
 	}
 }
@@ -216,11 +249,13 @@ func BenchmarkBinClose(b *testing.B) {
 // to it so far. A worker takes a message only after finishing the one
 // before, so once cap(in)+2 empty batches are sent behind the real ones,
 // the real ones are done; the empty ones left queued cost the flush
-// nothing.
+// nothing. They are allocated here, untimed: the workers hand them on to
+// the reader's free list, where a zero batch would make the next dispatch
+// allocate.
 func settle(e *Engine) {
 	for _, s := range e.shards {
 		for range cap(s.in) + 2 {
-			s.in <- shardMsg{}
+			s.in <- shardMsg{batch: e.newBatch()}
 		}
 	}
 }
@@ -229,8 +264,12 @@ func settle(e *Engine) {
 // returns at once.
 type countsOnly struct{}
 
+// errCountsOnly is countsOnly's answer: made once, so the inverter
+// allocates nothing.
+var errCountsOnly = errors.New("counts only")
+
 func (countsOnly) Name() string { return "counts-only" }
 
 func (countsOnly) Invert([]float64, float64) (invert.Estimate, error) {
-	return invert.Estimate{}, errors.New("counts only")
+	return invert.Estimate{}, errCountsOnly
 }

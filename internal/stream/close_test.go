@@ -216,3 +216,84 @@ func TestShardCloseMatchesWholeBinClose(t *testing.T) {
 		}
 	}
 }
+
+// TestSparseBinsAfterDenseBin closes twenty bins of 1 to 10 flows after
+// one of 160k: the dense bin grows every shard's exact original table past
+// 65 536 slots, and each quiet bin after it must still see only its own
+// flows — a close or a Reset that missed a table line, or left one behind,
+// would show here. At 1 and 3 workers, under the exact and the Count-Min
+// sampled table (4096 slots: the dense bin fills it, no quiet bin does),
+// every bin must equal the whole-bin close with map-reference originals
+// (referenceClose), and with the exact table every BinResult must equal
+// the map-table run's bit for bit.
+func TestSparseBinsAfterDenseBin(t *testing.T) {
+	const denseFlows, topT, rate = 160_000, 10, 0.5
+	key := func(f int) flow.Key {
+		return flow.Key{Src: flow.Addr{10, byte(f >> 16), byte(f >> 8), byte(f)}, DstPort: 80, Proto: flow.ProtoTCP}
+	}
+	var bins [][]packet.Packet
+	var sizes []int
+	for f := range denseFlows {
+		n := 1
+		if f%1000 >= 990 { // ten larger flows in every thousand
+			n += f / 1000
+		}
+		sizes = append(sizes, n)
+	}
+	bins = append(bins, closeBin(sizes))
+	for b := 1; b <= 20; b++ {
+		var sparse []packet.Packet
+		for f := range 1 + b*7%10 {
+			for n := range 1 + (3*f+b)%6 {
+				// Keys the dense bin held and keys it did not.
+				sparse = append(sparse, packet.Packet{Time: float64(b) + float64(n)*1e-3, Size: 100, Key: key(f*40_000 + b)})
+			}
+		}
+		bins = append(bins, sparse)
+	}
+	var pkts []packet.Packet
+	for _, bin := range bins {
+		pkts = append(pkts, bin...)
+	}
+	for _, workers := range []int{1, 3} {
+		perShard := make([]int, workers)
+		for f := range denseFlows {
+			perShard[key(f).FastHash()%uint64(workers)]++
+		}
+		if m := slices.Min(perShard); 4*m <= 3*65536 {
+			t.Fatalf("workers=%d: a shard holds %d dense flows, too few to grow its table past 65 536 slots", workers, m)
+		}
+		for _, spec := range []flowtable.Spec{{Kind: flowtable.KindExact}, {Kind: flowtable.KindCountMin, Slots: 4096}} {
+			label := fmt.Sprintf("spec=%v workers=%d", spec, workers)
+			cfg := func(spec flowtable.Spec) Config {
+				return Config{
+					Agg:        flow.FiveTuple{},
+					Sampler:    sampler.NewBernoulli(rate, 71),
+					BinSeconds: 1,
+					TopT:       topT,
+					Workers:    workers,
+					Tables:     spec,
+				}
+			}
+			got := runEngine(t, cfg(spec), pkts)
+			if len(got) != len(bins) {
+				t.Fatalf("%s: %d bins, want %d", label, len(got), len(bins))
+			}
+			if !spec.Exact() && got[0].SampledFlows != workers*spec.Slots {
+				t.Fatalf("%s: the dense bin tracks %d sampled flows, want every slot full (%d)", label, got[0].SampledFlows, workers*spec.Slots)
+			}
+			smp := sampler.NewBernoulli(rate, 71) // one decision stream over the bins, as the engine's
+			for i, bin := range bins {
+				want, g := referenceClose(t, bin, smp, spec, workers, topT), got[i]
+				if g.Pairs != want.Pairs || g.Flows != want.Flows ||
+					!reflect.DeepEqual(g.OrigTop, want.OrigTop) || !reflect.DeepEqual(g.SampledTop, want.SampledTop) {
+					t.Fatalf("%s bin %d:\ngot  pairs %+v flows %d\n     top %+v\n     sampled %+v\nwant pairs %+v flows %d\n     top %+v\n     sampled %+v",
+						label, i, g.Pairs, g.Flows, g.OrigTop, g.SampledTop, want.Pairs, want.Flows, want.OrigTop, want.SampledTop)
+				}
+			}
+			if spec.Exact() {
+				compareBins(t, label+" against the map tables", got, runEngine(t, cfg(flowtable.Spec{Kind: flowtable.KindMap}), pkts))
+			}
+		}
+	}
+}

@@ -41,8 +41,13 @@
 // — for the inverter — its sampled counts without their keys into its run
 // of the bin's buffers, and resets its tables. The engine adds the sums up
 // and ranks the sampled top lists. Nothing is sorted and no map keyed by
-// flow is built. With Config.Inverter set, the bin's sampled counts then
-// go through the estimator, and BinResult carries its result as returned.
+// flow is built. The barrier costs what the bin's own flows cost, not what
+// the tables hold room for: a shard's tables keep the arrays the busiest
+// bin grew them to, and their scans and resets visit only what the bin
+// occupied (flowtable.Flat's line bitmap, the sketches' tracked flows), so
+// a quiet bin after a busy one closes in microseconds. With
+// Config.Inverter set, the bin's sampled counts then go through the
+// estimator, and BinResult carries its result as returned.
 //
 // The engine times its own work on every run, one way: each hand-off and
 // stall on the reader, each batch a shard ingests, and each bin's barrier,
@@ -397,13 +402,17 @@ type Engine struct {
 	// BinResult's OrigTop and SampledTop, so they are reused only when
 	// cfg.Recycle is set; topSampled and counts never leave the engine and
 	// are always reused. Safe: the next barrier — the next time they are
-	// written — starts only after the previous bin's emit returned.
+	// written — starts only after the previous bin's emit returned. sums
+	// holds the shards' answers to a barrier step and heads the merge's
+	// position in each shard's list, both reused from bin to bin.
 	origTop    []flowtable.Entry
 	topSampled []int64
 	score      metrics.Boundary
 	sampTop    []flowtable.Entry
 	counts     []float64
 	parts      []binClose
+	sums       []shardSummary
+	heads      []int
 }
 
 // ErrClosed is returned (wrapped) by Feed on an engine that was Closed or
@@ -502,6 +511,8 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 	e := &Engine{cfg: cfg, emit: emit, ctx: ctx, done: ctx.Done()}
 	e.shards = make([]*shard, cfg.Workers)
 	e.parts = make([]binClose, cfg.Workers)
+	e.sums = make([]shardSummary, cfg.Workers)
+	e.heads = make([]int, cfg.Workers)
 	for i := range e.shards {
 		orig, err := cfg.Tables.NewCounts(cfg.Agg)
 		if err != nil {
@@ -705,7 +716,7 @@ func (e *Engine) flushBin() error {
 	for s := range e.shards {
 		e.dispatch(s)
 	}
-	sums := make([]shardSummary, len(e.shards))
+	sums := e.sums
 	e.barrierStep(sums, false)
 	tRanked := obs.Nanotime()
 	e.mergeTop()
@@ -762,7 +773,8 @@ func (e *Engine) mergeTop() {
 		e.origTop = nil
 	}
 	e.origTop, e.topSampled = e.origTop[:0], e.topSampled[:0]
-	heads := make([]int, len(e.shards)) // heads[s]: shard s's next flow
+	heads := e.heads // heads[s]: shard s's next flow
+	clear(heads)
 	for len(e.origTop) < e.cfg.TopT {
 		best := -1
 		for s, sh := range e.shards {
@@ -778,7 +790,7 @@ func (e *Engine) mergeTop() {
 		e.topSampled = append(e.topSampled, sh.topSampled[i])
 		heads[best]++
 	}
-	e.score = metrics.NewBoundary(e.origTop, e.topSampled)
+	e.score.Reset(e.origTop, e.topSampled)
 }
 
 // carve sizes the bin's sampled buffers to the table sizes the shards
@@ -824,7 +836,10 @@ func (e *Engine) invertBin() (*invert.Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &est, nil
+	// A copy, so that only a bin with an estimate allocates one.
+	out := new(invert.Estimate)
+	*out = est
+	return out, nil
 }
 
 // resize returns s at length n, reusing its array when it is large enough.
