@@ -161,10 +161,14 @@ microbench:
 # there as ns/bin.
 # BenchmarkInvert runs every inverter on daemon-scrape's sampled bin
 # (p = 0.01) and adapt-loop's (p = 0.1), in ns/op and allocs/op.
+# BenchmarkSampler times a Bernoulli decision at p = 0.01 in ns/pkt, one
+# Sample call per packet against one SampleBlock call per 256 packets (the
+# block the engine draws).
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -run '^$$' -bench 'StreamPackets|StreamEngine|NetworkCoord|ExtensionSketch' -benchtime 1x
 	$(GO) test -run '^$$' -bench '^BenchmarkInvert$$' -benchtime 1x ./internal/invert
+	$(GO) test -run '^$$' -bench '^BenchmarkSampler$$' -benchtime 1000x ./internal/sampler
 	$(GO) test -run '^$$' -bench '^Benchmark(RequiredRate|RankingMetric|RankingMetricSprint|RankingMetricSpliced|MisrankExact)$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkNetworkDynamicLoop$$' -benchtime 1x ./internal/netsample
 	$(GO) test -run '^$$' -bench 'Ingest' -benchtime 1x ./internal/flowtable

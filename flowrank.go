@@ -164,7 +164,9 @@ func StreamPackets(records []FlowRecord, seed uint64, fn func(Packet) error) err
 // ---------------------------------------------------------------------------
 // Samplers and flow accounting
 
-// Sampler decides packet by packet whether the monitor keeps a packet.
+// Sampler decides whether the monitor keeps each packet, in trace order:
+// Sample decides one packet, SampleBlock the next block of them from the
+// same decision stream.
 type Sampler = sampler.Sampler
 
 // NewBernoulli returns the paper's random sampler: every packet is kept

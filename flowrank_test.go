@@ -134,8 +134,8 @@ func TestBoundedTablesFacade(t *testing.T) {
 				t.Errorf("exact table entries %+v", all)
 			}
 		case *SpaceSavingTable:
-			if tab.Evictions() != 0 || tab.ErrorBound() != 0 {
-				t.Errorf("Space-Saving under capacity: %d evictions, error bound %d", tab.Evictions(), tab.ErrorBound())
+			if tab.ErrorBound() != 0 { // a takeover would have left an error term
+				t.Errorf("Space-Saving under capacity: error bound %d", tab.ErrorBound())
 			}
 		case *CountMinTable:
 			if got := tab.Estimate(key); got != 2 {

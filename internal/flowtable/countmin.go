@@ -142,9 +142,6 @@ func (c *CountMin) Estimate(key flow.Key) int64 {
 	return est
 }
 
-// Width returns the per-row counter width.
-func (c *CountMin) Width() int { return int(c.width) }
-
 // ErrorBound returns 2N/w: with probability at least 1 - 2^-depth, a
 // tracked flow's estimate exceeds its true count by at most this much.
 func (c *CountMin) ErrorBound() int64 {

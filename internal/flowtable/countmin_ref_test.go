@@ -265,8 +265,6 @@ func (c *refCountMin) Estimate(key flow.Key) int64 {
 	return est
 }
 
-func (c *refCountMin) Width() int { return int(c.width) }
-
 func (c *refCountMin) ErrorBound() int64 {
 	return (2*c.packets + int64(c.width) - 1) / int64(c.width)
 }

@@ -2,6 +2,7 @@ package flowtable
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -248,11 +249,16 @@ func TestSpaceSavingInvariants(t *testing.T) {
 	if s.Len() > k {
 		t.Fatalf("tracking %d flows, budget %d", s.Len(), k)
 	}
-	if s.Evictions() == 0 {
+	// A takeover records the count it inherits, at least 1, as an error
+	// term that only a Reset clears: no takeover, no bound.
+	bound := s.ErrorBound()
+	if bound == 0 {
 		t.Fatal("workload did not pressure the table; invariants untested")
 	}
-	bound := s.ErrorBound()
-	min := s.MinCount()
+	least := int64(math.MaxInt64) // the smallest live counter
+	for _, e := range s.AppendAll(nil) {
+		least = min(least, e.Packets)
+	}
 	for _, e := range s.AppendEntries(nil) {
 		tc := truth[e.Key]
 		if e.Packets < tc {
@@ -261,7 +267,7 @@ func TestSpaceSavingInvariants(t *testing.T) {
 		if e.Packets > tc+bound {
 			t.Fatalf("flow %v above error bound: %d > %d+%d", e.Key, e.Packets, tc, bound)
 		}
-		errTerm, ok := s.CountError(e.Key)
+		errTerm, ok := countError(s, e.Key)
 		if !ok {
 			t.Fatalf("tracked flow %v has no error term", e.Key)
 		}
@@ -271,13 +277,23 @@ func TestSpaceSavingInvariants(t *testing.T) {
 		}
 	}
 	for key, tc := range truth {
-		if tc > min {
+		if tc > least {
 			if _, ok := s.Lookup(key); !ok {
 				t.Fatalf("flow %v with true count %d > min counter %d not tracked",
-					key, tc, min)
+					key, tc, least)
 			}
 		}
 	}
+}
+
+// countError returns the error term s recorded for a tracked key: its
+// count minus the error is a lower bound on the true count.
+func countError(s *SpaceSaving, key flow.Key) (int64, bool) {
+	id, ok := s.find(key, key.FastHash())
+	if !ok {
+		return 0, false
+	}
+	return s.errs[id], true
 }
 
 // TestCountMinNeverUnderEstimates: the sketch estimate of every flow —
@@ -330,10 +346,7 @@ func TestSpaceSavingUnderBudgetIsExact(t *testing.T) {
 		ref.AddAggregated(k, tm, size)
 		s.AddAggregated(k, tm, size)
 	}
-	if s.Evictions() != 0 {
-		t.Fatal("under-budget run evicted")
-	}
-	if s.ErrorBound() != 0 {
+	if s.ErrorBound() != 0 { // a takeover would have left an error term
 		t.Fatalf("under-budget ErrorBound = %d", s.ErrorBound())
 	}
 	re, se := ref.Entries(), s.AppendEntries(nil)

@@ -143,8 +143,8 @@ func TestBoundedEvictsSmallest(t *testing.T) {
 	if e, ok := ss.Lookup(newcomer); !ok || e.Packets != 6 || e.Bytes != 600 || e.First != 99 {
 		t.Errorf("spacesaving: newcomer entry %+v, %v", e, ok)
 	}
-	if errTerm, _ := ss.CountError(newcomer); errTerm != 5 || ss.ErrorBound() != 5 || ss.Evictions() != 1 {
-		t.Errorf("spacesaving: error term %d, bound %d, evictions %d", errTerm, ss.ErrorBound(), ss.Evictions())
+	if errTerm, _ := countError(ss, newcomer); errTerm != 5 || ss.ErrorBound() != 5 {
+		t.Errorf("spacesaving: error term %d, bound %d", errTerm, ss.ErrorBound())
 	}
 	if all := ss.AppendAll(nil); len(all) != 3 || all[0].Key != newcomer {
 		t.Errorf("spacesaving: slot order %+v, want the newcomer in the evicted flow's slot", all)
@@ -225,8 +225,8 @@ func TestBoundedReset(t *testing.T) {
 	ss.Add(pkt(1, 100, 0))
 	ss.Add(pkt(2, 100, 0))
 	ss.Reset()
-	if ss.Evictions() != 0 || ss.MinCount() != 0 {
-		t.Errorf("spacesaving: Reset left %d evictions, min count %d", ss.Evictions(), ss.MinCount())
+	if ss.ErrorBound() != 0 || len(ss.AppendAll(nil)) != 0 {
+		t.Errorf("spacesaving: Reset after a takeover left error bound %d, flows %+v", ss.ErrorBound(), ss.AppendAll(nil))
 	}
 }
 

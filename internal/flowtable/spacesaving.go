@@ -23,9 +23,8 @@ import (
 // the index and the eviction min-heap are all pre-sized at construction.
 type SpaceSaving struct {
 	slots
-	agg     flow.Aggregator
-	errs    []int64 // errs[i]: count slot i inherited at its last takeover
-	evicted int64
+	agg  flow.Aggregator
+	errs []int64 // errs[i]: count slot i inherited at its last takeover
 }
 
 // NewSpaceSaving returns a Space-Saving summary with k counter slots (k
@@ -71,12 +70,8 @@ func (s *SpaceSaving) add(key flow.Key, hash uint64, time float64, size int64) {
 	id := s.h[0]
 	weakest := &s.entries[id]
 	s.errs[id] = weakest.Packets
-	s.evicted++
 	s.takeover(id, flatSlot{Key: key, Packets: weakest.Packets + 1, Bytes: weakest.Bytes + size}, time, hash)
 }
-
-// Evictions returns how many identity takeovers have happened.
-func (s *SpaceSaving) Evictions() int64 { return s.evicted }
 
 // ErrorBound returns the largest error term of any live counter: every
 // tracked count c satisfies true <= c <= true + ErrorBound, and any
@@ -90,25 +85,6 @@ func (s *SpaceSaving) ErrorBound() int64 {
 		}
 	}
 	return max
-}
-
-// MinCount returns the smallest live counter (0 when empty) — the upper
-// bound on any untracked flow's true count.
-func (s *SpaceSaving) MinCount() int64 {
-	if len(s.h) == 0 {
-		return 0
-	}
-	return s.entries[s.h[0]].Packets
-}
-
-// CountError returns the error term recorded for a tracked key: its
-// count minus the error is a lower bound on the true count.
-func (s *SpaceSaving) CountError(key flow.Key) (int64, bool) {
-	id, ok := s.find(key, key.FastHash())
-	if !ok {
-		return 0, false
-	}
-	return s.errs[id], true
 }
 
 // AddBatch accounts the observations in order, probing the key index
@@ -125,5 +101,4 @@ func (s *SpaceSaving) AddBatch(batch []Observation) {
 func (s *SpaceSaving) Reset() {
 	s.reset()
 	s.errs = s.errs[:0]
-	s.evicted = 0
 }

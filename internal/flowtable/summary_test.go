@@ -214,11 +214,11 @@ func TestAddBatchMatchesAddAggregated(t *testing.T) {
 // sketchState is everything a bounded summary holds that a caller can
 // observe, slot order included.
 type sketchState struct {
-	All                    []Entry
-	Errs                   []int64 // Space-Saving: per-slot error terms
-	Estimates              []int64 // Count-Min: the sketch's estimate of every probe key
-	Packets, Bytes, Bound  int64
-	Evictions, WeakestSlot int64
+	All                   []Entry
+	Errs                  []int64 // Space-Saving: per-slot error terms
+	Estimates             []int64 // Count-Min: the sketch's estimate of every probe key
+	Packets, Bytes, Bound int64
+	WeakestSlot           int64
 }
 
 func snapshotSketch(s Summary, probe []flow.Key) sketchState {
@@ -228,7 +228,6 @@ func snapshotSketch(s Summary, probe []flow.Key) sketchState {
 	case *SpaceSaving:
 		store = &s.slots
 		st.Errs = slices.Clone(s.errs)
-		st.Evictions = s.Evictions()
 	case *CountMin:
 		store = &s.slots
 		for _, k := range probe {
@@ -337,8 +336,8 @@ func TestSummaryPacketAdd(t *testing.T) {
 	if cm.Estimate(want) < 2 {
 		t.Errorf("Estimate = %d, want >= 2", cm.Estimate(want))
 	}
-	if cm.Width() < 4*16 {
-		t.Errorf("Width = %d, want >= 4k", cm.Width())
+	if cm.width < 4*16 {
+		t.Errorf("width = %d, want >= 4k", cm.width)
 	}
 }
 

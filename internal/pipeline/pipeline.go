@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"runtime/pprof"
 
 	"flowrank/internal/adaptive"
 	"flowrank/internal/flow"
@@ -167,6 +168,8 @@ func (p *Pipeline) Run(ctx context.Context, onBin func(stream.BinResult, *BinRec
 	}
 	stop := context.AfterFunc(ctx, func() { p.cfg.Source.Close() })
 	defer stop()
+	pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("role", "reader")))
+	defer pprof.SetGoroutineLabels(ctx)
 
 	blk := make([]packet.Packet, readBlock)
 	for {

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -386,4 +388,64 @@ func TestRunPcapTruncatedMidRecord(t *testing.T) {
 	if len(bins) != 2 || bins[0] != 0 || bins[1] != 1 {
 		t.Errorf("bins reported: %v, want the two complete ones [0 1]", bins)
 	}
+}
+
+// TestGoroutineLabels: a goroutine profile taken mid-run names the reader
+// role=reader — the emit callback runs on it — and every shard worker
+// role=shard with its index; once Run returns, the caller's goroutine has
+// its own labels back.
+func TestGoroutineLabels(t *testing.T) {
+	p, err := New(testConfig(genPackets(400)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mid string
+	err = p.Run(context.Background(), func(stream.BinResult, *BinRecord) error {
+		if mid == "" {
+			mid = goroutineProfile(t)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{
+		"pipeline.TestGoroutineLabels": {`{"role":"reader"}`},
+		"(*shard).loop":                {`{"role":"shard", "shard":"0"}`, `{"role":"shard", "shard":"1"}`},
+	}
+	for frame, labels := range want {
+		if got := labelsOf(mid, frame); !slices.Equal(got, labels) {
+			t.Errorf("mid-run, goroutines in %s are labeled %q, want %q", frame, got, labels)
+		}
+	}
+	if got := labelsOf(goroutineProfile(t), "pipeline.TestGoroutineLabels"); !slices.Equal(got, []string{""}) {
+		t.Errorf("after Run, the caller's goroutine is labeled %q, want no label", got)
+	}
+}
+
+// goroutineProfile returns the goroutine profile in its text form, one
+// record per stack and label set, blank-line separated.
+func goroutineProfile(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// labelsOf returns the label sets of the profile's records whose stack
+// holds frame, sorted, "" for a record with none.
+func labelsOf(prof, frame string) []string {
+	var out []string
+	for _, rec := range strings.Split(prof, "\n\n") {
+		if !strings.Contains(rec, frame) {
+			continue
+		}
+		_, labels, _ := strings.Cut(rec, "# labels: ")
+		labels, _, _ = strings.Cut(labels, "\n")
+		out = append(out, labels)
+	}
+	slices.Sort(out)
+	return out
 }

@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -45,28 +46,101 @@ func TestBernoulliRate(t *testing.T) {
 // stream randx.New(seed).Derive(run).Bernoulli(p) draws: the first 10^6
 // at every rate, including the two that draw nothing, then after a Reset
 // to another run, and across a rate changed mid-stream — as the adaptive
-// loop retunes P between bins — where both sides keep their one stream.
+// loop retunes P between bins — where both sides keep their one stream (a
+// NaN rate among them, which draws and keeps nothing).
+// Each check runs once per packet through Sample and once through
+// SampleBlock, in blocks of 1, 2, 7 and 256 and in random splits.
 func TestBernoulliMatchesRNGStream(t *testing.T) {
 	const seed, n = 977, 1_000_000
-	check := func(label string, s *Bernoulli, ref *randx.RNG, p float64, n int) {
-		t.Helper()
-		s.P = p
-		for i := range n {
-			if got, want := s.Sample(packet.Packet{}), ref.Bernoulli(p); got != want {
-				t.Fatalf("%s: decision %d at p=%g is %v, the RNG stream's %v", label, i, p, got, want)
+	for _, split := range blockSplits() {
+		check := func(label string, s *Bernoulli, ref *randx.RNG, p float64, n int) {
+			t.Helper()
+			s.P = p
+			got := split.decide(s, n)
+			for i := range n {
+				if want := ref.Bernoulli(p); got[i] != want {
+					t.Fatalf("%s, %s: decision %d at p=%g is %v, the RNG stream's %v", split.name, label, i, p, got[i], want)
+				}
 			}
 		}
+		for _, p := range []float64{0, 1e-4, 0.01, 0.5, 1} {
+			s := NewBernoulli(p, seed)
+			check("run 0", s, randx.New(seed).Derive(0), p, n)
+			s.Reset(3)
+			check("run 3", s, randx.New(seed).Derive(3), p, n)
+		}
+		s, ref := NewBernoulli(0.01, seed), randx.New(seed).Derive(0)
+		for _, p := range []float64{0.01, 0.5, 0, 1e-4, math.NaN(), 1, 0.2} {
+			check("rate changes", s, ref, p, n/10+3) // no block length divides it: the last block is partial
+		}
 	}
-	for _, p := range []float64{0, 1e-4, 0.01, 0.5, 1} {
-		s := NewBernoulli(p, seed)
-		check("run 0", s, randx.New(seed).Derive(0), p, n)
-		s.Reset(3)
-		check("run 3", s, randx.New(seed).Derive(3), p, n)
+}
+
+// TestPeriodicBlocksMatchSample pins Periodic's SampleBlock to its Sample:
+// the same decisions in blocks of 1, 2, 7 and 256 and in random splits, at
+// several periods, after a Reset, and across a period changed between
+// blocks.
+func TestPeriodicBlocksMatchSample(t *testing.T) {
+	const seed, n = 977, 100_000
+	for _, split := range blockSplits() {
+		check := func(label string, s, ref *Periodic, every, n int) {
+			t.Helper()
+			s.Every, ref.Every = every, every
+			got := split.decide(s, n)
+			for i := range n {
+				if want := ref.Sample(packet.Packet{}); got[i] != want {
+					t.Fatalf("%s, %s: decision %d at 1-in-%d is %v, Sample's %v", split.name, label, i, every, got[i], want)
+				}
+			}
+		}
+		for _, every := range []int{1, 2, 7, 100, 10_000} {
+			s, ref := NewPeriodic(every, seed), NewPeriodic(every, seed)
+			check("run 0", s, ref, every, n)
+			s.Reset(3)
+			ref.Reset(3)
+			check("run 3", s, ref, every, n)
+		}
+		s, ref := NewPeriodic(100, seed), NewPeriodic(100, seed)
+		for _, every := range []int{100, 3, 1, 1000, 7} {
+			check("period changes", s, ref, every, n/10+3)
+		}
 	}
-	s, ref := NewBernoulli(0.01, seed), randx.New(seed).Derive(0)
-	for _, p := range []float64{0.01, 0.5, 0, 1e-4, 1, 0.2} {
-		check("rate changes", s, ref, p, n/10)
+}
+
+// blockSplit cuts a run of decisions into SampleBlock calls.
+type blockSplit struct {
+	name   string
+	decide func(s Sampler, n int) []bool
+}
+
+// blockSplits returns the splits the block tests run: one Sample per
+// packet, SampleBlock at fixed lengths, and SampleBlock at random lengths
+// up to 300, empty blocks included.
+func blockSplits() []blockSplit {
+	splits := []blockSplit{{"Sample", func(s Sampler, n int) []bool {
+		out := make([]bool, n)
+		for i := range out {
+			out[i] = s.Sample(packet.Packet{})
+		}
+		return out
+	}}}
+	blocks := func(next func() int) func(s Sampler, n int) []bool {
+		return func(s Sampler, n int) []bool {
+			out := make([]bool, n)
+			for rest := out; len(rest) > 0; {
+				k := min(next(), len(rest))
+				s.SampleBlock(rest[:k])
+				rest = rest[k:]
+			}
+			return out
+		}
 	}
+	for _, k := range []int{1, 2, 7, 256} {
+		splits = append(splits, blockSplit{fmt.Sprintf("blocks of %d", k), blocks(func() int { return k })})
+	}
+	rng := randx.New(5)
+	splits = append(splits, blockSplit{"random blocks", blocks(func() int { return rng.IntN(301) })})
+	return splits
 }
 
 func TestBernoulliRunsIndependentAndReproducible(t *testing.T) {
@@ -161,3 +235,36 @@ func TestSamplerStrings(t *testing.T) {
 		t.Error("periodic label")
 	}
 }
+
+// BenchmarkSampler times a Bernoulli decision at p = 0.01, the rate
+// daemon-scrape samples at, in ns/pkt: one Sample call per packet, and
+// one SampleBlock call per 256 packets, the block the stream engine draws.
+func BenchmarkSampler(b *testing.B) {
+	const block = 256
+	b.Run("Sample", func(b *testing.B) {
+		var s Sampler = NewBernoulli(0.01, 1)
+		var p packet.Packet
+		kept := 0
+		for b.Loop() {
+			for range block {
+				if s.Sample(p) {
+					kept++
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*block), "ns/pkt")
+		sink = kept
+	})
+	b.Run("SampleBlock", func(b *testing.B) {
+		var s Sampler = NewBernoulli(0.01, 1)
+		kept := make([]bool, block)
+		for b.Loop() {
+			s.SampleBlock(kept)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*block), "ns/pkt")
+		sink = len(kept)
+	})
+}
+
+// sink keeps the benchmarks' results alive.
+var sink int

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -225,5 +227,40 @@ func TestCloseDuringDecodeAhead(t *testing.T) {
 		if !errors.Is(err, ErrClosedSource) {
 			t.Fatalf("trial %d: after %d packets: %v, want ErrClosedSource", trial, n, err)
 		}
+	}
+}
+
+// TestDecodeAheadLabel: a goroutine profile taken while a decode-ahead
+// source is open names its goroutine role=decode-ahead.
+func TestDecodeAheadLabel(t *testing.T) {
+	data, _ := manyBlocks(t, true) // the goroutine cannot reach the end before a read
+	path := filepath.Join(t.TempDir(), "capture.pcap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := open(path, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	// A packet read means the goroutine has run, so it is under its label.
+	if _, err := src.NextBlock(make([]packet.Packet, 1)); err != nil {
+		t.Fatal(err)
+	}
+	var prof bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&prof, 1); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, rec := range strings.Split(prof.String(), "\n\n") {
+		if strings.Contains(rec, "(*pcapAhead).decode") {
+			found = true
+			if !strings.Contains(rec, `# labels: {"role":"decode-ahead"}`) {
+				t.Errorf("decode-ahead goroutine without its label:\n%s", rec)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("no decode-ahead goroutine in the profile:\n%s", prof.String())
 	}
 }

@@ -66,10 +66,12 @@
 package source
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"sync/atomic"
 
 	"flowrank/internal/layers"
@@ -395,7 +397,7 @@ func newPcapAhead(src *PcapSource) *pcapAhead {
 	for i := 0; i < aheadDepth; i++ {
 		s.free <- make([]packet.Packet, batchPackets)
 	}
-	go s.decode()
+	go pprof.Do(context.Background(), pprof.Labels("role", "decode-ahead"), func(context.Context) { s.decode() })
 	return s
 }
 

@@ -5,17 +5,22 @@
 //
 // Stage 1 — the caller's goroutine inside Feed — makes every sampling
 // decision in trace order, so the sampler's decision stream is exactly the
-// one the sequential monitor would draw, and hashes each aggregated flow
-// key once — the only hash the packet gets, whatever the table kind.
-// Packets are then batched per shard by that hash, 2048 to a hand-off; the
-// hand-off, not the bytes, is what a batch costs (defaultBatch has the
-// measurements). Every shard — a lone one included — runs on its own
-// worker goroutine, so the reader's decode, sampling and hashing overlap
-// the tables' ingest. Each of the W shards owns its own original/sampled
-// flowtable.Summary pair and ingests a batch with one AddBatch per table,
-// which addresses its slots, its key index and its counter rows from the
-// hash the batch carries, so the hot path takes no locks, shares no state,
-// and a table too large for the cache overlaps a batch's memory misses.
+// one the sequential monitor would draw. It cuts each Feed call at the bin
+// boundaries and draws a segment's decisions in one SampleBlock call, after
+// the flush before it, so a rate the emit callback retunes applies from
+// the next packet on. It hashes each aggregated flow key once — the only
+// hash the packet gets, whatever the table kind — and writes the packet's
+// observation in place into the pending batch of the shard that hash
+// picks, and a kept packet's into the batch's sampled ones too: 2048
+// packets to a hand-off, and the hand-off, not the bytes, is what a batch
+// costs (defaultBatch has the measurements). Every shard — a lone one
+// included — runs on its own worker goroutine, so the reader's decode,
+// sampling and hashing overlap the tables' ingest. Each of the W shards
+// owns its own original/sampled flowtable.Summary pair and ingests a batch
+// with one AddBatch per table, which addresses its slots, its key index
+// and its counter rows from the hash the batch carries, so the hot path
+// takes no locks, shares no state, and a table too large for the cache
+// overlaps a batch's memory misses.
 // The original table is the evaluation oracle the sampled one is scored
 // against, and it is exact whatever Config.Tables names: the exact
 // open-addressing table keeping counts only, no timestamps
@@ -74,6 +79,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/pprof"
+	"slices"
+	"strconv"
 	"sync"
 
 	"flowrank/internal/flow"
@@ -89,8 +97,9 @@ import (
 type Config struct {
 	// Agg classifies packets into the flows being ranked. Required.
 	Agg flow.Aggregator
-	// Sampler makes the per-packet keep/drop decision. It is called once
-	// per packet in trace order from the Feed goroutine. Required.
+	// Sampler makes the per-packet keep/drop decision, in trace order on
+	// the Feed goroutine: one SampleBlock call per run of up to 256 packets
+	// within a bin. Required.
 	Sampler sampler.Sampler
 	// BinSeconds is the measurement bin width. Required, positive.
 	BinSeconds float64
@@ -186,16 +195,6 @@ type BinResult struct {
 type batch struct {
 	all  []flowtable.Observation // every packet
 	kept []flowtable.Observation // the sampled ones among them
-}
-
-// add appends one packet to the batch, and to its sampled ones when kept.
-//
-//flowrank:hotpath
-func (b *batch) add(o flowtable.Observation, kept bool) {
-	b.all = append(b.all, o)
-	if kept {
-		b.kept = append(b.kept, o)
-	}
 }
 
 // emptied returns the batch's buffers at length zero, ready to refill.
@@ -391,7 +390,9 @@ type Engine struct {
 	free       chan batch // spent batches back from the workers
 	wg         sync.WaitGroup
 	bin        int64
+	binEnd     float64 // where bin ends (setBin)
 	binPackets int64
+	kept       []bool // a segment's sampling decisions (Feed)
 	err        error
 	closed     bool
 	stopped    bool // workers shut down
@@ -444,6 +445,10 @@ const clampBin int64 = 1 << 53
 // the replay read 0.441 -> 0.440 s wall and 0.431 -> 0.438 s CPU (24
 // pairs, 11 faster).
 const defaultBatch = 2048
+
+// sampleBlock is the most packets Feed samples in one SampleBlock call: the
+// pipeline's read block, so a block within one bin is one call.
+const sampleBlock = 256
 
 // shardQueue is the number of messages a shard's inbound queue holds: a
 // few batches of slack, so the reader runs on while a worker is still
@@ -508,7 +513,8 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 		return nil, fmt.Errorf("stream: Config.Obs has %d shard slots for %d workers; allocate with obs.NewPipelineStats(workers)",
 			len(cfg.Obs.Shards), cfg.Workers)
 	}
-	e := &Engine{cfg: cfg, emit: emit, ctx: ctx, done: ctx.Done()}
+	e := &Engine{cfg: cfg, emit: emit, ctx: ctx, done: ctx.Done(), kept: make([]bool, sampleBlock)}
+	e.setBin(0)
 	e.shards = make([]*shard, cfg.Workers)
 	e.parts = make([]binClose, cfg.Workers)
 	e.sums = make([]shardSummary, cfg.Workers)
@@ -534,11 +540,12 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 	// and, once the batches in circulation stop growing, every hand-off
 	// takes a spent batch instead of a new one.
 	e.free = make(chan batch, cfg.Workers*(shardQueue+2))
-	for _, s := range e.shards {
+	for i, s := range e.shards {
 		s.in = make(chan shardMsg, shardQueue)
 		s.out = make(chan shardSummary, 1)
 		e.wg.Add(1)
-		go s.loop(&e.wg, e.free)
+		labels := pprof.Labels("role", "shard", "shard", strconv.Itoa(i))
+		go pprof.Do(ctx, labels, func(context.Context) { s.loop(&e.wg, e.free) })
 	}
 	return e, nil
 }
@@ -550,6 +557,13 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 // bin, so the packets after it in the same call are sampled at whatever
 // rate the callback left. The run's error, Close and the context are
 // checked once per call: a flush that fails stops the call there.
+//
+// The call goes in segments: the packets up to the next bin boundary, at
+// most sampleBlock of them. A segment's sampling decisions are drawn in
+// one SampleBlock call after any flush before it, so they are the stream
+// per-packet Sample calls would draw, at the rate the flush left. Each
+// packet's observation is written in place into its shard's pending
+// batch, and a kept one's copy field by field from the same values.
 //
 //flowrank:hotpath
 func (e *Engine) Feed(ps ...packet.Packet) error {
@@ -567,29 +581,61 @@ func (e *Engine) Feed(ps ...packet.Packet) error {
 		default:
 		}
 	}
-	for i := range ps {
-		p := &ps[i]
-		// The far-future bin is a clamp (see targetBin): once in it, later
-		// packets accumulate there rather than re-triggering the boundary,
-		// which would emit duplicate bins with the same clamped index.
-		if e.bin < clampBin && p.Time >= float64(e.bin+1)*e.cfg.BinSeconds {
+	for len(ps) > 0 {
+		if ps[0].Time >= e.binEnd {
 			if err := e.flushBin(); err != nil {
 				return err
 			}
-			e.bin = e.targetBin(p.Time)
+			e.setBin(e.targetBin(ps[0].Time))
 		}
-		kept := e.cfg.Sampler.Sample(*p)
-		key := e.cfg.Agg.Aggregate(p.Key)
-		o := flowtable.Observation{Key: key, Hash: key.FastHash(), Time: p.Time, Size: int64(p.Size)}
-		s := e.shardOf(o.Hash)
-		b := &e.pending[s]
-		b.add(o, kept)
-		if len(b.all) >= e.cfg.batchSize {
-			e.dispatch(s)
+		// The first packet lies in the bin; the segment runs to the first
+		// packet that does not.
+		n, m := 1, min(len(ps), len(e.kept))
+		for n < m && !(ps[n].Time >= e.binEnd) {
+			n++
 		}
-		e.binPackets++
+		kept := e.kept[:n]
+		e.cfg.Sampler.SampleBlock(kept)
+		for i := range kept {
+			p := &ps[i]
+			key := e.cfg.Agg.Aggregate(p.Key)
+			hash := key.FastHash()
+			s := e.shardOf(hash)
+			b := &e.pending[s]
+			j := len(b.all)
+			b.all = b.all[:j+1]
+			o := &b.all[j]
+			o.Key, o.Hash, o.Time, o.Size = key, hash, p.Time, int64(p.Size)
+			if kept[i] {
+				k := len(b.kept)
+				if k == cap(b.kept) {
+					b.kept = slices.Grow(b.kept, 1)
+				}
+				b.kept = b.kept[:k+1]
+				c := &b.kept[k]
+				c.Key, c.Hash, c.Time, c.Size = key, hash, p.Time, int64(p.Size)
+			}
+			if j+1 >= e.cfg.batchSize {
+				e.dispatch(s)
+			}
+		}
+		e.binPackets += int64(n)
+		ps = ps[n:]
 	}
 	return nil
+}
+
+// setBin makes b the current bin and records its end, the time from which
+// a packet belongs to a later bin. The far-future bin is a clamp (see
+// targetBin) and never ends: its end is NaN, which no time reaches, so
+// later packets accumulate there rather than re-triggering the boundary,
+// which would emit duplicate bins with the same clamped index.
+func (e *Engine) setBin(b int64) {
+	e.bin = b
+	e.binEnd = float64(b+1) * e.cfg.BinSeconds
+	if b >= clampBin {
+		e.binEnd = math.NaN()
+	}
 }
 
 // shardOf returns the shard that owns a key of the given hash: hash mod

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -166,48 +167,63 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 // one does, also when the emit callback retunes the sampler between two
 // packets of one block (the rate a packet is sampled at is whatever the
 // bin boundary before it left); and an emit error stops the block at the
-// boundary that failed, the packets after it unaccounted.
+// boundary that failed, the packets after it unaccounted. Both samplers
+// run: Bernoulli retuned in P, Periodic in its period.
 func TestFeedBlocks(t *testing.T) {
 	pkts := makePackets(t, 20, 120, 5)
-	run := func(block int, failBin int64) ([]BinResult, error) {
-		bern := sampler.NewBernoulli(0.3, 9)
-		var out []BinResult
-		eng, err := NewEngine(Config{Agg: flow.FiveTuple{}, Sampler: bern, BinSeconds: 3, TopT: 6, Workers: 2}, func(b BinResult) error {
-			if b.Bin == failBin {
-				return errors.New("boom")
-			}
-			out = append(out, b)
-			bern.P = 0.1 + 0.2*float64(b.Bin%3) // a retune, as the adaptive loop makes
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rest := pkts; len(rest) > 0; {
-			n := min(block, len(rest))
-			if err := eng.Feed(rest[:n]...); err != nil {
-				eng.Abort()
-				return out, err
-			}
-			rest = rest[n:]
-		}
-		return out, eng.Close()
+	samplers := []struct {
+		name   string
+		new    func() sampler.Sampler
+		retune func(s sampler.Sampler, bin int64) // as the adaptive loop does
+	}{
+		{"bernoulli", func() sampler.Sampler { return sampler.NewBernoulli(0.3, 9) }, func(s sampler.Sampler, bin int64) {
+			s.(*sampler.Bernoulli).P = 0.1 + 0.2*float64(bin%3)
+		}},
+		{"periodic", func() sampler.Sampler { return sampler.NewPeriodic(3, 9) }, func(s sampler.Sampler, bin int64) {
+			s.(*sampler.Periodic).Every = 2 + int(bin%3)*5
+		}},
 	}
-	want, err := run(1, -1)
-	if err != nil || len(want) < 5 {
-		t.Fatalf("one by one: %d bins, %v", len(want), err)
-	}
-	for _, block := range []int{2, 7, 256, len(pkts)} {
-		got, err := run(block, -1)
-		if err != nil {
-			t.Fatal(err)
+	for _, smp := range samplers {
+		run := func(block int, failBin int64) ([]BinResult, error) {
+			s := smp.new()
+			var out []BinResult
+			eng, err := NewEngine(Config{Agg: flow.FiveTuple{}, Sampler: s, BinSeconds: 3, TopT: 6, Workers: 2}, func(b BinResult) error {
+				if b.Bin == failBin {
+					return errors.New("boom")
+				}
+				out = append(out, b)
+				smp.retune(s, b.Bin)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rest := pkts; len(rest) > 0; {
+				n := min(block, len(rest))
+				if err := eng.Feed(rest[:n]...); err != nil {
+					eng.Abort()
+					return out, err
+				}
+				rest = rest[n:]
+			}
+			return out, eng.Close()
 		}
-		compareBins(t, fmt.Sprintf("blocks of %d", block), got, want)
-		got, err = run(block, 3)
-		if err == nil || len(got) != 3 {
-			t.Fatalf("blocks of %d, emit failing on bin 3: %d bins, %v", block, len(got), err)
+		want, err := run(1, -1)
+		if err != nil || len(want) < 5 {
+			t.Fatalf("%s, one by one: %d bins, %v", smp.name, len(want), err)
 		}
-		compareBins(t, fmt.Sprintf("blocks of %d, failing", block), got, want[:3])
+		for _, block := range []int{2, 7, 256, len(pkts)} {
+			got, err := run(block, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareBins(t, fmt.Sprintf("%s, blocks of %d", smp.name, block), got, want)
+			got, err = run(block, 3)
+			if err == nil || len(got) != 3 {
+				t.Fatalf("%s, blocks of %d, emit failing on bin 3: %d bins, %v", smp.name, block, len(got), err)
+			}
+			compareBins(t, fmt.Sprintf("%s, blocks of %d, failing", smp.name, block), got, want[:3])
+		}
 	}
 }
 
@@ -359,10 +375,10 @@ func TestEngineFarFutureClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Several increasing far-future timestamps must all accumulate into
-	// the single clamped bin, not re-trigger the boundary and emit
-	// duplicate bins with the same index.
-	for _, tm := range []float64{1e30, 1e30 + 1, 2e30, 1e100} {
+	// Several increasing far-future timestamps, +Inf last, must all
+	// accumulate into the single clamped bin, not re-trigger the boundary
+	// and emit duplicate bins with the same index.
+	for _, tm := range []float64{1e30, 1e30 + 1, 2e30, 1e100, math.Inf(1)} {
 		p := packet.Packet{Time: tm, Key: flow.Key{Src: flow.Addr{1, 2, 3, 4}}, Size: 1}
 		if err := eng.Feed(p); err != nil {
 			t.Fatal(err)
@@ -374,8 +390,8 @@ func TestEngineFarFutureClamp(t *testing.T) {
 	if len(out) != 1 || out[0].Bin != 1<<53 {
 		t.Fatalf("bins %+v, want one clamped bin at 2^53", out)
 	}
-	if out[0].OrigPackets != 4 {
-		t.Fatalf("clamped bin has %d packets, want 4", out[0].OrigPackets)
+	if out[0].OrigPackets != 5 {
+		t.Fatalf("clamped bin has %d packets, want 5", out[0].OrigPackets)
 	}
 }
 
