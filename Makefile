@@ -106,10 +106,11 @@ bench-pairs:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs BASE=<rev> WORKLOAD=<name> [N=10] [SEED=1]"; exit 2; }
 	./scripts/bench_pairs.sh "$(BASE)" "$(WORKLOAD)" "$(N)" "$(SEED)"
 
-# Byte identity of flowtop's report and NetFlow export between revision
-# BASE and the working tree, on reduced-scale traces of the benchmark's
-# four workloads at -workers 1, 2 and 4 (scripts/identity.sh, under a
-# minute on two vCPUs after the builds).
+# Byte identity of flowtop's report, NetFlow export and bin journal
+# (less its timings) between revision BASE and the working tree, on
+# reduced-scale traces of the benchmark's four workloads at -workers 1, 2
+# and 4 (scripts/identity.sh, under a minute on two vCPUs after the
+# builds; needs jq).
 identity:
 	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }
 	./scripts/identity.sh "$(BASE)"

@@ -26,7 +26,9 @@
 //
 //   - Ingestion (PacketSource, OpenSource, NewSliceSource): the unified
 //     packet-source API behind the batch monitor (cmd/flowtop) and the
-//     long-running daemon (cmd/flowrankd). The daemon, with its
+//     long-running daemon (cmd/flowrankd), which read it a block at a
+//     time (NextBlock); Next is the facade's one-packet form of that read,
+//     for callers that take a packet at a time. The daemon, with its
 //     Prometheus metrics and NetFlow v5 export, and the pacing, looping
 //     and live-capture sources are reached through cmd/flowrankd.
 //
@@ -290,29 +292,61 @@ func StreamRank(records []FlowRecord, seed uint64, cfg StreamConfig, emit func(S
 // ---------------------------------------------------------------------------
 // Packet sources (internal/source)
 
-// PacketSource is the unified ingestion interface: NextBlock, every
+// PacketSource is the unified ingestion interface. NextBlock, every
 // source's one read, fills a buffer with the next packets and returns how
 // many — at least one with a nil error, or none with the error (io.EOF at
 // a clean end), never both — without waiting for more than the first, so
-// a slow stream still yields each packet as it arrives; Next is NextBlock
-// of one packet, copied out to the caller. Close releases the source and,
-// from another goroutine, unblocks a pending read. Trace and pcap replay,
-// in-memory slices, and the daemon's pacing, looping and live-capture
-// sources all implement it, so the batch monitor and the daemon measure
-// the same stream; the monitor reads it 256 packets at a time and hands
-// each block to StreamEngine.Feed whole.
-type PacketSource = source.PacketSource
+// a slow stream still yields each packet as it arrives. Next is its
+// one-packet form, for callers that read a packet at a time: NextBlock of
+// one packet, copied out to the caller, and *p is left alone on an error.
+// Close releases the source and, from another goroutine, unblocks a
+// pending read. Trace and pcap replay, in-memory slices, and the daemon's
+// pacing, looping and live-capture sources all read through NextBlock, so
+// the batch monitor and the daemon measure the same stream; the monitor
+// reads it 256 packets at a time and hands each block to
+// StreamEngine.Feed whole.
+type PacketSource interface {
+	NextBlock(buf []Packet) (n int, err error)
+	Next(p *Packet) error
+	Close() error
+}
+
+// reader is the facade's PacketSource: an internal source, and the block
+// of one packet its Next reads into.
+type reader struct {
+	source.PacketSource
+	one [1]Packet
+}
+
+// Next reads the next packet: NextBlock of one, copied out.
+//
+//flowrank:hotpath
+func (r *reader) Next(p *Packet) error {
+	if _, err := r.NextBlock(r.one[:]); err != nil {
+		return err
+	}
+	*p = r.one[0]
+	return nil
+}
 
 // SliceSource is the in-memory source NewSliceSource returns (OpenSource's
 // replays are only ever held as a PacketSource).
-type SliceSource = source.Slice
+type SliceSource struct{ reader }
 
 // OpenSource opens a trace file as a PacketSource (native format, or
 // pcap when isPcap is set); the source owns the file handle.
-func OpenSource(path string, isPcap bool) (PacketSource, error) { return source.Open(path, isPcap) }
+func OpenSource(path string, isPcap bool) (PacketSource, error) {
+	src, err := source.Open(path, isPcap)
+	if err != nil {
+		return nil, err
+	}
+	return &reader{PacketSource: src}, nil
+}
 
 // NewSliceSource yields an in-memory packet slice in order.
-func NewSliceSource(pkts []Packet) *SliceSource { return source.NewSlice(pkts) }
+func NewSliceSource(pkts []Packet) *SliceSource {
+	return &SliceSource{reader{PacketSource: source.NewSlice(pkts)}}
+}
 
 // ---------------------------------------------------------------------------
 // Metrics

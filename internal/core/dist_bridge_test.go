@@ -1,25 +1,55 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"flowrank/internal/dist"
 )
 
-// TestDiscretizedLawMatchesContinuousModel ties the dist layer's
-// Discretize adapter to both model evaluators: on a bounded law the
-// DiscreteModel run on Discretize(d, ·) must agree with the continuous
+// discretize projects a continuous size law onto the integer packet
+// counts 1..max, in the layout DiscreteModel sums over: pmf[s] is P{S
+// rounds to s packets}, pmf[0] = 0, and the whole tail beyond max is
+// folded into pmf[max] so the result sums to one. The rounding matches the
+// simulators (tracegen rounds continuous draws to the nearest integer and
+// clamps to >= 1 packet): size s collects the mass on (s-½, s+½], and
+// everything at or below 1½ becomes a 1-packet flow.
+func discretize(d dist.SizeDist, max int) []float64 {
+	pmf := make([]float64, max+1)
+	above := 1.0 // P{S > s-½}
+	for s := 1; s < max; s++ {
+		next := d.CCDF(float64(s) + 0.5)
+		pmf[s] = math.Max(above-next, 0) // a flat CCDF's numerical noise
+		above = next
+	}
+	pmf[max] = above
+	return pmf
+}
+
+// discretized is discretize(d, max) as a law: a Discrete over the sizes
+// 1..max.
+func discretized(d dist.SizeDist, max int) *dist.Discrete {
+	sizes := make([]float64, max)
+	for i := range sizes {
+		sizes[i] = float64(i + 1)
+	}
+	return dist.NewDiscrete(sizes, discretize(d, max)[1:])
+}
+
+// TestDiscretizedLawMatchesContinuousModel ties the discretized view of a
+// law to both model evaluators: on a bounded law the DiscreteModel run on
+// discretize(d, ·) must agree with the continuous
 // quadrature Model on d. The hybrid kernel makes the two kernels
 // comparable (exact binomial where the Gaussian breaks); the residual gap
 // is the integer rounding of the sizes.
 func TestDiscretizedLawMatchesContinuousModel(t *testing.T) {
 	d := dist.BoundedPareto{Scale: 2, Max: 120, Shape: 1.5}
-	pmf := dist.Discretize(d, 130)
+	pmf := discretize(d, 130)
 
 	n, topT := 1500, 3
 	dm := DiscreteModel{PMF: pmf, N: n, T: topT}
 	if err := dm.Validate(); err != nil {
-		t.Fatalf("Discretize output rejected by DiscreteModel: %v", err)
+		t.Fatalf("discretized law rejected by DiscreteModel: %v", err)
 	}
 	cm := Model{N: n, T: topT, Dist: d, Kernel: KernelHybrid}
 

@@ -60,7 +60,7 @@ func conformanceLaws() (laws []dist.SizeDist, stepLaw []bool) {
 		dist.Weibull{Min: 1, Lambda: 8, K: 0.6},
 		dist.Lognormal{Min: 1, Mu: 1.2, Sigma: 1.1},
 		dist.NewDiscrete(dist.Tally(sample)),
-		dist.NewDiscreteFromPMF(dist.Discretize(pareto, 3000)),
+		discretized(pareto, 3000),
 	}, []bool{5: true, 6: true}
 }
 

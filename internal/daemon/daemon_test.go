@@ -56,8 +56,9 @@ func genPackets(n int) []packet.Packet {
 	return pkts
 }
 
-// chanSource blocks in Next until a packet arrives or Close fires — the
-// shape of a live capture, driving the drain path.
+// chanSource blocks in NextBlock until a packet arrives or Close fires —
+// the shape of a live capture, driving the drain path. It yields one
+// packet per read.
 type chanSource struct {
 	ch   chan packet.Packet
 	done chan struct{}
@@ -68,31 +69,19 @@ func newChanSource() *chanSource {
 	return &chanSource{ch: make(chan packet.Packet, 64), done: make(chan struct{})}
 }
 
-func (s *chanSource) Next(p *packet.Packet) error {
+func (s *chanSource) NextBlock(buf []packet.Packet) (int, error) {
 	// Prefer pending packets so a racing Close still drains them all.
 	select {
-	case pk := <-s.ch:
-		*p = pk
-		return nil
+	case buf[0] = <-s.ch:
+		return 1, nil
 	default:
 	}
 	select {
-	case pk := <-s.ch:
-		*p = pk
-		return nil
+	case buf[0] = <-s.ch:
+		return 1, nil
 	case <-s.done:
-		return fmt.Errorf("blocked read interrupted: %w", source.ErrClosedSource)
+		return 0, fmt.Errorf("blocked read interrupted: %w", source.ErrClosedSource)
 	}
-}
-
-func (s *chanSource) NextBlock(buf []packet.Packet) (int, error) { return nextOne(s, buf) }
-
-// nextOne is NextBlock for a test source that yields one packet per read.
-func nextOne(src source.PacketSource, buf []packet.Packet) (int, error) {
-	if err := src.Next(&buf[0]); err != nil {
-		return 0, err
-	}
-	return 1, nil
 }
 
 func (s *chanSource) Close() error {
@@ -106,17 +95,13 @@ type failSource struct {
 	err   error
 }
 
-func (s *failSource) Next(p *packet.Packet) error {
-	if err := s.inner.Next(p); err != nil {
-		if err == io.EOF {
-			return s.err
-		}
-		return err
+func (s *failSource) NextBlock(buf []packet.Packet) (int, error) {
+	n, err := s.inner.NextBlock(buf)
+	if err == io.EOF {
+		return 0, s.err
 	}
-	return nil
+	return n, err
 }
-
-func (s *failSource) NextBlock(buf []packet.Packet) (int, error) { return nextOne(s, buf) }
 
 func (s *failSource) Close() error { return s.inner.Close() }
 

@@ -100,21 +100,6 @@ func Tally(sample []float64) (values, counts []float64) {
 	return values[:out], counts
 }
 
-// NewDiscreteFromPMF wraps a pmf in the Discretize layout (pmf[s] is
-// P{S = s packets}, pmf[0] unused) — the round trip
-// NewDiscreteFromPMF(Discretize(d, max)) is the discretized view of d as
-// a SizeDist.
-func NewDiscreteFromPMF(pmf []float64) *Discrete {
-	if len(pmf) < 2 {
-		panic(fmt.Sprintf("dist: NewDiscreteFromPMF needs pmf of length >= 2, got %d", len(pmf)))
-	}
-	values := make([]float64, len(pmf)-1)
-	for s := 1; s < len(pmf); s++ {
-		values[s-1] = float64(s)
-	}
-	return NewDiscrete(values, pmf[1:])
-}
-
 // Len returns the number of atoms with positive probability.
 func (d *Discrete) Len() int { return len(d.values) }
 

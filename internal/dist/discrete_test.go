@@ -70,29 +70,29 @@ func TestDiscreteRandMatchesWeights(t *testing.T) {
 	}
 }
 
-func TestNewDiscreteFromPMFLayout(t *testing.T) {
-	// pmf[s] = P{S = s}, pmf[0] unused — the Discretize layout.
-	d := NewDiscreteFromPMF([]float64{99, 0.25, 0.5, 0.25})
-	if d.Len() != 3 || d.Mean() != 2 {
-		t.Errorf("len %d mean %g, want 3 atoms with mean 2", d.Len(), d.Mean())
-	}
-	if got := d.CCDF(1); math.Abs(got-0.75) > 1e-15 {
-		t.Errorf("CCDF(1) = %g, want 0.75", got)
-	}
-}
-
 func TestDiscreteRoundTripsDiscretize(t *testing.T) {
-	// NewDiscreteFromPMF(Discretize(law, max)) is the discretized view of
-	// the law: means and tail probabilities must agree to discretization
-	// accuracy.
+	// A Discrete over the integer sizes 1..max, each weighted with the
+	// law's mass on (s-½, s+½] (the tail beyond max folded into max), is
+	// the discretized view of the law: means and tail probabilities must
+	// agree to discretization accuracy.
 	law := ParetoWithMean(9.6, 1.5)
 	const max = 2000
-	d := NewDiscreteFromPMF(Discretize(law, max))
+	values, weights := make([]float64, max), make([]float64, max)
+	above := 1.0 // P{S > s-½}
+	for s := 1; s <= max; s++ {
+		next := 0.0
+		if s < max {
+			next = law.CCDF(float64(s) + 0.5)
+		}
+		values[s-1], weights[s-1] = float64(s), above-next
+		above = next
+	}
+	d := NewDiscrete(values, weights)
 	if rel := math.Abs(d.Mean()-law.Mean()) / law.Mean(); rel > 0.05 {
 		t.Errorf("discretized mean %g vs %g (%.1f%% off)", d.Mean(), law.Mean(), 100*rel)
 	}
-	// Discretize bins the continuous mass at half-integer edges, so the
-	// atom CCDF at integer x is the law's CCDF at x + 0.5.
+	// The mass is binned at half-integer edges, so the atom CCDF at
+	// integer x is the law's CCDF at x + 0.5.
 	for _, x := range []float64{5, 20, 100, 900} {
 		if diff := math.Abs(d.CCDF(x) - law.CCDF(x+0.5)); diff > 0.005 {
 			t.Errorf("CCDF(%g): discrete %g vs law %g", x, d.CCDF(x), law.CCDF(x+0.5))
@@ -110,7 +110,6 @@ func TestNewDiscreteInvalidInputs(t *testing.T) {
 	mustPanic(t, func() { NewDiscrete([]float64{1}, []float64{math.NaN()}) })        // NaN weight
 	mustPanic(t, func() { NewDiscrete([]float64{math.NaN()}, []float64{1}) })        // NaN value
 	mustPanic(t, func() { NewDiscrete([]float64{1, math.Inf(1)}, []float64{1, 1}) }) // infinite value
-	mustPanic(t, func() { NewDiscreteFromPMF([]float64{1}) })                        // no sizes
 }
 
 // TestEmpiricalSteps: a sample's law is the Discrete over its tally, one

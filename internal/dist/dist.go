@@ -16,10 +16,7 @@
 // workload, §8.3). Discrete is the one step law: weighted atoms, whether
 // a measured sample's distinct values with their multiplicities
 // (NewDiscrete(Tally(sample))) or the EM inversion's output. Mixture
-// combines any of them into multi-class traffic. Discretize projects any
-// law onto an integer packet-count pmf: NewDiscreteFromPMF wraps it as a
-// law, and core's test reference (DiscreteModel, direct summation) sums
-// over it.
+// combines any of them into multi-class traffic.
 package dist
 
 import "flowrank/internal/randx"

@@ -41,16 +41,22 @@ func laws(t *testing.T) []SizeDist {
 // stepLaws returns one representative of every discrete (step-CCDF) law
 // in the exact shapes the inversion subsystem (internal/invert) produces:
 // a rescaled empirical sample (naive scaling), a weighted Discrete over a
-// support grid (EM), a discretized parametric law, and an empirical body
-// spliced with a Pareto tail (tail scaling). They share the law property
-// suite except the exact CCDF/quantile inversion, which for step CCDFs
-// weakens to the generalized-inverse sandwich.
+// support grid (EM) and an empirical body spliced with a Pareto tail (tail
+// scaling), plus a wide law of many atoms (every size from 1 to 300,
+// power-law weighted). They share the law property suite except the exact
+// CCDF/quantile inversion, which for step CCDFs weakens to the
+// generalized-inverse sandwich.
 func stepLaws(t *testing.T) []SizeDist {
 	t.Helper()
 	g := randx.New(9)
 	body := make([]float64, 400)
 	for i := range body {
 		body[i] = math.Round(ExponentialWithMean(1, 20).Rand(g))
+	}
+	wide, wideWeights := make([]float64, 300), make([]float64, 300)
+	for i := range wide {
+		wide[i] = float64(i + 1)
+		wideWeights[i] = math.Pow(wide[i], -2.5)
 	}
 	spliced, err := NewMixture(
 		Component{Weight: 0.95, Dist: NewDiscrete(Tally(body))},
@@ -62,8 +68,8 @@ func stepLaws(t *testing.T) []SizeDist {
 	return []SizeDist{
 		NewDiscrete(Tally([]float64{10, 20, 20, 30, 70, 200, 1100})),
 		NewDiscrete([]float64{1, 2, 5, 17, 80, 4000}, []float64{0.35, 0.3, 0.2, 0.1, 0.04, 0.01}),
-		NewDiscreteFromPMF(Discretize(ParetoWithMean(9.6, 1.5), 300)),
 		spliced,
+		NewDiscrete(wide, wideWeights),
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"flowrank/internal/numeric"
 	"flowrank/internal/randx"
 )
 
@@ -213,60 +212,4 @@ func TestMixtureQuantileOnFlatIsRightEnd(t *testing.T) {
 	if x := m.QuantileCCDF(0.1); x > 3 || x < 3*(1-1e-11) {
 		t.Errorf("QuantileCCDF(0.1) = %.17g on the flat [2.5, 3], want its right end", x)
 	}
-}
-
-func TestDiscretizeIsAPMF(t *testing.T) {
-	for _, d := range laws(t) {
-		pmf := Discretize(d, 5000)
-		if pmf[0] != 0 {
-			t.Fatalf("%s: pmf[0] = %g", d, pmf[0])
-		}
-		var sum numeric.KahanSum
-		for s, v := range pmf {
-			if v < 0 {
-				t.Fatalf("%s: pmf[%d] = %g negative", d, s, v)
-			}
-			sum.Add(v)
-		}
-		if got := sum.Sum(); math.Abs(got-1) > 1e-9 {
-			t.Errorf("%s: pmf sums to %g", d, got)
-		}
-	}
-}
-
-func TestDiscretizeTailMatchesCCDF(t *testing.T) {
-	d := ParetoWithMean(9.6, 1.5)
-	pmf := Discretize(d, 10_000)
-	for _, k := range []int{1, 5, 50, 500, 5000} {
-		var tail numeric.KahanSum
-		for s := k + 1; s < len(pmf); s++ {
-			tail.Add(pmf[s])
-		}
-		want := d.CCDF(float64(k) + 0.5)
-		if got := tail.Sum(); math.Abs(got-want) > 1e-9 {
-			t.Errorf("tail beyond %d = %g, CCDF = %g", k, got, want)
-		}
-	}
-}
-
-func TestDiscretizeMeanMatchesBoundedLaw(t *testing.T) {
-	// On a bounded law nothing is folded into the last bin, so the pmf
-	// mean must agree with the continuous mean up to rounding resolution.
-	d := BoundedPareto{Scale: 2, Max: 800, Shape: 1.5}
-	pmf := Discretize(d, 1000)
-	var mean numeric.KahanSum
-	for s, v := range pmf {
-		mean.Add(float64(s) * v)
-	}
-	if got, want := mean.Sum(), d.Mean(); math.Abs(got-want) > 0.02*want {
-		t.Errorf("discretized mean %g, continuous %g", got, want)
-	}
-}
-
-func TestDiscretizeEdgeCases(t *testing.T) {
-	if pmf := Discretize(ParetoWithMean(9.6, 1.5), 1); len(pmf) != 2 || pmf[1] != 1 {
-		t.Errorf("max=1 pmf = %v", pmf)
-	}
-	mustPanic(t, func() { Discretize(nil, 10) })
-	mustPanic(t, func() { Discretize(ParetoWithMean(9.6, 1.5), 0) })
 }

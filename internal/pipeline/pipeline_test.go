@@ -276,24 +276,17 @@ type liveSource struct {
 	read   atomic.Int64
 }
 
-func (s *liveSource) Next(p *packet.Packet) error {
+func (s *liveSource) NextBlock(buf []packet.Packet) (int, error) {
 	if len(s.pkts) > 0 {
-		*p, s.pkts = s.pkts[0], s.pkts[1:]
+		buf[0], s.pkts = s.pkts[0], s.pkts[1:]
 		s.read.Add(1)
-		return nil
+		return 1, nil
 	}
 	if s.fail != nil {
-		return s.fail
+		return 0, s.fail
 	}
 	<-s.closed
-	return source.ErrClosedSource
-}
-
-func (s *liveSource) NextBlock(buf []packet.Packet) (int, error) {
-	if err := s.Next(&buf[0]); err != nil {
-		return 0, err
-	}
-	return 1, nil
+	return 0, source.ErrClosedSource
 }
 
 func (s *liveSource) Close() error {

@@ -49,9 +49,9 @@ type Bernoulli struct {
 }
 
 // NewBernoulli returns a Bernoulli sampler with rate p. It panics if p is
-// outside [0, 1].
+// outside [0, 1], NaN included.
 func NewBernoulli(p float64, seed uint64) *Bernoulli {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic(fmt.Sprintf("sampler: rate %g outside [0,1]", p))
 	}
 	s := &Bernoulli{P: p, seed: seed}

@@ -3,6 +3,7 @@ package sampler
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"flowrank/internal/flow"
@@ -169,13 +170,21 @@ func TestBernoulliRunsIndependentAndReproducible(t *testing.T) {
 	}
 }
 
+// TestBernoulliRejectsBadRate: a rate above 1, below 0 or NaN panics at
+// construction, naming the interval; a NaN fails every comparison, so a
+// check written as p < 0 || p > 1 would let it through.
 func TestBernoulliRejectsBadRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for p > 1")
-		}
-	}()
-	NewBernoulli(1.5, 1)
+	for _, p := range []float64{1.5, -0.1, math.NaN()} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "outside [0,1]") {
+					t.Errorf("NewBernoulli(%g): recovered %v, want a panic naming [0,1]", p, r)
+				}
+			}()
+			NewBernoulli(p, 1)
+		}()
+	}
 }
 
 func TestBernoulliEdgeRates(t *testing.T) {

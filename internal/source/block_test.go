@@ -15,13 +15,13 @@ import (
 )
 
 // The block-read contract: on every source, NextBlock at any buffer length
-// yields exactly the packets Next yields, then the same errors, and never
-// packets and an error from one call.
+// yields exactly the packets it yields one at a time, then the same
+// errors, and never packets and an error from one call.
 
-// blockSizes are the buffer lengths the conformance tests read with: one
-// packet, two, a length that cuts every batch and block somewhere, the
+// blockSizes are the buffer lengths the conformance tests read with beside
+// one packet: two, a length that cuts every batch and block somewhere, the
 // pipeline's readBlock, and more than a decode-ahead batch.
-var blockSizes = []int{1, 2, 7, readBlock, 5000}
+var blockSizes = []int{2, 7, readBlock, 5000}
 
 // tape is what a run of reads returned: the packets, and the text of each
 // error with the number of packets read before it.
@@ -38,22 +38,6 @@ type readErr struct {
 // tapeLimit bounds a tape: a read stops once it holds this many packets,
 // or after two errors in a row.
 type tapeLimit struct{ packets int }
-
-// nextTape reads src one packet at a time.
-func nextTape(src PacketSource, lim tapeLimit) tape {
-	tp := tape{pkts: make([]packet.Packet, 0, lim.packets)}
-	for errs := 0; len(tp.pkts) < lim.packets && errs < 2; {
-		var p packet.Packet
-		if err := src.Next(&p); err != nil {
-			tp.errs = append(tp.errs, readErr{len(tp.pkts), err.Error()})
-			errs++
-			continue
-		}
-		tp.pkts = append(tp.pkts, p)
-		errs = 0
-	}
-	return tp
-}
 
 // blockTape reads src size packets at a time, checking every call against
 // the contract: 1 <= n <= size with a nil error, or 0 with an error.
@@ -80,16 +64,17 @@ func blockTape(t *testing.T, src PacketSource, size int, lim tapeLimit) tape {
 	return tp
 }
 
-// sameTape fails unless got starts with want: a block read may run past
-// the packet limit Next stopped at, never differ before it.
+// sameTape fails unless got starts with want, the 1-packet tape: a longer
+// block may run past the packet limit that tape stopped at, never differ
+// before it.
 func sameTape(t *testing.T, label string, got, want tape) {
 	t.Helper()
 	if len(got.pkts) < len(want.pkts) {
-		t.Fatalf("%s: %d packets, Next read %d", label, len(got.pkts), len(want.pkts))
+		t.Fatalf("%s: %d packets, the 1-packet tape has %d", label, len(got.pkts), len(want.pkts))
 	}
 	for i := range want.pkts {
 		if got.pkts[i] != want.pkts[i] {
-			t.Fatalf("%s: packet %d is %+v, Next read %+v", label, i, got.pkts[i], want.pkts[i])
+			t.Fatalf("%s: packet %d is %+v, the 1-packet tape's is %+v", label, i, got.pkts[i], want.pkts[i])
 		}
 	}
 	errs := got.errs
@@ -97,7 +82,7 @@ func sameTape(t *testing.T, label string, got, want tape) {
 		errs = errs[:len(errs)-1]
 	}
 	if !slices.Equal(errs, want.errs) {
-		t.Fatalf("%s: errors %v, Next read %v", label, errs, want.errs)
+		t.Fatalf("%s: errors %v, the 1-packet tape's %v", label, errs, want.errs)
 	}
 }
 
@@ -113,24 +98,26 @@ type blockCase struct {
 	packets int // packets before end
 }
 
-// checkBlocks holds every case to the contract and to its own ending.
+// checkBlocks holds every case to the contract and to its own ending: the
+// tape read a packet at a time is the reference every longer block must
+// reproduce.
 func checkBlocks(t *testing.T, cases []blockCase) {
 	for _, c := range cases {
 		src := c.open(t)
-		want := nextTape(src, c.lim)
+		want := blockTape(t, src, 1, c.lim)
 		src.Close()
 		if c.end != nil {
 			n := len(want.pkts)
 			if n != c.packets || len(want.errs) != 2 || want.errs[0].at != n {
-				t.Fatalf("%s: Next read %d packets and errors %v, want %d packets then two errors", c.name, n, want.errs, c.packets)
+				t.Fatalf("%s: 1-packet reads got %d packets and errors %v, want %d packets then two errors", c.name, n, want.errs, c.packets)
 			}
 			src = c.open(t)
 			var p packet.Packet
 			for i := 0; i < n; i++ {
-				src.Next(&p)
+				next(src, &p)
 			}
-			if err := src.Next(&p); !errors.Is(err, c.end) {
-				t.Fatalf("%s: Next ends with %v, want %v", c.name, err, c.end)
+			if err := next(src, &p); !errors.Is(err, c.end) {
+				t.Fatalf("%s: the stream ends with %v, want %v", c.name, err, c.end)
 			}
 			src.Close()
 		}
@@ -140,7 +127,7 @@ func checkBlocks(t *testing.T, cases []blockCase) {
 			src.Close()
 			sameTape(t, fmt.Sprintf("%s, blocks of %d", c.name, size), got, want)
 			if c.end != nil && (len(got.pkts) != len(want.pkts) || len(got.errs) != len(want.errs)) {
-				t.Fatalf("%s, blocks of %d: read past the end Next read", c.name, size)
+				t.Fatalf("%s, blocks of %d: read past the end the 1-packet tape met", c.name, size)
 			}
 		}
 	}
@@ -234,11 +221,12 @@ func fewBlocks(t *testing.T, isPcap bool) (data []byte, packets int) {
 	return data, len(trace)
 }
 
-// TestNextBlockMatchesNext: every source, at every block length, over
-// traces of three buffers (so records straddle the 256 KiB buffer the
-// readers decode from), whole or cut inside their final record: the same
-// packets as Next, then the same errors — io.EOF again and again after a
-// clean end, a wrapped io.ErrUnexpectedEOF after a truncated one.
+// TestNextBlockMatchesNext: every source, at every block length (2, 7,
+// 256, 5000), over traces of three buffers (so records straddle the
+// 256 KiB buffer the readers decode from), whole or cut inside their
+// final record, yields the 1-packet tape: the same packets as NextBlock of
+// one packet, then the same errors — io.EOF again and again after a clean
+// end, a wrapped io.ErrUnexpectedEOF after a truncated one.
 func TestNextBlockMatchesNext(t *testing.T) {
 	for _, isPcap := range []bool{false, true} {
 		format := map[bool]string{false: "native", true: "pcap"}[isPcap]
@@ -288,39 +276,32 @@ func TestNextBlockAfterClose(t *testing.T) {
 	cases = append(cases, blockCase{name: "slice", open: func(*testing.T) PacketSource { return NewSlice(pkts) }})
 	for _, c := range cases {
 		src := c.open(t)
-		want := nextTape(src, tapeLimit{packets: before})
+		want := blockTape(t, src, 1, tapeLimit{packets: before})
 		src.Close()
-		for _, size := range append([]int{0}, blockSizes...) { // 0: Next
+		for _, size := range append([]int{1}, blockSizes...) {
 			src := c.open(t)
-			var got tape
-			if size == 0 {
-				got = nextTape(src, tapeLimit{packets: before})
-			} else {
-				got = blockTape(t, src, size, tapeLimit{packets: before})
-			}
+			got := blockTape(t, src, size, tapeLimit{packets: before})
 			label := fmt.Sprintf("%s, blocks of %d", c.name, size)
 			sameTape(t, label, got, want)
 			if err := src.Close(); err != nil {
 				t.Fatalf("%s: Close: %v", label, err)
 			}
-			var p packet.Packet
-			if err := src.Next(&p); !errors.Is(err, ErrClosedSource) {
-				t.Errorf("%s: Next after Close = %v, want ErrClosedSource", label, err)
-			}
-			if n, err := src.NextBlock(make([]packet.Packet, 4)); n != 0 || !errors.Is(err, ErrClosedSource) {
-				t.Errorf("%s: NextBlock after Close = %d, %v, want 0, ErrClosedSource", label, n, err)
+			for _, size := range []int{1, 4} {
+				if n, err := src.NextBlock(make([]packet.Packet, size)); n != 0 || !errors.Is(err, ErrClosedSource) {
+					t.Errorf("%s: NextBlock(%d) after Close = %d, %v, want 0, ErrClosedSource", label, size, n, err)
+				}
 			}
 		}
 	}
 }
 
-// TestCountedCountsBlocks: Counted counts what it returned, by Next or by
-// NextBlock, and nothing for a failed read.
+// TestCountedCountsBlocks: Counted counts what it returned, whatever the
+// block length, and nothing for a failed read.
 func TestCountedCountsBlocks(t *testing.T) {
 	pkts := testPackets(t)
 	src := &Counted{PacketSource: NewSlice(pkts)}
 	var p packet.Packet
-	if err := src.Next(&p); err != nil {
+	if err := next(src, &p); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]packet.Packet, 7)

@@ -34,28 +34,28 @@ func bothSources(t *testing.T, pkts []packet.Packet) map[string]PacketSource {
 }
 
 // TestCloseDropsBufferedPackets: Close wins over buffering. After one
-// Next the whole trace sits in the reader's buffer; Next
-// after Close must still fail with ErrClosedSource, not serve from it.
+// read the whole trace sits in the reader's buffer; a read after Close
+// must still fail with ErrClosedSource, not serve from it.
 func TestCloseDropsBufferedPackets(t *testing.T) {
 	for name, src := range bothSources(t, testPackets(t)) {
 		var p packet.Packet
-		if err := src.Next(&p); err != nil {
+		if err := next(src, &p); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if err := src.Close(); err != nil {
 			t.Fatalf("%s: close: %v", name, err)
 		}
-		if err := src.Next(&p); !errors.Is(err, ErrClosedSource) {
-			t.Errorf("%s: Next after Close = %v, want ErrClosedSource", name, err)
+		if err := next(src, &p); !errors.Is(err, ErrClosedSource) {
+			t.Errorf("%s: read after Close = %v, want ErrClosedSource", name, err)
 		}
 	}
 }
 
 // streamsFromPipe feeds open a stream through an io.Pipe one record at a
 // time, each record in two writes, and requires every packet to come out
-// of Next — or of NextBlock, with room for more, when blocks is set —
-// before the following record (or the end of the stream) is written: a
-// reader waiting to fill its block would hang here. It returns
+// of a read of one packet — or of one with room for more, when blocks is
+// set — before the following record (or the end of the stream) is
+// written: a reader waiting to fill its block would hang here. It returns
 // only once the writer has, so the goroutine counts of later tests
 // (readahead_test.go) never see it exit.
 func streamsFromPipe(t *testing.T, header []byte, records [][]byte, blocks bool, open func(io.Reader) (PacketSource, error)) {
@@ -85,7 +85,7 @@ func streamsFromPipe(t *testing.T, header []byte, records [][]byte, blocks bool,
 		go func() {
 			if !blocks {
 				var p packet.Packet
-				got <- src.Next(&p)
+				got <- next(src, &p)
 				return
 			}
 			n, err := src.NextBlock(make([]packet.Packet, 8))
@@ -105,7 +105,7 @@ func streamsFromPipe(t *testing.T, header []byte, records [][]byte, blocks bool,
 		step <- struct{}{}
 	}
 	var p packet.Packet
-	if err := src.Next(&p); !errors.Is(err, io.EOF) {
+	if err := next(src, &p); !errors.Is(err, io.EOF) {
 		t.Errorf("after the writer closed: %v, want io.EOF", err)
 	}
 }
@@ -140,54 +140,45 @@ func TestTraceSourceStreamsFromPipe(t *testing.T) {
 
 // TestSourceNextAllocFree: decoding in place means a packet costs no
 // allocation on either trace source in steady state, nor on Open's
-// decode-ahead of a capture across the hand-off of a batch, whether read
-// by Next or by NextBlock.
+// decode-ahead of a capture across the hand-off of a batch, whether read a
+// packet at a time or in blocks of the pipeline's length.
 func TestSourceNextAllocFree(t *testing.T) {
-	pkts := testPackets(t)
 	const runs = 100 // AllocsPerRun makes runs+1 calls
-	const block = 7  // packets per NextBlock
-	if len(pkts) <= block*(runs+1)+1 {
-		t.Fatalf("trace too short: %d packets", len(pkts))
-	}
-	data, _ := manyBlocks(t, true)
+	native, _ := manyBlocks(t, false)
+	capture, _ := manyBlocks(t, true)
 	path := filepath.Join(t.TempDir(), "capture.pcap")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, capture, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, blocks := range []bool{false, true} {
-		srcs := bothSources(t, pkts)
+	for _, per := range []int{1, readBlock} { // packets per read
+		trace, err := NewTraceSource(bytes.NewReader(native))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc, err := NewPcapSource(bytes.NewReader(capture))
+		if err != nil {
+			t.Fatal(err)
+		}
 		ahead, err := open(path, true, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srcs["pcap, decoding ahead"] = ahead
-		per := 1 // packets per read
-		if blocks {
-			per = block
-		}
 		buf := make([]packet.Packet, per)
-		read := func(name string, src PacketSource) {
-			var err error
-			if blocks {
-				_, err = src.NextBlock(buf)
-			} else {
-				err = src.Next(&buf[0])
+		for name, src := range map[string]PacketSource{"trace": trace, "pcap": pc, "pcap, decoding ahead": ahead} {
+			read := func() {
+				if _, err := src.NextBlock(buf); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
 			}
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-		for name, src := range srcs {
 			skip := 1 // the first read fills the block
 			if src == ahead {
-				skip = (batchPackets - per*runs/2) / per // a batch hand-off inside the runs
+				skip = max(1, (batchPackets-per*runs/2)/per) // a batch hand-off inside the runs
 			}
 			for i := 0; i < skip; i++ {
-				read(name, src)
+				read()
 			}
-			allocs := testing.AllocsPerRun(runs, func() { read(name, src) })
-			if allocs != 0 {
-				t.Errorf("%s, NextBlock %v: %v allocs per read, want 0", name, blocks, allocs)
+			if allocs := testing.AllocsPerRun(runs, read); allocs != 0 {
+				t.Errorf("%s, blocks of %d: %v allocs per read, want 0", name, per, allocs)
 			}
 			src.Close()
 		}
@@ -225,18 +216,15 @@ func TestPcapSourceRejectsLinkType(t *testing.T) {
 	}
 }
 
-var sinkPacket packet.Packet
-
 // BenchmarkSourceDecode measures what the source layer charges every
-// packet before the sampling decision, in ns/pkt. Next is NextBlock into
-// a block of one packet, copied out; NextBlock reads blocks of the
-// pipeline's length, the path Run takes. native and pcap decode an
-// in-memory trace, built once, synchronously: one iteration reads it as
-// many times over, each through a new source, as it takes to decode
-// decodeAtLeast packets, so that a run resolves steps of a few ns/pkt and
-// no file system is in the number. pcap-large is a 72 MB capture file
-// above Open's threshold, decoded ahead in batches of keyed packets, and
-// times that in steady state, read syscalls included.
+// packet before the sampling decision, in ns/pkt, read by NextBlock in
+// blocks of the pipeline's length, the path Run takes. native and pcap
+// decode an in-memory trace, built once, synchronously: one iteration
+// reads it as many times over, each through a new source, as it takes to
+// decode decodeAtLeast packets, so that a run resolves steps of a few
+// ns/pkt and no file system is in the number. pcap-large is a 72 MB
+// capture file above Open's threshold, decoded ahead in batches of keyed
+// packets, and times that in steady state, read syscalls included.
 func BenchmarkSourceDecode(b *testing.B) {
 	const decodeAtLeast = 2_000_000
 	pkts := genPackets(b, 20, 150) // ~28k packets: 0.5 MB native, 14 MB pcap
@@ -273,42 +261,31 @@ func BenchmarkSourceDecode(b *testing.B) {
 		} else {
 			passes = (decodeAtLeast + len(trace) - 1) / len(trace)
 		}
-		for _, blocks := range []bool{false, true} {
-			name := format.name + "/Next"
-			if blocks {
-				name = format.name + "/NextBlock"
-			}
-			b.Run(name, func(b *testing.B) {
-				b.SetBytes(int64(passes * len(data)))
-				b.ReportAllocs()
-				for i := 0; i < b.N*passes; i++ {
-					src, err := open()
+		b.Run(format.name+"/NextBlock", func(b *testing.B) {
+			b.SetBytes(int64(passes * len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N*passes; i++ {
+				src, err := open()
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for {
+					k, err := src.NextBlock(buf)
+					if errors.Is(err, io.EOF) {
+						break
+					}
 					if err != nil {
 						b.Fatal(err)
 					}
-					n := 0
-					for {
-						k := 1
-						if blocks {
-							k, err = src.NextBlock(buf)
-						} else {
-							err = src.Next(&sinkPacket)
-						}
-						if errors.Is(err, io.EOF) {
-							break
-						}
-						if err != nil {
-							b.Fatal(err)
-						}
-						n += k
-					}
-					if n != len(trace) {
-						b.Fatalf("decoded %d packets, want %d", n, len(trace))
-					}
-					src.Close()
+					n += k
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes*len(trace)), "ns/pkt")
-			})
-		}
+				if n != len(trace) {
+					b.Fatalf("decoded %d packets, want %d", n, len(trace))
+				}
+				src.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*passes*len(trace)), "ns/pkt")
+		})
 	}
 }

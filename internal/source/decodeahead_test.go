@@ -93,7 +93,7 @@ func diffDecodeAhead(t *testing.T, name string, data []byte) int {
 	n, after := 0, -1
 	for after < 2 {
 		var got, want packet.Packet
-		gerr, werr := ahead.Next(&got), ref.Next(&want)
+		gerr, werr := next(ahead, &got), next(ref, &want)
 		if !sameError(gerr, werr) {
 			t.Fatalf("%s: after %d packets: %v decoding ahead, %v synchronously", name, n, gerr, werr)
 		}
@@ -205,7 +205,7 @@ func TestCloseDuringDecodeAhead(t *testing.T) {
 		go func() {
 			var p packet.Packet
 			for {
-				if err := src.Next(&p); err != nil {
+				if err := next(src, &p); err != nil {
 					ended <- err
 					return
 				}

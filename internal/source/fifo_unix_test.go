@@ -14,7 +14,7 @@ import (
 )
 
 // TestCloseUnblocksNextOnPipe: Open over a named pipe whose writer has gone
-// quiet; a Close from another goroutine unblocks the pending Next with an
+// quiet; a Close from another goroutine unblocks the pending read with an
 // error a caller can tell from corruption, for both formats.
 func TestCloseUnblocksNextOnPipe(t *testing.T) {
 	for _, isPcap := range []bool{false, true} {
@@ -49,18 +49,18 @@ func TestCloseUnblocksNextOnPipe(t *testing.T) {
 		}
 		var p packet.Packet
 		for i := 0; i < 2; i++ {
-			if err := src.Next(&p); err != nil {
+			if err := next(src, &p); err != nil {
 				t.Fatalf("pcap=%v: packet %d: %v", isPcap, i, err)
 			}
 		}
 		got := make(chan error, 1)
 		go func() {
 			var p packet.Packet
-			got <- src.Next(&p)
+			got <- next(src, &p)
 		}()
 		select {
 		case err := <-got:
-			t.Fatalf("pcap=%v: Next returned %v with the pipe open and empty", isPcap, err)
+			t.Fatalf("pcap=%v: a read returned %v with the pipe open and empty", isPcap, err)
 		case <-time.After(20 * time.Millisecond): // in the blocking read by now; the test holds either way
 		}
 		if err := src.Close(); err != nil {
@@ -69,10 +69,10 @@ func TestCloseUnblocksNextOnPipe(t *testing.T) {
 		select {
 		case err := <-got:
 			if !errors.Is(err, ErrClosedSource) && !errors.Is(err, os.ErrClosed) {
-				t.Errorf("pcap=%v: Next unblocked by Close = %v, want ErrClosedSource or os.ErrClosed", isPcap, err)
+				t.Errorf("pcap=%v: read unblocked by Close = %v, want ErrClosedSource or os.ErrClosed", isPcap, err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("pcap=%v: Close did not unblock the pending Next", isPcap)
+			t.Fatalf("pcap=%v: Close did not unblock the pending read", isPcap)
 		}
 		close(release)
 		<-done // gone before the next test counts goroutines (readahead_test.go)

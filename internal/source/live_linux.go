@@ -24,7 +24,6 @@ type live struct {
 	start  time.Time
 	began  bool
 	closed atomic.Bool
-	one    [1]packet.Packet // Next's block
 }
 
 // htons converts a short to network byte order.
@@ -53,15 +52,6 @@ func NewLive(iface string, snapLen int) (PacketSource, error) {
 		return nil, fmt.Errorf("source: binding to %q: %w", iface, err)
 	}
 	return &live{fd: fd, buf: make([]byte, snapLen)}, nil
-}
-
-// Next blocks for the next decodable frame: NextBlock for one packet.
-func (l *live) Next(p *packet.Packet) error {
-	if _, err := l.NextBlock(l.one[:]); err != nil {
-		return err
-	}
-	*p = l.one[0]
-	return nil
 }
 
 // NextBlock blocks for the next decodable frame and returns it alone: a

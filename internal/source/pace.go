@@ -34,7 +34,6 @@ type Paced struct {
 	started bool
 	start   time.Time
 	base    float64
-	one     [1]packet.Packet // Next's block
 }
 
 // Pace wraps src with line-rate pacing at the given speed multiplier.
@@ -45,16 +44,6 @@ func Pace(src PacketSource, speed float64) *Paced {
 		panic(fmt.Sprintf("source: pace speed %g must be positive and finite", speed))
 	}
 	return &Paced{src: src, speed: speed, now: time.Now, done: make(chan struct{})}
-}
-
-// Next reads the next packet at its delivery time: NextBlock for one
-// packet.
-func (p *Paced) Next(pk *packet.Packet) error {
-	if _, err := p.NextBlock(p.one[:]); err != nil {
-		return err
-	}
-	*pk = p.one[0]
-	return nil
 }
 
 // NextBlock reads one packet from the wrapped source into buf, sleeping
@@ -113,7 +102,7 @@ type Loop struct {
 	gap  float64
 
 	// mu guards cur and closed against the one legal cross-goroutine
-	// call, Close during a Next. It is taken at a cycle boundary (open,
+	// call, Close during a NextBlock. It is taken at a cycle boundary (open,
 	// retire) and in Close, never per packet.
 	mu     sync.Mutex
 	cur    PacketSource // the open inner source, nil between cycles and after Close
@@ -133,7 +122,6 @@ type Loop struct {
 	// source again.
 	rewound error
 	held    []packet.Packet
-	one     [1]packet.Packet // Next's block
 }
 
 // NewLoop returns a looping source. open must return a fresh source over
@@ -179,16 +167,6 @@ func (l *Loop) retire(src PacketSource) {
 // itself is out of order.
 func errLoopRewound(t, last float64) error {
 	return fmt.Errorf("source: loop time went backwards (%g < %g)", t, last)
-}
-
-// Next yields the next packet, restarting the trace at EOF: NextBlock for
-// one packet.
-func (l *Loop) Next(p *packet.Packet) error {
-	if _, err := l.NextBlock(l.one[:]); err != nil {
-		return err
-	}
-	*p = l.one[0]
-	return nil
 }
 
 // NextBlock yields the inner source's next block, shifted into the

@@ -38,7 +38,7 @@ func TestPaceLineRate(t *testing.T) {
 	p, c := pacedOver(pkts, 1)
 	var pk packet.Packet
 	for range pkts {
-		if err := p.Next(&pk); err != nil {
+		if err := next(p, &pk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +51,7 @@ func TestPaceLineRate(t *testing.T) {
 			t.Errorf("sleep %d = %v, want %v", i, c.sleeps[i], want[i])
 		}
 	}
-	if err := p.Next(&pk); !errors.Is(err, io.EOF) {
+	if err := next(p, &pk); !errors.Is(err, io.EOF) {
 		t.Fatalf("after EOF: %v", err)
 	}
 }
@@ -62,7 +62,7 @@ func TestPaceSpeedMultiplier(t *testing.T) {
 	p, c := pacedOver(pkts, 8)
 	var pk packet.Packet
 	for range pkts {
-		if err := p.Next(&pk); err != nil {
+		if err := next(p, &pk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,16 +72,16 @@ func TestPaceSpeedMultiplier(t *testing.T) {
 }
 
 // TestPaceBehindSchedule: when delivery falls behind (the clock already
-// passed the target) Next must not sleep at all.
+// passed the target) a read must not sleep at all.
 func TestPaceBehindSchedule(t *testing.T) {
 	pkts := []packet.Packet{{Time: 0}, {Time: 0.1}}
 	p, c := pacedOver(pkts, 1)
 	var pk packet.Packet
-	if err := p.Next(&pk); err != nil {
+	if err := next(p, &pk); err != nil {
 		t.Fatal(err)
 	}
 	c.now = c.now.Add(5 * time.Second) // processing ran long
-	if err := p.Next(&pk); err != nil {
+	if err := next(p, &pk); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.sleeps) != 0 {
@@ -111,7 +111,7 @@ func TestPaceClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pk packet.Packet
-	if err := p.Next(&pk); !errors.Is(err, ErrClosedSource) {
-		t.Fatalf("Next after Close = %v, want ErrClosedSource", err)
+	if err := next(p, &pk); !errors.Is(err, ErrClosedSource) {
+		t.Fatalf("read after Close = %v, want ErrClosedSource", err)
 	}
 }

@@ -133,7 +133,7 @@ func TestOnlyOpenReadsAhead(t *testing.T) {
 			}
 			var p packet.Packet
 			for i := 0; i < packets/2; i++ { // mid-stream
-				if err := src.Next(&p); err != nil {
+				if err := next(src, &p); err != nil {
 					t.Fatalf("pcap=%v %s: packet %d: %v", isPcap, tc.name, i, err)
 				}
 			}
@@ -146,8 +146,8 @@ func TestOnlyOpenReadsAhead(t *testing.T) {
 			if got := ownGoroutines(); got != 0 {
 				t.Errorf("pcap=%v %s: %d goroutines left after Close", isPcap, tc.name, got)
 			}
-			if err := src.Next(&p); !errors.Is(err, ErrClosedSource) {
-				t.Errorf("pcap=%v %s: Next after Close = %v, want ErrClosedSource", isPcap, tc.name, err)
+			if err := next(src, &p); !errors.Is(err, ErrClosedSource) {
+				t.Errorf("pcap=%v %s: read after Close = %v, want ErrClosedSource", isPcap, tc.name, err)
 			}
 		}
 	}
@@ -238,7 +238,7 @@ func TestLoopOverReadAheadFile(t *testing.T) {
 		const cycles = 300
 		var p packet.Packet
 		for i := 0; i < cycles*len(pkts)+1; i++ { // the +1 opens cycle 301
-			if err := loop.Next(&p); err != nil {
+			if err := next(loop, &p); err != nil {
 				t.Fatalf("pcap=%v: packet %d: %v", isPcap, i, err)
 			}
 			// Mid-cycle; a capture's goroutine may have met the end already.

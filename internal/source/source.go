@@ -14,9 +14,8 @@
 // nil error, or 0 with the error, never both; it returns what is already
 // at hand and never waits for more than the first packet. Sources whose
 // every read waits (Paced, the live capture) return one packet per call.
-// NextBlock is every source's one read: Next is NextBlock into a block of
-// one packet, copied out, so any mix of the two yields the stream in order
-// by construction.
+// NextBlock is the only read: a caller that wants one packet at a time
+// asks for a block of one.
 //
 // The two trace sources decode records in place out of a 256 KiB
 // bufio.Reader (internal/packet's and internal/pcap's ReadBlock), so a
@@ -82,25 +81,22 @@ import (
 
 // PacketSource is the ingestion interface every consumer reads from.
 //
-// NextBlock is the read. It fills buf, which must not be empty, with the
+// NextBlock is the only read. It fills buf, which must not be empty, with the
 // next packets and returns how many: n >= 1 with a nil error, or 0 with
 // the error — io.EOF at a clean end of stream, another error on
 // corruption — never packets and an error together. It returns at most
 // len(buf) packets and never waits for more than the first: what a pipe
 // or a live capture has not delivered yet is left for the next call, so a
-// slow stream still yields each packet as soon as its last byte arrives.
-// Next is NextBlock of one packet: it fills *p with the next packet and
-// returns nil, or the error, and leaves *p alone on an error. Every
-// source derives it so, which is why the two read the one stream in any
-// mix. Packets arrive in non-decreasing time order, the order the stream
-// engine requires. A source is not safe for concurrent reads.
+// slow stream still yields each packet as soon as its last byte arrives;
+// a block of one is a packet-at-a-time read. Packets arrive in
+// non-decreasing time order, the order the stream engine requires. A
+// source is not safe for concurrent reads.
 //
 // Close releases the source. Closing a source blocked in a read (from
 // another goroutine) unblocks it with an error — the graceful-shutdown
 // path of a daemon draining a live capture.
 type PacketSource interface {
 	NextBlock(buf []packet.Packet) (n int, err error)
-	Next(p *packet.Packet) error
 	Close() error
 }
 
@@ -134,7 +130,6 @@ type TraceSource struct {
 	r      *packet.Reader
 	c      io.Closer
 	closed atomic.Bool
-	one    [1]packet.Packet // Next's block
 }
 
 // NewTraceSource validates the trace header and returns a source over r.
@@ -149,17 +144,6 @@ func NewTraceSource(r io.Reader) (*TraceSource, error) {
 		s.c = c
 	}
 	return s, nil
-}
-
-// Next fills p with the next trace record: NextBlock for one packet.
-//
-//flowrank:hotpath
-func (s *TraceSource) Next(p *packet.Packet) error {
-	if _, err := s.NextBlock(s.one[:]); err != nil {
-		return err
-	}
-	*p = s.one[0]
-	return nil
 }
 
 // NextBlock decodes the records already buffered, up to len(buf), into
@@ -192,7 +176,6 @@ type PcapSource struct {
 	r      *pcap.Reader
 	c      io.Closer
 	closed atomic.Bool
-	one    [1]packet.Packet // Next's block
 	// frames is where ReadBlock decodes a block before it is keyed.
 	frames [readBlock]pcap.Packet
 }
@@ -218,17 +201,6 @@ func NewPcapSource(r io.Reader) (*PcapSource, error) {
 		s.c = c
 	}
 	return s, nil
-}
-
-// Next fills p with the next decodable frame: NextBlock for one packet.
-//
-//flowrank:hotpath
-func (s *PcapSource) Next(p *packet.Packet) error {
-	if _, err := s.NextBlock(s.one[:]); err != nil {
-		return err
-	}
-	*p = s.one[0]
-	return nil
 }
 
 // Close closes the underlying reader when it is closable.
@@ -351,8 +323,7 @@ func open(path string, isPcap bool, readAheadMin int64) (PacketSource, error) {
 
 // pcapAhead is what Open returns for a large capture file: a goroutine
 // (decode) runs the synchronous source's decoder (fill) and hands over
-// batches of packets, which NextBlock copies out a block at a time (Next
-// one at a time). Once the goroutine has exited — after the batch that
+// batches of packets, which NextBlock copies out a block at a time. Once the goroutine has exited — after the batch that
 // carried the end of the capture or an error — reads go to the
 // synchronous source, so a retry or a repeated io.EOF is answered exactly
 // as it would be without it.
@@ -372,7 +343,6 @@ type pcapAhead struct {
 	// async is true while the packets come from the goroutine.
 	async  bool
 	closed atomic.Bool
-	one    [1]packet.Packet // Next's block
 }
 
 // batch is one fill on its way from the goroutine to the consumer: the
@@ -421,17 +391,6 @@ func (s *pcapAhead) decode() {
 			return
 		}
 	}
-}
-
-// Next fills p with the next decodable frame: NextBlock for one packet.
-//
-//flowrank:hotpath
-func (s *pcapAhead) Next(p *packet.Packet) error {
-	if _, err := s.NextBlock(s.one[:]); err != nil {
-		return err
-	}
-	*p = s.one[0]
-	return nil
 }
 
 // NextBlock copies the next decoded frames, up to len(buf), out of the
@@ -504,18 +463,6 @@ func (s *pcapAhead) Close() error {
 type Counted struct {
 	PacketSource
 	Packets obs.Counter
-	one     [1]packet.Packet // Next's block
-}
-
-// Next reads the next packet and counts it: NextBlock for one packet.
-//
-//flowrank:hotpath
-func (s *Counted) Next(p *packet.Packet) error {
-	if _, err := s.NextBlock(s.one[:]); err != nil {
-		return err
-	}
-	*p = s.one[0]
-	return nil
 }
 
 // NextBlock reads the next block and counts its packets.
@@ -533,24 +480,11 @@ type Slice struct {
 	pkts   []packet.Packet
 	i      int
 	closed atomic.Bool
-	one    [1]packet.Packet // Next's block
 }
 
 // NewSlice returns a source yielding pkts in order. The caller keeps
 // ownership of the slice but must not mutate it while reading.
 func NewSlice(pkts []packet.Packet) *Slice { return &Slice{pkts: pkts} }
-
-// Next fills p with the next packet of the slice: NextBlock for one
-// packet.
-//
-//flowrank:hotpath
-func (s *Slice) Next(p *packet.Packet) error {
-	if _, err := s.NextBlock(s.one[:]); err != nil {
-		return err
-	}
-	*p = s.one[0]
-	return nil
-}
 
 // NextBlock copies the next packets of the slice, up to len(buf), into
 // buf.

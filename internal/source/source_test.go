@@ -90,13 +90,24 @@ func encodePcap(t testing.TB, pkts []packet.Packet) []byte {
 	return buf.Bytes()
 }
 
+// next reads one packet: NextBlock of one, copied out, so *p is left
+// alone on an error.
+func next(src PacketSource, p *packet.Packet) error {
+	var one [1]packet.Packet
+	if _, err := src.NextBlock(one[:]); err != nil {
+		return err
+	}
+	*p = one[0]
+	return nil
+}
+
 // drain reads a source to EOF.
 func drain(t *testing.T, src PacketSource) []packet.Packet {
 	t.Helper()
 	var out []packet.Packet
 	var p packet.Packet
 	for {
-		err := src.Next(&p)
+		err := next(src, &p)
 		if errors.Is(err, io.EOF) {
 			return out
 		}
@@ -224,7 +235,7 @@ func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// TestClosedSourceIdentity: Next after Close must fail with an error
+// TestClosedSourceIdentity: a read after Close must fail with an error
 // errors.Is-identifiable as ErrClosedSource, for every in-process source.
 func TestClosedSourceIdentity(t *testing.T) {
 	pkts := testPackets(t)[:4]
@@ -250,8 +261,8 @@ func TestClosedSourceIdentity(t *testing.T) {
 			t.Fatalf("%s: close: %v", name, err)
 		}
 		var p packet.Packet
-		if err := src.Next(&p); !errors.Is(err, ErrClosedSource) {
-			t.Errorf("%s: Next after Close = %v, want ErrClosedSource identity", name, err)
+		if err := next(src, &p); !errors.Is(err, ErrClosedSource) {
+			t.Errorf("%s: read after Close = %v, want ErrClosedSource identity", name, err)
 		}
 		if err := src.Close(); err != nil {
 			t.Errorf("%s: double Close = %v", name, err)
@@ -268,7 +279,7 @@ func TestSliceSource(t *testing.T) {
 		t.Fatalf("%d packets, want 10", len(got))
 	}
 	var p packet.Packet
-	if err := src.Next(&p); !errors.Is(err, io.EOF) {
+	if err := next(src, &p); !errors.Is(err, io.EOF) {
 		t.Errorf("after EOF: %v", err)
 	}
 }
@@ -289,7 +300,7 @@ func TestLoopShiftsTime(t *testing.T) {
 	last := -1.0
 	var p packet.Packet
 	for i := 0; i < 3*len(pkts); i++ {
-		if err := loop.Next(&p); err != nil {
+		if err := next(loop, &p); err != nil {
 			t.Fatal(err)
 		}
 		if p.Time < last {
@@ -312,7 +323,7 @@ func TestLoopEmptyCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var p packet.Packet
-	if err := loop.Next(&p); !errors.Is(err, io.EOF) {
+	if err := next(loop, &p); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty loop: %v, want EOF", err)
 	}
 	if _, err := NewLoop(func() (PacketSource, error) { return NewSlice(nil), nil }, -1); err == nil {
@@ -352,8 +363,8 @@ func (s *loopInner) Close() error {
 }
 
 // TestLoopCloseDuringNext pins Loop's one cross-goroutine contract, which
-// Next keeps without taking the lock per packet: a Close from another
-// goroutine unblocks a pending Next with an ErrClosedSource error, nothing
+// NextBlock keeps without taking the lock per packet: a Close from another
+// goroutine unblocks a pending read with an ErrClosedSource error, nothing
 // is opened once Close has returned, and every inner source the loop
 // opened is closed exactly once — whether Close lands mid-cycle or on the
 // EOF-to-reopen boundary. Under -race (make race) it also shows that
@@ -372,7 +383,7 @@ func TestLoopCloseDuringNext(t *testing.T) {
 		go func() {
 			var p packet.Packet
 			for {
-				if err := loop.Next(&p); err != nil {
+				if err := next(loop, &p); err != nil {
 					done <- err
 					return
 				}
@@ -382,12 +393,12 @@ func TestLoopCloseDuringNext(t *testing.T) {
 		for range pkts {
 			<-read
 		}
-		// The reader is in, or about to enter, the Next that blocks.
+		// The reader is in, or about to enter, the read that blocks.
 		if err := loop.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
 		if err := <-done; !errors.Is(err, ErrClosedSource) {
-			t.Fatalf("Next unblocked by Close = %v, want ErrClosedSource identity", err)
+			t.Fatalf("read unblocked by Close = %v, want ErrClosedSource identity", err)
 		}
 		if n := inner.closes.Load(); n != 1 {
 			t.Fatalf("inner source closed %d times, want 1", n)
@@ -419,7 +430,7 @@ func TestLoopCloseDuringNext(t *testing.T) {
 					if n == iter%5 {
 						close(started)
 					}
-					if err := loop.Next(&p); err != nil {
+					if err := next(loop, &p); err != nil {
 						done <- err
 						return
 					}
@@ -431,7 +442,7 @@ func TestLoopCloseDuringNext(t *testing.T) {
 			}
 			closeReturned.Store(true)
 			if err := <-done; !errors.Is(err, ErrClosedSource) {
-				t.Fatalf("iteration %d: Next after Close = %v, want ErrClosedSource identity", iter, err)
+				t.Fatalf("iteration %d: read after Close = %v, want ErrClosedSource identity", iter, err)
 			}
 			for i, s := range opened {
 				if n := s.closes.Load(); n != 1 {

@@ -10,11 +10,14 @@
 # reduced-scale traces of the benchmark's four workload shapes (half the
 # trace seconds of bench/workloads.go) with both tracegens. Each
 # workload's monitor flags, copied from bench/workloads.go, then run
-# through both flowtops at -workers 1, 2 and 4 with -netflow, on this
-# tree's traces. A cell is one workload at one worker count (or one
-# workload's trace); it is identical when both sides print the same stdout
-# and write the same NetFlow bytes (or the same trace). A cell that differs
-# is named with its first differing line, and the script exits non-zero.
+# through both flowtops at -workers 1, 2 and 4 with -netflow and -journal,
+# on this tree's traces. A cell is one output of one workload at one worker
+# count (stdout, NetFlow bytes or bin journal), or one workload's trace; it
+# is identical when both sides wrote the same bytes. A journal is compared
+# without its wall-clock fields (each line's "time" and the record's
+# "stages" timings), so the cell holds every count, estimate and decision
+# the journal reports. A cell that differs is named with its first
+# differing line, and the script exits non-zero. jq must be installed.
 #
 # The two sides are compared cell by cell, never across worker counts: a
 # bounded sampled table (pcap-sharded's Space-Saving, daemon-scrape's
@@ -27,6 +30,11 @@ if [ $# -ne 1 ]; then
 	exit 2
 fi
 base_rev=$1
+
+command -v jq >/dev/null || {
+	echo "identity: jq not found (it strips the journal's timings)" >&2
+	exit 2
+}
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="$root/.bench_build/identity"
@@ -95,14 +103,21 @@ for spec in "${workloads[@]}"; do
 	for workers in 1 2 4; do
 		for side in base change; do
 			out="$work/out/$name.w$workers.$side"
+			# Both sides write the same file names, which the journal
+			# records, then move them aside.
 			# shellcheck disable=SC2086
-			quiet "$work/bin/$side/flowtop" -in "$trace" $mon -workers "$workers" -netflow "$out.nf5" >"$out.txt"
+			quiet "$work/bin/$side/flowtop" -in "$trace" $mon -workers "$workers" \
+				-netflow "$work/out/run.nf5" -journal "$work/out/run.journal" >"$out.txt"
+			mv "$work/out/run.nf5" "$out.nf5"
+			jq -c 'del(.time, .record.stages)' "$work/out/run.journal" >"$out.journal"
+			rm "$work/out/run.journal" # -journal appends
 		done
 		out="$work/out/$name.w$workers"
 		report "$name -workers $workers stdout" "$out.base.txt" "$out.change.txt" text
 		report "$name -workers $workers netflow" "$out.base.nf5" "$out.change.nf5" binary
+		report "$name -workers $workers journal" "$out.base.journal" "$out.change.journal" text
 	done
-	echo "$name: $(wc -l <"$work/out/$name.w1.change.txt") report lines, $(wc -c <"$work/out/$name.w1.change.nf5") NetFlow bytes at -workers 1"
+	echo "$name: $(wc -l <"$work/out/$name.w1.change.txt") report lines, $(wc -c <"$work/out/$name.w1.change.nf5") NetFlow bytes, $(wc -l <"$work/out/$name.w1.change.journal") journal records at -workers 1"
 done
 
 if [ "$differ" -ne 0 ]; then
