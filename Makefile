@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short short-times vet fmt check race bench bench-pairs identity microbench bench-smoke e2e e2e-daemon e2e-obs fuzz-smoke cover lint loc examples
+.PHONY: all build test short short-times vet fmt check race bench bench-pairs identity microbench bench-smoke e2e e2e-daemon fuzz-smoke cover lint loc examples
 
 all: check
 
@@ -106,14 +106,15 @@ bench-pairs:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs BASE=<rev> WORKLOAD=<name> [N=10] [SEED=1]"; exit 2; }
 	./scripts/bench_pairs.sh "$(BASE)" "$(WORKLOAD)" "$(N)" "$(SEED)"
 
-# Byte identity of flowtop's report, NetFlow export and bin journal
-# (less its timings) between revision BASE and the working tree, on
-# reduced-scale traces of the benchmark's four workloads at -workers 1, 2
-# and 4 (scripts/identity.sh, under a minute on two vCPUs after the
-# builds; needs jq).
+# Byte identity between revision BASE and the working tree, cell by cell,
+# over the monitor matrix (scripts/matrix.txt: flowtop's stdout, NetFlow
+# bytes and bin journal less its timings, each row at -workers 1 to 4, and
+# every trace the rows read). A row the base flowtop cannot parse is
+# reported as new. scripts/matrix.sh; about 25 s on two vCPUs after the
+# builds; needs jq.
 identity:
 	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }
-	./scripts/identity.sh "$(BASE)"
+	./scripts/matrix.sh "$(BASE)"
 
 # Every Go micro-benchmark of the root module, one iteration each.
 microbench:
@@ -180,28 +181,23 @@ bench-smoke:
 	$(GO) run ./cmd/flowrank-bench -fig dynamic
 	$(GO) run ./cmd/flowrank-bench -fig sketch
 
-# End-to-end flowtop cross-check: one-shard vs four-shard output must be
-# byte-identical on both trace formats (native and pcap), and with the
-# closed loop (-invert parametric -adapt 1) on the native trace; a capture
-# above source.Open's decode-ahead threshold must read the same decoded
-# ahead from its file as synchronously through a pipe.
+# The monitor matrix within the working tree (scripts/matrix.sh, about
+# 20 s on two vCPUs; needs jq): every exact row byte-identical at -workers
+# 1 to 4, every bounded row with its exact row's original side, every
+# journal valid with one staged record per bin, and every capture above
+# source.Open's decode-ahead threshold read the same through a pipe.
 e2e:
-	./scripts/e2e_flowtop.sh
+	./scripts/matrix.sh
 
 # End-to-end flowrankd check: flowrankd and flowtop are two front-ends of
 # one pipeline (internal/pipeline), so this guards the front-ends, not a
-# second implementation — the real daemon binary replays a trace, its
-# /metrics scrape must match what flowtop prints, and SIGTERM must drain
-# cleanly.
+# second implementation. One daemon run of the matrix's
+# native-parametric-adapt row, with -journal and -pprof: /metrics must
+# match flowtop's report and expose the stage and runtime series, the heap
+# profile must answer, the journal must validate and sum to /metrics'
+# sampled packets, and SIGTERM must drain cleanly.
 e2e-daemon:
 	./scripts/e2e_daemon.sh
-
-# End-to-end observability check: flowrankd with -journal and -pprof,
-# /metrics must expose the pipeline-stage and runtime series, the heap
-# profile must answer, and the journal must validate via journalcheck
-# with one record per bin and sampled-packet counts matching /metrics.
-e2e-obs:
-	./scripts/e2e_obs.sh
 
 # Brief native fuzz runs (~64 s total) over the wire-format edges (the
 # NetFlow decode/encode round trip, the pcap reader/writer, the native

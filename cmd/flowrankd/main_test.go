@@ -109,6 +109,8 @@ func TestFlagValidation(t *testing.T) {
 		// silently ignored, -t 0 failed only once the first bin closed.
 		{"memory with exact table", func(o *options) { o.Memory = 4096 }, "-table"},
 		{"adapt with an empty top list", func(o *options) { o.Adapt = 1; o.Invert = "em"; o.TopT = 0 }, "(-t)"},
+		// The daemon once read -bin 0 as its own 60 s default.
+		{"zero bin", func(o *options) { o.Bin = 0 }, "(-bin)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -230,6 +230,8 @@ func TestJournalParityWithDaemon(t *testing.T) {
 		kept     bool // the last bin cannot be inverted and keeps the rate
 	}{
 		{"inversion and export", 5, 3, "naive", invert.Naive{}, 0, false},
+		// -t 0 ranks nothing in both: the daemon once ranked its own top 10.
+		{"an empty top list", 0, 3, "naive", invert.Naive{}, 0, false},
 		{"closed loop retunes every bin", 1, 3, "parametric", invert.Parametric{}, 1, false},
 		{"closed loop keeps the rate on a failed inversion", 1, 4.5, "parametric", invert.Parametric{}, 5, true},
 	} {
@@ -261,7 +263,7 @@ func TestJournalParityWithDaemon(t *testing.T) {
 			var buf bytes.Buffer
 			d, err := daemon.New(daemon.Config{
 				Monitor: pipeline.Config{
-					Source: source.NewSlice(pkts), Rate: 0.5, Seed: 3, TopT: tc.topT, BinSeconds: tc.binSec, Workers: 2,
+					Source: source.NewSlice(pkts), Agg: flow.FiveTuple{}, Rate: 0.5, Seed: 3, TopT: tc.topT, BinSeconds: tc.binSec, Workers: 2,
 					Inverter: tc.inverter, AdaptTarget: tc.adapt,
 					Journal: pipeline.NewJournal(&buf),
 				},
@@ -295,7 +297,8 @@ func TestJournalParityWithDaemon(t *testing.T) {
 			}
 			rate := 0.5
 			for i, r := range batch {
-				if r.NetFlow == nil || r.Inversion == nil || (tc.adapt > 0) != (r.Adapt != nil) {
+				// An empty top list exports nothing, so it has no NetFlow sub-record.
+				if (tc.topT > 0) != (r.NetFlow != nil) || r.Inversion == nil || (tc.adapt > 0) != (r.Adapt != nil) {
 					t.Fatalf("record %d lacks a sub-record the configuration asks for: %s", i, mustJSON(t, r))
 				}
 				// A bin is labeled with the rate that produced it: the one

@@ -4,9 +4,9 @@
 // only schema: every line must carry the slog envelope, and every bin
 // line's record must decode into BinRecord and hold each field the
 // encoder always writes (unknown keys pass). It is the CI oracle of the
-// e2e-obs harness and a quick sanity check for operators: a journal that
-// passes is safe to feed to jq pipelines and dashboards that assume the
-// schema. A failure names the line it is on.
+// make e2e and make e2e-daemon harnesses and a quick sanity check for
+// operators: a journal that passes is safe to feed to jq pipelines and
+// dashboards that assume the schema. A failure names the line it is on.
 //
 // Usage:
 //

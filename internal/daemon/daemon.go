@@ -37,7 +37,6 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"flowrank/internal/flow"
 	"flowrank/internal/pipeline"
 	"flowrank/internal/source"
 	"flowrank/internal/stream"
@@ -52,13 +51,12 @@ import (
 var readHeaderTimeout = 5 * time.Second
 
 // Config describes one daemon: the monitor it runs and the network
-// surfaces around it. Monitor.Source, Monitor.Rate and ListenAddr are
-// required.
+// surfaces around it. ListenAddr and what pipeline.Config requires
+// (Source, Agg, Rate, BinSeconds) are required.
 type Config struct {
-	// Monitor is the pipeline configuration. A nil Agg, zero TopT and
-	// zero BinSeconds take the daemon's defaults (5-tuple, 10, 60); the
-	// daemon closes Source during drain to unblock a pending read and
-	// sets NetFlow/NetFlowDest itself from NetFlowAddr.
+	// Monitor is the pipeline configuration. The daemon closes Source
+	// during drain to unblock a pending read and sets
+	// NetFlow/NetFlowDest itself from NetFlowAddr.
 	Monitor pipeline.Config
 	// ListenAddr is the HTTP address for /metrics and /healthz
 	// (host:port; ":0" picks a free port, see Daemon.Addr). Required.
@@ -89,15 +87,6 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, errors.New("daemon: Config.ListenAddr is required")
 	}
 	mon := &cfg.Monitor
-	if mon.Agg == nil {
-		mon.Agg = flow.FiveTuple{}
-	}
-	if mon.TopT == 0 {
-		mon.TopT = 10
-	}
-	if mon.BinSeconds == 0 {
-		mon.BinSeconds = 60
-	}
 	if mon.Log == nil {
 		mon.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}

@@ -109,6 +109,7 @@ func testDaemonConfig(src source.PacketSource) Config {
 	return Config{
 		Monitor: pipeline.Config{
 			Source:     src,
+			Agg:        flow.FiveTuple{},
 			Rate:       0.5,
 			Seed:       1,
 			TopT:       5,
@@ -445,6 +446,10 @@ func TestConfigValidation(t *testing.T) {
 		want string
 	}{
 		{"missing source", func(c *Config) { c.Monitor.Source = nil }, "Source is required"},
+		// The daemon takes no defaults of its own: a zero value is the
+		// pipeline's to reject, as it is flowtop's.
+		{"missing aggregator", func(c *Config) { c.Monitor.Agg = nil }, "Agg is required"},
+		{"zero bin", func(c *Config) { c.Monitor.BinSeconds = 0 }, "(-bin)"},
 		{"zero rate", func(c *Config) { c.Monitor.Rate = 0 }, "outside (0, 1]"},
 		{"rate above one", func(c *Config) { c.Monitor.Rate = 1.5 }, "outside (0, 1]"},
 		{"adapt without inverter", func(c *Config) { c.Monitor.AdaptTarget = 0.1 }, "set Config.Inverter"},
@@ -464,41 +469,5 @@ func TestConfigValidation(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestMonitorDefaults: a Monitor that leaves Agg, TopT and BinSeconds zero
-// runs as the 5-tuple / top-10 / 60 s monitor, read off the first journal
-// record: the bin is 60 s wide, its flows are the trace's distinct
-// 5-tuples (under /24 prefixes genPackets has one), and the NetFlow export
-// — the sampled top list — carries ten of its fifteen flows.
-func TestMonitorDefaults(t *testing.T) {
-	coll, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coll.Close()
-	pkts := genPackets(300)
-	tuples := map[flow.Key]bool{}
-	for _, p := range pkts {
-		tuples[p.Key] = true
-	}
-	_, recs := replayToEOF(t, Config{
-		Monitor:     pipeline.Config{Source: source.NewSlice(pkts), Rate: 1},
-		ListenAddr:  "127.0.0.1:0",
-		NetFlowAddr: coll.LocalAddr().String(),
-	})
-	if len(recs) == 0 {
-		t.Fatal("no bin journaled")
-	}
-	r := recs[0]
-	if r.Start != 0 || r.End != 60 {
-		t.Errorf("first bin spans [%g, %g), want the 60 s default", r.Start, r.End)
-	}
-	if len(tuples) <= 10 || r.Flows != len(tuples) {
-		t.Errorf("first bin has %d flows, want the trace's %d (> 10) 5-tuples", r.Flows, len(tuples))
-	}
-	if r.NetFlow == nil || r.NetFlow.Records != 10 {
-		t.Errorf("NetFlow export %+v, want the default top 10", r.NetFlow)
 	}
 }

@@ -264,20 +264,3 @@ func (r *RunningStat) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (r *RunningStat) Std() float64 { return math.Sqrt(r.Var()) }
-
-// Merge combines another accumulator into this one (parallel reduction).
-func (r *RunningStat) Merge(o RunningStat) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	nA, nB := float64(r.n), float64(o.n)
-	delta := o.mean - r.mean
-	total := nA + nB
-	r.mean += delta * nB / total
-	r.m2 += o.m2 + delta*delta*nA*nB/total
-	r.n += o.n
-}

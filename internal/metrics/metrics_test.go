@@ -291,32 +291,6 @@ func TestRunningStat(t *testing.T) {
 	}
 }
 
-func TestRunningStatMerge(t *testing.T) {
-	g := randx.New(6)
-	var all, a, b RunningStat
-	for i := 0; i < 1000; i++ {
-		x := g.NormFloat64()*3 + 1
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d", a.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 || math.Abs(a.Var()-all.Var()) > 1e-9 {
-		t.Errorf("merge mismatch: mean %g vs %g, var %g vs %g", a.Mean(), all.Mean(), a.Var(), all.Var())
-	}
-	var empty RunningStat
-	empty.Merge(a)
-	if empty.Mean() != a.Mean() {
-		t.Error("merge into empty failed")
-	}
-}
-
 // TestCountSwappedMatchesNaive cross-checks the production pair counter
 // against an independent quadratic reference on random bins.
 func TestCountSwappedMatchesNaive(t *testing.T) {

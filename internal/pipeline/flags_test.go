@@ -42,6 +42,13 @@ func TestFlagValidation(t *testing.T) {
 		{"NaN rate", []string{"-p", "NaN"}, "outside (0, 1]"},
 		{"adapt without invert", []string{"-adapt", "1"}, "-invert"},
 		{"adapt with an empty top list", []string{"-adapt", "1", "-invert", "em", "-t", "0"}, "(-t)"},
+		// These five once passed here and failed in the engine, after the
+		// journal was created, naming a stream field instead of the flag.
+		{"zero bin", []string{"-bin", "0"}, "(-bin)"},
+		{"NaN bin", []string{"-bin", "NaN"}, "(-bin)"},
+		{"infinite bin", []string{"-bin", "+Inf"}, "(-bin)"},
+		{"negative top list", []string{"-t", "-3"}, "(-t)"},
+		{"negative workers", []string{"-workers", "-1"}, "(-workers)"},
 		{"memory with exact table", []string{"-memory", "4096"}, "-table"},
 		{"memory with map table", []string{"-table", "map", "-memory", "4096"}, "-table"},
 		{"negative memory", []string{"-table", "countmin", "-memory", "-1"}, "negative slot budget"},

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"runtime/pprof"
 
 	"flowrank/internal/adaptive"
@@ -71,8 +72,20 @@ type Config struct {
 // validate holds the rules that need no I/O: the flag layer applies them
 // before any file is opened, New for library callers.
 func (c Config) validate() error {
+	if c.Agg == nil {
+		return errors.New("pipeline: Config.Agg is required")
+	}
 	if !(c.Rate > 0 && c.Rate <= 1) {
 		return fmt.Errorf("pipeline: sampling rate %g outside (0, 1]", c.Rate)
+	}
+	if !(c.BinSeconds > 0) || math.IsInf(c.BinSeconds, 1) {
+		return fmt.Errorf("pipeline: BinSeconds (-bin) is %g, must be positive and finite", c.BinSeconds)
+	}
+	if c.TopT < 0 {
+		return fmt.Errorf("pipeline: TopT (-t) is %d, must not be negative", c.TopT)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("pipeline: Workers (-workers) is %d, must not be negative (0 = the engine's default)", c.Workers)
 	}
 	if c.AdaptTarget > 0 && c.Inverter == nil {
 		return errors.New("pipeline: AdaptTarget (-adapt) needs a per-bin inversion to refit against: set Config.Inverter (-invert parametric is the cheapest, -invert em the most general)")

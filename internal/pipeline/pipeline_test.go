@@ -252,6 +252,7 @@ func TestNewValidation(t *testing.T) {
 		want string
 	}{
 		{"missing source", func(c *Config) { c.Source = nil }, "Source is required"},
+		{"missing aggregator", func(c *Config) { c.Agg = nil }, "Agg is required"},
 		{"zero rate", func(c *Config) { c.Rate = 0 }, "outside (0, 1]"},
 		{"adapt without inverter", func(c *Config) { c.AdaptTarget = 1 }, "Config.Inverter"},
 		{"adapt without top list", func(c *Config) { c.AdaptTarget = 1; c.Inverter = invert.EM{}; c.TopT = 0 }, "TopT"},
