@@ -296,9 +296,11 @@ func StreamRank(records []FlowRecord, seed uint64, cfg StreamConfig, emit func(S
 // source's one read, fills a buffer with the next packets and returns how
 // many — at least one with a nil error, or none with the error (io.EOF at
 // a clean end), never both — without waiting for more than the first, so
-// a slow stream still yields each packet as it arrives. Next is its
-// one-packet form, for callers that read a packet at a time: NextBlock of
-// one packet, copied out to the caller, and *p is left alone on an error.
+// a slow stream still yields each packet as it arrives. The first error
+// is final: every later read returns it again, or a closed-source error
+// once the source is closed. Next is its one-packet form, for callers
+// that read a packet at a time: NextBlock of one packet, copied out to
+// the caller, and *p is left alone on an error.
 // Close releases the source and, from another goroutine, unblocks a
 // pending read. Trace and pcap replay, in-memory slices, and the daemon's
 // pacing, looping and live-capture sources all read through NextBlock, so

@@ -6,6 +6,7 @@ import (
 
 	"flowrank/internal/flow"
 	"flowrank/internal/packet"
+	"flowrank/internal/randx"
 )
 
 // cmDepth is the number of Count-Min rows. With 4 independent rows the
@@ -54,18 +55,7 @@ func NewCountMin(agg flow.Aggregator, k int) *CountMin {
 // offset returns the index into rows of the row-r counter of a key whose
 // FastHash is h — the one formula behind Estimate and the per-packet path.
 func (c *CountMin) offset(h uint64, r int) uint64 {
-	return uint64(r)*c.width + cmMix(h^cmSeeds[r])&(c.width-1)
-}
-
-// cmMix finalizes a seeded hash into a row index base (splitmix64
-// finalizer).
-func cmMix(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
+	return uint64(r)*c.width + randx.Mix64(h^cmSeeds[r])&(c.width-1)
 }
 
 // Add accounts one packet.

@@ -5,6 +5,7 @@ import (
 
 	"flowrank/internal/flow"
 	"flowrank/internal/packet"
+	"flowrank/internal/randx"
 )
 
 // refCountMin is CountMin as it was before its slots narrowed to 32 bytes,
@@ -205,7 +206,7 @@ func newRefCountMin(agg flow.Aggregator, k int) *refCountMin {
 }
 
 func (c *refCountMin) offset(h uint64, r int) uint32 {
-	return uint32(uint64(r)*c.width + cmMix(h^cmSeeds[r])&(c.width-1))
+	return uint32(uint64(r)*c.width + randx.Mix64(h^cmSeeds[r])&(c.width-1))
 }
 
 func (c *refCountMin) Add(p packet.Packet) {

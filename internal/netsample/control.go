@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"flowrank/internal/invert"
+	"flowrank/internal/randx"
 )
 
 // SizeAwareRates caps an allocation's per-switch sampling rates by
@@ -164,14 +165,7 @@ func (c *Controller) Run(bins [][]RoutedFlow) ([]*BinResult, error) {
 	return out, nil
 }
 
-// binSeed derives the deterministic stream id of (seed, bin, salt)
-// (splitmix64 finalizer).
+// binSeed derives the deterministic stream id of (seed, bin, salt).
 func binSeed(seed uint64, bin int, salt uint64) uint64 {
-	x := seed + 0x9e3779b97f4a7c15*(uint64(bin)*4+salt+1)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return randx.Mix64(seed + randx.Golden*(uint64(bin)*4+salt+1))
 }

@@ -1,7 +1,10 @@
 package netsample
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"math"
 	"sort"
 
@@ -91,19 +94,14 @@ func distSig(d dist.SizeDist) []float64 {
 // caller mutating Demand.Paths or Demand.Links gets a rebuilt view
 // instead of silently stale curves.
 func (d *Demand) fingerprint() uint64 {
-	h := uint64(14695981039346656037)
+	h := fnv.New64a()
+	var b [8]byte
 	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
+		binary.LittleEndian.PutUint64(b[:], v)
+		_, _ = h.Write(b[:]) // a hash's Write never fails
 	}
 	mixStr := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
+		_, _ = io.WriteString(h, s)
 		mix(uint64(len(s)))
 	}
 	mix(uint64(d.TopT))
@@ -125,7 +123,7 @@ func (d *Demand) fingerprint() uint64 {
 			}
 		}
 	}
-	return h
+	return h.Sum64()
 }
 
 // pathStats groups a routed workload by path, in first-appearance order.
@@ -310,10 +308,7 @@ func canonicalOrder(flows []RoutedFlow, members []int) []int {
 
 // stringSeed folds a string into a stable 64-bit stream id (FNV-1a).
 func stringSeed(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	_, _ = io.WriteString(h, s) // a hash's Write never fails
+	return h.Sum64()
 }

@@ -36,7 +36,8 @@ type exporter struct {
 }
 
 // export writes the bin's datagrams and reports the outcome for the
-// journal; nil without an export target or a sampled flow. Failures are
+// journal; nil without an export target or with an empty sampled top
+// list. Failures are
 // counted and logged (rate-limited), never returned: losing a datagram
 // must not take the monitor down (that is what the flow sequence is
 // for). A front-end that needs a complete export checks the outcome.

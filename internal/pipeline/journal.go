@@ -64,7 +64,8 @@ type BinRecord struct {
 	// flowrankd_pipeline_flush_seconds does.
 	Stages *obs.StageNanos `json:"stages,omitempty"`
 	// Inversion, Adapt and NetFlow record the optional per-bin stages
-	// that ran; each is absent when its stage is not configured.
+	// that ran; each is absent when its stage is not configured, and
+	// NetFlow also when the bin's sampled top list is empty (at -t 0).
 	Inversion *InversionRecord `json:"inversion,omitempty"`
 	Adapt     *AdaptRecord     `json:"adapt,omitempty"`
 	NetFlow   *NetFlowRecord   `json:"netflow,omitempty"`

@@ -52,16 +52,27 @@ func (g *RNG) DerivePCG(id uint64) PCG {
 }
 
 func (g *RNG) derivedSeed(id uint64) uint64 {
-	return splitmix64(g.s1^splitmix64(id+0x9e3779b97f4a7c15)) ^ g.s2
+	return splitmix64(g.s1^splitmix64(id+Golden)) ^ g.s2
 }
 
-// splitmix64 is the canonical 64-bit finalizer used for seed derivation.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+// Golden is splitmix64's increment, 2^64 divided by the golden ratio: the
+// step between the seeds a counter of streams hands to Mix64.
+const Golden = 0x9e3779b97f4a7c15
+
+// Mix64 is splitmix64's finalizer: a bijection of 64-bit words whose every
+// output bit depends on every input bit. It is the module's one copy of
+// it: seed derivation here, the per-bin stream ids of tracegen and
+// netsample, Count-Min's row hashes.
+//
+//flowrank:hotpath
+func Mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
+
+// splitmix64 is one step of the splitmix64 generator from state x.
+func splitmix64(x uint64) uint64 { return Mix64(x + Golden) }
 
 // PCG is a uniform stream held by value: math/rand/v2's PCG generator
 // without the *rand.Rand around it, for a caller that keeps one small

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,9 +184,8 @@ func blockSources(t *testing.T, label string, data []byte, isPcap bool, n int, e
 		{name: "paced", open: paced, lim: whole, end: end, packets: n},
 		{name: "counted", open: counted, lim: whole, end: end, packets: n},
 	}
-	// The loop runs on — past a truncated cycle's error too, once the
-	// retried read meets the end of the file — so its tape is capped past
-	// two cycles.
+	// The loop runs on over a whole trace, so its tape is capped past two
+	// cycles; a truncated one ends it at the first cycle's error.
 	cases = append(cases, blockCase{name: "loop", open: loop, lim: tapeLimit{packets: n + n/2}})
 	for i := range cases {
 		cases[i].name = fmt.Sprintf("%s %s", label, cases[i].name)
@@ -242,8 +242,8 @@ func TestNextBlockMatchesNext(t *testing.T) {
 }
 
 // TestLoopBlockRewound: a packet timed before its predecessor fails the
-// read at that packet, after the packets before it, and the loop goes on
-// with the ones after it — wherever the block boundaries fall.
+// read at that packet, after the packets before it, and ends the loop —
+// wherever the block boundaries fall.
 func TestLoopBlockRewound(t *testing.T) {
 	var pkts []packet.Packet
 	for i, tm := range []float64{0, 1, 2, 1.5, 3, 4, 4, 3.5, 3.9, 5} {
@@ -251,15 +251,95 @@ func TestLoopBlockRewound(t *testing.T) {
 	}
 	checkBlocks(t, []blockCase{{
 		name: "loop, rewound",
-		open: func(t *testing.T) PacketSource {
-			l, err := NewLoop(func() (PacketSource, error) { return NewSlice(pkts), nil }, 0)
+		open: func(t *testing.T) PacketSource { return rewoundLoop(t, pkts) },
+		lim:  tapeLimit{packets: 5 * len(pkts)},
+	}})
+}
+
+// rewoundLoop loops over pkts, a slice whose times go back somewhere.
+func rewoundLoop(t *testing.T, pkts []packet.Packet) *Loop {
+	l, err := NewLoop(func() (PacketSource, error) { return NewSlice(pkts), nil }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// TestFirstErrorIsFinal: on every source, at block lengths 1 and 256, the
+// first error NextBlock returns is returned again, with no packets, by
+// every later call — io.EOF after a clean end, the truncation error after
+// a cut, the rewind error of a Loop — Counted counts none of those calls,
+// and once the source is closed a read fails with ErrClosedSource.
+func TestFirstErrorIsFinal(t *testing.T) {
+	var cases []blockCase
+	for _, isPcap := range []bool{false, true} {
+		format := map[bool]string{false: "native", true: "pcap"}[isPcap]
+		data, n := fewBlocks(t, isPcap)
+		for _, c := range blockSources(t, format, data, isPcap, n, io.EOF) {
+			if !strings.HasSuffix(c.name, " loop") { // a whole trace loops on
+				cases = append(cases, c)
+			}
+		}
+		cases = append(cases, blockSources(t, format+" truncated", data[:len(data)-3], isPcap, n-1, io.ErrUnexpectedEOF)...)
+	}
+	var rewinding []packet.Packet
+	for i, tm := range []float64{0, 1, 2, 1.5, 3, 4} {
+		rewinding = append(rewinding, packet.Packet{Time: tm, Size: 40 + i})
+	}
+	pkts := testPackets(t)
+	cases = append(cases,
+		blockCase{name: "slice", open: func(*testing.T) PacketSource { return NewSlice(pkts) }},
+		blockCase{name: "loop, rewound", open: func(t *testing.T) PacketSource { return rewoundLoop(t, rewinding) }},
+		blockCase{name: "loop, reopen fails", open: func(t *testing.T) PacketSource {
+			opens := 0
+			l, err := NewLoop(func() (PacketSource, error) {
+				if opens++; opens > 1 {
+					return nil, errors.New("reopen failed")
+				}
+				return NewSlice(pkts), nil
+			}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return l
-		},
-		lim: tapeLimit{packets: 5 * len(pkts)},
-	}})
+		}},
+	)
+	const limit = 1 << 20 // packets: past every finite case's end
+	for _, c := range cases {
+		for _, size := range []int{1, readBlock} {
+			label := fmt.Sprintf("%s, blocks of %d", c.name, size)
+			src := c.open(t)
+			buf := make([]packet.Packet, size)
+			var first error
+			for read := 0; first == nil; {
+				n, err := src.NextBlock(buf)
+				if read += n; read > limit {
+					t.Fatalf("%s: no error in %d packets", label, read)
+				}
+				first = err
+			}
+			counted, _ := src.(*Counted)
+			var before int64
+			if counted != nil {
+				before = counted.Packets.Load()
+			}
+			for i := 0; i < 5; i++ {
+				if n, err := src.NextBlock(buf); n != 0 || err == nil || err.Error() != first.Error() {
+					t.Errorf("%s: read %d after the error %q = %d, %v", label, i+1, first, n, err)
+					break
+				}
+			}
+			if counted != nil && counted.Packets.Load() != before {
+				t.Errorf("%s: counted %d packets after the error", label, counted.Packets.Load()-before)
+			}
+			if err := src.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", label, err)
+			}
+			if n, err := src.NextBlock(buf); n != 0 || !errors.Is(err, ErrClosedSource) {
+				t.Errorf("%s: NextBlock after the error and Close = %d, %v, want 0, ErrClosedSource", label, n, err)
+			}
+		}
+	}
 }
 
 // TestNextBlockAfterClose: a Close mid-stream fails the next read of every

@@ -23,6 +23,7 @@ type live struct {
 	buf    []byte
 	start  time.Time
 	began  bool
+	err    error // the first recv error, returned by every later read
 	closed atomic.Bool
 }
 
@@ -61,6 +62,9 @@ func (l *live) NextBlock(buf []packet.Packet) (int, error) {
 		if l.closed.Load() {
 			return 0, fmt.Errorf("source: live read after close: %w", ErrClosedSource)
 		}
+		if l.err != nil {
+			return 0, l.err
+		}
 		n, _, err := syscall.Recvfrom(l.fd, l.buf, 0)
 		if err != nil {
 			if err == syscall.EINTR {
@@ -69,7 +73,8 @@ func (l *live) NextBlock(buf []packet.Packet) (int, error) {
 			if l.closed.Load() {
 				return 0, fmt.Errorf("source: live capture closed: %w", ErrClosedSource)
 			}
-			return 0, fmt.Errorf("source: live recv: %w", err)
+			l.err = fmt.Errorf("source: live recv: %w", err)
+			return 0, l.err
 		}
 		now := time.Now()
 		if !l.began {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -116,12 +115,10 @@ type Loop struct {
 	offset float64
 	last   float64
 	n      int64
-	// A block that carried a packet timed before its predecessor is cut
-	// there: rewound is the error, reported after the packets before it,
-	// and held the packets after it, unshifted, read before the inner
-	// source again.
-	rewound error
-	held    []packet.Packet
+	// err is the loop's own first error — an open that failed, or a packet
+	// timed before its predecessor — returned by every later read. An
+	// inner source's error needs no copy: the inner source repeats it.
+	err error
 }
 
 // NewLoop returns a looping source. open must return a fresh source over
@@ -141,7 +138,7 @@ func (l *Loop) begin() (PacketSource, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return nil, fmt.Errorf("source: loop read after close: %w", ErrClosedSource)
+		return nil, errLoopClosed
 	}
 	src, err := l.open()
 	if err != nil {
@@ -162,6 +159,10 @@ func (l *Loop) retire(src PacketSource) {
 	}
 }
 
+// errLoopClosed fails a read of a closed loop that has no inner source
+// open to fail it.
+var errLoopClosed = fmt.Errorf("source: loop read after close: %w", ErrClosedSource)
+
 // errLoopRewound reports a packet timed before its predecessor. A cycle
 // must not rewind time; this only happens when the underlying trace
 // itself is out of order.
@@ -177,19 +178,14 @@ func errLoopRewound(t, last float64) error {
 //
 //flowrank:hotpath
 func (l *Loop) NextBlock(buf []packet.Packet) (int, error) {
-	if err := l.rewound; err != nil {
-		l.rewound = nil
-		return 0, err
-	}
-	if len(l.held) > 0 {
-		n := copy(buf, l.held)
-		l.held = l.held[n:]
-		return l.shift(buf[:n])
+	if l.err != nil {
+		return 0, l.failed()
 	}
 	for {
 		if l.rd == nil {
 			src, err := l.begin()
 			if err != nil {
+				l.err = err
 				return 0, err
 			}
 			l.rd = src
@@ -198,11 +194,8 @@ func (l *Loop) NextBlock(buf []packet.Packet) (int, error) {
 		if err == nil {
 			return l.shift(buf[:n])
 		}
-		if !errors.Is(err, io.EOF) {
+		if !errors.Is(err, io.EOF) || l.n == 0 {
 			return 0, err
-		}
-		if l.n == 0 {
-			return 0, io.EOF
 		}
 		l.retire(l.rd)
 		l.rd = nil
@@ -211,9 +204,21 @@ func (l *Loop) NextBlock(buf []packet.Packet) (int, error) {
 	}
 }
 
+// failed answers a read after the loop's own error: that error, or the
+// closed error once Close has run.
+func (l *Loop) failed() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return errLoopClosed
+	}
+	return l.err
+}
+
 // shift moves a block of the inner source into the current cycle and
 // returns how many of its packets to yield: all of them, or those before
-// the first that goes back in time, which then fails the next read.
+// the first that goes back in time, which is the loop's error from then
+// on.
 //
 //flowrank:hotpath
 func (l *Loop) shift(ps []packet.Packet) (int, error) {
@@ -221,7 +226,12 @@ func (l *Loop) shift(ps []packet.Packet) (int, error) {
 	for i := range ps {
 		t := ps[i].Time + l.offset
 		if t < last {
-			return l.cut(ps, i, errLoopRewound(t, last))
+			l.err = errLoopRewound(t, last)
+			if i == 0 {
+				return 0, l.err
+			}
+			ps = ps[:i]
+			break
 		}
 		ps[i].Time = t
 		last = t
@@ -229,19 +239,6 @@ func (l *Loop) shift(ps []packet.Packet) (int, error) {
 	l.last = last
 	l.n += int64(len(ps))
 	return len(ps), nil
-}
-
-// cut ends a block at ps[i], which went back in time with err: the packets
-// before it are yielded, then err, then the packets after it.
-func (l *Loop) cut(ps []packet.Packet, i int, err error) (int, error) {
-	l.held = append(slices.Clone(ps[i+1:]), l.held...)
-	if i == 0 {
-		return 0, err
-	}
-	l.last = ps[i-1].Time
-	l.n += int64(i)
-	l.rewound = err
-	return i, nil
 }
 
 // Close closes the current inner source — unblocking a pending read —

@@ -15,7 +15,8 @@
 // at hand and never waits for more than the first packet. Sources whose
 // every read waits (Paced, the live capture) return one packet per call.
 // NextBlock is the only read: a caller that wants one packet at a time
-// asks for a block of one.
+// asks for a block of one. A source's first error is its last: every later
+// read returns it again (see PacketSource).
 //
 // The two trace sources decode records in place out of a 256 KiB
 // bufio.Reader (internal/packet's and internal/pcap's ReadBlock), so a
@@ -45,14 +46,12 @@
 // its read(2) calls, a few per cent of wall time, at the price of a second
 // buffered reader (ROADMAP, "Decided against"). Smaller captures, pipes,
 // and every source built from a bare io.Reader (NewTraceSource,
-// NewPcapSource) are read synchronously too and own no goroutine. Decoding ahead, the reader sees what the
-// synchronous source shows: every packet before an error, then that error;
-// once the goroutine has exited — by itself, at the end of the file or at
-// a read error — reads go on synchronously, so a retry or a repeated
-// io.EOF is answered as without it. Close closes the file first, so a
-// blocked read returns, and does not return before the goroutine has
-// exited: a closed source leaves nothing behind, and Loop, which opens its
-// source once per cycle, leaves nothing behind per cycle.
+// NewPcapSource) are read synchronously too and own no goroutine. Decoding
+// ahead, the reader sees what the synchronous source shows: every packet
+// before an error, then that error on every read. Close closes the file
+// first, so a blocked read returns, and does not return before the
+// goroutine has exited: a closed source leaves nothing behind, and Loop,
+// which opens its source once per cycle, leaves nothing behind per cycle.
 //
 // Replay decorators compose over any source: Pace throttles a trace to
 // line rate (or a speed multiple of it) using the packet timestamps, and
@@ -92,6 +91,11 @@ import (
 // non-decreasing time order, the order the stream engine requires. A
 // source is not safe for concurrent reads.
 //
+// The first error is final: every later NextBlock returns 0 and that same
+// error — io.EOF again after a clean end, the same corruption error after
+// a truncated or malformed stream — or, once the source is closed, an
+// error matching ErrClosedSource. Nothing past the error is read.
+//
 // Close releases the source. Closing a source blocked in a read (from
 // another goroutine) unblocks it with an error — the graceful-shutdown
 // path of a daemon draining a live capture.
@@ -129,6 +133,7 @@ var ErrUnsupportedLinkType = errors.New("source: unsupported pcap link type (onl
 type TraceSource struct {
 	r      *packet.Reader
 	c      io.Closer
+	err    error // the first read error, returned by every later read
 	closed atomic.Bool
 }
 
@@ -154,7 +159,12 @@ func (s *TraceSource) NextBlock(buf []packet.Packet) (int, error) {
 	if s.closed.Load() {
 		return 0, errTraceClosed
 	}
-	return s.r.ReadBlock(buf)
+	if s.err != nil {
+		return 0, s.err
+	}
+	n, err := s.r.ReadBlock(buf)
+	s.err = err
+	return n, err
 }
 
 // Close closes the underlying reader when it is closable.
@@ -175,6 +185,7 @@ func (s *TraceSource) Close() error {
 type PcapSource struct {
 	r      *pcap.Reader
 	c      io.Closer
+	err    error // the first read error, returned by every later read
 	closed atomic.Bool
 	// frames is where ReadBlock decodes a block before it is keyed.
 	frames [readBlock]pcap.Packet
@@ -223,10 +234,14 @@ func (s *PcapSource) NextBlock(buf []packet.Packet) (int, error) {
 	if s.closed.Load() {
 		return 0, errPcapClosed
 	}
+	if s.err != nil {
+		return 0, s.err
+	}
 	frames := s.frames[:min(len(buf), len(s.frames))]
 	for {
 		k, err := s.r.ReadBlock(frames)
 		if err != nil {
+			s.err = err
 			return 0, err
 		}
 		n := 0
@@ -323,25 +338,20 @@ func open(path string, isPcap bool, readAheadMin int64) (PacketSource, error) {
 
 // pcapAhead is what Open returns for a large capture file: a goroutine
 // (decode) runs the synchronous source's decoder (fill) and hands over
-// batches of packets, which NextBlock copies out a block at a time. Once the goroutine has exited — after the batch that
-// carried the end of the capture or an error — reads go to the
-// synchronous source, so a retry or a repeated io.EOF is answered exactly
-// as it would be without it.
+// batches of packets, which NextBlock copies out a block at a time.
 //
 // Batches circulate between two queues, each with room for every batch,
 // so neither side ever blocks on a send: the consumer parks only on an
 // empty ready, the goroutine only on an empty free.
 type pcapAhead struct {
-	sync  *PcapSource   // the goroutine's until it has exited, then the reads'
-	stop  chan struct{} // closed by Close
-	done  chan struct{} // closed when the goroutine has exited
-	ready chan batch    // decoded batches in stream order; closed with done
-	free  chan []packet.Packet
-	buf   []packet.Packet // buf[i:n] is decoded and unread
-	i, n  int
-	err   error // the error that ended buf, reported after its packets
-	// async is true while the packets come from the goroutine.
-	async  bool
+	sync   *PcapSource   // the goroutine's
+	stop   chan struct{} // closed by Close
+	done   chan struct{} // closed when the goroutine has exited
+	ready  chan batch    // decoded batches in stream order; closed with done
+	free   chan []packet.Packet
+	buf    []packet.Packet // buf[i:n] is decoded and unread
+	i, n   int
+	err    error // the error that ended buf, reported after its packets and on every read after
 	closed atomic.Bool
 }
 
@@ -362,7 +372,6 @@ func newPcapAhead(src *PcapSource) *pcapAhead {
 		ready: make(chan batch, aheadDepth+1),
 		free:  make(chan []packet.Packet, aheadDepth+1),
 		buf:   make([]packet.Packet, batchPackets), // the one more that circulates
-		async: true,
 	}
 	for i := 0; i < aheadDepth; i++ {
 		s.free <- make([]packet.Packet, batchPackets)
@@ -405,9 +414,6 @@ func (s *pcapAhead) NextBlock(buf []packet.Packet) (int, error) {
 		if err := s.refill(); err != nil {
 			return 0, err
 		}
-		if s.i == s.n {
-			return s.sync.NextBlock(buf)
-		}
 	}
 	n := copy(buf, s.buf[s.i:s.n])
 	s.i += n
@@ -415,31 +421,24 @@ func (s *pcapAhead) NextBlock(buf []packet.Packet) (int, error) {
 }
 
 // refill, called with the current batch read, reports the error that
-// ended it, or takes the next batch that holds packets. Once the goroutine
-// is gone it leaves the batch empty, and the reads to the synchronous
-// source. A Close that ends the goroutine fails the read instead: the
-// stream it read past is not resumed.
+// ended it, or takes the next batch. A batch without packets carries the
+// error that ended the decode, and is the goroutine's last. A Close that
+// ends the goroutine fails the read instead: the stream it read past is
+// not resumed.
 //
 //flowrank:hotpath
 func (s *pcapAhead) refill() error {
-	for s.async {
-		if err := s.err; err != nil {
-			s.err = nil
-			return err
-		}
-		b, ok := <-s.ready
-		if s.closed.Load() {
-			return errPcapClosed
-		}
-		if !ok {
-			s.async = false
-			break
-		}
-		s.free <- s.buf // never blocks: free has room for every batch
-		s.buf, s.i, s.n, s.err = b.pkts, 0, b.n, b.err
-		if s.n > 0 {
-			break
-		}
+	if s.err != nil {
+		return s.err
+	}
+	b := <-s.ready
+	if s.closed.Load() {
+		return errPcapClosed
+	}
+	s.free <- s.buf // never blocks: free has room for every batch
+	s.buf, s.i, s.n, s.err = b.pkts, 0, b.n, b.err
+	if s.n == 0 {
+		return s.err
 	}
 	return nil
 }

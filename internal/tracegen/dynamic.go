@@ -128,14 +128,7 @@ func (c DynamicConfig) PairWeights(bin, n int) ([]float64, error) {
 	return w, nil
 }
 
-// mix64 folds (seed, salt) into one well-spread 64-bit stream id
-// (splitmix64 finalizer).
+// mix64 folds (seed, salt) into one well-spread 64-bit stream id.
 func mix64(seed, salt uint64) uint64 {
-	x := seed + 0x9e3779b97f4a7c15*(salt+1)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return randx.Mix64(seed + randx.Golden*(salt+1))
 }

@@ -15,7 +15,8 @@
 # count; a bounded row (its sampled table holds its slot budget per shard,
 # so its report depends on the worker count by design) prints the original
 # side, bin flow counts and true top lists, of its exact reference row;
-# every journal passes journalcheck with one staged record per reported
+# a -table map row (the exact table over a Go map) prints and exports
+# byte for byte what its exact reference row does; every journal passes journalcheck with one staged record per reported
 # bin; and a row on a capture of 16 MiB or more, which source.Open decodes
 # ahead from the file, reads the same through a pipe.
 #
@@ -146,6 +147,8 @@ for row in "${rows[@]}"; do
 	in="$trace.change.trace"
 	bounded=
 	[[ " $mon " =~ " -table "(countmin|spacesaving)" " ]] && bounded=1
+	mapped=
+	[[ " $mon " == *" -table map "* ]] && mapped=1
 	key="$gen|$(sed -E 's/ -(table|memory) [^ ]+//g' <<<" $mon")"
 	for w in 1 2 3 4; do
 		cell="$name -workers $w"
@@ -165,12 +168,14 @@ for row in "${rows[@]}"; do
 		fi
 		o="$out.w$w.change"
 		check "$o" "$cell"
-		if [ -n "$bounded" ]; then
+		if [ -n "$bounded$mapped" ]; then
 			ref=${refs[$key]:-}
 			if [ -z "$ref" ]; then
 				fail "$name" "no earlier exact row on its trace with its flags less -table and -memory"
 				break
 			fi
+		fi
+		if [ -n "$bounded" ]; then
 			if [ "$w" = 1 ] && ! grep -q 'count err <=' "$o.txt"; then
 				fail "$cell stdout" "the bounded table never overflowed one shard"
 			fi
@@ -180,6 +185,12 @@ for row in "${rows[@]}"; do
 		elif [ "$w" -gt 1 ]; then
 			for ext in txt nf5 journal; do
 				report "$cell ${ext/txt/stdout} (vs -workers 1)" "$out.w1.change.$ext" "$o.$ext"
+			done
+		fi
+		if [ -n "$mapped" ]; then
+			# The journals differ in their table kind only.
+			for ext in txt nf5; do
+				report "$cell ${ext/txt/stdout} (vs $ref)" "$work/out/$ref.w$w.change.$ext" "$o.$ext"
 			done
 		fi
 		if [[ " $mon " == *" -adapt "* ]] && ! grep -q '^adapt: ' "$o.txt"; then
@@ -194,7 +205,7 @@ for row in "${rows[@]}"; do
 			piped=$((piped + 1))
 		fi
 	done
-	[ -z "$bounded" ] && refs[$key]=$name
+	[ -z "$bounded$mapped" ] && refs[$key]=$name
 	echo "$name: $(wc -l <"$out.w1.change.txt") report lines, $(wc -c <"$out.w1.change.nf5") NetFlow bytes, $(wc -l <"$out.w1.change.journal") journal records at -workers 1"
 done
 if [ -z "$base_rev" ] && [ "$piped" -eq 0 ]; then
