@@ -32,11 +32,11 @@ const warmBlock = 256
 
 func BenchmarkEngine(b *testing.B) {
 	pkts := makePackets(b, 30, 400, 1)
-	run := func(name string, workers int, tables flowtable.Spec) {
+	run := func(name string, workers int, agg flow.Aggregator, tables flowtable.Spec) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng, err := NewEngine(Config{
-					Agg:        flow.FiveTuple{},
+					Agg:        agg,
 					Sampler:    sampler.NewBernoulli(0.1, 7),
 					BinSeconds: 5,
 					TopT:       10,
@@ -103,11 +103,16 @@ func BenchmarkEngine(b *testing.B) {
 	warm("5tuple", flow.FiveTuple{})
 	warm("prefix24", flow.DstPrefix{Bits: 24})
 	for _, workers := range []int{1, 2, 4, 8} {
-		run(fmt.Sprintf("workers=%d", workers), workers, flowtable.Spec{})
+		run(fmt.Sprintf("workers=%d", workers), workers, flow.FiveTuple{}, flowtable.Spec{})
+	}
+	// The same trace aggregated to /24 destination prefixes, which Feed
+	// calls the aggregator for where it copies a 5-tuple's key.
+	for _, workers := range []int{1, 2} {
+		run(fmt.Sprintf("prefix24/workers=%d", workers), workers, flow.DstPrefix{Bits: 24}, flowtable.Spec{})
 	}
 	// The daemon-scrape configuration: Count-Min shards of 4096 slots.
 	for _, workers := range []int{1, 2} {
-		run(fmt.Sprintf("countmin/workers=%d", workers), workers, flowtable.Spec{Kind: flowtable.KindCountMin, Slots: 4096})
+		run(fmt.Sprintf("countmin/workers=%d", workers), workers, flow.FiveTuple{}, flowtable.Spec{Kind: flowtable.KindCountMin, Slots: 4096})
 	}
 }
 

@@ -96,6 +96,9 @@ import (
 // Config describes one streaming run.
 type Config struct {
 	// Agg classifies packets into the flows being ranked. Required.
+	// flow.FiveTuple, the identity, is recognised once at construction, and
+	// Feed then keeps each packet's key without a call; any other
+	// aggregator is called once per packet.
 	Agg flow.Aggregator
 	// Sampler makes the per-packet keep/drop decision, in trace order on
 	// the Feed goroutine: one SampleBlock call per run of up to 256 packets
@@ -389,6 +392,7 @@ type Engine struct {
 	pending    []batch    // reader-side per-shard batches
 	free       chan batch // spent batches back from the workers
 	wg         sync.WaitGroup
+	identity   bool // cfg.Agg is flow.FiveTuple: Feed copies the key
 	bin        int64
 	binEnd     float64 // where bin ends (setBin)
 	binPackets int64
@@ -514,6 +518,7 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 			len(cfg.Obs.Shards), cfg.Workers)
 	}
 	e := &Engine{cfg: cfg, emit: emit, ctx: ctx, done: ctx.Done(), kept: make([]bool, sampleBlock)}
+	_, e.identity = cfg.Agg.(flow.FiveTuple)
 	e.setBin(0)
 	e.shards = make([]*shard, cfg.Workers)
 	e.parts = make([]binClose, cfg.Workers)
@@ -598,7 +603,10 @@ func (e *Engine) Feed(ps ...packet.Packet) error {
 		e.cfg.Sampler.SampleBlock(kept)
 		for i := range kept {
 			p := &ps[i]
-			key := e.cfg.Agg.Aggregate(p.Key)
+			key := p.Key
+			if !e.identity {
+				key = e.cfg.Agg.Aggregate(key)
+			}
 			hash := key.FastHash()
 			s := e.shardOf(hash)
 			b := &e.pending[s]

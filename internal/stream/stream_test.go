@@ -162,6 +162,50 @@ func TestEngineMatchesSequentialReference(t *testing.T) {
 	}
 }
 
+// srcNet ranks flows by source /8 network and protocol: an aggregator
+// the engine knows nothing of.
+type srcNet struct{}
+
+func (srcNet) Aggregate(k flow.Key) flow.Key { return flow.Key{Src: k.Src.Mask(8), Proto: k.Proto} }
+func (srcNet) String() string                { return "src-net" }
+
+// sameKey is the identity under a type of its own: the engine calls it
+// per packet where it copies flow.FiveTuple's key.
+type sameKey struct{}
+
+func (sameKey) Aggregate(k flow.Key) flow.Key { return k }
+func (sameKey) String() string                { return "same-key" }
+
+// TestEngineAppliesEveryAggregator: Feed keeps the packet's key without a
+// call only under flow.FiveTuple. An aggregator that is neither it nor
+// DstPrefix is still applied — its bins match the reference loop's, which
+// aggregates in the flow table, and hold fewer flows than the 5-tuple's —
+// and an identity of another type measures exactly what FiveTuple does,
+// at Workers 1 to 4.
+func TestEngineAppliesEveryAggregator(t *testing.T) {
+	pkts := makePackets(t, 15, 120, 13)
+	cfg := func(agg flow.Aggregator, workers int) Config {
+		return Config{Agg: agg, Sampler: sampler.NewBernoulli(0.2, 3), BinSeconds: 5, TopT: 8, Workers: workers}
+	}
+	want := referenceBins(pkts, srcNet{}, sampler.NewBernoulli(0.2, 3), 5, 8)
+	five := runEngine(t, cfg(flow.FiveTuple{}, 1), pkts)
+	if len(want) < 3 || len(five) != len(want) {
+		t.Fatalf("degenerate trace: %d bins, %d under the 5-tuple", len(want), len(five))
+	}
+	nets, tuples := 0, 0
+	for i := range want {
+		nets, tuples = nets+want[i].Flows, tuples+five[i].Flows
+	}
+	if nets >= tuples {
+		t.Fatalf("%d source networks against %d 5-tuples over the bins: the aggregator merges nothing", nets, tuples)
+	}
+	for workers := 1; workers <= 4; workers++ {
+		compareBins(t, fmt.Sprintf("src-net, workers %d", workers), runEngine(t, cfg(srcNet{}, workers), pkts), want)
+		compareBins(t, fmt.Sprintf("5-tuple, workers %d", workers), runEngine(t, cfg(flow.FiveTuple{}, workers), pkts), five)
+		compareBins(t, fmt.Sprintf("same-key, workers %d", workers), runEngine(t, cfg(sameKey{}, workers), pkts), five)
+	}
+}
+
 // TestFeedBlocks: feeding the packets in blocks — of one, of a few, of the
 // pipeline's 256, of the whole trace — measures what feeding them one by
 // one does, also when the emit callback retunes the sampler between two
