@@ -163,9 +163,10 @@ microbench:
 # there as ns/bin.
 # BenchmarkInvert runs every inverter on daemon-scrape's sampled bin
 # (p = 0.01) and adapt-loop's (p = 0.1), in ns/op and allocs/op.
-# BenchmarkSampler times a Bernoulli decision at p = 0.01 in ns/pkt, one
-# Sample call per packet against one SampleBlock call per 256 packets (the
-# block the engine draws).
+# BenchmarkSampler times a Bernoulli decision in ns/pkt: one Sample call
+# per packet at p = 0.01, and one SampleBlock call per 256 packets (the
+# block the engine draws) at p from 1e-4 to 0.99, both sides of the rate
+# below which the sampler draws geometric gaps.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -run '^$$' -bench 'StreamPackets|StreamEngine|NetworkCoord|ExtensionSketch' -benchtime 1x

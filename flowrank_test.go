@@ -358,11 +358,23 @@ func budgetedDemand(tb testing.TB, topo *Topology, flows []RoutedFlow) *NetworkD
 }
 
 // overBudget lists the switches whose expected sampled load under the
-// allocation exceeds their budget.
+// allocation exceeds their budget: a switch samples every packet of the
+// paths it monitors (all their switches but the last) at its rate, or
+// under a coordinated allocation only its share of each path's.
 func overBudget(topo *Topology, d *NetworkDemand, a *Allocation) []NetworkSwitch {
+	used := map[string]float64{}
+	for _, p := range d.Paths {
+		for _, sw := range p.Switches[:max(len(p.Switches)-1, 0)] {
+			share := 1.0
+			if a.Coordinated {
+				share = a.Shares[p.Key()][sw]
+			}
+			used[sw] += a.Rates[sw] * share * p.Packets
+		}
+	}
 	var over []NetworkSwitch
-	for id, used := range a.ExpectedSampled(d) {
-		if sw, _ := topo.Switch(id); used > sw.Budget*(1+1e-9) {
+	for id, u := range used {
+		if sw, _ := topo.Switch(id); u > sw.Budget*(1+1e-9) {
 			over = append(over, sw)
 		}
 	}

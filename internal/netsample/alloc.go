@@ -48,27 +48,6 @@ var (
 	_ Allocator = Coordinated{}
 )
 
-// ExpectedSampled returns each switch's expected sampled packets per bin
-// under the allocation — the quantity its budget bounds. Uncoordinated
-// allocations charge a switch for every packet it forwards; coordinated
-// ones only for the flows it owns. Budgets bind this expectation, as in
-// cSamp: a realized run can exceed it by the skew of which individual
-// flows hash into the switch's range, on top of sampling noise.
-func (a *Allocation) ExpectedSampled(d *Demand) map[string]float64 {
-	v := d.ensureView()
-	out := make(map[string]float64, len(v.offered))
-	if !a.Coordinated {
-		for sw, load := range v.offered {
-			out[sw] = a.Rates[sw] * load
-		}
-		return out
-	}
-	for sw, load := range v.owned(a.Shares) {
-		out[sw] = a.Rates[sw] * load
-	}
-	return out
-}
-
 // ensureView lazily builds and memoizes the demand's canonical view and
 // scorer, keyed on a fingerprint of Paths/Links/TopT: mutating the
 // demand rebuilds the memo on next use instead of silently serving a

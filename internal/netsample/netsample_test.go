@@ -207,7 +207,7 @@ func TestSimulateDeterministicAndDedups(t *testing.T) {
 		if r1.Pairs.Detection > r1.Pairs.Ranking {
 			t.Errorf("%s: detection pairs %d above ranking pairs %d", alloc.Name(), r1.Pairs.Detection, r1.Pairs.Ranking)
 		}
-		// Budgets bind the expectation (see ExpectedSampled); a realized
+		// Budgets bind the expectation (see expectedSampled); a realized
 		// run adds hash-partition skew — which flows land in a range —
 		// and binomial noise. 25% headroom covers both at this scale.
 		for sw, used := range r1.SampledPerSwitch {

@@ -5,7 +5,9 @@
 // sampler decides a block of packets in one call (SampleBlock), as the
 // stream engine does, or one packet at a time (Sample); the two forms
 // draw one decision stream, so any split of the same packets into blocks
-// keeps the same ones.
+// keeps the same ones. Bernoulli draws that stream as geometric gaps
+// between kept packets at low rates, so a dropped packet costs no random
+// draw there.
 package sampler
 
 import (
@@ -38,15 +40,40 @@ type Sampler interface {
 }
 
 // Bernoulli samples each packet independently with probability P — the
-// paper's "random sampling", and the variant all its models assume. Its
-// decision stream is randx.New(seed).Derive(run).Bernoulli(P)'s, drawn
-// from a uniform stream held by value, which SampleBlock keeps in
-// registers for a whole block.
+// paper's "random sampling", and the variant all its models assume. Such
+// a stream is fully described by the i.i.d. gaps between kept packets,
+// each geometric: below gapBelow the sampler draws the number of packets
+// to drop before the next kept one, one uniform draw per kept packet, and
+// carries a pending gap across calls, so any split of the same packets
+// into blocks keeps the same ones. At gapBelow and above, where most
+// packets are kept, it compares one draw per packet with P instead. The
+// draws come from randx.New(seed).Derive(run)'s uniform stream, held by
+// value, which SampleBlock keeps in registers for a whole block.
 type Bernoulli struct {
 	P    float64
 	seed uint64
 	rng  randx.PCG
+	// gap is the number of packets to drop before the next kept one,
+	// drawn at rate gapP with logQ = log(1 - gapP). gapP is 0 when no gap
+	// is pending: after Reset, and after a call that did not draw gaps.
+	gap        uint64
+	gapP, logQ float64
 }
+
+// gapBelow is the rate below which Bernoulli draws geometric gaps instead
+// of one compare per packet. A gap costs a draw and a logarithm, ~27 ns,
+// per kept packet; a compare costs a draw, 4–5.5 ns, per packet. On a
+// 2-vCPU x86-64 container BenchmarkSampler's SampleBlock read, in ns/pkt,
+// gaps against compares (each side built with the other path disabled):
+// 0.06/5.3 at p = 1e-4, 0.46/5.5 at 0.01, 2.8/5.3 at 0.1, 13/5.5 at 0.5,
+// 24/5.5 at 0.9 and 26/5.5 at 0.99; the two meet between 0.15 (3.9/4.3)
+// and 0.2 (5.0/4.1), with compares spreading over 3–5.5 from run to run.
+const gapBelow = 0.125
+
+// maxGap caps a drawn gap, which is +Inf for a rate so small that its
+// logarithm underflows: 2^62 packets are never reached, and the cap keeps
+// the index arithmetic in SampleBlock from overflowing.
+const maxGap = 1 << 62
 
 // NewBernoulli returns a Bernoulli sampler with rate p. It panics if p is
 // outside [0, 1], NaN included.
@@ -66,38 +93,77 @@ func (s *Bernoulli) Sample(packet.Packet) bool {
 	return kept[0]
 }
 
-// SampleBlock keeps each packet with probability P, read once per call.
-// As RNG.Bernoulli does, a rate of 0 or 1 decides without drawing, and
-// any other keeps a packet when its draw's Float64 falls below P. Float64
-// is the draw's low 53 bits over 2^53, so the test is made on those bits
-// against P·2^53 rounded up, an integer compare with the same outcome (a
-// NaN rate draws and keeps nothing, as Float64() < NaN). The stream is
+// SampleBlock keeps each packet with probability P, read once per call;
+// an empty block decides and draws nothing. A rate of 0 or 1 decides
+// without drawing, and a NaN rate keeps nothing. Below gapBelow, the
+// pending gap is used up first, then each kept packet draws the gap to
+// the next: floor(log(U)/log(1-P)) for U = Float64() + 2^-53, uniform in
+// (0, 1], the inverse of the geometric law P{gap >= k} = (1-P)^k. A call
+// at a rate other than the one the pending gap was drawn at discards it
+// and draws a new one, which is exact because the law is memoryless: the
+// packets after any point are independent of those before it. At
+// gapBelow and above, a packet is kept when its draw's low 53 bits fall
+// below P·2^53 rounded up, the test Float64() < P makes. The stream is
 // copied into a local for the loop, so its state stays in registers.
 //
 //flowrank:hotpath
 func (s *Bernoulli) SampleBlock(kept []bool) {
+	if len(kept) == 0 {
+		return
+	}
 	switch p := s.P; {
-	case p <= 0:
+	case p > 0 && p < gapBelow:
+		rng := s.rng
+		if p != s.gapP {
+			s.gapP, s.logQ = p, math.Log1p(-p)
+			s.gap = geometric(&rng, s.logQ)
+		}
+		clear(kept)
+		n := uint64(len(kept))
+		i := s.gap
+		for i < n {
+			kept[i] = true
+			i += 1 + geometric(&rng, s.logQ)
+		}
+		s.gap = i - n
+		s.rng = rng
+		return
+	case !(p > 0):
 		clear(kept)
 	case p >= 1:
 		for i := range kept {
 			kept[i] = true
 		}
 	default:
-		var below uint64
-		if x := math.Ceil(p * (1 << 53)); x > 0 {
-			below = uint64(x)
-		}
+		below := uint64(math.Ceil(p * (1 << 53)))
 		rng := s.rng
 		for i := range kept {
 			kept[i] = rng.Uint64()&(1<<53-1) < below
 		}
 		s.rng = rng
 	}
+	s.gapP = 0
 }
 
-// Reset reseeds the decision stream for the given run.
-func (s *Bernoulli) Reset(run uint64) { s.rng = randx.New(s.seed).DerivePCG(run) }
+// geometric draws the number of failures before the first success of
+// Bernoulli trials whose failure probability has logarithm logQ, capped
+// at maxGap.
+//
+//flowrank:hotpath
+func geometric(rng *randx.PCG, logQ float64) uint64 {
+	u := float64(rng.Uint64()&(1<<53-1)+1) / (1 << 53) // Float64() + 2^-53, in (0, 1]
+	if g := math.Log(u) / logQ; g < maxGap {
+		return uint64(g)
+	}
+	return maxGap
+}
+
+// Reset reseeds the decision stream for the given run and discards the
+// pending gap.
+func (s *Bernoulli) Reset(run uint64) {
+	s.rng = randx.New(s.seed).DerivePCG(run)
+	s.gapP = 0
+}
 
 // Rate returns P.
 func (s *Bernoulli) Rate() float64 { return s.P }

@@ -102,7 +102,9 @@ type Config struct {
 	Agg flow.Aggregator
 	// Sampler makes the per-packet keep/drop decision, in trace order on
 	// the Feed goroutine: one SampleBlock call per run of up to 256 packets
-	// within a bin. Required.
+	// within a bin, which reads the rate once, so a rate retuned between
+	// bins applies from the next call on. A sampler.Bernoulli at a low rate
+	// draws one random number per kept packet, not per packet. Required.
 	Sampler sampler.Sampler
 	// BinSeconds is the measurement bin width. Required, positive.
 	BinSeconds float64
