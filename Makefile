@@ -95,10 +95,10 @@ race:
 bench:
 	cd bench && $(GO) run . -seed 1
 
-# The pair protocol a performance change is judged by (ROADMAP 1(d); PRs
-# 17-23 each ran it by hand): N alternating runs of one workload in an
-# export of BASE and in this tree, medians, quartiles, ratio and pair wins
-# per end-to-end metric. Fails only on the correctness gate.
+# The pair protocol a performance change is judged by: N alternating runs
+# of one workload in an export of BASE and in this tree, medians,
+# quartiles, ratio and pair wins per end-to-end metric. Fails only on the
+# correctness gate.
 #   make bench-pairs BASE=HEAD~1 WORKLOAD=daemon-scrape [N=10] [SEED=1]
 N ?= 10
 SEED ?= 1

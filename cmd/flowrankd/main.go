@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -87,8 +88,8 @@ func validate(opts options) error {
 	case opts.live != "" && opts.speed > 0:
 		return errors.New("-speed paces trace replay; a -live capture already arrives at line rate")
 	}
-	if opts.speed < 0 {
-		return fmt.Errorf("-speed %g is negative: use 0 for unpaced replay or a positive multiple of line rate", opts.speed)
+	if !(opts.speed >= 0) || math.IsInf(opts.speed, 1) {
+		return fmt.Errorf("-speed %g is not a finite, non-negative number: use 0 for unpaced replay or a positive multiple of line rate", opts.speed)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -101,6 +102,9 @@ func TestFlagValidation(t *testing.T) {
 		{"loop with live", func(o *options) { o.In = ""; o.live = "eth0"; o.loop = true }, "-loop"},
 		{"speed with live", func(o *options) { o.In = ""; o.live = "eth0"; o.speed = 1 }, "-speed"},
 		{"negative speed", func(o *options) { o.speed = -2 }, "-speed"},
+		// The first once panicked in source.Pace, the second replayed unpaced.
+		{"infinite speed", func(o *options) { o.speed = math.Inf(1) }, "-speed"},
+		{"NaN speed", func(o *options) { o.speed = math.NaN() }, "-speed"},
 		{"adapt without invert", func(o *options) { o.Adapt = 1 }, "-invert"},
 		{"unknown agg", func(o *options) { o.Agg = "7tuple" }, "-agg"},
 		{"unknown invert", func(o *options) { o.Invert = "magic" }, "-invert"},

@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"flowrank/internal/pipeline"
-	"flowrank/internal/source"
 	"flowrank/internal/stream"
 )
 
@@ -75,7 +74,6 @@ type Daemon struct {
 	cfg  Config
 	m    *metricSet
 	pipe *pipeline.Pipeline
-	src  *source.Counted
 	ln   net.Listener
 	nf   net.Conn
 }
@@ -100,10 +98,6 @@ func New(cfg Config) (*Daemon, error) {
 		mon.NetFlow, mon.NetFlowDest = conn, cfg.NetFlowAddr
 	}
 	d := &Daemon{cfg: cfg, nf: nf}
-	if mon.Source != nil { // else pipeline.New says it is required
-		d.src = &source.Counted{PacketSource: mon.Source}
-		d.cfg.Monitor.Source = d.src
-	}
 	var err error
 	if d.pipe, err = pipeline.New(d.cfg.Monitor); err == nil {
 		if d.ln, err = net.Listen("tcp", cfg.ListenAddr); err != nil {
@@ -116,7 +110,7 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		return nil, err
 	}
-	d.m = newMetricSet(d.pipe, &d.src.Packets)
+	d.m = newMetricSet(d.pipe)
 	return d, nil
 }
 

@@ -162,7 +162,7 @@ func TestDrainEmitsFinalPartialBin(t *testing.T) {
 	for _, p := range genPackets(n) {
 		src.ch <- p
 	}
-	waitFor(t, "packets ingested", func() bool { return d.src.Packets.Load() == n })
+	waitFor(t, "packets ingested", func() bool { return d.pipe.Ingested().Load() == n })
 	if got := d.m.bins.Load(); got != 0 {
 		t.Fatalf("bins flushed before drain: %d", got)
 	}

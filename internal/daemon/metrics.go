@@ -56,9 +56,8 @@ type metricSet struct {
 }
 
 // newMetricSet registers every flowrankd metric on a fresh registry, in
-// the order they render on /metrics. ingested counts the packets the
-// daemon's source returns: the per-packet path pays one atomic add for it.
-func newMetricSet(p *pipeline.Pipeline, ingested *obs.Counter) *metricSet {
+// the order they render on /metrics.
+func newMetricSet(p *pipeline.Pipeline) *metricSet {
 	r := promexp.NewRegistry()
 	m := &metricSet{reg: r, binLatency: obs.NewHistogram(binLatencyBounds)}
 	m.last.Store(&lastBin{rate: p.Rate()})
@@ -78,7 +77,7 @@ func newMetricSet(p *pipeline.Pipeline, ingested *obs.Counter) *metricSet {
 	gauge("flowrankd_source_eof",
 		"1 once the packet source was exhausted (trace replay finished).", &m.sourceEOF)
 	counter("flowrankd_packets_ingested_total",
-		"Packets read from the source and fed to the streaming engine.", ingested)
+		"Packets read from the source and fed to the streaming engine.", p.Ingested())
 	counter("flowrankd_packets_sampled_total",
 		"Packets the sampler kept, accumulated at bin boundaries.", &m.sampled)
 	counter("flowrankd_bins_total",

@@ -201,7 +201,7 @@ func TestSamplingRateGauge(t *testing.T) {
 	for _, p := range genPackets(n) {
 		src.ch <- p
 	}
-	waitFor(t, "packets ingested", func() bool { return d.src.Packets.Load() == n })
+	waitFor(t, "packets ingested", func() bool { return d.pipe.Ingested().Load() == n })
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("Run = %v", err)

@@ -76,34 +76,6 @@ func SortEntries(es []Entry) []Entry {
 	return es
 }
 
-// SelectTop reorders es in place so that its first min(t, len(es)) entries
-// are the highest-ranked ones in canonical order, and returns that prefix;
-// the remaining entries follow in no particular order. It is what ranking
-// a list needs instead of a full sort: a min-heap over es[:t] (the
-// lowest-ranked of the current best at the root) swaps in every later
-// entry that outranks the root, then unwinds into ranking order —
-// O(n log t), no allocation, any t including 0 and t >= len(es).
-//
-//flowrank:hotpath
-func SelectTop(es []Entry, t int) []Entry {
-	if t > len(es) {
-		t = len(es)
-	}
-	if t <= 0 {
-		return es[:0]
-	}
-	h := es[:t]
-	heapify(h)
-	for i := t; i < len(es); i++ {
-		if Less(es[i], h[0]) {
-			h[0], es[i] = es[i], h[0]
-			siftDown(h, 0)
-		}
-	}
-	unwind(h)
-	return h
-}
-
 // ranker selects the k highest-ranked of the entries offered to it, in a
 // heap appended to the caller's list, and counts the offered entries left
 // out whose count equals the lowest-ranked one kept: every kind's

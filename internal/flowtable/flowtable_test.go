@@ -268,17 +268,16 @@ func TestAddAggregatedMatchesAdd(t *testing.T) {
 	}
 }
 
-// mergeShards closes a bin the way the stream engine does: concatenate
-// the shards' unsorted flow lists and rank only the top list to the front;
-// concatenate the shards' top lists and select again.
+// mergeShards merges a bin's shards with the full sort: concatenate the
+// shards' unsorted flow lists and sort them; concatenate the shards' top
+// lists, sort them and keep the top.
 func mergeShards(shards []Summary, dst []Entry, k int) (all, top []Entry) {
 	var tops []Entry
 	for _, s := range shards {
 		dst = s.AppendAll(dst)
 		tops = s.AppendTop(tops, k)
 	}
-	SelectTop(dst, k)
-	return dst, SelectTop(tops, k)
+	return SortEntries(dst), SortEntries(tops)[:min(k, len(tops))]
 }
 
 // checkShardMerge compares a shard merge with the whole table: the top
@@ -318,14 +317,13 @@ func TestMergeShardedEntries(t *testing.T) {
 	checkShardMerge(t, all, top, whole.Entries(), whole.Top(10))
 }
 
-// TestSelectTop is SelectTop's contract against the full sort, on random
-// lists with heavy ties in the packet count: the returned prefix is the
-// sorted list's, the rest is the sorted rest as a multiset, nothing is
-// allocated — for every t from 0 past the length, the empty list
-// included. The ranker behind every kind's AppendTopTies, offered the
-// same list one entry at a time, must append the same prefix and count
-// the entries after it that tie its last.
-func TestSelectTop(t *testing.T) {
+// TestRanker is the contract of the ranker behind every kind's
+// AppendTopTies against the full sort, on random lists with heavy ties in
+// the packet count, for every k from below 0 past the length, the empty
+// list included: offered the list one entry at a time, it must append
+// the sorted list's prefix after what dst holds and count the entries
+// after it that tie its last.
+func TestRanker(t *testing.T) {
 	g := randx.New(5)
 	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
 		es := make([]Entry, n)
@@ -335,15 +333,7 @@ func TestSelectTop(t *testing.T) {
 		}
 		want := SortEntries(slices.Clone(es))
 		for _, k := range []int{-1, 0, 1, 2, 10, n - 1, n, n + 5} {
-			got := slices.Clone(es)
-			top := SelectTop(got, k)
 			m := max(0, min(k, n))
-			if len(top) != m || !slices.Equal(top, want[:m]) || (m > 0 && &top[0] != &got[0]) {
-				t.Fatalf("n=%d t=%d: top list %+v, want %+v in place", n, k, top, want[:m])
-			}
-			if !slices.Equal(SortEntries(got[m:]), want[m:]) {
-				t.Fatalf("n=%d t=%d: the rest is not the sorted list's rest", n, k)
-			}
 			prefix := []Entry{{Packets: 999}} // AppendTopTies appends after what dst holds
 			r := newRanker(prefix, k, n)
 			for _, e := range es {
@@ -357,13 +347,6 @@ func TestSelectTop(t *testing.T) {
 					n, k, ranked[1:], ties, want[:m], tiesAfter(want, m))
 			}
 		}
-	}
-	es := make([]Entry, 4096)
-	for i := range es {
-		es[i] = Entry{Key: randKey(g, 200), Packets: int64(g.IntN(50))}
-	}
-	if allocs := testing.AllocsPerRun(20, func() { SelectTop(es, 10) }); allocs != 0 {
-		t.Fatalf("SelectTop allocates %.1f times per call, want 0", allocs)
 	}
 }
 

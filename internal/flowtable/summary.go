@@ -45,8 +45,8 @@ type Summary interface {
 	TotalPackets() int64
 	TotalBytes() int64
 	// AppendAll appends all tracked flows to dst in no particular order
-	// and returns dst — what a bin close reads of the sampled table;
-	// SelectTop then ranks only the top list.
+	// and returns dst — what a bin close scores and inverts the sampled
+	// table from; AppendTopTies, not this, ranks a top list.
 	AppendAll(dst []Entry) []Entry
 	// AppendEntries appends all tracked flows to dst in the canonical
 	// ranking order (only the appended region is sorted) and returns dst.
@@ -56,7 +56,7 @@ type Summary interface {
 	AppendTop(dst []Entry, k int) []Entry
 	// AppendTopTies is AppendTop that also returns how many tracked flows
 	// it left out have the same count as the last flow it appended (0 when
-	// it appended every flow) — what a bin close ranks the original table
+	// it appended every flow) — what a bin close ranks each of its tables
 	// with, in one pass over it.
 	AppendTopTies(dst []Entry, k int) ([]Entry, int)
 	// AppendCounts adds every tracked flow's packet count to dst
@@ -245,7 +245,7 @@ func (t *Table) AddBatch(batch []Observation) {
 // AppendAll appends all flows to dst in map iteration order.
 func (t *Table) AppendAll(dst []Entry) []Entry {
 	dst = slices.Grow(dst, len(t.entries))
-	//flowrank:unordered the contract is "no particular order"; callers rank with SelectTop or SortEntries
+	//flowrank:unordered the contract is "no particular order"; a caller that ranks uses AppendTopTies or SortEntries
 	for _, e := range t.entries {
 		dst = append(dst, *e)
 	}

@@ -64,9 +64,8 @@ func (p PairCounts) DetectionFrac() float64 {
 // (packet count descending, deterministic tiebreak) and the remaining
 // flows follow in any order — the definitions only ever compare a top
 // flow with another flow, so a fully sorted list (flowtable.SortEntries)
-// is accepted but not needed; flowtable.SelectTop establishes exactly
-// this. sampled maps flow keys to sampled packet counts; missing keys
-// mean the flow was not sampled at all.
+// is accepted but not needed. sampled maps flow keys to sampled packet
+// counts; missing keys mean the flow was not sampled at all.
 //
 // This map form is the API for callers holding their own tables and the
 // reference CountSwappedCounts is tested against; the stream engine

@@ -60,12 +60,13 @@ type ShardStats struct {
 type FlushStats struct {
 	// Barrier is the time the shards work at the flush: the two barrier
 	// steps, each from its dispatch to the last shard's answer (the
-	// pending batches' ingest, each shard's scan for its top list, then
-	// its scoring, sampled-table copy and reset, the shards in parallel).
+	// pending batches' ingest, each shard's scans for its two top lists,
+	// then its scoring, sampled-table copy and reset, the shards in
+	// parallel).
 	Barrier *Histogram
 	// Merge is the engine's own work around the two steps: merging the
-	// shards' top lists and sizing the bin's buffers, then adding up the
-	// shards' answers and ranking the sampled top list.
+	// shards' top lists and sizing the bin's counts buffer, then adding up
+	// the shards' answers.
 	Merge *Histogram
 	// Invert is the per-bin flow-size-distribution inversion (zero-width
 	// when no Inverter is configured).

@@ -66,10 +66,7 @@ func sameError(a, b error) bool {
 // blockLens are the block lengths ReadBlock is checked at: one record,
 // two, a length that cuts the buffered records anywhere, and the
 // pipeline's.
-var blockLens = []int{1, 2, 7, readBlock}
-
-// readBlock mirrors internal/pipeline's block length.
-const readBlock = 256
+var blockLens = []int{1, 2, 7, BlockLen}
 
 // diffReaders drives the reader, at every block length, and the reference
 // in lock step over the same bytes, each behind its own wrap(...) of them,

@@ -185,7 +185,7 @@ func BenchmarkPacketRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, _ := NewReader(bytes.NewReader(data))
-		buf := make([]Packet, readBlock)
+		buf := make([]Packet, BlockLen)
 		for {
 			if _, err := r.ReadBlock(buf); err != nil {
 				break

@@ -25,6 +25,16 @@ package packet
 
 import "flowrank/internal/flow"
 
+// BlockLen is the monitor's block length: how many packets the pipeline
+// asks its source for at a time, the most a pcap source decodes per
+// ReadBlock and the stream engine samples per SampleBlock call, so a block
+// within one bin is one call at every layer, and the per-call work of each
+// (an interface hop, a closed check) is paid once per block, not per
+// packet. 8 KiB of packets stay in L1 between the decoder that writes them
+// and the engine that reads them; a source never waits to fill a block, so
+// a slow stream is not held back.
+const BlockLen = 256
+
 // Packet is a single observed packet: a timestamp (seconds from trace
 // start), the flow it belongs to, and its size on the wire in bytes.
 type Packet struct {

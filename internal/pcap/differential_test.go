@@ -8,6 +8,8 @@ import (
 	"io"
 	"testing"
 	"testing/iotest"
+
+	"flowrank/internal/packet"
 )
 
 // refReader is the reader as it was before records were decoded out of a
@@ -101,7 +103,7 @@ func sameError(a, b error) bool {
 // blockLens are the block lengths ReadBlock is checked at: one record,
 // two, a length that cuts the buffered records anywhere, and the
 // pipeline's.
-var blockLens = []int{1, 2, 7, 256}
+var blockLens = []int{1, 2, 7, packet.BlockLen}
 
 // diffReaders drives the reader's ReadBlock, at every block length, and
 // the reference in lock step over the same bytes, each behind its own

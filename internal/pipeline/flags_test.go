@@ -42,6 +42,9 @@ func TestFlagValidation(t *testing.T) {
 		{"NaN rate", []string{"-p", "NaN"}, "outside (0, 1]"},
 		{"adapt without invert", []string{"-adapt", "1"}, "-invert"},
 		{"adapt with an empty top list", []string{"-adapt", "1", "-invert", "em", "-t", "0"}, "(-t)"},
+		// Both once ran with no loop, with or without -invert.
+		{"negative adapt", []string{"-adapt", "-1"}, "(-adapt)"},
+		{"NaN adapt", []string{"-adapt", "NaN", "-invert", "em"}, "(-adapt)"},
 		// These five once passed here and failed in the engine, after the
 		// journal was created, naming a stream field instead of the flag.
 		{"zero bin", []string{"-bin", "0"}, "(-bin)"},

@@ -87,6 +87,9 @@ func (c Config) validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("pipeline: Workers (-workers) is %d, must not be negative (0 = the engine's default)", c.Workers)
 	}
+	if !(c.AdaptTarget >= 0) {
+		return fmt.Errorf("pipeline: AdaptTarget (-adapt) is %g, must not be negative (0 = no loop)", c.AdaptTarget)
+	}
 	if c.AdaptTarget > 0 && c.Inverter == nil {
 		return errors.New("pipeline: AdaptTarget (-adapt) needs a per-bin inversion to refit against: set Config.Inverter (-invert parametric is the cheapest, -invert em the most general)")
 	}
@@ -102,8 +105,9 @@ type Pipeline struct {
 	bern *sampler.Bernoulli
 	// stats is the engine's per-stage telemetry, read during the run by
 	// the daemon's /metrics.
-	stats *obs.PipelineStats
-	nf    *exporter // nil without Config.NetFlow
+	stats    *obs.PipelineStats
+	ingested obs.Counter // packets Run read from the source (Ingested)
+	nf       *exporter   // nil without Config.NetFlow
 }
 
 // New validates cfg and builds the sampler. It starts nothing: a Pipeline
@@ -132,6 +136,10 @@ func New(cfg Config) (*Pipeline, error) {
 // Stats is the engine's per-stage telemetry, safe to read concurrently
 // with Run (the daemon's /metrics).
 func (p *Pipeline) Stats() *obs.PipelineStats { return p.stats }
+
+// Ingested is the count of packets Run has read from the source, safe to
+// read concurrently with Run (the daemon's /metrics).
+func (p *Pipeline) Ingested() *obs.Counter { return &p.ingested }
 
 // Rate is the live sampling probability. It moves only at bin boundaries,
 // on Run's goroutine: read it from the per-bin callback, or outside Run.
@@ -184,7 +192,7 @@ func (p *Pipeline) Run(ctx context.Context, onBin func(stream.BinResult, *BinRec
 	pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("role", "reader")))
 	defer pprof.SetGoroutineLabels(ctx)
 
-	blk := make([]packet.Packet, readBlock)
+	blk := make([]packet.Packet, packet.BlockLen)
 	for {
 		n, err := p.cfg.Source.NextBlock(blk)
 		if err != nil {
@@ -194,20 +202,13 @@ func (p *Pipeline) Run(ctx context.Context, onBin func(stream.BinResult, *BinRec
 			eng.Abort()
 			return fmt.Errorf("pipeline: reading source: %w", err)
 		}
+		p.ingested.Add(int64(n))
 		if err := eng.Feed(blk[:n]...); err != nil {
 			eng.Abort()
 			return err
 		}
 	}
 }
-
-// readBlock is how many packets Run asks its source for at a time: the
-// source's per-call work (an interface hop per layer, a closed check, the
-// daemon's published count) and the engine's per-call checks are paid
-// once per block instead of once per packet. 8 KiB of packets stay in L1
-// between the decoder that writes them and the engine that reads them; a
-// source never waits to fill a block, so a slow stream is not held back.
-const readBlock = 256
 
 // closeBin is the per-bin work both front-ends share, in the order that
 // keeps a bin labeled with the rate that produced it: capture the rate,

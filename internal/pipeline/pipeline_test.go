@@ -384,6 +384,62 @@ func TestRunPcapTruncatedMidRecord(t *testing.T) {
 	}
 }
 
+// TestIngestedCountsWhatRunRead: the ingest count is every packet Run read
+// from its source — blocks of packet.BlockLen and a shorter last one — at
+// EOF, where the bins account for each of them, and on a native trace that
+// ends in a corrupt record, where every record before the cut was read and
+// counted though the bin it fell in is not reported.
+func TestIngestedCountsWhatRunRead(t *testing.T) {
+	const n = 3*packet.BlockLen + 17
+	var buf bytes.Buffer
+	w, err := packet.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range genPackets(n) {
+		if err := w.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want int64 // packets read
+		err  error
+	}{
+		{"whole", buf.Bytes(), n, nil},
+		{"cut mid-record", buf.Bytes()[:buf.Len()-3], n - 1, io.ErrUnexpectedEOF},
+	} {
+		src, err := source.NewTraceSource(bytes.NewReader(tc.data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(nil)
+		cfg.Source = src
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var binned int64
+		err = p.Run(context.Background(), func(b stream.BinResult, _ *BinRecord) error {
+			binned += b.OrigPackets
+			return nil
+		})
+		if !errors.Is(err, tc.err) {
+			t.Fatalf("%s: Run = %v, want %v", tc.name, err, tc.err)
+		}
+		if got := p.Ingested().Load(); got != tc.want {
+			t.Errorf("%s: ingested %d packets, Run read %d", tc.name, got, tc.want)
+		}
+		if tc.err == nil && binned != tc.want {
+			t.Errorf("%s: the bins hold %d packets, ingested %d", tc.name, binned, tc.want)
+		}
+	}
+}
+
 // TestGoroutineLabels: a goroutine profile taken mid-run names the reader
 // role=reader — the emit callback runs on it — and every shard worker
 // role=shard with its index; once Run returns, the caller's goroutine has

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"flowrank/internal/flow"
@@ -220,7 +219,7 @@ func buildBins(cfg Config) ([]binData, error) {
 			b.entries = append(b.entries, flowtable.Entry{Key: k, Packets: c})
 			b.packets += c
 		}
-		sort.Slice(b.entries, func(x, y int) bool { return flowtable.Less(b.entries[x], b.entries[y]) })
+		flowtable.SortEntries(b.entries)
 	}
 	return bins, nil
 }

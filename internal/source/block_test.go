@@ -21,8 +21,8 @@ import (
 
 // blockSizes are the buffer lengths the conformance tests read with beside
 // one packet: two, a length that cuts every batch and block somewhere, the
-// pipeline's readBlock, and more than a decode-ahead batch.
-var blockSizes = []int{2, 7, readBlock, 5000}
+// pipeline's packet.BlockLen, and more than a decode-ahead batch.
+var blockSizes = []int{2, 7, packet.BlockLen, 5000}
 
 // tape is what a run of reads returned: the packets, and the text of each
 // error with the number of packets read before it.
@@ -138,7 +138,7 @@ func checkBlocks(t *testing.T, cases []blockCase) {
 // as a native trace, or as a capture when isPcap — which holds n packets
 // and ends with end: every trace source, over the bytes and opened at a
 // zero threshold (decoding a capture ahead), a Loop over the file (lim
-// caps its endless stream), Paced and Counted.
+// caps its endless stream) and Paced.
 func blockSources(t *testing.T, label string, data []byte, isPcap bool, n int, end error) []blockCase {
 	path := filepath.Join(t.TempDir(), "trace")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -176,13 +176,11 @@ func blockSources(t *testing.T, label string, data []byte, isPcap bool, n int, e
 		p.sleep = func(time.Duration) {}
 		return p
 	}
-	counted := func(t *testing.T) PacketSource { return &Counted{PacketSource: opened(t)} }
 	whole := tapeLimit{packets: n + 1} // stops at the end's two errors
 	cases := []blockCase{
 		{name: "sync", open: sync, lim: whole, end: end, packets: n},
 		{name: "opened", open: opened, lim: whole, end: end, packets: n},
 		{name: "paced", open: paced, lim: whole, end: end, packets: n},
-		{name: "counted", open: counted, lim: whole, end: end, packets: n},
 	}
 	// The loop runs on over a whole trace, so its tape is capped past two
 	// cycles; a truncated one ends it at the first cycle's error.
@@ -268,8 +266,7 @@ func rewoundLoop(t *testing.T, pkts []packet.Packet) *Loop {
 // TestFirstErrorIsFinal: on every source, at block lengths 1 and 256, the
 // first error NextBlock returns is returned again, with no packets, by
 // every later call — io.EOF after a clean end, the truncation error after
-// a cut, the rewind error of a Loop — Counted counts none of those calls,
-// and once the source is closed a read fails with ErrClosedSource.
+// a cut, the rewind error of a Loop — and once the source is closed a read fails with ErrClosedSource.
 func TestFirstErrorIsFinal(t *testing.T) {
 	var cases []blockCase
 	for _, isPcap := range []bool{false, true} {
@@ -306,7 +303,7 @@ func TestFirstErrorIsFinal(t *testing.T) {
 	)
 	const limit = 1 << 20 // packets: past every finite case's end
 	for _, c := range cases {
-		for _, size := range []int{1, readBlock} {
+		for _, size := range []int{1, packet.BlockLen} {
 			label := fmt.Sprintf("%s, blocks of %d", c.name, size)
 			src := c.open(t)
 			buf := make([]packet.Packet, size)
@@ -318,19 +315,11 @@ func TestFirstErrorIsFinal(t *testing.T) {
 				}
 				first = err
 			}
-			counted, _ := src.(*Counted)
-			var before int64
-			if counted != nil {
-				before = counted.Packets.Load()
-			}
 			for i := 0; i < 5; i++ {
 				if n, err := src.NextBlock(buf); n != 0 || err == nil || err.Error() != first.Error() {
 					t.Errorf("%s: read %d after the error %q = %d, %v", label, i+1, first, n, err)
 					break
 				}
-			}
-			if counted != nil && counted.Packets.Load() != before {
-				t.Errorf("%s: counted %d packets after the error", label, counted.Packets.Load()-before)
 			}
 			if err := src.Close(); err != nil {
 				t.Fatalf("%s: Close: %v", label, err)
@@ -372,28 +361,5 @@ func TestNextBlockAfterClose(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCountedCountsBlocks: Counted counts what it returned, whatever the
-// block length, and nothing for a failed read.
-func TestCountedCountsBlocks(t *testing.T) {
-	pkts := testPackets(t)
-	src := &Counted{PacketSource: NewSlice(pkts)}
-	var p packet.Packet
-	if err := next(src, &p); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]packet.Packet, 7)
-	read := 1
-	for {
-		n, err := src.NextBlock(buf)
-		read += n
-		if err != nil {
-			break
-		}
-	}
-	if got := src.Packets.Load(); got != int64(read) || read != len(pkts) {
-		t.Fatalf("counted %d packets, read %d of %d", got, read, len(pkts))
 	}
 }

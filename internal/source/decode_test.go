@@ -150,7 +150,7 @@ func TestSourceNextAllocFree(t *testing.T) {
 	if err := os.WriteFile(path, capture, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, per := range []int{1, readBlock} { // packets per read
+	for _, per := range []int{1, packet.BlockLen} { // packets per read
 		trace, err := NewTraceSource(bytes.NewReader(native))
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +228,7 @@ func TestPcapSourceRejectsLinkType(t *testing.T) {
 func BenchmarkSourceDecode(b *testing.B) {
 	const decodeAtLeast = 2_000_000
 	pkts := genPackets(b, 20, 150) // ~28k packets: 0.5 MB native, 14 MB pcap
-	buf := make([]packet.Packet, readBlock)
+	buf := make([]packet.Packet, packet.BlockLen)
 	for _, format := range []struct {
 		name   string
 		isPcap bool

@@ -6,11 +6,11 @@
 // (cmd/flowrankd) share this path, so a trace replayed through the daemon
 // is byte-for-byte the stream the batch tool would have measured.
 //
-// The block is the unit from source to engine: the pipeline asks for 256
-// packets at a time and feeds them to the engine in one call, so the
-// per-read work of every layer — an interface call, a closed check, a
-// Loop's cycle bookkeeping, the daemon's published count (Counted) — is
-// paid per block, not per packet. NextBlock returns n >= 1 packets with a
+// The block is the unit from source to engine: the pipeline asks for
+// packet.BlockLen packets at a time, counts them and feeds them to the
+// engine in one call, so the per-read work of every layer — an interface
+// call, a closed check, a Loop's cycle bookkeeping — is paid per block,
+// not per packet. NextBlock returns n >= 1 packets with a
 // nil error, or 0 with the error, never both; it returns what is already
 // at hand and never waits for more than the first packet. Sources whose
 // every read waits (Paced, the live capture) return one packet per call.
@@ -73,7 +73,6 @@ import (
 	"sync/atomic"
 
 	"flowrank/internal/layers"
-	"flowrank/internal/obs"
 	"flowrank/internal/packet"
 	"flowrank/internal/pcap"
 )
@@ -188,12 +187,8 @@ type PcapSource struct {
 	err    error // the first read error, returned by every later read
 	closed atomic.Bool
 	// frames is where ReadBlock decodes a block before it is keyed.
-	frames [readBlock]pcap.Packet
+	frames [packet.BlockLen]pcap.Packet
 }
-
-// readBlock is how many frames PcapSource decodes per ReadBlock: the
-// pipeline's block length.
-const readBlock = 256
 
 // NewPcapSource validates the pcap global header and returns a source
 // over r. Only Ethernet captures are accepted; any other link type fails
@@ -227,7 +222,7 @@ func (s *PcapSource) Close() error {
 
 // NextBlock fills buf with the next decodable frames: the first wherever
 // it lies, then every further one whose record is already buffered whole
-// (pcap.Reader.ReadBlock), up to readBlock frames a call.
+// (pcap.Reader.ReadBlock), up to packet.BlockLen frames a call.
 //
 //flowrank:hotpath
 func (s *PcapSource) NextBlock(buf []packet.Packet) (int, error) {
@@ -454,23 +449,6 @@ func (s *pcapAhead) Close() error {
 	close(s.stop)
 	<-s.done
 	return err
-}
-
-// Counted counts the packets its source returns, safe to read while
-// another goroutine reads the source: the daemon's one live packet count.
-// A block is counted once, as NextBlock returns it.
-type Counted struct {
-	PacketSource
-	Packets obs.Counter
-}
-
-// NextBlock reads the next block and counts its packets.
-//
-//flowrank:hotpath
-func (s *Counted) NextBlock(buf []packet.Packet) (int, error) {
-	n, err := s.PacketSource.NextBlock(buf)
-	s.Packets.Add(int64(n))
-	return n, err
 }
 
 // Slice is an in-memory PacketSource over a packet slice — the test and

@@ -23,12 +23,10 @@ import (
 //
 // The warm/ runs are the guard on Feed itself, in ns: one warm one-worker
 // engine with Recycle set is fed the trace again and again at shifted
-// times, in blocks of warmBlock packets as the pipeline feeds it, so ns/pkt is the reader stage, the hand-off and an exact-table
+// times, in blocks of packet.BlockLen packets as the pipeline feeds it, so ns/pkt is the reader stage, the hand-off and an exact-table
 // ingest with no construction or growth in it, and allocs/pkt must read
 // 0. 5tuple aggregates by copying the key, prefix24 by building a new one —
 // the two shapes of key hand-over between Aggregate, FastHash and the batch.
-// warmBlock is the block length the warm/ runs feed: the pipeline's.
-const warmBlock = 256
 
 func BenchmarkEngine(b *testing.B) {
 	pkts := makePackets(b, 30, 400, 1)
@@ -73,12 +71,12 @@ func BenchmarkEngine(b *testing.B) {
 			}
 			defer eng.Close()
 			const span = 35 // the 30 s trace plus a bin: every pass starts on a bin boundary
-			blk := make([]packet.Packet, 0, warmBlock)
+			blk := make([]packet.Packet, 0, packet.BlockLen)
 			pass := func(i int) {
 				for j, p := range pkts {
 					p.Time += float64(i) * span
 					blk = append(blk, p)
-					if len(blk) == warmBlock || j == len(pkts)-1 {
+					if len(blk) == packet.BlockLen || j == len(pkts)-1 {
 						if err := eng.Feed(blk...); err != nil {
 							b.Fatal(err)
 						}

@@ -80,7 +80,7 @@ func referenceClose(t *testing.T, pkts []packet.Packet, smp sampler.Sampler, spe
 	return BinResult{
 		OrigTop:    withoutTimes(slices.Clone(all[:min(topT, len(all))])),
 		Flows:      len(all),
-		SampledTop: slices.Clone(flowtable.SelectTop(sampled, topT)),
+		SampledTop: slices.Clone(flowtable.SortEntries(sampled)[:min(topT, len(sampled))]),
 		Pairs:      pairs,
 	}
 }

@@ -32,27 +32,28 @@
 // At each bin boundary a two-step barrier closes the bin where its flows
 // live, and only top lists, pair counts, sampled counts and totals leave
 // the shards. In the first step every shard ingests what is queued, ranks
-// its own original top list in one scan of its table, counts the flows
-// that tie the list's last, and joins each top flow with its sampled count
-// (a flow's original and sampled entries live in the same shard). The
-// engine merges the shards' lists into the bin's — exact, because the
-// shards partition the key space. In the second step every shard sums the
-// paper's §5/§7 swapped pairs between that list and its own flows
-// (metrics.Boundary): a flow below the list's smallest size scores as an
-// unsampled one unless its sampled count reaches a top flow's, so one scan
-// of the sampled table, with a lookup in the original table for each flow
-// that reaches, finds every exception, and the flows tying the smallest
-// size are scored in full. The shard then writes its sampled top list and
-// — for the inverter — its sampled counts without their keys into its run
-// of the bin's buffers, and resets its tables. The engine adds the sums up
-// and ranks the sampled top lists. Nothing is sorted and no map keyed by
-// flow is built. The barrier costs what the bin's own flows cost, not what
-// the tables hold room for: a shard's tables keep the arrays the busiest
-// bin grew them to, and their scans and resets visit only what the bin
-// occupied (flowtable.Flat's line bitmap, the sketches' tracked flows), so
-// a quiet bin after a busy one closes in microseconds. With
-// Config.Inverter set, the bin's sampled counts then go through the
-// estimator, and BinResult carries its result as returned.
+// its original and its sampled top list with the same ranker, one scan of
+// each table (flowtable.Summary.AppendTopTies), counts the original flows
+// that tie its list's last, and joins each original top flow with its
+// sampled count (a flow's original and sampled entries live in the same
+// shard). One k-way merge makes each side's shard lists the bin's — exact,
+// because the shards partition the key space. In the second step every
+// shard sums the paper's §5/§7 swapped pairs between the original list and
+// its own flows (metrics.Boundary): a flow below the list's smallest size
+// scores as an unsampled one unless its sampled count reaches a top
+// flow's, so one scan of the sampled table, with a lookup in the original
+// table for each flow that reaches, finds every exception, and the flows
+// tying the smallest size are scored in full. The shard then writes — for
+// the inverter — its sampled counts without their keys into its run of the
+// bin's buffer, and resets its tables. The engine adds the sums up.
+// Nothing is sorted and no map keyed by flow is built. The barrier costs
+// what the bin's own flows cost, not what the tables hold room for: a
+// shard's tables keep the arrays the busiest bin grew them to, and their
+// scans and resets visit only what the bin occupied (flowtable.Flat's line
+// bitmap, the sketches' tracked flows), so a quiet bin after a busy one
+// closes in microseconds. With Config.Inverter set, the bin's sampled
+// counts then go through the estimator, and BinResult carries its result
+// as returned.
 //
 // The engine times its own work on every run, one way: each hand-off and
 // stall on the reader, each batch a shard ingests, and each bin's barrier,
@@ -101,10 +102,11 @@ type Config struct {
 	// aggregator is called once per packet.
 	Agg flow.Aggregator
 	// Sampler makes the per-packet keep/drop decision, in trace order on
-	// the Feed goroutine: one SampleBlock call per run of up to 256 packets
-	// within a bin, which reads the rate once, so a rate retuned between
-	// bins applies from the next call on. A sampler.Bernoulli at a low rate
-	// draws one random number per kept packet, not per packet. Required.
+	// the Feed goroutine: one SampleBlock call per run of up to
+	// packet.BlockLen packets within a bin, which reads the rate once, so a
+	// rate retuned between bins applies from the next call on. A
+	// sampler.Bernoulli at a low rate draws one random number per kept
+	// packet, not per packet. Required.
 	Sampler sampler.Sampler
 	// BinSeconds is the measurement bin width. Required, positive.
 	BinSeconds float64
@@ -207,7 +209,7 @@ func (b batch) emptied() batch { return batch{all: b.all[:0], kept: b.kept[:0]} 
 
 // shardMsg is what the reader hands a shard: a packet batch, or one of
 // the two steps of a bin barrier — rank (ingest what is queued, rank the
-// shard's original top list), then close (score the shard's flows against
+// shard's two top lists), then close (score the shard's flows against
 // the bin's top list, write the shard's share of the bin and reset the
 // tables).
 type shardMsg struct {
@@ -218,11 +220,10 @@ type shardMsg struct {
 
 // binClose is what the close step gives a shard: the bin's original top
 // list and its scorer, which every shard reads, and the shard's own run of
-// the bin's buffers, each slice exactly as long as what it holds.
+// the bin's counts buffer, exactly as long as what it holds.
 type binClose struct {
-	top     []flowtable.Entry
-	score   *metrics.Boundary
-	sampTop []flowtable.Entry // the shard's sampled top list
+	top   []flowtable.Entry
+	score *metrics.Boundary
 	// counts holds every sampled flow's count, keyless and in no order:
 	// the inverter's input, nil when the engine does not invert.
 	counts []float64
@@ -246,10 +247,11 @@ type shard struct {
 	stats      *obs.ShardStats
 	in         chan shardMsg     // batches and barrier steps from the reader
 	out        chan shardSummary // one answer per barrier step
-	// top is the shard's original top list as the rank step left it, in
-	// ranking order, topSampled[i] the sampled count of top[i], and ties
-	// the number of flows outside it that tie its last.
+	// top and sampTop are the rank step's original and sampled top lists,
+	// topSampled[i] the sampled count of top[i], and ties the number of
+	// flows outside top that tie its last.
 	top        []flowtable.Entry
+	sampTop    []flowtable.Entry
 	topSampled []int64
 	ties       int
 	sampBuf    []flowtable.Entry // the sampled table, copied once per bin
@@ -270,13 +272,14 @@ func (s *shard) ingest(b batch) {
 	s.stats.Packets.Add(int64(len(b.all)))
 }
 
-// rank is the barrier's first step: rank the shard's original top list in
-// one scan of its table, count the flows that tie the list's last, and
-// join each top flow with its sampled count — a flow's original and
-// sampled entries live in the same shard, so the join is a lookup in the
-// shard's own sampled table. The list keeps Key, Packets and Bytes.
+// rank is the barrier's first step: rank both tables, count the original
+// flows that tie their list's last, and join each original top flow with
+// its sampled count — a flow's original and sampled entries live in the
+// same shard, so the join is a lookup in the shard's own sampled table.
+// The original list keeps Key, Packets and Bytes.
 func (s *shard) rank() shardSummary {
 	s.top, s.ties = s.orig.AppendTopTies(s.top[:0], s.topT)
+	s.sampTop, _ = s.samp.AppendTopTies(s.sampTop[:0], s.topT)
 	s.topSampled = s.topSampled[:0]
 	for i := range s.top {
 		s.top[i].First, s.top[i].Last = 0, 0
@@ -287,9 +290,9 @@ func (s *shard) rank() shardSummary {
 }
 
 // close is the barrier's second step: score the shard's flows against the
-// bin's top list, then, from one copy of the sampled table, write the
-// shard's sampled counts and its sampled top list into c, and reset the
-// tables. The detection sum and the totals go back in the summary.
+// bin's top list from one copy of the sampled table, write the shard's
+// sampled counts from it into c, and reset the tables. The detection sum
+// and the totals go back in the summary.
 func (s *shard) close(c *binClose) shardSummary {
 	s.sampBuf = s.samp.AppendAll(s.sampBuf[:0])
 	sum := shardSummary{
@@ -305,7 +308,6 @@ func (s *shard) close(c *binClose) shardSummary {
 	for i := range c.counts {
 		c.counts[i] = float64(s.sampBuf[i].Packets)
 	}
-	copy(c.sampTop, flowtable.SelectTop(s.sampBuf, len(c.sampTop)))
 	s.orig.Reset()
 	s.samp.Reset()
 	return sum
@@ -403,14 +405,14 @@ type Engine struct {
 	closed     bool
 	stopped    bool // workers shut down
 	// origTop and topSampled are the bin's original top list and its
-	// sampled counts, score its scorer; sampTop and counts are the buffers
-	// the shards write the bin's sampled top lists and counts into, and
-	// parts[s] is shard s's close step. origTop and sampTop become the
+	// sampled counts, score its scorer, sampTop the bin's sampled top list;
+	// counts is the buffer the shards write the bin's sampled counts into,
+	// and parts[s] is shard s's close step. origTop and sampTop become the
 	// BinResult's OrigTop and SampledTop, so they are reused only when
 	// cfg.Recycle is set; topSampled and counts never leave the engine and
 	// are always reused. Safe: the next barrier — the next time they are
 	// written — starts only after the previous bin's emit returned. sums
-	// holds the shards' answers to a barrier step and heads the merge's
+	// holds the shards' answers to a barrier step and heads a merge's
 	// position in each shard's list, both reused from bin to bin.
 	origTop    []flowtable.Entry
 	topSampled []int64
@@ -451,10 +453,6 @@ const clampBin int64 = 1 << 53
 // the replay read 0.441 -> 0.440 s wall and 0.431 -> 0.438 s CPU (24
 // pairs, 11 faster).
 const defaultBatch = 2048
-
-// sampleBlock is the most packets Feed samples in one SampleBlock call: the
-// pipeline's read block, so a block within one bin is one call.
-const sampleBlock = 256
 
 // shardQueue is the number of messages a shard's inbound queue holds: a
 // few batches of slack, so the reader runs on while a worker is still
@@ -519,7 +517,7 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 		return nil, fmt.Errorf("stream: Config.Obs has %d shard slots for %d workers; allocate with obs.NewPipelineStats(workers)",
 			len(cfg.Obs.Shards), cfg.Workers)
 	}
-	e := &Engine{cfg: cfg, emit: emit, ctx: ctx, done: ctx.Done(), kept: make([]bool, sampleBlock)}
+	e := &Engine{cfg: cfg, emit: emit, ctx: ctx, done: ctx.Done(), kept: make([]bool, packet.BlockLen)}
 	_, e.identity = cfg.Agg.(flow.FiveTuple)
 	e.setBin(0)
 	e.shards = make([]*shard, cfg.Workers)
@@ -566,7 +564,7 @@ func NewEngineContext(ctx context.Context, cfg Config, emit func(BinResult) erro
 // checked once per call: a flush that fails stops the call there.
 //
 // The call goes in segments: the packets up to the next bin boundary, at
-// most sampleBlock of them. A segment's sampling decisions are drawn in
+// most packet.BlockLen of them. A segment's sampling decisions are drawn in
 // one SampleBlock call after any flush before it, so they are the stream
 // per-packet Sample calls would draw, at the rate the flush left. Each
 // packet's observation is written in place into its shard's pending
@@ -754,7 +752,7 @@ func (e *Engine) dispatch(s int) {
 }
 
 // flushBin runs the bin barrier: have every shard ingest what is pending
-// and rank its top list, merge the lists and size the bin's buffers, have
+// and rank its top lists, merge the lists and size the bin's buffer, have
 // every shard close its share of the bin, merge the result and emit the
 // BinResult. Empty bins (no packets anywhere) emit nothing. It also
 // records the flush breakdown — barrier (the two steps), merge (the
@@ -819,61 +817,65 @@ func (e *Engine) barrierStep(sums []shardSummary, closing bool) {
 	}
 }
 
-// mergeTop merges the shards' top lists, each in ranking order, into the
-// bin's, each flow's sampled count moving along, and builds the list's
-// scorer. The shards partition the key space, so the bin's top flows are
-// the top of their own shards' lists: exact for exact tables, and for
-// bounded summaries the same holds for their estimates.
+// mergeTop merges the shards' original and sampled top lists into the
+// bin's two, the original flows' sampled counts moving along, and builds
+// the original list's scorer.
 func (e *Engine) mergeTop() {
 	if !e.cfg.Recycle {
-		e.origTop = nil
+		e.origTop, e.sampTop = nil, nil
 	}
-	e.origTop, e.topSampled = e.origTop[:0], e.topSampled[:0]
+	e.topSampled = e.topSampled[:0]
+	e.origTop = e.merge(e.origTop[:0], func(sh *shard) []flowtable.Entry { return sh.top },
+		func(sh *shard, i int) { e.topSampled = append(e.topSampled, sh.topSampled[i]) })
+	e.sampTop = e.merge(e.sampTop[:0], func(sh *shard) []flowtable.Entry { return sh.sampTop }, func(*shard, int) {})
+	e.score.Reset(e.origTop, e.topSampled)
+}
+
+// merge appends to dst the top TopT of the shards' lists list(sh), each in
+// ranking order, and returns it; took learns each entry taken, as shard
+// sh's i-th. The shards partition the key space, so the bin's top flows
+// are the top of their own shards' lists: exact for exact tables, and for
+// bounded summaries the same holds for their estimates.
+func (e *Engine) merge(dst []flowtable.Entry, list func(*shard) []flowtable.Entry, took func(sh *shard, i int)) []flowtable.Entry {
 	heads := e.heads // heads[s]: shard s's next flow
 	clear(heads)
-	for len(e.origTop) < e.cfg.TopT {
+	for range e.cfg.TopT {
 		best := -1
+		var top flowtable.Entry
 		for s, sh := range e.shards {
-			if heads[s] < len(sh.top) && (best < 0 || flowtable.Less(sh.top[heads[s]], e.shards[best].top[heads[best]])) {
-				best = s
+			if l := list(sh); heads[s] < len(l) && (best < 0 || flowtable.Less(l[heads[s]], top)) {
+				best, top = s, l[heads[s]]
 			}
 		}
 		if best < 0 {
 			break
 		}
-		sh, i := e.shards[best], heads[best]
-		e.origTop = append(e.origTop, sh.top[i])
-		e.topSampled = append(e.topSampled, sh.topSampled[i])
+		dst = append(dst, top)
+		took(e.shards[best], heads[best])
 		heads[best]++
 	}
-	e.score.Reset(e.origTop, e.topSampled)
+	return dst
 }
 
-// carve sizes the bin's sampled buffers to the table sizes the shards
-// reported and gives each shard its close step with its own run of them,
-// shard after shard. Each run is capped at its own length: a shard writing
-// its share cannot spill into the next one's.
+// carve sizes the bin's sampled counts buffer, when the engine inverts, to
+// the table sizes the shards reported and gives each shard its close step
+// with its own run of it, shard after shard. Each run is capped at its own
+// length: a shard writing its share cannot spill into the next one's.
 func (e *Engine) carve(sums []shardSummary) {
-	sampFlows, tops := 0, 0
+	sampFlows := 0
 	for _, s := range sums {
 		sampFlows += s.sampFlows
-		tops += min(e.cfg.TopT, s.sampFlows)
 	}
-	if !e.cfg.Recycle {
-		e.sampTop = nil
-	}
-	e.sampTop = resize(e.sampTop, tops)
 	if e.cfg.Inverter != nil {
 		e.counts = resize(e.counts, sampFlows)
 	}
-	var so, to int
+	so := 0
 	for i, s := range sums {
-		k, t := s.sampFlows, min(e.cfg.TopT, s.sampFlows)
-		e.parts[i] = binClose{top: e.origTop, score: &e.score, sampTop: e.sampTop[to : to+t : to+t]}
+		e.parts[i] = binClose{top: e.origTop, score: &e.score}
 		if e.counts != nil {
-			e.parts[i].counts = e.counts[so : so+k : so+k]
+			e.parts[i].counts = e.counts[so : so+s.sampFlows : so+s.sampFlows]
 		}
-		so, to = so+k, to+t
+		so += s.sampFlows
 	}
 }
 
@@ -911,17 +913,16 @@ func resize[T any](s []T, n int) []T {
 }
 
 // mergeBin reads what the shards reported into the bin result: the flow
-// counts, totals and detection sums add up, and the bin's sampled top
-// list is the top of the shards' lists, ranked without sorting the rest.
-// The inversion stage runs in flushBin, after this merge, so the two are
-// timed as distinct pipeline stages.
+// counts, totals and detection sums add up. The inversion stage runs in
+// flushBin, after this merge, so the two are timed as distinct pipeline
+// stages.
 func (e *Engine) mergeBin(sums []shardSummary) BinResult {
 	r := BinResult{
 		Bin:        e.bin,
 		Start:      float64(e.bin) * e.cfg.BinSeconds,
 		End:        float64(e.bin+1) * e.cfg.BinSeconds,
 		OrigTop:    e.origTop,
-		SampledTop: flowtable.SelectTop(e.sampTop, e.cfg.TopT),
+		SampledTop: e.sampTop,
 	}
 	var detection int64
 	for i := range sums {
