@@ -146,7 +146,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 // printRecord is one bin's report: the table, then the inversion
 // and the adapt decision where the run has them.
 func printRecord(w io.Writer, b stream.BinResult, rec *pipeline.BinRecord, opts options) error {
-	if err := printBin(w, b, opts.TopT); err != nil {
+	if err := printBin(w, b); err != nil {
 		return err
 	}
 	if rec.Inversion != nil {
@@ -192,7 +192,7 @@ func printInversion(w io.Writer, method string, b stream.BinResult) error {
 	return err
 }
 
-func printBin(w io.Writer, b stream.BinResult, topT int) error {
+func printBin(w io.Writer, b stream.BinResult) error {
 	// Bounded tables carry a worst-case per-flow overcount; exact tables
 	// report 0 and keep the line format the golden-file tests pin.
 	countErr := ""
@@ -207,7 +207,7 @@ func printBin(w io.Writer, b stream.BinResult, topT int) error {
 			b.Pairs.Detection, b.Pairs.DetectionFrac(), countErr),
 		Columns: []string{"rank", "true flow", "pkts", "sampled flow", "pkts"},
 	}
-	for i := 0; i < topT; i++ {
+	for i := range max(len(b.OrigTop), len(b.SampledTop)) {
 		row := make([]interface{}, 5)
 		row[0] = i + 1
 		if i < len(b.OrigTop) {
