@@ -88,7 +88,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("pipeline: Workers (-workers) is %d, must not be negative (0 = the engine's default)", c.Workers)
 	}
 	if !(c.AdaptTarget >= 0) {
-		return fmt.Errorf("pipeline: AdaptTarget (-adapt) is %g, must not be negative (0 = no loop)", c.AdaptTarget)
+		return fmt.Errorf("pipeline: AdaptTarget (-adapt) is %g, must be 0 (no loop) or positive", c.AdaptTarget)
 	}
 	if c.AdaptTarget > 0 && c.Inverter == nil {
 		return errors.New("pipeline: AdaptTarget (-adapt) needs a per-bin inversion to refit against: set Config.Inverter (-invert parametric is the cheapest, -invert em the most general)")

@@ -266,7 +266,8 @@ func rewoundLoop(t *testing.T, pkts []packet.Packet) *Loop {
 // TestFirstErrorIsFinal: on every source, at block lengths 1 and 256, the
 // first error NextBlock returns is returned again, with no packets, by
 // every later call — io.EOF after a clean end, the truncation error after
-// a cut, the rewind error of a Loop — and once the source is closed a read fails with ErrClosedSource.
+// a cut, the rewind error of a Loop — and once the source is closed a
+// read fails with ErrClosedSource.
 func TestFirstErrorIsFinal(t *testing.T) {
 	var cases []blockCase
 	for _, isPcap := range []bool{false, true} {
